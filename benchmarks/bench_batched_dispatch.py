@@ -16,11 +16,11 @@ plain async by a measurable margin (asserted below): the per-statement
 fixed server cost is paid once per batch instead of once per query, and
 the demux operator collapses the hot set's duplicate bindings for free.
 
-A second ablation rides along: a scan-bound aggregate loop run once per
-execution engine (``scan:row`` vs ``scan:columnar``), measuring the
-vectorized columnar executor against the tuple-at-a-time row engine on
-pure interpreter work (INSTANT profile, no usable index).  The columnar
-engine must win by at least :data:`SCAN_SPEEDUP`.
+A scan-bound aggregate loop rides along as one more point
+(``scan:columnar``): pure executor work (INSTANT profile, no usable
+index), so ``BENCH_batched_dispatch.json`` keeps scan latency
+percentiles.  Its correctness and speed are gated by the oracle-checked
+``scan_agg`` workload of ``perfbench``, not here.
 """
 
 from __future__ import annotations
@@ -43,28 +43,21 @@ from repro.workloads import hotset
 #: coalescer stops merging.
 COALESCE_SPEEDUP = 1.2
 
-#: Margin the columnar engine must beat the row engine by on the
-#: scan-bound aggregate loop.  Vectorized filtering and late
-#: materialization eliminate per-row tuple construction and per-row
-#: evaluator recursion, so the expected win is well above this; 3x is
-#: the asserted floor.
-SCAN_SPEEDUP = 3.0
-
 SCAN_SQL = "SELECT count(*), sum(value), max(value) FROM events WHERE kind = ? AND value >= ?"
 
 
-def run_scan_ablation(
+def run_scan_point(
     figure: FigureData, rows: int = 12000, queries: int = 30
 ) -> None:
-    """Row-vs-columnar executor ablation on a scan-bound aggregate.
+    """Time a scan-bound aggregate loop on the executor.
 
-    Appends two single-point series (``scan:row`` / ``scan:columnar``,
-    both at x=3) plus their per-query latency percentiles to
-    ``figure``.  The table has no usable index for the predicate, so
-    every query is a full sequential scan; the INSTANT profile charges
-    no simulated latency, leaving pure executor (interpreter) work —
-    exactly the regime the vectorized engine targets.
+    Appends the single-point series ``scan:columnar`` (at x=3) plus its
+    per-query latency percentiles to ``figure``.  The table has no
+    usable index for the predicate, so every query is a full sequential
+    scan; the INSTANT profile charges no simulated latency, leaving
+    pure executor (interpreter) work.
     """
+    label = "scan:columnar"
     with Database(INSTANT) as db:
         db.create_table(
             "events", ("event_id", "int"), ("kind", "int"), ("value", "float")
@@ -73,32 +66,19 @@ def run_scan_ablation(
             "events",
             [(i, i % 7, float(i % 100) / 3.0) for i in range(rows)],
         )
-        results = {}
-        for label, executor in (("scan:row", "row"), ("scan:columnar", "columnar")):
-            registry = MetricsRegistry()
-            series = figure.new_series(label)
-            with db.connect(metrics=registry, executor=executor) as conn:
+        registry = MetricsRegistry()
+        with db.connect(metrics=registry) as conn:
 
-                def runner(conn=conn):
-                    return [
-                        conn.execute_query(SCAN_SQL, [q % 7, float(q % 11)])
-                        for q in range(queries)
-                    ]
+            def runner():
+                return [
+                    conn.execute_query(SCAN_SQL, [q % 7, float(q % 11)])
+                    for q in range(queries)
+                ]
 
-                value, seconds = measure(runner)
-            results[label] = [tuple(r.rows[0]) for r in value]
-            figure.absorb_latencies(label, registry)
-            series.add(3, seconds)
-            figure.notes.append(f"{label}: {seconds:.3f}s ({queries} scans of {rows} rows)")
-    assert results["scan:row"] == results["scan:columnar"], (
-        "row and columnar engines disagree on the scan workload"
-    )
-    speedup = figure.speedup("scan:row", "scan:columnar", 3)
-    figure.notes.append(f"columnar-vs-row scan speedup: {speedup:.2f}x")
-    assert speedup is not None and speedup >= SCAN_SPEEDUP, (
-        f"columnar speedup {speedup:.2f}x below the asserted "
-        f"{SCAN_SPEEDUP}x floor on the scan-bound loop"
-    )
+            _value, seconds = measure(runner)
+        figure.absorb_latencies(label, registry)
+        figure.new_series(label).add(3, seconds)
+        figure.notes.append(f"{label}: {seconds:.3f}s ({queries} scans of {rows} rows)")
 
 
 def run_dispatch(
@@ -116,7 +96,7 @@ def run_dispatch(
         title=f"Hotset dispatch: blocking vs async vs async+coalesce "
         f"({iterations} lookups)",
         x_label="x = discipline (0=blocking 1=async 2=async+coalesce "
-        "3=scan ablation)",
+        "3=scan)",
         paper_reference="Intro: batching vs async — upgraded to a hybrid "
         "that batches whatever is outstanding behind the executor",
     )
@@ -189,7 +169,7 @@ def run_dispatch(
             figure.notes.append(f"{label}: {seconds:.3f}s")
     finally:
         db.close()
-    run_scan_ablation(figure, rows=scan_rows, queries=scan_queries)
+    run_scan_point(figure, rows=scan_rows, queries=scan_queries)
     return figure
 
 
@@ -212,10 +192,6 @@ def test_batched_dispatch(benchmark):
         f"{COALESCE_SPEEDUP}x margin "
         f"(async {times[1]:.3f}s vs coalesced {times[2]:.3f}s)"
     )
-    # The scan-bound row-vs-columnar ablation asserts its own >=3x
-    # margin inside run_scan_ablation; re-check it landed in the figure.
-    scan = figure.speedup("scan:row", "scan:columnar", 3)
-    assert scan is not None and scan >= SCAN_SPEEDUP
 
 
 if __name__ == "__main__":

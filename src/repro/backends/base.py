@@ -44,8 +44,7 @@ def resolve_backend_name(backend: Optional[str] = None) -> str:
     """Validate a backend name, defaulting from ``REPRO_BACKEND``.
 
     ``None`` defers to the ``REPRO_BACKEND`` environment variable (the
-    CI backend matrix sets it), else ``"memory"`` — mirroring how
-    ``REPRO_EXECUTOR`` picks the execution engine.
+    CI backend matrix sets it), else ``"memory"``.
 
     >>> resolve_backend_name("memory")
     'memory'
@@ -162,57 +161,24 @@ class Backend:
 
         prepare(sql) -> PreparedStatement-like   (statement_id, sql, ast,
                                                   plan, origin attributes)
-        submit(sql, params, txn, executor=) -> Future[QueryResult]
-        submit_prepared(prepared, params, txn=, span=, executor=)
+        submit(sql, params, txn) -> Future[QueryResult]
+        submit_prepared(prepared, params, txn=, span=)
             -> Future[QueryResult]
-        submit_prepared_batch(prepared, bindings, txn=, span=, executor=)
+        submit_prepared_batch(prepared, bindings, txn=, span=)
             -> Future[List[BindingOutcome]]
         begin_transaction() -> Transaction
         stats / stats_snapshot() / shutdown(wait=) / is_shutdown
         profile / meter / catalog properties
 
-    plus whatever the concrete transport needs.  The ledger delegation,
-    executor-kind validation and the blocking convenience calls are
-    shared here.
+    plus whatever the concrete transport needs.  The ledger delegation
+    and the blocking convenience calls are shared here.
     """
-
-    #: Engine kinds a statement may run under.  Both engines exist only
-    #: in the in-memory backend; DB-API backends accept the same values
-    #: (connection-level selection must not depend on the store) and
-    #: execute however the real engine pleases.
-    EXECUTORS = ("row", "columnar")
 
     #: Short selectable name (a :data:`BACKENDS` member).
     backend_name = "abstract"
 
-    def __init__(self, default_executor: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.ledger = CacheInvalidationLedger()
-        if default_executor is None:
-            # The vectorized engine is the default; REPRO_EXECUTOR=row
-            # flips a whole process (the CI matrix runs both).
-            default_executor = (
-                os.environ.get("REPRO_EXECUTOR", "").strip() or "columnar"
-            )
-        if default_executor not in self.EXECUTORS:
-            raise ValueError(
-                f"unknown executor {default_executor!r} "
-                f"(expected one of {self.EXECUTORS})"
-            )
-        self.default_executor = default_executor
-
-    # ------------------------------------------------------------------
-    # executor-kind validation (shared verbatim across backends)
-    # ------------------------------------------------------------------
-    def resolve_executor(self, executor: Optional[str]) -> str:
-        """Validate an executor kind, defaulting to the backend's."""
-        if executor is None:
-            return self.default_executor
-        if executor not in self.EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r} "
-                f"(expected one of {self.EXECUTORS})"
-            )
-        return executor
 
     # ------------------------------------------------------------------
     # invalidation-ledger delegation
@@ -256,25 +222,16 @@ class Backend:
     # ------------------------------------------------------------------
     # blocking conveniences over the async primitives
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        sql: str,
-        params: Sequence = (),
-        txn=None,
-        executor: Optional[str] = None,
-    ):
+    def execute(self, sql: str, params: Sequence = (), txn=None):
         """Synchronous execution (still bounded by the worker pool)."""
-        return self.submit(sql, params, txn, executor=executor).result()
+        return self.submit(sql, params, txn).result()
 
     def execute_prepared_batch(
         self,
         prepared,
         bindings: Sequence[Sequence],
         txn=None,
-        executor: Optional[str] = None,
     ) -> List:
         """Blocking set-oriented execution: one statement over N binding
         sets; one outcome (result or exception) per binding, in order."""
-        return self.submit_prepared_batch(
-            prepared, bindings, txn, executor=executor
-        ).result()
+        return self.submit_prepared_batch(prepared, bindings, txn).result()

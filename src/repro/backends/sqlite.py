@@ -60,7 +60,7 @@ from ..db.errors import (
 )
 from ..db.latency import INSTANT, LatencyMeter, LatencyProfile
 from ..db.plan import BindingOutcome, Planner, QueryResult, demuxable
-from ..db.plan.expr_eval import RowEvaluator
+from ..db.plan.expr_eval import RowEvaluator, limit_count
 from ..db.plan.operators import _item_name
 from ..db.server import PreparedStatement, ServerStats
 from ..db.sql import parse
@@ -180,12 +180,11 @@ class SqliteBackend(Backend):
         profile: LatencyProfile = INSTANT,
         meter: Optional[LatencyMeter] = None,
         max_prepared: int = DEFAULT_MAX_PREPARED,
-        default_executor: Optional[str] = None,
         paramstyle: Any = "named",
     ) -> None:
         if max_prepared < 1:
             raise ValueError(f"max_prepared must be >= 1, got {max_prepared}")
-        super().__init__(default_executor=default_executor)
+        super().__init__()
         self._profile = profile
         self._meter = meter if meter is not None else LatencyMeter()
         if isinstance(paramstyle, ParamStyle):
@@ -370,13 +369,9 @@ class SqliteBackend(Backend):
         sql: str,
         params: Sequence = (),
         txn: Optional[Transaction] = None,
-        executor: Optional[str] = None,
     ) -> "Future[QueryResult]":
-        executor = self.resolve_executor(executor)
         self._require_running()
-        return self._pool.submit(
-            self._run_sql, sql, tuple(params), txn, executor
-        )
+        return self._pool.submit(self._run_sql, sql, tuple(params), txn)
 
     def submit_prepared(
         self,
@@ -384,12 +379,10 @@ class SqliteBackend(Backend):
         params: Sequence = (),
         txn: Optional[Transaction] = None,
         span=None,
-        executor: Optional[str] = None,
     ) -> "Future[QueryResult]":
-        executor = self.resolve_executor(executor)
         self._require_running()
         return self._pool.submit(
-            self._run_prepared, prepared, tuple(params), txn, span, executor
+            self._run_prepared, prepared, tuple(params), txn, span
         )
 
     def submit_prepared_batch(
@@ -398,13 +391,11 @@ class SqliteBackend(Backend):
         bindings: Sequence[Sequence],
         txn: Optional[Transaction] = None,
         span=None,
-        executor: Optional[str] = None,
     ) -> "Future[List[BindingOutcome]]":
-        executor = self.resolve_executor(executor)
         self._require_running()
         snapshot = [tuple(binding) for binding in bindings]
         return self._pool.submit(
-            self._run_prepared_batch, prepared, snapshot, txn, span, executor
+            self._run_prepared_batch, prepared, snapshot, txn, span
         )
 
     def begin_transaction(self) -> Transaction:
@@ -420,9 +411,8 @@ class SqliteBackend(Backend):
         sql: str,
         params: tuple,
         txn: Optional[Transaction] = None,
-        executor: Optional[str] = None,
     ) -> QueryResult:
-        return self._run_prepared(self.prepare(sql), params, txn, executor=executor)
+        return self._run_prepared(self.prepare(sql), params, txn)
 
     def _run_prepared(
         self,
@@ -430,7 +420,6 @@ class SqliteBackend(Backend):
         params: tuple,
         txn: Optional[Transaction] = None,
         span=None,
-        executor: Optional[str] = None,
     ) -> QueryResult:
         exec_span = (
             span.child("server.execute", statement_id=prepared.statement_id)
@@ -438,9 +427,7 @@ class SqliteBackend(Backend):
             else None
         )
         try:
-            return self._execute_prepared(
-                prepared, params, txn, exec_span, executor
-            )
+            return self._execute_prepared(prepared, params, txn, exec_span)
         except BaseException as exc:
             if exec_span is not None:
                 exec_span.set("error", repr(exc))
@@ -455,9 +442,7 @@ class SqliteBackend(Backend):
         params: tuple,
         txn: Optional[Transaction],
         exec_span=None,
-        executor: Optional[str] = None,
     ) -> QueryResult:
-        executor = self.resolve_executor(executor)
         with self._lock:
             stale = prepared.catalog_version != self._catalog_version
         if stale:
@@ -482,7 +467,6 @@ class SqliteBackend(Backend):
             result = self._run_statement(prepared, params, txn)
             if exec_span is not None:
                 exec_span.set("write", write)
-                exec_span.set("executor", executor)
                 exec_span.set("backend", self.backend_name)
                 rows = getattr(result, "rowcount", None)
                 if rows is not None:
@@ -569,18 +553,6 @@ class SqliteBackend(Backend):
             for position, item in enumerate(stmt.items)
         )
 
-    def _check_limit(self, stmt: SelectStmt, schema: Schema, params: tuple) -> None:
-        """Reproduce the engine's LIMIT validation (PlanError on a
-        negative or non-integer limit; SQLite would silently accept)."""
-        if stmt.limit is None:
-            return
-        evaluator = RowEvaluator(schema, stmt.table, params)
-        count = evaluator.evaluate(stmt.limit, ())
-        if not isinstance(count, int) or count < 0:
-            raise PlanError(
-                f"LIMIT must be a non-negative integer, got {count!r}"
-            )
-
     def _exec_select(
         self,
         prepared: "SqlitePreparedStatement",
@@ -589,7 +561,9 @@ class SqliteBackend(Backend):
     ) -> QueryResult:
         stmt = prepared.ast
         schema = self._catalog.table(stmt.table).heap.schema
-        self._check_limit(stmt, schema, params)
+        # The engine's LIMIT validation (PlanError on a negative or
+        # non-integer limit; SQLite would silently accept).
+        limit_count(stmt, schema, params)
         bound = self._style.bind(params)
 
         def run(connection):
@@ -741,19 +715,15 @@ class SqliteBackend(Backend):
         bindings: List[tuple],
         txn: Optional[Transaction] = None,
         span=None,
-        executor: Optional[str] = None,
     ) -> List[BindingOutcome]:
         if not bindings:
             return []
-        executor = self.resolve_executor(executor)
         with self._lock:
             stale = prepared.catalog_version != self._catalog_version
         if stale:
             prepared = self.prepare(prepared.sql)
         if demuxable(prepared.plan):
-            return self._run_select_batch(
-                prepared, bindings, txn, span, executor
-            )
+            return self._run_select_batch(prepared, bindings, txn, span)
         if isinstance(prepared.ast, InsertStmt) and txn is None:
             outcomes = self._run_insert_batch_executemany(prepared, bindings)
             if outcomes is not None:
@@ -764,9 +734,7 @@ class SqliteBackend(Backend):
         outcomes = []
         for binding in bindings:
             try:
-                outcomes.append(
-                    self._run_prepared(prepared, binding, txn, span, executor)
-                )
+                outcomes.append(self._run_prepared(prepared, binding, txn, span))
             except Exception as exc:
                 outcomes.append(exc)
         return outcomes
@@ -777,7 +745,6 @@ class SqliteBackend(Backend):
         bindings: List[tuple],
         txn: Optional[Transaction],
         span,
-        executor: str,
     ) -> List[BindingOutcome]:
         """A demuxable (SELECT) batch: one batched call in the stats —
         executed as a single ``WHERE key IN (...)`` statement when the
@@ -806,7 +773,6 @@ class SqliteBackend(Backend):
                 exec_span.set(
                     "strategy", "scan" if key_column is not None else "probe"
                 )
-                exec_span.set("executor", executor)
                 exec_span.set("backend", self.backend_name)
             if key_column is not None:
                 outcomes = self._demux_via_in(

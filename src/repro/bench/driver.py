@@ -651,10 +651,6 @@ def build_workload_parser() -> argparse.ArgumentParser:
         help="enable set-oriented dispatch (submit coalescing)",
     )
     run.add_argument(
-        "--executor", choices=("row", "columnar"), default=None,
-        help="execution engine (default: server default)",
-    )
-    run.add_argument(
         "--backend", choices=("memory", "sqlite"), default=None,
         help=(
             "statement store behind the connection: memory (the "
@@ -744,7 +740,6 @@ def workload_main(argv: Sequence[str]) -> int:
             hot_fraction=args.hot_fraction,
             cache_size=0 if args.no_cache else args.cache_size,
             coalesce=args.coalesce,
-            executor=args.executor,
             backend=args.backend,
             async_workers=args.async_workers,
             seed=args.seed,
@@ -788,7 +783,6 @@ def run_hotset_workload(
     hot_fraction: float = 0.9,
     cache_size: int = 512,
     coalesce: bool = False,
-    executor: Optional[str] = None,
     backend: Optional[str] = None,
     async_workers: int = 10,
     seed: int = 17,
@@ -822,7 +816,6 @@ def run_hotset_workload(
             result_cache=cache,
             coalesce=coalesce,
             metrics=registry,
-            executor=executor,
             backend=backend,
         ) as conn:
             operations = build_hotset_operations(
@@ -871,7 +864,6 @@ def run_hotset_workload(
             f"profile={profile.name} users={users} read_pct={read_pct:g} "
             f"cache={'off' if cache is None else cache_size} "
             f"coalesce={coalesce} "
-            f"executor={executor or store.default_executor} "
             f"backend={store.backend_name}"
         )
         if cache is not None:

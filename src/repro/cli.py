@@ -130,17 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--executor", choices=("row", "columnar"), default=None,
-        help=(
-            "embed an execution-engine hint ('executor': ENGINE) in the "
-            "__repro_prefetch__ output: the runtime should open its "
-            "connections with executor=ENGINE — 'columnar' is the "
-            "server default (batch-at-a-time scans, late "
-            "materialization); 'row' selects the tuple-at-a-time "
-            "oracle engine (requires --prefetch)"
-        ),
-    )
-    parser.add_argument(
         "--trace", action="store_true",
         help=(
             "embed an end-to-end tracing hint ('trace': True) in the "
@@ -294,8 +283,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--coalesce requires --prefetch")
     if args.trace and not args.prefetch:
         parser.error("--trace requires --prefetch")
-    if args.executor is not None and not args.prefetch:
-        parser.error("--executor requires --prefetch")
     if args.coalesce_window is not None:
         if not args.coalesce:
             parser.error("--coalesce-window requires --coalesce")
@@ -347,7 +334,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 coalesce=args.coalesce,
                 coalesce_window=args.coalesce_window,
                 trace=args.trace,
-                executor=args.executor,
             )
         else:
             result = asyncify_source(

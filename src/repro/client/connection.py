@@ -122,11 +122,6 @@ class Connection:
     collects per-query latency histograms and registers this
     connection's stats surfaces as snapshot sources.  Both default to
     off, in which case the hot path pays a single ``None`` test.
-
-    ``executor`` selects the server-side execution engine for this
-    connection's statements — ``"columnar"`` or ``"row"`` — defaulting
-    to the server's own default (columnar unless ``REPRO_EXECUTOR``
-    overrides it).
     """
 
     def __init__(
@@ -138,10 +133,8 @@ class Connection:
         coalesce_window: Optional[int] = None,
         tracer=None,
         metrics=None,
-        executor: Optional[str] = None,
     ) -> None:
         self._server = server
-        self._executor_kind = server.resolve_executor(executor)
         self._executor = AsyncExecutor(
             async_workers,
             name="client-async",
@@ -155,7 +148,6 @@ class Connection:
             coalesce_window=coalesce_window,
             tracer=tracer,
             metrics=metrics,
-            executor_kind=self._executor_kind,
         )
         if metrics is not None and result_cache is not None:
             metrics.register_source("cache", result_cache.stats_snapshot)
@@ -179,12 +171,6 @@ class Connection:
     @property
     def executor(self) -> AsyncExecutor:
         return self._executor
-
-    @property
-    def executor_kind(self) -> str:
-        """Which execution engine this connection's statements run on:
-        ``"columnar"`` (the default) or ``"row"``."""
-        return self._executor_kind
 
     @property
     def pipeline(self) -> SubmissionPipeline:

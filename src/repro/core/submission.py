@@ -1063,7 +1063,6 @@ class DispatchCoalescer:
                 prepared,
                 [entry.bound for entry in live],
                 span=batch_span,
-                executor=pipeline.executor_kind,
             ).result()
         except BaseException as exc:
             if batch_span is not None:
@@ -1115,10 +1114,8 @@ class SubmissionPipeline:
         coalesce_window: Optional[int] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        executor_kind: Optional[str] = None,
     ) -> None:
         self._server = server
-        self._executor_kind = server.resolve_executor(executor_kind)
         self._calls = CallPipeline(executor, cache, tracer=tracer, metrics=metrics)
         #: Set-oriented dispatch (off by default): autocommit reads are
         #: routed through a :class:`DispatchCoalescer` that merges
@@ -1142,12 +1139,6 @@ class SubmissionPipeline:
     @property
     def executor(self):
         return self._calls.executor
-
-    @property
-    def executor_kind(self) -> str:
-        """The server-side execution engine this pipeline requests:
-        ``"columnar"`` or ``"row"``."""
-        return self._executor_kind
 
     @property
     def cache(self) -> Optional[ResultCache]:
@@ -1411,7 +1402,6 @@ class SubmissionPipeline:
                 bound,
                 txn=txn,
                 span=dispatch_span,
-                executor=self._executor_kind,
             ).result()
         except BaseException as exc:
             if dispatch_span is not None:

@@ -88,7 +88,7 @@ class Database:
         from ..backends.sqlite import SqliteBackend
 
         assert name == "sqlite", name
-        backend = SqliteBackend(default_executor=self.server.default_executor)
+        backend = SqliteBackend()
         for table_name in self.catalog.table_names():
             info = self.catalog.table(table_name)
             heap = info.heap
@@ -214,7 +214,6 @@ class Database:
         coalesce_window=None,
         trace: bool = False,
         metrics=None,
-        executor: Optional[str] = None,
         backend: Optional[str] = None,
     ):
         """Open a client connection (imported lazily to avoid a cycle).
@@ -239,13 +238,6 @@ class Database:
         keep a private one per measured variant).  Both default to off
         — the hot path then pays a single ``None`` test.
 
-        ``executor`` picks the execution engine for statements issued
-        through this connection: ``"columnar"`` (batch-at-a-time scans
-        with late materialization — the default) or ``"row"`` (the
-        tuple-at-a-time engine, kept as a correctness oracle).  ``None``
-        defers to the server default (the ``REPRO_EXECUTOR``
-        environment variable, else columnar).
-
         ``backend`` picks the statement store behind the connection:
         ``"memory"`` (the simulated in-memory server — the default) or
         ``"sqlite"`` (stdlib ``sqlite3`` behind the same interface; see
@@ -261,16 +253,14 @@ class Database:
             tracer = self.tracer
         if metrics is True:
             metrics = self.metrics
-        server = self.backend(backend)
         return Connection(
-            server,
+            self.backend(backend),
             async_workers=async_workers,
             result_cache=result_cache,
             coalesce=coalesce,
             coalesce_window=coalesce_window,
             tracer=tracer,
             metrics=metrics,
-            executor=server.resolve_executor(executor),
         )
 
     def register_cache(self, cache) -> None:

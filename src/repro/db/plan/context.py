@@ -35,11 +35,8 @@ class ExecutionContext:
     #: autocommit.  Write operators record undo entries through the
     #: ``record_*`` helpers below.
     txn: Optional["Transaction"] = None
-    #: Which executor runs this statement: "row" (tuple-at-a-time) or
-    #: "columnar" (batch-at-a-time over selection vectors).
-    executor: str = "row"
     _cpu_accum_s: float = 0.0
-    #: Per-batch scan accounting the columnar executor fills in; the
+    #: Per-batch scan accounting the access paths fill in; the
     #: server folds these into the metrics registry and the execute span.
     scan_batches: int = 0
     scan_rows: int = 0
@@ -94,7 +91,6 @@ class ExecutionContext:
             meter=self.meter,
             params=params,
             txn=self.txn,
-            executor=self.executor,
         )
 
     def touch_page(self, io_name: str, page_no: int) -> bool:

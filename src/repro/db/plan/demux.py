@@ -27,8 +27,14 @@ from ..errors import ParamCountError
 from ..sql.ast_nodes import BinaryOp, Expr, Param, SelectStmt
 from .context import ExecutionContext
 from .expr_eval import RowEvaluator
-from .operators import RowIdRow, SeqScanOp
-from .planner import SelectPlan, _conjuncts, _equality_on_column, prefer_batch_scan
+from .operators import SeqScanOp
+from .planner import (
+    SelectPlan,
+    _candidates,
+    _conjuncts,
+    _equality_on_column,
+    prefer_batch_scan,
+)
 from .result import QueryResult
 
 #: Per-binding result slot: the binding's :class:`QueryResult`, or the
@@ -123,110 +129,72 @@ def execute_batch_select(
             bucket.append(index)
 
     ctx.charge_cpu(fixed=True)  # ONE per-statement fixed cost for the batch
-    columnar = ctx.executor == "columnar"
     distinct = len(order) + len(loose)
     single_scan = prefer_batch_scan(info, plan._access, distinct, ctx.profile)
-    scan_op = (
-        plan._access
-        if isinstance(plan._access, SeqScanOp)
-        else SeqScanOp(info)
-    )
     if span is not None:
         span.set("strategy", "scan" if single_scan else "probe")
-        span.set("executor", ctx.executor)
 
     with info.heap.lock.reading():  # ONE lock acquisition for the batch
-        scanned: Optional[List[RowIdRow]] = None
-        scanned_sel: Optional[List[int]] = None
-        table_columns = None
-        buckets: Optional[Dict[object, list]] = None
+        columns = info.heap.columns_view()
+        scanned: List[int] = []
+        buckets: Optional[Dict[object, List[int]]] = None
         value_expr: Optional[Expr] = None
         if single_scan:
+            # The single shared scan, batch-at-a-time: bucket by
+            # partitioning each batch's selection vector on the
+            # equality column — no tuples are built.
+            scan_op = (
+                plan._access
+                if isinstance(plan._access, SeqScanOp)
+                else SeqScanOp(info)
+            )
             predicate = _bucket_predicate(stmt, info)
-            if columnar:
-                # The single shared scan, batch-at-a-time: bucket by
-                # partitioning each batch's selection vector on the
-                # equality column — no tuples are built.
-                table_columns = info.heap.columns_view()
-                key_column = (
-                    table_columns[predicate[0]] if predicate is not None else None
-                )
-                if predicate is not None:
-                    value_expr = predicate[1]
-                    buckets = {}
-                scanned_sel = []
-                for batch in scan_op.run_columnar(ctx):
-                    ctx.note_scan_batch(len(batch.sel), len(batch.sel))
-                    scanned_sel.extend(batch.sel)
-                    if buckets is not None:
-                        for rid in batch.sel:
-                            buckets.setdefault(key_column[rid], []).append(rid)
+            if predicate is not None:
+                key_column = columns[predicate[0]]
+                value_expr = predicate[1]
+                buckets = {}
+            for batch in scan_op.run(ctx):
+                ctx.note_scan_batch(len(batch.sel), len(batch.sel))
+                scanned.extend(batch.sel)
                 if buckets is not None:
-                    ctx.charge_cpu(rows=len(scanned_sel))
-            else:
-                scanned = scan_op.run(ctx)
-                if predicate is not None:
-                    position, value_expr = predicate
-                    buckets = {}
-                    for row_id, row in scanned:
-                        buckets.setdefault(row[position], []).append(
-                            (row_id, row)
-                        )
-                    ctx.charge_cpu(rows=len(scanned))
+                    for rid in batch.sel:
+                        buckets.setdefault(key_column[rid], []).append(rid)
+            if buckets is not None:
+                ctx.charge_cpu(rows=len(scanned))
 
         def run_one(binding: tuple) -> BindingOutcome:
             sub = ctx.derive(binding)
+            evaluator = None
             try:
-                if columnar:
-                    return _run_one_columnar(plan, sub, binding)
                 if not single_scan:
                     # Indexed plan: keep the access path, probe once per
                     # distinct binding (duplicates were deduped above).
-                    rows = plan._access.run(sub)
-                elif buckets is not None:
-                    evaluator = RowEvaluator(
-                        info.heap.schema, info.name, binding
+                    sel, _columns, evaluator = _candidates(
+                        sub, info, plan._access, None
                     )
-                    key = evaluator.evaluate(value_expr, ())
+                elif buckets is not None:
+                    key = RowEvaluator(
+                        info.heap.schema, info.name, binding
+                    ).evaluate(value_expr, ())
                     try:
-                        rows = buckets.get(key, [])
+                        sel = buckets.get(key, [])
                     except TypeError:
                         # Unhashable key (e.g. a list parameter): this
                         # binding cannot use the bucket index, but the
                         # full WHERE clause re-applies below, so the
                         # whole scan is a correct candidate set.
-                        rows = scanned
+                        sel = scanned
                 else:
-                    rows = scanned
-                return plan._finalize(sub, rows)
+                    sel = scanned
+                # The bucket (or scan) holds candidates, not matches: the
+                # full WHERE clause re-applies per binding, vectorized.
+                return plan._finalize(
+                    sub, sel, columns, evaluator, apply_where=True
+                )
             except Exception as exc:  # isolate the fault to this binding
                 return exc
             finally:
                 ctx.absorb_cpu(sub)
-
-        def _run_one_columnar(
-            plan: SelectPlan, sub: ExecutionContext, binding: tuple
-        ) -> BindingOutcome:
-            if not single_scan:
-                sel: List[int] = []
-                columns = info.heap.columns_view()
-                for batch in plan._access.run_columnar(sub):
-                    sub.note_scan_batch(len(batch.sel), len(batch.sel))
-                    sel.extend(batch.sel)
-            elif buckets is not None:
-                evaluator = RowEvaluator(info.heap.schema, info.name, binding)
-                key = evaluator.evaluate(value_expr, ())
-                columns = table_columns
-                try:
-                    sel = buckets.get(key, [])
-                except TypeError:
-                    sel = scanned_sel  # unhashable key: WHERE re-applies
-            else:
-                columns = table_columns
-                sel = scanned_sel
-            # The bucket (or scan) holds candidates, not matches: the
-            # full WHERE clause re-applies per binding, vectorized.
-            return plan._finalize_columnar(sub, sel, columns, apply_where=True)
 
         for binding in order:
             outcome = run_one(binding)

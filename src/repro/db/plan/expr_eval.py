@@ -4,8 +4,9 @@ Comparisons involving NULL yield None (unknown); logical operators use
 three-valued logic; a WHERE clause accepts a row only when the predicate
 is strictly True.
 
-:class:`RowEvaluator` interprets the AST once per row (the classic
-executor).  :class:`ColumnarEvaluator` is the vectorized counterpart:
+:class:`RowEvaluator` interprets the AST once per row (constants,
+INSERT/UPDATE values, the fallback below).
+:class:`ColumnarEvaluator` is the vectorized counterpart:
 it filters *selection vectors* (lists of row ids) against whole column
 lists — one comprehension per predicate conjunct instead of one AST walk
 per row — and gathers projection values column-at-a-time.  Expressions
@@ -31,6 +32,7 @@ from ..sql.ast_nodes import (
     LogicalOp,
     NotOp,
     Param,
+    SelectStmt,
     Star,
 )
 from ..types import Row, Schema
@@ -163,6 +165,19 @@ def _truthy(value: Any) -> bool:
     if isinstance(value, bool):
         return value
     return bool(value)
+
+
+def limit_count(stmt: SelectStmt, schema: Schema, params: Sequence) -> Optional[int]:
+    """The row count ``stmt``'s LIMIT allows under ``params`` (None
+    when the statement has no LIMIT).  Every backend validates LIMIT
+    through this one function, so a negative or non-integer limit is
+    the same :class:`PlanError` everywhere."""
+    if stmt.limit is None:
+        return None
+    count = RowEvaluator(schema, stmt.table, params).evaluate(stmt.limit, ())
+    if not isinstance(count, int) or count < 0:
+        raise PlanError(f"LIMIT must be a non-negative integer, got {count!r}")
+    return count
 
 
 def and_conjuncts(expr: Optional[Expr]) -> List[Expr]:

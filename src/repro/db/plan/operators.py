@@ -1,9 +1,11 @@
 """Physical operators.
 
 Access paths (sequential scan, hash-index equality, clustered-range,
-ordered-index range) produce ``(row_id, row)`` lists; the relational
-operators (filter, project, aggregate, sort, limit) work on materialized
-lists — the engine targets correctness and cost *shape*, not raw speed.
+ordered-index range) produce :class:`~repro.db.scans.ColumnBatch`es —
+the table's column lists plus a selection vector of live row ids; the
+relational operators (order, project, aggregate) narrow, reorder or
+gather over selection vectors, and row tuples appear only at the
+:class:`QueryResult` boundary.
 
 Cost charging:
 
@@ -16,7 +18,7 @@ Cost charging:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..catalog_types import TableInfo
 from ..errors import PlanError
@@ -31,11 +33,9 @@ from ..sql.ast_nodes import (
 )
 from ..scans import ColumnBatch, iter_column_batches
 from ..storage import OrderKey
-from ..types import Row
 from .context import ExecutionContext
 from .expr_eval import ColumnarEvaluator, RowEvaluator
 
-RowIdRow = Tuple[int, Row]
 #: A selection vector: row ids into the table's column lists.
 Selection = List[int]
 
@@ -51,13 +51,8 @@ class SeqScanOp:
     def __init__(self, info: TableInfo) -> None:
         self._info = info
 
-    def run(self, ctx: ExecutionContext) -> List[RowIdRow]:
-        self._scan_io(ctx)
-        rows = list(self._info.heap.iter_rows())
-        ctx.charge_cpu(rows=len(rows))
-        return rows
-
-    def _scan_io(self, ctx: ExecutionContext) -> None:
+    def run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+        """Column batches over the whole table."""
         heap = self._info.heap
         name = self._info.name
 
@@ -65,12 +60,7 @@ class SeqScanOp:
             ctx.touch_pages(name, range(heap.page_count))
 
         ctx.scans.run(name, do_io)
-
-    def run_columnar(self, ctx: ExecutionContext):
-        """Column batches over the whole table (IO identical to
-        :meth:`run`; no tuples are built)."""
-        self._scan_io(ctx)
-        return iter_column_batches(self._info.heap)
+        return iter_column_batches(heap)
 
 
 class HashEqOp:
@@ -81,14 +71,7 @@ class HashEqOp:
         self._index = index
         self._value_expr = value_expr
 
-    def run(self, ctx: ExecutionContext) -> List[RowIdRow]:
-        evaluator = RowEvaluator(self._info.heap.schema, self._info.name, ctx.params)
-        value = evaluator.evaluate(self._value_expr, ())
-        ctx.touch_page(self._index.io_name, self._index.page_for(value))
-        row_ids = self._index.lookup(value)
-        return _fetch_rows(ctx, self._info, row_ids)
-
-    def run_columnar(self, ctx: ExecutionContext) -> List[ColumnBatch]:
+    def run(self, ctx: ExecutionContext) -> List[ColumnBatch]:
         evaluator = RowEvaluator(self._info.heap.schema, self._info.name, ctx.params)
         value = evaluator.evaluate(self._value_expr, ())
         ctx.touch_page(self._index.io_name, self._index.page_for(value))
@@ -103,26 +86,7 @@ class ClusteredEqOp:
         self._info = info
         self._value_expr = value_expr
 
-    def run(self, ctx: ExecutionContext) -> List[RowIdRow]:
-        heap = self._info.heap
-        evaluator = RowEvaluator(heap.schema, self._info.name, ctx.params)
-        value = evaluator.evaluate(self._value_expr, ())
-        low, high = heap.cluster_range(value)
-        results: List[RowIdRow] = []
-        pages_touched = set()
-        for row_id in range(low, high):
-            row = heap.fetch(row_id)
-            if row is None:
-                continue
-            page_no = heap.page_of(row_id)
-            if page_no not in pages_touched:
-                pages_touched.add(page_no)
-                ctx.touch_page(self._info.name, page_no)
-            results.append((row_id, row))
-        ctx.charge_cpu(rows=len(results))
-        return results
-
-    def run_columnar(self, ctx: ExecutionContext) -> List[ColumnBatch]:
+    def run(self, ctx: ExecutionContext) -> List[ColumnBatch]:
         heap = self._info.heap
         evaluator = RowEvaluator(heap.schema, self._info.name, ctx.params)
         value = evaluator.evaluate(self._value_expr, ())
@@ -151,19 +115,7 @@ class OrderedRangeOp:
         self._low_inclusive = low_inclusive
         self._high_inclusive = high_inclusive
 
-    def run(self, ctx: ExecutionContext) -> List[RowIdRow]:
-        evaluator = RowEvaluator(self._info.heap.schema, self._info.name, ctx.params)
-        low = evaluator.evaluate(self._low, ()) if self._low is not None else None
-        high = evaluator.evaluate(self._high, ()) if self._high is not None else None
-        probe = low if low is not None else high
-        if probe is not None:
-            ctx.touch_page(self._index.io_name, self._index.page_for(probe))
-        row_ids = self._index.range(
-            low, high, self._low_inclusive, self._high_inclusive
-        )
-        return _fetch_rows(ctx, self._info, row_ids)
-
-    def run_columnar(self, ctx: ExecutionContext) -> List[ColumnBatch]:
+    def run(self, ctx: ExecutionContext) -> List[ColumnBatch]:
         evaluator = RowEvaluator(self._info.heap.schema, self._info.name, ctx.params)
         low = evaluator.evaluate(self._low, ()) if self._low is not None else None
         high = evaluator.evaluate(self._high, ()) if self._high is not None else None
@@ -179,9 +131,8 @@ class OrderedRangeOp:
 def _fetch_selection(
     ctx: ExecutionContext, info: TableInfo, row_ids
 ) -> Selection:
-    """The columnar twin of :func:`_fetch_rows`: keep live row ids and
-    touch their distinct heap pages in first-encounter order (the same
-    IO the row path pays), but build no tuples."""
+    """Keep the live row ids and touch their distinct heap pages in
+    first-encounter order; no tuples are built."""
     heap = info.heap
     valid = heap.validity_view()
     sel: Selection = []
@@ -204,177 +155,11 @@ def _one_batch(info: TableInfo, sel: Selection) -> List[ColumnBatch]:
     return [ColumnBatch(info.heap.columns_view(), sel)]
 
 
-def _fetch_rows(
-    ctx: ExecutionContext, info: TableInfo, row_ids: Sequence[int]
-) -> List[RowIdRow]:
-    heap = info.heap
-    results: List[RowIdRow] = []
-    pages_touched = set()
-    for row_id in row_ids:
-        row = heap.fetch(row_id)
-        if row is None:
-            continue
-        page_no = heap.page_of(row_id)
-        if page_no not in pages_touched:
-            pages_touched.add(page_no)
-            ctx.touch_page(info.name, page_no)
-        results.append((row_id, row))
-    ctx.charge_cpu(rows=len(results))
-    return results
-
-
 # ----------------------------------------------------------------------
-# relational operators
+# relational operators — selection vectors in, selection vectors (or
+# per-column value lists) out; row tuples appear only at the QueryResult
+# boundary
 # ----------------------------------------------------------------------
-
-
-def apply_filter(
-    ctx: ExecutionContext,
-    info: TableInfo,
-    rows: List[RowIdRow],
-    where: Optional[Expr],
-) -> List[RowIdRow]:
-    if where is None:
-        return rows
-    evaluator = RowEvaluator(info.heap.schema, info.name, ctx.params)
-    kept = [(row_id, row) for row_id, row in rows if evaluator.matches(where, row)]
-    ctx.charge_cpu(rows=len(rows))
-    return kept
-
-
-def apply_order(
-    info: TableInfo, rows: List[RowIdRow], order_by: Sequence[OrderItem]
-) -> List[RowIdRow]:
-    if not order_by:
-        return rows
-    schema = info.heap.schema
-    positions = [
-        (schema.position(item.column, info.name), item.descending)
-        for item in order_by
-    ]
-    # Stable multi-key sort: apply keys right-to-left.
-    ordered = list(rows)
-    for position, descending in reversed(positions):
-        ordered.sort(key=lambda pair: OrderKey(pair[1][position]), reverse=descending)
-    return ordered
-
-
-def apply_limit(
-    ctx: ExecutionContext,
-    info: TableInfo,
-    rows: List[RowIdRow],
-    limit: Optional[Expr],
-) -> List[RowIdRow]:
-    if limit is None:
-        return rows
-    evaluator = RowEvaluator(info.heap.schema, info.name, ctx.params)
-    count = evaluator.evaluate(limit, ())
-    if not isinstance(count, int) or count < 0:
-        raise PlanError(f"LIMIT must be a non-negative integer, got {count!r}")
-    return rows[:count]
-
-
-def project(
-    ctx: ExecutionContext,
-    info: TableInfo,
-    rows: List[RowIdRow],
-    items: Sequence[SelectItem],
-    distinct: bool,
-) -> Tuple[Tuple[str, ...], List[Tuple[Any, ...]]]:
-    schema = info.heap.schema
-    if len(items) == 1 and isinstance(items[0].expr, Star):
-        columns = schema.names()
-        output = [row for _row_id, row in rows]
-    else:
-        evaluator = RowEvaluator(schema, info.name, ctx.params)
-        columns = tuple(_item_name(item, position) for position, item in enumerate(items))
-        output = [
-            tuple(evaluator.evaluate(item.expr, row) for item in items)
-            for _row_id, row in rows
-        ]
-        ctx.charge_cpu(rows=len(rows))
-    if distinct:
-        seen = set()
-        unique: List[Tuple[Any, ...]] = []
-        for row in output:
-            if row not in seen:
-                seen.add(row)
-                unique.append(row)
-        output = unique
-    return columns, output
-
-
-def aggregate(
-    ctx: ExecutionContext,
-    info: TableInfo,
-    rows: List[RowIdRow],
-    items: Sequence[SelectItem],
-) -> Tuple[Tuple[str, ...], List[Tuple[Any, ...]]]:
-    """Evaluate an all-aggregate select list (no GROUP BY in the subset)."""
-    evaluator = RowEvaluator(info.heap.schema, info.name, ctx.params)
-    columns = tuple(_item_name(item, position) for position, item in enumerate(items))
-    values: List[Any] = []
-    for item in items:
-        expr = item.expr
-        if not isinstance(expr, Aggregate):
-            raise PlanError(
-                "mixing aggregates and plain columns requires GROUP BY, "
-                "which this subset does not support"
-            )
-        values.append(_run_aggregate(evaluator, expr, rows))
-    ctx.charge_cpu(rows=len(rows) * max(1, len(items)))
-    return columns, [tuple(values)]
-
-
-def aggregate_grouped(
-    ctx: ExecutionContext,
-    info: TableInfo,
-    rows: List[RowIdRow],
-    items: Sequence[SelectItem],
-    group_by: Sequence[str],
-) -> Tuple[Tuple[str, ...], List[Tuple[Any, ...]]]:
-    """GROUP BY evaluation: one output row per distinct key tuple.
-
-    Plain (non-aggregate) select items must reference grouping columns.
-    Groups appear in first-occurrence order (stable; ORDER BY reorders
-    explicitly when asked).
-    """
-    schema = info.heap.schema
-    evaluator = RowEvaluator(schema, info.name, ctx.params)
-    key_positions = [schema.position(name, info.name) for name in group_by]
-    for item in items:
-        expr = item.expr
-        if isinstance(expr, Aggregate):
-            continue
-        if isinstance(expr, ColumnRef) and expr.name in group_by:
-            continue
-        raise PlanError(
-            "non-aggregate select items must be GROUP BY columns "
-            f"(offending item: {getattr(expr, 'name', expr)!r})"
-        )
-    groups: "dict[tuple, List[RowIdRow]]" = {}
-    order: List[tuple] = []
-    for row_id, row in rows:
-        key = tuple(row[position] for position in key_positions)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((row_id, row))
-    columns = tuple(_item_name(item, position) for position, item in enumerate(items))
-    output: List[Tuple[Any, ...]] = []
-    for key in order:
-        members = groups[key]
-        values: List[Any] = []
-        for item in items:
-            expr = item.expr
-            if isinstance(expr, Aggregate):
-                values.append(_run_aggregate(evaluator, expr, members))
-            else:
-                assert isinstance(expr, ColumnRef)
-                values.append(key[group_by.index(expr.name)])
-        output.append(tuple(values))
-    ctx.charge_cpu(rows=len(rows) * max(1, len(items)))
-    return columns, output
 
 
 def order_output_rows(
@@ -399,42 +184,6 @@ def order_output_rows(
     return ordered
 
 
-def _run_aggregate(
-    evaluator: RowEvaluator, expr: Aggregate, rows: List[RowIdRow]
-) -> Any:
-    if isinstance(expr.argument, Star):
-        return len(rows)
-    observed = [
-        value
-        for value in (
-            evaluator.evaluate(expr.argument, row) for _row_id, row in rows
-        )
-        if value is not None
-    ]
-    if expr.distinct:
-        observed = list(dict.fromkeys(observed))
-    if expr.func == "count":
-        return len(observed)
-    if not observed:
-        return None
-    if expr.func == "sum":
-        return sum(observed)
-    if expr.func == "min":
-        return min(observed)
-    if expr.func == "max":
-        return max(observed)
-    if expr.func == "avg":
-        return sum(observed) / len(observed)
-    raise PlanError(f"unknown aggregate: {expr.func!r}")
-
-
-# ----------------------------------------------------------------------
-# columnar relational operators — selection vectors in, selection
-# vectors (or per-column value lists) out; row tuples appear only at the
-# QueryResult boundary
-# ----------------------------------------------------------------------
-
-
 def columnar_order(
     info: TableInfo,
     columns: Tuple[List[Any], ...],
@@ -455,21 +204,6 @@ def columnar_order(
         column = columns[position]
         ordered.sort(key=lambda rid: OrderKey(column[rid]), reverse=descending)
     return ordered
-
-
-def columnar_limit(
-    ctx: ExecutionContext,
-    info: TableInfo,
-    sel: Selection,
-    limit: Optional[Expr],
-) -> Selection:
-    if limit is None:
-        return sel
-    evaluator = RowEvaluator(info.heap.schema, info.name, ctx.params)
-    count = evaluator.evaluate(limit, ())
-    if not isinstance(count, int) or count < 0:
-        raise PlanError(f"LIMIT must be a non-negative integer, got {count!r}")
-    return sel[:count]
 
 
 def columnar_project(
@@ -510,7 +244,7 @@ def columnar_aggregate(
                 "mixing aggregates and plain columns requires GROUP BY, "
                 "which this subset does not support"
             )
-        values.append(_run_columnar_aggregate(evaluator, expr, sel))
+        values.append(_run_aggregate(evaluator, expr, sel))
     ctx.charge_cpu(rows=len(sel) * max(1, len(items)))
     return columns, [tuple(values)]
 
@@ -556,7 +290,7 @@ def columnar_aggregate_grouped(
         for item in items:
             expr = item.expr
             if isinstance(expr, Aggregate):
-                values.append(_run_columnar_aggregate(evaluator, expr, member_sel))
+                values.append(_run_aggregate(evaluator, expr, member_sel))
             else:
                 assert isinstance(expr, ColumnRef)
                 values.append(key[group_by.index(expr.name)])
@@ -565,7 +299,7 @@ def columnar_aggregate_grouped(
     return names, output
 
 
-def _run_columnar_aggregate(
+def _run_aggregate(
     evaluator: ColumnarEvaluator, expr: Aggregate, sel: Selection
 ) -> Any:
     if isinstance(expr.argument, Star):

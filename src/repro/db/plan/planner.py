@@ -41,36 +41,18 @@ from ..sql.ast_nodes import (
 )
 from ..types import Column, ColumnType, Schema
 from .context import ExecutionContext
-from .expr_eval import ColumnarEvaluator, RowEvaluator
+from .expr_eval import ColumnarEvaluator, RowEvaluator, limit_count
 from .operators import (
     ClusteredEqOp,
     HashEqOp,
     OrderedRangeOp,
     SeqScanOp,
-    aggregate,
-    aggregate_grouped,
-    apply_filter,
-    apply_limit,
-    apply_order,
     columnar_aggregate,
     columnar_aggregate_grouped,
-    columnar_limit,
     columnar_order,
     columnar_project,
     order_output_rows,
-    project,
 )
-
-
-def _limit_output(ctx: ExecutionContext, info, rows, limit):
-    """LIMIT over already-projected output rows."""
-    if limit is None:
-        return rows
-    evaluator = RowEvaluator(info.heap.schema, info.name, ctx.params)
-    count = evaluator.evaluate(limit, ())
-    if not isinstance(count, int) or count < 0:
-        raise PlanError(f"LIMIT must be a non-negative integer, got {count!r}")
-    return rows[:count]
 from .result import QueryResult
 
 
@@ -188,7 +170,7 @@ def _check_params(expected: int, params: Sequence) -> None:
         raise ParamCountError(expected, len(params))
 
 
-def _columnar_candidates(ctx: ExecutionContext, info: TableInfo, access, where):
+def _candidates(ctx: ExecutionContext, info: TableInfo, access, where):
     """Run an access path batch-at-a-time and filter each batch.
 
     Returns ``(sel, columns, evaluator)``: the surviving selection
@@ -200,13 +182,25 @@ def _columnar_candidates(ctx: ExecutionContext, info: TableInfo, access, where):
     columns = heap.columns_view()
     evaluator = ColumnarEvaluator(heap.schema, info.name, ctx.params, columns)
     sel: List[int] = []
-    for batch in access.run_columnar(ctx):
+    for batch in access.run(ctx):
         kept = evaluator.filter(where, batch.sel)
         if where is not None:
             ctx.charge_cpu(rows=len(batch.sel))
         ctx.note_scan_batch(len(batch.sel), len(kept))
         sel.extend(kept)
     return sel, columns, evaluator
+
+
+def _candidate_rows(ctx: ExecutionContext, info: TableInfo, access, where):
+    """Matching ``(row_id, old_row)`` pairs for UPDATE/DELETE.  The
+    mutation needs the old tuples (undo log and index maintenance), so
+    they materialize here."""
+    sel, _columns, _evaluator = _candidates(ctx, info, access, where)
+    return [(row_id, info.heap.fetch(row_id)) for row_id in sel]
+
+
+def _limited(rows: list, count: Optional[int]) -> list:
+    return rows if count is None else rows[:count]
 
 
 def prefer_batch_scan(
@@ -262,40 +256,12 @@ class SelectPlan:
         ctx.charge_cpu(fixed=True)
         info = self._info
         with info.heap.lock.reading():
-            if ctx.executor == "columnar":
-                sel, columns, evaluator = _columnar_candidates(
-                    ctx, info, self._access, self._stmt.where
-                )
-                return self._finalize_columnar(ctx, sel, columns, evaluator)
-            rows = self._access.run(ctx)
-            return self._finalize(ctx, rows)
-
-    def _finalize(self, ctx: ExecutionContext, rows) -> QueryResult:
-        """Everything after the access path: filter, aggregate/group,
-        order, limit, project.  Runs under the heap's read lock.  Also
-        the per-binding tail of the batch-demux operator
-        (:mod:`repro.db.plan.demux`), which runs the access once and
-        finalizes each binding set on its own parameter context.
-        """
-        stmt = self._stmt
-        info = self._info
-        rows = apply_filter(ctx, info, rows, stmt.where)
-        if stmt.group_by:
-            columns, output = aggregate_grouped(
-                ctx, info, rows, stmt.items, stmt.group_by
+            sel, columns, evaluator = _candidates(
+                ctx, info, self._access, self._stmt.where
             )
-            output = order_output_rows(columns, output, stmt.order_by)
-            output = _limit_output(ctx, info, output, stmt.limit)
-            return QueryResult(columns=columns, rows=output)
-        if stmt.is_aggregate:
-            columns, output = aggregate(ctx, info, rows, stmt.items)
-            return QueryResult(columns=columns, rows=output)
-        rows = apply_order(info, rows, stmt.order_by)
-        rows = apply_limit(ctx, info, rows, stmt.limit)
-        columns, output = project(ctx, info, rows, stmt.items, stmt.distinct)
-        return QueryResult(columns=columns, rows=output)
+            return self._finalize(ctx, sel, columns, evaluator)
 
-    def _finalize_columnar(
+    def _finalize(
         self,
         ctx: ExecutionContext,
         sel,
@@ -303,11 +269,16 @@ class SelectPlan:
         evaluator: Optional[ColumnarEvaluator] = None,
         apply_where: bool = False,
     ) -> QueryResult:
-        """The vectorized :meth:`_finalize`: operators narrow/reorder the
-        selection vector; tuples materialize only in
-        :meth:`QueryResult.from_columns`.  ``apply_where=True`` re-runs
-        the full WHERE over ``sel`` (the batch-demux operator hands
-        bucket candidates, not filtered rows)."""
+        """Everything after the access path: aggregate/group, order,
+        project, limit.  Operators narrow/reorder the selection vector;
+        tuples materialize only in :meth:`QueryResult.from_columns`.
+        Runs under the heap's read lock.  Also the per-binding tail of
+        the batch-demux operator (:mod:`repro.db.plan.demux`), which
+        runs the access once and finalizes each binding set on its own
+        parameter context; it hands bucket candidates, not filtered
+        rows, so ``apply_where=True`` re-runs the full WHERE over
+        ``sel``.
+        """
         stmt = self._stmt
         info = self._info
         if evaluator is None:
@@ -318,21 +289,29 @@ class SelectPlan:
             ctx.charge_cpu(rows=len(sel))
             sel = evaluator.filter(stmt.where, sel)
         if stmt.group_by:
-            names, output = columnar_aggregate_grouped(
+            names, rows = columnar_aggregate_grouped(
                 ctx, info, evaluator, columns, sel, stmt.items, stmt.group_by
             )
-            output = order_output_rows(names, output, stmt.order_by)
-            output = _limit_output(ctx, info, output, stmt.limit)
-            return QueryResult(columns=names, rows=output)
-        if stmt.is_aggregate:
-            names, output = columnar_aggregate(ctx, evaluator, sel, stmt.items)
-            return QueryResult(columns=names, rows=output)
-        sel = columnar_order(info, columns, sel, stmt.order_by)
-        sel = columnar_limit(ctx, info, sel, stmt.limit)
-        names, value_columns = columnar_project(
-            ctx, info, evaluator, columns, sel, stmt.items
-        )
-        return QueryResult.from_columns(names, value_columns, distinct=stmt.distinct)
+            rows = order_output_rows(names, rows, stmt.order_by)
+        elif stmt.is_aggregate:
+            names, rows = columnar_aggregate(ctx, evaluator, sel, stmt.items)
+        else:
+            sel = columnar_order(info, columns, sel, stmt.order_by)
+            if not stmt.distinct:
+                # LIMIT counts output rows; without DISTINCT those are
+                # the selected rows, so only the survivors materialize.
+                sel = _limited(sel, limit_count(stmt, info.heap.schema, ctx.params))
+            names, value_columns = columnar_project(
+                ctx, info, evaluator, columns, sel, stmt.items
+            )
+            result = QueryResult.from_columns(
+                names, value_columns, distinct=stmt.distinct
+            )
+            if not stmt.distinct:
+                return result
+            rows = result.rows
+        rows = _limited(rows, limit_count(stmt, info.heap.schema, ctx.params))
+        return QueryResult(columns=names, rows=rows)
 
 
 class InsertPlan:
@@ -400,7 +379,7 @@ class UpdatePlan:
         info = self._info
         evaluator = RowEvaluator(info.heap.schema, info.name, ctx.params)
         with info.heap.lock.writing():
-            rows = self._candidate_rows(ctx)
+            rows = _candidate_rows(ctx, info, self._access, self._stmt.where)
             for row_id, row in rows:
                 new_row = list(row)
                 for position, expr in self._targets:
@@ -411,20 +390,6 @@ class UpdatePlan:
                 ctx.record_update(info.name, row_id, row, coerced)
             ctx.charge_cpu(rows=len(rows))
         return QueryResult(rowcount=len(rows))
-
-    def _candidate_rows(self, ctx: ExecutionContext):
-        """Matching ``(row_id, old_row)`` pairs, via the vectorized
-        filter when the columnar executor runs the statement.  The
-        mutation itself needs the old tuples (undo log and index
-        maintenance), so they materialize here either way."""
-        info = self._info
-        if ctx.executor == "columnar":
-            sel, _columns, _evaluator = _columnar_candidates(
-                ctx, info, self._access, self._stmt.where
-            )
-            return [(row_id, info.heap.fetch(row_id)) for row_id in sel]
-        rows = self._access.run(ctx)
-        return apply_filter(ctx, info, rows, self._stmt.where)
 
 
 class DeletePlan:
@@ -440,14 +405,7 @@ class DeletePlan:
         ctx.charge_cpu(fixed=True)
         info = self._info
         with info.heap.lock.writing():
-            if ctx.executor == "columnar":
-                sel, _columns, _evaluator = _columnar_candidates(
-                    ctx, info, self._access, self._stmt.where
-                )
-                rows = [(row_id, info.heap.fetch(row_id)) for row_id in sel]
-            else:
-                rows = self._access.run(ctx)
-                rows = apply_filter(ctx, info, rows, self._stmt.where)
+            rows = _candidate_rows(ctx, info, self._access, self._stmt.where)
             for row_id, row in rows:
                 info.heap.delete(row_id)
                 self._catalog.on_delete(info.name, row_id, row)

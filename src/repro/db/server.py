@@ -110,13 +110,12 @@ class DatabaseServer(Backend):
         meter: LatencyMeter,
         max_prepared: int = DEFAULT_MAX_PREPARED,
         metrics=None,
-        default_executor: Optional[str] = None,
     ) -> None:
         if max_prepared < 1:
             raise ValueError(f"max_prepared must be >= 1, got {max_prepared}")
-        super().__init__(default_executor=default_executor)
+        super().__init__()
         #: Scan instruments in the database-wide metrics registry (the
-        #: per-batch counters the columnar executor reports).  None when
+        #: per-batch counters the access paths report).  None when
         #: the database attached no registry.
         self._scan_batches = self._scan_rows = self._scan_selectivity = None
         if metrics is not None:
@@ -233,16 +232,12 @@ class DatabaseServer(Backend):
         sql: str,
         params: Sequence = (),
         txn: Optional[Transaction] = None,
-        executor: Optional[str] = None,
     ) -> "Future[QueryResult]":
         """Queue a statement for execution; returns a Future."""
-        executor = self.resolve_executor(executor)
         with self._lock:
             if self._shutdown:
                 raise ServerShutdownError("server is shut down")
-        return self._pool.submit(
-            self._run_sql, sql, tuple(params), txn, executor
-        )
+        return self._pool.submit(self._run_sql, sql, tuple(params), txn)
 
     def submit_prepared(
         self,
@@ -250,18 +245,14 @@ class DatabaseServer(Backend):
         params: Sequence = (),
         txn: Optional[Transaction] = None,
         span=None,
-        executor: Optional[str] = None,
     ) -> "Future[QueryResult]":
         """Queue a prepared statement; ``span`` (the client's dispatch
-        span, when tracing) parents the worker's ``server.execute``.
-        ``executor`` picks the engine ("row"/"columnar"; None = server
-        default)."""
-        executor = self.resolve_executor(executor)
+        span, when tracing) parents the worker's ``server.execute``."""
         with self._lock:
             if self._shutdown:
                 raise ServerShutdownError("server is shut down")
         return self._pool.submit(
-            self._run_prepared, prepared, tuple(params), txn, span, executor
+            self._run_prepared, prepared, tuple(params), txn, span
         )
 
     def submit_prepared_batch(
@@ -270,7 +261,6 @@ class DatabaseServer(Backend):
         bindings: Sequence[Sequence],
         txn: Optional[Transaction] = None,
         span=None,
-        executor: Optional[str] = None,
     ) -> "Future[List[BindingOutcome]]":
         """Set-oriented execution: one statement over N binding sets.
 
@@ -290,13 +280,12 @@ class DatabaseServer(Backend):
         batch.  No network charge is made here; the client (or the
         dispatch coalescer) pays one round trip for the whole batch.
         """
-        executor = self.resolve_executor(executor)
         with self._lock:
             if self._shutdown:
                 raise ServerShutdownError("server is shut down")
         snapshot = [tuple(binding) for binding in bindings]
         return self._pool.submit(
-            self._run_prepared_batch, prepared, snapshot, txn, span, executor
+            self._run_prepared_batch, prepared, snapshot, txn, span
         )
 
     # ------------------------------------------------------------------
@@ -314,9 +303,8 @@ class DatabaseServer(Backend):
         sql: str,
         params: tuple,
         txn: Optional[Transaction] = None,
-        executor: Optional[str] = None,
     ) -> QueryResult:
-        return self._run_prepared(self.prepare(sql), params, txn, executor=executor)
+        return self._run_prepared(self.prepare(sql), params, txn)
 
     def _run_prepared(
         self,
@@ -324,7 +312,6 @@ class DatabaseServer(Backend):
         params: tuple,
         txn: Optional[Transaction] = None,
         span=None,
-        executor: Optional[str] = None,
     ) -> QueryResult:
         exec_span = (
             span.child(
@@ -334,9 +321,7 @@ class DatabaseServer(Backend):
             else None
         )
         try:
-            return self._execute_prepared(
-                prepared, params, txn, exec_span, executor
-            )
+            return self._execute_prepared(prepared, params, txn, exec_span)
         except BaseException as exc:
             if exec_span is not None:
                 exec_span.set("error", repr(exc))
@@ -351,9 +336,7 @@ class DatabaseServer(Backend):
         params: tuple,
         txn: Optional[Transaction],
         exec_span=None,
-        executor: Optional[str] = None,
     ) -> QueryResult:
-        executor = self.resolve_executor(executor)
         with self._lock:
             stale = prepared.catalog_version != self._catalog_version
         if stale:
@@ -386,14 +369,12 @@ class DatabaseServer(Backend):
                 meter=self._meter,
                 params=params,
                 txn=txn,
-                executor=executor,
             )
             result = prepared.plan.execute(ctx)
             ctx.flush_cpu()
             self._note_scan_metrics(ctx)
             if exec_span is not None:
                 exec_span.set("write", write)
-                exec_span.set("executor", executor)
                 if ctx.scan_batches:
                     exec_span.set("scan_batches", ctx.scan_batches)
                 rows = getattr(result, "rowcount", None)
@@ -424,11 +405,9 @@ class DatabaseServer(Backend):
         bindings: List[tuple],
         txn: Optional[Transaction] = None,
         span=None,
-        executor: Optional[str] = None,
     ) -> List[BindingOutcome]:
         if not bindings:
             return []
-        executor = self.resolve_executor(executor)
         with self._lock:
             stale = prepared.catalog_version != self._catalog_version
         if stale:
@@ -443,7 +422,7 @@ class DatabaseServer(Backend):
             for binding in bindings:
                 try:
                     outcomes.append(
-                        self._run_prepared(prepared, binding, txn, span, executor)
+                        self._run_prepared(prepared, binding, txn, span)
                     )
                 except Exception as exc:
                     outcomes.append(exc)
@@ -473,7 +452,6 @@ class DatabaseServer(Backend):
                 meter=self._meter,
                 params=(),
                 txn=txn,
-                executor=executor,
             )
             outcomes = execute_batch_select(
                 prepared.plan, ctx, bindings, span=exec_span
@@ -501,7 +479,7 @@ class DatabaseServer(Backend):
     def _note_scan_metrics(self, ctx: ExecutionContext) -> None:
         """Fold one statement's per-batch scan accounting into the
         database-wide metrics registry (no-op without one, or when the
-        statement ran row-at-a-time and produced no batches)."""
+        statement produced no batches — inserts, DDL, empty probes)."""
         if self._scan_batches is None or not ctx.scan_batches:
             return
         self._scan_batches.inc(ctx.scan_batches)

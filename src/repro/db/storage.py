@@ -9,9 +9,8 @@ buffer-pool page an access touches, which is what drives the simulated
 IO costs.
 
 The row-oriented API (:meth:`~HeapTable.fetch`,
-:meth:`~HeapTable.iter_rows`, …) is preserved on top of the columnar
-layout so the row-at-a-time executor keeps working unchanged; the
-columnar executor reads the column lists directly via
+:meth:`~HeapTable.iter_rows`, …) serves the write paths, index builds
+and loaders; the executor reads the column lists directly via
 :meth:`~HeapTable.columns_view` / :meth:`~HeapTable.live_selection` and
 materializes tuples only at the result boundary.
 """
@@ -186,7 +185,7 @@ class HeapTable:
             self._live_count = len(keep)
 
     # ------------------------------------------------------------------
-    # row-oriented access (the row executor and the write paths)
+    # row-oriented access (the write paths, index builds, loaders)
     # ------------------------------------------------------------------
     def fetch(self, row_id: int) -> Optional[Row]:
         if not self._valid[row_id]:
@@ -232,7 +231,7 @@ class HeapTable:
         return lo, hi
 
     # ------------------------------------------------------------------
-    # columnar access (the batch executor)
+    # columnar access (the executor)
     # ------------------------------------------------------------------
     def columns_view(self) -> Tuple[List[Any], ...]:
         """The live column lists themselves — zero-copy, indexed by the

@@ -644,7 +644,6 @@ def prefetch_source(
     coalesce: bool = False,
     coalesce_window: Optional[int] = None,
     trace: bool = False,
-    executor: Optional[str] = None,
 ):
     """Transform ``source`` with the full pipeline *plus* prefetch
     insertion — the companion of :func:`repro.transform.asyncify_source`.
@@ -673,10 +672,6 @@ def prefetch_source(
     ``trace=True`` adds an end-to-end tracing hint (``'trace': True``):
     the runtime should open its connections with ``trace=True`` so
     every request records a span tree (see :mod:`repro.obs.trace`).
-
-    ``executor`` (``"columnar"`` or ``"row"``) adds an execution-engine
-    hint: the runtime should open its connections with that
-    ``executor=`` so statements run on the requested engine.
     """
     from ..transform.asyncify import asyncify_source
 
@@ -722,12 +717,6 @@ def prefetch_source(
             hints["coalesce_window"] = int(coalesce_window)
     if trace:
         hints["trace"] = True
-    if executor is not None:
-        if executor not in ("row", "columnar"):
-            raise ValueError(
-                f"executor must be 'row' or 'columnar', got {executor!r}"
-            )
-        hints["executor"] = executor
     if hints:
         result.source = f"__repro_prefetch__ = {hints!r}\n{result.source}"
     return result

@@ -374,7 +374,6 @@ def aio_connect(
     coalesce_window: Optional[int] = None,
     trace: bool = False,
     metrics=None,
-    executor: Optional[str] = None,
     backend: Optional[str] = None,
 ) -> AioConnection:
     """Open an :class:`AioConnection` on a :class:`repro.db.Database`.
@@ -389,8 +388,7 @@ def aio_connect(
     (one coalescer, shared by both front ends).  ``trace`` / ``metrics``
     attach observability exactly as ``Database.connect`` does; the aio
     front end records completion latencies from done callbacks (no
-    blocking fetch ever runs).  ``executor`` picks the execution engine
-    (``"columnar"``/``"row"``) and ``backend`` the statement store
+    blocking fetch ever runs).  ``backend`` picks the statement store
     (``"memory"``/``"sqlite"``), again mirroring ``Database.connect``.
     """
     return AioConnection(
@@ -401,7 +399,6 @@ def aio_connect(
             coalesce_window=coalesce_window,
             trace=trace,
             metrics=metrics,
-            executor=executor,
             backend=backend,
         )
     )

@@ -14,6 +14,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.db.errors import ParamCountError, PlanError
+from repro.db.plan.expr_eval import RowEvaluator
+from repro.db.sql import parse
+from repro.db.sql.ast_nodes import Aggregate, ColumnRef, Star
 from repro.runtime.handles import QueryHandle, completed_handle, failed_handle
 
 
@@ -206,3 +210,100 @@ def run_both(
     conn_a.close()
     conn_b.close()
     return out_a, out_b, conn_a, conn_b, result
+
+
+# ----------------------------------------------------------------------
+# naive SELECT reference (differential oracle for the in-memory engine)
+# ----------------------------------------------------------------------
+
+
+def reference_select(db, sql: str, params: Sequence = (), scan_by: Optional[str] = None):
+    """Answer one SELECT the slow, obvious way; returns ``(columns, rows)``.
+
+    A full scan of ``heap.iter_rows()`` in row-id order, ``RowEvaluator``
+    for predicates and expressions, plain Python group/sort/dedupe/limit.
+    No planner, no indexes, no operators: it shares only the parser and
+    the row evaluator with the engine, so an access-path, batching or
+    finalize-order bug in the engine cannot hide in it.  ``scan_by``
+    names the column whose ordered index the engine range-scans, if
+    any: candidates then arrive in that key's order (ties by row id).
+    """
+    stmt = parse(sql)
+    params = tuple(params)
+    if stmt.param_count != len(params):
+        raise ParamCountError(stmt.param_count, len(params))
+    heap = db.catalog.table(stmt.table).heap
+    schema = heap.schema
+    evaluator = RowEvaluator(schema, stmt.table, params)
+    rows = [row for _, row in heap.iter_rows() if evaluator.matches(stmt.where, row)]
+    if scan_by is not None:
+        rows.sort(key=_nulls_last(schema.position(scan_by, stmt.table)))
+    names = tuple(_output_name(item, i) for i, item in enumerate(stmt.items))
+    if stmt.group_by or stmt.is_aggregate:
+        key_positions = [schema.position(c, stmt.table) for c in stmt.group_by]
+        groups: dict = {}
+        for row in rows:
+            groups.setdefault(tuple(row[p] for p in key_positions), []).append(row)
+        if not stmt.group_by:
+            groups.setdefault((), [])  # one group, even over no rows
+        out = [
+            tuple(
+                _aggregate(evaluator, item.expr, members)
+                if isinstance(item.expr, Aggregate)
+                else key[stmt.group_by.index(item.expr.name)]
+                for item in stmt.items
+            )
+            for key, members in groups.items()
+        ]
+        for order in reversed(stmt.order_by):
+            out.sort(key=_nulls_last(names.index(order.column)), reverse=order.descending)
+    else:
+        for order in reversed(stmt.order_by):
+            position = schema.position(order.column, stmt.table)
+            rows.sort(key=_nulls_last(position), reverse=order.descending)
+        if len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star):
+            names, out = schema.names(), rows
+        else:
+            out = [tuple(evaluator.evaluate(i.expr, row) for i in stmt.items) for row in rows]
+        if stmt.distinct:
+            out = list(dict.fromkeys(out))
+    if stmt.limit is not None:
+        count = evaluator.evaluate(stmt.limit, ())
+        if not isinstance(count, int) or count < 0:
+            raise PlanError(f"bad LIMIT {count!r}")
+        out = out[:count]
+    return names, out
+
+
+def _output_name(item, position: int) -> str:
+    expr = item.expr
+    if item.alias or isinstance(expr, ColumnRef):
+        return item.alias or expr.name
+    if not isinstance(expr, Aggregate):
+        return f"col{position}"
+    if isinstance(expr.argument, Star):
+        return f"{expr.func}(*)"
+    if isinstance(expr.argument, ColumnRef):
+        return f"{expr.func}({expr.argument.name})"
+    return expr.func
+
+
+def _nulls_last(position: int):
+    """Sort key on one column; NULL after every value (ascending)."""
+    return lambda row: (row[position] is None, 0 if row[position] is None else row[position])
+
+
+def _aggregate(evaluator, expr, members):
+    if isinstance(expr.argument, Star):
+        return len(members)
+    seen = [evaluator.evaluate(expr.argument, row) for row in members]
+    seen = [value for value in seen if value is not None]
+    if expr.distinct:
+        seen = list(dict.fromkeys(seen))
+    if expr.func == "count":
+        return len(seen)
+    if not seen:
+        return None
+    if expr.func == "avg":
+        return sum(seen) / len(seen)
+    return {"sum": sum, "min": min, "max": max}[expr.func](seen)

@@ -72,6 +72,12 @@ QUERIES = [
     ("SELECT a, count(*), sum(b) FROM t GROUP BY a", 0, False),
     ("SELECT a, c, count(*) FROM t WHERE b <> ? GROUP BY a, c", 1, False),
     ("SELECT id AS row_id, a AS alpha FROM t WHERE a = ?", 1, False),
+    # LIMIT in every finalize position: after dedupe, after an ungrouped
+    # aggregate, after grouped ORDER BY (negative binds raise PlanError).
+    ("SELECT DISTINCT a FROM t ORDER BY a LIMIT 2", 0, True),
+    ("SELECT count(*) FROM t LIMIT 0", 0, True),
+    ("SELECT count(*) FROM t LIMIT ?", 1, True),
+    ("SELECT a, count(*) FROM t GROUP BY a ORDER BY a LIMIT ?", 1, True),
 ]
 
 params_strategy = st.lists(
@@ -325,7 +331,7 @@ ERROR_CASES = [
 class TestErrorParity:
     def test_error_classes_match(self):
         # not_null so the NULL-insert case violates a real constraint;
-        # rows loaded so unknown-column laziness (executor-dependent on
+        # rows loaded so unknown-column laziness (access-path-dependent on
         # empty tables) cannot blur the comparison.
         db = fresh_db(
             [(1, 1, 1, "x"), (2, 2, 2, "y")], not_null=("id",)

@@ -8,6 +8,7 @@ import pytest
 from repro.db import Database, INSTANT
 from repro.db.errors import ParamCountError
 from repro.prefetch.cache import ResultCache
+from tests.helpers import reference_select
 
 SQL = "SELECT count(*) FROM t WHERE grp = ?"
 ROW_SQL = "SELECT a FROM t WHERE grp = ? ORDER BY a"
@@ -59,32 +60,29 @@ class TestCoalescing:
         merged.close()
 
     def test_row_and_columnar_coalesced_batches_agree(self, grouped):
-        # Differential oracle on the batch path: the same pile of
-        # submits, coalesced and demuxed under each execution engine,
-        # must produce identical per-binding results.
+        # Differential oracle on the batch path: every binding of a
+        # pile of submits, coalesced and demuxed by the columnar
+        # engine, must get what the naive row-at-a-time reference
+        # answers for that binding alone.
         bindings = [0, 3, 1, 3, 2, 0, 0]
-        results = {}
-        for executor in ("row", "columnar"):
-            conn = grouped.connect(
-                async_workers=1, coalesce=True, executor=executor
-            )
-            gate = hold_worker(conn)
-            handles = [conn.submit_query(ROW_SQL, [g]) for g in bindings]
-            gate.set()
-            results[executor] = [
-                (h_result.columns, list(h_result))
-                for h_result in map(conn.fetch_result, handles)
-            ]
-            assert conn.stats.coalesced_batches == 1
-            conn.close()
-        assert results["row"] == results["columnar"]
+        conn = grouped.connect(async_workers=1, coalesce=True)
+        gate = hold_worker(conn)
+        handles = [conn.submit_query(ROW_SQL, [g]) for g in bindings]
+        gate.set()
+        results = [
+            (result.columns, list(result))
+            for result in map(conn.fetch_result, handles)
+        ]
+        assert conn.stats.coalesced_batches == 1
+        conn.close()
+        assert results == [
+            reference_select(grouped, ROW_SQL, [g]) for g in bindings
+        ]
 
-    def test_dispatch_span_records_strategy_and_executor(self, grouped):
+    def test_dispatch_span_records_strategy(self, grouped):
         # The cost-gated demux decision (shared scan vs per-binding
-        # probe) and the engine kind land on the batched dispatch span.
-        conn = grouped.connect(
-            async_workers=1, coalesce=True, trace=True, executor="columnar"
-        )
+        # probe) lands on the batched dispatch span.
+        conn = grouped.connect(async_workers=1, coalesce=True, trace=True)
         gate = hold_worker(conn)
         handles = [conn.submit_query(SQL, [g % 4]) for g in range(6)]
         gate.set()
@@ -94,7 +92,9 @@ class TestCoalescing:
         spans = {s["name"]: s for s in grouped.tracer.export()}
         execute = spans["server.execute"]
         assert execute["attrs"]["strategy"] in ("scan", "probe")
-        assert execute["attrs"]["executor"] == "columnar"
+        assert execute["attrs"]["demux"] is True
+        assert execute["attrs"]["bindings"] == 6
+        assert "executor" not in execute["attrs"]
 
     def test_window_caps_batch_size(self, grouped):
         conn = grouped.connect(async_workers=1, coalesce=True, coalesce_window=3)

@@ -1,25 +1,27 @@
-"""Differential oracle: the columnar executor against the row engine.
+"""Differential oracle: the executor against a naive reference.
 
-The vectorized columnar executor (batch-at-a-time scans, selection
-vectors, late materialization) must be *client-indistinguishable* from
-the tuple-at-a-time row engine it replaced as the default.  These tests
-enforce that by construction: every property runs the same statement on
-both engines — over the same database — and asserts byte-identical
-results (columns, rows, and row *order*; both engines scan in row-id
-order and group/dedupe in first-occurrence order, so exact equality is
-the contract, not just set equality).
+The in-memory engine (cost-based access paths, batch-at-a-time scans,
+selection vectors, late materialization, scan-and-bucket batch demux)
+must be *client-indistinguishable* from the obvious way to answer a
+SELECT.  Every property here runs the same statement through the engine
+and through :func:`tests.helpers.reference_select` — a full scan in
+row-id order with plain Python group/sort/dedupe/limit, no planner, no
+indexes, no operators — and asserts byte-identical results (columns,
+rows, and row *order*; the engine scans in row-id order and
+groups/dedupes in first-occurrence order, so exact equality is the
+contract, not just set equality).
 
-The row engine survives precisely to serve as this oracle
-(``Database.connect(executor="row")``).
+The second, fully independent oracle is SQLite:
+``tests/test_backend_differential.py`` diffs the two backends on reads,
+writes and transactions.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db import Database, INSTANT
-from repro.db.server import DatabaseServer
+from tests.helpers import reference_select
 
 values = st.one_of(st.integers(min_value=-9, max_value=9), st.none())
 texts = st.one_of(st.sampled_from(["red", "green", "blue", ""]), st.none())
@@ -32,7 +34,9 @@ rows_strategy = st.lists(
 #: (sql, number of parameters) — one pool shared by every layout.
 #: Covers the vectorized fast paths (=, <, >=, <>, IN, BETWEEN, AND)
 #: and the generic cursor fallback (OR, NOT, IS NULL, expressions),
-#: plus DISTINCT, multi-key ORDER BY + LIMIT, aggregates and GROUP BY.
+#: plus DISTINCT, multi-key ORDER BY + LIMIT, aggregates and GROUP BY,
+#: and LIMIT in every finalize position (after dedupe, after an
+#: ungrouped aggregate, after grouped ORDER BY; negative binds raise).
 QUERIES = [
     ("SELECT id, a, b FROM t WHERE a = ?", 1),
     ("SELECT id FROM t WHERE a < ? AND b >= ?", 2),
@@ -55,6 +59,10 @@ QUERIES = [
     ("SELECT count(a) FROM t", 0),
     ("SELECT a, count(*), sum(b) FROM t GROUP BY a", 0),
     ("SELECT a, c, count(*) FROM t WHERE b <> ? GROUP BY a, c", 1),
+    ("SELECT DISTINCT a FROM t ORDER BY a LIMIT 2", 0),
+    ("SELECT count(*) FROM t LIMIT 0", 0),
+    ("SELECT count(*) FROM t LIMIT ?", 1),
+    ("SELECT a, count(*) FROM t GROUP BY a ORDER BY a LIMIT ?", 1),
 ]
 
 params_strategy = st.lists(
@@ -80,39 +88,33 @@ def fresh_db(rows, clustered=False, indexed=False):
     return db
 
 
-def both_engines(db):
-    return (
-        db.connect(async_workers=1, executor="row"),
-        db.connect(async_workers=1, executor="columnar"),
-    )
-
-
-def assert_engines_agree(db, sql, params):
-    row_conn, col_conn = both_engines(db)
+def outcome(run):
+    """``(columns, rows)`` of a result, or the exception class raised."""
     try:
-        row_res = col_res = None
-        row_exc = col_exc = None
-        try:
-            row_res = row_conn.execute_query(sql, params)
-        except Exception as exc:  # both engines must fail alike
-            row_exc = exc
-        try:
-            col_res = col_conn.execute_query(sql, params)
-        except Exception as exc:
-            col_exc = exc
-        if row_exc is not None or col_exc is not None:
-            assert type(row_exc) is type(col_exc), (
-                f"{sql!r} {params}: row raised {row_exc!r}, "
-                f"columnar raised {col_exc!r}"
-            )
-            return
-        assert row_res.columns == col_res.columns, sql
-        assert row_res.rows == col_res.rows, (
-            f"{sql!r} {params}: row={row_res.rows} columnar={col_res.rows}"
-        )
-    finally:
-        row_conn.close()
-        col_conn.close()
+        result = run()
+    except Exception as exc:  # engine and reference must fail alike
+        return type(exc)
+    if isinstance(result, Exception):  # a batch slot's isolated fault
+        return type(result)
+    if isinstance(result, tuple):  # the reference's (columns, rows)
+        return result
+    return result.columns, result.rows
+
+
+def scan_by(db, sql):
+    """The one place row order depends on the access path: a range scan
+    of the ordered index (``fresh_db`` builds it on ``b``) delivers
+    candidates in key order, every other path in row-id order.  Telling
+    the reference keeps row-order equality exact on every layout."""
+    return "b" if db.server.prepare(sql).plan.access_path == "OrderedRangeOp" else None
+
+
+def assert_matches_reference(db, sql, params):
+    # The memory backend's own blocking execute: the subject is the
+    # engine, whichever backend REPRO_BACKEND makes the default.
+    got = outcome(lambda: db.server.execute(sql, params))
+    expected = outcome(lambda: reference_select(db, sql, params, scan_by(db, sql)))
+    assert got == expected, f"{sql!r} {params}: engine={got} reference={expected}"
 
 
 class TestSelectDifferential:
@@ -122,7 +124,7 @@ class TestSelectDifferential:
         db = fresh_db(rows)
         try:
             for sql, nparams in QUERIES:
-                assert_engines_agree(db, sql, params[:nparams])
+                assert_matches_reference(db, sql, params[:nparams])
         finally:
             db.close()
 
@@ -132,7 +134,7 @@ class TestSelectDifferential:
         db = fresh_db(rows, indexed=True)
         try:
             for sql, nparams in QUERIES:
-                assert_engines_agree(db, sql, params[:nparams])
+                assert_matches_reference(db, sql, params[:nparams])
         finally:
             db.close()
 
@@ -140,11 +142,11 @@ class TestSelectDifferential:
     @settings(max_examples=15, deadline=None)
     def test_clustered_table(self, rows, params):
         # Clustering on a nullable column exercises ClusteredEqOp's
-        # columnar range fetch (and OrderKey handling of NULL keys).
+        # range fetch (and OrderKey handling of NULL keys).
         db = fresh_db(rows, clustered=True)
         try:
             for sql, nparams in QUERIES:
-                assert_engines_agree(db, sql, params[:nparams])
+                assert_matches_reference(db, sql, params[:nparams])
         finally:
             db.close()
 
@@ -152,137 +154,42 @@ class TestSelectDifferential:
     @settings(max_examples=15, deadline=None)
     def test_after_deletes(self, rows, pivot):
         # Tombstones: delete a slice, then scan — live_selection must
-        # skip cleared validity bits identically on both engines.
+        # skip cleared validity bits exactly as iter_rows does.
         db = fresh_db(rows)
         try:
             db.server.execute("DELETE FROM t WHERE a = ?", (pivot,))
             for sql, nparams in QUERIES:
-                assert_engines_agree(db, sql, [pivot, pivot][:nparams])
+                assert_matches_reference(db, sql, [pivot, pivot][:nparams])
         finally:
             db.close()
-
-
-DML = [
-    ("UPDATE t SET b = ? WHERE a = ?", 2),
-    ("UPDATE t SET a = ? WHERE b < ?", 2),
-    ("DELETE FROM t WHERE b = ?", 1),
-    ("INSERT INTO t (id, a, b, c) VALUES (?, ?, 7, 'new')", 2),
-]
-
-TABLE_SNAPSHOT = "SELECT id, a, b, c FROM t"
-
-
-def run_writes(conn, params):
-    outcomes = []
-    for sql, nparams in DML:
-        try:
-            outcomes.append(conn.execute_update(sql, params[:nparams]).rowcount)
-        except Exception as exc:
-            outcomes.append(type(exc).__name__)
-    return outcomes
-
-
-class TestWriteDifferential:
-    @given(rows=rows_strategy, params=params_strategy)
-    @settings(max_examples=20, deadline=None)
-    def test_dml_converges(self, rows, params):
-        # Same writes through each engine against identical databases
-        # must leave identical table states (UPDATE/DELETE candidate
-        # selection runs through the engine under test).
-        db_row, db_col = fresh_db(rows), fresh_db(rows)
-        try:
-            with db_row.connect(executor="row") as conn:
-                row_outcomes = run_writes(conn, params)
-                row_state = conn.execute_query(TABLE_SNAPSHOT).rows
-            with db_col.connect(executor="columnar") as conn:
-                col_outcomes = run_writes(conn, params)
-                col_state = conn.execute_query(TABLE_SNAPSHOT).rows
-            assert row_outcomes == col_outcomes
-            assert row_state == col_state
-        finally:
-            db_row.close()
-            db_col.close()
-
-    @given(rows=rows_strategy, params=params_strategy)
-    @settings(max_examples=10, deadline=None)
-    def test_rollback_restores_identically(self, rows, params):
-        db_row, db_col = fresh_db(rows), fresh_db(rows)
-        try:
-            states = []
-            for db, executor in ((db_row, "row"), (db_col, "columnar")):
-                with db.connect(executor=executor) as conn:
-                    before = conn.execute_query(TABLE_SNAPSHOT).rows
-                    conn.begin()
-                    run_writes(conn, params)
-                    conn.rollback()
-                    after = conn.execute_query(TABLE_SNAPSHOT).rows
-                    assert after == before, f"{executor} rollback diverged"
-                    states.append(after)
-            assert states[0] == states[1]
-        finally:
-            db_row.close()
-            db_col.close()
 
 
 class TestBatchDifferential:
-    @given(rows=rows_strategy, keys=st.lists(values, min_size=1, max_size=12))
+    @given(
+        rows=rows_strategy,
+        bindings=st.lists(st.tuples(values, values), min_size=1, max_size=8),
+        indexed=st.booleans(),
+    )
     @settings(max_examples=20, deadline=None)
-    def test_demux_batch_agrees(self, rows, keys):
-        # The set-oriented batch path (scan-and-bucket demux) under each
-        # engine, including duplicate and NULL bindings.
-        db = fresh_db(rows)
+    def test_demux_batch_agrees(self, rows, bindings, indexed):
+        # The set-oriented batch path (scan-and-bucket demux on a heap
+        # table, cost-gated scan-or-probe on an indexed one): every
+        # binding's slot — duplicates, NULLs and faults included — must
+        # be what the reference answers for that binding alone.
+        db = fresh_db(rows, indexed=indexed)
         try:
-            prepared = db.server.prepare("SELECT id, b FROM t WHERE a = ?")
-            bindings = [(key,) for key in keys]
-            out = {}
-            for executor in ("row", "columnar"):
-                outcomes = db.server.submit_prepared_batch(
-                    prepared, bindings, executor=executor
-                ).result()
-                out[executor] = [
-                    o.rows if not isinstance(o, Exception) else type(o).__name__
-                    for o in outcomes
-                ]
-            assert out["row"] == out["columnar"]
+            for sql, nparams in QUERIES:
+                batch = [binding[:nparams] for binding in bindings]
+                outcomes = db.server.execute_prepared_batch(
+                    db.server.prepare(sql), batch
+                )
+                order = scan_by(db, sql)
+                assert [outcome(lambda: o) for o in outcomes] == [
+                    outcome(lambda: reference_select(db, sql, binding, order))
+                    for binding in batch
+                ], sql
         finally:
             db.close()
-
-
-class TestExecutorSelection:
-    def test_columnar_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        with Database(INSTANT) as db:
-            assert db.server.default_executor == "columnar"
-            with db.connect() as conn:
-                assert conn.executor_kind == "columnar"
-
-    def test_row_selectable_per_connection(self):
-        with Database(INSTANT) as db:
-            with db.connect(executor="row") as conn:
-                assert conn.executor_kind == "row"
-                assert conn.pipeline.executor_kind == "row"
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "row")
-        with Database(INSTANT) as db:
-            assert db.server.default_executor == "row"
-            with db.connect() as conn:
-                assert conn.executor_kind == "row"
-            # Explicit beats the environment.
-            with db.connect(executor="columnar") as conn:
-                assert conn.executor_kind == "columnar"
-
-    def test_invalid_executor_rejected(self):
-        with Database(INSTANT) as db:
-            with pytest.raises(ValueError):
-                db.connect(executor="vectorised")
-            with pytest.raises(ValueError):
-                db.server.resolve_executor("turbo")
-
-    def test_invalid_env_default_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "quantum")
-        with pytest.raises(ValueError):
-            Database(INSTANT)
 
 
 class TestScanObservability:
@@ -294,28 +201,18 @@ class TestScanObservability:
 
     def test_scan_metrics_recorded(self):
         with self._scan_db() as db:
-            db.server.execute(
-                "SELECT id FROM t WHERE a = ?", (2,), executor="columnar"
-            )
+            db.server.execute("SELECT id FROM t WHERE a = ?", (2,))
             counters = db.metrics.snapshot()["counters"]
             assert counters["scan.batches"] >= 1
             assert counters["scan.rows_scanned"] == 40
             hist = db.metrics.histograms()["scan.selectivity"]
             assert hist.count >= 1
 
-    def test_row_engine_records_no_scan_batches(self):
+    def test_execute_span_carries_scan_batches(self):
         with self._scan_db() as db:
-            db.server.execute("SELECT id FROM t WHERE a = ?", (2,), executor="row")
-            counters = db.metrics.snapshot()["counters"]
-            assert counters.get("scan.batches", 0) == 0
-
-    def test_execute_span_carries_executor(self):
-        with self._scan_db() as db:
-            # scan_batches is a columnar-engine span attribute: pin
-            # the in-memory backend.
-            with db.connect(
-                trace=True, executor="columnar", backend="memory"
-            ) as conn:
+            # scan_batches is an in-memory-engine span attribute: pin
+            # the backend.
+            with db.connect(trace=True, backend="memory") as conn:
                 conn.execute_query("SELECT id FROM t WHERE a = ?", (1,))
             spans = [
                 span
@@ -324,5 +221,5 @@ class TestScanObservability:
             ]
             assert spans, "no server.execute span recorded"
             attrs = spans[-1]["attrs"]
-            assert attrs["executor"] == "columnar"
             assert attrs["scan_batches"] >= 1
+            assert "executor" not in attrs

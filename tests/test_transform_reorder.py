@@ -12,11 +12,14 @@ import pytest
 from repro.analysis.ddg import build_ddg, edge_crosses
 from repro.ir.purity import PurityEnv
 from repro.ir.statements import make_block, make_header
+from repro.transform import asyncify_source
 from repro.transform.errors import ReorderFailed
 from repro.transform.names import NameAllocator
 from repro.transform.registry import default_registry
 from repro.transform.rule_guards import flatten_block
 from repro.transform.rule_reorder import reorder
+from tests.helpers import FakeConnection
+from tests.test_prop_transform import build_program, run
 
 PURITY = PurityEnv()
 REGISTRY = default_registry()
@@ -202,3 +205,26 @@ while n > 0:
 """
         with pytest.raises(ReorderFailed):
             reorder_loop(code)
+
+
+class TestRenameLeak:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP: rename leak in rule_reorder")
+    def test_dropped_stub_leaves_no_renamed_read(self):
+        # Found by test_prop_transform (only when hypothesis happens on
+        # it): the first query is emitted reading ``a_1``, a Rule C2/C3
+        # rename whose defining stub was dropped — NameError for n >= 1.
+        source = build_program(
+            [
+                'qr = conn.execute_query("q", [a % 31])',
+                "if a % 2 == 0:\n        b = a + 1",
+                "a = a + 1",
+                "a = a + 1",
+                "b = a + 1",
+                'qr = conn.execute_query("q", [b % 31])',
+            ]
+        )
+        transformed = asyncify_source(source).source
+        for n in range(3):
+            assert run(transformed, FakeConnection(), n) == run(
+                source, FakeConnection(), n
+            )

@@ -1,10 +1,14 @@
 """Pluggable statement stores behind the submission pipeline.
 
 See docs/BACKENDS.md for the interface contract and the invalidation
-semantics table.  ``InMemoryBackend`` and ``SqliteBackend`` are exposed
-lazily (PEP 562): they import :mod:`repro.db.server`, which itself
-imports :mod:`repro.backends.base`, and an eager import here would
-close that cycle mid-initialization.
+semantics table.  The shared classes (``Backend``, ``PreparedStatement``,
+``ServerStats``, the ledger) live in :mod:`repro.backends.base`, which
+imports only leaf modules of :mod:`repro.db`, so both stores and every
+client module import them from there without a cycle.  The two store
+classes are exposed lazily (PEP 562): ``InMemoryBackend`` *is*
+:class:`repro.db.server.DatabaseServer`, whose module imports this
+package for ``Backend`` — an eager import here would re-enter it
+mid-initialization.
 """
 
 from __future__ import annotations

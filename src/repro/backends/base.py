@@ -1,43 +1,73 @@
-"""The backend contract under the submission pipeline.
+"""The backend contract under the submission pipeline — and the one
+statement lifecycle every store shares.
 
 The client stack — :class:`repro.client.connection.Connection`, the
 :class:`repro.core.submission.SubmissionPipeline`, the result cache, the
 dispatch coalescer, speculation, tracing, metrics — is transport
 agnostic: it needs a *store* that can prepare statements, execute them
 (one at a time or set-oriented), open transactions, and cooperate with
-the cache-consistency protocol.  :class:`Backend` names that surface.
+the cache-consistency protocol.  :class:`Backend` is that surface *and*
+its implementation: the bounded prepare LRU, the worker pool, the
+``server.execute`` span, the write-path ordering (mark-uncommitted →
+bump version → execute → broadcast only at autocommit/commit), batch
+accounting, stats and shutdown live here once.  A store supplies only
+the hooks that genuinely differ (how a statement is planned, how one
+statement / one SELECT batch / one write batch executes, what to close).
 
-Two implementations ship today:
+Two stores ship today:
 
 * :class:`repro.backends.memory.InMemoryBackend` — the simulated
   database server (:class:`repro.db.server.DatabaseServer`), which
   doubles as the differential-test oracle;
 * :class:`repro.backends.sqlite.SqliteBackend` — stdlib ``sqlite3``
-  behind the same interface, the first real (honest-latency) store.
+  behind the same lifecycle, the first real (honest-latency) store.
 
 Invalidation semantics are part of the contract, not an in-memory
 accident, so the bookkeeping lives here in
 :class:`CacheInvalidationLedger`: per-table write versions (the
 optimistic publication token), uncommitted-write marks (reads of dirty
-tables bypass the cache) and the registered-cache broadcast.  The
-in-memory backend drives the ledger from its server-side write path; a
-DB-API backend, which cannot push invalidations from the real server,
-drives it from the client-tracked write path — either way the cache
-observes identical behavior, which the invalidation-equivalence tests
-assert.
+tables bypass the cache) and the registered-cache broadcast.  Every
+store drives it through the same inherited write path, so the cache
+observes identical behavior on each — which the invalidation-equivalence
+tests assert and ``tests/test_backend_protocol.py`` pins directly.
+
+(Import note: this module imports only *leaf* modules of
+:mod:`repro.db` — errors, sql, plan, txn — none of which import a
+store, so ``repro.db`` → ``db.server`` → here closes no cycle.)
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import weakref
-from typing import Dict, List, Optional, Sequence
+from collections import OrderedDict
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from ..db.errors import (
+    ServerShutdownError,
+    StatementHandleError,
+    TransactionStateError,
+)
+from ..db.plan import BindingOutcome, QueryResult, demuxable
+from ..db.sql import parse
+from ..db.sql.ast_nodes import (
+    CreateIndexStmt,
+    CreateTableStmt,
+    Statement,
+    is_write,
+)
+from ..db.txn import Transaction, TransactionManager
 
 #: Backend kinds selectable via ``Database.connect(backend=...)`` /
 #: ``aio_connect(backend=...)`` / the ``REPRO_BACKEND`` environment
 #: variable / the workload driver's ``--backend`` flag.
 BACKENDS = ("memory", "sqlite")
+
+_DDL = (CreateTableStmt, CreateIndexStmt)
 
 
 def resolve_backend_name(backend: Optional[str] = None) -> str:
@@ -154,31 +184,552 @@ class CacheInvalidationLedger:
             return any(table in self._uncommitted for table in tables)
 
 
+@dataclass
+class ServerStats:
+    statements_executed: int = 0
+    writes_executed: int = 0
+    peak_concurrency: int = 0
+    statements_prepared: int = 0
+    #: Set-oriented batch calls that took the demux path (one statement
+    #: execution answered the whole batch).
+    batched_calls: int = 0
+    #: Total binding sets answered by those demuxed calls.
+    batched_bindings: int = 0
+    #: Per-statement passes the demux path avoided: each batched call
+    #: pays one scan/statement instead of one per binding.
+    scans_saved: int = 0
+    #: Prepared statements swept from the bounded plan cache (LRU).
+    evictions: int = 0
+
+
+class PreparedStatement:
+    """Server-side prepared statement (parse + plan done once).
+
+    ``origin`` is the backend that prepared it: the submission pipeline
+    re-prepares a statement handed to a connection on a *different*
+    backend, and the dispatch coalescer keys batches by it so coalesced
+    reads never execute against the wrong store.  ``translated`` is the
+    store's own rendering of the statement (SQLite text for the sqlite
+    backend; None where the plan is all the store needs).
+    """
+
+    __slots__ = (
+        "statement_id",
+        "sql",
+        "ast",
+        "plan",
+        "catalog_version",
+        "origin",
+        "translated",
+    )
+
+    def __init__(
+        self,
+        statement_id: int,
+        sql: str,
+        ast: Statement,
+        plan,
+        version: int,
+        origin=None,
+        translated=None,
+    ) -> None:
+        self.statement_id = statement_id
+        self.sql = sql
+        self.ast = ast
+        self.plan = plan
+        self.catalog_version = version
+        self.origin = origin
+        self.translated = translated
+
+
 class Backend:
-    """Base class for executable statement stores.
+    """An executable statement store: the shared statement lifecycle
+    plus the per-store hooks.
 
-    Concrete backends must provide::
+    Every statement execution — synchronous or asynchronous from the
+    client's perspective — runs on one of ``profile.server_workers``
+    pool threads.  Submissions beyond the pool size queue up, which is
+    what produces the thread-count plateau in the paper's Figures 9,
+    10, 13 and 15: client threads beyond the server's effective
+    parallelism stop helping.
 
-        prepare(sql) -> PreparedStatement-like   (statement_id, sql, ast,
-                                                  plan, origin attributes)
-        submit(sql, params, txn) -> Future[QueryResult]
-        submit_prepared(prepared, params, txn=, span=)
-            -> Future[QueryResult]
-        submit_prepared_batch(prepared, bindings, txn=, span=)
-            -> Future[List[BindingOutcome]]
-        begin_transaction() -> Transaction
-        stats / stats_snapshot() / shutdown(wait=) / is_shutdown
-        profile / meter / catalog properties
+    A store overrides::
 
-    plus whatever the concrete transport needs.  The ledger delegation
-    and the blocking convenience calls are shared here.
+        _plan(ast) -> (plan, translated)
+        _execute(prepared, params, txn, exec_span) -> QueryResult
+        _execute_select_batch(prepared, bindings, txn, exec_span)
+            -> List[BindingOutcome]
+        _execute_write_batch(prepared, bindings)      (optional)
+            -> List[BindingOutcome] | None
+        _close()                                      (optional)
+
+    and hands its catalog, latency profile/meter and a
+    :class:`~repro.db.txn.TransactionManager` (whose ``_apply`` step is
+    the store's commit/rollback) to ``__init__``.  Everything else —
+    prepare/LRU, submit*, transactions' table locks, the write-path
+    ordering, batch accounting, stats, shutdown — is inherited and must
+    not be re-implemented.
     """
 
     #: Short selectable name (a :data:`BACKENDS` member).
     backend_name = "abstract"
 
-    def __init__(self) -> None:
+    #: Default cap on the prepared-statement cache.  Generous: a real
+    #: application's distinct statement texts number in the hundreds;
+    #: the cap exists so a query-text generator (or an ORM emitting
+    #: literals) cannot grow server memory without bound.
+    DEFAULT_MAX_PREPARED = 512
+
+    def __init__(
+        self,
+        catalog,
+        profile,
+        meter,
+        txns: TransactionManager,
+        max_prepared: int = DEFAULT_MAX_PREPARED,
+    ) -> None:
+        if max_prepared < 1:
+            raise ValueError(f"max_prepared must be >= 1, got {max_prepared}")
         self.ledger = CacheInvalidationLedger()
+        self._catalog = catalog
+        self._profile = profile
+        self._meter = meter
+        self._pool = ThreadPoolExecutor(
+            max_workers=profile.server_workers,
+            thread_name_prefix=f"dbworker-{self.backend_name}-{profile.name}",
+        )
+        self._lock = threading.Lock()
+        self.max_prepared = max_prepared
+        self._prepared: Dict[int, PreparedStatement] = {}
+        self._plan_cache: "OrderedDict[str, PreparedStatement]" = OrderedDict()
+        self._statement_ids = itertools.count(1)
+        self._catalog_version = 0
+        self._active = 0
+        self._shutdown = False
+        self.stats = ServerStats()
+        self.txns = txns
+        txns.invalidation_hook = self.broadcast_invalidation
+        txns.data_change_hook = self.note_data_change
+        txns.release_hook = self.clear_uncommitted
+
+    @property
+    def profile(self):
+        return self._profile
+
+    @property
+    def catalog(self):
+        return self._catalog
+
+    @property
+    def meter(self):
+        return self._meter
+
+    # ------------------------------------------------------------------
+    # per-store hooks
+    # ------------------------------------------------------------------
+    def _plan(self, ast: Statement) -> Tuple[object, object]:
+        """Plan ``ast``; returns ``(plan, translated)`` for the
+        :class:`PreparedStatement`.  Prepare-time errors (unknown
+        table/column, INSERT arity) are raised here."""
+        raise NotImplementedError
+
+    def _execute(
+        self,
+        prepared: PreparedStatement,
+        params: tuple,
+        txn: Optional[Transaction],
+        exec_span,
+    ) -> QueryResult:
+        """Run one statement in the store.  Ledger, stats, locks and the
+        span lifecycle are the caller's; a store may add its own
+        attributes to ``exec_span`` (None when untraced)."""
+        raise NotImplementedError
+
+    def _execute_select_batch(
+        self,
+        prepared: PreparedStatement,
+        bindings: List[tuple],
+        txn: Optional[Transaction],
+        exec_span,
+    ) -> List[BindingOutcome]:
+        """Answer every binding of a demuxable SELECT in one pass: one
+        outcome (result or that binding's exception) per binding."""
+        raise NotImplementedError
+
+    def _execute_write_batch(
+        self, prepared: PreparedStatement, bindings: List[tuple]
+    ) -> Optional[List[BindingOutcome]]:
+        """Apply an autocommit write batch in one store call, or return
+        None ("not handled") to run it per binding.  Must be all or
+        nothing: on None no binding may have been applied."""
+        return None
+
+    def _close(self) -> None:
+        """Release store resources once the pool has stopped."""
+
+    # ------------------------------------------------------------------
+    # preparation
+    # ------------------------------------------------------------------
+    def prepare(self, sql: str) -> PreparedStatement:
+        """Parse and plan ``sql``, caching by text.
+
+        The cache is a bounded LRU (``max_prepared``): preparing past
+        the cap sweeps the least-recently-used entries and counts an
+        eviction.  Eviction never invalidates a handed-out
+        :class:`PreparedStatement` — the object carries its own plan, so
+        ``submit_prepared`` keeps working on a swept statement; only a
+        later ``prepare`` of the same text pays a re-plan.
+        """
+        with self._lock:
+            cached = self._plan_cache.get(sql)
+            if cached is not None and cached.catalog_version == self._catalog_version:
+                self._plan_cache.move_to_end(sql)
+                return cached
+        ast = parse(sql)
+        plan, translated = self._plan(ast)
+        with self._lock:
+            previous = self._plan_cache.get(sql)
+            if previous is not None:
+                if previous.catalog_version == self._catalog_version:
+                    # A concurrent prepare of the same text won the
+                    # race while we were planning: keep its entry (and
+                    # its already handed-out statement_id), drop ours.
+                    self._plan_cache.move_to_end(sql)
+                    return previous
+                # Stale (catalog changed): the replaced entry's id slot
+                # goes with it; the old object stays usable by holders.
+                self._prepared.pop(previous.statement_id, None)
+            prepared = PreparedStatement(
+                next(self._statement_ids),
+                sql,
+                ast,
+                plan,
+                self._catalog_version,
+                origin=self,
+                translated=translated,
+            )
+            self._prepared[prepared.statement_id] = prepared
+            self._plan_cache[sql] = prepared
+            self._plan_cache.move_to_end(sql)
+            self.stats.statements_prepared += 1
+            while len(self._plan_cache) > self.max_prepared:
+                _sql, evicted = self._plan_cache.popitem(last=False)
+                self._prepared.pop(evicted.statement_id, None)
+                self.stats.evictions += 1
+        return prepared
+
+    def prepared(self, statement_id: int) -> PreparedStatement:
+        with self._lock:
+            try:
+                return self._prepared[statement_id]
+            except KeyError:
+                raise StatementHandleError(
+                    f"unknown prepared statement id {statement_id}"
+                ) from None
+
+    def invalidate_plans(self) -> None:
+        """Force re-planning (called after out-of-band DDL)."""
+        with self._lock:
+            self._catalog_version += 1
+        # Out-of-band DDL changes schema underneath every cached result.
+        self.broadcast_invalidation(None)
+
+    # ------------------------------------------------------------------
+    # submission (pool-bounded)
+    # ------------------------------------------------------------------
+    def submit(
+        self,
+        sql: str,
+        params: Sequence = (),
+        txn: Optional[Transaction] = None,
+    ) -> "Future[QueryResult]":
+        """Queue a statement for execution; returns a Future."""
+        with self._lock:
+            if self._shutdown:
+                raise ServerShutdownError("server is shut down")
+        return self._pool.submit(self._run_sql, sql, tuple(params), txn)
+
+    def submit_prepared(
+        self,
+        prepared: PreparedStatement,
+        params: Sequence = (),
+        txn: Optional[Transaction] = None,
+        span=None,
+    ) -> "Future[QueryResult]":
+        """Queue a prepared statement; ``span`` (the client's dispatch
+        span, when tracing) parents the worker's ``server.execute``."""
+        with self._lock:
+            if self._shutdown:
+                raise ServerShutdownError("server is shut down")
+        return self._pool.submit(
+            self._run_prepared, prepared, tuple(params), txn, span
+        )
+
+    def submit_prepared_batch(
+        self,
+        prepared: PreparedStatement,
+        bindings: Sequence[Sequence],
+        txn: Optional[Transaction] = None,
+        span=None,
+    ) -> "Future[List[BindingOutcome]]":
+        """Set-oriented execution: one statement over N binding sets.
+
+        For a demuxable plan (any SELECT) the whole batch is answered by
+        a *single* statement execution — one lock acquisition, one fixed
+        CPU charge, one scan (or one index probe per distinct binding;
+        on sqlite one ``WHERE k IN (...)``) — and ``ServerStats`` counts
+        it under ``batched_calls`` / ``batched_bindings`` /
+        ``scans_saved``.  Non-demuxable statements (writes, DDL) run per
+        binding with full per-statement semantics, including write
+        invalidation broadcasts, unless the store batches them itself
+        (:meth:`_execute_write_batch`).
+
+        The future resolves to one outcome per binding, in order: the
+        binding's :class:`QueryResult`, or the exception that binding
+        raised — a bad binding faults only its own slot, never the
+        batch.  No network charge is made here; the client (or the
+        dispatch coalescer) pays one round trip for the whole batch.
+        """
+        with self._lock:
+            if self._shutdown:
+                raise ServerShutdownError("server is shut down")
+        snapshot = [tuple(binding) for binding in bindings]
+        return self._pool.submit(
+            self._run_prepared_batch, prepared, snapshot, txn, span
+        )
+
+    def begin_transaction(self) -> Transaction:
+        """Start an explicit transaction (strict 2PL; see repro.db.txn)."""
+        with self._lock:
+            if self._shutdown:
+                raise ServerShutdownError("server is shut down")
+        return self.txns.begin()
+
+    # ------------------------------------------------------------------
+    # execution (worker threads)
+    # ------------------------------------------------------------------
+    def _run_sql(
+        self,
+        sql: str,
+        params: tuple,
+        txn: Optional[Transaction] = None,
+    ) -> QueryResult:
+        return self._run_prepared(self.prepare(sql), params, txn)
+
+    def _run_prepared(
+        self,
+        prepared: PreparedStatement,
+        params: tuple,
+        txn: Optional[Transaction] = None,
+        span=None,
+    ) -> QueryResult:
+        exec_span = (
+            span.child(
+                "server.execute",
+                statement_id=prepared.statement_id,
+                backend=self.backend_name,
+            )
+            if span is not None
+            else None
+        )
+        try:
+            return self._execute_prepared(prepared, params, txn, exec_span)
+        except BaseException as exc:
+            if exec_span is not None:
+                exec_span.set("error", repr(exc))
+            raise
+        finally:
+            if exec_span is not None:
+                exec_span.end()
+
+    def _execute_prepared(
+        self,
+        prepared: PreparedStatement,
+        params: tuple,
+        txn: Optional[Transaction],
+        exec_span=None,
+    ) -> QueryResult:
+        with self._lock:
+            stale = prepared.catalog_version != self._catalog_version
+        if stale:
+            prepared = self.prepare(prepared.sql)
+        ast = prepared.ast
+        if txn is not None:
+            self._lock_for_txn(txn, ast)
+        write = is_write(ast)
+        table = getattr(ast, "table", None) if write else None
+        if write:
+            # Cache bookkeeping BEFORE the mutation runs: non-txn reads
+            # take no table locks, so a concurrent cached read could
+            # otherwise observe the new data in the window before the
+            # mark/bump and retain it past a rollback.  Mark-then-bump
+            # pairs with the reader's token-then-check order: a write
+            # landing between the reader's two steps is caught by one
+            # or the other, never missed by both.
+            if txn is not None and txn.note_write(table):
+                self.mark_uncommitted(table)
+            self.note_data_change(table)
+        with self._lock:
+            self._active += 1
+            if self._active > self.stats.peak_concurrency:
+                self.stats.peak_concurrency = self._active
+        try:
+            result = self._execute(prepared, params, txn, exec_span)
+            if exec_span is not None:
+                exec_span.set("write", write)
+                rows = getattr(result, "rowcount", None)
+                if rows is not None:
+                    exec_span.set("rows", rows)
+            with self._lock:
+                self.stats.statements_executed += 1
+                if write:
+                    self.stats.writes_executed += 1
+                    if isinstance(ast, _DDL):
+                        self._catalog_version += 1
+            if write and txn is None:
+                # Backend-side invalidation: the write path is the one
+                # place every mutation passes through, so caches stay
+                # correct no matter which connection wrote.  Inside a
+                # transaction the broadcast is deferred to commit (a
+                # rolled-back write never invalidates); the pre-execute
+                # version bump and uncommitted mark keep reads that
+                # overlap the open write window out of the cache.
+                self.broadcast_invalidation(table)
+            return result
+        finally:
+            with self._lock:
+                self._active -= 1
+
+    def _run_prepared_batch(
+        self,
+        prepared: PreparedStatement,
+        bindings: List[tuple],
+        txn: Optional[Transaction] = None,
+        span=None,
+    ) -> List[BindingOutcome]:
+        if not bindings:
+            return []
+        with self._lock:
+            stale = prepared.catalog_version != self._catalog_version
+        if stale:
+            prepared = self.prepare(prepared.sql)
+        if not demuxable(prepared.plan):
+            return self._run_write_batch(prepared, bindings, txn, span)
+        exec_span = (
+            span.child(
+                "server.execute",
+                statement_id=prepared.statement_id,
+                backend=self.backend_name,
+                demux=True,
+                bindings=len(bindings),
+            )
+            if span is not None
+            else None
+        )
+        try:
+            if txn is not None:
+                self._lock_for_txn(txn, prepared.ast)
+            with self._lock:
+                self._active += 1
+                if self._active > self.stats.peak_concurrency:
+                    self.stats.peak_concurrency = self._active
+            try:
+                outcomes = self._execute_select_batch(
+                    prepared, bindings, txn, exec_span
+                )
+                with self._lock:
+                    # One statement answered the whole batch.
+                    self.stats.statements_executed += 1
+                    self.stats.batched_calls += 1
+                    self.stats.batched_bindings += len(bindings)
+                    self.stats.scans_saved += len(bindings) - 1
+                return outcomes
+            finally:
+                with self._lock:
+                    self._active -= 1
+        except BaseException as exc:
+            if exec_span is not None:
+                exec_span.set("error", repr(exc))
+            raise
+        finally:
+            if exec_span is not None:
+                exec_span.end()
+
+    def _run_write_batch(
+        self,
+        prepared: PreparedStatement,
+        bindings: List[tuple],
+        txn: Optional[Transaction],
+        span,
+    ) -> List[BindingOutcome]:
+        """A non-demuxable batch (writes, DDL)."""
+        if txn is None:
+            # The store may apply an autocommit batch in one call.  Same
+            # order as the single-statement write path: version bump
+            # before the mutation, stats, then one broadcast.  (A store
+            # that declines costs one early bump; the per-binding pass
+            # below bumps again anyway.)  Transactional batches always
+            # run per binding so each keeps its lock/mark semantics.
+            table = getattr(prepared.ast, "table", None)
+            self.note_data_change(table)
+            outcomes = self._execute_write_batch(prepared, bindings)
+            if outcomes is not None:
+                applied = sum(
+                    not isinstance(outcome, BaseException)
+                    for outcome in outcomes
+                )
+                if applied:
+                    with self._lock:
+                        self.stats.statements_executed += applied
+                        self.stats.writes_executed += applied
+                    self.broadcast_invalidation(table)
+                return outcomes
+        # Per-binding fallback: each binding keeps the exact
+        # single-statement semantics (stats, locks, invalidation
+        # broadcasts, undo recording) — only the transport batched.
+        # Each binding hangs its own server.execute span under the
+        # batch's dispatch span.
+        outcomes = []
+        for binding in bindings:
+            try:
+                outcomes.append(self._run_prepared(prepared, binding, txn, span))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def _lock_for_txn(self, txn: Transaction, ast: Statement) -> None:
+        """Acquire the statement's table lock under strict 2PL."""
+        if isinstance(ast, _DDL):
+            raise TransactionStateError(
+                "DDL inside an explicit transaction is not supported"
+            )
+        table = getattr(ast, "table", None)
+        if table is not None:
+            self.txns.lock_for_statement(txn, table, write=is_write(ast))
+
+    # ------------------------------------------------------------------
+    # introspection / lifecycle
+    # ------------------------------------------------------------------
+    def stats_snapshot(self) -> Dict[str, object]:
+        """Every server counter as one plain dict (taken under the
+        server lock, so batched_* never tears against scans_saved)."""
+        with self._lock:
+            snap = dict(asdict(self.stats))
+            snap["prepared_cached"] = len(self._plan_cache)
+            snap["registered_caches"] = self.ledger.cache_count
+            snap["active"] = self._active
+        return snap
+
+    def shutdown(self, wait: bool = True) -> None:
+        with self._lock:
+            self._shutdown = True
+        self._pool.shutdown(wait=wait)
+        self._close()
+
+    @property
+    def is_shutdown(self) -> bool:
+        with self._lock:
+            return self._shutdown
 
     # ------------------------------------------------------------------
     # invalidation-ledger delegation

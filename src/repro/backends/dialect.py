@@ -33,7 +33,7 @@ positional binding tuple to whatever the style's placeholders expect.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from ..db.sql.ast_nodes import (
     Aggregate,
@@ -56,6 +56,7 @@ from ..db.sql.ast_nodes import (
     Star,
     Statement,
     UpdateStmt,
+    iter_column_refs,  # re-exported; lives with the AST
 )
 from ..db.types import ColumnType, Schema
 
@@ -95,8 +96,6 @@ class ParamStyle:
 NAMED = ParamStyle("named", ":p{index}", named=True)
 #: psycopg-shaped (``%(p0)s``) for a future DB-API Postgres target.
 PYFORMAT = ParamStyle("pyformat", "%(p{index})s", named=True)
-
-PARAMSTYLES = {style.name: style for style in (NAMED, PYFORMAT)}
 
 
 def quote_ident(name: str) -> str:
@@ -289,44 +288,6 @@ def create_index_sql(
         f"CREATE {unique_sql}INDEX {quote_ident(index_name)} "
         f"ON {quote_ident(table)} ({quote_ident(column)})"
     )
-
-
-def iter_column_refs(expr: Optional[Expr]) -> Iterator[str]:
-    """Yield every column name referenced anywhere inside ``expr``.
-
-    Used by DB-API backends to validate references against the mirror
-    schema before shipping SQL to SQLite: SQLite treats a double-quoted
-    unknown identifier as a string *literal* (a documented misfeature
-    kept for MySQL compatibility), so ``SELECT "nope" FROM t`` returns
-    rows of ``'nope'`` instead of raising — the engine's
-    ``UnknownColumnError`` would silently vanish without this check.
-    """
-    if expr is None or isinstance(expr, (Literal, Param, Star)):
-        return
-    if isinstance(expr, ColumnRef):
-        yield expr.name
-        return
-    if isinstance(expr, (BinaryOp, LogicalOp)):
-        yield from iter_column_refs(expr.left)
-        yield from iter_column_refs(expr.right)
-        return
-    if isinstance(expr, (NotOp, IsNull)):
-        yield from iter_column_refs(expr.operand)
-        return
-    if isinstance(expr, InList):
-        yield from iter_column_refs(expr.operand)
-        for item in expr.items:
-            yield from iter_column_refs(item)
-        return
-    if isinstance(expr, Between):
-        yield from iter_column_refs(expr.operand)
-        yield from iter_column_refs(expr.low)
-        yield from iter_column_refs(expr.high)
-        return
-    if isinstance(expr, Aggregate):
-        yield from iter_column_refs(expr.argument)
-        return
-    raise TypeError(f"cannot walk expression {expr!r}")
 
 
 def translate_statement(

@@ -1,5 +1,11 @@
 """The stdlib ``sqlite3`` backend: the first real store behind Backend.
 
+The statement lifecycle — prepare LRU, worker pool, spans, write-path
+ordering, batch accounting, stats, shutdown — is inherited from
+:class:`repro.backends.base.Backend`; this module holds only what is
+SQLite's: connections, the dialect translation, how one statement /
+one batch runs, and real ``COMMIT``/``ROLLBACK``.
+
 Statements still *parse and plan* through the engine's own front end —
 the mirror catalog below carries every table's schema, so prepare-time
 errors (unknown table/column, INSERT arity, aggregate misuse) and
@@ -11,39 +17,35 @@ engine AST translated to SQLite text by :mod:`repro.backends.dialect`.
 
 Design notes:
 
-* **Pool + thread-local connections.**  Autocommit statements run on a
-  ``server_workers``-sized pool, one SQLite connection per worker
-  thread — same submission shape as the in-memory server, so the
+* **Thread-local connections.**  Autocommit statements run on the
+  inherited ``server_workers``-sized pool, one SQLite connection per
+  worker thread — same submission shape as the in-memory server, so the
   client's async pipeline (and its thread-count plateau) is unchanged.
 * **Transactions are real.**  ``begin_transaction`` opens a dedicated
-  connection and issues ``BEGIN``; commit/rollback issue real
-  ``COMMIT``/``ROLLBACK``.  The engine's strict-2PL table locks
-  (:class:`repro.db.txn.LockManager`) still sit on top — transaction
-  conflict behavior (waits, ``TransactionTimeoutError``) matches the
-  oracle, and SQLite's single-writer lock underneath never admits what
-  2PL would forbid.  Write-versioning and uncommitted-write marks are
-  driven from this layer (the "client-tracked" invalidation mode: a
-  DB-API server cannot push), so the cache-consistency protocol is
-  byte-for-byte the in-memory one.
+  connection and issues ``BEGIN``; the transaction manager's apply step
+  issues real ``COMMIT``/``ROLLBACK``.  The engine's strict-2PL table
+  locks (:class:`repro.db.txn.LockManager`) still sit on top —
+  transaction conflict behavior (waits, ``TransactionTimeoutError``)
+  matches the oracle, and SQLite's single-writer lock underneath never
+  admits what 2PL would forbid.  Write-versioning and uncommitted-write
+  marks are driven by the inherited write path (the "client-tracked"
+  invalidation mode: a DB-API server cannot push), so the
+  cache-consistency protocol is the in-memory one by construction.
 * **Set-oriented dispatch maps to SQL.**  A coalesced batch over a
   ``col = ?`` SELECT executes once as ``WHERE col IN (...)`` and is
   demultiplexed per binding; INSERT batches go through ``executemany``
-  under a savepoint (falling back to per-binding execution to preserve
+  under a savepoint (declining to per-binding execution to preserve
   per-slot fault isolation).
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import shutil
 import sqlite3
 import tempfile
 import threading
 import weakref
-from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..db.catalog import Catalog
@@ -53,17 +55,14 @@ from ..db.errors import (
     DatabaseError,
     ParamCountError,
     PlanError,
-    ServerShutdownError,
-    StatementHandleError,
     TransactionStateError,
     TransactionTimeoutError,
 )
 from ..db.latency import INSTANT, LatencyMeter, LatencyProfile
-from ..db.plan import BindingOutcome, Planner, QueryResult, demuxable
+from ..db.plan import BindingOutcome, Planner, QueryResult
 from ..db.plan.expr_eval import RowEvaluator, limit_count
 from ..db.plan.operators import _item_name
-from ..db.server import PreparedStatement, ServerStats
-from ..db.sql import parse
+from ..db.plan.planner import _check_params
 from ..db.sql.ast_nodes import (
     BinaryOp,
     ColumnRef,
@@ -76,54 +75,34 @@ from ..db.sql.ast_nodes import (
     Star,
     Statement,
     UpdateStmt,
-    is_write,
 )
-from ..db.txn import ABORTED, COMMITTED, Transaction, TransactionManager
+from ..db.txn import Transaction, TransactionManager
 from ..db.types import Column, ColumnType, Schema
-from .base import Backend
+from .base import Backend, PreparedStatement
 from .dialect import (
     NAMED,
-    PARAMSTYLES,
-    ParamStyle,
     create_index_sql,
     create_table_sql,
-    iter_column_refs,
     quote_ident,
     translate_expr,
     translate_statement,
 )
 
 
-def _check_params(expected: int, params: Sequence) -> None:
-    if expected != len(params):
-        raise ParamCountError(expected, len(params))
-
-
-class SqlitePreparedStatement(PreparedStatement):
-    """A prepared statement carrying its SQLite translation."""
-
-    __slots__ = ("translated",)
-
-    def __init__(
-        self, statement_id, sql, ast, plan, version, origin, translated
-    ) -> None:
-        super().__init__(statement_id, sql, ast, plan, version, origin=origin)
-        self.translated = translated
-
-
 class _SqliteTransactionManager(TransactionManager):
     """The engine transaction manager with SQLite durability.
 
-    Reuses the 2PL lock manager, state machine, async-read drain and
-    the invalidation/data-change/release hooks verbatim; the undo log
-    stays empty (SQLite's journal reverses data changes), so inherited
-    rollback bookkeeping is a no-op beyond the hooks.  Each transaction
-    owns a dedicated SQLite connection plus a statement lock (async
-    reads execute on pool threads against the same connection).
+    Reuses the 2PL lock manager, state machine, async-read drain, the
+    completion order and the invalidation/data-change/release hooks
+    verbatim; the undo log stays empty (SQLite's journal reverses data
+    changes), so the apply step is a real ``COMMIT``/``ROLLBACK``.
+    Each transaction owns a dedicated SQLite connection plus a
+    statement lock (async reads execute on pool threads against the
+    same connection).
     """
 
-    def __init__(self, backend: "SqliteBackend") -> None:
-        super().__init__(backend.catalog)
+    def __init__(self, catalog: Catalog, backend: "SqliteBackend") -> None:
+        super().__init__(catalog)
         self._backend = backend
 
     def begin(self) -> Transaction:
@@ -134,38 +113,12 @@ class _SqliteTransactionManager(TransactionManager):
         txn._sqlite_lock = threading.Lock()
         return txn
 
-    def _finish_sqlite(self, txn: Transaction, command: str) -> None:
+    def _apply(self, txn: Transaction, commit: bool) -> None:
         with txn._sqlite_lock:
             try:
-                txn._sqlite.execute(command)
+                txn._sqlite.execute("COMMIT" if commit else "ROLLBACK")
             finally:
                 self._backend._close_connection(txn._sqlite)
-
-    def commit(self, txn: Transaction) -> None:
-        txn._require_active()
-        txn._wait_drained()
-        self._finish_sqlite(txn, "COMMIT")
-        with txn._state_lock:
-            txn._state = COMMITTED
-        # Commit-boundary broadcast, exactly like the in-memory server:
-        # shared caches drop readers of every written table before the
-        # 2PL locks release.
-        self._broadcast_writes(txn)
-        self._finish(txn)
-
-    def rollback(self, txn: Transaction) -> None:
-        txn._require_active()
-        txn._wait_drained()
-        self._finish_sqlite(txn, "ROLLBACK")
-        with txn._state_lock:
-            txn._state = ABORTED
-        # No invalidation broadcast (the pre-transaction data was just
-        # restored), but the restore is a data change: bump versions so
-        # overlapping cached reads fail their publication check.
-        if self.data_change_hook is not None:
-            for table in txn.written_tables():
-                self.data_change_hook(table)
-        self._finish(txn)
 
 
 class SqliteBackend(Backend):
@@ -173,30 +126,24 @@ class SqliteBackend(Backend):
 
     backend_name = "sqlite"
 
-    DEFAULT_MAX_PREPARED = 512
-
     def __init__(
         self,
         profile: LatencyProfile = INSTANT,
         meter: Optional[LatencyMeter] = None,
-        max_prepared: int = DEFAULT_MAX_PREPARED,
-        paramstyle: Any = "named",
+        max_prepared: int = Backend.DEFAULT_MAX_PREPARED,
     ) -> None:
-        if max_prepared < 1:
-            raise ValueError(f"max_prepared must be >= 1, got {max_prepared}")
-        super().__init__()
-        self._profile = profile
-        self._meter = meter if meter is not None else LatencyMeter()
-        if isinstance(paramstyle, ParamStyle):
-            self._style = paramstyle
-        else:
-            try:
-                self._style = PARAMSTYLES[paramstyle]
-            except KeyError:
-                raise ValueError(
-                    f"unknown paramstyle {paramstyle!r} "
-                    f"(expected one of {tuple(PARAMSTYLES)})"
-                ) from None
+        #: Schema mirror: an engine catalog holding every table's schema
+        #: (heaps stay empty — SQLite holds the rows).  Planning against
+        #: it reproduces the oracle's prepare-time and coercion errors.
+        catalog = Catalog(SimulatedDisk(INSTANT, LatencyMeter()))
+        super().__init__(
+            catalog,
+            profile,
+            meter if meter is not None else LatencyMeter(),
+            _SqliteTransactionManager(catalog, self),
+            max_prepared,
+        )
+        self._planner = Planner(catalog)
         #: Scratch database directory (removed at shutdown, or by the
         #: finalizer if the backend is dropped without one).
         self._tmpdir = tempfile.mkdtemp(prefix="repro-sqlite-")
@@ -204,31 +151,8 @@ class SqliteBackend(Backend):
         self._finalizer = weakref.finalize(
             self, shutil.rmtree, self._tmpdir, True
         )
-        #: Schema mirror: an engine catalog holding every table's schema
-        #: (heaps stay empty — SQLite holds the rows).  Planning against
-        #: it reproduces the oracle's prepare-time and coercion errors.
-        self._mirror_disk = SimulatedDisk(INSTANT, LatencyMeter())
-        self._catalog = Catalog(self._mirror_disk)
-        self._planner = Planner(self._catalog)
-        self._pool = ThreadPoolExecutor(
-            max_workers=profile.server_workers,
-            thread_name_prefix=f"sqlite-{profile.name}",
-        )
         self._local = threading.local()
         self._connections: List[sqlite3.Connection] = []
-        self._lock = threading.Lock()
-        self.max_prepared = max_prepared
-        self._prepared: Dict[int, PreparedStatement] = {}
-        self._plan_cache: "OrderedDict[str, PreparedStatement]" = OrderedDict()
-        self._statement_ids = itertools.count(1)
-        self._catalog_version = 0
-        self._active = 0
-        self._shutdown = False
-        self.stats = ServerStats()
-        self.txns = _SqliteTransactionManager(self)
-        self.txns.invalidation_hook = self.broadcast_invalidation
-        self.txns.data_change_hook = self.note_data_change
-        self.txns.release_hook = self.clear_uncommitted
         # First connection creates the file and flips it to WAL, so
         # pool readers never block the (single) writer.
         self._connection()
@@ -236,18 +160,6 @@ class SqliteBackend(Backend):
     # ------------------------------------------------------------------
     # connections
     # ------------------------------------------------------------------
-    @property
-    def profile(self) -> LatencyProfile:
-        return self._profile
-
-    @property
-    def catalog(self) -> Catalog:
-        return self._catalog
-
-    @property
-    def meter(self) -> LatencyMeter:
-        return self._meter
-
     @property
     def path(self) -> str:
         return self._path
@@ -304,199 +216,23 @@ class SqliteBackend(Backend):
             raise DatabaseError(str(exc)) from exc
 
     # ------------------------------------------------------------------
-    # preparation (same bounded LRU contract as the in-memory server)
+    # store hooks: planning and single-statement execution
     # ------------------------------------------------------------------
-    def prepare(self, sql: str) -> PreparedStatement:
-        with self._lock:
-            cached = self._plan_cache.get(sql)
-            if cached is not None and cached.catalog_version == self._catalog_version:
-                self._plan_cache.move_to_end(sql)
-                return cached
-        ast = parse(sql)
-        plan = self._planner.plan(ast)
-        translated = translate_statement(ast, self._style)
-        with self._lock:
-            previous = self._plan_cache.get(sql)
-            if previous is not None:
-                if previous.catalog_version == self._catalog_version:
-                    self._plan_cache.move_to_end(sql)
-                    return previous
-                self._prepared.pop(previous.statement_id, None)
-            prepared = SqlitePreparedStatement(
-                next(self._statement_ids),
-                sql,
-                ast,
-                plan,
-                self._catalog_version,
-                self,
-                translated,
-            )
-            self._prepared[prepared.statement_id] = prepared
-            self._plan_cache[sql] = prepared
-            self._plan_cache.move_to_end(sql)
-            self.stats.statements_prepared += 1
-            while len(self._plan_cache) > self.max_prepared:
-                _sql, evicted = self._plan_cache.popitem(last=False)
-                self._prepared.pop(evicted.statement_id, None)
-                self.stats.evictions += 1
-        return prepared
+    def _plan(self, ast: Statement):
+        # Unknown column references are rejected by the shared planner:
+        # SQLite itself would degrade a double-quoted unknown identifier
+        # to a string literal and answer silently.
+        return self._planner.plan(ast), translate_statement(ast)
 
-    def prepared(self, statement_id: int) -> PreparedStatement:
-        with self._lock:
-            try:
-                return self._prepared[statement_id]
-            except KeyError:
-                raise StatementHandleError(
-                    f"unknown prepared statement id {statement_id}"
-                ) from None
-
-    def invalidate_plans(self) -> None:
-        """Force re-planning (called after out-of-band DDL)."""
-        with self._lock:
-            self._catalog_version += 1
-        self.broadcast_invalidation(None)
-
-    # ------------------------------------------------------------------
-    # submission (pool-bounded, same future shape as the oracle)
-    # ------------------------------------------------------------------
-    def _require_running(self) -> None:
-        with self._lock:
-            if self._shutdown:
-                raise ServerShutdownError("server is shut down")
-
-    def submit(
-        self,
-        sql: str,
-        params: Sequence = (),
-        txn: Optional[Transaction] = None,
-    ) -> "Future[QueryResult]":
-        self._require_running()
-        return self._pool.submit(self._run_sql, sql, tuple(params), txn)
-
-    def submit_prepared(
-        self,
-        prepared: PreparedStatement,
-        params: Sequence = (),
-        txn: Optional[Transaction] = None,
-        span=None,
-    ) -> "Future[QueryResult]":
-        self._require_running()
-        return self._pool.submit(
-            self._run_prepared, prepared, tuple(params), txn, span
-        )
-
-    def submit_prepared_batch(
-        self,
-        prepared: PreparedStatement,
-        bindings: Sequence[Sequence],
-        txn: Optional[Transaction] = None,
-        span=None,
-    ) -> "Future[List[BindingOutcome]]":
-        self._require_running()
-        snapshot = [tuple(binding) for binding in bindings]
-        return self._pool.submit(
-            self._run_prepared_batch, prepared, snapshot, txn, span
-        )
-
-    def begin_transaction(self) -> Transaction:
-        """Start an explicit transaction (2PL locks over a real BEGIN)."""
-        self._require_running()
-        return self.txns.begin()
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def _run_sql(
-        self,
-        sql: str,
-        params: tuple,
-        txn: Optional[Transaction] = None,
-    ) -> QueryResult:
-        return self._run_prepared(self.prepare(sql), params, txn)
-
-    def _run_prepared(
-        self,
-        prepared: PreparedStatement,
-        params: tuple,
-        txn: Optional[Transaction] = None,
-        span=None,
-    ) -> QueryResult:
-        exec_span = (
-            span.child("server.execute", statement_id=prepared.statement_id)
-            if span is not None
-            else None
-        )
-        try:
-            return self._execute_prepared(prepared, params, txn, exec_span)
-        except BaseException as exc:
-            if exec_span is not None:
-                exec_span.set("error", repr(exc))
-            raise
-        finally:
-            if exec_span is not None:
-                exec_span.end()
-
-    def _execute_prepared(
+    def _execute(
         self,
         prepared: PreparedStatement,
         params: tuple,
         txn: Optional[Transaction],
-        exec_span=None,
-    ) -> QueryResult:
-        with self._lock:
-            stale = prepared.catalog_version != self._catalog_version
-        if stale:
-            prepared = self.prepare(prepared.sql)
-        if txn is not None:
-            self._lock_for_txn(txn, prepared.ast)
-        write = is_write(prepared.ast)
-        table = getattr(prepared.ast, "table", None) if write else None
-        if write:
-            # Same mark-then-bump order as the in-memory write path (and
-            # deliberately *before* execution): a concurrent cached read
-            # overlapping the write window is caught by the reader's
-            # token-then-check sequence either way.
-            if txn is not None and txn.note_write(table):
-                self.mark_uncommitted(table)
-            self.note_data_change(table)
-        with self._lock:
-            self._active += 1
-            if self._active > self.stats.peak_concurrency:
-                self.stats.peak_concurrency = self._active
-        try:
-            result = self._run_statement(prepared, params, txn)
-            if exec_span is not None:
-                exec_span.set("write", write)
-                exec_span.set("backend", self.backend_name)
-                rows = getattr(result, "rowcount", None)
-                if rows is not None:
-                    exec_span.set("rows", rows)
-            with self._lock:
-                self.stats.statements_executed += 1
-                if write:
-                    self.stats.writes_executed += 1
-                    if isinstance(
-                        prepared.ast, (CreateTableStmt, CreateIndexStmt)
-                    ):
-                        self._catalog_version += 1
-            if write and txn is None:
-                # Autocommit writes broadcast immediately; transactional
-                # writes defer to the commit boundary (see the manager).
-                self.broadcast_invalidation(table)
-            return result
-        finally:
-            with self._lock:
-                self._active -= 1
-
-    def _run_statement(
-        self,
-        prepared: PreparedStatement,
-        params: tuple,
-        txn: Optional[Transaction],
+        exec_span,
     ) -> QueryResult:
         ast = prepared.ast
         _check_params(ast.param_count, params)
-        self._validate_refs(ast)
         if isinstance(ast, SelectStmt):
             return self._exec_select(prepared, params, txn)
         if isinstance(ast, InsertStmt):
@@ -511,39 +247,6 @@ class SqliteBackend(Backend):
             return self._exec_create_index(ast)
         raise PlanError(f"cannot execute statement: {ast!r}")
 
-    def _validate_refs(self, ast: Statement) -> None:
-        """Raise ``UnknownColumnError`` for any column reference not in
-        the table's schema.
-
-        SQLite would never surface these: a double-quoted unknown
-        identifier degrades to a string literal, so ``SELECT nope FROM
-        t`` returns rows of ``'nope'`` and ``WHERE nope = 1`` silently
-        matches nothing.  The in-memory engine raises eagerly for
-        select items, GROUP BY and ORDER BY, and per evaluated row for
-        WHERE — this backend validates everything eagerly, which agrees
-        with the engine on every non-empty table (the differential
-        suite's error-parity cases all run against loaded tables).
-        """
-        names: List[str] = []
-        if isinstance(ast, SelectStmt):
-            for item in ast.items:
-                names.extend(iter_column_refs(item.expr))
-            names.extend(iter_column_refs(ast.where))
-            names.extend(ast.group_by)
-            names.extend(order.column for order in ast.order_by)
-            names.extend(iter_column_refs(ast.limit))
-        elif isinstance(ast, UpdateStmt):
-            for _column, expr in ast.assignments:
-                names.extend(iter_column_refs(expr))
-            names.extend(iter_column_refs(ast.where))
-        elif isinstance(ast, DeleteStmt):
-            names.extend(iter_column_refs(ast.where))
-        else:
-            return
-        schema = self._catalog.table(ast.table).heap.schema
-        for name in names:
-            schema.position(name, ast.table)
-
     # -- SELECT ---------------------------------------------------------
     def _output_names(self, stmt: SelectStmt, schema: Schema) -> Tuple[str, ...]:
         if len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star):
@@ -555,7 +258,7 @@ class SqliteBackend(Backend):
 
     def _exec_select(
         self,
-        prepared: "SqlitePreparedStatement",
+        prepared: PreparedStatement,
         params: tuple,
         txn: Optional[Transaction],
     ) -> QueryResult:
@@ -564,7 +267,7 @@ class SqliteBackend(Backend):
         # The engine's LIMIT validation (PlanError on a negative or
         # non-integer limit; SQLite would silently accept).
         limit_count(stmt, schema, params)
-        bound = self._style.bind(params)
+        bound = NAMED.bind(params)
 
         def run(connection):
             return connection.execute(prepared.translated, bound).fetchall()
@@ -626,8 +329,8 @@ class SqliteBackend(Backend):
         ]
         select = f"SELECT rowid, * FROM {quote_ident(stmt.table)}"
         if stmt.where is not None:
-            select += f" WHERE {translate_expr(stmt.where, self._style)}"
-        bound = self._style.bind(params)
+            select += f" WHERE {translate_expr(stmt.where)}"
+        bound = NAMED.bind(params)
         matched = self._run_sqlite(
             txn, lambda connection: connection.execute(select, bound).fetchall()
         )
@@ -663,8 +366,8 @@ class SqliteBackend(Backend):
     ) -> QueryResult:
         sql = f"DELETE FROM {quote_ident(stmt.table)}"
         if stmt.where is not None:
-            sql += f" WHERE {translate_expr(stmt.where, self._style)}"
-        bound = self._style.bind(params)
+            sql += f" WHERE {translate_expr(stmt.where)}"
+        bound = NAMED.bind(params)
         count = self._run_sqlite(
             txn, lambda connection: connection.execute(sql, bound).rowcount
         )
@@ -707,103 +410,33 @@ class SqliteBackend(Backend):
         return QueryResult(rowcount=0)
 
     # ------------------------------------------------------------------
-    # set-oriented execution
+    # store hooks: set-oriented execution
     # ------------------------------------------------------------------
-    def _run_prepared_batch(
+    def _execute_select_batch(
         self,
         prepared: PreparedStatement,
         bindings: List[tuple],
-        txn: Optional[Transaction] = None,
-        span=None,
+        txn: Optional[Transaction],
+        exec_span,
     ) -> List[BindingOutcome]:
-        if not bindings:
-            return []
-        with self._lock:
-            stale = prepared.catalog_version != self._catalog_version
-        if stale:
-            prepared = self.prepare(prepared.sql)
-        if demuxable(prepared.plan):
-            return self._run_select_batch(prepared, bindings, txn, span)
-        if isinstance(prepared.ast, InsertStmt) and txn is None:
-            outcomes = self._run_insert_batch_executemany(prepared, bindings)
-            if outcomes is not None:
-                return outcomes
-        # Per-binding fallback: each binding keeps exact single-statement
-        # semantics (stats, locks, invalidation broadcasts) — only the
-        # transport batched.
-        outcomes = []
+        """A single ``WHERE key IN (...)`` statement when the SELECT has
+        the point-lookup shape, else one probe per binding."""
+        key_column = self._in_demux_key(prepared.ast)
+        if exec_span is not None:
+            # Same attribute vocabulary as the oracle's batch span:
+            # one shared IN-scan vs per-binding probes.
+            exec_span.set(
+                "strategy", "scan" if key_column is not None else "probe"
+            )
+        if key_column is not None:
+            return self._demux_via_in(prepared, key_column, bindings, txn)
+        outcomes: List[BindingOutcome] = []
         for binding in bindings:
             try:
-                outcomes.append(self._run_prepared(prepared, binding, txn, span))
+                outcomes.append(self._execute(prepared, binding, txn, None))
             except Exception as exc:
                 outcomes.append(exc)
         return outcomes
-
-    def _run_select_batch(
-        self,
-        prepared: "SqlitePreparedStatement",
-        bindings: List[tuple],
-        txn: Optional[Transaction],
-        span,
-    ) -> List[BindingOutcome]:
-        """A demuxable (SELECT) batch: one batched call in the stats —
-        executed as a single ``WHERE key IN (...)`` statement when the
-        statement has the point-lookup shape, else per-binding."""
-        exec_span = (
-            span.child(
-                "server.execute",
-                statement_id=prepared.statement_id,
-                demux=True,
-                bindings=len(bindings),
-            )
-            if span is not None
-            else None
-        )
-        if txn is not None:
-            self._lock_for_txn(txn, prepared.ast)
-        with self._lock:
-            self._active += 1
-            if self._active > self.stats.peak_concurrency:
-                self.stats.peak_concurrency = self._active
-        try:
-            key_column = self._in_demux_key(prepared.ast)
-            if exec_span is not None:
-                # Same attribute vocabulary as the oracle's batch span:
-                # one shared IN-scan vs per-binding probes.
-                exec_span.set(
-                    "strategy", "scan" if key_column is not None else "probe"
-                )
-                exec_span.set("backend", self.backend_name)
-            if key_column is not None:
-                outcomes = self._demux_via_in(
-                    prepared, key_column, bindings, txn
-                )
-            else:
-                outcomes = []
-                for binding in bindings:
-                    try:
-                        outcomes.append(
-                            self._run_statement(prepared, binding, txn)
-                        )
-                    except Exception as exc:
-                        outcomes.append(exc)
-            with self._lock:
-                # Same accounting as the oracle's demux path: one
-                # statement answered the whole batch.
-                self.stats.statements_executed += 1
-                self.stats.batched_calls += 1
-                self.stats.batched_bindings += len(bindings)
-                self.stats.scans_saved += len(bindings) - 1
-            return outcomes
-        except BaseException as exc:
-            if exec_span is not None:
-                exec_span.set("error", repr(exc))
-            raise
-        finally:
-            if exec_span is not None:
-                exec_span.end()
-            with self._lock:
-                self._active -= 1
 
     @staticmethod
     def _in_demux_key(stmt: Statement) -> Optional[str]:
@@ -839,7 +472,7 @@ class SqliteBackend(Backend):
 
     def _demux_via_in(
         self,
-        prepared: "SqlitePreparedStatement",
+        prepared: PreparedStatement,
         key_column: str,
         bindings: List[tuple],
         txn: Optional[Transaction],
@@ -891,8 +524,8 @@ class SqliteBackend(Backend):
             outcomes.append(QueryResult(columns=columns, rows=list(matches)))
         return outcomes
 
-    def _run_insert_batch_executemany(
-        self, prepared: "SqlitePreparedStatement", bindings: List[tuple]
+    def _execute_write_batch(
+        self, prepared: PreparedStatement, bindings: List[tuple]
     ) -> Optional[List[BindingOutcome]]:
         """INSERT batches map to ``executemany`` under a savepoint.
 
@@ -903,59 +536,39 @@ class SqliteBackend(Backend):
         row (and only it) carries the error.
         """
         stmt = prepared.ast
+        if not isinstance(stmt, InsertStmt):
+            return None
         info = self._catalog.table(stmt.table)
         sql = self._insert_sql(stmt, info.heap.schema)
-        outcomes: List[BindingOutcome] = [None] * len(bindings)
+        outcomes: List[BindingOutcome] = []
         rows: List[tuple] = []
-        good: List[int] = []
-        for position, binding in enumerate(bindings):
+        for binding in bindings:
             try:
                 _check_params(stmt.param_count, binding)
                 rows.append(self._insert_row(stmt, binding))
-                good.append(position)
+                outcomes.append(QueryResult(rowcount=1))
             except Exception as exc:
-                outcomes[position] = exc
-        if rows:
-            table = stmt.table
-            for _ in good:
-                self.note_data_change(table)
+                outcomes.append(exc)
 
-            def run(connection):
-                connection.execute("SAVEPOINT repro_batch")
-                try:
-                    connection.executemany(sql, rows)
-                except sqlite3.Error:
-                    connection.execute("ROLLBACK TO repro_batch")
-                    connection.execute("RELEASE repro_batch")
-                    return False
+        def run(connection):
+            connection.execute("SAVEPOINT repro_batch")
+            try:
+                connection.executemany(sql, rows)
+            except sqlite3.Error:
+                connection.execute("ROLLBACK TO repro_batch")
                 connection.execute("RELEASE repro_batch")
-                return True
+                return False
+            connection.execute("RELEASE repro_batch")
+            return True
 
+        if rows:
             try:
                 inserted = self._run_sqlite(None, run)
             except Exception:
                 inserted = False
             if not inserted:
                 return None
-            with self._lock:
-                self.stats.statements_executed += len(good)
-                self.stats.writes_executed += len(good)
-            self.broadcast_invalidation(table)
-        for position in good:
-            outcomes[position] = QueryResult(rowcount=1)
         return outcomes
-
-    # ------------------------------------------------------------------
-    # transactions / locking (shared with the oracle)
-    # ------------------------------------------------------------------
-    def _lock_for_txn(self, txn: Transaction, ast: Statement) -> None:
-        if isinstance(ast, (CreateTableStmt, CreateIndexStmt)):
-            raise TransactionStateError(
-                "DDL inside an explicit transaction is not supported"
-            )
-        table = getattr(ast, "table", None)
-        if table is not None:
-            self.txns.lock_for_statement(txn, table, write=is_write(ast))
 
     # ------------------------------------------------------------------
     # schema mirroring (Database replicates out-of-band DDL/loads here)
@@ -1006,19 +619,7 @@ class SqliteBackend(Backend):
         return len(coerced)
 
     # ------------------------------------------------------------------
-    def stats_snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            snap = dict(asdict(self.stats))
-            snap["prepared_cached"] = len(self._plan_cache)
-            snap["registered_caches"] = self.ledger.cache_count
-            snap["active"] = self._active
-        return snap
-
-    # ------------------------------------------------------------------
-    def shutdown(self, wait: bool = True) -> None:
-        with self._lock:
-            self._shutdown = True
-        self._pool.shutdown(wait=wait)
+    def _close(self) -> None:
         with self._lock:
             connections = list(self._connections)
             self._connections.clear()
@@ -1028,8 +629,3 @@ class SqliteBackend(Backend):
             except sqlite3.Error:  # pragma: no cover - close is best-effort
                 pass
         self._finalizer()
-
-    @property
-    def is_shutdown(self) -> bool:
-        with self._lock:
-            return self._shutdown

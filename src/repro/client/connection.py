@@ -30,7 +30,8 @@ from ..core.submission import (
 )
 from ..db.errors import DatabaseError, TransactionStateError
 from ..db.plan import QueryResult
-from ..db.server import DatabaseServer, PreparedStatement
+from ..backends.base import PreparedStatement
+from ..db.server import DatabaseServer
 from ..db.txn import Transaction
 from ..prefetch.cache import ResultCache
 from ..runtime.executor import AsyncExecutor

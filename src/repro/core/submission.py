@@ -106,7 +106,8 @@ from typing import (
 
 from ..db.errors import DatabaseError, TransactionStateError
 from ..db.plan import QueryResult
-from ..db.server import DatabaseServer, PreparedStatement
+from ..backends.base import PreparedStatement
+from ..db.server import DatabaseServer
 from ..db.sql.ast_nodes import is_write
 from ..db.txn import Transaction
 from ..obs.metrics import Histogram, MetricsRegistry

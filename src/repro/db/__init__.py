@@ -30,7 +30,8 @@ from .errors import (
 from .latency import INSTANT, POSTGRES, PROFILES, SYS1, LatencyMeter, LatencyProfile
 from .plan import QueryResult
 from .scans import SharedScanManager
-from .server import DatabaseServer, PreparedStatement
+from ..backends.base import PreparedStatement
+from .server import DatabaseServer
 from .storage import HeapTable
 from .txn import Transaction, TransactionManager, UndoEntry
 from .types import Column, ColumnType, Row, Schema, schema_of

@@ -16,6 +16,7 @@ from ..obs.trace import Tracer
 from .buffer import BufferPool
 from .catalog import Catalog
 from .disk import SimulatedDisk
+from .index import OrderedIndex
 from .latency import INSTANT, LatencyMeter, LatencyProfile
 from .scans import SharedScanManager
 from .server import DatabaseServer
@@ -101,8 +102,6 @@ class Database:
             rows = [row for _row_id, row in heap.iter_rows()]
             if rows:
                 backend.mirror_load(table_name, rows)
-            from .index import OrderedIndex
-
             for index in info.indexes:
                 backend.mirror_create_index(
                     index.name,

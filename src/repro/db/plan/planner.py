@@ -38,6 +38,7 @@ from ..sql.ast_nodes import (
     SelectStmt,
     Statement,
     UpdateStmt,
+    iter_column_refs,
 )
 from ..types import Column, ColumnType, Schema
 from .context import ExecutionContext
@@ -47,6 +48,7 @@ from .operators import (
     HashEqOp,
     OrderedRangeOp,
     SeqScanOp,
+    _item_name,
     columnar_aggregate,
     columnar_aggregate_grouped,
     columnar_order,
@@ -199,6 +201,43 @@ def _candidate_rows(ctx: ExecutionContext, info: TableInfo, access, where):
     return [(row_id, info.heap.fetch(row_id)) for row_id in sel]
 
 
+def _checked_table(catalog: Catalog, stmt) -> TableInfo:
+    """The statement's table, after resolving every column reference of
+    a SELECT / UPDATE / DELETE against its schema.
+
+    Validation happens here, at plan (= prepare) time, because the
+    evaluators resolve a reference only when a row reaches it — an
+    empty table, or an earlier conjunct that empties the selection,
+    would let ``WHERE nope = 1`` through — and because every store
+    plans through this module, so all of them reject the same text
+    with the same ``UnknownColumnError``.
+    """
+    info = catalog.table(stmt.table)
+    names = list(iter_column_refs(stmt.where))
+    if isinstance(stmt, SelectStmt):
+        for item in stmt.items:
+            names.extend(iter_column_refs(item.expr))
+        names.extend(stmt.group_by)
+        names.extend(iter_column_refs(stmt.limit))
+        if stmt.group_by:
+            # Grouped rows are ordered by *output* name (aliases count).
+            output = [_item_name(item, i) for i, item in enumerate(stmt.items)]
+            for order in stmt.order_by:
+                if order.column not in output:
+                    raise PlanError(
+                        f"ORDER BY column {order.column!r} is not in the output"
+                    )
+        else:
+            names.extend(order.column for order in stmt.order_by)
+    elif isinstance(stmt, UpdateStmt):
+        for _target, expr in stmt.assignments:
+            names.extend(iter_column_refs(expr))
+    schema = info.heap.schema
+    for name in names:
+        schema.position(name, stmt.table)
+    return info
+
+
 def _limited(rows: list, count: Optional[int]) -> list:
     return rows if count is None else rows[:count]
 
@@ -242,7 +281,7 @@ class SelectPlan:
     def __init__(self, catalog: Catalog, stmt: SelectStmt) -> None:
         self._catalog = catalog
         self._stmt = stmt
-        self._info = catalog.table(stmt.table)
+        self._info = _checked_table(catalog, stmt)
         indexes = catalog.indexes_on(stmt.table)
         self._access = _choose_access_path(self._info, indexes, stmt.where)
 
@@ -364,7 +403,7 @@ class UpdatePlan:
     def __init__(self, catalog: Catalog, stmt: UpdateStmt) -> None:
         self._catalog = catalog
         self._stmt = stmt
-        self._info = catalog.table(stmt.table)
+        self._info = _checked_table(catalog, stmt)
         indexes = catalog.indexes_on(stmt.table)
         self._access = _choose_access_path(self._info, indexes, stmt.where)
         schema = self._info.heap.schema
@@ -396,7 +435,7 @@ class DeletePlan:
     def __init__(self, catalog: Catalog, stmt: DeleteStmt) -> None:
         self._catalog = catalog
         self._stmt = stmt
-        self._info = catalog.table(stmt.table)
+        self._info = _checked_table(catalog, stmt)
         indexes = catalog.indexes_on(stmt.table)
         self._access = _choose_access_path(self._info, indexes, stmt.where)
 

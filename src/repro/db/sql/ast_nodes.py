@@ -7,7 +7,7 @@ shared between server worker threads without defensive copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 # ----------------------------------------------------------------------
 # expressions
@@ -125,6 +125,45 @@ class Aggregate(Expr):
 
     def param_count(self) -> int:
         return self.argument.param_count()
+
+
+def iter_column_refs(expr: Optional[Expr]) -> Iterator[str]:
+    """Yield every column name referenced anywhere inside ``expr``.
+
+    The planner resolves these against the table schema at prepare
+    time, for every store: the engine's evaluators would otherwise
+    resolve a reference only when a row reaches it, and SQLite treats a
+    double-quoted unknown identifier as a string *literal* (a
+    documented misfeature kept for MySQL compatibility), so
+    ``SELECT "nope" FROM t`` returns rows of ``'nope'`` instead of
+    raising.
+    """
+    if expr is None or isinstance(expr, (Literal, Param, Star)):
+        return
+    if isinstance(expr, ColumnRef):
+        yield expr.name
+        return
+    if isinstance(expr, (BinaryOp, LogicalOp)):
+        yield from iter_column_refs(expr.left)
+        yield from iter_column_refs(expr.right)
+        return
+    if isinstance(expr, (NotOp, IsNull)):
+        yield from iter_column_refs(expr.operand)
+        return
+    if isinstance(expr, InList):
+        yield from iter_column_refs(expr.operand)
+        for item in expr.items:
+            yield from iter_column_refs(item)
+        return
+    if isinstance(expr, Between):
+        yield from iter_column_refs(expr.operand)
+        yield from iter_column_refs(expr.low)
+        yield from iter_column_refs(expr.high)
+        return
+    if isinstance(expr, Aggregate):
+        yield from iter_column_refs(expr.argument)
+        return
+    raise TypeError(f"cannot walk expression {expr!r}")
 
 
 # ----------------------------------------------------------------------

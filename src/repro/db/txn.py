@@ -301,7 +301,12 @@ class Transaction:
 
 
 class TransactionManager:
-    """Begins, commits and rolls back transactions over one catalog."""
+    """Begins, commits and rolls back transactions over one catalog.
+
+    ``commit``/``rollback`` fix the completion order once — drain
+    async reads → :meth:`_apply` → state → cache hooks → release locks
+    — so a store-specific manager overrides only ``begin`` and
+    ``_apply``."""
 
     def __init__(self, catalog: Catalog, lock_timeout_s: float = 5.0) -> None:
         self._catalog = catalog
@@ -309,7 +314,7 @@ class TransactionManager:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._active: Dict[int, Transaction] = {}
-        #: Installed by the owning DatabaseServer: called with each
+        #: Installed by the owning backend: called with each
         #: committed write's table (None = all) inside the commit
         #: boundary, before locks are released.
         self.invalidation_hook: Optional[Callable[[Optional[str]], Any]] = None
@@ -348,9 +353,9 @@ class TransactionManager:
     def commit(self, txn: Transaction) -> None:
         txn._require_active()
         txn._wait_drained()
+        self._apply(txn, commit=True)
         with txn._state_lock:
             txn._state = COMMITTED
-        txn._undo.clear()
         # Cache-invalidation broadcast inside the commit boundary: the
         # transaction's writes become durable and shared caches drop
         # their readers before the table locks are released.
@@ -360,19 +365,7 @@ class TransactionManager:
     def rollback(self, txn: Transaction) -> None:
         txn._require_active()
         txn._wait_drained()
-        # The txn still holds exclusive locks on every table it wrote,
-        # so reverse replay cannot interleave with other transactions.
-        # Consecutive entries against the same table replay under one
-        # physical latch acquisition (global reverse order preserved).
-        run: List[UndoEntry] = []
-        for entry in reversed(txn._undo):
-            if run and run[-1].table != entry.table:
-                self._undo_run(run)
-                run = []
-            run.append(entry)
-        if run:
-            self._undo_run(run)
-        txn._undo.clear()
+        self._apply(txn, commit=False)
         with txn._state_lock:
             txn._state = ABORTED
         # No invalidation broadcast: the pre-transaction data — which is
@@ -384,6 +377,27 @@ class TransactionManager:
             for table in txn.written_tables():
                 self.data_change_hook(table)
         self._finish(txn)
+
+    def _apply(self, txn: Transaction, commit: bool) -> None:
+        """Make ``txn``'s writes permanent or reverse them in the store
+        — the one step of completion that differs per store (a DB-API
+        manager issues a real COMMIT/ROLLBACK here).  In memory: commit
+        drops the undo log, rollback replays it first."""
+        if not commit:
+            # The txn still holds exclusive locks on every table it
+            # wrote, so reverse replay cannot interleave with other
+            # transactions.  Consecutive entries against the same table
+            # replay under one physical latch acquisition (global
+            # reverse order preserved).
+            run: List[UndoEntry] = []
+            for entry in reversed(txn._undo):
+                if run and run[-1].table != entry.table:
+                    self._undo_run(run)
+                    run = []
+                run.append(entry)
+            if run:
+                self._undo_run(run)
+        txn._undo.clear()
 
     def _broadcast_writes(self, txn: Transaction) -> None:
         hook = self.invalidation_hook
@@ -407,9 +421,6 @@ class TransactionManager:
     # ------------------------------------------------------------------
     # undo application
     # ------------------------------------------------------------------
-    def _undo_one(self, entry: UndoEntry) -> None:
-        self._undo_run([entry])
-
     def _undo_run(self, entries: List[UndoEntry]) -> None:
         """Replay a run of undo entries against one table under a single
         write-latch acquisition (entries are already in replay order)."""

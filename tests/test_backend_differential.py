@@ -327,29 +327,65 @@ ERROR_CASES = [
     ("CREATE TABLE t (x INT)", ()),
 ]
 
+#: Unknown columns where no row would ever reach them (empty table, or
+#: an earlier conjunct that matches nothing): the shared planner
+#: resolves every reference at prepare time.
+UNKNOWN_COLUMN_SQL = [
+    "SELECT id FROM t WHERE nope = 1",
+    "UPDATE t SET a = 1 WHERE nope = 1",
+    "DELETE FROM t WHERE nope = 1",
+    "UPDATE t SET a = nope",
+    "SELECT id FROM t WHERE a = 99 AND nope = 2",
+]
+ERROR_CASES += [(sql, ()) for sql in UNKNOWN_COLUMN_SQL]
+
 
 class TestErrorParity:
     def test_error_classes_match(self):
         # not_null so the NULL-insert case violates a real constraint;
-        # rows loaded so unknown-column laziness (access-path-dependent on
-        # empty tables) cannot blur the comparison.
-        db = fresh_db(
-            [(1, 1, 1, "x"), (2, 2, 2, "y")], not_null=("id",)
-        )
-        try:
-            mem_conn, lite_conn = both_backends(db)
-            with mem_conn, lite_conn:
-                for sql, params in ERROR_CASES:
-                    with pytest.raises(Exception) as mem_exc:
-                        mem_conn.execute_query(sql, params)
-                    with pytest.raises(Exception) as lite_exc:
-                        lite_conn.execute_query(sql, params)
-                    assert mem_exc.type is lite_exc.type, (
-                        f"{sql!r}: memory {mem_exc.type.__name__}, "
-                        f"sqlite {lite_exc.type.__name__}"
+        # empty and loaded, because an error must not depend on whether
+        # a row ever reaches the offending expression.
+        for rows in ([], [(1, 1, 1, "x"), (2, 2, 2, "y")]):
+            db = fresh_db(rows, not_null=("id",))
+            try:
+                mem_conn, lite_conn = both_backends(db)
+                with mem_conn, lite_conn:
+                    for sql, params in ERROR_CASES:
+                        with pytest.raises(Exception) as mem_exc:
+                            mem_conn.execute_query(sql, params)
+                        with pytest.raises(Exception) as lite_exc:
+                            lite_conn.execute_query(sql, params)
+                        assert mem_exc.type is lite_exc.type, (
+                            f"{sql!r} on {len(rows)} rows: "
+                            f"memory {mem_exc.type.__name__}, "
+                            f"sqlite {lite_exc.type.__name__}"
+                        )
+            finally:
+                db.close()
+
+    def test_unknown_columns_fail_at_prepare(self):
+        # ...and they fail before anything reaches a worker: prepare
+        # raises on either store, empty or loaded (submit_query hands
+        # back an already-failed handle; nothing executes).
+        from repro.db.errors import UnknownColumnError
+
+        for rows in ([], [(1, 1, 1, "x"), (2, 2, 2, "y")]):
+            db = fresh_db(rows)
+            try:
+                for name in BACKENDS:
+                    for sql in UNKNOWN_COLUMN_SQL:
+                        with pytest.raises(UnknownColumnError):
+                            db.backend(name).prepare(sql)
+                    executed = db.backend(name).stats.statements_executed
+                    with db.connect(backend=name) as conn:
+                        handle = conn.submit_query(UNKNOWN_COLUMN_SQL[0])
+                        with pytest.raises(UnknownColumnError):
+                            conn.fetch_result(handle)
+                    assert (
+                        db.backend(name).stats.statements_executed == executed
                     )
-        finally:
-            db.close()
+            finally:
+                db.close()
 
     def test_unique_violation_matches(self):
         db = fresh_db([(1, 1, 1, "x")])

@@ -1,7 +1,10 @@
 """The set-oriented server path: binding demux, fallback, prepared LRU."""
 
+import threading
+
 import pytest
 
+from repro.backends import SqliteBackend
 from repro.db import Database, INSTANT
 from repro.db.errors import ParamCountError, StatementHandleError
 
@@ -227,6 +230,29 @@ class TestPreparedLru:
         server.prepare("SELECT count(*) FROM t WHERE grp = 2")
         assert server._plan_cache.get(hot.sql) is hot
 
+    def test_same_text_race_hands_out_one_statement(self, grouped):
+        # Concurrent first prepares of one text may all plan, but only
+        # one entry (and one statement id) is ever handed out.
+        server = self._server(grouped, 8)
+        workers = 8
+        barrier = threading.Barrier(workers)
+        before = server.stats.statements_prepared
+        handed = []
+
+        def prepare():
+            barrier.wait(timeout=5)
+            handed.append(server.prepare("SELECT a FROM t WHERE grp = 3"))
+
+        threads = [threading.Thread(target=prepare) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(handed) == workers
+        assert all(prepared is handed[0] for prepared in handed)
+        assert server.stats.statements_prepared == before + 1
+
     def test_invalid_cap_rejected(self, grouped):
         from repro.db.server import DatabaseServer
 
@@ -239,3 +265,17 @@ class TestPreparedLru:
                 grouped.meter,
                 max_prepared=0,
             )
+
+
+class TestPreparedLruSqlite(TestPreparedLru):
+    """The prepare LRU is one implementation (``Backend``) under two
+    stores: every case above runs again on the sqlite backend."""
+
+    def _server(self, db, cap):
+        backend = db.backend("sqlite")
+        backend.max_prepared = cap
+        return backend
+
+    def test_invalid_cap_rejected(self, grouped):
+        with pytest.raises(ValueError):
+            SqliteBackend(max_prepared=0)

@@ -28,7 +28,7 @@ def seller_banner(conn, seller_id, detailed):
 
 def main() -> None:
     print("=== prefetch insertion ===")
-    result = prefetch_source(SOURCE, cache_size=128)
+    result = prefetch_source(SOURCE)
     print(result.source)
     print(result.summary())
 

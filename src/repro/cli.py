@@ -76,20 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cache-size", type=int, default=None, metavar="N",
-        help=(
-            "embed a __repro_prefetch__ result-cache capacity hint in "
-            "the output (requires --prefetch)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-ttl", type=float, default=None, metavar="SECONDS",
-        help=(
-            "embed a result-cache TTL (max staleness, seconds) in the "
-            "__repro_prefetch__ hint (requires --prefetch)"
-        ),
-    )
-    parser.add_argument(
         "--speculate", action="store_true",
         help=(
             "enable speculative (unguarded) prefetch: a read-only "
@@ -109,33 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
             "speculation, otherwise the profile's breakeven point "
             "decides (requires --speculate; per-site estimates are "
             "policy/API-level)"
-        ),
-    )
-    parser.add_argument(
-        "--coalesce", action="store_true",
-        help=(
-            "embed a set-oriented dispatch hint ('coalesce': True) in "
-            "the __repro_prefetch__ output: the runtime should open its "
-            "connections with coalesce=True, merging same-statement "
-            "submits queued behind the executor into single batched "
-            "server calls (off by default; requires --prefetch)"
-        ),
-    )
-    parser.add_argument(
-        "--coalesce-window", type=int, default=None, metavar="N",
-        help=(
-            "add 'coalesce_window': N to the hint — the maximum number "
-            "of outstanding same-statement submits merged into one "
-            "batch (requires --coalesce; N >= 2)"
-        ),
-    )
-    parser.add_argument(
-        "--trace", action="store_true",
-        help=(
-            "embed an end-to-end tracing hint ('trace': True) in the "
-            "__repro_prefetch__ output: the runtime should open its "
-            "connections with trace=True so every request records a "
-            "span tree (requires --prefetch)"
         ),
     )
     parser.add_argument(
@@ -267,29 +226,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return workload_main(list(argv[1:]))
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cache_size is not None:
-        if not args.prefetch:
-            parser.error("--cache-size requires --prefetch")
-        if args.cache_size < 1:
-            parser.error(f"--cache-size must be >= 1, got {args.cache_size}")
-    if args.cache_ttl is not None:
-        if not args.prefetch:
-            parser.error("--cache-ttl requires --prefetch")
-        if args.cache_ttl <= 0:
-            parser.error(f"--cache-ttl must be > 0, got {args.cache_ttl}")
     if args.speculate and not args.prefetch:
         parser.error("--speculate requires --prefetch")
-    if args.coalesce and not args.prefetch:
-        parser.error("--coalesce requires --prefetch")
-    if args.trace and not args.prefetch:
-        parser.error("--trace requires --prefetch")
-    if args.coalesce_window is not None:
-        if not args.coalesce:
-            parser.error("--coalesce-window requires --coalesce")
-        if args.coalesce_window < 2:
-            parser.error(
-                f"--coalesce-window must be >= 2, got {args.coalesce_window}"
-            )
     if args.speculate_threshold is not None:
         if not args.speculate:
             parser.error("--speculate-threshold requires --speculate")
@@ -327,13 +265,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 registry=registry,
                 reorder=not args.no_reorder,
                 window=args.window,
-                cache_size=args.cache_size,
-                cache_ttl_s=args.cache_ttl,
                 speculate=args.speculate,
                 speculate_threshold=args.speculate_threshold,
-                coalesce=args.coalesce,
-                coalesce_window=args.coalesce_window,
-                trace=args.trace,
             )
         else:
             result = asyncify_source(

@@ -29,15 +29,33 @@ transaction-commit boundary for transactional writes — so a write
 through *any* connection (cached, cache-less, or transactional)
 invalidates every registered cache.
 
+**One non-blocking lifecycle.**  ``submit`` and ``speculate``, plain
+or coalesced, are one path — :meth:`CallPipeline.submit`:
+
+    lease (cache acquire)
+        → hit / single-flight follower: resolved without a dispatch
+        | ``start(lease, watcher)`` → the dispatch's future
+        → handle (:class:`QueryHandle`, or a tracked
+          :class:`SpeculativeHandle` — the *watcher*)
+        → :meth:`CallPipeline.publish` when the outcome is known
+
+Only ``start`` differs between transports: :meth:`CallPipeline.dispatch`
+wraps an executor task around one round trip, the
+:class:`DispatchCoalescer` enqueues the binding for a batched flush.
+Every owner lease ends in ``publish``, which states the **retention
+rule** once: followers are always served; the value is *retained* only
+if the tables' write-version token is unchanged at publication time
+**and** the speculation that fetched it did not settle as waste.  A
+failed outcome propagates to followers and caches nothing.
+
 **Cache-key semantics.**  The key is the normalized ``(sql, params)``
 pair; it carries no connection or runtime identity, so any front end's
 fill is any other front end's hit.  A request is *uncacheable* (the
 pipeline bypasses the cache entirely) when it is a write, its params
 are unhashable, it runs inside an explicit transaction, or another
-transaction holds uncommitted writes against its tables; a completed
-read is *retained* only if the tables' write-version token is unchanged
-at publication time.  Together these guarantee a cached value is always
-a committed, non-stale read.
+transaction holds uncommitted writes against its tables.  Together with
+the retention rule this guarantees a cached value is always a
+committed, non-stale read.
 
 **Speculative dispatch.**  :meth:`SubmissionPipeline.speculate` issues
 a read whose consumer may never materialize (the prefetch pass's
@@ -49,11 +67,9 @@ unguarded mode).  The contract:
   counted once in :class:`SubmissionStats`;
 * an abandoned speculation that is still queued and invisible to other
   callers (no cache lease, no transaction accounting) is cancelled
-  outright; otherwise it is left to finish — single-flight followers
-  may be real reads, and a completed result is published through the
-  exact same validity checks as any other read, so an abandoned or
-  failed speculation can never plant a stale or failed value in the
-  cache;
+  outright — a coalesced one drops out of its batch; otherwise it is
+  left to finish — single-flight followers may be real reads — and the
+  retention rule keeps its value out of the cache;
 * :meth:`SubmissionPipeline.drain_speculations` (called by
   ``Connection.close``) abandons every unsettled handle and waits the
   in-flight ones out (under one overall deadline, so followers of
@@ -61,19 +77,17 @@ unguarded mode).  The contract:
   dropped handles never leak executor work past the connection's
   lifetime.
 
-**Set-oriented dispatch.**  With ``coalesce=True`` the pipeline routes
-autocommit reads through a :class:`DispatchCoalescer`: submits of the
-same prepared statement that are outstanding behind the executor —
-exactly what prefetch hoisting out of loops and bursts of speculative
-lifts produce — merge into one batched server call
+**Set-oriented dispatch.**  With ``coalesce=True`` autocommit reads use
+the :class:`DispatchCoalescer` as their ``start``: submits of the same
+prepared statement that are outstanding behind the executor — exactly
+what prefetch hoisting out of loops and bursts of speculative lifts
+produce — merge into one batched server call
 (:meth:`~repro.db.server.DatabaseServer.submit_prepared_batch`, the
 binding-demux operator) and the per-binding outcomes demultiplex back
 to the individual handles.  One round-trip charge and one statement
 execution answer the whole batch; a failing binding faults only its own
-handle; cache publication stays per ``(key, tables)`` under the same
-validity checks, and a coalesced speculation that settles as waste
-never publishes.  Transactional reads and writes always take the plain
-path.
+handle; publication stays per ``(key, tables)``.  Transactional reads
+and writes always dispatch one executor task each.
 
 :class:`CallPipeline` is the transport-agnostic half (cache lookup,
 single-flight, dispatch, speculation ledger, stats);
@@ -91,6 +105,7 @@ from collections import deque
 from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass, replace
+from functools import partialmethod
 from typing import (
     Any,
     Callable,
@@ -197,20 +212,26 @@ class SpeculativeHandle(QueryHandle):
         future,
         label: str = "",
         pipeline: Optional["CallPipeline"] = None,
-        cancellable: bool = False,
+        span: Optional[Span] = None,
     ) -> None:
-        super().__init__(future, label=label)
+        super().__init__(future, label=label, span=span)
         self._pipeline = pipeline
-        self._cancellable = cancellable
+        self._cancellable = False
         #: Set when the high-water sweep settled this handle as wasted;
         #: a later claim corrects the ledger (see ``claim``).
         self._swept = False
         #: Set while the handle stands settled as wasted (abandon or
-        #: sweep); cleared by a late claim's reclassification.  The
-        #: dispatch coalescer reads it at publication time: a coalesced
-        #: speculation that settled as waste never publishes its value
-        #: to the cache.
+        #: sweep); cleared by a late claim's reclassification.
+        #: :meth:`CallPipeline.publish` reads it: a speculation that
+        #: settled as waste never has its value retained in the cache.
         self._wasted = False
+
+    def _attach(self, future, cancellable: bool) -> None:
+        """Bind the dispatch this handle watches.  ``CallPipeline.submit``
+        creates the handle first — the dispatch's publication reads its
+        waste state — and attaches the future before anyone can see it."""
+        self._future = future
+        self._cancellable = cancellable
 
     @property
     def wasted(self) -> bool:
@@ -361,10 +382,10 @@ class CallPipeline:
             try:
                 result = invoke()
             except BaseException as exc:
-                self._cache.fail(lease, exc)
+                self.publish(lease, exc, failed=True)
                 raise
-            retain = still_valid is None or still_valid()
-            return self._cache.complete(lease, result, retain=retain)
+            self.publish(lease, result, still_valid)
+            return result
         except BaseException as exc:
             if span is not None:
                 span.set("error", repr(exc))
@@ -376,8 +397,85 @@ class CallPipeline:
                 span.end()
 
     # ------------------------------------------------------------------
-    # non-blocking path
+    # non-blocking path: lease → hit/follower | start → handle → publish
     # ------------------------------------------------------------------
+    def submit(
+        self,
+        start: Callable[[Any, Optional["SpeculativeHandle"]], "Future"],
+        key: Any = None,
+        tables: Optional[Iterable[str]] = None,
+        label: str = "",
+        span: Optional[Span] = None,
+        speculative: bool = False,
+        private: bool = False,
+    ) -> QueryHandle:
+        """The one non-blocking lifecycle; returns a handle at once.
+
+        A cache hit comes back already resolved (no thread hop) and a
+        single-flight follower shares the owner's in-flight future —
+        both count as cache hits and neither dispatches.  Otherwise
+        ``start(lease, watcher)`` begins the real dispatch and returns
+        its future; whoever completes that future hands the outcome to
+        :meth:`publish` with the same ``lease`` and ``watcher``.
+        ``start`` is all that differs between transports (an executor
+        task in :meth:`dispatch`, an enqueue in
+        :class:`DispatchCoalescer`).
+
+        ``speculative`` returns a tracked :class:`SpeculativeHandle`
+        (the ``watcher``) and counts a speculation instead of an async
+        submit.  ``private`` says nothing besides a cache lease can
+        observe the dispatch, so abandoning a lease-less speculation may
+        cancel it outright.
+        """
+        if not speculative:
+            self._bump("async_submits")
+        lease = self._acquire_traced(key, tables, span)
+        watcher = (
+            SpeculativeHandle(None, label=label, pipeline=self, span=span)
+            if speculative
+            else None
+        )
+        cancellable = False
+        if lease is not None and not lease.is_owner:
+            self._bump("cache_hits")
+            future = (
+                resolved_future(lease.value) if lease.is_hit else lease.future
+            )
+        else:
+            future = start(lease, watcher)
+            cancellable = private and lease is None
+        if watcher is None:
+            return QueryHandle(future, label=label, span=span)
+        watcher._attach(future, cancellable)
+        return self._track(watcher)
+
+    def publish(
+        self,
+        lease,
+        outcome: Any,
+        still_valid: Optional[Callable[[], bool]] = None,
+        watcher: Optional["SpeculativeHandle"] = None,
+        failed: bool = False,
+    ) -> None:
+        """The one publication rule: every owner lease ends here.
+
+        ``failed`` propagates ``outcome`` (an exception) to the lease's
+        followers and caches nothing.  Otherwise followers are served
+        ``outcome``, and it is *retained* only if ``still_valid`` says
+        the tables' write version is unchanged since the read was
+        planned **and** the speculation that fetched it (``watcher``)
+        did not settle as waste.  A no-op without a lease.
+        """
+        if lease is None:
+            return
+        if failed:
+            self._cache.fail(lease, outcome)
+            return
+        retain = (still_valid is None or still_valid()) and not (
+            watcher is not None and watcher.wasted
+        )
+        self._cache.complete(lease, outcome, retain=retain)
+
     def dispatch(
         self,
         invoke: Callable[[], Any],
@@ -388,126 +486,58 @@ class CallPipeline:
         cleanup: Optional[Callable[[], None]] = None,
         still_valid: Optional[Callable[[], bool]] = None,
         span: Optional[Span] = None,
+        speculative: bool = False,
     ) -> QueryHandle:
-        """Submit without waiting; returns a handle.
+        """:meth:`submit` with an executor task around ``invoke`` as the
+        dispatch — the transport-agnostic entry the web client uses.
 
-        Cache hits return an already-completed handle (no thread hop);
-        followers share the owner's in-flight future.  ``on_dispatch``
-        runs only when a real dispatch happens (overhead charges,
-        transaction in-flight accounting); ``cleanup`` is its guaranteed
-        counterpart, run when the dispatched task finishes — or
-        immediately, if the dispatch itself fails.
+        ``on_dispatch`` runs only when a real dispatch happens (overhead
+        charges, transaction in-flight accounting); ``cleanup`` is its
+        guaranteed counterpart, run when the dispatched task finishes —
+        or immediately, if the dispatch itself fails.
         """
-        self._bump("async_submits")
-        lease = self._acquire_traced(key, tables, span)
-        future = self._lease_future(lease)
-        if future is not None:
-            return QueryHandle(future, label=label, span=span)
-        handle = self._run_task(
-            invoke, lease, label, on_dispatch, cleanup, still_valid
-        )
-        handle.span = span
-        return handle
 
-    def _lease_future(self, lease) -> Optional["Future"]:
-        """Already-resolved future for a cache hit, or the owner's
-        in-flight future for a single-flight follower — the lease
-        outcomes that avoid a dispatch, counted as cache hits.  None
-        when a real dispatch is needed (no lease, or this caller owns
-        it).  Shared by :meth:`dispatch` and :meth:`speculate` so the
-        lease protocol cannot diverge between the two paths.
-        """
-        if lease is None:
-            return None
-        if lease.is_hit:
-            self._bump("cache_hits")
-            return resolved_future(lease.value)
-        if lease.is_follower:
-            self._bump("cache_hits")
-            return lease.future
-        return None
+        def start(lease, watcher) -> "Future":
+            if on_dispatch is not None:
+                on_dispatch()
 
-    def _run_task(
-        self,
-        invoke: Callable[[], Any],
-        lease,
-        label: str,
-        on_dispatch: Optional[Callable[[], None]],
-        cleanup: Optional[Callable[[], None]],
-        still_valid: Optional[Callable[[], bool]],
-    ) -> QueryHandle:
-        """Build and submit the executor task for a real dispatch
-        (shared by :meth:`dispatch` and :meth:`speculate`)."""
-        if on_dispatch is not None:
-            on_dispatch()
-
-        def task() -> Any:
-            try:
+            def task() -> Any:
                 try:
-                    result = invoke()
-                except BaseException as exc:
-                    if lease is not None:
-                        self._cache.fail(lease, exc)
-                    raise
-                if lease is not None:
-                    retain = still_valid is None or still_valid()
-                    self._cache.complete(lease, result, retain=retain)
-                return result
-            finally:
+                    try:
+                        result = invoke()
+                    except BaseException as exc:
+                        self.publish(lease, exc, failed=True)
+                        raise
+                    self.publish(lease, result, still_valid, watcher)
+                    return result
+                finally:
+                    if cleanup is not None:
+                        cleanup()
+
+            try:
+                return self._executor.submit(task, label=label).future
+            except BaseException as exc:
+                # Never strand single-flight followers (or a transaction's
+                # in-flight count) on a submission that could not be queued.
                 if cleanup is not None:
                     cleanup()
+                self.publish(lease, exc, failed=True)
+                raise
 
-        try:
-            return self._executor.submit(task, label=label)
-        except BaseException as exc:
-            # Never strand single-flight followers (or a transaction's
-            # in-flight count) on a submission that could not be queued.
-            if cleanup is not None:
-                cleanup()
-            if lease is not None:
-                self._cache.fail(lease, exc)
-            raise
-
-    # ------------------------------------------------------------------
-    # speculative path
-    # ------------------------------------------------------------------
-    def speculate(
-        self,
-        invoke: Callable[[], Any],
-        key: Any = None,
-        tables: Optional[Iterable[str]] = None,
-        label: str = "",
-        on_dispatch: Optional[Callable[[], None]] = None,
-        cleanup: Optional[Callable[[], None]] = None,
-        still_valid: Optional[Callable[[], bool]] = None,
-        span: Optional[Span] = None,
-    ) -> SpeculativeHandle:
-        """Dispatch a read whose handle may be dropped (see the module
-        docstring's speculation contract).
-
-        The cache protocol is identical to :meth:`dispatch` — a
-        speculation that races a real identical read single-flights with
-        it, and its completed value publishes through the same validity
-        checks — only the handle type, the stats and the settle ledger
-        differ.
-        """
-        lease = self._acquire_traced(key, tables, span)
-        future = self._lease_future(lease)
-        if future is not None:
-            handle = SpeculativeHandle(future, label=label, pipeline=self)
-            handle.span = span
-            return self._track(handle)
-        inner = self._run_task(
-            invoke, lease, label, on_dispatch, cleanup, still_valid
-        )
-        handle = SpeculativeHandle(
-            inner.future,
+        return self.submit(
+            start,
+            key=key,
+            tables=tables,
             label=label,
-            pipeline=self,
-            cancellable=(lease is None and cleanup is None),
+            span=span,
+            speculative=speculative,
+            private=cleanup is None,
         )
-        handle.span = span
-        return self._track(handle)
+
+    #: Dispatch a read whose handle may be dropped (see the module
+    #: docstring's speculation contract): ``dispatch`` returning a
+    #: tracked :class:`SpeculativeHandle`.
+    speculate = partialmethod(dispatch, speculative=True)
 
     def speculate_failed(
         self, error: BaseException, label: str = ""
@@ -768,24 +798,27 @@ class _PendingDispatch:
         "future",
         "lease",
         "still_valid",
-        "handle",
+        "watcher",
         "span",
         "queue_span",
     )
 
-    def __init__(self, bound, lease, still_valid) -> None:
+    def __init__(self, bound, lease, still_valid, watcher, span) -> None:
         self.bound = bound
         self.future: "Future" = Future()
+        #: What :meth:`CallPipeline.publish` needs once the flusher has
+        #: this binding's outcome (``watcher`` is the speculative handle
+        #: of a speculative submit, else None).
         self.lease = lease
         self.still_valid = still_valid
-        #: The SpeculativeHandle watching this entry, when the submit
-        #: was speculative; publication checks its waste state.
-        self.handle: Optional[SpeculativeHandle] = None
+        self.watcher: Optional[SpeculativeHandle] = watcher
         #: Root ``query`` span of the submit (None unless tracing).
-        self.span: Optional[Span] = None
+        self.span: Optional[Span] = span
         #: ``coalesce`` child span covering queue residency: started at
         #: enqueue, ended by the flusher with the realized batch size.
-        self.queue_span: Optional[Span] = None
+        self.queue_span: Optional[Span] = (
+            span.child("coalesce") if span is not None else None
+        )
 
 
 class DispatchCoalescer:
@@ -804,26 +837,25 @@ class DispatchCoalescer:
     binding-demux operator), demultiplexing per-binding outcomes back
     to the individual handle futures.
 
-    Properties preserved from the plain dispatch path:
+    The coalescer is only a ``start`` for :meth:`CallPipeline.submit`
+    (:meth:`enqueue`): the cache lease, hit/follower resolution, handle
+    construction and speculation tracking all happened before an entry
+    reaches the queue, and every outcome goes back through
+    :meth:`CallPipeline.publish`.  What it adds:
 
-    * **cache protocol** — every submit still runs the cache plan
-      first: hits and single-flight followers resolve immediately and
-      never reach the queue; owners carry their lease into the entry
-      and publish per ``(key, tables)`` with the same validity checks,
-      so a stale or failed binding never enters the cache;
     * **fault isolation** — a binding that fails mid-batch fails only
       its own handle (the server returns per-binding outcomes);
-    * **speculation semantics** — a coalesced speculation abandoned
-      while still queued is dropped from the batch outright (its lease,
-      if any, is failed so followers re-dispatch), and one that settles
-      as waste never publishes its value to the cache;
+    * **cancellation** — an entry whose future was cancelled while
+      queued (an abandoned lease-less speculation, an explicit
+      ``handle.cancel``) is dropped from the batch outright, its lease,
+      if any, failed so followers re-dispatch;
     * **laziness** — no timers, no added latency: a submit that reaches
       an idle worker dispatches alone; batches only form while workers
       are busy, which is precisely when merging pays.
 
     Only autocommit reads are coalesced; transactional reads and writes
-    take the plain path (their lock and invalidation semantics are
-    per-statement).
+    dispatch one executor task each (their lock and invalidation
+    semantics are per-statement).
     """
 
     #: Default cap on bindings merged into one batch.
@@ -861,84 +893,24 @@ class DispatchCoalescer:
         return self._window
 
     # ------------------------------------------------------------------
-    # entry points (called by SubmissionPipeline for autocommit reads)
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        prepared: PreparedStatement,
-        bound: tuple,
-        span: Optional[Span] = None,
-    ) -> QueryHandle:
-        calls = self._pipeline._calls
-        calls._bump("async_submits")
-        label = prepared.sql[:40]
-        entry, future = self._admit(prepared, bound, span)
-        if entry is None:
-            return QueryHandle(future, label=label, span=span)  # hit / follower
-        entry.span = span
-        self._enqueue(prepared, entry)
-        return QueryHandle(entry.future, label=label, span=span)
-
-    def speculate(
-        self,
-        prepared: PreparedStatement,
-        bound: tuple,
-        label: str,
-        span: Optional[Span] = None,
-    ) -> SpeculativeHandle:
-        calls = self._pipeline._calls
-        entry, future = self._admit(prepared, bound, span)
-        if entry is None:
-            handle = SpeculativeHandle(future, label=label, pipeline=calls)
-            handle.span = span
-            return calls._track(handle)
-        handle = SpeculativeHandle(
-            entry.future,
-            label=label,
-            pipeline=calls,
-            # A queued lease-less entry is invisible to everyone else:
-            # abandoning it may cancel the future outright and the
-            # flusher will drop it from the batch.  A leased entry must
-            # run — single-flight followers may be real reads.
-            cancellable=(entry.lease is None),
-        )
-        handle.span = span
-        entry.handle = handle
-        entry.span = span
-        self._enqueue(prepared, entry)
-        return calls._track(handle)
-
-    # ------------------------------------------------------------------
     # queueing
     # ------------------------------------------------------------------
-    def _admit(
+    def enqueue(
         self,
         prepared: PreparedStatement,
         bound: tuple,
+        lease,
+        still_valid: Optional[Callable[[], bool]],
+        watcher: Optional[SpeculativeHandle],
         span: Optional[Span] = None,
-    ):
-        """Run the cache plan; returns ``(entry, None)`` for a real
-        dispatch or ``(None, future)`` when a hit/follower resolves the
-        request without one."""
-        calls = self._pipeline._calls
-        key, tables, still_valid = self._pipeline._cache_plan(
-            prepared, bound, None
-        )
-        lease = calls._acquire_traced(key, tables, span)
-        future = calls._lease_future(lease)
-        if future is not None:
-            return None, future
-        return _PendingDispatch(tuple(bound), lease, still_valid), None
-
-    def _enqueue(
-        self, prepared: PreparedStatement, entry: _PendingDispatch
-    ) -> None:
+    ) -> "Future":
+        """The coalescer's ``start`` for :meth:`CallPipeline.submit`:
+        queue one binding plus one flusher task, return its future."""
         server = self._pipeline._server
         # Every submit still pays the executor hand-off overhead in the
-        # submitting thread, exactly like the plain dispatch path.
+        # submitting thread, exactly like the executor-task dispatch.
         server.meter.charge("queue", server.profile.send_overhead_s)
-        if entry.span is not None:
-            entry.queue_span = entry.span.child("coalesce")
+        entry = _PendingDispatch(bound, lease, still_valid, watcher, span)
         batch_key = self._batch_key(prepared)
         with self._lock:
             group = self._pending.get(batch_key)
@@ -952,13 +924,13 @@ class DispatchCoalescer:
                 label=f"coalesce:{prepared.sql[:32]}",
             )
         except BaseException as exc:
-            # Mirror the plain path: never strand single-flight
-            # followers on a submission that could not be queued.  Only
-            # unwind if no concurrent flusher already claimed the entry.
+            # Never strand single-flight followers on a submission that
+            # could not be queued.  Only unwind if no concurrent flusher
+            # already claimed the entry.
             if self._discard(batch_key, entry):
-                if entry.lease is not None:
-                    self._pipeline.cache.fail(entry.lease, exc)
+                self._pipeline._calls.publish(entry.lease, exc, failed=True)
             raise
+        return entry.future
 
     def _discard(self, batch_key: tuple, entry: _PendingDispatch) -> bool:
         with self._lock:
@@ -998,6 +970,7 @@ class DispatchCoalescer:
         self, prepared: PreparedStatement, entries: List[_PendingDispatch]
     ) -> None:
         pipeline = self._pipeline
+        calls = pipeline._calls
         live: List[_PendingDispatch] = []
         for entry in entries:
             # PENDING -> RUNNING bars late cancellation, so completion
@@ -1009,9 +982,8 @@ class DispatchCoalescer:
             else:
                 if entry.queue_span is not None:
                     entry.queue_span.set("cancelled", True).end()
-                if entry.lease is not None:
-                    # Never strand followers of a cancelled owner.
-                    pipeline.cache.fail(entry.lease, CancelledError())
+                # Never strand followers of a cancelled owner.
+                calls.publish(entry.lease, CancelledError(), failed=True)
         if not live:
             return
         for entry in live:
@@ -1028,7 +1000,6 @@ class DispatchCoalescer:
             else:
                 self._complete(entry, result)
             return
-        calls = pipeline._calls
         calls._bump("coalesced_batches")
         calls._bump("coalesced_queries", len(live))
         calls._bump("round_trips_saved", len(live) - 1)
@@ -1081,18 +1052,13 @@ class DispatchCoalescer:
                 self._complete(entry, outcome)
 
     def _complete(self, entry: _PendingDispatch, result: Any) -> None:
-        if entry.lease is not None:
-            retain = entry.still_valid is None or entry.still_valid()
-            if entry.handle is not None and entry.handle.wasted:
-                # A speculation that settled as waste never publishes:
-                # followers are served, the value is not retained.
-                retain = False
-            self._pipeline.cache.complete(entry.lease, result, retain=retain)
+        self._pipeline._calls.publish(
+            entry.lease, result, entry.still_valid, entry.watcher
+        )
         entry.future.set_result(result)
 
     def _fail(self, entry: _PendingDispatch, error: BaseException) -> None:
-        if entry.lease is not None:
-            self._pipeline.cache.fail(entry.lease, error)
+        self._pipeline._calls.publish(entry.lease, error, failed=True)
         entry.future.set_exception(error)
 
 
@@ -1264,31 +1230,41 @@ class SubmissionPipeline:
                 # at fetch_result, in iteration order.
                 self._calls._bump("async_submits")
                 return failed_handle(exc)
-            if self._coalescer is not None and not is_write(prepared.ast):
-                # Set-oriented dispatch: autocommit reads may merge with
-                # other outstanding submits of the same statement.
-                root = self._trace_root(prepared, bound, "submit")
-                return self._coalescer.submit(prepared, bound, span=root)
+        return self._dispatch(prepared, bound, txn, prepared.sql[:40], "submit")
 
-        root = self._trace_root(prepared, bound, "submit")
-        return self._calls.dispatch(
-            lambda: self._round_trip(prepared, bound, txn, span=root),
-            span=root,
-            **self._dispatch_args(prepared, bound, txn),
-        )
-
-    def _dispatch_args(
+    def _dispatch(
         self,
         prepared: PreparedStatement,
         bound: tuple,
-        txn,
-        label: Optional[str] = None,
-    ):
-        """The shared dispatch wiring of :meth:`submit` and
-        :meth:`speculate`: send-overhead charge, transaction in-flight
-        accounting, and the cache plan — one place, two entry points.
-        ``label`` overrides the statement-text default (speculations
-        carry their call-site label, which keys the per-site ledger)."""
+        txn: Optional[Transaction],
+        label: str,
+        mode: str,
+    ) -> QueryHandle:
+        """The shared tail of :meth:`submit` and :meth:`speculate`
+        (``mode`` names which): trace root, cache plan, then
+        :meth:`CallPipeline.submit` with the coalescer's enqueue as the
+        dispatch for autocommit reads when set-oriented dispatch is on,
+        else one executor task paying the round trip."""
+        speculative = mode == "speculate"
+        root = self._trace_root(
+            prepared, bound, mode, site=label if speculative else None
+        )
+        key, tables, still_valid = self._cache_plan(prepared, bound, txn)
+        coalescer = self._coalescer
+        if coalescer is not None and txn is None and not is_write(prepared.ast):
+            # Same-statement submits outstanding behind the executor
+            # merge into one batched server call.
+            return self._calls.submit(
+                lambda lease, watcher: coalescer.enqueue(
+                    prepared, bound, lease, still_valid, watcher, root
+                ),
+                key=key,
+                tables=tables,
+                label=label,
+                span=root,
+                speculative=speculative,
+                private=True,
+            )
 
         def on_dispatch() -> None:
             self._server.meter.charge(
@@ -1297,14 +1273,16 @@ class SubmissionPipeline:
             if txn is not None:
                 txn.enter_async()
 
-        key, tables, still_valid = self._cache_plan(prepared, bound, txn)
-        return dict(
+        return self._calls.dispatch(
+            lambda: self._round_trip(prepared, bound, txn, span=root),
             key=key,
             tables=tables,
-            label=label if label is not None else prepared.sql[:40],
+            label=label,
             on_dispatch=on_dispatch,
             cleanup=(txn.exit_async if txn is not None else None),
             still_valid=still_valid,
+            span=root,
+            speculative=speculative,
         )
 
     def fetch(self, handle: QueryHandle) -> QueryResult:
@@ -1349,14 +1327,7 @@ class SubmissionPipeline:
                 "read-only by contract"
             )
         label = site if site is not None else prepared.sql[:40]
-        root = self._trace_root(prepared, bound, "speculate", site=label)
-        if self._coalescer is not None and txn is None:
-            return self._coalescer.speculate(prepared, bound, label, span=root)
-        return self._calls.speculate(
-            lambda: self._round_trip(prepared, bound, txn, span=root),
-            span=root,
-            **self._dispatch_args(prepared, bound, txn, label=label),
-        )
+        return self._dispatch(prepared, bound, txn, label, "speculate")
 
     def site_stats(self) -> Dict[str, SiteSpeculationStats]:
         """Per-call-site speculation ledger (see

@@ -31,13 +31,12 @@ class Database:
         self,
         profile: LatencyProfile = INSTANT,
         elevator: bool = True,
-        shared_scans: bool = True,
     ) -> None:
         self.profile = profile
         self.meter = LatencyMeter()
         self.disk = SimulatedDisk(profile, self.meter, elevator=elevator)
         self.buffer = BufferPool(profile.buffer_pool_pages, self.disk)
-        self.scans = SharedScanManager(enabled=shared_scans)
+        self.scans = SharedScanManager()
         self.catalog = Catalog(self.disk)
         #: Database-wide observability surfaces.  The tracer starts
         #: disabled (``connect(trace=True)`` enables it); the registry

@@ -19,10 +19,6 @@ turns the repeats into client-local lookups:
   caller re-executes.  Useful where invalidation signals cannot reach
   the cache (e.g. external writers) or as a staleness bound on top of
   them;
-* **negative-caching knob** — ``cache_empty_results=False`` serves
-  in-flight waiters an empty result but does not retain it, so a row
-  created right after a miss is visible to the next reader without
-  waiting for invalidation;
 * **stats** — hits, misses, evictions, invalidations, expirations and
   single-flight joins, plus a derived hit rate for benchmark reporting.
 
@@ -49,15 +45,6 @@ from typing import Any, Callable, FrozenSet, Hashable, Iterable, Optional, Tuple
 #: Table marker for results whose read set could not be determined.
 #: Wildcard entries are invalidated by a write to *any* table.
 WILDCARD_TABLE = "*"
-
-
-def _is_empty(value: Any) -> bool:
-    """Is this result empty (zero rows)?  Unsized values count as
-    non-empty: only results that *prove* emptiness are skippable."""
-    try:
-        return len(value) == 0
-    except TypeError:
-        return False
 
 
 @dataclass
@@ -184,7 +171,6 @@ class ResultCache:
         self,
         capacity: int = 256,
         ttl_s: Optional[float] = None,
-        cache_empty_results: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if capacity < 1:
@@ -193,7 +179,6 @@ class ResultCache:
             raise ValueError(f"ttl_s must be > 0, got {ttl_s}")
         self.capacity = capacity
         self.ttl_s = ttl_s
-        self.cache_empty_results = cache_empty_results
         self._clock = clock
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
@@ -259,12 +244,6 @@ class ResultCache:
                 # served, but the value must not outlive the write.
                 return value
             if not retain:
-                del self._entries[entry.key]
-                entry.doomed = True
-                return value
-            if not self.cache_empty_results and _is_empty(value):
-                # Negative-caching knob: serve waiters, retain nothing —
-                # an empty result often means "not created yet".
                 del self._entries[entry.key]
                 entry.doomed = True
                 return value

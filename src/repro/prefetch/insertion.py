@@ -633,27 +633,17 @@ def prefetch_source(
     registry: Optional[QueryRegistry] = None,
     purity: Optional[PurityEnv] = None,
     reorder: bool = True,
-    readable: bool = True,
     window: Optional[int] = None,
     select=None,
-    cache_size: Optional[int] = None,
-    cache_ttl_s: Optional[float] = None,
     speculate: bool = False,
     speculate_threshold: Optional[float] = None,
     speculation: Optional["SpeculationPolicy"] = None,
-    coalesce: bool = False,
-    coalesce_window: Optional[int] = None,
-    trace: bool = False,
 ):
     """Transform ``source`` with the full pipeline *plus* prefetch
     insertion — the companion of :func:`repro.transform.asyncify_source`.
 
     Query loops get Rule A fission as usual; remaining straight-line
-    query statements get earliest-point submission.  ``cache_size``
-    (and optionally ``cache_ttl_s``) embed a ``__repro_prefetch__``
-    hint at the top of the module so the runtime (or an operator) knows
-    the recommended :class:`~repro.prefetch.cache.ResultCache`
-    capacity and staleness bound.
+    query statements get earliest-point submission.
 
     ``speculate=True`` additionally enables the unguarded (speculative)
     lift, gated per site by ``speculation`` (a
@@ -661,17 +651,6 @@ def prefetch_source(
     policy is built when omitted).  ``speculate_threshold`` overrides
     the policy's minimum hit probability — the CLI's
     ``--speculate-threshold``.
-
-    ``coalesce`` (and optionally ``coalesce_window``) adds a
-    set-oriented dispatch hint to ``__repro_prefetch__``: the
-    transformed code's burst of hoisted submits is exactly what the
-    runtime's dispatch coalescer merges into batched server calls, so
-    the hint recommends opening connections with ``coalesce=True`` (and
-    the given window).
-
-    ``trace=True`` adds an end-to-end tracing hint (``'trace': True``):
-    the runtime should open its connections with ``trace=True`` so
-    every request records a span tree (see :mod:`repro.obs.trace`).
     """
     from ..transform.asyncify import asyncify_source
 
@@ -684,39 +663,14 @@ def prefetch_source(
             speculation = SpeculationPolicy()
         speculation = speculation.with_threshold(speculate_threshold)
 
-    result = asyncify_source(
+    return asyncify_source(
         source,
         registry=registry,
         purity=purity,
         reorder=reorder,
-        readable=readable,
         window=window,
         select=select,
         prefetch=True,
         speculate=speculate,
         speculation=speculation,
     )
-    hints = {}
-    if cache_size is not None:
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
-        hints["cache_size"] = int(cache_size)
-    if cache_ttl_s is not None:
-        if cache_ttl_s <= 0:
-            raise ValueError(f"cache_ttl_s must be > 0, got {cache_ttl_s}")
-        hints["ttl_s"] = float(cache_ttl_s)
-    if coalesce_window is not None and not coalesce:
-        raise ValueError("coalesce_window requires coalesce=True")
-    if coalesce:
-        hints["coalesce"] = True
-        if coalesce_window is not None:
-            if coalesce_window < 2:
-                raise ValueError(
-                    f"coalesce_window must be >= 2, got {coalesce_window}"
-                )
-            hints["coalesce_window"] = int(coalesce_window)
-    if trace:
-        hints["trace"] = True
-    if hints:
-        result.source = f"__repro_prefetch__ = {hints!r}\n{result.source}"
-    return result

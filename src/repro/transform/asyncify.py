@@ -19,7 +19,6 @@ def asyncify_source(
     registry: Optional[QueryRegistry] = None,
     purity: Optional[PurityEnv] = None,
     reorder: bool = True,
-    readable: bool = True,
     window: Optional[int] = None,
     select=None,
     prefetch: bool = False,
@@ -32,7 +31,6 @@ def asyncify_source(
         registry=registry,
         purity=purity,
         reorder_enabled=reorder,
-        readable=readable,
         window=window,
         select=select,
         prefetch=prefetch,
@@ -48,7 +46,6 @@ def asyncify(
     registry: Optional[QueryRegistry] = None,
     purity: Optional[PurityEnv] = None,
     reorder: bool = True,
-    readable: bool = True,
     window: Optional[int] = None,
     prefetch: bool = False,
     speculate: bool = False,
@@ -92,7 +89,6 @@ def asyncify(
             registry=registry,
             purity=purity,
             reorder_enabled=reorder,
-            readable=readable,
             window=window,
             prefetch=prefetch,
             speculate=speculate,

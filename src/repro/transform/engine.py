@@ -139,7 +139,6 @@ class TransformEngine:
         registry: Optional[QueryRegistry] = None,
         purity: Optional[PurityEnv] = None,
         reorder_enabled: bool = True,
-        readable: bool = True,
         window: Optional[int] = None,
         select: Optional[Callable[[str, str], bool]] = None,
         prefetch: bool = False,
@@ -163,7 +162,6 @@ class TransformEngine:
         self.registry = registry or default_registry()
         self.purity = purity or PurityEnv()
         self.reorder_enabled = reorder_enabled
-        self.readable = readable
         self.window = window
         self.select = select
         self.prefetch = prefetch
@@ -359,11 +357,16 @@ class TransformEngine:
                     )
             candidates = selected
 
-        for query in candidates:
+        for candidate in candidates:
+            # Reordering and fission rebind node/guards/du/query in place;
+            # each candidate gets its own statement copies so a failed
+            # attempt leaves no rename behind for the next one.
+            trial = [copy.copy(stmt) for stmt in body]
+            query = trial[body.index(candidate)]
             outcome = QueryOutcome(label=_label(query), status="blocked")
             report.outcomes.append(outcome)
             try:
-                new_body, reorder_outcome = self._prepare_split(header, body, query, allocator)
+                new_body, reorder_outcome = self._prepare_split(header, trial, query, allocator)
             except LoopNotTransformable as exc:
                 outcome.reason = getattr(exc, "reason", str(exc))
                 continue
@@ -377,7 +380,6 @@ class TransformEngine:
                     self.purity,
                     self.registry,
                     allocator,
-                    readable=self.readable,
                 )
             except LoopNotTransformable as exc:
                 outcome.reason = getattr(exc, "reason", str(exc))
@@ -415,7 +417,6 @@ class TransformEngine:
                     self.purity,
                     self.registry,
                     allocator,
-                    readable=self.readable,
                 )
             except LoopNotTransformable as exc:
                 report.outcomes.append(

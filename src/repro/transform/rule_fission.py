@@ -194,7 +194,6 @@ def fission(
     purity: PurityEnv,
     registry,
     allocator: NameAllocator,
-    readable: bool = True,
 ) -> FissionResult:
     """Apply Rule A (or the positional variant for nested loops).
 
@@ -303,11 +302,7 @@ def fission(
         loop2_body.append(restore)
     if query is not None:
         loop2_body.append(_fetch_stmt(query, fetch_record_var, handle_key))
-    if readable:
-        loop2_body.extend(regroup(ss2))
-    else:
-        for stmt in ss2:
-            loop2_body.append(emit_stmt(stmt))
+    loop2_body.extend(regroup(ss2))
 
     fetch_loop = ast.For(
         target=name_store(fetch_record_var),

@@ -69,7 +69,6 @@ def reorder(
     purity: PurityEnv,
     registry,
     allocator: NameAllocator,
-    max_rounds: Optional[int] = None,
 ) -> Tuple[List[Stmt], ReorderOutcome]:
     """Reorder ``body`` so no LCFD edge crosses the boundary of ``query``.
 
@@ -78,41 +77,18 @@ def reorder(
     external dependences, unrenamable variables, or failure to converge
     (which Theorem 4.1 rules out for queries off true-dependence cycles;
     the round bound is a defensive backstop).
+
+    The movement rules rewrite statements *in place* (writer stubs
+    rename the statement's writes, reader stubs its reads) while the
+    restore stubs live only in the returned list, so a caller that may
+    discard the result — the engine retrying another query candidate —
+    must pass statements it owns (copies), not ones it will reuse.
     """
     body = list(body)
-    # The movement rules rewrite statements *in place* (writer stubs
-    # rename the statement's writes, reader stubs its reads).  When the
-    # pass fails, those rewrites must not leak: the restore stubs live
-    # only in this private list, and the caller retries other query
-    # candidates against the same statement objects — transforming a
-    # later candidate over half-renamed statements miscompiles the loop.
-    snapshot = [
-        (stmt, stmt.node, stmt.guards, stmt.du, stmt.query) for stmt in body
-    ]
-    try:
-        return _reorder(header, body, query, purity, registry, allocator, max_rounds)
-    except ReorderFailed:
-        for stmt, node, guards, du, query_call in snapshot:
-            stmt.node = node
-            stmt.guards = guards
-            stmt.du = du
-            stmt.query = query_call
-        raise
-
-
-def _reorder(
-    header: Stmt,
-    body: List[Stmt],
-    query: Stmt,
-    purity: PurityEnv,
-    registry,
-    allocator: NameAllocator,
-    max_rounds: Optional[int] = None,
-) -> Tuple[List[Stmt], ReorderOutcome]:
     outcome = ReorderOutcome()
     ctx = _Ctx(purity, registry, allocator, query, header, outcome)
     rounds = 0
-    limit = max_rounds if max_rounds is not None else 10 * len(body) + 50
+    limit = 10 * len(body) + 50
     while True:
         ddg = build_ddg(header, body)
         qpos = body.index(query) + 1  # +1: the header occupies position 0
@@ -341,13 +317,6 @@ def _shift_anti_dep(
         body.insert(body.index(nxt) + 1, stub)
         ctx.outcome.writer_stubs.append(f"{var} = {temp}")
         move_after(body, stub, target, ctx)
-
-
-def _rename_reads_checked(stmt: Stmt, old: str, new: str) -> ast.stmt:
-    try:
-        return rename_reads(stmt.node, old, new)
-    except RenameUnsupported as exc:
-        raise ReorderFailed(f"{REASON_RENAME}: {exc}") from exc
 
 
 def _rename_writes_checked(stmt: Stmt, old: str, new: str) -> ast.stmt:

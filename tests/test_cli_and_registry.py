@@ -111,41 +111,31 @@ class TestCliFlags:
         assert proc.returncode == 0
         assert "prefetch load:" in proc.stderr
 
-    def test_cache_size_embeds_hint(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cache-size", "64"],
+            ["--cache-ttl", "2.5"],
+            ["--coalesce"],
+            ["--coalesce-window", "8"],
+            ["--trace"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_removed_hint_flags_are_usage_errors(self, tmp_path, flags):
+        # The transform command configures the rewrite only; connection
+        # options belong to Database.connect / `repro workload run`.
         path = tmp_path / "app.py"
         path.write_text(SAMPLE)
-        proc = run_cli([str(path), "--prefetch", "--cache-size", "64"])
-        assert proc.returncode == 0
-        assert "__repro_prefetch__ = {'cache_size': 64}" in proc.stdout
-
-    def test_cache_size_requires_prefetch(self, tmp_path):
-        path = tmp_path / "app.py"
-        path.write_text(SAMPLE)
-        proc = run_cli([str(path), "--cache-size", "64"])
+        proc = run_cli([str(path), "--prefetch", *flags])
         assert proc.returncode == 2
-        assert "--cache-size requires --prefetch" in proc.stderr
+        assert "unrecognized arguments" in proc.stderr
 
     def test_cache_size_must_be_positive(self, tmp_path):
         path = tmp_path / "app.py"
         path.write_text(SAMPLE)
         proc = run_cli([str(path), "--prefetch", "--cache-size", "0"])
         assert proc.returncode == 2
-
-    def test_cache_ttl_embeds_hint(self, tmp_path):
-        path = tmp_path / "app.py"
-        path.write_text(SAMPLE)
-        proc = run_cli(
-            [str(path), "--prefetch", "--cache-size", "64", "--cache-ttl", "2.5"]
-        )
-        assert proc.returncode == 0
-        assert "__repro_prefetch__ = {'cache_size': 64, 'ttl_s': 2.5}" in proc.stdout
-
-    def test_cache_ttl_requires_prefetch(self, tmp_path):
-        path = tmp_path / "app.py"
-        path.write_text(SAMPLE)
-        proc = run_cli([str(path), "--cache-ttl", "2.5"])
-        assert proc.returncode == 2
-        assert "--cache-ttl requires --prefetch" in proc.stderr
 
     def test_cache_ttl_must_be_positive(self, tmp_path):
         path = tmp_path / "app.py"

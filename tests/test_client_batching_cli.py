@@ -260,17 +260,9 @@ class TestCli:
         assert proc.returncode == 0
         assert "submit_query" not in proc.stdout
 
-    def test_coalesce_flags_embed_hint(self, tmp_path):
-        path = tmp_path / "app.py"
-        path.write_text(SAMPLE)
-        proc = run_cli(
-            [str(path), "--prefetch", "--coalesce", "--coalesce-window", "8"]
-        )
-        assert proc.returncode == 0
-        assert "__repro_prefetch__" in proc.stdout
-        assert "'coalesce': True" in proc.stdout
-        assert "'coalesce_window': 8" in proc.stdout
-
+    # Coalescing is a connection option (Database.connect(coalesce=),
+    # `repro workload run --coalesce`), not a transform-command flag:
+    # every spelling is a usage error.
     def test_coalesce_requires_prefetch(self, tmp_path):
         path = tmp_path / "app.py"
         path.write_text(SAMPLE)

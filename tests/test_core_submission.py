@@ -317,36 +317,6 @@ class TestCacheTtl:
         conn.close()
 
 
-class TestNegativeCachingKnob:
-    def test_empty_results_not_retained(self):
-        cache = ResultCache(capacity=8, cache_empty_results=False)
-        cache.complete(cache.acquire("k", tables=["t"]), [])
-        assert "k" not in cache
-        assert cache.acquire("k", tables=["t"]).is_owner
-
-    def test_non_empty_results_retained(self):
-        cache = ResultCache(capacity=8, cache_empty_results=False)
-        cache.complete(cache.acquire("k", tables=["t"]), [1])
-        assert "k" in cache
-
-    def test_unsized_results_retained(self):
-        cache = ResultCache(capacity=8, cache_empty_results=False)
-        cache.complete(cache.acquire("k", tables=["t"]), object())
-        assert "k" in cache
-
-    def test_empty_read_becomes_visible_after_insert(self, users_db):
-        cache = ResultCache(capacity=16, cache_empty_results=False)
-        conn = users_db.connect(result_cache=cache)
-        missing = "SELECT rating FROM users WHERE user_id = ?"
-        assert len(conn.execute_query(missing, [777])) == 0
-        conn.execute_update(
-            "INSERT INTO users (user_id, name, rating) VALUES (?, ?, ?)",
-            [777, "late", 9],
-        )
-        assert conn.execute_query(missing, [777]).scalar() == 9
-        conn.close()
-
-
 class TestSingleModuleCacheLookup:
     def test_cache_lookup_lives_only_in_core_submission(self):
         """ISSUE acceptance (grep-equivalent): client/runtime front ends

@@ -218,20 +218,24 @@ class TestSpeculationInteraction:
         assert grouped.server.stats.statements_executed == executed_before
         assert conn.stats.speculation_wasted == 1
 
-    def test_wasted_speculation_never_publishes_to_cache(self, grouped):
+    @pytest.mark.parametrize("coalesce", [False, True])
+    def test_wasted_speculation_never_publishes_to_cache(self, grouped, coalesce):
+        # One publication rule for both dispatches (CallPipeline.publish).
         cache = ResultCache(64)
-        conn = grouped.connect(async_workers=1, coalesce=True, result_cache=cache)
+        conn = grouped.connect(
+            async_workers=1, coalesce=coalesce, result_cache=cache
+        )
         gate = hold_worker(conn)
         handle = conn.speculate_query(SQL, [3])
-        real = conn.submit_query(SQL, [1])  # rides in the same batch
-        assert handle.abandon()  # leased: stays in the batch, runs…
+        real = conn.submit_query(SQL, [1])  # coalesced: rides in the same batch
+        assert handle.abandon()  # leased: not cancelled, still runs…
         gate.set()
         assert conn.fetch_result(real).scalar() == 10
         wait([handle.future], timeout=5)
         # …but its settled-as-waste value is not retained.
         assert (SQL, (3,)) not in cache
         assert (SQL, (1,)) in cache
-        assert conn.stats.coalesced_batches == 1
+        assert conn.stats.coalesced_batches == int(coalesce)
         conn.close()
 
     def test_fetched_coalesced_speculation_counts_a_hit(self, grouped):

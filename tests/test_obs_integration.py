@@ -191,21 +191,3 @@ class TestCliCommands:
         assert main(["trace", "--ops", "10"]) == 0
         out = capsys.readouterr().out
         assert "query" in out and "server.execute" in out
-
-    def test_trace_flag_embeds_hint(self, tmp_path, capsys):
-        path = tmp_path / "app.py"
-        path.write_text(
-            "def load(conn, key):\n"
-            "    row = conn.execute_query('q', [key])\n"
-            "    return row.scalar()\n"
-        )
-        assert main([str(path), "--prefetch", "--trace"]) == 0
-        out = capsys.readouterr().out
-        assert "'trace': True" in out
-
-    def test_trace_flag_requires_prefetch(self, tmp_path, capsys):
-        path = tmp_path / "app.py"
-        path.write_text("x = 1\n")
-        with pytest.raises(SystemExit):
-            main([str(path), "--trace"])
-        assert "--trace requires --prefetch" in capsys.readouterr().err

@@ -269,41 +269,30 @@ def f(conn, items):
 
 
 class TestFrontEnd:
-    def test_cache_size_hint_embedded(self):
-        result = transform(
-            """
-def f(conn, x):
-    a = x + 1
-    r = conn.execute_query("q", [x])
-    return r.scalar() + a
-""",
-            cache_size=128,
-        )
-        assert result.source.startswith("__repro_prefetch__ = {'cache_size': 128}")
-        compile(result.source, "<prefetched>", "exec")  # stays valid Python
+    def test_prefetch_source_is_asyncify_with_prefetch(self):
+        # No header, hint or other decoration is ever added: over every
+        # workload module the front end emits exactly what
+        # asyncify_source(prefetch=True) emits.
+        import inspect
 
-    def test_invalid_cache_size_rejected(self):
-        with pytest.raises(ValueError):
-            transform("def f(conn):\n    pass\n", cache_size=0)
-
-    def test_cache_ttl_hint_embedded(self):
-        result = transform(
-            """
-def f(conn, x):
-    r = conn.execute_query("q", [x])
-    return r.scalar()
-""",
-            cache_size=32,
-            cache_ttl_s=1.5,
+        from repro.workloads import (
+            category,
+            forms,
+            hotset,
+            moviegraph,
+            paper_examples,
+            rubbos,
+            rubis,
         )
-        assert result.source.startswith(
-            "__repro_prefetch__ = {'cache_size': 32, 'ttl_s': 1.5}"
-        )
-        compile(result.source, "<prefetched>", "exec")
 
-    def test_invalid_cache_ttl_rejected(self):
-        with pytest.raises(ValueError):
-            transform("def f(conn):\n    pass\n", cache_ttl_s=0)
+        for module in (
+            category, forms, hotset, moviegraph, paper_examples, rubbos, rubis
+        ):
+            source = inspect.getsource(module)
+            assert (
+                transform(source).source
+                == asyncify_source(source, prefetch=True).source
+            ), module.__name__
 
     def test_loop_fission_still_runs(self):
         result = transform(

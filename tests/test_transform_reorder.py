@@ -208,7 +208,6 @@ while n > 0:
 
 
 class TestRenameLeak:
-    @pytest.mark.xfail(strict=True, reason="ROADMAP: rename leak in rule_reorder")
     def test_dropped_stub_leaves_no_renamed_read(self):
         # Found by test_prop_transform (only when hypothesis happens on
         # it): the first query is emitted reading ``a_1``, a Rule C2/C3

@@ -17,13 +17,9 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_ablation_aio(benchmark):
-    figure = run_once(benchmark, figures.run_ablation_aio)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "ablation-aio")
     threads = {x: s for x, s in figure.series[0].points}
     aio = {x: s for x, s in figure.series[1].points}
     cached = {x: s for x, s in figure.series[2].points}
@@ -45,6 +41,3 @@ def test_ablation_aio(benchmark):
     hit_note = [n for n in figure.notes if "hit-rate" in n]
     assert hit_note and "hit-rate 0.00" not in hit_note[0]
 
-
-if __name__ == "__main__":
-    print(figures.run_ablation_aio().format())

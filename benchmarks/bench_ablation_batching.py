@@ -9,119 +9,22 @@ The paper positions the two techniques precisely:
   *heavy* per-iteration client work, asynchronous submission wins
   because the computation runs while requests are in flight.
 
-This benchmark measures blocking / batched / async under both regimes
-and asserts exactly that crossover.  A fourth discipline — *set* — is
-the batch rerouted through the server's truly set-oriented path (the
-binding-demux operator answers all bindings in one statement execution);
-it must beat the statement-fan-out batch in both regimes, since it pays
-the per-statement fixed cost once instead of N times, while still
-blocking the client exactly like any batch.
+The ``ablation-batching`` figure measures blocking / batched / async
+under both regimes and this module asserts exactly that crossover.  A
+fourth discipline — *set* — is the batch through the server's truly
+set-oriented path (the binding-demux operator answers all bindings in
+one statement execution); it must beat the statement-fan-out batch in
+both regimes, since it pays the per-statement fixed cost once instead of
+N times, while still blocking the client exactly like any batch.
 """
 
 from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.figures import _scaled
-from repro.bench.harness import FigureData, measure
-from repro.client.batching import BatchExecutor
-from repro.db.latency import SYS1
-from repro.workloads import rubis
-
-
-def make_client_work(weight: int):
-    def client_work(pair):
-        comment_id, author_id = pair
-        text = f"comment-{comment_id}-user-{author_id}" * weight
-        return sum(ord(ch) for ch in text) & 0xFFFF
-
-    return client_work
-
-
-def run_comparison(iterations: int = 2000, threads: int = 20) -> FigureData:
-    from dataclasses import replace
-
-    # A heavier analytical query per iteration (4 ms of server time):
-    # this is where the disciplines differ — batching blocks the client
-    # for the whole server-side batch, async overlaps it.
-    profile = replace(_scaled(SYS1), cpu_fixed_s=4e-3)
-    figure = FigureData(
-        figure_id="ablation-batching",
-        title=f"Blocking vs batched vs async vs set ({iterations} iterations)",
-        x_label="x = regime*10 + discipline (0=blk 1=batch 2=async 3=set)",
-        paper_reference="Intro: batching saves round trips; async also "
-        "overlaps client computation; set-oriented batching collapses "
-        "the batch to one statement",
-    )
-    db = rubis.build_database(profile)
-    try:
-        comments = rubis.comment_batch(db, iterations)
-        series = figure.new_series("time")
-        for regime_index, (regime, weight) in enumerate(
-            (("light", 2), ("heavy", 320))
-        ):
-            client_work = make_client_work(weight)
-
-            def blocking():
-                with db.connect(async_workers=1) as conn:
-                    out = rubis.load_comment_authors(conn, list(comments))
-                    checksum = sum(client_work(pair) for pair in comments)
-                    return len(out) + checksum
-
-            def batched():
-                with db.connect(async_workers=1) as conn:
-                    # The paper's comparison point: one round trip, but
-                    # still one server statement per binding (fan-out).
-                    batch = BatchExecutor(conn, set_oriented=False)
-                    results = batch.execute_batch(
-                        rubis.AUTHOR_SQL, [(c[1],) for c in comments]
-                    )
-                    # client work strictly AFTER the blocking batch
-                    checksum = sum(client_work(pair) for pair in comments)
-                    return len(results) + checksum
-
-            def set_oriented():
-                with db.connect(async_workers=1) as conn:
-                    # One demuxed statement execution answers the batch.
-                    batch = BatchExecutor(conn)
-                    results = batch.execute_batch(
-                        rubis.AUTHOR_SQL, [(c[1],) for c in comments]
-                    )
-                    checksum = sum(client_work(pair) for pair in comments)
-                    return len(results) + checksum
-
-            def asynchronous():
-                with db.connect(async_workers=threads) as conn:
-                    handles = [
-                        conn.submit_query(rubis.AUTHOR_SQL, [pair[1]])
-                        for pair in comments
-                    ]
-                    # client work overlaps the in-flight requests
-                    checksum = sum(client_work(pair) for pair in comments)
-                    results = [conn.fetch_result(h) for h in handles]
-                    return len(results) + checksum
-
-            expected = None
-            for discipline_index, (label, runner) in enumerate(
-                (("blocking", blocking), ("batched", batched),
-                 ("async", asynchronous), ("set", set_oriented))
-            ):
-                db.warm_table("users")
-                value, seconds = measure(runner)
-                if expected is None:
-                    expected = value
-                assert value == expected
-                series.add(regime_index * 10 + discipline_index, seconds)
-                figure.notes.append(f"{regime}/{label}: {seconds:.3f}s")
-    finally:
-        db.close()
-    return figure
-
 
 def test_ablation_batching(benchmark):
-    figure = run_once(benchmark, run_comparison)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "ablation-batching")
     times = {x: s for x, s in figure.series[0].points}
     # Light client work: both optimizations beat blocking decisively.
     assert times[1] < times[0]
@@ -147,6 +50,3 @@ def test_ablation_batching(benchmark):
         f"client work too (set {times[13]:.3f}s vs batched {times[11]:.3f}s)"
     )
 
-
-if __name__ == "__main__":
-    print(run_comparison().format())

@@ -1,4 +1,4 @@
-"""Ablation: statement reordering ON vs OFF (DESIGN.md §5).
+"""Ablation: statement reordering ON vs OFF.
 
 The paper's central novelty claim is that the Section IV reordering
 algorithm "greatly increases the applicability of the other
@@ -11,16 +11,9 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_ablation_reorder(benchmark):
-    text, counts = run_once(benchmark, figures.run_ablation_reorder)
-    print()
-    print(text)
+    text, counts = run_once(benchmark, "ablation-reorder")
     assert counts["transformed_with_reorder"] == counts["loops"]
     assert counts["transformed_without_reorder"] < counts["transformed_with_reorder"]
 
-
-if __name__ == "__main__":
-    print(figures.run_ablation_reorder()[0])

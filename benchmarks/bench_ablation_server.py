@@ -1,4 +1,4 @@
-"""Ablation: server-side IO mechanisms (DESIGN.md §5).
+"""Ablation: server-side IO mechanisms.
 
 Compares the cold-cache category traversal with the disk elevator
 (shortest-seek-first service) enabled vs disabled — isolating how much
@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_ablation_server(benchmark):
-    figure = run_once(benchmark, figures.run_ablation_server)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "ablation-server")
     trans = {x: s for x, s in figure.series[1].points}
     orig = {x: s for x, s in figure.series[0].points}
     # The transformed program must beat the original in both configs
@@ -25,6 +21,3 @@ def test_ablation_server(benchmark):
     assert trans[1] < orig[1]
     assert trans[0] <= trans[1] * 1.15
 
-
-if __name__ == "__main__":
-    print(figures.run_ablation_server().format())

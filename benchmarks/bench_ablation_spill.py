@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_ablation_spill(benchmark):
-    figure = run_once(benchmark, figures.run_ablation_spill)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "ablation-spill")
     times = {x: s for x, s in figure.series[0].points}
     in_memory = times[0]
     # Spilling must not meaningfully slow the transformed program down:
@@ -25,6 +21,3 @@ def test_ablation_spill(benchmark):
     assert times[256] < in_memory * 2.0
     assert times[1024] < in_memory * 2.0
 
-
-if __name__ == "__main__":
-    print(figures.run_ablation_spill().format())

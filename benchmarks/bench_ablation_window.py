@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_ablation_window(benchmark):
-    figure = run_once(benchmark, figures.run_ablation_window)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "ablation-window")
     times = {x: s for x, s in figure.series[0].points}
     unbounded = times[0]
     # A generous window should be within 2x of unbounded.
@@ -24,6 +20,3 @@ def test_ablation_window(benchmark):
     # Tiny windows cost more than large ones (pipelining overhead).
     assert times[64] >= times[1024] * 0.8
 
-
-if __name__ == "__main__":
-    print(figures.run_ablation_window().format())

@@ -13,65 +13,9 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench.figures import _scaled, transformed_kernel
-from repro.bench.harness import FigureData, measure
-from repro.db.latency import SYS1
-from repro.transform.costmodel import (
-    breakeven_iterations,
-    estimate_loop_cost,
-    recommend_threads,
-)
-from repro.workloads import rubis
-
-
-def run_validation() -> FigureData:
-    profile = _scaled(SYS1)
-    figure = FigureData(
-        figure_id="costmodel",
-        title="Cost-model predictions vs measurements",
-        x_label="iterations",
-        paper_reference="Discussion: cost-based 'which calls to transform' "
-        "and 'how many threads'",
-    )
-    predicted = breakeven_iterations(profile, threads=10)
-    figure.notes.append(f"predicted break-even: {predicted} iterations")
-    threads_choice = recommend_threads(profile, 4000)
-    figure.notes.append(f"recommended threads for 4000 iterations: {threads_choice}")
-
-    db = rubis.build_database(profile)
-    try:
-        rewritten = transformed_kernel(rubis.load_comment_authors)
-        orig_series = figure.new_series("measured-orig")
-        trans_series = figure.new_series("measured-trans")
-        pred_orig = figure.new_series("predicted-orig")
-        pred_trans = figure.new_series("predicted-trans")
-        for iterations in (4, 40, 400, 2000):
-            comments = rubis.comment_batch(db, iterations)
-            db.warm_table("users")
-
-            def run(kernel):
-                with db.connect(async_workers=10) as conn:
-                    kernel(conn, list(comments))  # warm
-                def once():
-                    with db.connect(async_workers=10) as conn:
-                        return kernel(conn, list(comments))
-                return measure(once)[1]
-
-            orig_series.add(iterations, run(rubis.load_comment_authors))
-            trans_series.add(iterations, run(rewritten))
-            estimate = estimate_loop_cost(profile, iterations, threads=10,
-                                          server_time_s=60e-6)
-            pred_orig.add(iterations, estimate.blocking_s)
-            pred_trans.add(iterations, estimate.async_s)
-    finally:
-        db.close()
-    return figure
-
 
 def test_costmodel_predictions(benchmark):
-    figure = run_once(benchmark, run_validation)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "costmodel")
     measured_orig = dict(figure.series[0].points)
     measured_trans = dict(figure.series[1].points)
     predicted_orig = dict(figure.series[2].points)
@@ -88,6 +32,3 @@ def test_costmodel_predictions(benchmark):
     ratio = measured_trans[top] / predicted_trans[top]
     assert 1 / 5 < ratio < 5, f"prediction off by {ratio}"
 
-
-if __name__ == "__main__":
-    print(run_validation().format())

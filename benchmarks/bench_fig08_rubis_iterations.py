@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_fig08_rubis_iterations(benchmark):
-    figure = run_once(benchmark, figures.run_fig08)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "fig08")
     xs = figure.xs()
     top = max(xs)
     # Shape assertions (who wins, not absolute numbers):
@@ -28,6 +24,3 @@ def test_fig08_rubis_iterations(benchmark):
     cold_speedup = figure.speedup("orig-cold", "trans-cold", cold_top)
     assert cold_speedup is not None and cold_speedup > 2.0
 
-
-if __name__ == "__main__":
-    print(figures.run_fig08().format())

@@ -8,13 +8,9 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_fig09_rubis_threads(benchmark):
-    figure = run_once(benchmark, figures.run_fig09)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "fig09")
     trans = {x: s for x, s in figure.series[1].points}
     # Sharp drop: 10 threads at least 2.5x faster than 1 thread.
     assert trans[1] / trans[10] > 2.5
@@ -26,6 +22,3 @@ def test_fig09_rubis_threads(benchmark):
         assert trans[threads] < trans[1] * 0.6
         assert trans[threads] < best * 2.5
 
-
-if __name__ == "__main__":
-    print(figures.run_fig09().format())

@@ -8,17 +8,10 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_fig10_rubis_threads_postgres(benchmark):
-    figure = run_once(benchmark, figures.run_fig10)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "fig10")
     trans = {x: s for x, s in figure.series[1].points}
     assert trans[1] / trans[10] > 2.5
     assert abs(trans[20] - trans[50]) / trans[20] < 0.4
 
-
-if __name__ == "__main__":
-    print(figures.run_fig10().format())

@@ -8,17 +8,10 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_fig11_rubbos_iterations(benchmark):
-    figure = run_once(benchmark, figures.run_fig11)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "fig11")
     top = max(figure.xs())
     speedup = figure.speedup("orig-warm", "trans-warm", top)
     assert speedup is not None and speedup > 2.0
 
-
-if __name__ == "__main__":
-    print(figures.run_fig11().format())

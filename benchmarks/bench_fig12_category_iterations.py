@@ -10,18 +10,11 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_fig12_category_iterations(benchmark):
-    figure = run_once(benchmark, figures.run_fig12)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "fig12")
     speedup_cold = figure.speedup("orig-cold", "trans-cold", 100)
     assert speedup_cold is not None and speedup_cold > 2.0
     speedup_warm = figure.speedup("orig-warm", "trans-warm", 100)
     assert speedup_warm is not None and speedup_warm > 1.5
 
-
-if __name__ == "__main__":
-    print(figures.run_fig12().format())

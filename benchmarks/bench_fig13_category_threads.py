@@ -9,19 +9,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_fig13_category_threads(benchmark):
-    figure = run_once(benchmark, figures.run_fig13)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "fig13")
     trans = {x: s for x, s in figure.series[1].points}
     orig = {x: s for x, s in figure.series[0].points}
     assert trans[1] / trans[20] > 1.8, "threads must help on cold cache"
     assert orig[1] / trans[20] > 2.0, "transformed must beat blocking original"
     assert abs(trans[30] - trans[50]) / trans[30] < 0.5, "plateau expected"
 
-
-if __name__ == "__main__":
-    print(figures.run_fig13().format())

@@ -10,17 +10,10 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_fig14_forms_iterations(benchmark):
-    figure = run_once(benchmark, figures.run_fig14)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "fig14")
     top = max(figure.xs())
     speedup = figure.speedup("orig", "trans", top)
     assert speedup is not None and speedup > 3.0
 
-
-if __name__ == "__main__":
-    print(figures.run_fig14().format())

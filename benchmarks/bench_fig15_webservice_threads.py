@@ -9,18 +9,11 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_fig15_webservice_threads(benchmark):
-    figure = run_once(benchmark, figures.run_fig15)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "fig15")
     trans = {x: s for x, s in figure.series[1].points}
     orig = {x: s for x, s in figure.series[0].points}
     assert trans[1] / trans[15] > 2.0
     assert orig[1] / trans[15] > 2.0
 
-
-if __name__ == "__main__":
-    print(figures.run_fig15().format())

@@ -9,15 +9,13 @@ round trip and no server work.
 
 from __future__ import annotations
 
-from conftest import run_once
+import re
 
-from repro.bench import figures
+from conftest import run_once
 
 
 def test_prefetch_cache_beats_blocking_and_matches_async(benchmark):
-    figure = run_once(benchmark, figures.run_prefetch_cache)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "prefetch-cache")
     top = max(figure.xs())
     vs_blocking = figure.speedup("blocking", "prefetch+cache", top)
     assert vs_blocking is not None and vs_blocking > 1.0, (
@@ -42,9 +40,7 @@ def test_speculative_prefetch_hides_latency(benchmark):
     unguarded submit can overlap the two round trips), and the
     submission stats must account for every speculation as a hit or a
     waste."""
-    figure = run_once(benchmark, figures.run_speculative_prefetch)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "speculative-prefetch")
     top = max(figure.xs())
     vs_guarded = figure.speedup("guarded", "speculative", top)
     assert vs_guarded is not None and vs_guarded > 1.0, (
@@ -54,8 +50,9 @@ def test_speculative_prefetch_hides_latency(benchmark):
     vs_blocking = figure.speedup("blocking", "speculative", top)
     assert vs_blocking is not None and vs_blocking > 1.0
     top_note = [note for note in figure.notes if note.startswith(f"{top} ")][0]
-    assert " hits / " in top_note and " speculations" in top_note
-    assert "hit-rate 0.00" not in top_note, "speculation hit rate must be > 0"
+    made, hits, wasted = map(int, re.findall(r"\d+", top_note)[1:])
+    assert hits + wasted == made, f"unsettled speculations leaked: {top_note}"
+    assert hits > 0, "speculation hit rate must be > 0"
 
 
 def test_mixed_sync_aio_invalidation_under_load(benchmark):
@@ -64,19 +61,8 @@ def test_mixed_sync_aio_invalidation_under_load(benchmark):
     set.  The runner itself asserts every cached read stays fresh; the
     bench additionally requires the correctness note and a useful hit
     rate despite the invalidation churn."""
-    figure = run_once(benchmark, figures.run_mixed_clients)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "mixed-clients")
     assert len(figure.series) == 3
     assert all(note.endswith("fresh-read check ok") for note in figure.notes)
     assert any("hit-rate 0.00" not in note for note in figure.notes)
 
-
-if __name__ == "__main__":
-    from repro.bench.harness import write_bench_json
-
-    figure = figures.run_prefetch_cache()
-    print(figure.format())
-    print(f"wrote {write_bench_json(figure)}")
-    print(figures.run_speculative_prefetch().format())
-    print(figures.run_mixed_clients().format())

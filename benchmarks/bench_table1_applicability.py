@@ -9,14 +9,11 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
 from repro.transform.errors import REASON_RECURSION
 
 
 def test_table1_applicability(benchmark):
-    text, reports = run_once(benchmark, figures.run_table1)
-    print()
-    print(text)
+    text, reports = run_once(benchmark, "table1")
     auction, bulletin = reports
     assert auction.opportunities == 9
     assert auction.transformed == 9
@@ -25,6 +22,3 @@ def test_table1_applicability(benchmark):
     blocked = [row for row in bulletin.rows if not row.transformed]
     assert all(REASON_RECURSION in row.reasons for row in blocked)
 
-
-if __name__ == "__main__":
-    print(figures.run_table1()[0])

@@ -8,16 +8,9 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import figures
-
 
 def test_transform_time(benchmark):
-    figure = run_once(benchmark, figures.run_transform_time)
-    print()
-    print(figure.format())
+    figure = run_once(benchmark, "transform-time")
     for _x, seconds in figure.series[0].points:
         assert seconds < 1.0, "transformation must stay under one second"
 
-
-if __name__ == "__main__":
-    print(figures.run_transform_time().format())

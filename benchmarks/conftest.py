@@ -1,22 +1,26 @@
 """Shared helpers for the figure benchmarks.
 
-Each benchmark runs its figure sweep exactly once (``pedantic`` with one
-round): the sweep itself already contains the repeated measurements, and
-re-running multi-second sweeps would make the suite needlessly slow.
+Each benchmark runs its figure (``repro.bench.figures.run``) exactly
+once (``pedantic`` with one round): the sweep itself already contains
+the repeated measurements, and re-running multi-second sweeps would make
+the suite needlessly slow.  The modules here only assert the shapes.
 Run with ``-s`` to see the figure tables; they are also printed into the
 captured output.
 """
 
 from __future__ import annotations
 
-import pytest
+from repro.bench import figures
+from repro.bench.harness import FigureData
 
 
-def run_once(benchmark, runner, *args, **kwargs):
-    """Run ``runner`` once under pytest-benchmark and return its figure."""
-    return benchmark.pedantic(runner, args=args, kwargs=kwargs, rounds=1, iterations=1)
+def run_once(benchmark, figure_id):
+    """Run one registered figure once under pytest-benchmark, print its
+    table and return it."""
+    result = benchmark.pedantic(
+        figures.run, args=(figure_id,), rounds=1, iterations=1
+    )
+    print()
+    print(result.format() if isinstance(result, FigureData) else result[0])
+    return result
 
-
-@pytest.fixture(autouse=True)
-def _quiet_threads():
-    yield

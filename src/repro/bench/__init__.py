@@ -1,10 +1,12 @@
 """Benchmark harness reproducing every table and figure of the paper.
 
-:mod:`repro.bench.figures` has one ``run_figNN`` entry point per figure
-(8–15), plus Table I, the transformation-time measurement and the
-ablation studies from DESIGN.md §5.  Each returns a
+:mod:`repro.bench.figures` describes every figure (8–15, Table I, the
+transformation-time measurement, the ablations and the beyond-the-paper
+sweeps) as data over the one skeleton in :mod:`repro.bench.sweep`;
+``figures.run(figure_id)`` runs one and returns a
 :class:`~repro.bench.harness.FigureData` whose ``format()`` prints the
-same series the paper plots.
+same series the paper plots.  The figure index is in
+docs/ARCHITECTURE.md.
 
 Environment knobs:
 
@@ -18,13 +20,12 @@ concurrency — per-op p50/p90/p95/p99 histograms, ``BENCH_workload.json``
 emission, and percentile SLO gating.
 """
 
-from .harness import FigureData, FigureSeries, Measurement, bench_scale, full_mode
+from .harness import FigureData, FigureSeries, bench_scale, full_mode
 from . import figures
 
 __all__ = [
     "FigureData",
     "FigureSeries",
-    "Measurement",
     "bench_scale",
     "full_mode",
     "figures",

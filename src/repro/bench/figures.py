@@ -1,831 +1,448 @@
-"""One runner per paper figure/table (see DESIGN.md §4 for the index).
+"""Every paper figure as data over one sweep skeleton.
 
-Every runner builds its workload database at a scaled-down size, runs
-the *original* blocking kernel and the *automatically transformed*
-kernel over the paper's parameter grid, verifies the two produce
-identical results, and returns a :class:`FigureData` with the same
-series the paper plots.  Absolute times are scaled (our latencies are
-microsecond-scale stand-ins for the paper's 2011 testbed); the shapes —
-who wins, where the crossover sits, where the thread plateau starts —
-are what EXPERIMENTS.md validates.
+Each timing figure is a :class:`~repro.bench.sweep.Sweep` description —
+store, inputs, grid, variants — run by
+:func:`~repro.bench.sweep.run_sweep`; the three that measure no store
+(``table1``, ``transform-time``, ``ablation-reorder``) are plain
+functions.  ``REGISTRY`` maps every figure id to one or the other and
+:func:`run` is the one entry point (``figures.run("fig08")``).  The
+per-figure index — paper figure, workload, variants, asserted shape,
+command — is the table in docs/ARCHITECTURE.md.
+
+Absolute times are scaled (our latencies are microsecond-scale
+stand-ins for the paper's 2011 testbed); the shapes — who wins, where
+the crossover sits, where the thread plateau starts — are what the
+``benchmarks/`` modules assert.
 """
 
 from __future__ import annotations
 
+import asyncio
 import inspect
+import operator
 import textwrap
+import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import replace
+from functools import partial
+from typing import Any, Callable, Dict, Union
 
-from ..db.latency import POSTGRES, SYS1, LatencyProfile
-from ..transform import TransformEngine, asyncify, default_registry
-from ..web.service import WebLatency
-from ..workloads import category, forms, moviegraph, rubbos, rubis
-from ..analysis.applicability import (
-    ApplicabilityReport,
-    analyze_functions,
-    format_table_one,
+from ..analysis.applicability import analyze_functions, format_table_one
+from ..client.batching import BatchExecutor
+from ..db.database import Database
+from ..db.latency import INSTANT, POSTGRES, SYS1
+from ..prefetch import ResultCache
+from ..runtime.aio import AioConnection
+from ..runtime.records import RecordTable
+from ..runtime.spill import SpillableRecordTable
+from ..transform import TransformEngine, asyncify
+from ..transform.costmodel import (
+    SpeculationPolicy,
+    breakeven_iterations,
+    estimate_loop_cost,
+    recommend_threads,
 )
-from .harness import FigureData, bench_scale, full_mode, measure
+from ..web.client import WebServiceClient
+from ..web.service import WebLatency
+from ..workloads import category, forms, hotset, moviegraph, rubbos, rubis
+from .harness import FigureData, measure
+from .sweep import Sweep, Transformed, Variant, X, run_sweep
 
-#: Default client thread count used by the iteration-sweep figures.
-DEFAULT_THREADS = 10
 #: Paper thread grid for Figures 9/10/13.
 THREAD_GRID = (1, 2, 5, 10, 20, 30, 40, 50)
 
-_TRANSFORMED_CACHE: Dict[Tuple[Callable, int], Callable] = {}
+AUTHORS = rubis.load_comment_authors
+AUTHORS_ASYNC = Transformed(AUTHORS)
+TRAVERSAL = category.max_part_size
+TRAVERSAL_ASYNC = Transformed(TRAVERSAL)
+PROFILES_ASYNC = Transformed(hotset.load_profiles)
 
 
-def transformed_kernel(kernel: Callable, registry=None) -> Callable:
-    """Asyncify ``kernel`` once and cache the result."""
-    key = (kernel, id(registry) if registry is not None else 0)
-    if key not in _TRANSFORMED_CACHE:
-        _TRANSFORMED_CACHE[key] = asyncify(kernel, registry=registry)
-    return _TRANSFORMED_CACHE[key]
+def _rubis(profile, size, x):
+    return rubis.build_database(profile)
 
 
-def _scaled(profile: LatencyProfile) -> LatencyProfile:
-    scale = bench_scale()
-    return profile.scaled(scale) if scale != 1.0 else profile
+def _comments_at_x(db, x, size):
+    return (rubis.comment_batch(db, x),)
+
+
+def _comments_of_size(db, x, size):
+    return (rubis.comment_batch(db, size),)
+
+
+def _category(profile, size, x):
+    return category.build_database(profile, parts=size)
+
+
+def _traversal_100(db, x, size):
+    return category.load_children(db), category.roots_for_iterations(100)
+
+
+def _hotset(profile, size, x):
+    return hotset.build_database(profile)
+
+
+def _skewed_ids(db, x, size):
+    # 16 hot users draw 90% of the batch (the generator's defaults).
+    return (hotset.skewed_user_batch(db, x),)
 
 
 # ----------------------------------------------------------------------
-# Experiment 1: RUBiS auction (Figures 8, 9, 10)
+# Experiments 1-5 (Figures 8-15)
 # ----------------------------------------------------------------------
 
+_COLD_SHORT = dict(cache="cold", points=slice(None, -1))  # one decade short
 
-def _rubis_run(db, kernel, comments, threads: int, cold: bool):
-    """One measured run.
+FIG08 = Sweep(
+    "fig08",
+    "RUBiS comment/author loop vs iterations ({profile}, {threads} threads)",
+    "iterations",
+    "Fig. 8: 8x at 40k iterations warm; transformed slower at 4 iterations",
+    build=_rubis,
+    inputs=_comments_at_x,
+    grid=(4, 40, 400, 4000),
+    full_grid=(4, 40, 400, 4000, 40000),
+    variants=(
+        Variant("orig-cold", AUTHORS, **_COLD_SHORT),
+        Variant("trans-cold", AUTHORS_ASYNC, **_COLD_SHORT),
+        Variant("orig-warm", AUTHORS),
+        Variant("trans-warm", AUTHORS_ASYNC),
+    ),
+    headline=("trans-warm", "orig-warm"),
+)
 
-    Connection setup/teardown — including the client thread pool the
-    transformed program needs — happens *inside* the measured region,
-    as in the paper ("the overhead of thread creation and scheduling
-    overshoots the query execution time" at small iteration counts).
-    """
-    if cold:
-        db.flush_cache()
-    else:
-        warm = db.connect(async_workers=threads)
-        try:
-            kernel(warm, list(comments))  # fault in the touched pages
-        finally:
-            warm.close()
+FIG09 = Sweep(
+    "fig09",
+    "RUBiS loop vs client threads ({profile}, warm, {size} iterations)",
+    "threads",
+    "Fig. 9: sharp drop to ~10 threads, then flat",
+    build=_rubis,
+    inputs=_comments_of_size,
+    grid=THREAD_GRID,
+    variants=(
+        Variant("orig", AUTHORS, threads=1, flat=True),
+        Variant("trans", AUTHORS_ASYNC, threads=X),
+    ),
+    size=4000,
+    full_size=40000,
+    headline=("trans", "orig"),
+)
 
-    def run():
-        connection = db.connect(async_workers=threads)
-        try:
-            return kernel(connection, list(comments))
-        finally:
-            connection.close()
+FIG10 = replace(
+    FIG09,
+    figure_id="fig10",
+    paper_reference="Fig. 10: same pattern as SYS1 at lower absolute times",
+    profile=POSTGRES,
+)
 
-    return measure(run)
+FIG11 = Sweep(
+    "fig11",
+    "RUBBoS top stories vs iterations ({profile}, warm, {threads} threads)",
+    "iterations",
+    "Fig. 11: 3.6s -> 0.8s at 6000 iterations; transformed slightly slower at 6",
+    build=lambda profile, size, x: rubbos.build_database(profile),
+    inputs=lambda db, x, size: (rubbos.story_batch(db, x),),
+    grid=(6, 60, 600),
+    full_grid=(6, 60, 600, 6000),
+    variants=(
+        Variant("orig-warm", rubbos.top_stories_of_day),
+        Variant("trans-warm", Transformed(rubbos.top_stories_of_day)),
+    ),
+    profile=POSTGRES,
+    headline=("trans-warm", "orig-warm"),
+)
+
+FIG12 = Sweep(
+    "fig12",
+    "Category traversal vs iterations ({profile}, {threads} threads)",
+    "iterations",
+    "Fig. 12: 190s -> 6.3s cold at 100 iterations; warm nearly flat at "
+    "small counts",
+    build=_category,
+    inputs=lambda db, x, size: (
+        category.load_children(db), category.roots_for_iterations(x)
+    ),
+    grid=(1, 11, 100),
+    variants=(
+        Variant("orig-cold", TRAVERSAL, cache="cold"),
+        Variant("trans-cold", TRAVERSAL_ASYNC, cache="cold"),
+        Variant("orig-warm", TRAVERSAL),
+        Variant("trans-warm", TRAVERSAL_ASYNC),
+    ),
+    size=30_000,
+    headline=("trans-cold", "orig-cold"),
+)
+
+FIG13 = Sweep(
+    "fig13",
+    "Category traversal vs threads ({profile}, cold, 100 iterations)",
+    "threads",
+    "Fig. 13: steep drop then plateau; cold and warm trends match",
+    build=_category,
+    inputs=_traversal_100,
+    grid=THREAD_GRID,
+    variants=(
+        Variant("orig", TRAVERSAL, threads=1, cache="cold", flat=True),
+        Variant("trans", TRAVERSAL_ASYNC, threads=X, cache="cold"),
+    ),
+    size=30_000,
+    headline=("trans", "orig"),
+)
+
+# Every run inserts into a new store; the transformed program must
+# report the original's count AND leave the same rows behind.
+FIG14 = Sweep(
+    "fig14",
+    "Forms range expansion vs iterations ({profile}, {threads} threads)",
+    "forms inserted",
+    "Fig. 14: 73s -> 1.1s at 100k inserts (99.1 crossover line); "
+    "cache-state independent",
+    build=lambda profile, size, x: forms.build_database(profile),
+    inputs=lambda db, x, size: (forms.issue_batch(x),),
+    grid=(10, 100, 1000, 10000),
+    full_grid=(10, 100, 1000, 10000, 100000),
+    variants=(
+        Variant("orig", forms.expand_form_ranges, cache=None),
+        Variant(
+            "trans",
+            Transformed(forms.expand_form_ranges, registry=forms.commuting_registry()),
+            cache=None,
+        ),
+    ),
+    threads=30,
+    fresh_store=True,
+    observe=forms.loaded_form_count,
+    headline=("trans", "orig"),
+)
+
+FIG15 = Sweep(
+    "fig15",
+    "Web-service traversal vs threads ({profile}, {size} iterations)",
+    "threads",
+    "Fig. 15: ~170s -> ~20s from 1 to 25 threads on Freebase",
+    build=lambda latency, size, x: moviegraph.build_service(
+        latency, directors=max(1, size // 20), actors_per_director=20
+    ),
+    # One listing request: a service error surfaces here instead of
+    # silently truncating the batch.
+    inputs=lambda service, x, size: (
+        service.submit_request("list_type", "actor").result()[:size],
+    ),
+    grid=(1, 2, 5, 10, 15, 20, 25),
+    variants=(
+        Variant("orig", moviegraph.collect_filmographies, threads=1, cache=None,
+                flat=True),
+        Variant("trans", Transformed(moviegraph.collect_filmographies), threads=X,
+                cache=None),
+    ),
+    profile=WebLatency(),
+    size=240,
+    headline=("trans", "orig"),
+    open=lambda service, workers: WebServiceClient(service, async_workers=workers),
+    close=operator.methodcaller("shutdown"),
+)
 
 
-def run_fig08(
-    iterations: Optional[Sequence[int]] = None,
-    cold_iterations: Optional[Sequence[int]] = None,
-    threads: int = DEFAULT_THREADS,
-    profile: LatencyProfile = SYS1,
-) -> FigureData:
-    """Figure 8: Experiment 1 with varying number of iterations."""
-    if iterations is None:
-        iterations = (4, 40, 400, 4000, 40000) if full_mode() else (4, 40, 400, 4000)
-    if cold_iterations is None:
-        cold_iterations = (4, 40, 400, 4000) if full_mode() else (4, 40, 400)
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="fig08",
-        title=f"RUBiS comment/author loop vs iterations ({profile.name}, "
-        f"{threads} threads)",
-        x_label="iterations",
-        paper_reference="Fig. 8: 8x at 40k iterations warm; transformed "
-        "slower at 4 iterations",
-    )
-    db = rubis.build_database(profile)
-    try:
-        original = rubis.load_comment_authors
-        rewritten = transformed_kernel(original)
-        series = {
-            ("cold", False): figure.new_series("orig-cold"),
-            ("cold", True): figure.new_series("trans-cold"),
-            ("warm", False): figure.new_series("orig-warm"),
-            ("warm", True): figure.new_series("trans-warm"),
-        }
-        grids = {"warm": iterations, "cold": cold_iterations}
-        for cache in ("cold", "warm"):
-            for count in grids[cache]:
-                comments = rubis.comment_batch(db, count)
-                base, base_s = _rubis_run(
-                    db, original, comments, threads, cold=(cache == "cold")
+# ----------------------------------------------------------------------
+# Prefetch + result cache, speculation, mixed runtimes (beyond the paper)
+# ----------------------------------------------------------------------
+
+_FRESH_CACHE = {"result_cache": lambda: ResultCache(capacity=512)}
+
+
+def _stats_note(variant, section, template):
+    """One note per point from one variant's connection counters."""
+    return lambda x, stats: template.format(x=x, **stats[variant][section])
+
+
+def _aio_lookups(sql):
+    """The Rule A two-loop shape as a coroutine over ``(label, key)``
+    pairs, on an asyncio adapter over the sweep's connection."""
+
+    async def lookups(aconn, pairs):
+        handles = [aconn.submit_query(sql, [key]) for _label, key in pairs]
+        rows = [await aconn.fetch_result(handle) for handle in handles]
+        return [(pair[0], row[0][0], row[0][1]) for pair, row in zip(pairs, rows)]
+
+    return lambda conn, pairs: asyncio.run(lookups(AioConnection(conn), pairs))
+
+
+def _aio_profiles(conn, ids):
+    return _aio_lookups(hotset.PROFILE_SQL)(conn, [(uid, uid) for uid in ids])
+
+
+# The third variant's measured batch is the steady-state repeat request,
+# served client-side without a round trip or server work.
+PREFETCH_CACHE = Sweep(
+    "prefetch-cache",
+    "Hot-set profile reads ({profile}, {threads} threads, 16 hot users, "
+    "90% skew)",
+    "iterations",
+    "beyond the paper: ROADMAP caching lever (prefetch+cache must beat "
+    "blocking and match async)",
+    build=_hotset,
+    inputs=_skewed_ids,
+    grid=(200, 1000, 2000),
+    full_grid=(200, 1000, 4000),
+    variants=(
+        Variant("blocking", hotset.load_profiles),
+        Variant("async", PROFILES_ASYNC),
+        Variant("prefetch+cache", PROFILES_ASYNC, connect=_FRESH_CACHE),
+    ),
+    latencies=True,
+    headline=("prefetch+cache", "blocking", "async"),
+    note=_stats_note(
+        "prefetch+cache", "cache",
+        "{x} iterations: steady-state hit-rate {hit_rate:.2f} ({hits} hits / "
+        "{lookups} lookups), {evictions} evictions",
+    ),
+)
+
+
+def _cards(card):
+    """The per-user card kernel over a batch of ids."""
+    return lambda conn, ids: [card(conn, uid) for uid in ids]
+
+
+# The card kernel's detail lookup is guarded by the *first query's
+# result*, so the guarded hoist cannot start it early and a detailed card
+# pays two sequential round trips.  The speculative variant issues it
+# unguarded (the cost model is fed the ~91% population estimate; the
+# skewed batch realizes ~0.7-0.8) and abandons the handle for low-rated
+# sellers.  The counters are read after close, when the drain has
+# settled every speculation of the measured batch as a hit or a waste.
+SPECULATIVE_PREFETCH = Sweep(
+    "speculative-prefetch",
+    "Hot-set profile cards, speculative detail reads ({profile}, "
+    "{threads} threads)",
+    "iterations",
+    "beyond the paper: Discussion-section speculation (unguarded prefetch "
+    "must beat the guarded-only baseline)",
+    build=_hotset,
+    inputs=_skewed_ids,
+    grid=(100, 300, 600),
+    full_grid=(100, 300, 900),
+    variants=(
+        Variant("blocking", _cards(hotset.profile_card)),
+        Variant("guarded", _cards(Transformed(hotset.profile_card, prefetch=True))),
+        Variant(
+            "speculative",
+            _cards(
+                Transformed(
+                    hotset.profile_card, prefetch=True, speculate=True,
+                    speculation=SpeculationPolicy(
+                        profile=SYS1, hit_probability=hotset.DETAIL_HIT_PROBABILITY
+                    ),
                 )
-                fast, fast_s = _rubis_run(
-                    db, rewritten, comments, threads, cold=(cache == "cold")
-                )
-                assert base == fast, "transformed kernel changed results"
-                series[(cache, False)].add(count, base_s)
-                series[(cache, True)].add(count, fast_s)
-        top = max(iterations)
-        gain = figure.speedup("orig-warm", "trans-warm", top)
-        if gain:
-            figure.notes.append(f"warm speedup at {top} iterations: {gain:.1f}x")
-    finally:
-        db.close()
-    return figure
+            ),
+        ),
+    ),
+    headline=("speculative", "guarded", "blocking"),
+    note=_stats_note(
+        "speculative", "submission",
+        "{x} iterations: {speculations} speculations, {speculation_hits} hits / "
+        "{speculation_wasted} wasted",
+    ),
+)
 
 
-def _thread_sweep(
-    figure_id: str,
-    profile: LatencyProfile,
-    threads_grid: Sequence[int],
-    iterations: int,
-    paper_reference: str,
-) -> FigureData:
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id=figure_id,
-        title=f"RUBiS loop vs client threads ({profile.name}, warm, "
-        f"{iterations} iterations)",
-        x_label="threads",
-        paper_reference=paper_reference,
-    )
-    db = rubis.build_database(profile)
-    try:
-        original = rubis.load_comment_authors
-        rewritten = transformed_kernel(original)
-        comments = rubis.comment_batch(db, iterations)
-        base, base_s = _rubis_run(db, original, comments, 1, cold=False)
-        orig_series = figure.new_series("orig")
-        trans_series = figure.new_series("trans")
-        for threads in threads_grid:
-            fast, fast_s = _rubis_run(db, rewritten, comments, threads, cold=False)
-            assert base == fast
-            orig_series.add(threads, base_s)  # flat line, as the paper plots
-            trans_series.add(threads, fast_s)
-        best = min(seconds for _x, seconds in trans_series.points)
-        figure.notes.append(
-            f"plateau: best transformed time {best:.3f}s vs 1-thread "
-            f"{trans_series.at(threads_grid[0]):.3f}s"
-        )
-    finally:
-        db.close()
-    return figure
+def _churn_phase(figure, store, grid, threads, profile, size):
+    """The ``mixed+writer`` series: a sync and an asyncio client read
+    through ONE shared cache while a cache-less writer keeps bumping
+    hot-set ratings.  Server-side invalidation must keep every cached
+    read fresh, which is checked once the churn settles.  Concurrent
+    clients are not a grid x variants sweep, so this opens its own
+    connections."""
+    series = figure.new_series("mixed+writer")
+    for count in grid:
+        (ids,) = _skewed_ids(store, count, size)
+        hot = [uid for uid, _ in Counter(ids).most_common(16)]
+        cache = ResultCache(capacity=512)
+        sync_conn = store.connect(async_workers=threads, result_cache=cache)
+        aio_conn = store.connect(async_workers=threads, result_cache=cache)
+        writer = store.connect(async_workers=1)  # cache-less
+        stop = threading.Event()
 
-
-def run_fig09(
-    threads_grid: Sequence[int] = THREAD_GRID, iterations: Optional[int] = None
-) -> FigureData:
-    """Figure 9: Experiment 1 with varying threads on SYS1."""
-    if iterations is None:
-        iterations = 40000 if full_mode() else 4000
-    return _thread_sweep(
-        "fig09", SYS1, threads_grid, iterations,
-        "Fig. 9: sharp drop to ~10 threads, then flat",
-    )
-
-
-def run_fig10(
-    threads_grid: Sequence[int] = THREAD_GRID, iterations: Optional[int] = None
-) -> FigureData:
-    """Figure 10: the same sweep against the PostgreSQL profile."""
-    if iterations is None:
-        iterations = 40000 if full_mode() else 4000
-    return _thread_sweep(
-        "fig10", POSTGRES, threads_grid, iterations,
-        "Fig. 10: same pattern as SYS1 at lower absolute times",
-    )
-
-
-# ----------------------------------------------------------------------
-# Experiment 2: RUBBoS bulletin board (Figure 11)
-# ----------------------------------------------------------------------
-
-
-def run_fig11(
-    iterations: Optional[Sequence[int]] = None,
-    threads: int = DEFAULT_THREADS,
-    profile: LatencyProfile = POSTGRES,
-) -> FigureData:
-    """Figure 11: top-stories listing vs iterations (PostgreSQL, warm)."""
-    if iterations is None:
-        iterations = (6, 60, 600, 6000) if full_mode() else (6, 60, 600)
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="fig11",
-        title=f"RUBBoS top stories vs iterations ({profile.name}, warm, "
-        f"{threads} threads)",
-        x_label="iterations",
-        paper_reference="Fig. 11: 3.6s -> 0.8s at 6000 iterations; "
-        "transformed slightly slower at 6",
-    )
-    db = rubbos.build_database(profile)
-    try:
-        original = rubbos.top_stories_of_day
-        rewritten = transformed_kernel(original)
-        orig_series = figure.new_series("orig-warm")
-        trans_series = figure.new_series("trans-warm")
-        for count in iterations:
-            stories = rubbos.story_batch(db, count)
-            connection = db.connect(async_workers=threads)
-            try:
-                original(connection, list(stories))  # warm
-                base, base_s = measure(lambda: original(connection, list(stories)))
-                fast, fast_s = measure(lambda: rewritten(connection, list(stories)))
-                assert base == fast
-            finally:
-                connection.close()
-            orig_series.add(count, base_s)
-            trans_series.add(count, fast_s)
-        top = max(iterations)
-        gain = figure.speedup("orig-warm", "trans-warm", top)
-        if gain:
-            figure.notes.append(f"speedup at {top} iterations: {gain:.1f}x")
-    finally:
-        db.close()
-    return figure
-
-
-# ----------------------------------------------------------------------
-# Experiment 3: category traversal (Figures 12, 13)
-# ----------------------------------------------------------------------
-
-
-def _category_run(db, kernel, children, roots, threads: int, cold: bool):
-    if cold:
-        db.flush_cache()
-    else:
-        warm = db.connect(async_workers=threads)
-        try:
-            kernel(warm, children, list(roots))
-        finally:
-            warm.close()
-
-    def run():
-        connection = db.connect(async_workers=threads)
-        try:
-            return kernel(connection, children, list(roots))
-        finally:
-            connection.close()
-
-    return measure(run)
-
-
-def run_fig12(
-    iterations: Sequence[int] = (1, 11, 100),
-    threads: int = DEFAULT_THREADS,
-    profile: LatencyProfile = SYS1,
-    parts: int = 30_000,
-) -> FigureData:
-    """Figure 12: category DFS vs iterations (nodes visited), warm+cold."""
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="fig12",
-        title=f"Category traversal vs iterations ({profile.name}, "
-        f"{threads} threads)",
-        x_label="iterations",
-        paper_reference="Fig. 12: 190s -> 6.3s cold at 100 iterations; "
-        "warm nearly flat at small counts",
-    )
-    db = category.build_database(profile, parts=parts)
-    try:
-        children = category.load_children(db)
-        original = category.max_part_size
-        rewritten = transformed_kernel(original)
-        series = {
-            ("cold", False): figure.new_series("orig-cold"),
-            ("cold", True): figure.new_series("trans-cold"),
-            ("warm", False): figure.new_series("orig-warm"),
-            ("warm", True): figure.new_series("trans-warm"),
-        }
-        for cache in ("cold", "warm"):
-            for count in iterations:
-                roots = category.roots_for_iterations(count)
-                base, base_s = _category_run(
-                    db, original, children, roots, threads, cold=(cache == "cold")
-                )
-                fast, fast_s = _category_run(
-                    db, rewritten, children, roots, threads, cold=(cache == "cold")
-                )
-                assert base == fast
-                series[(cache, False)].add(count, base_s)
-                series[(cache, True)].add(count, fast_s)
-        gain = figure.speedup("orig-cold", "trans-cold", max(iterations))
-        if gain:
-            figure.notes.append(
-                f"cold speedup at {max(iterations)} iterations: {gain:.1f}x"
-            )
-    finally:
-        db.close()
-    return figure
-
-
-def run_fig13(
-    threads_grid: Sequence[int] = THREAD_GRID,
-    iterations: int = 100,
-    profile: LatencyProfile = SYS1,
-    parts: int = 30_000,
-) -> FigureData:
-    """Figure 13: category DFS vs threads (cold cache)."""
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="fig13",
-        title=f"Category traversal vs threads ({profile.name}, cold, "
-        f"{iterations} iterations)",
-        x_label="threads",
-        paper_reference="Fig. 13: steep drop then plateau; cold and warm "
-        "trends match",
-    )
-    db = category.build_database(profile, parts=parts)
-    try:
-        children = category.load_children(db)
-        original = category.max_part_size
-        rewritten = transformed_kernel(original)
-        roots = category.roots_for_iterations(iterations)
-        base, base_s = _category_run(db, original, children, roots, 1, cold=True)
-        orig_series = figure.new_series("orig")
-        trans_series = figure.new_series("trans")
-        for threads in threads_grid:
-            fast, fast_s = _category_run(
-                db, rewritten, children, roots, threads, cold=True
-            )
-            assert base == fast
-            orig_series.add(threads, base_s)
-            trans_series.add(threads, fast_s)
-    finally:
-        db.close()
-    return figure
-
-
-# ----------------------------------------------------------------------
-# Experiment 4: value range expansion (Figure 14)
-# ----------------------------------------------------------------------
-
-
-def run_fig14(
-    totals: Optional[Sequence[int]] = None,
-    threads: int = 30,
-    profile: LatencyProfile = SYS1,
-) -> FigureData:
-    """Figure 14: INSERT expansion vs number of forms inserted."""
-    if totals is None:
-        totals = (10, 100, 1000, 10000, 100000) if full_mode() else (10, 100, 1000, 10000)
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="fig14",
-        title=f"Forms range expansion vs iterations ({profile.name}, "
-        f"{threads} threads)",
-        x_label="forms inserted",
-        paper_reference="Fig. 14: 73s -> 1.1s at 100k inserts (99.1 "
-        "crossover line); cache-state independent",
-    )
-    registry = forms.commuting_registry()
-    original = forms.expand_form_ranges
-    rewritten = transformed_kernel(original, registry=registry)
-    orig_series = figure.new_series("orig")
-    trans_series = figure.new_series("trans")
-    for total in totals:
-        issues = forms.issue_batch(total)
-        for kernel, series in ((original, orig_series), (rewritten, trans_series)):
-            db = forms.build_database(profile)
-            try:
-                connection = db.connect(async_workers=threads)
-                inserted, seconds = measure(
-                    lambda: kernel(connection, list(issues))
-                )
-                assert inserted == total
-                assert forms.loaded_form_count(db) == total
-                connection.close()
-            finally:
-                db.close()
-            series.add(total, seconds)
-    top = max(totals)
-    gain = figure.speedup("orig", "trans", top)
-    if gain:
-        figure.notes.append(f"speedup at {top} inserts: {gain:.1f}x")
-    return figure
-
-
-# ----------------------------------------------------------------------
-# Experiment 5: web service (Figure 15)
-# ----------------------------------------------------------------------
-
-
-def run_fig15(
-    threads_grid: Sequence[int] = (1, 2, 5, 10, 15, 20, 25),
-    iterations: int = 240,
-) -> FigureData:
-    """Figure 15: web-service traversal vs threads (240 requests)."""
-    latency = WebLatency().scaled(bench_scale())
-    figure = FigureData(
-        figure_id="fig15",
-        title=f"Web-service traversal vs threads ({latency.name}, "
-        f"{iterations} iterations)",
-        x_label="threads",
-        paper_reference="Fig. 15: ~170s -> ~20s from 1 to 25 threads "
-        "on Freebase",
-    )
-    service = moviegraph.build_service(
-        latency,
-        directors=max(1, iterations // 20),
-        actors_per_director=20,
-    )
-    try:
-        from ..web.client import WebServiceClient
-
-        original = moviegraph.collect_filmographies
-        rewritten = transformed_kernel(original)
-        probe = WebServiceClient(service, async_workers=1)
-        actor_ids = []
-        for director in range(service.entity_count):
-            identifier = f"dir{director}"
-            try:
-                actor_ids.extend(moviegraph.director_actors(probe, identifier))
-            except Exception:
-                break
-        actor_ids = actor_ids[:iterations]
-        base, base_s = measure(lambda: original(probe, list(actor_ids)))
-        probe.close()
-        orig_series = figure.new_series("orig")
-        trans_series = figure.new_series("trans")
-        for threads in threads_grid:
-            client = WebServiceClient(service, async_workers=threads)
-            try:
-                fast, fast_s = measure(lambda: rewritten(client, list(actor_ids)))
-            finally:
-                client.close()
-            assert base == fast
-            orig_series.add(threads, base_s)
-            trans_series.add(threads, fast_s)
-    finally:
-        service.shutdown()
-    return figure
-
-
-# ----------------------------------------------------------------------
-# Prefetch + result cache (ROADMAP caching lever; beyond the paper)
-# ----------------------------------------------------------------------
-
-
-def run_prefetch_cache(
-    iterations: Optional[Sequence[int]] = None,
-    threads: int = DEFAULT_THREADS,
-    hot_users: int = 16,
-    hot_fraction: float = 0.9,
-    cache_capacity: int = 512,
-    profile: LatencyProfile = SYS1,
-) -> FigureData:
-    """Blocking vs. async vs. prefetch+cache on the skewed hot-set reads.
-
-    All three variants compute the same profile batch; the third attaches
-    a shared :class:`repro.prefetch.cache.ResultCache` to the connection,
-    so repeated ``(sql, params)`` pairs — ~``hot_fraction`` of a skewed
-    batch — are served client-side without a round trip or server work.
-    """
-    from ..obs.metrics import MetricsRegistry
-    from ..prefetch import ResultCache
-    from ..workloads import hotset
-
-    if iterations is None:
-        iterations = (200, 1000, 4000) if full_mode() else (200, 1000, 2000)
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="prefetch-cache",
-        title=f"Hot-set profile reads ({profile.name}, {threads} threads, "
-        f"{hot_users} hot users, {hot_fraction:.0%} skew)",
-        x_label="iterations",
-        paper_reference="beyond the paper: ROADMAP caching lever "
-        "(prefetch+cache must beat blocking and match async)",
-    )
-    db = hotset.build_database(profile)
-    try:
-        original = hotset.load_profiles
-        rewritten = transformed_kernel(original)
-        blocking_series = figure.new_series("blocking")
-        async_series = figure.new_series("async")
-        cached_series = figure.new_series("prefetch+cache")
-        for count in iterations:
-            ids = hotset.skewed_user_batch(
-                db, count, hot_users=hot_users, hot_fraction=hot_fraction
-            )
-            blocking_reg = MetricsRegistry()
-            connection = db.connect(async_workers=threads, metrics=blocking_reg)
-            try:
-                base = original(connection, list(ids))  # warm the buffer pool
-                blocking_reg.reset()  # keep warm-up out of the percentiles
-                check, base_s = measure(lambda: original(connection, list(ids)))
-                assert check == base
-            finally:
-                connection.close()
-            figure.absorb_latencies("blocking", blocking_reg)
-            async_reg = MetricsRegistry()
-            connection = db.connect(async_workers=threads, metrics=async_reg)
-            try:
-                rewritten(connection, list(ids))  # warm the thread pool
-                async_reg.reset()
-                fast, fast_s = measure(lambda: rewritten(connection, list(ids)))
-                assert fast == base, "async kernel changed results"
-            finally:
-                connection.close()
-            figure.absorb_latencies("async", async_reg)
-            cache = ResultCache(capacity=cache_capacity)
-            cached_reg = MetricsRegistry()
-            connection = db.connect(
-                async_workers=threads, result_cache=cache, metrics=cached_reg
-            )
-            try:
-                # Warm-up parity with the async variant: the thread pool
-                # spawns here, and the cache fills — the measured batch
-                # is the steady-state repeat request.
-                rewritten(connection, list(ids))
-                first_batch = cache.stats_snapshot()
-                cache.clear_stats()
-                cached_reg.reset()
-                cached, cached_s = measure(lambda: rewritten(connection, list(ids)))
-                assert cached == base, "cached kernel changed results"
-            finally:
-                connection.close()
-            figure.absorb_latencies("prefetch+cache", cached_reg)
-            blocking_series.add(count, base_s)
-            async_series.add(count, fast_s)
-            cached_series.add(count, cached_s)
-            steady = cache.stats_snapshot()
-            figure.notes.append(
-                f"{count} iterations: steady-state hit-rate "
-                f"{steady['hit_rate']:.2f} ({steady['hits']} hits / "
-                f"{steady['lookups']} lookups); first batch "
-                f"{first_batch['hit_rate']:.2f} with "
-                f"{first_batch['shared_flights']} single-flight joins, "
-                f"{steady['evictions']} evictions"
-            )
-        top = max(iterations)
-        vs_blocking = figure.speedup("blocking", "prefetch+cache", top)
-        vs_async = figure.speedup("async", "prefetch+cache", top)
-        if vs_blocking:
-            figure.notes.append(
-                f"speedup at {top} iterations: {vs_blocking:.1f}x over "
-                f"blocking, {vs_async:.1f}x over async"
-            )
-    finally:
-        db.close()
-    return figure
-
-
-def run_speculative_prefetch(
-    iterations: Optional[Sequence[int]] = None,
-    threads: int = DEFAULT_THREADS,
-    hot_users: int = 16,
-    hot_fraction: float = 0.9,
-    profile: LatencyProfile = SYS1,
-) -> FigureData:
-    """Blocking vs. guarded-only prefetch vs. speculative prefetch on
-    the hot-set profile-card workload.
-
-    The card kernel's detail lookup is guarded by the *first query's
-    result*, so the guarded hoist cannot start it early — the guard's
-    data dependence pins the submit below the first fetch, and every
-    detailed card pays two sequential round trips.  The speculative
-    series issues the detail read unguarded (the cost model is fed the
-    ~91% population estimate; the skewed batch — 90% of traffic on a
-    handful of hot users — realizes a lower rate, ~0.7-0.8, which the
-    notes report) and abandons the handle for low-rated sellers: the
-    second round trip hides behind the first, and the pipeline's
-    ``SubmissionStats`` account for every speculation as a hit or a
-    waste.
-    """
-    from ..transform.costmodel import SpeculationPolicy
-    from ..workloads import hotset
-
-    if iterations is None:
-        iterations = (100, 300, 900) if full_mode() else (100, 300, 600)
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="speculative-prefetch",
-        title=f"Hot-set profile cards, speculative detail reads "
-        f"({profile.name}, {threads} threads)",
-        x_label="iterations",
-        paper_reference="beyond the paper: Discussion-section speculation "
-        "(unguarded prefetch must beat the guarded-only baseline)",
-    )
-    db = hotset.build_database(profile)
-    try:
-        original = hotset.profile_card
-        guarded = asyncify(original, prefetch=True)
-        policy = SpeculationPolicy(
-            profile=profile, hit_probability=hotset.DETAIL_HIT_PROBABILITY
-        )
-        speculative = asyncify(
-            original, prefetch=True, speculate=True, speculation=policy
-        )
-
-        blocking_series = figure.new_series("blocking")
-        guarded_series = figure.new_series("guarded")
-        speculative_series = figure.new_series("speculative")
-        for count in iterations:
-            ids = hotset.skewed_user_batch(
-                db, count, hot_users=hot_users, hot_fraction=hot_fraction
-            )
-            variants = (
-                (original, blocking_series),
-                (guarded, guarded_series),
-                (speculative, speculative_series),
-            )
-            base = None
-            stats = marks = None
-            for kernel, series in variants:
-                connection = db.connect(async_workers=threads)
-                try:
-                    # Warm the buffer pool and the client thread pool;
-                    # the measured batch is the steady-state repeat.
-                    # Warm-up speculations settle in the drain so the
-                    # reported counts cover the measured batch only.
-                    [kernel(connection, uid) for uid in ids]
-                    connection.pipeline.drain_speculations()
-                    stats = connection.stats
-                    marks = (
-                        stats.speculations,
-                        stats.speculation_hits,
-                        stats.speculation_wasted,
-                    )
-                    got, seconds = measure(
-                        lambda: [kernel(connection, uid) for uid in ids]
-                    )
-                finally:
-                    connection.close()
-                if base is None:
-                    base = got
-                else:
-                    assert got == base, "transformed kernel changed results"
-                series.add(count, seconds)
-            # Connection closed above: the drain has settled everything,
-            # so the measured batch's hits + wasted == its speculations.
-            assert stats is not None and marks is not None
-            speculations = stats.speculations - marks[0]
-            hits = stats.speculation_hits - marks[1]
-            wasted = stats.speculation_wasted - marks[2]
-            assert hits + wasted == speculations, (
-                f"unsettled speculations leaked: {stats}"
-            )
-            hit_rate = hits / speculations if speculations else 0.0
-            figure.notes.append(
-                f"{count} iterations: {speculations} speculations, "
-                f"{hits} hits / {wasted} wasted "
-                f"(hit-rate {hit_rate:.2f})"
-            )
-        top = max(iterations)
-        vs_guarded = figure.speedup("guarded", "speculative", top)
-        vs_blocking = figure.speedup("blocking", "speculative", top)
-        if vs_guarded:
-            figure.notes.append(
-                f"speedup at {top} iterations: {vs_guarded:.2f}x over "
-                f"guarded-only, {vs_blocking:.2f}x over blocking"
-            )
-    finally:
-        db.close()
-    return figure
-
-
-def run_mixed_clients(
-    iterations: Optional[Sequence[int]] = None,
-    threads: int = DEFAULT_THREADS,
-    hot_users: int = 16,
-    hot_fraction: float = 0.9,
-    cache_capacity: int = 512,
-    profile: LatencyProfile = SYS1,
-) -> FigureData:
-    """Mixed sync + asyncio clients over one shared cache, with a
-    cache-less writer churning the hot set under load.
-
-    Exercises the unified submission pipeline end to end: the sync and
-    asyncio clients share one :class:`ResultCache` (either client's fill
-    is the other's hit), and a third, cache-less connection issues
-    rating updates concurrently — server-side invalidation must keep
-    every cached read fresh, which the runner asserts after the churn
-    settles.
-    """
-    import asyncio
-    import threading
-
-    from ..prefetch import ResultCache
-    from ..runtime.aio import aio_connect
-    from ..workloads import hotset
-
-    if iterations is None:
-        iterations = (200, 1000, 4000) if full_mode() else (200, 1000, 2000)
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="mixed-clients",
-        title=f"Mixed sync+aio clients, shared cache ({profile.name}, "
-        f"{threads} threads, {hot_users} hot users)",
-        x_label="iterations",
-        paper_reference="beyond the paper: cross-connection invalidation "
-        "correctness under mixed-runtime load",
-    )
-    db = hotset.build_database(profile)
-    try:
-        sync_series = figure.new_series("sync+cache")
-        aio_series = figure.new_series("aio+cache")
-        mixed_series = figure.new_series("mixed+writer")
-
-        async def aio_read(aconn, ids):
-            handles = [
-                aconn.submit_query(hotset.PROFILE_SQL, [uid]) for uid in ids
-            ]
-            rows = await aconn.gather(handles)
-            return [(uid, row[0][0], row[0][1]) for uid, row in zip(ids, rows)]
-
-        for count in iterations:
-            ids = hotset.skewed_user_batch(
-                db, count, hot_users=hot_users, hot_fraction=hot_fraction
-            )
-            from collections import Counter
-
-            hot = [uid for uid, _ in Counter(ids).most_common(hot_users)]
-            cache = ResultCache(capacity=cache_capacity)
-            sync_conn = db.connect(async_workers=threads, result_cache=cache)
-            aconn = aio_connect(db, max_in_flight=threads, result_cache=cache)
-            writer = db.connect(async_workers=1)  # cache-less
-            try:
-                base = hotset.load_profiles(sync_conn, list(ids))  # warm + fill
-                got, sync_s = measure(
-                    lambda: hotset.load_profiles(sync_conn, list(ids))
-                )
-                assert got == base
-                sync_series.add(count, sync_s)
-
-                # The sync client's fills serve the asyncio client.
-                got, aio_s = measure(
-                    lambda: asyncio.run(aio_read(aconn, list(ids)))
-                )
-                assert got == base, "shared cache must serve both runtimes"
-                aio_series.add(count, aio_s)
-
-                # Mixed phase: both clients read concurrently while the
-                # cache-less writer keeps bumping hot-set ratings.
-                stop = threading.Event()
-
-                def churn():
-                    bump = 0
-                    while not stop.is_set():
-                        bump += 1
-                        for uid in hot:
-                            writer.execute_update(
-                                hotset.RATING_UPDATE_SQL, [bump % 5, uid]
-                            )
-
-                def mixed():
-                    writer_thread = threading.Thread(target=churn)
-                    reader_thread = threading.Thread(
-                        target=lambda: hotset.load_profiles(sync_conn, list(ids))
-                    )
-                    writer_thread.start()
-                    reader_thread.start()
-                    try:
-                        return asyncio.run(aio_read(aconn, list(ids)))
-                    finally:
-                        reader_thread.join()
-                        stop.set()
-                        writer_thread.join()
-
-                _, mixed_s = measure(mixed)
-                mixed_series.add(count, mixed_s)
-
-                # Correctness: once the churn settles, every cached read
-                # of a hot profile matches a cache-bypassing read.
+        def churn():
+            bump = 0
+            while not stop.is_set():
+                bump += 1
                 for uid in hot:
-                    fresh = writer.execute_query(hotset.PROFILE_SQL, [uid])
-                    cached_row = sync_conn.execute_query(
-                        hotset.PROFILE_SQL, [uid]
-                    )
-                    assert cached_row[0][1] == fresh[0][1], (
-                        f"stale cached rating for user {uid}: "
-                        f"{cached_row[0][1]} != {fresh[0][1]}"
-                    )
-                figure.notes.append(
-                    f"{count} iterations: hit-rate {cache.stats.hit_rate:.2f}, "
-                    f"{cache.stats.invalidations} invalidations under churn; "
-                    "fresh-read check ok"
-                )
+                    writer.execute_update(hotset.RATING_UPDATE_SQL, [bump % 5, uid])
+
+        def mixed():
+            writing = threading.Thread(target=churn)
+            reading = threading.Thread(
+                target=hotset.load_profiles, args=(sync_conn, ids)
+            )
+            writing.start()
+            reading.start()
+            try:
+                return _aio_profiles(aio_conn, ids)
             finally:
-                sync_conn.close()
-                aconn.close()
-                writer.close()
-    finally:
-        db.close()
-    return figure
+                reading.join()
+                stop.set()
+                writing.join()
+
+        try:
+            hotset.load_profiles(sync_conn, ids)  # warm + fill
+            series.add(count, measure(mixed)[1])
+            for uid in hot:
+                fresh = writer.execute_query(hotset.PROFILE_SQL, [uid])
+                cached = sync_conn.execute_query(hotset.PROFILE_SQL, [uid])
+                if cached[0][1] != fresh[0][1]:
+                    raise AssertionError(
+                        f"stale cached rating for user {uid}: "
+                        f"{cached[0][1]} != {fresh[0][1]}"
+                    )
+        finally:
+            for connection in (sync_conn, aio_conn, writer):
+                connection.close()
+        figure.notes.append(
+            "{x} iterations: hit-rate {hit_rate:.2f}, {invalidations} "
+            "invalidations under churn; fresh-read check ok".format(
+                x=count, **cache.stats_snapshot()
+            )
+        )
+
+
+MIXED_CLIENTS = Sweep(
+    "mixed-clients",
+    "Mixed sync+aio clients, shared cache ({profile}, {threads} threads, "
+    "16 hot users)",
+    "iterations",
+    "beyond the paper: cross-connection invalidation correctness under "
+    "mixed-runtime load",
+    build=_hotset,
+    inputs=_skewed_ids,
+    grid=(200, 1000, 2000),
+    full_grid=(200, 1000, 4000),
+    variants=(
+        Variant("sync+cache", hotset.load_profiles, connect=_FRESH_CACHE),
+        Variant("aio+cache", _aio_profiles, connect=_FRESH_CACHE),
+    ),
+    epilogue=_churn_phase,
+)
 
 
 # ----------------------------------------------------------------------
-# Table I and transformation time
+# Table I, transformation time, reordering: no store, so no sweep
 # ----------------------------------------------------------------------
 
 
-def run_table1() -> Tuple[str, List[ApplicabilityReport]]:
+def table1():
     """Table I: applicability over the two benchmark applications."""
     auction = analyze_functions(rubis.QUERY_LOOPS, "Auction")
     bulletin = analyze_functions(rubbos.QUERY_LOOPS, "Bulletin Board")
     return format_table_one([auction, bulletin]), [auction, bulletin]
 
 
-def run_transform_time() -> FigureData:
+def _source_of(functions) -> str:
+    return "\n\n".join(textwrap.dedent(inspect.getsource(fn)) for fn in functions)
+
+
+def transform_time() -> FigureData:
     """Section VI: program transformation takes well under a second."""
     figure = FigureData(
         figure_id="transform-time",
@@ -842,9 +459,7 @@ def run_transform_time() -> FigureData:
         ("moviegraph", [moviegraph.collect_filmographies, moviegraph.movie_years]),
     ]
     for index, (name, functions) in enumerate(workload_sources):
-        source = "\n\n".join(
-            textwrap.dedent(inspect.getsource(fn)) for fn in functions
-        )
+        source = _source_of(functions)
         started = time.perf_counter()
         engine.transform_source(source)
         elapsed = time.perf_counter() - started
@@ -853,24 +468,16 @@ def run_transform_time() -> FigureData:
     return figure
 
 
-# ----------------------------------------------------------------------
-# Ablations (DESIGN.md §5)
-# ----------------------------------------------------------------------
-
-
-def run_ablation_reorder() -> Tuple[str, dict]:
+def ablation_reorder():
     """Statement reordering ON vs OFF: how many loops stay transformable.
 
     This measures the paper's novelty claim — without Section IV's
     reordering, Rule A alone loses the worklist/traversal loops.
     """
-    kernels = (
+    source = _source_of(
         rubis.QUERY_LOOPS
         + rubbos.QUERY_LOOPS[:6]
         + [category.max_part_size, category.subtree_part_count]
-    )
-    source = "\n\n".join(
-        textwrap.dedent(inspect.getsource(fn)) for fn in kernels
     )
     with_reorder = TransformEngine(reorder_enabled=True).transform_source(source)
     without_reorder = TransformEngine(reorder_enabled=False).transform_source(source)
@@ -888,251 +495,342 @@ def run_ablation_reorder() -> Tuple[str, dict]:
     return text, counts
 
 
-def run_ablation_server(
-    iterations: int = 100,
-    threads: int = 20,
-    profile: LatencyProfile = SYS1,
-    parts: int = 30_000,
-) -> FigureData:
-    """Disk elevator ON/OFF for the cold-cache traversal workload."""
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="ablation-server",
-        title="Server mechanisms ablation (cold category traversal)",
-        x_label="config# (0=elevator on, 1=elevator off)",
-        paper_reference="DESIGN.md §5: where the cold-cache win comes from",
+# ----------------------------------------------------------------------
+# Timing ablations
+# ----------------------------------------------------------------------
+
+ABLATION_SERVER = Sweep(
+    "ablation-server",
+    "Server mechanisms ablation (cold category traversal)",
+    "config# (0=elevator on, 1=elevator off)",
+    "Section VI: concurrent submission lets the disk scheduler reorder "
+    "requests — where the cold-cache win comes from",
+    build=lambda profile, size, x: category.build_database(
+        profile, parts=size, elevator=(x == 0)
+    ),
+    inputs=_traversal_100,
+    grid=(0, 1),
+    variants=(
+        Variant("orig", TRAVERSAL, threads=1, cache="cold"),
+        Variant("trans", TRAVERSAL_ASYNC, cache="cold"),
+    ),
+    threads=20,
+    size=30_000,
+    fresh_store=True,
+)
+
+ABLATION_WINDOW = Sweep(
+    "ablation-window",
+    "Bounded-window fission over {size} RUBiS iterations",
+    "window (0 = unbounded)",
+    "Discussion: limiting in-flight records caps memory",
+    build=_rubis,
+    # Transformed here, once per window, so it stays off the clock.
+    inputs=lambda db, x, size: (
+        asyncify(AUTHORS, window=x or None), rubis.comment_batch(db, size)
+    ),
+    grid=(0, 64, 256, 1024),
+    variants=(Variant("trans", lambda conn, kernel, batch: kernel(conn, batch)),),
+    size=4000,
+    oracle=lambda conn, kernel, batch: AUTHORS(conn, batch),
+)
+
+# Thread-pool observer model (the paper's Executor framework) vs the
+# asyncio event loop at matched in-flight budgets: both run the Rule A
+# two-loop shape, so differences are client-coordination overhead.  With
+# a ResultCache the repeat batch resolves at submit time, without a
+# thread hop.
+ABLATION_AIO = Sweep(
+    "ablation-aio",
+    "Thread-pool vs asyncio runtime over {size} RUBiS iterations",
+    "in-flight budget (threads / pool slots)",
+    "Section II observer model; asyncio as the modern analog",
+    build=_rubis,
+    inputs=_comments_of_size,
+    grid=(1, 5, 10, 20),
+    variants=(
+        Variant("threads", AUTHORS_ASYNC, threads=X),
+        Variant("asyncio", _aio_lookups(rubis.AUTHOR_SQL), threads=X),
+        Variant(
+            "asyncio+cache", _aio_lookups(rubis.AUTHOR_SQL), threads=X,
+            connect={"result_cache": lambda: ResultCache(capacity=4096)},
+        ),
+    ),
+    size=2000,
+    oracle=AUTHORS,
+    note=_stats_note(
+        "asyncio+cache", "cache",
+        "{x} in flight: asyncio+cache steady-state hit-rate {hit_rate:.2f} "
+        "({hits} hits / {lookups} lookups)",
+    ),
+)
+
+
+def _spill_kernel(conn, make_table, batch):
+    """Rule A's output shape with an injected record table."""
+    table = make_table()
+    for comment in batch:
+        record = table.new_record(comment=comment)
+        record.handle = conn.submit_query(rubis.AUTHOR_SQL, [comment[1]])
+        table.add(record)
+    authors = []
+    for record in table:
+        row = conn.fetch_result(record.handle)
+        authors.append((record.comment[0], row[0][0], row[0][1]))
+    table.clear()
+    return authors
+
+
+# The Discussion's *other* memory mitigation: keep every query in flight
+# but materialize the cold prefix of the record table to disk.
+ABLATION_SPILL = Sweep(
+    "ablation-spill",
+    "Spill-to-disk record table over {size} RUBiS iterations",
+    "resident cap (0 = unbounded, in-memory)",
+    "Discussion: materialize part of the table to disk",
+    build=_rubis,
+    inputs=lambda db, x, size: (
+        partial(SpillableRecordTable, max_resident=x) if x else RecordTable,
+        rubis.comment_batch(db, size),
+    ),
+    grid=(0, 64, 256, 1024),
+    variants=(Variant("trans", _spill_kernel),),
+    size=4000,
+    oracle=lambda conn, _make, batch: AUTHORS(conn, batch),
+)
+
+
+# ----------------------------------------------------------------------
+# Batching vs asynchronous submission (paper Introduction), cost model
+# ----------------------------------------------------------------------
+
+
+def _fanout_batch(conn, comments):
+    # The paper's comparison point: one round trip carries the batch,
+    # but the server still runs one statement per binding.
+    server = conn.server
+    server.meter.charge("network", server.profile.network_rtt_s)
+    prepared = server.prepare(rubis.AUTHOR_SQL)
+    futures = [server.submit_prepared(prepared, (pair[1],)) for pair in comments]
+    return [future.result() for future in futures]
+
+
+def _set_batch(conn, comments):
+    # One demuxed statement execution answers the batch.
+    return BatchExecutor(conn).execute_batch(
+        rubis.AUTHOR_SQL, [(pair[1],) for pair in comments]
     )
-    original = category.max_part_size
-    rewritten = transformed_kernel(original)
-    orig_series = figure.new_series("orig")
-    trans_series = figure.new_series("trans")
-    for index, elevator in enumerate((True, False)):
-        db = category.build_database(profile, parts=parts, elevator=elevator)
-        try:
-            children = category.load_children(db)
-            roots = category.roots_for_iterations(iterations)
-            base, base_s = _category_run(db, original, children, roots, 1, cold=True)
-            fast, fast_s = _category_run(
-                db, rewritten, children, roots, threads, cold=True
-            )
-            assert base == fast
-            orig_series.add(index, base_s)
-            trans_series.add(index, fast_s)
-            figure.notes.append(
-                f"elevator={'on' if elevator else 'off'}: trans {fast_s:.3f}s"
-            )
-        finally:
-            db.close()
-    return figure
 
 
-def run_ablation_window(
-    total: int = 4000,
-    windows: Sequence[Optional[int]] = (None, 64, 256, 1024),
-    threads: int = DEFAULT_THREADS,
-    profile: LatencyProfile = SYS1,
-) -> FigureData:
-    """Bounded-window fission: time vs memory cap (Discussion section)."""
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="ablation-window",
-        title=f"Bounded-window fission over {total} RUBiS iterations",
-        x_label="window (0 = unbounded)",
-        paper_reference="Discussion: limiting in-flight records caps memory",
+def _then_work(fetch):
+    """Client work strictly AFTER the blocking fetch of every result."""
+    return lambda conn, comments, work: (
+        len(fetch(conn, comments)) + sum(work(pair) for pair in comments)
     )
-    db = rubis.build_database(profile)
-    try:
-        comments = rubis.comment_batch(db, total)
-        base = rubis.load_comment_authors(db.connect(async_workers=1), list(comments))
-        series = figure.new_series("trans")
-        for window in windows:
-            kernel = asyncify(rubis.load_comment_authors, window=window)
-            connection = db.connect(async_workers=threads)
-            try:
-                kernel(connection, list(comments))  # warm
-                result, seconds = measure(
-                    lambda: kernel(connection, list(comments))
-                )
-            finally:
-                connection.close()
-            assert result == base
-            series.add(window or 0, seconds)
-            figure.notes.append(
-                f"window={window or 'unbounded'}: {seconds:.3f}s, "
-                f"peak records <= {window or total}"
-            )
-    finally:
-        db.close()
-    return figure
 
 
-def run_ablation_aio(
-    total: int = 2000,
-    in_flight_grid: Sequence[int] = (1, 5, 10, 20),
-    profile: LatencyProfile = SYS1,
-) -> FigureData:
-    """Client runtimes compared: thread-pool observer model (the paper's
-    Executor framework) vs the asyncio event loop, at matched in-flight
-    budgets.  Both run the Rule A two-loop shape over the Experiment 1
-    workload; the substrate work per query is identical, so differences
-    are pure client-coordination overhead.
+def _overlapping_work(conn, comments, work):
+    handles = [conn.submit_query(rubis.AUTHOR_SQL, [pair[1]]) for pair in comments]
+    checksum = sum(work(pair) for pair in comments)  # requests are in flight
+    return len([conn.fetch_result(handle) for handle in handles]) + checksum
 
-    The third series runs the asyncio client with a shared
-    :class:`~repro.prefetch.cache.ResultCache` attached — the unified
-    submission pipeline serves asyncio hits exactly as it serves the
-    sync client's, so the steady-state repeat batch resolves mostly at
-    submit time, without a thread hop.
+
+def _client_work(weight):
+    def work(pair):
+        text = f"comment-{pair[0]}-user-{pair[1]}" * weight
+        return sum(ord(ch) for ch in text) & 0xFFFF
+
+    return work
+
+
+# Light (x=0..3) and heavy (x=10..13) per-iteration client work on a
+# 4 ms analytical query: batching blocks the client for the whole
+# server-side batch, asynchronous submission overlaps it.
+ABLATION_BATCHING = Sweep(
+    "ablation-batching",
+    "Blocking vs batched vs async vs set ({size} iterations)",
+    "x = regime*10 + discipline (0=blk 1=batch 2=async 3=set)",
+    "Intro: batching saves round trips; async also overlaps client "
+    "computation; set-oriented batching collapses the batch to one statement",
+    build=_rubis,
+    inputs=lambda db, x, size: (
+        rubis.comment_batch(db, size), _client_work(320 if x else 2)
+    ),
+    grid=(0, 10),
+    variants=(
+        Variant("blocking", _then_work(AUTHORS), threads=1, plot=("time", 0)),
+        Variant("batched", _then_work(_fanout_batch), threads=1, plot=("time", 1)),
+        Variant("async", _overlapping_work, plot=("time", 2)),
+        Variant("set", _then_work(_set_batch), threads=1, plot=("time", 3)),
+    ),
+    profile=replace(SYS1, cpu_fixed_s=4e-3),
+    threads=20,
+    size=2000,
+)
+
+SCAN_SQL = (
+    "SELECT count(*), sum(value), max(value) FROM events "
+    "WHERE kind = ? AND value >= ?"
+)
+
+
+def _events(profile, size, x):
+    db = Database(profile)
+    db.create_table("events", ("event_id", "int"), ("kind", "int"), ("value", "float"))
+    db.bulk_load("events", [(i, i % 7, float(i % 100) / 3.0) for i in range(40 * size)])
+    return db
+
+
+# A scan-bound aggregate loop rides along batched-dispatch at x=3: no
+# usable index and no simulated latency, so the figure's JSON keeps
+# percentiles of pure executor work (gated by perfbench's ``scan_agg``).
+SCAN_POINT = Sweep(
+    "batched-dispatch",
+    "scan-bound aggregates",
+    "x",
+    "",
+    build=_events,
+    inputs=lambda db, x, size: (size // 10,),
+    grid=(3,),
+    variants=(
+        Variant(
+            "scan:columnar",
+            lambda conn, queries: [
+                conn.execute_query(SCAN_SQL, [q % 7, float(q % 11)])
+                for q in range(queries)
+            ],
+            cache=None,
+        ),
+    ),
+    profile=INSTANT,
+    latencies=True,
+)
+
+
+def _add_scan_point(figure, size, **_context):
+    scan = run_sweep(SCAN_POINT, size=size)
+    figure.series += scan.series
+    figure.op_latencies.update(scan.op_latencies)
+
+
+# Hotset point lookups, x = discipline.  The per-statement fixed server
+# cost (2.5 ms here) is what the dispatch coalescer amortizes.
+BATCHED_DISPATCH = Sweep(
+    "batched-dispatch",
+    "Hotset dispatch: blocking vs async vs async+coalesce ({size} lookups)",
+    "x = discipline (0=blocking 1=async 2=async+coalesce 3=scan)",
+    "Intro: batching vs async — upgraded to a hybrid that batches whatever "
+    "is outstanding behind the executor",
+    build=_hotset,
+    inputs=lambda db, x, size: (hotset.skewed_user_batch(db, size),),
+    grid=(0,),
+    variants=(
+        Variant("blocking", hotset.load_profiles, threads=1, plot=("time", 0)),
+        Variant("async", PROFILES_ASYNC, plot=("time", 1)),
+        Variant(
+            "async+coalesce", PROFILES_ASYNC, plot=("time", 2),
+            connect={"coalesce": True, "coalesce_window": 32},
+        ),
+    ),
+    profile=replace(SYS1, cpu_fixed_s=2.5e-3),
+    threads=20,
+    size=300,
+    latencies=True,
+    note=_stats_note(
+        "async+coalesce", "submission",
+        "coalesced: {coalesced_batches} batches carried {coalesced_queries} "
+        "queries, {round_trips_saved} round trips saved",
+    ),
+    epilogue=_add_scan_point,
+)
+
+
+def _add_predictions(figure, grid, threads, profile, **_context):
+    orig = figure.new_series("predicted-orig")
+    trans = figure.new_series("predicted-trans")
+    for iterations in grid:
+        estimate = estimate_loop_cost(
+            profile, iterations, threads=threads, server_time_s=60e-6
+        )
+        orig.add(iterations, estimate.blocking_s)
+        trans.add(iterations, estimate.async_s)
+    figure.notes += [
+        f"predicted break-even: {breakeven_iterations(profile, threads=threads)} "
+        "iterations",
+        f"recommended threads for 4000 iterations: {recommend_threads(profile, 4000)}",
+    ]
+
+
+COSTMODEL = Sweep(
+    "costmodel",
+    "Cost-model predictions vs measurements",
+    "iterations",
+    "Discussion: cost-based 'which calls to transform' and 'how many threads'",
+    build=_rubis,
+    inputs=_comments_at_x,
+    grid=(4, 40, 400, 2000),
+    variants=(
+        Variant("measured-orig", AUTHORS),
+        Variant("measured-trans", AUTHORS_ASYNC),
+    ),
+    epilogue=_add_predictions,
+)
+
+
+# ----------------------------------------------------------------------
+# The registry and the one entry point
+# ----------------------------------------------------------------------
+
+#: figure id -> its :class:`Sweep` description or, for the three figures
+#: that measure no store, the function that produces the result.
+REGISTRY: Dict[str, Union[Sweep, Callable[[], Any]]] = {
+    "table1": table1,
+    "transform-time": transform_time,
+    "ablation-reorder": ablation_reorder,
+    **{
+        sweep.figure_id: sweep
+        for sweep in (
+            FIG08, FIG09, FIG10, FIG11, FIG12, FIG13, FIG14, FIG15,
+            PREFETCH_CACHE, SPECULATIVE_PREFETCH, MIXED_CLIENTS,
+            ABLATION_SERVER, ABLATION_WINDOW, ABLATION_AIO, ABLATION_SPILL,
+            ABLATION_BATCHING, BATCHED_DISPATCH, COSTMODEL,
+        )
+    },
+}
+
+#: Overrides under which every sweep still runs each variant end to end
+#: in well under a second (tier-1 smoke, CI artifact loop).
+SMOKE: Dict[str, Dict[str, Any]] = {
+    "fig08": dict(grid=(2, 4), threads=2, profile=INSTANT),
+    "fig09": dict(grid=(1, 2), size=20, profile=INSTANT),
+    "fig10": dict(grid=(1, 2), size=20, profile=INSTANT),
+    "fig11": dict(grid=(3, 6), threads=2, profile=INSTANT),
+    "fig12": dict(grid=(1, 11), threads=2, profile=INSTANT, size=800),
+    "fig13": dict(grid=(1, 2), profile=INSTANT, size=800),
+    "fig14": dict(grid=(10, 30), threads=2, profile=INSTANT),
+    "fig15": dict(grid=(1, 2), size=20),
+    "prefetch-cache": dict(grid=(20, 40), threads=2, profile=INSTANT),
+    "speculative-prefetch": dict(grid=(10, 20), threads=2, profile=INSTANT),
+    "mixed-clients": dict(grid=(20, 40), threads=2, profile=INSTANT),
+    "ablation-server": dict(threads=2, profile=INSTANT, size=800),
+    "ablation-window": dict(grid=(0, 8), threads=2, profile=INSTANT, size=40),
+    "ablation-aio": dict(grid=(1, 2), profile=INSTANT, size=40),
+    "ablation-spill": dict(grid=(0, 8), threads=2, profile=INSTANT, size=40),
+    "ablation-batching": dict(threads=2, size=10),
+    "batched-dispatch": dict(threads=4, size=60),
+    "costmodel": dict(grid=(4, 40)),
+}
+
+
+def run(figure_id: str, **overrides: Any):
+    """Run one registered figure.
+
+    ``overrides`` — ``grid``, ``threads``, ``profile``, ``size`` — apply
+    to sweeps only; everything else about a figure is its description.
+    Returns a :class:`FigureData` (``table1`` and ``ablation-reorder``
+    return ``(text, detail)``).
     """
-    import asyncio
-
-    from ..prefetch import ResultCache
-    from ..runtime.aio import aio_connect
-
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="ablation-aio",
-        title=f"Thread-pool vs asyncio runtime over {total} RUBiS iterations",
-        x_label="in-flight budget (threads / pool slots)",
-        paper_reference="Section II observer model; asyncio as the modern analog",
-    )
-    db = rubis.build_database(profile)
-    try:
-        comments = rubis.comment_batch(db, total)
-        base = rubis.load_comment_authors(db.connect(async_workers=1), list(comments))
-        threads_series = figure.new_series("threads")
-        aio_series = figure.new_series("asyncio")
-        cached_series = figure.new_series("asyncio+cache")
-        cache = None
-        kernel = transformed_kernel(rubis.load_comment_authors)
-
-        async def aio_kernel(conn, batch):
-            pending = [
-                (comment, conn.submit_query(rubis.AUTHOR_SQL, [comment[1]]))
-                for comment in batch
-            ]
-            authors = []
-            for comment, handle in pending:
-                row = await conn.fetch_result(handle)
-                authors.append((comment[0], row[0][0], row[0][1]))
-            return authors
-
-        for budget in in_flight_grid:
-            connection = db.connect(async_workers=budget)
-            try:
-                kernel(connection, list(comments))  # warm
-                result, seconds = measure(
-                    lambda: kernel(connection, list(comments))
-                )
-            finally:
-                connection.close()
-            assert result == base
-            threads_series.add(budget, seconds)
-
-            aconn = aio_connect(db, max_in_flight=budget)
-            try:
-                asyncio.run(aio_kernel(aconn, list(comments)))  # warm
-                result, seconds = measure(
-                    lambda: asyncio.run(aio_kernel(aconn, list(comments)))
-                )
-            finally:
-                aconn.close()
-            assert result == base
-            aio_series.add(budget, seconds)
-
-            cache = ResultCache(capacity=4096)
-            aconn = aio_connect(db, max_in_flight=budget, result_cache=cache)
-            try:
-                asyncio.run(aio_kernel(aconn, list(comments)))  # warm + fill
-                cache.clear_stats()
-                result, seconds = measure(
-                    lambda: asyncio.run(aio_kernel(aconn, list(comments)))
-                )
-            finally:
-                aconn.close()
-            assert result == base, "cached aio kernel changed results"
-            cached_series.add(budget, seconds)
-        if cache is not None:
-            figure.notes.append(
-                f"asyncio+cache steady-state hit-rate {cache.stats.hit_rate:.2f} "
-                f"({cache.stats.hits} hits / {cache.stats.lookups} lookups)"
-            )
-    finally:
-        db.close()
-    return figure
-
-
-def run_ablation_spill(
-    total: int = 4000,
-    caps: Sequence[Optional[int]] = (None, 64, 256, 1024),
-    threads: int = DEFAULT_THREADS,
-    profile: LatencyProfile = SYS1,
-) -> FigureData:
-    """Disk-spilling record table: time vs resident-record cap.
-
-    The Discussion section's *other* memory mitigation: instead of
-    bounding in-flight iterations (the window ablation), keep all
-    queries in flight but materialize the cold prefix of the record
-    table to disk.  The submit/fetch kernel below is exactly the Rule A
-    output shape, with the table implementation swapped.
-    """
-    from ..runtime.records import RecordTable
-    from ..runtime.spill import SpillableRecordTable
-
-    profile = _scaled(profile)
-    figure = FigureData(
-        figure_id="ablation-spill",
-        title=f"Spill-to-disk record table over {total} RUBiS iterations",
-        x_label="resident cap (0 = unbounded, in-memory)",
-        paper_reference="Discussion: materialize part of the table to disk",
-    )
-    db = rubis.build_database(profile)
-    try:
-        comments = rubis.comment_batch(db, total)
-        base = rubis.load_comment_authors(db.connect(async_workers=1), list(comments))
-
-        def kernel(conn, batch, table):
-            # Rule A output shape with an injected record table.
-            for comment in batch:
-                record = table.new_record(comment=comment)
-                record.handle = conn.submit_query(rubis.AUTHOR_SQL, [comment[1]])
-                table.add(record)
-            authors = []
-            for record in table:
-                row = conn.fetch_result(record.handle)
-                comment = record.comment
-                authors.append((comment[0], row[0][0], row[0][1]))
-            table.clear()
-            return authors
-
-        series = figure.new_series("trans")
-        for cap in caps:
-            connection = db.connect(async_workers=threads)
-            try:
-                make = (
-                    RecordTable
-                    if cap is None
-                    else lambda: SpillableRecordTable(max_resident=cap)
-                )
-                kernel(connection, list(comments), make())  # warm
-                table = make()
-                result, seconds = measure(
-                    lambda: kernel(connection, list(comments), table)
-                )
-            finally:
-                connection.close()
-            assert result == base
-            series.add(cap or 0, seconds)
-            if cap is None:
-                note = f"in-memory: {seconds:.3f}s, resident = {total}"
-            else:
-                note = (
-                    f"cap={cap}: {seconds:.3f}s, peak resident "
-                    f"{table.stats.peak_resident}, spilled "
-                    f"{table.stats.spilled} records in "
-                    f"{table.stats.segments_written} segments "
-                    f"({table.stats.bytes_written / 1024:.0f} KiB)"
-                )
-            figure.notes.append(note)
-    finally:
-        db.close()
-    return figure
+    entry = REGISTRY[figure_id]
+    if isinstance(entry, Sweep):
+        return run_sweep(entry, **overrides)
+    return entry(**overrides)

@@ -43,14 +43,6 @@ def measure(fn: Callable[[], Any]) -> Tuple[Any, float]:
 
 
 @dataclass
-class Measurement:
-    label: str
-    x: float
-    seconds: float
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class FigureSeries:
     """One plotted line: (x, seconds) points."""
 

@@ -8,15 +8,14 @@ submitting the batch", and it needs a set-oriented interface at all.
 
 ``BatchExecutor`` implements that alternative over our client: all
 parameter sets travel in one request (one network round trip), the
-server answers them, and the client blocks for the combined result.  By
-default the batch takes the server's *truly* set-oriented path
+server answers them, and the client blocks for the combined result.  A
+read batch takes the server's *truly* set-oriented path
 (:meth:`~repro.db.server.DatabaseServer.submit_prepared_batch`): one
-statement execution answers every read binding through the
-binding-demux operator, instead of fanning out N independent statements
-onto the worker pool.  ``set_oriented=False`` keeps the historical
-fan-out shape — one statement per binding behind one round trip — which
-is what the paper's introduction actually compares against; the
-ablation benchmark measures both.
+statement execution answers every binding through the binding-demux
+operator, instead of fanning out N independent statements onto the
+worker pool.  (The statement-fan-out batch the paper's introduction
+compares against is one variant of the ``ablation-batching`` figure,
+written there against ``Backend.submit_prepared``.)
 """
 
 from __future__ import annotations
@@ -40,15 +39,9 @@ class BatchStats:
 class BatchExecutor:
     """Set-oriented execution of one statement over many bind sets."""
 
-    def __init__(self, connection: Connection, set_oriented: bool = True) -> None:
+    def __init__(self, connection: Connection) -> None:
         self._connection = connection
-        self._set_oriented = set_oriented
         self.stats = BatchStats()
-
-    @property
-    def set_oriented(self) -> bool:
-        """Does this executor use the server's demuxed batch path?"""
-        return self._set_oriented
 
     def execute_batch(
         self, sql: str, param_sets: Sequence[Sequence[Any]]
@@ -58,10 +51,10 @@ class BatchExecutor:
 
         The client blocks until the batch completes — exactly the
         batching semantics the paper contrasts with asynchronous
-        submission.  Results come back in batch order.  On the
-        set-oriented path a read batch is one statement execution (one
-        scan — assert it via ``ServerStats``), and the first failing
-        binding's error re-raises here after the batch has run.  Writes
+        submission.  Results come back in batch order.  A read batch
+        is one statement execution (one scan — assert it via
+        ``ServerStats``), and the first failing binding's error
+        re-raises here after the batch has run.  Writes
         and other non-demuxable statements keep the fan-out shape — one
         statement per binding overlapping on the server's worker pool,
         each with its own invalidation broadcast — since funneling them
@@ -75,17 +68,14 @@ class BatchExecutor:
         tracer = self._connection.tracer
         span = None
         if tracer is not None and tracer.enabled:
-            span = tracer.start(
-                "batch", sql=sql, bindings=len(param_sets),
-                set_oriented=self._set_oriented,
-            )
+            span = tracer.start("batch", sql=sql, bindings=len(param_sets))
         try:
             # One round trip carries the whole batch.
             rtt = server.profile.network_rtt_s
             if rtt:
                 server.meter.charge("network", rtt)
             prepared = server.prepare(sql)
-            if self._set_oriented and demuxable(prepared.plan):
+            if demuxable(prepared.plan):
                 self.stats.set_batches += 1
                 outcomes = server.submit_prepared_batch(
                     prepared,

@@ -14,15 +14,12 @@ programs use.
 
 from .aio import (
     AioConnection,
-    AioExecutor,
     AioQueryHandle,
     AioSpeculativeHandle,
-    AioWebClient,
     aio_connect,
     as_completed,
     for_each_completed,
 )
-from .callbacks import CallbackDispatcher, OrderedCallbackDispatcher
 from .executor import AsyncExecutor
 from .handles import QueryHandle
 from .records import Record, RecordTable
@@ -30,16 +27,12 @@ from .spill import SpillableRecordTable, SpillStats
 
 __all__ = [
     "AioConnection",
-    "AioExecutor",
     "AioQueryHandle",
     "AioSpeculativeHandle",
-    "AioWebClient",
     "aio_connect",
     "as_completed",
     "for_each_completed",
     "AsyncExecutor",
-    "CallbackDispatcher",
-    "OrderedCallbackDispatcher",
     "QueryHandle",
     "Record",
     "RecordTable",

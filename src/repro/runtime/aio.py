@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Awaitable, Callable, Iterable, List, Optional, Sequence
+from typing import Any, AsyncIterator, Callable, Iterable, List, Optional, Sequence
 
 
 @dataclass
@@ -102,56 +101,6 @@ class AioQueryHandle:
         state = "done" if self._future.done() else "pending"
         label = f" {self._label!r}" if self._label else ""
         return f"<AioQueryHandle{label} {state}>"
-
-
-class AioExecutor:
-    """Bridge from blocking calls to awaitables (non-query transports).
-
-    Wraps a bounded thread pool: ``submit(fn)`` schedules the blocking
-    ``fn`` on the pool and returns an :class:`AioQueryHandle`.  Query
-    submission does **not** go through this any more — the submission
-    pipeline's own executor carries it — but transports without a
-    pipeline (the web-service client below) still need the bridge.
-    """
-
-    def __init__(self, max_in_flight: int = 10, name: str = "aio") -> None:
-        if max_in_flight < 1:
-            raise ValueError("need at least one in-flight slot")
-        self._max_in_flight = max_in_flight
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_in_flight, thread_name_prefix=name
-        )
-        self._closed = False
-        self.stats = AioStats()
-
-    @property
-    def max_in_flight(self) -> int:
-        return self._max_in_flight
-
-    def submit(self, fn: Callable[[], Any], label: str = "") -> AioQueryHandle:
-        """Schedule blocking ``fn``; returns an awaitable handle.
-
-        Must be called from a running event loop (the handle's future
-        belongs to it).
-        """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        loop = asyncio.get_running_loop()
-        inner = loop.run_in_executor(self._pool, fn)
-        self.stats.submitted += 1
-        inner.add_done_callback(_book_keep(self.stats))
-        return AioQueryHandle(inner, label)
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "AioExecutor":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
 
 class AioSpeculativeHandle(AioQueryHandle):
@@ -328,42 +277,6 @@ class AioConnection:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-class AioWebClient:
-    """asyncio adapter over :class:`repro.web.client.WebServiceClient`.
-
-    Experiment 5's loop expressed as coroutines: ``submit_call`` plus
-    ``await`` replaces the thread-pool observer model.
-    """
-
-    def __init__(self, client, max_in_flight: int = 10) -> None:
-        self._client = client
-        self._executor = AioExecutor(max_in_flight, name="web-aio")
-
-    @property
-    def stats(self) -> AioStats:
-        return self._executor.stats
-
-    async def call(self, endpoint: str, *args: Any) -> Any:
-        return await self.submit_call(endpoint, *args)
-
-    def submit_call(self, endpoint: str, *args: Any) -> AioQueryHandle:
-        return self._executor.submit(
-            lambda: self._client.call(endpoint, *args), label=endpoint
-        )
-
-    async def get_entity(self, entity_id: str) -> dict:
-        return await self.call("get_entity", entity_id)
-
-    async def related(self, entity_id: str, relation: str) -> list:
-        return await self.call("related", entity_id, relation)
-
-    async def list_type(self, entity_type: str) -> list:
-        return await self.call("list_type", entity_type)
-
-    def close(self) -> None:
-        self._executor.close()
 
 
 def aio_connect(

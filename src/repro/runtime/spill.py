@@ -44,7 +44,7 @@ DEFAULT_MAX_RESIDENT = 4096
 
 @dataclass
 class SpillStats:
-    """Observability for EXPERIMENTS.md's spill ablation."""
+    """Observability for the ``ablation-spill`` figure."""
 
     added: int = 0
     spilled: int = 0

@@ -1,11 +1,14 @@
 """Unit tests: benchmark harness containers and a fast smoke of the
 figure runners at tiny parameters."""
 
-import os
+import json
+import pathlib
 
 import pytest
 
+from repro.bench import figures
 from repro.bench.harness import FigureData, bench_scale, full_mode, measure
+from repro.bench.sweep import Sweep, Variant, run_sweep
 from repro.db.latency import INSTANT
 from repro.obs.metrics import MetricsRegistry
 
@@ -120,56 +123,121 @@ class TestEnvKnobs:
         assert not full_mode()
 
 
-class TestFigureRunnersSmoke:
-    """Tiny-parameter runs: correctness of the sweeps, not timing."""
+class _FakeConnection:
+    def __init__(self):
+        self.closed = False
 
-    def test_fig08_smoke(self):
-        from repro.bench import figures
+    def close(self):
+        self.closed = True
 
-        figure = figures.run_fig08(
-            iterations=(2, 4), cold_iterations=(2,), threads=2,
+
+class _FakeStore:
+    def __init__(self):
+        self.closed = False
+        self.connections = []
+
+    def connect(self, async_workers, **_kwargs):
+        self.connections.append(_FakeConnection())
+        return self.connections[-1]
+
+    def close(self):
+        self.closed = True
+
+
+class TestSweepSkeleton:
+    """The skeleton owns every store and connection it opens."""
+
+    def sweep(self, stores, second, **extra):
+        def build(profile, size, x):
+            stores.append(_FakeStore())
+            return stores[-1]
+
+        return Sweep(
+            "figX", "t", "x", "",
+            build=build,
+            inputs=lambda store, x, size: (x,),
+            grid=(1, 2),
+            variants=(Variant("first", lambda conn, x: x), Variant("second", second)),
             profile=INSTANT,
+            **extra,
         )
-        assert len(figure.xs()) == 2
-        assert len(figure.series) == 4
 
-    def test_fig12_smoke(self):
-        from repro.bench import figures
+    @pytest.mark.parametrize("fresh_store", [False, True])
+    def test_raising_kernel_still_closes_connection_and_store(self, fresh_store):
+        def second(conn, x):
+            if x == 2:
+                raise RuntimeError("mid-sweep failure")
+            return x
 
-        figure = figures.run_fig12(
-            iterations=(1, 11), threads=2, profile=INSTANT, parts=800
-        )
-        assert figure.xs() == [1, 11]
+        stores = []
+        with pytest.raises(RuntimeError, match="mid-sweep failure"):
+            run_sweep(self.sweep(stores, second, fresh_store=fresh_store))
+        assert stores and all(store.closed for store in stores)
+        connections = [c for store in stores for c in store.connections]
+        assert connections and all(c.closed for c in connections)
 
-    def test_fig14_smoke(self):
-        from repro.bench import figures
+    def test_mismatch_names_figure_variant_and_x(self):
+        stores = []
+        sweep = self.sweep(stores, lambda conn, x: x if x == 1 else -x)
+        with pytest.raises(AssertionError, match=r"figX.*'second'.*x=2"):
+            run_sweep(sweep)
+        assert stores[0].closed
 
-        figure = figures.run_fig14(totals=(10, 30), threads=2, profile=INSTANT)
-        assert figure.xs() == [10, 30]
 
-    def test_fig15_smoke(self):
-        from repro.bench import figures
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden_figures.json").read_text()
+)
 
-        figure = figures.run_fig15(threads_grid=(1, 2), iterations=20)
-        assert figure.xs() == [1, 2]
 
-    def test_table1_smoke(self):
-        from repro.bench import figures
+def _shape(result):
+    """What must not drift: series names and order, x grids and the
+    ``bench_json()`` key structure (``table1`` and ``ablation-reorder``
+    are deterministic, so their whole output)."""
+    if not isinstance(result, FigureData):
+        text, detail = result
+        return {"text": text, "detail": detail if isinstance(detail, dict) else None}
+    doc = result.bench_json()
+    return {
+        "figure_id": doc["figure_id"],
+        "x_label": doc["x_label"],
+        "keys": sorted(doc),
+        "series": [
+            {
+                "name": series["name"],
+                "xs": [point["x"] for point in series["points"]],
+                "keys": sorted(series),
+                "latency_keys": sorted(series.get("latency", {})),
+            }
+            for series in doc["series"]
+        ],
+    }
 
-        text, reports = figures.run_table1()
-        assert "Auction" in text
-        assert reports[0].transformed == 9
 
-    def test_transform_time_smoke(self):
-        from repro.bench import figures
+class TestFigureRunnersSmoke:
+    """Every registered figure at its ``figures.SMOKE`` size — the
+    sweeps' correctness checks, not timing — against
+    ``golden_figures.json``, captured from the hand-written runners these
+    descriptions replaced (the commit before the registry) at the same
+    parameters.  One case per figure id, generated below; method names
+    rather than parametrize ids so the cases that predate the registry
+    keep theirs."""
 
-        figure = figures.run_transform_time()
-        assert all(seconds < 1.0 for _x, seconds in figure.series[0].points)
+    def test_golden_covers_the_registry(self):
+        assert set(GOLDEN) == set(figures.REGISTRY)
+        assert set(figures.SMOKE) <= set(figures.REGISTRY)
 
-    def test_ablation_reorder_smoke(self):
-        from repro.bench import figures
 
-        _text, counts = figures.run_ablation_reorder()
-        assert counts["transformed_with_reorder"] > counts[
-            "transformed_without_reorder"
-        ]
+def _smoke_case(figure_id):
+    def case(self):
+        result = figures.run(figure_id, **figures.SMOKE.get(figure_id, {}))
+        assert _shape(result) == GOLDEN[figure_id]
+
+    return case
+
+
+for _figure_id in figures.REGISTRY:
+    setattr(
+        TestFigureRunnersSmoke,
+        f"test_{_figure_id.replace('-', '_')}_smoke",
+        _smoke_case(_figure_id),
+    )

@@ -11,14 +11,10 @@ import pytest
 from repro.db import Database, INSTANT, DatabaseError
 from repro.runtime.aio import (
     AioConnection,
-    AioExecutor,
     aio_connect,
     as_completed,
     for_each_completed,
 )
-from repro.runtime.aio import AioWebClient
-from repro.web.client import WebServiceClient
-from repro.workloads.moviegraph import build_service
 
 
 @pytest.fixture()
@@ -176,72 +172,6 @@ class TestCallbackModel:
                 return seen
 
         assert sorted(asyncio.run(main())) == ["row0", "row1", "row2"]
-
-
-class TestAioExecutor:
-    def test_rejects_zero_slots(self):
-        with pytest.raises(ValueError):
-            AioExecutor(max_in_flight=0)
-
-    def test_submit_after_close_rejected(self, db):
-        async def main():
-            executor = AioExecutor(2)
-            executor.close()
-            with pytest.raises(RuntimeError):
-                executor.submit(lambda: 1)
-
-        asyncio.run(main())
-
-    def test_in_flight_capped_by_pool(self):
-        """With one slot, tasks execute strictly one at a time."""
-        import threading
-
-        active = [0]
-        peak = [0]
-        gate = threading.Lock()
-
-        def work():
-            with gate:
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-            try:
-                import time
-
-                time.sleep(0.01)
-            finally:
-                with gate:
-                    active[0] -= 1
-            return True
-
-        async def main():
-            with AioExecutor(max_in_flight=1) as executor:
-                handles = [executor.submit(work) for _ in range(5)]
-                await asyncio.gather(*handles)
-
-        asyncio.run(main())
-        assert peak[0] == 1
-
-
-class TestAioWebClient:
-    def test_web_traversal(self):
-        service = build_service()
-        client = WebServiceClient(service, async_workers=1)
-
-        async def main():
-            aio = AioWebClient(client, max_in_flight=8)
-            try:
-                directors = (await aio.list_type("director"))[:3]
-                handles = [
-                    aio.submit_call("get_entity", director)
-                    for director in directors
-                ]
-                entities = await asyncio.gather(*handles)
-                return [e["id"] for e in entities], list(directors)
-            finally:
-                aio.close()
-
-        got, expected = asyncio.run(main())
-        assert got == expected
 
 
 class TestNoLoopMeansNoSideEffect:

@@ -9,8 +9,6 @@ round trip and no server work.
 
 from __future__ import annotations
 
-import re
-
 from conftest import run_once
 
 
@@ -50,9 +48,9 @@ def test_speculative_prefetch_hides_latency(benchmark):
     vs_blocking = figure.speedup("blocking", "speculative", top)
     assert vs_blocking is not None and vs_blocking > 1.0
     top_note = [note for note in figure.notes if note.startswith(f"{top} ")][0]
-    made, hits, wasted = map(int, re.findall(r"\d+", top_note)[1:])
-    assert hits + wasted == made, f"unsettled speculations leaked: {top_note}"
-    assert hits > 0, "speculation hit rate must be > 0"
+    # The figure itself asserts hits + wasted == speculations per point.
+    assert " hits / " in top_note and " speculations" in top_note
+    assert "hit-rate 0.00" not in top_note, "speculation hit rate must be > 0"
 
 
 def test_mixed_sync_aio_invalidation_under_load(benchmark):

@@ -1,25 +1,30 @@
 #!/usr/bin/env python3
 """Callback-model dashboard (paper Section II's alternative model).
 
-Aggregates per-region statistics with the *callback* coordination model:
-results are processed as they complete, on a single dispatcher thread,
-because the aggregation is small and order-insensitive — the exact
-situation the paper says the callback model suits.  Also demonstrates
-the cost model deciding whether the asynchronous rewrite is worth it.
+Aggregates per-region statistics with the *callback* coordination model
+(``repro.runtime.aio.for_each_completed``): results are processed as
+they complete, on the event-loop thread, because the aggregation is
+small and order-insensitive — the exact situation the paper says the
+callback model suits.  Also demonstrates the cost model deciding whether
+the asynchronous rewrite is worth it.
 
 Run:  python examples/callback_dashboard.py
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 from repro import Database, SYS1
-from repro.runtime import CallbackDispatcher
+from repro.runtime.aio import aio_connect, for_each_completed
 from repro.transform import breakeven_iterations, estimate_loop_cost
 
 REGIONS = 48
 USERS = 24_000
+# The region rides along in the row, so a completion-order callback
+# knows which total it holds.
+REGION_SQL = "SELECT max(region_id), count(*) FROM users WHERE region_id = ?"
 
 
 def build_database() -> Database:
@@ -33,6 +38,19 @@ def build_database() -> Database:
         ((i, i % REGIONS, (i * 7) % 11 - 5) for i in range(USERS)),
     )
     return db
+
+
+async def callback_model(db: Database) -> dict:
+    totals = {}
+
+    def record(result) -> None:
+        region, count = result[0]
+        totals[region] = count
+
+    with aio_connect(db, max_in_flight=10) as conn:
+        handles = [conn.submit_query(REGION_SQL, [region]) for region in range(REGIONS)]
+        await for_each_completed(handles, record)
+    return totals
 
 
 def main() -> None:
@@ -52,30 +70,14 @@ def main() -> None:
         started = time.perf_counter()
         totals = {}
         for region in range(REGIONS):
-            count = conn.execute_query(
-                "SELECT count(*) FROM users WHERE region_id = ?", [region]
-            ).scalar()
-            totals[region] = count
+            totals[region] = conn.execute_query(REGION_SQL, [region])[0][1]
         blocking_s = time.perf_counter() - started
     print(f"blocking loop:            {blocking_s * 1e3:7.1f}ms")
 
     # --- Callback-model version ----------------------------------------
-    with db.connect(async_workers=10) as conn:
-        started = time.perf_counter()
-        callback_totals = {}
-        with CallbackDispatcher() as dispatcher:
-            for region in range(REGIONS):
-                handle = conn.submit_query(
-                    "SELECT count(*) FROM users WHERE region_id = ?", [region]
-                )
-                dispatcher.register(
-                    handle,
-                    lambda result, region=region: callback_totals.__setitem__(
-                        region, result.scalar()
-                    ),
-                )
-            dispatcher.drain()
-        callback_s = time.perf_counter() - started
+    started = time.perf_counter()
+    callback_totals = asyncio.run(callback_model(db))
+    callback_s = time.perf_counter() - started
     print(f"callback model (async):   {callback_s * 1e3:7.1f}ms  "
           f"({blocking_s / callback_s:.1f}x)")
 

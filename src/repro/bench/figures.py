@@ -1,13 +1,18 @@
-"""Every paper figure as data over one sweep skeleton.
+"""Every paper figure in one registry: sweep descriptions and plain functions.
 
-Each timing figure is a :class:`~repro.bench.sweep.Sweep` description —
-store, inputs, grid, variants — run by
-:func:`~repro.bench.sweep.run_sweep`; the three that measure no store
-(``table1``, ``transform-time``, ``ablation-reorder``) are plain
-functions.  ``REGISTRY`` maps every figure id to one or the other and
-:func:`run` is the one entry point (``figures.run("fig08")``).  The
-per-figure index — paper figure, workload, variants, asserted shape,
-command — is the table in docs/ARCHITECTURE.md.
+A timing figure that is a grid x variants sweep over one store is a
+:class:`~repro.bench.sweep.Sweep` description — store, inputs, grid,
+variants — run by :func:`~repro.bench.sweep.run_sweep`.  The rest are
+plain functions: the three that measure no store (``table1``,
+``transform-time``, ``ablation-reorder``), the three whose protocol is
+not that sweep (``fig14`` inserts, so every run needs a new store;
+``fig15`` measures a web service; ``mixed-clients`` runs concurrent
+clients) and the three that add to a sweep's figure
+(``ablation-batching``, ``batched-dispatch``, ``costmodel``).
+``REGISTRY`` maps every figure id to one or the other and :func:`run` is
+the one entry point (``figures.run("fig08")``).  The per-figure index —
+paper figure, workload, variants, asserted shape, command — is the table
+in docs/ARCHITECTURE.md.
 
 Absolute times are scaled (our latencies are microsecond-scale
 stand-ins for the paper's 2011 testbed); the shapes — who wins, where
@@ -18,20 +23,20 @@ the crossover sits, where the thread plateau starts — are what the
 from __future__ import annotations
 
 import asyncio
+import functools
 import inspect
-import operator
 import textwrap
 import threading
 import time
 from collections import Counter
 from dataclasses import replace
-from functools import partial
 from typing import Any, Callable, Dict, Union
 
 from ..analysis.applicability import analyze_functions, format_table_one
 from ..client.batching import BatchExecutor
 from ..db.database import Database
 from ..db.latency import INSTANT, POSTGRES, SYS1
+from ..obs.metrics import MetricsRegistry
 from ..prefetch import ResultCache
 from ..runtime.aio import AioConnection
 from ..runtime.records import RecordTable
@@ -46,8 +51,8 @@ from ..transform.costmodel import (
 from ..web.client import WebServiceClient
 from ..web.service import WebLatency
 from ..workloads import category, forms, hotset, moviegraph, rubbos, rubis
-from .harness import FigureData, measure
-from .sweep import Sweep, Transformed, Variant, X, run_sweep
+from .harness import FigureData, full_mode, measure
+from .sweep import Sweep, Transformed, Variant, X, add_headline, run_sweep, scaled
 
 #: Paper thread grid for Figures 9/10/13.
 THREAD_GRID = (1, 2, 5, 10, 20, 30, 40, 50)
@@ -190,66 +195,81 @@ FIG13 = Sweep(
     headline=("trans", "orig"),
 )
 
-# Every run inserts into a new store; the transformed program must
-# report the original's count AND leave the same rows behind.
-FIG14 = Sweep(
-    "fig14",
-    "Forms range expansion vs iterations ({profile}, {threads} threads)",
-    "forms inserted",
-    "Fig. 14: 73s -> 1.1s at 100k inserts (99.1 crossover line); "
-    "cache-state independent",
-    build=lambda profile, size, x: forms.build_database(profile),
-    inputs=lambda db, x, size: (forms.issue_batch(x),),
-    grid=(10, 100, 1000, 10000),
-    full_grid=(10, 100, 1000, 10000, 100000),
-    variants=(
-        Variant("orig", forms.expand_form_ranges, cache=None),
-        Variant(
-            "trans",
-            Transformed(forms.expand_form_ranges, registry=forms.commuting_registry()),
-            cache=None,
-        ),
-    ),
-    threads=30,
-    fresh_store=True,
-    observe=forms.loaded_form_count,
-    headline=("trans", "orig"),
-)
 
-FIG15 = Sweep(
-    "fig15",
-    "Web-service traversal vs threads ({profile}, {size} iterations)",
-    "threads",
-    "Fig. 15: ~170s -> ~20s from 1 to 25 threads on Freebase",
-    build=lambda latency, size, x: moviegraph.build_service(
+def fig14(grid=None, threads=30, profile=SYS1) -> FigureData:
+    """Figure 14: INSERT expansion vs number of forms inserted.  Every
+    run inserts, so every run gets a new store; the transformed program
+    must report the original's count AND leave the same rows behind."""
+    if grid is None:
+        grid = (10, 100, 1000, 10000) + ((100000,) if full_mode() else ())
+    profile = scaled(profile)
+    figure = FigureData(
+        "fig14",
+        f"Forms range expansion vs iterations ({profile.name}, {threads} threads)",
+        "forms inserted",
+        paper_reference="Fig. 14: 73s -> 1.1s at 100k inserts (99.1 crossover "
+        "line); cache-state independent",
+    )
+    kernels = {
+        "orig": forms.expand_form_ranges,
+        "trans": asyncify(forms.expand_form_ranges, registry=forms.commuting_registry()),
+    }
+    for name, kernel in kernels.items():
+        series = figure.new_series(name)
+        for total in grid:
+            issues = forms.issue_batch(total)
+            with forms.build_database(profile) as db:
+
+                def once():
+                    with db.connect(async_workers=threads) as connection:
+                        return kernel(connection, issues)
+
+                inserted, seconds = measure(once)
+                assert inserted == forms.loaded_form_count(db) == total
+            series.add(total, seconds)
+    add_headline(figure, "trans", "orig")
+    return figure
+
+
+def fig15(grid=(1, 2, 5, 10, 15, 20, 25), size=240, profile=WebLatency()) -> FigureData:
+    """Figure 15: web-service traversal vs threads (``size`` requests).
+    The blocking original is measured once and drawn flat."""
+    latency = scaled(profile)
+    figure = FigureData(
+        "fig15",
+        f"Web-service traversal vs threads ({latency.name}, {size} iterations)",
+        "threads",
+        paper_reference="Fig. 15: ~170s -> ~20s from 1 to 25 threads on Freebase",
+    )
+    rewritten = asyncify(moviegraph.collect_filmographies)
+    service = moviegraph.build_service(
         latency, directors=max(1, size // 20), actors_per_director=20
-    ),
-    # One listing request: a service error surfaces here instead of
-    # silently truncating the batch.
-    inputs=lambda service, x, size: (
-        service.submit_request("list_type", "actor").result()[:size],
-    ),
-    grid=(1, 2, 5, 10, 15, 20, 25),
-    variants=(
-        Variant("orig", moviegraph.collect_filmographies, threads=1, cache=None,
-                flat=True),
-        Variant("trans", Transformed(moviegraph.collect_filmographies), threads=X,
-                cache=None),
-    ),
-    profile=WebLatency(),
-    size=240,
-    headline=("trans", "orig"),
-    open=lambda service, workers: WebServiceClient(service, async_workers=workers),
-    close=operator.methodcaller("shutdown"),
-)
+    )
+
+    def run(kernel, workers):
+        with WebServiceClient(service, async_workers=workers) as client:
+            return kernel(client, actors)
+
+    try:
+        # One listing request: a service error surfaces here instead of
+        # silently truncating the batch.
+        actors = service.submit_request("list_type", "actor").result()[:size]
+        base, base_s = measure(lambda: run(moviegraph.collect_filmographies, 1))
+        orig, trans = figure.new_series("orig"), figure.new_series("trans")
+        for threads in grid:
+            fast, fast_s = measure(lambda: run(rewritten, threads))
+            assert fast == base, f"fig15: 'trans' changed the result at x={threads}"
+            orig.add(threads, base_s)
+            trans.add(threads, fast_s)
+    finally:
+        service.shutdown()
+    add_headline(figure, "trans", "orig")
+    return figure
 
 
 # ----------------------------------------------------------------------
 # Prefetch + result cache, speculation, mixed runtimes (beyond the paper)
 # ----------------------------------------------------------------------
-
-_FRESH_CACHE = {"result_cache": lambda: ResultCache(capacity=512)}
-
 
 def _stats_note(variant, section, template):
     """One note per point from one variant's connection counters."""
@@ -288,7 +308,10 @@ PREFETCH_CACHE = Sweep(
     variants=(
         Variant("blocking", hotset.load_profiles),
         Variant("async", PROFILES_ASYNC),
-        Variant("prefetch+cache", PROFILES_ASYNC, connect=_FRESH_CACHE),
+        Variant(
+            "prefetch+cache", PROFILES_ASYNC,
+            connect={"result_cache": lambda: ResultCache(capacity=512)},
+        ),
     ),
     latencies=True,
     headline=("prefetch+cache", "blocking", "async"),
@@ -305,13 +328,36 @@ def _cards(card):
     return lambda conn, ids: [card(conn, uid) for uid in ids]
 
 
+@functools.lru_cache(maxsize=None)
+def _speculative_card(profile):
+    # The cost model is fed the run's latencies and the ~91% population
+    # estimate (the skewed batch realizes ~0.7-0.8).
+    policy = SpeculationPolicy(
+        profile=profile, hit_probability=hotset.DETAIL_HIT_PROBABILITY
+    )
+    return asyncify(
+        hotset.profile_card, prefetch=True, speculate=True, speculation=policy
+    )
+
+
+def _speculation_note(x, stats):
+    # Read after close: the drain has settled every speculation of the
+    # measured batch as a hit or a waste.
+    counters = stats["speculative"]["submission"]
+    made, hits = counters["speculations"], counters["speculation_hits"]
+    wasted = counters["speculation_wasted"]
+    assert hits + wasted == made, f"unsettled speculations leaked: {counters}"
+    return (
+        f"{x} iterations: {made} speculations, {hits} hits / {wasted} wasted "
+        f"(hit-rate {hits / made if made else 0.0:.2f})"
+    )
+
+
 # The card kernel's detail lookup is guarded by the *first query's
 # result*, so the guarded hoist cannot start it early and a detailed card
 # pays two sequential round trips.  The speculative variant issues it
-# unguarded (the cost model is fed the ~91% population estimate; the
-# skewed batch realizes ~0.7-0.8) and abandons the handle for low-rated
-# sellers.  The counters are read after close, when the drain has
-# settled every speculation of the measured batch as a hit or a waste.
+# unguarded and abandons the handle for low-rated sellers.  Both wrapped
+# kernels transform in their warm-up run.
 SPECULATIVE_PREFETCH = Sweep(
     "speculative-prefetch",
     "Hot-set profile cards, speculative detail reads ({profile}, "
@@ -328,102 +374,93 @@ SPECULATIVE_PREFETCH = Sweep(
         Variant("guarded", _cards(Transformed(hotset.profile_card, prefetch=True))),
         Variant(
             "speculative",
-            _cards(
-                Transformed(
-                    hotset.profile_card, prefetch=True, speculate=True,
-                    speculation=SpeculationPolicy(
-                        profile=SYS1, hit_probability=hotset.DETAIL_HIT_PROBABILITY
-                    ),
-                )
-            ),
+            lambda conn, ids: _cards(_speculative_card(conn.server.profile))(conn, ids),
         ),
     ),
     headline=("speculative", "guarded", "blocking"),
-    note=_stats_note(
-        "speculative", "submission",
-        "{x} iterations: {speculations} speculations, {speculation_hits} hits / "
-        "{speculation_wasted} wasted",
-    ),
+    note=_speculation_note,
 )
 
 
-def _churn_phase(figure, store, grid, threads, profile, size):
-    """The ``mixed+writer`` series: a sync and an asyncio client read
-    through ONE shared cache while a cache-less writer keeps bumping
-    hot-set ratings.  Server-side invalidation must keep every cached
-    read fresh, which is checked once the churn settles.  Concurrent
-    clients are not a grid x variants sweep, so this opens its own
-    connections."""
-    series = figure.new_series("mixed+writer")
-    for count in grid:
-        (ids,) = _skewed_ids(store, count, size)
-        hot = [uid for uid, _ in Counter(ids).most_common(16)]
-        cache = ResultCache(capacity=512)
-        sync_conn = store.connect(async_workers=threads, result_cache=cache)
-        aio_conn = store.connect(async_workers=threads, result_cache=cache)
-        writer = store.connect(async_workers=1)  # cache-less
-        stop = threading.Event()
+def mixed_clients(grid=None, threads=10, profile=SYS1) -> FigureData:
+    """A sync and an asyncio client over ONE shared cache (either
+    client's fill is the other's hit), then both reading concurrently
+    while a cache-less writer keeps bumping hot-set ratings: server-side
+    invalidation must keep every cached read fresh, which is checked
+    once the churn settles.  Concurrent clients on shared connections
+    are not a grid x variants sweep."""
+    if grid is None:
+        grid = (200, 1000, 4000) if full_mode() else (200, 1000, 2000)
+    profile = scaled(profile)
+    figure = FigureData(
+        "mixed-clients",
+        f"Mixed sync+aio clients, shared cache ({profile.name}, {threads} "
+        "threads, 16 hot users)",
+        "iterations",
+        paper_reference="beyond the paper: cross-connection invalidation "
+        "correctness under mixed-runtime load",
+    )
+    series = {
+        name: figure.new_series(name)
+        for name in ("sync+cache", "aio+cache", "mixed+writer")
+    }
+    with hotset.build_database(profile) as db:
+        for count in grid:
+            ids = hotset.skewed_user_batch(db, count)
+            hot = [uid for uid, _ in Counter(ids).most_common(16)]
+            cache = ResultCache(capacity=512)
+            sync_conn = db.connect(async_workers=threads, result_cache=cache)
+            aio_conn = db.connect(async_workers=threads, result_cache=cache)
+            writer = db.connect(async_workers=1)  # cache-less
+            stop = threading.Event()
 
-        def churn():
-            bump = 0
-            while not stop.is_set():
-                bump += 1
-                for uid in hot:
-                    writer.execute_update(hotset.RATING_UPDATE_SQL, [bump % 5, uid])
+            def churn():
+                bump = 0
+                while not stop.is_set():
+                    bump += 1
+                    for uid in hot:
+                        writer.execute_update(hotset.RATING_UPDATE_SQL, [bump % 5, uid])
 
-        def mixed():
-            writing = threading.Thread(target=churn)
-            reading = threading.Thread(
-                target=hotset.load_profiles, args=(sync_conn, ids)
-            )
-            writing.start()
-            reading.start()
+            def mixed():
+                writing = threading.Thread(target=churn)
+                reading = threading.Thread(
+                    target=hotset.load_profiles, args=(sync_conn, ids)
+                )
+                writing.start()
+                reading.start()
+                try:
+                    return _aio_profiles(aio_conn, ids)
+                finally:
+                    reading.join()
+                    stop.set()
+                    writing.join()
+
             try:
-                return _aio_profiles(aio_conn, ids)
-            finally:
-                reading.join()
-                stop.set()
-                writing.join()
-
-        try:
-            hotset.load_profiles(sync_conn, ids)  # warm + fill
-            series.add(count, measure(mixed)[1])
-            for uid in hot:
-                fresh = writer.execute_query(hotset.PROFILE_SQL, [uid])
-                cached = sync_conn.execute_query(hotset.PROFILE_SQL, [uid])
-                if cached[0][1] != fresh[0][1]:
-                    raise AssertionError(
+                base = hotset.load_profiles(sync_conn, ids)  # warm + fill
+                got, seconds = measure(lambda: hotset.load_profiles(sync_conn, ids))
+                assert got == base
+                series["sync+cache"].add(count, seconds)
+                got, seconds = measure(lambda: _aio_profiles(aio_conn, ids))
+                assert got == base, "shared cache must serve both runtimes"
+                series["aio+cache"].add(count, seconds)
+                series["mixed+writer"].add(count, measure(mixed)[1])
+                for uid in hot:
+                    fresh = writer.execute_query(hotset.PROFILE_SQL, [uid])
+                    cached = sync_conn.execute_query(hotset.PROFILE_SQL, [uid])
+                    assert cached[0][1] == fresh[0][1], (
                         f"stale cached rating for user {uid}: "
                         f"{cached[0][1]} != {fresh[0][1]}"
                     )
-        finally:
-            for connection in (sync_conn, aio_conn, writer):
-                connection.close()
-        figure.notes.append(
-            "{x} iterations: hit-rate {hit_rate:.2f}, {invalidations} "
-            "invalidations under churn; fresh-read check ok".format(
-                x=count, **cache.stats_snapshot()
+            finally:
+                for connection in (sync_conn, aio_conn, writer):
+                    connection.close()
+            figure.notes.append(
+                "{x} iterations: hit-rate {hit_rate:.2f}, {invalidations} "
+                "invalidations under churn; fresh-read check ok".format(
+                    x=count, **cache.stats_snapshot()
+                )
             )
-        )
-
-
-MIXED_CLIENTS = Sweep(
-    "mixed-clients",
-    "Mixed sync+aio clients, shared cache ({profile}, {threads} threads, "
-    "16 hot users)",
-    "iterations",
-    "beyond the paper: cross-connection invalidation correctness under "
-    "mixed-runtime load",
-    build=_hotset,
-    inputs=_skewed_ids,
-    grid=(200, 1000, 2000),
-    full_grid=(200, 1000, 4000),
-    variants=(
-        Variant("sync+cache", hotset.load_profiles, connect=_FRESH_CACHE),
-        Variant("aio+cache", _aio_profiles, connect=_FRESH_CACHE),
-    ),
-    epilogue=_churn_phase,
-)
+    return figure
 
 
 # ----------------------------------------------------------------------
@@ -516,7 +553,7 @@ ABLATION_SERVER = Sweep(
     ),
     threads=20,
     size=30_000,
-    fresh_store=True,
+    store_per_point=True,
 )
 
 ABLATION_WINDOW = Sweep(
@@ -590,7 +627,7 @@ ABLATION_SPILL = Sweep(
     "Discussion: materialize part of the table to disk",
     build=_rubis,
     inputs=lambda db, x, size: (
-        partial(SpillableRecordTable, max_resident=x) if x else RecordTable,
+        functools.partial(SpillableRecordTable, max_resident=x) if x else RecordTable,
         rubis.comment_batch(db, size),
     ),
     grid=(0, 64, 256, 1024),
@@ -643,6 +680,31 @@ def _client_work(weight):
     return work
 
 
+def _with_statement_cost(build, cpu_fixed_s):
+    """``build``'s store with a heavier fixed server cost per statement
+    (set after ``REPRO_BENCH_SCALE``, so it does not scale) and the
+    ``users`` table warm: these sweeps run every variant on the store as
+    it is, with no warm-up run."""
+
+    def heavier(profile, size, x):
+        db = build(replace(profile, cpu_fixed_s=cpu_fixed_s), size, x)
+        db.warm_table("users")
+        return db
+
+    return heavier
+
+
+def _on_one_axis(figure: FigureData) -> FigureData:
+    """Redraw one series per discipline as the single ``time`` series,
+    discipline ``i`` of grid point ``x`` at ``x + i``."""
+    disciplines, figure.series = figure.series, []
+    time_series = figure.new_series("time")
+    for points in zip(*(series.points for series in disciplines)):
+        for index, (x, seconds) in enumerate(points):
+            time_series.add(x + index, seconds)
+    return figure
+
+
 # Light (x=0..3) and heavy (x=10..13) per-iteration client work on a
 # 4 ms analytical query: batching blocks the client for the whole
 # server-side batch, asynchronous submission overlaps it.
@@ -652,65 +714,36 @@ ABLATION_BATCHING = Sweep(
     "x = regime*10 + discipline (0=blk 1=batch 2=async 3=set)",
     "Intro: batching saves round trips; async also overlaps client "
     "computation; set-oriented batching collapses the batch to one statement",
-    build=_rubis,
+    build=_with_statement_cost(_rubis, 4e-3),
     inputs=lambda db, x, size: (
         rubis.comment_batch(db, size), _client_work(320 if x else 2)
     ),
     grid=(0, 10),
     variants=(
-        Variant("blocking", _then_work(AUTHORS), threads=1, plot=("time", 0)),
-        Variant("batched", _then_work(_fanout_batch), threads=1, plot=("time", 1)),
-        Variant("async", _overlapping_work, plot=("time", 2)),
-        Variant("set", _then_work(_set_batch), threads=1, plot=("time", 3)),
+        Variant("blocking", _then_work(AUTHORS), threads=1, cache=None),
+        Variant("batched", _then_work(_fanout_batch), threads=1, cache=None),
+        Variant("async", _overlapping_work, cache=None),
+        Variant("set", _then_work(_set_batch), threads=1, cache=None),
     ),
-    profile=replace(SYS1, cpu_fixed_s=4e-3),
     threads=20,
     size=2000,
 )
 
-SCAN_SQL = (
-    "SELECT count(*), sum(value), max(value) FROM events "
-    "WHERE kind = ? AND value >= ?"
-)
+
+def ablation_batching(**overrides) -> FigureData:
+    return _on_one_axis(run_sweep(ABLATION_BATCHING, **overrides))
 
 
-def _events(profile, size, x):
-    db = Database(profile)
-    db.create_table("events", ("event_id", "int"), ("kind", "int"), ("value", "float"))
-    db.bulk_load("events", [(i, i % 7, float(i % 100) / 3.0) for i in range(40 * size)])
-    return db
-
-
-# A scan-bound aggregate loop rides along batched-dispatch at x=3: no
-# usable index and no simulated latency, so the figure's JSON keeps
-# percentiles of pure executor work (gated by perfbench's ``scan_agg``).
-SCAN_POINT = Sweep(
-    "batched-dispatch",
-    "scan-bound aggregates",
-    "x",
-    "",
-    build=_events,
-    inputs=lambda db, x, size: (size // 10,),
-    grid=(3,),
-    variants=(
-        Variant(
-            "scan:columnar",
-            lambda conn, queries: [
-                conn.execute_query(SCAN_SQL, [q % 7, float(q % 11)])
-                for q in range(queries)
-            ],
-            cache=None,
-        ),
-    ),
-    profile=INSTANT,
-    latencies=True,
-)
-
-
-def _add_scan_point(figure, size, **_context):
-    scan = run_sweep(SCAN_POINT, size=size)
-    figure.series += scan.series
-    figure.op_latencies.update(scan.op_latencies)
+def _coalesce_note(x, stats):
+    counters = stats["async+coalesce"]["submission"]
+    assert counters["coalesced_batches"] > 0, (
+        "the skewed lookup loop must outrun the executor and form at least "
+        "one batch"
+    )
+    return (
+        "coalesced: {coalesced_batches} batches carried {coalesced_queries} "
+        "queries, {round_trips_saved} round trips saved".format(**counters)
+    )
 
 
 # Hotset point lookups, x = discipline.  The per-statement fixed server
@@ -721,44 +754,49 @@ BATCHED_DISPATCH = Sweep(
     "x = discipline (0=blocking 1=async 2=async+coalesce 3=scan)",
     "Intro: batching vs async — upgraded to a hybrid that batches whatever "
     "is outstanding behind the executor",
-    build=_hotset,
+    build=_with_statement_cost(_hotset, 2.5e-3),
     inputs=lambda db, x, size: (hotset.skewed_user_batch(db, size),),
     grid=(0,),
     variants=(
-        Variant("blocking", hotset.load_profiles, threads=1, plot=("time", 0)),
-        Variant("async", PROFILES_ASYNC, plot=("time", 1)),
+        Variant("blocking", hotset.load_profiles, threads=1, cache=None),
+        Variant("async", PROFILES_ASYNC, cache=None),
         Variant(
-            "async+coalesce", PROFILES_ASYNC, plot=("time", 2),
+            "async+coalesce", PROFILES_ASYNC, cache=None,
             connect={"coalesce": True, "coalesce_window": 32},
         ),
     ),
-    profile=replace(SYS1, cpu_fixed_s=2.5e-3),
     threads=20,
     size=300,
     latencies=True,
-    note=_stats_note(
-        "async+coalesce", "submission",
-        "coalesced: {coalesced_batches} batches carried {coalesced_queries} "
-        "queries, {round_trips_saved} round trips saved",
-    ),
-    epilogue=_add_scan_point,
+    note=_coalesce_note,
+)
+
+SCAN_SQL = (
+    "SELECT count(*), sum(value), max(value) FROM events "
+    "WHERE kind = ? AND value >= ?"
 )
 
 
-def _add_predictions(figure, grid, threads, profile, **_context):
-    orig = figure.new_series("predicted-orig")
-    trans = figure.new_series("predicted-trans")
-    for iterations in grid:
-        estimate = estimate_loop_cost(
-            profile, iterations, threads=threads, server_time_s=60e-6
-        )
-        orig.add(iterations, estimate.blocking_s)
-        trans.add(iterations, estimate.async_s)
-    figure.notes += [
-        f"predicted break-even: {breakeven_iterations(profile, threads=threads)} "
-        "iterations",
-        f"recommended threads for 4000 iterations: {recommend_threads(profile, 4000)}",
-    ]
+def batched_dispatch(threads=20, size=300) -> FigureData:
+    """The dispatch sweep plus, at x=3, a scan-bound aggregate loop
+    (``size // 10`` scans of ``40 * size`` rows): no usable index and no
+    simulated latency, so the figure's JSON keeps percentiles of pure
+    executor work (gated by perfbench's ``scan_agg``)."""
+    figure = _on_one_axis(run_sweep(BATCHED_DISPATCH, threads=threads, size=size))
+    registry = MetricsRegistry()
+    with Database(INSTANT) as db:
+        db.create_table("events", ("event_id", "int"), ("kind", "int"), ("value", "float"))
+        db.bulk_load("events", [(i, i % 7, float(i % 100) / 3.0) for i in range(40 * size)])
+        with db.connect(metrics=registry) as conn:
+            _rows, seconds = measure(
+                lambda: [
+                    conn.execute_query(SCAN_SQL, [q % 7, float(q % 11)])
+                    for q in range(size // 10)
+                ]
+            )
+    figure.absorb_latencies("scan:columnar", registry)
+    figure.new_series("scan:columnar").add(3, seconds)
+    return figure
 
 
 COSTMODEL = Sweep(
@@ -773,32 +811,61 @@ COSTMODEL = Sweep(
         Variant("measured-orig", AUTHORS),
         Variant("measured-trans", AUTHORS_ASYNC),
     ),
-    epilogue=_add_predictions,
 )
+
+
+def costmodel(grid=None, threads=10, profile=SYS1) -> FigureData:
+    """The measured sweep next to the analytic estimates for the same
+    profile, threads and grid."""
+    figure = run_sweep(COSTMODEL, grid=grid, threads=threads, profile=profile)
+    profile = scaled(profile)
+    orig = figure.new_series("predicted-orig")
+    trans = figure.new_series("predicted-trans")
+    for iterations in figure.xs():
+        estimate = estimate_loop_cost(
+            profile, iterations, threads=threads, server_time_s=60e-6
+        )
+        orig.add(iterations, estimate.blocking_s)
+        trans.add(iterations, estimate.async_s)
+    figure.notes += [
+        f"predicted break-even: {breakeven_iterations(profile, threads=threads)} "
+        "iterations",
+        f"recommended threads for 4000 iterations: {recommend_threads(profile, 4000)}",
+    ]
+    return figure
 
 
 # ----------------------------------------------------------------------
 # The registry and the one entry point
 # ----------------------------------------------------------------------
 
-#: figure id -> its :class:`Sweep` description or, for the three figures
-#: that measure no store, the function that produces the result.
-REGISTRY: Dict[str, Union[Sweep, Callable[[], Any]]] = {
+#: figure id -> its :class:`Sweep` description or the plain function
+#: that produces the result.
+REGISTRY: Dict[str, Union[Sweep, Callable[..., Any]]] = {
+    "fig08": FIG08,
+    "fig09": FIG09,
+    "fig10": FIG10,
+    "fig11": FIG11,
+    "fig12": FIG12,
+    "fig13": FIG13,
+    "fig14": fig14,
+    "fig15": fig15,
     "table1": table1,
     "transform-time": transform_time,
+    "prefetch-cache": PREFETCH_CACHE,
+    "speculative-prefetch": SPECULATIVE_PREFETCH,
+    "mixed-clients": mixed_clients,
     "ablation-reorder": ablation_reorder,
-    **{
-        sweep.figure_id: sweep
-        for sweep in (
-            FIG08, FIG09, FIG10, FIG11, FIG12, FIG13, FIG14, FIG15,
-            PREFETCH_CACHE, SPECULATIVE_PREFETCH, MIXED_CLIENTS,
-            ABLATION_SERVER, ABLATION_WINDOW, ABLATION_AIO, ABLATION_SPILL,
-            ABLATION_BATCHING, BATCHED_DISPATCH, COSTMODEL,
-        )
-    },
+    "ablation-server": ABLATION_SERVER,
+    "ablation-window": ABLATION_WINDOW,
+    "ablation-aio": ABLATION_AIO,
+    "ablation-spill": ABLATION_SPILL,
+    "ablation-batching": ablation_batching,
+    "batched-dispatch": batched_dispatch,
+    "costmodel": costmodel,
 }
 
-#: Overrides under which every sweep still runs each variant end to end
+#: Overrides under which every figure still runs each variant end to end
 #: in well under a second (tier-1 smoke, CI artifact loop).
 SMOKE: Dict[str, Dict[str, Any]] = {
     "fig08": dict(grid=(2, 4), threads=2, profile=INSTANT),
@@ -825,10 +892,10 @@ SMOKE: Dict[str, Dict[str, Any]] = {
 def run(figure_id: str, **overrides: Any):
     """Run one registered figure.
 
-    ``overrides`` — ``grid``, ``threads``, ``profile``, ``size`` — apply
-    to sweeps only; everything else about a figure is its description.
-    Returns a :class:`FigureData` (``table1`` and ``ablation-reorder``
-    return ``(text, detail)``).
+    ``overrides`` — ``grid``, ``threads``, ``profile``, ``size`` — are
+    what a sweep takes; a plain function takes those of them that mean
+    something for it.  Returns a :class:`FigureData` (``table1`` and
+    ``ablation-reorder`` return ``(text, detail)``).
     """
     entry = REGISTRY[figure_id]
     if isinstance(entry, Sweep):

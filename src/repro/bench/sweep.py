@@ -1,4 +1,4 @@
-"""The one sweep skeleton behind every timing figure.
+"""The one sweep skeleton behind the timing figures.
 
 The paper's evaluation is one experiment repeated: build a workload
 store, walk a grid of iterations or threads, run the original kernel and
@@ -6,12 +6,12 @@ the ``asyncify``-ed kernel warm or cold, check they agree, plot seconds.
 :func:`run_sweep` is that experiment; a :class:`Sweep` describes one
 figure's store, inputs, grid and :class:`Variant` list
 (:mod:`repro.bench.figures` holds the descriptions).  Only the skeleton
-opens and closes stores and connections.
+opens and closes the stores and connections of a sweep.
 """
 
 from __future__ import annotations
 
-import operator
+import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -29,8 +29,7 @@ _UNSET = object()
 class Transformed:
     """``asyncify(kernel, **options)``, built on first use, so importing
     a module of descriptions transforms nothing.  The skeleton builds
-    a variant's kernel before the sweep starts; one wrapped in another
-    callable builds in that variant's warm-up run."""
+    every variant's kernel before the sweep starts."""
 
     def __init__(self, kernel: Callable[..., Any], **options: Any) -> None:
         self.kernel, self.options, self._built = kernel, options, None
@@ -56,8 +55,7 @@ class Variant:
     ``ResultCache``.  ``points`` slices the grid this variant runs on
     (default: all of it); ``flat`` measures at the first point only and
     plots a flat line (the blocking original on a thread axis, as the
-    paper draws it); ``plot=(series, offset)`` plots into a shared series
-    at ``x + offset``.
+    paper draws it).
     """
 
     name: str
@@ -67,11 +65,6 @@ class Variant:
     connect: Mapping[str, Any] = field(default_factory=dict)
     points: Optional[slice] = None
     flat: bool = False
-    plot: Optional[Tuple[str, float]] = None
-
-
-def _db_connect(db, workers, **kwargs):
-    return db.connect(async_workers=workers, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -79,22 +72,20 @@ class Sweep:
     """One figure: a store, an input maker, a grid and its variants.
 
     ``title`` is formatted with ``{profile}``, ``{threads}``, ``{size}``.
-    ``build(profile, size, x) -> store`` (``x`` is None unless
-    ``fresh_store``, which builds a new store for every measured run);
-    ``inputs(store, x, size) -> tuple`` makes the kernel arguments, which
-    kernels only read.  ``size`` is the figure's one scale number: the
-    dataset size where the builder takes one, else the iterations behind
-    every grid point; ``full_grid``/``full_size`` replace ``grid``/
-    ``size`` under ``REPRO_BENCH_FULL``.  Every variant must return the
-    value of ``oracle`` (an unplotted blocking kernel) or, without one,
-    of the first variant; ``observe(store)`` adds the state a run left
-    behind to that value.  ``latencies`` attaches a ``MetricsRegistry``
-    per variant and absorbs its histograms.  ``headline=(improved,
-    *bases)`` adds the speed-up note at the top of the grid,
-    ``note(x, stats)`` one note per point from ``{variant:
-    connection.stats_snapshot()}`` taken after close, and
-    ``epilogue(figure, store=, grid=, threads=, profile=, size=)`` runs
-    while the sweep-wide store is still open.
+    ``build(profile, size, x) -> store`` runs once, at the first grid
+    point, or at every point under ``store_per_point`` (``x`` picks a
+    store configuration); ``inputs(store, x, size) -> tuple`` makes the
+    kernel arguments, which kernels only read.  ``size`` is the
+    figure's one scale number: the dataset size where the builder takes
+    one, else the iterations behind every grid point; ``full_grid``/
+    ``full_size`` replace ``grid``/``size`` under ``REPRO_BENCH_FULL``.
+    Every variant must return the first variant's value — or that of
+    ``oracle``, an unplotted blocking kernel run once, for sweeps whose
+    result does not change with ``x``.  ``latencies`` attaches a
+    ``MetricsRegistry`` per variant and absorbs its histograms.
+    ``headline=(improved, *bases)`` adds the speed-up note at the top of
+    the grid and ``note(x, stats)`` one note per point from ``{variant:
+    connection.stats_snapshot()}`` taken after close.
     """
 
     figure_id: str
@@ -111,14 +102,26 @@ class Sweep:
     size: Optional[int] = None
     full_size: Optional[int] = None
     oracle: Optional[Callable[..., Any]] = None
-    fresh_store: bool = False
-    observe: Optional[Callable[[Any], Any]] = None
+    store_per_point: bool = False
     latencies: bool = False
     headline: Tuple[str, ...] = ()
     note: Optional[Callable[[Any, Dict[str, dict]], str]] = None
-    epilogue: Optional[Callable[..., None]] = None
-    open: Callable[..., Any] = _db_connect
-    close: Callable[[Any], None] = operator.methodcaller("close")
+
+
+def scaled(profile):
+    """``profile`` under ``REPRO_BENCH_SCALE``."""
+    return profile if bench_scale() == 1.0 else profile.scaled(bench_scale())
+
+
+def add_headline(figure: FigureData, improved: str, *bases: str) -> None:
+    """The ``speedup at <top> <x_label>: N.NNx over <base>…`` note."""
+    top = max(figure.xs())
+    gains = [figure.speedup(base, improved, top) for base in bases]
+    if all(gains):
+        figure.notes.append(
+            f"speedup at {top} {figure.x_label}: "
+            + ", ".join(f"{gain:.2f}x over {base}" for gain, base in zip(gains, bases))
+        )
 
 
 def _run_variant(sweep, variant, store, args, workers, figure):
@@ -136,7 +139,7 @@ def _run_variant(sweep, variant, store, args, workers, figure):
         kwargs["metrics"] = registry
 
     def once():
-        connection = sweep.open(store, workers, **kwargs)
+        connection = store.connect(async_workers=workers, **kwargs)
         try:
             return variant.kernel(connection, *args), connection
         finally:
@@ -155,8 +158,6 @@ def _run_variant(sweep, variant, store, args, workers, figure):
     (value, connection), seconds = measure(once)
     if registry is not None:
         figure.absorb_latencies(variant.name, registry)
-    if sweep.observe is not None:
-        value = (value, sweep.observe(store))
     stats = connection.stats_snapshot() if sweep.note is not None else {}
     return value, seconds, stats
 
@@ -171,56 +172,46 @@ def run_sweep(
     at every grid point, and adds the points and notes.
     """
     full = full_mode()
-    if grid is None:
-        grid = sweep.full_grid if full and sweep.full_grid else sweep.grid
-    if size is None:
-        size = sweep.full_size if full and sweep.full_size else sweep.size
-    grid = tuple(grid)
-    threads = sweep.threads if threads is None else threads
-    profile = sweep.profile if profile is None else profile
-    if bench_scale() != 1.0:
-        profile = profile.scaled(bench_scale())
+    grid = tuple(grid or (full and sweep.full_grid) or sweep.grid)
+    size = size or (full and sweep.full_size) or sweep.size
+    threads = threads or sweep.threads
+    profile = scaled(profile or sweep.profile)
     figure = FigureData(
         figure_id=sweep.figure_id,
         title=sweep.title.format(profile=profile.name, threads=threads, size=size),
         x_label=sweep.x_label,
         paper_reference=sweep.paper_reference,
     )
-    series = {}
-    for variant in sweep.variants:
-        name = variant.plot[0] if variant.plot else variant.name
-        series[variant.name] = figure._series(name) or figure.new_series(name)
+    variants = tuple(sweep.variants)
+    series = {variant.name: figure.new_series(variant.name) for variant in variants}
+    for variant in variants:
         if isinstance(variant.kernel, Transformed):
             variant.kernel.build()  # off the clock
-    variants = tuple(sweep.variants)
     if sweep.oracle is not None:
-        variants = (Variant("oracle", sweep.oracle, threads=1, cache=None),) + variants
+        oracle = Variant("oracle", sweep.oracle, threads=1, cache=None, flat=True)
+        variants = (oracle,) + variants
     flat: Dict[str, tuple] = {}
-    shared = None if sweep.fresh_store else sweep.build(profile, size, None)
-    try:
+    with contextlib.ExitStack() as stores:
+        store = None
         for x in grid:
+            if store is None or sweep.store_per_point:
+                stores.close()
+                store = sweep.build(profile, size, x)
+                stores.callback(store.close)
+            args = sweep.inputs(store, x, size)
             expected = _UNSET
             stats = {}
-            args = None if shared is None else sweep.inputs(shared, x, size)
             for variant in variants:
                 if variant.points is not None and x not in grid[variant.points]:
                     continue
                 if variant.name in flat:
                     outcome = flat[variant.name]
                 else:
-                    store = shared
-                    if store is None:
-                        store = sweep.build(profile, size, x)
-                    try:
-                        workers = variant.threads or threads
-                        outcome = _run_variant(
-                            sweep, variant, store,
-                            sweep.inputs(store, x, size) if args is None else args,
-                            x if workers == X else workers, figure,
-                        )
-                    finally:
-                        if shared is None:
-                            sweep.close(store)
+                    workers = variant.threads or threads
+                    outcome = _run_variant(
+                        sweep, variant, store, args,
+                        x if workers == X else workers, figure,
+                    )
                     if variant.flat:
                         flat[variant.name] = outcome
                 value, seconds, stats[variant.name] = outcome
@@ -232,26 +223,9 @@ def run_sweep(
                         f"changed the result at x={x!r}"
                     )
                 if variant.name in series:
-                    offset = variant.plot[1] if variant.plot else 0
-                    series[variant.name].add(x + offset, seconds)
+                    series[variant.name].add(x, seconds)
             if sweep.note is not None:
                 figure.notes.append(sweep.note(x, stats))
-        if sweep.headline:
-            improved, *bases = sweep.headline
-            gains = [figure.speedup(base, improved, max(grid)) for base in bases]
-            if all(gains):
-                figure.notes.append(
-                    f"speedup at {max(grid)} {sweep.x_label}: "
-                    + ", ".join(
-                        f"{gain:.2f}x over {base}" for gain, base in zip(gains, bases)
-                    )
-                )
-        if sweep.epilogue is not None:
-            sweep.epilogue(
-                figure, store=shared, grid=grid, threads=threads,
-                profile=profile, size=size,
-            )
-    finally:
-        if shared is not None:
-            sweep.close(shared)
+    if sweep.headline:
+        add_headline(figure, *sweep.headline)
     return figure

@@ -3,6 +3,7 @@ figure runners at tiny parameters."""
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -162,8 +163,8 @@ class TestSweepSkeleton:
             **extra,
         )
 
-    @pytest.mark.parametrize("fresh_store", [False, True])
-    def test_raising_kernel_still_closes_connection_and_store(self, fresh_store):
+    @pytest.mark.parametrize("store_per_point", [False, True])
+    def test_raising_kernel_still_closes_connection_and_store(self, store_per_point):
         def second(conn, x):
             if x == 2:
                 raise RuntimeError("mid-sweep failure")
@@ -171,8 +172,9 @@ class TestSweepSkeleton:
 
         stores = []
         with pytest.raises(RuntimeError, match="mid-sweep failure"):
-            run_sweep(self.sweep(stores, second, fresh_store=fresh_store))
-        assert stores and all(store.closed for store in stores)
+            run_sweep(self.sweep(stores, second, store_per_point=store_per_point))
+        assert len(stores) == 1 + store_per_point
+        assert all(store.closed for store in stores)
         connections = [c for store in stores for c in store.connections]
         assert connections and all(c.closed for c in connections)
 
@@ -182,6 +184,18 @@ class TestSweepSkeleton:
         with pytest.raises(AssertionError, match=r"figX.*'second'.*x=2"):
             run_sweep(sweep)
         assert stores[0].closed
+
+    def test_oracle_runs_once_and_is_not_plotted(self):
+        stores, calls = [], []
+        sweep = self.sweep(
+            stores, lambda conn, x: 7, oracle=lambda conn, x: calls.append(x) or 7
+        )
+        sweep = replace(sweep, variants=sweep.variants[1:])
+        figure = run_sweep(sweep)
+        assert calls == [1]
+        assert [series.name for series in figure.series] == ["second"]
+        with pytest.raises(AssertionError, match=r"figX.*'second'.*x=1"):
+            run_sweep(replace(sweep, oracle=lambda conn, x: 8))
 
 
 GOLDEN = json.loads(
@@ -225,6 +239,10 @@ class TestFigureRunnersSmoke:
     def test_golden_covers_the_registry(self):
         assert set(GOLDEN) == set(figures.REGISTRY)
         assert set(figures.SMOKE) <= set(figures.REGISTRY)
+
+    def test_transformation_takes_under_a_second_per_program(self):
+        # Section VI's claim, on the slowest of the four workloads.
+        assert max(s for _x, s in figures.run("transform-time").series[0].points) < 1.0
 
 
 def _smoke_case(figure_id):

@@ -62,6 +62,20 @@ class TestExampleScripts:
                         f"{path.name} imports {node.module}"
                     )
 
+    def test_example_imports_resolve(self):
+        """Compiling an example does not import it: a name deleted from
+        the library must fail here, not when a reader runs the script."""
+        import importlib
+
+        for path in EXAMPLES_DIR.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("repro"):
+                    module = importlib.import_module(node.module)
+                    for alias in node.names:
+                        assert hasattr(module, alias.name), (
+                            f"{path.name}: {node.module} has no {alias.name}"
+                        )
+
 
 class TestRecordTableProperties:
     @given(values=st.lists(st.integers(), max_size=60))

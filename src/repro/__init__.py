@@ -57,7 +57,6 @@ from .prefetch import (
     PrefetchSite,
     ResultCache,
     prefetch_source,
-    tables_touched,
 )
 from .runtime import (
     AioConnection,
@@ -106,7 +105,6 @@ __all__ = [
     "PrefetchSite",
     "ResultCache",
     "prefetch_source",
-    "tables_touched",
     "AioConnection",
     "aio_connect",
     "AsyncExecutor",

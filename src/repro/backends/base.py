@@ -54,20 +54,13 @@ from ..db.errors import (
 )
 from ..db.plan import BindingOutcome, QueryResult, demuxable
 from ..db.sql import parse
-from ..db.sql.ast_nodes import (
-    CreateIndexStmt,
-    CreateTableStmt,
-    Statement,
-    is_write,
-)
+from ..db.sql.ast_nodes import Statement, is_ddl, is_write
 from ..db.txn import Transaction, TransactionManager
 
 #: Backend kinds selectable via ``Database.connect(backend=...)`` /
 #: ``aio_connect(backend=...)`` / the ``REPRO_BACKEND`` environment
 #: variable / the workload driver's ``--backend`` flag.
 BACKENDS = ("memory", "sqlite")
-
-_DDL = (CreateTableStmt, CreateIndexStmt)
 
 
 def resolve_backend_name(backend: Optional[str] = None) -> str:
@@ -205,22 +198,35 @@ class ServerStats:
 class PreparedStatement:
     """Server-side prepared statement (parse + plan done once).
 
+    The single carrier of a statement's *shape*: everything the request
+    path asks about a statement — is it a write, which table, how many
+    placeholders, may a batch of it be demultiplexed — is fixed here at
+    prepare time, so nothing downstream inspects the AST (which is not
+    kept: it is a format only :mod:`repro.db` and a store's ``_plan``
+    know).  Value semantics live on ``plan``.
+
     ``origin`` is the backend that prepared it: the submission pipeline
     re-prepares a statement handed to a connection on a *different*
     backend, and the dispatch coalescer keys batches by it so coalesced
     reads never execute against the wrong store.  ``translated`` is the
-    store's own rendering of the statement (SQLite text for the sqlite
-    backend; None where the plan is all the store needs).
+    store's own compiled form of the statement (runner + SQLite texts
+    for the sqlite backend; None where the plan is all the store needs).
     """
 
     __slots__ = (
         "statement_id",
         "sql",
-        "ast",
         "plan",
         "catalog_version",
         "origin",
         "translated",
+        "write",
+        "ddl",
+        "table",
+        "tables",
+        "param_count",
+        "demuxable",
+        "label",
     )
 
     def __init__(
@@ -235,11 +241,23 @@ class PreparedStatement:
     ) -> None:
         self.statement_id = statement_id
         self.sql = sql
-        self.ast = ast
         self.plan = plan
         self.catalog_version = version
         self.origin = origin
         self.translated = translated
+        #: Does executing it change database state (DML or DDL)?
+        self.write = is_write(ast)
+        #: … the schema (bumps the catalog version, refused in a txn)?
+        self.ddl = is_ddl(ast)
+        #: The one table it reads or writes (the subset is single-table),
+        #: and the same as the frozenset the cache protocol keys on.
+        self.table: str = ast.table
+        self.tables = frozenset((ast.table,))
+        self.param_count: int = ast.param_count
+        #: May one execution answer N binding sets (any SELECT plan)?
+        self.demuxable = demuxable(plan)
+        #: Short display form of the text (handle labels, span attrs).
+        self.label = sql[:40]
 
 
 class Backend:
@@ -553,11 +571,10 @@ class Backend:
             stale = prepared.catalog_version != self._catalog_version
         if stale:
             prepared = self.prepare(prepared.sql)
-        ast = prepared.ast
         if txn is not None:
-            self._lock_for_txn(txn, ast)
-        write = is_write(ast)
-        table = getattr(ast, "table", None) if write else None
+            self._lock_for_txn(txn, prepared)
+        write = prepared.write
+        table = prepared.table
         if write:
             # Cache bookkeeping BEFORE the mutation runs: non-txn reads
             # take no table locks, so a concurrent cached read could
@@ -584,7 +601,7 @@ class Backend:
                 self.stats.statements_executed += 1
                 if write:
                     self.stats.writes_executed += 1
-                    if isinstance(ast, _DDL):
+                    if prepared.ddl:
                         self._catalog_version += 1
             if write and txn is None:
                 # Backend-side invalidation: the write path is the one
@@ -613,7 +630,7 @@ class Backend:
             stale = prepared.catalog_version != self._catalog_version
         if stale:
             prepared = self.prepare(prepared.sql)
-        if not demuxable(prepared.plan):
+        if not prepared.demuxable:
             return self._run_write_batch(prepared, bindings, txn, span)
         exec_span = (
             span.child(
@@ -628,7 +645,7 @@ class Backend:
         )
         try:
             if txn is not None:
-                self._lock_for_txn(txn, prepared.ast)
+                self._lock_for_txn(txn, prepared)
             with self._lock:
                 self._active += 1
                 if self._active > self.stats.peak_concurrency:
@@ -670,7 +687,7 @@ class Backend:
             # that declines costs one early bump; the per-binding pass
             # below bumps again anyway.)  Transactional batches always
             # run per binding so each keeps its lock/mark semantics.
-            table = getattr(prepared.ast, "table", None)
+            table = prepared.table
             self.note_data_change(table)
             outcomes = self._execute_write_batch(prepared, bindings)
             if outcomes is not None:
@@ -697,15 +714,13 @@ class Backend:
                 outcomes.append(exc)
         return outcomes
 
-    def _lock_for_txn(self, txn: Transaction, ast: Statement) -> None:
+    def _lock_for_txn(self, txn: Transaction, prepared: PreparedStatement) -> None:
         """Acquire the statement's table lock under strict 2PL."""
-        if isinstance(ast, _DDL):
+        if prepared.ddl:
             raise TransactionStateError(
                 "DDL inside an explicit transaction is not supported"
             )
-        table = getattr(ast, "table", None)
-        if table is not None:
-            self.txns.lock_for_statement(txn, table, write=is_write(ast))
+        self.txns.lock_for_statement(txn, prepared.table, write=prepared.write)
 
     # ------------------------------------------------------------------
     # introspection / lifecycle

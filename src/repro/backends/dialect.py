@@ -58,7 +58,7 @@ from ..db.sql.ast_nodes import (
     UpdateStmt,
     iter_column_refs,  # re-exported; lives with the AST
 )
-from ..db.types import ColumnType, Schema
+from ..db.types import ColumnType, Schema, schema_of_defs
 
 #: Engine column types -> SQLite storage classes.  BOOL maps to INTEGER
 #: (SQLite has no boolean storage class); the engine's True/False and
@@ -238,26 +238,35 @@ def translate_delete(stmt: DeleteStmt, style: ParamStyle = NAMED) -> str:
     return text
 
 
-def translate_create_table(stmt: CreateTableStmt) -> str:
-    definitions = []
-    for definition in stmt.columns:
-        column_type = SQLITE_TYPES[ColumnType.from_name(definition.type_name)]
-        text = f"{quote_ident(definition.name)} {column_type}"
-        if definition.not_null:
-            text += " NOT NULL"
-        definitions.append(text)
-    exists = "IF NOT EXISTS " if stmt.if_not_exists else ""
+def translate_point_batch(
+    stmt: SelectStmt, key: str, style: ParamStyle = NAMED
+) -> str:
+    """The set-oriented form of a point-lookup SELECT (one whose plan
+    has ``point_key == key``), up to the opening of its ``IN (`` hole
+    list.  Unless ``*`` already carries it, the key rides along as an
+    extra trailing column so fetched rows can be demultiplexed."""
+    if len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star):
+        items = "*"
+    else:
+        items = ", ".join(_translate_item(item, style) for item in stmt.items)
+        items += f", {quote_ident(key)}"
     return (
-        f"CREATE TABLE {exists}{quote_ident(stmt.table)} "
-        f"({', '.join(definitions)})"
+        f"SELECT {items} FROM {quote_ident(stmt.table)} "
+        f"WHERE {quote_ident(key)} IN ("
     )
+
+
+def full_row_insert_sql(table: str, schema: Schema) -> str:
+    """``INSERT INTO t VALUES (?, …)``: one positional hole per column,
+    for rows the engine has already evaluated and coerced."""
+    holes = ", ".join("?" for _ in schema)
+    return f"INSERT INTO {quote_ident(table)} VALUES ({holes})"
 
 
 def create_table_sql(
     name: str, schema: Schema, if_not_exists: bool = False
 ) -> str:
-    """CREATE TABLE text from an engine :class:`Schema` (the mirroring
-    path: ``Database.create_table`` replicates out-of-band DDL)."""
+    """CREATE TABLE text from an engine :class:`Schema`."""
     definitions = []
     for column in schema:
         text = f"{quote_ident(column.name)} {SQLITE_TYPES[column.type]}"
@@ -270,19 +279,11 @@ def create_table_sql(
     )
 
 
-def translate_create_index(stmt: CreateIndexStmt) -> str:
-    unique = "UNIQUE " if stmt.unique else ""
-    # ``ordered`` / ``clustered`` are engine access-path declarations;
-    # every SQLite index is a b-tree, so both collapse to a plain index.
-    return (
-        f"CREATE {unique}INDEX {quote_ident(stmt.index)} "
-        f"ON {quote_ident(stmt.table)} ({quote_ident(stmt.column)})"
-    )
-
-
 def create_index_sql(
     index_name: str, table: str, column: str, unique: bool = False
 ) -> str:
+    # ``ordered`` / ``clustered`` are engine access-path declarations;
+    # every SQLite index is a b-tree, so both collapse to a plain index.
     unique_sql = "UNIQUE " if unique else ""
     return (
         f"CREATE {unique_sql}INDEX {quote_ident(index_name)} "
@@ -305,7 +306,13 @@ def translate_statement(
     if isinstance(statement, DeleteStmt):
         return translate_delete(statement, style)
     if isinstance(statement, CreateTableStmt):
-        return translate_create_table(statement)
+        return create_table_sql(
+            statement.table,
+            schema_of_defs(statement.columns),
+            statement.if_not_exists,
+        )
     if isinstance(statement, CreateIndexStmt):
-        return translate_create_index(statement)
+        return create_index_sql(
+            statement.index, statement.table, statement.column, statement.unique
+        )
     raise TypeError(f"cannot translate statement {statement!r}")

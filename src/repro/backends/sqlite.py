@@ -13,7 +13,11 @@ execution-time coercion errors (``TypeMismatchError``,
 ``ParamCountError``) surface with exactly the classes the in-memory
 oracle raises.  Only the *data* lives in SQLite: a scratch database
 file (WAL mode, so pool readers never block the writer), with the
-engine AST translated to SQLite text by :mod:`repro.backends.dialect`.
+engine AST translated to SQLite text by :mod:`repro.backends.dialect`
+— once, in ``_plan``, which is the only place this store sees an AST.
+Execution evaluates no expression of its own: the row an INSERT stores,
+the new row of an UPDATE, LIMIT validation and result column names all
+come from the plan's public members.
 
 Design notes:
 
@@ -46,7 +50,7 @@ import sqlite3
 import tempfile
 import threading
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..db.catalog import Catalog
 from ..db.disk import SimulatedDisk
@@ -54,37 +58,34 @@ from ..db.errors import (
     ConstraintError,
     DatabaseError,
     ParamCountError,
-    PlanError,
-    TransactionStateError,
     TransactionTimeoutError,
 )
 from ..db.latency import INSTANT, LatencyMeter, LatencyProfile
-from ..db.plan import BindingOutcome, Planner, QueryResult
-from ..db.plan.expr_eval import RowEvaluator, limit_count
-from ..db.plan.operators import _item_name
-from ..db.plan.planner import _check_params
+from ..db.plan import (
+    BindingOutcome,
+    InsertPlan,
+    Planner,
+    QueryResult,
+    check_params,
+)
 from ..db.sql.ast_nodes import (
-    BinaryOp,
-    ColumnRef,
-    CreateIndexStmt,
-    CreateTableStmt,
     DeleteStmt,
     InsertStmt,
-    Param,
     SelectStmt,
-    Star,
     Statement,
     UpdateStmt,
 )
 from ..db.txn import Transaction, TransactionManager
-from ..db.types import Column, ColumnType, Schema
+from ..db.types import Schema
 from .base import Backend, PreparedStatement
 from .dialect import (
     NAMED,
     create_index_sql,
     create_table_sql,
+    full_row_insert_sql,
     quote_ident,
     translate_expr,
+    translate_point_batch,
     translate_statement,
 )
 
@@ -219,10 +220,54 @@ class SqliteBackend(Backend):
     # store hooks: planning and single-statement execution
     # ------------------------------------------------------------------
     def _plan(self, ast: Statement):
+        """Plan with the shared planner and compile every SQL text this
+        statement will ever execute: ``translated`` is ``(runner,
+        *texts)``.  This is the only place the store sees the AST; from
+        here on execution is bind -> run -> wrap against the plan's
+        public members."""
         # Unknown column references are rejected by the shared planner:
         # SQLite itself would degrade a double-quoted unknown identifier
         # to a string literal and answer silently.
-        return self._planner.plan(ast), translate_statement(ast)
+        plan = self._planner.plan(ast)
+        if isinstance(ast, SelectStmt):
+            batch_sql = key_position = None
+            key = plan.point_key
+            if key is not None:
+                # One ``WHERE key IN (...)`` answers a whole batch of a
+                # point lookup; the key's position in a fetched row is
+                # where ``*`` puts it, else the extra trailing column.
+                batch_sql = translate_point_batch(ast, key)
+                key_position = (
+                    plan.output_names.index(key)
+                    if plan.star
+                    else len(plan.output_names)
+                )
+            return plan, (
+                self._run_select,
+                translate_statement(ast),
+                batch_sql,
+                key_position,
+            )
+        if isinstance(ast, InsertStmt):
+            schema = self._catalog.table(ast.table).heap.schema
+            return plan, (self._run_insert, full_row_insert_sql(ast.table, schema))
+        if isinstance(ast, UpdateStmt):
+            # Read-modify-write: matching rows come back with their
+            # rowid, the plan computes each new row, and the full row
+            # writes back by rowid.
+            table = quote_ident(ast.table)
+            select = f"SELECT rowid, * FROM {table}"
+            if ast.where is not None:
+                select += f" WHERE {translate_expr(ast.where)}"
+            assignments = ", ".join(
+                f"{quote_ident(column.name)} = ?"
+                for column in self._catalog.table(ast.table).heap.schema
+            )
+            update = f"UPDATE {table} SET {assignments} WHERE rowid = ?"
+            return plan, (self._run_update, select, update)
+        if isinstance(ast, DeleteStmt):
+            return plan, (self._run_delete, translate_statement(ast))
+        return plan, (self._run_ddl, translate_statement(ast))
 
     def _execute(
         self,
@@ -231,182 +276,54 @@ class SqliteBackend(Backend):
         txn: Optional[Transaction],
         exec_span,
     ) -> QueryResult:
-        ast = prepared.ast
-        _check_params(ast.param_count, params)
-        if isinstance(ast, SelectStmt):
-            return self._exec_select(prepared, params, txn)
-        if isinstance(ast, InsertStmt):
-            return self._exec_insert(ast, params, txn)
-        if isinstance(ast, UpdateStmt):
-            return self._exec_update(ast, params, txn)
-        if isinstance(ast, DeleteStmt):
-            return self._exec_delete(ast, params, txn)
-        if isinstance(ast, CreateTableStmt):
-            return self._exec_create_table(ast)
-        if isinstance(ast, CreateIndexStmt):
-            return self._exec_create_index(ast)
-        raise PlanError(f"cannot execute statement: {ast!r}")
+        check_params(prepared.param_count, params)
+        runner, *texts = prepared.translated
+        return runner(prepared.plan, params, txn, *texts)
 
-    # -- SELECT ---------------------------------------------------------
-    def _output_names(self, stmt: SelectStmt, schema: Schema) -> Tuple[str, ...]:
-        if len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star):
-            return schema.names()
-        return tuple(
-            _item_name(item, position)
-            for position, item in enumerate(stmt.items)
-        )
-
-    def _exec_select(
-        self,
-        prepared: PreparedStatement,
-        params: tuple,
-        txn: Optional[Transaction],
-    ) -> QueryResult:
-        stmt = prepared.ast
-        schema = self._catalog.table(stmt.table).heap.schema
+    def _run_select(self, plan, params, txn, sql, _batch_sql, _key_position):
         # The engine's LIMIT validation (PlanError on a negative or
         # non-integer limit; SQLite would silently accept).
-        limit_count(stmt, schema, params)
+        plan.limit(params)
         bound = NAMED.bind(params)
-
-        def run(connection):
-            return connection.execute(prepared.translated, bound).fetchall()
-
-        rows = self._run_sqlite(txn, run)
-        return QueryResult(
-            columns=self._output_names(stmt, schema),
-            rows=[tuple(row) for row in rows],
+        rows = self._run_sqlite(
+            txn, lambda connection: connection.execute(sql, bound).fetchall()
         )
+        return QueryResult(columns=plan.output_names, rows=rows)
 
-    # -- INSERT ---------------------------------------------------------
-    def _insert_row(self, stmt: InsertStmt, params: tuple) -> tuple:
-        """Evaluate and coerce one INSERT's row exactly like the engine
-        (same evaluator, same schema coercion, same error classes)."""
-        info = self._catalog.table(stmt.table)
-        schema = info.heap.schema
-        if stmt.columns:
-            positions = schema.project_positions(stmt.columns, stmt.table)
-        else:
-            positions = tuple(range(len(schema)))
-        evaluator = RowEvaluator(schema, stmt.table, params)
-        values: List[Any] = [None] * len(schema)
-        for position, expr in zip(positions, stmt.values):
-            values[position] = evaluator.evaluate(expr, ())
-        return schema.coerce_row(values)
-
-    def _insert_sql(self, stmt: InsertStmt, schema: Schema) -> str:
-        holes = ", ".join("?" for _ in range(len(schema)))
-        return f"INSERT INTO {quote_ident(stmt.table)} VALUES ({holes})"
-
-    def _exec_insert(
-        self, stmt: InsertStmt, params: tuple, txn: Optional[Transaction]
-    ) -> QueryResult:
-        info = self._catalog.table(stmt.table)
-        if txn is not None and info.heap.is_clustered:
-            raise TransactionStateError(
-                f"transactional INSERT into clustered table {stmt.table!r} "
-                "is not supported: clustered inserts shift row ids, which "
-                "the logical undo log cannot reverse"
-            )
-        row = self._insert_row(stmt, params)
-        sql = self._insert_sql(stmt, info.heap.schema)
+    def _run_insert(self, plan, params, txn, sql):
+        row = plan.row(params, txn)
         self._run_sqlite(txn, lambda connection: connection.execute(sql, row))
         return QueryResult(rowcount=1)
 
-    # -- UPDATE ---------------------------------------------------------
-    def _exec_update(
-        self, stmt: UpdateStmt, params: tuple, txn: Optional[Transaction]
-    ) -> QueryResult:
-        """Read-modify-write: candidate rows come back from SQLite, the
-        engine's evaluator computes each assignment and the schema
-        coerces the result — identical value semantics and error
-        classes to the oracle — then each row writes back by rowid."""
-        info = self._catalog.table(stmt.table)
-        schema = info.heap.schema
-        targets = [
-            (schema.position(column, stmt.table), expr)
-            for column, expr in stmt.assignments
-        ]
-        select = f"SELECT rowid, * FROM {quote_ident(stmt.table)}"
-        if stmt.where is not None:
-            select += f" WHERE {translate_expr(stmt.where)}"
+    def _run_update(self, plan, params, txn, select, update):
+        assign = plan.assigner(params)
         bound = NAMED.bind(params)
         matched = self._run_sqlite(
             txn, lambda connection: connection.execute(select, bound).fetchall()
-        )
-        evaluator = RowEvaluator(schema, stmt.table, params)
-        assignments = ", ".join(
-            f"{quote_ident(column.name)} = ?" for column in schema
-        )
-        update = (
-            f"UPDATE {quote_ident(stmt.table)} SET {assignments} "
-            "WHERE rowid = ?"
         )
         # Row-by-row like the engine's update loop: a coercion or
         # constraint failure stops mid-statement with earlier rows
         # applied (autocommit has no undo; in a transaction, rollback
         # reverses everything).
-        for fetched in matched:
-            row_id, row = fetched[0], tuple(fetched[1:])
-            new_row = list(row)
-            for position, expr in targets:
-                new_row[position] = evaluator.evaluate(expr, row)
-            coerced = schema.coerce_row(new_row)
+        for row_id, *old_row in matched:
+            args = (*assign(old_row), row_id)
             self._run_sqlite(
-                txn,
-                lambda connection, args=(*coerced, row_id): connection.execute(
-                    update, args
-                ),
+                txn, lambda connection: connection.execute(update, args)
             )
         return QueryResult(rowcount=len(matched))
 
-    # -- DELETE ---------------------------------------------------------
-    def _exec_delete(
-        self, stmt: DeleteStmt, params: tuple, txn: Optional[Transaction]
-    ) -> QueryResult:
-        sql = f"DELETE FROM {quote_ident(stmt.table)}"
-        if stmt.where is not None:
-            sql += f" WHERE {translate_expr(stmt.where)}"
+    def _run_delete(self, plan, params, txn, sql):
         bound = NAMED.bind(params)
         count = self._run_sqlite(
             txn, lambda connection: connection.execute(sql, bound).rowcount
         )
         return QueryResult(rowcount=max(count, 0))
 
-    # -- DDL -------------------------------------------------------------
-    def _exec_create_table(self, stmt: CreateTableStmt) -> QueryResult:
-        columns = [
-            Column(
-                definition.name,
-                ColumnType.from_name(definition.type_name),
-                nullable=not definition.not_null,
-            )
-            for definition in stmt.columns
-        ]
+    def _run_ddl(self, plan, params, txn, sql):
         # Mirror first: duplicate-table errors (CatalogError) surface
         # from the engine catalog before SQLite is touched.
-        self._catalog.create_table(
-            stmt.table, Schema(columns), if_not_exists=stmt.if_not_exists
-        )
-        sql = translate_statement(stmt)
-        self._run_sqlite(None, lambda connection: connection.execute(sql))
-        return QueryResult(rowcount=0)
-
-    def _exec_create_index(self, stmt: CreateIndexStmt) -> QueryResult:
-        if stmt.clustered:
-            raise PlanError(
-                "clustering is declared at CREATE TABLE time via the "
-                "Database.create_table(clustered_on=...) API"
-            )
-        self._catalog.create_index(
-            stmt.index,
-            stmt.table,
-            stmt.column,
-            ordered=stmt.ordered,
-            unique=stmt.unique,
-        )
-        sql = translate_statement(stmt)
-        self._run_sqlite(None, lambda connection: connection.execute(sql))
+        plan.apply()
+        self._run_sqlite(txn, lambda connection: connection.execute(sql))
         return QueryResult(rowcount=0)
 
     # ------------------------------------------------------------------
@@ -421,15 +338,17 @@ class SqliteBackend(Backend):
     ) -> List[BindingOutcome]:
         """A single ``WHERE key IN (...)`` statement when the SELECT has
         the point-lookup shape, else one probe per binding."""
-        key_column = self._in_demux_key(prepared.ast)
+        _runner, _sql, batch_sql, key_position = prepared.translated
         if exec_span is not None:
             # Same attribute vocabulary as the oracle's batch span:
             # one shared IN-scan vs per-binding probes.
             exec_span.set(
-                "strategy", "scan" if key_column is not None else "probe"
+                "strategy", "scan" if batch_sql is not None else "probe"
             )
-        if key_column is not None:
-            return self._demux_via_in(prepared, key_column, bindings, txn)
+        if batch_sql is not None:
+            return self._demux_via_in(
+                prepared.plan, batch_sql, key_position, bindings, txn
+            )
         outcomes: List[BindingOutcome] = []
         for binding in bindings:
             try:
@@ -438,90 +357,42 @@ class SqliteBackend(Backend):
                 outcomes.append(exc)
         return outcomes
 
-    @staticmethod
-    def _in_demux_key(stmt: Statement) -> Optional[str]:
-        """The key column when ``stmt`` is a plain single-param
-        point-lookup SELECT (``... WHERE key = ?``), else None."""
-        if not isinstance(stmt, SelectStmt):
-            return None
-        if (
-            stmt.group_by
-            or stmt.is_aggregate
-            or stmt.distinct
-            or stmt.order_by
-            or stmt.limit is not None
-            or stmt.param_count != 1
-        ):
-            return None
-        where = stmt.where
-        if not isinstance(where, BinaryOp) or where.op != "=":
-            return None
-        sides = (where.left, where.right)
-        column = next(
-            (side for side in sides if isinstance(side, ColumnRef)), None
-        )
-        param = next((side for side in sides if isinstance(side, Param)), None)
-        if column is None or param is None:
-            return None
-        star = len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star)
-        if not star and not all(
-            isinstance(item.expr, ColumnRef) for item in stmt.items
-        ):
-            return None
-        return column.name
-
     def _demux_via_in(
         self,
-        prepared: PreparedStatement,
-        key_column: str,
+        plan,
+        batch_sql: str,
+        key_position: int,
         bindings: List[tuple],
         txn: Optional[Transaction],
     ) -> List[BindingOutcome]:
-        stmt = prepared.ast
-        schema = self._catalog.table(stmt.table).heap.schema
-        keys: List[Any] = []
-        for binding in bindings:
-            if len(binding) == 1 and binding[0] is not None:
-                if binding[0] not in keys:
-                    keys.append(binding[0])
-        star = len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star)
-        if star:
-            select_list = "*"
-            key_position = schema.position(key_column, stmt.table)
-            width = len(schema)
-        else:
-            names = [item.expr.name for item in stmt.items]
-            select_list = ", ".join(quote_ident(name) for name in names)
-            # The key rides along as an extra trailing column and is
-            # stripped before rows reach the client.
-            select_list += f", {quote_ident(key_column)}"
-            key_position = len(names)
-            width = len(names)
+        keys = list(
+            dict.fromkeys(
+                binding[0]
+                for binding in bindings
+                if len(binding) == 1 and binding[0] is not None
+            )
+        )
         rows: List[tuple] = []
         if keys:
-            holes = ", ".join("?" for _ in keys)
-            sql = (
-                f"SELECT {select_list} FROM {quote_ident(stmt.table)} "
-                f"WHERE {quote_ident(key_column)} IN ({holes})"
-            )
+            sql = batch_sql + ", ".join("?" for _ in keys) + ")"
             rows = self._run_sqlite(
                 txn,
                 lambda connection: connection.execute(sql, keys).fetchall(),
             )
+        columns = plan.output_names
+        # A non-``*`` row carries the key as an extra trailing column,
+        # stripped before rows reach the client.
+        width = len(columns)
         by_key: Dict[Any, List[tuple]] = {}
-        for fetched in rows:
-            row = tuple(fetched)
+        for row in rows:
             by_key.setdefault(row[key_position], []).append(row[:width])
-        columns = self._output_names(stmt, schema)
         outcomes: List[BindingOutcome] = []
         for binding in bindings:
             if len(binding) != 1:
                 outcomes.append(ParamCountError(1, len(binding)))
                 continue
-            matches = (
-                by_key.get(binding[0], []) if binding[0] is not None else []
-            )
-            outcomes.append(QueryResult(columns=columns, rows=list(matches)))
+            matches = by_key.get(binding[0]) if binding[0] is not None else None
+            outcomes.append(QueryResult(columns=columns, rows=list(matches or ())))
         return outcomes
 
     def _execute_write_batch(
@@ -535,17 +406,15 @@ class SqliteBackend(Backend):
         returns None — the caller re-runs per binding so the failing
         row (and only it) carries the error.
         """
-        stmt = prepared.ast
-        if not isinstance(stmt, InsertStmt):
+        plan = prepared.plan
+        if not isinstance(plan, InsertPlan):
             return None
-        info = self._catalog.table(stmt.table)
-        sql = self._insert_sql(stmt, info.heap.schema)
+        _runner, sql = prepared.translated
         outcomes: List[BindingOutcome] = []
         rows: List[tuple] = []
         for binding in bindings:
             try:
-                _check_params(stmt.param_count, binding)
-                rows.append(self._insert_row(stmt, binding))
+                rows.append(plan.row(binding, None))
                 outcomes.append(QueryResult(rowcount=1))
             except Exception as exc:
                 outcomes.append(exc)
@@ -611,8 +480,7 @@ class SqliteBackend(Backend):
         coerced = [schema.coerce_row(row) for row in rows]
         if not coerced:
             return 0
-        holes = ", ".join("?" for _ in range(len(schema)))
-        sql = f"INSERT INTO {quote_ident(table)} VALUES ({holes})"
+        sql = full_row_insert_sql(table, schema)
         self._run_sqlite(
             None, lambda connection: connection.executemany(sql, coerced)
         )

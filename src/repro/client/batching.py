@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Sequence
 
-from ..db.plan import QueryResult, demuxable
+from ..db.plan import QueryResult
 from .connection import Connection, PreparedQuery
 
 
@@ -75,7 +75,7 @@ class BatchExecutor:
             if rtt:
                 server.meter.charge("network", rtt)
             prepared = server.prepare(sql)
-            if demuxable(prepared.plan):
+            if prepared.demuxable:
                 self.stats.set_batches += 1
                 outcomes = server.submit_prepared_batch(
                     prepared,

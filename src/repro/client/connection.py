@@ -57,10 +57,7 @@ class PreparedQuery:
     def __init__(self, connection: "Connection", prepared: PreparedStatement) -> None:
         self._connection = connection
         self._prepared = prepared
-        self._params: List[Any] = [None] * self._expected_params()
-
-    def _expected_params(self) -> int:
-        return getattr(self._prepared.ast, "param_count", 0)
+        self._params: List[Any] = [None] * prepared.param_count
 
     @property
     def sql(self) -> str:

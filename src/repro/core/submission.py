@@ -7,7 +7,7 @@ result cache entirely).  This module owns that lifecycle once:
 
     normalize SQL + params
         → cache lookup (single-flight; hits resolve immediately)
-        → dispatch to the :class:`~repro.db.server.DatabaseServer`
+        → dispatch to the :class:`~repro.backends.base.Backend`
         → record stats
         → populate the cache
 
@@ -23,7 +23,7 @@ runtime: the handle comes back already completed.
 
 Invalidation is **not** handled here.  Writes invalidate server-side:
 the pipeline registers its cache with the server
-(:meth:`DatabaseServer.register_cache`), and the server broadcasts
+(:meth:`Backend.register_cache`), and the server broadcasts
 per-table invalidations from its write path — inside the
 transaction-commit boundary for transactional writes — so a write
 through *any* connection (cached, cache-less, or transactional)
@@ -82,7 +82,7 @@ the :class:`DispatchCoalescer` as their ``start``: submits of the same
 prepared statement that are outstanding behind the executor — exactly
 what prefetch hoisting out of loops and bursts of speculative lifts
 produce — merge into one batched server call
-(:meth:`~repro.db.server.DatabaseServer.submit_prepared_batch`, the
+(:meth:`~repro.backends.base.Backend.submit_prepared_batch`, the
 binding-demux operator) and the per-binding outcomes demultiplex back
 to the individual handles.  One round-trip charge and one statement
 execution answer the whole batch; a failing binding faults only its own
@@ -121,14 +121,11 @@ from typing import (
 
 from ..db.errors import DatabaseError, TransactionStateError
 from ..db.plan import QueryResult
-from ..backends.base import PreparedStatement
-from ..db.server import DatabaseServer
-from ..db.sql.ast_nodes import is_write
+from ..backends.base import Backend, PreparedStatement
 from ..db.txn import Transaction
 from ..obs.metrics import Histogram, MetricsRegistry
 from ..obs.trace import Span, Tracer
 from ..prefetch.cache import ResultCache
-from ..prefetch.tables import tables_of_statement
 from ..runtime.handles import QueryHandle, failed_handle, resolved_future
 
 
@@ -302,7 +299,7 @@ class CallPipeline:
         #: Guards every non-speculation counter of ``stats``.  The
         #: speculation_* counters stay under ``_spec_lock`` (they must
         #: move in lockstep with the ledger); everything else moves
-        #: through :meth:`_bump` so concurrent front ends never lose an
+        #: through :meth:`bump` so concurrent front ends never lose an
         #: increment.
         self._stats_lock = threading.Lock()
         self._tracer = tracer
@@ -343,7 +340,7 @@ class CallPipeline:
     def metrics(self) -> Optional[MetricsRegistry]:
         return self._metrics
 
-    def _bump(self, field: str, n: int = 1) -> None:
+    def bump(self, field: str, n: int = 1) -> None:
         """Increment one non-speculation stats counter under its lock."""
         with self._stats_lock:
             setattr(self.stats, field, getattr(self.stats, field) + n)
@@ -367,17 +364,17 @@ class CallPipeline:
         at publication time: if the read may have overlapped a data
         change, waiters are served but the value is not retained.
         """
-        self._bump("blocking_calls")
+        self.bump("blocking_calls")
         started = time.perf_counter()
         try:
             lease = self._acquire_traced(key, tables, span)
             if lease is None:
                 return invoke()
             if lease.is_hit:
-                self._bump("cache_hits")
+                self.bump("cache_hits")
                 return lease.value
             if lease.is_follower:
-                self._bump("cache_hits")
+                self.bump("cache_hits")
                 return lease.wait()
             try:
                 result = invoke()
@@ -428,7 +425,7 @@ class CallPipeline:
         cancel it outright.
         """
         if not speculative:
-            self._bump("async_submits")
+            self.bump("async_submits")
         lease = self._acquire_traced(key, tables, span)
         watcher = (
             SpeculativeHandle(None, label=label, pipeline=self, span=span)
@@ -437,7 +434,7 @@ class CallPipeline:
         )
         cancellable = False
         if lease is not None and not lease.is_owner:
-            self._bump("cache_hits")
+            self.bump("cache_hits")
             future = (
                 resolved_future(lease.value) if lease.is_hit else lease.future
             )
@@ -515,7 +512,7 @@ class CallPipeline:
                         cleanup()
 
             try:
-                return self._executor.submit(task, label=label).future
+                return self._executor.submit(task)
             except BaseException as exc:
                 # Never strand single-flight followers (or a transaction's
                 # in-flight count) on a submission that could not be queued.
@@ -700,7 +697,7 @@ class CallPipeline:
         Consuming a speculative handle settles it as a hit — the guard
         turned out true and the speculated work was wanted.
         """
-        self._bump("fetches")
+        self.bump("fetches")
         if isinstance(handle, SpeculativeHandle):
             handle.claim()
         span = getattr(handle, "span", None)
@@ -832,7 +829,7 @@ class DispatchCoalescer:
     costs.  The coalescer instead enqueues each submit as a pending
     entry keyed by ``statement_id`` plus one *flusher* task; whichever
     flusher runs first drains up to ``window`` entries and answers them
-    with a single :meth:`DatabaseServer.submit_prepared_batch` call
+    with a single :meth:`Backend.submit_prepared_batch` call
     (one round-trip charge, one statement execution via the
     binding-demux operator), demultiplexing per-binding outcomes back
     to the individual handle futures.
@@ -862,13 +859,24 @@ class DispatchCoalescer:
     DEFAULT_WINDOW = 16
 
     def __init__(
-        self, pipeline: "SubmissionPipeline", window: Optional[int] = None
+        self,
+        calls: CallPipeline,
+        backend: Backend,
+        round_trip: Callable[..., Any],
+        window: Optional[int] = None,
     ) -> None:
+        """``calls`` publishes outcomes, counts batches and owns the
+        executor the flushers run on; ``backend`` is the pipeline's
+        store (charged for hand-offs, and the batch target of a
+        statement without an ``origin``); ``round_trip(prepared, bound,
+        txn, span=)`` dispatches a batch of one."""
         if window is None:
             window = self.DEFAULT_WINDOW
         if window < 2:
             raise ValueError(f"coalesce window must be >= 2, got {window}")
-        self._pipeline = pipeline
+        self._calls = calls
+        self._backend = backend
+        self._round_trip = round_trip
         self._window = window
         self._lock = threading.Lock()
         #: (backend identity, statement_id) -> (prepared, FIFO of
@@ -883,9 +891,7 @@ class DispatchCoalescer:
         ] = {}
 
     def _batch_key(self, prepared: PreparedStatement) -> tuple:
-        origin = getattr(prepared, "origin", None)
-        if origin is None:
-            origin = self._pipeline._server
+        origin = prepared.origin or self._backend
         return (id(origin), prepared.statement_id)
 
     @property
@@ -906,10 +912,10 @@ class DispatchCoalescer:
     ) -> "Future":
         """The coalescer's ``start`` for :meth:`CallPipeline.submit`:
         queue one binding plus one flusher task, return its future."""
-        server = self._pipeline._server
+        backend = self._backend
         # Every submit still pays the executor hand-off overhead in the
         # submitting thread, exactly like the executor-task dispatch.
-        server.meter.charge("queue", server.profile.send_overhead_s)
+        backend.meter.charge("queue", backend.profile.send_overhead_s)
         entry = _PendingDispatch(bound, lease, still_valid, watcher, span)
         batch_key = self._batch_key(prepared)
         with self._lock:
@@ -919,16 +925,13 @@ class DispatchCoalescer:
                 self._pending[batch_key] = group
             group[1].append(entry)
         try:
-            self._pipeline.executor.submit(
-                lambda: self._flush(batch_key),
-                label=f"coalesce:{prepared.sql[:32]}",
-            )
+            self._calls.executor.submit(lambda: self._flush(batch_key))
         except BaseException as exc:
             # Never strand single-flight followers on a submission that
             # could not be queued.  Only unwind if no concurrent flusher
             # already claimed the entry.
             if self._discard(batch_key, entry):
-                self._pipeline._calls.publish(entry.lease, exc, failed=True)
+                self._calls.publish(entry.lease, exc, failed=True)
             raise
         return entry.future
 
@@ -969,8 +972,7 @@ class DispatchCoalescer:
     def _execute(
         self, prepared: PreparedStatement, entries: List[_PendingDispatch]
     ) -> None:
-        pipeline = self._pipeline
-        calls = pipeline._calls
+        calls = self._calls
         live: List[_PendingDispatch] = []
         for entry in entries:
             # PENDING -> RUNNING bars late cancellation, so completion
@@ -992,7 +994,7 @@ class DispatchCoalescer:
         if len(live) == 1:
             entry = live[0]
             try:
-                result = pipeline._round_trip(
+                result = self._round_trip(
                     prepared, entry.bound, None, span=entry.span
                 )
             except BaseException as exc:
@@ -1000,9 +1002,9 @@ class DispatchCoalescer:
             else:
                 self._complete(entry, result)
             return
-        calls._bump("coalesced_batches")
-        calls._bump("coalesced_queries", len(live))
-        calls._bump("round_trips_saved", len(live) - 1)
+        calls.bump("coalesced_batches")
+        calls.bump("coalesced_queries", len(live))
+        calls.bump("round_trips_saved", len(live) - 1)
         # One batched ``dispatch`` span covers the whole server call.  It
         # is the one deliberate deviation from a strict per-query tree:
         # it starts its own trace, links every member's root, and each
@@ -1017,7 +1019,7 @@ class DispatchCoalescer:
                     "dispatch",
                     batched=True,
                     bindings=len(live),
-                    statement=prepared.sql[:40],
+                    statement=prepared.label,
                 )
                 for root in roots:
                     batch_span.link(root.span_id)
@@ -1026,7 +1028,7 @@ class DispatchCoalescer:
         # The batch key pinned every entry to one backend; route the
         # batched call to the *statement's* backend, never another store
         # that happens to share the pipeline.
-        server = getattr(prepared, "origin", None) or pipeline._server
+        server = prepared.origin or self._backend
         rtt = server.profile.network_rtt_s
         if rtt:
             server.meter.charge("network", rtt)  # ONE round trip, N queries
@@ -1052,18 +1054,18 @@ class DispatchCoalescer:
                 self._complete(entry, outcome)
 
     def _complete(self, entry: _PendingDispatch, result: Any) -> None:
-        self._pipeline._calls.publish(
+        self._calls.publish(
             entry.lease, result, entry.still_valid, entry.watcher
         )
         entry.future.set_result(result)
 
     def _fail(self, entry: _PendingDispatch, error: BaseException) -> None:
-        self._pipeline._calls.publish(entry.lease, error, failed=True)
+        self._calls.publish(entry.lease, error, failed=True)
         entry.future.set_exception(error)
 
 
 class SubmissionPipeline:
-    """The SQL submission pipeline over one :class:`DatabaseServer`.
+    """The SQL submission pipeline over one :class:`Backend`.
 
     Owns statement normalization, the transaction rules from the
     paper's Discussion section, the simulated network charges, and —
@@ -1074,7 +1076,7 @@ class SubmissionPipeline:
 
     def __init__(
         self,
-        server: DatabaseServer,
+        server: Backend,
         executor,
         cache: Optional[ResultCache] = None,
         coalesce: bool = False,
@@ -1089,7 +1091,11 @@ class SubmissionPipeline:
         #: same-statement submits queued behind the executor into one
         #: batched server call.
         self._coalescer = (
-            DispatchCoalescer(self, window=coalesce_window) if coalesce else None
+            DispatchCoalescer(
+                self._calls, server, self._round_trip, window=coalesce_window
+            )
+            if coalesce
+            else None
         )
         if cache is not None:
             server.register_cache(cache)
@@ -1100,7 +1106,7 @@ class SubmissionPipeline:
         return self._coalescer
 
     @property
-    def server(self) -> DatabaseServer:
+    def server(self) -> Backend:
         return self._server
 
     @property
@@ -1216,7 +1222,7 @@ class SubmissionPipeline:
             # outright: their failures would be observed after commit
             # decisions.
             prepared, bound = self.resolve(query, params)
-            if is_write(prepared.ast):
+            if prepared.write:
                 raise TransactionStateError(
                     "asynchronous updates inside an explicit transaction "
                     "are not supported; commit first or use blocking "
@@ -1228,9 +1234,9 @@ class SubmissionPipeline:
             except Exception as exc:
                 # Observer-model contract: submission problems surface
                 # at fetch_result, in iteration order.
-                self._calls._bump("async_submits")
+                self._calls.bump("async_submits")
                 return failed_handle(exc)
-        return self._dispatch(prepared, bound, txn, prepared.sql[:40], "submit")
+        return self._dispatch(prepared, bound, txn, prepared.label, "submit")
 
     def _dispatch(
         self,
@@ -1251,7 +1257,7 @@ class SubmissionPipeline:
         )
         key, tables, still_valid = self._cache_plan(prepared, bound, txn)
         coalescer = self._coalescer
-        if coalescer is not None and txn is None and not is_write(prepared.ast):
+        if coalescer is not None and txn is None and not prepared.write:
             # Same-statement submits outstanding behind the executor
             # merge into one batched server call.
             return self._calls.submit(
@@ -1321,12 +1327,12 @@ class SubmissionPipeline:
             # Mirror submit's observer-model contract: resolution
             # problems surface at fetch time (or vanish if abandoned).
             return self._calls.speculate_failed(exc, label=site or "")
-        if is_write(prepared.ast):
+        if prepared.write:
             raise DatabaseError(
                 "refusing to speculate a write statement; speculation is "
                 "read-only by contract"
             )
-        label = site if site is not None else prepared.sql[:40]
+        label = site if site is not None else prepared.label
         return self._dispatch(prepared, bound, txn, label, "speculate")
 
     def site_stats(self) -> Dict[str, SiteSpeculationStats]:
@@ -1405,15 +1411,13 @@ class SubmissionPipeline:
         caught by one or the other — a dirty value can never be
         retained.
         """
-        if self.cache is None or txn is not None:
-            return self._BYPASS
-        if is_write(prepared.ast):
+        if self.cache is None or txn is not None or prepared.write:
             return self._BYPASS
         try:
             hash(bound)
         except TypeError:
             return self._BYPASS
-        tables = tables_of_statement(prepared.ast)
+        tables = prepared.tables
         token = self._server.read_validity(tables)
         if self._server.has_uncommitted_writes(tables):
             return self._BYPASS

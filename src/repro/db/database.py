@@ -281,10 +281,7 @@ class Database:
         schemas for the benchmarks.
         """
         prepared = self.server.prepare(sql)
-        access = getattr(prepared.plan, "access_path", None)
-        if access is None:
-            access = getattr(prepared.plan, "_access", None)
-            access = type(access).__name__ if access is not None else "n/a"
+        access = getattr(prepared.plan, "access_path", "n/a")
         return f"{type(prepared.plan).__name__}: {access}"
 
     def reset_stats(self) -> None:

@@ -7,14 +7,16 @@ costs through the execution context.
 
 from .context import ExecutionContext
 from .demux import BindingOutcome, demuxable, execute_batch_select
-from .planner import Planner
+from .planner import InsertPlan, Planner, check_params
 from .result import QueryResult
 
 __all__ = [
     "BindingOutcome",
     "ExecutionContext",
+    "InsertPlan",
     "Planner",
     "QueryResult",
+    "check_params",
     "demuxable",
     "execute_batch_select",
 ]

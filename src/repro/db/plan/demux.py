@@ -21,20 +21,13 @@ Fault isolation is per binding: a binding whose parameters are malformed
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..errors import ParamCountError
-from ..sql.ast_nodes import BinaryOp, Expr, Param, SelectStmt
 from .context import ExecutionContext
 from .expr_eval import RowEvaluator
 from .operators import SeqScanOp
-from .planner import (
-    SelectPlan,
-    _candidates,
-    _conjuncts,
-    _equality_on_column,
-    prefer_batch_scan,
-)
+from .planner import SelectPlan, _candidates, prefer_batch_scan
 from .result import QueryResult
 
 #: Per-binding result slot: the binding's :class:`QueryResult`, or the
@@ -51,31 +44,6 @@ def demuxable(plan) -> bool:
     broadcast and undo accounting).
     """
     return isinstance(plan, SelectPlan)
-
-
-def _contains_param(expr: Expr) -> bool:
-    if isinstance(expr, Param):
-        return True
-    if isinstance(expr, BinaryOp):
-        return _contains_param(expr.left) or _contains_param(expr.right)
-    return False
-
-
-def _bucket_predicate(stmt: SelectStmt, info) -> Optional[Tuple[int, Expr]]:
-    """The conjunct rows are bucketed on: the first ``col = expr``
-    equality whose constant side carries a parameter.  Returns the
-    column's row position and the value expression, or None when no
-    such conjunct exists (bindings then share the full scan and each
-    applies the whole WHERE clause itself)."""
-    for conjunct in _conjuncts(stmt.where):
-        match = _equality_on_column(conjunct)
-        if match is None:
-            continue
-        column, value_expr = match
-        if not _contains_param(value_expr):
-            continue
-        return info.heap.schema.position(column, info.name), value_expr
-    return None
 
 
 def execute_batch_select(
@@ -138,7 +106,6 @@ def execute_batch_select(
         columns = info.heap.columns_view()
         scanned: List[int] = []
         buckets: Optional[Dict[object, List[int]]] = None
-        value_expr: Optional[Expr] = None
         if single_scan:
             # The single shared scan, batch-at-a-time: bucket by
             # partitioning each batch's selection vector on the
@@ -148,10 +115,8 @@ def execute_batch_select(
                 if isinstance(plan._access, SeqScanOp)
                 else SeqScanOp(info)
             )
-            predicate = _bucket_predicate(stmt, info)
-            if predicate is not None:
-                key_column = columns[predicate[0]]
-                value_expr = predicate[1]
+            if plan.bucket is not None:
+                key_column = columns[plan.bucket[0]]
                 buckets = {}
             for batch in scan_op.run(ctx):
                 ctx.note_scan_batch(len(batch.sel), len(batch.sel))
@@ -175,7 +140,7 @@ def execute_batch_select(
                 elif buckets is not None:
                     key = RowEvaluator(
                         info.heap.schema, info.name, binding
-                    ).evaluate(value_expr, ())
+                    ).evaluate(plan.bucket[1], ())
                     try:
                         sel = buckets.get(key, [])
                     except TypeError:

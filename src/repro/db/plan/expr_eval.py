@@ -32,7 +32,6 @@ from ..sql.ast_nodes import (
     LogicalOp,
     NotOp,
     Param,
-    SelectStmt,
     Star,
 )
 from ..types import Row, Schema
@@ -165,19 +164,6 @@ def _truthy(value: Any) -> bool:
     if isinstance(value, bool):
         return value
     return bool(value)
-
-
-def limit_count(stmt: SelectStmt, schema: Schema, params: Sequence) -> Optional[int]:
-    """The row count ``stmt``'s LIMIT allows under ``params`` (None
-    when the statement has no LIMIT).  Every backend validates LIMIT
-    through this one function, so a negative or non-integer limit is
-    the same :class:`PlanError` everywhere."""
-    if stmt.limit is None:
-        return None
-    count = RowEvaluator(schema, stmt.table, params).evaluate(stmt.limit, ())
-    if not isinstance(count, int) or count < 0:
-        raise PlanError(f"LIMIT must be a non-negative integer, got {count!r}")
-    return count
 
 
 def and_conjuncts(expr: Optional[Expr]) -> List[Expr]:

@@ -208,24 +208,20 @@ def columnar_order(
 
 def columnar_project(
     ctx: ExecutionContext,
-    info: TableInfo,
     evaluator: ColumnarEvaluator,
     columns: Tuple[List[Any], ...],
     sel: Selection,
     items: Sequence[SelectItem],
-) -> Tuple[Tuple[str, ...], List[List[Any]]]:
-    """Projection as column slicing: returns output names plus one value
-    list per output column — still columnar; the caller materializes
-    tuples at the result boundary."""
-    schema = info.heap.schema
-    if len(items) == 1 and isinstance(items[0].expr, Star):
-        names = schema.names()
-        value_columns = [[column[rid] for rid in sel] for column in columns]
-        return names, value_columns
-    names = tuple(_item_name(item, position) for position, item in enumerate(items))
+    star: bool,
+) -> List[List[Any]]:
+    """Projection as column slicing: one value list per output column
+    (every table column for ``star``) — still columnar; the caller
+    materializes tuples at the result boundary."""
+    if star:
+        return [[column[rid] for rid in sel] for column in columns]
     value_columns = [evaluator.values(item.expr, sel) for item in items]
     ctx.charge_cpu(rows=len(sel))
-    return names, value_columns
+    return value_columns
 
 
 def columnar_aggregate(
@@ -233,9 +229,8 @@ def columnar_aggregate(
     evaluator: ColumnarEvaluator,
     sel: Selection,
     items: Sequence[SelectItem],
-) -> Tuple[Tuple[str, ...], List[Tuple[Any, ...]]]:
-    """All-aggregate select list over a selection vector."""
-    columns = tuple(_item_name(item, position) for position, item in enumerate(items))
+) -> List[Tuple[Any, ...]]:
+    """All-aggregate select list over a selection vector: one row."""
     values: List[Any] = []
     for item in items:
         expr = item.expr
@@ -246,7 +241,7 @@ def columnar_aggregate(
             )
         values.append(_run_aggregate(evaluator, expr, sel))
     ctx.charge_cpu(rows=len(sel) * max(1, len(items)))
-    return columns, [tuple(values)]
+    return [tuple(values)]
 
 
 def columnar_aggregate_grouped(
@@ -257,7 +252,7 @@ def columnar_aggregate_grouped(
     sel: Selection,
     items: Sequence[SelectItem],
     group_by: Sequence[str],
-) -> Tuple[Tuple[str, ...], List[Tuple[Any, ...]]]:
+) -> List[Tuple[Any, ...]]:
     """GROUP BY over a selection vector: keys are gathered straight from
     the grouping columns; each group keeps its own selection vector."""
     schema = info.heap.schema
@@ -282,7 +277,6 @@ def columnar_aggregate_grouped(
             groups[key] = []
             order.append(key)
         groups[key].append(rid)
-    names = tuple(_item_name(item, position) for position, item in enumerate(items))
     output: List[Tuple[Any, ...]] = []
     for key in order:
         member_sel = groups[key]
@@ -296,7 +290,7 @@ def columnar_aggregate_grouped(
                 values.append(key[group_by.index(expr.name)])
         output.append(tuple(values))
     ctx.charge_cpu(rows=len(sel) * max(1, len(items)))
-    return names, output
+    return output
 
 
 def _run_aggregate(
@@ -324,18 +318,3 @@ def _run_aggregate(
     if expr.func == "avg":
         return sum(observed) / len(observed)
     raise PlanError(f"unknown aggregate: {expr.func!r}")
-
-
-def _item_name(item: SelectItem, position: int) -> str:
-    if item.alias:
-        return item.alias
-    expr = item.expr
-    if isinstance(expr, ColumnRef):
-        return expr.name
-    if isinstance(expr, Aggregate):
-        if isinstance(expr.argument, Star):
-            return f"{expr.func}(*)"
-        if isinstance(expr.argument, ColumnRef):
-            return f"{expr.func}({expr.argument.name})"
-        return expr.func
-    return f"col{position}"

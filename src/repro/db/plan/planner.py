@@ -17,13 +17,14 @@ return identical rows with indexes present or absent.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..catalog import Catalog
 from ..catalog_types import TableInfo
-from ..errors import ParamCountError, PlanError
+from ..errors import ParamCountError, PlanError, TransactionStateError
 from ..index import HashIndex, OrderedIndex
 from ..sql.ast_nodes import (
+    Aggregate,
     Between,
     BinaryOp,
     ColumnRef,
@@ -33,22 +34,22 @@ from ..sql.ast_nodes import (
     Expr,
     InsertStmt,
     Literal,
-    LogicalOp,
     Param,
+    SelectItem,
     SelectStmt,
+    Star,
     Statement,
     UpdateStmt,
     iter_column_refs,
 )
-from ..types import Column, ColumnType, Schema
+from ..types import Row, schema_of_defs
 from .context import ExecutionContext
-from .expr_eval import ColumnarEvaluator, RowEvaluator, limit_count
+from .expr_eval import ColumnarEvaluator, RowEvaluator, and_conjuncts
 from .operators import (
     ClusteredEqOp,
     HashEqOp,
     OrderedRangeOp,
     SeqScanOp,
-    _item_name,
     columnar_aggregate,
     columnar_aggregate_grouped,
     columnar_order,
@@ -83,15 +84,6 @@ class Planner:
 # ----------------------------------------------------------------------
 # helpers shared by SELECT/UPDATE/DELETE
 # ----------------------------------------------------------------------
-
-
-def _conjuncts(where: Optional[Expr]) -> List[Expr]:
-    """Flatten top-level AND into a conjunct list."""
-    if where is None:
-        return []
-    if isinstance(where, LogicalOp) and where.op == "and":
-        return _conjuncts(where.left) + _conjuncts(where.right)
-    return [where]
 
 
 def _constant_side(expr: Expr) -> bool:
@@ -142,7 +134,7 @@ def _range_on_column(conjunct: Expr) -> Optional[Tuple[str, Optional[Expr], Opti
 
 
 def _choose_access_path(info: TableInfo, indexes, where: Optional[Expr]):
-    conjuncts = _conjuncts(where)
+    conjuncts = and_conjuncts(where)
     for conjunct in conjuncts:
         match = _equality_on_column(conjunct)
         if match is None:
@@ -167,7 +159,9 @@ def _choose_access_path(info: TableInfo, indexes, where: Optional[Expr]):
     return SeqScanOp(info)
 
 
-def _check_params(expected: int, params: Sequence) -> None:
+def check_params(expected: int, params: Sequence) -> None:
+    """Raise :class:`ParamCountError` unless ``params`` binds exactly
+    ``expected`` placeholders (every store's arity check)."""
     if expected != len(params):
         raise ParamCountError(expected, len(params))
 
@@ -238,6 +232,62 @@ def _checked_table(catalog: Catalog, stmt) -> TableInfo:
     return info
 
 
+def _item_name(item: SelectItem, position: int) -> str:
+    if item.alias:
+        return item.alias
+    expr = item.expr
+    if isinstance(expr, ColumnRef):
+        return expr.name
+    if isinstance(expr, Aggregate):
+        if isinstance(expr.argument, Star):
+            return f"{expr.func}(*)"
+        if isinstance(expr.argument, ColumnRef):
+            return f"{expr.func}({expr.argument.name})"
+        return expr.func
+    return f"col{position}"
+
+
+def _contains_param(expr: Expr) -> bool:
+    if isinstance(expr, Param):
+        return True
+    if isinstance(expr, BinaryOp):
+        return _contains_param(expr.left) or _contains_param(expr.right)
+    return False
+
+
+def _bucket_predicate(stmt: SelectStmt, info: TableInfo) -> Optional[Tuple[int, Expr]]:
+    """The conjunct a demuxed batch buckets rows on: the first
+    ``col = expr`` equality whose constant side carries a parameter.
+    Returns the column's row position and the value expression, or None
+    when no such conjunct exists (bindings then share the full scan and
+    each applies the whole WHERE clause itself)."""
+    for conjunct in and_conjuncts(stmt.where):
+        match = _equality_on_column(conjunct)
+        if match is not None and _contains_param(match[1]):
+            return info.heap.schema.position(match[0], info.name), match[1]
+    return None
+
+
+def _point_key(stmt: SelectStmt, star: bool) -> Optional[str]:
+    """The key column when ``stmt`` is the bare point lookup
+    ``SELECT cols|* FROM t WHERE key = ?`` (one parameter, plain column
+    items, nothing after the WHERE), else None."""
+    if (
+        stmt.group_by
+        or stmt.distinct
+        or stmt.order_by
+        or stmt.limit is not None
+        or stmt.param_count != 1
+    ):
+        return None
+    match = _equality_on_column(stmt.where)
+    if match is None or not isinstance(match[1], Param):
+        return None
+    if not star and not all(isinstance(item.expr, ColumnRef) for item in stmt.items):
+        return None
+    return match[0]
+
+
 def _limited(rows: list, count: Optional[int]) -> list:
     return rows if count is None else rows[:count]
 
@@ -275,23 +325,66 @@ def prefer_batch_scan(
 # ----------------------------------------------------------------------
 # plans
 # ----------------------------------------------------------------------
+#
+# A plan is the single owner of its statement's value semantics.  What
+# depends only on the statement is computed once, here, and exposed as
+# public members; the engine's own ``execute`` and every other store
+# (:mod:`repro.backends.sqlite`) read those members, so no store
+# re-derives them from the AST — and none can disagree with the oracle.
 
 
-class SelectPlan:
-    def __init__(self, catalog: Catalog, stmt: SelectStmt) -> None:
+class _AccessPlan:
+    """SELECT / UPDATE / DELETE: a checked table plus its access path."""
+
+    def __init__(self, catalog: Catalog, stmt) -> None:
         self._catalog = catalog
         self._stmt = stmt
         self._info = _checked_table(catalog, stmt)
-        indexes = catalog.indexes_on(stmt.table)
-        self._access = _choose_access_path(self._info, indexes, stmt.where)
+        self._access = _choose_access_path(
+            self._info, catalog.indexes_on(stmt.table), stmt.where
+        )
 
     @property
     def access_path(self) -> str:
         """Name of the chosen access path (asserted by planner tests)."""
         return type(self._access).__name__
 
+
+class SelectPlan(_AccessPlan):
+    def __init__(self, catalog: Catalog, stmt: SelectStmt) -> None:
+        super().__init__(catalog, stmt)
+        #: Is the select list the bare ``*``?
+        self.star = len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star)
+        #: Result column names (aliases applied; the schema's for ``*``).
+        self.output_names: Tuple[str, ...] = (
+            self._info.heap.schema.names()
+            if self.star
+            else tuple(_item_name(item, i) for i, item in enumerate(stmt.items))
+        )
+        #: The demux conjunct ``(row position, value expr)``, or None.
+        self.bucket = _bucket_predicate(stmt, self._info)
+        #: The key column of a bare ``SELECT cols|* … WHERE key = ?``
+        #: (else None): a store may answer N bindings of such a
+        #: statement with one ``WHERE key IN (…)``.
+        self.point_key = _point_key(stmt, self.star)
+
+    def limit(self, params: Sequence) -> Optional[int]:
+        """The row count LIMIT allows under ``params`` (None without a
+        LIMIT).  Every store validates LIMIT through this one method, so
+        a negative or non-integer limit is the same :class:`PlanError`
+        everywhere."""
+        if self._stmt.limit is None:
+            return None
+        info = self._info
+        count = RowEvaluator(info.heap.schema, info.name, params).evaluate(
+            self._stmt.limit, ()
+        )
+        if not isinstance(count, int) or count < 0:
+            raise PlanError(f"LIMIT must be a non-negative integer, got {count!r}")
+        return count
+
     def execute(self, ctx: ExecutionContext) -> QueryResult:
-        _check_params(self._stmt.param_count, ctx.params)
+        check_params(self._stmt.param_count, ctx.params)
         ctx.charge_cpu(fixed=True)
         info = self._info
         with info.heap.lock.reading():
@@ -320,6 +413,7 @@ class SelectPlan:
         """
         stmt = self._stmt
         info = self._info
+        names = self.output_names
         if evaluator is None:
             evaluator = ColumnarEvaluator(
                 info.heap.schema, info.name, ctx.params, columns
@@ -328,20 +422,20 @@ class SelectPlan:
             ctx.charge_cpu(rows=len(sel))
             sel = evaluator.filter(stmt.where, sel)
         if stmt.group_by:
-            names, rows = columnar_aggregate_grouped(
+            rows = columnar_aggregate_grouped(
                 ctx, info, evaluator, columns, sel, stmt.items, stmt.group_by
             )
             rows = order_output_rows(names, rows, stmt.order_by)
         elif stmt.is_aggregate:
-            names, rows = columnar_aggregate(ctx, evaluator, sel, stmt.items)
+            rows = columnar_aggregate(ctx, evaluator, sel, stmt.items)
         else:
             sel = columnar_order(info, columns, sel, stmt.order_by)
             if not stmt.distinct:
                 # LIMIT counts output rows; without DISTINCT those are
                 # the selected rows, so only the survivors materialize.
-                sel = _limited(sel, limit_count(stmt, info.heap.schema, ctx.params))
-            names, value_columns = columnar_project(
-                ctx, info, evaluator, columns, sel, stmt.items
+                sel = _limited(sel, self.limit(ctx.params))
+            value_columns = columnar_project(
+                ctx, evaluator, columns, sel, stmt.items, self.star
             )
             result = QueryResult.from_columns(
                 names, value_columns, distinct=stmt.distinct
@@ -349,7 +443,7 @@ class SelectPlan:
             if not stmt.distinct:
                 return result
             rows = result.rows
-        rows = _limited(rows, limit_count(stmt, info.heap.schema, ctx.params))
+        rows = _limited(rows, self.limit(ctx.params))
         return QueryResult(columns=names, rows=rows)
 
 
@@ -368,25 +462,32 @@ class InsertPlan:
             if len(stmt.values) != len(schema):
                 raise PlanError("INSERT value count does not match schema")
 
-    def execute(self, ctx: ExecutionContext) -> QueryResult:
-        _check_params(self._stmt.param_count, ctx.params)
-        ctx.charge_cpu(fixed=True)
+    def row(self, params: Sequence, txn) -> Row:
+        """The full-width row this INSERT stores under ``params``:
+        arity check → evaluate the values → refuse a clustered table
+        inside a transaction → coerce to the schema.  Every store
+        inserts what this returns, so value semantics, error classes
+        and their precedence are the same everywhere."""
+        check_params(self._stmt.param_count, params)
         info = self._info
         schema = info.heap.schema
-        evaluator = RowEvaluator(schema, info.name, ctx.params)
+        evaluate = RowEvaluator(schema, info.name, params).evaluate
         values: List = [None] * len(schema)
         for position, expr in zip(self._positions, self._stmt.values):
-            values[position] = evaluator.evaluate(expr, ())
-        if ctx.txn is not None and info.heap.is_clustered:
-            from ..errors import TransactionStateError
-
+            values[position] = evaluate(expr, ())
+        if txn is not None and info.heap.is_clustered:
             raise TransactionStateError(
                 f"transactional INSERT into clustered table {info.name!r} is "
                 "not supported: clustered inserts shift row ids, which the "
                 "logical undo log cannot reverse"
             )
+        return schema.coerce_row(values)
+
+    def execute(self, ctx: ExecutionContext) -> QueryResult:
+        row = self.row(ctx.params, ctx.txn)
+        ctx.charge_cpu(fixed=True)
+        info = self._info
         with info.heap.lock.writing():
-            row = schema.coerce_row(values)
             row_id = info.heap.insert(row)
             self._catalog.on_insert(info.name, row_id, row)
             ctx.record_insert(info.name, row_id, row)
@@ -399,31 +500,41 @@ class InsertPlan:
         return QueryResult(rowcount=1)
 
 
-class UpdatePlan:
+class UpdatePlan(_AccessPlan):
     def __init__(self, catalog: Catalog, stmt: UpdateStmt) -> None:
-        self._catalog = catalog
-        self._stmt = stmt
-        self._info = _checked_table(catalog, stmt)
-        indexes = catalog.indexes_on(stmt.table)
-        self._access = _choose_access_path(self._info, indexes, stmt.where)
+        super().__init__(catalog, stmt)
         schema = self._info.heap.schema
         self._targets = [
             (schema.position(column, stmt.table), expr)
             for column, expr in stmt.assignments
         ]
 
+    def assigner(self, params: Sequence) -> Callable[[Row], Row]:
+        """``old row -> coerced new row`` under ``params``.  Every store
+        computes an updated row through this one function (the sqlite
+        store's read-modify-write included), so assignment evaluation
+        and schema coercion are the same everywhere."""
+        schema = self._info.heap.schema
+        evaluate = RowEvaluator(schema, self._info.name, params).evaluate
+        targets = self._targets
+
+        def assign(row: Row) -> Row:
+            new_row = list(row)
+            for position, expr in targets:
+                new_row[position] = evaluate(expr, row)
+            return schema.coerce_row(new_row)
+
+        return assign
+
     def execute(self, ctx: ExecutionContext) -> QueryResult:
-        _check_params(self._stmt.param_count, ctx.params)
+        check_params(self._stmt.param_count, ctx.params)
         ctx.charge_cpu(fixed=True)
         info = self._info
-        evaluator = RowEvaluator(info.heap.schema, info.name, ctx.params)
+        assign = self.assigner(ctx.params)
         with info.heap.lock.writing():
             rows = _candidate_rows(ctx, info, self._access, self._stmt.where)
             for row_id, row in rows:
-                new_row = list(row)
-                for position, expr in self._targets:
-                    new_row[position] = evaluator.evaluate(expr, row)
-                coerced = info.heap.schema.coerce_row(new_row)
+                coerced = assign(row)
                 info.heap.update(row_id, coerced)
                 self._catalog.on_update(info.name, row_id, row, coerced)
                 ctx.record_update(info.name, row_id, row, coerced)
@@ -431,16 +542,9 @@ class UpdatePlan:
         return QueryResult(rowcount=len(rows))
 
 
-class DeletePlan:
-    def __init__(self, catalog: Catalog, stmt: DeleteStmt) -> None:
-        self._catalog = catalog
-        self._stmt = stmt
-        self._info = _checked_table(catalog, stmt)
-        indexes = catalog.indexes_on(stmt.table)
-        self._access = _choose_access_path(self._info, indexes, stmt.where)
-
+class DeletePlan(_AccessPlan):
     def execute(self, ctx: ExecutionContext) -> QueryResult:
-        _check_params(self._stmt.param_count, ctx.params)
+        check_params(self._stmt.param_count, ctx.params)
         ctx.charge_cpu(fixed=True)
         info = self._info
         with info.heap.lock.writing():
@@ -457,21 +561,20 @@ class CreateTablePlan:
     def __init__(self, catalog: Catalog, stmt: CreateTableStmt) -> None:
         self._catalog = catalog
         self._stmt = stmt
+        #: The declared schema (unknown column types fail here, at
+        #: prepare time, for every store).
+        self.schema = schema_of_defs(stmt.columns)
+
+    def apply(self) -> None:
+        """Create the table in this plan's catalog.  A store that keeps
+        its rows elsewhere calls this to keep its schema mirror in
+        step, then runs its own DDL."""
+        self._catalog.create_table(
+            self._stmt.table, self.schema, if_not_exists=self._stmt.if_not_exists
+        )
 
     def execute(self, ctx: ExecutionContext) -> QueryResult:
-        columns = [
-            Column(
-                definition.name,
-                ColumnType.from_name(definition.type_name),
-                nullable=not definition.not_null,
-            )
-            for definition in self._stmt.columns
-        ]
-        self._catalog.create_table(
-            self._stmt.table,
-            Schema(columns),
-            if_not_exists=self._stmt.if_not_exists,
-        )
+        self.apply()
         return QueryResult(rowcount=0)
 
 
@@ -480,7 +583,9 @@ class CreateIndexPlan:
         self._catalog = catalog
         self._stmt = stmt
 
-    def execute(self, ctx: ExecutionContext) -> QueryResult:
+    def apply(self) -> None:
+        """Create the index in this plan's catalog (see
+        :meth:`CreateTablePlan.apply`)."""
         stmt = self._stmt
         if stmt.clustered:
             raise PlanError(
@@ -494,4 +599,7 @@ class CreateIndexPlan:
             ordered=stmt.ordered,
             unique=stmt.unique,
         )
+
+    def execute(self, ctx: ExecutionContext) -> QueryResult:
+        self.apply()
         return QueryResult(rowcount=0)

@@ -252,9 +252,13 @@ class CreateIndexStmt(Statement):
     param_count: int = 0
 
 
+def is_ddl(statement: Statement) -> bool:
+    """True for statements that change the schema."""
+    return isinstance(statement, (CreateTableStmt, CreateIndexStmt))
+
+
 def is_write(statement: Statement) -> bool:
     """True for statements that modify database state."""
-    return isinstance(
-        statement,
-        (InsertStmt, UpdateStmt, DeleteStmt, CreateTableStmt, CreateIndexStmt),
+    return is_ddl(statement) or isinstance(
+        statement, (InsertStmt, UpdateStmt, DeleteStmt)
     )

@@ -160,3 +160,18 @@ def schema_of(*pairs: Tuple[str, str], not_null: Optional[Sequence[str]] = None)
         for name, type_name in pairs
     ]
     return Schema(columns)
+
+
+def schema_of_defs(definitions) -> Schema:
+    """The schema a parsed ``CREATE TABLE`` declares: one column per
+    definition (anything with ``name`` / ``type_name`` / ``not_null``)."""
+    return Schema(
+        [
+            Column(
+                definition.name,
+                ColumnType.from_name(definition.type_name),
+                nullable=not definition.not_null,
+            )
+            for definition in definitions
+        ]
+    )

@@ -10,8 +10,6 @@ them.
 * :mod:`repro.prefetch.cache`     — :class:`ResultCache`: single-flight,
   bounded LRU, write-driven invalidation, optional TTL and
   negative-caching knobs, hit/miss/eviction/expiry stats.
-* :mod:`repro.prefetch.tables`    — SQL → touched-tables mapping used by
-  the invalidation path (wildcard fallback for unknown text).
 * :mod:`repro.prefetch.insertion` — the prefetch-insertion transform and
   the :func:`prefetch_source` front end.  Guarded hoists preserve the
   query multiset; the speculative (unguarded) mode — gated per site by
@@ -34,7 +32,6 @@ through cache-less connections invalidate sibling caches too.
 
 from .cache import CacheStats, Lease, ResultCache, WILDCARD_TABLE
 from .insertion import PrefetchInserter, PrefetchSite, prefetch_source
-from .tables import tables_of_statement, tables_touched, written_table
 
 __all__ = [
     "CacheStats",
@@ -44,7 +41,4 @@ __all__ = [
     "PrefetchInserter",
     "PrefetchSite",
     "prefetch_source",
-    "tables_of_statement",
-    "tables_touched",
-    "written_table",
 ]

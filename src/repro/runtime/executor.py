@@ -9,30 +9,19 @@ This is the *dispatch arm* of the unified submission core
 (:mod:`repro.core.submission`): the pipeline decides whether a request
 needs a round trip at all (cache hit / single-flight follower) and only
 then hands the dispatched task here.  Every runtime shares it — the
-asyncio front end wraps the produced handle's future rather than
-stacking a second pool on top.
+asyncio front end wraps the produced future rather than stacking a
+second pool on top.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable
-
-from .handles import QueryHandle
-
-
-@dataclass
-class ExecutorStats:
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    peak_in_flight: int = 0
 
 
 class AsyncExecutor:
-    """A resizable thread pool producing :class:`QueryHandle` objects."""
+    """A resizable, closable thread pool with a simulated spawn cost."""
 
     def __init__(
         self,
@@ -52,9 +41,7 @@ class AsyncExecutor:
         self._started = False
         self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix=name)
         self._lock = threading.Lock()
-        self._in_flight = 0
         self._closed = False
-        self.stats = ExecutorStats()
 
     @property
     def workers(self) -> int:
@@ -75,44 +62,18 @@ class AsyncExecutor:
         self._workers = workers
         old.shutdown(wait=True)
 
-    def submit(self, task: Callable[[], Any], label: str = "") -> QueryHandle:
-        """Run ``task`` on a pool thread; returns its handle."""
-        charge_spawn = False
+    def submit(self, task: Callable[[], Any]) -> "Future[Any]":
+        """Run ``task`` on a pool thread; returns the pool's future."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("executor is closed")
-            if not self._started:
-                self._started = True
-                charge_spawn = self._spawn_cost_s > 0
-            self.stats.submitted += 1
+            charge_spawn = not self._started and self._spawn_cost_s > 0
+            self._started = True
         if charge_spawn:
             from ..db.latency import precise_sleep
 
             precise_sleep(self._spawn_cost_s * self._workers)
-
-        def run() -> Any:
-            with self._lock:
-                self._in_flight += 1
-                if self._in_flight > self.stats.peak_in_flight:
-                    self.stats.peak_in_flight = self._in_flight
-            try:
-                value = task()
-            except BaseException:
-                with self._lock:
-                    self._in_flight -= 1
-                    self.stats.failed += 1
-                raise
-            with self._lock:
-                self._in_flight -= 1
-                self.stats.completed += 1
-            return value
-
-        return QueryHandle(self._pool.submit(run), label=label)
-
-    @property
-    def in_flight(self) -> int:
-        with self._lock:
-            return self._in_flight
+        return self._pool.submit(task)
 
     def close(self, wait: bool = True) -> None:
         with self._lock:

@@ -286,6 +286,53 @@ class TestBatchDifferential:
         finally:
             db.close()
 
+    @given(rows=rows_strategy, keys=st.lists(values, min_size=1, max_size=8))
+    @settings(max_examples=8, deadline=None)
+    def test_batch_slots_match_per_binding_execution(self, rows, keys):
+        # Every point-lookup shape sqlite answers with one IN (...):
+        # plain, aliased with the equality flipped, and ``*``.  Each
+        # slot of the batch — duplicate, NULL and wrong-arity bindings
+        # included — must equal executing that binding alone, on each
+        # store, and the two stores must agree slot by slot.
+        def normalized(outcome):
+            if isinstance(outcome, Exception):
+                return type(outcome)
+            return outcome.columns, Counter(outcome.rows)
+
+        def alone(backend, sql, binding):
+            try:
+                return backend.execute(sql, binding)
+            except Exception as exc:
+                return exc
+
+        db = fresh_db(rows)
+        try:
+            bindings = [(key,) for key in keys] + [(), (keys[0], keys[0])]
+            for sql in (
+                "SELECT id, b FROM t WHERE a = ?",
+                "SELECT id AS row_id, b AS beta FROM t WHERE ? = a",
+                "SELECT * FROM t WHERE a = ?",
+            ):
+                per_backend = []
+                for name in BACKENDS:
+                    backend = db.backend(name)
+                    prepared = backend.prepare(sql)
+                    assert prepared.plan.point_key == "a"
+                    batch = [
+                        normalized(outcome)
+                        for outcome in backend.execute_prepared_batch(
+                            prepared, bindings
+                        )
+                    ]
+                    assert batch == [
+                        normalized(alone(backend, sql, binding))
+                        for binding in bindings
+                    ], f"{name}: {sql!r} {bindings}"
+                    per_backend.append(batch)
+                assert per_backend[0] == per_backend[1], sql
+        finally:
+            db.close()
+
     @given(rows=rows_strategy, keys=st.lists(values, min_size=1, max_size=6))
     @settings(max_examples=8, deadline=None)
     def test_non_demuxable_batch_agrees(self, rows, keys):
@@ -421,6 +468,24 @@ class TestErrorParity:
                     conn.begin()
                     with pytest.raises(TransactionStateError):
                         conn.execute_update("INSERT INTO k VALUES (1)")
+                    conn.rollback()
+        finally:
+            db.close()
+
+
+    def test_insert_error_precedence_matches(self):
+        # One order on every store (``InsertPlan.row``): the values are
+        # evaluated before a transactional clustered insert is refused,
+        # so a value that cannot be computed wins over the refusal.
+        db = Database(INSTANT)
+        try:
+            db.create_table("k", ("id", "int"), clustered_on="id")
+            db.backend("sqlite")
+            for name in BACKENDS:
+                with db.connect(async_workers=1, backend=name) as conn:
+                    conn.begin()
+                    with pytest.raises(TypeError):
+                        conn.execute_update("INSERT INTO k VALUES (? + 1)", ("x",))
                     conn.rollback()
         finally:
             db.close()

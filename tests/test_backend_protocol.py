@@ -13,7 +13,6 @@ import pytest
 from repro.backends import Backend
 from repro.db import INSTANT, LatencyMeter, QueryResult
 from repro.db.errors import ServerShutdownError, StatementHandleError
-from repro.db.sql.ast_nodes import is_write
 from repro.db.txn import TransactionManager
 
 INSERT = "INSERT INTO t VALUES (?)"
@@ -50,8 +49,8 @@ class RecordingBackend(Backend):
         self.active_during_execute = self.stats_snapshot()["active"]
         if self.fail is not None:
             raise self.fail
-        rows = self.tables.setdefault(prepared.ast.table, [])
-        if is_write(prepared.ast):
+        rows = self.tables.setdefault(prepared.table, [])
+        if prepared.write:
             rows.append(params)
             return QueryResult(rowcount=1)
         return QueryResult(columns=("n",), rows=[(len(rows),)])

@@ -1,0 +1,222 @@
+"""Prepare means prepared: the seam between statements and requests.
+
+What depends only on a statement is decided once, at prepare: the plan
+owns its value semantics, ``PreparedStatement`` carries its shape, and a
+store compiles its SQL in ``_plan``.  These tests pin that seam three
+ways — by reading the source (who may import the SQL front end, who may
+touch an AST), by tabulating the shape every statement kind gets on
+both stores, and by counting dialect translations during execution
+(there must be none).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import repro
+from repro.backends import BACKENDS, dialect
+from repro.backends import sqlite as sqlite_store
+from repro.db import Database, INSTANT
+
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def modules(package):
+    """``(dotted package of the file, parsed tree)`` for every module
+    under ``repro.<package>`` (a single module when it is a file)."""
+    root = SRC / package
+    paths = sorted(root.rglob("*.py")) if root.is_dir() else [root.with_suffix(".py")]
+    assert paths, package
+    for path in paths:
+        parts = ("repro",) + path.relative_to(SRC).with_suffix("").parts
+        yield ".".join(parts[:-1]), ast.parse(path.read_text())
+
+
+def imports(package_of_file, tree):
+    """``(module, name)`` for every import in ``tree``, relative imports
+    resolved against the importing file's package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            base = package_of_file.split(".")
+            if node.level:
+                base = base[: len(base) - (node.level - 1)]
+                module = ".".join(base + ([node.module] if node.module else []))
+            else:
+                module = node.module
+            for alias in node.names:
+                yield module, alias.name
+
+
+REQUEST_PATH = ("core", "client", "runtime", "web")
+
+
+class TestLayering:
+    @pytest.mark.parametrize("package", REQUEST_PATH + ("prefetch",))
+    def test_request_path_never_imports_the_sql_front_end(self, package):
+        for package_of_file, tree in modules(package):
+            for module, name in imports(package_of_file, tree):
+                full = module if name is None else f"{module}.{name}"
+                assert not full.startswith("repro.db.sql"), (
+                    f"{package_of_file} imports {full}"
+                )
+
+    @pytest.mark.parametrize("package", REQUEST_PATH)
+    def test_request_path_reads_no_ast(self, package):
+        for package_of_file, tree in modules(package):
+            for node in ast.walk(tree):
+                assert not (
+                    isinstance(node, ast.Attribute) and node.attr == "ast"
+                ), f"{package_of_file}:{node.lineno} reads .ast"
+
+    def test_sqlite_store_reads_only_public_plan_members(self):
+        ((package_of_file, tree),) = modules("backends/sqlite")
+        for module, name in imports(package_of_file, tree):
+            if module.startswith("repro.db.plan"):
+                assert not name.startswith("_"), f"imports {module}.{name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                owner = node.value
+                owner = getattr(owner, "id", getattr(owner, "attr", ""))
+                assert owner != "plan", f"line {node.lineno}: plan.{node.attr}"
+
+
+@pytest.fixture
+def users_db():
+    db = Database(INSTANT)
+    db.create_table("users", ("id", "int"), ("name", "text"))
+    db.bulk_load("users", [(i, f"user-{i}") for i in range(8)])
+    yield db
+    db.close()
+
+
+#: One row per statement kind:
+#: (sql, write, ddl, table, param_count, demuxable).
+SHAPES = [
+    ("SELECT name AS n, id FROM users WHERE id = ?", False, False, "users", 1, True),
+    ("INSERT INTO users VALUES (?, ?)", True, False, "users", 2, False),
+    ("UPDATE users SET name = ? WHERE id = ?", True, False, "users", 2, False),
+    ("DELETE FROM users WHERE id = ?", True, False, "users", 1, False),
+    ("CREATE TABLE fresh (a int)", True, True, "fresh", 0, False),
+    ("CREATE INDEX ix ON users (id)", True, True, "users", 0, False),
+]
+KINDS = ["select", "insert", "update", "delete", "create-table", "create-index"]
+
+#: (sql, output_names, star, point_key) — what a store reads off a
+#: SELECT plan instead of the AST.
+SELECT_SHAPES = [
+    ("SELECT name AS n, id FROM users WHERE id = ?", ("n", "id"), False, "id"),
+    ("SELECT * FROM users WHERE ? = name", ("id", "name"), True, "name"),
+    ("SELECT count(*) FROM users WHERE id = ?", ("count(*)",), False, None),
+    ("SELECT id FROM users WHERE id = ? LIMIT 1", ("id",), False, None),
+    ("SELECT id FROM users WHERE id = ? AND name = ?", ("id",), False, None),
+]
+SELECT_KINDS = ["aliased", "star-flipped", "aggregate", "limit", "two-params"]
+
+
+def shape(prepared):
+    return (
+        prepared.write,
+        prepared.ddl,
+        prepared.table,
+        prepared.tables,
+        prepared.param_count,
+        prepared.demuxable,
+        prepared.label,
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestStatementShape:
+    @pytest.mark.parametrize(
+        "sql,write,ddl,table,param_count,demuxable", SHAPES, ids=KINDS
+    )
+    def test_shape_is_fixed_at_prepare(
+        self, users_db, backend, sql, write, ddl, table, param_count, demuxable
+    ):
+        prepared = users_db.backend(backend).prepare(sql)
+        assert shape(prepared) == (
+            write,
+            ddl,
+            table,
+            frozenset({table}),
+            param_count,
+            demuxable,
+            sql[:40],
+        )
+        assert not hasattr(prepared, "ast")
+
+    @pytest.mark.parametrize(
+        "sql,output_names,star,point_key", SELECT_SHAPES, ids=SELECT_KINDS
+    )
+    def test_select_plan_members(
+        self, users_db, backend, sql, output_names, star, point_key
+    ):
+        plan = users_db.backend(backend).prepare(sql).plan
+        assert (plan.output_names, plan.star, plan.point_key) == (
+            output_names,
+            star,
+            point_key,
+        )
+
+    def test_stale_statement_is_re_prepared_with_the_same_shape(
+        self, users_db, backend
+    ):
+        store = users_db.backend(backend)
+        sql = "SELECT name FROM users WHERE id = ?"
+        stale = store.prepare(sql)
+        users_db.create_index("ix", "users", "id")  # DDL: every plan is stale
+        fresh = store.prepare(sql)
+        assert fresh is not stale
+        assert shape(fresh) == shape(stale)
+        assert fresh.plan.point_key == stale.plan.point_key == "id"
+        # A holder of the stale handle still gets an answer.
+        assert store.submit_prepared(stale, (3,)).result().rows == [("user-3",)]
+
+
+class TestPreparedMeansPrepared:
+    def test_execution_translates_nothing(self, users_db, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(dialect, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("translate_expr", "translate_statement"):
+            wrapper = counted(name)
+            monkeypatch.setattr(dialect, name, wrapper)
+            monkeypatch.setattr(sqlite_store, name, wrapper)
+
+        store = users_db.backend("sqlite")
+        select = store.prepare("SELECT name FROM users WHERE id = ?")
+        insert = store.prepare("INSERT INTO users (name, id) VALUES (?, ? + 100)")
+        update = store.prepare("UPDATE users SET name = ? WHERE id % 2 = ?")
+        delete = store.prepare("DELETE FROM users WHERE id = ?")
+        assert calls, "prepare compiles the SQL (the counter works)"
+        del calls[:]
+
+        def run(prepared, *params):
+            return store.submit_prepared(prepared, params).result()
+
+        assert run(select, 3).rows == [("user-3",)]
+        assert run(insert, "new", 1).rowcount == 1
+        assert run(update, "odd", 1).rowcount == 5  # 1, 3, 5, 7 and 101
+        assert run(delete, 0).rowcount == 1
+        looked_up = store.execute_prepared_batch(select, [(1,), (2,), (1,)])
+        assert [outcome.rows for outcome in looked_up] == [
+            [("odd",)],
+            [("user-2",)],
+            [("odd",)],
+        ]
+        inserted = store.execute_prepared_batch(insert, [("a", 2), ("b", 3)])
+        assert [outcome.rowcount for outcome in inserted] == [1, 1]
+        assert run(select, 103).rows == [("b",)]
+        assert calls == []

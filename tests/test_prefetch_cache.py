@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.db import Database, INSTANT
-from repro.prefetch import ResultCache, WILDCARD_TABLE, tables_touched, written_table
+from repro.prefetch import ResultCache
 
 
 class TestResultCacheCore:
@@ -113,19 +113,6 @@ class TestResultCacheCore:
         cache.complete(owner, "stale")  # waiters are served...
         assert owner.future.result() == "stale"
         assert "q" not in cache  # ...but the value is not retained
-
-
-class TestTableMapping:
-    def test_select_maps_to_its_table(self):
-        assert tables_touched("SELECT name FROM users WHERE user_id = ?") == {"users"}
-
-    def test_unparseable_sql_is_wildcard(self):
-        assert tables_touched("not sql at all") == {WILDCARD_TABLE}
-
-    def test_written_table(self):
-        assert written_table("UPDATE users SET rating = ? WHERE user_id = ?") == "users"
-        assert written_table("SELECT * FROM users") is None
-        assert written_table("DROP TABLE mystery") == WILDCARD_TABLE
 
 
 @pytest.fixture

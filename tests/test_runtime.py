@@ -30,15 +30,6 @@ class TestAsyncExecutor:
             gate.wait()
             assert [h.result() for h in handles] == [1, 1]
 
-    def test_stats(self):
-        with AsyncExecutor(2) as executor:
-            handles = [executor.submit(lambda: 1) for _ in range(5)]
-            for handle in handles:
-                handle.result()
-            assert executor.stats.submitted == 5
-            assert executor.stats.completed == 5
-            assert executor.stats.failed == 0
-
     def test_failure_counted_and_raised(self):
         def boom():
             raise ValueError("boom")
@@ -47,7 +38,6 @@ class TestAsyncExecutor:
             handle = executor.submit(boom)
             with pytest.raises(ValueError):
                 handle.result()
-            assert executor.stats.failed == 1
 
     def test_closed_executor_rejects(self):
         executor = AsyncExecutor(1)

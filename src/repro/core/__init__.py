@@ -6,6 +6,12 @@ the same :class:`~repro.core.submission.SubmissionPipeline`.  The paper's
 premise is that *how* a request is coordinated (Section II's observer
 model vs. callbacks vs. blocking) is a mechanical choice; this package
 is the repo's enforcement of that premise at the architecture level.
+
+Three modules along the pipeline's seams: :mod:`~repro.core.calls`
+(``CallPipeline``: cache protocol, dispatch, speculation ledger, stats),
+:mod:`~repro.core.coalescer` (``DispatchCoalescer``: set-oriented
+dispatch) and :mod:`~repro.core.submission` (``SubmissionPipeline``: the
+SQL specifics, plus the lifecycle narrative and every public name).
 """
 
 from .submission import (

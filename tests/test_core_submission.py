@@ -320,15 +320,16 @@ class TestCacheTtl:
 class TestSingleModuleCacheLookup:
     def test_cache_lookup_lives_only_in_core_submission(self):
         """ISSUE acceptance (grep-equivalent): client/runtime front ends
-        carry no cache-lookup code of their own."""
+        carry no cache-lookup code of their own — it lives in the
+        submission core's ``CallPipeline`` (``repro.core.calls``)."""
         import inspect
 
         import repro.client.connection as connection
-        import repro.core.submission as submission
+        import repro.core.calls as calls
         import repro.runtime.aio as aio
         import repro.runtime.executor as executor
 
-        assert "acquire(" in inspect.getsource(submission)
+        assert "acquire(" in inspect.getsource(calls)
         for module in (connection, aio, executor):
             source = inspect.getsource(module)
             assert ".acquire(" not in source

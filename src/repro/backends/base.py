@@ -249,8 +249,9 @@ class PreparedStatement:
         self.write = is_write(ast)
         #: … the schema (bumps the catalog version, refused in a txn)?
         self.ddl = is_ddl(ast)
-        #: The one table it reads or writes (the subset is single-table),
-        #: and the same as the frozenset the cache protocol keys on.
+        #: The one table it reads or writes (the subset is single-table)
+        #: — by name, and as the set the cache protocol keys entries,
+        #: validity tokens and uncommitted marks on.
         self.table: str = ast.table
         self.tables = frozenset((ast.table,))
         self.param_count: int = ast.param_count
@@ -281,6 +282,9 @@ class Backend:
             -> List[BindingOutcome] | None
         _close()                                      (optional)
 
+    (``_plan`` is the only hook that sees the AST: it compiles whatever
+    the store will execute into ``translated``; the execute hooks read
+    the prepared statement's shape and the plan's public members)
     and hands its catalog, latency profile/meter and a
     :class:`~repro.db.txn.TransactionManager` (whose ``_apply`` step is
     the store's commit/rollback) to ``__init__``.  Everything else —

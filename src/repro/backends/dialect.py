@@ -189,15 +189,17 @@ def translate_order_by(stmt: SelectStmt, style: ParamStyle = NAMED) -> str:
     return ", ".join(terms)
 
 
-def translate_select(stmt: SelectStmt, style: ParamStyle = NAMED) -> str:
+def _select_list(stmt: SelectStmt, style: ParamStyle) -> str:
     if len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star):
-        items = "*"
-    else:
-        items = ", ".join(_translate_item(item, style) for item in stmt.items)
+        return "*"
+    return ", ".join(_translate_item(item, style) for item in stmt.items)
+
+
+def translate_select(stmt: SelectStmt, style: ParamStyle = NAMED) -> str:
     parts = ["SELECT "]
     if stmt.distinct:
         parts.append("DISTINCT ")
-    parts.append(f"{items} FROM {quote_ident(stmt.table)}")
+    parts.append(f"{_select_list(stmt, style)} FROM {quote_ident(stmt.table)}")
     if stmt.where is not None:
         parts.append(f" WHERE {translate_expr(stmt.where, style)}")
     if stmt.group_by:
@@ -245,10 +247,8 @@ def translate_point_batch(
     has ``point_key == key``), up to the opening of its ``IN (`` hole
     list.  Unless ``*`` already carries it, the key rides along as an
     extra trailing column so fetched rows can be demultiplexed."""
-    if len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star):
-        items = "*"
-    else:
-        items = ", ".join(_translate_item(item, style) for item in stmt.items)
+    items = _select_list(stmt, style)
+    if items != "*":
         items += f", {quote_ident(key)}"
     return (
         f"SELECT {items} FROM {quote_ident(stmt.table)} "

@@ -386,14 +386,13 @@ class SqliteBackend(Backend):
         by_key: Dict[Any, List[tuple]] = {}
         for row in rows:
             by_key.setdefault(row[key_position], []).append(row[:width])
-        outcomes: List[BindingOutcome] = []
-        for binding in bindings:
-            if len(binding) != 1:
-                outcomes.append(ParamCountError(1, len(binding)))
-                continue
-            matches = by_key.get(binding[0]) if binding[0] is not None else None
-            outcomes.append(QueryResult(columns=columns, rows=list(matches or ())))
-        return outcomes
+        # (A NULL binding finds nothing: IN never returns a NULL key.)
+        return [
+            QueryResult(columns=columns, rows=list(by_key.get(binding[0], ())))
+            if len(binding) == 1
+            else ParamCountError(1, len(binding))
+            for binding in bindings
+        ]
 
     def _execute_write_batch(
         self, prepared: PreparedStatement, bindings: List[tuple]

@@ -165,13 +165,7 @@ def schema_of(*pairs: Tuple[str, str], not_null: Optional[Sequence[str]] = None)
 def schema_of_defs(definitions) -> Schema:
     """The schema a parsed ``CREATE TABLE`` declares: one column per
     definition (anything with ``name`` / ``type_name`` / ``not_null``)."""
-    return Schema(
-        [
-            Column(
-                definition.name,
-                ColumnType.from_name(definition.type_name),
-                nullable=not definition.not_null,
-            )
-            for definition in definitions
-        ]
+    return schema_of(
+        *((definition.name, definition.type_name) for definition in definitions),
+        not_null=[d.name for d in definitions if d.not_null],
     )

@@ -256,7 +256,7 @@ def translate_point_batch(
     )
 
 
-def full_row_insert_sql(table: str, schema: Schema) -> str:
+def insert_full_row_sql(table: str, schema: Schema) -> str:
     """``INSERT INTO t VALUES (?, …)``: one positional hole per column,
     for rows the engine has already evaluated and coerced."""
     holes = ", ".join("?" for _ in schema)

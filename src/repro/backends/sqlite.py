@@ -82,7 +82,7 @@ from .dialect import (
     NAMED,
     create_index_sql,
     create_table_sql,
-    full_row_insert_sql,
+    insert_full_row_sql,
     quote_ident,
     translate_expr,
     translate_point_batch,
@@ -250,7 +250,7 @@ class SqliteBackend(Backend):
             )
         if isinstance(ast, InsertStmt):
             schema = self._catalog.table(ast.table).heap.schema
-            return plan, (self._run_insert, full_row_insert_sql(ast.table, schema))
+            return plan, (self._run_insert, insert_full_row_sql(ast.table, schema))
         if isinstance(ast, UpdateStmt):
             # Read-modify-write: matching rows come back with their
             # rowid, the plan computes each new row, and the full row
@@ -479,7 +479,7 @@ class SqliteBackend(Backend):
         coerced = [schema.coerce_row(row) for row in rows]
         if not coerced:
             return 0
-        sql = full_row_insert_sql(table, schema)
+        sql = insert_full_row_sql(table, schema)
         self._run_sqlite(
             None, lambda connection: connection.executemany(sql, coerced)
         )

@@ -1,10 +1,11 @@
 """Pluggable statement stores behind the submission pipeline.
 
-See docs/BACKENDS.md for the interface contract and the invalidation
-semantics table.  The shared classes (``Backend``, ``PreparedStatement``,
-``ServerStats``, the ledger) live in :mod:`repro.backends.base`, which
-imports only leaf modules of :mod:`repro.db`, so both stores and every
-client module import them from there without a cycle.  The two store
+See docs/BACKENDS.md for the interface contract and the cache-coherence
+event table.  The shared classes (``Backend``, ``PreparedStatement``,
+``ServerStats``) live in :mod:`repro.backends.base` and the write-epoch
+ledger in :mod:`repro.backends.ledger`; ``base`` imports only leaf
+modules of :mod:`repro.db`, so both stores and every client module
+import them from there without a cycle.  The two store
 classes are exposed lazily (PEP 562): ``InMemoryBackend`` *is*
 :class:`repro.db.server.DatabaseServer`, whose module imports this
 package for ``Backend`` — an eager import here would re-enter it
@@ -13,19 +14,15 @@ mid-initialization.
 
 from __future__ import annotations
 
-from .base import (
-    BACKENDS,
-    Backend,
-    CacheInvalidationLedger,
-    resolve_backend_name,
-)
+from .base import BACKENDS, Backend, resolve_backend_name
+from .ledger import WriteEpochLedger
 
 __all__ = [
     "BACKENDS",
     "Backend",
-    "CacheInvalidationLedger",
     "InMemoryBackend",
     "SqliteBackend",
+    "WriteEpochLedger",
     "resolve_backend_name",
 ]
 

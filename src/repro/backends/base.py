@@ -8,9 +8,9 @@ agnostic: it needs a *store* that can prepare statements, execute them
 (one at a time or set-oriented), open transactions, and cooperate with
 the cache-consistency protocol.  :class:`Backend` is that surface *and*
 its implementation: the bounded prepare LRU, the worker pool, the
-``server.execute`` span, the write-path ordering (mark-uncommitted →
-bump version → execute → broadcast only at autocommit/commit), batch
-accounting, stats and shutdown live here once.  A store supplies only
+``server.execute`` span, the write-path ordering (``begin_write`` →
+execute → ``end_write``; a transaction's tables end at commit/rollback),
+batch accounting, stats and shutdown live here once.  A store supplies only
 the hooks that genuinely differ (how a statement is planned, how one
 statement / one SELECT batch / one write batch executes, what to close).
 
@@ -22,14 +22,12 @@ Two stores ship today:
 * :class:`repro.backends.sqlite.SqliteBackend` — stdlib ``sqlite3``
   behind the same lifecycle, the first real (honest-latency) store.
 
-Invalidation semantics are part of the contract, not an in-memory
-accident, so the bookkeeping lives here in
-:class:`CacheInvalidationLedger`: per-table write versions (the
-optimistic publication token), uncommitted-write marks (reads of dirty
-tables bypass the cache) and the registered-cache broadcast.  Every
-store drives it through the same inherited write path, so the cache
-observes identical behavior on each — which the invalidation-equivalence
-tests assert and ``tests/test_backend_protocol.py`` pins directly.
+Cache coherence is part of the contract, not an in-memory accident:
+every backend owns one :class:`~repro.backends.ledger.WriteEpochLedger`
+and drives it through the same inherited write path, so a cached reader
+observes identical behavior on each store — which
+``tests/test_backend_invalidation.py`` asserts as cache outcomes and
+``tests/test_backend_protocol.py`` pins as an event order.
 
 (Import note: this module imports only *leaf* modules of
 :mod:`repro.db` — errors, sql, plan, txn — none of which import a
@@ -41,7 +39,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -56,6 +53,7 @@ from ..db.plan import BindingOutcome, QueryResult, demuxable
 from ..db.sql import parse
 from ..db.sql.ast_nodes import Statement, is_ddl, is_write
 from ..db.txn import Transaction, TransactionManager
+from .ledger import WriteEpochLedger
 
 #: Backend kinds selectable via ``Database.connect(backend=...)`` /
 #: ``aio_connect(backend=...)`` / the ``REPRO_BACKEND`` environment
@@ -81,100 +79,6 @@ def resolve_backend_name(backend: Optional[str] = None) -> str:
             f"unknown backend {backend!r} (expected one of {BACKENDS})"
         )
     return backend
-
-
-class CacheInvalidationLedger:
-    """Cache-consistency bookkeeping shared by every backend.
-
-    Three coupled mechanisms (see docs/BACKENDS.md for the protocol
-    table):
-
-    * **Registered caches.**  Result caches register weakly; every
-      executed write broadcasts a per-table invalidation to all of them
-      — transactional writes at commit, never at rollback.
-    * **Write versions.**  Every data change (including a rollback's
-      restore) bumps the written table's version.  Cached readers
-      capture a token before executing and publish only if it is
-      unchanged — the optimistic check that keeps a read overlapping
-      *any* data change out of the cache.
-    * **Uncommitted marks.**  Tables with open transactional writes are
-      marked (refcounted per transaction); reads of marked tables
-      bypass the cache, because the value observed may be dirty and a
-      rolled-back write never broadcasts.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: Weak references: a cache lives exactly as long as some client
-        #: holds it; no unregistration bookkeeping on connection close.
-        self._caches: "weakref.WeakSet" = weakref.WeakSet()
-        self._write_versions: Dict[str, int] = {}
-        self._writes_total = 0
-        self._uncommitted: Dict[Optional[str], int] = {}
-
-    # -- cache registry ------------------------------------------------
-    def register_cache(self, cache) -> None:
-        with self._lock:
-            self._caches.add(cache)
-
-    def unregister_cache(self, cache) -> None:
-        with self._lock:
-            self._caches.discard(cache)
-
-    @property
-    def cache_count(self) -> int:
-        with self._lock:
-            return len(self._caches)
-
-    def broadcast_invalidation(self, table: Optional[str]) -> int:
-        """Drop entries reading ``table`` from every registered cache
-        (``None`` drops everything); returns total entries dropped."""
-        with self._lock:
-            caches = list(self._caches)
-        dropped = 0
-        for cache in caches:
-            dropped += cache.invalidate_table(table)
-        return dropped
-
-    # -- write versioning ----------------------------------------------
-    def note_data_change(self, table: Optional[str]) -> None:
-        """Bump the write version of ``table`` (None = unknown target)."""
-        with self._lock:
-            key = table if table is not None else "*"
-            self._write_versions[key] = self._write_versions.get(key, 0) + 1
-            self._writes_total += 1
-
-    def read_validity(self, tables) -> int:
-        """A token that changes whenever any of ``tables`` may have
-        changed (the wildcard observes every write)."""
-        with self._lock:
-            if "*" in tables:
-                return self._writes_total
-            return self._write_versions.get("*", 0) + sum(
-                self._write_versions.get(table, 0) for table in tables
-            )
-
-    # -- uncommitted-write marks ---------------------------------------
-    def mark_uncommitted(self, table: Optional[str]) -> None:
-        with self._lock:
-            self._uncommitted[table] = self._uncommitted.get(table, 0) + 1
-
-    def clear_uncommitted(self, table: Optional[str]) -> None:
-        with self._lock:
-            count = self._uncommitted.get(table, 0) - 1
-            if count > 0:
-                self._uncommitted[table] = count
-            else:
-                self._uncommitted.pop(table, None)
-
-    def has_uncommitted_writes(self, tables) -> bool:
-        """Is any of ``tables`` under an open transaction's write?"""
-        with self._lock:
-            if not self._uncommitted:
-                return False
-            if None in self._uncommitted or "*" in tables:
-                return True
-            return any(table in self._uncommitted for table in tables)
 
 
 @dataclass
@@ -250,8 +154,8 @@ class PreparedStatement:
         #: … the schema (bumps the catalog version, refused in a txn)?
         self.ddl = is_ddl(ast)
         #: The one table it reads or writes (the subset is single-table)
-        #: — by name, and as the set the cache protocol keys entries,
-        #: validity tokens and uncommitted marks on.
+        #: — by name, and as the set the cache protocol keys entries
+        #: and ledger tickets on.
         self.table: str = ast.table
         self.tables = frozenset((ast.table,))
         self.param_count: int = ast.param_count
@@ -312,7 +216,7 @@ class Backend:
     ) -> None:
         if max_prepared < 1:
             raise ValueError(f"max_prepared must be >= 1, got {max_prepared}")
-        self.ledger = CacheInvalidationLedger()
+        self.ledger = WriteEpochLedger()
         self._catalog = catalog
         self._profile = profile
         self._meter = meter
@@ -330,9 +234,7 @@ class Backend:
         self._shutdown = False
         self.stats = ServerStats()
         self.txns = txns
-        txns.invalidation_hook = self.broadcast_invalidation
-        txns.data_change_hook = self.note_data_change
-        txns.release_hook = self.clear_uncommitted
+        txns.end_write_hook = self.ledger.end_write
 
     @property
     def profile(self):
@@ -453,8 +355,10 @@ class Backend:
         """Force re-planning (called after out-of-band DDL)."""
         with self._lock:
             self._catalog_version += 1
-        # Out-of-band DDL changes schema underneath every cached result.
-        self.broadcast_invalidation(None)
+        # Out-of-band DDL changes schema underneath every cached result:
+        # one finished write window on "every table".
+        self.ledger.begin_write(None)
+        self.ledger.end_write(None, True)
 
     # ------------------------------------------------------------------
     # submission (pool-bounded)
@@ -502,8 +406,8 @@ class Backend:
         on sqlite one ``WHERE k IN (...)``) — and ``ServerStats`` counts
         it under ``batched_calls`` / ``batched_bindings`` /
         ``scans_saved``.  Non-demuxable statements (writes, DDL) run per
-        binding with full per-statement semantics, including write
-        invalidation broadcasts, unless the store batches them itself
+        binding with full per-statement semantics, each in its own write
+        window, unless the store batches them itself
         (:meth:`_execute_write_batch`).
 
         The future resolves to one outcome per binding, in order: the
@@ -579,17 +483,14 @@ class Backend:
             self._lock_for_txn(txn, prepared)
         write = prepared.write
         table = prepared.table
-        if write:
-            # Cache bookkeeping BEFORE the mutation runs: non-txn reads
-            # take no table locks, so a concurrent cached read could
-            # otherwise observe the new data in the window before the
-            # mark/bump and retain it past a rollback.  Mark-then-bump
-            # pairs with the reader's token-then-check order: a write
-            # landing between the reader's two steps is caught by one
-            # or the other, never missed by both.
-            if txn is not None and txn.note_write(table):
-                self.mark_uncommitted(table)
-            self.note_data_change(table)
+        # The write window opens BEFORE the mutation runs: non-txn reads
+        # take no table locks, so a cached read overlapping the write
+        # must find the window open (no ticket) or, by publication time,
+        # its ticket moved.  Autocommit closes the window below; a
+        # transaction opens one per table at its first write to it and
+        # closes them inside the commit/rollback boundary.
+        if write and (txn is None or txn.note_write(table)):
+            self.ledger.begin_write(table)
         with self._lock:
             self._active += 1
             if self._active > self.stats.peak_concurrency:
@@ -607,19 +508,12 @@ class Backend:
                     self.stats.writes_executed += 1
                     if prepared.ddl:
                         self._catalog_version += 1
-            if write and txn is None:
-                # Backend-side invalidation: the write path is the one
-                # place every mutation passes through, so caches stay
-                # correct no matter which connection wrote.  Inside a
-                # transaction the broadcast is deferred to commit (a
-                # rolled-back write never invalidates); the pre-execute
-                # version bump and uncommitted mark keep reads that
-                # overlap the open write window out of the cache.
-                self.broadcast_invalidation(table)
             return result
         finally:
             with self._lock:
                 self._active -= 1
+            if write and txn is None:
+                self.ledger.end_write(table, True)
 
     def _run_prepared_batch(
         self,
@@ -685,31 +579,30 @@ class Backend:
     ) -> List[BindingOutcome]:
         """A non-demuxable batch (writes, DDL)."""
         if txn is None:
-            # The store may apply an autocommit batch in one call.  Same
-            # order as the single-statement write path: version bump
-            # before the mutation, stats, then one broadcast.  (A store
-            # that declines costs one early bump; the per-binding pass
-            # below bumps again anyway.)  Transactional batches always
-            # run per binding so each keeps its lock/mark semantics.
+            # The store may apply an autocommit batch in one call, inside
+            # one write window.  (A store that declines costs one empty
+            # window; the per-binding pass below opens its own.)
+            # Transactional batches always run per binding so each keeps
+            # its lock semantics.
             table = prepared.table
-            self.note_data_change(table)
-            outcomes = self._execute_write_batch(prepared, bindings)
+            self.ledger.begin_write(table)
+            try:
+                outcomes = self._execute_write_batch(prepared, bindings)
+            finally:
+                self.ledger.end_write(table, True)
             if outcomes is not None:
                 applied = sum(
                     not isinstance(outcome, BaseException)
                     for outcome in outcomes
                 )
-                if applied:
-                    with self._lock:
-                        self.stats.statements_executed += applied
-                        self.stats.writes_executed += applied
-                    self.broadcast_invalidation(table)
+                with self._lock:
+                    self.stats.statements_executed += applied
+                    self.stats.writes_executed += applied
                 return outcomes
         # Per-binding fallback: each binding keeps the exact
-        # single-statement semantics (stats, locks, invalidation
-        # broadcasts, undo recording) — only the transport batched.
-        # Each binding hangs its own server.execute span under the
-        # batch's dispatch span.
+        # single-statement semantics (stats, locks, write window, undo
+        # recording) — only the transport batched.  Each binding hangs
+        # its own server.execute span under the batch's dispatch span.
         outcomes = []
         for binding in bindings:
             try:
@@ -735,7 +628,6 @@ class Backend:
         with self._lock:
             snap = dict(asdict(self.stats))
             snap["prepared_cached"] = len(self._plan_cache)
-            snap["registered_caches"] = self.ledger.cache_count
             snap["active"] = self._active
         return snap
 
@@ -749,45 +641,6 @@ class Backend:
     def is_shutdown(self) -> bool:
         with self._lock:
             return self._shutdown
-
-    # ------------------------------------------------------------------
-    # invalidation-ledger delegation
-    # ------------------------------------------------------------------
-    def register_cache(self, cache) -> None:
-        """Register a result cache for write-driven invalidation.
-
-        Every write executed by this backend — through any connection,
-        cached or cache-less, autocommit or transactional — broadcasts a
-        per-table invalidation to every registered cache; transactional
-        writes broadcast at commit, never at rollback.  Registration is
-        idempotent and weak: the backend never keeps a cache alive.
-        """
-        self.ledger.register_cache(cache)
-
-    def unregister_cache(self, cache) -> None:
-        self.ledger.unregister_cache(cache)
-
-    @property
-    def registered_cache_count(self) -> int:
-        return self.ledger.cache_count
-
-    def broadcast_invalidation(self, table: Optional[str]) -> int:
-        return self.ledger.broadcast_invalidation(table)
-
-    def note_data_change(self, table: Optional[str]) -> None:
-        self.ledger.note_data_change(table)
-
-    def read_validity(self, tables) -> int:
-        return self.ledger.read_validity(tables)
-
-    def mark_uncommitted(self, table: Optional[str]) -> None:
-        self.ledger.mark_uncommitted(table)
-
-    def clear_uncommitted(self, table: Optional[str]) -> None:
-        self.ledger.clear_uncommitted(table)
-
-    def has_uncommitted_writes(self, tables) -> bool:
-        return self.ledger.has_uncommitted_writes(tables)
 
     # ------------------------------------------------------------------
     # blocking conveniences over the async primitives

@@ -31,9 +31,9 @@ Design notes:
   locks (:class:`repro.db.txn.LockManager`) still sit on top —
   transaction conflict behavior (waits, ``TransactionTimeoutError``)
   matches the oracle, and SQLite's single-writer lock underneath never
-  admits what 2PL would forbid.  Write-versioning and uncommitted-write
-  marks are driven by the inherited write path (the "client-tracked"
-  invalidation mode: a DB-API server cannot push), so the
+  admits what 2PL would forbid.  The write-epoch ledger is driven by
+  the inherited write path (a DB-API server cannot push, and nothing
+  here needs it to: cached readers validate against the ledger), so the
   cache-consistency protocol is the in-memory one by construction.
 * **Set-oriented dispatch maps to SQL.**  A coalesced batch over a
   ``col = ?`` SELECT executes once as ``WHERE col IN (...)`` and is
@@ -94,9 +94,9 @@ class _SqliteTransactionManager(TransactionManager):
     """The engine transaction manager with SQLite durability.
 
     Reuses the 2PL lock manager, state machine, async-read drain, the
-    completion order and the invalidation/data-change/release hooks
-    verbatim; the undo log stays empty (SQLite's journal reverses data
-    changes), so the apply step is a real ``COMMIT``/``ROLLBACK``.
+    completion order and the end-of-write hook verbatim; the undo log
+    stays empty (SQLite's journal reverses data changes), so the apply
+    step is a real ``COMMIT``/``ROLLBACK``.
     Each transaction owns a dedicated SQLite connection plus a
     statement lock (async reads execute on pool threads against the
     same connection).

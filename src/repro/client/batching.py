@@ -57,7 +57,7 @@ class BatchExecutor:
         re-raises here after the batch has run.  Writes
         and other non-demuxable statements keep the fan-out shape — one
         statement per binding overlapping on the server's worker pool,
-        each with its own invalidation broadcast — since funneling them
+        each in its own write window — since funneling them
         through the batch path would serialize them on one worker.
         """
         server = self._connection.server

@@ -37,9 +37,6 @@ from ..prefetch.cache import ResultCache
 from ..runtime.executor import AsyncExecutor
 from ..runtime.handles import QueryHandle
 
-#: Backwards-compatible name: connection stats are the pipeline's stats.
-ConnectionStats = SubmissionStats
-
 
 class PreparedQuery:
     """Client-side prepared statement with JDBC-style 1-based binding.
@@ -105,9 +102,10 @@ class Connection:
     ``async_workers`` sets the size of the client-side thread pool used
     for asynchronous submissions — the "number of threads" knob in the
     paper's experiments.  ``result_cache`` attaches a shared
-    :class:`~repro.prefetch.cache.ResultCache`; the pipeline registers
-    it with the server, which invalidates it on every write — including
-    writes issued through *other* connections.  ``coalesce`` (off by
+    :class:`~repro.prefetch.cache.ResultCache`; every lookup is
+    validated against the server's write-epoch ledger, so a write to a
+    table — including one issued through *another* connection — is seen
+    by the next cached read of it.  ``coalesce`` (off by
     default) enables set-oriented dispatch: autocommit reads queued
     behind the executor merge with other outstanding submits of the
     same statement into one batched server call, ``coalesce_window``
@@ -184,11 +182,6 @@ class Connection:
     def result_cache(self) -> Optional[ResultCache]:
         """The shared query-result cache, when one is attached."""
         return self._pipeline.cache
-
-    @property
-    def coalescing(self) -> bool:
-        """Is set-oriented dispatch (submit coalescing) enabled?"""
-        return self._pipeline.coalescer is not None
 
     @property
     def tracer(self):
@@ -293,10 +286,6 @@ class Connection:
     def in_transaction(self) -> bool:
         return self._txn is not None and self._txn.is_active
 
-    @property
-    def current_transaction(self) -> Optional[Transaction]:
-        return self._txn
-
     def begin(self) -> Transaction:
         """Open an explicit transaction on this connection.
 
@@ -314,8 +303,9 @@ class Connection:
     def commit(self) -> None:
         """Commit the open transaction (drains in-flight async reads).
 
-        The server broadcasts the transaction's table invalidations to
-        every registered result cache inside the commit boundary.
+        The written tables' write windows close inside the commit
+        boundary: cached entries reading them lapse at their next
+        lookup.
         """
         txn = self._require_txn()
         try:
@@ -326,8 +316,8 @@ class Connection:
     def rollback(self) -> None:
         """Roll back the open transaction, undoing its writes.
 
-        Rolled-back writes never invalidate caches: the pre-transaction
-        data — which is what caches hold — is restored.
+        Rolled-back writes leave cached entries valid: the
+        pre-transaction data — which is what caches hold — is restored.
         """
         txn = self._require_txn()
         try:

@@ -252,19 +252,23 @@ class CallPipeline:
         tables: Optional[Iterable[str]] = None,
         still_valid: Optional[Callable[[], bool]] = None,
         span: Optional[Span] = None,
+        ticket: Any = None,
     ) -> Any:
         """Submit and wait in the calling thread.
 
         A cache hit pays no round trip; concurrent identical calls share
         one in-flight execution (the follower blocks on the owner's
-        future instead of re-executing).  ``still_valid`` is re-checked
-        at publication time: if the read may have overlapped a data
-        change, waiters are served but the value is not retained.
+        future instead of re-executing).  ``ticket`` is what the lookup
+        validates entries against (see :meth:`ResultCache.acquire`;
+        None for a transport without a write ledger) and ``still_valid``
+        is re-checked at publication time: if the read may have
+        overlapped a data change, waiters are served but the value is
+        not retained.
         """
         self.bump("blocking_calls")
         started = time.perf_counter()
         try:
-            lease = self._acquire_traced(key, tables, span)
+            lease = self._acquire_traced(key, tables, ticket, span)
             if lease is None:
                 return invoke()
             if lease.is_hit:
@@ -302,6 +306,7 @@ class CallPipeline:
         span: Optional[Span] = None,
         speculative: bool = False,
         private: bool = False,
+        ticket: Any = None,
     ) -> QueryHandle:
         """The one non-blocking lifecycle; returns a handle at once.
 
@@ -323,7 +328,7 @@ class CallPipeline:
         """
         if not speculative:
             self.bump("async_submits")
-        lease = self._acquire_traced(key, tables, span)
+        lease = self._acquire_traced(key, tables, ticket, span)
         watcher = (
             SpeculativeHandle(None, label=label, pipeline=self, span=span)
             if speculative
@@ -356,9 +361,9 @@ class CallPipeline:
         ``failed`` propagates ``outcome`` (an exception) to the lease's
         followers and caches nothing.  Otherwise followers are served
         ``outcome``, and it is *retained* only if ``still_valid`` says
-        the tables' write version is unchanged since the read was
-        planned **and** the speculation that fetched it (``watcher``)
-        did not settle as waste.  A no-op without a lease.
+        the tables' ledger ticket is still the one the read was planned
+        with **and** the speculation that fetched it (``watcher``) did
+        not settle as waste.  A no-op without a lease.
         """
         if lease is None:
             return
@@ -381,6 +386,7 @@ class CallPipeline:
         still_valid: Optional[Callable[[], bool]] = None,
         span: Optional[Span] = None,
         speculative: bool = False,
+        ticket: Any = None,
     ) -> QueryHandle:
         """:meth:`submit` with an executor task around ``invoke`` as the
         dispatch — the transport-agnostic entry the web client uses.
@@ -426,6 +432,7 @@ class CallPipeline:
             span=span,
             speculative=speculative,
             private=cleanup is None,
+            ticket=ticket,
         )
 
     #: Dispatch a read whose handle may be dropped (see the module
@@ -629,20 +636,24 @@ class CallPipeline:
             span.end()
 
     # ------------------------------------------------------------------
-    def _acquire(self, key: Any, tables: Optional[Iterable[str]]):
+    def _acquire(self, key: Any, tables: Optional[Iterable[str]], ticket: Any):
         if key is None or self._cache is None:
             return None
-        return self._cache.acquire(key, tables)
+        return self._cache.acquire(key, tables, ticket)
 
     def _acquire_traced(
-        self, key: Any, tables: Optional[Iterable[str]], span: Optional[Span]
+        self,
+        key: Any,
+        tables: Optional[Iterable[str]],
+        ticket: Any,
+        span: Optional[Span],
     ):
         """:meth:`_acquire` plus a ``cache`` child span recording the
         lookup outcome (also mirrored onto the root as ``cache:``)."""
         if span is None:
-            return self._acquire(key, tables)
+            return self._acquire(key, tables, ticket)
         with span.child("cache") as cache_span:
-            lease = self._acquire(key, tables)
+            lease = self._acquire(key, tables, ticket)
             if lease is None:
                 outcome = "bypass"
             elif lease.is_hit:

@@ -21,13 +21,16 @@ The front ends differ only in how they *wait*:
 A cache hit therefore resolves without a thread (or task) hop in every
 runtime: the handle comes back already completed.
 
-Invalidation is **not** handled here.  Writes invalidate server-side:
-the pipeline registers its cache with the server
-(:meth:`Backend.register_cache`), and the server broadcasts
-per-table invalidations from its write path — inside the
-transaction-commit boundary for transactional writes — so a write
-through *any* connection (cached, cache-less, or transactional)
-invalidates every registered cache.
+Coherence is **pull-only**.  No write path knows a cache exists: the
+backend keeps one write epoch per table
+(:class:`~repro.backends.ledger.WriteEpochLedger`), the pipeline takes
+a *ticket* for the read's tables when it plans a cacheable request
+(no ticket while a writer is open → bypass), the cache validates entries
+against that ticket at lookup, and publication retains the value only
+if the ticket has not moved.  A write through *any* connection —
+cached, cache-less, transactional (at commit; a rollback changes
+nothing a cache holds) or asyncio — is therefore seen by every cached
+reader's next lookup.
 
 **One non-blocking lifecycle.**  ``submit`` and ``speculate``, plain
 or coalesced, are one path — :meth:`CallPipeline.submit`:
@@ -44,18 +47,19 @@ wraps an executor task around one round trip, the
 :class:`DispatchCoalescer` enqueues the binding for a batched flush.
 Every owner lease ends in ``publish``, which states the **retention
 rule** once: followers are always served; the value is *retained* only
-if the tables' write-version token is unchanged at publication time
-**and** the speculation that fetched it did not settle as waste.  A
+if the tables' ledger ticket is unchanged at publication time **and**
+the speculation that fetched it did not settle as waste.  A
 failed outcome propagates to followers and caches nothing.
 
 **Cache-key semantics.**  The key is the normalized ``(sql, params)``
 pair; it carries no connection or runtime identity, so any front end's
 fill is any other front end's hit.  A request is *uncacheable* (the
 pipeline bypasses the cache entirely) when it is a write, its params
-are unhashable, it runs inside an explicit transaction, or another
-transaction holds uncommitted writes against its tables.  Together with
-the retention rule this guarantees a cached value is always a
-committed, non-stale read.
+are unhashable, it runs inside an explicit transaction, or a write to
+one of its tables is open (an autocommit statement executing, a
+transaction not yet finished).  Together with lookup validation and the
+retention rule this guarantees a cached value is always a committed,
+non-stale read.
 
 **Speculative dispatch.**  :meth:`SubmissionPipeline.speculate` issues
 a read whose consumer may never materialize (the prefetch pass's
@@ -135,8 +139,7 @@ class SubmissionPipeline:
     Owns statement normalization, the transaction rules from the
     paper's Discussion section, the simulated network charges, and —
     through its inner :class:`CallPipeline` — the cache protocol and
-    dispatch.  Constructing a pipeline with a cache registers that cache
-    with the server for write-driven invalidation broadcasts.
+    dispatch.
     """
 
     def __init__(
@@ -162,8 +165,6 @@ class SubmissionPipeline:
             if coalesce
             else None
         )
-        if cache is not None:
-            server.register_cache(cache)
 
     @property
     def coalescer(self) -> Optional[DispatchCoalescer]:
@@ -261,7 +262,7 @@ class SubmissionPipeline:
     ) -> QueryResult:
         """Submit and wait: the paper's ``executeQuery``."""
         prepared, bound = self.resolve(query, params)
-        key, tables, still_valid = self._cache_plan(prepared, bound, txn)
+        key, tables, ticket, still_valid = self._cache_plan(prepared, bound, txn)
         root = self._trace_root(prepared, bound, "execute")
         return self._calls.call(
             lambda: self._round_trip(prepared, bound, txn, span=root),
@@ -269,6 +270,7 @@ class SubmissionPipeline:
             tables=tables,
             still_valid=still_valid,
             span=root,
+            ticket=ticket,
         )
 
     def submit(
@@ -320,7 +322,7 @@ class SubmissionPipeline:
         root = self._trace_root(
             prepared, bound, mode, site=label if speculative else None
         )
-        key, tables, still_valid = self._cache_plan(prepared, bound, txn)
+        key, tables, ticket, still_valid = self._cache_plan(prepared, bound, txn)
         coalescer = self._coalescer
         if coalescer is not None and txn is None and not prepared.write:
             # Same-statement submits outstanding behind the executor
@@ -335,6 +337,7 @@ class SubmissionPipeline:
                 span=root,
                 speculative=speculative,
                 private=True,
+                ticket=ticket,
             )
 
         def on_dispatch() -> None:
@@ -354,6 +357,7 @@ class SubmissionPipeline:
             still_valid=still_valid,
             span=root,
             speculative=speculative,
+            ticket=ticket,
         )
 
     def fetch(self, handle: QueryHandle) -> QueryResult:
@@ -454,27 +458,27 @@ class SubmissionPipeline:
             if dispatch_span is not None:
                 dispatch_span.end()
 
-    _BYPASS = (None, None, None)
+    _BYPASS = (None, None, None, None)
 
     def _cache_plan(
         self, prepared: PreparedStatement, bound: tuple, txn: Optional[Transaction]
     ):
-        """``(cache key, read tables, publication validity check)`` for
-        this request, all None when the cache must be bypassed.
+        """``(cache key, read tables, ledger ticket, publication validity
+        check)`` for this request, all None when the cache must be
+        bypassed.
 
         Bypassed: writes; unhashable params; reads inside an explicit
         transaction (they run under the transaction's locks and may
         observe its own uncommitted writes, neither of which may leak
-        into shared cached results); and reads of tables another
-        transaction has uncommitted writes against (the value observed
-        may be dirty, and a rollback never broadcasts an invalidation).
+        into shared cached results); and reads of a table with an open
+        writer — the ledger issues no ticket, because the value observed
+        may be uncommitted.
 
-        The validity check re-reads the tables' write-version token at
-        publication time; every write statement and every rollback undo
-        bumps it.  The token is captured *before* the uncommitted-write
-        check, so a transactional write landing between the two is
-        caught by one or the other — a dirty value can never be
-        retained.
+        The one ticket does both jobs: the lookup validates entries
+        against it, and the validity check re-takes it at publication
+        time — every write window that opened or closed in between
+        moved it (or still withholds it), so a value that may have
+        overlapped a write is served to its waiters but never retained.
         """
         if self.cache is None or txn is not None or prepared.write:
             return self._BYPASS
@@ -483,11 +487,13 @@ class SubmissionPipeline:
         except TypeError:
             return self._BYPASS
         tables = prepared.tables
-        token = self._server.read_validity(tables)
-        if self._server.has_uncommitted_writes(tables):
+        take_ticket = self._server.ledger.ticket
+        ticket = take_ticket(tables)
+        if ticket is None:
             return self._BYPASS
         return (
             (prepared.sql, bound),
             tables,
-            lambda: self._server.read_validity(tables) == token,
+            ticket,
+            lambda: take_ticket(tables) == ticket,
         )

@@ -220,10 +220,11 @@ class Database:
         :class:`repro.prefetch.cache.ResultCache`; pass the same
         instance to several connections (or to
         :func:`repro.runtime.aio.aio_connect`) to share hits across
-        requests and runtimes.  The connection's submission pipeline
-        registers the cache with the server, so a write through *any*
-        connection — cached, cache-less, or transactional — invalidates
-        it.  ``coalesce`` enables set-oriented dispatch (merge
+        requests and runtimes.  Nothing is registered anywhere: every
+        cached read is validated against the backend's write-epoch
+        ledger at lookup, so a write through *any* connection — cached,
+        cache-less, or transactional (at commit) — is seen by the next
+        read of that table.  ``coalesce`` enables set-oriented dispatch (merge
         same-statement submits queued behind the executor into one
         batched server call); ``coalesce_window`` caps the batch size.
 
@@ -260,14 +261,6 @@ class Database:
             tracer=tracer,
             metrics=metrics,
         )
-
-    def register_cache(self, cache) -> None:
-        """Register a standalone :class:`ResultCache` for server-side
-        write invalidation without attaching it to a connection.  It
-        registers with the *default* backend (``REPRO_BACKEND`` else
-        memory) — the store parameterless ``connect()`` calls write
-        through."""
-        self.backend().register_cache(cache)
 
     # ------------------------------------------------------------------
     # administration

@@ -40,8 +40,8 @@ def demuxable(plan) -> bool:
 
     True exactly for SELECT plans: reads have no per-binding side
     effects, so one pass can serve all of them.  Writes and DDL fall
-    back to per-binding execution (each keeps its own invalidation
-    broadcast and undo accounting).
+    back to per-binding execution (each keeps its own write window
+    and undo accounting).
     """
     return isinstance(plan, SelectPlan)
 

@@ -185,9 +185,9 @@ class Transaction:
         self._state = ACTIVE
         self._undo: List[UndoEntry] = []
         self._locked_tables: Dict[str, None] = {}
-        #: Tables this transaction wrote (None = unknown target).  The
-        #: server broadcasts cache invalidations for this set at commit
-        #: — never at rollback, whose writes are undone.
+        #: Tables this transaction wrote (None = unknown target): each
+        #: has a write window open in the backend's ledger, closed at
+        #: commit/rollback.
         self._write_tables: Dict[Optional[str], None] = {}
         self._drained = threading.Condition(self._state_lock)
         self._in_flight = 0
@@ -243,9 +243,9 @@ class Transaction:
     # write-set tracking (server write path calls this)
     # ------------------------------------------------------------------
     def note_write(self, table: Optional[str]) -> bool:
-        """Record a table this transaction wrote, for the commit-time
-        cache-invalidation broadcast; returns True on the first note of
-        ``table`` (the server marks it uncommitted exactly once)."""
+        """Record a table this transaction wrote; returns True on the
+        first note of ``table`` (the backend opens its write window
+        exactly once)."""
         with self._state_lock:
             if table in self._write_tables:
                 return False
@@ -304,9 +304,9 @@ class TransactionManager:
     """Begins, commits and rolls back transactions over one catalog.
 
     ``commit``/``rollback`` fix the completion order once — drain
-    async reads → :meth:`_apply` → state → cache hooks → release locks
-    — so a store-specific manager overrides only ``begin`` and
-    ``_apply``."""
+    async reads → :meth:`_apply` → state → end the written tables'
+    write windows → release locks — so a store-specific manager
+    overrides only ``begin`` and ``_apply``."""
 
     def __init__(self, catalog: Catalog, lock_timeout_s: float = 5.0) -> None:
         self._catalog = catalog
@@ -314,19 +314,13 @@ class TransactionManager:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._active: Dict[int, Transaction] = {}
-        #: Installed by the owning backend: called with each
-        #: committed write's table (None = all) inside the commit
-        #: boundary, before locks are released.
-        self.invalidation_hook: Optional[Callable[[Optional[str]], Any]] = None
-        #: Called per written table after a rollback's undo replay: the
-        #: restore is itself a data change, so the server bumps the
-        #: table's write version (spoiling any cached read that
-        #: overlapped the transaction) without evicting the still-valid
-        #: pre-transaction entries.
-        self.data_change_hook: Optional[Callable[[Optional[str]], Any]] = None
-        #: Called per written table when a transaction finishes either
-        #: way: clears the server's uncommitted-write mark.
-        self.release_hook: Optional[Callable[[Optional[str]], Any]] = None
+        #: Installed by the owning backend: called with ``(table,
+        #: committed)`` for every table the transaction wrote, inside
+        #: the commit/rollback boundary — after the store applied it,
+        #: before the table locks are released.  A rollback's restore
+        #: is a data change too, so it is reported like a commit, just
+        #: with ``committed=False``.
+        self.end_write_hook: Optional[Callable[[Optional[str], bool], Any]] = None
 
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
@@ -351,32 +345,23 @@ class TransactionManager:
     # completion
     # ------------------------------------------------------------------
     def commit(self, txn: Transaction) -> None:
-        txn._require_active()
-        txn._wait_drained()
-        self._apply(txn, commit=True)
-        with txn._state_lock:
-            txn._state = COMMITTED
-        # Cache-invalidation broadcast inside the commit boundary: the
-        # transaction's writes become durable and shared caches drop
-        # their readers before the table locks are released.
-        self._broadcast_writes(txn)
-        self._finish(txn)
+        self._complete(txn, commit=True)
 
     def rollback(self, txn: Transaction) -> None:
+        self._complete(txn, commit=False)
+
+    def _complete(self, txn: Transaction, commit: bool) -> None:
         txn._require_active()
         txn._wait_drained()
-        self._apply(txn, commit=False)
+        self._apply(txn, commit)
         with txn._state_lock:
-            txn._state = ABORTED
-        # No invalidation broadcast: the pre-transaction data — which is
-        # what published cache entries hold — has just been restored.
-        # The undo is still a data change, though: bump versions so any
-        # in-flight cached read that overlapped the dirty window fails
-        # its publication check instead of retaining a dirty value.
-        if self.data_change_hook is not None:
+            txn._state = COMMITTED if commit else ABORTED
+        if self.end_write_hook is not None:
             for table in txn.written_tables():
-                self.data_change_hook(table)
-        self._finish(txn)
+                self.end_write_hook(table, commit)
+        self.locks.release_all(txn)
+        with self._lock:
+            self._active.pop(txn.txn_id, None)
 
     def _apply(self, txn: Transaction, commit: bool) -> None:
         """Make ``txn``'s writes permanent or reverse them in the store
@@ -398,25 +383,6 @@ class TransactionManager:
             if run:
                 self._undo_run(run)
         txn._undo.clear()
-
-    def _broadcast_writes(self, txn: Transaction) -> None:
-        hook = self.invalidation_hook
-        if hook is None:
-            return
-        tables = txn.written_tables()
-        if any(table is None for table in tables):
-            hook(None)  # unknown write target: drop everything, once
-            return
-        for table in tables:
-            hook(table)
-
-    def _finish(self, txn: Transaction) -> None:
-        if self.release_hook is not None:
-            for table in txn.written_tables():
-                self.release_hook(table)
-        self.locks.release_all(txn)
-        with self._lock:
-            self._active.pop(txn.txn_id, None)
 
     # ------------------------------------------------------------------
     # undo application

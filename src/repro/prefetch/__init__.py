@@ -4,12 +4,12 @@ The natural follow-on to asynchronous submission (Chavan et al., ICDE
 2011): once submissions are non-blocking, (a) move them to the earliest
 program point the data dependences allow — even above the conditional or
 loop that consumes them — and (b) serve repeated ``(sql, params)`` pairs
-from a shared, write-invalidated result cache instead of re-executing
-them.
+from a shared result cache, validated against the store's write epoch,
+instead of re-executing them.
 
 * :mod:`repro.prefetch.cache`     — :class:`ResultCache`: single-flight,
-  bounded LRU, write-driven invalidation, optional TTL and
-  negative-caching knobs, hit/miss/eviction/expiry stats.
+  bounded LRU, lookup-time validation against the caller's write-epoch
+  ticket, optional TTL, hit/miss/eviction/expiry stats.
 * :mod:`repro.prefetch.insertion` — the prefetch-insertion transform and
   the :func:`prefetch_source` front end.  Guarded hoists preserve the
   query multiset; the speculative (unguarded) mode — gated per site by
@@ -23,11 +23,13 @@ Runtime wiring lives in the unified submission core
 ``Database.connect(result_cache=...)`` or
 ``aio_connect(..., result_cache=...)``): cache-aware
 ``execute_query``/``submit_query`` for reads in every runtime,
-transactions always bypassing the cache.  Invalidation is server-side:
-the pipeline registers its cache with the
-:class:`~repro.db.server.DatabaseServer`, whose write path broadcasts
-per-table invalidations — transactional writes at commit — so writes
-through cache-less connections invalidate sibling caches too.
+transactions always bypassing the cache.  Coherence is pull-only: the
+pipeline takes a ticket from the backend's
+:class:`~repro.backends.ledger.WriteEpochLedger` for each cacheable
+read and the cache validates entries against it, so a write through any
+connection — cache-less ones included, transactional ones at commit —
+is seen by every cache's next lookup, and no write path knows a cache
+exists.
 """
 
 from .cache import CacheStats, Lease, ResultCache, WILDCARD_TABLE

@@ -11,14 +11,19 @@ turns the repeats into client-local lookups:
   the owner's future (the classic groupcache/singleflight protocol);
 * **bounded LRU** — completed entries are kept up to ``capacity``,
   least-recently-used evicted first; in-flight entries are pinned;
-* **write-driven invalidation** — a DML/DDL statement against a table
-  drops every cached result that reads that table (results whose table
-  set is unknown carry the wildcard and are dropped on *any* write);
+* **validated at lookup** — a caller that knows its store's write epoch
+  passes the *ticket* it took when it planned the read
+  (:meth:`repro.backends.ledger.WriteEpochLedger.ticket`); an entry
+  planned under another ticket *lapses* — it is dropped, counted in
+  ``invalidations``, and the caller re-executes — so no write path ever
+  has to find the caches.  :meth:`ResultCache.invalidate_table` /
+  :meth:`~ResultCache.invalidate_all` remain as the explicit API for
+  callers without a ledger (results whose table set is unknown carry
+  the wildcard and are dropped on *any* table);
 * **optional TTL** — ``ttl_s`` bounds the age of a served entry: an
   expired entry counts as a miss (and an ``expirations`` stat), and the
-  caller re-executes.  Useful where invalidation signals cannot reach
-  the cache (e.g. external writers) or as a staleness bound on top of
-  them;
+  caller re-executes.  Useful where no ticket exists (the web-service
+  client, external writers) or as a staleness bound on top of one;
 * **stats** — hits, misses, evictions, invalidations, expirations and
   single-flight joins, plus a derived hit rate for benchmark reporting.
 
@@ -45,6 +50,10 @@ from typing import Any, Callable, FrozenSet, Hashable, Iterable, Optional, Tuple
 #: Table marker for results whose read set could not be determined.
 #: Wildcard entries are invalidated by a write to *any* table.
 WILDCARD_TABLE = "*"
+
+#: The ticket of a caller without a ledger: equal only to itself, so
+#: such callers see exactly the explicit-invalidation + TTL behaviour.
+_NO_TICKET = (None, None)
 
 
 @dataclass
@@ -75,13 +84,26 @@ class CacheStats:
 class _Entry:
     """One cached (or in-flight) result."""
 
-    __slots__ = ("key", "tables", "future", "doomed", "published", "expires_at")
+    __slots__ = (
+        "key",
+        "tables",
+        "ticket",
+        "future",
+        "doomed",
+        "published",
+        "expires_at",
+    )
 
-    def __init__(self, key: Hashable, tables: FrozenSet[str]) -> None:
+    def __init__(
+        self, key: Hashable, tables: FrozenSet[str], ticket: Tuple
+    ) -> None:
         self.key = key
         self.tables = tables
+        #: ``(epoch, committed)`` the owning read was planned under
+        #: (``(None, None)`` for a caller without a ledger).
+        self.ticket = ticket
         self.future: "Future[Any]" = Future()
-        #: Set when a conflicting write lands while the load is still in
+        #: Set when the entry leaves the map while the load is still in
         #: flight: current waiters are served, but the value is not kept.
         self.doomed = False
         #: Set (under the cache lock) once the value is retained — the
@@ -150,8 +172,8 @@ class ResultCache:
     """Bounded LRU cache of query results keyed by ``(sql, params)``.
 
     The single-flight protocol in miniature — the first caller owns the
-    load, completes it, and later lookups hit until a write to a read
-    table invalidates the entry:
+    load, completes it, and later lookups hit until the entry lapses
+    (the caller's ticket moved) or, as here, is invalidated explicitly:
 
     >>> cache = ResultCache(capacity=2)
     >>> lease = cache.acquire(("SELECT ...", (1,)), tables=["users"])
@@ -192,39 +214,47 @@ class ResultCache:
     # the single-flight protocol
     # ------------------------------------------------------------------
     def acquire(
-        self, key: Hashable, tables: Optional[Iterable[str]] = None
+        self,
+        key: Hashable,
+        tables: Optional[Iterable[str]] = None,
+        ticket: Optional[Tuple[int, int]] = None,
     ) -> Lease:
         """Look up ``key``; returns a hit, a follower join, or ownership.
 
-        ``tables`` names the tables the query reads (used by
-        write-driven invalidation); None means unknown → wildcard.
+        ``tables`` names the tables the query reads (used by the
+        explicit invalidation API); None means unknown → wildcard.
+        ``ticket`` is the ``(epoch, committed)`` pair the caller's store
+        reported for those tables when the read was planned.  A
+        published entry is a hit iff its ``committed`` equals the
+        caller's (a rolled-back transaction moves only ``epoch``, and
+        what was cached before it is still right); an in-flight entry is
+        joined iff the whole ticket is equal (its value may have been
+        read inside a window this caller must not see through).
+        Anything else *lapses*: it leaves the map, counts as an
+        invalidation, and the caller becomes the owner.
         """
-        table_set = (
-            frozenset(tables) if tables is not None else frozenset({WILDCARD_TABLE})
-        ) or frozenset({WILDCARD_TABLE})
+        ticket = ticket or _NO_TICKET
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                if not entry.future.done():
+                if not entry.published and entry.ticket == ticket:
+                    # In flight (or resolved, its retention not yet
+                    # decided): share the owner's outcome.
                     self.stats.hits += 1
                     self.stats.shared_flights += 1
                     return Lease(Lease._FOLLOWER, entry=entry)
-                error = entry.future.exception()
-                if error is None and self._expired_locked(entry):
-                    self._drop_locked(entry)
+                if entry.published and entry.ticket[1] == ticket[1]:
+                    if not self._expired_locked(entry):
+                        self._entries.move_to_end(key)
+                        self.stats.hits += 1
+                        return Lease(Lease._HIT, value=entry.future.result())
                     self.stats.expirations += 1
-                    # fall through: this lookup becomes an owning miss
-                elif error is None:
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    return Lease(Lease._HIT, value=entry.future.result())
                 else:
-                    # A failed entry should have been removed; be
-                    # defensive and replace it with a fresh load.
-                    del self._entries[key]
-                    entry.doomed = True
+                    self.stats.invalidations += 1
+                self._drop_locked(entry)
             self.stats.misses += 1
-            entry = _Entry(key, table_set)
+            table_set = frozenset(tables or ()) or frozenset((WILDCARD_TABLE,))
+            entry = _Entry(key, table_set, ticket)
             self._entries[key] = entry
             return Lease(Lease._OWNER, entry=entry)
 
@@ -363,15 +393,9 @@ class ResultCache:
 
     def _trim_locked(self) -> None:
         """Evict LRU *published* entries down to capacity (lock held)."""
-        if self._completed <= self.capacity:
-            return
-        for key in list(self._entries):
-            if self._completed <= self.capacity:
-                break
-            entry = self._entries[key]
-            if not entry.published:
-                continue  # in-flight entries are pinned
-            del self._entries[key]
-            entry.doomed = True
-            self._completed -= 1
+        while self._completed > self.capacity:
+            for entry in self._entries.values():
+                if entry.published:  # in-flight entries are pinned
+                    break
+            self._drop_locked(entry)
             self.stats.evictions += 1

@@ -293,8 +293,8 @@ def aio_connect(
 
     ``result_cache`` attaches a shared
     :class:`~repro.prefetch.cache.ResultCache` exactly as
-    ``Database.connect`` does — the pipeline registers it with the
-    server for write-driven invalidation.  ``coalesce`` /
+    ``Database.connect`` does — its entries are validated against the
+    backend's write-epoch ledger at lookup.  ``coalesce`` /
     ``coalesce_window`` enable set-oriented dispatch on the wrapped
     connection's pipeline: coroutine submits queued behind the worker
     pool merge into batched server calls exactly as sync submits do

@@ -11,8 +11,8 @@ Kernels:
 
 * :func:`load_profiles` — the pure read loop the benchmark measures
   (blocking vs. async vs. prefetch+cache);
-* :func:`refresh_ratings` — a read/write mix exercising write-driven
-  invalidation: each rating update must evict the stale profile.
+* :func:`refresh_ratings` — a read/write mix exercising cache
+  coherence: after each rating update the stale profile must lapse.
 """
 
 from __future__ import annotations
@@ -155,9 +155,9 @@ def speculative_profile_card(conn, user_id, site="hotset.card"):
 def refresh_ratings(conn, updates):
     """Read/write mix: bump each user's rating, then re-read the profile.
 
-    With a result cache attached, each ``execute_update`` must
-    invalidate the cached profile so the re-read observes the new
-    rating — the workload behind the invalidation-correctness test.
+    With a result cache attached, the cached profile must lapse after
+    each ``execute_update`` so the re-read observes the new rating —
+    the workload behind the invalidation-correctness test.
     """
     observed = []
     for user_id, rating in updates:

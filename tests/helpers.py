@@ -307,3 +307,13 @@ def _aggregate(evaluator, expr, members):
     if expr.func == "avg":
         return sum(seen) / len(seen)
     return {"sum": sum, "min": min, "max": max}[expr.func](seen)
+
+
+def cache_outcome(cache, read: Callable[[], Any]):
+    """Run ``read`` (one blocking cached query) and name what ``cache``
+    did for it: ``(scalar, "hit" | "miss" | "bypass")`` — served,
+    looked up and executed, or never asked."""
+    before = cache.stats.hits, cache.stats.misses
+    value = read().scalar()
+    moved = cache.stats.hits - before[0], cache.stats.misses - before[1]
+    return value, {(1, 0): "hit", (0, 1): "miss", (0, 0): "bypass"}[moved]

@@ -1,200 +1,263 @@
-"""Invalidation equivalence across backends (satellite of the
-pluggable-backend PR; see docs/BACKENDS.md).
+"""Cache coherence is the same on every backend (see docs/BACKENDS.md).
 
-Every backend owns a :class:`CacheInvalidationLedger`; a
-:class:`ResultCache` attached to a connection registers with the
-backend the connection talks to.  These tests pin the contract:
+Every backend owns one :class:`~repro.backends.ledger.WriteEpochLedger`;
+nothing registers a :class:`ResultCache` anywhere — a cached reader
+validates against the ledger of the backend its connection talks to.
+These tests pin the contract as **cache outcomes**, on both stores:
 
-* an autocommit write invalidates the same entries whether the store
-  is the in-memory engine or SQLite;
-* transactional writes broadcast **only at commit** — rollback never
-  broadcasts (entries survive, though validity tokens still move);
-* uncommitted writes bypass the cache (no stale publish, no false hit);
-* ledgers are per-backend: a write through one store does not
-  invalidate caches registered with another.
+* after an autocommit write the next read of that table misses and sees
+  the new value, whichever connection wrote; other tables still hit;
+* a transaction's writes take effect on caches at commit, never at
+  rollback (pre-transaction entries still hit afterwards);
+* while a table has an open writer it is neither served from nor
+  published to the cache, and nothing computed inside a rolled-back
+  window is ever retained;
+* ledgers are per backend: a write through one store does not lapse
+  entries filled from another.
 """
+
+import os
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.backends import BACKENDS
 from repro.db import INSTANT, Database
 from repro.prefetch.cache import ResultCache
+from tests.helpers import cache_outcome as outcome
 
 READ = "SELECT v FROM t WHERE id = ?"
 BUMP = "UPDATE t SET v = v + 1 WHERE id = ?"
 
 
-def seeded_db():
+@pytest.fixture
+def db():
     db = Database(INSTANT)
     db.create_table("t", ("id", "int"), ("v", "int"))
     db.create_table("u", ("id", "int"))
     db.bulk_load("t", [(i, i * 10) for i in range(5)])
     db.bulk_load("u", [(1,)])
     db.backend("sqlite")
-    return db
+    yield db
+    db.close()
+
+
+@pytest.fixture
+def cache():
+    return ResultCache()
+
+
+@pytest.fixture
+def reader(db, cache, name):
+    """A cached connection to the store under test."""
+    with db.connect(async_workers=1, result_cache=cache, backend=name) as conn:
+        yield conn
+
+
+@pytest.fixture
+def writer(db, name):
+    """A cache-less connection to the same store."""
+    with db.connect(async_workers=1, backend=name) as conn:
+        yield conn
 
 
 @pytest.mark.parametrize("name", BACKENDS)
 class TestAutocommitInvalidation:
-    def test_write_invalidates_read_entry(self, name):
-        db = seeded_db()
-        try:
-            cache = ResultCache()
-            with db.connect(
-                async_workers=1, result_cache=cache, backend=name
-            ) as conn:
-                assert conn.execute_query(READ, (1,)).scalar() == 10
-                assert conn.execute_query(READ, (1,)).scalar() == 10
-                assert cache.stats.hits == 1
-                conn.execute_update(BUMP, (1,))
-                assert cache.stats.invalidations >= 1
-                assert conn.execute_query(READ, (1,)).scalar() == 11
-        finally:
-            db.close()
+    def test_write_invalidates_read_entry(self, cache, reader):
+        read = lambda: reader.execute_query(READ, (1,))
+        assert outcome(cache, read) == (10, "miss")
+        assert outcome(cache, read) == (10, "hit")
+        reader.execute_update(BUMP, (1,))
+        # The stale entry is met — and dropped — by the next lookup,
+        # which re-executes and sees the write.
+        assert outcome(cache, read) == (11, "miss")
+        assert cache.stats.invalidations == 1
+        assert outcome(cache, read) == (11, "hit")
 
-    def test_unrelated_table_write_keeps_entry(self, name):
-        db = seeded_db()
-        try:
-            cache = ResultCache()
-            with db.connect(
-                async_workers=1, result_cache=cache, backend=name
-            ) as conn:
-                conn.execute_query(READ, (2,))
-                conn.execute_update("INSERT INTO u VALUES (9)")
-                assert cache.stats.invalidations == 0
-                conn.execute_query(READ, (2,))
-                assert cache.stats.hits == 1
-        finally:
-            db.close()
+    def test_unrelated_table_write_keeps_entry(self, cache, reader):
+        read = lambda: reader.execute_query(READ, (2,))
+        assert outcome(cache, read) == (20, "miss")
+        reader.execute_update("INSERT INTO u VALUES (9)")
+        assert outcome(cache, read) == (20, "hit")
+        assert cache.stats.invalidations == 0
 
-    def test_cacheless_writer_invalidates_too(self, name):
-        # The ledger lives server-side: ANY connection to the same
-        # backend invalidates, not just the one holding the cache.
-        db = seeded_db()
-        try:
-            cache = ResultCache()
-            reader = db.connect(
-                async_workers=1, result_cache=cache, backend=name
-            )
-            writer = db.connect(async_workers=1, backend=name)
-            with reader, writer:
-                assert reader.execute_query(READ, (3,)).scalar() == 30
-                writer.execute_update(BUMP, (3,))
-                assert cache.stats.invalidations >= 1
-                assert reader.execute_query(READ, (3,)).scalar() == 31
-        finally:
-            db.close()
+    def test_cacheless_writer_invalidates_too(self, cache, reader, writer):
+        # The ledger lives server-side: a write through ANY connection
+        # to the same backend is seen, not just one holding the cache.
+        read = lambda: reader.execute_query(READ, (3,))
+        assert outcome(cache, read) == (30, "miss")
+        writer.execute_update(BUMP, (3,))
+        assert outcome(cache, read) == (31, "miss")
+        assert outcome(cache, read) == (31, "hit")
+
+    def test_write_batch_is_seen_by_the_next_read(self, cache, reader):
+        count = lambda: reader.execute_query("SELECT count(*) FROM u")
+        assert outcome(cache, count) == (1, "miss")
+        store = reader.server
+        outcomes = store.execute_prepared_batch(
+            store.prepare("INSERT INTO u VALUES (?)"), [(7,), (8,)]
+        )
+        assert [result.rowcount for result in outcomes] == [1, 1]
+        assert outcome(cache, count) == (3, "miss")
+        assert outcome(cache, count) == (3, "hit")
+
+    def test_out_of_band_ddl_lapses_every_table(self, db, cache, reader):
+        read = lambda: reader.execute_query(READ, (4,))
+        assert outcome(cache, read) == (40, "miss")
+        db.create_index("idx_u", "u", "id")
+        assert outcome(cache, read) == (40, "miss")
+        assert outcome(cache, read) == (40, "hit")
 
 
 @pytest.mark.parametrize("name", BACKENDS)
 class TestCommitBoundary:
-    def test_broadcast_happens_only_at_commit(self, name):
-        db = seeded_db()
-        try:
-            store = db.backend(name)
-            cache = ResultCache()
-            reader = db.connect(
-                async_workers=1, result_cache=cache, backend=name
-            )
-            writer = db.connect(async_workers=1, backend=name)
-            with reader, writer:
-                reader.execute_query(READ, (1,))
-                writer.begin()
-                writer.execute_update(BUMP, (1,))
-                # Uncommitted: marked, visible to the validity check,
-                # but no broadcast yet.
-                assert store.has_uncommitted_writes(["t"])
-                assert cache.stats.invalidations == 0
-                writer.commit()
-                assert not store.has_uncommitted_writes(["t"])
-                assert cache.stats.invalidations >= 1
-                assert reader.execute_query(READ, (1,)).scalar() == 11
-        finally:
-            db.close()
+    def test_broadcast_happens_only_at_commit(self, cache, reader, writer):
+        """A transaction's write reaches cached readers at commit — not
+        at the statement, and not before the commit boundary."""
+        ledger = reader.server.ledger
+        read = lambda: reader.execute_query(READ, (1,))
+        assert outcome(cache, read) == (10, "miss")
+        writer.begin()
+        writer.execute_update(BUMP, (1,))
+        # Open writer: no ticket, so the read is not even looked up (the
+        # memory engine lets it see the dirty 11, sqlite isolates it)
+        # and the pre-transaction entry is untouched.
+        assert ledger.ticket({"t"}) is None
+        assert outcome(cache, read)[1] == "bypass"
+        assert cache.stats.invalidations == 0
+        writer.commit()
+        assert ledger.ticket({"t"}) is not None
+        assert outcome(cache, read) == (11, "miss")
+        assert cache.stats.invalidations == 1
+        assert outcome(cache, read) == (11, "hit")
 
-    def test_rollback_never_broadcasts(self, name):
-        db = seeded_db()
-        try:
-            store = db.backend(name)
-            cache = ResultCache()
-            reader = db.connect(
-                async_workers=1, result_cache=cache, backend=name
-            )
-            writer = db.connect(async_workers=1, backend=name)
-            with reader, writer:
-                assert reader.execute_query(READ, (2,)).scalar() == 20
-                token = store.read_validity(["t"])
-                writer.begin()
-                writer.execute_update(BUMP, (2,))
-                writer.rollback()
-                assert not store.has_uncommitted_writes(["t"])
-                # No broadcast — the entry survives and still serves
-                # the (correct, restored) value...
-                assert cache.stats.invalidations == 0
-                assert reader.execute_query(READ, (2,)).scalar() == 20
-                assert cache.stats.hits >= 1
-                # ...but validity tokens moved, so any result computed
-                # DURING the doomed transaction cannot publish.
-                assert store.read_validity(["t"]) != token
-        finally:
-            db.close()
+    def test_rollback_never_broadcasts(self, cache, reader, writer):
+        """A rolled-back write never takes effect on caches: entries
+        from before the transaction still hit."""
+        ledger = reader.server.ledger
+        read = lambda: reader.execute_query(READ, (2,))
+        assert outcome(cache, read) == (20, "miss")
+        epoch, committed = ledger.ticket({"t"})
+        writer.begin()
+        writer.execute_update(BUMP, (2,))
+        writer.rollback()
+        # The restore is a data change (epoch moved, so a read that
+        # overlapped the window cannot publish) but not a committed one
+        # (the entry is still right).
+        assert ledger.ticket({"t"}) == (epoch + 1, committed)
+        assert outcome(cache, read) == (20, "hit")
+        assert cache.stats.invalidations == 0
 
-    def test_uncommitted_writes_bypass_cache(self, name):
-        db = seeded_db()
-        try:
-            store = db.backend(name)
-            cache = ResultCache()
-            reader = db.connect(
-                async_workers=1, result_cache=cache, backend=name
-            )
-            writer = db.connect(async_workers=1, backend=name)
-            with reader, writer:
-                reader.execute_query(READ, (4,))
-                hits_before = cache.stats.hits
-                writer.begin()
-                writer.execute_update(BUMP, (4,))
-                # While table t has uncommitted writes, cached reads of
-                # it neither hit nor publish.
-                reader.execute_query(READ, (4,))
-                assert cache.stats.hits == hits_before
-                writer.rollback()
-                reader.execute_query(READ, (4,))
-                assert cache.stats.hits == hits_before + 1
-        finally:
-            db.close()
+    def test_uncommitted_writes_bypass_cache(self, cache, reader, writer):
+        read = lambda: reader.execute_query(READ, (4,))
+        assert outcome(cache, read) == (40, "miss")
+        writer.begin()
+        writer.execute_update(BUMP, (4,))
+        # While table t has an open writer, cached reads of it neither
+        # hit nor publish; other tables are unaffected.
+        assert outcome(cache, read)[1] == "bypass"
+        other = lambda: reader.execute_query("SELECT count(*) FROM u")
+        assert outcome(cache, other) == (1, "miss")
+        assert outcome(cache, other) == (1, "hit")
+        writer.rollback()
+        assert outcome(cache, read) == (40, "hit")
+
+    @pytest.mark.parametrize("finish_first", [False, True])
+    def test_read_overlapping_a_rolled_back_window_is_not_retained(
+        self, cache, reader, writer, finish_first
+    ):
+        """A read planned before the transaction's write and executed
+        inside (or, ``finish_first``, just after) its window is served
+        to its caller but never kept: whatever it saw, the next read
+        re-executes against the restored data."""
+        gate = threading.Event()
+        reader.executor.submit(gate.wait)  # hold the one worker
+        handle = reader.submit_query(READ, (0,))  # planned, queued
+        writer.begin()
+        writer.execute_update(BUMP, (0,))
+        if finish_first:
+            writer.rollback()
+        gate.set()
+        assert reader.fetch_result(handle).scalar() in (0, 1)
+        if not finish_first:
+            writer.rollback()
+        read = lambda: reader.execute_query(READ, (0,))
+        assert outcome(cache, read) == (0, "miss")
 
 
 class TestLedgerIsolation:
-    def test_ledgers_are_per_backend(self):
+    def test_ledgers_are_per_backend(self, db, cache):
         # The stores hold independent copies of the data after seeding;
-        # a write through one must not shoot down entries keyed to the
+        # a write through one must not lapse entries keyed to the
         # other's contents.
-        db = seeded_db()
-        try:
-            cache = ResultCache()
-            lite = db.connect(
-                async_workers=1, result_cache=cache, backend="sqlite"
-            )
-            mem = db.connect(async_workers=1, backend="memory")
-            with lite, mem:
-                lite.execute_query(READ, (0,))
-                mem.execute_update(BUMP, (0,))
-                assert cache.stats.invalidations == 0
-                lite.execute_query(READ, (0,))
-                assert cache.stats.hits == 1
-                lite.execute_update(BUMP, (0,))
-                assert cache.stats.invalidations >= 1
-        finally:
-            db.close()
+        lite = db.connect(async_workers=1, result_cache=cache, backend="sqlite")
+        mem = db.connect(async_workers=1, backend="memory")
+        with lite, mem:
+            read = lambda: lite.execute_query(READ, (0,))
+            assert outcome(cache, read) == (0, "miss")
+            mem.execute_update(BUMP, (0,))
+            assert outcome(cache, read) == (0, "hit")
+            lite.execute_update(BUMP, (0,))
+            assert outcome(cache, read) == (1, "miss")
 
-    def test_register_cache_counts_per_backend(self):
-        db = seeded_db()
+
+@pytest.mark.parametrize("name", BACKENDS)
+class TestConcurrentReaders:
+    def test_no_reader_sees_behind_a_finished_write(self, db, cache, name):
+        """Stress the ledger under real threads: one writer counts up,
+        more readers than cores read through one shared cache (blocking
+        and split).  A read that starts after a write has returned must
+        never see an older value — a lost epoch bump would let a stale
+        hit through."""
+        finished = [0]  # the last value whose write has returned
+        errors = []
+        stop = threading.Event()
+
+        def write():
+            with db.connect(async_workers=1, backend=name) as conn:
+                value = 0
+                while not stop.is_set():
+                    value += 1
+                    conn.execute_update("UPDATE t SET v = ? WHERE id = 0", (value,))
+                    finished[0] = value
+
+        def read(conn, split):
+            try:
+                while not stop.is_set():
+                    floor = finished[0]
+                    if split:
+                        got = conn.fetch_result(conn.submit_query(READ, (0,))).scalar()
+                    else:
+                        got = conn.execute_query(READ, (0,)).scalar()
+                    if got < floor:
+                        errors.append(f"read {got} after write {floor} finished")
+            except Exception as exc:  # surface it in the main thread
+                errors.append(repr(exc))
+
+        conns = [
+            db.connect(async_workers=2, result_cache=cache, backend=name)
+            for _ in range(2)
+        ]
+        readers = (os.cpu_count() or 2) + 2
+        threads = [threading.Thread(target=write)] + [
+            threading.Thread(target=read, args=(conns[i % 2], i % 3 == 0))
+            for i in range(readers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            cache = ResultCache()
-            with db.connect(
-                async_workers=1, result_cache=cache, backend="sqlite"
-            ):
-                assert db.backend("sqlite").registered_cache_count == 1
-                assert db.backend("memory").registered_cache_count == 0
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
         finally:
-            db.close()
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+            for conn in conns:
+                conn.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert finished[0] > 0 and cache.stats.hits > 0

@@ -1,19 +1,24 @@
 """The statement lifecycle, pinned where it lives: ``Backend`` itself.
 
 A recording stub implements only the store hooks (dict-backed, no SQL
-semantics beyond what ``parse`` gives it), so every ledger call, every
-execution and every commit/rollback apply step lands in one ordered
-event list.  The cache-coherence protocol — mark-uncommitted → bump
-version → execute → broadcast only at autocommit/commit — is asserted
-directly here, once, instead of through cache outcomes once per store.
+semantics beyond what ``parse`` gives it) over a recording ledger, so
+every ledger call, every execution and every commit/rollback apply step
+lands in one ordered event list.  The write half of the cache-coherence
+protocol — ``begin_write`` → execute → ``end_write(committed)``, a
+transaction's tables ending inside the commit/rollback boundary — is
+asserted directly here, once; the cache outcomes it buys are asserted
+per store in ``tests/test_backend_invalidation.py``.
 """
 
 import pytest
 
-from repro.backends import Backend
+from repro.backends import Backend, WriteEpochLedger
+from repro.core.submission import SubmissionPipeline
 from repro.db import INSTANT, LatencyMeter, QueryResult
 from repro.db.errors import ServerShutdownError, StatementHandleError
 from repro.db.txn import TransactionManager
+from repro.prefetch.cache import ResultCache
+from repro.runtime.executor import AsyncExecutor
 
 INSERT = "INSERT INTO t VALUES (?)"
 COUNT = "SELECT count(*) FROM t"
@@ -23,9 +28,34 @@ class RecordingTxns(TransactionManager):
     def __init__(self, events):
         super().__init__(catalog=None)
         self._events = events
+        release_all = self.locks.release_all
+
+        def recording_release(txn):
+            events.append("release-locks")
+            release_all(txn)
+
+        self.locks.release_all = recording_release
 
     def _apply(self, txn, commit):
         self._events.append("apply-commit" if commit else "apply-rollback")
+
+
+class RecordingLedger(WriteEpochLedger):
+    def __init__(self, events):
+        super().__init__()
+        self._events = events
+
+    def ticket(self, tables):
+        self._events.append(("ticket", *sorted(tables)))
+        return super().ticket(tables)
+
+    def begin_write(self, table):
+        self._events.append(("begin_write", table))
+        super().begin_write(table)
+
+    def end_write(self, table, committed):
+        self._events.append(("end_write", table, committed))
+        super().end_write(table, committed)
 
 
 class RecordingBackend(Backend):
@@ -39,6 +69,9 @@ class RecordingBackend(Backend):
         super().__init__(
             None, INSTANT, LatencyMeter(), RecordingTxns(self.events), max_prepared
         )
+        # Swap the recording ledger in for both of its holders.
+        self.ledger = RecordingLedger(self.events)
+        self.txns.end_write_hook = self.ledger.end_write
 
     # -- the store hooks -------------------------------------------------
     def _plan(self, ast):
@@ -55,29 +88,17 @@ class RecordingBackend(Backend):
             return QueryResult(rowcount=1)
         return QueryResult(columns=("n",), rows=[(len(rows),)])
 
-    # -- ledger calls, recorded in order -----------------------------------
-    def note_data_change(self, table):
-        self.events.append(("note_data_change", table))
-        super().note_data_change(table)
-
-    def mark_uncommitted(self, table):
-        self.events.append(("mark_uncommitted", table))
-        super().mark_uncommitted(table)
-
-    def clear_uncommitted(self, table):
-        self.events.append(("clear_uncommitted", table))
-        super().clear_uncommitted(table)
-
-    def broadcast_invalidation(self, table):
-        self.events.append(("broadcast_invalidation", table))
-        return super().broadcast_invalidation(table)
-
 
 @pytest.fixture
 def backend():
     stub = RecordingBackend()
     yield stub
     stub.shutdown()
+
+
+def ticket(stub):
+    """Table ``t``'s ticket, read without recording an event."""
+    return WriteEpochLedger.ticket(stub.ledger, {"t"})
 
 
 def drain(stub):
@@ -87,11 +108,13 @@ def drain(stub):
 
 class TestWriteOrdering:
     def test_autocommit_write_bumps_executes_then_broadcasts(self, backend):
+        """An autocommit write runs inside one write window, closed as
+        committed."""
         assert backend.execute(INSERT, (1,)).rowcount == 1
         assert drain(backend) == [
-            ("note_data_change", "t"),
+            ("begin_write", "t"),
             "execute",
-            ("broadcast_invalidation", "t"),
+            ("end_write", "t", True),
         ]
         assert backend.stats.writes_executed == 1
 
@@ -99,50 +122,64 @@ class TestWriteOrdering:
         assert backend.execute(COUNT).scalar() == 0
         assert drain(backend) == ["execute"]
 
+    def test_cached_read_touches_the_ledger_only_through_ticket(self, backend):
+        """One ticket when the request is planned, one at publication;
+        a hit re-takes only the first."""
+        executor = AsyncExecutor(1)
+        pipeline = SubmissionPipeline(backend, executor, cache=ResultCache())
+        try:
+            assert pipeline.execute(COUNT).scalar() == 0
+            assert drain(backend) == [("ticket", "t"), "execute", ("ticket", "t")]
+            assert pipeline.execute(COUNT).scalar() == 0
+            assert drain(backend) == [("ticket", "t")]
+        finally:
+            executor.close()
+
     def test_transactional_write_marks_bumps_and_defers_broadcast(self, backend):
+        """A transaction opens a table's window at its first write to
+        it and closes it inside the commit boundary, before its locks
+        are released."""
         txn = backend.begin_transaction()
         backend.execute(INSERT, (1,), txn)
-        assert drain(backend) == [
-            ("mark_uncommitted", "t"),
-            ("note_data_change", "t"),
-            "execute",
-        ]
-        assert backend.has_uncommitted_writes({"t"})
-        backend.execute(INSERT, (2,), txn)  # marked once per txn and table
-        assert drain(backend) == [("note_data_change", "t"), "execute"]
+        assert drain(backend) == [("begin_write", "t"), "execute"]
+        backend.execute(INSERT, (2,), txn)  # opened once per txn and table
+        assert drain(backend) == ["execute"]
+        assert ticket(backend) is None
         txn.commit()
         assert drain(backend) == [
             "apply-commit",
-            ("broadcast_invalidation", "t"),
-            ("clear_uncommitted", "t"),
+            ("end_write", "t", True),
+            "release-locks",
         ]
-        assert not backend.has_uncommitted_writes({"t"})
+        assert ticket(backend) == (1, 1)
 
     def test_rollback_bumps_version_and_never_broadcasts(self, backend):
+        """A rollback closes the window uncommitted: the epoch moves,
+        ``committed`` does not."""
         txn = backend.begin_transaction()
         backend.execute(INSERT, (1,), txn)
         drain(backend)
-        token = backend.read_validity({"t"})
         txn.rollback()
         assert drain(backend) == [
             "apply-rollback",
-            ("note_data_change", "t"),
-            ("clear_uncommitted", "t"),
+            ("end_write", "t", False),
+            "release-locks",
         ]
-        assert backend.read_validity({"t"}) != token
-        assert not backend.has_uncommitted_writes({"t"})
+        assert ticket(backend) == (1, 0)
 
     def test_write_batch_runs_per_binding_with_full_semantics(self, backend):
         prepared = backend.prepare(INSERT)
         outcomes = backend.execute_prepared_batch(prepared, [(1,), (2,)])
         assert [outcome.rowcount for outcome in outcomes] == [1, 1]
-        events = drain(backend)
-        assert events.count("execute") == 2
-        assert events.count(("broadcast_invalidation", "t")) == 2
-        # Every execution is preceded by its own version bump.
-        for position, event in enumerate(events):
-            if event == "execute":
-                assert events[position - 1] == ("note_data_change", "t")
+        window = [("begin_write", "t"), "execute", ("end_write", "t", True)]
+        # The store declined the batch (an empty window), so every
+        # binding ran inside its own.
+        assert drain(backend) == window[::2] + window + window
+
+    def test_out_of_band_ddl_is_a_window_on_every_table(self, backend):
+        backend.invalidate_plans()
+        assert drain(backend) == [("begin_write", None), ("end_write", None, True)]
+        assert ticket(backend) == (1, 1)
 
 
 class TestLifecycle:
@@ -154,8 +191,12 @@ class TestLifecycle:
         snapshot = backend.stats_snapshot()
         assert snapshot["active"] == 0
         assert snapshot["statements_executed"] == 0
-        # The bump precedes execution; a failed write never broadcasts.
-        assert drain(backend) == [("note_data_change", "t"), "execute"]
+        # A failed write still closes its window.
+        assert drain(backend) == [
+            ("begin_write", "t"),
+            "execute",
+            ("end_write", "t", True),
+        ]
 
     def test_everything_after_shutdown_raises(self):
         stub = RecordingBackend()

@@ -1,19 +1,23 @@
 """The unified submission core: one cache-aware path for every runtime,
-with server-side (commit-boundary) invalidation.
+with cache entries validated against the server's write-epoch ledger.
 
 ISSUE 2 acceptance: `Connection` and `AioConnection` share one
 pipeline; a result cached via the sync client is a hit for the aio
 client on the same `Database`; a write through a cache-less connection
-evicts sibling caches; transactional writes invalidate only on commit.
+is seen by every sibling cache's next lookup; transactional writes take
+effect on caches only at commit.
 """
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
 from repro.db import Database, INSTANT
 from repro.prefetch import ResultCache
 from repro.runtime.aio import AioConnection, aio_connect
+from tests.helpers import cache_outcome
 
 
 @pytest.fixture
@@ -35,19 +39,24 @@ READ_ITEM = "SELECT price FROM items WHERE item_id = ?"
 WRITE_USER = "UPDATE users SET rating = ? WHERE user_id = ?"
 
 
+def lookup(cache, conn, sql, params):
+    """``(value, "hit" | "miss" | "bypass")`` for one blocking read."""
+    return cache_outcome(cache, lambda: conn.execute_query(sql, params))
+
+
 class TestServerSideInvalidation:
     def test_cacheless_write_invalidates_sibling_cache(self, users_db):
         """ISSUE acceptance: a write through a connection with *no*
-        cache attached evicts every registered sibling cache."""
+        cache attached is seen by a sibling cache's next lookup."""
         cache = ResultCache(capacity=16)
         reader = users_db.connect(result_cache=cache)
         writer = users_db.connect()  # cache-less
-        assert reader.execute_query(READ_USER, [7]).scalar() == 2
-        assert (READ_USER, (7,)) in cache
+        assert lookup(cache, reader, READ_USER, [7]) == (2, "miss")
+        assert lookup(cache, reader, READ_USER, [7]) == (2, "hit")
         writer.execute_update(WRITE_USER, [99, 7])
-        assert (READ_USER, (7,)) not in cache
-        assert cache.stats.invalidations >= 1
-        assert reader.execute_query(READ_USER, [7]).scalar() == 99
+        assert lookup(cache, reader, READ_USER, [7]) == (99, "miss")
+        assert cache.stats.invalidations == 1  # the stale entry, met once
+        assert lookup(cache, reader, READ_USER, [7]) == (99, "hit")
         reader.close()
         writer.close()
 
@@ -58,12 +67,14 @@ class TestServerSideInvalidation:
         reader.execute_query(READ_USER, [1])
         reader.execute_query(READ_ITEM, [1])
         writer.execute_update(WRITE_USER, [5, 1])
-        assert (READ_ITEM, (1,)) in cache
-        assert (READ_USER, (1,)) not in cache
+        assert lookup(cache, reader, READ_ITEM, [1]) == (10, "hit")
+        assert lookup(cache, reader, READ_USER, [1]) == (5, "miss")
         reader.close()
         writer.close()
 
     def test_write_invalidates_every_registered_cache(self, users_db):
+        """Every cache on the backend sees the write — there is nothing
+        to register, so none can be forgotten."""
         first_cache = ResultCache(capacity=8)
         second_cache = ResultCache(capacity=8)
         first = users_db.connect(result_cache=first_cache)
@@ -71,32 +82,45 @@ class TestServerSideInvalidation:
         first.execute_query(READ_USER, [3])
         second.execute_query(READ_USER, [3])
         first.execute_update(WRITE_USER, [40, 3])
-        assert (READ_USER, (3,)) not in first_cache
-        assert (READ_USER, (3,)) not in second_cache
-        assert second.execute_query(READ_USER, [3]).scalar() == 40
+        assert lookup(first_cache, first, READ_USER, [3]) == (40, "miss")
+        assert lookup(second_cache, second, READ_USER, [3]) == (40, "miss")
         first.close()
         second.close()
 
     def test_shared_cache_registers_once(self, users_db):
+        """Two connections on one cache share its entries, one write
+        lapses the shared entry once, and the backend never holds the
+        cache (so dropping the connections frees it)."""
         cache = ResultCache(capacity=8)
         first = users_db.connect(result_cache=cache)
         second = users_db.connect(result_cache=cache)
-        assert users_db.backend().registered_cache_count == 1
+        assert lookup(cache, first, READ_USER, [3]) == (3, "miss")
+        assert lookup(cache, second, READ_USER, [3]) == (3, "hit")
+        first.execute_update(WRITE_USER, [41, 3])
+        assert lookup(cache, second, READ_USER, [3]) == (41, "miss")
+        assert lookup(cache, first, READ_USER, [3]) == (41, "hit")
+        assert cache.stats.invalidations == 1
         first.close()
         second.close()
+        alive = weakref.ref(cache)
+        del cache, first, second
+        gc.collect()
+        assert alive() is None
 
     def test_transactional_write_invalidates_on_commit(self, users_db):
         cache = ResultCache(capacity=16)
         reader = users_db.connect(result_cache=cache)
         writer = users_db.connect()  # transactions need no cache
-        assert reader.execute_query(READ_USER, [4]).scalar() == 4
+        assert lookup(cache, reader, READ_USER, [4]) == (4, "miss")
         writer.begin()
         writer.execute_update(WRITE_USER, [70, 4])
-        # Uncommitted: the cached entry must survive the statement.
-        assert (READ_USER, (4,)) in cache
+        # Uncommitted: the table is neither served from the cache nor
+        # published to it, and the cached entry survives the statement.
+        assert lookup(cache, reader, READ_USER, [4])[1] == "bypass"
+        assert cache.stats.invalidations == 0
         writer.commit()
-        assert (READ_USER, (4,)) not in cache
-        assert reader.execute_query(READ_USER, [4]).scalar() == 70
+        assert lookup(cache, reader, READ_USER, [4]) == (70, "miss")
+        assert cache.stats.invalidations == 1
         reader.close()
         writer.close()
 
@@ -106,22 +130,19 @@ class TestServerSideInvalidation:
         cache = ResultCache(capacity=16)
         reader = users_db.connect(result_cache=cache)
         writer = users_db.connect()
-        assert reader.execute_query(READ_USER, [9]).scalar() == 4
-        invalidations = cache.stats.invalidations
+        assert lookup(cache, reader, READ_USER, [9]) == (4, "miss")
         writer.begin()
         writer.execute_update(WRITE_USER, [70, 9])
         writer.rollback()
-        assert (READ_USER, (9,)) in cache
-        assert cache.stats.invalidations == invalidations
-        assert reader.execute_query(READ_USER, [9]).scalar() == 4
+        assert lookup(cache, reader, READ_USER, [9]) == (4, "hit")
+        assert cache.stats.invalidations == 0
         reader.close()
         writer.close()
 
     def test_dirty_read_during_open_txn_is_not_cached(self, users_db):
         """Non-txn reads take no table locks, so a reader can observe an
         uncommitted value — but must never *cache* it: after rollback
-        (which broadcasts nothing) that value never existed in any
-        committed state."""
+        that value never existed in any committed state."""
         cache = ResultCache(capacity=16)
         # Dirty reads are an engine artifact (non-txn reads take no
         # locks there; SQLite isolates writers): pin the memory backend.
@@ -129,42 +150,37 @@ class TestServerSideInvalidation:
         writer = users_db.connect(backend="memory")
         writer.begin()
         writer.execute_update(WRITE_USER, [99, 7])  # uncommitted
-        assert reader.execute_query(READ_USER, [7]).scalar() == 99  # dirty
-        assert (READ_USER, (7,)) not in cache  # ...but not retained
+        assert lookup(cache, reader, READ_USER, [7]) == (99, "bypass")  # dirty
+        assert (READ_USER, (7,)) not in cache  # ...and not retained
         writer.rollback()
-        assert reader.execute_query(READ_USER, [7]).scalar() == 2
+        assert lookup(cache, reader, READ_USER, [7]) == (2, "miss")
         assert (READ_USER, (7,)) in cache  # clean value caches normally
         reader.close()
         writer.close()
 
     def test_rollback_spoils_overlapping_read_via_version_bump(self, users_db):
         """An owner lease acquired before the transaction's write must
-        not publish a value read inside the dirty window: the rollback's
-        undo bumps the table's write version, failing the publication
-        check."""
+        not publish a value read inside the dirty window: the rollback
+        moves the table's epoch, failing the publication check — and a
+        reader planned after it does not join the doomed flight."""
         cache = ResultCache(capacity=16)
-        pipeline_server = users_db.backend()  # the store connects use
-        lease = cache.acquire((READ_USER, (7,)), tables=["users"])
-        token = pipeline_server.read_validity(["users"])
+        ledger = users_db.backend().ledger  # the store connects use
+        key = (READ_USER, (7,))
+        ticket = ledger.ticket({"users"})
+        lease = cache.acquire(key, tables=["users"], ticket=ticket)
         writer = users_db.connect()
         writer.begin()
         writer.execute_update(WRITE_USER, [99, 7])
         dirty = writer.server.execute(READ_USER, (7,)).scalar()  # in-window read
         writer.rollback()
-        assert pipeline_server.read_validity(["users"]) != token
-        cache.complete(
-            lease, dirty, retain=pipeline_server.read_validity(["users"]) == token
-        )
-        assert (READ_USER, (7,)) not in cache
+        after = ledger.ticket({"users"})
+        assert after != ticket and after[1] == ticket[1]
+        late = cache.acquire(key, tables=["users"], ticket=after)
+        assert late.is_owner  # displaced the in-flight entry, no join
+        cache.complete(lease, dirty, retain=ledger.ticket({"users"}) == ticket)
+        cache.complete(late, 2, retain=ledger.ticket({"users"}) == after)
+        assert cache.acquire(key, tables=["users"], ticket=after).value == 2
         writer.close()
-
-    def test_standalone_cache_registration(self, users_db):
-        cache = ResultCache(capacity=8)
-        users_db.register_cache(cache)
-        lease = cache.acquire((READ_USER, (1,)), tables=["users"])
-        cache.complete(lease, "cached")
-        users_db.connect().execute_update(WRITE_USER, [1, 1])
-        assert (READ_USER, (1,)) not in cache
 
 
 class TestSharedPipeline:

@@ -8,7 +8,7 @@ import pytest
 from repro.db import Database, INSTANT
 from repro.db.errors import ParamCountError
 from repro.prefetch.cache import ResultCache
-from tests.helpers import reference_select
+from tests.helpers import cache_outcome, reference_select
 
 SQL = "SELECT count(*) FROM t WHERE grp = ?"
 ROW_SQL = "SELECT a FROM t WHERE grp = ? ORDER BY a"
@@ -292,29 +292,30 @@ class TestTransactionInteraction:
 
     def test_batched_updates_keep_commit_time_invalidation(self, grouped):
         """PR 2 semantics through the set-oriented batch path: an
-        autocommit batched write invalidates registered caches at once;
-        a transactional blocking write invalidates only at commit."""
+        autocommit batched write is seen by the next cached read; a
+        transactional blocking write only once it commits."""
         from repro.client.batching import BatchExecutor
 
         cache = ResultCache(64)
         conn = grouped.connect(async_workers=1, coalesce=True, result_cache=cache)
-        assert conn.execute_query(SQL, [0]).scalar() == 10
-        assert (SQL, (0,)) in cache
+        count = lambda: cache_outcome(cache, lambda: conn.execute_query(SQL, [0]))
+        assert count() == (10, "miss")
+        assert count() == (10, "hit")
         batch = BatchExecutor(conn)
         batch.execute_batched_updates(
             "INSERT INTO t (a, grp) VALUES (?, ?)", [(400, 0), (401, 0)]
         )
-        # Autocommit batch writes broadcast immediately.
-        assert (SQL, (0,)) not in cache
-        assert conn.execute_query(SQL, [0]).scalar() == 12
-        assert (SQL, (0,)) in cache
-        # Transactional write: invalidation deferred to commit.
-        txn = conn.begin()
+        assert count() == (12, "miss")
+        assert count() == (12, "hit")
+        # Transactional write: while it is open the table bypasses the
+        # cache and the entry stays; it lapses once the commit lands.
+        conn.begin()
         conn.execute_update("INSERT INTO t (a, grp) VALUES (?, ?)", [402, 0])
+        assert count() == (13, "bypass")
         assert (SQL, (0,)) in cache
         conn.commit()
-        assert (SQL, (0,)) not in cache
-        assert conn.execute_query(SQL, [0]).scalar() == 13
+        assert count() == (13, "miss")
+        assert count() == (13, "hit")
         conn.close()
 
 

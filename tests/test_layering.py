@@ -72,6 +72,21 @@ class TestLayering:
                     isinstance(node, ast.Attribute) and node.attr == "ast"
                 ), f"{package_of_file}:{node.lineno} reads .ast"
 
+    @pytest.mark.parametrize("package", ("backends", "db"))
+    def test_no_store_reaches_for_a_cache(self, package):
+        """Cache coherence is pull-only: a store publishes write epochs
+        and never learns that a result cache exists."""
+        for package_of_file, tree in modules(package):
+            for module, name in imports(package_of_file, tree):
+                assert not module.startswith("repro.prefetch"), (
+                    f"{package_of_file} imports {module}"
+                )
+            for node in ast.walk(tree):
+                assert not (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("invalidate_table", "invalidate_all")
+                ), f"{package_of_file}:{node.lineno} calls {node.attr}"
+
     def test_sqlite_store_reads_only_public_plan_members(self):
         ((package_of_file, tree),) = modules("backends/sqlite")
         for module, name in imports(package_of_file, tree):

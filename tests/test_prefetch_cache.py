@@ -115,6 +115,72 @@ class TestResultCacheCore:
         assert "q" not in cache  # ...but the value is not retained
 
 
+class TestTicketValidation:
+    """Lookup-time validation against the caller's ``(epoch,
+    committed)`` ticket — the cache's half of the pull-only protocol."""
+
+    def test_published_entry_hits_while_committed_is_unchanged(self):
+        cache = ResultCache(capacity=4)
+        cache.complete(cache.acquire("k", ["t"], (5, 3)), "old")
+        # A rolled-back transaction moved only the epoch: still right.
+        assert cache.acquire("k", ["t"], (6, 3)).value == "old"
+        assert cache.stats.invalidations == 0
+
+    def test_published_entry_lapses_when_committed_moves(self):
+        cache = ResultCache(capacity=4)
+        cache.complete(cache.acquire("k", ["t"], (5, 3)), "old")
+        lease = cache.acquire("k", ["t"], (6, 4))
+        assert lease.is_owner
+        assert cache.stats.invalidations == 1
+        assert cache.stats.misses == 2
+        cache.complete(lease, "new")
+        assert cache.acquire("k", ["t"], (6, 4)).value == "new"
+        assert cache.stats_snapshot()["completed"] == 1
+
+    def test_in_flight_entry_is_joined_only_under_the_same_ticket(self):
+        cache = ResultCache(capacity=4)
+        owner = cache.acquire("k", ["t"], (5, 3))
+        assert cache.acquire("k", ["t"], (5, 3)).is_follower
+        # Same committed data, but a write window opened and closed:
+        # the flight may have read inside it.
+        late = cache.acquire("k", ["t"], (6, 3))
+        assert late.is_owner
+        assert cache.stats.invalidations == 1
+        cache.complete(owner, "in-window")  # displaced: served, not kept
+        assert owner.future.result() == "in-window"
+        cache.complete(late, "clean")
+        assert cache.acquire("k", ["t"], (6, 3)).value == "clean"
+
+    def test_resolved_but_unpublished_entry_is_not_a_hit(self):
+        """Between the owner resolving the future and deciding retention
+        the value is shared like a flight — under the whole ticket — not
+        served as if it had been validated for keeping."""
+        cache = ResultCache(capacity=4)
+        owner = cache.acquire("k", ["t"], (5, 3))
+        owner.future.set_result("in-window")  # what complete() does first
+        assert cache.acquire("k", ["t"], (5, 3)).wait() == "in-window"
+        assert cache.acquire("k", ["t"], (6, 3)).is_owner
+
+    def test_callers_without_a_ledger_keep_the_explicit_protocol(self):
+        cache = ResultCache(capacity=4)
+        cache.complete(cache.acquire("k", ["t"]), "value")
+        assert cache.acquire("k", ["t"]).value == "value"
+        assert cache.stats.invalidations == 0
+        # A ticketed caller never trusts an entry nobody validated.
+        assert cache.acquire("k", ["t"], (0, 0)).is_owner
+
+    def test_full_cache_evicts_from_the_lru_front(self):
+        cache = ResultCache(capacity=3)
+        pinned = cache.acquire("slow", ["t"], (0, 0))  # oldest, in flight
+        for index in range(6):
+            cache.complete(cache.acquire(index, ["t"], (0, 0)), index)
+        assert cache.keys() == ("slow", 3, 4, 5)
+        assert cache.stats.evictions == 3
+        cache.complete(pinned, "done")
+        assert cache.keys() == (4, 5, "slow")
+        assert cache.stats_snapshot()["completed"] == 3
+
+
 @pytest.fixture
 def users_db():
     database = Database(INSTANT)
@@ -167,9 +233,9 @@ class TestConnectionCachePath:
         assert conn.execute_query(READ_USER, [7]).scalar() == 2  # cached
         misses_before = cache.stats.misses
         conn.execute_update(WRITE_USER, [99, 7])
-        assert cache.stats.invalidations >= 1
         assert conn.execute_query(READ_USER, [7]).scalar() == 99
         assert cache.stats.misses == misses_before + 1  # re-executed, not stale
+        assert cache.stats.invalidations == 1  # the stale entry, met at lookup
         conn.close()
 
     def test_update_leaves_other_tables_cached(self, users_db):
@@ -178,8 +244,11 @@ class TestConnectionCachePath:
         conn.execute_query(READ_USER, [1])
         conn.execute_query(READ_ITEM, [1])
         conn.execute_update(WRITE_USER, [5, 1])
-        assert (READ_ITEM, (1,)) in cache
-        assert (READ_USER, (1,)) not in cache
+        hits = cache.stats.hits
+        assert conn.execute_query(READ_ITEM, [1]).scalar() == 10
+        assert cache.stats.hits == hits + 1  # other table: still served
+        assert conn.execute_query(READ_USER, [1]).scalar() == 5
+        assert cache.stats.hits == hits + 1  # written table: re-executed
         conn.close()
 
     def test_async_update_invalidates_at_completion(self, users_db):

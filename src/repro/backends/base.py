@@ -53,7 +53,7 @@ from ..db.plan import BindingOutcome, QueryResult, demuxable
 from ..db.sql import parse
 from ..db.sql.ast_nodes import Statement, is_ddl, is_write
 from ..db.txn import Transaction, TransactionManager
-from .ledger import WriteEpochLedger
+from .ledger import Point, WriteEpochLedger, stripe_of
 
 #: Backend kinds selectable via ``Database.connect(backend=...)`` /
 #: ``aio_connect(backend=...)`` / the ``REPRO_BACKEND`` environment
@@ -131,6 +131,7 @@ class PreparedStatement:
         "param_count",
         "demuxable",
         "label",
+        "footprint",
     )
 
     def __init__(
@@ -163,6 +164,24 @@ class PreparedStatement:
         self.demuxable = demuxable(plan)
         #: Short display form of the text (handle labels, span attrs).
         self.label = sql[:40]
+        #: The plan's ``(column, param index, python type)`` when the
+        #: statement touches only rows with ``column = that parameter``
+        #: (see ``planner._AccessPlan``); None for INSERT, DDL and
+        #: stores whose plans declare none.
+        self.footprint = getattr(plan, "footprint", None)
+
+    def point(self, params: Sequence) -> Optional[Point]:
+        """The ledger point this execution is confined to, or None for
+        "the whole table": the footprint's key, if it is bound to a
+        value of *exactly* the column's Python type — the stores
+        disagree on cross-type equality (under column affinity SQLite
+        matches ``user_id = '1'`` to row 1, the engine never does), so
+        anything else stays table-wide."""
+        if self.footprint is not None:
+            column, index, kind = self.footprint
+            if index < len(params) and type(params[index]) is kind:
+                return self.table, column, stripe_of(params[index])
+        return None
 
 
 class Backend:
@@ -488,9 +507,14 @@ class Backend:
         # must find the window open (no ticket) or, by publication time,
         # its ticket moved.  Autocommit closes the window below; a
         # transaction opens one per table at its first write to it and
-        # closes them inside the commit/rollback boundary.
+        # closes them inside the commit/rollback boundary — on the whole
+        # table: it holds the table's exclusive lock, and a per-key
+        # window would promise concurrency the lock manager does not
+        # give.  An autocommit write's window is only as wide as its
+        # footprint.
+        point = prepared.point(params) if write and txn is None else None
         if write and (txn is None or txn.note_write(table)):
-            self.ledger.begin_write(table)
+            self.ledger.begin_write(table, point)
         with self._lock:
             self._active += 1
             if self._active > self.stats.peak_concurrency:
@@ -513,7 +537,7 @@ class Backend:
             with self._lock:
                 self._active -= 1
             if write and txn is None:
-                self.ledger.end_write(table, True)
+                self.ledger.end_write(table, True, point)
 
     def _run_prepared_batch(
         self,
@@ -580,16 +604,22 @@ class Backend:
         """A non-demuxable batch (writes, DDL)."""
         if txn is None:
             # The store may apply an autocommit batch in one call, inside
-            # one write window.  (A store that declines costs one empty
-            # window; the per-binding pass below opens its own.)
-            # Transactional batches always run per binding so each keeps
-            # its lock semantics.
+            # one write window over the union of its bindings' footprints
+            # — the whole table if any binding has none.  (A store that
+            # declines costs empty windows on scopes the per-binding pass
+            # below moves anyway.)  Transactional batches always run per
+            # binding so each keeps its lock semantics.
             table = prepared.table
-            self.ledger.begin_write(table)
+            points = {prepared.point(binding) for binding in bindings}
+            if None in points:
+                points = {None}
+            for point in points:
+                self.ledger.begin_write(table, point)
             try:
                 outcomes = self._execute_write_batch(prepared, bindings)
             finally:
-                self.ledger.end_write(table, True)
+                for point in points:
+                    self.ledger.end_write(table, True, point)
             if outcomes is not None:
                 applied = sum(
                     not isinstance(outcome, BaseException)
@@ -629,6 +659,12 @@ class Backend:
             snap = dict(asdict(self.stats))
             snap["prepared_cached"] = len(self._plan_cache)
             snap["active"] = self._active
+        # Why a hit ratio is what it is: how many write windows closed
+        # on one key's stripe vs on a whole table, and the ledger's size.
+        ledger = self.ledger
+        snap["point_writes"] = ledger.point_writes
+        snap["table_writes"] = ledger.table_writes
+        snap["ledger_stripes"] = ledger.stripes
         return snap
 
     def shutdown(self, wait: bool = True) -> None:

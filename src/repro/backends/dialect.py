@@ -58,18 +58,18 @@ from ..db.sql.ast_nodes import (
     UpdateStmt,
     iter_column_refs,  # re-exported; lives with the AST
 )
-from ..db.types import ColumnType, Schema, schema_of_defs
+from ..db.types import Schema, schema_of_defs
 
-#: Engine column types -> SQLite storage classes.  BOOL maps to INTEGER
-#: (SQLite has no boolean storage class); the engine's True/False and
-#: SQLite's 1/0 compare equal in Python, which is what the differential
-#: suite's order-normalized comparison relies on.
-SQLITE_TYPES = {
-    ColumnType.INT: "INTEGER",
-    ColumnType.FLOAT: "REAL",
-    ColumnType.TEXT: "TEXT",
-    ColumnType.BOOL: "INTEGER",
-}
+#: The declared type of every column: ``BLOB``, SQLite's spelling of *no
+#: affinity*.  A typed declaration would make SQLite convert a binding
+#: to the column's affinity before comparing — ``id = '1'`` matching the
+#: row whose id is 1 — where the engine compares values as bound.  The
+#: declaration need not carry the type: every value stored was coerced
+#: to the column's engine type by the plan (``InsertPlan.row``,
+#: ``UpdatePlan.assigner``) or by ``mirror_load``, and SQLite keeps each
+#: value's own storage class (BOOL arrives as the integers 1/0, which
+#: compare equal to True/False in Python).
+COLUMN_DECLARATION = "BLOB"
 
 
 class ParamStyle:
@@ -269,7 +269,7 @@ def create_table_sql(
     """CREATE TABLE text from an engine :class:`Schema`."""
     definitions = []
     for column in schema:
-        text = f"{quote_ident(column.name)} {SQLITE_TYPES[column.type]}"
+        text = f"{quote_ident(column.name)} {COLUMN_DECLARATION}"
         if not column.nullable:
             text += " NOT NULL"
         definitions.append(text)

@@ -22,15 +22,18 @@ A cache hit therefore resolves without a thread (or task) hop in every
 runtime: the handle comes back already completed.
 
 Coherence is **pull-only**.  No write path knows a cache exists: the
-backend keeps one write epoch per table
+backend keeps one write epoch per table, striped by key
 (:class:`~repro.backends.ledger.WriteEpochLedger`), the pipeline takes
-a *ticket* for the read's tables when it plans a cacheable request
-(no ticket while a writer is open → bypass), the cache validates entries
-against that ticket at lookup, and publication retains the value only
-if the ticket has not moved.  A write through *any* connection —
-cached, cache-less, transactional (at commit; a rollback changes
-nothing a cache holds) or asyncio — is therefore seen by every cached
-reader's next lookup.
+a *ticket* for the read's tables — and, when the statement is keyed
+``col = ?``, for this binding's point (``prepared.point(bound)``) — when
+it plans a cacheable request (no ticket while a writer the read could
+observe is open → bypass), the cache validates entries against that
+ticket at lookup, and publication retains the value only if the ticket
+has not moved.  A write through *any* connection — cached, cache-less,
+transactional (at commit; a rollback changes nothing a cache holds) or
+asyncio — is therefore seen by every cached reader's next lookup, and
+an autocommit point write by no reader keyed on another value of its
+column.
 
 **One non-blocking lifecycle.**  ``submit`` and ``speculate``, plain
 or coalesced, are one path — :meth:`CallPipeline.submit`:
@@ -55,8 +58,9 @@ failed outcome propagates to followers and caches nothing.
 pair; it carries no connection or runtime identity, so any front end's
 fill is any other front end's hit.  A request is *uncacheable* (the
 pipeline bypasses the cache entirely) when it is a write, its params
-are unhashable, it runs inside an explicit transaction, or a write to
-one of its tables is open (an autocommit statement executing, a
+are unhashable, it runs inside an explicit transaction, or a write it
+could observe is open (an autocommit statement executing on its table
+— for a keyed read: on its key, on another column's, or un-keyed — or a
 transaction not yet finished).  Together with lookup validation and the
 retention rule this guarantees a cached value is always a committed,
 non-stale read.
@@ -472,7 +476,8 @@ class SubmissionPipeline:
         observe its own uncommitted writes, neither of which may leak
         into shared cached results); and reads of a table with an open
         writer — the ledger issues no ticket, because the value observed
-        may be uncommitted.
+        may be uncommitted.  The ticket is scoped to the request's point
+        when it has one, so only writers that could touch its rows count.
 
         The one ticket does both jobs: the lookup validates entries
         against it, and the validity check re-takes it at publication
@@ -487,13 +492,14 @@ class SubmissionPipeline:
         except TypeError:
             return self._BYPASS
         tables = prepared.tables
+        point = prepared.point(bound)
         take_ticket = self._server.ledger.ticket
-        ticket = take_ticket(tables)
+        ticket = take_ticket(tables, point)
         if ticket is None:
             return self._BYPASS
         return (
             (prepared.sql, bound),
             tables,
             ticket,
-            lambda: take_ticket(tables) == ticket,
+            lambda: take_ticket(tables, point) == ticket,
         )

@@ -42,7 +42,7 @@ from ..sql.ast_nodes import (
     UpdateStmt,
     iter_column_refs,
 )
-from ..types import Row, schema_of_defs
+from ..types import ColumnType, Row, schema_of_defs
 from .context import ExecutionContext
 from .expr_eval import ColumnarEvaluator, RowEvaluator, and_conjuncts
 from .operators import (
@@ -255,17 +255,26 @@ def _contains_param(expr: Expr) -> bool:
     return False
 
 
-def _bucket_predicate(stmt: SelectStmt, info: TableInfo) -> Optional[Tuple[int, Expr]]:
-    """The conjunct a demuxed batch buckets rows on: the first
-    ``col = expr`` equality whose constant side carries a parameter.
-    Returns the column's row position and the value expression, or None
-    when no such conjunct exists (bindings then share the full scan and
-    each applies the whole WHERE clause itself)."""
-    for conjunct in and_conjuncts(stmt.where):
+def _keyed_conjuncts(where: Optional[Expr]):
+    """The top-level AND-conjuncts ``col = expr`` whose constant side
+    carries a parameter, in statement order, as ``(column, expr)``: the
+    rows a binding can reach all have ``col`` equal to its value."""
+    for conjunct in and_conjuncts(where):
         match = _equality_on_column(conjunct)
         if match is not None and _contains_param(match[1]):
-            return info.heap.schema.position(match[0], info.name), match[1]
-    return None
+            yield match
+
+
+def _bucket_predicate(stmt: SelectStmt, info: TableInfo) -> Optional[Tuple[int, Expr]]:
+    """The conjunct a demuxed batch buckets rows on: the first keyed
+    conjunct.  Returns the column's row position and the value
+    expression, or None when no such conjunct exists (bindings then
+    share the full scan and each applies the whole WHERE clause
+    itself)."""
+    match = next(_keyed_conjuncts(stmt.where), None)
+    if match is None:
+        return None
+    return info.heap.schema.position(match[0], info.name), match[1]
 
 
 def _point_key(stmt: SelectStmt, star: bool) -> Optional[str]:
@@ -333,16 +342,37 @@ def prefer_batch_scan(
 # re-derives them from the AST — and none can disagree with the oracle.
 
 
-class _AccessPlan:
-    """SELECT / UPDATE / DELETE: a checked table plus its access path."""
+#: Column types whose ``col = ?`` every store answers alike when the
+#: binding has exactly this Python type (cross-type equality — an INT
+#: column against ``'1'``, ``1.0`` or ``True`` — is store business).
+_FOOTPRINT_TYPES = {ColumnType.INT: int, ColumnType.TEXT: str}
 
-    def __init__(self, catalog: Catalog, stmt) -> None:
+
+class _AccessPlan:
+    """SELECT / UPDATE / DELETE: a checked table plus its access path
+    and its footprint."""
+
+    def __init__(self, catalog: Catalog, stmt, assigned: Sequence[str] = ()) -> None:
         self._catalog = catalog
         self._stmt = stmt
         self._info = _checked_table(catalog, stmt)
         self._access = _choose_access_path(
             self._info, catalog.indexes_on(stmt.table), stmt.where
         )
+        #: ``(column, param index, python type)`` when the statement can
+        #: only read — or, for a write, only change, and never move —
+        #: rows whose ``column`` equals that parameter: its first keyed
+        #: conjunct ``col = ?`` on an INT or TEXT column the statement
+        #: does not assign.  None otherwise.  Reads and writes share
+        #: this one rule, which is what lets a point write lapse only
+        #: the cached reads of its own key.
+        self.footprint: Optional[Tuple[str, int, type]] = None
+        schema = self._info.heap.schema
+        for column, value in _keyed_conjuncts(stmt.where):
+            kind = _FOOTPRINT_TYPES.get(schema.column(column).type)
+            if isinstance(value, Param) and kind and column not in assigned:
+                self.footprint = (column, value.index, kind)
+                break
 
     @property
     def access_path(self) -> str:
@@ -502,7 +532,9 @@ class InsertPlan:
 
 class UpdatePlan(_AccessPlan):
     def __init__(self, catalog: Catalog, stmt: UpdateStmt) -> None:
-        super().__init__(catalog, stmt)
+        super().__init__(
+            catalog, stmt, assigned=[column for column, _ in stmt.assignments]
+        )
         schema = self._info.heap.schema
         self._targets = [
             (schema.position(column, stmt.table), expr)

@@ -12,11 +12,14 @@ turns the repeats into client-local lookups:
 * **bounded LRU** — completed entries are kept up to ``capacity``,
   least-recently-used evicted first; in-flight entries are pinned;
 * **validated at lookup** — a caller that knows its store's write epoch
-  passes the *ticket* it took when it planned the read
+  (kept per table, striped by key) passes the *ticket* it took when it
+  planned the read
   (:meth:`repro.backends.ledger.WriteEpochLedger.ticket`); an entry
   planned under another ticket *lapses* — it is dropped, counted in
   ``invalidations``, and the caller re-executes — so no write path ever
-  has to find the caches.  :meth:`ResultCache.invalidate_table` /
+  has to find the caches, and how finely the store scopes a ticket (a
+  table, one key of it) is none of the cache's business: it compares
+  the tickets it is handed.  :meth:`ResultCache.invalidate_table` /
   :meth:`~ResultCache.invalidate_all` remain as the explicit API for
   callers without a ledger (results whose table set is unknown carry
   the wildcard and are dropped on *any* table);

@@ -183,6 +183,68 @@ class TestSelectDifferential:
             db.close()
 
 
+#: One key, bound four ways.  Python says ``1 == 1.0 == True`` and
+#: ``'1'`` equals none of them; so must every store, for an INT column
+#: and a TEXT one, whatever path answers (scan, index probe, IN-demux,
+#: the WHERE of a write).  SQLite would convert the binding to a typed
+#: column's affinity first — which is why the sqlite store declares none.
+LOOKALIKES = [1, "1", 1.0, True]
+
+
+class TestCrossTypeEquality:
+    ROWS = [(1, 1, 0, "1"), (2, 2, 0, "2"), (3, 1, 0, "one")]
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    @pytest.mark.parametrize("binding", LOOKALIKES, ids=repr)
+    def test_selects_agree(self, binding, indexed):
+        db = fresh_db(self.ROWS, indexed=indexed)
+        try:
+            for column, position in (("a", 1), ("c", 3)):
+                sql = f"SELECT id FROM t WHERE {column} = ?"
+                assert_backends_agree(db, sql, (binding,))
+                expected = [(row[0],) for row in self.ROWS if row[position] == binding]
+                with db.connect(async_workers=1, backend="sqlite") as conn:
+                    assert sorted(conn.execute_query(sql, (binding,)).rows) == expected
+        finally:
+            db.close()
+
+    def test_point_batches_agree(self):
+        db = fresh_db(self.ROWS)
+        try:
+            bindings = [(binding,) for binding in LOOKALIKES]
+            for column in ("a", "c"):
+                per_backend = []
+                for name in BACKENDS:
+                    backend = db.backend(name)
+                    outcomes = backend.execute_prepared_batch(
+                        backend.prepare(f"SELECT id FROM t WHERE {column} = ?"),
+                        bindings,
+                    )
+                    per_backend.append([sorted(o.rows) for o in outcomes])
+                assert per_backend[0] == per_backend[1], column
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("binding", LOOKALIKES, ids=repr)
+    @pytest.mark.parametrize(
+        "sql",
+        ["UPDATE t SET b = 9 WHERE {} = ?", "DELETE FROM t WHERE {} = ?"],
+        ids=["update", "delete"],
+    )
+    def test_writes_agree(self, sql, binding):
+        db = fresh_db(self.ROWS)
+        try:
+            for column in ("a", "c"):
+                states = []
+                for conn in both_backends(db):
+                    with conn:
+                        count = conn.execute_update(sql.format(column), (binding,))
+                        states.append((count, snapshot(conn)))
+                assert states[0] == states[1], column
+        finally:
+            db.close()
+
+
 # DML pool: each statement runs through *both* stores (same initial
 # data via mirroring) and the final table states must agree.  The
 # second UPDATE's assignment expression and the INSERT's NOT NULL

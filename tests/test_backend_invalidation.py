@@ -13,7 +13,11 @@ These tests pin the contract as **cache outcomes**, on both stores:
   published to the cache, and nothing computed inside a rolled-back
   window is ever retained;
 * ledgers are per backend: a write through one store does not lapse
-  entries filled from another.
+  entries filled from another;
+* the epoch is striped by key: an autocommit ``UPDATE``/``DELETE … WHERE
+  col = ?`` lapses the cached reads keyed on the same column *and* key,
+  plus every read not keyed on that column — and nothing else; any write
+  without a provable footprint lapses the whole table as before.
 """
 
 import os
@@ -187,6 +191,111 @@ class TestCommitBoundary:
         assert outcome(cache, read) == (0, "miss")
 
 
+SET = "UPDATE t SET v = ? WHERE id = ?"
+BY_V = "SELECT id FROM t WHERE v = ?"
+COUNT = "SELECT count(*) FROM t"
+
+
+def windows(conn):
+    """``(point, table)`` write windows the connection's store has closed."""
+    snapshot = conn.server.stats_snapshot()
+    return snapshot["point_writes"], snapshot["table_writes"]
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+class TestKeyGranularity:
+    def test_point_write_lapses_only_its_own_key(self, cache, reader, writer):
+        points, tables = windows(reader)
+        one = lambda: reader.execute_query(READ, (1,))
+        two = lambda: reader.execute_query(READ, (2,))
+        assert outcome(cache, one) == (10, "miss")
+        assert outcome(cache, two) == (20, "miss")
+        writer.execute_update(SET, (11, 1))
+        assert outcome(cache, two) == (20, "hit")
+        assert outcome(cache, one) == (11, "miss")
+        writer.execute_update("DELETE FROM t WHERE id = ?", (2,))
+        assert outcome(cache, one) == (11, "hit")
+        assert reader.execute_query(READ, (2,)).rows == []
+        assert windows(reader) == (points + 2, tables)
+
+    def test_point_write_lapses_reads_not_keyed_on_its_column(
+        self, cache, reader, writer
+    ):
+        by_v = lambda: reader.execute_query(BY_V, (40,))
+        count = lambda: reader.execute_query(COUNT)
+        keyed_count = lambda: reader.execute_query(COUNT + " WHERE id = ?", (4,))
+        assert outcome(cache, by_v) == (4, "miss")
+        assert outcome(cache, count) == (5, "miss")
+        assert outcome(cache, keyed_count) == (1, "miss")
+        writer.execute_update(SET, (40, 3))  # another key, the read's value
+        assert reader.execute_query(BY_V, (40,)).rows == [(3,), (4,)]
+        assert outcome(cache, count) == (5, "miss")
+        assert outcome(cache, keyed_count) == (1, "hit")
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            ("UPDATE t SET id = ? WHERE id = ?", (7, 3)),  # assigns its key
+            ("UPDATE t SET v = ? WHERE id >= ?", (0, 3)),  # a range
+            ("UPDATE t SET v = ? WHERE id = 3", (0,)),  # no bound key
+            (SET, (0, "3")),  # a key of another type
+            (SET, (0, 3.0)),
+            (SET, (0, False)),
+            ("INSERT INTO t VALUES (?, ?)", (9, 9)),
+        ],
+    )
+    def test_write_without_a_footprint_lapses_the_table(
+        self, cache, reader, writer, write
+    ):
+        points, tables = windows(reader)
+        read = lambda: reader.execute_query(READ, (1,))
+        assert outcome(cache, read) == (10, "miss")
+        writer.execute_update(*write)
+        assert outcome(cache, read) == (10, "miss")
+        assert windows(reader) == (points, tables + 1)
+
+    def test_transactional_point_write_stays_table_wide(self, cache, reader, writer):
+        read = lambda: reader.execute_query(READ, (1,))
+        assert outcome(cache, read) == (10, "miss")
+        writer.begin()
+        writer.execute_update(SET, (0, 3))
+        assert outcome(cache, read) == (10, "bypass")
+        writer.commit()
+        assert outcome(cache, read) == (10, "miss")
+
+    def test_write_batch_lapses_only_the_keys_it_binds(self, cache, reader):
+        reads = {
+            key: (lambda key=key: reader.execute_query(READ, (key,)))
+            for key in (1, 2, 3)
+        }
+        for key, read in reads.items():
+            assert outcome(cache, read) == (key * 10, "miss")
+        store = reader.server
+        tables = windows(reader)[1]
+        store.execute_prepared_batch(store.prepare(SET), [(0, 1), (0, 3), (5, 1)])
+        assert outcome(cache, reads[2]) == (20, "hit")
+        assert outcome(cache, reads[1]) == (5, "miss")
+        assert outcome(cache, reads[3]) == (0, "miss")
+        assert windows(reader)[1] == tables
+        # One binding without a point widens the batch's own window only.
+        store.execute_prepared_batch(store.prepare(SET), [(0, 1), (0, None)])
+        assert outcome(cache, reads[2]) == (20, "miss")
+
+    def test_lookalike_bindings_share_an_entry_but_not_a_scope(
+        self, cache, reader, writer
+    ):
+        """``1.0 == 1`` is one cache key; only the int names a point.
+        An entry counted over the table must lapse for a lookup counted
+        over the point even when the two counters happen to agree — here
+        after one write elsewhere (table 1, point 0) and one on the key
+        (table 2, point 1)."""
+        writer.execute_update(SET, (20, 2))
+        assert outcome(cache, lambda: reader.execute_query(READ, (1.0,))) == (10, "miss")
+        writer.execute_update(SET, (11, 1))
+        assert outcome(cache, lambda: reader.execute_query(READ, (1,))) == (11, "miss")
+        assert outcome(cache, lambda: reader.execute_query(READ, (True,))) == (11, "miss")
+
+
 class TestLedgerIsolation:
     def test_ledgers_are_per_backend(self, db, cache):
         # The stores hold independent copies of the data after seeding;
@@ -211,6 +320,16 @@ class TestConcurrentReaders:
         and split).  A read that starts after a write has returned must
         never see an older value — a lost epoch bump would let a stale
         hit through."""
+        self.stress(db, cache, name, "UPDATE t SET v = ? WHERE id = 0")
+
+    def test_no_reader_sees_behind_a_finished_point_write(self, db, cache, name):
+        """The same under point writes: the counted write names the
+        readers' key, and every other one a key they never read, whose
+        open window and moved stripe must not hide the first."""
+        self.stress(db, cache, name, SET, keys=(0, 1))
+
+    @staticmethod
+    def stress(db, cache, name, update, keys=()):
         finished = [0]  # the last value whose write has returned
         errors = []
         stop = threading.Event()
@@ -220,8 +339,10 @@ class TestConcurrentReaders:
                 value = 0
                 while not stop.is_set():
                     value += 1
-                    conn.execute_update("UPDATE t SET v = ? WHERE id = 0", (value,))
+                    conn.execute_update(update, (value, *keys[:1]))
                     finished[0] = value
+                    for key in keys[1:]:
+                        conn.execute_update(update, (value, key))
 
         def read(conn, split):
             try:

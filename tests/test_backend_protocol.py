@@ -10,18 +10,23 @@ asserted directly here, once; the cache outcomes it buys are asserted
 per store in ``tests/test_backend_invalidation.py``.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.backends import Backend, WriteEpochLedger
+from repro.backends.ledger import stripe_of
 from repro.core.submission import SubmissionPipeline
 from repro.db import INSTANT, LatencyMeter, QueryResult
 from repro.db.errors import ServerShutdownError, StatementHandleError
+from repro.db.sql.ast_nodes import UpdateStmt
 from repro.db.txn import TransactionManager
 from repro.prefetch.cache import ResultCache
 from repro.runtime.executor import AsyncExecutor
 
 INSERT = "INSERT INTO t VALUES (?)"
 COUNT = "SELECT count(*) FROM t"
+KEYED_UPDATE = "UPDATE t SET v = ? WHERE id = ?"
 
 
 class RecordingTxns(TransactionManager):
@@ -41,21 +46,33 @@ class RecordingTxns(TransactionManager):
 
 
 class RecordingLedger(WriteEpochLedger):
+    """Records every call; a point is recorded only where one is given,
+    so a table-wide event reads as before."""
+
     def __init__(self, events):
         super().__init__()
         self._events = events
 
-    def ticket(self, tables):
-        self._events.append(("ticket", *sorted(tables)))
-        return super().ticket(tables)
+    def ticket(self, tables, point=None):
+        self._events.append(("ticket", *sorted(tables), *_given(point)))
+        return super().ticket(tables, point)
 
-    def begin_write(self, table):
-        self._events.append(("begin_write", table))
-        super().begin_write(table)
+    def begin_write(self, table, point=None):
+        self._events.append(("begin_write", table, *_given(point)))
+        super().begin_write(table, point)
 
-    def end_write(self, table, committed):
-        self._events.append(("end_write", table, committed))
-        super().end_write(table, committed)
+    def end_write(self, table, committed, point=None):
+        self._events.append(("end_write", table, committed, *_given(point)))
+        super().end_write(table, committed, point)
+
+
+def _given(point):
+    return () if point is None else (point,)
+
+
+def point(key):
+    """The ledger point of ``WHERE id = key`` on the stub's table."""
+    return ("t", "id", stripe_of(key))
 
 
 class RecordingBackend(Backend):
@@ -75,7 +92,10 @@ class RecordingBackend(Backend):
 
     # -- the store hooks -------------------------------------------------
     def _plan(self, ast):
-        return ast, None  # the "plan" is the AST; nothing is demuxable
+        # Nothing is demuxable, and the one value semantic the stub
+        # declares is the keyed UPDATE's footprint.
+        footprint = ("id", 1, int) if isinstance(ast, UpdateStmt) else None
+        return SimpleNamespace(footprint=footprint), None
 
     def _execute(self, prepared, params, txn, exec_span):
         self.events.append("execute")
@@ -118,6 +138,26 @@ class TestWriteOrdering:
         ]
         assert backend.stats.writes_executed == 1
 
+    def test_keyed_autocommit_update_opens_a_window_on_its_point(self, backend):
+        """``begin_write(t, point)`` → execute → ``end_write(t, True,
+        point)``: the footprint's key, bound to exactly its type."""
+        backend.execute(KEYED_UPDATE, (9, 7))
+        assert drain(backend) == [
+            ("begin_write", "t", point(7)),
+            "execute",
+            ("end_write", "t", True, point(7)),
+        ]
+        for inexact in ("7", 7.0, True, None):
+            backend.execute(KEYED_UPDATE, (9, inexact))
+            assert drain(backend) == [
+                ("begin_write", "t"),
+                "execute",
+                ("end_write", "t", True),
+            ]
+        snapshot = backend.stats_snapshot()
+        assert (snapshot["point_writes"], snapshot["table_writes"]) == (1, 4)
+        assert snapshot["ledger_stripes"] == 2  # the column's and the stripe's
+
     def test_read_touches_no_ledger(self, backend):
         assert backend.execute(COUNT).scalar() == 0
         assert drain(backend) == ["execute"]
@@ -153,6 +193,17 @@ class TestWriteOrdering:
         ]
         assert ticket(backend) == (1, 1)
 
+    def test_transactional_keyed_update_stays_table_wide(self, backend):
+        """The transaction holds the table's exclusive lock: its window
+        is the table's, whatever the statement's footprint."""
+        txn = backend.begin_transaction()
+        backend.execute(KEYED_UPDATE, (9, 7), txn)
+        assert drain(backend) == [("begin_write", "t"), "execute"]
+        assert ticket(backend) is None
+        assert WriteEpochLedger.ticket(backend.ledger, {"t"}, point(8)) is None
+        txn.commit()
+        assert drain(backend)[1] == ("end_write", "t", True)
+
     def test_rollback_bumps_version_and_never_broadcasts(self, backend):
         """A rollback closes the window uncommitted: the epoch moves,
         ``committed`` does not."""
@@ -175,6 +226,35 @@ class TestWriteOrdering:
         # The store declined the batch (an empty window), so every
         # binding ran inside its own.
         assert drain(backend) == window[::2] + window + window
+
+    def test_keyed_write_batch_window_is_the_union_of_its_points(self, backend):
+        """A batch the store declines costs empty windows only on the
+        scopes its per-binding pass moves anyway; one binding without a
+        point makes the batch's window table-wide."""
+        prepared = backend.prepare(KEYED_UPDATE)
+        backend.execute_prepared_batch(prepared, [(1, 7), (2, 8), (3, 7)])
+        events = drain(backend)
+        batch, per_binding = events[:4], events[4:]
+        assert sorted(batch[:2]) == sorted(
+            ("begin_write", "t", point(key)) for key in (7, 8)
+        )
+        assert sorted(batch[2:]) == sorted(
+            ("end_write", "t", True, point(key)) for key in (7, 8)
+        )
+        assert per_binding == [
+            event
+            for key in (7, 8, 7)
+            for event in (
+                ("begin_write", "t", point(key)),
+                "execute",
+                ("end_write", "t", True, point(key)),
+            )
+        ]
+        backend.execute_prepared_batch(prepared, [(1, 7), (2, "8")])
+        assert drain(backend)[:2] == [
+            ("begin_write", "t"),
+            ("end_write", "t", True),
+        ]
 
     def test_out_of_band_ddl_is_a_window_on_every_table(self, backend):
         backend.invalidate_plans()

@@ -17,6 +17,7 @@ import pytest
 import repro
 from repro.backends import BACKENDS, dialect
 from repro.backends import sqlite as sqlite_store
+from repro.backends.ledger import stripe_of
 from repro.db import Database, INSTANT
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -103,22 +104,42 @@ class TestLayering:
 def users_db():
     db = Database(INSTANT)
     db.create_table("users", ("id", "int"), ("name", "text"))
+    db.create_table("marks", ("id", "int"), ("score", "float"), ("ok", "bool"))
     db.bulk_load("users", [(i, f"user-{i}") for i in range(8)])
     yield db
     db.close()
 
 
 #: One row per statement kind:
-#: (sql, write, ddl, table, param_count, demuxable).
+#: (sql, write, ddl, table, param_count, demuxable, footprint).
 SHAPES = [
-    ("SELECT name AS n, id FROM users WHERE id = ?", False, False, "users", 1, True),
-    ("INSERT INTO users VALUES (?, ?)", True, False, "users", 2, False),
-    ("UPDATE users SET name = ? WHERE id = ?", True, False, "users", 2, False),
-    ("DELETE FROM users WHERE id = ?", True, False, "users", 1, False),
-    ("CREATE TABLE fresh (a int)", True, True, "fresh", 0, False),
-    ("CREATE INDEX ix ON users (id)", True, True, "users", 0, False),
+    ("SELECT name AS n, id FROM users WHERE id = ?", False, False, "users", 1, True, ("id", 0, int)),
+    ("INSERT INTO users VALUES (?, ?)", True, False, "users", 2, False, None),
+    ("UPDATE users SET name = ? WHERE id = ?", True, False, "users", 2, False, ("id", 1, int)),
+    ("DELETE FROM users WHERE name = ?", True, False, "users", 1, False, ("name", 0, str)),
+    ("CREATE TABLE fresh (a int)", True, True, "fresh", 0, False, None),
+    ("CREATE INDEX ix ON users (id)", True, True, "users", 0, False, None),
 ]
 KINDS = ["select", "insert", "update", "delete", "create-table", "create-index"]
+
+#: (sql, footprint) — the first top-level ``col = ?`` conjunct on an INT
+#: or TEXT column the statement does not assign, else None.
+FOOTPRINTS = [
+    ("SELECT count(*) FROM users WHERE ? = id LIMIT ?", ("id", 0, int)),
+    ("SELECT id FROM users WHERE id > ? AND name = ? ORDER BY id", ("name", 1, str)),
+    ("SELECT id FROM users WHERE id = ? OR name = ?", None),
+    ("SELECT id FROM users WHERE NOT (id = ?)", None),
+    ("SELECT id FROM users WHERE id = ? + 1", None),
+    ("SELECT id FROM users WHERE id = 3", None),
+    ("SELECT id FROM users WHERE id >= ?", None),
+    ("SELECT id FROM marks WHERE score = ?", None),
+    ("SELECT id FROM marks WHERE ok = ?", None),
+    ("SELECT id FROM marks WHERE score = ? AND id = ?", ("id", 1, int)),
+    ("UPDATE users SET id = ? WHERE id = ?", None),
+    ("UPDATE users SET id = ? WHERE id = ? AND name = ?", ("name", 2, str)),
+    ("UPDATE users SET name = ? WHERE id >= ?", None),
+    ("DELETE FROM users", None),
+]
 
 #: (sql, output_names, star, point_key) — what a store reads off a
 #: SELECT plan instead of the AST.
@@ -141,16 +162,18 @@ def shape(prepared):
         prepared.param_count,
         prepared.demuxable,
         prepared.label,
+        prepared.footprint,
     )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestStatementShape:
     @pytest.mark.parametrize(
-        "sql,write,ddl,table,param_count,demuxable", SHAPES, ids=KINDS
+        "sql,write,ddl,table,param_count,demuxable,footprint", SHAPES, ids=KINDS
     )
     def test_shape_is_fixed_at_prepare(
-        self, users_db, backend, sql, write, ddl, table, param_count, demuxable
+        self, users_db, backend, sql, write, ddl, table, param_count, demuxable,
+        footprint,
     ):
         prepared = users_db.backend(backend).prepare(sql)
         assert shape(prepared) == (
@@ -161,8 +184,26 @@ class TestStatementShape:
             param_count,
             demuxable,
             sql[:40],
+            footprint,
         )
         assert not hasattr(prepared, "ast")
+
+    @pytest.mark.parametrize("sql,footprint", FOOTPRINTS)
+    def test_footprint_is_decided_at_plan_time(self, users_db, backend, sql, footprint):
+        prepared = users_db.backend(backend).prepare(sql)
+        assert prepared.footprint == prepared.plan.footprint == footprint
+
+    def test_point_needs_the_footprints_exact_type(self, users_db, backend):
+        store = users_db.backend(backend)
+        by_id = store.prepare("UPDATE users SET name = ? WHERE id = ?")
+        assert by_id.point(("x", 3)) == ("users", "id", stripe_of(3))
+        for inexact in ("3", 3.0, True, None):
+            assert by_id.point(("x", inexact)) is None
+        assert by_id.point(("x",)) is None  # the arity error is execute's
+        by_name = store.prepare("SELECT id FROM users WHERE name = ?")
+        assert by_name.point(("3",)) == ("users", "name", stripe_of("3"))
+        assert by_name.point((3,)) is None
+        assert store.prepare("SELECT id FROM users").point(()) is None
 
     @pytest.mark.parametrize(
         "sql,output_names,star,point_key", SELECT_SHAPES, ids=SELECT_KINDS

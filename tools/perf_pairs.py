@@ -1,0 +1,130 @@
+"""Alternating parent/change pairs of one repo-benchmark workload.
+
+``BENCHMARK.json`` fixes the command, the run length and which way each
+end-to-end metric is better; this tool runs that command for one
+workload alternately in BASE_DIR (a checkout of the commit to compare
+against — ``git clone`` or ``git archive`` it somewhere outside the
+repository) and in this checkout, swapping which side goes first every
+pair, and prints what a perf claim has to report: each side's median
+and quartiles per end-to-end metric, the ratio with its base, how many
+pairs the change won (ties count for neither) and the failed-operation
+totals.  The last column is the verdict: ``gain`` when the change wins
+at least nine tenths of the pairs and the medians differ by more than
+the distance between the base's own quartiles, ``WORSE`` when its
+median is worse than the base's by more than the metric's bound, else
+``within bound``.
+
+Run from the repository root, with nothing else on the CPU::
+
+    python tools/perf_pairs.py /root/scratch/parent --workload hotset_mixed
+    python tools/perf_pairs.py BASE --workload hotset_read --pairs 4 --seed 29
+
+``perfbench/`` itself is not touched: each pass is the benchmark's own
+subprocess, and the last line it prints is the result read here.
+"""
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def one_pass(directory, command):
+    """Run the benchmark command in ``directory``; its last stdout line
+    is the result object."""
+    done = subprocess.run(
+        command, cwd=directory, capture_output=True, text=True, check=False
+    )
+    if done.returncode != 0:
+        sys.exit(f"{directory}: {' '.join(command)} failed:\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values):
+    """``(q1, median, q3)`` (inclusive method; one value is all three)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Alternating base/change pairs of one BENCHMARK.json workload."
+    )
+    parser.add_argument("base_dir", help="checkout of the commit to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--seconds", type=float, help="per pass (default: BENCHMARK.json run_seconds)"
+    )
+    parser.add_argument("--seed", type=int, default=17)
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.workload not in [w["name"] for w in benchmark["workloads"]]:
+        parser.error(f"unknown workload {args.workload!r}")
+    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    command = benchmark["command"] + [
+        f"--workload={args.workload}",
+        f"--seed={args.seed}",
+        f"--seconds={seconds}",
+        "--trace=0",
+    ]
+    sides = {"base": pathlib.Path(args.base_dir).resolve(), "change": ROOT}
+    runs = {side: [] for side in sides}
+    for pair in range(args.pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[side].append(one_pass(sides[side], command))
+        print(
+            f"pair {pair + 1}/{args.pairs} ({order[0]} first): "
+            + ", ".join(
+                f"{side} {runs[side][-1]['metrics']['ops_per_s']['value']:.4g} ops/s"
+                for side in sides
+            ),
+            file=sys.stderr,
+        )
+
+    print(
+        f"{args.workload}  seed {args.seed}  {seconds:g} s/pass  {args.pairs} pairs"
+        "  (median [q1, q3])"
+    )
+    for metric in benchmark["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        values = {
+            side: [run["metrics"][name]["value"] for run in runs[side]]
+            for side in sides
+        }
+        wins = sum(
+            (change > base) if higher else (change < base)
+            for base, change in zip(values["base"], values["change"])
+        )
+        (b1, b2, b3), (c1, c2, c3) = quartiles(values["base"]), quartiles(values["change"])
+        gain = (c2 - b2) if higher else (b2 - c2)
+        if wins >= 0.9 * args.pairs and gain > b3 - b1:
+            verdict = "gain"
+        elif b2 and -gain / b2 > metric["bound"]:
+            verdict = f"WORSE (bound {metric['bound']:.0%})"
+        else:
+            verdict = "within bound"
+        print(
+            f"{name:12s} base {b2:10.4g} [{b1:.4g}, {b3:.4g}]"
+            f"  change {c2:10.4g} [{c1:.4g}, {c3:.4g}] {metric['unit']:4s}"
+            f"  change/base {c2 / b2 if b2 else float('nan'):.3f}"
+            f"  wins {wins}/{args.pairs}"
+            f"  {verdict}"
+        )
+    for side in sides:
+        failed = sum(run["failed"] for run in runs[side])
+        attempted = sum(run["attempted"] for run in runs[side])
+        wrong = sum(not run["correct"] for run in runs[side])
+        print(f"{side:6s} failed {failed} of {attempted} ops; {wrong} passes incorrect")
+
+
+if __name__ == "__main__":
+    main()

@@ -7,12 +7,26 @@ dispatch coalescer, speculation, tracing, metrics — is transport
 agnostic: it needs a *store* that can prepare statements, execute them
 (one at a time or set-oriented), open transactions, and cooperate with
 the cache-consistency protocol.  :class:`Backend` is that surface *and*
-its implementation: the bounded prepare LRU, the worker pool, the
+its implementation: the bounded prepare LRU, the admission gate, the
 ``server.execute`` span, the write-path ordering (``begin_write`` →
 execute → ``end_write``; a transaction's tables end at commit/rollback),
 batch accounting, stats and shutdown live here once.  A store supplies only
 the hooks that genuinely differ (how a statement is planned, how one
 statement / one SELECT batch / one write batch executes, what to close).
+
+**Two surfaces, one implementation.**  The *blocking* entries —
+:meth:`Backend.execute`, :meth:`Backend.execute_prepared`,
+:meth:`Backend.execute_prepared_batch` — are the primitives: each takes
+one of the gate's ``profile.server_workers`` slots and runs the
+statement *in the calling thread*, so a request crosses no thread
+boundary between the client's pipeline and the store.  The
+Future-returning ``submit`` / ``submit_prepared`` /
+``submit_prepared_batch`` are one ``pool.submit`` each over those same
+entries, for callers that want *server-side* parallelism from one
+thread (a write fan-out, a benchmark rung); the pool's threads spawn
+only for them.  Only the three public entries take a slot — everything
+they call (``_run_*``, the stale re-prepare, the per-binding write
+fallback) is private and slot-free, so nothing re-enters the gate.
 
 Two stores ship today:
 
@@ -38,7 +52,9 @@ from __future__ import annotations
 
 import itertools
 import os
+import queue
 import threading
+import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -97,6 +113,10 @@ class ServerStats:
     scans_saved: int = 0
     #: Prepared statements swept from the bounded plan cache (LRU).
     evictions: int = 0
+    #: Entries that found no free slot at the admission gate and had to
+    #: wait for a running statement to finish — and for how long, summed.
+    admission_waits: int = 0
+    admission_wait_s: float = 0.0
 
 
 class PreparedStatement:
@@ -189,11 +209,13 @@ class Backend:
     plus the per-store hooks.
 
     Every statement execution — synchronous or asynchronous from the
-    client's perspective — runs on one of ``profile.server_workers``
-    pool threads.  Submissions beyond the pool size queue up, which is
-    what produces the thread-count plateau in the paper's Figures 9,
-    10, 13 and 15: client threads beyond the server's effective
-    parallelism stop helping.
+    client's perspective — holds one of the admission gate's
+    ``profile.server_workers`` slots while it runs, in the thread that
+    called :meth:`execute` / :meth:`execute_prepared` /
+    :meth:`execute_prepared_batch`.  Callers beyond the gate's width
+    wait for a slot, which is what produces the thread-count plateau in
+    the paper's Figures 9, 10, 13 and 15: client threads beyond the
+    server's effective parallelism stop helping.
 
     A store overrides::
 
@@ -211,9 +233,9 @@ class Backend:
     and hands its catalog, latency profile/meter and a
     :class:`~repro.db.txn.TransactionManager` (whose ``_apply`` step is
     the store's commit/rollback) to ``__init__``.  Everything else —
-    prepare/LRU, submit*, transactions' table locks, the write-path
-    ordering, batch accounting, stats, shutdown — is inherited and must
-    not be re-implemented.
+    prepare/LRU, the gate, execute*/submit*, transactions' table locks,
+    the write-path ordering, batch accounting, stats, shutdown — is
+    inherited and must not be re-implemented.
     """
 
     #: Short selectable name (a :data:`BACKENDS` member).
@@ -239,6 +261,14 @@ class Backend:
         self._catalog = catalog
         self._profile = profile
         self._meter = meter
+        #: The admission gate: ``server_workers`` tokens; a statement
+        #: holds one while it executes (``get`` … ``finally put``).  A
+        #: C-level queue, so the uncontended pair costs ~0.1 µs.
+        self._gate: "queue.SimpleQueue[None]" = queue.SimpleQueue()
+        for _ in range(profile.server_workers):
+            self._gate.put(None)
+        #: Runs the Future surface (``submit*``) only; its threads call
+        #: the blocking entries, so they pass the gate like anyone else.
         self._pool = ThreadPoolExecutor(
             max_workers=profile.server_workers,
             thread_name_prefix=f"dbworker-{self.backend_name}-{profile.name}",
@@ -251,6 +281,7 @@ class Backend:
         self._catalog_version = 0
         self._active = 0
         self._shutdown = False
+        self._closing = threading.Lock()
         self.stats = ServerStats()
         self.txns = txns
         txns.end_write_hook = self.ledger.end_write
@@ -308,7 +339,7 @@ class Backend:
         return None
 
     def _close(self) -> None:
-        """Release store resources once the pool has stopped."""
+        """Release store resources once no statement is executing."""
 
     # ------------------------------------------------------------------
     # preparation
@@ -380,44 +411,76 @@ class Backend:
         self.ledger.end_write(None, True)
 
     # ------------------------------------------------------------------
-    # submission (pool-bounded)
+    # the admission gate
     # ------------------------------------------------------------------
-    def submit(
+    def _admit(self) -> float:
+        """Take one of the gate's slots, waiting for a running statement
+        to finish if none is free; returns the seconds waited (0.0 on
+        the uncontended path).  The caller owes ``self._gate.put(None)``.
+
+        The shutdown flag is tested *after* the slot is held: shutdown
+        sets it and then collects every slot, so an entry either sees
+        the flag or finishes before the store closes — it never runs
+        against a closed store and never waits on a gate nobody refills.
+        """
+        gate = self._gate
+        queued_s = 0.0
+        try:
+            gate.get_nowait()
+        except queue.Empty:
+            with self._lock:
+                self.stats.admission_waits += 1
+            started = time.perf_counter()
+            gate.get()
+            queued_s = time.perf_counter() - started
+            with self._lock:
+                self.stats.admission_wait_s += queued_s
+        if self._shutdown:
+            gate.put(None)
+            raise ServerShutdownError("server is shut down")
+        return queued_s
+
+    # ------------------------------------------------------------------
+    # blocking execution: the primitives (caller's thread, one slot each)
+    # ------------------------------------------------------------------
+    def execute(
         self,
         sql: str,
         params: Sequence = (),
         txn: Optional[Transaction] = None,
-    ) -> "Future[QueryResult]":
-        """Queue a statement for execution; returns a Future."""
-        with self._lock:
-            if self._shutdown:
-                raise ServerShutdownError("server is shut down")
-        return self._pool.submit(self._run_sql, sql, tuple(params), txn)
+    ) -> QueryResult:
+        """Prepare and execute ``sql`` in the calling thread."""
+        self._admit()
+        try:
+            return self._run_sql(sql, tuple(params), txn)
+        finally:
+            self._gate.put(None)
 
-    def submit_prepared(
+    def execute_prepared(
         self,
         prepared: PreparedStatement,
         params: Sequence = (),
         txn: Optional[Transaction] = None,
         span=None,
-    ) -> "Future[QueryResult]":
-        """Queue a prepared statement; ``span`` (the client's dispatch
-        span, when tracing) parents the worker's ``server.execute``."""
-        with self._lock:
-            if self._shutdown:
-                raise ServerShutdownError("server is shut down")
-        return self._pool.submit(
-            self._run_prepared, prepared, tuple(params), txn, span
-        )
+    ) -> QueryResult:
+        """Execute a prepared statement in the calling thread; ``span``
+        (the client's dispatch span, when tracing) parents the
+        ``server.execute`` span."""
+        queued_s = self._admit()
+        try:
+            return self._run_prepared(prepared, tuple(params), txn, span, queued_s)
+        finally:
+            self._gate.put(None)
 
-    def submit_prepared_batch(
+    def execute_prepared_batch(
         self,
         prepared: PreparedStatement,
         bindings: Sequence[Sequence],
         txn: Optional[Transaction] = None,
         span=None,
-    ) -> "Future[List[BindingOutcome]]":
-        """Set-oriented execution: one statement over N binding sets.
+    ) -> List[BindingOutcome]:
+        """Set-oriented execution: one statement over N binding sets, in
+        the calling thread.
 
         For a demuxable plan (any SELECT) the whole batch is answered by
         a *single* statement execution — one lock acquisition, one fixed
@@ -427,20 +490,64 @@ class Backend:
         ``scans_saved``.  Non-demuxable statements (writes, DDL) run per
         binding with full per-statement semantics, each in its own write
         window, unless the store batches them itself
-        (:meth:`_execute_write_batch`).
+        (:meth:`_execute_write_batch`) — all under the batch's one slot.
 
-        The future resolves to one outcome per binding, in order: the
-        binding's :class:`QueryResult`, or the exception that binding
-        raised — a bad binding faults only its own slot, never the
-        batch.  No network charge is made here; the client (or the
-        dispatch coalescer) pays one round trip for the whole batch.
+        Returns one outcome per binding, in order: the binding's
+        :class:`QueryResult`, or the exception that binding raised — a
+        bad binding faults only its own slot, never the batch.  No
+        network charge is made here; the client (or the dispatch
+        coalescer) pays one round trip for the whole batch.
         """
-        with self._lock:
-            if self._shutdown:
-                raise ServerShutdownError("server is shut down")
         snapshot = [tuple(binding) for binding in bindings]
-        return self._pool.submit(
-            self._run_prepared_batch, prepared, snapshot, txn, span
+        queued_s = self._admit()
+        try:
+            return self._run_prepared_batch(prepared, snapshot, txn, span, queued_s)
+        finally:
+            self._gate.put(None)
+
+    # ------------------------------------------------------------------
+    # the Future surface: the same entries on the server's own pool
+    # ------------------------------------------------------------------
+    def _on_pool(self, entry, *args) -> "Future":
+        try:
+            return self._pool.submit(entry, *args)
+        except RuntimeError as exc:
+            # The stdlib's "cannot schedule new futures after shutdown".
+            raise ServerShutdownError("server is shut down") from exc
+
+    def submit(
+        self,
+        sql: str,
+        params: Sequence = (),
+        txn: Optional[Transaction] = None,
+    ) -> "Future[QueryResult]":
+        """:meth:`execute` on a pool thread; returns a Future."""
+        return self._on_pool(self.execute, sql, tuple(params), txn)
+
+    def submit_prepared(
+        self,
+        prepared: PreparedStatement,
+        params: Sequence = (),
+        txn: Optional[Transaction] = None,
+        span=None,
+    ) -> "Future[QueryResult]":
+        """:meth:`execute_prepared` on a pool thread."""
+        return self._on_pool(
+            self.execute_prepared, prepared, tuple(params), txn, span
+        )
+
+    def submit_prepared_batch(
+        self,
+        prepared: PreparedStatement,
+        bindings: Sequence[Sequence],
+        txn: Optional[Transaction] = None,
+        span=None,
+    ) -> "Future[List[BindingOutcome]]":
+        """:meth:`execute_prepared_batch` on a pool thread (the bindings
+        are snapshotted here, before the caller can rebind)."""
+        snapshot = [tuple(binding) for binding in bindings]
+        return self._on_pool(
+            self.execute_prepared_batch, prepared, snapshot, txn, span
         )
 
     def begin_transaction(self) -> Transaction:
@@ -451,7 +558,8 @@ class Backend:
         return self.txns.begin()
 
     # ------------------------------------------------------------------
-    # execution (worker threads)
+    # execution (slot-free: the entry that called holds the slot;
+    # ``queued_s`` is how long it waited for it, for the span)
     # ------------------------------------------------------------------
     def _run_sql(
         self,
@@ -467,6 +575,7 @@ class Backend:
         params: tuple,
         txn: Optional[Transaction] = None,
         span=None,
+        queued_s: float = 0.0,
     ) -> QueryResult:
         exec_span = (
             span.child(
@@ -477,6 +586,8 @@ class Backend:
             if span is not None
             else None
         )
+        if queued_s and exec_span is not None:
+            exec_span.set("queued_s", queued_s)
         try:
             return self._execute_prepared(prepared, params, txn, exec_span)
         except BaseException as exc:
@@ -545,6 +656,7 @@ class Backend:
         bindings: List[tuple],
         txn: Optional[Transaction] = None,
         span=None,
+        queued_s: float = 0.0,
     ) -> List[BindingOutcome]:
         if not bindings:
             return []
@@ -553,7 +665,7 @@ class Backend:
         if stale:
             prepared = self.prepare(prepared.sql)
         if not prepared.demuxable:
-            return self._run_write_batch(prepared, bindings, txn, span)
+            return self._run_write_batch(prepared, bindings, txn, span, queued_s)
         exec_span = (
             span.child(
                 "server.execute",
@@ -565,6 +677,8 @@ class Backend:
             if span is not None
             else None
         )
+        if queued_s and exec_span is not None:
+            exec_span.set("queued_s", queued_s)
         try:
             if txn is not None:
                 self._lock_for_txn(txn, prepared)
@@ -600,6 +714,7 @@ class Backend:
         bindings: List[tuple],
         txn: Optional[Transaction],
         span,
+        queued_s: float = 0.0,
     ) -> List[BindingOutcome]:
         """A non-demuxable batch (writes, DDL)."""
         if txn is None:
@@ -632,11 +747,16 @@ class Backend:
         # Per-binding fallback: each binding keeps the exact
         # single-statement semantics (stats, locks, write window, undo
         # recording) — only the transport batched.  Each binding hangs
-        # its own server.execute span under the batch's dispatch span.
+        # its own server.execute span under the batch's dispatch span
+        # (all waited at the gate together: each carries the wait), and
+        # runs under the batch's slot — ``_run_prepared``, never the
+        # public entry, which would wait on the slot its caller holds.
         outcomes = []
         for binding in bindings:
             try:
-                outcomes.append(self._run_prepared(prepared, binding, txn, span))
+                outcomes.append(
+                    self._run_prepared(prepared, binding, txn, span, queued_s)
+                )
             except Exception as exc:
                 outcomes.append(exc)
         return outcomes
@@ -668,29 +788,32 @@ class Backend:
         return snap
 
     def shutdown(self, wait: bool = True) -> None:
+        """Refuse new statements and close the store.
+
+        ``wait=True`` drains the gate first: collecting every slot waits
+        out each statement that was admitted before the flag went up, so
+        ``_close`` never runs under one.  Whoever was still waiting for
+        a slot (a caller at a full gate, a task queued on the pool)
+        gets one back afterwards, sees the flag and raises
+        :class:`ServerShutdownError`.  ``wait=False`` only raises the
+        flag and closes.
+        """
         with self._lock:
             self._shutdown = True
         self._pool.shutdown(wait=wait)
-        self._close()
+        held = self._profile.server_workers if wait else 0
+        # One drainer at a time: two collecting slots side by side could
+        # each end up holding half of them.
+        with self._closing:
+            for _ in range(held):
+                self._gate.get()
+            try:
+                self._close()
+            finally:
+                for _ in range(held):
+                    self._gate.put(None)
 
     @property
     def is_shutdown(self) -> bool:
         with self._lock:
             return self._shutdown
-
-    # ------------------------------------------------------------------
-    # blocking conveniences over the async primitives
-    # ------------------------------------------------------------------
-    def execute(self, sql: str, params: Sequence = (), txn=None):
-        """Synchronous execution (still bounded by the worker pool)."""
-        return self.submit(sql, params, txn).result()
-
-    def execute_prepared_batch(
-        self,
-        prepared,
-        bindings: Sequence[Sequence],
-        txn=None,
-    ) -> List:
-        """Blocking set-oriented execution: one statement over N binding
-        sets; one outcome (result or exception) per binding, in order."""
-        return self.submit_prepared_batch(prepared, bindings, txn).result()

@@ -1,6 +1,6 @@
 """The stdlib ``sqlite3`` backend: the first real store behind Backend.
 
-The statement lifecycle — prepare LRU, worker pool, spans, write-path
+The statement lifecycle — prepare LRU, admission gate, spans, write-path
 ordering, batch accounting, stats, shutdown — is inherited from
 :class:`repro.backends.base.Backend`; this module holds only what is
 SQLite's: connections, the dialect translation, how one statement /
@@ -12,7 +12,7 @@ errors (unknown table/column, INSERT arity, aggregate misuse) and
 execution-time coercion errors (``TypeMismatchError``,
 ``ParamCountError``) surface with exactly the classes the in-memory
 oracle raises.  Only the *data* lives in SQLite: a scratch database
-file (WAL mode, so pool readers never block the writer), with the
+file (WAL mode, so readers never block the writer), with the
 engine AST translated to SQLite text by :mod:`repro.backends.dialect`
 — once, in ``_plan``, which is the only place this store sees an AST.
 Execution evaluates no expression of its own: the row an INSERT stores,
@@ -21,10 +21,14 @@ come from the plan's public members.
 
 Design notes:
 
-* **Thread-local connections.**  Autocommit statements run on the
-  inherited ``server_workers``-sized pool, one SQLite connection per
-  worker thread — same submission shape as the in-memory server, so the
-  client's async pipeline (and its thread-count plateau) is unchanged.
+* **A free list of connections.**  Autocommit statements run in
+  whichever thread called the backend (the inherited admission gate
+  admits ``server_workers`` at a time), so a connection per *thread*
+  would leak one per client executor thread that ever came by.
+  Instead ``_run_sqlite`` pops an idle connection (opening one if none
+  is idle), runs its callback and puts it back: the gate bounds the
+  list at ``server_workers`` plus one for the out-of-gate ``mirror_*``
+  caller, however many client threads come and go.
 * **Transactions are real.**  ``begin_transaction`` opens a dedicated
   connection and issues ``BEGIN``; the transaction manager's apply step
   issues real ``COMMIT``/``ROLLBACK``.  The engine's strict-2PL table
@@ -98,7 +102,7 @@ class _SqliteTransactionManager(TransactionManager):
     stays empty (SQLite's journal reverses data changes), so the apply
     step is a real ``COMMIT``/``ROLLBACK``.
     Each transaction owns a dedicated SQLite connection plus a
-    statement lock (async reads execute on pool threads against the
+    statement lock (async reads execute on executor threads against the
     same connection).
     """
 
@@ -152,11 +156,13 @@ class SqliteBackend(Backend):
         self._finalizer = weakref.finalize(
             self, shutil.rmtree, self._tmpdir, True
         )
-        self._local = threading.local()
+        #: Every open connection (closed at shutdown) and, of those,
+        #: the autocommit ones no statement is using right now.
         self._connections: List[sqlite3.Connection] = []
+        self._idle: List[sqlite3.Connection] = []
         # First connection creates the file and flips it to WAL, so
-        # pool readers never block the (single) writer.
-        self._connection()
+        # readers never block the (single) writer.
+        self._idle.append(self._new_connection())
 
     # ------------------------------------------------------------------
     # connections
@@ -190,22 +196,24 @@ class SqliteBackend(Backend):
         except sqlite3.Error:  # pragma: no cover - close is best-effort
             pass
 
-    def _connection(self) -> sqlite3.Connection:
-        """This thread's autocommit connection (created on first use)."""
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._new_connection()
-            self._local.connection = connection
-        return connection
-
     def _run_sqlite(self, txn: Optional[Transaction], callback):
-        """Run ``callback(connection)`` on the right connection with
-        DB-API errors mapped onto the engine's hierarchy."""
+        """Run ``callback(connection)`` on the right connection — the
+        transaction's own, else an idle autocommit one held for exactly
+        this callback — with DB-API errors mapped onto the engine's
+        hierarchy."""
         try:
             if txn is not None:
                 with txn._sqlite_lock:
                     return callback(txn._sqlite)
-            return callback(self._connection())
+            idle = self._idle
+            try:
+                connection = idle.pop()  # list.pop/append: atomic, no lock
+            except IndexError:
+                connection = self._new_connection()
+            try:
+                return callback(connection)
+            finally:
+                idle.append(connection)
         except sqlite3.IntegrityError as exc:
             raise ConstraintError(str(exc)) from exc
         except sqlite3.OperationalError as exc:
@@ -490,6 +498,7 @@ class SqliteBackend(Backend):
         with self._lock:
             connections = list(self._connections)
             self._connections.clear()
+            self._idle.clear()
         for connection in connections:
             try:
                 connection.close()

@@ -10,12 +10,16 @@ submitting the batch", and it needs a set-oriented interface at all.
 parameter sets travel in one request (one network round trip), the
 server answers them, and the client blocks for the combined result.  A
 read batch takes the server's *truly* set-oriented path
-(:meth:`~repro.db.server.DatabaseServer.submit_prepared_batch`): one
-statement execution answers every binding through the binding-demux
-operator, instead of fanning out N independent statements onto the
-worker pool.  (The statement-fan-out batch the paper's introduction
-compares against is one variant of the ``ablation-batching`` figure,
-written there against ``Backend.submit_prepared``.)
+(:meth:`~repro.backends.base.Backend.execute_prepared_batch`, the
+blocking entry: the client is about to block anyway, so the statement
+runs in its thread): one statement execution answers every binding
+through the binding-demux operator, instead of fanning out N
+independent statements.  A write batch is the one caller that wants
+the backend's Future surface — ``submit_prepared`` per binding, so the
+writes overlap server-side while this one thread waits.  (The
+statement-fan-out *read* batch the paper's introduction compares
+against is one variant of the ``ablation-batching`` figure, written
+there against ``Backend.submit_prepared`` too.)
 """
 
 from __future__ import annotations
@@ -56,9 +60,10 @@ class BatchExecutor:
         ``ServerStats``), and the first failing binding's error
         re-raises here after the batch has run.  Writes
         and other non-demuxable statements keep the fan-out shape — one
-        statement per binding overlapping on the server's worker pool,
-        each in its own write window — since funneling them
-        through the batch path would serialize them on one worker.
+        statement per binding overlapping on the server's pool (at most
+        ``server_workers`` at a time), each in its own write window —
+        since funneling them through the batch path would serialize
+        them in one thread.
         """
         server = self._connection.server
         self.stats.batches += 1
@@ -77,11 +82,9 @@ class BatchExecutor:
             prepared = server.prepare(sql)
             if prepared.demuxable:
                 self.stats.set_batches += 1
-                outcomes = server.submit_prepared_batch(
-                    prepared,
-                    [tuple(params) for params in param_sets],
-                    span=span,
-                ).result()
+                outcomes = server.execute_prepared_batch(
+                    prepared, param_sets, span=span
+                )
                 # The client blocks here: no overlap with client computation.
                 results: List[QueryResult] = []
                 for outcome in outcomes:

@@ -3,10 +3,25 @@
 :class:`DispatchCoalescer` is one ``start`` for
 :meth:`repro.core.calls.CallPipeline.submit`: it queues same-statement
 submits and answers each batch with one
-:meth:`~repro.backends.base.Backend.submit_prepared_batch` call.  It is
-handed exactly what it uses — the :class:`CallPipeline`, the backend
-and the pipeline's round-trip callable — see
-:mod:`repro.core.submission` for where it sits in the lifecycle.
+:meth:`~repro.backends.base.Backend.execute_prepared_batch` call, made
+in the flusher's own thread — one hand-off per round trip, the same as
+a plain dispatch.  It is handed exactly what it uses — the
+:class:`CallPipeline`, the backend and the pipeline's round-trip
+callable — see :mod:`repro.core.submission` for where it sits in the
+lifecycle.
+
+Flusher tasks are armed **by need**, not per binding: beside each batch
+key's FIFO the coalescer counts the flushers it has queued that have
+not run yet, and queues another only when the FIFO has outgrown what
+those will drain.  The invariant, for every key, always:
+
+    outstanding flusher tasks × window ≥ queued entries
+
+A flusher left over from a group that emptied may run against the
+key's next group and make its count *under*-read the tasks really
+outstanding — which arms one flusher too many, never one too few — so
+no entry is ever stranded, and a burst of N submits costs ⌈N / window⌉
+executor tasks instead of N.
 """
 
 from __future__ import annotations
@@ -14,7 +29,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import CancelledError, Future
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..backends.base import Backend, PreparedStatement
 from ..obs.trace import Span
@@ -52,6 +67,18 @@ class _PendingDispatch:
         )
 
 
+class _Group:
+    """One batch key's statement, its FIFO of pending entries and the
+    number of flusher tasks armed for it that have not run yet."""
+
+    __slots__ = ("prepared", "queue", "flushers")
+
+    def __init__(self, prepared: PreparedStatement) -> None:
+        self.prepared = prepared
+        self.queue: Deque[_PendingDispatch] = deque()
+        self.flushers = 0
+
+
 class DispatchCoalescer:
     """Set-oriented dispatch: merge outstanding same-statement submits
     into one batched server call.
@@ -61,12 +88,13 @@ class DispatchCoalescer:
     submit loop, or a burst of speculative lifts, produces — executing
     them one per worker pays N round trips and N per-statement server
     costs.  The coalescer instead enqueues each submit as a pending
-    entry keyed by ``statement_id`` plus one *flusher* task; whichever
-    flusher runs first drains up to ``window`` entries and answers them
-    with a single :meth:`Backend.submit_prepared_batch` call
-    (one round-trip charge, one statement execution via the
-    binding-demux operator), demultiplexing per-binding outcomes back
-    to the individual handle futures.
+    entry keyed by ``statement_id`` and keeps enough *flusher* tasks
+    queued to drain them (see the module docstring's invariant);
+    whichever flusher runs first drains up to ``window`` entries and
+    answers them with a single :meth:`Backend.execute_prepared_batch`
+    call in its own thread (one round-trip charge, one statement
+    execution via the binding-demux operator), demultiplexing
+    per-binding outcomes back to the individual handle futures.
 
     The coalescer is only a ``start`` for :meth:`CallPipeline.submit`
     (:meth:`enqueue`): the cache lease, hit/follower resolution, handle
@@ -113,16 +141,15 @@ class DispatchCoalescer:
         self._round_trip = round_trip
         self._window = window
         self._lock = threading.Lock()
-        #: (backend identity, statement_id) -> (prepared, FIFO of
-        #: pending entries).  Statement ids are per-backend counters, so
+        #: (backend identity, statement_id) -> the key's :class:`_Group`
+        #: (deleted when its FIFO empties).  Statement ids are
+        #: per-backend counters, so
         #: the id alone would collide across two live backends and merge
         #: different statements — or the same text bound for different
         #: stores — into one batch; the backend identity in the key
         #: guarantees a coalesced batch never executes against the wrong
         #: store.
-        self._pending: Dict[
-            tuple, Tuple[PreparedStatement, Deque[_PendingDispatch]]
-        ] = {}
+        self._pending: Dict[tuple, _Group] = {}
 
     def _batch_key(self, prepared: PreparedStatement) -> tuple:
         origin = prepared.origin or self._backend
@@ -145,7 +172,8 @@ class DispatchCoalescer:
         span: Optional[Span] = None,
     ) -> "Future":
         """The coalescer's ``start`` for :meth:`CallPipeline.submit`:
-        queue one binding plus one flusher task, return its future."""
+        queue one binding — and a flusher task, if the ones already
+        outstanding will not reach it — and return its future."""
         backend = self._backend
         # Every submit still pays the executor hand-off overhead in the
         # submitting thread, exactly like the executor-task dispatch.
@@ -155,32 +183,46 @@ class DispatchCoalescer:
         with self._lock:
             group = self._pending.get(batch_key)
             if group is None:
-                group = (prepared, deque())
-                self._pending[batch_key] = group
-            group[1].append(entry)
-        try:
-            self._calls.executor.submit(lambda: self._flush(batch_key))
-        except BaseException as exc:
-            # Never strand single-flight followers on a submission that
-            # could not be queued.  Only unwind if no concurrent flusher
-            # already claimed the entry.
-            if self._discard(batch_key, entry):
-                self._calls.publish(entry.lease, exc, failed=True)
-            raise
+                group = self._pending[batch_key] = _Group(prepared)
+            group.queue.append(entry)
+            arm = len(group.queue) > group.flushers * self._window
+            if arm:
+                group.flushers += 1
+        if arm:
+            try:
+                self._calls.executor.submit(lambda: self._flush(batch_key))
+            except BaseException as exc:
+                # Never strand anyone — this entry's single-flight
+                # followers, or an entry that counted on this flusher —
+                # on a task that could not be queued.
+                for orphan in self._claim(self._disarm(batch_key, group, entry)):
+                    self._fail(orphan, exc)
+                raise
         return entry.future
 
-    def _discard(self, batch_key: tuple, entry: _PendingDispatch) -> bool:
+    def _disarm(
+        self, batch_key: tuple, group: _Group, entry: _PendingDispatch
+    ) -> List[_PendingDispatch]:
+        """Take back the flusher ``entry`` armed but could not queue;
+        returns the entries no outstanding flusher covers any more:
+        ``entry`` itself unless a concurrent flusher already claimed it,
+        and any enqueued meanwhile on the strength of the lost one."""
         with self._lock:
-            group = self._pending.get(batch_key)
-            if group is None:
-                return False
+            if self._pending.get(batch_key) is not group:
+                return []  # the group drained: every entry was claimed
+            group.flushers = max(group.flushers - 1, 0)
+            queue = group.queue
+            orphans: List[_PendingDispatch] = []
             try:
-                group[1].remove(entry)
+                queue.remove(entry)
+                orphans.append(entry)
             except ValueError:
-                return False
-            if not group[1]:
+                pass
+            while len(queue) > group.flushers * self._window:
+                orphans.append(queue.pop())
+            if not queue:
                 del self._pending[batch_key]
-            return True
+            return orphans
 
     # ------------------------------------------------------------------
     # flushing (runs on executor workers)
@@ -196,30 +238,37 @@ class DispatchCoalescer:
             group = self._pending.get(batch_key)
             if group is None:
                 return None, []
-            prepared, queue = group
+            # This flusher is no longer outstanding.  Clamped: it may
+            # have been armed for an earlier group of the same key.
+            group.flushers = max(group.flushers - 1, 0)
+            queue = group.queue
             count = min(len(queue), self._window)
             batch = [queue.popleft() for _ in range(count)]
             if not queue:
                 del self._pending[batch_key]
-            return prepared, batch
+            return group.prepared, batch
 
-    def _execute(
-        self, prepared: PreparedStatement, entries: List[_PendingDispatch]
-    ) -> None:
-        calls = self._calls
+    def _claim(self, entries: List[_PendingDispatch]) -> List[_PendingDispatch]:
+        """The entries still wanted.  PENDING -> RUNNING bars late
+        cancellation, so completing them cannot race a cancel; an entry
+        cancelled while queued (abandoned queued speculation, or an
+        explicit handle.cancel) drops out here."""
         live: List[_PendingDispatch] = []
         for entry in entries:
-            # PENDING -> RUNNING bars late cancellation, so completion
-            # below cannot race a cancel; a cancelled entry (abandoned
-            # queued speculation, or an explicit handle.cancel) drops
-            # out of the batch here.
             if entry.future.set_running_or_notify_cancel():
                 live.append(entry)
             else:
                 if entry.queue_span is not None:
                     entry.queue_span.set("cancelled", True).end()
                 # Never strand followers of a cancelled owner.
-                calls.publish(entry.lease, CancelledError(), failed=True)
+                self._calls.publish(entry.lease, CancelledError(), failed=True)
+        return live
+
+    def _execute(
+        self, prepared: PreparedStatement, entries: List[_PendingDispatch]
+    ) -> None:
+        calls = self._calls
+        live = self._claim(entries)
         if not live:
             return
         for entry in live:
@@ -267,11 +316,11 @@ class DispatchCoalescer:
         if rtt:
             server.meter.charge("network", rtt)  # ONE round trip, N queries
         try:
-            outcomes = server.submit_prepared_batch(
+            outcomes = server.execute_prepared_batch(
                 prepared,
                 [entry.bound for entry in live],
                 span=batch_span,
-            ).result()
+            )
         except BaseException as exc:
             if batch_span is not None:
                 batch_span.set("error", repr(exc)).end()

@@ -90,7 +90,7 @@ the :class:`DispatchCoalescer` as their ``start``: submits of the same
 prepared statement that are outstanding behind the executor — exactly
 what prefetch hoisting out of loops and bursts of speculative lifts
 produce — merge into one batched server call
-(:meth:`~repro.backends.base.Backend.submit_prepared_batch`, the
+(:meth:`~repro.backends.base.Backend.execute_prepared_batch`, the
 binding-demux operator) and the per-binding outcomes demultiplex back
 to the individual handles.  One round-trip charge and one statement
 execution answer the whole batch; a failing binding faults only its own
@@ -438,22 +438,24 @@ class SubmissionPipeline:
     ) -> QueryResult:
         """One full network round trip plus server-side execution.
 
+        The statement executes *in this thread* — the caller's for a
+        blocking call, the executor worker's for a submit — holding one
+        of the backend's admission slots, so a request crosses one
+        thread boundary at most (the submit's hand-off to the executor).
+
         ``span`` is the request's root span: the round trip appears as
         a ``dispatch`` child, and the server hangs its ``server.execute``
-        span under that (the span object rides the submit call across
-        the thread boundary — no ambient context to lose).
+        span under that (the span object rides the call — no ambient
+        context to lose).
         """
         rtt = self._server.profile.network_rtt_s
         if rtt:
             self._server.meter.charge("network", rtt)
         dispatch_span = span.child("dispatch") if span is not None else None
         try:
-            return self._server.submit_prepared(
-                prepared,
-                bound,
-                txn=txn,
-                span=dispatch_span,
-            ).result()
+            return self._server.execute_prepared(
+                prepared, bound, txn, dispatch_span
+            )
         except BaseException as exc:
             if dispatch_span is not None:
                 dispatch_span.set("error", repr(exc))

@@ -2,7 +2,7 @@
 
 This package is the substrate standing in for the paper's SYS1 /
 PostgreSQL servers: a multi-threaded SQL engine whose latency model
-(network round trips, disk seeks, buffer cache, bounded worker pool,
+(network round trips, disk seeks, buffer cache, bounded admission gate,
 shared scans, elevator IO) reproduces the performance phenomena the
 program transformations exploit.  See DESIGN.md §2 for the substitution
 rationale.

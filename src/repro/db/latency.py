@@ -84,8 +84,8 @@ class LatencyProfile:
         small iteration counts "the overhead of thread creation and
         scheduling overshoots the query execution time".
     server_workers:
-        Size of the server-side worker pool; concurrent submissions
-        beyond this queue up, producing the thread-count plateau.
+        Width of the server's admission gate: statements beyond this
+        many wait for a slot, producing the thread-count plateau.
     buffer_pool_pages:
         Buffer pool capacity; a "cold cache" run clears it first.
     """

@@ -1,6 +1,6 @@
 """The binding-demultiplex operator: one pass answers N binding sets.
 
-The set-oriented server path (``DatabaseServer.submit_prepared_batch``)
+The set-oriented server path (``Backend.execute_prepared_batch``)
 evaluates one prepared SELECT over many binding sets in a *single*
 statement execution: one lock acquisition, one fixed per-statement CPU
 charge, and — for plans without a usable index — one shared table scan

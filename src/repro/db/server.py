@@ -1,6 +1,6 @@
 """The in-memory database server: the engine behind the shared lifecycle.
 
-Statement cache, prepared statements, the worker pool and the
+Statement cache, prepared statements, the admission gate and the
 write-path ordering are :class:`repro.backends.base.Backend`'s — the
 same code every store runs.  What is specific to this store is *how a
 statement executes*: plans come from the engine's

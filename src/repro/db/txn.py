@@ -25,7 +25,8 @@ deliberately classical:
 The asynchronous-submission rules (what the Discussion section asks
 about) are enforced by :class:`repro.client.connection.Connection`:
 asynchronous *reads* may be in flight under an open transaction — they
-run under the transaction's shared locks on server worker threads — but
+run under the transaction's shared locks on the connection's executor
+threads — but
 asynchronous *updates* are rejected, because their failure order would
 be unobservable before commit.  Commit and rollback drain in-flight
 asynchronous reads first.

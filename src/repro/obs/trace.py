@@ -8,7 +8,7 @@ crossed::
     ├── cache                   (lookup: hit / follower / miss / bypass)
     ├── coalesce                (set-oriented dispatch: queue residency)
     ├── dispatch                (round trip; solo dispatches only)
-    │   └── server.execute      (server worker: plan execution, demux)
+    │   └── server.execute      (plan execution, demux — same thread)
     └── fetch                   (application-thread wait)
 
 A *coalesced batch* is the one deliberate deviation from a strict tree:

@@ -1,10 +1,12 @@
 """Set-oriented dispatch: the submit coalescer and its failure paths."""
 
+import random
 import threading
-from concurrent.futures import CancelledError, wait
+from concurrent.futures import CancelledError, Future, wait
 
 import pytest
 
+from repro.core.submission import SubmissionPipeline
 from repro.db import Database, INSTANT
 from repro.db.errors import ParamCountError
 from repro.prefetch.cache import ResultCache
@@ -450,3 +452,127 @@ class TestBackendIdentity:
         assert mem_prepared.statement_id == lite_prepared.statement_id
         assert mem_prepared.origin is grouped.server
         assert lite_prepared.origin is grouped.backend("sqlite")
+
+
+class HandDrivenExecutor:
+    """An executor whose queued tasks run only when the test says so,
+    in the order the test picks — and which can be told to refuse the
+    n-th task (optionally doing something first, standing in for a
+    thread that slips in before the refusal is unwound)."""
+
+    def __init__(self):
+        self.tasks = []
+        self.submitted = 0
+        self.refuse_at = None
+        self.before_refusing = None
+
+    def submit(self, task):
+        self.submitted += 1
+        if self.submitted == self.refuse_at:
+            if self.before_refusing is not None:
+                self.before_refusing()
+            raise RuntimeError("executor refused the task")
+        self.tasks.append(task)
+        return Future()
+
+    def run_one(self, rng):
+        self.tasks.pop(rng.randrange(len(self.tasks)))()
+
+    def run_all(self, rng):
+        while self.tasks:
+            self.run_one(rng)
+
+
+class TestFlushersArmedByNeed:
+    """Outstanding flusher tasks x window >= queued entries, always: a
+    burst costs ceil(N / window) executor tasks, and no entry is ever
+    left without a flusher that will reach it."""
+
+    KEY_SQL = "SELECT grp FROM t WHERE a = ?"
+    WINDOW = 16
+
+    def pipeline(self, db):
+        executor = HandDrivenExecutor()
+        pipeline = SubmissionPipeline(
+            db.server, executor, coalesce=True, coalesce_window=self.WINDOW
+        )
+        return pipeline, executor
+
+    def check_invariant(self, pipeline, executor):
+        # One statement in play, so every queued task is a flusher for
+        # the one group.
+        for group in pipeline.coalescer._pending.values():
+            assert len(executor.tasks) * self.WINDOW >= len(group.queue)
+            assert group.flushers <= len(executor.tasks)
+
+    def test_a_burst_queues_a_flusher_per_window_not_per_binding(self, grouped):
+        pipeline, executor = self.pipeline(grouped)
+        handles = [pipeline.submit(self.KEY_SQL, (i % 40,)) for i in range(64)]
+        assert len(executor.tasks) == 4  # <= 8; one per binding was 64
+        self.check_invariant(pipeline, executor)
+        executor.run_all(random.Random(0))
+        assert [pipeline.fetch(h).scalar() for h in handles] == [
+            (i % 40) % 4 for i in range(64)
+        ]
+        assert pipeline.stats.coalesced_batches == 4
+        assert pipeline.stats.coalesced_queries == 64
+        assert grouped.server.stats.batched_bindings == 64
+        assert not pipeline.coalescer._pending
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_handle_resolves_or_raises(self, grouped, seed):
+        """Submits interleaved with flushers run in a random order,
+        entries cancelled while queued, one flusher refused by the
+        executor: the invariant holds after every step and, once the
+        executor is drained, every handle has an outcome."""
+        rng = random.Random(seed)
+        pipeline, executor = self.pipeline(grouped)
+        executor.refuse_at = rng.randrange(2, 6)
+        handles, refused = {}, 0
+        for step in range(200):
+            key = rng.randrange(40)
+            try:
+                handles[step] = (key, pipeline.submit(self.KEY_SQL, (key,)))
+            except RuntimeError:
+                refused += 1
+            self.check_invariant(pipeline, executor)
+            if rng.random() < 0.1:
+                rng.choice(list(handles.values()))[1].cancel()
+            if executor.tasks and rng.random() < 0.15:
+                executor.run_one(rng)
+                self.check_invariant(pipeline, executor)
+        executor.run_all(rng)
+        assert not pipeline.coalescer._pending
+        assert refused == 1
+        cancelled = 0
+        for key, handle in handles.values():
+            assert handle.done()
+            if handle.future.cancelled():
+                cancelled += 1
+            else:
+                assert handle.result(timeout=0).scalar() == key % 4
+        assert cancelled > 0
+        # Armed by need: nowhere near one task per submit.
+        assert executor.submitted < 100
+
+    def test_an_entry_counting_on_a_refused_flusher_is_failed_not_stranded(
+        self, grouped
+    ):
+        pipeline, executor = self.pipeline(grouped)
+        executor.refuse_at = 1
+        bystander = []
+        executor.before_refusing = lambda: bystander.append(
+            pipeline.submit(self.KEY_SQL, (5,))
+        )
+        with pytest.raises(RuntimeError, match="refused"):
+            pipeline.submit(self.KEY_SQL, (4,))
+        # The bystander enqueued while the refused flusher still counted
+        # as outstanding, so it armed none of its own.
+        assert executor.submitted == 1 and not executor.tasks
+        assert not pipeline.coalescer._pending
+        with pytest.raises(RuntimeError, match="refused"):
+            bystander[0].result(timeout=0)
+        # The coalescer is none the worse: the next submit arms afresh.
+        handle = pipeline.submit(self.KEY_SQL, (6,))
+        executor.run_all(random.Random(0))
+        assert pipeline.fetch(handle).scalar() == 2

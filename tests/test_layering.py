@@ -88,6 +88,29 @@ class TestLayering:
                     and node.attr in ("invalidate_table", "invalidate_all")
                 ), f"{package_of_file}:{node.lineno} calls {node.attr}"
 
+    def test_nothing_waits_on_a_backend_future_it_just_made(self):
+        """``backend.submit*(...).result()`` is a second thread hop
+        around a statement the caller is about to wait for anyway: the
+        blocking entries (``execute`` / ``execute_prepared`` /
+        ``execute_prepared_batch``) run it in the caller's thread under
+        the same admission gate.  The Future surface is for callers that
+        overlap several statements before waiting."""
+        futures = ("submit", "submit_prepared", "submit_prepared_batch")
+        for package_of_file, tree in modules(""):
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "result"
+                ):
+                    continue
+                made = node.func.value
+                assert not (
+                    isinstance(made, ast.Call)
+                    and isinstance(made.func, ast.Attribute)
+                    and made.func.attr in futures
+                ), f"{package_of_file}:{node.lineno} {made.func.attr}(...).result()"
+
     def test_sqlite_store_reads_only_public_plan_members(self):
         ((package_of_file, tree),) = modules("backends/sqlite")
         for module, name in imports(package_of_file, tree):

@@ -1,8 +1,8 @@
-"""Alternating parent/change pairs of one repo-benchmark workload.
+"""Alternating parent/change pairs of the repo benchmark's workloads.
 
 ``BENCHMARK.json`` fixes the command, the run length and which way each
-end-to-end metric is better; this tool runs that command for one
-workload alternately in BASE_DIR (a checkout of the commit to compare
+end-to-end metric is better; this tool runs that command for each
+workload asked for alternately in BASE_DIR (a checkout of the commit to compare
 against — ``git clone`` or ``git archive`` it somewhere outside the
 repository) and in this checkout, swapping which side goes first every
 pair, and prints what a perf claim has to report: each side's median
@@ -14,10 +14,19 @@ the distance between the base's own quartiles, ``WORSE`` when its
 median is worse than the base's by more than the metric's bound, else
 ``within bound``.
 
+``--workload`` repeats and ``--all`` runs every workload the benchmark
+declares, one after the other; the run closes with a table of one row
+per workload (change/base and verdict per end-to-end metric, failed
+operations per side) — the "no other workload got worse"
+half of a perf claim.  The exit status is 1 if any metric read
+``WORSE`` or the change failed a larger share of its operations than
+the base did.
+
 Run from the repository root, with nothing else on the CPU::
 
     python tools/perf_pairs.py /root/scratch/parent --workload hotset_mixed
     python tools/perf_pairs.py BASE --workload hotset_read --pairs 4 --seed 29
+    python tools/perf_pairs.py BASE --all --pairs 4
 
 ``perfbench/`` itself is not touched: each pass is the benchmark's own
 subprocess, and the last line it prints is the result read here.
@@ -52,37 +61,23 @@ def quartiles(values):
     return q1, median, q3
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Alternating base/change pairs of one BENCHMARK.json workload."
-    )
-    parser.add_argument("base_dir", help="checkout of the commit to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument(
-        "--seconds", type=float, help="per pass (default: BENCHMARK.json run_seconds)"
-    )
-    parser.add_argument("--seed", type=int, default=17)
-    args = parser.parse_args(argv)
-
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.workload not in [w["name"] for w in benchmark["workloads"]]:
-        parser.error(f"unknown workload {args.workload!r}")
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+def compare(benchmark, sides, workload, pairs, seconds, seed):
+    """Run ``pairs`` alternating passes of ``workload`` and print its
+    block; returns ``({metric: (change/base, verdict)}, {side: (failed,
+    attempted)})`` for the closing table."""
     command = benchmark["command"] + [
-        f"--workload={args.workload}",
-        f"--seed={args.seed}",
+        f"--workload={workload}",
+        f"--seed={seed}",
         f"--seconds={seconds}",
         "--trace=0",
     ]
-    sides = {"base": pathlib.Path(args.base_dir).resolve(), "change": ROOT}
     runs = {side: [] for side in sides}
-    for pair in range(args.pairs):
+    for pair in range(pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for side in order:
             runs[side].append(one_pass(sides[side], command))
         print(
-            f"pair {pair + 1}/{args.pairs} ({order[0]} first): "
+            f"{workload} pair {pair + 1}/{pairs} ({order[0]} first): "
             + ", ".join(
                 f"{side} {runs[side][-1]['metrics']['ops_per_s']['value']:.4g} ops/s"
                 for side in sides
@@ -91,9 +86,10 @@ def main(argv=None):
         )
 
     print(
-        f"{args.workload}  seed {args.seed}  {seconds:g} s/pass  {args.pairs} pairs"
+        f"{workload}  seed {seed}  {seconds:g} s/pass  {pairs} pairs"
         "  (median [q1, q3])"
     )
+    verdicts = {}
     for metric in benchmark["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
         values = {
@@ -106,25 +102,88 @@ def main(argv=None):
         )
         (b1, b2, b3), (c1, c2, c3) = quartiles(values["base"]), quartiles(values["change"])
         gain = (c2 - b2) if higher else (b2 - c2)
-        if wins >= 0.9 * args.pairs and gain > b3 - b1:
+        if wins >= 0.9 * pairs and gain > b3 - b1:
             verdict = "gain"
         elif b2 and -gain / b2 > metric["bound"]:
             verdict = f"WORSE (bound {metric['bound']:.0%})"
         else:
             verdict = "within bound"
+        ratio = c2 / b2 if b2 else float("nan")
+        verdicts[name] = (ratio, verdict)
         print(
             f"{name:12s} base {b2:10.4g} [{b1:.4g}, {b3:.4g}]"
             f"  change {c2:10.4g} [{c1:.4g}, {c3:.4g}] {metric['unit']:4s}"
-            f"  change/base {c2 / b2 if b2 else float('nan'):.3f}"
-            f"  wins {wins}/{args.pairs}"
+            f"  change/base {ratio:.3f}"
+            f"  wins {wins}/{pairs}"
             f"  {verdict}"
         )
+    failures = {}
     for side in sides:
         failed = sum(run["failed"] for run in runs[side])
         attempted = sum(run["attempted"] for run in runs[side])
         wrong = sum(not run["correct"] for run in runs[side])
+        failures[side] = (failed, attempted)
         print(f"{side:6s} failed {failed} of {attempted} ops; {wrong} passes incorrect")
+    return verdicts, failures
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Alternating base/change pairs of BENCHMARK.json workloads."
+    )
+    parser.add_argument("base_dir", help="checkout of the commit to compare against")
+    parser.add_argument(
+        "--workload", action="append", default=[], help="repeatable"
+    )
+    parser.add_argument(
+        "--all", action="store_true", help="every workload BENCHMARK.json declares"
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--seconds", type=float, help="per pass (default: BENCHMARK.json run_seconds)"
+    )
+    parser.add_argument("--seed", type=int, default=17)
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = [w["name"] for w in benchmark["workloads"]]
+    for workload in args.workload:
+        if workload not in declared:
+            parser.error(f"unknown workload {workload!r}")
+    workloads = declared if args.all else list(dict.fromkeys(args.workload))
+    if not workloads:
+        parser.error("name a --workload (repeatable) or pass --all")
+    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    sides = {"base": pathlib.Path(args.base_dir).resolve(), "change": ROOT}
+
+    results = {}
+    for workload in workloads:
+        if results:
+            print()
+        results[workload] = compare(
+            benchmark, sides, workload, args.pairs, seconds, args.seed
+        )
+
+    metrics = [metric["name"] for metric in benchmark["end_to_end"]]
+    print("\nall workloads  (change/base verdict; failed ops base / change)")
+    print(f"{'':18s}" + "".join(f"{name:>22s}" for name in metrics) + "  failed")
+    bad = False
+    for workload, (verdicts, failures) in results.items():
+        (base_failed, base_ops), (failed, ops) = failures["base"], failures["change"]
+        more_failed = failed * base_ops > base_failed * ops  # a larger share
+        bad = bad or more_failed or any(
+            verdict.startswith("WORSE") for _ratio, verdict in verdicts.values()
+        )
+        cells = "".join(
+            "{:>22s}".format(f"{ratio:.3f} {verdict.split(' (')[0]}")
+            for ratio, verdict in (verdicts[name] for name in metrics)
+        )
+        print(
+            f"{workload:18s}{cells}  {base_failed} / {failed}"
+            + ("  MORE FAILED" if more_failed else "")
+        )
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

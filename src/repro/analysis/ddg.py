@@ -9,6 +9,12 @@ next iteration's read only if no unconditional later write in the same
 iteration (or earlier write in the next) kills it first.  Anti edges are
 kept fully conservative — they feed the split-variable set, where over-
 approximation costs only an unnecessary spill, never correctness.
+
+This module owns every question about *two* statements: the variable
+edges are the three set intersections in :func:`build_ddg`, and whether
+two statements conflict on an external resource — wildcard barrier,
+commuting exception — is :func:`external_dependences`, which the
+reordering rules and the prefetch hoist call too.
 """
 
 from __future__ import annotations
@@ -56,14 +62,6 @@ class DDG:
             for edge in self.edges
             if edge.src == src
             and edge.dst == dst
-            and (loop_carried is None or edge.loop_carried == loop_carried)
-        ]
-
-    def edges_of_kind(self, kind: str, loop_carried: Optional[bool] = None) -> List[Edge]:
-        return [
-            edge
-            for edge in self.edges
-            if edge.kind == kind
             and (loop_carried is None or edge.loop_carried == loop_carried)
         ]
 
@@ -162,20 +160,30 @@ def conflicting_resources(a: frozenset, b: frozenset) -> frozenset:
     return a & b
 
 
-def _external_edges(
-    edges: List[Edge], i: int, j: int, a: Stmt, b: Stmt, loop_carried: bool
-) -> None:
+def external_dependences(a, b) -> Iterator[Tuple[str, str]]:
+    """``(kind, resource)`` for every external conflict between ``a``
+    and a later ``b`` — the one test the DDG, the reordering rules and
+    the prefetch hoist share.  ``a`` and ``b`` are :class:`Stmt` or
+    :class:`~repro.ir.defuse.DefUse` (anything with ``external_reads``,
+    ``external_writes`` and ``commuting``)."""
     for resource in conflicting_resources(a.external_writes, b.external_reads):
-        edges.append(Edge(i, j, FD, resource, loop_carried, external=True))
+        yield FD, resource
     for resource in conflicting_resources(a.external_reads, b.external_writes):
-        edges.append(Edge(i, j, AD, resource, loop_carried, external=True))
+        yield AD, resource
     for resource in conflicting_resources(a.external_writes, b.external_writes):
         if resource in a.commuting and resource in b.commuting:
             # Declared-commuting writes (e.g. key-distinct INSERTs) may
             # reorder freely with each other — the paper's "more
             # accurate analysis on the external writes" escape hatch.
             continue
-        edges.append(Edge(i, j, OD, resource, loop_carried, external=True))
+        yield OD, resource
+
+
+def _external_edges(
+    edges: List[Edge], i: int, j: int, a: Stmt, b: Stmt, loop_carried: bool
+) -> None:
+    for kind, resource in external_dependences(a, b):
+        edges.append(Edge(i, j, kind, resource, loop_carried, external=True))
 
 
 def _kills_after(nodes: Sequence[Stmt]) -> List[FrozenSet[str]]:

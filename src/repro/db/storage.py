@@ -204,23 +204,6 @@ class HeapTable:
             if valid[row_id]:
                 yield row_id, row
 
-    def iter_pages(self) -> Iterator[Tuple[int, List[Tuple[int, Row]]]]:
-        """Yield ``(page_no, [(row_id, row), ...])`` per page."""
-        page: List[Tuple[int, Row]] = []
-        current_page = 0
-        for row_id in range(len(self._valid)):
-            page_no = self.page_of(row_id)
-            if page_no != current_page:
-                yield current_page, page
-                page = []
-                current_page = page_no
-            if self._valid[row_id]:
-                page.append(
-                    (row_id, tuple(column[row_id] for column in self._columns))
-                )
-        if page or self._valid:
-            yield current_page, page
-
     def cluster_range(self, key: Any) -> Tuple[int, int]:
         """Row-id range [lo, hi) holding ``key`` on a clustered table."""
         if self._cluster_pos is None:

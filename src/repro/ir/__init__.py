@@ -10,7 +10,6 @@ from .purity import PurityEnv
 from .statements import (
     CONTROL_VAR,
     Guard,
-    LoopInfo,
     QueryCall,
     Stmt,
     find_query_call,
@@ -27,7 +26,6 @@ __all__ = [
     "PurityEnv",
     "CONTROL_VAR",
     "Guard",
-    "LoopInfo",
     "QueryCall",
     "Stmt",
     "find_query_call",

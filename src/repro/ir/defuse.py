@@ -11,7 +11,7 @@ io) effects.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from .purity import PurityEnv
@@ -45,6 +45,12 @@ class DefUse:
     #: each other (e.g. key-distinct INSERTs declared commuting).
     commuting: FrozenSet[str] = frozenset()
 
+    def __or__(self, other: "DefUse") -> "DefUse":
+        """Both summaries' accesses, as of one statement."""
+        return DefUse(
+            *(getattr(self, f.name) | getattr(other, f.name) for f in fields(self))
+        )
+
 
 class _Collector(ast.NodeVisitor):
     """Accumulates def/use facts while walking one statement."""
@@ -74,7 +80,7 @@ class _Collector(ast.NodeVisitor):
             self.writes.add(node.id)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        base = _base_name(node)
+        base = base_name(node)
         if base is not None:
             self.reads.add(base)
             if isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -84,7 +90,7 @@ class _Collector(ast.NodeVisitor):
             self.visit(node.value)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
-        base = _base_name(node.value)
+        base = base_name(node.value)
         if base is not None:
             self.reads.add(base)
             if isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -107,34 +113,33 @@ class _Collector(ast.NodeVisitor):
                 self._apply_query_effect(spec)
                 return
             if self._registry is not None:
-                lookup_async = getattr(self._registry, "lookup_async", None)
-                async_spec = lookup_async(method) if lookup_async else None
+                async_spec = self._registry.lookup_async(method)
                 if async_spec is not None:
                     # Generated submit call: the external action happens
                     # at submission; the receiver is not mutated.
                     self._apply_query_effect(async_spec)
                     return
-                is_barrier = getattr(self._registry, "is_barrier", None)
-                if is_barrier is not None and is_barrier(method):
+                if self._registry.is_barrier(method):
                     # Transaction-scope call: conflicts with every
                     # external access, and mutates the connection.
                     self.external_writes.add("*")
-                    base = _base_name(func.value)
+                    base = base_name(func.value)
                     if base is not None:
                         self.writes.add(base)
                     return
             if self._purity.method_mutates_receiver(method):
-                base = _base_name(func.value)
+                base = base_name(func.value)
                 if base is not None:
                     self.writes.add(base)
             return
         if isinstance(func, ast.Name):
             name = func.id
+            self.reads.add(name)  # the callee may be a local variable
             effect = self._purity.function_effect(name)
             if effect is not None:
                 for index in effect.mutates_args:
                     if index < len(node.args):
-                        base = _base_name(node.args[index])
+                        base = base_name(node.args[index])
                         if base is not None:
                             self.writes.add(base)
                 self.external_reads.update(effect.reads_resources)
@@ -172,7 +177,7 @@ class _Collector(ast.NodeVisitor):
             self.name_writes.add(target.id)
             self.kills.add(target.id)
         else:
-            base = _base_name(target)
+            base = base_name(target)
             if base is not None:
                 self.reads.add(base)
                 self.writes.add(base)
@@ -230,13 +235,23 @@ class _Collector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _base_name(node: ast.expr) -> Optional[str]:
+def base_name(node: ast.expr) -> Optional[str]:
     """Innermost ``Name`` of an attribute/subscript chain, else None."""
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
     if isinstance(node, ast.Name):
         return node.id
     return None
+
+
+def bound_names(target: ast.expr) -> Set[str]:
+    """Plain names a store through ``target`` binds (tuple/list/star
+    patterns included; ``a.b = ...`` / ``a[i] = ...`` bind no name)."""
+    return {
+        node.id
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
 
 
 def import_bound_names(node) -> Set[str]:
@@ -307,6 +322,7 @@ def analyze_expression(node: ast.expr, purity: PurityEnv, registry=None) -> DefU
         reads=frozenset(collector.reads),
         writes=frozenset(collector.writes),
         kills=frozenset(),
+        name_writes=frozenset(collector.name_writes),
         external_reads=frozenset(collector.external_reads),
         external_writes=frozenset(collector.external_writes),
         commuting=frozenset(collector.commuting),
@@ -386,7 +402,7 @@ class _WriteRenamer(ast.NodeTransformer):
 
     def visit_Attribute(self, node: ast.Attribute) -> ast.AST:
         if isinstance(node.ctx, (ast.Store, ast.Del)):
-            if _base_name(node) == self._old:
+            if base_name(node) == self._old:
                 self.blocked = (
                     f"write of {self._old!r} happens through an attribute"
                 )
@@ -395,7 +411,7 @@ class _WriteRenamer(ast.NodeTransformer):
 
     def visit_Subscript(self, node: ast.Subscript) -> ast.AST:
         if isinstance(node.ctx, (ast.Store, ast.Del)):
-            if _base_name(node.value) == self._old:
+            if base_name(node.value) == self._old:
                 self.blocked = (
                     f"write of {self._old!r} happens through a subscript"
                 )
@@ -406,7 +422,7 @@ class _WriteRenamer(ast.NodeTransformer):
         # A mutation through a method call cannot be renamed (pure
         # methods are only reads and are fine).
         if isinstance(node.func, ast.Attribute):
-            if _base_name(node.func.value) == self._old:
+            if base_name(node.func.value) == self._old:
                 if self._purity.method_mutates_receiver(node.func.attr):
                     self.blocked = (
                         f"write of {self._old!r} happens through a method call"

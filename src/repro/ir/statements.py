@@ -14,6 +14,15 @@ preceded by a pseudo *header* statement representing the loop predicate
 by every body statement — this encodes the control dependence of the
 body on the predicate as a flow dependence, which Section IV of the
 paper requires for the true-dependence cycle test.
+
+This module (with :mod:`.defuse`) owns every question about *one*
+statement; the rule modules and the prefetch pass ask here instead of
+walking the AST themselves: which registered query calls it contains
+(:func:`query_calls`, :func:`find_query_call`), whether control can
+leave the enclosing block through it (:func:`leaves_block`), whether
+its kind is one the rules understand at every level they reach
+(:func:`is_supported`), and how reports name it (:func:`label`).
+Questions about *two* statements belong to :mod:`repro.analysis.ddg`.
 """
 
 from __future__ import annotations
@@ -29,6 +38,10 @@ from .purity import PurityEnv
 #: Pseudo-variable carrying the loop-control dependence.  Excluded from
 #: split-variable spilling (it is not program state).
 CONTROL_VAR = "__loop_control__"
+
+#: Attribute naming the role of a node an earlier fission generated
+#: (table init / submit loop / fetch loop; values in ``rule_fission``).
+ROLE_ATTR = "_repro_role"
 
 _sid_counter = itertools.count(1)
 
@@ -120,12 +133,56 @@ class Stmt:
 
 #: Statement node types the transformation rules understand natively.
 SUPPORTED_SIMPLE = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr, ast.Pass)
-#: Compound statements handled structurally (Rule B / nested-loop rule).
-SUPPORTED_COMPOUND = (ast.If, ast.While, ast.For)
 
 
-def is_supported(node: ast.stmt) -> bool:
-    return isinstance(node, SUPPORTED_SIMPLE + SUPPORTED_COMPOUND)
+def is_supported(node: ast.stmt, nested: bool = False) -> bool:
+    """Is ``node`` a statement kind the rules understand — at every
+    level they reach?  Rule B flattens each loop-free ``if`` into guarded
+    statements and a nested loop is summarized as one opaque statement,
+    so a kind whose effects the def/use collector does not model (a
+    ``def`` whose closure reads are invisible, ``try``, ``with``, ...)
+    is as wrong three levels down as directly in the body.
+
+    ``break``/``continue`` are understood only inside a ``nested`` loop
+    (which owns them).  Nodes an earlier fission generated are exempt:
+    they may carry the ``try``-guarded capture of a conditionally
+    written split variable, whose effects fission itself accounted for.
+    """
+    if hasattr(node, ROLE_ATTR):
+        return True
+    if isinstance(node, ast.If):
+        return all(is_supported(child, nested) for child in node.body + node.orelse)
+    if isinstance(node, (ast.While, ast.For)):
+        return all(is_supported(child, True) for child in node.body + node.orelse)
+    if isinstance(node, (ast.Break, ast.Continue)):
+        return nested
+    return isinstance(node, SUPPORTED_SIMPLE)
+
+
+def leaves_block(node: ast.AST, in_loop: bool = False) -> bool:
+    """May executing ``node`` transfer control out of the current block?
+
+    True for ``return``/``raise``/``yield`` anywhere (except inside
+    nested function/class definitions, which do not execute here) and
+    for ``break``/``continue`` that belong to a loop *enclosing*
+    ``node`` (ones inside a loop nested within ``node`` stay contained).
+    A ``yield`` hands control to a consumer that may write the database
+    or never resume.  (``await`` cannot be met: both passes walk
+    ``ast.FunctionDef`` only.)
+    """
+    if isinstance(node, (ast.Return, ast.Raise, ast.Yield, ast.YieldFrom)):
+        return True
+    if isinstance(node, (ast.Break, ast.Continue)):
+        return not in_loop
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+        return False
+    inside = in_loop or isinstance(node, (ast.While, ast.For))
+    return any(leaves_block(child, inside) for child in ast.iter_child_nodes(node))
+
+
+def label(node: ast.AST) -> str:
+    """How reports name a statement: its source text, clipped."""
+    return ast.unparse(node)[:70]
 
 
 # ----------------------------------------------------------------------
@@ -159,52 +216,28 @@ def make_header(
 ) -> Stmt:
     """Build the pseudo header statement of a ``while`` or ``for`` loop.
 
-    The header reads the predicate / iterable variables, writes the loop
-    variable (for-loops) and writes :data:`CONTROL_VAR` — read by every
-    body statement — so control dependence shows up as flow dependence.
+    The header reads, writes and mutates whatever the predicate /
+    iterable does (``while (row := src.pop()) ...``, ``while
+    cursor.advance()``), binds the loop target (for-loops) and writes
+    :data:`CONTROL_VAR` — read by every body statement — so control
+    dependence shows up as flow dependence.  Only the target's plain
+    names and the control variable are rewritten unconditionally each
+    iteration; a walrus in the predicate may sit under ``and``/``or``.
     """
     if isinstance(loop, ast.While):
-        du = analyze_expression(loop.test, purity, registry)
-        writes = {CONTROL_VAR}
-        kills = {CONTROL_VAR}
-        reads = set(du.reads)
-        external_reads = set(du.external_reads)
-        external_writes = set(du.external_writes)
+        du, target = analyze_expression(loop.test, purity, registry), DefUse()
     elif isinstance(loop, ast.For):
         du = analyze_expression(loop.iter, purity, registry)
-        target_writes = _target_names(loop.target)
-        writes = {CONTROL_VAR, *target_writes}
-        kills = {CONTROL_VAR, *target_writes}
-        reads = set(du.reads)
-        external_reads = set(du.external_reads)
-        external_writes = set(du.external_writes)
+        target = analyze_expression(loop.target, purity, registry)
     else:
         raise TypeError(f"not a loop node: {loop!r}")
-    header_du = DefUse(
-        reads=frozenset(reads),
-        writes=frozenset(writes),
-        kills=frozenset(kills),
-        external_reads=frozenset(external_reads),
-        external_writes=frozenset(external_writes),
+    du |= target
+    du = replace(
+        du,
+        writes=du.writes | {CONTROL_VAR},
+        kills=target.name_writes | {CONTROL_VAR},
     )
-    return Stmt(node=loop, du=header_du, is_header=True)
-
-
-def _target_names(target: ast.expr) -> List[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: List[str] = []
-        for element in target.elts:
-            names.extend(_target_names(element))
-        return names
-    if isinstance(target, ast.Starred):
-        return _target_names(target.value)
-    # Attribute/subscript loop targets: treat as a write of the base.
-    from .defuse import _base_name
-
-    base = _base_name(target)
-    return [base] if base is not None else []
+    return Stmt(node=loop, du=du, is_header=True)
 
 
 # ----------------------------------------------------------------------
@@ -220,23 +253,22 @@ def find_query_call(node: ast.stmt, registry) -> Optional[QueryCall]:
     a simple assignment or expression statement and is the only query
     call in the statement.
     """
-    calls = _query_calls_in(node, registry)
+    calls = query_calls(node, registry)
     if not calls:
         return None
-    if len(calls) > 1:
-        call, spec = calls[0]
-        return QueryCall(call, spec, _receiver_of(call), None, top_level=False)
     call, spec = calls[0]
     receiver = _receiver_of(call)
-    if isinstance(node, ast.Assign) and node.value is call:
-        if len(node.targets) == 1 and _is_simple_target(node.targets[0]):
-            return QueryCall(call, spec, receiver, node.targets[0], top_level=True)
-    if isinstance(node, ast.Expr) and node.value is call:
-        return QueryCall(call, spec, receiver, None, top_level=True)
+    if len(calls) == 1 and getattr(node, "value", None) is call:
+        if isinstance(node, ast.Assign):
+            if len(node.targets) == 1 and _is_simple_target(node.targets[0]):
+                return QueryCall(call, spec, receiver, node.targets[0], top_level=True)
+        elif isinstance(node, ast.Expr):
+            return QueryCall(call, spec, receiver, None, top_level=True)
     return QueryCall(call, spec, receiver, None, top_level=False)
 
 
-def _query_calls_in(node: ast.stmt, registry) -> List[tuple]:
+def query_calls(node: ast.AST, registry) -> List[tuple]:
+    """``(call, spec)`` for every registered blocking call under ``node``."""
     found: List[tuple] = []
     for child in ast.walk(node):
         if isinstance(child, ast.Call):
@@ -265,16 +297,3 @@ def _is_simple_target(target: ast.expr) -> bool:
     if isinstance(target, (ast.Tuple, ast.List)):
         return all(isinstance(element, ast.Name) for element in target.elts)
     return False
-
-
-@dataclass
-class LoopInfo:
-    """A loop selected for transformation."""
-
-    node: ast.stmt  # ast.While | ast.For
-    header: Stmt
-    body: List[Stmt]
-
-    @property
-    def kind(self) -> str:
-        return "while" if isinstance(self.node, ast.While) else "for"

@@ -35,6 +35,8 @@ iteration never reorders anything across iterations):
 * the submit never crosses an early exit — ``return``/``raise``, or a
   ``break``/``continue`` belonging to an enclosing loop — so no query
   is issued in an execution where the original exited first;
+* the submit never crosses a ``yield``: the consumer runs there, and
+  may update the row the query reads or never resume the generator;
 * a hoist out of a conditional duplicates the test, so the test must be
   effect-free, and the emitted submit stays guarded — the query multiset
   is unchanged, submissions just start earlier.
@@ -78,16 +80,16 @@ from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..transform.costmodel import SpeculationPolicy
 
-from ..analysis.ddg import conflicting_resources
+from ..analysis.ddg import external_dependences
 from ..ir.defuse import (
-    DefUse,
     analyze_expression,
     analyze_statement,
+    bound_names,
     import_bound_names,
 )
 from ..ir.purity import PurityEnv
-from ..ir.statements import find_query_call
-from ..transform.codegen import name_load, name_store
+from ..ir.statements import find_query_call, label, leaves_block
+from ..transform.codegen import located, name_load, name_store, split_query
 from ..transform.names import NameAllocator
 from ..transform.registry import QueryRegistry, default_registry
 
@@ -200,7 +202,7 @@ class PrefetchInserter:
                 # so they are subtracted from the body's own entry set.
                 body_bound = set(bound) - deleted
                 if isinstance(node, ast.For):
-                    body_bound |= _store_names(node.target)
+                    body_bound |= bound_names(node.target)
                 node.body = self._process_block(
                     node.body, function, allocator, sites,
                     liftable=False, bound=body_bound,
@@ -216,7 +218,7 @@ class PrefetchInserter:
                 if isinstance(node, ast.With):
                     for item in node.items:
                         if item.optional_vars is not None:
-                            body_bound |= _store_names(item.optional_vars)
+                            body_bound |= bound_names(item.optional_vars)
                 # Handlers/orelse/finalbody run after a (possibly
                 # partial) body execution whose dels already happened.
                 after_partial = set(bound) - deleted
@@ -267,7 +269,7 @@ class PrefetchInserter:
             if rewrite is None:
                 index -= 1
                 continue
-            submit_stmt, fetch_stmt, label = rewrite
+            submit_stmt, fetch_stmt = rewrite
             target = self._hoist_target(block, index, submit_stmt)
             if target == index and not (liftable and index == 0):
                 index -= 1  # no movement, no lift possible: keep blocking
@@ -275,7 +277,7 @@ class PrefetchInserter:
             site = PrefetchSite(
                 function=function,
                 lineno=getattr(block[index], "lineno", 0),
-                label=label,
+                label=label(block[index]),
                 hoisted_past=index - target,
             )
             setattr(submit_stmt, SITE_ATTR, site)
@@ -291,44 +293,16 @@ class PrefetchInserter:
 
     def _try_rewrite(
         self, node: ast.stmt, allocator: NameAllocator
-    ) -> Optional[Tuple[ast.stmt, ast.stmt, str]]:
+    ) -> Optional[Tuple[ast.stmt, ast.stmt]]:
         query = find_query_call(node, self.registry)
         if query is None or not query.top_level:
             return None
         if query.spec.effect != "read":
             return None  # writes are never speculated or reordered
-        call = query.call
-        if not isinstance(call.func, ast.Attribute) or query.receiver is None:
+        if query.receiver is None:
             return None  # method-style calls only (the registry contract)
         handle = allocator.fresh("__prefetch_h")
-        submit_call = copy.deepcopy(call)
-        submit_call.func.attr = query.spec.submit
-        submit_stmt: ast.stmt = ast.Assign(
-            targets=[name_store(handle)], value=submit_call
-        )
-        fetch_call = ast.Call(
-            func=ast.Attribute(
-                value=copy.deepcopy(query.receiver),
-                attr=query.spec.fetch,
-                ctx=ast.Load(),
-            ),
-            args=[name_load(handle)],
-            keywords=[],
-        )
-        if query.target is not None:
-            fetch_stmt: ast.stmt = ast.Assign(
-                targets=[copy.deepcopy(query.target)], value=fetch_call
-            )
-        else:
-            fetch_stmt = ast.Expr(value=fetch_call)
-        for generated in (submit_stmt, fetch_stmt):
-            ast.copy_location(generated, node)
-            ast.fix_missing_locations(generated)
-        try:
-            label = ast.unparse(node)[:70]
-        except Exception:  # pragma: no cover - unparse is total here
-            label = type(node).__name__
-        return submit_stmt, fetch_stmt, label
+        return split_query(query, name_store(handle), name_load(handle))
 
     # ------------------------------------------------------------------
     # hoisting machinery
@@ -340,14 +314,20 @@ class PrefetchInserter:
         target = index
         while target > 0:
             prev = block[target - 1]
-            if _transfers_control(prev):
-                # Hoisting above a return/raise (or a break/continue of
-                # an enclosing loop) would issue queries in executions
-                # where the original exited first — the multiset
-                # invariant only holds below such statements.
+            if leaves_block(prev):
+                # Hoisting above a return/raise/yield (or a break/
+                # continue of an enclosing loop) would issue queries in
+                # executions where the original exited first — the
+                # multiset invariant only holds below such statements.
                 break
             prev_du = analyze_statement(prev, self.purity, self.registry)
-            if not self._independent(prev_du, moving_du):
+            if (
+                prev_du.writes & moving_du.reads  # flow: prev feeds the submit
+                # anti/output: argument expressions may mutate state
+                or moving_du.writes & (prev_du.reads | prev_du.writes)
+                # an update or barrier on the resource the query reads
+                or next(external_dependences(prev_du, moving_du), None)
+            ):
                 break
             target -= 1
         return target
@@ -364,23 +344,6 @@ class PrefetchInserter:
                 site.hoisted_past += index - target
         return target
 
-    @staticmethod
-    def _independent(prev_du: DefUse, moving_du: DefUse) -> bool:
-        """May ``moving`` execute before ``prev`` (both directions checked)?"""
-        if prev_du.writes & moving_du.reads:
-            return False  # flow: prev produces a value the submit needs
-        if moving_du.writes & prev_du.reads:
-            return False  # anti: argument expressions may mutate state
-        if moving_du.writes & prev_du.writes:
-            return False  # output
-        if conflicting_resources(prev_du.external_writes, moving_du.external_reads):
-            return False  # update/barrier before the read
-        if conflicting_resources(moving_du.external_writes, prev_du.external_reads):
-            return False
-        if conflicting_resources(prev_du.external_writes, moving_du.external_writes):
-            return False
-        return True
-
     # ------------------------------------------------------------------
     # lifting guarded submits out of conditionals
     # ------------------------------------------------------------------
@@ -396,17 +359,17 @@ class PrefetchInserter:
                 # a speculative dispatch.  No guard is emitted, so the
                 # later hoist is free of the guard's data dependences.
                 submit.value.func.attr = speculative_name
-                ast.fix_missing_locations(submit)
                 if site is not None:
                     site.speculative = True
                     site.hoisted_past += 1  # crossed the conditional
                 lifted.append(submit)
                 continue
-            guarded = ast.If(
-                test=copy.deepcopy(node.test), body=[submit], orelse=[]
+            guarded = located(
+                ast.copy_location(
+                    ast.If(test=copy.deepcopy(node.test), body=[submit], orelse=[]),
+                    node,
+                )
             )
-            ast.copy_location(guarded, node)
-            ast.fix_missing_locations(guarded)
             if site is not None:
                 site.guarded = True
                 site.hoisted_past += 1  # crossed the conditional boundary
@@ -480,16 +443,6 @@ class PrefetchInserter:
         """Lifting duplicates the test: it must read program state only."""
         du = analyze_expression(test, self.purity, self.registry)
         return not du.writes and not du.external_writes and not du.external_reads
-
-
-def _store_names(target: ast.expr) -> Set[str]:
-    """Plain names bound by an assignment target (tuple/list/star
-    patterns included; ``a.b = ...`` / ``a[i] = ...`` bind no name)."""
-    return {
-        node.id
-        for node in ast.walk(target)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
-    }
 
 
 def _parameter_names(fn: ast.FunctionDef) -> Set[str]:
@@ -566,12 +519,12 @@ def _definite_bindings(node: ast.stmt) -> Set[str]:
     out: Set[str] = set()
     if isinstance(node, ast.Assign):
         for target in node.targets:
-            out |= _store_names(target)
+            out |= bound_names(target)
     elif isinstance(node, ast.AnnAssign):
         if node.value is not None:
-            out |= _store_names(node.target)
+            out |= bound_names(node.target)
     elif isinstance(node, ast.AugAssign):
-        out |= _store_names(node.target)  # completing implies it was bound
+        out |= bound_names(node.target)  # completing implies it was bound
     elif isinstance(node, (ast.Import, ast.ImportFrom)):
         out |= import_bound_names(node)
     elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -587,7 +540,7 @@ def _definite_bindings(node: ast.stmt) -> Set[str]:
     elif isinstance(node, ast.With) and node.items:
         first = node.items[0]
         if first.optional_vars is not None:
-            out |= _store_names(first.optional_vars)
+            out |= bound_names(first.optional_vars)
     return out
 
 
@@ -603,26 +556,6 @@ def _deleted_names(node: ast.stmt) -> Set[str]:
     }
 
 
-def _transfers_control(node: ast.AST, in_loop: bool = False) -> bool:
-    """May executing ``node`` transfer control out of the current block?
-
-    True for ``return``/``raise`` anywhere (except inside nested
-    function/class definitions, which do not execute here) and for
-    ``break``/``continue`` that belong to a loop *enclosing* ``node``
-    (ones inside a loop nested within ``node`` stay contained).
-    """
-    if isinstance(node, (ast.Return, ast.Raise)):
-        return True
-    if isinstance(node, (ast.Break, ast.Continue)):
-        return not in_loop
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
-        return False
-    inside = in_loop or isinstance(node, (ast.While, ast.For))
-    return any(
-        _transfers_control(child, inside) for child in ast.iter_child_nodes(node)
-    )
-
-
 # ----------------------------------------------------------------------
 # front end
 # ----------------------------------------------------------------------
@@ -630,17 +563,15 @@ def _transfers_control(node: ast.AST, in_loop: bool = False) -> bool:
 
 def prefetch_source(
     source: str,
-    registry: Optional[QueryRegistry] = None,
-    purity: Optional[PurityEnv] = None,
-    reorder: bool = True,
-    window: Optional[int] = None,
-    select=None,
+    *,
     speculate: bool = False,
     speculate_threshold: Optional[float] = None,
     speculation: Optional["SpeculationPolicy"] = None,
+    **options,
 ):
     """Transform ``source`` with the full pipeline *plus* prefetch
-    insertion — the companion of :func:`repro.transform.asyncify_source`.
+    insertion — the companion of :func:`repro.transform.asyncify_source`,
+    whose other ``options`` it forwards.
 
     Query loops get Rule A fission as usual; remaining straight-line
     query statements get earliest-point submission.
@@ -665,12 +596,8 @@ def prefetch_source(
 
     return asyncify_source(
         source,
-        registry=registry,
-        purity=purity,
-        reorder=reorder,
-        window=window,
-        select=select,
         prefetch=True,
         speculate=speculate,
         speculation=speculation,
+        **options,
     )

@@ -8,49 +8,20 @@ import inspect
 import textwrap
 from typing import Callable, Optional
 
-from ..ir.purity import PurityEnv
 from .engine import TransformEngine, TransformResult
 from .errors import TransformError
-from .registry import QueryRegistry
 
 
-def asyncify_source(
-    source: str,
-    registry: Optional[QueryRegistry] = None,
-    purity: Optional[PurityEnv] = None,
-    reorder: bool = True,
-    window: Optional[int] = None,
-    select=None,
-    prefetch: bool = False,
-    speculate: bool = False,
-    speculation=None,
-) -> TransformResult:
+def asyncify_source(source: str, *, reorder: bool = True, **options) -> TransformResult:
     """Transform module source text; returns the rewritten source plus a
-    per-loop report (see :class:`~repro.transform.engine.TransformResult`)."""
-    engine = TransformEngine(
-        registry=registry,
-        purity=purity,
-        reorder_enabled=reorder,
-        window=window,
-        select=select,
-        prefetch=prefetch,
-        speculate=speculate,
-        speculation=speculation,
-    )
+    per-loop report (see :class:`~repro.transform.engine.TransformResult`).
+    ``reorder=False`` disables Section IV's statement reordering; every
+    other option is :class:`~repro.transform.engine.TransformEngine`'s."""
+    engine = TransformEngine(reorder_enabled=reorder, **options)
     return engine.transform_source(source)
 
 
-def asyncify(
-    func: Optional[Callable] = None,
-    *,
-    registry: Optional[QueryRegistry] = None,
-    purity: Optional[PurityEnv] = None,
-    reorder: bool = True,
-    window: Optional[int] = None,
-    prefetch: bool = False,
-    speculate: bool = False,
-    speculation=None,
-):
+def asyncify(func: Optional[Callable] = None, **options):
     """Decorator / wrapper that rewrites a function for asynchronous
     query submission::
 
@@ -64,7 +35,8 @@ def asyncify(
 
     The rewritten function exposes its transformed source as
     ``func.__repro_source__`` and the transformation report as
-    ``func.__repro_report__``.  Functions with closures cannot be
+    ``func.__repro_report__``.  ``options`` are
+    :func:`asyncify_source`'s.  Functions with closures cannot be
     recompiled faithfully and are rejected.
     """
 
@@ -80,21 +52,18 @@ def asyncify(
             raise TransformError(
                 f"source of {target!r} is unavailable: {exc}"
             ) from exc
+        if not hasattr(target, "__globals__"):
+            # e.g. a functools.lru_cache wrapper, whose source is reachable.
+            raise TransformError(
+                f"{target!r} is not a plain function; apply asyncify to "
+                "the function itself, beneath other decorators"
+            )
         tree = ast.parse(source)
         if not tree.body or not isinstance(tree.body[0], ast.FunctionDef):
             raise TransformError("asyncify expects a plain function definition")
         # Drop decorators (including asyncify itself) before recompiling.
         tree.body[0].decorator_list = []
-        engine = TransformEngine(
-            registry=registry,
-            purity=purity,
-            reorder_enabled=reorder,
-            window=window,
-            prefetch=prefetch,
-            speculate=speculate,
-            speculation=speculation,
-        )
-        result = engine.transform_source(ast.unparse(tree))
+        result = asyncify_source(ast.unparse(tree), **options)
         namespace = dict(target.__globals__)
         # Round-trip through source: generated nodes carry synthetic line
         # numbers that the compiler may reject as inconsistent ranges.

@@ -1,4 +1,7 @@
-"""Small AST construction helpers shared by the transformation rules."""
+"""AST construction shared by the transformation rules and the prefetch
+pass — the only place emitted nodes are given a source position
+(:func:`located`) and the only place a query statement is split into
+its submit and fetch halves (:func:`split_query`)."""
 
 from __future__ import annotations
 
@@ -6,7 +9,7 @@ import ast
 import copy
 from typing import List, Optional, Sequence, Tuple
 
-from ..ir.statements import Guard, Stmt
+from ..ir.statements import Guard, QueryCall, Stmt
 
 
 def name_load(name: str) -> ast.Name:
@@ -23,7 +26,7 @@ def const(value) -> ast.Constant:
 
 def assign(target: str, value: ast.expr) -> ast.Assign:
     node = ast.Assign(targets=[name_store(target)], value=value)
-    return ast.fix_missing_locations(_located(node))
+    return located(node)
 
 
 def assign_name_to_name(target: str, source: str) -> ast.Assign:
@@ -39,7 +42,7 @@ def subscript_store(base: str, key: str, value: ast.expr) -> ast.Assign:
         ],
         value=value,
     )
-    return ast.fix_missing_locations(_located(node))
+    return located(node)
 
 
 def subscript_load(base: str, key: str) -> ast.Subscript:
@@ -70,7 +73,7 @@ def append_call(list_name: str, value_name: str) -> ast.Expr:
             keywords=[],
         )
     )
-    return ast.fix_missing_locations(_located(node))
+    return located(node)
 
 
 def method_call(receiver: ast.expr, method: str, args: Sequence[ast.expr]) -> ast.Call:
@@ -79,6 +82,25 @@ def method_call(receiver: ast.expr, method: str, args: Sequence[ast.expr]) -> as
         args=[copy.deepcopy(argument) for argument in args],
         keywords=[],
     )
+
+
+def split_query(
+    query: QueryCall, handle_store: ast.expr, handle_load: ast.expr
+) -> Tuple[ast.stmt, ast.stmt]:
+    """``target = recv.execute_query(args)`` as the pair ``handle_store
+    = recv.submit_query(args)`` / ``target = recv.fetch_result(
+    handle_load)``.  Guards are the caller's business."""
+    submit_call = copy.deepcopy(query.call)
+    submit_call.func.attr = query.spec.submit
+    submit = ast.Assign(targets=[handle_store], value=submit_call)
+    fetch_call = method_call(query.receiver, query.spec.fetch, [handle_load])
+    if query.target is not None:
+        fetch: ast.stmt = ast.Assign(
+            targets=[copy.deepcopy(query.target)], value=fetch_call
+        )
+    else:
+        fetch = ast.Expr(value=fetch_call)
+    return located(submit), located(fetch)
 
 
 def guard_test(guards: Sequence[Guard]) -> Optional[ast.expr]:
@@ -101,9 +123,9 @@ def emit_stmt(stmt: Stmt) -> ast.stmt:
     node = copy.deepcopy(stmt.node)
     test = guard_test(stmt.guards)
     if test is None:
-        return ast.fix_missing_locations(_located(node))
+        return located(node)
     wrapped = ast.If(test=test, body=[node], orelse=[])
-    return ast.fix_missing_locations(_located(wrapped))
+    return located(wrapped)
 
 
 def emit_block(stmts: Sequence[Stmt]) -> List[ast.stmt]:
@@ -113,11 +135,23 @@ def emit_block(stmts: Sequence[Stmt]) -> List[ast.stmt]:
 
 def if_stmt(test: ast.expr, body: List[ast.stmt], orelse: Optional[List[ast.stmt]] = None) -> ast.If:
     node = ast.If(test=test, body=body, orelse=orelse or [])
-    return ast.fix_missing_locations(_located(node))
+    return located(node)
 
 
-def _located(node: ast.AST) -> ast.AST:
+def unless_unbound(stmt: ast.stmt) -> ast.Try:
+    """``try: stmt`` / ``except NameError: pass``."""
+    handler = ast.ExceptHandler(
+        type=name_load("NameError"), name=None, body=[ast.Pass()]
+    )
+    return located(
+        ast.Try(body=[stmt], handlers=[handler], orelse=[], finalbody=[])
+    )
+
+
+def located(node: ast.AST) -> ast.AST:
+    """Position a generated node: line 1 unless it already has a line,
+    its children filled in from it."""
     if not hasattr(node, "lineno"):
         node.lineno = 1
         node.col_offset = 0
-    return node
+    return ast.fix_missing_locations(node)

@@ -27,9 +27,17 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.cycles import on_true_cycle
-from ..analysis.ddg import build_ddg
+from ..analysis.ddg import DDG, build_ddg
 from ..ir.purity import PurityEnv
-from ..ir.statements import LoopInfo, Stmt, make_header
+from ..ir.statements import (
+    ROLE_ATTR,
+    Stmt,
+    is_supported,
+    label,
+    leaves_block,
+    make_header,
+    query_calls,
+)
 from .errors import (
     REASON_CONTROL,
     REASON_EMBEDDED_QUERY,
@@ -45,13 +53,7 @@ from .names import NameAllocator
 from .normalize import normalize_block
 from .pipelining import wrap_window
 from .registry import QueryRegistry, default_registry
-from .rule_fission import (
-    ROLE_ATTR,
-    ROLE_FETCH,
-    ROLE_SUBMIT,
-    check_preconditions,
-    fission,
-)
+from .rule_fission import ROLE_FETCH, ROLE_SUBMIT, check_preconditions, fission
 from .rule_guards import flatten_block
 from .rule_reorder import ReorderOutcome, reorder
 
@@ -285,10 +287,9 @@ class TransformEngine:
             )
             return None
 
-        nodes = self._transform_one_loop(
+        return self._transform_one_loop(
             loop, function, allocator, report, allow_window
         )
-        return nodes
 
     def _transform_one_loop(
         self,
@@ -306,7 +307,7 @@ class TransformEngine:
             if stmt.has_embedded_query:
                 report.outcomes.append(
                     QueryOutcome(
-                        label=_label(stmt),
+                        label=label(stmt.node),
                         status="blocked",
                         reason=REASON_EMBEDDED_QUERY,
                     )
@@ -318,13 +319,13 @@ class TransformEngine:
         # Record cycle-bound queries upfront: they stay blocking even
         # when a later fission succeeds around them (paper Example 11).
         if candidates:
-            ddg0 = build_ddg(header, body)
+            ddg = build_ddg(header, body)
             remaining = []
             for stmt in candidates:
-                if on_true_cycle(ddg0, body.index(stmt) + 1):
+                if on_true_cycle(ddg, body.index(stmt) + 1):
                     report.outcomes.append(
                         QueryOutcome(
-                            label=_label(stmt),
+                            label=label(stmt.node),
                             status="blocked",
                             reason=REASON_TRUE_CYCLE,
                         )
@@ -345,12 +346,12 @@ class TransformEngine:
         if self.select is not None:
             selected = []
             for stmt in candidates:
-                if self.select(function, _label(stmt)):
+                if self.select(function, label(stmt.node)):
                     selected.append(stmt)
                 else:
                     report.outcomes.append(
                         QueryOutcome(
-                            label=_label(stmt),
+                            label=label(stmt.node),
                             status="blocked",
                             reason="not-selected",
                         )
@@ -363,12 +364,14 @@ class TransformEngine:
             # attempt leaves no rename behind for the next one.
             trial = [copy.copy(stmt) for stmt in body]
             query = trial[body.index(candidate)]
-            outcome = QueryOutcome(label=_label(query), status="blocked")
+            outcome = QueryOutcome(label=label(query.node), status="blocked")
             report.outcomes.append(outcome)
             try:
-                new_body, reorder_outcome = self._prepare_split(header, trial, query, allocator)
+                new_body, reorder_outcome = self._prepare_split(
+                    ddg, header, trial, query, allocator
+                )
             except LoopNotTransformable as exc:
-                outcome.reason = getattr(exc, "reason", str(exc))
+                outcome.reason = exc.reason
                 continue
             try:
                 result = fission(
@@ -382,7 +385,7 @@ class TransformEngine:
                     allocator,
                 )
             except LoopNotTransformable as exc:
-                outcome.reason = getattr(exc, "reason", str(exc))
+                outcome.reason = exc.reason
                 continue
             outcome.status = "transformed"
             outcome.reorder_moves = reorder_outcome.moves
@@ -423,7 +426,7 @@ class TransformEngine:
                     QueryOutcome(
                         label="(nested loops)",
                         status="blocked",
-                        reason=getattr(exc, "reason", str(exc)),
+                        reason=exc.reason,
                     )
                 )
                 return None
@@ -439,19 +442,17 @@ class TransformEngine:
 
     def _prepare_split(
         self,
+        ddg: DDG,
         header: Stmt,
         body: List[Stmt],
         query: Stmt,
         allocator: NameAllocator,
     ) -> Tuple[List[Stmt], ReorderOutcome]:
-        """Check Theorem 4.1, then reorder if preconditions require it."""
-        ddg = build_ddg(header, body)
+        """Reorder ``body`` if the fission preconditions require it.
+        ``ddg`` is the graph of ``header`` + ``body``, on which the
+        caller already found ``query`` off every true-dependence cycle
+        (Theorem 4.1)."""
         qpos = body.index(query) + 1
-        if on_true_cycle(ddg, qpos):
-            raise LoopNotTransformable(
-                REASON_TRUE_CYCLE,
-                "query statement lies on a true-dependence cycle",
-            )
         violation = check_preconditions(ddg, qpos, qpos)
         if violation is None:
             return list(body), ReorderOutcome()
@@ -462,58 +463,31 @@ class TransformEngine:
                 header, body, query, self.purity, self.registry, allocator
             )
         except ReorderFailed as exc:
-            raise LoopNotTransformable(
-                getattr(exc, "reason", "reorder-failed"), str(exc)
-            ) from exc
+            raise LoopNotTransformable(exc.reason, str(exc)) from exc
         return new_body, outcome
 
     # ------------------------------------------------------------------
     # structural checks
     # ------------------------------------------------------------------
     def _loop_mentions_queries(self, loop: ast.stmt) -> bool:
-        for node in ast.walk(loop):
-            if isinstance(node, ast.Call):
-                name = None
-                if isinstance(node.func, ast.Attribute):
-                    name = node.func.attr
-                elif isinstance(node.func, ast.Name):
-                    name = node.func.id
-                if name and self.registry.lookup(name):
-                    return True
-            if isinstance(node, ast.stmt) and getattr(node, ROLE_ATTR, "") in (
-                ROLE_SUBMIT,
-            ):
-                return True
-        return False
+        """A blocking query call, or the submit loop an inner fission
+        left behind (the nested-loop rule's opportunity)."""
+        return bool(query_calls(loop, self.registry)) or any(
+            getattr(node, ROLE_ATTR, "") == ROLE_SUBMIT for node in ast.walk(loop)
+        )
 
     def _structural_blockers(self, loop: ast.stmt, function: str) -> str:
         for node in ast.walk(loop):
             if isinstance(node, ast.Call):
                 if isinstance(node.func, ast.Name) and node.func.id == function:
                     return REASON_RECURSION
-            if isinstance(node, ast.Return):
-                return REASON_CONTROL
-        for node in self._own_level_nodes(loop):
-            if isinstance(node, (ast.Break, ast.Continue)):
-                return REASON_CONTROL
-        for node in loop.body:
-            if not _supported_stmt(node):
-                return REASON_UNSUPPORTED_STMT
+        # An ``else`` clause runs after the last iteration, which fission
+        # would have to place after the fetch loop; refused instead.
+        if loop.orelse or any(leaves_block(node) for node in loop.body):
+            return REASON_CONTROL
+        if not all(is_supported(node) for node in loop.body):
+            return REASON_UNSUPPORTED_STMT
         return ""
-
-    def _own_level_nodes(self, loop: ast.stmt):
-        """Nodes belonging to this loop (not to loops nested inside)."""
-        stack = list(loop.body)
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, (ast.While, ast.For)):
-                continue  # break/continue inside belong to that loop
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.stmt):
-                    stack.append(child)
-                elif isinstance(child, ast.excepthandler):
-                    stack.extend(child.body)
 
     def _nested_split_index(self, body: Sequence[Stmt]) -> Optional[int]:
         """Index of an inner submit loop directly followed (possibly
@@ -527,26 +501,3 @@ class TransformEngine:
             elif role == ROLE_FETCH and submit_index is not None:
                 return submit_index
         return None
-
-
-def _supported_stmt(node: ast.stmt) -> bool:
-    return isinstance(
-        node,
-        (
-            ast.Assign,
-            ast.AugAssign,
-            ast.AnnAssign,
-            ast.Expr,
-            ast.Pass,
-            ast.If,
-            ast.While,
-            ast.For,
-        ),
-    )
-
-
-def _label(stmt: Stmt) -> str:
-    try:
-        return ast.unparse(stmt.node)[:70]
-    except Exception:  # pragma: no cover - unparse is total on our nodes
-        return type(stmt.node).__name__

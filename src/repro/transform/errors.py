@@ -23,7 +23,7 @@ class ReorderFailed(LoopNotTransformable):
     """Statement reordering could not eliminate the crossing LCFD edges."""
 
     def __init__(self, message: str = "") -> None:
-        super().__init__("reorder-failed", message)
+        super().__init__(REASON_REORDER_FAILED, message)
 
 
 #: Reason codes (stable identifiers used in reports and tests).

@@ -28,6 +28,8 @@ import copy
 from typing import Iterator, List, Optional, Tuple
 
 from ..ir.purity import PurityEnv
+from ..ir.statements import query_calls
+from .codegen import located
 from .names import NameAllocator
 
 #: Nodes under which evaluation is conditional or repeated.
@@ -74,10 +76,10 @@ def normalize_statement(
     value = getattr(node, "value", None)
     if value is None:
         return [node]
-    calls = _query_calls(value, registry)
+    calls = query_calls(value, registry)
     if len(calls) != 1:
         return [node]
-    call = calls[0]
+    call, _spec = calls[0]
     if value is call and isinstance(node, (ast.Assign, ast.Expr)):
         return [node]  # already top level
     if not _hoistable(value, call, purity, registry):
@@ -87,26 +89,7 @@ def normalize_statement(
         targets=[ast.Name(id=temp, ctx=ast.Store())], value=copy.deepcopy(call)
     )
     replaced = _replace_node(node, call, ast.Name(id=temp, ctx=ast.Load()))
-    for fresh in (hoisted, replaced):
-        if not hasattr(fresh, "lineno"):
-            fresh.lineno = getattr(node, "lineno", 1)
-            fresh.col_offset = 0
-        ast.fix_missing_locations(fresh)
-    return [hoisted, replaced]
-
-
-def _query_calls(value: ast.expr, registry) -> List[ast.Call]:
-    calls = []
-    for child in ast.walk(value):
-        if isinstance(child, ast.Call):
-            name = None
-            if isinstance(child.func, ast.Attribute):
-                name = child.func.attr
-            elif isinstance(child.func, ast.Name):
-                name = child.func.id
-            if name and registry.lookup(name):
-                calls.append(child)
-    return calls
+    return [located(ast.copy_location(hoisted, node)), located(replaced)]
 
 
 def _hoistable(value: ast.expr, call: ast.Call, purity: PurityEnv, registry) -> bool:
@@ -160,9 +143,7 @@ def _call_is_pure(call: ast.Call, purity: PurityEnv, registry) -> bool:
     if isinstance(func, ast.Name):
         return purity.is_pure_function(func.id)
     if isinstance(func, ast.Attribute):
-        if registry.lookup(func.attr) or (
-            getattr(registry, "lookup_async", lambda _n: None)(func.attr)
-        ):
+        if registry.lookup(func.attr) or registry.lookup_async(func.attr):
             return False
         return not purity.method_mutates_receiver(func.attr)
     return False

@@ -25,7 +25,7 @@ import copy
 from typing import List, Optional
 
 from ..ir.purity import PurityEnv
-from .codegen import name_load, name_store
+from .codegen import located, name_load, name_store
 from .errors import LoopNotTransformable, REASON_PRECONDITION
 from .names import NameAllocator
 from .rule_fission import FissionResult
@@ -91,7 +91,7 @@ def wrap_window(
             body=[copy.deepcopy(table_init), inner, fetch_loop, *tail],
             orelse=[],
         )
-        return [_fixed(outer)]
+        return [located(outer)]
 
     if isinstance(loop_node, ast.For):
         iterator_var = allocator.fresh("__async_iter")
@@ -126,7 +126,7 @@ def wrap_window(
             body=[copy.deepcopy(table_init), chunk_loop, fetch_loop, *tail, stop],
             orelse=[],
         )
-        return [_fixed(hoist), _fixed(outer)]
+        return [located(hoist), located(outer)]
 
     raise TypeError(f"not a loop: {loop_node!r}")  # pragma: no cover
 
@@ -149,10 +149,3 @@ def _len_at_least(table_var: str, window: int) -> ast.Compare:
         ops=[ast.GtE()],
         comparators=[ast.Constant(value=window)],
     )
-
-
-def _fixed(node: ast.stmt) -> ast.stmt:
-    if not hasattr(node, "lineno"):
-        node.lineno = 1
-        node.col_offset = 0
-    return ast.fix_missing_locations(node)

@@ -17,7 +17,7 @@ import copy
 from typing import List, Sequence
 
 from ..ir.statements import Guard, Stmt
-from .codegen import name_load
+from .codegen import located, name_load
 
 
 def regroup(stmts: Sequence[Stmt]) -> List[ast.stmt]:
@@ -65,8 +65,7 @@ def _regroup(stmts: List[Stmt], depth: int) -> List[ast.stmt]:
                 node = ast.If(
                     test=name_load(guard.var), body=body, orelse=orelse
                 )
-            ast.fix_missing_locations(_locate(node))
-            output.append(node)
+            output.append(located(node))
         index = run_end
     return output
 
@@ -94,18 +93,8 @@ def _emit_single(stmt: Stmt, depth: int) -> ast.stmt:
         if not guard.value:
             test = ast.UnaryOp(op=ast.Not(), operand=test)
         node = ast.If(test=test, body=[node], orelse=[])
-    ast.fix_missing_locations(_locate(node))
-    return node
+    return located(node)
 
 
 def _plain(stmt: Stmt) -> ast.stmt:
-    node = copy.deepcopy(stmt.node)
-    ast.fix_missing_locations(_locate(node))
-    return node
-
-
-def _locate(node: ast.AST) -> ast.AST:
-    if not hasattr(node, "lineno"):
-        node.lineno = 1
-        node.col_offset = 0
-    return node
+    return located(copy.deepcopy(stmt.node))

@@ -52,20 +52,25 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..analysis.ddg import DDG, build_ddg, edge_crosses
+from ..ir.defuse import base_name
 from ..ir.purity import PurityEnv
-from ..ir.statements import CONTROL_VAR, Stmt
+from ..ir.statements import CONTROL_VAR, ROLE_ATTR, Stmt
 from .codegen import (
     append_call,
+    const,
     emit_stmt,
     empty_dict_assign,
     empty_list_assign,
     guard_test,
     if_stmt,
     key_in_record,
+    located,
     name_load,
     name_store,
+    split_query,
     subscript_load,
     subscript_store,
+    unless_unbound,
 )
 from .errors import (
     REASON_PRECONDITION,
@@ -75,9 +80,9 @@ from .errors import (
 from .names import NameAllocator
 from .readability import regroup
 
-#: Roles attached to generated nodes so the nested-loop rule can find
-#: the submit/fetch pair when it later transforms an enclosing loop.
-ROLE_ATTR = "_repro_role"
+#: Roles attached (under ``ROLE_ATTR``) to generated nodes so the
+#: nested-loop rule can find the submit/fetch pair when it later
+#: transforms an enclosing loop.
 ROLE_TABLE = "table-init"
 ROLE_SUBMIT = "submit-loop"
 ROLE_FETCH = "fetch-loop"
@@ -210,7 +215,7 @@ def fission(
         raise LoopNotTransformable(REASON_PRECONDITION, violation)
 
     split_vars = split_variables(ddg, header, body, split_index, query)
-    _check_spillable(body, split_index, query, split_vars)
+    _check_spillable(header, body, split_index, query, split_vars)
 
     table_var = allocator.fresh("__async_tab")
     record_var = allocator.fresh("__async_rec")
@@ -224,6 +229,13 @@ def fission(
         ss1 = body[:split_index]
         ss2 = body[split_index + 1 :]
         _check_receiver(query, header, body)
+        submit, fetch = split_query(
+            query.query,
+            ast.Subscript(
+                value=name_load(record_var), slice=const(handle_key), ctx=ast.Store()
+            ),
+            subscript_load(fetch_record_var, handle_key),
+        )
     else:
         ss1 = body[: split_index + 1]
         ss2 = body[split_index + 1 :]
@@ -247,20 +259,10 @@ def fission(
         # docstring) — when no guard fired yet, that is the pre-loop
         # value the fetch iteration must see.
         spill = subscript_store(record_var, var, name_load(var))
-        loop1_body.append(
-            ast.Try(
-                body=[spill],
-                handlers=[
-                    ast.ExceptHandler(
-                        type=name_load("NameError"), name=None, body=[ast.Pass()]
-                    )
-                ],
-                orelse=[],
-                finalbody=[],
-            )
-        )
+        loop1_body.append(unless_unbound(spill))
     if query is not None:
-        loop1_body.append(_submit_stmt(query, record_var, handle_key))
+        test = guard_test(query.guards)
+        loop1_body.append(if_stmt(test, [submit]) if test is not None else submit)
     loop1_body.append(append_call(table_var, record_var))
 
     submit_loop = _clone_loop_with_body(loop_node, loop1_body)
@@ -281,27 +283,14 @@ def fission(
             # original did, instead of silently reading a later
             # iteration's value.
             restore.orelse = [
-                ast.Try(
-                    body=[
-                        ast.Delete(
-                            targets=[ast.Name(id=var, ctx=ast.Del())]
-                        )
-                    ],
-                    handlers=[
-                        ast.ExceptHandler(
-                            type=name_load("NameError"),
-                            name=None,
-                            body=[ast.Pass()],
-                        )
-                    ],
-                    orelse=[],
-                    finalbody=[],
-                )
+                unless_unbound(ast.Delete(targets=[ast.Name(id=var, ctx=ast.Del())]))
             ]
-            ast.fix_missing_locations(restore)
         loop2_body.append(restore)
     if query is not None:
-        loop2_body.append(_fetch_stmt(query, fetch_record_var, handle_key))
+        if query.guards:
+            # Handle presence encodes "the guard held at submit time".
+            fetch = if_stmt(key_in_record(handle_key, fetch_record_var), [fetch])
+        loop2_body.append(fetch)
     loop2_body.extend(regroup(ss2))
 
     fetch_loop = ast.For(
@@ -310,7 +299,7 @@ def fission(
         body=loop2_body or [ast.Pass()],
         orelse=[],
     )
-    ast.fix_missing_locations(_locate(fetch_loop))
+    located(fetch_loop)
     setattr(fetch_loop, ROLE_ATTR, ROLE_FETCH)
 
     table_init = empty_list_assign(table_var)
@@ -381,7 +370,11 @@ def _guarded_only_vars(
 
 
 def _check_spillable(
-    body: Sequence[Stmt], split_index: int, query: Optional[Stmt], split_vars: Set[str]
+    header: Stmt,
+    body: Sequence[Stmt],
+    split_index: int,
+    query: Optional[Stmt],
+    split_vars: Set[str],
 ) -> None:
     """Split variables must hold per-iteration *values*.
 
@@ -390,8 +383,17 @@ def _check_spillable(
     when each iteration rebinds it to a fresh object before any mutation
     (``tab = []`` first) — then the spilled reference is private to its
     iteration.  This is exactly the nested-table case of Example 5.
-    Anything else would spill a shared reference, so fission refuses.
+    Anything else would spill a shared reference, so fission refuses —
+    always when the mutation happens in the loop header (``while
+    cursor.advance():``), which runs before any statement could rebind.
     """
+    header_mutated = (header.writes - header.du.name_writes) & split_vars
+    if header_mutated:
+        raise LoopNotTransformable(
+            REASON_PRECONDITION,
+            f"split variable {min(header_mutated)!r} is updated by mutation "
+            "in the loop header; its value cannot be spilled",
+        )
     submit_side = body[: split_index + (0 if query is not None else 1)]
     mutated_vars: Set[str] = set()
     for stmt in submit_side:
@@ -423,8 +425,11 @@ def _check_receiver(query: Stmt, header: Stmt, body: Sequence[Stmt]) -> None:
             "only method-style query calls (conn.execute_query(...)) are "
             "transformable; register a method-style wrapper",
         )
-    base = _receiver_base(receiver)
-    if base is None:
+    base = base_name(receiver)
+    # The fetch half evaluates the receiver again: an index expression
+    # would be read there without being a split variable.
+    indexed = any(isinstance(node, ast.Subscript) for node in ast.walk(receiver))
+    if base is None or indexed:
         raise LoopNotTransformable(
             REASON_PRECONDITION, "query receiver is not a simple variable"
         )
@@ -436,45 +441,6 @@ def _check_receiver(query: Stmt, header: Stmt, body: Sequence[Stmt]) -> None:
             REASON_RECEIVER_WRITTEN,
             f"the query receiver {base!r} is written inside the loop",
         )
-
-
-def _receiver_base(node: ast.expr) -> Optional[str]:
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def _submit_stmt(query: Stmt, record_var: str, handle_key: str) -> ast.stmt:
-    call = copy.deepcopy(query.query.call)
-    assert isinstance(call.func, ast.Attribute)
-    call.func.attr = query.query.spec.submit
-    store = subscript_store(record_var, handle_key, call)
-    test = guard_test(query.guards)
-    return if_stmt(test, [store]) if test is not None else store
-
-
-def _fetch_stmt(query: Stmt, record_var: str, handle_key: str) -> ast.stmt:
-    receiver = copy.deepcopy(query.query.receiver)
-    fetch_call = ast.Call(
-        func=ast.Attribute(
-            value=receiver, attr=query.query.spec.fetch, ctx=ast.Load()
-        ),
-        args=[subscript_load(record_var, handle_key)],
-        keywords=[],
-    )
-    if query.query.target is not None:
-        inner: ast.stmt = ast.Assign(
-            targets=[copy.deepcopy(query.query.target)], value=fetch_call
-        )
-    else:
-        inner = ast.Expr(value=fetch_call)
-    ast.fix_missing_locations(_locate(inner))
-    if query.guards:
-        # Handle presence encodes "the guard held at submit time".
-        return if_stmt(key_in_record(handle_key, record_var), [inner])
-    return inner
 
 
 def _clone_loop_with_body(loop_node: ast.stmt, new_body: List[ast.stmt]) -> ast.stmt:
@@ -491,11 +457,4 @@ def _clone_loop_with_body(loop_node: ast.stmt, new_body: List[ast.stmt]) -> ast.
         )
     else:  # pragma: no cover - engine only passes loops
         raise TypeError(f"not a loop: {loop_node!r}")
-    return ast.fix_missing_locations(_locate(clone))
-
-
-def _locate(node: ast.AST) -> ast.AST:
-    if not hasattr(node, "lineno"):
-        node.lineno = 1
-        node.col_offset = 0
-    return node
+    return located(clone)

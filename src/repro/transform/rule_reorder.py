@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
 from ..analysis.cycles import has_true_path
-from ..analysis.ddg import DDG, build_ddg, edge_crosses
+from ..analysis.ddg import DDG, build_ddg, edge_crosses, external_dependences
 from ..ir.defuse import (
     RenameUnsupported,
     analyze_statement,
@@ -207,45 +207,27 @@ def _resolve_pair(body: List[Stmt], stmt: Stmt, target: Stmt, ctx: _Ctx) -> None
             raise ReorderFailed("dependence resolution did not converge")
         position = body.index(stmt)
         nxt = body[position + 1]
-        external = _external_conflict(stmt, nxt)
+        external = next(external_dependences(stmt, nxt), None)
         if external:
             raise ReorderFailed(
                 f"{REASON_EXTERNAL}: cannot reorder across the external "
-                f"dependence on {external!r}"
+                f"dependence on {external[1]!r}"
             )
-        flow = _vars(stmt.writes & nxt.reads)
+        flow = stmt.writes & nxt.reads
         if flow:
             raise ReorderFailed(
                 f"flow dependence on {sorted(flow)} between the statement "
                 "being moved and its successor"
             )
-        output = _vars(stmt.writes & nxt.writes)
+        output = stmt.writes & nxt.writes
         if output:
             _shift_output_dep(body, nxt, sorted(output)[0], target, ctx)
             continue
-        anti = _vars(stmt.reads & nxt.writes)
+        anti = stmt.reads & nxt.writes
         if anti:
             _shift_anti_dep(body, stmt, nxt, sorted(anti)[0], target, ctx)
             continue
         return
-
-
-def _vars(names) -> Set[str]:
-    return {name for name in names if name != CONTROL_VAR}
-
-
-def _external_conflict(a: Stmt, b: Stmt) -> Optional[str]:
-    from ..analysis.ddg import conflicting_resources
-
-    for resource in conflicting_resources(a.external_writes, b.external_reads):
-        return resource
-    for resource in conflicting_resources(a.external_reads, b.external_writes):
-        return resource
-    for resource in conflicting_resources(a.external_writes, b.external_writes):
-        if resource in a.commuting and resource in b.commuting:
-            continue
-        return resource
-    return None
 
 
 def _shift_output_dep(

@@ -123,6 +123,88 @@ class TestLayering:
                 assert owner != "plan", f"line {node.lineno}: plan.{node.attr}"
 
 
+TRANSFORMER = ("ir", "analysis", "transform", "prefetch")
+
+
+def functions(package):
+    """``(dotted package of the file, function definition)`` for every
+    function under ``repro.<package>``."""
+    for package_of_file, tree in modules(package):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield package_of_file, node
+
+
+def calls_of(function, attr):
+    return [
+        node
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+    ]
+
+
+class TestTransformerOwners:
+    """One owner per question the transformer asks: ``ir`` about one
+    statement, ``analysis.ddg`` about two, ``transform.codegen`` about
+    emitted AST, ``TransformEngine.__init__`` about the options.  The
+    rule modules and the prefetch pass ask; they keep no copy."""
+
+    def test_external_conflicts_are_asked_of_the_ddg(self):
+        """``conflicting_resources`` is the raw set test inside
+        ``ddg.external_dependences``; a module importing it is about to
+        re-derive the wildcard / commuting rules beside the owner."""
+        for package_of_file, tree in modules(""):
+            for module, name in imports(package_of_file, tree):
+                assert name != "conflicting_resources", (
+                    f"{package_of_file} imports {module}.{name}"
+                )
+
+    def test_generated_nodes_are_positioned_in_one_place(self):
+        stores = [
+            node
+            for package in ("transform", "prefetch")
+            for _package_of_file, tree in modules(package)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "lineno"
+            and isinstance(node.ctx, ast.Store)
+        ]
+        assert len(stores) == 1  # codegen.located
+
+    def test_registered_calls_are_found_by_the_ir_only(self):
+        """Walking an AST for ``registry.lookup(name)`` matches is
+        ``ir.statements.query_calls``; nothing else does both."""
+        for package_of_file, function in functions(""):
+            if package_of_file == "repro.ir":
+                continue
+            assert not (
+                calls_of(function, "walk") and calls_of(function, "lookup")
+            ), f"{package_of_file}: {function.name} walks an AST for registry names"
+
+    @pytest.mark.parametrize(
+        "option,declared_by",
+        [
+            ("select", ["__init__"]),
+            ("speculation", ["__init__", "__init__", "prefetch_source"]),
+        ],
+    )
+    def test_engine_options_are_declared_once(self, option, declared_by):
+        """``TransformEngine.__init__`` declares the options and the front
+        ends forward ``**options``; ``speculation`` is also the prefetch
+        pass's own constructor argument and what ``prefetch_source``
+        adjusts by ``speculate_threshold``."""
+        declaring = sorted(
+            function.name
+            for package in TRANSFORMER
+            for _package_of_file, function in functions(package)
+            if option
+            in [a.arg for a in (*function.args.args, *function.args.kwonlyargs)]
+        )
+        assert declaring == declared_by
+
+
 @pytest.fixture
 def users_db():
     db = Database(INSTANT)

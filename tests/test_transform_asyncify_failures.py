@@ -3,7 +3,12 @@
 import pytest
 
 from repro.db import Database, INSTANT
-from repro.transform import TransformError, asyncify, asyncify_source
+from repro.transform import (
+    TransformError,
+    asyncify,
+    asyncify_source,
+    prefetch_source,
+)
 from repro.transform.pipelining import is_pure_expression
 from repro.ir.purity import PurityEnv
 from tests.helpers import FakeConnection
@@ -57,6 +62,31 @@ class TestAsyncifyDecorator:
     def test_builtin_rejected(self):
         with pytest.raises(TransformError):
             asyncify(len)
+
+    def test_non_function_with_reachable_source_rejected(self):
+        """``inspect.getsource`` follows ``__wrapped__``, so the source of
+        an ``lru_cache`` wrapper is found — but there is no module
+        namespace to recompile it into."""
+        import functools
+
+        with pytest.raises(TransformError, match="not a plain function"):
+            asyncify(functools.lru_cache(simple_kernel))
+
+    @pytest.mark.parametrize(
+        "front_end",
+        [
+            lambda **options: asyncify_source("x = 1", **options),
+            lambda **options: prefetch_source("x = 1", **options),
+            lambda **options: asyncify(simple_kernel, **options),
+        ],
+        ids=["asyncify_source", "prefetch_source", "asyncify"],
+    )
+    def test_front_ends_forward_options_to_the_engine(self, front_end):
+        """The option list is ``TransformEngine.__init__``'s; the front
+        ends forward, so an unknown option is the engine's TypeError."""
+        with pytest.raises(TypeError, match="no_such_option"):
+            front_end(no_such_option=1)
+        front_end(window=2, select=lambda function, label: True)
 
     def test_decorator_syntax(self):
         @asyncify

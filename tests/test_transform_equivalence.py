@@ -7,10 +7,16 @@ accumulators and the multiset of issued queries must match.  (Query
 """
 
 import copy
+import textwrap
 
 import pytest
 
-from repro.transform import asyncify_source
+from repro.transform import (
+    REASON_CONTROL,
+    REASON_PRECONDITION,
+    REASON_UNSUPPORTED_STMT,
+    asyncify_source,
+)
 from repro.transform.registry import default_registry
 from repro.workloads.paper_examples import ALL_EXAMPLES
 from tests.helpers import FakeConnection, run_both
@@ -566,3 +572,258 @@ def program(conn, rows):
                 except UnboundLocalError:
                     return ("unbound", None)
             assert run(source) == run(result.source), rows
+
+
+def reasons(result):
+    return [outcome.reason for report in result.reports for outcome in report.outcomes]
+
+
+class TestFoundByReading:
+    """Eight programs (P1–P8, and ``raise`` beside P4) whose transformed
+    form used to behave differently from the original — each was a
+    place where two copies of one question (what a loop header writes,
+    whether control can leave a block, which statement kinds are
+    understood) disagreed, or where the one copy lacked a rule.  Each
+    now transforms correctly or is refused with the stated reason; N1
+    pins the exemption the every-level supportedness check needs for
+    generated nodes."""
+
+    def test_p1_header_walrus_is_a_split_variable(self):
+        result = assert_equivalent(
+            """
+def program(conn, src):
+    out = []
+    while (row := src.pop() if src else None) is not None:
+        r = conn.execute_query("q", [row])
+        out.append((row, r.scalar()))
+    return out
+""",
+            "program",
+            lambda: ([1, 2, 3],),
+        )
+        assert result.transformed_loops == 1
+
+    def test_p2_predicate_mutated_split_variable_is_refused(self):
+        result = assert_equivalent(
+            """
+class Cursor:
+    def __init__(self, rows):
+        self.rows = list(rows)
+        self.current = None
+
+    def advance(self):
+        if not self.rows:
+            return False
+        self.current = self.rows.pop(0)
+        return True
+
+
+def program(conn, rows):
+    cursor = Cursor(rows)
+    out = []
+    while cursor.advance():
+        r = conn.execute_query("q", [cursor.current])
+        out.append((cursor.current, r.scalar()))
+    return out
+""",
+            "program",
+            lambda: ([1, 2, 3],),
+        )
+        assert result.transformed_loops == 0
+        assert reasons(result) == [REASON_PRECONDITION]
+
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_p3_loop_else_is_refused(self, window):
+        result = assert_equivalent(
+            """
+def program(conn, ids):
+    out = []
+    for i in ids:
+        r = conn.execute_query("q", [i])
+        out.append(r.scalar())
+    else:
+        out.append("done")
+    return out
+""",
+            "program",
+            lambda: ([1, 2, 3],),
+            window=window,
+        )
+        assert reasons(result) == [REASON_CONTROL]
+
+    def test_p4_yield_in_a_loop_is_refused(self):
+        # The consumer stops after one value: the original has issued
+        # one query by then, a fissioned loop all three.
+        result = assert_equivalent(
+            """
+def rows(conn, ids):
+    for i in ids:
+        r = conn.execute_query("q", [i])
+        yield r.scalar()
+
+
+def program(conn, ids):
+    first = next(rows(conn, ids))
+    return first, len(conn.calls)
+""",
+            "program",
+            lambda: ([1, 2, 3],),
+        )
+        assert reasons(result) == [REASON_CONTROL]
+
+    def test_raise_in_a_loop_is_refused(self):
+        # Falls out of the same owner: the prefetch pass's copy already
+        # knew ``raise`` as an exit, the engine's knew only ``return``.
+        # The original has issued two queries when it raises, a
+        # fissioned loop all three.
+        result = assert_equivalent(
+            """
+def checked(conn, ids):
+    out = []
+    for i in ids:
+        r = conn.execute_query("q", [i])
+        if i == 2:
+            raise ValueError(i)
+        out.append(r.scalar())
+    return out
+
+
+def program(conn, ids):
+    try:
+        return checked(conn, ids)
+    except ValueError:
+        return len(conn.calls)
+""",
+            "program",
+            lambda: ([1, 2, 3],),
+        )
+        assert reasons(result) == [REASON_CONTROL]
+
+    def test_p5_prefetch_submit_never_crosses_a_yield(self):
+        source = """
+def program(conn, a):
+    yield "ready"
+    r = conn.execute_query("q", [a])
+    yield r.scalar()
+"""
+        result = asyncify_source(source, prefetch=True)
+
+        def drive(text):
+            namespace = {}
+            exec(compile(text, "<prog>", "exec"), namespace)
+            row = {"name": "old"}
+            conn = FakeConnection(answer=lambda sql, params: row["name"])
+            consumer = namespace["program"](conn, 1)
+            assert next(consumer) == "ready"
+            row["name"] = "new"  # the UPDATE between the two next() calls
+            return next(consumer)
+
+        assert drive(source) == drive(result.source) == "new"
+        assert result.prefetch_sites == []
+
+    def test_p6_nested_def_under_an_if_is_refused(self):
+        result = assert_equivalent(
+            """
+def program(conn, ids):
+    sink = []
+    for i in ids:
+        if i:
+            def emit():
+                sink.append(i)
+        r = conn.execute_query("q", [i])
+        emit()
+        sink.append(r.scalar())
+    return sink
+""",
+            "program",
+            lambda: ([1, 2, 3],),
+        )
+        assert reasons(result) == [REASON_UNSUPPORTED_STMT]
+
+    def test_p7_nested_def_in_an_inner_loop_is_refused(self):
+        result = assert_equivalent(
+            """
+def program(conn, ids):
+    sink = []
+    for i in ids:
+        for _once in (0,):
+            def emit():
+                sink.append(i)
+        r = conn.execute_query("q", [i])
+        emit()
+        sink.append(r.scalar())
+    return sink
+""",
+            "program",
+            lambda: ([1, 2, 3],),
+        )
+        assert reasons(result) == [REASON_UNSUPPORTED_STMT]
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "try:\n    pass\nexcept KeyError:\n    pass",
+            "with open(i):\n    pass",
+            "del sink[0]",
+            "global g",
+            "import os",
+            "assert i",
+            "class C:\n    pass",
+        ],
+        ids=["try", "with", "del", "global", "import", "assert", "class"],
+    )
+    @pytest.mark.parametrize("under", ["if i:", "for _once in (0,):"])
+    def test_unsupported_kinds_are_refused_at_any_depth(self, statement, under):
+        result = asyncify_source(
+            "def program(conn, ids):\n"
+            "    sink = []\n"
+            "    for i in ids:\n"
+            f"        {under}\n"
+            + textwrap.indent(statement, " " * 12)
+            + "\n"
+            '        r = conn.execute_query("q", [i])\n'
+            "        sink.append(r.scalar())\n"
+            "    return sink\n"
+        )
+        assert reasons(result) == [REASON_UNSUPPORTED_STMT]
+
+    def test_p8_local_callable_is_a_split_variable(self):
+        result = assert_equivalent(
+            """
+def program(conn, ids):
+    fns = [lambda v: v + 1, lambda v: -v]
+    out = []
+    for i in ids:
+        fn = fns[i % 2]
+        r = conn.execute_query("q", [i])
+        out.append(fn(r.scalar()))
+    return out
+""",
+            "program",
+            lambda: ([1, 2, 3],),
+        )
+        assert result.transformed_loops == 1
+
+    def test_n1_generated_fetch_loop_does_not_block_the_outer_loop(self):
+        # The inner fetch loop carries a try/except NameError capture
+        # for the conditionally written ``last``; generated nodes are
+        # exempt from the supported-kinds check.
+        result = assert_equivalent(
+            """
+def program(conn, groups):
+    out = []
+    for group in groups:
+        last = 0
+        for item in group:
+            if item % 2:
+                last = item
+            r = conn.execute_query("q", [item])
+            out.append((last, r.scalar()))
+    return out
+""",
+            "program",
+            lambda: ([[1, 2], [], [4, 5, 6]],),
+        )
+        assert "except NameError" in result.source
+        assert result.transformed_loops == result.opportunities == 2
+        assert [o.label for o in result.reports[1].outcomes] == ["(nested loops)"]

@@ -8,14 +8,17 @@ model vs. callbacks vs. blocking) is a mechanical choice; this package
 is the repo's enforcement of that premise at the architecture level.
 
 Three modules along the pipeline's seams: :mod:`~repro.core.calls`
-(``CallPipeline``: cache protocol, dispatch, speculation ledger, stats),
+(the ``Request`` record every stage takes whole, and ``CallPipeline``:
+cache protocol, dispatch, settle, speculation ledger, stats),
 :mod:`~repro.core.coalescer` (``DispatchCoalescer``: set-oriented
-dispatch) and :mod:`~repro.core.submission` (``SubmissionPipeline``: the
-SQL specifics, plus the lifecycle narrative and every public name).
+dispatch) and :mod:`~repro.core.submission` (``SubmissionPipeline``, the
+``CallPipeline`` for SQL, plus the lifecycle narrative and every public
+name).
 """
 
 from .submission import (
     CallPipeline,
+    Request,
     SpeculativeHandle,
     SubmissionPipeline,
     SubmissionStats,
@@ -23,6 +26,7 @@ from .submission import (
 
 __all__ = [
     "CallPipeline",
+    "Request",
     "SpeculativeHandle",
     "SubmissionPipeline",
     "SubmissionStats",

@@ -1,12 +1,16 @@
 """The transport-agnostic half of the submission core.
 
-:class:`CallPipeline` owns the cache protocol (lookup, single-flight
+A front end builds one :class:`Request` — the cache plan, the trace
+span, the label and its transport's three verbs (``round_trip``,
+``charge``, ``release``) — and :class:`CallPipeline` passes that record
+whole through every stage: the cache protocol (lookup, single-flight
 join, the one publication rule), the dispatch onto the bounded
-executor, the speculation ledger (:class:`SpeculativeHandle`,
+executor, :meth:`~CallPipeline.settle` (where every round trip ends),
+the speculation ledger (:class:`SpeculativeHandle`,
 :class:`SiteSpeculationStats`) and the counters
 (:class:`SubmissionStats`).  It knows nothing about SQL: what a round
-trip *is* arrives as a callable, which is how the web-service client
-reuses it.  The lifecycle narrative lives in
+trip *is* is the request's business, which is how the web-service
+client reuses it.  The lifecycle narrative lives in
 :mod:`repro.core.submission`, which re-exports everything here.
 """
 
@@ -17,13 +21,16 @@ import time
 from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass, replace
-from functools import partialmethod
-from typing import Any, Callable, Dict, Iterable, Optional, Set
+from functools import partial
+from operator import attrgetter
+from typing import Any, Dict, Optional, Set
 
 from ..obs.metrics import Histogram, MetricsRegistry
 from ..obs.trace import Span, Tracer
 from ..prefetch.cache import ResultCache
 from ..runtime.handles import QueryHandle, failed_handle, resolved_future
+
+_AGE = attrgetter("age_s")
 
 
 @dataclass
@@ -121,7 +128,7 @@ class SpeculativeHandle(QueryHandle):
         self._wasted = False
 
     def _attach(self, future, cancellable: bool) -> None:
-        """Bind the dispatch this handle watches.  ``CallPipeline.submit``
+        """Bind the dispatch this handle watches.  ``CallPipeline.dispatch``
         creates the handle first — the dispatch's publication reads its
         waste state — and attaches the future before anyone can see it."""
         self._future = future
@@ -172,15 +179,70 @@ class SpeculativeHandle(QueryHandle):
         return self._pipeline._settle_speculation(self, hit=True)
 
 
+class Request:
+    """One request through the submission core, built once by its front
+    end and passed whole to every stage: the cache plan (``key`` /
+    ``tables`` / ``ticket``; a None key bypasses the cache), the root
+    trace ``span``, the handle ``label``, and what the core attaches on
+    the way — the cache ``lease``, the speculative ``watcher`` and, for
+    a request resolved by someone else's task (a coalesced batch), the
+    ``future`` its outcome is set on.
+
+    A transport subclasses it with its three verbs: :meth:`round_trip`
+    (do one), :meth:`charge` (what a real dispatch costs at submit) and
+    :meth:`release` (give back whatever ``charge`` took; a no-op for a
+    request that was never charged — a blocking call).
+    """
+
+    __slots__ = (
+        "key", "tables", "ticket", "span", "label", "lease", "watcher", "future"
+    )
+
+    #: Can nothing but a cache lease observe the dispatch (``release``
+    #: owes nothing)?  Then abandoning a lease-less speculation may
+    #: cancel it outright.
+    private = True
+
+    def __init__(self, label: str = "", span: Optional[Span] = None) -> None:
+        self.key = self.tables = self.ticket = None
+        self.lease = self.watcher = self.future = None
+        self.label = label
+        self.span = span
+
+    def round_trip(self) -> Any:
+        """One full round trip, in the calling thread."""
+        raise NotImplementedError
+
+    def charge(self) -> None:
+        """A real dispatch is about to be queued (submitting thread)."""
+
+    def release(self) -> None:
+        """The charged dispatch finished, or could not be queued."""
+
+    def still_valid(self) -> bool:
+        """Is ``ticket`` still what the store would issue?  Re-checked
+        at publication; a transport without a write ledger has nothing
+        that could have moved."""
+        return True
+
+
+def _cache_outcome(lease) -> str:
+    if lease is None:
+        return "bypass"
+    if lease.is_hit:
+        return "hit"
+    return "follower" if lease.is_follower else "miss"
+
+
 class CallPipeline:
     """Transport-agnostic submission core.
 
     Owns the cache protocol (lookup, single-flight join, populate,
     failure propagation), the dispatch to a bounded
     :class:`~repro.runtime.executor.AsyncExecutor`, and the stats.  The
-    *transport* — what a round trip actually is — arrives as the
-    ``invoke`` callable; the web-service client reuses this class
-    directly with HTTP-shaped invokes.
+    *transport* — what a round trip actually is — arrives with each
+    :class:`Request`; the web-service client reuses this class directly
+    with HTTP-shaped requests.
     """
 
     def __init__(
@@ -190,8 +252,10 @@ class CallPipeline:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self._executor = executor
-        self._cache = cache
+        self.executor = executor
+        self.cache = cache
+        self.tracer = tracer
+        self.metrics = metrics
         self.stats = SubmissionStats()
         #: Guards every non-speculation counter of ``stats``.  The
         #: speculation_* counters stay under ``_spec_lock`` (they must
@@ -199,8 +263,6 @@ class CallPipeline:
         #: through :meth:`bump` so concurrent front ends never lose an
         #: increment.
         self._stats_lock = threading.Lock()
-        self._tracer = tracer
-        self._metrics = metrics
         self._blocking_hist: Optional[Histogram] = None
         self._query_hist: Optional[Histogram] = None
         if metrics is not None:
@@ -221,22 +283,6 @@ class CallPipeline:
     #: cannot grow the ledger without bound.
     SPECULATION_HIGH_WATER = 1024
 
-    @property
-    def cache(self) -> Optional[ResultCache]:
-        return self._cache
-
-    @property
-    def executor(self):
-        return self._executor
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        return self._tracer
-
-    @property
-    def metrics(self) -> Optional[MetricsRegistry]:
-        return self._metrics
-
     def bump(self, field: str, n: int = 1) -> None:
         """Increment one non-speculation stats counter under its lock."""
         with self._stats_lock:
@@ -245,45 +291,23 @@ class CallPipeline:
     # ------------------------------------------------------------------
     # blocking path
     # ------------------------------------------------------------------
-    def call(
-        self,
-        invoke: Callable[[], Any],
-        key: Any = None,
-        tables: Optional[Iterable[str]] = None,
-        still_valid: Optional[Callable[[], bool]] = None,
-        span: Optional[Span] = None,
-        ticket: Any = None,
-    ) -> Any:
+    def call(self, request: Request) -> Any:
         """Submit and wait in the calling thread.
 
         A cache hit pays no round trip; concurrent identical calls share
         one in-flight execution (the follower blocks on the owner's
-        future instead of re-executing).  ``ticket`` is what the lookup
-        validates entries against (see :meth:`ResultCache.acquire`;
-        None for a transport without a write ledger) and ``still_valid``
-        is re-checked at publication time: if the read may have
-        overlapped a data change, waiters are served but the value is
-        not retained.
+        future instead of re-executing); otherwise :meth:`run` pays the
+        round trip here.
         """
         self.bump("blocking_calls")
         started = time.perf_counter()
+        span = request.span
         try:
-            lease = self._acquire_traced(key, tables, ticket, span)
-            if lease is None:
-                return invoke()
-            if lease.is_hit:
-                self.bump("cache_hits")
-                return lease.value
-            if lease.is_follower:
-                self.bump("cache_hits")
-                return lease.wait()
-            try:
-                result = invoke()
-            except BaseException as exc:
-                self.publish(lease, exc, failed=True)
-                raise
-            self.publish(lease, result, still_valid)
-            return result
+            lease = self._acquire(request)
+            if lease is None or lease.is_owner:
+                return self.run(request)
+            self.bump("cache_hits")
+            return lease.value if lease.is_hit else lease.wait()
         except BaseException as exc:
             if span is not None:
                 span.set("error", repr(exc))
@@ -295,165 +319,125 @@ class CallPipeline:
                 span.end()
 
     # ------------------------------------------------------------------
-    # non-blocking path: lease → hit/follower | start → handle → publish
+    # the one way a round trip ends: run → settle → publish
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        start: Callable[[Any, Optional["SpeculativeHandle"]], "Future"],
-        key: Any = None,
-        tables: Optional[Iterable[str]] = None,
-        label: str = "",
-        span: Optional[Span] = None,
-        speculative: bool = False,
-        private: bool = False,
-        ticket: Any = None,
-    ) -> QueryHandle:
+    def run(self, request: Request) -> Any:
+        """One round trip in this thread — the caller's for a blocking
+        call, an executor worker's for a dispatch — then :meth:`settle`;
+        returns the result or re-raises the failure."""
+        try:
+            outcome = request.round_trip()
+        except BaseException as exc:
+            self.settle(request, exc)
+            raise
+        self.settle(request, outcome)
+        return outcome
+
+    def settle(self, request: Request, outcome: Any) -> None:
+        """Every request that owns its round trip ends here, whoever ran
+        it (:meth:`run`, a coalesced flush) and also when its dispatch
+        could not be queued at all: the lease is published (``outcome``
+        an exception → failed), the dispatch's debt released, and the
+        request's own future, if it carries one, resolved."""
+        try:
+            self.publish(request, outcome)
+        finally:
+            request.release()
+        future = request.future
+        if future is not None:
+            if isinstance(outcome, BaseException):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+
+    def publish(self, request: Request, outcome: Any) -> None:
+        """The one publication rule: every owner lease ends here.
+
+        An exception propagates to the lease's followers and caches
+        nothing.  Otherwise followers are served ``outcome``, and it is
+        *retained* only if the request's ledger ticket is still the one
+        the read was planned with **and** the speculation that fetched
+        it (``request.watcher``) did not settle as waste.  A no-op
+        without a lease.
+        """
+        lease = request.lease
+        if lease is None:
+            return
+        if isinstance(outcome, BaseException):
+            self.cache.fail(lease, outcome)
+            return
+        watcher = request.watcher
+        retain = request.still_valid() and not (
+            watcher is not None and watcher.wasted
+        )
+        self.cache.complete(lease, outcome, retain=retain)
+
+    # ------------------------------------------------------------------
+    # non-blocking path: lease → hit/follower | start → handle → settle
+    # ------------------------------------------------------------------
+    def dispatch(self, request: Request, speculative: bool = False) -> QueryHandle:
         """The one non-blocking lifecycle; returns a handle at once.
 
         A cache hit comes back already resolved (no thread hop) and a
         single-flight follower shares the owner's in-flight future —
         both count as cache hits and neither dispatches.  Otherwise
-        ``start(lease, watcher)`` begins the real dispatch and returns
-        its future; whoever completes that future hands the outcome to
-        :meth:`publish` with the same ``lease`` and ``watcher``.
-        ``start`` is all that differs between transports (an executor
-        task in :meth:`dispatch`, an enqueue in
-        :class:`DispatchCoalescer`).
+        :meth:`start` begins the real dispatch and returns its future;
+        whoever learns the outcome hands it to :meth:`settle`.
 
         ``speculative`` returns a tracked :class:`SpeculativeHandle`
-        (the ``watcher``) and counts a speculation instead of an async
-        submit.  ``private`` says nothing besides a cache lease can
-        observe the dispatch, so abandoning a lease-less speculation may
-        cancel it outright.
+        (the request's ``watcher``) and counts a speculation instead of
+        an async submit.
         """
         if not speculative:
             self.bump("async_submits")
-        lease = self._acquire_traced(key, tables, ticket, span)
-        watcher = (
-            SpeculativeHandle(None, label=label, pipeline=self, span=span)
-            if speculative
-            else None
-        )
+        lease = self._acquire(request)
+        watcher = None
+        if speculative:
+            watcher = request.watcher = SpeculativeHandle(
+                None, label=request.label, pipeline=self, span=request.span
+            )
         cancellable = False
-        if lease is not None and not lease.is_owner:
+        if lease is None or lease.is_owner:
+            future = self.start(request)
+            cancellable = lease is None and request.private
+        else:
             self.bump("cache_hits")
             future = (
                 resolved_future(lease.value) if lease.is_hit else lease.future
             )
-        else:
-            future = start(lease, watcher)
-            cancellable = private and lease is None
         if watcher is None:
-            return QueryHandle(future, label=label, span=span)
+            return QueryHandle(future, label=request.label, span=request.span)
         watcher._attach(future, cancellable)
         return self._track(watcher)
 
-    def publish(
-        self,
-        lease,
-        outcome: Any,
-        still_valid: Optional[Callable[[], bool]] = None,
-        watcher: Optional["SpeculativeHandle"] = None,
-        failed: bool = False,
-    ) -> None:
-        """The one publication rule: every owner lease ends here.
+    def start(self, request: Request) -> "Future":
+        """Begin the real dispatch — one executor task running
+        :meth:`run` — and return its future.  All that differs between
+        transports (:class:`SubmissionPipeline` routes coalescable reads
+        to its :class:`DispatchCoalescer` instead)."""
+        request.charge()
+        try:
+            return self.executor.submit(partial(self.run, request))
+        except BaseException as exc:
+            # Never strand single-flight followers (or a transaction's
+            # in-flight count) on a submission that could not be queued.
+            self.settle(request, exc)
+            raise
 
-        ``failed`` propagates ``outcome`` (an exception) to the lease's
-        followers and caches nothing.  Otherwise followers are served
-        ``outcome``, and it is *retained* only if ``still_valid`` says
-        the tables' ledger ticket is still the one the read was planned
-        with **and** the speculation that fetched it (``watcher``) did
-        not settle as waste.  A no-op without a lease.
-        """
-        if lease is None:
-            return
-        if failed:
-            self._cache.fail(lease, outcome)
-            return
-        retain = (still_valid is None or still_valid()) and not (
-            watcher is not None and watcher.wasted
-        )
-        self._cache.complete(lease, outcome, retain=retain)
-
-    def dispatch(
-        self,
-        invoke: Callable[[], Any],
-        key: Any = None,
-        tables: Optional[Iterable[str]] = None,
-        label: str = "",
-        on_dispatch: Optional[Callable[[], None]] = None,
-        cleanup: Optional[Callable[[], None]] = None,
-        still_valid: Optional[Callable[[], bool]] = None,
-        span: Optional[Span] = None,
-        speculative: bool = False,
-        ticket: Any = None,
+    def defer(
+        self, error: BaseException, label: str = "", speculative: bool = False
     ) -> QueryHandle:
-        """:meth:`submit` with an executor task around ``invoke`` as the
-        dispatch — the transport-agnostic entry the web client uses.
-
-        ``on_dispatch`` runs only when a real dispatch happens (overhead
-        charges, transaction in-flight accounting); ``cleanup`` is its
-        guaranteed counterpart, run when the dispatched task finishes —
-        or immediately, if the dispatch itself fails.
-        """
-
-        def start(lease, watcher) -> "Future":
-            if on_dispatch is not None:
-                on_dispatch()
-
-            def task() -> Any:
-                try:
-                    try:
-                        result = invoke()
-                    except BaseException as exc:
-                        self.publish(lease, exc, failed=True)
-                        raise
-                    self.publish(lease, result, still_valid, watcher)
-                    return result
-                finally:
-                    if cleanup is not None:
-                        cleanup()
-
-            try:
-                return self._executor.submit(task)
-            except BaseException as exc:
-                # Never strand single-flight followers (or a transaction's
-                # in-flight count) on a submission that could not be queued.
-                if cleanup is not None:
-                    cleanup()
-                self.publish(lease, exc, failed=True)
-                raise
-
-        return self.submit(
-            start,
-            key=key,
-            tables=tables,
-            label=label,
-            span=span,
-            speculative=speculative,
-            private=cleanup is None,
-            ticket=ticket,
-        )
-
-    #: Dispatch a read whose handle may be dropped (see the module
-    #: docstring's speculation contract): ``dispatch`` returning a
-    #: tracked :class:`SpeculativeHandle`.
-    speculate = partialmethod(dispatch, speculative=True)
-
-    def speculate_failed(
-        self, error: BaseException, label: str = ""
-    ) -> SpeculativeHandle:
-        """Record a speculation that failed before dispatch.
-
-        Owns the same counting + ledger contract as :meth:`speculate`
-        (the hits+wasted==speculations invariant), for callers whose
-        request could not even be resolved: the error surfaces at fetch
-        time, or vanishes if the handle is abandoned.
-        """
+        """A request that failed before it could be built (its statement
+        did not resolve): counted like the dispatch it would have been —
+        an async submit, or a tracked speculation under the same
+        hits + wasted == speculations contract — and the error surfaces
+        at fetch time, or vanishes with an abandoned speculation."""
+        handle = failed_handle(error)
+        if not speculative:
+            self.bump("async_submits")
+            return handle
         return self._track(
-            SpeculativeHandle(
-                failed_handle(error).future, label=label, pipeline=self
-            )
+            SpeculativeHandle(handle.future, label=label, pipeline=self)
         )
 
     def abandon(self, handle: SpeculativeHandle) -> bool:
@@ -537,7 +521,7 @@ class CallPipeline:
                     for h in self._speculations
                     if h is not handle and h.done()
                 ]
-                done.sort(key=lambda h: h.age_s, reverse=True)
+                done.sort(key=_AGE, reverse=True)
                 stale = done[:excess]
         for old in stale:
             # Completed long ago and never claimed: almost certainly a
@@ -636,35 +620,27 @@ class CallPipeline:
             span.end()
 
     # ------------------------------------------------------------------
-    def _acquire(self, key: Any, tables: Optional[Iterable[str]], ticket: Any):
-        if key is None or self._cache is None:
-            return None
-        return self._cache.acquire(key, tables, ticket)
-
-    def _acquire_traced(
-        self,
-        key: Any,
-        tables: Optional[Iterable[str]],
-        ticket: Any,
-        span: Optional[Span],
-    ):
-        """:meth:`_acquire` plus a ``cache`` child span recording the
-        lookup outcome (also mirrored onto the root as ``cache:``)."""
+    def _acquire(self, request: Request):
+        """Take the request's cache lease — None when its plan says
+        bypass or there is no cache — and record it on the request; when
+        traced, under a ``cache`` child span carrying the lookup outcome
+        (also mirrored onto the root as ``cache:``)."""
+        span = request.span
         if span is None:
-            return self._acquire(key, tables, ticket)
-        with span.child("cache") as cache_span:
-            lease = self._acquire(key, tables, ticket)
-            if lease is None:
-                outcome = "bypass"
-            elif lease.is_hit:
-                outcome = "hit"
-            elif lease.is_follower:
-                outcome = "follower"
-            else:
-                outcome = "miss"
-            cache_span.set("outcome", outcome)
-        span.set("cache", outcome)
+            lease = self._lookup(request)
+        else:
+            with span.child("cache") as cache_span:
+                lease = self._lookup(request)
+                outcome = _cache_outcome(lease)
+                cache_span.set("outcome", outcome)
+            span.set("cache", outcome)
+        request.lease = lease
         return lease
+
+    def _lookup(self, request: Request):
+        if request.key is None or self.cache is None:
+            return None
+        return self.cache.acquire(request.key, request.tables, request.ticket)
 
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> Dict[str, Any]:

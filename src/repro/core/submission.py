@@ -35,20 +35,36 @@ asyncio — is therefore seen by every cached reader's next lookup, and
 an autocommit point write by no reader keyed on another value of its
 column.
 
+**One request record.**  The front end builds the request once — a
+:class:`SqlRequest` here, an HTTP-shaped :class:`Request` in the web
+client — carrying the cache plan (key, read tables, ledger ticket), the
+root trace span, the handle label and its transport's three verbs
+(``round_trip``; ``charge``, what a real dispatch costs at submit;
+``release``, what it owes at completion).  Every stage takes that record
+whole and attaches what it learns to it (the cache ``lease``, the
+speculative ``watcher``, a coalesced request's ``future``); nobody
+re-describes it as keywords, a tuple or a closure.
+
 **One non-blocking lifecycle.**  ``submit`` and ``speculate``, plain
-or coalesced, are one path — :meth:`CallPipeline.submit`:
+or coalesced, are one path — :meth:`CallPipeline.dispatch`:
 
     lease (cache acquire)
         → hit / single-flight follower: resolved without a dispatch
-        | ``start(lease, watcher)`` → the dispatch's future
+        | :meth:`~CallPipeline.start` → the dispatch's future
         → handle (:class:`QueryHandle`, or a tracked
-          :class:`SpeculativeHandle` — the *watcher*)
-        → :meth:`CallPipeline.publish` when the outcome is known
+          :class:`SpeculativeHandle` — the request's *watcher*)
+        → :meth:`CallPipeline.settle` when the outcome is known
 
-Only ``start`` differs between transports: :meth:`CallPipeline.dispatch`
-wraps an executor task around one round trip, the
-:class:`DispatchCoalescer` enqueues the binding for a batched flush.
-Every owner lease ends in ``publish``, which states the **retention
+Only ``start`` differs between transports: :meth:`CallPipeline.start`
+queues one executor task that is :meth:`CallPipeline.run` on the
+request (round trip, then settle), :meth:`SubmissionPipeline.start`
+hands a coalescable read to the :class:`DispatchCoalescer`, which queues
+the request itself for a batched flush.  Every round trip — the blocking
+call's too — ends in ``settle``: the owner lease is published, the
+dispatch's debt released, a coalesced request's future resolved; a
+dispatch the executor refuses ends there as well, so no follower and no
+transaction's in-flight count is stranded.  ``settle`` publishes through
+:meth:`CallPipeline.publish`, which states the **retention
 rule** once: followers are always served; the value is *retained* only
 if the tables' ledger ticket is unchanged at publication time **and**
 the speculation that fetched it did not settle as waste.  A
@@ -89,27 +105,29 @@ unguarded mode).  The contract:
 the :class:`DispatchCoalescer` as their ``start``: submits of the same
 prepared statement that are outstanding behind the executor — exactly
 what prefetch hoisting out of loops and bursts of speculative lifts
-produce — merge into one batched server call
-(:meth:`~repro.backends.base.Backend.execute_prepared_batch`, the
-binding-demux operator) and the per-binding outcomes demultiplex back
-to the individual handles.  One round-trip charge and one statement
+produce — merge into one :meth:`SubmissionPipeline.round_trip` over
+many requests (one
+:meth:`~repro.backends.base.Backend.execute_prepared_batch` call, the
+binding-demux operator) and the per-binding outcomes are settled on
+the individual requests.  One round-trip charge and one statement
 execution answer the whole batch; a failing binding faults only its own
 handle; publication stays per ``(key, tables)``.  Transactional reads
 and writes always dispatch one executor task each.
 
 :class:`CallPipeline` (:mod:`repro.core.calls`) is the
-transport-agnostic half (cache lookup, single-flight, dispatch,
-speculation ledger, stats), so cache-lookup logic exists in exactly one
-module; the :class:`DispatchCoalescer` lives in
-:mod:`repro.core.coalescer`; :class:`SubmissionPipeline`, here, layers
-the SQL specifics (statement resolution, transaction rules, network
-charges, the optional coalescer) on top and re-exports the others'
-public names.
+transport-agnostic half (the request record, cache lookup,
+single-flight, dispatch, settle, speculation ledger, stats), so
+cache-lookup logic exists in exactly one module; the
+:class:`DispatchCoalescer` lives in :mod:`repro.core.coalescer`;
+:class:`SubmissionPipeline`, here, *is* a ``CallPipeline`` — it adds
+the SQL specifics (statement resolution or deferral, transaction rules,
+the round trip and its network charges, the optional coalescer) and
+this module re-exports the others' public names.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..backends.base import Backend, PreparedStatement
 from ..db.errors import DatabaseError, TransactionStateError
@@ -118,9 +136,10 @@ from ..db.txn import Transaction
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Span, Tracer
 from ..prefetch.cache import ResultCache
-from ..runtime.handles import QueryHandle, failed_handle
+from ..runtime.handles import QueryHandle
 from .calls import (
     CallPipeline,
+    Request,
     SiteSpeculationStats,
     SpeculativeHandle,
     SubmissionStats,
@@ -130,20 +149,106 @@ from .coalescer import DispatchCoalescer
 __all__ = [
     "CallPipeline",
     "DispatchCoalescer",
+    "Request",
     "SiteSpeculationStats",
     "SpeculativeHandle",
+    "SqlRequest",
     "SubmissionPipeline",
     "SubmissionStats",
 ]
 
 
-class SubmissionPipeline:
+class SqlRequest(Request):
+    """One prepared statement bound to one parameter tuple, on its way
+    to ``pipeline``'s store (inside ``txn``, when not None)."""
+
+    __slots__ = (
+        "pipeline", "prepared", "bound", "txn", "point", "inflight", "queue_span"
+    )
+
+    def __init__(
+        self,
+        pipeline: "SubmissionPipeline",
+        prepared: PreparedStatement,
+        bound: tuple,
+        txn: Optional[Transaction],
+        label: str,
+        span: Optional[Span],
+    ) -> None:
+        Request.__init__(self, label, span)
+        self.pipeline = pipeline
+        self.prepared = prepared
+        self.bound = bound
+        self.txn = txn
+        #: Did :meth:`charge` raise ``txn``'s in-flight count?
+        self.inflight = False
+
+    @property
+    def private(self) -> bool:
+        return self.txn is None
+
+    def plan_cache(self) -> None:
+        """Fill in the cache plan — key, read tables, ledger ticket —
+        or leave it empty: the cache is bypassed.
+
+        Bypassed: writes; unhashable params; reads inside an explicit
+        transaction (they run under the transaction's locks and may
+        observe its own uncommitted writes, neither of which may leak
+        into shared cached results); and reads of a table with an open
+        writer — the ledger issues no ticket, because the value observed
+        may be uncommitted.  The ticket is scoped to the request's point
+        when it has one, so only writers that could touch its rows count.
+
+        The one ticket does both jobs: the lookup validates entries
+        against it, and :meth:`still_valid` re-takes it at publication
+        time — every write window that opened or closed in between
+        moved it (or still withholds it), so a value that may have
+        overlapped a write is served to its waiters but never retained.
+        """
+        prepared, bound = self.prepared, self.bound
+        if self.txn is not None or prepared.write:
+            return
+        try:
+            hash(bound)
+        except TypeError:
+            return
+        self.point = prepared.point(bound)
+        ticket = self.pipeline.server.ledger.ticket(prepared.tables, self.point)
+        if ticket is not None:
+            self.key = (prepared.sql, bound)
+            self.tables = prepared.tables
+            self.ticket = ticket
+
+    def still_valid(self) -> bool:
+        ledger = self.pipeline.server.ledger
+        return ledger.ticket(self.tables, self.point) == self.ticket
+
+    def round_trip(self) -> QueryResult:
+        return self.pipeline.round_trip((self,))[0]
+
+    def charge(self) -> None:
+        """The executor hand-off overhead, paid in the submitting
+        thread, and the transaction's in-flight count."""
+        server = self.pipeline.server
+        server.meter.charge("queue", server.profile.send_overhead_s)
+        if self.txn is not None:
+            self.txn.enter_async()
+            self.inflight = True
+
+    def release(self) -> None:
+        if self.inflight:
+            self.inflight = False
+            self.txn.exit_async()
+
+
+class SubmissionPipeline(CallPipeline):
     """The SQL submission pipeline over one :class:`Backend`.
 
-    Owns statement normalization, the transaction rules from the
-    paper's Discussion section, the simulated network charges, and —
-    through its inner :class:`CallPipeline` — the cache protocol and
-    dispatch.
+    A :class:`CallPipeline` (cache protocol, dispatch, settle, ledger,
+    stats) whose requests are :class:`SqlRequest` records: it adds
+    statement normalization, the transaction rules from the paper's
+    Discussion section, the simulated network charges and the optional
+    set-oriented dispatch.
     """
 
     def __init__(
@@ -156,83 +261,18 @@ class SubmissionPipeline:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self._server = server
-        self._calls = CallPipeline(executor, cache, tracer=tracer, metrics=metrics)
+        super().__init__(executor, cache, tracer=tracer, metrics=metrics)
+        self.server = server
         #: Set-oriented dispatch (off by default): autocommit reads are
         #: routed through a :class:`DispatchCoalescer` that merges
         #: same-statement submits queued behind the executor into one
         #: batched server call.
-        self._coalescer = (
-            DispatchCoalescer(
-                self._calls, server, self._round_trip, window=coalesce_window
-            )
-            if coalesce
-            else None
+        self.coalescer = (
+            DispatchCoalescer(self, window=coalesce_window) if coalesce else None
         )
 
-    @property
-    def coalescer(self) -> Optional[DispatchCoalescer]:
-        """The set-oriented dispatch coalescer, when enabled."""
-        return self._coalescer
-
-    @property
-    def server(self) -> Backend:
-        return self._server
-
-    @property
-    def executor(self):
-        return self._calls.executor
-
-    @property
-    def cache(self) -> Optional[ResultCache]:
-        return self._calls.cache
-
-    @property
-    def stats(self) -> SubmissionStats:
-        return self._calls.stats
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        return self._calls.tracer
-
-    @property
-    def metrics(self) -> Optional[MetricsRegistry]:
-        return self._calls.metrics
-
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """Every pipeline counter (and the per-site speculation ledger)
-        as one plain dict — see :meth:`CallPipeline.stats_snapshot`."""
-        return self._calls.stats_snapshot()
-
-    def note_completion(self, handle: QueryHandle) -> None:
-        """Record a handle consumed outside :meth:`fetch` (asyncio
-        front end) — see :meth:`CallPipeline.note_completion`."""
-        self._calls.note_completion(handle)
-
     # ------------------------------------------------------------------
-    # tracing
-    # ------------------------------------------------------------------
-    def _trace_root(
-        self,
-        prepared: PreparedStatement,
-        bound: tuple,
-        mode: str,
-        site: Optional[str] = None,
-    ) -> Optional[Span]:
-        """Root ``query`` span for one request — None unless tracing is
-        enabled, so the disabled-path cost is one attribute test."""
-        tracer = self._calls.tracer
-        if tracer is None or not tracer.enabled:
-            return None
-        span = tracer.start("query", sql=prepared.sql, mode=mode)
-        if bound:
-            span.set("params", repr(bound)[:80])
-        if site is not None:
-            span.set("site", site)
-        return span
-
-    # ------------------------------------------------------------------
-    # normalization
+    # building the request
     # ------------------------------------------------------------------
     def resolve(self, query, params: Sequence) -> Tuple[PreparedStatement, tuple]:
         """Normalize any accepted query form to ``(prepared, bound)``.
@@ -245,18 +285,44 @@ class SubmissionPipeline:
         if statement is not None:
             bound = tuple(params) if params else query.snapshot_params()
             origin = getattr(statement, "origin", None)
-            if origin is not None and origin is not self._server:
+            if origin is not None and origin is not self.server:
                 # The statement was prepared on a *different* backend
                 # (two backends can be live in one process): re-prepare
                 # on ours.  Statement ids are per-backend counters, so
                 # forwarding the foreign handle would execute a
                 # same-numbered stranger — or hand the coalescer a batch
                 # pointed at the wrong store.
-                statement = self._server.prepare(statement.sql)
+                statement = self.server.prepare(statement.sql)
             return statement, bound
         if isinstance(query, str):
-            return self._server.prepare(query), tuple(params)
+            return self.server.prepare(query), tuple(params)
         raise DatabaseError(f"not a query: {query!r}")
+
+    def request(
+        self,
+        prepared: PreparedStatement,
+        bound: tuple,
+        txn: Optional[Transaction],
+        mode: str,
+        site: Optional[str] = None,
+    ) -> SqlRequest:
+        """The one record the rest of the path works on: root ``query``
+        span (None unless tracing is enabled, so the disabled-path cost
+        is one attribute test), handle label (``site``, the speculation's
+        call site, else the statement's) and cache plan."""
+        label = site if site is not None else prepared.label
+        span = None
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            span = tracer.start("query", sql=prepared.sql, mode=mode)
+            if bound:
+                span.set("params", repr(bound)[:80])
+            if mode == "speculate":
+                span.set("site", label)
+        request = SqlRequest(self, prepared, bound, txn, label, span)
+        if self.cache is not None:
+            request.plan_cache()
+        return request
 
     # ------------------------------------------------------------------
     # the three primitives
@@ -266,16 +332,7 @@ class SubmissionPipeline:
     ) -> QueryResult:
         """Submit and wait: the paper's ``executeQuery``."""
         prepared, bound = self.resolve(query, params)
-        key, tables, ticket, still_valid = self._cache_plan(prepared, bound, txn)
-        root = self._trace_root(prepared, bound, "execute")
-        return self._calls.call(
-            lambda: self._round_trip(prepared, bound, txn, span=root),
-            key=key,
-            tables=tables,
-            still_valid=still_valid,
-            span=root,
-            ticket=ticket,
-        )
+        return self.call(self.request(prepared, bound, txn, "execute"))
 
     def submit(
         self, query, params: Sequence = (), txn: Optional[Transaction] = None
@@ -286,91 +343,8 @@ class SubmissionPipeline:
         already resolved, otherwise one executor worker pays the round
         trip.
         """
-        if txn is not None:
-            # Discussion-section rule (DESIGN.md): asynchronous *reads*
-            # may overlap an open transaction — they run under its
-            # shared locks — but asynchronous *updates* are rejected
-            # outright: their failures would be observed after commit
-            # decisions.
-            prepared, bound = self.resolve(query, params)
-            if prepared.write:
-                raise TransactionStateError(
-                    "asynchronous updates inside an explicit transaction "
-                    "are not supported; commit first or use blocking "
-                    "execute_update"
-                )
-        else:
-            try:
-                prepared, bound = self.resolve(query, params)
-            except Exception as exc:
-                # Observer-model contract: submission problems surface
-                # at fetch_result, in iteration order.
-                self._calls.bump("async_submits")
-                return failed_handle(exc)
-        return self._dispatch(prepared, bound, txn, prepared.label, "submit")
+        return self._submit(query, params, txn, "submit")
 
-    def _dispatch(
-        self,
-        prepared: PreparedStatement,
-        bound: tuple,
-        txn: Optional[Transaction],
-        label: str,
-        mode: str,
-    ) -> QueryHandle:
-        """The shared tail of :meth:`submit` and :meth:`speculate`
-        (``mode`` names which): trace root, cache plan, then
-        :meth:`CallPipeline.submit` with the coalescer's enqueue as the
-        dispatch for autocommit reads when set-oriented dispatch is on,
-        else one executor task paying the round trip."""
-        speculative = mode == "speculate"
-        root = self._trace_root(
-            prepared, bound, mode, site=label if speculative else None
-        )
-        key, tables, ticket, still_valid = self._cache_plan(prepared, bound, txn)
-        coalescer = self._coalescer
-        if coalescer is not None and txn is None and not prepared.write:
-            # Same-statement submits outstanding behind the executor
-            # merge into one batched server call.
-            return self._calls.submit(
-                lambda lease, watcher: coalescer.enqueue(
-                    prepared, bound, lease, still_valid, watcher, root
-                ),
-                key=key,
-                tables=tables,
-                label=label,
-                span=root,
-                speculative=speculative,
-                private=True,
-                ticket=ticket,
-            )
-
-        def on_dispatch() -> None:
-            self._server.meter.charge(
-                "queue", self._server.profile.send_overhead_s
-            )
-            if txn is not None:
-                txn.enter_async()
-
-        return self._calls.dispatch(
-            lambda: self._round_trip(prepared, bound, txn, span=root),
-            key=key,
-            tables=tables,
-            label=label,
-            on_dispatch=on_dispatch,
-            cleanup=(txn.exit_async if txn is not None else None),
-            still_valid=still_valid,
-            span=root,
-            speculative=speculative,
-            ticket=ticket,
-        )
-
-    def fetch(self, handle: QueryHandle) -> QueryResult:
-        """Blocking fetch: the paper's ``fetchResult``."""
-        return self._calls.fetch(handle)
-
-    # ------------------------------------------------------------------
-    # speculation
-    # ------------------------------------------------------------------
     def speculate(
         self,
         query,
@@ -394,114 +368,127 @@ class SubmissionPipeline:
         shared locks, bypassing the cache — so an uncommitted value can
         never be published.
         """
+        return self._submit(query, params, txn, "speculate", site)
+
+    def _submit(
+        self,
+        query,
+        params: Sequence,
+        txn: Optional[Transaction],
+        mode: str,
+        site: Optional[str] = None,
+    ) -> QueryHandle:
+        """The shared body of :meth:`submit` and :meth:`speculate`
+        (``mode`` names which): resolve the statement — or defer the
+        error to fetch — refuse the writes the mode cannot take, build
+        the request, dispatch it."""
+        speculative = mode == "speculate"
         try:
             prepared, bound = self.resolve(query, params)
         except Exception as exc:
-            # Mirror submit's observer-model contract: resolution
-            # problems surface at fetch time (or vanish if abandoned).
-            return self._calls.speculate_failed(exc, label=site or "")
+            # Observer-model contract: submission problems surface at
+            # fetch_result, in iteration order (or vanish with an
+            # abandoned speculation) — in a transaction too.
+            return self.defer(exc, site or "", speculative)
         if prepared.write:
-            raise DatabaseError(
-                "refusing to speculate a write statement; speculation is "
-                "read-only by contract"
-            )
-        label = site if site is not None else prepared.label
-        return self._dispatch(prepared, bound, txn, label, "speculate")
+            if speculative:
+                raise DatabaseError(
+                    "refusing to speculate a write statement; speculation "
+                    "is read-only by contract"
+                )
+            if txn is not None:
+                # Discussion-section rule (DESIGN.md): asynchronous
+                # *reads* may overlap an open transaction — they run
+                # under its shared locks — but asynchronous *updates*
+                # are rejected outright: their failures would be
+                # observed after commit decisions.
+                raise TransactionStateError(
+                    "asynchronous updates inside an explicit transaction "
+                    "are not supported; commit first or use blocking "
+                    "execute_update"
+                )
+        return self.dispatch(
+            self.request(prepared, bound, txn, mode, site), speculative
+        )
 
-    def site_stats(self) -> Dict[str, SiteSpeculationStats]:
-        """Per-call-site speculation ledger (see
-        :meth:`CallPipeline.site_stats`)."""
-        return self._calls.site_stats()
-
-    def abandon(self, handle: "SpeculativeHandle") -> bool:
-        """Settle a speculative handle as wasted (idempotent)."""
-        return self._calls.abandon(handle)
-
-    def drain_speculations(
-        self, wait: bool = True, timeout_s: Optional[float] = None
-    ) -> int:
-        """Abandon every unsettled speculation (connection close calls
-        this so dropped handles never leak executor work); the wait
-        shares one overall deadline — see
-        :meth:`CallPipeline.drain_speculations`."""
-        return self._calls.drain_speculations(wait=wait, timeout_s=timeout_s)
+    def start(self, request: SqlRequest):
+        """Autocommit reads ride the coalescer when set-oriented
+        dispatch is on: same-statement submits outstanding behind the
+        executor merge into one batched server call.  Everything else
+        is one executor task paying the round trip."""
+        if (
+            self.coalescer is not None
+            and request.txn is None
+            and not request.prepared.write
+        ):
+            return self.coalescer.enqueue(request)
+        return super().start(request)
 
     # ------------------------------------------------------------------
-    # internals
+    # the round trip
     # ------------------------------------------------------------------
-    def _round_trip(
-        self,
-        prepared: PreparedStatement,
-        bound: tuple,
-        txn: Optional[Transaction],
-        span: Optional[Span] = None,
-    ) -> QueryResult:
-        """One full network round trip plus server-side execution.
+    def round_trip(self, requests: Sequence[SqlRequest]) -> List[Any]:
+        """One network round trip to the store plus server-side
+        execution, for one request or a batch of one statement's
+        (autocommit) requests; returns one outcome per request — for a
+        batch, an exception instance where only that binding failed —
+        and raises what the server call raised.
 
         The statement executes *in this thread* — the caller's for a
-        blocking call, the executor worker's for a submit — holding one
-        of the backend's admission slots, so a request crosses one
-        thread boundary at most (the submit's hand-off to the executor).
+        blocking call, the executor worker's for a submit or a flush —
+        holding one of the backend's admission slots, so a request
+        crosses one thread boundary at most (the hand-off to the
+        executor).
 
-        ``span`` is the request's root span: the round trip appears as
-        a ``dispatch`` child, and the server hangs its ``server.execute``
-        span under that (the span object rides the call — no ambient
-        context to lose).
+        The round trip appears as a ``dispatch`` span and the server
+        hangs its ``server.execute`` span under that (the span object
+        rides the call — no ambient context to lose).  A single
+        request's is a child of its root span.  A batch's is the one
+        deliberate deviation from a strict per-query tree: it starts its
+        own trace, links every member's root, and each member root
+        points back (``dispatch_span``), so N trees share the single
+        server-execute span without any of them owning it.
         """
-        rtt = self._server.profile.network_rtt_s
+        first = requests[0]
+        prepared = first.prepared
+        # A coalesced batch was keyed by its statement's backend; route
+        # the call there, never to another store sharing the pipeline.
+        server = prepared.origin or self.server
+        rtt = server.profile.network_rtt_s
         if rtt:
-            self._server.meter.charge("network", rtt)
-        dispatch_span = span.child("dispatch") if span is not None else None
+            server.meter.charge("network", rtt)  # ONE round trip, N queries
+        batched = len(requests) > 1
+        if batched:
+            span = self._batch_span(requests)
+        else:
+            span = first.span.child("dispatch") if first.span is not None else None
         try:
-            return self._server.execute_prepared(
-                prepared, bound, txn, dispatch_span
-            )
+            if batched:
+                return server.execute_prepared_batch(
+                    prepared, [request.bound for request in requests], span=span
+                )
+            return [server.execute_prepared(prepared, first.bound, first.txn, span)]
         except BaseException as exc:
-            if dispatch_span is not None:
-                dispatch_span.set("error", repr(exc))
+            if span is not None:
+                span.set("error", repr(exc))
             raise
         finally:
-            if dispatch_span is not None:
-                dispatch_span.end()
+            if span is not None:
+                span.end()
 
-    _BYPASS = (None, None, None, None)
-
-    def _cache_plan(
-        self, prepared: PreparedStatement, bound: tuple, txn: Optional[Transaction]
-    ):
-        """``(cache key, read tables, ledger ticket, publication validity
-        check)`` for this request, all None when the cache must be
-        bypassed.
-
-        Bypassed: writes; unhashable params; reads inside an explicit
-        transaction (they run under the transaction's locks and may
-        observe its own uncommitted writes, neither of which may leak
-        into shared cached results); and reads of a table with an open
-        writer — the ledger issues no ticket, because the value observed
-        may be uncommitted.  The ticket is scoped to the request's point
-        when it has one, so only writers that could touch its rows count.
-
-        The one ticket does both jobs: the lookup validates entries
-        against it, and the validity check re-takes it at publication
-        time — every write window that opened or closed in between
-        moved it (or still withholds it), so a value that may have
-        overlapped a write is served to its waiters but never retained.
-        """
-        if self.cache is None or txn is not None or prepared.write:
-            return self._BYPASS
-        try:
-            hash(bound)
-        except TypeError:
-            return self._BYPASS
-        tables = prepared.tables
-        point = prepared.point(bound)
-        take_ticket = self._server.ledger.ticket
-        ticket = take_ticket(tables, point)
-        if ticket is None:
-            return self._BYPASS
-        return (
-            (prepared.sql, bound),
-            tables,
-            ticket,
-            lambda: take_ticket(tables, point) == ticket,
+    def _batch_span(self, requests: Sequence[SqlRequest]) -> Optional[Span]:
+        tracer = self.tracer
+        roots = [r.span for r in requests if r.span is not None]
+        if tracer is None or not tracer.enabled or not roots:
+            return None
+        span = tracer.start(
+            "dispatch",
+            batched=True,
+            bindings=len(requests),
+            statement=requests[0].prepared.label,
         )
+        for root in roots:
+            span.link(root.span_id)
+            root.set("coalesced", True)
+            root.set("dispatch_span", span.span_id)
+        return span

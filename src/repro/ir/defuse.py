@@ -329,6 +329,38 @@ def analyze_expression(node: ast.expr, purity: PurityEnv, registry=None) -> DefU
     )
 
 
+def harmless_to_reevaluate(node: ast.expr, purity: PurityEnv, registry) -> bool:
+    """Is evaluating ``node`` once more — or at another point — invisible
+    to the rest of the program?  The one answer behind duplicating a
+    ``while`` predicate per window, lifting a guard above its ``if`` and
+    hoisting a query past the calls evaluated before it.
+
+    It writes nothing (a walrus is a write), touches no external
+    resource (a registered query is a read of one), suspends nowhere,
+    and every call in it is a registered-pure function or a
+    non-mutating method: an unknown plain function is assumed not to
+    mutate its *arguments* (the def/use policy), which does not make
+    running it twice harmless.
+    """
+    du = analyze_expression(node, purity, registry)
+    if du.writes or du.external_reads or du.external_writes:
+        return False
+    for child in ast.walk(node):
+        if isinstance(child, (ast.Await, ast.Yield, ast.YieldFrom)):
+            return False
+        if isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Name):
+                pure = purity.is_pure_function(func.id)
+            else:
+                pure = isinstance(
+                    func, ast.Attribute
+                ) and not purity.method_mutates_receiver(func.attr)
+            if not pure:
+                return False
+    return True
+
+
 # ----------------------------------------------------------------------
 # renaming (Rules C2 / C3 support)
 # ----------------------------------------------------------------------

@@ -82,9 +82,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 from ..analysis.ddg import external_dependences
 from ..ir.defuse import (
-    analyze_expression,
     analyze_statement,
     bound_names,
+    harmless_to_reevaluate,
     import_bound_names,
 )
 from ..ir.purity import PurityEnv
@@ -183,7 +183,10 @@ class PrefetchInserter:
             if isinstance(node, ast.If):
                 node.body = self._process_block(
                     node.body, function, allocator, sites,
-                    liftable=self._effect_free_test(node.test),
+                    # Lifting duplicates the test.
+                    liftable=harmless_to_reevaluate(
+                        node.test, self.purity, self.registry
+                    ),
                     bound=set(bound),
                 )
                 node.orelse = self._process_block(
@@ -438,11 +441,6 @@ class PrefetchInserter:
         return all(total(arg) for arg in call.args) and all(
             total(kw.value) for kw in call.keywords
         )
-
-    def _effect_free_test(self, test: ast.expr) -> bool:
-        """Lifting duplicates the test: it must read program state only."""
-        du = analyze_expression(test, self.purity, self.registry)
-        return not du.writes and not du.external_writes and not du.external_reads
 
 
 def _parameter_names(fn: ast.FunctionDef) -> Set[str]:

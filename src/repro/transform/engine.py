@@ -403,7 +403,12 @@ class TransformEngine:
             if self.window and allow_window and fetch_replacement is None:
                 try:
                     nodes = wrap_window(
-                        result, loop, self.window, allocator, self.purity
+                        result,
+                        loop,
+                        self.window,
+                        allocator,
+                        self.purity,
+                        self.registry,
                     )
                 except LoopNotTransformable:
                     pass  # fall back to unbounded fission

@@ -27,6 +27,7 @@ import ast
 import copy
 from typing import Iterator, List, Optional, Tuple
 
+from ..ir.defuse import harmless_to_reevaluate
 from ..ir.purity import PurityEnv
 from ..ir.statements import query_calls
 from .codegen import located
@@ -100,7 +101,7 @@ def _hoistable(value: ast.expr, call: ast.Call, purity: PurityEnv, registry) -> 
     for earlier in _calls_in_eval_order(value):
         if earlier is call:
             return True
-        if not _call_is_pure(earlier, purity, registry):
+        if not harmless_to_reevaluate(earlier, purity, registry):
             return False
     return False  # pragma: no cover - call is always found
 
@@ -136,17 +137,6 @@ def _calls_in_eval_order(node: ast.AST) -> Iterator[ast.Call]:
         return
     for child in ast.iter_child_nodes(node):
         yield from _calls_in_eval_order(child)
-
-
-def _call_is_pure(call: ast.Call, purity: PurityEnv, registry) -> bool:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return purity.is_pure_function(func.id)
-    if isinstance(func, ast.Attribute):
-        if registry.lookup(func.attr) or registry.lookup_async(func.attr):
-            return False
-        return not purity.method_mutates_receiver(func.attr)
-    return False
 
 
 class _Replacer(ast.NodeTransformer):

@@ -24,32 +24,12 @@ import ast
 import copy
 from typing import List, Optional
 
+from ..ir.defuse import harmless_to_reevaluate
 from ..ir.purity import PurityEnv
 from .codegen import located, name_load, name_store
 from .errors import LoopNotTransformable, REASON_PRECONDITION
 from .names import NameAllocator
 from .rule_fission import FissionResult
-
-
-def is_pure_expression(node: ast.expr, purity: PurityEnv) -> bool:
-    """True when re-evaluating ``node`` has no side effects.
-
-    Every call must be a registered-pure function or a pure method.
-    """
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            if isinstance(func, ast.Name):
-                if not purity.is_pure_function(func.id):
-                    return False
-            elif isinstance(func, ast.Attribute):
-                if purity.method_mutates_receiver(func.attr):
-                    return False
-            else:
-                return False
-        elif isinstance(child, (ast.Await, ast.Yield, ast.YieldFrom, ast.NamedExpr)):
-            return False
-    return True
 
 
 def wrap_window(
@@ -58,6 +38,7 @@ def wrap_window(
     window: int,
     allocator: NameAllocator,
     purity: PurityEnv,
+    registry,
 ) -> List[ast.stmt]:
     """Wrap a fission result in a bounded-window parent loop."""
     if window < 1:
@@ -70,7 +51,7 @@ def wrap_window(
     tail = [node for node in result.nodes[3:]]
 
     if isinstance(loop_node, ast.While):
-        if not is_pure_expression(loop_node.test, purity):
+        if not harmless_to_reevaluate(loop_node.test, purity, registry):
             raise LoopNotTransformable(
                 REASON_PRECONDITION,
                 "bounded-window fission requires a side-effect-free loop "

@@ -60,6 +60,9 @@ class _Ctx:
     sq: Stmt
     header: Stmt
     outcome: ReorderOutcome
+    #: ``(v1, var)`` while the query statement is being moved past the
+    #: crossing writer ``v1`` of ``var`` (Case 1), else None.
+    crossing: Optional[Tuple[Stmt, str]] = None
 
 
 def reorder(
@@ -74,9 +77,11 @@ def reorder(
 
     Returns ``(new_body, outcome)``; ``query`` keeps its object identity
     in the new list.  Raises :class:`ReorderFailed` when blocked by
-    external dependences, unrenamable variables, or failure to converge
-    (which Theorem 4.1 rules out for queries off true-dependence cycles;
-    the round bound is a defensive backstop).
+    external dependences, unrenamable variables, a crossing dependence
+    that moving the query can only recreate (see
+    :func:`_shift_output_dep`), or failure to converge (which Theorem
+    4.1 rules out for queries off true-dependence cycles; the round
+    bound is a defensive backstop).
 
     The movement rules rewrite statements *in place* (writer stubs
     rename the statement's writes, reader stubs its reads) while the
@@ -120,6 +125,7 @@ def reorder(
             # submit-side reads of the crossing variable forever.
             stmt_to_move: Stmt = query
             target = body[v1_pos - 1]
+            ctx.crossing = (target, edge.var)
         else:
             # Case 2: the query feeds the crossing writer; move the
             # reader v2 past the query statement instead.
@@ -130,6 +136,7 @@ def reorder(
                 )
             stmt_to_move = body[v2_pos - 1]
             target = query
+            ctx.crossing = None
         _move_with_src_deps(body, ddg, stmt_to_move, target, ctx)
 
 
@@ -184,9 +191,10 @@ def move_after(body: List[Stmt], stmt: Stmt, target: Stmt, ctx: _Ctx) -> None:
     if body.index(stmt) >= body.index(target):
         return
     while True:
-        if ctx.outcome.moves > 5000:
+        if ctx.outcome.moves > len(body) ** 2:
             # Theorem 4.1 guarantees termination off true-dependence
-            # cycles; this backstop converts any analysis gap into a
+            # cycles, and no statement or stub has to pass another
+            # twice; this backstop converts any analysis gap into a
             # clean "not transformable" instead of a hang.
             raise ReorderFailed("statement movement budget exhausted")
         _resolve_pair(body, stmt, target, ctx)
@@ -236,7 +244,21 @@ def _shift_output_dep(
     """Rule C3: rename ``nxt``'s write of ``var`` to a temp, restore it
     with a stub, and push the stub past the target (the paper's
     ``moveAfter(as'v, t)`` — without it the moving statement would keep
-    colliding with the stub it just created)."""
+    colliding with the stub it just created).
+
+    Refused when ``nxt`` is the crossing writer the query statement is
+    being moved past and ``var`` the variable that crosses: the stub
+    would restore ``var`` after the target — on the fetch side again,
+    as the write that reaches the next iteration's submit side — so the
+    round ends with the crossing dependence it set out to remove, and
+    so does every later one, one stub longer.
+    """
+    if ctx.crossing == (nxt, var):
+        raise ReorderFailed(
+            f"moving the query past the crossing write of {var!r} takes "
+            f"another write of {var!r} along; the stub restoring it "
+            "recreates the crossing dependence"
+        )
     temp = ctx.allocator.fresh(var)
     _rewrite_in_place(nxt, _rename_writes_checked(nxt, var, temp), ctx)
     stub_node = assign_name_to_name(var, temp)

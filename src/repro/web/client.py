@@ -7,9 +7,10 @@ to the other (see :mod:`repro.transform.registry`).
 
 The submit/fetch lifecycle is the shared
 :class:`repro.core.submission.CallPipeline` — the transport-agnostic
-half of the database client's submission pipeline — so the web client
-carries no duplicated dispatch or stats logic, and can optionally
-attach a :class:`~repro.prefetch.cache.ResultCache` keyed by
+half of the database client's submission pipeline — fed HTTP-shaped
+:class:`~repro.core.calls.Request` records, so the web client carries
+no duplicated dispatch or stats logic, and can optionally attach a
+:class:`~repro.prefetch.cache.ResultCache` keyed by
 ``(endpoint, args)``.  The entity-graph service is read-only, so cached
 web responses only go stale through TTL expiry (set ``ttl_s`` on the
 cache) or explicit invalidation.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..core.submission import CallPipeline, SubmissionStats
+from ..core.submission import CallPipeline, Request, SubmissionStats
 from ..prefetch.cache import ResultCache
 from ..runtime.executor import AsyncExecutor
 from ..runtime.handles import QueryHandle
@@ -27,6 +28,36 @@ from .service import EntityGraphService
 
 #: Backwards-compatible name: web-client stats are the pipeline's stats.
 WebClientStats = SubmissionStats
+
+
+class _WebRequest(Request):
+    """One ``endpoint(*args)`` call on its way to ``service`` — no write
+    ledger, so no ticket and nothing that lapses at publication; the
+    key is ``(endpoint, args)`` when a cache is attached and the
+    arguments can be hashed."""
+
+    __slots__ = ("service", "endpoint", "args")
+
+    def __init__(self, service, endpoint: str, args: tuple, cached: bool) -> None:
+        Request.__init__(self, label=endpoint)
+        self.service = service
+        self.endpoint = endpoint
+        self.args = args
+        if cached:
+            try:
+                hash(args)
+            except TypeError:
+                return
+            self.key = (endpoint, args)
+
+    def round_trip(self) -> Any:
+        service = self.service
+        service.meter.charge("network", service.latency.request_rtt_s)
+        return service.submit_request(self.endpoint, *self.args).result()
+
+    def charge(self) -> None:
+        service = self.service
+        service.meter.charge("queue", service.latency.send_overhead_s)
 
 
 class WebServiceClient:
@@ -63,10 +94,7 @@ class WebServiceClient:
     def call(self, endpoint: str, *args: Any) -> Any:
         """One blocking HTTP request: full round trip in this thread
         (or no round trip at all, on a cache hit)."""
-        return self._pipeline.call(
-            lambda: self._round_trip(endpoint, args),
-            key=self._cache_key(endpoint, args),
-        )
+        return self._pipeline.call(self._request(endpoint, args))
 
     # convenience wrappers used by the workloads -----------------------
     def get_entity(self, entity_id: str) -> dict:
@@ -84,14 +112,7 @@ class WebServiceClient:
     def submit_call(self, endpoint: str, *args: Any) -> QueryHandle:
         """Non-blocking request submission; the round trip is paid by an
         async worker thread."""
-        return self._pipeline.dispatch(
-            lambda: self._round_trip(endpoint, args),
-            key=self._cache_key(endpoint, args),
-            label=endpoint,
-            on_dispatch=lambda: self._service.meter.charge(
-                "queue", self._service.latency.send_overhead_s
-            ),
-        )
+        return self._pipeline.dispatch(self._request(endpoint, args))
 
     def submit_get_entity(self, entity_id: str) -> QueryHandle:
         return self.submit_call("get_entity", entity_id)
@@ -108,20 +129,10 @@ class WebServiceClient:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _round_trip(self, endpoint: str, args: tuple) -> Any:
-        self._service.meter.charge(
-            "network", self._service.latency.request_rtt_s
+    def _request(self, endpoint: str, args: tuple) -> _WebRequest:
+        return _WebRequest(
+            self._service, endpoint, args, self._pipeline.cache is not None
         )
-        return self._service.submit_request(endpoint, *args).result()
-
-    def _cache_key(self, endpoint: str, args: tuple):
-        if self._pipeline.cache is None:
-            return None
-        try:
-            hash(args)
-        except TypeError:
-            return None
-        return (endpoint, args)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

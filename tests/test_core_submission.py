@@ -492,10 +492,29 @@ class TestSpeculationCacheProtocol:
     writes, cancellation, and single-flight with real reads."""
 
     def _pipeline(self, cache=None, workers=2):
-        from repro.core.submission import CallPipeline
+        from repro.core.submission import CallPipeline, Request
         from repro.runtime.executor import AsyncExecutor
 
-        return CallPipeline(AsyncExecutor(workers, name="spec-test"), cache)
+        class Invoke(Request):
+            """A request whose round trip is a bare callable."""
+
+            __slots__ = ("round_trip",)
+
+            def __init__(self, invoke, key=None, tables=None):
+                Request.__init__(self)
+                self.round_trip = invoke
+                self.key, self.tables = key, tables
+
+        class Pipeline(CallPipeline):
+            # The shape these tests were written against: the transport
+            # as a callable, the cache plan as keywords.
+            def dispatch(self, invoke, speculative=False, **plan):
+                return super().dispatch(Invoke(invoke, **plan), speculative)
+
+            def speculate(self, invoke, **plan):
+                return self.dispatch(invoke, speculative=True, **plan)
+
+        return Pipeline(AsyncExecutor(workers, name="spec-test"), cache)
 
     def test_write_landing_mid_flight_spoils_retention(self):
         import threading

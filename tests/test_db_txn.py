@@ -12,6 +12,7 @@ from repro.db import (
     INSTANT,
     TransactionStateError,
     TransactionTimeoutError,
+    UnknownColumnError,
 )
 from repro.db.txn import (
     ACTIVE,
@@ -289,6 +290,31 @@ class TestAsyncInteraction:
         assert txn.in_flight == 0
         for handle in handles:
             assert len(conn.fetch_result(handle).rows) == 3
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("in_txn", [False, True], ids=["autocommit", "txn"])
+    def test_unresolvable_submit_surfaces_at_fetch(self, db, backend, in_txn):
+        """Observer-model contract: a statement that does not resolve is
+        a handle whose error surfaces at ``fetch_result``, in iteration
+        order — inside an explicit transaction exactly as in autocommit
+        (the transactional submit used to raise at submit, so a
+        fissioned loop under ``with conn.transaction():`` failed before
+        the fetch-side statements of its earlier iterations ran)."""
+        with db.connect(async_workers=2, backend=backend) as conn:
+            if in_txn:
+                conn.begin()
+            good = conn.submit_query("select v from t where id = ?", [1])
+            bad = conn.submit_query("select nope from t where id = ?", [1])
+            assert conn.stats.async_submits == 2
+            assert conn.fetch_result(good).scalar() == "a"
+            with pytest.raises(UnknownColumnError):
+                conn.fetch_result(bad)
+            if in_txn:
+                # The transaction is none the worse, and the refusal of
+                # an asynchronous *write* stays immediate.
+                with pytest.raises(TransactionStateError):
+                    conn.submit_update("insert into t values (9, 'x')")
+                conn.commit()
 
     def test_async_read_after_commit_is_plain(self, conn):
         conn.begin()

@@ -183,6 +183,19 @@ class TestTransformerOwners:
                 calls_of(function, "walk") and calls_of(function, "lookup")
             ), f"{package_of_file}: {function.name} walks an AST for registry names"
 
+    def test_reevaluation_is_asked_of_the_ir(self):
+        """"Is evaluating this expression again harmless?" is
+        ``ir.defuse.harmless_to_reevaluate``; a module asking the purity
+        environment call by call is about to answer it a second way
+        (the window wrapper's copy called a registered query pure)."""
+        for package_of_file, function in functions(""):
+            if package_of_file == "repro.ir":
+                continue
+            asked = calls_of(function, "is_pure_function") + calls_of(
+                function, "method_mutates_receiver"
+            )
+            assert not asked, f"{package_of_file}: {function.name} decides purity"
+
     @pytest.mark.parametrize(
         "option,declared_by",
         [
@@ -203,6 +216,149 @@ class TestTransformerOwners:
             in [a.arg for a in (*function.args.args, *function.args.kwonlyargs)]
         )
         assert declaring == declared_by
+
+
+REQUEST_CORE = ("core", "web/client")
+
+
+def parameters(function):
+    args = function.args
+    return [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+
+
+class TestRequestPathOwners:
+    """One request record through the submission core (the table in
+    ``docs/ARCHITECTURE.md``): the front end builds a ``Request`` once
+    and every stage takes it whole — nobody re-describes it as
+    keywords, a pending entry, a tuple or a closure."""
+
+    def test_no_stage_takes_a_callback_for_what_the_request_knows(self):
+        for package in REQUEST_CORE:
+            for package_of_file, function in functions(package):
+                handed = {"still_valid", "on_dispatch", "cleanup"} & set(
+                    parameters(function)
+                )
+                assert not handed, f"{package_of_file}: {function.name}({handed})"
+
+    def test_no_stage_takes_the_request_apart(self):
+        parts = {"key", "tables", "ticket", "lease", "watcher"}
+        for package in REQUEST_CORE:
+            for package_of_file, function in functions(package):
+                taken = parts & set(parameters(function))
+                assert len(taken) <= 1, f"{package_of_file}: {function.name}({taken})"
+
+    def test_the_coalescer_queues_requests(self):
+        from repro.core import coalescer
+
+        assert not hasattr(coalescer, "_PendingDispatch")
+        classes = {
+            node.name
+            for _package_of_file, tree in modules("core/coalescer")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        }
+        assert classes == {"_Group", "DispatchCoalescer"}
+
+    @pytest.mark.parametrize("module", ["core/calls", "core/submission"])
+    def test_no_function_object_per_request(self, module):
+        """Nothing ``execute`` / ``submit`` / ``speculate`` runs through
+        builds a ``lambda`` or a nested ``def``: the executor task is the
+        request under ``CallPipeline.run``."""
+        for package_of_file, function in functions(module):
+            made = [
+                node
+                for node in ast.walk(function)
+                if node is not function
+                and isinstance(
+                    node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)
+                )
+            ]
+            assert not made, (
+                f"{module}: {function.name} builds a function at line "
+                f"{made[0].lineno}"
+            )
+
+    def test_the_sql_pipeline_is_the_call_pipeline(self):
+        """No forwarder: ``SubmissionPipeline`` inherits what it used to
+        delegate, so none of its methods is a lone
+        ``return self.<held object>.<member>...``."""
+        from repro.core.submission import CallPipeline, SubmissionPipeline
+
+        ((_package_of_file, tree),) = modules("core/submission")
+        (pipeline,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "SubmissionPipeline"
+        ]
+        for method in pipeline.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            body = [
+                statement
+                for statement in method.body
+                if not (
+                    isinstance(statement, ast.Expr)
+                    and isinstance(statement.value, ast.Constant)
+                )
+            ]
+            if len(body) != 1 or not isinstance(body[0], (ast.Return, ast.Expr)):
+                continue
+            value = body[0].value
+            target = value.func if isinstance(value, ast.Call) else value
+            held = target.value if isinstance(target, ast.Attribute) else None
+            assert not (
+                isinstance(held, ast.Attribute)
+                and isinstance(held.value, ast.Name)
+                and held.value.id == "self"
+            ), f"SubmissionPipeline.{method.name} only forwards to self.{held.attr}"
+        assert issubclass(SubmissionPipeline, CallPipeline)
+
+    @pytest.mark.parametrize("coalesce", [False, True], ids=["task", "coalesced"])
+    def test_a_refused_dispatch_strands_nobody(self, users_db, coalesce):
+        """Whichever ``start`` a request took, an executor that refuses
+        its task ends it in ``CallPipeline.settle``: the owner lease's
+        followers are failed, and a transaction's in-flight count is
+        given back."""
+        from concurrent.futures import Future
+
+        from repro.core.submission import SubmissionPipeline
+        from repro.prefetch import ResultCache
+        from repro.runtime.executor import AsyncExecutor
+
+        sql = "SELECT name FROM users WHERE id = ?"
+        cache = ResultCache(8)
+        backend = users_db.server
+        followers = []
+
+        class Refusing:
+            def submit(self, task):
+                # A second pipeline on the same cache joins the flight
+                # before the refusal is unwound.
+                followers.append(other.submit(sql, (3,)))
+                raise RuntimeError("executor refused the task")
+
+        live = AsyncExecutor(1)
+        other = SubmissionPipeline(backend, live, cache=cache)
+        pipeline = SubmissionPipeline(backend, Refusing(), cache=cache, coalesce=coalesce)
+        try:
+            with pytest.raises(RuntimeError, match="refused"):
+                pipeline.submit(sql, (3,))
+            (follower,) = followers
+            assert isinstance(follower.future, Future)
+            assert cache.stats.shared_flights == 1
+            with pytest.raises(RuntimeError, match="refused"):
+                follower.result(timeout=5)
+            # Nothing was retained; the next reader executes afresh.
+            assert other.execute(sql, (3,)).rows == [("user-3",)]
+            txn = backend.begin_transaction()
+            followers_before = len(followers)
+            with pytest.raises(RuntimeError, match="refused"):
+                pipeline.submit(sql, (3,), txn)
+            assert txn.in_flight == 0
+            assert len(followers) == followers_before + 1
+            txn.commit()  # would wait forever on a leaked count
+        finally:
+            live.close()
 
 
 @pytest.fixture
@@ -381,3 +537,35 @@ class TestPreparedMeansPrepared:
         assert [outcome.rowcount for outcome in inserted] == [1, 1]
         assert run(select, 103).rows == [("b",)]
         assert calls == []
+
+
+def test_sloc_counts_code_not_prose():
+    """``tools/sloc.py`` is how a PR's "less code" is measured: blank
+    lines, comments and docstrings are not program."""
+    import importlib.util
+
+    path = SRC.parent.parent / "tools" / "sloc.py"
+    spec = importlib.util.spec_from_file_location("sloc", path)
+    sloc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sloc)
+    source = '''"""Module
+docstring."""
+
+import os  # trailing comments do not make a line prose
+
+# a comment line
+class K:
+    """Class docstring."""
+
+    #: attribute comment
+    x = (
+        1,
+    )
+
+    def f(self):
+        """One-line docstring."""
+        return """a string that is a value,
+        not documentation"""
+'''
+    # import, class, x = ( / 1, / ), def, return (two physical lines)
+    assert sloc.count_code_lines(source) == 8

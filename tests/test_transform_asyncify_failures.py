@@ -9,9 +9,14 @@ from repro.transform import (
     asyncify_source,
     prefetch_source,
 )
-from repro.transform.pipelining import is_pure_expression
+from repro.ir.defuse import harmless_to_reevaluate
 from repro.ir.purity import PurityEnv
+from repro.transform.registry import default_registry
 from tests.helpers import FakeConnection
+
+
+def is_pure_expression(node, purity):
+    return harmless_to_reevaluate(node, purity, default_registry())
 
 
 # Module-level kernels (asyncify needs retrievable source).

@@ -6,17 +6,22 @@ accumulators and the multiset of issued queries must match.  (Query
 *order* may legitimately change: that is the transformation's point.)
 """
 
+import ast
 import copy
 import textwrap
 
 import pytest
 
+from repro.ir.purity import PurityEnv
 from repro.transform import (
+    engine,
     REASON_CONTROL,
     REASON_PRECONDITION,
     REASON_UNSUPPORTED_STMT,
     asyncify_source,
 )
+from repro.transform.errors import LoopNotTransformable
+from repro.transform.pipelining import wrap_window
 from repro.transform.registry import default_registry
 from repro.workloads.paper_examples import ALL_EXAMPLES
 from tests.helpers import FakeConnection, run_both
@@ -803,6 +808,51 @@ def program(conn, ids):
             lambda: ([1, 2, 3],),
         )
         assert result.transformed_loops == 1
+
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_query_in_a_windowed_predicate_is_not_duplicated(
+        self, window, monkeypatch
+    ):
+        # Three answers to "is re-evaluating this harmless?" disagreed:
+        # the window wrapper's called a registered query pure
+        # (``execute_query`` does not mutate its receiver), so it copied
+        # the predicate into the outer and the inner ``while`` and the
+        # count query ran once per window on top of once per iteration.
+        # The one owner says no; the wrapper refuses with
+        # ``fission-precondition`` and the loop is fissioned unwindowed.
+        source = """
+def program(conn, ids):
+    out = []
+    i = 0
+    while conn.execute_query("count", []).scalar() > i:
+        r = conn.execute_query("q", [ids[i]])
+        out.append(r.scalar())
+        i += 1
+    return out
+"""
+        refusals = []
+
+        def spying(*args):
+            try:
+                return wrap_window(*args)
+            except LoopNotTransformable as exc:
+                refusals.append(exc.reason)
+                raise
+
+        monkeypatch.setattr(engine, "wrap_window", spying)
+        # FakeConnection answers "count" with 68, whatever ``i`` is.
+        result = assert_equivalent(
+            source, "program", lambda: (list(range(68)),), window=window
+        )
+        assert result.transformed_loops == 1
+        assert result.source.count("'count'") == 1
+        assert refusals == ([REASON_PRECONDITION] if window else [])
+        from repro.ir.defuse import harmless_to_reevaluate
+
+        predicate = ast.parse(source).body[0].body[2].test
+        assert not harmless_to_reevaluate(
+            predicate, PurityEnv(), default_registry()
+        )
 
     def test_n1_generated_fetch_loop_does_not_block_the_outer_loop(self):
         # The inner fetch loop carries a try/except NameError capture

@@ -6,6 +6,7 @@ unrenamable writes).
 """
 
 import ast
+import time
 
 import pytest
 
@@ -205,6 +206,37 @@ while n > 0:
 """
         with pytest.raises(ReorderFailed):
             reorder_loop(code)
+
+
+    def test_gives_up_when_the_stub_would_recreate_the_dependence(self):
+        """``b = qr.scalar() + a`` follows the query wherever it goes and
+        writes ``b`` too, so moving the query past the crossing write
+        ``b = c + 8`` leaves a stub ``b = b_1`` behind it that crosses
+        in turn — one stub longer every round.  It used to take the
+        whole round budget (seconds, rebuilding the DDG of a growing
+        body) to say so."""
+        code = """
+while n > 0:
+    qr = conn.execute_query(q, [b])
+    a = fn(b)
+    b = qr.scalar() + a
+    b = c + 8
+    out.append(b)
+"""
+        started = time.perf_counter()
+        with pytest.raises(ReorderFailed, match="recreates the crossing"):
+            reorder_loop(code)
+        assert time.perf_counter() - started < 0.2
+        started = time.perf_counter()
+        result = asyncify_source(
+            "def program(conn, q, b, c, n, out):\n"
+            + "".join(f"    {line}\n" for line in code.strip().splitlines())
+        )
+        assert time.perf_counter() - started < 0.2
+        assert [o.reason for r in result.reports for o in r.outcomes] == [
+            "reorder-failed"
+        ]
+        assert "b_1" not in result.source  # emitted unchanged
 
 
 class TestRenameLeak:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Union
 from ..errors import ParamCountError
 from .context import ExecutionContext
 from .expr_eval import RowEvaluator
-from .operators import SeqScanOp
+from .operators import SeqScanOp, partition
 from .planner import SelectPlan, _candidates, prefer_batch_scan
 from .result import QueryResult
 
@@ -107,24 +107,19 @@ def execute_batch_select(
         scanned: List[int] = []
         buckets: Optional[Dict[object, List[int]]] = None
         if single_scan:
-            # The single shared scan, batch-at-a-time: bucket by
-            # partitioning each batch's selection vector on the
-            # equality column — no tuples are built.
+            # The single shared scan, batch-at-a-time; then bucket by
+            # partitioning the scanned selection vector on the equality
+            # column — no tuples are built.
             scan_op = (
                 plan._access
                 if isinstance(plan._access, SeqScanOp)
                 else SeqScanOp(info)
             )
-            if plan.bucket is not None:
-                key_column = columns[plan.bucket[0]]
-                buckets = {}
             for batch in scan_op.run(ctx):
                 ctx.note_scan_batch(len(batch.sel), len(batch.sel))
                 scanned.extend(batch.sel)
-                if buckets is not None:
-                    for rid in batch.sel:
-                        buckets.setdefault(key_column[rid], []).append(rid)
-            if buckets is not None:
+            if plan.bucket is not None:
+                buckets = partition([columns[plan.bucket[0]]], scanned)
                 ctx.charge_cpu(rows=len(scanned))
 
         def run_one(binding: tuple) -> BindingOutcome:

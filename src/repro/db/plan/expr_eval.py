@@ -7,7 +7,7 @@ is strictly True.
 :class:`RowEvaluator` interprets the AST once per row (constants,
 INSERT/UPDATE values, the fallback below).
 :class:`ColumnarEvaluator` is the vectorized counterpart:
-it filters *selection vectors* (lists of row ids) against whole column
+it filters *selection vectors* (row-id sequences) against whole column
 lists — one comprehension per predicate conjunct instead of one AST walk
 per row — and gathers projection values column-at-a-time.  Expressions
 without a single-column fast path fall back to the row evaluator over a
@@ -239,7 +239,7 @@ class ColumnarEvaluator:
     # ------------------------------------------------------------------
     # filtering
     # ------------------------------------------------------------------
-    def filter(self, where: Optional[Expr], sel: List[int]) -> List[int]:
+    def filter(self, where: Optional[Expr], sel: Sequence[int]) -> Sequence[int]:
         """Narrow a selection vector to the rows where ``where`` is
         strictly True.  Top-level AND decomposes into conjuncts — each
         narrows the vector before the next runs (short-circuit across
@@ -252,7 +252,7 @@ class ColumnarEvaluator:
             sel = self._filter_one(conjunct, sel)
         return sel
 
-    def _filter_one(self, expr: Expr, sel: List[int]) -> List[int]:
+    def _filter_one(self, expr: Expr, sel: Sequence[int]) -> List[int]:
         if isinstance(expr, BinaryOp):
             fast = self._filter_comparison(expr, sel)
             if fast is not None:
@@ -283,7 +283,7 @@ class ColumnarEvaluator:
         return out
 
     def _filter_comparison(
-        self, expr: BinaryOp, sel: List[int]
+        self, expr: BinaryOp, sel: Sequence[int]
     ) -> Optional[List[int]]:
         """``column <op> constant`` (either side) in one comprehension.
 
@@ -334,7 +334,7 @@ class ColumnarEvaluator:
         ]
 
     def _filter_in_list(
-        self, expr: InList, sel: List[int]
+        self, expr: InList, sel: Sequence[int]
     ) -> Optional[List[int]]:
         column = self._column_of(expr.operand)
         if column is None:
@@ -363,7 +363,7 @@ class ColumnarEvaluator:
         ]
 
     def _filter_between(
-        self, expr: Between, sel: List[int]
+        self, expr: Between, sel: Sequence[int]
     ) -> Optional[List[int]]:
         column = self._column_of(expr.operand)
         if column is None:
@@ -389,7 +389,7 @@ class ColumnarEvaluator:
     # ------------------------------------------------------------------
     # projection
     # ------------------------------------------------------------------
-    def values(self, expr: Expr, sel: List[int]) -> List[Any]:
+    def values(self, expr: Expr, sel: Sequence[int]) -> List[Any]:
         """Evaluate ``expr`` for every selected row, column-at-a-time."""
         column = self._column_of(expr)
         if column is not None:

@@ -18,7 +18,7 @@ Cost charging:
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..catalog_types import TableInfo
 from ..errors import PlanError
@@ -36,8 +36,9 @@ from ..storage import OrderKey
 from .context import ExecutionContext
 from .expr_eval import ColumnarEvaluator, RowEvaluator
 
-#: A selection vector: row ids into the table's column lists.
-Selection = List[int]
+#: A selection vector: row ids into the table's column lists — a
+#: ``range`` for a batch with no tombstone, otherwise a list.
+Selection = Sequence[int]
 
 
 # ----------------------------------------------------------------------
@@ -130,12 +131,12 @@ class OrderedRangeOp:
 
 def _fetch_selection(
     ctx: ExecutionContext, info: TableInfo, row_ids
-) -> Selection:
+) -> List[int]:
     """Keep the live row ids and touch their distinct heap pages in
     first-encounter order; no tuples are built."""
     heap = info.heap
     valid = heap.validity_view()
-    sel: Selection = []
+    sel: List[int] = []
     pages_touched = set()
     for row_id in row_ids:
         if not valid[row_id]:
@@ -253,8 +254,9 @@ def columnar_aggregate_grouped(
     items: Sequence[SelectItem],
     group_by: Sequence[str],
 ) -> List[Tuple[Any, ...]]:
-    """GROUP BY over a selection vector: keys are gathered straight from
-    the grouping columns; each group keeps its own selection vector."""
+    """GROUP BY over a selection vector: :func:`partition` on the
+    grouping columns; each group keeps its own selection vector, and
+    groups come out in first-occurrence order."""
     schema = info.heap.schema
     key_columns = [
         columns[schema.position(name, info.name)] for name in group_by
@@ -269,17 +271,11 @@ def columnar_aggregate_grouped(
             "non-aggregate select items must be GROUP BY columns "
             f"(offending item: {getattr(expr, 'name', expr)!r})"
         )
-    groups: "dict[tuple, Selection]" = {}
-    order: List[tuple] = []
-    for rid in sel:
-        key = tuple(column[rid] for column in key_columns)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rid)
+    single = len(key_columns) == 1
     output: List[Tuple[Any, ...]] = []
-    for key in order:
-        member_sel = groups[key]
+    for key, member_sel in partition(key_columns, sel).items():
+        if single:
+            key = (key,)
         values: List[Any] = []
         for item in items:
             expr = item.expr
@@ -291,6 +287,31 @@ def columnar_aggregate_grouped(
         output.append(tuple(values))
     ctx.charge_cpu(rows=len(sel) * max(1, len(items)))
     return output
+
+
+def partition(
+    key_columns: Sequence[List[Any]], sel: Selection
+) -> Dict[Any, List[int]]:
+    """Hash-partition a selection vector on one or more columns: each
+    distinct key — the value itself for one column, a tuple for several
+    — maps to its member row ids, in selection order, and the keys come
+    in first-occurrence order.  Keys are gathered by C-level ``map``
+    over the columns; each row costs one ``get`` and one ``append``.
+    GROUP BY and the batch demux's buckets both partition through here.
+    """
+    if len(key_columns) == 1:
+        keys = map(key_columns[0].__getitem__, sel)
+    else:
+        keys = zip(*[map(column.__getitem__, sel) for column in key_columns])
+    groups: Dict[Any, List[int]] = {}
+    get = groups.get
+    for key, rid in zip(keys, sel):
+        members = get(key)
+        if members is None:
+            groups[key] = [rid]
+        else:
+            members.append(rid)
+    return groups
 
 
 def _run_aggregate(

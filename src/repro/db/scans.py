@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 #: Rows per column batch the vectorized executor works on.  Large enough
 #: that the per-batch Python overhead (one comprehension per predicate
@@ -28,12 +28,13 @@ DEFAULT_BATCH_ROWS = 1024
 class ColumnBatch:
     """One unit of columnar execution: the table's column lists (shared,
     zero-copy — indexed by schema position) plus a *selection vector* of
-    the live row ids this batch covers.  Operators narrow ``sel``; the
-    columns themselves are never copied until late materialization at
-    the result boundary."""
+    the live row ids this batch covers (a ``range`` when the batch has no
+    tombstone, else a list).  Operators narrow ``sel``; the columns
+    themselves are never copied until late materialization at the result
+    boundary."""
 
     columns: Tuple[List[Any], ...]
-    sel: List[int]
+    sel: Sequence[int]
 
 
 def iter_column_batches(heap, batch_rows: int = DEFAULT_BATCH_ROWS) -> Iterator[ColumnBatch]:

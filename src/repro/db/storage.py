@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from .concurrency import ReadWriteLock
 from .errors import ConstraintError
@@ -227,14 +227,14 @@ class HeapTable:
         """The liveness bitmap (byte per slot, 1 = live)."""
         return self._valid
 
-    def live_selection(self, start: int, stop: int) -> List[int]:
-        """Selection vector of live row ids in ``[start, stop)``."""
+    def live_selection(self, start: int, stop: int) -> Sequence[int]:
+        """Selection vector of live row ids in ``[start, stop)``: the
+        ``range`` itself when no slot in it is tombstoned (nothing is
+        copied), else a list."""
         valid = self._valid
         stop = min(stop, len(valid))
-        if start >= stop:
-            return []
         if not valid.count(0, start, stop):
-            return list(range(start, stop))
+            return range(start, stop)
         return [row_id for row_id in range(start, stop) if valid[row_id]]
 
 

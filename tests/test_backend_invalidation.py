@@ -330,6 +330,13 @@ class TestConcurrentReaders:
 
     @staticmethod
     def stress(db, cache, name, update, keys=()):
+        """Liveness — some read reached the cache and hit — must not
+        hang on the scheduler: a write without a footprint (``WHERE id =
+        0`` has a literal key) holds the table's window open almost
+        continuously, and a read that finds it open bypasses the cache.
+        So until the first hit the writer leaves a quiet gap every 50
+        writes, and the run lasts until that hit (under a deadline); the
+        no-stale-read check is the same throughout."""
         finished = [0]  # the last value whose write has returned
         errors = []
         stop = threading.Event()
@@ -343,6 +350,8 @@ class TestConcurrentReaders:
                     finished[0] = value
                     for key in keys[1:]:
                         conn.execute_update(update, (value, key))
+                    if value % 50 == 0 and not cache.stats.hits:
+                        time.sleep(0.002)
 
         def read(conn, split):
             try:
@@ -372,6 +381,9 @@ class TestConcurrentReaders:
             for thread in threads:
                 thread.start()
             time.sleep(0.5)
+            deadline = time.monotonic() + 20
+            while not cache.stats.hits and time.monotonic() < deadline:
+                time.sleep(0.01)
         finally:
             stop.set()
             for thread in threads:

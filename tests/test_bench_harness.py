@@ -259,3 +259,76 @@ for _figure_id in figures.REGISTRY:
         f"test_{_figure_id.replace('-', '_')}_smoke",
         _smoke_case(_figure_id),
     )
+
+
+def _load_tool(name):
+    """A ``tools/`` script as a module (they are scripts, not a package)."""
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPerfPairsVerdict:
+    """``tools/perf_pairs.py`` reports what a perf claim may say: a gain
+    only by the nine-in-ten rule, ``WORSE`` beyond the bound,
+    ``unresolved`` where the base's own spread is wider than the bound,
+    and a refusal for an incorrect change pass."""
+
+    pairs = _load_tool("perf_pairs")
+    TIGHT = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+
+    def test_gain_by_the_nine_in_ten_rule(self):
+        change = [2 * value for value in self.TIGHT]
+        assert self.pairs.judge(self.TIGHT, change, True, 0.25) == (10, "gain")
+        # Lower is better: the same numbers read the other way round.
+        assert self.pairs.judge(change, self.TIGHT, False, 0.25) == (10, "gain")
+
+    def test_worse_beyond_the_bound(self):
+        change = [0.7 * value for value in self.TIGHT]
+        assert self.pairs.judge(self.TIGHT, change, True, 0.25) == (0, "WORSE (bound 25%)")
+
+    def test_within_bound_when_the_base_is_steady(self):
+        change = list(reversed(self.TIGHT))
+        assert self.pairs.judge(self.TIGHT, change, True, 0.25)[1] == "within bound"
+
+    def test_unresolved_when_the_base_spreads_wider_than_the_bound(self):
+        base = [50.0, 150.0, 60.0, 140.0, 100.0, 55.0, 145.0, 100.0]
+        change = [60.0, 140.0, 50.0, 150.0, 100.0, 145.0, 55.0, 100.0]
+        assert self.pairs.judge(base, change, True, 0.25)[1] == "unresolved"
+        # ... unless the change wins every pair.
+        ahead = [value + 1 for value in base]
+        assert self.pairs.judge(base, ahead, True, 0.25) == (8, "within bound")
+
+    def test_objections(self):
+        fine = {"ops_per_s": (1.0, "within bound"), "op_p95_ms": (0.9, "unresolved")}
+        clean = {"base": (1, 100, 0), "change": (2, 200, 0)}  # the same share
+        assert self.pairs.objections(fine, clean) == []
+        worse = dict(fine, op_p50_ms=(1.4, "WORSE (bound 25%)"))
+        assert self.pairs.objections(worse, clean) == ["WORSE"]
+        more = {"base": (1, 100, 0), "change": (2, 100, 0)}
+        assert self.pairs.objections(fine, more) == ["MORE FAILED"]
+        incorrect = {"base": (0, 100, 0), "change": (0, 100, 1)}
+        assert self.pairs.objections(fine, incorrect) == ["INCORRECT"]
+
+    @pytest.mark.parametrize("correct", [True, False])
+    def test_an_incorrect_change_pass_fails_the_run(self, monkeypatch, capsys, tmp_path, correct):
+        benchmark = json.loads((self.pairs.ROOT / "BENCHMARK.json").read_text())
+
+        def one_pass(directory, command):
+            return {
+                "failed": 0,
+                "attempted": 100,
+                "correct": correct or directory != self.pairs.ROOT,
+                "metrics": {
+                    metric["name"]: {"value": 1.0} for metric in benchmark["end_to_end"]
+                },
+            }
+
+        monkeypatch.setattr(self.pairs, "one_pass", one_pass)
+        status = self.pairs.main([str(tmp_path), "--workload", "scan_agg", "--pairs", "2"])
+        assert status == (0 if correct else 1)
+        assert ("INCORRECT" in capsys.readouterr().out) is not correct

@@ -18,9 +18,13 @@ writes and transactions.
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.db import Database, INSTANT
+from repro.db import Database, INSTANT, SYS1
+from repro.db.scans import DEFAULT_BATCH_ROWS
 from tests.helpers import reference_select
 
 values = st.one_of(st.integers(min_value=-9, max_value=9), st.none())
@@ -86,6 +90,37 @@ def fresh_db(rows, clustered=False, indexed=False):
         db.create_index("ix", "t", "a")
         db.create_index("ox", "t", "b", ordered=True)
     return db
+
+
+def multi_batch_db(seed, n, tombstoned, pivot):
+    """``n`` rows (ids = row ids) drawn from ``seed`` — several
+    ``ColumnBatch``es — with the rows whose ``a`` is ``pivot`` deleted
+    in the batches named by ``tombstoned`` only, so dense batches (whose
+    selection vectors are ``range``s) and tombstoned ones (lists) meet
+    in one scan, one GROUP BY and one demux bucket."""
+    rng = random.Random(seed)
+    ints = list(range(-9, 10)) + [None]
+    words = ["red", "green", "blue", "", None]
+    db = fresh_db(
+        [(i, rng.choice(ints), rng.choice(ints), rng.choice(words)) for i in range(n)]
+    )
+    for batch in tombstoned:
+        low = batch * DEFAULT_BATCH_ROWS
+        db.server.execute(
+            "DELETE FROM t WHERE id >= ? AND id < ? AND a = ?",
+            (low, low + DEFAULT_BATCH_ROWS, pivot),
+        )
+    return db
+
+
+#: 2100–3100 rows span three or four batches; deleting in one or two
+#: of the first three always leaves a whole batch dense.
+multi_batch_layout = {
+    "seed": st.integers(0, 2**16),
+    "n": st.integers(2100, 3100),
+    "tombstoned": st.sets(st.integers(0, 2), min_size=1, max_size=2),
+    "pivot": st.integers(-9, 9),
+}
 
 
 def outcome(run):
@@ -163,6 +198,32 @@ class TestSelectDifferential:
         finally:
             db.close()
 
+    @given(params=params_strategy, **multi_batch_layout)
+    @settings(max_examples=6, deadline=None)
+    def test_across_batches(self, params, seed, n, tombstoned, pivot):
+        # Batch boundaries and mixed range/list selection vectors: every
+        # other layout here fits in one batch.
+        db = multi_batch_db(seed, n, tombstoned, pivot)
+        try:
+            for sql, nparams in QUERIES:
+                assert_matches_reference(db, sql, params[:nparams])
+        finally:
+            db.close()
+
+
+def assert_batch_matches_reference(db, bindings):
+    """Every binding's slot of the set-oriented batch path — duplicates,
+    NULLs and faults included — is what the reference answers for that
+    binding alone."""
+    for sql, nparams in QUERIES:
+        batch = [binding[:nparams] for binding in bindings]
+        outcomes = db.server.execute_prepared_batch(db.server.prepare(sql), batch)
+        order = scan_by(db, sql)
+        assert [outcome(lambda: o) for o in outcomes] == [
+            outcome(lambda: reference_select(db, sql, binding, order))
+            for binding in batch
+        ], sql
+
 
 class TestBatchDifferential:
     @given(
@@ -172,22 +233,23 @@ class TestBatchDifferential:
     )
     @settings(max_examples=20, deadline=None)
     def test_demux_batch_agrees(self, rows, bindings, indexed):
-        # The set-oriented batch path (scan-and-bucket demux on a heap
-        # table, cost-gated scan-or-probe on an indexed one): every
-        # binding's slot — duplicates, NULLs and faults included — must
-        # be what the reference answers for that binding alone.
+        # Scan-and-bucket demux on a heap table, cost-gated scan-or-probe
+        # on an indexed one.
         db = fresh_db(rows, indexed=indexed)
         try:
-            for sql, nparams in QUERIES:
-                batch = [binding[:nparams] for binding in bindings]
-                outcomes = db.server.execute_prepared_batch(
-                    db.server.prepare(sql), batch
-                )
-                order = scan_by(db, sql)
-                assert [outcome(lambda: o) for o in outcomes] == [
-                    outcome(lambda: reference_select(db, sql, binding, order))
-                    for binding in batch
-                ], sql
+            assert_batch_matches_reference(db, bindings)
+        finally:
+            db.close()
+
+    @given(
+        bindings=st.lists(st.tuples(values, values), min_size=1, max_size=4),
+        **multi_batch_layout,
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_demux_batch_agrees_across_batches(self, bindings, seed, n, tombstoned, pivot):
+        db = multi_batch_db(seed, n, tombstoned, pivot)
+        try:
+            assert_batch_matches_reference(db, bindings)
         finally:
             db.close()
 
@@ -223,3 +285,74 @@ class TestScanObservability:
             attrs = spans[-1]["attrs"]
             assert attrs["scan_batches"] >= 1
             assert "executor" not in attrs
+
+
+SCAN_COUNT = "SELECT count(*) FROM users WHERE rating >= ?"
+SCAN_GROUP = "SELECT region_id, count(*) FROM users GROUP BY region_id"
+SCAN_FILTER = "SELECT user_id, region_id FROM users WHERE rating = ? AND region_id < ?"
+
+
+def scan_charges():
+    """The ``scan_agg`` statements and a demuxed scan-strategy batch on
+    ``SYS1`` over three batches (one tombstoned): what the cost model
+    charged, and what the statements answered."""
+    db = Database(SYS1)
+    db.create_table(
+        "users", ("user_id", "int"), ("name", "text"), ("rating", "int"), ("region_id", "int")
+    )
+    db.bulk_load(
+        "users", [(i, f"u{i}", i * 7 % 11 - 5, i * 3 % 10) for i in range(2500)]
+    )
+    with db:
+        server = db.server
+        server.execute(
+            "DELETE FROM users WHERE user_id >= ? AND user_id < ? AND rating = ?",
+            (1024, 2048, 0),
+        )
+        answers = [
+            server.execute(SCAN_COUNT, (1,)).rows,
+            server.execute(SCAN_GROUP).rows,
+            len(server.execute(SCAN_FILTER, (2, 3)).rows),
+        ]
+        db.flush_cache()
+        outcomes = server.execute_prepared_batch(
+            server.prepare(SCAN_FILTER), [(r, 5) for r in (-5, 0, 2, 2, 4)]
+        )
+        answers.append([len(result.rows) for result in outcomes])
+        counters = db.metrics.snapshot()["counters"]
+        return {
+            "answers": answers,
+            "totals": db.meter.totals(),
+            "counts": db.meter.counts(),
+            "buffer": (db.buffer.stats.hits, db.buffer.stats.misses),
+            "disk": (
+                db.disk.stats.reads,
+                db.disk.stats.sequential_reads,
+                db.disk.stats.random_reads,
+            ),
+            "scan": (counters["scan.batches"], counters["scan.rows_scanned"]),
+        }
+
+
+class TestScanCharges:
+    def test_the_cost_model_does_not_move(self):
+        """The simulated charges every figure is built on: literals
+        taken from the row-at-a-time grouping and bucketing loops and
+        the list-only selection vectors the scan kernels replaced.
+        Kernels may get faster; what they charge may not change."""
+        charged = scan_charges()
+        regions = [0, 3, 6, 9, 2, 5, 8, 1, 4, 7]  # first-occurrence order
+        assert charged["answers"] == [
+            [(1136,)],
+            [(region, 240 if region in (0, 3, 6) else 241) for region in regions],
+            68,
+            [114, 67, 114, 114, 114],
+        ]
+        assert charged["totals"] == pytest.approx(
+            {"cpu": 0.00224696, "disk": 0.012634, "network": 0.0, "queue": 0.0},
+            rel=1e-9,
+        )
+        assert charged["counts"] == {"cpu": 5, "disk": 80, "network": 0, "queue": 0}
+        assert charged["buffer"] == (120, 80)
+        assert charged["disk"] == (80, 2, 78)
+        assert charged["scan"] == (15, 12128)

@@ -10,7 +10,6 @@ we — see the Discussion section / DESIGN.md).
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 
 class ReadWriteLock:
@@ -28,6 +27,8 @@ class ReadWriteLock:
         self._active_readers = 0
         self._active_writer = False
         self._waiting_writers = 0
+        self._reading = _Held(self.acquire_read, self.release_read)
+        self._writing = _Held(self.acquire_write, self.release_write)
 
     def acquire_read(self) -> None:
         with self._lock:
@@ -57,18 +58,29 @@ class ReadWriteLock:
             self._writers_ok.notify()
             self._readers_ok.notify_all()
 
-    @contextmanager
-    def reading(self):
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+    def reading(self) -> "_Held":
+        """``with lock.reading():`` — the read side as a context manager."""
+        return self._reading
 
-    @contextmanager
-    def writing(self):
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+    def writing(self) -> "_Held":
+        """``with lock.writing():`` — the write side as a context manager."""
+        return self._writing
+
+
+class _Held:
+    """One side of a :class:`ReadWriteLock` as a class-based context
+    manager: entering acquires, leaving releases.  It holds no state of
+    its own, so each lock keeps one per side and every ``with`` reuses
+    it (a ``@contextmanager`` generator would cost a frame per use)."""
+
+    __slots__ = ("_acquire", "_release")
+
+    def __init__(self, acquire, release) -> None:
+        self._acquire = acquire
+        self._release = release
+
+    def __enter__(self) -> None:
+        self._acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self._release()

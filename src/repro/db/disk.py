@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .latency import LatencyMeter, LatencyProfile, precise_sleep
@@ -44,7 +44,6 @@ class DiskStats:
 class _Request:
     position: int
     sequence: int
-    event: threading.Event = field(default_factory=threading.Event)
 
 
 class _Spindle:

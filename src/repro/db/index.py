@@ -65,8 +65,13 @@ class HashIndex:
 
     # ------------------------------------------------------------------
     def lookup(self, value: Any) -> List[int]:
-        """Row ids matching ``value`` (ascending, i.e. physical order)."""
-        return list(self._buckets.get(value, ()))
+        """Row ids matching ``value`` (ascending, i.e. physical order).
+
+        A hit returns the index's own bucket, not a copy: read it, do
+        not mutate it, and only while holding the table's read lock
+        (index maintenance runs under the write lock)."""
+        bucket = self._buckets.get(value)
+        return [] if bucket is None else bucket
 
     def page_for(self, value: Any) -> int:
         """Deterministic index page a probe of ``value`` touches."""

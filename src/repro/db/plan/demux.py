@@ -129,6 +129,8 @@ def execute_batch_select(
                 if not single_scan:
                     # Indexed plan: keep the access path, probe once per
                     # distinct binding (duplicates were deduped above).
+                    if plan.point_probe is not None:
+                        return plan.probe(sub)
                     sel, _columns, evaluator = _candidates(
                         sub, info, plan._access, None
                     )

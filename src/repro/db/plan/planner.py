@@ -50,6 +50,7 @@ from .operators import (
     HashEqOp,
     OrderedRangeOp,
     SeqScanOp,
+    _fetch_selection,
     columnar_aggregate,
     columnar_aggregate_grouped,
     columnar_order,
@@ -397,6 +398,21 @@ class SelectPlan(_AccessPlan):
         #: (else None): a store may answer N bindings of such a
         #: statement with one ``WHERE key IN (…)``.
         self.point_key = _point_key(stmt, self.star)
+        #: What :meth:`probe` reads, fixed here: ``(hash index, key
+        #: column position, output column positions)`` when the point
+        #: lookup's access path is a hash-index probe, else None.
+        self.point_probe: Optional[Tuple[HashIndex, int, Tuple[int, ...]]] = None
+        if self.point_key is not None and isinstance(self._access, HashEqOp):
+            schema = self._info.heap.schema
+            self.point_probe = (
+                self._access._index,
+                schema.position(self.point_key, stmt.table),
+                tuple(range(len(schema)))
+                if self.star
+                else schema.project_positions(
+                    [item.expr.name for item in stmt.items], stmt.table
+                ),
+            )
 
     def limit(self, params: Sequence) -> Optional[int]:
         """The row count LIMIT allows under ``params`` (None without a
@@ -417,11 +433,48 @@ class SelectPlan(_AccessPlan):
         check_params(self._stmt.param_count, ctx.params)
         ctx.charge_cpu(fixed=True)
         info = self._info
-        with info.heap.lock.reading():
+        lock = info.heap.lock
+        lock.acquire_read()
+        try:
+            if self.point_probe is not None:
+                return self.probe(ctx)
             sel, columns, evaluator = _candidates(
                 ctx, info, self._access, self._stmt.where
             )
             return self._finalize(ctx, sel, columns, evaluator)
+        finally:
+            lock.release_read()
+
+    def probe(self, ctx: ExecutionContext) -> QueryResult:
+        """The rows one binding of a hash-probed point lookup returns
+        (the plan has a :attr:`point_probe`): touch the index page,
+        fetch the bucket's live rows, re-check ``key = value`` exactly
+        as the WHERE filter would (so cross-type and NULL bindings
+        answer alike), gather the output tuples straight from the
+        column lists.  The charges are the general path's, in its
+        order; no evaluator, batch or :meth:`_finalize` is involved.
+        Runs under the heap's read lock, after the caller's parameter
+        check and fixed CPU charge.  Asked by :meth:`execute` and by the
+        batch demux's probe strategy, once per distinct binding."""
+        index, key_position, positions = self.point_probe
+        info = self._info
+        value = ctx.params[0]
+        ctx.touch_page(index.io_name, index.page_for(value))
+        sel = _fetch_selection(ctx, info, index.lookup(value))
+        if not sel:
+            return QueryResult(columns=self.output_names)
+        columns = info.heap.columns_view()
+        key = columns[key_position]
+        kept = [] if value is None else [rid for rid in sel if key[rid] == value]
+        ctx.charge_cpu(rows=len(sel))
+        ctx.note_scan_batch(len(sel), len(kept))
+        if not self.star:
+            ctx.charge_cpu(rows=len(kept))
+        output = [columns[position] for position in positions]
+        return QueryResult(
+            columns=self.output_names,
+            rows=[tuple([column[rid] for column in output]) for rid in kept],
+        )
 
     def _finalize(
         self,

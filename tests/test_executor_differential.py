@@ -24,6 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db import Database, INSTANT, SYS1
+from repro.db.errors import DatabaseError
+from repro.db.plan.planner import prefer_batch_scan
 from repro.db.scans import DEFAULT_BATCH_ROWS
 from tests.helpers import reference_select
 
@@ -356,3 +358,145 @@ class TestScanCharges:
         assert charged["buffer"] == (120, 80)
         assert charged["disk"] == (80, 2, 78)
         assert charged["scan"] == (15, 12128)
+
+
+PROFILE_SQL = "SELECT name, rating FROM users WHERE user_id = ?"
+PROFILE_STAR = "SELECT * FROM users WHERE user_id = ?"
+
+
+def point_charges():
+    """``PROFILE_SQL``-shaped point reads on ``SYS1`` — hits, misses, a
+    tombstoned row, cross-type bindings — and one demuxed probe-strategy
+    batch with duplicate bindings: what the cost model charged, and what
+    the statements answered."""
+    db = Database(SYS1)
+    db.create_table(
+        "users", ("user_id", "int"), ("name", "text"), ("rating", "int"), ("region_id", "int")
+    )
+    db.bulk_load(
+        "users", [(i, f"u{i}", i * 7 % 11 - 5, i * 3 % 10) for i in range(2500)]
+    )
+    db.create_index("users_by_id", "users", "user_id", unique=True)
+    with db:
+        server = db.server
+        server.execute("DELETE FROM users WHERE user_id = ?", (40,))
+        keys = [i * 37 % 2600 for i in range(300)]
+        answers = [
+            sum(len(server.execute(PROFILE_SQL, (key,)).rows) for key in keys),
+            [
+                server.execute(PROFILE_SQL, (key,)).rows
+                for key in (40, 2600, None, "7", 7.0, True)
+            ],
+            server.execute(PROFILE_STAR, (11,)).rows,
+            server.execute(PROFILE_STAR, (40,)).rows,
+        ]
+        prepared = server.prepare(PROFILE_SQL)
+        batch = [(5,), (9,), (5,), (40,), (2600,), (9,), (5,)]
+        info = db.catalog.table("users")
+        # Four distinct bindings: the cost gate picks the probe strategy.
+        assert not prefer_batch_scan(info, prepared.plan._access, 4, SYS1)
+        outcomes = server.execute_prepared_batch(prepared, batch)
+        answers.append([result.rows for result in outcomes])
+        counters = db.metrics.snapshot()["counters"]
+        return {
+            "answers": answers,
+            "totals": db.meter.totals(),
+            "counts": db.meter.counts(),
+            "buffer": (db.buffer.stats.hits, db.buffer.stats.misses),
+            "disk": (
+                db.disk.stats.reads,
+                db.disk.stats.sequential_reads,
+                db.disk.stats.random_reads,
+            ),
+            "scan": (counters["scan.batches"], counters["scan.rows_scanned"]),
+        }
+
+
+class TestPointCharges:
+    def test_the_point_probe_charges_what_the_general_path_did(self):
+        """Literals taken from the general access-path + filter +
+        finalize route the point probe replaced: the probe may be
+        faster, its charges may not move."""
+        charged = point_charges()
+        assert charged["answers"] == [
+            289,
+            [[], [], [], [], [("u7", 0)], [("u1", 2)]],
+            [(11, "u11", -5, 3)],
+            [],
+            [[("u5", -3)], [("u9", 3)], [("u5", -3)], [], [], [("u9", 3)], [("u5", -3)]],
+        ]
+        assert charged["totals"] == pytest.approx(
+            {"cpu": 0.01250608, "disk": 0.00867, "network": 0.0, "queue": 0.0},
+            rel=1e-9,
+        )
+        assert charged["counts"] == {"cpu": 310, "disk": 50, "network": 0, "queue": 0}
+        assert charged["buffer"] == (558, 50)
+        assert charged["disk"] == (50, 1, 49)
+        assert charged["scan"] == (295, 295)
+
+
+#: Point lookups on a unique (``id``) and a non-unique (``a``) hash
+#: index, ``*`` and column lists, either side of the ``=``.
+POINT_QUERIES = [
+    "SELECT * FROM t WHERE id = ?",
+    "SELECT c, id FROM t WHERE id = ?",
+    "SELECT * FROM t WHERE a = ?",
+    "SELECT b, a AS x FROM t WHERE ? = a",
+]
+POINT_BINDINGS = [None, 1.0, True, "1", 0, 1, 2, -3, 9, 77]
+
+
+def point_db(rows, pivot):
+    """``rows`` under row-id keys, hash-indexed on ``id`` (unique) and
+    ``a``, with the rows whose ``b`` is ``pivot`` deleted."""
+    db = fresh_db([(i,) + row for i, row in enumerate(rows)])
+    db.create_index("ux", "t", "id", unique=True)
+    db.create_index("ix", "t", "a")
+    db.server.execute("DELETE FROM t WHERE b = ?", (pivot,))
+    return db
+
+
+class TestPointProbeDifferential:
+    @given(
+        rows=st.lists(st.tuples(values, values, texts), max_size=40),
+        pivot=st.integers(-9, 9),
+        backend=st.sampled_from(["memory", "sqlite"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_point_probe_agrees(self, rows, pivot, backend):
+        db = point_db(rows, pivot)
+        try:
+            store = db.backend(backend)
+            for sql in POINT_QUERIES:
+                assert db.server.prepare(sql).plan.point_probe is not None, sql
+                expected = [
+                    outcome(lambda: reference_select(db, sql, (key,)))
+                    for key in POINT_BINDINGS
+                ]
+                got = [
+                    outcome(lambda: store.execute(sql, (key,)))
+                    for key in POINT_BINDINGS
+                ]
+                assert got == expected, (backend, sql)
+                batch = store.execute_prepared_batch(
+                    store.prepare(sql), [(key,) for key in POINT_BINDINGS * 2]
+                )
+                assert [outcome(lambda: o) for o in batch] == expected * 2, (
+                    backend,
+                    sql,
+                )
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize(
+        "backend,error", [("memory", TypeError), ("sqlite", DatabaseError)]
+    )
+    def test_unhashable_binding_raises(self, backend, error):
+        db = point_db([(1, 2, "red")], pivot=9)
+        try:
+            store = db.backend(backend)
+            for sql in POINT_QUERIES:
+                with pytest.raises(error):
+                    store.execute(sql, ([1],))
+        finally:
+            db.close()

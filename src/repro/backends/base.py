@@ -605,49 +605,54 @@ class Backend:
         txn: Optional[Transaction],
         exec_span=None,
     ) -> QueryResult:
+        # The server lock is taken twice: on entry (plan staleness, the
+        # active count) and on exit (the active count, and the counters
+        # of a statement that ran).
         with self._lock:
             stale = prepared.catalog_version != self._catalog_version
-        if stale:
-            prepared = self.prepare(prepared.sql)
-        if txn is not None:
-            self._lock_for_txn(txn, prepared)
-        write = prepared.write
-        table = prepared.table
-        # The write window opens BEFORE the mutation runs: non-txn reads
-        # take no table locks, so a cached read overlapping the write
-        # must find the window open (no ticket) or, by publication time,
-        # its ticket moved.  Autocommit closes the window below; a
-        # transaction opens one per table at its first write to it and
-        # closes them inside the commit/rollback boundary — on the whole
-        # table: it holds the table's exclusive lock, and a per-key
-        # window would promise concurrency the lock manager does not
-        # give.  An autocommit write's window is only as wide as its
-        # footprint.
-        point = prepared.point(params) if write and txn is None else None
-        if write and (txn is None or txn.note_write(table)):
-            self.ledger.begin_write(table, point)
-        with self._lock:
             self._active += 1
             if self._active > self.stats.peak_concurrency:
                 self.stats.peak_concurrency = self._active
+        executed = window = False
         try:
+            if stale:
+                prepared = self.prepare(prepared.sql)
+            if txn is not None:
+                self._lock_for_txn(txn, prepared)
+            write = prepared.write
+            table = prepared.table
+            # The write window opens BEFORE the mutation runs: non-txn
+            # reads take no table locks, so a cached read overlapping the
+            # write must find the window open (no ticket) or, by
+            # publication time, its ticket moved.  Autocommit closes the
+            # window below; a transaction opens one per table at its
+            # first write to it and closes them inside the commit/rollback
+            # boundary — on the whole table: it holds the table's
+            # exclusive lock, and a per-key window would promise
+            # concurrency the lock manager does not give.  An autocommit
+            # write's window is only as wide as its footprint.
+            point = prepared.point(params) if write and txn is None else None
+            if write and (txn is None or txn.note_write(table)):
+                self.ledger.begin_write(table, point)
+                window = txn is None
             result = self._execute(prepared, params, txn, exec_span)
+            executed = True
             if exec_span is not None:
                 exec_span.set("write", write)
                 rows = getattr(result, "rowcount", None)
                 if rows is not None:
                     exec_span.set("rows", rows)
-            with self._lock:
-                self.stats.statements_executed += 1
-                if write:
-                    self.stats.writes_executed += 1
-                    if prepared.ddl:
-                        self._catalog_version += 1
             return result
         finally:
             with self._lock:
                 self._active -= 1
-            if write and txn is None:
+                if executed:
+                    self.stats.statements_executed += 1
+                    if prepared.write:
+                        self.stats.writes_executed += 1
+                        if prepared.ddl:
+                            self._catalog_version += 1
+            if window:
                 self.ledger.end_write(table, True, point)
 
     def _run_prepared_batch(

@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional, Set
 from ..obs.metrics import Histogram, MetricsRegistry
 from ..obs.trace import Span, Tracer
 from ..prefetch.cache import ResultCache
-from ..runtime.handles import QueryHandle, failed_handle, resolved_future
+from ..runtime.handles import QueryHandle, failed_handle
 
 _AGE = attrgetter("age_s")
 
@@ -378,9 +378,11 @@ class CallPipeline:
     def dispatch(self, request: Request, speculative: bool = False) -> QueryHandle:
         """The one non-blocking lifecycle; returns a handle at once.
 
-        A cache hit comes back already resolved (no thread hop) and a
-        single-flight follower shares the owner's in-flight future —
-        both count as cache hits and neither dispatches.  Otherwise
+        A cache hit and a single-flight follower both get the cache
+        entry's own future — already resolved for a hit (no thread hop,
+        nothing built), the owner's in-flight one for a follower; both
+        count as cache hits, neither dispatches, and neither handle can
+        cancel the entry (only the owner resolves it).  Otherwise
         :meth:`start` begins the real dispatch and returns its future;
         whoever learns the outcome hands it to :meth:`settle`.
 
@@ -402,9 +404,7 @@ class CallPipeline:
             cancellable = lease is None and request.private
         else:
             self.bump("cache_hits")
-            future = (
-                resolved_future(lease.value) if lease.is_hit else lease.future
-            )
+            future = lease.future  # the entry's own: resolved for a hit
         if watcher is None:
             return QueryHandle(future, label=request.label, span=request.span)
         watcher._attach(future, cancellable)

@@ -92,6 +92,7 @@ class _Entry:
         "tables",
         "ticket",
         "future",
+        "value",
         "doomed",
         "published",
         "expires_at",
@@ -105,7 +106,14 @@ class _Entry:
         #: ``(epoch, committed)`` the owning read was planned under
         #: (``(None, None)`` for a caller without a ledger).
         self.ticket = ticket
+        #: Resolved only by the owner's ``complete`` / ``fail``.  Marked
+        #: running from the start, so no handle sharing it — a hit's, a
+        #: follower's — can cancel it under the owner.
         self.future: "Future[Any]" = Future()
+        self.future.set_running_or_notify_cancel()
+        #: The result, stored by ``complete`` before the future resolves;
+        #: a hit reads it here instead of through the future.
+        self.value: Any = None
         #: Set when the entry leaves the map while the load is still in
         #: flight: current waiters are served, but the value is not kept.
         self.doomed = False
@@ -120,24 +128,24 @@ class _Entry:
 class Lease:
     """Outcome of one :meth:`ResultCache.acquire` call.
 
-    Exactly one of three states:
+    Exactly one of three states, each carrying its entry:
 
-    * ``is_hit`` — ``value`` holds the cached result;
+    * ``is_hit`` — ``value`` holds the cached result, and ``future`` is
+      the entry's own, already resolved;
     * ``is_owner`` — the caller must execute the query and then call
       :meth:`ResultCache.complete` (or :meth:`ResultCache.fail`);
     * otherwise the caller is a *follower*: ``wait()`` blocks until the
       owner finishes (``future`` can instead be wrapped in a handle).
     """
 
-    __slots__ = ("_state", "_value", "entry")
+    __slots__ = ("_state", "entry")
 
     _HIT = "hit"
     _OWNER = "owner"
     _FOLLOWER = "follower"
 
-    def __init__(self, state: str, value: Any = None, entry: Optional[_Entry] = None):
+    def __init__(self, state: str, entry: _Entry):
         self._state = state
-        self._value = value
         self.entry = entry
 
     @property
@@ -156,12 +164,10 @@ class Lease:
     def value(self) -> Any:
         if not self.is_hit:
             raise ValueError("lease is not a hit")
-        return self._value
+        return self.entry.value
 
     @property
     def future(self) -> "Future[Any]":
-        if self.entry is None:
-            raise ValueError("lease carries no in-flight entry")
         return self.entry.future
 
     def wait(self, timeout: Optional[float] = None) -> Any:
@@ -245,12 +251,12 @@ class ResultCache:
                     # decided): share the owner's outcome.
                     self.stats.hits += 1
                     self.stats.shared_flights += 1
-                    return Lease(Lease._FOLLOWER, entry=entry)
+                    return Lease(Lease._FOLLOWER, entry)
                 if entry.published and entry.ticket[1] == ticket[1]:
                     if not self._expired_locked(entry):
                         self._entries.move_to_end(key)
                         self.stats.hits += 1
-                        return Lease(Lease._HIT, value=entry.future.result())
+                        return Lease(Lease._HIT, entry)
                     self.stats.expirations += 1
                 else:
                     self.stats.invalidations += 1
@@ -259,7 +265,7 @@ class ResultCache:
             table_set = frozenset(tables or ()) or frozenset((WILDCARD_TABLE,))
             entry = _Entry(key, table_set, ticket)
             self._entries[key] = entry
-            return Lease(Lease._OWNER, entry=entry)
+            return Lease(Lease._OWNER, entry)
 
     def complete(self, lease: Lease, value: Any, retain: bool = True) -> Any:
         """Owner callback: publish ``value`` and retain it (LRU-bounded).
@@ -270,6 +276,7 @@ class ResultCache:
         tail a computation.
         """
         entry = self._require_owned(lease)
+        entry.value = value
         entry.future.set_result(value)
         with self._lock:
             if entry.doomed or self._entries.get(entry.key) is not entry:
@@ -298,7 +305,7 @@ class ResultCache:
 
     @staticmethod
     def _require_owned(lease: Lease) -> _Entry:
-        if not lease.is_owner or lease.entry is None:
+        if not lease.is_owner:
             raise ValueError("complete/fail require an owner lease")
         return lease.entry
 

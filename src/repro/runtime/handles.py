@@ -69,8 +69,9 @@ class QueryHandle:
 
 
 def resolved_future(value: Any) -> "Future[Any]":
-    """An already-completed future holding ``value`` — the one place
-    resolved-future construction lives (cache hits, test fixtures)."""
+    """An already-completed future holding ``value``, for
+    :func:`completed_handle`.  A cache hit does not use it: its handle
+    wraps the cache entry's own, already resolved, future."""
     future: "Future[Any]" = Future()
     future.set_result(value)
     return future

@@ -332,3 +332,31 @@ class TestPerfPairsVerdict:
         status = self.pairs.main([str(tmp_path), "--workload", "scan_agg", "--pairs", "2"])
         assert status == (0 if correct else 1)
         assert ("INCORRECT" in capsys.readouterr().out) is not correct
+
+    def test_layers_prints_the_request_path_beside_the_engine(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        benchmark = json.loads((self.pairs.ROOT / "BENCHMARK.json").read_text())
+
+        def one_pass(directory, command):
+            assert "--trace=1" in command
+            value = 2.0 if directory == self.pairs.ROOT else 4.0
+            return {
+                "correct": True,
+                "metrics": {
+                    metric["name"]: {"value": value} for metric in benchmark["per_layer"]
+                },
+            }
+
+        monkeypatch.setattr(self.pairs, "one_pass", one_pass)
+        assert self.pairs.main([str(tmp_path), "--layers", "hotset_read"]) == 0
+        printed = {
+            line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+        }
+        for name in (
+            "runtime.hop_us", "core.window_us_per_op", "prefetch.cache.hit_us",
+            "prefetch.cache.layer_us", "client.front_us",
+            "backends.memory.execute_us", "db.plan.scan_us_per_krow",
+        ):
+            assert "change/base 0.500" in printed[name]
+        assert "prefetch.cache.hit_ratio" not in printed

@@ -584,19 +584,57 @@ class TestSpeculationCacheProtocol:
         assert pipeline.stats.cache_hits == 1
         pipeline.executor.close()
 
+    def test_a_follower_cannot_cancel_the_shared_flight(self):
+        """Only the owner resolves a single-flight entry: cancelling a
+        follower's handle (or a hit's) must neither fail the owner nor
+        pin a cancelled entry that every later reader would join."""
+        import threading
+
+        cache = ResultCache(capacity=8)
+        pipeline = self._pipeline(cache)
+        started, release = threading.Event(), threading.Event()
+
+        def invoke():
+            started.set()
+            release.wait(timeout=5)
+            return "owned"
+
+        owner = pipeline.dispatch(invoke, key="k", tables=["t"])
+        assert started.wait(timeout=5)
+        follower = pipeline.dispatch(
+            lambda: pytest.fail("follower must join, not re-execute"),
+            key="k",
+            tables=["t"],
+        )
+        assert follower.cancel() is False
+        release.set()
+        assert pipeline.fetch(owner) == "owned"
+        assert pipeline.fetch(follower) == "owned"
+        later = pipeline.dispatch(
+            lambda: pytest.fail("a published entry must hit"), key="k", tables=["t"]
+        )
+        assert later.done() and later.cancel() is False
+        assert pipeline.fetch(later) == "owned"
+        assert pipeline.stats.cache_hits == 2
+        pipeline.executor.close()
+
     def test_drain_waits_out_in_flight_speculations(self):
         import threading
 
         pipeline = self._pipeline()
-        release = threading.Event()
+        started, release = threading.Event(), threading.Event()
         done = []
 
         def invoke():
+            started.set()
             release.wait(timeout=5)
             done.append(1)
             return "late"
 
         pipeline.speculate(invoke)
+        # In flight, not queued: a still-queued abandoned speculation is
+        # cancelled outright, which is the other test's subject.
+        assert started.wait(timeout=5)
         release.set()
         drained = pipeline.drain_speculations(wait=True)
         assert drained == 1

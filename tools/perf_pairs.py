@@ -26,10 +26,12 @@ base did, or any change pass reported incorrect outputs
 (:func:`rejected`).
 
 ``--layers WORKLOAD`` runs one layers pass (``--trace 1``) of that
-workload on each side instead and prints the engine's per-layer
-metrics side by side — ``backends.*.execute_us``,
-``db.plan.scan_us_per_krow`` and ``db.scan.*`` — so an engine change
-shows where its time went.
+workload on each side instead and prints the per-layer metrics side by
+side — the engine's (``backends.memory.execute_us``,
+``db.plan.scan_us_per_krow``, ``db.scan.*``) and the request path's
+(``runtime.hop_us``, ``core.window_us_per_op``,
+``prefetch.cache.hit_us``, ``prefetch.cache.layer_us``,
+``client.front_us``) — so a change shows where its time went.
 
 Run from the repository root, with nothing else on the CPU::
 
@@ -173,22 +175,28 @@ def compare(benchmark, sides, workload, pairs, seconds, seed):
     return verdicts, failures
 
 
-#: The per-layer metrics ``--layers`` prints: the engine's own time and
-#: work (every ``BENCHMARK.json`` per-layer name with one of these
-#: prefixes, in its declared order).
-ENGINE_LAYERS = ("backends.memory.execute_us", "db.plan.scan_us_per_krow", "db.scan.")
+#: The per-layer metrics ``--layers`` prints (every ``BENCHMARK.json``
+#: per-layer name with one of these prefixes, in its declared order):
+#: the engine's own time and work, then the request path's — the thread
+#: hop, the windowed dispatch, the cache layer and its hit, the
+#: connection front end.
+LAYERS = (
+    "backends.memory.execute_us", "db.plan.scan_us_per_krow", "db.scan.",
+    "runtime.hop_us", "core.window_us_per_op", "prefetch.cache.hit_us",
+    "prefetch.cache.layer_us", "client.front_us",
+)
 
 
 def layers(benchmark, sides, workload, seconds, seed):
     """One layers pass (``--trace 1``) of ``workload`` per side; prints
-    :data:`ENGINE_LAYERS` side by side.  Informational: one pass each,
-    no verdict."""
+    :data:`LAYERS` side by side.  Informational: one pass each, no
+    verdict."""
     command = pass_command(benchmark, workload, seed, seconds, trace=1)
     runs = {side: one_pass(directory, command) for side, directory in sides.items()}
     print(f"{workload} layers pass  seed {seed}  {seconds:g} s/pass  one pass per side")
     for metric in benchmark["per_layer"]:
         name = metric["name"]
-        if name.startswith(ENGINE_LAYERS):
+        if name.startswith(LAYERS):
             base, change = (runs[side]["metrics"][name]["value"] for side in ("base", "change"))
             ratio = change / base if base else float("nan")
             print(
@@ -218,7 +226,7 @@ def main(argv=None):
     parser.add_argument(
         "--layers",
         metavar="WORKLOAD",
-        help="instead: one layers pass of WORKLOAD per side, engine metrics side by side",
+        help="instead: one layers pass of WORKLOAD per side, layer metrics side by side",
     )
     args = parser.parse_args(argv)
 

@@ -21,7 +21,6 @@ import time
 from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from operator import attrgetter
 from typing import Any, Dict, Optional, Set
 
@@ -184,18 +183,24 @@ class Request:
     end and passed whole to every stage: the cache plan (``key`` /
     ``tables`` / ``ticket``; a None key bypasses the cache), the root
     trace ``span``, the handle ``label``, and what the core attaches on
-    the way — the cache ``lease``, the speculative ``watcher`` and, for
-    a request resolved by someone else's task (a coalesced batch), the
-    ``future`` its outcome is set on.
+    the way — the cache ``lease``, the speculative ``watcher``, the
+    ``pipeline`` that dispatched it and, for a request resolved by
+    someone else's task (a coalesced batch), the ``future`` its outcome
+    is set on.
 
     A transport subclasses it with its three verbs: :meth:`round_trip`
     (do one), :meth:`charge` (what a real dispatch costs at submit) and
     :meth:`release` (give back whatever ``charge`` took; a no-op for a
     request that was never charged — a blocking call).
+
+    A dispatched request is itself the executor task: calling it is
+    :meth:`CallPipeline.run`, and :meth:`cancelled` is how the executor
+    reports dropping it.
     """
 
     __slots__ = (
-        "key", "tables", "ticket", "span", "label", "lease", "watcher", "future"
+        "key", "tables", "ticket", "span", "label", "lease", "watcher",
+        "future", "pipeline",
     )
 
     #: Can nothing but a cache lease observe the dispatch (``release``
@@ -205,9 +210,19 @@ class Request:
 
     def __init__(self, label: str = "", span: Optional[Span] = None) -> None:
         self.key = self.tables = self.ticket = None
-        self.lease = self.watcher = self.future = None
+        self.lease = self.watcher = self.future = self.pipeline = None
         self.label = label
         self.span = span
+
+    def __call__(self) -> Any:
+        return self.pipeline.run(self)
+
+    def cancelled(self) -> None:
+        """Its future was cancelled while queued, so it never runs: it
+        still ends in :meth:`CallPipeline.settle`, as a
+        ``CancelledError`` — an owner lease's followers get that error,
+        nothing is retained, and ``release`` gives back the charge."""
+        self.pipeline.settle(self, CancelledError())
 
     def round_trip(self) -> Any:
         """One full round trip, in the calling thread."""
@@ -382,7 +397,9 @@ class CallPipeline:
         entry's own future — already resolved for a hit (no thread hop,
         nothing built), the owner's in-flight one for a follower; both
         count as cache hits, neither dispatches, and neither handle can
-        cancel the entry (only the owner resolves it).  Otherwise
+        cancel the entry (only the owner resolves it — with
+        ``CancelledError`` if the owner's own dispatch is cancelled while
+        queued).  Otherwise
         :meth:`start` begins the real dispatch and returns its future;
         whoever learns the outcome hands it to :meth:`settle`.
 
@@ -411,13 +428,14 @@ class CallPipeline:
         return self._track(watcher)
 
     def start(self, request: Request) -> "Future":
-        """Begin the real dispatch — one executor task running
-        :meth:`run` — and return its future.  All that differs between
-        transports (:class:`SubmissionPipeline` routes coalescable reads
-        to its :class:`DispatchCoalescer` instead)."""
+        """Begin the real dispatch — the request as an executor task,
+        running :meth:`run` — and return its future.  All that differs
+        between transports (:class:`SubmissionPipeline` routes
+        coalescable reads to its :class:`DispatchCoalescer` instead)."""
         request.charge()
+        request.pipeline = self
         try:
-            return self.executor.submit(partial(self.run, request))
+            return self.executor.submit(request)
         except BaseException as exc:
             # Never strand single-flight followers (or a transaction's
             # in-flight count) on a submission that could not be queued.

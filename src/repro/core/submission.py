@@ -62,8 +62,9 @@ hands a coalescable read to the :class:`DispatchCoalescer`, which queues
 the request itself for a batched flush.  Every round trip — the blocking
 call's too — ends in ``settle``: the owner lease is published, the
 dispatch's debt released, a coalesced request's future resolved; a
-dispatch the executor refuses ends there as well, so no follower and no
-transaction's in-flight count is stranded.  ``settle`` publishes through
+dispatch the executor refuses, or drops because it was cancelled while
+queued, ends there as well (as that error, or ``CancelledError``), so no
+follower and no transaction's in-flight count is stranded.  ``settle`` publishes through
 :meth:`CallPipeline.publish`, which states the **retention
 rule** once: followers are always served; the value is *retained* only
 if the tables' ledger ticket is unchanged at publication time **and**
@@ -163,7 +164,7 @@ class SqlRequest(Request):
     to ``pipeline``'s store (inside ``txn``, when not None)."""
 
     __slots__ = (
-        "pipeline", "prepared", "bound", "txn", "point", "inflight", "queue_span"
+        "prepared", "bound", "txn", "point", "inflight", "queue_span"
     )
 
     def __init__(

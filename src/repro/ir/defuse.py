@@ -34,11 +34,14 @@ class DefUse:
     #: kill analysis (a killed definition cannot reach the next
     #: iteration).
     kills: FrozenSet[str] = frozenset()
-    #: Subset of ``writes`` performed through a plain name binding
-    #: (``v = ...`` / ``v += ...``); the complement happens through
-    #: mutation (attribute/subscript stores, mutating method calls) and
-    #: cannot be spilled by value into split-variable records.
+    #: Subset of ``writes`` performed through a plain name binding or
+    #: unbinding (``v = ...`` / ``v += ...`` / ``del v``); the complement
+    #: happens through mutation (attribute/subscript stores, mutating
+    #: method calls) and cannot be spilled by value into split-variable
+    #: records.
     name_writes: FrozenSet[str] = frozenset()
+    #: Subset of ``name_writes`` that leave the name unbound (``del v``).
+    unbinds: FrozenSet[str] = frozenset()
     external_reads: FrozenSet[str] = frozenset()
     external_writes: FrozenSet[str] = frozenset()
     #: External resources whose writes from this statement commute with
@@ -61,10 +64,24 @@ class _Collector(ast.NodeVisitor):
         self.reads: Set[str] = set()
         self.writes: Set[str] = set()
         self.name_writes: Set[str] = set()
+        self.unbinds: Set[str] = set()
         self.kills: Set[str] = set()
         self.external_reads: Set[str] = set()
         self.external_writes: Set[str] = set()
         self.commuting: Set[str] = set()
+
+    def summary(self, kills: FrozenSet[str]) -> DefUse:
+        """The facts collected so far, under the caller's kill set."""
+        return DefUse(
+            reads=frozenset(self.reads),
+            writes=frozenset(self.writes),
+            kills=kills,
+            name_writes=frozenset(self.name_writes),
+            unbinds=frozenset(self.unbinds),
+            external_reads=frozenset(self.external_reads),
+            external_writes=frozenset(self.external_writes),
+            commuting=frozenset(self.commuting),
+        )
 
     # ------------------------------------------------------------------
     # expressions
@@ -77,7 +94,10 @@ class _Collector(ast.NodeVisitor):
             self.name_writes.add(node.id)
             self.kills.add(node.id)
         elif isinstance(node.ctx, ast.Del):
+            # Unbinding rebinds the name and mutates no object.
             self.writes.add(node.id)
+            self.name_writes.add(node.id)
+            self.unbinds.add(node.id)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         base = base_name(node)
@@ -273,19 +293,9 @@ def analyze_statement(node: ast.stmt, purity: PurityEnv, registry=None) -> DefUs
     collector = _Collector(purity, registry)
     if isinstance(node, (ast.If, ast.While, ast.For)):
         _collect_compound(node, collector)
-        kills: FrozenSet[str] = frozenset()
-    else:
-        collector.visit(node)
-        kills = frozenset(collector.kills)
-    return DefUse(
-        reads=frozenset(collector.reads),
-        writes=frozenset(collector.writes),
-        kills=kills,
-        name_writes=frozenset(collector.name_writes),
-        external_reads=frozenset(collector.external_reads),
-        external_writes=frozenset(collector.external_writes),
-        commuting=frozenset(collector.commuting),
-    )
+        return collector.summary(frozenset())
+    collector.visit(node)
+    return collector.summary(frozenset(collector.kills))
 
 
 def _collect_compound(node: ast.stmt, collector: _Collector) -> None:
@@ -318,15 +328,7 @@ def analyze_expression(node: ast.expr, purity: PurityEnv, registry=None) -> DefU
     """Def/use of a bare expression (loop predicates, iterables)."""
     collector = _Collector(purity, registry)
     collector.visit(node)
-    return DefUse(
-        reads=frozenset(collector.reads),
-        writes=frozenset(collector.writes),
-        kills=frozenset(),
-        name_writes=frozenset(collector.name_writes),
-        external_reads=frozenset(collector.external_reads),
-        external_writes=frozenset(collector.external_writes),
-        commuting=frozenset(collector.commuting),
-    )
+    return collector.summary(frozenset())
 
 
 def harmless_to_reevaluate(node: ast.expr, purity: PurityEnv, registry) -> bool:
@@ -414,6 +416,9 @@ class _WriteRenamer(ast.NodeTransformer):
     def visit_Name(self, node: ast.Name) -> ast.AST:
         if node.id == self._old and isinstance(node.ctx, ast.Store):
             return ast.copy_location(ast.Name(id=self._new, ctx=ast.Store()), node)
+        if node.id == self._old and isinstance(node.ctx, ast.Del):
+            # ``del new`` would unbind nothing the restore could copy.
+            self.blocked = f"{self._old!r} is unbound, not written"
         return node
 
     def visit_AugAssign(self, node: ast.AugAssign) -> ast.AST:
@@ -472,7 +477,8 @@ def rename_writes(node: ast.stmt, old: str, new: str) -> ast.stmt:
 
     Augmented assignments are rewritten to plain assignments reading the
     old variable.  Writes through attributes, subscripts or mutating
-    method calls raise :class:`RenameUnsupported`.
+    method calls, and a ``del`` of the variable, raise
+    :class:`RenameUnsupported`.
     """
     clone = _copy(node)
     renamer = _WriteRenamer(old, new)

@@ -16,7 +16,9 @@ A dispatch crosses one queue: ``submit`` puts one ``(future, task)``
 item on a C-level ``SimpleQueue`` and returns the future; the
 ``workers`` threads, all started at the first submit, drain it.  A
 worker runs an item only if its future can still move to running, so a
-task cancelled while queued (an abandoned speculation) never runs.
+task cancelled while queued (an abandoned speculation) never runs; a
+task with a ``cancelled()`` method (a pipeline's request, whose cache
+followers wait on it) is told instead.
 ``close`` and ``resize`` stop the workers behind the work already
 queued.  The threads are daemons, so a program that never closes its
 connection still exits, and an executor garbage-collected unclosed
@@ -41,6 +43,8 @@ def _work(tasks: "SimpleQueue") -> None:
                 future.set_result(task())
             except BaseException as exc:
                 future.set_exception(exc)
+        elif hasattr(task, "cancelled"):
+            task.cancelled()
         # Hold nothing while parked: a task may reference the executor.
         future = task = None
     tasks.put(None)

@@ -244,7 +244,7 @@ def fission(
 
     # ---------------- submit loop ----------------
     loop1_body: List[ast.stmt] = [empty_dict_assign(record_var)]
-    for var in sorted(split_vars & header.writes):
+    for var in sorted(split_vars & header.writes - guarded_vars):
         loop1_body.append(subscript_store(record_var, var, name_load(var)))
     for stmt in ss1:
         loop1_body.append(emit_stmt(stmt))
@@ -330,7 +330,10 @@ def _guarded_only_vars(
 ) -> Set[str]:
     """Split variables needing the unconditional end-of-submit capture.
 
-    A variable qualifies when every submit-side write is guarded *and*
+    A variable some submit-side statement unbinds (``del v`` — the
+    restore a previous fission emitted) always qualifies: only the
+    capture survives the variable being unbound.  Otherwise it
+    qualifies when every submit-side write is guarded *and*
     some fetch-side read is not covered by the writers' guards: the
     presence-based restore would then leave iterations before the first
     firing write reading the submit loop's final value.  A read is
@@ -345,9 +348,13 @@ def _guarded_only_vars(
     """
     guarded: Set[str] = set()
     for var in split_vars:
+        writers = [stmt for stmt in ss1 if var in stmt.writes]
+        if any(var in stmt.du.unbinds for stmt in writers):
+            # A spill right after a ``del`` would fault, guarded or not.
+            guarded.add(var)
+            continue
         if var in header.writes:
             continue  # spilled unconditionally at the top of the body
-        writers = [stmt for stmt in ss1 if var in stmt.writes]
         if not writers or not all(stmt.guards for stmt in writers):
             continue
         readers = [stmt for stmt in ss2 if var in stmt.reads]

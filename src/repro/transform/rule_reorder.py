@@ -63,6 +63,11 @@ class _Ctx:
     #: ``(v1, var)`` while the query statement is being moved past the
     #: crossing writer ``v1`` of ``var`` (Case 1), else None.
     crossing: Optional[Tuple[Stmt, str]] = None
+    #: The crossing variable while its reader is being moved past the
+    #: query statement (Case 2), else None.
+    reading: Optional[str] = None
+    #: The reader-stub statements made so far.
+    snapshots: Set[Stmt] = field(default_factory=set)
 
 
 def reorder(
@@ -125,7 +130,7 @@ def reorder(
             # submit-side reads of the crossing variable forever.
             stmt_to_move: Stmt = query
             target = body[v1_pos - 1]
-            ctx.crossing = (target, edge.var)
+            ctx.crossing, ctx.reading = (target, edge.var), None
         else:
             # Case 2: the query feeds the crossing writer; move the
             # reader v2 past the query statement instead.
@@ -136,7 +141,7 @@ def reorder(
                 )
             stmt_to_move = body[v2_pos - 1]
             target = query
-            ctx.crossing = None
+            ctx.crossing, ctx.reading = None, edge.var
         _move_with_src_deps(body, ddg, stmt_to_move, target, ctx)
 
 
@@ -276,16 +281,22 @@ def _shift_anti_dep(
     Reader stub (snapshot ``var`` before ``stmt`` and rename its reads
     — the paper's ``temp_category``) when a delayed write of ``var``
     could cross the split boundary: that is, when the query statement,
-    the loop header or any statement currently on the submit side reads
-    ``var``.  A writer stub there would push the variable's definition
-    past the query and recreate the crossing LCFD edge the outer loop
-    just eliminated, preventing convergence.  Otherwise the paper's
-    writer stub (rename ``nxt``'s write, restore after the target).
+    the loop header or any statement currently on the submit side —
+    ``stmt`` itself excepted, it is on its way out — reads ``var``.  A
+    writer stub there would push the variable's definition past the
+    query and recreate the crossing LCFD edge the outer loop just
+    eliminated, preventing convergence.  Otherwise the paper's writer
+    stub (rename ``nxt``'s write, restore after the target).
+
+    A reader stub for a reader stub of the crossing variable is
+    refused: the new stub takes the old one's place as the crossing
+    reader, before the same write, so the next round would meet the
+    same state with one more copy — and so would every later one.
     """
     temp = ctx.allocator.fresh(var)
     qpos = body.index(ctx.sq) if ctx.sq in body else len(body)
     early_readers = var in ctx.sq.reads or var in ctx.header.reads or any(
-        var in body[i].reads for i in range(qpos)
+        var in body[i].reads for i in range(qpos) if body[i] is not stmt
     )
     renamed = None
     if early_readers:
@@ -294,6 +305,11 @@ def _shift_anti_dep(
         except RenameUnsupported:
             renamed = None
     if renamed is not None:
+        if var == ctx.reading and stmt in ctx.snapshots:
+            raise ReorderFailed(
+                f"a reader stub of {var!r} would recreate the crossing "
+                "dependence it is moving past the query"
+            )
         # A reader stub ``temp = var`` is an *alias*, not a copy: it
         # preserves the old value only when every later write of the
         # variable is a rebinding.  A mutation (``var[0] = ...``,
@@ -312,6 +328,7 @@ def _shift_anti_dep(
         stub_node = assign_name_to_name(temp, var)
         stub = make_stmt(stub_node, ctx.purity, ctx.registry, guards=())
         body.insert(body.index(stmt), stub)
+        ctx.snapshots.add(stub)
         _rewrite_in_place(stmt, renamed, ctx, rename_guard=(var, temp))
         ctx.outcome.reader_stubs.append(f"{temp} = {var}")
     else:

@@ -360,3 +360,77 @@ class TestPerfPairsVerdict:
         ):
             assert "change/base 0.500" in printed[name]
         assert "prefetch.cache.hit_ratio" not in printed
+
+    def test_layers_prints_the_transformer_and_the_statements_sent(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """``--layers rubis_lan`` answers "same statements, more
+        overlap": statements per operation beside every ``transform.*``
+        metric."""
+        benchmark = json.loads((self.pairs.ROOT / "BENCHMARK.json").read_text())
+
+        def one_pass(directory, command):
+            return {
+                "correct": True,
+                "metrics": {
+                    metric["name"]: {"value": 3.0 if directory == self.pairs.ROOT else 2.0}
+                    for metric in benchmark["per_layer"]
+                },
+            }
+
+        monkeypatch.setattr(self.pairs, "one_pass", one_pass)
+        assert self.pairs.main([str(tmp_path), "--layers", "rubis_lan"]) == 0
+        printed = {
+            line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+        }
+        transformer = [
+            metric["name"]
+            for metric in benchmark["per_layer"]
+            if metric["name"].startswith("transform.")
+        ]
+        assert "transform.speedup_x" in transformer
+        for name in ["backends.statements_per_op", *transformer]:
+            assert "change/base 1.500" in printed[name]
+        assert "analysis.applicability_ms_per_fn" not in printed
+
+
+class TestEmitDiffExpect:
+    """``tools/emit_diff.py --strict --expect NAME`` passes exactly when
+    the corpus functions whose emission differs are the named ones."""
+
+    emit_diff = _load_tool("emit_diff")
+
+    @staticmethod
+    def emission(sources):
+        return {
+            "asyncify": {
+                name: {"line": source, "source": source, "found": 1, "transformed": 1}
+                for name, source in sources.items()
+            }
+        }
+
+    @pytest.mark.parametrize(
+        "expect,status",
+        [
+            ([], 1),
+            (["rubis.flag_risky_sellers"], 0),
+            (["rubis.flag_risky_sellers", "rubis.best_deal"], 1),
+            (["rubis.best_deal"], 1),
+        ],
+    )
+    def test_strict_passes_only_the_expected_differences(
+        self, monkeypatch, capsys, tmp_path, expect, status
+    ):
+        base = {"rubis.flag_risky_sellers": "a = 1\n", "rubis.best_deal": "b = 2\n"}
+        change = dict(base, **{"rubis.flag_risky_sellers": "a = 1\nc = 3\n"})
+
+        def emission_of(directory):
+            return self.emission(change if directory == self.emit_diff.ROOT else base)
+
+        monkeypatch.setattr(self.emit_diff, "emission_of", emission_of)
+        argv = [str(tmp_path), "--strict"] + [f"--expect={name}" for name in expect]
+        assert self.emit_diff.main(argv) == status
+        out = capsys.readouterr().out
+        assert "1 of 2 (function, option set) emissions differ" in out
+        assert "    +c = 3" in out
+        assert self.emit_diff.main([str(tmp_path)]) == 0  # not strict: a report

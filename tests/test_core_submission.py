@@ -268,6 +268,97 @@ class TestSharedPipeline:
         assert cache.stats.hits == 1
 
 
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+class TestCancelledOwner:
+    """An owner cancelled while queued on the executor ends like a
+    coalesced one: its lease fails with ``CancelledError``, the followers
+    get that error, nothing is retained, and the request is released."""
+
+    def test_followers_and_later_readers_are_not_stranded(self, users_db, backend):
+        import threading
+        from concurrent.futures import CancelledError
+
+        cache = ResultCache(16)
+        conn = users_db.connect(async_workers=1, result_cache=cache, backend=backend)
+        gate = threading.Event()
+        try:
+            parked = conn.executor.submit(gate.wait)  # the only worker
+            owner = conn.submit_query(READ_USER, [1])
+            follower = conn.submit_query(READ_USER, [1])
+            assert (cache.stats.misses, cache.stats.shared_flights) == (1, 1)
+            assert owner.cancel() is True
+            gate.set()
+            parked.result(timeout=3)
+            with pytest.raises(CancelledError):
+                follower.result(timeout=3)
+            assert len(cache) == 0  # nothing retained
+            later = conn.submit_query(READ_USER, [1])
+            assert conn.fetch_result(later).scalar() == 1  # re-dispatched
+            assert conn.execute_query(READ_USER, [1]).scalar() == 1  # now a hit
+            assert cache.stats.hits == 2
+        finally:
+            gate.set()
+            conn.close()
+
+    def test_cancels_racing_the_workers_strand_nobody(self, users_db, backend):
+        """Stress: owners and followers of a few keys queued behind parked
+        workers; half are cancelled, some before the workers are let go
+        and some while they drain the queue.  A cancel either wins (the
+        request ends as ``CancelledError``) or loses (it runs); every
+        handle resolves, and every key reads right afterwards."""
+        import random
+        import sys
+        import threading
+        from concurrent.futures import CancelledError
+
+        cache = ResultCache(16)
+        conn = users_db.connect(async_workers=4, result_cache=cache, backend=backend)
+        rng = random.Random(5)
+        gate = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(4):
+                conn.executor.submit(gate.wait)
+            handles = [conn.submit_query(READ_USER, [rng.randrange(6)]) for _ in range(300)]
+            cancelled = rng.sample(handles, 150)
+            for handle in cancelled[:75]:
+                handle.cancel()
+            gate.set()
+            for handle in cancelled[75:]:
+                handle.cancel()
+            for handle in handles:
+                try:
+                    assert handle.result(timeout=5).scalar() in range(5)
+                except CancelledError:
+                    pass
+            for key in range(6):
+                assert conn.execute_query(READ_USER, [key]).scalar() == key % 5
+        finally:
+            sys.setswitchinterval(interval)
+            gate.set()
+            conn.close()
+
+    def test_a_cancelled_transactional_read_is_released(self, users_db, backend):
+        import threading
+
+        conn = users_db.connect(async_workers=1, backend=backend)
+        gate = threading.Event()
+        try:
+            conn.executor.submit(gate.wait)
+            txn = conn.begin()
+            handle = conn.submit_query(READ_USER, [1])
+            assert txn.in_flight == 1
+            assert handle.cancel() is True
+            gate.set()
+            conn.executor.submit(lambda: None).result(timeout=3)
+            assert txn.in_flight == 0
+            conn.commit()  # would wait forever on a leaked count
+        finally:
+            gate.set()
+            conn.close()
+
+
 class TestWebClientPipeline:
     def test_web_cache_hit_skips_round_trip(self):
         from repro.web import EntityGraphService, WebLatency

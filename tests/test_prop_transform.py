@@ -2,7 +2,8 @@
 equivalent under transformation.
 
 The generator builds small while-loop programs over integer variables
-(assignments, guarded updates, a query call, list accumulation); each
+(assignments, guarded updates, a query call, a guarded chain of
+dependent queries, list accumulation); each
 program is executed in original and transformed form against the same
 deterministic fake database and must produce identical outputs.  When
 the engine declines to transform (reported blocked), the program must
@@ -26,7 +27,29 @@ from repro.transform import asyncify_source
 from tests.helpers import FakeConnection
 
 VARS = ("a", "b", "c", "d")
-KINDS = ("assign", "assign", "query", "consume", "guarded", "append", "aug")
+KINDS = ("assign", "assign", "query", "consume", "guarded", "append", "aug", "chain")
+
+
+def query_chain(draw, source, target, other) -> str:
+    """A guarded dependent query chain (``rubis.flag_risky_sellers``'
+    shape): up to three queries, each consuming the previous result, any
+    of the later ones under an ``if`` on it, the last one's result
+    written to ``target``.  Its names may be unbound in iterations where
+    a guard did not fire."""
+    count = draw(st.integers(min_value=1, max_value=3))
+    lines = [f'r1 = conn.execute_query("c1", [{source} % 31])']
+    indent = ""
+    for step in range(2, count + 1):
+        if draw(st.booleans()):
+            lines.append(f"{indent}if r{step - 1}.scalar() % 3 != 0:")
+            indent += " " * 8
+        lines.append(
+            f'{indent}r{step} = conn.execute_query("c{step}", '
+            f"[r{step - 1}.scalar() % 31])"
+        )
+    lines.append(f"{indent}{target} = r{count}.scalar() % 13 + {other}")
+    return "\n".join(lines)
+
 
 #: header -> (loop line, first body statements, else clause); every one
 #: runs the body for k = 1..n.
@@ -66,6 +89,8 @@ def loop_statements(draw, kinds=KINDS):
             statements.append(f"out.append({target} % 97)")
         elif kind == "aug":
             statements.append(f"{target} += {constant}")
+        elif kind == "chain":
+            statements.append(query_chain(draw, source, target, other))
         elif kind == "pick":
             statements.append(f"fn = fns[{source} % 2]")
         elif kind == "call":

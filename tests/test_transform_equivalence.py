@@ -182,6 +182,40 @@ def program(conn, n):
             lambda: (30,),
         )
 
+    def test_a_reader_moved_past_the_query_is_not_its_own_early_reader(self):
+        """Moving ``c = a + 6`` past the query means passing ``a = 9``.
+        Counting the moving statement itself as a submit-side reader of
+        ``a`` chose a reader stub, which stayed on the submit side,
+        read ``a`` again and recreated the crossing dependence — one
+        stub per round until the round bound (seconds, then a refusal).
+        The writer stub moves ``a = 9``'s value past the query instead."""
+        result = assert_equivalent(
+            """
+def program(conn, n):
+    a = 1
+    c = 3
+    d = 5
+    k = 0
+    while k < n:
+        k = k + 1
+        c = a + 6
+        a = 9
+        r1 = conn.execute_query("c1", [k % 31])
+        a = r1.scalar() % 13 + c
+        d = d + 3
+        if c % 2 == 0:
+            a = a + 1
+        qr = conn.execute_query("q", [a % 31])
+        a += 1
+    return a, c, d, k
+""",
+            "program",
+            lambda: (6,),
+        )
+        (report,) = result.reports
+        assert [outcome.status for outcome in report.outcomes] == ["transformed"] * 2
+        assert report.outcomes[0].writer_stubs == 1
+
 
 class TestGuardedQueries:
     def test_conditional_query(self):
@@ -340,6 +374,129 @@ def program(conn, seed):
             "program",
             lambda: (11,),
         )
+
+    #: ``rubis.flag_risky_sellers``' shape (the paper's Example 4): a
+    #: price lookup, then — only for items over the threshold — the
+    #: seller lookup and the seller's rating, each query consuming the
+    #: previous one's result.  ``{read}`` is a statement after the
+    #: guarded block that may read ``tag``, bound only under the guard.
+    GUARDED_CHAIN = {
+        "for": """
+def program(conn, items, threshold):
+    out = []
+    for item in items:
+        price = conn.execute_query("price", [item]).scalar()
+        if price > threshold:
+            tag = price
+            seller = conn.execute_query("seller", [item])
+            rating = conn.execute_query("rating", [seller.scalar()]).scalar()
+            if rating < 0:
+                out.append((item, rating))
+        {read}
+    return out
+""",
+        "while": """
+def program(conn, items, threshold):
+    out = []
+    k = 0
+    while k < len(items):
+        item = items[k]
+        k = k + 1
+        price = conn.execute_query("price", [item]).scalar()
+        if price > threshold:
+            tag = price
+            seller = conn.execute_query("seller", [item])
+            rating = conn.execute_query("rating", [seller.scalar()]).scalar()
+            if rating < 0:
+                out.append((item, rating))
+        {read}
+    return out
+""",
+    }
+
+    #: What reads ``tag`` after the chain: nothing; a second ``if`` whose
+    #: test holds exactly when the first one's did (so the original never
+    #: faults, yet the read is not covered by the writer's guard and
+    #: ``tag`` goes through the unbinding restore between stages); an
+    #: unguarded read, which faults while ``tag`` is still unbound.
+    READS = {
+        "none": "pass",
+        "guarded": "if price >= threshold + 1:\n            out.append(tag)",
+        "unguarded": "out.append(tag)",
+    }
+
+    #: Thresholds over prices 0, 100, ..., 700: the guard always fires,
+    #: fires only from item 5 on, never fires.
+    THRESHOLDS = {"always": -1, "late": 450, "never": 10**6}
+
+    @staticmethod
+    def chain_answer(sql, params):
+        """Prices 100 * item, sellers 1000 + item, ratings -3..3."""
+        (value,) = params
+        return {"price": 100 * value, "seller": 1000 + value}.get(sql, value % 7 - 3)
+
+    def run_chain(self, loop, read, threshold, window):
+        """The original's and the transformed program's ``(outcome,
+        value, query multiset)`` over items 0..7, an
+        ``UnboundLocalError`` read as the outcome ``"unbound"``; asserts
+        that every stage of the chain was transformed."""
+        source = self.GUARDED_CHAIN[loop].format(read=self.READS[read])
+        result = asyncify_source(source, window=window)
+        assert [
+            outcome.status for report in result.reports for outcome in report.outcomes
+        ] == ["transformed"] * 3
+        runs = []
+        for text in (source, result.source):
+            namespace = {}
+            exec(compile(text, "<chain>", "exec"), namespace)
+            conn = FakeConnection(answer=self.chain_answer)
+            args = (list(range(8)), self.THRESHOLDS[threshold])
+            try:
+                runs.append(("ok", namespace["program"](conn, *args), conn.query_multiset()))
+            except UnboundLocalError:
+                runs.append(("unbound", None, None))
+        return runs
+
+    @pytest.mark.parametrize("window", [None, 3])
+    @pytest.mark.parametrize("threshold", sorted(THRESHOLDS))
+    @pytest.mark.parametrize("loop", sorted(GUARDED_CHAIN))
+    def test_guarded_chain_is_three_stages(self, loop, threshold, window):
+        original, transformed = self.run_chain(loop, "none", threshold, window)
+        assert original == transformed
+        assert original[0] == "ok"
+
+    @pytest.mark.parametrize("window", [None, 3])
+    @pytest.mark.parametrize("threshold", sorted(THRESHOLDS))
+    @pytest.mark.parametrize("loop", sorted(GUARDED_CHAIN))
+    def test_split_variable_unbound_in_early_iterations(self, loop, threshold, window):
+        """``tag`` is unbound until the guard first fires.  Read where
+        the original never faults, its capture must survive the early
+        iterations' unbinding restore; read unguarded, it faults exactly
+        where the original does."""
+        original, transformed = self.run_chain(loop, "guarded", threshold, window)
+        assert original == transformed
+        assert original[0] == "ok"
+        original, transformed = self.run_chain(loop, "unguarded", threshold, window)
+        assert original == transformed
+        assert original[0] == ("ok" if threshold == "always" else "unbound")
+
+    def test_must_fail_when_an_unbound_split_variable_is_spilled_plainly(
+        self, monkeypatch
+    ):
+        """Mutation: carry a split variable some writer unbinds with a
+        plain ``rec[var] = var`` right after its ``del`` — the spill
+        faults in every iteration the variable is unbound."""
+        from repro.transform import rule_fission
+
+        guarded_only_vars = rule_fission._guarded_only_vars
+
+        def plain_after_del(header, ss1, ss2, split_vars):
+            unbound = {var for stmt in ss1 for var in stmt.du.unbinds}
+            return guarded_only_vars(header, ss1, ss2, split_vars) - unbound
+
+        monkeypatch.setattr(rule_fission, "_guarded_only_vars", plain_after_del)
+        with pytest.raises(AssertionError):
+            self.test_split_variable_unbound_in_early_iterations("for", "late", None)
 
 
 class TestPrefetchedPaperExamples:

@@ -238,6 +238,25 @@ while n > 0:
         ]
         assert "b_1" not in result.source  # emitted unchanged
 
+    def test_gives_up_when_a_reader_stub_would_need_a_reader_stub(self):
+        """``out.append(d)`` reads the crossing ``d`` and must pass
+        ``d = c + 4``, which the query reads, so it leaves a reader stub
+        ``d_1 = d`` behind.  That stub is the crossing reader now, before
+        the same write; its own stub would be the next, one copy longer
+        every round.  It used to take the whole round budget."""
+        code = """
+while k < n:
+    k = k + 1
+    out.append(d % 97)
+    d = c + 4
+    r1 = conn.execute_query(q, [d])
+    d = r1.scalar() % 13
+"""
+        started = time.perf_counter()
+        with pytest.raises(ReorderFailed, match="recreate the crossing"):
+            reorder_loop(code)
+        assert time.perf_counter() - started < 0.2
+
 
 class TestRenameLeak:
     def test_dropped_stub_leaves_no_renamed_read(self):

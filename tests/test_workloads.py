@@ -1,11 +1,13 @@
 """Integration: every workload kernel, original vs transformed, on real
 (zero-latency) substrate instances."""
 
+import ast
+
 import pytest
 
 from repro import asyncify, INSTANT
 from repro.analysis.applicability import analyze_functions
-from repro.transform.errors import REASON_RECURSION
+from repro.transform.errors import REASON_PRECONDITION, REASON_RECURSION
 from repro.web.client import WebServiceClient
 from repro.web.service import INSTANT_WEB
 from repro.workloads import category, forms, moviegraph, rubbos, rubis
@@ -62,8 +64,37 @@ class TestRubisKernels:
     def test_comment_counts_while(self, rubis_db):
         self.check(rubis_db, rubis.comment_counts_while, list(range(15)))
 
-    def test_flag_risky_sellers(self, rubis_db):
-        self.check(rubis_db, rubis.flag_risky_sellers, list(range(30)), 2500)
+    @pytest.mark.parametrize("threshold", [0, 2500, 5000])  # prices are 1..5000
+    def test_flag_risky_sellers(self, rubis_db, threshold):
+        """Every price over the threshold, about half, none: the guarded
+        chain of three queries is three overlapped stages."""
+        self.check(rubis_db, rubis.flag_risky_sellers, list(range(30)), threshold)
+        assert self.outcomes(rubis.flag_risky_sellers) == [("transformed", "")] * 3
+
+    def test_must_fail_when_del_is_a_mutation(self, rubis_db, monkeypatch):
+        """Mutation: the def/use collector records ``del v`` as a
+        mutation again, so fission refuses to split the fetch loop whose
+        restore it emitted itself."""
+        from repro.ir import defuse
+
+        visit_name = defuse._Collector.visit_Name
+
+        def del_mutates(collector, node):
+            visit_name(collector, node)
+            if isinstance(node.ctx, ast.Del):
+                collector.name_writes.discard(node.id)
+
+        monkeypatch.setattr(defuse._Collector, "visit_Name", del_mutates)
+        with pytest.raises(AssertionError):
+            self.test_flag_risky_sellers(rubis_db, 2500)
+        assert self.outcomes(rubis.flag_risky_sellers)[2] == (
+            "blocked", REASON_PRECONDITION
+        )
+
+    @staticmethod
+    def outcomes(kernel):
+        (report,) = asyncify(kernel).__repro_report__
+        return [(outcome.status, outcome.reason) for outcome in report.outcomes]
 
     def test_region_user_counts(self, rubis_db):
         self.check(rubis_db, rubis.region_user_counts, list(range(10)))

@@ -16,11 +16,14 @@ import their own ``src/`` and ``perfbench/``.  Whatever differs is then
 printed as a unified diff of the report line and of the emitted source.
 A change that means to keep the transformer's output runs it with
 ``--strict`` (exit 1 on any difference); a change that means to alter it
-reads here exactly what it altered.
+reads here exactly what it altered, and names the corpus functions it
+meant to alter with ``--expect`` (repeatable): ``--strict`` then exits 0
+only if the functions whose emission differs are exactly those.
 
 Run from the repository root::
 
-    python tools/emit_diff.py /root/scratch/parent --strict
+    python tools/emit_diff.py BASE_DIR --strict
+    python tools/emit_diff.py BASE_DIR --strict --expect rubis.flag_risky_sellers
 """
 
 import argparse
@@ -83,7 +86,13 @@ def main(argv=None):
     )
     parser.add_argument("base_dir", nargs="?", help="checkout to compare against")
     parser.add_argument(
-        "--strict", action="store_true", help="exit 1 if anything differs"
+        "--strict", action="store_true",
+        help="exit 1 if anything differs (beyond the --expect functions)",
+    )
+    parser.add_argument(
+        "--expect", action="append", default=[], metavar="NAME",
+        help="corpus function meant to change (repeatable); with --strict, "
+        "exit 0 only if exactly these differ",
     )
     parser.add_argument(
         "--emit", action="store_true",
@@ -99,6 +108,7 @@ def main(argv=None):
     base = emission_of(pathlib.Path(args.base_dir).resolve())
     change = emission_of(ROOT)
     differing = 0
+    changed = set()
     for option_set, rows in change.items():
         found = sum(row["found"] for row in rows.values())
         transformed = sum(row["transformed"] for row in rows.values())
@@ -114,20 +124,22 @@ def main(argv=None):
             if same:
                 continue
             differing += 1
+            changed.add(name)
             print(f"    base: {theirs['line']}")
-            sys.stdout.writelines(
-                "    " + line
-                for line in difflib.unified_diff(
-                    theirs["source"].splitlines(keepends=True),
-                    ours["source"].splitlines(keepends=True),
-                    "base", "change",
-                )
-            )
+            for line in difflib.unified_diff(
+                theirs["source"].splitlines(),
+                ours["source"].splitlines(),
+                "base", "change", lineterm="",
+            ):
+                print(f"    {line}")
     print(
         f"{differing} of {sum(len(rows) for rows in change.values())} "
         "(function, option set) emissions differ from the base"
     )
-    return 1 if differing and args.strict else 0
+    expected = set(args.expect)
+    if expected:
+        print(f"expected to differ: {sorted(expected)}; differ: {sorted(changed)}")
+    return 1 if args.strict and changed != expected else 0
 
 
 if __name__ == "__main__":

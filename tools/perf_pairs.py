@@ -28,10 +28,14 @@ base did, or any change pass reported incorrect outputs
 ``--layers WORKLOAD`` runs one layers pass (``--trace 1``) of that
 workload on each side instead and prints the per-layer metrics side by
 side — the engine's (``backends.memory.execute_us``,
-``db.plan.scan_us_per_krow``, ``db.scan.*``) and the request path's
+``db.plan.scan_us_per_krow``, ``db.scan.*``,
+``backends.statements_per_op``), the request path's
 (``runtime.hop_us``, ``core.window_us_per_op``,
 ``prefetch.cache.hit_us``, ``prefetch.cache.layer_us``,
-``client.front_us``) — so a change shows where its time went.
+``client.front_us``) and the transformer's (``transform.*``: loops
+found and transformed, ``emitted_lines_ratio``, ``speedup_x``) — so a
+change shows where its time went, and a transformer change whether it
+sent the same statements with more of them overlapped.
 
 Run from the repository root, with nothing else on the CPU::
 
@@ -39,6 +43,7 @@ Run from the repository root, with nothing else on the CPU::
     python tools/perf_pairs.py BASE --workload hotset_read --pairs 4 --seed 29
     python tools/perf_pairs.py BASE --all --pairs 4
     python tools/perf_pairs.py BASE --layers scan_agg
+    python tools/perf_pairs.py BASE --layers rubis_lan
 
 ``perfbench/`` itself is not touched: each pass is the benchmark's own
 subprocess, and the last line it prints is the result read here.
@@ -177,13 +182,16 @@ def compare(benchmark, sides, workload, pairs, seconds, seed):
 
 #: The per-layer metrics ``--layers`` prints (every ``BENCHMARK.json``
 #: per-layer name with one of these prefixes, in its declared order):
-#: the engine's own time and work, then the request path's — the thread
-#: hop, the windowed dispatch, the cache layer and its hit, the
-#: connection front end.
+#: the engine's own time and work and the statements it was sent, then
+#: the request path's — the thread hop, the windowed dispatch, the cache
+#: layer and its hit, the connection front end — then the transformer's
+#: (loops found and transformed, emitted size, measured speedup).
 LAYERS = (
     "backends.memory.execute_us", "db.plan.scan_us_per_krow", "db.scan.",
+    "backends.statements_per_op",
     "runtime.hop_us", "core.window_us_per_op", "prefetch.cache.hit_us",
     "prefetch.cache.layer_us", "client.front_us",
+    "transform.",
 )
 
 

@@ -182,6 +182,10 @@ def external_dependences(a, b) -> Iterator[Tuple[str, str]]:
 def _external_edges(
     edges: List[Edge], i: int, j: int, a: Stmt, b: Stmt, loop_carried: bool
 ) -> None:
+    if not (a.external_reads or a.external_writes) or not (
+        b.external_reads or b.external_writes
+    ):
+        return  # most pairs: one side touches no external resource
     for kind, resource in external_dependences(a, b):
         edges.append(Edge(i, j, kind, resource, loop_carried, external=True))
 

@@ -21,16 +21,19 @@ walking the AST themselves: which registered query calls it contains
 (:func:`query_calls`, :func:`find_query_call`), whether control can
 leave the enclosing block through it (:func:`leaves_block`), whether
 its kind is one the rules understand at every level they reach
-(:func:`is_supported`), and how reports name it (:func:`label`).
-Questions about *two* statements belong to :mod:`repro.analysis.ddg`.
+(:func:`is_supported`), and how reports name it (:func:`label`) — and
+which functions a module holds (:func:`function_defs`), the walk both
+passes start from.  Questions about *two* statements belong to
+:mod:`repro.analysis.ddg`.
 """
 
 from __future__ import annotations
 
 import ast
 import itertools
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .defuse import DefUse, analyze_expression, analyze_statement
 from .purity import PurityEnv
@@ -82,13 +85,21 @@ class Stmt:
     # ------------------------------------------------------------------
     # effective def/use (guards add reads; guarded writes never kill)
     # ------------------------------------------------------------------
-    @property
-    def reads(self) -> FrozenSet[str]:
+    #: ``du.reads`` plus the guard variables and, for a body statement,
+    #: the loop-control variable.  Computed once (the DDG asks it of
+    #: every pair); whoever rebinds ``du`` or ``guards`` calls
+    #: :meth:`refresh_reads`.
+    reads: FrozenSet[str] = field(init=False, repr=False, default=frozenset())
+
+    def __post_init__(self) -> None:
+        self.refresh_reads()
+
+    def refresh_reads(self) -> None:
         names = set(self.du.reads)
         names.update(guard.var for guard in self.guards)
         if not self.is_header:
             names.add(CONTROL_VAR)
-        return frozenset(names)
+        self.reads = frozenset(names)
 
     @property
     def writes(self) -> FrozenSet[str]:
@@ -185,6 +196,23 @@ def label(node: ast.AST) -> str:
     return ast.unparse(node)[:70]
 
 
+def function_defs(tree: ast.AST) -> Iterator[ast.FunctionDef]:
+    """Every ``def`` in ``tree``, in ``ast.walk``'s breadth-first order,
+    without entering expressions (no expression holds a statement).  A
+    def's body is queued before the def is yielded, so a caller may
+    replace it."""
+    todo = deque([tree])
+    while todo:
+        node = todo.popleft()
+        todo.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, ast.expr)
+        )
+        if isinstance(node, ast.FunctionDef):
+            yield node
+
+
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
@@ -268,18 +296,28 @@ def find_query_call(node: ast.stmt, registry) -> Optional[QueryCall]:
 
 
 def query_calls(node: ast.AST, registry) -> List[tuple]:
-    """``(call, spec)`` for every registered blocking call under ``node``."""
+    """``(call, spec)`` for every registered blocking call under ``node``,
+    in ``ast.walk``'s breadth-first order (inlined: every transformed
+    statement is searched at least once)."""
     found: List[tuple] = []
-    for child in ast.walk(node):
+    todo = deque([node])
+    while todo:
+        child = todo.popleft()
+        for name in child._fields:
+            value = getattr(child, name, None)
+            if isinstance(value, ast.AST):
+                if not isinstance(value, ast.expr_context):
+                    todo.append(value)
+            elif isinstance(value, list):
+                todo.extend(item for item in value if isinstance(item, ast.AST))
         if isinstance(child, ast.Call):
-            name = None
-            if isinstance(child.func, ast.Attribute):
-                name = child.func.attr
-            elif isinstance(child.func, ast.Name):
-                name = child.func.id
-            if name is None:
+            func = child.func
+            if isinstance(func, ast.Attribute):
+                spec = registry.lookup(func.attr)
+            elif isinstance(func, ast.Name):
+                spec = registry.lookup(func.id)
+            else:
                 continue
-            spec = registry.lookup(name)
             if spec is not None:
                 found.append((child, spec))
     return found

@@ -75,20 +75,21 @@ from __future__ import annotations
 import ast
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..transform.costmodel import SpeculationPolicy
 
 from ..analysis.ddg import external_dependences
 from ..ir.defuse import (
+    DefUse,
     analyze_statement,
     bound_names,
     harmless_to_reevaluate,
     import_bound_names,
 )
 from ..ir.purity import PurityEnv
-from ..ir.statements import find_query_call, label, leaves_block
+from ..ir.statements import find_query_call, function_defs, label, leaves_block
 from ..transform.codegen import located, name_load, name_store, split_query
 from ..transform.names import NameAllocator
 from ..transform.registry import QueryRegistry, default_registry
@@ -98,6 +99,10 @@ from ..transform.registry import QueryRegistry, default_registry
 HOIST_ATTR = "_repro_prefetch_hoistable"
 #: Attribute linking a generated submit back to its report entry.
 SITE_ATTR = "_repro_prefetch_site"
+
+#: Per block of one hoist pass: each statement's ``(leaves_block,
+#: def/use)``, keyed by the node.
+_BlockFacts = Dict[ast.stmt, Tuple[bool, DefUse]]
 
 
 @dataclass
@@ -141,24 +146,31 @@ class PrefetchInserter:
 
             speculation = SpeculationPolicy()
         self.speculation = speculation
-        #: Locals of the function currently being processed (an
-        #: over-approximation — see ``_assigned_names``); a name in it
-        #: may only escape a guard where it is definitely bound.
-        self._locals: Set[str] = set()
+        #: The function currently being processed.
+        self._index: Optional[_FunctionIndex] = None
 
     # ------------------------------------------------------------------
-    def run(self, tree: ast.AST) -> List[PrefetchSite]:
-        """Rewrite ``tree`` in place; returns the inserted sites."""
-        allocator = NameAllocator.for_tree(tree)
+    def run(
+        self, tree: ast.AST, allocator: Optional[NameAllocator] = None
+    ) -> List[PrefetchSite]:
+        """Rewrite ``tree`` in place; returns the inserted sites.
+
+        The engine hands over its ``allocator``, which already reserves
+        every name in the module and every name it generated, and
+        positions the module once afterwards; a standalone run builds
+        its own allocator and positions ``tree`` itself."""
+        standalone = allocator is None
+        if standalone:
+            allocator = NameAllocator.for_tree(tree)
         sites: List[PrefetchSite] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
-                self._locals = _assigned_names(node)
-                node.body = self._process_block(
-                    node.body, node.name, allocator, sites,
-                    liftable=False, bound=_parameter_names(node),
-                )
-        ast.fix_missing_locations(tree)
+        for node in function_defs(tree):
+            self._index = _FunctionIndex(node)
+            node.body = self._process_block(
+                node.body, node.name, allocator, sites,
+                liftable=False, bound=_parameter_names(node),
+            )
+        if standalone:
+            ast.fix_missing_locations(tree)
         return sites
 
     # ------------------------------------------------------------------
@@ -178,8 +190,9 @@ class PrefetchInserter:
         the unguarded lift (a lifted submit may only read locals that
         are definitely bound where it lands)."""
         out: List[ast.stmt] = []
+        facts: _BlockFacts = {}
         for node in nodes:
-            deleted = _deleted_names(node)
+            deleted = self._index.deleted[node]
             if isinstance(node, ast.If):
                 node.body = self._process_block(
                     node.body, function, allocator, sites,
@@ -195,7 +208,7 @@ class PrefetchInserter:
                 )
                 for guarded in self._lift_from_if(node, bound):
                     out.append(guarded)
-                    self._hoist_existing(out, len(out) - 1)
+                    self._hoist_existing(out, len(out) - 1, facts)
                 out.append(node)
             elif isinstance(node, (ast.While, ast.For)):
                 # Within a loop body submits may move earlier *inside the
@@ -252,7 +265,7 @@ class PrefetchInserter:
             # a sibling path that binds it.
             bound |= _definite_bindings(node)
             bound -= deleted
-        self._insert_prefetches(out, function, allocator, sites, liftable)
+        self._insert_prefetches(out, function, allocator, sites, liftable, facts)
         return out
 
     # ------------------------------------------------------------------
@@ -265,6 +278,7 @@ class PrefetchInserter:
         allocator: NameAllocator,
         sites: List[PrefetchSite],
         liftable: bool,
+        facts: _BlockFacts,
     ) -> None:
         index = len(block) - 1
         while index >= 0:
@@ -273,7 +287,7 @@ class PrefetchInserter:
                 index -= 1
                 continue
             submit_stmt, fetch_stmt = rewrite
-            target = self._hoist_target(block, index, submit_stmt)
+            target = self._hoist_target(block, index, submit_stmt, facts)
             if target == index and not (liftable and index == 0):
                 index -= 1  # no movement, no lift possible: keep blocking
                 continue
@@ -297,6 +311,8 @@ class PrefetchInserter:
     def _try_rewrite(
         self, node: ast.stmt, allocator: NameAllocator
     ) -> Optional[Tuple[ast.stmt, ast.stmt]]:
+        if not isinstance(node, (ast.Assign, ast.Expr)):
+            return None  # the only kinds a top-level query call heads
         query = find_query_call(node, self.registry)
         if query is None or not query.top_level:
             return None
@@ -311,19 +327,30 @@ class PrefetchInserter:
     # hoisting machinery
     # ------------------------------------------------------------------
     def _hoist_target(
-        self, block: List[ast.stmt], index: int, moving: ast.stmt
+        self,
+        block: List[ast.stmt],
+        index: int,
+        moving: ast.stmt,
+        facts: _BlockFacts,
     ) -> int:
         moving_du = analyze_statement(moving, self.purity, self.registry)
         target = index
         while target > 0:
             prev = block[target - 1]
-            if leaves_block(prev):
+            if prev not in facts:
+                # Asked once per block: a statement in the block's output
+                # does not change any more.
+                facts[prev] = (
+                    leaves_block(prev),
+                    analyze_statement(prev, self.purity, self.registry),
+                )
+            leaves, prev_du = facts[prev]
+            if leaves:
                 # Hoisting above a return/raise/yield (or a break/
                 # continue of an enclosing loop) would issue queries in
                 # executions where the original exited first — the
                 # multiset invariant only holds below such statements.
                 break
-            prev_du = analyze_statement(prev, self.purity, self.registry)
             if (
                 prev_du.writes & moving_du.reads  # flow: prev feeds the submit
                 # anti/output: argument expressions may mutate state
@@ -335,10 +362,12 @@ class PrefetchInserter:
             target -= 1
         return target
 
-    def _hoist_existing(self, block: List[ast.stmt], index: int) -> int:
+    def _hoist_existing(
+        self, block: List[ast.stmt], index: int, facts: _BlockFacts
+    ) -> int:
         """Move an already-materialized statement (a lifted, guarded
         submit) as far up its new block as dependences allow."""
-        target = self._hoist_target(block, index, block[index])
+        target = self._hoist_target(block, index, block[index], facts)
         if target != index:
             node = block.pop(index)
             block.insert(target, node)
@@ -428,7 +457,7 @@ class PrefetchInserter:
                 return True
             if isinstance(node, ast.Name):
                 return isinstance(node.ctx, ast.Load) and (
-                    node.id in bound or node.id not in self._locals
+                    node.id in bound or node.id not in self._index.locals
                 )
             if isinstance(node, (ast.Tuple, ast.List)):
                 return all(total(elt) for elt in node.elts)
@@ -468,34 +497,62 @@ _MATCH_REST_NODES = tuple(
 )
 
 
-def _assigned_names(fn: ast.FunctionDef) -> Set[str]:
-    """Every name ``fn`` may bind — an *over*-approximation of its
-    locals (nested scopes are not excluded: misclassifying a global as
-    a local only costs a guarded fallback, never a crash)."""
-    names = _parameter_names(fn)
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Name) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
+_NOTHING: FrozenSet[str] = frozenset()
+
+
+class _FunctionIndex:
+    """What the pass asks of one function, from one walk of it.
+
+    ``locals``: every name the function may bind — an *over*-
+    approximation of its locals (nested scopes are not excluded:
+    misclassifying a global as a local only costs a guarded fallback,
+    never a crash).  A name in it may only escape a guard where it is
+    definitely bound.
+
+    ``deleted[stmt]``: the names a ``del`` anywhere inside ``stmt`` *may*
+    unbind — an over-approximation too (a del on any conditional path
+    revokes the definite binding; erring toward unbound only costs a
+    guarded fallback), built bottom-up so each statement's set is the
+    union of its children's.
+    """
+
+    def __init__(self, fn: ast.FunctionDef) -> None:
+        self.locals: Set[str] = _parameter_names(fn)
+        self.deleted: Dict[ast.stmt, FrozenSet[str]] = {}
+        for child in ast.iter_child_nodes(fn):
+            self._visit(child)
+
+    def _visit(self, node: ast.AST) -> FrozenSet[str]:
+        names = self.locals
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                return _NOTHING
             names.add(node.id)
+            if isinstance(node.ctx, ast.Del):
+                return frozenset((node.id,))
+            return _NOTHING
+        deleted = _NOTHING
+        for child in ast.iter_child_nodes(node):
+            below = self._visit(child)
+            if below:
+                deleted |= below
+        if isinstance(node, ast.stmt):
+            self.deleted[node] = deleted
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(import_bound_names(node))
+            elif isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                names.add(node.name)
         elif isinstance(node, ast.ExceptHandler) and node.name:
             names.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update(import_bound_names(node))
         elif isinstance(node, ast.arg):
             names.add(node.arg)
         elif isinstance(node, _MATCH_CAPTURE_NODES) and node.name:
             names.add(node.name)
         elif isinstance(node, _MATCH_REST_NODES) and node.rest:
             names.add(node.rest)
-        elif (
-            isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            )
-            and node is not fn
-        ):
-            names.add(node.name)
-    return names
+        return deleted
 
 
 def _definite_bindings(node: ast.stmt) -> Set[str]:
@@ -511,8 +568,8 @@ def _definite_bindings(node: ast.stmt) -> Set[str]:
     statement; only the first item's enter has nothing above it to
     suppress) — so a name reported here can never be unbound on any
     path that reaches the next statement.  Deletions are handled by the caller
-    (``_deleted_names`` is subtracted *after* this union, so a branch
-    that dels wins over one that binds).
+    (the statement's ``_FunctionIndex.deleted`` set is subtracted *after*
+    this union, so a branch that dels wins over one that binds).
     """
     out: Set[str] = set()
     if isinstance(node, ast.Assign):
@@ -540,18 +597,6 @@ def _definite_bindings(node: ast.stmt) -> Set[str]:
         if first.optional_vars is not None:
             out |= bound_names(first.optional_vars)
     return out
-
-
-def _deleted_names(node: ast.stmt) -> Set[str]:
-    """Names a ``del`` anywhere inside ``node`` *may* unbind — an
-    over-approximation (a del on any conditional path revokes the
-    definite binding; erring toward unbound only costs a guarded
-    fallback)."""
-    return {
-        child.id
-        for child in ast.walk(node)
-        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Del)
-    }
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """AST construction shared by the transformation rules and the prefetch
-pass — the only place emitted nodes are given a source position
-(:func:`located`) and the only place a query statement is split into
-its submit and fetch halves (:func:`split_query`)."""
+pass — the only place an emitted node is given a source position
+(:func:`located`; its children get theirs from the one fix per finished
+result) and the only place a query statement is split into its submit
+and fetch halves (:func:`split_query`)."""
 
 from __future__ import annotations
 
@@ -77,9 +78,11 @@ def append_call(list_name: str, value_name: str) -> ast.Expr:
 
 
 def method_call(receiver: ast.expr, method: str, args: Sequence[ast.expr]) -> ast.Call:
+    """``receiver.method(*args)`` on a copy of ``receiver``; the
+    argument nodes are the caller's to give away."""
     return ast.Call(
         func=ast.Attribute(value=copy.deepcopy(receiver), attr=method, ctx=ast.Load()),
-        args=[copy.deepcopy(argument) for argument in args],
+        args=list(args),
         keywords=[],
     )
 
@@ -119,18 +122,14 @@ def guard_test(guards: Sequence[Guard]) -> Optional[ast.expr]:
 
 
 def emit_stmt(stmt: Stmt) -> ast.stmt:
-    """Emit one statement, wrapping it in ``if`` when guarded."""
-    node = copy.deepcopy(stmt.node)
+    """Emit one statement, wrapping it in ``if`` when guarded.  The node
+    is moved, not copied: fission emits each statement of the loop it
+    replaces once, and a refused loop is kept whole."""
     test = guard_test(stmt.guards)
     if test is None:
-        return located(node)
-    wrapped = ast.If(test=test, body=[node], orelse=[])
+        return located(stmt.node)
+    wrapped = ast.If(test=test, body=[stmt.node], orelse=[])
     return located(wrapped)
-
-
-def emit_block(stmts: Sequence[Stmt]) -> List[ast.stmt]:
-    """Emit statements one by one (no guard regrouping)."""
-    return [emit_stmt(stmt) for stmt in stmts]
 
 
 def if_stmt(test: ast.expr, body: List[ast.stmt], orelse: Optional[List[ast.stmt]] = None) -> ast.If:
@@ -149,9 +148,11 @@ def unless_unbound(stmt: ast.stmt) -> ast.Try:
 
 
 def located(node: ast.AST) -> ast.AST:
-    """Position a generated node: line 1 unless it already has a line,
-    its children filled in from it."""
+    """Position a generated node: line 1 unless it already has a line.
+    Only the node itself — its children are filled in by the one
+    ``ast.fix_missing_locations`` each finished result gets (fission's
+    three nodes, the window wrapper's output, the transformed module)."""
     if not hasattr(node, "lineno"):
-        node.lineno = 1
-        node.col_offset = 0
-    return ast.fix_missing_locations(node)
+        node.lineno = node.end_lineno = 1
+        node.col_offset = node.end_col_offset = 0
+    return node

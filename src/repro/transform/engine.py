@@ -32,6 +32,7 @@ from ..ir.purity import PurityEnv
 from ..ir.statements import (
     ROLE_ATTR,
     Stmt,
+    function_defs,
     is_supported,
     label,
     leaves_block,
@@ -179,11 +180,10 @@ class TransformEngine:
         tree = ast.parse(textwrap.dedent(source))
         allocator = NameAllocator.for_tree(tree)
         reports: List[LoopReport] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
-                node.body = self._transform_block(
-                    node.body, node.name, allocator, reports, allow_window=True
-                )
+        for node in function_defs(tree):
+            node.body = self._transform_block(
+                node.body, node.name, allocator, reports, allow_window=True
+            )
         prefetch_sites: List[object] = []
         if self.prefetch:
             # Imported here: repro.prefetch depends on this module.
@@ -195,7 +195,7 @@ class TransformEngine:
                 speculate=self.speculate,
                 speculation=self.speculation,
             )
-            prefetch_sites = inserter.run(tree)
+            prefetch_sites = inserter.run(tree, allocator)
         ast.fix_missing_locations(tree)
         elapsed = time.perf_counter() - started
         return TransformResult(
@@ -318,6 +318,10 @@ class TransformEngine:
 
         # Record cycle-bound queries upfront: they stay blocking even
         # when a later fission succeeds around them (paper Example 11).
+        # This is the loop's one graph: each attempt's copies keep its
+        # positions, so fission re-checks on it unless a reorder moved
+        # something.
+        ddg: Optional[DDG] = None
         if candidates:
             ddg = build_ddg(header, body)
             remaining = []
@@ -383,6 +387,7 @@ class TransformEngine:
                     self.purity,
                     self.registry,
                     allocator,
+                    ddg=reorder_outcome.ddg,
                 )
             except LoopNotTransformable as exc:
                 outcome.reason = exc.reason
@@ -425,6 +430,7 @@ class TransformEngine:
                     self.purity,
                     self.registry,
                     allocator,
+                    ddg=ddg,
                 )
             except LoopNotTransformable as exc:
                 report.outcomes.append(
@@ -456,16 +462,18 @@ class TransformEngine:
         """Reorder ``body`` if the fission preconditions require it.
         ``ddg`` is the graph of ``header`` + ``body``, on which the
         caller already found ``query`` off every true-dependence cycle
-        (Theorem 4.1)."""
+        (Theorem 4.1); the returned outcome carries the graph of the
+        returned body — ``ddg`` itself when nothing moved — for
+        fission's re-check."""
         qpos = body.index(query) + 1
         violation = check_preconditions(ddg, qpos, qpos)
         if violation is None:
-            return list(body), ReorderOutcome()
+            return list(body), ReorderOutcome(ddg=ddg)
         if not self.reorder_enabled:
             raise LoopNotTransformable(REASON_PRECONDITION, violation)
         try:
             new_body, outcome = reorder(
-                header, body, query, self.purity, self.registry, allocator
+                header, body, query, self.purity, self.registry, allocator, ddg
             )
         except ReorderFailed as exc:
             raise LoopNotTransformable(exc.reason, str(exc)) from exc

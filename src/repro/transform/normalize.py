@@ -24,7 +24,6 @@ Hoisting is only legal when it cannot change behaviour:
 from __future__ import annotations
 
 import ast
-import copy
 from typing import Iterator, List, Optional, Tuple
 
 from ..ir.defuse import harmless_to_reevaluate
@@ -86,9 +85,8 @@ def normalize_statement(
     if not _hoistable(value, call, purity, registry):
         return [node]
     temp = allocator.fresh("__qres")
-    hoisted = ast.Assign(
-        targets=[ast.Name(id=temp, ctx=ast.Store())], value=copy.deepcopy(call)
-    )
+    # The call moves into its own statement; ``node`` keeps a name for it.
+    hoisted = ast.Assign(targets=[ast.Name(id=temp, ctx=ast.Store())], value=call)
     replaced = _replace_node(node, call, ast.Name(id=temp, ctx=ast.Load()))
     return [located(ast.copy_location(hoisted, node)), located(replaced)]
 

@@ -72,9 +72,8 @@ def wrap_window(
             body=[copy.deepcopy(table_init), inner, fetch_loop, *tail],
             orelse=[],
         )
-        return [located(outer)]
-
-    if isinstance(loop_node, ast.For):
+        nodes = [located(outer)]
+    elif isinstance(loop_node, ast.For):
         iterator_var = allocator.fresh("__async_iter")
         hoist = ast.Assign(
             targets=[name_store(iterator_var)],
@@ -107,9 +106,13 @@ def wrap_window(
             body=[copy.deepcopy(table_init), chunk_loop, fetch_loop, *tail, stop],
             orelse=[],
         )
-        return [located(hoist), located(outer)]
-
-    raise TypeError(f"not a loop: {loop_node!r}")  # pragma: no cover
+        nodes = [located(hoist), located(outer)]
+    else:  # pragma: no cover - the engine only passes loops
+        raise TypeError(f"not a loop: {loop_node!r}")
+    # What the wrapper built around the fission result gets its positions.
+    for node in nodes:
+        ast.fix_missing_locations(node)
+    return nodes
 
 
 def _len_call(table_var: str) -> ast.Call:

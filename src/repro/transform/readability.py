@@ -7,13 +7,13 @@ this regrouping pass).  ``regroup`` merges *consecutive* statements that
 share a guard prefix back into nested ``if``/``else`` statements.
 
 Only adjacent statements merge — the pass never reorders, so it is
-trivially semantics-preserving.
+trivially semantics-preserving.  Like :func:`~.codegen.emit_stmt`, it
+moves each statement's node into the output rather than copying it.
 """
 
 from __future__ import annotations
 
 import ast
-import copy
 from typing import List, Sequence
 
 from ..ir.statements import Guard, Stmt
@@ -31,7 +31,7 @@ def _regroup(stmts: List[Stmt], depth: int) -> List[ast.stmt]:
     while index < len(stmts):
         stmt = stmts[index]
         if len(stmt.guards) <= depth:
-            output.append(_plain(stmt))
+            output.append(located(stmt.node))
             index += 1
             continue
         guard = stmt.guards[depth]
@@ -87,14 +87,10 @@ def _interleaved(run: Sequence[Stmt], depth: int) -> bool:
 
 
 def _emit_single(stmt: Stmt, depth: int) -> ast.stmt:
-    node = copy.deepcopy(stmt.node)
+    node = stmt.node
     for guard in reversed(stmt.guards[depth:]):
         test: ast.expr = name_load(guard.var)
         if not guard.value:
             test = ast.UnaryOp(op=ast.Not(), operand=test)
         node = ast.If(test=test, body=[node], orelse=[])
     return located(node)
-
-
-def _plain(stmt: Stmt) -> ast.stmt:
-    return located(copy.deepcopy(stmt.node))

@@ -47,7 +47,6 @@ outer loop between the inner submit and fetch loops.
 from __future__ import annotations
 
 import ast
-import copy
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -199,15 +198,21 @@ def fission(
     purity: PurityEnv,
     registry,
     allocator: NameAllocator,
+    ddg: Optional[DDG] = None,
 ) -> FissionResult:
     """Apply Rule A (or the positional variant for nested loops).
 
     ``split_index`` is the body index of the query statement, or — when
     ``query`` is None — the index of the last statement that stays in
     the submit loop.  Preconditions must have been checked already
-    (:func:`check_preconditions`); this function re-checks defensively.
+    (:func:`check_preconditions`); this function re-checks defensively,
+    on ``ddg`` when the caller already holds the graph of ``header`` +
+    ``body``.  The body's statement nodes move into the result, not
+    copies of them; every refusal comes before the first one moves, so
+    a refused loop is left whole.
     """
-    ddg = build_ddg(header, body)
+    if ddg is None:
+        ddg = build_ddg(header, body)
     split_pos = split_index + 1
     query_pos = split_pos if query is not None else None
     violation = check_preconditions(ddg, split_pos, query_pos)
@@ -305,8 +310,11 @@ def fission(
     table_init = empty_list_assign(table_var)
     setattr(table_init, ROLE_ATTR, ROLE_TABLE)
 
+    nodes = [table_init, submit_loop, fetch_loop]
+    for node in nodes:
+        ast.fix_missing_locations(node)
     return FissionResult(
-        nodes=[table_init, submit_loop, fetch_loop],
+        nodes=nodes,
         submit_loop=submit_loop,
         fetch_loop=fetch_loop,
         table_var=table_var,
@@ -451,14 +459,15 @@ def _check_receiver(query: Stmt, header: Stmt, body: Sequence[Stmt]) -> None:
 
 
 def _clone_loop_with_body(loop_node: ast.stmt, new_body: List[ast.stmt]) -> ast.stmt:
+    """The submit loop: ``loop_node``'s header over ``new_body``.  The
+    header's nodes move too — the original loop is replaced, and the
+    window wrapper copies what it needs from it."""
     if isinstance(loop_node, ast.While):
-        clone: ast.stmt = ast.While(
-            test=copy.deepcopy(loop_node.test), body=new_body, orelse=[]
-        )
+        clone: ast.stmt = ast.While(test=loop_node.test, body=new_body, orelse=[])
     elif isinstance(loop_node, ast.For):
         clone = ast.For(
-            target=copy.deepcopy(loop_node.target),
-            iter=copy.deepcopy(loop_node.iter),
+            target=loop_node.target,
+            iter=loop_node.iter,
             body=new_body,
             orelse=[],
         )

@@ -44,6 +44,9 @@ class ReorderOutcome:
     moves: int = 0
     reader_stubs: List[str] = field(default_factory=list)
     writer_stubs: List[str] = field(default_factory=list)
+    #: The DDG of the body as returned (the last round's graph), which
+    #: fission re-checks instead of building it again.
+    ddg: Optional[DDG] = field(default=None, repr=False)
 
     @property
     def changed(self) -> bool:
@@ -77,11 +80,15 @@ def reorder(
     purity: PurityEnv,
     registry,
     allocator: NameAllocator,
+    ddg: Optional[DDG] = None,
 ) -> Tuple[List[Stmt], ReorderOutcome]:
     """Reorder ``body`` so no LCFD edge crosses the boundary of ``query``.
 
-    Returns ``(new_body, outcome)``; ``query`` keeps its object identity
-    in the new list.  Raises :class:`ReorderFailed` when blocked by
+    ``ddg``, when given, is the graph of ``header`` + ``body`` the caller
+    already built; it serves as the first round's.  Returns ``(new_body,
+    outcome)``; ``query`` keeps its object identity in the new list, and
+    ``outcome.ddg`` is the graph of ``new_body``.  Raises
+    :class:`ReorderFailed` when blocked by
     external dependences, unrenamable variables, a crossing dependence
     that moving the query can only recreate (see
     :func:`_shift_output_dep`), or failure to converge (which Theorem
@@ -100,7 +107,8 @@ def reorder(
     rounds = 0
     limit = 10 * len(body) + 50
     while True:
-        ddg = build_ddg(header, body)
+        if ddg is None:
+            ddg = build_ddg(header, body)
         qpos = body.index(query) + 1  # +1: the header occupies position 0
         crossing = [
             edge
@@ -111,6 +119,7 @@ def reorder(
             and edge_crosses(edge, qpos, qpos)
         ]
         if not crossing:
+            outcome.ddg = ddg
             return body, outcome
         rounds += 1
         if rounds > limit:
@@ -143,6 +152,7 @@ def reorder(
             target = query
             ctx.crossing, ctx.reading = None, edge.var
         _move_with_src_deps(body, ddg, stmt_to_move, target, ctx)
+        ddg = None
 
 
 def _move_with_src_deps(
@@ -363,5 +373,6 @@ def _rewrite_in_place(
             for guard in stmt.guards
         )
     stmt.du = analyze_statement(new_node, ctx.purity, ctx.registry)
+    stmt.refresh_reads()
     if ctx.registry is not None:
         stmt.query = find_query_call(new_node, ctx.registry)

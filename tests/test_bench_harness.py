@@ -434,3 +434,31 @@ class TestEmitDiffExpect:
         assert "1 of 2 (function, option set) emissions differ" in out
         assert "    +c = 3" in out
         assert self.emit_diff.main([str(tmp_path)]) == 0  # not strict: a report
+
+    def test_strict_fails_when_only_a_prefetch_site_differs(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """Same text, same loops: a site that moved past one statement
+        fewer is still a difference."""
+        from types import SimpleNamespace
+
+        from repro.prefetch.insertion import PrefetchSite
+
+        def result(hoisted_past):
+            site = PrefetchSite("profile_card", 3, "r = conn.execute_query(Q, [x])",
+                                hoisted_past=hoisted_past, guarded=True)
+            return SimpleNamespace(source="a = 1\n", reports=[], opportunities=0,
+                                   transformed_loops=0, prefetch_sites=[site])
+
+        def emission_of(directory):
+            hoisted_past = 2 if directory == self.emit_diff.ROOT else 1
+            line = self.emit_diff.report_line(result(hoisted_past))
+            return {"asyncify+prefetch": {"hotset.profile_card": {
+                "line": line, "source": "a = 1\n", "found": 0, "transformed": 0,
+            }}}
+
+        monkeypatch.setattr(self.emit_diff, "emission_of", emission_of)
+        assert self.emit_diff.main([str(tmp_path), "--strict"]) == 1
+        out = capsys.readouterr().out
+        assert "1 of 1 (function, option set) emissions differ" in out
+        assert "sites [('profile_card', 'r = conn.execute_query(Q, [x])', 2, True, False)]" in out

@@ -173,6 +173,40 @@ class TestTransformerOwners:
         ]
         assert len(stores) == 1  # codegen.located
 
+    @pytest.mark.parametrize(
+        "attr,owners",
+        [
+            # ``located`` positions one node; a whole tree is fixed once
+            # per finished result: fission's three nodes, the window
+            # wrapper's output, the transformed module, a standalone
+            # prefetch pass's tree — and a renamed clone's new names.
+            (
+                "fix_missing_locations",
+                {
+                    ("repro.transform", "fission"),
+                    ("repro.transform", "wrap_window"),
+                    ("repro.transform", "transform_source"),
+                    ("repro.prefetch", "run"),
+                    ("repro.ir", "rename_reads"),
+                    ("repro.ir", "rename_writes"),
+                },
+            ),
+            # One allocator per module: the engine's, handed to the
+            # prefetch pass, which builds one only when run standalone.
+            (
+                "for_tree",
+                {("repro.transform", "transform_source"), ("repro.prefetch", "run")},
+            ),
+        ],
+    )
+    def test_whole_tree_passes_have_named_owners(self, attr, owners):
+        callers = {
+            (package_of_file, function.name)
+            for package_of_file, function in functions("")
+            if calls_of(function, attr)
+        }
+        assert callers == owners
+
     def test_registered_calls_are_found_by_the_ir_only(self):
         """Walking an AST for ``registry.lookup(name)`` matches is
         ``ir.statements.query_calls``; nothing else does both."""

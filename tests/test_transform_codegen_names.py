@@ -9,7 +9,6 @@ from repro.transform.codegen import (
     append_call,
     assign,
     assign_name_to_name,
-    emit_block,
     emit_stmt,
     empty_dict_assign,
     empty_list_assign,
@@ -78,7 +77,7 @@ class TestCodegen:
         from repro.ir.statements import make_block
 
         stmts = make_block(ast.parse("a = 1\nb = a + 1").body, PurityEnv())
-        module = ast.Module(body=emit_block(stmts), type_ignores=[])
+        module = ast.Module(body=[emit_stmt(stmt) for stmt in stmts], type_ignores=[])
         ast.fix_missing_locations(module)
         namespace: dict = {}
         exec(compile(module, "<t>", "exec"), namespace)

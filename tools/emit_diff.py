@@ -7,8 +7,11 @@ three option sets the repo benchmark uses —
     asyncify_source(src, prefetch=True)
     prefetch_source(src, speculate=True)
 
-— one line: the sha1 of the emitted source, loops found/transformed and
-each ``LoopReport`` as ``(function, kind, [(status, reason)])``.  The
+— one line: the sha1 of the emitted source, loops found/transformed,
+each ``LoopReport`` as ``(function, kind, [(status, reason)])`` and each
+``PrefetchSite`` as ``(function, label, hoisted_past, guarded,
+speculative)``, so a change to the insertion pass shows whether it kept
+the site metadata as well as the text.  The
 emitter runs in a subprocess whose working directory is the checkout it
 reports on, so BASE_DIR (a ``git clone`` / ``git archive`` of the commit
 to compare against, outside the repository) and this checkout each
@@ -55,19 +58,31 @@ def emit():
         rows = out[option_set] = {}
         for name, source in corpus_sources():
             result = transform(source)
-            reports = [
-                (r.function, r.kind, [(o.status, o.reason) for o in r.outcomes])
-                for r in result.reports
-            ]
-            digest = hashlib.sha1(result.source.encode()).hexdigest()
             rows[name] = {
-                "line": f"{digest}  loops {result.opportunities}/"
-                f"{result.transformed_loops}  {reports}",
+                "line": report_line(result),
                 "source": result.source,
                 "found": result.opportunities,
                 "transformed": result.transformed_loops,
             }
     json.dump(out, sys.stdout)
+
+
+def report_line(result):
+    """One ``TransformResult`` as the line both sides are compared on."""
+    reports = [
+        (r.function, r.kind, [(o.status, o.reason) for o in r.outcomes])
+        for r in result.reports
+    ]
+    sites = [
+        (s.function, s.label, s.hoisted_past, s.guarded, s.speculative)
+        for s in result.prefetch_sites
+    ]
+    digest = hashlib.sha1(result.source.encode()).hexdigest()
+    line = (
+        f"{digest}  loops {result.opportunities}/{result.transformed_loops}"
+        f"  {reports}"
+    )
+    return f"{line}  sites {sites}" if sites else line
 
 
 def emission_of(directory):

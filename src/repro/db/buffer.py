@@ -68,19 +68,16 @@ class BufferPool:
         """
         key = (name, page_no)
         with self._lock:
-            if key in self._pages:
+            try:
                 self._pages.move_to_end(key)
+            except KeyError:
+                self.stats.misses += 1
+            else:
                 self.stats.hits += 1
                 return True
-            self.stats.misses += 1
         self._disk.read(name, page_no)
         with self._lock:
-            if key not in self._pages:
-                if len(self._pages) >= self._capacity:
-                    self._pages.popitem(last=False)
-                self._pages[key] = None
-            else:
-                self._pages.move_to_end(key)
+            self._admit((key,))
         return False
 
     def access_many(self, name: str, page_nos) -> int:
@@ -88,44 +85,43 @@ class BufferPool:
 
         The hit/miss split is decided under one lock acquisition (the
         batch-scan path touches thousands of pages per statement; a lock
-        round trip per page would dominate), then misses pay the disk in
-        the caller's order — preserving the sequential access pattern the
-        disk model rewards — and install together.
+        round trip per page would dominate), then misses pay the disk as
+        one run in the caller's order — preserving the sequential access
+        pattern the disk model rewards — and install together.
         """
-        ordered = list(page_nos)
+        keys = [(name, page_no) for page_no in page_nos]
         misses = []
+        touch = self._pages.move_to_end
         with self._lock:
-            for page_no in ordered:
-                key = (name, page_no)
-                if key in self._pages:
-                    self._pages.move_to_end(key)
-                    self.stats.hits += 1
-                else:
-                    self.stats.misses += 1
-                    misses.append(page_no)
-        for page_no in misses:
-            self._disk.read(name, page_no)
+            for key in keys:
+                try:
+                    touch(key)
+                except KeyError:
+                    misses.append(key)
+            self.stats.hits += len(keys) - len(misses)
+            self.stats.misses += len(misses)
         if misses:
+            self._disk.read_many(name, [page_no for _name, page_no in misses])
             with self._lock:
-                for page_no in misses:
-                    key = (name, page_no)
-                    if key not in self._pages:
-                        if len(self._pages) >= self._capacity:
-                            self._pages.popitem(last=False)
-                        self._pages[key] = None
-                    else:
-                        self._pages.move_to_end(key)
-        return len(ordered) - len(misses)
+                self._admit(misses)
+        return len(keys) - len(misses)
+
+    def _admit(self, keys) -> None:
+        """Make ``keys`` the most recently used pages, in order, evicting
+        from the LRU end to stay within capacity (lock held)."""
+        pages = self._pages
+        for key in keys:
+            if key in pages:
+                pages.move_to_end(key)
+            else:
+                if len(pages) >= self._capacity:
+                    pages.popitem(last=False)
+                pages[key] = None
 
     def install(self, name: str, page_no: int) -> None:
         """Install a page without charging IO (used after page writes)."""
-        key = (name, page_no)
         with self._lock:
-            if key not in self._pages:
-                if len(self._pages) >= self._capacity:
-                    self._pages.popitem(last=False)
-            self._pages[key] = None
-            self._pages.move_to_end(key)
+            self._admit(((name, page_no),))
 
     def contains(self, name: str, page_no: int) -> bool:
         with self._lock:
@@ -141,10 +137,7 @@ class BufferPool:
             self.stats = BufferStats()
 
     def warm(self, name: str, page_count: int) -> None:
-        """Mark pages of ``name`` resident without paying IO (test helper)."""
+        """Mark pages of ``name`` resident without paying IO (warm-cache
+        set-up), most recently used last."""
         with self._lock:
-            for page_no in range(page_count):
-                key = (name, page_no)
-                if key not in self._pages and len(self._pages) >= self._capacity:
-                    self._pages.popitem(last=False)
-                self._pages[key] = None
+            self._admit([(name, page_no) for page_no in range(page_count)])

@@ -202,11 +202,12 @@ class LatencyMeter:
             self._totals[category] += duration_s
             self._counts[category] += 1
 
-    def record(self, category: str, duration_s: float) -> None:
-        """Record time that was already spent (no additional sleep)."""
+    def record(self, category: str, duration_s: float, times: int = 1) -> None:
+        """Record ``times`` charges totalling ``duration_s`` that were
+        already spent or cost nothing (no additional sleep)."""
         with self._lock:
             self._totals[category] += duration_s
-            self._counts[category] += 1
+            self._counts[category] += times
 
     def totals(self) -> dict:
         with self._lock:

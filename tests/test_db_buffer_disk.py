@@ -1,8 +1,11 @@
 """Unit tests: buffer pool, simulated disk array and shared scans."""
 
 import threading
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.buffer import BufferPool
 from repro.db.disk import SimulatedDisk
@@ -99,6 +102,123 @@ class TestDisk:
         with pytest.raises(ValueError):
             SimulatedDisk(INSTANT, LatencyMeter(), spindles=0)
 
+    @pytest.mark.parametrize("profile", [INSTANT, SYS1.scaled(0.01)])
+    def test_an_idle_spindle_serves_without_queueing(self, profile):
+        """One reader at a time never waits: the depth a request sees
+        counts only itself, and every read is charged exactly once."""
+        meter = LatencyMeter()
+        disk = SimulatedDisk(profile, meter, spindles=2)
+        disk.allocate_extent("t", 100)
+        for page in (0, 1, 2, 50, 51, 7):
+            disk.read("t", page)
+        disk.read_many("t", [3, 4, 90])
+        assert disk.stats.max_queue_depth == 1
+        assert disk.stats.reads == meter.counts()["disk"] == 9
+        assert disk.stats.sequential_reads + disk.stats.random_reads == 9
+
+    @pytest.mark.parametrize("profile", [INSTANT, SYS1.scaled(0.01)])
+    def test_a_run_reads_as_its_pages_read_one_by_one(self, profile):
+        """``read_many`` (one critical section when reads are free) moves
+        the heads, counts and charges exactly as one ``read`` per page."""
+        runs = [[0, 1, 2, 3], [40, 7, 8, 300], [], [5, 5, 6, 90, 91, 2]]
+
+        def replay(one_by_one):
+            meter = LatencyMeter()
+            disk = SimulatedDisk(profile, meter, spindles=3)
+            disk.allocate_extent("a", 400)
+            disk.allocate_extent("b", 400)
+            for run in runs:
+                for name in "ab":
+                    if one_by_one:
+                        for page in run:
+                            disk.read(name, page)
+                    else:
+                        disk.read_many(name, run)
+            return disk.stats, meter.totals(), meter.counts()
+
+        assert replay(one_by_one=False) == replay(one_by_one=True)
+
+
+class _HoldingMeter(LatencyMeter):
+    """Records which thread each disk service ran in, without sleeping;
+    the service of the thread named ``hold`` waits for ``release``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.served = []
+        self.release = threading.Event()
+
+    def charge(self, category, duration_s):
+        name = threading.current_thread().name
+        self.served.append(name)
+        if name == "hold":
+            assert self.release.wait(timeout=10)
+
+
+def _wait_for(predicate, timeout=10.0):
+    import time
+
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.001)
+
+
+class TestContendedSpindle:
+    """While a spindle is busy, requests queue behind it and leave in
+    shortest-seek-first order from the head (arrival order without the
+    elevator): the idle fast path must not change who goes next."""
+
+    HEAD = 500
+    QUEUED = [100, 480, 900, 530, 10, 700]
+
+    def served_order(self, elevator):
+        meter = _HoldingMeter()
+        disk = SimulatedDisk(SYS1, meter, elevator=elevator, spindles=1)
+        disk.allocate_extent("t", 1000)
+        threads = [threading.Thread(target=disk.read, args=("t", self.HEAD), name="hold")]
+        threads[0].start()
+        _wait_for(lambda: meter.served == ["hold"])
+        for depth, page in enumerate(self.QUEUED, start=2):
+            thread = threading.Thread(target=disk.read, args=("t", page), name=str(page))
+            threads.append(thread)
+            thread.start()
+            # One arrival at a time, so arrival order is the list order.
+            _wait_for(lambda: disk.stats.max_queue_depth == depth)
+        meter.release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert disk.stats.reads == len(self.QUEUED) + 1
+        return [int(name) for name in meter.served[1:]]
+
+    def test_queued_requests_leave_shortest_seek_first(self):
+        assert self.served_order(elevator=True) == [480, 530, 700, 900, 100, 10]
+
+    def test_without_the_elevator_they_leave_in_arrival_order(self):
+        assert self.served_order(elevator=False) == self.QUEUED
+
+    def test_concurrent_readers_keep_the_books(self):
+        """Many readers over two spindles: every read is served and
+        charged once, and the disk ends idle (a later lone read sees a
+        queue of one)."""
+        meter = LatencyMeter()
+        disk = SimulatedDisk(SYS1.scaled(0.01), meter, spindles=2)
+        disk.allocate_extent("t", 1000)
+
+        def reader(start):
+            for page in range(start, start + 40):
+                disk.read("t", page * 13 % 1000)
+
+        threads = [threading.Thread(target=reader, args=(i * 40,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert disk.stats.reads == meter.counts()["disk"] == 240
+        disk.reset_stats()
+        disk.read("t", 0)
+        assert disk.stats.max_queue_depth == 1
+
 
 class TestBufferPool:
     def test_miss_then_hit(self):
@@ -149,6 +269,90 @@ class TestBufferPool:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             BufferPool(0, make_disk())
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("access"), st.sampled_from("ab"), st.integers(0, 9)),
+                st.tuples(
+                    st.just("run"),
+                    st.sampled_from("ab"),
+                    st.lists(st.integers(0, 9), max_size=12),
+                ),
+                st.tuples(st.just("install"), st.sampled_from("ab"), st.integers(0, 9)),
+                st.tuples(st.just("warm"), st.sampled_from("ab"), st.integers(0, 9)),
+            ),
+            max_size=60,
+        ),
+        capacity=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_reference_lru(self, ops, capacity):
+        """Single touches, runs, installs and warm-ups against a plain LRU
+        model: same hits, same misses, same disk reads, same residents."""
+        disk = make_disk()
+        pool = BufferPool(capacity, disk)
+        model = OrderedDict()
+
+        def admit(key):
+            if key in model:
+                model.move_to_end(key)
+            else:
+                if len(model) >= capacity:
+                    model.popitem(last=False)
+                model[key] = None
+
+        hits = misses = 0
+        for kind, name, arg in ops:
+            if kind == "access":
+                hit = (name, arg) in model
+                admit((name, arg))
+                assert pool.access(name, arg) is hit
+                hits, misses = hits + hit, misses + (not hit)
+            elif kind == "run":
+                missed = []
+                for page in arg:
+                    if (name, page) in model:
+                        model.move_to_end((name, page))
+                    else:
+                        missed.append((name, page))
+                for key in missed:
+                    admit(key)
+                assert pool.access_many(name, arg) == len(arg) - len(missed)
+                hits, misses = hits + len(arg) - len(missed), misses + len(missed)
+            elif kind == "install":
+                admit((name, arg))
+                pool.install(name, arg)
+            else:
+                for page in range(arg):
+                    admit((name, page))
+                pool.warm(name, arg)
+        assert (pool.stats.hits, pool.stats.misses) == (hits, misses)
+        assert disk.stats.reads == misses
+        assert len(pool) == len(model)
+        assert all(pool.contains(*key) for key in model)
+
+    def test_concurrent_touches_keep_the_books(self):
+        """Threads touching overlapping runs and single pages of a small
+        pool: every touch is one hit or one miss, every miss one disk
+        read, and the pool never exceeds its capacity."""
+        disk = SimulatedDisk(SYS1.scaled(0.01), LatencyMeter(), spindles=2)
+        disk.allocate_extent("t", 64)
+        pool = BufferPool(16, disk)
+
+        def worker(offset):
+            for round_no in range(20):
+                pool.access_many("t", range(offset, offset + 12))
+                pool.access("t", (offset * 7 + round_no) % 64)
+
+        threads = [threading.Thread(target=worker, args=(i * 5,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert pool.stats.accesses == 6 * 20 * 13
+        assert disk.stats.reads == pool.stats.misses
+        assert len(pool) <= 16
 
 
 class TestSharedScans:

@@ -56,6 +56,13 @@ class TestMeter:
         assert totals["disk"] == 0.5
         assert meter.counts()["network"] == 2
 
+    def test_record_counts_several_charges_at_once(self):
+        meter = LatencyMeter()
+        meter.record("disk", 0.0, times=57)
+        meter.charge("disk", 0.0)
+        assert meter.counts()["disk"] == 58
+        assert meter.totals()["disk"] == 0.0
+
     def test_reset(self):
         meter = LatencyMeter()
         meter.record("cpu", 1.0)

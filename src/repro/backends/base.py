@@ -14,19 +14,19 @@ batch accounting, stats and shutdown live here once.  A store supplies only
 the hooks that genuinely differ (how a statement is planned, how one
 statement / one SELECT batch / one write batch executes, what to close).
 
-**Two surfaces, one implementation.**  The *blocking* entries —
+**One blocking surface; the server owns no threads.**  The entries —
 :meth:`Backend.execute`, :meth:`Backend.execute_prepared`,
-:meth:`Backend.execute_prepared_batch` — are the primitives: each takes
-one of the gate's ``profile.server_workers`` slots and runs the
-statement *in the calling thread*, so a request crosses no thread
-boundary between the client's pipeline and the store.  The
-Future-returning ``submit`` / ``submit_prepared`` /
-``submit_prepared_batch`` are one ``pool.submit`` each over those same
-entries, for callers that want *server-side* parallelism from one
-thread (a write fan-out, a benchmark rung); the pool's threads spawn
-only for them.  Only the three public entries take a slot — everything
-they call (``_run_*``, the stale re-prepare, the per-binding write
-fallback) is private and slot-free, so nothing re-enters the gate.
+:meth:`Backend.execute_prepared_batch` — each take one of the gate's
+``profile.server_workers`` slots and run the statement *in the calling
+thread*, so a request crosses no thread boundary between the client's
+pipeline and the store.  A caller that wants several statements in
+flight at once (a write fan-out, a benchmark rung) overlaps them on its
+own client threads; the gate caps them at ``server_workers`` all the
+same.  The one Future-returning entry, ``submit_prepared``, is
+``execute_prepared`` in an already-resolved Future, kept for the
+benchmark's backend rung.  Only the public entries take a slot —
+everything they call (``_run_*``, the stale re-prepare, the per-binding
+write fallback) is private and slot-free, so nothing re-enters the gate.
 
 Two stores ship today:
 
@@ -56,7 +56,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -233,7 +233,7 @@ class Backend:
     and hands its catalog, latency profile/meter and a
     :class:`~repro.db.txn.TransactionManager` (whose ``_apply`` step is
     the store's commit/rollback) to ``__init__``.  Everything else —
-    prepare/LRU, the gate, execute*/submit*, transactions' table locks,
+    prepare/LRU, the gate, the execute* entries, transactions' table locks,
     the write-path ordering, batch accounting, stats, shutdown — is
     inherited and must not be re-implemented.
     """
@@ -267,12 +267,6 @@ class Backend:
         self._gate: "queue.SimpleQueue[None]" = queue.SimpleQueue()
         for _ in range(profile.server_workers):
             self._gate.put(None)
-        #: Runs the Future surface (``submit*``) only; its threads call
-        #: the blocking entries, so they pass the gate like anyone else.
-        self._pool = ThreadPoolExecutor(
-            max_workers=profile.server_workers,
-            thread_name_prefix=f"dbworker-{self.backend_name}-{profile.name}",
-        )
         self._lock = threading.Lock()
         self.max_prepared = max_prepared
         self._prepared: Dict[int, PreparedStatement] = {}
@@ -351,7 +345,7 @@ class Backend:
         the cap sweeps the least-recently-used entries and counts an
         eviction.  Eviction never invalidates a handed-out
         :class:`PreparedStatement` — the object carries its own plan, so
-        ``submit_prepared`` keeps working on a swept statement; only a
+        ``execute_prepared`` keeps working on a swept statement; only a
         later ``prepare`` of the same text pays a re-plan.
         """
         with self._lock:
@@ -505,50 +499,14 @@ class Backend:
         finally:
             self._gate.put(None)
 
-    # ------------------------------------------------------------------
-    # the Future surface: the same entries on the server's own pool
-    # ------------------------------------------------------------------
-    def _on_pool(self, entry, *args) -> "Future":
-        try:
-            return self._pool.submit(entry, *args)
-        except RuntimeError as exc:
-            # The stdlib's "cannot schedule new futures after shutdown".
-            raise ServerShutdownError("server is shut down") from exc
-
-    def submit(
-        self,
-        sql: str,
-        params: Sequence = (),
-        txn: Optional[Transaction] = None,
-    ) -> "Future[QueryResult]":
-        """:meth:`execute` on a pool thread; returns a Future."""
-        return self._on_pool(self.execute, sql, tuple(params), txn)
-
-    def submit_prepared(
-        self,
-        prepared: PreparedStatement,
-        params: Sequence = (),
-        txn: Optional[Transaction] = None,
-        span=None,
-    ) -> "Future[QueryResult]":
-        """:meth:`execute_prepared` on a pool thread."""
-        return self._on_pool(
-            self.execute_prepared, prepared, tuple(params), txn, span
-        )
-
-    def submit_prepared_batch(
-        self,
-        prepared: PreparedStatement,
-        bindings: Sequence[Sequence],
-        txn: Optional[Transaction] = None,
-        span=None,
-    ) -> "Future[List[BindingOutcome]]":
-        """:meth:`execute_prepared_batch` on a pool thread (the bindings
-        are snapshotted here, before the caller can rebind)."""
-        snapshot = [tuple(binding) for binding in bindings]
-        return self._on_pool(
-            self.execute_prepared_batch, prepared, snapshot, txn, span
-        )
+    def submit_prepared(self, *args, **kwargs) -> "Future[QueryResult]":
+        """:meth:`execute_prepared` run in the calling thread, its result
+        returned in an already-resolved Future.  Only the benchmark's
+        backend rung still calls it; it goes when that rung calls
+        :meth:`execute_prepared`."""
+        future: "Future[QueryResult]" = Future()
+        future.set_result(self.execute_prepared(*args, **kwargs))
+        return future
 
     def begin_transaction(self) -> Transaction:
         """Start an explicit transaction (strict 2PL; see repro.db.txn)."""
@@ -797,15 +755,13 @@ class Backend:
 
         ``wait=True`` drains the gate first: collecting every slot waits
         out each statement that was admitted before the flag went up, so
-        ``_close`` never runs under one.  Whoever was still waiting for
-        a slot (a caller at a full gate, a task queued on the pool)
-        gets one back afterwards, sees the flag and raises
+        ``_close`` never runs under one.  Every caller still waiting at a
+        full gate gets a slot back afterwards, sees the flag and raises
         :class:`ServerShutdownError`.  ``wait=False`` only raises the
         flag and closes.
         """
         with self._lock:
             self._shutdown = True
-        self._pool.shutdown(wait=wait)
         held = self._profile.server_workers if wait else 0
         # One drainer at a time: two collecting slots side by side could
         # each end up holding half of them.

@@ -14,17 +14,19 @@ read batch takes the server's *truly* set-oriented path
 blocking entry: the client is about to block anyway, so the statement
 runs in its thread): one statement execution answers every binding
 through the binding-demux operator, instead of fanning out N
-independent statements.  A write batch is the one caller that wants
-the backend's Future surface — ``submit_prepared`` per binding, so the
-writes overlap server-side while this one thread waits.  (The
+independent statements.  A write batch fans out instead: one
+``execute_prepared`` per binding on the connection's client executor,
+so the writes overlap (the server's admission gate still caps them at
+``server_workers``) while this one thread waits.  (The
 statement-fan-out *read* batch the paper's introduction compares
 against is one variant of the ``ablation-batching`` figure, written
-there against ``Backend.submit_prepared`` too.)
+there the same way.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, List, Sequence
 
 from ..db.plan import QueryResult
@@ -60,10 +62,10 @@ class BatchExecutor:
         ``ServerStats``), and the first failing binding's error
         re-raises here after the batch has run.  Writes
         and other non-demuxable statements keep the fan-out shape — one
-        statement per binding overlapping on the server's pool (at most
-        ``server_workers`` at a time), each in its own write window —
-        since funneling them through the batch path would serialize
-        them in one thread.
+        statement per binding on the connection's client executor (at
+        most ``server_workers`` executing at a time behind the server's
+        gate), each in its own write window — since funneling them
+        through the batch path would serialize them in one thread.
         """
         server = self._connection.server
         self.stats.batches += 1
@@ -92,8 +94,9 @@ class BatchExecutor:
                         raise outcome
                     results.append(outcome)
                 return results
+            submit = self._connection.executor.submit
             futures = [
-                server.submit_prepared(prepared, tuple(params), span=span)
+                submit(partial(server.execute_prepared, prepared, params, span=span))
                 for params in param_sets
             ]
             # The client blocks here: no overlap with client computation.

@@ -96,14 +96,6 @@ class SimulatedDisk:
                               profile.disk_seek_per_page_s, profile.disk_seek_max_s))
         self.stats = DiskStats()
 
-    @property
-    def spindle_count(self) -> int:
-        return len(self._spindles)
-
-    @property
-    def elevator_enabled(self) -> bool:
-        return self._elevator
-
     # ------------------------------------------------------------------
     # extent management
     # ------------------------------------------------------------------

@@ -85,10 +85,6 @@ class HashIndex:
         return (self._entries - 1) // INDEX_ENTRIES_PER_PAGE + 1
 
     @property
-    def entry_count(self) -> int:
-        return self._entries
-
-    @property
     def key_count(self) -> int:
         """Exact number of distinct keys (drives the batch cost gate)."""
         return len(self._buckets)
@@ -168,10 +164,6 @@ class OrderedIndex:
         if not self._entries:
             return 1
         return (len(self._entries) - 1) // INDEX_ENTRIES_PER_PAGE + 1
-
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)
 
     @property
     def key_count(self) -> int:

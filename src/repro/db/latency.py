@@ -5,8 +5,9 @@ The paper's measurements come from a client on a 100 Mbps LAN talking to
 two-Xeon box.  The performance effects the transformations exploit are:
 
 * network round-trip per request (dominates warm-cache small queries),
-* server-side concurrency (worker pool; more in-flight queries until the
-  pool saturates — the "threads" plateau in Figures 9/10/13/15),
+* server-side concurrency (an admission gate of ``server_workers``
+  slots; more in-flight queries help until it saturates — the
+  "threads" plateau in Figures 9/10/13/15),
 * disk seeks on a cold cache (reduced by elevator ordering and shared
   scans when queries are submitted concurrently — Figures 8/12/13).
 

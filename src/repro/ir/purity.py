@@ -101,17 +101,6 @@ class PurityEnv:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def register_pure_method(self, name: str) -> None:
-        self._pure_methods.add(name)
-        self._mutating_methods.discard(name)
-
-    def register_mutating_method(self, name: str) -> None:
-        self._mutating_methods.add(name)
-        self._pure_methods.discard(name)
-
-    def register_pure_function(self, name: str) -> None:
-        self._pure_functions.add(name)
-
     def register_function(
         self,
         name: str,

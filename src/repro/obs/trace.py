@@ -188,9 +188,6 @@ class Tracer:
     def enable(self) -> None:
         self._enabled = True
 
-    def disable(self) -> None:
-        self._enabled = False
-
     # ------------------------------------------------------------------
     def start(
         self, name: str, parent: Optional[Span] = None, **attrs: Any

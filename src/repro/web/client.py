@@ -53,7 +53,7 @@ class _WebRequest(Request):
     def round_trip(self) -> Any:
         service = self.service
         service.meter.charge("network", service.latency.request_rtt_s)
-        return service.submit_request(self.endpoint, *self.args).result()
+        return service.request(self.endpoint, *self.args)
 
     def charge(self) -> None:
         service = self.service

@@ -8,8 +8,8 @@ the paper's loop transformations matter for such services.
 
 from __future__ import annotations
 
+import queue
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -30,8 +30,9 @@ class UnknownEntityError(WebServiceError):
 class WebLatency:
     """Latency knobs for the simulated service.
 
-    Internet round trips are an order of magnitude above LAN ones; the
-    server pool models the provider's per-client concurrency allowance.
+    Internet round trips are an order of magnitude above LAN ones;
+    ``server_workers`` models the provider's per-client concurrency
+    allowance.
     """
 
     name: str = "freebase-sim"
@@ -75,7 +76,13 @@ class WebServiceStats:
 
 
 class EntityGraphService:
-    """The server side: an entity graph plus a bounded worker pool."""
+    """The server side: an entity graph behind an admission gate.
+
+    A request runs in the caller's thread (a client executor's worker)
+    while it holds one of ``latency.server_workers`` slots; callers
+    beyond that wait for a slot, as the backends' admission gate makes
+    them — the service owns no threads.
+    """
 
     def __init__(
         self,
@@ -86,9 +93,9 @@ class EntityGraphService:
         self.meter = meter or LatencyMeter()
         self._entities: Dict[str, Entity] = {}
         self._by_type: Dict[str, List[str]] = {}
-        self._pool = ThreadPoolExecutor(
-            max_workers=latency.server_workers, thread_name_prefix="websvc"
-        )
+        self._gate: "queue.SimpleQueue[None]" = queue.SimpleQueue()
+        for _ in range(latency.server_workers):
+            self._gate.put(None)
         self._lock = threading.Lock()
         self._active = 0
         self._shutdown = False
@@ -115,20 +122,19 @@ class EntityGraphService:
             source = self._entities[source_id]
             source.edges.setdefault(relation, []).append(target_id)
 
-    @property
-    def entity_count(self) -> int:
-        with self._lock:
-            return len(self._entities)
-
     # ------------------------------------------------------------------
     # request handling
     # ------------------------------------------------------------------
-    def submit_request(self, endpoint: str, *args: Any) -> "Future[Any]":
-        """Queue one API request on the service worker pool."""
-        with self._lock:
+    def request(self, endpoint: str, *args: Any) -> Any:
+        """Serve one API request in the calling thread, under one of the
+        gate's slots."""
+        self._gate.get()
+        try:
             if self._shutdown:
                 raise WebServiceError("service is shut down")
-        return self._pool.submit(self._handle, endpoint, args)
+            return self._handle(endpoint, args)
+        finally:
+            self._gate.put(None)
 
     def _handle(self, endpoint: str, args: tuple) -> Any:
         with self._lock:
@@ -188,7 +194,6 @@ class EntityGraphService:
         ]
 
     # ------------------------------------------------------------------
-    def shutdown(self, wait: bool = True) -> None:
-        with self._lock:
-            self._shutdown = True
-        self._pool.shutdown(wait=wait)
+    def shutdown(self) -> None:
+        """Refuse every later request."""
+        self._shutdown = True

@@ -7,12 +7,8 @@ user-profile reads where ``hot_fraction`` of the requests land on only
 ``hot_users`` distinct ids — the regime where a query-result cache pays:
 after each hot id's first (cold) execution, every repeat is a hit.
 
-Kernels:
-
-* :func:`load_profiles` — the pure read loop the benchmark measures
-  (blocking vs. async vs. prefetch+cache);
-* :func:`refresh_ratings` — a read/write mix exercising cache
-  coherence: after each rating update the stale profile must lapse.
+The kernel is :func:`load_profiles`, the pure read loop the benchmark
+measures (blocking vs. async vs. prefetch+cache).
 """
 
 from __future__ import annotations
@@ -150,21 +146,6 @@ def speculative_profile_card(conn, user_id, site="hotset.card"):
         return (user_id, name, rating, listed[0][0])
     conn.abandon(detail)
     return (user_id, name, rating, 0)
-
-
-def refresh_ratings(conn, updates):
-    """Read/write mix: bump each user's rating, then re-read the profile.
-
-    With a result cache attached, the cached profile must lapse after
-    each ``execute_update`` so the re-read observes the new rating —
-    the workload behind the invalidation-correctness test.
-    """
-    observed = []
-    for user_id, rating in updates:
-        conn.execute_update(RATING_UPDATE_SQL, [rating, user_id])
-        row = conn.execute_query(PROFILE_SQL, [user_id])
-        observed.append((user_id, row[0][1]))
-    return observed
 
 
 #: Transformable loops of the scenario (applicability accounting).

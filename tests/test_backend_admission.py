@@ -6,7 +6,8 @@ of ``profile.server_workers`` slots.  These tests pin what that must
 keep (the concurrency bound through *every* entry, on both stores),
 what it must not do (re-enter the gate, hang a caller at shutdown, run
 against a closed store, leak a sqlite connection per client thread) and
-what it buys (no server-side thread on the request path).
+what it buys (no server-side thread: the stores and the web service
+start none).
 """
 
 import sys
@@ -18,11 +19,15 @@ import pytest
 
 from repro.backends import BACKENDS
 from repro.backends.sqlite import SqliteBackend
+from repro.client.batching import BatchExecutor
 from repro.client.connection import Connection
 from repro.db import Database, INSTANT
 from repro.db.errors import ServerShutdownError
 from repro.db.types import Column, ColumnType, Schema
 from repro.obs.trace import Tracer
+from repro.web.client import WebServiceClient
+from repro.web.service import INSTANT_WEB
+from repro.workloads import moviegraph
 
 SELECT = "SELECT v FROM t WHERE id = ?"
 UPDATE = "UPDATE t SET v = ? WHERE id = ?"
@@ -214,9 +219,7 @@ class TestShutdown:
             lambda: backend.execute(SELECT, (1,)),
             lambda: backend.execute_prepared(prepared, (1,)),
             lambda: backend.execute_prepared_batch(prepared, [(1,)]),
-            lambda: backend.submit(SELECT, (1,)),
             lambda: backend.submit_prepared(prepared, (1,)),
-            lambda: backend.submit_prepared_batch(prepared, [(1,)]),
             backend.begin_transaction,
         )
 
@@ -264,9 +267,9 @@ class TestShutdown:
         assert again is None
 
     def test_callers_waiting_at_a_full_gate_raise(self, open_store):
-        """An inline caller and a pool task, both waiting for the one
-        slot when shutdown begins: the statement that holds it finishes,
-        the waiters raise — nobody hangs, nobody runs on a closed store."""
+        """Two callers, both waiting for the one slot when shutdown
+        begins: the statement that holds it finishes, the waiters raise
+        — nobody hangs, nobody runs on a closed store."""
         store = open_store(1)
         backend = store.backend
         prepared = backend.prepare(SELECT)
@@ -287,13 +290,12 @@ class TestShutdown:
 
         holder = start(call("holder"))
         wait_until(lambda: backend.stats_snapshot()["active"] == 1)
-        waiter = start(call("waiter"))
-        queued = backend.submit_prepared(prepared, (9,))
+        waiters = [start(call("waiter")), start(call("second waiter"))]
         wait_until(lambda: backend.stats_snapshot()["admission_waits"] == 2)
-        join_all([start(backend.shutdown), holder, waiter])
+        join_all([start(backend.shutdown), holder] + waiters)
         assert outcomes["holder"] == 9
         assert isinstance(outcomes["waiter"], ServerShutdownError)
-        assert isinstance(queued.exception(TIMEOUT_S), ServerShutdownError)
+        assert isinstance(outcomes["second waiter"], ServerShutdownError)
         executed = backend.stats_snapshot()["statements_executed"]
         assert executed == executed_before + 1
 
@@ -307,30 +309,71 @@ class TestShutdown:
             backend.execute_prepared(prepared, (1,))
 
 
+def thread_starts(monkeypatch):
+    """The names of every thread started from now on, in start order."""
+    names = []
+    start_thread = threading.Thread.start
+
+    def recording_start(thread):
+        names.append(thread.name)
+        start_thread(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names
+
+
 class TestOneHop:
-    def test_no_server_thread_on_the_request_path(self, open_store):
-        """Submit/fetch windows and blocking writes leave the server's
-        own pool unspawned: requests execute on the client's threads."""
+    def test_no_server_thread_on_the_request_path(self, open_store, monkeypatch):
+        """Connect, a submit/fetch window, blocking writes, a write
+        batch, close: every thread started on the way is one of the
+        client executor's — requests execute on the client's threads."""
         store = open_store(4)
+        started = thread_starts(monkeypatch)
         with store.connect(async_workers=4) as conn:
             for window in range(20):
                 handles = [
                     conn.submit_query(SELECT, ((window + slot) % ROWS,))
                     for slot in range(8)
                 ]
-                for slot, handle in enumerate(handles):
+                for handle in handles:
                     assert conn.fetch_result(handle).scalar() is not None
             for key in range(20):
                 assert conn.execute_update(UPDATE, (key, key)).rowcount == 1
-            prefix = f"dbworker-{store.backend.backend_name}-gate4"
-            names = [thread.name for thread in threading.enumerate()]
-            assert not [name for name in names if name.startswith(prefix)]
-            assert [name for name in names if name.startswith("client-async")]
-        # The Future surface is what spawns them, on demand.
-        prepared = store.backend.prepare(SELECT)
-        assert store.backend.submit_prepared(prepared, (1,)).result().scalar() == 1
-        names = [thread.name for thread in threading.enumerate()]
-        assert [name for name in names if name.startswith(prefix)]
+            rows = BatchExecutor(conn).execute_batched_updates(
+                UPDATE, [(key, key) for key in range(20, 40)]
+            )
+            assert rows == 20
+        assert started
+        assert all(name.startswith("client-async_") for name in started), started
+
+    def test_the_web_service_starts_no_thread(self, monkeypatch):
+        service = moviegraph.build_service(
+            INSTANT_WEB, directors=2, actors_per_director=5
+        )
+        started = thread_starts(monkeypatch)
+        try:
+            with WebServiceClient(service, async_workers=4) as client:
+                actors = client.list_type("actor")
+                handles = [client.submit_get_entity(actor) for actor in actors]
+                assert [client.fetch_result(h)["id"] for h in handles] == actors
+        finally:
+            service.shutdown()
+        assert started
+        assert all(name.startswith("web-async_") for name in started), started
+
+    def test_a_write_batch_still_overlaps(self, open_store):
+        """The fan-out runs on the connection's executor: with four
+        client workers and a two-slot gate, two writes execute at once."""
+        store = open_store(2)
+        store.slow_down(0.02)
+        with store.connect(async_workers=4) as conn:
+            rows = BatchExecutor(conn).execute_batched_updates(
+                UPDATE, [(key, key) for key in range(8)]
+            )
+        assert rows == 8
+        stats = store.backend.stats_snapshot()
+        assert stats["peak_concurrency"] == 2
+        assert stats["writes_executed"] == 8
 
 
 class TestSqliteConnections:

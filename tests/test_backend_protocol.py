@@ -284,9 +284,10 @@ class TestLifecycle:
         stub.shutdown()
         assert stub.is_shutdown
         for call in (
-            lambda: stub.submit(COUNT),
+            lambda: stub.execute(COUNT),
+            lambda: stub.execute_prepared(prepared),
+            lambda: stub.execute_prepared_batch(prepared, [()]),
             lambda: stub.submit_prepared(prepared),
-            lambda: stub.submit_prepared_batch(prepared, [()]),
             stub.begin_transaction,
         ):
             with pytest.raises(ServerShutdownError):
@@ -300,6 +301,6 @@ class TestLifecycle:
             assert stub.stats.evictions == 1
             with pytest.raises(StatementHandleError):
                 stub.prepared(first.statement_id)
-            assert stub.submit_prepared(first).result().scalar() == 0
+            assert stub.execute_prepared(first).scalar() == 0
         finally:
             stub.shutdown()

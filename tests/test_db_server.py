@@ -1,4 +1,4 @@
-"""Unit tests: server worker pool, prepared statements, shutdown."""
+"""Unit tests: server admission gate, prepared statements, shutdown."""
 
 import threading
 import time
@@ -25,7 +25,7 @@ class TestPreparedStatements:
 
     def test_execute_prepared(self, loaded):
         prepared = loaded.server.prepare("SELECT v FROM t WHERE id = ?")
-        assert loaded.server.submit_prepared(prepared, (7,)).result().scalar() == 7
+        assert loaded.server.execute_prepared(prepared, (7,)).scalar() == 7
 
     def test_prepared_lookup_by_id(self, loaded):
         prepared = loaded.server.prepare("SELECT v FROM t WHERE id = ?")
@@ -39,11 +39,11 @@ class TestPreparedStatements:
         prepared = loaded.server.prepare("SELECT v FROM t WHERE id = ?")
         loaded.server.execute("CREATE INDEX ix ON t (id)")
         # Executing the stale handle still works (it re-prepares).
-        assert loaded.server.submit_prepared(prepared, (3,)).result().scalar() == 3
+        assert loaded.server.execute_prepared(prepared, (3,)).scalar() == 3
 
 
 class TestConcurrency:
-    def test_worker_pool_limits_concurrency(self):
+    def test_admission_gate_limits_concurrency(self):
         profile = LatencyProfile(
             name="tiny",
             network_rtt_s=0.0,
@@ -62,12 +62,18 @@ class TestConcurrency:
         try:
             db.create_table("t", ("id", "int"))
             db.bulk_load("t", [(1,)])
-            futures = [
-                db.server.submit("SELECT count(*) FROM t") for _ in range(6)
-            ]
-            for future in futures:
-                assert future.result().scalar() == 1
-            assert db.server.stats.peak_concurrency <= 2
+            counts = []
+
+            def worker():
+                counts.append(db.server.execute("SELECT count(*) FROM t").scalar())
+
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert counts == [1] * 6
+            assert 1 <= db.server.stats.peak_concurrency <= 2
         finally:
             db.close()
 
@@ -109,10 +115,10 @@ class TestConcurrency:
 
 
 class TestShutdown:
-    def test_submit_after_shutdown_rejected(self, loaded):
+    def test_execute_after_shutdown_rejected(self, loaded):
         loaded.server.shutdown()
         with pytest.raises(ServerShutdownError):
-            loaded.server.submit("SELECT count(*) FROM t")
+            loaded.server.execute("SELECT count(*) FROM t")
 
     def test_is_shutdown_flag(self, loaded):
         assert not loaded.server.is_shutdown

@@ -89,13 +89,12 @@ class TestLayering:
                 ), f"{package_of_file}:{node.lineno} calls {node.attr}"
 
     def test_nothing_waits_on_a_backend_future_it_just_made(self):
-        """``backend.submit*(...).result()`` is a second thread hop
-        around a statement the caller is about to wait for anyway: the
-        blocking entries (``execute`` / ``execute_prepared`` /
-        ``execute_prepared_batch``) run it in the caller's thread under
-        the same admission gate.  The Future surface is for callers that
-        overlap several statements before waiting."""
-        futures = ("submit", "submit_prepared", "submit_prepared_batch")
+        """``backend.submit_prepared(...).result()`` wraps a statement
+        the caller waits for anyway: the blocking entries (``execute`` /
+        ``execute_prepared`` / ``execute_prepared_batch``) run it in the
+        caller's thread under the same admission gate, and nothing in
+        ``src/`` needs the resolved Future."""
+        futures = ("submit_prepared",)
         for package_of_file, tree in modules(""):
             for node in ast.walk(tree):
                 if not (
@@ -525,7 +524,7 @@ class TestStatementShape:
         assert shape(fresh) == shape(stale)
         assert fresh.plan.point_key == stale.plan.point_key == "id"
         # A holder of the stale handle still gets an answer.
-        assert store.submit_prepared(stale, (3,)).result().rows == [("user-3",)]
+        assert store.execute_prepared(stale, (3,)).rows == [("user-3",)]
 
 
 class TestPreparedMeansPrepared:
@@ -555,7 +554,7 @@ class TestPreparedMeansPrepared:
         del calls[:]
 
         def run(prepared, *params):
-            return store.submit_prepared(prepared, params).result()
+            return store.execute_prepared(prepared, params)
 
         assert run(select, 3).rows == [("user-3",)]
         assert run(insert, "new", 1).rowcount == 1
@@ -603,3 +602,43 @@ class K:
 '''
     # import, class, x = ( / 1, / ), def, return (two physical lines)
     assert sloc.count_code_lines(source) == 8
+
+
+#: Where a definition under ``src/`` may be referenced from.
+REFERENCING = ("src", "tests", "tools", "benchmarks", "perfbench", "examples")
+
+
+def test_every_definition_under_src_is_referenced():
+    """Nothing in ``src/`` lacks a caller: every ``def`` and ``class``
+    name must appear somewhere in the repo's code as a name, an
+    attribute, an imported name, a keyword argument or an
+    identifier-shaped string (``getattr`` targets, endpoint names).
+    Dunders and ``visit_*`` are called by protocol, so they are exempt."""
+    root = SRC.parent.parent
+    referenced, defined = set(), []
+    for directory in REFERENCING:
+        for path in sorted((root / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.update(node.name.split("."))
+                elif isinstance(node, ast.keyword) and node.arg:
+                    referenced.add(node.arg)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if node.value.isidentifier():
+                        referenced.add(node.value)
+                elif directory == "src" and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    defined.append((path.relative_to(root), node.lineno, node.name))
+    unreferenced = [
+        f"{path}:{line} {name}"
+        for path, line, name in defined
+        if name not in referenced
+        and not (name.startswith("__") and name.endswith("__"))
+        and not name.startswith("visit_")
+    ]
+    assert not unreferenced, "\n".join(unreferenced)

@@ -19,7 +19,7 @@ def grouped(db):
 
 def run_batch(server, sql, bindings, txn=None):
     prepared = server.prepare(sql)
-    return server.submit_prepared_batch(prepared, bindings, txn=txn).result()
+    return server.execute_prepared_batch(prepared, bindings, txn=txn)
 
 
 class TestDemuxSingleScan:
@@ -101,7 +101,7 @@ class TestDemuxSingleScan:
         batched = run_batch(server, sql, bindings)
         prepared = server.prepare(sql)
         for binding, outcome in zip(bindings, batched):
-            single = server.submit_prepared(prepared, binding).result()
+            single = server.execute_prepared(prepared, binding)
             assert list(outcome) == list(single)
             assert outcome.columns == single.columns
 
@@ -178,7 +178,7 @@ class TestFaultIsolationAndFallback:
         server = grouped.server
         prepared = server.prepare("SELECT count(*) FROM t WHERE grp = ?")
         grouped.create_index("ix_late", "t", "grp")  # bumps catalog version
-        outcomes = server.submit_prepared_batch(prepared, [(0,)]).result()
+        outcomes = server.execute_prepared_batch(prepared, [(0,)])
         assert outcomes[0].scalar() == 10
 
 
@@ -202,12 +202,10 @@ class TestPreparedLru:
         # Swept from the id registry…
         with pytest.raises(StatementHandleError):
             server.prepared(first.statement_id)
-        # …but the handed-out object never faults: submit_prepared and
+        # …but the handed-out object never faults: execute_prepared and
         # the batch path both keep working on it.
-        assert server.submit_prepared(first, ()).result().scalar() == 10
-        assert (
-            server.submit_prepared_batch(first, [()]).result()[0].scalar() == 10
-        )
+        assert server.execute_prepared(first, ()).scalar() == 10
+        assert server.execute_prepared_batch(first, [()])[0].scalar() == 10
 
     def test_reprepare_after_eviction_replans(self, grouped):
         server = self._server(grouped, 2)

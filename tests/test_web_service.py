@@ -1,5 +1,7 @@
 """Unit tests: simulated web service and its client."""
 
+import time
+
 import pytest
 
 from repro.web.client import WebServiceClient
@@ -26,46 +28,65 @@ def service():
 
 class TestService:
     def test_get_entity(self, service):
-        future = service.submit_request("get_entity", "a1")
-        entity = future.result()
+        entity = service.request("get_entity", "a1")
         assert entity["name"] == "Actor One"
         assert entity["properties"]["age"] == 44
         assert entity["edges"]["acted_in"] == ["m1"]
 
     def test_related(self, service):
-        assert service.submit_request("related", "d1", "worked_with").result() == ["a1"]
-        assert service.submit_request("related", "a1", "nothing").result() == []
+        assert service.request("related", "d1", "worked_with") == ["a1"]
+        assert service.request("related", "a1", "nothing") == []
 
     def test_list_type(self, service):
-        assert service.submit_request("list_type", "movie").result() == ["m1"]
+        assert service.request("list_type", "movie") == ["m1"]
 
     def test_search(self, service):
-        assert service.submit_request("search", "actor", "age", 44).result() == ["a1"]
-        assert service.submit_request("search", "actor", "age", 1).result() == []
+        assert service.request("search", "actor", "age", 44) == ["a1"]
+        assert service.request("search", "actor", "age", 1) == []
 
     def test_unknown_entity(self, service):
         with pytest.raises(UnknownEntityError):
-            service.submit_request("get_entity", "nope").result()
+            service.request("get_entity", "nope")
 
     def test_unknown_endpoint(self, service):
         with pytest.raises(WebServiceError):
-            service.submit_request("bogus").result()
+            service.request("bogus")
 
     def test_shutdown_rejects(self, service):
         service.shutdown()
         with pytest.raises(WebServiceError):
-            service.submit_request("get_entity", "a1")
+            service.request("get_entity", "a1")
 
     def test_request_counter(self, service):
-        service.submit_request("get_entity", "a1").result()
-        service.submit_request("get_entity", "d1").result()
+        service.request("get_entity", "a1")
+        service.request("get_entity", "d1")
         assert service.stats.requests == 2
 
     def test_entity_snapshot_is_isolated(self, service):
-        entity = service.submit_request("get_entity", "a1").result()
+        entity = service.request("get_entity", "a1")
         entity["edges"]["acted_in"].append("tampered")
-        fresh = service.submit_request("get_entity", "a1").result()
+        fresh = service.request("get_entity", "a1")
         assert fresh["edges"]["acted_in"] == ["m1"]
+
+    def test_the_gate_bounds_concurrent_requests(self):
+        """Requests run in the callers' threads, at most
+        ``server_workers`` at a time; the rest wait for a slot."""
+        latency = WebLatency(
+            request_rtt_s=0.0, send_overhead_s=0.0, service_time_s=0.02,
+            server_workers=2,
+        )
+        service = EntityGraphService(latency)
+        service.add_entity("a1", "actor", "Actor One")
+        try:
+            with WebServiceClient(service, async_workers=6) as client:
+                started = time.perf_counter()
+                handles = [client.submit_get_entity("a1") for _ in range(8)]
+                assert all(client.fetch_result(h)["id"] == "a1" for h in handles)
+                elapsed = time.perf_counter() - started
+        finally:
+            service.shutdown()
+        assert service.stats.peak_concurrency == 2
+        assert elapsed >= 8 / 2 * 0.02 * 0.9
 
 
 class TestWebClient:

@@ -124,16 +124,13 @@ def execute_batch_select(
 
         def run_one(binding: tuple) -> BindingOutcome:
             sub = ctx.derive(binding)
-            evaluator = None
             try:
                 if not single_scan:
                     # Indexed plan: keep the access path, probe once per
                     # distinct binding (duplicates were deduped above).
                     if plan.point_probe is not None:
                         return plan.probe(sub)
-                    sel, _columns, evaluator = _candidates(
-                        sub, info, plan._access, None
-                    )
+                    sel = _candidates(sub, info, plan._access, None)
                 elif buckets is not None:
                     key = RowEvaluator(
                         info.heap.schema, info.name, binding
@@ -150,9 +147,7 @@ def execute_batch_select(
                     sel = scanned
                 # The bucket (or scan) holds candidates, not matches: the
                 # full WHERE clause re-applies per binding, vectorized.
-                return plan._finalize(
-                    sub, sel, columns, evaluator, apply_where=True
-                )
+                return plan._finalize(sub, [sel], noted=False)
             except Exception as exc:  # isolate the fault to this binding
                 return exc
             finally:

@@ -6,20 +6,26 @@ is strictly True.
 
 :class:`RowEvaluator` interprets the AST once per row (constants,
 INSERT/UPDATE values, the fallback below).
-:class:`ColumnarEvaluator` is the vectorized counterpart:
-it filters *selection vectors* (row-id sequences) against whole column
-lists — one comprehension per predicate conjunct instead of one AST walk
-per row — and gathers projection values column-at-a-time.  Expressions
-without a single-column fast path fall back to the row evaluator over a
-lazy column-backed row view, so three-valued-logic semantics are
-identical by construction.
+:class:`Predicate` is a WHERE clause compiled once, at prepare: each
+top-level conjunct that tests one column against ``?``/literal operands
+(comparison, IN, BETWEEN, IS [NOT] NULL) is reduced to a column
+position, a test from :data:`TESTS` and its operand slots, so an
+execution only binds constants.  Each test is generated into two batch
+kernels (:func:`kernels`): one keeps row ids, one keeps the passing
+values of a column slice (:func:`gather`) when only a count or the
+values are wanted.  :class:`ColumnarEvaluator` runs one execution's
+bound conjuncts over selection vectors (row-id sequences), each
+narrowing the selection the next sees, and gathers projection values
+column-at-a-time.  Conjuncts of any other shape fall back to the row
+evaluator over a lazy column-backed row view, so three-valued-logic
+semantics are identical by construction.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..errors import PlanError, UnknownColumnError
+from ..errors import PlanError
 from ..sql.ast_nodes import (
     Aggregate,
     Between,
@@ -175,31 +181,6 @@ def and_conjuncts(expr: Optional[Expr]) -> List[Expr]:
     return [expr]
 
 
-def has_column_ref(expr: Expr) -> bool:
-    """True when evaluating ``expr`` reads any row column."""
-    if isinstance(expr, (Literal, Param)):
-        return False
-    if isinstance(expr, ColumnRef):
-        return True
-    if isinstance(expr, (BinaryOp, LogicalOp)):
-        return has_column_ref(expr.left) or has_column_ref(expr.right)
-    if isinstance(expr, NotOp):
-        return has_column_ref(expr.operand)
-    if isinstance(expr, IsNull):
-        return has_column_ref(expr.operand)
-    if isinstance(expr, InList):
-        return has_column_ref(expr.operand) or any(
-            has_column_ref(item) for item in expr.items
-        )
-    if isinstance(expr, Between):
-        return (
-            has_column_ref(expr.operand)
-            or has_column_ref(expr.low)
-            or has_column_ref(expr.high)
-        )
-    return True  # Aggregate/Star/unknown: stay conservative
-
-
 class _ColumnCursor:
     """Lazy row facade over column storage: ``row[pos]`` reads
     ``columns[pos][rid]`` — lets :class:`RowEvaluator` run unmodified
@@ -215,12 +196,128 @@ class _ColumnCursor:
         return self.columns[position][self.rid]
 
 
-class ColumnarEvaluator:
-    """Vectorized evaluation of one statement's expressions over one
-    table's column lists.
+def gather(column: List[Any], sel: Sequence[int]) -> List[Any]:
+    """``column``'s values at the selection ``sel``: a slice when ``sel``
+    is a dense batch's ``range``, a C-level ``map`` over a list."""
+    if type(sel) is range:
+        return column[sel.start : sel.stop : sel.step]
+    return list(map(column.__getitem__, sel))
 
-    Not thread-safe: create one per statement execution (the generic
-    fallback shares a mutable cursor).
+
+#: What a compiled conjunct asks of one column value ``v`` against its
+#: bound constant ``c``.  NULL never passes; a NULL constant binds to
+#: :data:`_NEVER` instead.
+TESTS = {
+    "=": "v == c",
+    "<>": "v is not None and v != c",
+    "<": "v is not None and v < c",
+    "<=": "v is not None and v <= c",
+    ">": "v is not None and v > c",
+    ">=": "v is not None and v >= c",
+    "in": "v is not None and v in c",
+    "not in": "v is not None and v not in c",
+    "between": "v is not None and c[0] <= v <= c[1]",
+    "not between": "v is not None and not c[0] <= v <= c[1]",
+    "is null": "v is None",
+    "is not null": "v is not None",
+}
+
+
+def kernels(test: str) -> Tuple[Callable, Callable]:
+    """``test`` compiled into its two batch kernels over the values
+    :func:`gather` read for a selection: ``rows(sel, values, c)`` keeps
+    the row ids whose value passes, ``values(values, c)`` the passing
+    values themselves (a kept count, or an aggregate's input)."""
+    return (
+        eval(f"lambda sel, values, c: [rid for rid, v in zip(sel, values) if {test}]"),
+        eval(f"lambda values, c: [v for v in values if {test}]"),
+    )
+
+
+_KERNELS = {shape: kernels(test) for shape, test in TESTS.items()}
+_NEVER = (lambda sel, values, c: [], lambda values, c: [])
+_FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _compile(expr: Expr, schema: Schema, table: str) -> Tuple[Any, Any, Any]:
+    """One conjunct's fixed shape: ``(test name, column position,
+    operands)`` when it tests one column against Param/Literal
+    operands, else ``(None, None, expr)`` for the row evaluator."""
+    shape, operand, operands = None, None, ()
+    if isinstance(expr, BinaryOp) and expr.op in _FLIP:
+        if isinstance(expr.left, ColumnRef) and _constant(expr.right):
+            shape, operand, operands = expr.op, expr.left, (expr.right,)
+        elif isinstance(expr.right, ColumnRef) and _constant(expr.left):
+            shape, operand, operands = _FLIP[expr.op], expr.right, (expr.left,)
+    elif isinstance(expr, IsNull):
+        shape, operand = ("is not null" if expr.negated else "is null"), expr.operand
+    elif isinstance(expr, InList) and all(map(_constant, expr.items)):
+        shape, operand = ("not in" if expr.negated else "in"), expr.operand
+        operands = tuple(expr.items)
+    elif isinstance(expr, Between) and _constant(expr.low) and _constant(expr.high):
+        shape, operand = ("not between" if expr.negated else "between"), expr.operand
+        operands = (expr.low, expr.high)
+    if not isinstance(operand, ColumnRef):
+        return None, None, expr
+    return shape, schema.position(operand.name, table), operands
+
+
+def _constant(expr: Expr) -> bool:
+    return isinstance(expr, (Param, Literal))
+
+
+def _bind(shape: str, constants: List[Any]) -> Tuple[Tuple[Callable, Callable], Any]:
+    """A compiled conjunct's kernels and constant under one binding:
+    :data:`_NEVER` when no row can pass (a NULL comparand or bound, NOT
+    IN with a NULL item)."""
+    if shape in ("in", "not in"):
+        candidates: Any = [c for c in constants if c is not None]
+        if shape == "not in" and len(candidates) < len(constants):
+            return _NEVER, None
+        try:
+            return _KERNELS[shape], set(candidates)
+        except TypeError:  # unhashable items: linear membership keeps ==
+            return _KERNELS[shape], candidates
+    if None in constants:
+        return _NEVER, None
+    return _KERNELS[shape], constants[0] if len(constants) == 1 else constants
+
+
+class Predicate:
+    """A WHERE clause compiled once, at prepare: each top-level AND
+    conjunct's shape — column position, operator (flipped when the
+    column is on the right), Param index or Literal operands, IN items,
+    BETWEEN bounds — is fixed here, and per execution only the
+    constants bind.  A conjunct of any other shape keeps its AST for
+    the row evaluator."""
+
+    def __init__(self, schema: Schema, table: str, where: Optional[Expr]) -> None:
+        self._conjuncts = [
+            _compile(conjunct, schema, table) for conjunct in and_conjuncts(where)
+        ]
+
+    def bind(self, params: Sequence) -> List[Tuple[Any, Any, Any]]:
+        """``(kernels, column position, constant)`` per conjunct under
+        ``params``; ``(None, None, expr)`` for a row-evaluator one."""
+        bound = []
+        for shape, position, operands in self._conjuncts:
+            if shape is not None:
+                constants = [
+                    params[o.index] if type(o) is Param else o.value
+                    for o in operands
+                ]
+                shape, operands = _bind(shape, constants)
+            bound.append((shape, position, operands))
+        return bound
+
+
+class ColumnarEvaluator:
+    """One statement execution's evaluation over one table's column
+    lists: its compiled WHERE bound to the execution's parameters, and
+    projection values column-at-a-time.
+
+    Create one per statement execution: it holds that execution's
+    bound constants.
     """
 
     def __init__(
@@ -229,191 +326,58 @@ class ColumnarEvaluator:
         table: str,
         params: Sequence,
         columns: Tuple[List[Any], ...],
+        where: Optional[Predicate] = None,
     ) -> None:
         self._schema = schema
         self._table = table
-        self._columns = columns
-        self._rows = RowEvaluator(schema, table, params)
-        self._cursor = _ColumnCursor(columns)
+        self._params = params
+        self.columns = columns
+        self._tests = where.bind(params) if where is not None else []
+        #: Does a WHERE clause narrow the selections?
+        self.filters = bool(self._tests)
 
-    # ------------------------------------------------------------------
-    # filtering
-    # ------------------------------------------------------------------
-    def filter(self, where: Optional[Expr], sel: Sequence[int]) -> Sequence[int]:
-        """Narrow a selection vector to the rows where ``where`` is
-        strictly True.  Top-level AND decomposes into conjuncts — each
-        narrows the vector before the next runs (short-circuit across
-        the batch rather than per row)."""
-        if where is None:
-            return sel
-        for conjunct in and_conjuncts(where):
+    def keep(self, sel: Sequence[int]) -> Sequence[int]:
+        """The row ids of ``sel`` the WHERE clause makes strictly True,
+        in ``sel``'s order.  Each conjunct narrows the selection the
+        next one sees — short-circuit across the batch, not per row."""
+        return self._narrow(self._tests, sel)
+
+    def count(self, sel: Sequence[int]) -> int:
+        """``len(self.keep(sel))``; the last compiled conjunct keeps
+        values rather than row ids."""
+        if not self._tests:
+            return len(sel)
+        sel = self._narrow(self._tests[:-1], sel)
+        forms, position, constant = self._tests[-1]
+        if not sel or forms is None:
+            return len(self._narrow(self._tests[-1:], sel))
+        return len(forms[1](gather(self.columns[position], sel), constant))
+
+    def _narrow(self, tests: List[Tuple[Any, Any, Any]], sel: Sequence[int]) -> Any:
+        for forms, position, constant in tests:
             if not sel:
                 break
-            sel = self._filter_one(conjunct, sel)
+            if forms is None:
+                truths = self._per_row(constant, sel)
+                sel = [rid for rid, truth in zip(sel, truths) if truth is True]
+            else:
+                sel = forms[0](sel, gather(self.columns[position], sel), constant)
         return sel
 
-    def _filter_one(self, expr: Expr, sel: Sequence[int]) -> List[int]:
-        if isinstance(expr, BinaryOp):
-            fast = self._filter_comparison(expr, sel)
-            if fast is not None:
-                return fast
-        elif isinstance(expr, IsNull):
-            operand = self._column_of(expr.operand)
-            if operand is not None:
-                if expr.negated:
-                    return [rid for rid in sel if operand[rid] is not None]
-                return [rid for rid in sel if operand[rid] is None]
-        elif isinstance(expr, InList):
-            fast = self._filter_in_list(expr, sel)
-            if fast is not None:
-                return fast
-        elif isinstance(expr, Between):
-            fast = self._filter_between(expr, sel)
-            if fast is not None:
-                return fast
-        # Generic fallback: the row evaluator over a lazy column cursor —
-        # identical 3VL semantics, no tuple materialization.
-        cursor = self._cursor
-        evaluate = self._rows.evaluate
-        out: List[int] = []
-        for rid in sel:
-            cursor.rid = rid
-            if evaluate(expr, cursor) is True:
-                out.append(rid)
-        return out
-
-    def _filter_comparison(
-        self, expr: BinaryOp, sel: Sequence[int]
-    ) -> Optional[List[int]]:
-        """``column <op> constant`` (either side) in one comprehension.
-
-        Returns None when the shape doesn't match (caller falls back).
-        """
-        op = expr.op
-        if op not in ("=", "<>", "<", "<=", ">", ">="):
-            return None
-        column = self._column_of(expr.left)
-        if column is not None and not has_column_ref(expr.right):
-            const = self._rows.evaluate(expr.right, ())
-        else:
-            column = self._column_of(expr.right)
-            if column is None or has_column_ref(expr.left):
-                return None
-            const = self._rows.evaluate(expr.left, ())
-            op = _FLIP[op]
-        if const is None:
-            return []  # comparison with NULL is never True
-        if op == "=":
-            return [rid for rid in sel if column[rid] == const]
-        if op == "<>":
-            return [
-                rid
-                for rid in sel
-                if column[rid] is not None and column[rid] != const
-            ]
-        if op == "<":
-            return [
-                rid
-                for rid in sel
-                if column[rid] is not None and column[rid] < const
-            ]
-        if op == "<=":
-            return [
-                rid
-                for rid in sel
-                if column[rid] is not None and column[rid] <= const
-            ]
-        if op == ">":
-            return [
-                rid
-                for rid in sel
-                if column[rid] is not None and column[rid] > const
-            ]
-        return [
-            rid for rid in sel if column[rid] is not None and column[rid] >= const
-        ]
-
-    def _filter_in_list(
-        self, expr: InList, sel: Sequence[int]
-    ) -> Optional[List[int]]:
-        column = self._column_of(expr.operand)
-        if column is None:
-            return None
-        if any(has_column_ref(item) for item in expr.items):
-            return None
-        items = [self._rows.evaluate(item, ()) for item in expr.items]
-        saw_null = any(item is None for item in items)
-        candidates: Any = [item for item in items if item is not None]
-        try:
-            candidates = set(candidates)
-        except TypeError:
-            pass  # unhashable constants: linear membership keeps == semantics
-        if expr.negated:
-            if saw_null:
-                return []  # NOT IN with a NULL item is never True
-            return [
-                rid
-                for rid in sel
-                if column[rid] is not None and column[rid] not in candidates
-            ]
-        return [
-            rid
-            for rid in sel
-            if column[rid] is not None and column[rid] in candidates
-        ]
-
-    def _filter_between(
-        self, expr: Between, sel: Sequence[int]
-    ) -> Optional[List[int]]:
-        column = self._column_of(expr.operand)
-        if column is None:
-            return None
-        if has_column_ref(expr.low) or has_column_ref(expr.high):
-            return None
-        low = self._rows.evaluate(expr.low, ())
-        high = self._rows.evaluate(expr.high, ())
-        if low is None or high is None:
-            return []
-        if expr.negated:
-            return [
-                rid
-                for rid in sel
-                if column[rid] is not None and not (low <= column[rid] <= high)
-            ]
-        return [
-            rid
-            for rid in sel
-            if column[rid] is not None and low <= column[rid] <= high
-        ]
-
-    # ------------------------------------------------------------------
-    # projection
-    # ------------------------------------------------------------------
     def values(self, expr: Expr, sel: Sequence[int]) -> List[Any]:
         """Evaluate ``expr`` for every selected row, column-at-a-time."""
-        column = self._column_of(expr)
-        if column is not None:
-            return [column[rid] for rid in sel]
-        if not has_column_ref(expr):
-            value = self._rows.evaluate(expr, ())
-            return [value] * len(sel)
-        cursor = self._cursor
-        evaluate = self._rows.evaluate
+        if isinstance(expr, ColumnRef):
+            position = self._schema.position(expr.name, self._table)
+            return gather(self.columns[position], sel)
+        return self._per_row(expr, sel)
+
+    def _per_row(self, expr: Expr, sel: Sequence[int]) -> List[Any]:
+        """The row evaluator over a lazy column cursor: identical 3VL
+        semantics, no tuple materialization."""
+        cursor = _ColumnCursor(self.columns)
+        evaluate = RowEvaluator(self._schema, self._table, self._params).evaluate
         out: List[Any] = []
         for rid in sel:
             cursor.rid = rid
             out.append(evaluate(expr, cursor))
         return out
-
-    def scalar(self, expr: Expr) -> Any:
-        """Evaluate a row-independent expression once."""
-        return self._rows.evaluate(expr, ())
-
-    # ------------------------------------------------------------------
-    def _column_of(self, expr: Expr) -> Optional[List[Any]]:
-        if isinstance(expr, ColumnRef):
-            return self._columns[self._schema.position(expr.name, self._table)]
-        return None
-
-
-_FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}

@@ -3,9 +3,13 @@
 Access paths (sequential scan, hash-index equality, clustered-range,
 ordered-index range) produce :class:`~repro.db.scans.ColumnBatch`es —
 the table's column lists plus a selection vector of live row ids; the
-relational operators (order, project, aggregate) narrow, reorder or
-gather over selection vectors, and row tuples appear only at the
-:class:`QueryResult` boundary.
+relational operators (order, project) narrow, reorder or gather over
+selection vectors, and row tuples appear only at the
+:class:`QueryResult` boundary.  An aggregate select list is compiled at
+prepare into an :class:`AggregateFold`, which folds each batch's kept
+rows (or just their count) as the scan delivers them: scan, filter and
+aggregate run in one pass per batch, with no selection vector kept
+across batches.
 
 Cost charging:
 
@@ -18,7 +22,9 @@ Cost charging:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import repeat
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..catalog_types import TableInfo
 from ..errors import PlanError
@@ -34,7 +40,7 @@ from ..sql.ast_nodes import (
 from ..scans import ColumnBatch, iter_column_batches
 from ..storage import OrderKey
 from .context import ExecutionContext
-from .expr_eval import ColumnarEvaluator, RowEvaluator
+from .expr_eval import ColumnarEvaluator, RowEvaluator, gather
 
 #: A selection vector: row ids into the table's column lists — a
 #: ``range`` for a batch with no tombstone, otherwise a list.
@@ -219,74 +225,154 @@ def columnar_project(
     (every table column for ``star``) — still columnar; the caller
     materializes tuples at the result boundary."""
     if star:
-        return [[column[rid] for rid in sel] for column in columns]
+        return [gather(column, sel) for column in columns]
     value_columns = [evaluator.values(item.expr, sel) for item in items]
     ctx.charge_cpu(rows=len(sel))
     return value_columns
 
 
-def columnar_aggregate(
-    ctx: ExecutionContext,
-    evaluator: ColumnarEvaluator,
-    sel: Selection,
-    items: Sequence[SelectItem],
-) -> List[Tuple[Any, ...]]:
-    """All-aggregate select list over a selection vector: one row."""
-    values: List[Any] = []
-    for item in items:
-        expr = item.expr
-        if not isinstance(expr, Aggregate):
-            raise PlanError(
-                "mixing aggregates and plain columns requires GROUP BY, "
-                "which this subset does not support"
-            )
-        values.append(_run_aggregate(evaluator, expr, sel))
-    ctx.charge_cpu(rows=len(sel) * max(1, len(items)))
-    return [tuple(values)]
+class _Accumulator:
+    """One aggregate's running state over one execution's batches:
+    NULLs drop out, each batch's observed values fold in (``sum`` goes
+    on left to right from the running total), and a DISTINCT aggregate
+    collects first occurrences until :meth:`result`."""
+
+    __slots__ = ("func", "position", "argument", "count", "value", "seen")
+
+    def __init__(self, expr: Aggregate, position: Optional[int]) -> None:
+        self.func = expr.func
+        self.position = position  # the argument's column, if it is one
+        self.argument = None if isinstance(expr.argument, Star) else expr.argument
+        self.count = 0
+        self.value: Any = 0 if expr.func in ("sum", "avg") else None
+        self.seen: Optional[Dict[Any, None]] = {} if expr.distinct else None
+
+    def add(self, evaluator: ColumnarEvaluator, kept: Selection, size: int) -> None:
+        if self.argument is None:  # count(*)
+            self.count += size
+            return
+        if self.position is not None:
+            values = gather(evaluator.columns[self.position], kept)
+        else:
+            values = evaluator.values(self.argument, kept)
+        observed = [value for value in values if value is not None]
+        if self.seen is not None:
+            self.seen.update(dict.fromkeys(observed))
+        elif observed:
+            self._fold(observed)
+
+    def _fold(self, observed: List[Any]) -> None:
+        self.count += len(observed)
+        if self.func in ("sum", "avg"):
+            self.value = sum(observed, self.value)
+        elif self.func == "min":
+            low = min(observed)
+            if self.value is None or low < self.value:
+                self.value = low
+        elif self.func == "max":
+            high = max(observed)
+            if self.value is None or high > self.value:
+                self.value = high
+
+    def result(self) -> Any:
+        if self.seen:
+            self._fold(list(self.seen))
+        if self.func == "count":
+            return self.count
+        if not self.count:
+            return None
+        return self.value / self.count if self.func == "avg" else self.value
 
 
-def columnar_aggregate_grouped(
-    ctx: ExecutionContext,
-    info: TableInfo,
-    evaluator: ColumnarEvaluator,
-    columns: Tuple[List[Any], ...],
-    sel: Selection,
-    items: Sequence[SelectItem],
-    group_by: Sequence[str],
-) -> List[Tuple[Any, ...]]:
-    """GROUP BY over a selection vector: :func:`partition` on the
-    grouping columns; each group keeps its own selection vector, and
-    groups come out in first-occurrence order."""
-    schema = info.heap.schema
-    key_columns = [
-        columns[schema.position(name, info.name)] for name in group_by
-    ]
-    for item in items:
-        expr = item.expr
-        if isinstance(expr, Aggregate):
-            continue
-        if isinstance(expr, ColumnRef) and expr.name in group_by:
-            continue
-        raise PlanError(
-            "non-aggregate select items must be GROUP BY columns "
-            f"(offending item: {getattr(expr, 'name', expr)!r})"
-        )
-    single = len(key_columns) == 1
-    output: List[Tuple[Any, ...]] = []
-    for key, member_sel in partition(key_columns, sel).items():
-        if single:
-            key = (key,)
-        values: List[Any] = []
+class AggregateFold:
+    """An aggregate select list and its GROUP BY columns, compiled at
+    prepare: each item is a grouping key (its index in the key) or an
+    aggregate with its argument's column position.  :meth:`rows` folds
+    each batch's kept rows as the scan delivers them:
+
+    * no GROUP BY: into one accumulator per aggregate — when all are
+      ``count(*)`` (:attr:`counted`) a batch's kept count is all it
+      reads, and no row-id list is built;
+    * GROUP BY whose aggregates are all ``count(*)``: into one
+      ``Counter`` over the kept key values (first-occurrence order);
+    * any other GROUP BY: :func:`partition` splits the kept row ids and
+      each group folds as one batch.
+    """
+
+    def __init__(
+        self, info: TableInfo, items: Sequence[SelectItem], group_by: Sequence[str]
+    ) -> None:
+        schema = info.heap.schema
+        self._keys = [schema.position(name, info.name) for name in group_by]
+        self._items: List[Any] = []
         for item in items:
             expr = item.expr
-            if isinstance(expr, Aggregate):
-                values.append(_run_aggregate(evaluator, expr, member_sel))
+            if isinstance(expr, ColumnRef):
+                self._items.append(group_by.index(expr.name))
+            elif isinstance(expr.argument, ColumnRef):
+                position = schema.position(expr.argument.name, info.name)
+                self._items.append((expr, position))
             else:
-                assert isinstance(expr, ColumnRef)
-                values.append(key[group_by.index(expr.name)])
-        output.append(tuple(values))
-    ctx.charge_cpu(rows=len(sel) * max(1, len(items)))
-    return output
+                self._items.append((expr, None))
+        self._aggregates = [item for item in self._items if isinstance(item, tuple)]
+        self._counts = all(isinstance(e.argument, Star) for e, _ in self._aggregates)
+        #: Does an execution hand :meth:`rows` kept counts, not row ids?
+        self.counted = self._counts and not self._keys
+        self._width = max(1, len(items))
+
+    def rows(
+        self, ctx: ExecutionContext, evaluator: ColumnarEvaluator, batches
+    ) -> List[Tuple[Any, ...]]:
+        """The output rows over ``batches`` (each batch's kept row ids,
+        or its kept count when :attr:`counted`); charges one CPU row per
+        kept row and select item."""
+        if not self._keys:
+            results, total = self._fold(evaluator, batches)
+            groups: Iterable = [((), results)]
+        elif self._counts:
+            counts: Counter = Counter()
+            total = 0
+            for kept in batches:
+                total += len(kept)
+                if len(self._keys) == 1:
+                    counts.update(gather(evaluator.columns[self._keys[0]], kept))
+                else:
+                    columns = [evaluator.columns[p] for p in self._keys]
+                    counts.update(zip(*[gather(c, kept) for c in columns]))
+            groups = [(key, repeat(count)) for key, count in counts.items()]
+        else:
+            sel: List[int] = []
+            for kept in batches:
+                sel.extend(kept)
+            total = len(sel)
+            members = partition([evaluator.columns[p] for p in self._keys], sel)
+            groups = [
+                (key, self._fold(evaluator, [rows])[0])
+                for key, rows in members.items()
+            ]
+        ctx.charge_cpu(rows=total * self._width)
+        single = len(self._keys) == 1
+        return [
+            self._row((key,) if single else key, results) for key, results in groups
+        ]
+
+    def _fold(self, evaluator: ColumnarEvaluator, batches) -> Tuple[List[Any], int]:
+        """Every aggregate's result over ``batches``, and the kept rows."""
+        folds = [_Accumulator(expr, position) for expr, position in self._aggregates]
+        total = 0
+        for kept in batches:
+            size = kept if self.counted else len(kept)
+            total += size
+            for fold in folds:
+                fold.add(evaluator, kept, size)
+        return [fold.result() for fold in folds], total
+
+    def _row(self, key: tuple, results: Iterable[Any]) -> Tuple[Any, ...]:
+        results = iter(results)
+        return tuple(
+            key[item] if isinstance(item, int) else next(results)
+            for item in self._items
+        )
 
 
 def partition(
@@ -313,29 +399,3 @@ def partition(
             members.append(rid)
     return groups
 
-
-def _run_aggregate(
-    evaluator: ColumnarEvaluator, expr: Aggregate, sel: Selection
-) -> Any:
-    if isinstance(expr.argument, Star):
-        return len(sel)
-    observed = [
-        value
-        for value in evaluator.values(expr.argument, sel)
-        if value is not None
-    ]
-    if expr.distinct:
-        observed = list(dict.fromkeys(observed))
-    if expr.func == "count":
-        return len(observed)
-    if not observed:
-        return None
-    if expr.func == "sum":
-        return sum(observed)
-    if expr.func == "min":
-        return min(observed)
-    if expr.func == "max":
-        return max(observed)
-    if expr.func == "avg":
-        return sum(observed) / len(observed)
-    raise PlanError(f"unknown aggregate: {expr.func!r}")

@@ -16,7 +16,6 @@ return identical rows with indexes present or absent.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..catalog import Catalog
@@ -44,15 +43,14 @@ from ..sql.ast_nodes import (
 )
 from ..types import ColumnType, Row, schema_of_defs
 from .context import ExecutionContext
-from .expr_eval import ColumnarEvaluator, RowEvaluator, and_conjuncts
+from .expr_eval import ColumnarEvaluator, Predicate, RowEvaluator, and_conjuncts
 from .operators import (
+    AggregateFold,
     ClusteredEqOp,
     HashEqOp,
     OrderedRangeOp,
     SeqScanOp,
     _fetch_selection,
-    columnar_aggregate,
-    columnar_aggregate_grouped,
     columnar_order,
     columnar_project,
     order_output_rows,
@@ -167,33 +165,46 @@ def check_params(expected: int, params: Sequence) -> None:
         raise ParamCountError(expected, len(params))
 
 
-def _candidates(ctx: ExecutionContext, info: TableInfo, access, where):
-    """Run an access path batch-at-a-time and filter each batch.
+def _kept(ctx, evaluator: ColumnarEvaluator, sels, noted=True, counted=False):
+    """Narrow each candidate selection of ``sels`` by the evaluator's
+    compiled WHERE, one batch at a time: yields each batch's kept row
+    ids (its kept count when ``counted``).  A WHERE charges one CPU row
+    per candidate; a scan's batches (``noted``) are recorded on the
+    context for the scan metrics."""
+    narrow = evaluator.count if counted else evaluator.keep
+    for sel in sels:
+        if evaluator.filters:
+            ctx.charge_cpu(rows=len(sel))
+        kept = narrow(sel)
+        if noted:
+            ctx.note_scan_batch(len(sel), kept if counted else len(kept))
+        yield kept
 
-    Returns ``(sel, columns, evaluator)``: the surviving selection
-    vector (in the access path's order), the table's column lists, and
-    the statement's columnar evaluator for downstream operators.  Each
-    batch is recorded on the context for the scan metrics.
-    """
+
+def _candidates(
+    ctx: ExecutionContext, info: TableInfo, access, where: Optional[Predicate]
+) -> List[int]:
+    """The row ids of ``access``'s batches that ``where`` keeps, in the
+    access path's order (UPDATE/DELETE, and the batch demux's indexed
+    candidates with no ``where``)."""
     heap = info.heap
-    columns = heap.columns_view()
-    evaluator = ColumnarEvaluator(heap.schema, info.name, ctx.params, columns)
+    evaluator = ColumnarEvaluator(
+        heap.schema, info.name, ctx.params, heap.columns_view(), where
+    )
     sel: List[int] = []
-    for batch in access.run(ctx):
-        kept = evaluator.filter(where, batch.sel)
-        if where is not None:
-            ctx.charge_cpu(rows=len(batch.sel))
-        ctx.note_scan_batch(len(batch.sel), len(kept))
+    for kept in _kept(ctx, evaluator, (batch.sel for batch in access.run(ctx))):
         sel.extend(kept)
-    return sel, columns, evaluator
+    return sel
 
 
 def _candidate_rows(ctx: ExecutionContext, info: TableInfo, access, where):
     """Matching ``(row_id, old_row)`` pairs for UPDATE/DELETE.  The
     mutation needs the old tuples (undo log and index maintenance), so
     they materialize here."""
-    sel, _columns, _evaluator = _candidates(ctx, info, access, where)
-    return [(row_id, info.heap.fetch(row_id)) for row_id in sel]
+    return [
+        (row_id, info.heap.fetch(row_id))
+        for row_id in _candidates(ctx, info, access, where)
+    ]
 
 
 def _checked_table(catalog: Catalog, stmt) -> TableInfo:
@@ -230,6 +241,17 @@ def _checked_table(catalog: Catalog, stmt) -> TableInfo:
     schema = info.heap.schema
     for name in names:
         schema.position(name, stmt.table)
+    if isinstance(stmt, SelectStmt) and (stmt.group_by or stmt.is_aggregate):
+        # Beside an aggregate, a plain item must be a grouping column.
+        for item in stmt.items:
+            expr = item.expr
+            if not isinstance(expr, Aggregate) and not (
+                isinstance(expr, ColumnRef) and expr.name in stmt.group_by
+            ):
+                raise PlanError(
+                    "non-aggregate select items must be GROUP BY columns "
+                    f"(offending item: {getattr(expr, 'name', expr)!r})"
+                )
     return info
 
 
@@ -360,6 +382,9 @@ class _AccessPlan:
         self._access = _choose_access_path(
             self._info, catalog.indexes_on(stmt.table), stmt.where
         )
+        schema = self._info.heap.schema
+        #: The WHERE clause, compiled once (every execution binds it).
+        self._where = Predicate(schema, stmt.table, stmt.where)
         #: ``(column, param index, python type)`` when the statement can
         #: only read — or, for a write, only change, and never move —
         #: rows whose ``column`` equals that parameter: its first keyed
@@ -368,7 +393,6 @@ class _AccessPlan:
         #: this one rule, which is what lets a point write lapse only
         #: the cached reads of its own key.
         self.footprint: Optional[Tuple[str, int, type]] = None
-        schema = self._info.heap.schema
         for column, value in _keyed_conjuncts(stmt.where):
             kind = _FOOTPRINT_TYPES.get(schema.column(column).type)
             if isinstance(value, Param) and kind and column not in assigned:
@@ -394,6 +418,12 @@ class SelectPlan(_AccessPlan):
         )
         #: The demux conjunct ``(row position, value expr)``, or None.
         self.bucket = _bucket_predicate(stmt, self._info)
+        #: The aggregate select list, compiled once (None: no aggregate).
+        self._fold = (
+            AggregateFold(self._info, stmt.items, stmt.group_by)
+            if stmt.group_by or stmt.is_aggregate
+            else None
+        )
         #: The key column of a bare ``SELECT cols|* … WHERE key = ?``
         #: (else None): a store may answer N bindings of such a
         #: statement with one ``WHERE key IN (…)``.
@@ -438,10 +468,9 @@ class SelectPlan(_AccessPlan):
         try:
             if self.point_probe is not None:
                 return self.probe(ctx)
-            sel, columns, evaluator = _candidates(
-                ctx, info, self._access, self._stmt.where
+            return self._finalize(
+                ctx, (batch.sel for batch in self._access.run(ctx))
             )
-            return self._finalize(ctx, sel, columns, evaluator)
         finally:
             lock.release_read()
 
@@ -449,10 +478,12 @@ class SelectPlan(_AccessPlan):
         """The rows one binding of a hash-probed point lookup returns
         (the plan has a :attr:`point_probe`): touch the index page,
         fetch the bucket's live rows, re-check ``key = value`` exactly
-        as the WHERE filter would (so cross-type and NULL bindings
+        as the compiled WHERE would (so cross-type and NULL bindings
         answer alike), gather the output tuples straight from the
         column lists.  The charges are the general path's, in its
-        order; no evaluator, batch or :meth:`_finalize` is involved.
+        order; no evaluator, batch or :meth:`_finalize` is involved:
+        binding the compiled WHERE costs more than this one-line
+        re-check of a one-bucket selection.
         Runs under the heap's read lock, after the caller's parameter
         check and fixed CPU charge.  Asked by :meth:`execute` and by the
         batch demux's probe strategy, once per distinct binding."""
@@ -477,41 +508,38 @@ class SelectPlan(_AccessPlan):
         )
 
     def _finalize(
-        self,
-        ctx: ExecutionContext,
-        sel,
-        columns,
-        evaluator: Optional[ColumnarEvaluator] = None,
-        apply_where: bool = False,
+        self, ctx: ExecutionContext, sels, noted: bool = True
     ) -> QueryResult:
-        """Everything after the access path: aggregate/group, order,
-        project, limit.  Operators narrow/reorder the selection vector;
+        """Everything after the access path: filter, aggregate/group,
+        order, project, limit.  ``sels`` are candidate selections, one
+        per batch (each recorded on the context when ``noted``); the
+        compiled WHERE narrows each, and an aggregate select list folds
+        each batch's survivors as they come (:class:`AggregateFold`).
+        Other operators narrow/reorder the kept selection vector;
         tuples materialize only in :meth:`QueryResult.from_columns`.
         Runs under the heap's read lock.  Also the per-binding tail of
         the batch-demux operator (:mod:`repro.db.plan.demux`), which
-        runs the access once and finalizes each binding set on its own
-        parameter context; it hands bucket candidates, not filtered
-        rows, so ``apply_where=True`` re-runs the full WHERE over
-        ``sel``.
+        runs the access once and finalizes each binding's candidates
+        as one un-noted batch on its own parameter context.
         """
         stmt = self._stmt
         info = self._info
         names = self.output_names
-        if evaluator is None:
-            evaluator = ColumnarEvaluator(
-                info.heap.schema, info.name, ctx.params, columns
+        columns = info.heap.columns_view()
+        evaluator = ColumnarEvaluator(
+            info.heap.schema, info.name, ctx.params, columns, self._where
+        )
+        fold = self._fold
+        if fold is not None:
+            rows = fold.rows(
+                ctx, evaluator, _kept(ctx, evaluator, sels, noted, fold.counted)
             )
-        if apply_where and stmt.where is not None:
-            ctx.charge_cpu(rows=len(sel))
-            sel = evaluator.filter(stmt.where, sel)
-        if stmt.group_by:
-            rows = columnar_aggregate_grouped(
-                ctx, info, evaluator, columns, sel, stmt.items, stmt.group_by
-            )
-            rows = order_output_rows(names, rows, stmt.order_by)
-        elif stmt.is_aggregate:
-            rows = columnar_aggregate(ctx, evaluator, sel, stmt.items)
+            if stmt.group_by:
+                rows = order_output_rows(names, rows, stmt.order_by)
         else:
+            sel: List[int] = []
+            for kept in _kept(ctx, evaluator, sels, noted):
+                sel.extend(kept)
             sel = columnar_order(info, columns, sel, stmt.order_by)
             if not stmt.distinct:
                 # LIMIT counts output rows; without DISTINCT those are
@@ -617,7 +645,7 @@ class UpdatePlan(_AccessPlan):
         info = self._info
         assign = self.assigner(ctx.params)
         with info.heap.lock.writing():
-            rows = _candidate_rows(ctx, info, self._access, self._stmt.where)
+            rows = _candidate_rows(ctx, info, self._access, self._where)
             for row_id, row in rows:
                 coerced = assign(row)
                 info.heap.update(row_id, coerced)
@@ -633,7 +661,7 @@ class DeletePlan(_AccessPlan):
         ctx.charge_cpu(fixed=True)
         info = self._info
         with info.heap.lock.writing():
-            rows = _candidate_rows(ctx, info, self._access, self._stmt.where)
+            rows = _candidate_rows(ctx, info, self._access, self._where)
             for row_id, row in rows:
                 info.heap.delete(row_id)
                 self._catalog.on_delete(info.name, row_id, row)

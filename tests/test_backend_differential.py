@@ -448,6 +448,15 @@ UNKNOWN_COLUMN_SQL = [
 ]
 ERROR_CASES += [(sql, ()) for sql in UNKNOWN_COLUMN_SQL]
 
+#: A plain column beside an aggregate that is not a GROUP BY column:
+#: the shared planner refuses it at prepare (sqlite alone would answer
+#: an arbitrary row's value).
+BARE_COLUMN_SQL = [
+    "SELECT c, count(*) FROM t",
+    "SELECT c, count(*) FROM t GROUP BY a",
+]
+ERROR_CASES += [(sql, ()) for sql in BARE_COLUMN_SQL]
+
 
 class TestErrorParity:
     def test_error_classes_match(self):
@@ -493,6 +502,19 @@ class TestErrorParity:
                     assert (
                         db.backend(name).stats.statements_executed == executed
                     )
+            finally:
+                db.close()
+
+    def test_bare_columns_fail_at_prepare(self):
+        from repro.db.errors import PlanError
+
+        for rows in ([], [(1, 1, 1, "x"), (2, 2, 2, "y")]):
+            db = fresh_db(rows)
+            try:
+                for name in BACKENDS:
+                    for sql in BARE_COLUMN_SQL:
+                        with pytest.raises(PlanError, match="GROUP BY columns"):
+                            db.backend(name).prepare(sql)
             finally:
                 db.close()
 

@@ -356,7 +356,8 @@ class TestPerfPairsVerdict:
         for name in (
             "runtime.hop_us", "core.window_us_per_op", "prefetch.cache.hit_us",
             "prefetch.cache.layer_us", "client.front_us",
-            "backends.memory.execute_us", "db.plan.scan_us_per_krow",
+            "backends.memory.execute_us", "backends.memory.write_us",
+            "db.plan.scan_us_per_krow",
         ):
             assert "change/base 0.500" in printed[name]
         assert "prefetch.cache.hit_ratio" not in printed

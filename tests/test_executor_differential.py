@@ -19,12 +19,14 @@ writes and transactions.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db import Database, INSTANT, SYS1
 from repro.db.errors import DatabaseError
+from repro.db.plan import expr_eval, operators
 from repro.db.plan.planner import prefer_batch_scan
 from repro.db.scans import DEFAULT_BATCH_ROWS
 from tests.helpers import reference_select
@@ -69,6 +71,42 @@ QUERIES = [
     ("SELECT count(*) FROM t LIMIT 0", 0),
     ("SELECT count(*) FROM t LIMIT ?", 1),
     ("SELECT a, count(*) FROM t GROUP BY a ORDER BY a LIMIT ?", 1),
+] + [
+    # The fused scan -> filter -> aggregate kernels: count(*) under
+    # every compiled comparison (the column on either side), IN,
+    # BETWEEN, IS NULL and a fallback conjunct; column and expression
+    # aggregates, DISTINCT, grouped folds over NULL-bearing columns,
+    # the Counter path with a WHERE over a NULL-bearing key, and an
+    # empty grouped count.
+    ("SELECT count(*) FROM t WHERE a = ?", 1),
+    ("SELECT count(*) FROM t WHERE a <> ?", 1),
+    ("SELECT count(*) FROM t WHERE b < ?", 1),
+    ("SELECT count(*) FROM t WHERE b <= ?", 1),
+    ("SELECT count(*) FROM t WHERE b > ?", 1),
+    ("SELECT count(*) FROM t WHERE a >= ?", 1),
+    ("SELECT count(*) FROM t WHERE ? > a", 1),
+    ("SELECT count(*) FROM t WHERE a >= ? AND b IS NOT NULL", 1),
+    ("SELECT count(*) FROM t WHERE c IN (?, 'red') AND b NOT BETWEEN ? AND 4", 2),
+    ("SELECT count(*) FROM t WHERE a IS NULL OR b = ?", 1),
+    ("SELECT count(DISTINCT b), sum(DISTINCT b), count(c) FROM t WHERE a < ?", 1),
+    ("SELECT sum(a + b), max(c), min(c) FROM t WHERE b <> ?", 1),
+    ("SELECT a, sum(b), min(b), max(b), avg(b) FROM t GROUP BY a", 0),
+    ("SELECT c, count(*), count(DISTINCT a) FROM t WHERE b >= ? GROUP BY c", 1),
+    ("SELECT b, count(*) FROM t WHERE a <> ? GROUP BY b", 1),
+    ("SELECT b AS k, count(*) AS n FROM t WHERE b > 9 GROUP BY b", 0),
+]
+
+#: The fused shapes again under a NULL binding: a comparison, an IN
+#: item, a BETWEEN bound or a grouped count's filter that is NULL keeps
+#: no row (NOT IN with a NULL item keeps none either).
+NULL_BOUND = [
+    ("SELECT count(*) FROM t WHERE a = ?", (None,)),
+    ("SELECT count(*) FROM t WHERE a <> ?", (None,)),
+    ("SELECT count(*) FROM t WHERE b >= ?", (None,)),
+    ("SELECT count(*) FROM t WHERE b BETWEEN ? AND 3", (None,)),
+    ("SELECT count(*) FROM t WHERE a IN (?, 3)", (None,)),
+    ("SELECT count(*) FROM t WHERE a NOT IN (?, 3)", (None,)),
+    ("SELECT b, count(*) FROM t WHERE a <> ? GROUP BY b", (None,)),
 ]
 
 params_strategy = st.lists(
@@ -154,29 +192,36 @@ def assert_matches_reference(db, sql, params):
     assert got == expected, f"{sql!r} {params}: engine={got} reference={expected}"
 
 
+def assert_null_bindings(db):
+    for sql, params in NULL_BOUND:
+        assert_matches_reference(db, sql, params)
+
+
 class TestSelectDifferential:
     @given(rows=rows_strategy, params=params_strategy)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     def test_heap_table(self, rows, params):
         db = fresh_db(rows)
         try:
             for sql, nparams in QUERIES:
                 assert_matches_reference(db, sql, params[:nparams])
+            assert_null_bindings(db)
         finally:
             db.close()
 
     @given(rows=rows_strategy, params=params_strategy)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, derandomize=True)
     def test_indexed_table(self, rows, params):
         db = fresh_db(rows, indexed=True)
         try:
             for sql, nparams in QUERIES:
                 assert_matches_reference(db, sql, params[:nparams])
+            assert_null_bindings(db)
         finally:
             db.close()
 
     @given(rows=rows_strategy, params=params_strategy)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, derandomize=True)
     def test_clustered_table(self, rows, params):
         # Clustering on a nullable column exercises ClusteredEqOp's
         # range fetch (and OrderKey handling of NULL keys).
@@ -184,11 +229,12 @@ class TestSelectDifferential:
         try:
             for sql, nparams in QUERIES:
                 assert_matches_reference(db, sql, params[:nparams])
+            assert_null_bindings(db)
         finally:
             db.close()
 
     @given(rows=rows_strategy, pivot=st.integers(-9, 9))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, derandomize=True)
     def test_after_deletes(self, rows, pivot):
         # Tombstones: delete a slice, then scan — live_selection must
         # skip cleared validity bits exactly as iter_rows does.
@@ -197,11 +243,12 @@ class TestSelectDifferential:
             db.server.execute("DELETE FROM t WHERE a = ?", (pivot,))
             for sql, nparams in QUERIES:
                 assert_matches_reference(db, sql, [pivot, pivot][:nparams])
+            assert_null_bindings(db)
         finally:
             db.close()
 
     @given(params=params_strategy, **multi_batch_layout)
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, derandomize=True)
     def test_across_batches(self, params, seed, n, tombstoned, pivot):
         # Batch boundaries and mixed range/list selection vectors: every
         # other layout here fits in one batch.
@@ -209,9 +256,51 @@ class TestSelectDifferential:
         try:
             for sql, nparams in QUERIES:
                 assert_matches_reference(db, sql, params[:nparams])
+            assert_null_bindings(db)
         finally:
             db.close()
 
+
+
+def differential_fails(db, params=(2, 5)):
+    """Does the statement list, NULL bindings included, tell the engine
+    from the reference on ``db``?"""
+    try:
+        for sql, nparams in QUERIES:
+            assert_matches_reference(db, sql, params[:nparams])
+        assert_null_bindings(db)
+    except AssertionError:
+        return True
+    return False
+
+
+class TestFusedKernelMutations:
+    """Must-fail mutations: a broken fused kernel, monkeypatched in,
+    must make the differential above fail on a fixed multi-batch,
+    tombstoned, NULL-bearing layout."""
+
+    @pytest.fixture
+    def db(self):
+        db = multi_batch_db(seed=5, n=2600, tombstoned={1}, pivot=0)
+        yield db
+        db.close()
+
+    def test_the_kernels_as_built_agree(self, db):
+        assert not differential_fails(db)
+
+    def test_a_fold_that_counts_null_as_matching(self, db, monkeypatch):
+        rows_kernel, _ = expr_eval._KERNELS["<>"]
+        _, counts_null = expr_eval.kernels("v != c")
+        monkeypatch.setitem(expr_eval._KERNELS, "<>", (rows_kernel, counts_null))
+        assert differential_fails(db)
+
+    def test_a_counter_that_drops_first_occurrence_order(self, db, monkeypatch):
+        class Reordered(Counter):
+            def items(self):
+                return reversed(list(super().items()))
+
+        monkeypatch.setattr(operators, "Counter", Reordered)
+        assert differential_fails(db)
 
 def assert_batch_matches_reference(db, bindings):
     """Every binding's slot of the set-oriented batch path — duplicates,
@@ -233,7 +322,7 @@ class TestBatchDifferential:
         bindings=st.lists(st.tuples(values, values), min_size=1, max_size=8),
         indexed=st.booleans(),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True)
     def test_demux_batch_agrees(self, rows, bindings, indexed):
         # Scan-and-bucket demux on a heap table, cost-gated scan-or-probe
         # on an indexed one.
@@ -247,7 +336,7 @@ class TestBatchDifferential:
         bindings=st.lists(st.tuples(values, values), min_size=1, max_size=4),
         **multi_batch_layout,
     )
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=4, deadline=None, derandomize=True)
     def test_demux_batch_agrees_across_batches(self, bindings, seed, n, tombstoned, pivot):
         db = multi_batch_db(seed, n, tombstoned, pivot)
         try:
@@ -462,7 +551,7 @@ class TestPointProbeDifferential:
         pivot=st.integers(-9, 9),
         backend=st.sampled_from(["memory", "sqlite"]),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True)
     def test_point_probe_agrees(self, rows, pivot, backend):
         db = point_db(rows, pivot)
         try:

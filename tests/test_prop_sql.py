@@ -29,7 +29,7 @@ def fresh_db(rows, clustered=False, indexed=False):
 
 class TestFilterOracle:
     @given(rows=rows_strategy, pivot=st.integers(-50, 50))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_equality_filter(self, rows, pivot):
         db = fresh_db(rows)
         try:
@@ -40,7 +40,7 @@ class TestFilterOracle:
             db.close()
 
     @given(rows=rows_strategy, low=st.integers(-50, 50), high=st.integers(-50, 50))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_range_filter(self, rows, low, high):
         db = fresh_db(rows)
         try:
@@ -55,7 +55,7 @@ class TestFilterOracle:
             db.close()
 
     @given(rows=rows_strategy, pivot=st.integers(-50, 50))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_disjunction(self, rows, pivot):
         db = fresh_db(rows)
         try:
@@ -72,7 +72,7 @@ class TestFilterOracle:
 
 class TestIndexTransparency:
     @given(rows=rows_strategy, pivot=st.integers(-50, 50))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_hash_index_equivalent(self, rows, pivot):
         plain = fresh_db(rows)
         indexed = fresh_db(rows, indexed=True)
@@ -86,7 +86,7 @@ class TestIndexTransparency:
             indexed.close()
 
     @given(rows=rows_strategy, pivot=st.integers(-50, 50))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_clustered_equivalent(self, rows, pivot):
         plain = fresh_db(rows)
         clustered = fresh_db(rows, clustered=True)
@@ -102,7 +102,7 @@ class TestIndexTransparency:
 
 class TestAggregateOracle:
     @given(rows=rows_strategy)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_aggregates_match_python(self, rows):
         db = fresh_db(rows)
         try:
@@ -122,7 +122,7 @@ class TestAggregateOracle:
             db.close()
 
     @given(rows=rows_strategy, limit=st.integers(0, 10))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_order_limit_match_python(self, rows, limit):
         db = fresh_db(rows)
         try:
@@ -148,7 +148,7 @@ class TestDmlOracle:
         delta=st.integers(-5, 5),
         pivot=st.integers(-50, 50),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_update_then_read(self, rows, delta, pivot):
         db = fresh_db(rows)
         try:
@@ -169,7 +169,7 @@ class TestDmlOracle:
             db.close()
 
     @given(rows=rows_strategy, pivot=st.integers(-50, 50))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_delete_then_count(self, rows, pivot):
         db = fresh_db(rows, indexed=True)
         try:

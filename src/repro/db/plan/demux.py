@@ -25,9 +25,8 @@ from typing import Dict, List, Optional, Union
 
 from ..errors import ParamCountError
 from .context import ExecutionContext
-from .expr_eval import RowEvaluator
 from .operators import SeqScanOp, partition
-from .planner import SelectPlan, _candidates, prefer_batch_scan
+from .planner import SelectPlan, prefer_batch_scan
 from .result import QueryResult
 
 #: Per-binding result slot: the binding's :class:`QueryResult`, or the
@@ -44,6 +43,16 @@ def demuxable(plan) -> bool:
     and undo accounting).
     """
     return isinstance(plan, SelectPlan)
+
+
+def _gathered(ctx: ExecutionContext, batches) -> List[int]:
+    """Every batch's row ids, each batch recorded whole on ``ctx``: the
+    candidates each binding's WHERE clause narrows afterwards."""
+    sel: List[int] = []
+    for batch in batches:
+        ctx.note_scan_batch(len(batch.sel), len(batch.sel))
+        sel.extend(batch.sel)
+    return sel
 
 
 def execute_batch_select(
@@ -103,40 +112,28 @@ def execute_batch_select(
         span.set("strategy", "scan" if single_scan else "probe")
 
     with info.heap.lock.reading():  # ONE lock acquisition for the batch
-        columns = info.heap.columns_view()
-        scanned: List[int] = []
+        # The single shared scan, batch-at-a-time; then bucket by
+        # partitioning the scanned selection vector on the equality
+        # column — no tuples are built.
+        scanned = _gathered(ctx, SeqScanOp(info).run(ctx, ())) if single_scan else []
         buckets: Optional[Dict[object, List[int]]] = None
-        if single_scan:
-            # The single shared scan, batch-at-a-time; then bucket by
-            # partitioning the scanned selection vector on the equality
-            # column — no tuples are built.
-            scan_op = (
-                plan._access
-                if isinstance(plan._access, SeqScanOp)
-                else SeqScanOp(info)
-            )
-            for batch in scan_op.run(ctx):
-                ctx.note_scan_batch(len(batch.sel), len(batch.sel))
-                scanned.extend(batch.sel)
-            if plan.bucket is not None:
-                buckets = partition([columns[plan.bucket[0]]], scanned)
-                ctx.charge_cpu(rows=len(scanned))
+        if single_scan and plan.bucket is not None:
+            buckets = partition([info.heap.columns_view()[plan.bucket[0]]], scanned)
+            ctx.charge_cpu(rows=len(scanned))
 
         def run_one(binding: tuple) -> BindingOutcome:
             sub = ctx.derive(binding)
             try:
+                if not single_scan and plan.point_probe is not None:
+                    return plan.probe(sub)
+                tests = plan._where.bind(binding)
                 if not single_scan:
                     # Indexed plan: keep the access path, probe once per
                     # distinct binding (duplicates were deduped above).
-                    if plan.point_probe is not None:
-                        return plan.probe(sub)
-                    sel = _candidates(sub, info, plan._access, None)
+                    sel = _gathered(sub, plan._access.run(sub, tests))
                 elif buckets is not None:
-                    key = RowEvaluator(
-                        info.heap.schema, info.name, binding
-                    ).evaluate(plan.bucket[1], ())
                     try:
-                        sel = buckets.get(key, [])
+                        sel = buckets.get(tests[plan.bucket[1]][2], [])
                     except TypeError:
                         # Unhashable key (e.g. a list parameter): this
                         # binding cannot use the bucket index, but the
@@ -147,7 +144,7 @@ def execute_batch_select(
                     sel = scanned
                 # The bucket (or scan) holds candidates, not matches: the
                 # full WHERE clause re-applies per binding, vectorized.
-                return plan._finalize(sub, [sel], noted=False)
+                return plan._finalize(sub, tests, [sel], noted=False)
             except Exception as exc:  # isolate the fault to this binding
                 return exc
             finally:

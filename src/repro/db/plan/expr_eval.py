@@ -6,11 +6,13 @@ is strictly True.
 
 :class:`RowEvaluator` interprets the AST once per row (constants,
 INSERT/UPDATE values, the fallback below).
-:class:`Predicate` is a WHERE clause compiled once, at prepare: each
-top-level conjunct that tests one column against ``?``/literal operands
-(comparison, IN, BETWEEN, IS [NOT] NULL) is reduced to a column
-position, a test from :data:`TESTS` and its operand slots, so an
-execution only binds constants.  Each test is generated into two batch
+:class:`Predicate` is a WHERE clause compiled once, at prepare, and
+the one owner of a conjunct's shape: each top-level conjunct that tests
+one column against column-free operands (comparison, IN, BETWEEN,
+IS [NOT] NULL) is reduced to a column position, a test from
+:data:`TESTS` and its operands, so an execution only binds constants.
+The planner chooses access paths, footprints and demux buckets from
+these compiled conjuncts.  Each test is generated into two batch
 kernels (:func:`kernels`): one keeps row ids, one keeps the passing
 values of a column slice (:func:`gather`) when only a count or the
 values are wanted.  :class:`ColumnarEvaluator` runs one execution's
@@ -241,8 +243,8 @@ _FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 def _compile(expr: Expr, schema: Schema, table: str) -> Tuple[Any, Any, Any]:
     """One conjunct's fixed shape: ``(test name, column position,
-    operands)`` when it tests one column against Param/Literal
-    operands, else ``(None, None, expr)`` for the row evaluator."""
+    operands)`` when it tests one column against column-free operands,
+    else ``(None, None, expr)`` for the row evaluator."""
     shape, operand, operands = None, None, ()
     if isinstance(expr, BinaryOp) and expr.op in _FLIP:
         if isinstance(expr.left, ColumnRef) and _constant(expr.right):
@@ -263,6 +265,10 @@ def _compile(expr: Expr, schema: Schema, table: str) -> Tuple[Any, Any, Any]:
 
 
 def _constant(expr: Expr) -> bool:
+    """Is ``expr`` column-free: a ``?``, a literal, or arithmetic over
+    them?"""
+    if isinstance(expr, BinaryOp):
+        return _constant(expr.left) and _constant(expr.right)
     return isinstance(expr, (Param, Literal))
 
 
@@ -284,26 +290,37 @@ def _bind(shape: str, constants: List[Any]) -> Tuple[Tuple[Callable, Callable], 
 
 
 class Predicate:
-    """A WHERE clause compiled once, at prepare: each top-level AND
-    conjunct's shape — column position, operator (flipped when the
-    column is on the right), Param index or Literal operands, IN items,
-    BETWEEN bounds — is fixed here, and per execution only the
+    """A WHERE clause compiled once, at prepare: the one place a WHERE
+    conjunct's shape is decided.  Each top-level AND conjunct's column
+    position, test (flipped when the column is on the right) and
+    column-free operands (a ``?``, a literal, arithmetic over them; IN
+    items, BETWEEN bounds) are fixed here, and per execution only the
     constants bind.  A conjunct of any other shape keeps its AST for
-    the row evaluator."""
+    the row evaluator.  The planner reads :attr:`conjuncts` for the
+    access path, footprint, demux bucket and point key; an access
+    operator reads the bound constant of the conjunct it serves."""
 
     def __init__(self, schema: Schema, table: str, where: Optional[Expr]) -> None:
-        self._conjuncts = [
+        self._schema = schema
+        self._table = table
+        #: ``(test name, column position, operands)`` per conjunct, in
+        #: statement order; ``(None, None, expr)`` for a row-evaluator one.
+        self.conjuncts = [
             _compile(conjunct, schema, table) for conjunct in and_conjuncts(where)
         ]
 
     def bind(self, params: Sequence) -> List[Tuple[Any, Any, Any]]:
         """``(kernels, column position, constant)`` per conjunct under
-        ``params``; ``(None, None, expr)`` for a row-evaluator one."""
+        ``params``; ``(None, None, expr)`` for a row-evaluator one.  A
+        ``?`` or literal operand is read directly; arithmetic is
+        evaluated here, once per execution."""
         bound = []
-        for shape, position, operands in self._conjuncts:
+        for shape, position, operands in self.conjuncts:
             if shape is not None:
                 constants = [
-                    params[o.index] if type(o) is Param else o.value
+                    params[o.index] if type(o) is Param
+                    else o.value if type(o) is Literal
+                    else RowEvaluator(self._schema, self._table, params).evaluate(o, ())
                     for o in operands
                 ]
                 shape, operands = _bind(shape, constants)
@@ -313,8 +330,9 @@ class Predicate:
 
 class ColumnarEvaluator:
     """One statement execution's evaluation over one table's column
-    lists: its compiled WHERE bound to the execution's parameters, and
-    projection values column-at-a-time.
+    lists: its compiled WHERE's conjuncts as :meth:`Predicate.bind`
+    bound them to the execution's parameters, and projection values
+    column-at-a-time.
 
     Create one per statement execution: it holds that execution's
     bound constants.
@@ -326,13 +344,13 @@ class ColumnarEvaluator:
         table: str,
         params: Sequence,
         columns: Tuple[List[Any], ...],
-        where: Optional[Predicate] = None,
+        tests: List[Tuple[Any, Any, Any]],
     ) -> None:
         self._schema = schema
         self._table = table
         self._params = params
         self.columns = columns
-        self._tests = where.bind(params) if where is not None else []
+        self._tests = tests
         #: Does a WHERE clause narrow the selections?
         self.filters = bool(self._tests)
 

@@ -29,18 +29,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from ..catalog_types import TableInfo
 from ..errors import PlanError
 from ..index import HashIndex, OrderedIndex
-from ..sql.ast_nodes import (
-    Aggregate,
-    ColumnRef,
-    Expr,
-    OrderItem,
-    SelectItem,
-    Star,
-)
+from ..sql.ast_nodes import Aggregate, ColumnRef, OrderItem, SelectItem, Star
 from ..scans import ColumnBatch, iter_column_batches
 from ..storage import OrderKey
 from .context import ExecutionContext
-from .expr_eval import ColumnarEvaluator, RowEvaluator, gather
+from .expr_eval import ColumnarEvaluator, gather
 
 #: A selection vector: row ids into the table's column lists — a
 #: ``range`` for a batch with no tombstone, otherwise a list.
@@ -58,8 +51,8 @@ class SeqScanOp:
     def __init__(self, info: TableInfo) -> None:
         self._info = info
 
-    def run(self, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-        """Column batches over the whole table."""
+    def run(self, ctx: ExecutionContext, tests: Sequence) -> Iterator[ColumnBatch]:
+        """Column batches over the whole table (``tests`` unread)."""
         heap = self._info.heap
         name = self._info.name
 
@@ -71,16 +64,20 @@ class SeqScanOp:
 
 
 class HashEqOp:
-    """Hash-index equality probe followed by heap fetches."""
+    """Hash-index equality probe followed by heap fetches.
 
-    def __init__(self, info: TableInfo, index: HashIndex, value_expr: Expr) -> None:
+    The index-path operators serve one compiled WHERE conjunct: each
+    holds its slot in the plan's ``Predicate`` and, in :meth:`run`,
+    reads that conjunct's constant from the execution's bound
+    ``tests`` (:meth:`~repro.db.plan.expr_eval.Predicate.bind`)."""
+
+    def __init__(self, info: TableInfo, index: HashIndex, slot: int) -> None:
         self._info = info
         self._index = index
-        self._value_expr = value_expr
+        self._slot = slot
 
-    def run(self, ctx: ExecutionContext) -> List[ColumnBatch]:
-        evaluator = RowEvaluator(self._info.heap.schema, self._info.name, ctx.params)
-        value = evaluator.evaluate(self._value_expr, ())
+    def run(self, ctx: ExecutionContext, tests: Sequence) -> List[ColumnBatch]:
+        value = tests[self._slot][2]
         ctx.touch_page(self._index.io_name, self._index.page_for(value))
         sel = _fetch_selection(ctx, self._info, self._index.lookup(value))
         return _one_batch(self._info, sel)
@@ -89,49 +86,45 @@ class HashEqOp:
 class ClusteredEqOp:
     """Equality on the clustering column: one contiguous page run."""
 
-    def __init__(self, info: TableInfo, value_expr: Expr) -> None:
+    def __init__(self, info: TableInfo, slot: int) -> None:
         self._info = info
-        self._value_expr = value_expr
+        self._slot = slot
 
-    def run(self, ctx: ExecutionContext) -> List[ColumnBatch]:
-        heap = self._info.heap
-        evaluator = RowEvaluator(heap.schema, self._info.name, ctx.params)
-        value = evaluator.evaluate(self._value_expr, ())
-        low, high = heap.cluster_range(value)
+    def run(self, ctx: ExecutionContext, tests: Sequence) -> List[ColumnBatch]:
+        low, high = self._info.heap.cluster_range(tests[self._slot][2])
         return _one_batch(
             self._info, _fetch_selection(ctx, self._info, range(low, high))
         )
 
 
 class OrderedRangeOp:
-    """Ordered-index range scan followed by heap fetches."""
+    """Ordered-index range scan followed by heap fetches.  Serves an
+    ``=``, ``<``, ``<=``, ``>``, ``>=`` or ``between`` conjunct; a NULL
+    bound (no row can pass) reads no index range and no heap page."""
+
+    #: The compiled conjunct tests an index range can answer.
+    SERVES = ("=", "<", "<=", ">", ">=", "between")
 
     def __init__(
-        self,
-        info: TableInfo,
-        index: OrderedIndex,
-        low: Optional[Expr],
-        high: Optional[Expr],
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
+        self, info: TableInfo, index: OrderedIndex, slot: int, test: str
     ) -> None:
         self._info = info
         self._index = index
-        self._low = low
-        self._high = high
-        self._low_inclusive = low_inclusive
-        self._high_inclusive = high_inclusive
+        self._slot = slot
+        self._test = test
 
-    def run(self, ctx: ExecutionContext) -> List[ColumnBatch]:
-        evaluator = RowEvaluator(self._info.heap.schema, self._info.name, ctx.params)
-        low = evaluator.evaluate(self._low, ()) if self._low is not None else None
-        high = evaluator.evaluate(self._high, ()) if self._high is not None else None
-        probe = low if low is not None else high
-        if probe is not None:
-            ctx.touch_page(self._index.io_name, self._index.page_for(probe))
-        row_ids = self._index.range(
-            low, high, self._low_inclusive, self._high_inclusive
+    def run(self, ctx: ExecutionContext, tests: Sequence) -> List[ColumnBatch]:
+        constant = tests[self._slot][2]
+        if constant is None:
+            return []
+        test = self._test
+        low, high = constant if test == "between" else (
+            None if test in ("<", "<=") else constant,
+            None if test in (">", ">=") else constant,
         )
+        probe = high if low is None else low
+        ctx.touch_page(self._index.io_name, self._index.page_for(probe))
+        row_ids = self._index.range(low, high, test != ">", test != "<")
         return _one_batch(self._info, _fetch_selection(ctx, self._info, row_ids))
 
 

@@ -1,12 +1,18 @@
 """The planner: statement AST -> executable plan.
 
-Access-path selection, in priority order for an equality predicate on a
-WHERE conjunct:
+Access-path selection reads the WHERE clause's compiled conjuncts
+(:class:`~repro.db.plan.expr_eval.Predicate`, the one owner of a
+conjunct's shape), in priority order for the first ``col = expr``
+conjunct with a usable path:
 
 1. clustering column of the table  -> contiguous heap range
 2. hash index on the column        -> bucket probe + heap fetch
-3. ordered index (range conjuncts) -> index range + heap fetch
+3. ordered index (then the first range conjunct on an ordered index)
+                                   -> index range + heap fetch
 4. otherwise                       -> shared sequential scan
+
+The chosen operator holds the conjunct's slot and reads its constant
+from the execution's binding.
 
 The non-matched conjuncts (and, harmlessly, the matched one) are
 re-applied as a residual filter, so planning is purely a cost decision —
@@ -24,15 +30,11 @@ from ..errors import ParamCountError, PlanError, TransactionStateError
 from ..index import HashIndex, OrderedIndex
 from ..sql.ast_nodes import (
     Aggregate,
-    Between,
-    BinaryOp,
     ColumnRef,
     CreateIndexStmt,
     CreateTableStmt,
     DeleteStmt,
-    Expr,
     InsertStmt,
-    Literal,
     Param,
     SelectItem,
     SelectStmt,
@@ -43,7 +45,7 @@ from ..sql.ast_nodes import (
 )
 from ..types import ColumnType, Row, schema_of_defs
 from .context import ExecutionContext
-from .expr_eval import ColumnarEvaluator, Predicate, RowEvaluator, and_conjuncts
+from .expr_eval import ColumnarEvaluator, Predicate, RowEvaluator
 from .operators import (
     AggregateFold,
     ClusteredEqOp,
@@ -85,76 +87,25 @@ class Planner:
 # ----------------------------------------------------------------------
 
 
-def _constant_side(expr: Expr) -> bool:
-    """True when ``expr`` contains no column references."""
-    if isinstance(expr, (Literal, Param)):
-        return True
-    if isinstance(expr, BinaryOp):
-        return _constant_side(expr.left) and _constant_side(expr.right)
-    return False
-
-
-def _equality_on_column(conjunct: Expr) -> Optional[Tuple[str, Expr]]:
-    """Match ``col = const`` or ``const = col``; return (column, value)."""
-    if not isinstance(conjunct, BinaryOp) or conjunct.op != "=":
-        return None
-    left, right = conjunct.left, conjunct.right
-    if isinstance(left, ColumnRef) and _constant_side(right):
-        return left.name, right
-    if isinstance(right, ColumnRef) and _constant_side(left):
-        return right.name, left
-    return None
-
-
-def _range_on_column(conjunct: Expr) -> Optional[Tuple[str, Optional[Expr], Optional[Expr], bool, bool]]:
-    """Match range conjuncts; return (col, low, high, low_incl, high_incl)."""
-    if isinstance(conjunct, Between) and not conjunct.negated:
-        if isinstance(conjunct.operand, ColumnRef):
-            if _constant_side(conjunct.low) and _constant_side(conjunct.high):
-                return conjunct.operand.name, conjunct.low, conjunct.high, True, True
-        return None
-    if not isinstance(conjunct, BinaryOp) or conjunct.op not in ("<", "<=", ">", ">="):
-        return None
-    left, right = conjunct.left, conjunct.right
-    if isinstance(left, ColumnRef) and _constant_side(right):
-        column, value, op = left.name, right, conjunct.op
-    elif isinstance(right, ColumnRef) and _constant_side(left):
-        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-        column, value, op = right.name, left, flipped[conjunct.op]
-    else:
-        return None
-    if op == "<":
-        return column, None, value, True, False
-    if op == "<=":
-        return column, None, value, True, True
-    if op == ">":
-        return column, value, None, False, True
-    return column, value, None, True, True
-
-
-def _choose_access_path(info: TableInfo, indexes, where: Optional[Expr]):
-    conjuncts = and_conjuncts(where)
-    for conjunct in conjuncts:
-        match = _equality_on_column(conjunct)
-        if match is None:
+def _choose_access_path(info: TableInfo, indexes, where: Predicate):
+    names = info.heap.schema.names()
+    # The first index of each kind on a column (``reversed``: the first
+    # one written into the dict last).
+    hashed = {i.column: i for i in reversed(indexes) if isinstance(i, HashIndex)}
+    ordered = {i.column: i for i in reversed(indexes) if isinstance(i, OrderedIndex)}
+    for slot, (test, position, _operands) in enumerate(where.conjuncts):
+        if test != "=":
             continue
-        column, value = match
+        column = names[position]
         if info.heap.clustered_on == column:
-            return ClusteredEqOp(info, value)
-        for index in indexes:
-            if index.column == column and isinstance(index, HashIndex):
-                return HashEqOp(info, index, value)
-        for index in indexes:
-            if index.column == column and isinstance(index, OrderedIndex):
-                return OrderedRangeOp(info, index, value, value)
-    for conjunct in conjuncts:
-        match = _range_on_column(conjunct)
-        if match is None:
-            continue
-        column, low, high, low_inclusive, high_inclusive = match
-        for index in indexes:
-            if index.column == column and isinstance(index, OrderedIndex):
-                return OrderedRangeOp(info, index, low, high, low_inclusive, high_inclusive)
+            return ClusteredEqOp(info, slot)
+        if column in hashed:
+            return HashEqOp(info, hashed[column], slot)
+        if column in ordered:
+            return OrderedRangeOp(info, ordered[column], slot, test)
+    for slot, (test, position, _operands) in enumerate(where.conjuncts):
+        if test in OrderedRangeOp.SERVES and names[position] in ordered:
+            return OrderedRangeOp(info, ordered[names[position]], slot, test)
     return SeqScanOp(info)
 
 
@@ -181,29 +132,20 @@ def _kept(ctx, evaluator: ColumnarEvaluator, sels, noted=True, counted=False):
         yield kept
 
 
-def _candidates(
-    ctx: ExecutionContext, info: TableInfo, access, where: Optional[Predicate]
-) -> List[int]:
-    """The row ids of ``access``'s batches that ``where`` keeps, in the
-    access path's order (UPDATE/DELETE, and the batch demux's indexed
-    candidates with no ``where``)."""
+def _candidate_rows(ctx: ExecutionContext, info: TableInfo, access, where: Predicate):
+    """Matching ``(row_id, old_row)`` pairs for UPDATE/DELETE, in the
+    access path's order.  The mutation needs the old tuples (undo log
+    and index maintenance), so they materialize here."""
     heap = info.heap
+    tests = where.bind(ctx.params)
     evaluator = ColumnarEvaluator(
-        heap.schema, info.name, ctx.params, heap.columns_view(), where
+        heap.schema, info.name, ctx.params, heap.columns_view(), tests
     )
-    sel: List[int] = []
-    for kept in _kept(ctx, evaluator, (batch.sel for batch in access.run(ctx))):
-        sel.extend(kept)
-    return sel
-
-
-def _candidate_rows(ctx: ExecutionContext, info: TableInfo, access, where):
-    """Matching ``(row_id, old_row)`` pairs for UPDATE/DELETE.  The
-    mutation needs the old tuples (undo log and index maintenance), so
-    they materialize here."""
+    batches = (batch.sel for batch in access.run(ctx, tests))
     return [
-        (row_id, info.heap.fetch(row_id))
-        for row_id in _candidates(ctx, info, access, where)
+        (row_id, heap.fetch(row_id))
+        for kept in _kept(ctx, evaluator, batches)
+        for row_id in kept
     ]
 
 
@@ -270,56 +212,6 @@ def _item_name(item: SelectItem, position: int) -> str:
     return f"col{position}"
 
 
-def _contains_param(expr: Expr) -> bool:
-    if isinstance(expr, Param):
-        return True
-    if isinstance(expr, BinaryOp):
-        return _contains_param(expr.left) or _contains_param(expr.right)
-    return False
-
-
-def _keyed_conjuncts(where: Optional[Expr]):
-    """The top-level AND-conjuncts ``col = expr`` whose constant side
-    carries a parameter, in statement order, as ``(column, expr)``: the
-    rows a binding can reach all have ``col`` equal to its value."""
-    for conjunct in and_conjuncts(where):
-        match = _equality_on_column(conjunct)
-        if match is not None and _contains_param(match[1]):
-            yield match
-
-
-def _bucket_predicate(stmt: SelectStmt, info: TableInfo) -> Optional[Tuple[int, Expr]]:
-    """The conjunct a demuxed batch buckets rows on: the first keyed
-    conjunct.  Returns the column's row position and the value
-    expression, or None when no such conjunct exists (bindings then
-    share the full scan and each applies the whole WHERE clause
-    itself)."""
-    match = next(_keyed_conjuncts(stmt.where), None)
-    if match is None:
-        return None
-    return info.heap.schema.position(match[0], info.name), match[1]
-
-
-def _point_key(stmt: SelectStmt, star: bool) -> Optional[str]:
-    """The key column when ``stmt`` is the bare point lookup
-    ``SELECT cols|* FROM t WHERE key = ?`` (one parameter, plain column
-    items, nothing after the WHERE), else None."""
-    if (
-        stmt.group_by
-        or stmt.distinct
-        or stmt.order_by
-        or stmt.limit is not None
-        or stmt.param_count != 1
-    ):
-        return None
-    match = _equality_on_column(stmt.where)
-    if match is None or not isinstance(match[1], Param):
-        return None
-    if not star and not all(isinstance(item.expr, ColumnRef) for item in stmt.items):
-        return None
-    return match[0]
-
-
 def _limited(rows: list, count: Optional[int]) -> list:
     return rows if count is None else rows[:count]
 
@@ -379,25 +271,27 @@ class _AccessPlan:
         self._catalog = catalog
         self._stmt = stmt
         self._info = _checked_table(catalog, stmt)
-        self._access = _choose_access_path(
-            self._info, catalog.indexes_on(stmt.table), stmt.where
-        )
         schema = self._info.heap.schema
         #: The WHERE clause, compiled once (every execution binds it).
         self._where = Predicate(schema, stmt.table, stmt.where)
+        self._access = _choose_access_path(
+            self._info, catalog.indexes_on(stmt.table), self._where
+        )
         #: ``(column, param index, python type)`` when the statement can
         #: only read — or, for a write, only change, and never move —
-        #: rows whose ``column`` equals that parameter: its first keyed
-        #: conjunct ``col = ?`` on an INT or TEXT column the statement
-        #: does not assign.  None otherwise.  Reads and writes share
-        #: this one rule, which is what lets a point write lapse only
-        #: the cached reads of its own key.
+        #: rows whose ``column`` equals that parameter: its first
+        #: compiled conjunct ``col = ?`` on an INT or TEXT column the
+        #: statement does not assign.  None otherwise.  Reads and writes
+        #: share this one rule, which is what lets a point write lapse
+        #: only the cached reads of its own key.
         self.footprint: Optional[Tuple[str, int, type]] = None
-        for column, value in _keyed_conjuncts(stmt.where):
-            kind = _FOOTPRINT_TYPES.get(schema.column(column).type)
-            if isinstance(value, Param) and kind and column not in assigned:
-                self.footprint = (column, value.index, kind)
-                break
+        for test, position, operands in self._where.conjuncts:
+            if test == "=" and type(operands[0]) is Param:
+                column = schema.columns[position]
+                kind = _FOOTPRINT_TYPES.get(column.type)
+                if kind and column.name not in assigned:
+                    self.footprint = (column.name, operands[0].index, kind)
+                    break
 
     @property
     def access_path(self) -> str:
@@ -416,8 +310,20 @@ class SelectPlan(_AccessPlan):
             if self.star
             else tuple(_item_name(item, i) for i, item in enumerate(stmt.items))
         )
-        #: The demux conjunct ``(row position, value expr)``, or None.
-        self.bucket = _bucket_predicate(stmt, self._info)
+        conjuncts = self._where.conjuncts
+        #: The demux conjunct ``(row position, conjunct slot)``: the
+        #: first ``col = expr`` whose operand reads a parameter — the
+        #: rows a binding can reach all have ``col`` equal to its bound
+        #: constant — or None (bindings then share the full scan and
+        #: each applies the whole WHERE clause itself).
+        self.bucket: Optional[Tuple[int, int]] = next(
+            (
+                (position, slot)
+                for slot, (test, position, operands) in enumerate(conjuncts)
+                if test == "=" and operands[0].param_count()
+            ),
+            None,
+        )
         #: The aggregate select list, compiled once (None: no aggregate).
         self._fold = (
             AggregateFold(self._info, stmt.items, stmt.group_by)
@@ -425,18 +331,28 @@ class SelectPlan(_AccessPlan):
             else None
         )
         #: The key column of a bare ``SELECT cols|* … WHERE key = ?``
-        #: (else None): a store may answer N bindings of such a
+        #: (one conjunct, plain column items, nothing after the WHERE;
+        #: else None): a store may answer N bindings of such a
         #: statement with one ``WHERE key IN (…)``.
-        self.point_key = _point_key(stmt, self.star)
+        self.point_key: Optional[str] = None
+        schema = self._info.heap.schema
+        if (
+            len(conjuncts) == 1
+            and conjuncts[0][0] == "="
+            and type(conjuncts[0][2][0]) is Param
+            and not (stmt.group_by or stmt.distinct or stmt.order_by)
+            and stmt.limit is None
+            and (self.star or all(isinstance(i.expr, ColumnRef) for i in stmt.items))
+        ):
+            self.point_key = schema.names()[conjuncts[0][1]]
         #: What :meth:`probe` reads, fixed here: ``(hash index, key
         #: column position, output column positions)`` when the point
         #: lookup's access path is a hash-index probe, else None.
         self.point_probe: Optional[Tuple[HashIndex, int, Tuple[int, ...]]] = None
         if self.point_key is not None and isinstance(self._access, HashEqOp):
-            schema = self._info.heap.schema
             self.point_probe = (
                 self._access._index,
-                schema.position(self.point_key, stmt.table),
+                conjuncts[0][1],
                 tuple(range(len(schema)))
                 if self.star
                 else schema.project_positions(
@@ -468,8 +384,9 @@ class SelectPlan(_AccessPlan):
         try:
             if self.point_probe is not None:
                 return self.probe(ctx)
+            tests = self._where.bind(ctx.params)
             return self._finalize(
-                ctx, (batch.sel for batch in self._access.run(ctx))
+                ctx, tests, (batch.sel for batch in self._access.run(ctx, tests))
             )
         finally:
             lock.release_read()
@@ -508,12 +425,13 @@ class SelectPlan(_AccessPlan):
         )
 
     def _finalize(
-        self, ctx: ExecutionContext, sels, noted: bool = True
+        self, ctx: ExecutionContext, tests, sels, noted: bool = True
     ) -> QueryResult:
         """Everything after the access path: filter, aggregate/group,
         order, project, limit.  ``sels`` are candidate selections, one
         per batch (each recorded on the context when ``noted``); the
-        compiled WHERE narrows each, and an aggregate select list folds
+        WHERE's conjuncts as bound for this execution (``tests``, from
+        :meth:`Predicate.bind`) narrow each, and an aggregate select list folds
         each batch's survivors as they come (:class:`AggregateFold`).
         Other operators narrow/reorder the kept selection vector;
         tuples materialize only in :meth:`QueryResult.from_columns`.
@@ -527,7 +445,7 @@ class SelectPlan(_AccessPlan):
         names = self.output_names
         columns = info.heap.columns_view()
         evaluator = ColumnarEvaluator(
-            info.heap.schema, info.name, ctx.params, columns, self._where
+            info.heap.schema, info.name, ctx.params, columns, tests
         )
         fold = self._fold
         if fold is not None:

@@ -357,7 +357,7 @@ class TestPerfPairsVerdict:
             "runtime.hop_us", "core.window_us_per_op", "prefetch.cache.hit_us",
             "prefetch.cache.layer_us", "client.front_us",
             "backends.memory.execute_us", "backends.memory.write_us",
-            "db.plan.scan_us_per_krow",
+            "db.plan.scan_us_per_krow", "db.plan.plan_us",
         ):
             assert "change/base 0.500" in printed[name]
         assert "prefetch.cache.hit_ratio" not in printed

@@ -394,6 +394,33 @@ class TestRequestPathOwners:
             live.close()
 
 
+PLAN = sorted(path.stem for path in (SRC / "db" / "plan").glob("*.py"))
+
+
+class TestPlanOwners:
+    """``Predicate`` alone classifies a WHERE conjunct: the planner, the
+    access operators and the demux read its compiled conjuncts and the
+    execution's bound constants, never the expression AST."""
+
+    @pytest.mark.parametrize("module", [m for m in PLAN if m != "expr_eval"])
+    def test_only_the_predicate_imports_conjunct_shapes(self, module):
+        shapes = {"BinaryOp", "Between", "InList", "IsNull"}
+        for package_of_file, tree in modules(f"db/plan/{module}"):
+            taken = shapes & {name for _, name in imports(package_of_file, tree)}
+            assert not taken, f"{module} imports {sorted(taken)}"
+
+    @pytest.mark.parametrize("module", ["operators", "demux"])
+    def test_no_operator_builds_a_row_evaluator(self, module):
+        for _package_of_file, tree in modules(f"db/plan/{module}"):
+            built = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "RowEvaluator"
+            ]
+            assert not built, f"{module} builds a RowEvaluator at {built}"
+
+
 @pytest.fixture
 def users_db():
     db = Database(INSTANT)

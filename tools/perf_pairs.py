@@ -28,7 +28,8 @@ base did, or any change pass reported incorrect outputs
 ``--layers WORKLOAD`` runs one layers pass (``--trace 1``) of that
 workload on each side instead and prints the per-layer metrics side by
 side — the engine's (``backends.memory.execute_us``,
-``db.plan.scan_us_per_krow``, ``db.scan.*``,
+``db.plan.scan_us_per_krow``, the prepare-time ``db.plan.plan_us``,
+``db.scan.*``,
 ``backends.statements_per_op``), the request path's
 (``runtime.hop_us``, ``core.window_us_per_op``,
 ``prefetch.cache.hit_us``, ``prefetch.cache.layer_us``,
@@ -183,13 +184,14 @@ def compare(benchmark, sides, workload, pairs, seconds, seed):
 #: The per-layer metrics ``--layers`` prints (every ``BENCHMARK.json``
 #: per-layer name with one of these prefixes, in its declared order):
 #: the engine's own time and work (reads, and writes for the write
-#: mixes) and the statements it was sent, then
+#: mixes), its planning cost at prepare and the statements it was sent,
+#: then
 #: the request path's — the thread hop, the windowed dispatch, the cache
 #: layer and its hit, the connection front end — then the transformer's
 #: (loops found and transformed, emitted size, measured speedup).
 LAYERS = (
     "backends.memory.execute_us", "backends.memory.write_us",
-    "db.plan.scan_us_per_krow", "db.scan.",
+    "db.plan.scan_us_per_krow", "db.plan.plan_us", "db.scan.",
     "backends.statements_per_op",
     "runtime.hop_us", "core.window_us_per_op", "prefetch.cache.hit_us",
     "prefetch.cache.layer_us", "client.front_us",

@@ -69,6 +69,7 @@ from ..db.plan import BindingOutcome, QueryResult, demuxable
 from ..db.sql import parse
 from ..db.sql.ast_nodes import Statement, is_ddl, is_write
 from ..db.txn import Transaction, TransactionManager
+from ..obs.metrics import CellField, Cells
 from .ledger import Point, WriteEpochLedger, stripe_of
 
 #: Backend kinds selectable via ``Database.connect(backend=...)`` /
@@ -99,8 +100,17 @@ def resolve_backend_name(backend: Optional[str] = None) -> str:
 
 @dataclass
 class ServerStats:
-    statements_executed: int = 0
-    writes_executed: int = 0
+    """The server's counters.  ``statements_executed`` and
+    ``writes_executed`` live in per-thread
+    :class:`~repro.obs.metrics.Cells` (``cells``; :meth:`executed` adds
+    without a lock) and read live as attributes; the fields move under
+    the server lock."""
+
+    #: The cell-kept counters, in slot order.
+    COUNTED = ("statements_executed", "writes_executed")
+    statements_executed = CellField()
+    writes_executed = CellField()
+    #: Most statements executing at once (slots held at the gate).
     peak_concurrency: int = 0
     statements_prepared: int = 0
     #: Set-oriented batch calls that took the demux path (one statement
@@ -117,6 +127,15 @@ class ServerStats:
     #: wait for a running statement to finish — and for how long, summed.
     admission_waits: int = 0
     admission_wait_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.cells = Cells((0, 0))
+
+    def executed(self, statements: int, writes: int = 0) -> None:
+        """Count statements that ran (``writes`` of them writes)."""
+        cell = self.cells.mine()
+        cell[0] += statements
+        cell[1] += writes
 
 
 class PreparedStatement:
@@ -273,7 +292,6 @@ class Backend:
         self._plan_cache: "OrderedDict[str, PreparedStatement]" = OrderedDict()
         self._statement_ids = itertools.count(1)
         self._catalog_version = 0
-        self._active = 0
         self._shutdown = False
         self._closing = threading.Lock()
         self.stats = ServerStats()
@@ -347,12 +365,19 @@ class Backend:
         :class:`PreparedStatement` — the object carries its own plan, so
         ``execute_prepared`` keeps working on a swept statement; only a
         later ``prepare`` of the same text pays a re-plan.
+
+        A hit takes no lock: ``get`` and ``move_to_end`` are single
+        C-level steps on the ``OrderedDict``, and an entry a concurrent
+        sweep just evicted is still a hit.
         """
-        with self._lock:
-            cached = self._plan_cache.get(sql)
-            if cached is not None and cached.catalog_version == self._catalog_version:
-                self._plan_cache.move_to_end(sql)
-                return cached
+        cache = self._plan_cache
+        cached = cache.get(sql)
+        if cached is not None and cached.catalog_version == self._catalog_version:
+            try:
+                cache.move_to_end(sql)
+            except KeyError:
+                pass
+            return cached
         ast = parse(sql)
         plan, translated = self._plan(ast)
         with self._lock:
@@ -407,6 +432,19 @@ class Backend:
     # ------------------------------------------------------------------
     # the admission gate
     # ------------------------------------------------------------------
+    def _active(self) -> int:
+        """Statements executing now: the gate's slots in use."""
+        return self._profile.server_workers - self._gate.qsize()
+
+    def _note_active(self) -> None:
+        """Raise ``peak_concurrency`` to :meth:`_active`, taking the
+        lock only when the peak rises."""
+        active = self._active()
+        if active > self.stats.peak_concurrency:
+            with self._lock:
+                if active > self.stats.peak_concurrency:
+                    self.stats.peak_concurrency = active
+
     def _admit(self) -> float:
         """Take one of the gate's slots, waiting for a running statement
         to finish if none is free; returns the seconds waited (0.0 on
@@ -563,14 +601,12 @@ class Backend:
         txn: Optional[Transaction],
         exec_span=None,
     ) -> QueryResult:
-        # The server lock is taken twice: on entry (plan staleness, the
-        # active count) and on exit (the active count, and the counters
-        # of a statement that ran).
-        with self._lock:
-            stale = prepared.catalog_version != self._catalog_version
-            self._active += 1
-            if self._active > self.stats.peak_concurrency:
-                self.stats.peak_concurrency = self._active
+        # No server lock on a read: the staleness check reads the catalog
+        # version, the active count is the gate's, and the counters are
+        # per-thread cells.  Only a rising peak and a DDL's version bump
+        # take the lock.
+        stale = prepared.catalog_version != self._catalog_version
+        self._note_active()
         executed = window = False
         try:
             if stale:
@@ -602,14 +638,11 @@ class Backend:
                     exec_span.set("rows", rows)
             return result
         finally:
-            with self._lock:
-                self._active -= 1
-                if executed:
-                    self.stats.statements_executed += 1
-                    if prepared.write:
-                        self.stats.writes_executed += 1
-                        if prepared.ddl:
-                            self._catalog_version += 1
+            if executed:
+                self.stats.executed(1, int(prepared.write))
+                if prepared.ddl:
+                    with self._lock:
+                        self._catalog_version += 1
             if window:
                 self.ledger.end_write(table, True, point)
 
@@ -623,9 +656,7 @@ class Backend:
     ) -> List[BindingOutcome]:
         if not bindings:
             return []
-        with self._lock:
-            stale = prepared.catalog_version != self._catalog_version
-        if stale:
+        if prepared.catalog_version != self._catalog_version:
             prepared = self.prepare(prepared.sql)
         if not prepared.demuxable:
             return self._run_write_batch(prepared, bindings, txn, span, queued_s)
@@ -645,24 +676,15 @@ class Backend:
         try:
             if txn is not None:
                 self._lock_for_txn(txn, prepared)
+            self._note_active()
+            outcomes = self._execute_select_batch(prepared, bindings, txn, exec_span)
+            # One statement answered the whole batch.
+            self.stats.executed(1)
             with self._lock:
-                self._active += 1
-                if self._active > self.stats.peak_concurrency:
-                    self.stats.peak_concurrency = self._active
-            try:
-                outcomes = self._execute_select_batch(
-                    prepared, bindings, txn, exec_span
-                )
-                with self._lock:
-                    # One statement answered the whole batch.
-                    self.stats.statements_executed += 1
-                    self.stats.batched_calls += 1
-                    self.stats.batched_bindings += len(bindings)
-                    self.stats.scans_saved += len(bindings) - 1
-                return outcomes
-            finally:
-                with self._lock:
-                    self._active -= 1
+                self.stats.batched_calls += 1
+                self.stats.batched_bindings += len(bindings)
+                self.stats.scans_saved += len(bindings) - 1
+            return outcomes
         except BaseException as exc:
             if exec_span is not None:
                 exec_span.set("error", repr(exc))
@@ -703,9 +725,7 @@ class Backend:
                     not isinstance(outcome, BaseException)
                     for outcome in outcomes
                 )
-                with self._lock:
-                    self.stats.statements_executed += applied
-                    self.stats.writes_executed += applied
+                self.stats.executed(applied, applied)
                 return outcomes
         # Per-binding fallback: each binding keeps the exact
         # single-statement semantics (stats, locks, write window, undo
@@ -736,12 +756,15 @@ class Backend:
     # introspection / lifecycle
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> Dict[str, object]:
-        """Every server counter as one plain dict (taken under the
-        server lock, so batched_* never tears against scans_saved)."""
+        """Every server counter as one plain dict (the fields taken
+        under the server lock, so batched_* never tears against
+        scans_saved)."""
+        stats = self.stats
+        snap = dict(zip(stats.COUNTED, stats.cells.sums()))
         with self._lock:
-            snap = dict(asdict(self.stats))
+            snap.update(asdict(stats))
             snap["prepared_cached"] = len(self._plan_cache)
-            snap["active"] = self._active
+        snap["active"] = self._active()
         # Why a hit ratio is what it is: how many write windows closed
         # on one key's stripe vs on a whole table, and the ledger's size.
         ledger = self.ledger

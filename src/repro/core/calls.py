@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 from typing import Any, Dict, Optional, Set
 
-from ..obs.metrics import Histogram, MetricsRegistry
+from ..obs.metrics import CellField, Cells, Histogram, MetricsRegistry
 from ..obs.trace import Span, Tracer
 from ..prefetch.cache import ResultCache
 from ..runtime.handles import QueryHandle, failed_handle
@@ -34,12 +34,30 @@ _AGE = attrgetter("age_s")
 
 @dataclass
 class SubmissionStats:
-    """Counters for one pipeline (shared by all its front ends)."""
+    """Counters for one pipeline (shared by all its front ends).
 
-    blocking_calls: int = 0
-    async_submits: int = 0
-    fetches: int = 0
-    cache_hits: int = 0
+    The request-path counters named in :attr:`COUNTED` live in
+    per-thread :class:`~repro.obs.metrics.Cells` (``cells``;
+    :meth:`CallPipeline.bump` adds to the caller's cell without a lock)
+    and read live as attributes.  The speculation counters are plain
+    fields that move under the pipeline's ``_spec_lock`` with its
+    ledger.
+    """
+
+    #: The request-path counters, in cell-slot order.
+    COUNTED = (
+        "blocking_calls", "async_submits", "fetches", "cache_hits",
+        "coalesced_batches", "coalesced_queries",
+    )
+    blocking_calls = CellField()
+    async_submits = CellField()
+    fetches = CellField()
+    cache_hits = CellField()
+    #: Set-oriented dispatch: batches the coalescer merged (two or more
+    #: same-statement submits answered by one server call) …
+    coalesced_batches = CellField()
+    #: … and the submits those batches carried.
+    coalesced_queries = CellField()
     #: Speculative dispatches issued (``speculate``).  Every speculation
     #: eventually settles as exactly one hit or one waste; handles still
     #: unsettled (neither fetched nor abandoned yet) account for the
@@ -54,13 +72,27 @@ class SubmissionStats:
     #: A sweep that misjudged a merely-slow consumer is corrected on the
     #: late fetch: the settle moves from here to ``speculation_hits``.
     speculation_wasted: int = 0
-    #: Set-oriented dispatch: batches the coalescer merged (two or more
-    #: same-statement submits answered by one server call) …
-    coalesced_batches: int = 0
-    #: … the submits those batches carried …
-    coalesced_queries: int = 0
-    #: … and the round trips that merging avoided (queries − batches).
-    round_trips_saved: int = 0
+
+    def __post_init__(self) -> None:
+        self.cells = Cells((0,) * len(self.COUNTED))
+
+    def counts(self) -> Dict[str, int]:
+        """The :attr:`COUNTED` counters and ``round_trips_saved``, from
+        one pass over the cells."""
+        counts = dict(zip(self.COUNTED, self.cells.sums()))
+        counts["round_trips_saved"] = (
+            counts["coalesced_queries"] - counts["coalesced_batches"]
+        )
+        return counts
+
+    @property
+    def round_trips_saved(self) -> int:
+        """The round trips coalescing avoided (queries − batches);
+        derived, so it never disagrees with the other two."""
+        return self.counts()["round_trips_saved"]
+
+
+_SLOT = {field: slot for slot, field in enumerate(SubmissionStats.COUNTED)}
 
 
 @dataclass
@@ -272,12 +304,6 @@ class CallPipeline:
         self.tracer = tracer
         self.metrics = metrics
         self.stats = SubmissionStats()
-        #: Guards every non-speculation counter of ``stats``.  The
-        #: speculation_* counters stay under ``_spec_lock`` (they must
-        #: move in lockstep with the ledger); everything else moves
-        #: through :meth:`bump` so concurrent front ends never lose an
-        #: increment.
-        self._stats_lock = threading.Lock()
         self._blocking_hist: Optional[Histogram] = None
         self._query_hist: Optional[Histogram] = None
         if metrics is not None:
@@ -299,9 +325,9 @@ class CallPipeline:
     SPECULATION_HIGH_WATER = 1024
 
     def bump(self, field: str, n: int = 1) -> None:
-        """Increment one non-speculation stats counter under its lock."""
-        with self._stats_lock:
-            setattr(self.stats, field, getattr(self.stats, field) + n)
+        """Add ``n`` to one of ``stats``' request-path counters, in the
+        calling thread's cell (no lock)."""
+        self.stats.cells.mine()[_SLOT[field]] += n
 
     # ------------------------------------------------------------------
     # blocking path
@@ -664,19 +690,14 @@ class CallPipeline:
     def stats_snapshot(self) -> Dict[str, Any]:
         """Every counter of this pipeline as one plain dict.
 
-        Non-speculation counters are read under ``_stats_lock``, the
-        speculation counters and per-site ledger under ``_spec_lock``
-        (their owning lock), so the snapshot never tears an invariant.
+        The request-path counters come from one pass over their cells,
+        the speculation counters and per-site ledger from under
+        ``_spec_lock`` (their owning lock), so the snapshot never tears
+        an invariant.
         """
-        with self._stats_lock:
-            snap: Dict[str, Any] = asdict(self.stats)
+        snap: Dict[str, Any] = self.stats.counts()
         with self._spec_lock:
-            for field in (
-                "speculations",
-                "speculation_hits",
-                "speculation_wasted",
-            ):
-                snap[field] = getattr(self.stats, field)
+            snap.update(asdict(self.stats))
             snap["speculation_sites"] = {
                 site: {
                     "speculations": entry.speculations,

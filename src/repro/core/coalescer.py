@@ -199,9 +199,9 @@ class DispatchCoalescer:
             if request.queue_span is not None:
                 request.queue_span.set("batch_size", len(live)).end()
         if len(live) > 1:
-            pipeline.bump("coalesced_batches")
+            # ``round_trips_saved`` is derived from these two on read.
             pipeline.bump("coalesced_queries", len(live))
-            pipeline.bump("round_trips_saved", len(live) - 1)
+            pipeline.bump("coalesced_batches")
         try:
             outcomes = pipeline.round_trip(live)
         except BaseException as exc:

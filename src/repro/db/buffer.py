@@ -80,6 +80,23 @@ class BufferPool:
             self._admit((key,))
         return False
 
+    def access_keys(self, keys) -> None:
+        """Touch ``(name, page_no)`` keys in order: one lock section
+        while they hit, then one :meth:`access` per key from the first
+        miss on — charged exactly as one ``access`` per key."""
+        hits = 0
+        touch = self._pages.move_to_end
+        with self._lock:
+            for key in keys:
+                try:
+                    touch(key)
+                except KeyError:
+                    break
+                hits += 1
+            self.stats.hits += hits
+        for name, page_no in keys[hits:]:
+            self.access(name, page_no)
+
     def access_many(self, name: str, page_nos) -> int:
         """Touch a run of pages; returns the hit count.
 

@@ -39,7 +39,7 @@ class ReadWriteLock:
     def release_read(self) -> None:
         with self._lock:
             self._active_readers -= 1
-            if self._active_readers == 0:
+            if self._active_readers == 0 and self._waiting_writers:
                 self._writers_ok.notify()
 
     def acquire_write(self) -> None:

@@ -19,9 +19,10 @@ is what EXPERIMENTS.md validates.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, replace
+
+from ..obs.metrics import Cells
 
 #: Sleeps shorter than this are busy-waited; the OS timer would otherwise
 #: round them up and distort small latencies.  The threshold must stay
@@ -185,41 +186,41 @@ class LatencyMeter:
     """Thread-safe accumulator of simulated latency charged, by category.
 
     The benchmark harness reads these counters to explain *where* time
-    went (network vs disk vs CPU) in EXPERIMENTS.md.
+    went (network vs disk vs CPU) in EXPERIMENTS.md.  Totals and counts
+    live in per-thread :class:`~repro.obs.metrics.Cells`: a charge takes
+    no lock, a read sums every thread's cell.
     """
 
     CATEGORIES = ("network", "disk", "cpu", "queue")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._totals = {category: 0.0 for category in self.CATEGORIES}
-        self._counts = {category: 0 for category in self.CATEGORIES}
+        width = len(self.CATEGORIES)
+        #: Category -> the cell slots of its total and its count.
+        self._slots = {
+            category: (slot, width + slot)
+            for slot, category in enumerate(self.CATEGORIES)
+        }
+        self._cells = Cells([0.0] * width + [0] * width)
 
     def charge(self, category: str, duration_s: float) -> None:
         """Sleep for ``duration_s`` and record it under ``category``."""
         if duration_s > 0:
             precise_sleep(duration_s)
-        with self._lock:
-            self._totals[category] += duration_s
-            self._counts[category] += 1
+        self.record(category, duration_s)
 
     def record(self, category: str, duration_s: float, times: int = 1) -> None:
         """Record ``times`` charges totalling ``duration_s`` that were
         already spent or cost nothing (no additional sleep)."""
-        with self._lock:
-            self._totals[category] += duration_s
-            self._counts[category] += times
+        total, count = self._slots[category]
+        cell = self._cells.mine()
+        cell[total] += duration_s
+        cell[count] += times
 
     def totals(self) -> dict:
-        with self._lock:
-            return dict(self._totals)
+        return dict(zip(self.CATEGORIES, self._cells.sums()))
 
     def counts(self) -> dict:
-        with self._lock:
-            return dict(self._counts)
+        return dict(zip(self.CATEGORIES, self._cells.sums()[len(self.CATEGORIES):]))
 
     def reset(self) -> None:
-        with self._lock:
-            for category in self.CATEGORIES:
-                self._totals[category] = 0.0
-                self._counts[category] = 0
+        self._cells.reset()

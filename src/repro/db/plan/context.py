@@ -93,10 +93,6 @@ class ExecutionContext:
             txn=self.txn,
         )
 
-    def touch_page(self, io_name: str, page_no: int) -> bool:
-        """Access one page through the buffer pool; True on hit."""
-        return self.buffer.access(io_name, page_no)
-
     def touch_pages(self, io_name: str, page_nos: Iterable[int]) -> int:
         """Access a run of pages in one buffer-pool round trip; returns
         the hit count (full scans use this instead of per-page calls)."""

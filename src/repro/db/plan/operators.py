@@ -77,9 +77,10 @@ class HashEqOp:
         self._slot = slot
 
     def run(self, ctx: ExecutionContext, tests: Sequence) -> List[ColumnBatch]:
+        index = self._index
         value = tests[self._slot][2]
-        ctx.touch_page(self._index.io_name, self._index.page_for(value))
-        sel = _fetch_selection(ctx, self._info, self._index.lookup(value))
+        probe = (index.io_name, index.page_for(value))
+        sel = _fetch_selection(ctx, self._info, index.lookup(value), probe)
         return _one_batch(self._info, sel)
 
 
@@ -122,20 +123,23 @@ class OrderedRangeOp:
             None if test in ("<", "<=") else constant,
             None if test in (">", ">=") else constant,
         )
-        probe = high if low is None else low
-        ctx.touch_page(self._index.io_name, self._index.page_for(probe))
-        row_ids = self._index.range(low, high, test != ">", test != "<")
-        return _one_batch(self._info, _fetch_selection(ctx, self._info, row_ids))
+        index = self._index
+        probe = (index.io_name, index.page_for(high if low is None else low))
+        row_ids = index.range(low, high, test != ">", test != "<")
+        sel = _fetch_selection(ctx, self._info, row_ids, probe)
+        return _one_batch(self._info, sel)
 
 
 def _fetch_selection(
-    ctx: ExecutionContext, info: TableInfo, row_ids
+    ctx: ExecutionContext, info: TableInfo, row_ids, index_page=None
 ) -> List[int]:
-    """Keep the live row ids and touch their distinct heap pages in
+    """Keep the live row ids; touch ``index_page`` (the index probe's
+    ``(io name, page)``, if any), then their distinct heap pages in
     first-encounter order; no tuples are built."""
     heap = info.heap
     valid = heap.validity_view()
     sel: List[int] = []
+    keys = [] if index_page is None else [index_page]
     pages_touched = set()
     for row_id in row_ids:
         if not valid[row_id]:
@@ -143,8 +147,9 @@ def _fetch_selection(
         page_no = heap.page_of(row_id)
         if page_no not in pages_touched:
             pages_touched.add(page_no)
-            ctx.touch_page(info.name, page_no)
+            keys.append((info.name, page_no))
         sel.append(row_id)
+    ctx.buffer.access_keys(keys)
     ctx.charge_cpu(rows=len(sel))
     return sel
 

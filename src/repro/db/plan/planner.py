@@ -393,8 +393,9 @@ class SelectPlan(_AccessPlan):
 
     def probe(self, ctx: ExecutionContext) -> QueryResult:
         """The rows one binding of a hash-probed point lookup returns
-        (the plan has a :attr:`point_probe`): touch the index page,
-        fetch the bucket's live rows, re-check ``key = value`` exactly
+        (the plan has a :attr:`point_probe`): touch the index page and
+        the bucket's live rows' pages (one pool lock section while they
+        hit), re-check ``key = value`` exactly
         as the compiled WHERE would (so cross-type and NULL bindings
         answer alike), gather the output tuples straight from the
         column lists.  The charges are the general path's, in its
@@ -407,8 +408,8 @@ class SelectPlan(_AccessPlan):
         index, key_position, positions = self.point_probe
         info = self._info
         value = ctx.params[0]
-        ctx.touch_page(index.io_name, index.page_for(value))
-        sel = _fetch_selection(ctx, info, index.lookup(value))
+        probe = (index.io_name, index.page_for(value))
+        sel = _fetch_selection(ctx, info, index.lookup(value), probe)
         if not sel:
             return QueryResult(columns=self.output_names)
         columns = info.heap.columns_view()

@@ -6,6 +6,17 @@ log-spaced latency buckets, so recording is O(log buckets) with bounded
 memory, and percentiles come out by interpolating the cumulative bucket
 counts between exact observed min/max.
 
+A counter on the request path takes no lock: :class:`Cells` gives each
+thread its own *cell* — a short list of numbers only that thread
+writes — registered once, under a lock, on the thread's first add.  An
+add is a plain ``+=`` on the caller's cell; a read sums every cell, a
+finished thread's included.  A read concurrent with adds sees each
+cell's value before or after its latest add, never a lost increment.
+:class:`Counter`, the submission pipeline's and the server's counters
+and the latency meter are kept this way; :class:`Histogram` keeps its
+lock, because its snapshot promises that every field describes the
+same observations.
+
 A :class:`MetricsRegistry` unifies three kinds of surface:
 
 * **owned instruments** — ``counter(name)`` / ``gauge(name)`` /
@@ -22,7 +33,6 @@ A :class:`MetricsRegistry` unifies three kinds of surface:
 
 >>> registry = MetricsRegistry()
 >>> registry.counter("requests").inc()
-1
 >>> hist = registry.histogram("latency_s")
 >>> for ms in (1, 2, 3, 4, 100):
 ...     hist.observe(ms / 1000.0)
@@ -67,29 +77,81 @@ def default_latency_buckets(
 _DEFAULT_BUCKETS = default_latency_buckets()
 
 
-class Counter:
-    """A monotonically-increasing counter."""
+class Cells:
+    """Per-thread counter cells: one list of numbers per thread.
 
-    __slots__ = ("name", "_value", "_lock")
+    ``zeros`` is a cell's initial value, one entry per slot.  The
+    calling thread adds to its own cell (:meth:`mine`, then ``cell[slot]
+    += n``) without a lock; :meth:`sums` adds every thread's cells
+    slot by slot.  A cell outlives its thread.  :meth:`reset` starts a
+    new set of cells, so an add racing with it lands wholly before it.
+    """
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value = 0
+    __slots__ = ("_zeros", "_lock", "_local", "_cells")
+
+    def __init__(self, zeros: Sequence = (0,)) -> None:
+        self._zeros = list(zeros)
         self._lock = threading.Lock()
+        self._local = threading.local()
+        self._cells: List[list] = []
 
-    def inc(self, amount: int = 1) -> int:
-        with self._lock:
-            self._value += amount
-            return self._value
+    def mine(self) -> list:
+        """The calling thread's cell, registered on its first use."""
+        try:
+            return self._local.cell
+        except AttributeError:
+            with self._lock:
+                cell = self._local.cell = list(self._zeros)
+                self._cells.append(cell)
+            return cell
 
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
+    def sums(self) -> list:
+        """Every slot summed over all cells (``zeros`` when none)."""
+        cells = list(self._cells)
+        if not cells:
+            return list(self._zeros)
+        return [sum(column) for column in zip(*cells)]
 
     def reset(self) -> None:
         with self._lock:
-            self._value = 0
+            self._local = threading.local()
+            self._cells = []
+
+
+class CellField:
+    """A read-only stats attribute: its slot of the owner's ``cells``
+    summed over every thread.  The owner class's ``COUNTED`` tuple
+    names the slots in order."""
+
+    __slots__ = ("_slot",)
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = owner.COUNTED.index(name)
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.cells.sums()[self._slot]
+
+
+class Counter:
+    """A monotonically-increasing counter, kept in :class:`Cells`."""
+
+    __slots__ = ("name", "_cells")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._cells = Cells()
+
+    def inc(self, amount: int = 1) -> None:
+        self._cells.mine()[0] += amount
+
+    @property
+    def value(self) -> int:
+        return self._cells.sums()[0]
+
+    def reset(self) -> None:
+        self._cells.reset()
 
 
 class Gauge:

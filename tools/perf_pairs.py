@@ -183,18 +183,21 @@ def compare(benchmark, sides, workload, pairs, seconds, seed):
 
 #: The per-layer metrics ``--layers`` prints (every ``BENCHMARK.json``
 #: per-layer name with one of these prefixes, in its declared order):
-#: the engine's own time and work (reads, and writes for the write
-#: mixes), its planning cost at prepare and the statements it was sent,
-#: then
-#: the request path's — the thread hop, the windowed dispatch, the cache
-#: layer and its hit, the connection front end — then the transformer's
-#: (loops found and transformed, emitted size, measured speedup).
+#: each store's own time and work (reads, writes for the write mixes,
+#: the sqlite store's per-binding batch cost), the engine's planning
+#: cost at prepare and the statements it was sent, then the request
+#: path's — the thread hop, the windowed and the coalesced dispatch,
+#: the cache layer and its hit, the connection front end, the metrics'
+#: own overhead — then the transformer's (loops found and transformed,
+#: emitted size, measured speedup).
 LAYERS = (
     "backends.memory.execute_us", "backends.memory.write_us",
+    "backends.sqlite.execute_us", "backends.sqlite.batch_us_per_binding",
     "db.plan.scan_us_per_krow", "db.plan.plan_us", "db.scan.",
     "backends.statements_per_op",
-    "runtime.hop_us", "core.window_us_per_op", "prefetch.cache.hit_us",
-    "prefetch.cache.layer_us", "client.front_us",
+    "runtime.hop_us", "core.window_us_per_op", "core.coalesce_us_per_op",
+    "prefetch.cache.hit_us", "prefetch.cache.layer_us", "client.front_us",
+    "obs.metrics_overhead_pct",
     "transform.",
 )
 

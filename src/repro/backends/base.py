@@ -56,7 +56,6 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,6 +69,7 @@ from ..db.sql import parse
 from ..db.sql.ast_nodes import Statement, is_ddl, is_write
 from ..db.txn import Transaction, TransactionManager
 from ..obs.metrics import CellField, Cells
+from ..runtime.future import RequestFuture
 from .ledger import Point, WriteEpochLedger, stripe_of
 
 #: Backend kinds selectable via ``Database.connect(backend=...)`` /
@@ -537,12 +537,12 @@ class Backend:
         finally:
             self._gate.put(None)
 
-    def submit_prepared(self, *args, **kwargs) -> "Future[QueryResult]":
+    def submit_prepared(self, *args, **kwargs) -> RequestFuture:
         """:meth:`execute_prepared` run in the calling thread, its result
         returned in an already-resolved Future.  Only the benchmark's
         backend rung still calls it; it goes when that rung calls
         :meth:`execute_prepared`."""
-        future: "Future[QueryResult]" = Future()
+        future = RequestFuture()
         future.set_result(self.execute_prepared(*args, **kwargs))
         return future
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
@@ -27,6 +27,7 @@ from typing import Any, Dict, Optional, Set
 from ..obs.metrics import CellField, Cells, Histogram, MetricsRegistry
 from ..obs.trace import Span, Tracer
 from ..prefetch.cache import ResultCache
+from ..runtime.future import RequestFuture
 from ..runtime.handles import QueryHandle, failed_handle
 
 _AGE = attrgetter("age_s")
@@ -433,8 +434,9 @@ class CallPipeline:
         (the request's ``watcher``) and counts a speculation instead of
         an async submit.
         """
+        cell = self.stats.cells.mine()  # one lookup for both counts
         if not speculative:
-            self.bump("async_submits")
+            cell[_SLOT["async_submits"]] += 1
         lease = self._acquire(request)
         watcher = None
         if speculative:
@@ -446,14 +448,14 @@ class CallPipeline:
             future = self.start(request)
             cancellable = lease is None and request.private
         else:
-            self.bump("cache_hits")
+            cell[_SLOT["cache_hits"]] += 1
             future = lease.future  # the entry's own: resolved for a hit
         if watcher is None:
             return QueryHandle(future, label=request.label, span=request.span)
         watcher._attach(future, cancellable)
         return self._track(watcher)
 
-    def start(self, request: Request) -> "Future":
+    def start(self, request: Request) -> RequestFuture:
         """Begin the real dispatch — the request as an executor task,
         running :meth:`run` — and return its future.  All that differs
         between transports (:class:`SubmissionPipeline` routes

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError
 from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from ..backends.base import PreparedStatement
+from ..runtime.future import RequestFuture
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime import runs the other way
     from .submission import SqlRequest, SubmissionPipeline
@@ -128,14 +129,14 @@ class DispatchCoalescer:
     # ------------------------------------------------------------------
     # queueing
     # ------------------------------------------------------------------
-    def enqueue(self, request: "SqlRequest") -> "Future":
+    def enqueue(self, request: "SqlRequest") -> RequestFuture:
         """:meth:`SubmissionPipeline.start` for a coalescable read:
         queue the request — and a flusher task, if the ones already
         outstanding will not reach it — and return its future."""
         # Every submit still pays the executor hand-off overhead in the
         # submitting thread, exactly like the executor-task dispatch.
         request.charge()
-        future = request.future = Future()
+        future = request.future = RequestFuture()
         span = request.span
         # Queue residency: started here, ended by the flusher with the
         # realized batch size.

@@ -38,7 +38,9 @@ A single instance may be shared by any number of connections **to the
 same server**: keys are ``(sql, params)`` and carry no server identity.
 
 Thread-safety: one lock guards the entry map; waiting for an in-flight
-result happens on a ``concurrent.futures.Future`` outside the lock.
+result happens outside it, on the entry's
+:class:`~repro.runtime.future.RequestFuture` — built already running, so
+only the owner ends it, and a hit reads a resolved one without a lock.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, FrozenSet, Hashable, Iterable, Optional, Tuple
+
+from ..runtime.future import RequestFuture
 
 #: Table marker for results whose read set could not be determined.
 #: Wildcard entries are invalidated by a write to *any* table.
@@ -106,11 +109,10 @@ class _Entry:
         #: ``(epoch, committed)`` the owning read was planned under
         #: (``(None, None)`` for a caller without a ledger).
         self.ticket = ticket
-        #: Resolved only by the owner's ``complete`` / ``fail``.  Marked
-        #: running from the start, so no handle sharing it — a hit's, a
+        #: Resolved only by the owner's ``complete`` / ``fail``.  Built
+        #: already running, so no handle sharing it — a hit's, a
         #: follower's — can cancel it under the owner.
-        self.future: "Future[Any]" = Future()
-        self.future.set_running_or_notify_cancel()
+        self.future = RequestFuture(running=True)
         #: The result, stored by ``complete`` before the future resolves;
         #: a hit reads it here instead of through the future.
         self.value: Any = None
@@ -167,7 +169,7 @@ class Lease:
         return self.entry.value
 
     @property
-    def future(self) -> "Future[Any]":
+    def future(self) -> RequestFuture:
         return self.entry.future
 
     def wait(self, timeout: Optional[float] = None) -> Any:

@@ -13,12 +13,16 @@ asyncio front end wraps the produced future rather than stacking a
 second pool on top.
 
 A dispatch crosses one queue: ``submit`` puts one ``(future, task)``
-item on a C-level ``SimpleQueue`` and returns the future; the
-``workers`` threads, all started at the first submit, drain it.  A
-worker runs an item only if its future can still move to running, so a
-task cancelled while queued (an abandoned speculation) never runs; a
-task with a ``cancelled()`` method (a pipeline's request, whose cache
-followers wait on it) is told instead.
+item on a C-level ``SimpleQueue`` and returns the future, a
+:class:`~repro.runtime.future.RequestFuture` whose gate lock is armed
+as it is built; the ``workers`` threads, all started at the first
+submit, drain it.  A worker runs an item only if it wins the future's
+one claim token, which a ``cancel`` races for without a lock, so a task
+cancelled while queued (an abandoned speculation) never runs; a task
+with a ``cancelled()`` method (a pipeline's request, whose cache
+followers wait on it) is told instead.  Completing the future releases
+its gate, so the hand-off costs one lock section to arm and, when the
+fetch has to wait, one to pass.
 ``close`` and ``resize`` stop the workers behind the work already
 queued.  The threads are daemons, so a program that never closes its
 connection still exits, and an executor garbage-collected unclosed
@@ -29,9 +33,10 @@ from __future__ import annotations
 
 import threading
 import weakref
-from concurrent.futures import Future
 from queue import SimpleQueue
 from typing import Any, Callable, List, Optional
+
+from .future import RequestFuture
 
 
 def _work(tasks: "SimpleQueue") -> None:
@@ -92,9 +97,9 @@ class AsyncExecutor:
             self._workers = workers
             self._stop(wait=True)
 
-    def submit(self, task: Callable[[], Any]) -> "Future[Any]":
+    def submit(self, task: Callable[[], Any]) -> RequestFuture:
         """Queue ``task`` for a worker thread; returns its future."""
-        future: "Future[Any]" = Future()
+        future = RequestFuture()
         with self._lock:
             if self._closed:
                 raise RuntimeError("executor is closed")

@@ -1,4 +1,11 @@
-"""Query handles: futures with observer-model semantics."""
+"""Query handles: futures with observer-model semantics.
+
+A handle wraps whatever future its request resolves on — on the
+request path always a :class:`~repro.runtime.future.RequestFuture`:
+the executor's, a cache entry's, a coalesced request's, or one built
+here already resolved — so a fetch of a finished request takes no
+lock.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +13,8 @@ import threading
 import time
 from concurrent.futures import Future
 from typing import Any, Optional
+
+from .future import RequestFuture
 
 
 class QueryHandle:
@@ -31,7 +40,8 @@ class QueryHandle:
 
     @property
     def future(self) -> "Future[Any]":
-        """The underlying ``concurrent.futures.Future``.
+        """The underlying ``concurrent.futures.Future`` (on the request
+        path, a :class:`~repro.runtime.future.RequestFuture`).
 
         This is the hand-off point between runtimes: the asyncio front
         end wraps it with ``asyncio.wrap_future`` so the same submission
@@ -68,11 +78,11 @@ class QueryHandle:
         return f"<QueryHandle{label} {state}>"
 
 
-def resolved_future(value: Any) -> "Future[Any]":
+def resolved_future(value: Any) -> RequestFuture:
     """An already-completed future holding ``value``, for
     :func:`completed_handle`.  A cache hit does not use it: its handle
     wraps the cache entry's own, already resolved, future."""
-    future: "Future[Any]" = Future()
+    future = RequestFuture()
     future.set_result(value)
     return future
 
@@ -84,6 +94,6 @@ def completed_handle(value: Any) -> QueryHandle:
 
 
 def failed_handle(error: BaseException) -> QueryHandle:
-    future: "Future[Any]" = Future()
+    future = RequestFuture()
     future.set_exception(error)
     return QueryHandle(future)

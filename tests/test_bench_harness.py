@@ -360,6 +360,7 @@ class TestPerfPairsVerdict:
             "db.plan.scan_us_per_krow", "db.plan.plan_us",
             "backends.sqlite.execute_us", "backends.sqlite.batch_us_per_binding",
             "core.coalesce_us_per_op", "obs.metrics_overhead_pct",
+            "runtime.aio_us_per_op", "bench.cpu_us_per_op",
         ):
             assert "change/base 0.500" in printed[name]
         assert "prefetch.cache.hit_ratio" not in printed

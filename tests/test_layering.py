@@ -110,6 +110,22 @@ class TestLayering:
                     and made.func.attr in futures
                 ), f"{package_of_file}:{node.lineno} {made.func.attr}(...).result()"
 
+    def test_every_future_is_a_request_future(self):
+        """A request's outcome is set on one future class: nothing in
+        ``src/`` builds a ``concurrent.futures.Future`` but the module
+        that subclasses it."""
+        for package_of_file, tree in modules(""):
+            if package_of_file == "repro.runtime" and any(
+                isinstance(node, ast.ClassDef) and node.name == "RequestFuture"
+                for node in tree.body
+            ):
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    assert name != "Future", f"{package_of_file}:{node.lineno} Future()"
+
     def test_sqlite_store_reads_only_public_plan_members(self):
         ((package_of_file, tree),) = modules("backends/sqlite")
         for module, name in imports(package_of_file, tree):

@@ -3,10 +3,11 @@ counters that no longer take one, reconciled.
 
 ``threading.Lock`` and ``threading.RLock`` are replaced by counting
 wrappers before the database is built, so every lock the stack creates
-(the pool's, the heap's read/write lock, each ``Condition`` and
-``Future``) reports each acquire; a try-acquire (``Condition.notify``
-asks whether it owns its lock that way) counts as a section too.  The
-reads run one thread, at ``INSTANT``, against a small indexed table.
+(the pool's, the heap's read/write lock, the executor's, each
+``Condition`` and each request future's gate) reports each acquire; a
+try-acquire (``Condition.notify`` asks whether it owns its lock that
+way) counts as a section too.  The reads run one thread, at
+``INSTANT``, against a small indexed table.
 """
 
 import gc
@@ -118,10 +119,28 @@ def test_an_uncached_blocking_point_read(users, sections, backend, budget):
         assert per_read(sections, read, keys) <= budget
 
 
+@pytest.mark.parametrize("backend, budget", [("memory", 7), ("sqlite", 3)])
+def test_a_dispatched_uncached_point_read(users, sections, backend, budget):
+    """The blocking read's sections, plus the hand-off: arming the
+    request future's gate, the executor's lock at submit, and the
+    fetch's wait on the gate.  The worker claims and completes the
+    future without a lock."""
+    with users.connect(backend=backend, async_workers=1) as conn:
+        keys = range(READS)
+
+        def read(key):
+            handle = conn.submit_query(SQL, (key,))
+            assert conn.fetch_result(handle).rows == [(f"user-{key}", key % 11 - 5)]
+
+        per_read(sections, read, keys)  # warm: plans, pool, the worker
+        assert per_read(sections, read, keys) <= budget
+
+
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_a_cache_hit_through_submit_and_fetch(users, sections, backend):
-    """The ledger ticket, the cache lookup and the resolved future's
-    ``result``: no counter takes a lock."""
+    """The ledger ticket and the cache lookup; the entry's future is
+    already resolved, so ``result`` takes no lock, and no counter
+    does."""
     with users.connect(
         backend=backend, async_workers=2, result_cache=ResultCache(64)
     ) as conn:
@@ -133,7 +152,7 @@ def test_a_cache_hit_through_submit_and_fetch(users, sections, backend):
 
         per_read(sections, read, range(16))  # every key cached
         hits = conn.stats.cache_hits
-        assert per_read(sections, read, keys) <= 3
+        assert per_read(sections, read, keys) <= 2
         assert conn.stats.cache_hits == hits + READS
 
 

@@ -33,7 +33,9 @@ side — the engine's (``backends.memory.execute_us``,
 ``backends.statements_per_op``), the request path's
 (``runtime.hop_us``, ``core.window_us_per_op``,
 ``prefetch.cache.hit_us``, ``prefetch.cache.layer_us``,
-``client.front_us``) and the transformer's (``transform.*``: loops
+``client.front_us``, ``runtime.aio_us_per_op``, and
+``bench.cpu_us_per_op``, the CPU one operation costs) and the
+transformer's (``transform.*``: loops
 found and transformed, ``emitted_lines_ratio``, ``speedup_x``) — so a
 change shows where its time went, and a transformer change whether it
 sent the same statements with more of them overlapped.
@@ -197,6 +199,7 @@ LAYERS = (
     "backends.statements_per_op",
     "runtime.hop_us", "core.window_us_per_op", "core.coalesce_us_per_op",
     "prefetch.cache.hit_us", "prefetch.cache.layer_us", "client.front_us",
+    "runtime.aio_us_per_op", "bench.cpu_us_per_op",
     "obs.metrics_overhead_pct",
     "transform.",
 )

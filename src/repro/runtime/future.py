@@ -47,8 +47,11 @@ class RequestFuture(Future):
     waiters under the watch lock and runs the callbacks; one that saw
     it done acts on its own.  Nothing waits *on* the watch lock —
     ``wait`` and ``as_completed`` only hold it while they read
-    ``_state`` and edit ``_waiters`` — so a plain ``threading.Lock``
-    does what the stdlib's ``Condition`` did.
+    ``_state`` and edit ``_waiters`` — so a lock does what the
+    stdlib's ``Condition`` did.  It is an ``RLock``: those functions
+    read ``_condition`` again to release it, and a future that
+    finished meanwhile is published right there, by the thread that
+    already holds the lock, to the waiter it just installed.
 
     ``wait`` and ``as_completed`` read ``_state``, not ``_phase``:
     ``_state`` turns terminal only in the same section that tells
@@ -67,7 +70,7 @@ class RequestFuture(Future):
     #: future never writes it.
     _watched = False
     #: The watch lock, built by the first watcher (``_watch``).
-    _watch_lock: Optional[threading.Lock] = None
+    _watch_lock: Optional[threading.RLock] = None
 
     def __init__(self, running: bool = False) -> None:
         self._gate = gate = threading.Lock()
@@ -137,7 +140,7 @@ class RequestFuture(Future):
     # ------------------------------------------------------------------
     # watchers: done-callbacks, wait() and as_completed()
     # ------------------------------------------------------------------
-    def _watch(self) -> threading.Lock:
+    def _watch(self) -> threading.RLock:
         """Mark the future watched and return its watch lock, built on
         first use (``dict.setdefault`` is atomic, so racing watchers
         agree on one)."""
@@ -147,13 +150,14 @@ class RequestFuture(Future):
             fields = self.__dict__
             fields.setdefault("_waiters", [])
             fields.setdefault("_done_callbacks", [])
-            lock = fields.setdefault("_watch_lock", threading.Lock())
+            lock = fields.setdefault("_watch_lock", threading.RLock())
         return lock
 
     @property
-    def _condition(self) -> threading.Lock:
+    def _condition(self) -> threading.RLock:
         """What ``concurrent.futures.wait`` and ``as_completed`` lock
-        before they read ``_state`` and append to ``_waiters``."""
+        before they read ``_state`` and append to ``_waiters``, and
+        read again to unlock (so the publish here may re-enter)."""
         lock = self._watch()
         if self._phase in _DONE and self._state is PENDING:
             with lock:

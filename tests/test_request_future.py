@@ -20,7 +20,12 @@ from concurrent.futures import (
     as_completed,
     wait,
 )
-from concurrent.futures._base import CANCELLED_AND_NOTIFIED, FINISHED, PENDING
+from concurrent.futures._base import (
+    CANCELLED_AND_NOTIFIED,
+    FINISHED,
+    PENDING,
+    _FirstCompletedWaiter,
+)
 from queue import SimpleQueue
 
 import pytest
@@ -211,8 +216,12 @@ class TestRaces:
                     future.set_result(n)
 
             thread = run_in_thread(finish)
-            done, not_done = wait(futures, timeout=TIMEOUT_S, return_when=return_when)
+            seen = SimpleQueue()  # a deadlocked wait fails the join, not the run
+            join(run_in_thread(
+                lambda: seen.put(wait(futures, timeout=TIMEOUT_S, return_when=return_when))
+            ))
             join(thread)
+            done, not_done = seen.get(timeout=0)
             if return_when == ALL_COMPLETED:
                 assert done == set(futures) and not not_done, trial
             else:
@@ -307,6 +316,28 @@ class TestLateWatcher:
         assert seen == [({future}, {pending})]
         pending.set_result(2)
         assert wait([future, pending], timeout=TIMEOUT_S).not_done == set()
+
+
+    def test_unlocking_after_completion_publishes_to_the_new_waiter(self):
+        """``wait`` reads ``_condition`` again to unlock it.  A future
+        that finished while ``wait`` held the lock is published then,
+        by the thread that holds it, to the waiter ``wait`` installed;
+        the completion blocked on the lock finds nothing left to do."""
+        future, waiter = RequestFuture(running=True), _FirstCompletedWaiter()
+        completer = []
+
+        def wait_like():
+            future._condition.acquire()
+            future._waiters.append(waiter)
+            completer.append(run_in_thread(future.set_result, 1))
+            while not future.done():
+                time.sleep(0.001)
+            future._condition.release()
+
+        join(run_in_thread(wait_like))
+        join(completer[0])
+        assert future._state == FINISHED and future.result() == 1
+        assert waiter.event.is_set() and waiter.finished_futures == [future]
 
 
 class TestAsyncio:

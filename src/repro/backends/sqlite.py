@@ -16,8 +16,13 @@ file (WAL mode, so readers never block the writer), with the
 engine AST translated to SQLite text by :mod:`repro.backends.dialect`
 — once, in ``_plan``, which is the only place this store sees an AST.
 Execution evaluates no expression of its own: the row an INSERT stores,
-the new row of an UPDATE, LIMIT validation and result column names all
-come from the plan's public members.
+the values an UPDATE writes, LIMIT validation and result column names
+all come from the plan's public members.  An UPDATE whose assignments
+are all bare ``?`` on columns no unique index covers runs as one native
+statement binding ``UpdatePlan.coerced_params``; any other — or one
+whose binding does not coerce — reads the matching rows and writes
+back the new row ``UpdatePlan.assigner`` computes for each, in one
+write transaction.
 
 Design notes:
 
@@ -63,6 +68,7 @@ from ..db.errors import (
     DatabaseError,
     ParamCountError,
     TransactionTimeoutError,
+    TypeMismatchError,
 )
 from ..db.latency import INSTANT, LatencyMeter, LatencyProfile
 from ..db.plan import (
@@ -260,9 +266,27 @@ class SqliteBackend(Backend):
             schema = self._catalog.table(ast.table).heap.schema
             return plan, (self._run_insert, insert_full_row_sql(ast.table, schema))
         if isinstance(ast, UpdateStmt):
-            # Read-modify-write: matching rows come back with their
+            # One native UPDATE when its result provably equals the
+            # plan's: every assignment a bare ``?`` (bound coerced, see
+            # _run_update) and no assigned column under a unique index
+            # (a violation would undo the whole native statement, where
+            # the plan's row-by-row loop keeps the rows before it; the
+            # mirror's ordered indexes carry no ``unique`` flag, so they
+            # count as unique).  Otherwise, and as the fallback:
+            # read-modify-write — matching rows come back with their
             # rowid, the plan computes each new row, and the full row
             # writes back by rowid.
+            assigned = {column for column, _ in ast.assignments}
+            native = (
+                translate_statement(ast)
+                if plan.slots is not None
+                and not any(
+                    getattr(index, "unique", True)
+                    for index in self._catalog.indexes_on(ast.table)
+                    if index.column in assigned
+                )
+                else None
+            )
             table = quote_ident(ast.table)
             select = f"SELECT rowid, * FROM {table}"
             if ast.where is not None:
@@ -272,7 +296,7 @@ class SqliteBackend(Backend):
                 for column in self._catalog.table(ast.table).heap.schema
             )
             update = f"UPDATE {table} SET {assignments} WHERE rowid = ?"
-            return plan, (self._run_update, select, update)
+            return plan, (self._run_update, native, select, update)
         if isinstance(ast, DeleteStmt):
             return plan, (self._run_delete, translate_statement(ast))
         return plan, (self._run_ddl, translate_statement(ast))
@@ -303,22 +327,49 @@ class SqliteBackend(Backend):
         self._run_sqlite(txn, lambda connection: connection.execute(sql, row))
         return QueryResult(rowcount=1)
 
-    def _run_update(self, plan, params, txn, select, update):
+    def _run_update(self, plan, params, txn, native, select, update):
+        if native is not None:
+            try:
+                bound = NAMED.bind(plan.coerced_params(params))
+            except TypeMismatchError:
+                pass  # the read-modify-write raises it, if a row matches
+            else:
+                count = self._run_sqlite(
+                    txn, lambda connection: connection.execute(native, bound).rowcount
+                )
+                return QueryResult(rowcount=count)
         assign = plan.assigner(params)
         bound = NAMED.bind(params)
-        matched = self._run_sqlite(
-            txn, lambda connection: connection.execute(select, bound).fetchall()
+
+        def read_modify_write(connection):
+            # Row-by-row like the engine's update loop: a coercion
+            # failure stops mid-statement with earlier rows applied.
+            matched = connection.execute(select, bound).fetchall()
+            for row_id, *old_row in matched:
+                connection.execute(update, (*assign(old_row), row_id))
+            return len(matched)
+
+        def autocommit(connection):
+            # One write transaction from the read to the last write: a
+            # concurrent autocommit UPDATE cannot slip in between and
+            # be overwritten.  An engine error keeps the rows written
+            # before it (as the engine's own loop does); a SQLite error
+            # rolls the statement back.
+            connection.execute("BEGIN IMMEDIATE")
+            try:
+                count = read_modify_write(connection)
+            except sqlite3.Error:
+                connection.execute("ROLLBACK")
+                raise
+            finally:
+                if connection.in_transaction:
+                    connection.execute("COMMIT")
+            return count
+
+        count = self._run_sqlite(
+            txn, read_modify_write if txn is not None else autocommit
         )
-        # Row-by-row like the engine's update loop: a coercion or
-        # constraint failure stops mid-statement with earlier rows
-        # applied (autocommit has no undo; in a transaction, rollback
-        # reverses everything).
-        for row_id, *old_row in matched:
-            args = (*assign(old_row), row_id)
-            self._run_sqlite(
-                txn, lambda connection: connection.execute(update, args)
-            )
-        return QueryResult(rowcount=len(matched))
+        return QueryResult(rowcount=count)
 
     def _run_delete(self, plan, params, txn, sql):
         bound = NAMED.bind(params)

@@ -102,23 +102,22 @@ class Catalog:
     # ------------------------------------------------------------------
     # index maintenance (called by DML operators)
     # ------------------------------------------------------------------
-    def on_insert(self, table_name: str, row_id: int, row) -> None:
-        info = self.table(table_name)
+    def on_insert(self, info: TableInfo, row_id: int, row) -> None:
+        """Index a row ``info``'s heap just stored (the caller holds the
+        table's write lock and its :class:`TableInfo`)."""
         for index in info.indexes:
-            position = info.heap.schema.position(index.column, table_name)
+            position = info.heap.schema.position(index.column, info.name)
             index.add(row_id, row[position])
-        self._disk.grow_extent(table_name, info.heap.page_count)
+        self._disk.grow_extent(info.name, info.heap.page_count)
 
-    def on_delete(self, table_name: str, row_id: int, row) -> None:
-        info = self.table(table_name)
+    def on_delete(self, info: TableInfo, row_id: int, row) -> None:
         for index in info.indexes:
-            position = info.heap.schema.position(index.column, table_name)
+            position = info.heap.schema.position(index.column, info.name)
             index.remove(row_id, row[position])
 
-    def on_update(self, table_name: str, row_id: int, old_row, new_row) -> None:
-        info = self.table(table_name)
+    def on_update(self, info: TableInfo, row_id: int, old_row, new_row) -> None:
         for index in info.indexes:
-            position = info.heap.schema.position(index.column, table_name)
+            position = info.heap.schema.position(index.column, info.name)
             if old_row[position] != new_row[position]:
                 index.remove(row_id, old_row[position])
                 index.add(row_id, new_row[position])

@@ -17,7 +17,9 @@ class ReadWriteLock:
 
     Writer preference prevents a stream of concurrent read queries (the
     transformed programs keep many in flight) from starving inserts in
-    the mixed workloads.
+    the mixed workloads.  Waiters are counted on both sides, so a
+    release wakes a side only when someone there waits: an uncontended
+    write takes the lock once to enter and once to leave.
     """
 
     def __init__(self) -> None:
@@ -27,13 +29,19 @@ class ReadWriteLock:
         self._active_readers = 0
         self._active_writer = False
         self._waiting_writers = 0
+        self._waiting_readers = 0
         self._reading = _Held(self.acquire_read, self.release_read)
         self._writing = _Held(self.acquire_write, self.release_write)
 
     def acquire_read(self) -> None:
         with self._lock:
-            while self._active_writer or self._waiting_writers:
-                self._readers_ok.wait()
+            if self._active_writer or self._waiting_writers:
+                self._waiting_readers += 1
+                try:
+                    while self._active_writer or self._waiting_writers:
+                        self._readers_ok.wait()
+                finally:
+                    self._waiting_readers -= 1
             self._active_readers += 1
 
     def release_read(self) -> None:
@@ -55,8 +63,10 @@ class ReadWriteLock:
     def release_write(self) -> None:
         with self._lock:
             self._active_writer = False
-            self._writers_ok.notify()
-            self._readers_ok.notify_all()
+            if self._waiting_writers:
+                self._writers_ok.notify()
+            if self._waiting_readers:
+                self._readers_ok.notify_all()
 
     def reading(self) -> "_Held":
         """``with lock.reading():`` — the read side as a context manager."""

@@ -159,12 +159,21 @@ class RowEvaluator:
         return True if expr.negated else False
 
     def _between(self, expr: Between, row: Row) -> Any:
+        """``value >= low AND value <= high`` in three-valued logic: one
+        FALSE half makes it FALSE even when the other half is NULL."""
         value = self.evaluate(expr.operand, row)
         low = self.evaluate(expr.low, row)
         high = self.evaluate(expr.high, row)
-        if value is None or low is None or high is None:
+        if value is None:
             return None
-        inside = low <= value <= high
+        above = None if low is None else value >= low
+        below = None if high is None else value <= high
+        if above is False or below is False:
+            inside = False
+        elif above is None or below is None:
+            return None
+        else:
+            inside = True
         return (not inside) if expr.negated else inside
 
 
@@ -275,7 +284,7 @@ def _constant(expr: Expr) -> bool:
 def _bind(shape: str, constants: List[Any]) -> Tuple[Tuple[Callable, Callable], Any]:
     """A compiled conjunct's kernels and constant under one binding:
     :data:`_NEVER` when no row can pass (a NULL comparand or bound, NOT
-    IN with a NULL item)."""
+    IN with a NULL item, NOT BETWEEN with both bounds NULL)."""
     if shape in ("in", "not in"):
         candidates: Any = [c for c in constants if c is not None]
         if shape == "not in" and len(candidates) < len(constants):
@@ -284,6 +293,11 @@ def _bind(shape: str, constants: List[Any]) -> Tuple[Tuple[Callable, Callable], 
             return _KERNELS[shape], set(candidates)
         except TypeError:  # unhashable items: linear membership keeps ==
             return _KERNELS[shape], candidates
+    if shape == "not between" and constants.count(None) == 1:
+        # NOT BETWEEN is ``v < low OR v > high``: the non-NULL half
+        # still keeps rows.
+        low, high = constants
+        return (_KERNELS["<"], low) if high is None else (_KERNELS[">"], high)
     if None in constants:
         return _NEVER, None
     return _KERNELS[shape], constants[0] if len(constants) == 1 else constants

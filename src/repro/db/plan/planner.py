@@ -35,6 +35,7 @@ from ..sql.ast_nodes import (
     CreateTableStmt,
     DeleteStmt,
     InsertStmt,
+    Literal,
     Param,
     SelectItem,
     SelectStmt,
@@ -43,7 +44,7 @@ from ..sql.ast_nodes import (
     UpdateStmt,
     iter_column_refs,
 )
-from ..types import ColumnType, Row, schema_of_defs
+from ..types import Column, ColumnType, Row, schema_of_defs
 from .context import ExecutionContext
 from .expr_eval import ColumnarEvaluator, Predicate, RowEvaluator
 from .operators import (
@@ -130,23 +131,6 @@ def _kept(ctx, evaluator: ColumnarEvaluator, sels, noted=True, counted=False):
         if noted:
             ctx.note_scan_batch(len(sel), kept if counted else len(kept))
         yield kept
-
-
-def _candidate_rows(ctx: ExecutionContext, info: TableInfo, access, where: Predicate):
-    """Matching ``(row_id, old_row)`` pairs for UPDATE/DELETE, in the
-    access path's order.  The mutation needs the old tuples (undo log
-    and index maintenance), so they materialize here."""
-    heap = info.heap
-    tests = where.bind(ctx.params)
-    evaluator = ColumnarEvaluator(
-        heap.schema, info.name, ctx.params, heap.columns_view(), tests
-    )
-    batches = (batch.sel for batch in access.run(ctx, tests))
-    return [
-        (row_id, heap.fetch(row_id))
-        for kept in _kept(ctx, evaluator, batches)
-        for row_id in kept
-    ]
 
 
 def _checked_table(catalog: Catalog, stmt) -> TableInfo:
@@ -292,11 +276,70 @@ class _AccessPlan:
                 if kind and column.name not in assigned:
                     self.footprint = (column.name, operands[0].index, kind)
                     break
+        #: ``(hash index, key column position, param index)`` when the
+        #: WHERE is exactly one ``col = ?`` and the access path probes a
+        #: hash index on ``col`` (a point lookup, update or delete),
+        #: else None: :meth:`_probe_rows` then finds the rows.
+        self._point: Optional[Tuple[HashIndex, int, int]] = None
+        conjuncts = self._where.conjuncts
+        if (
+            len(conjuncts) == 1
+            and conjuncts[0][0] == "="
+            and type(conjuncts[0][2][0]) is Param
+            and isinstance(self._access, HashEqOp)
+        ):
+            self._point = (
+                self._access._index,
+                conjuncts[0][1],
+                conjuncts[0][2][0].index,
+            )
 
     @property
     def access_path(self) -> str:
         """Name of the chosen access path (asserted by planner tests)."""
         return type(self._access).__name__
+
+    def _probe_rows(self, ctx: ExecutionContext) -> List[int]:
+        """The live row ids one binding of a point statement reaches
+        (the plan has a ``_point``): touch the index page and the
+        bucket's live rows' pages (one pool lock section while they
+        hit), then re-check ``key = value`` exactly as the compiled
+        WHERE would, so cross-type and NULL bindings answer alike.  The
+        charges are the general access path and filter's, in their
+        order; no evaluator or batch is built: binding the compiled
+        WHERE costs more than this one-line re-check of a one-bucket
+        selection.  Runs under the heap's lock, after the caller's
+        parameter check and fixed CPU charge."""
+        index, key_position, slot = self._point
+        info = self._info
+        value = ctx.params[slot]
+        probe = (index.io_name, index.page_for(value))
+        sel = _fetch_selection(ctx, info, index.lookup(value), probe)
+        if not sel:
+            return sel
+        key = info.heap.columns_view()[key_position]
+        kept = [] if value is None else [rid for rid in sel if key[rid] == value]
+        ctx.charge_cpu(rows=len(sel))
+        ctx.note_scan_batch(len(sel), len(kept))
+        return kept
+
+    def _matched_rows(self, ctx: ExecutionContext) -> List[Tuple[int, Row]]:
+        """Matching ``(row_id, old_row)`` pairs for UPDATE/DELETE, in the
+        access path's order.  The mutation needs the old tuples (undo log
+        and index maintenance), so they materialize here."""
+        heap = self._info.heap
+        if self._point is not None:
+            return [(row_id, heap.fetch(row_id)) for row_id in self._probe_rows(ctx)]
+        tests = self._where.bind(ctx.params)
+        evaluator = ColumnarEvaluator(
+            heap.schema, self._info.name, ctx.params, heap.columns_view(), tests
+        )
+        batches = (batch.sel for batch in self._access.run(ctx, tests))
+        return [
+            (row_id, heap.fetch(row_id))
+            for kept in _kept(ctx, evaluator, batches)
+            for row_id in kept
+        ]
 
 
 class SelectPlan(_AccessPlan):
@@ -345,19 +388,16 @@ class SelectPlan(_AccessPlan):
             and (self.star or all(isinstance(i.expr, ColumnRef) for i in stmt.items))
         ):
             self.point_key = schema.names()[conjuncts[0][1]]
-        #: What :meth:`probe` reads, fixed here: ``(hash index, key
-        #: column position, output column positions)`` when the point
-        #: lookup's access path is a hash-index probe, else None.
-        self.point_probe: Optional[Tuple[HashIndex, int, Tuple[int, ...]]] = None
-        if self.point_key is not None and isinstance(self._access, HashEqOp):
+        #: The output column positions :meth:`probe` gathers when the
+        #: point lookup's access path is a hash-index probe, else None.
+        self.point_probe: Optional[Tuple[int, ...]] = None
+        if self.point_key is not None and self._point is not None:
             self.point_probe = (
-                self._access._index,
-                conjuncts[0][1],
                 tuple(range(len(schema)))
                 if self.star
                 else schema.project_positions(
                     [item.expr.name for item in stmt.items], stmt.table
-                ),
+                )
             )
 
     def limit(self, params: Sequence) -> Optional[int]:
@@ -393,33 +433,17 @@ class SelectPlan(_AccessPlan):
 
     def probe(self, ctx: ExecutionContext) -> QueryResult:
         """The rows one binding of a hash-probed point lookup returns
-        (the plan has a :attr:`point_probe`): touch the index page and
-        the bucket's live rows' pages (one pool lock section while they
-        hit), re-check ``key = value`` exactly
-        as the compiled WHERE would (so cross-type and NULL bindings
-        answer alike), gather the output tuples straight from the
-        column lists.  The charges are the general path's, in its
-        order; no evaluator, batch or :meth:`_finalize` is involved:
-        binding the compiled WHERE costs more than this one-line
-        re-check of a one-bucket selection.
-        Runs under the heap's read lock, after the caller's parameter
-        check and fixed CPU charge.  Asked by :meth:`execute` and by the
-        batch demux's probe strategy, once per distinct binding."""
-        index, key_position, positions = self.point_probe
-        info = self._info
-        value = ctx.params[0]
-        probe = (index.io_name, index.page_for(value))
-        sel = _fetch_selection(ctx, info, index.lookup(value), probe)
-        if not sel:
-            return QueryResult(columns=self.output_names)
-        columns = info.heap.columns_view()
-        key = columns[key_position]
-        kept = [] if value is None else [rid for rid in sel if key[rid] == value]
-        ctx.charge_cpu(rows=len(sel))
-        ctx.note_scan_batch(len(sel), len(kept))
+        (the plan has a :attr:`point_probe`): :meth:`_probe_rows`, then
+        the output tuples gathered straight from the column lists — no
+        :meth:`_finalize`.  Runs under the heap's read lock, after the
+        caller's parameter check and fixed CPU charge.  Asked by
+        :meth:`execute` and by the batch demux's probe strategy, once
+        per distinct binding."""
+        kept = self._probe_rows(ctx)
         if not self.star:
             ctx.charge_cpu(rows=len(kept))
-        output = [columns[position] for position in positions]
+        columns = self._info.heap.columns_view()
+        output = [columns[position] for position in self.point_probe]
         return QueryResult(
             columns=self.output_names,
             rows=[tuple([column[rid] for column in output]) for rid in kept],
@@ -519,7 +543,7 @@ class InsertPlan:
         info = self._info
         with info.heap.lock.writing():
             row_id = info.heap.insert(row)
-            self._catalog.on_insert(info.name, row_id, row)
+            self._catalog.on_insert(info, row_id, row)
             ctx.record_insert(info.name, row_id, row)
             page_no = info.heap.page_of(row_id)
             # Charge one sequential page write when a page fills up; the
@@ -536,25 +560,74 @@ class UpdatePlan(_AccessPlan):
             catalog, stmt, assigned=[column for column, _ in stmt.assignments]
         )
         schema = self._info.heap.schema
-        self._targets = [
-            (schema.position(column, stmt.table), expr)
+        #: The SET list compiled once: ``(position, param index, expr)``
+        #: per assignment.  A ``?`` reads its slot, a literal is its
+        #: value, anything else is evaluated against the old row.
+        self._targets: List[Tuple[int, Optional[int], object]] = [
+            (
+                schema.position(column, stmt.table),
+                expr.index if type(expr) is Param else None,
+                expr,
+            )
             for column, expr in stmt.assignments
         ]
+        #: Every assigned column once, in schema order: what is coerced.
+        self._assigned: Tuple[Tuple[int, Column], ...] = tuple(
+            (position, schema.columns[position])
+            for position in sorted({position for position, _, _ in self._targets})
+        )
+        #: Does an assignment need the row evaluator?
+        self._evaluated = any(
+            slot is None and type(expr) is not Literal
+            for _, slot, expr in self._targets
+        )
+        #: ``(param index, column)`` per assignment when every assignment
+        #: is a bare ``?`` — the new values are the bindings, the same
+        #: for every matched row — else None.
+        self.slots: Optional[Tuple[Tuple[int, Column], ...]] = (
+            tuple((slot, schema.columns[pos]) for pos, slot, _ in self._targets)
+            if all(slot is not None for _, slot, _ in self._targets)
+            else None
+        )
+
+    def coerced_params(self, params: Sequence) -> List:
+        """``params`` with each assigned ``?`` coerced to its column
+        (the plan has :attr:`slots`): the binding a store gives the
+        statement to run it natively, as one UPDATE.  Raises what the
+        :meth:`assigner` would raise on the first matched row."""
+        values = list(params)
+        for slot, column in self.slots:
+            values[slot] = column.coerce(values[slot])
+        return values
 
     def assigner(self, params: Sequence) -> Callable[[Row], Row]:
         """``old row -> coerced new row`` under ``params``.  Every store
         computes an updated row through this one function (the sqlite
-        store's read-modify-write included), so assignment evaluation
-        and schema coercion are the same everywhere."""
-        schema = self._info.heap.schema
-        evaluate = RowEvaluator(schema, self._info.name, params).evaluate
+        store's read-modify-write included): each assignment is read
+        (a slot, a literal, or evaluated against the old row), then each
+        assigned column is coerced, once.  Nothing is coerced until a
+        row reaches it, so an UPDATE that matches no row never raises
+        on its binding."""
         targets = self._targets
+        assigned = self._assigned
+        evaluate = (
+            RowEvaluator(self._info.heap.schema, self._info.name, params).evaluate
+            if self._evaluated
+            else None
+        )
 
         def assign(row: Row) -> Row:
             new_row = list(row)
-            for position, expr in targets:
-                new_row[position] = evaluate(expr, row)
-            return schema.coerce_row(new_row)
+            for position, slot, expr in targets:
+                if slot is not None:
+                    new_row[position] = params[slot]
+                elif type(expr) is Literal:
+                    new_row[position] = expr.value
+                else:
+                    new_row[position] = evaluate(expr, row)
+            for position, column in assigned:
+                new_row[position] = column.coerce(new_row[position])
+            return tuple(new_row)
 
         return assign
 
@@ -562,14 +635,15 @@ class UpdatePlan(_AccessPlan):
         check_params(self._stmt.param_count, ctx.params)
         ctx.charge_cpu(fixed=True)
         info = self._info
+        heap = info.heap
         assign = self.assigner(ctx.params)
-        with info.heap.lock.writing():
-            rows = _candidate_rows(ctx, info, self._access, self._where)
+        with heap.lock.writing():
+            rows = self._matched_rows(ctx)
             for row_id, row in rows:
-                coerced = assign(row)
-                info.heap.update(row_id, coerced)
-                self._catalog.on_update(info.name, row_id, row, coerced)
-                ctx.record_update(info.name, row_id, row, coerced)
+                new_row = assign(row)
+                heap.update(row_id, new_row)
+                self._catalog.on_update(info, row_id, row, new_row)
+                ctx.record_update(info.name, row_id, row, new_row)
             ctx.charge_cpu(rows=len(rows))
         return QueryResult(rowcount=len(rows))
 
@@ -580,10 +654,10 @@ class DeletePlan(_AccessPlan):
         ctx.charge_cpu(fixed=True)
         info = self._info
         with info.heap.lock.writing():
-            rows = _candidate_rows(ctx, info, self._access, self._where)
+            rows = self._matched_rows(ctx)
             for row_id, row in rows:
                 info.heap.delete(row_id)
-                self._catalog.on_delete(info.name, row_id, row)
+                self._catalog.on_delete(info, row_id, row)
                 ctx.record_delete(info.name, row_id, row)
             ctx.charge_cpu(rows=len(rows))
         return QueryResult(rowcount=len(rows))

@@ -99,14 +99,17 @@ class HeapTable:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def insert(self, values: Tuple[Any, ...]) -> int:
-        """Insert a row (already schema-coerced); returns its row id.
+    def insert(self, row: Row) -> int:
+        """Insert a row; returns its row id.
+
+        The heap stores rows as given: every caller hands it a full row
+        its plan (or loader) already coerced to the schema, and a row
+        read back from the heap is coerced already.
 
         Clustered tables insert in key order, shifting the tail.  The
         benchmarks bulk-load clustered tables in sorted order, so the
         shift is the exception, not the rule.
         """
-        row = self.schema.coerce_row(values)
         with self._mutate:
             if self._cluster_pos is None:
                 for column, value in zip(self._columns, row):
@@ -135,7 +138,8 @@ class HeapTable:
             self._live_count -= 1
 
     def update(self, row_id: int, row: Row) -> None:
-        """Replace a row in place.
+        """Replace a row in place (``row`` already coerced, as for
+        :meth:`insert`).
 
         Updating the clustering key in place is disallowed; callers must
         delete + reinsert (the planner does exactly that).
@@ -148,8 +152,7 @@ class HeapTable:
                     raise ConstraintError(
                         "cannot update clustering key in place"
                     )
-            coerced = self.schema.coerce_row(row)
-            for column, value in zip(self._columns, coerced):
+            for column, value in zip(self._columns, row):
                 column[row_id] = value
 
     def restore(self, row_id: int, row: Row) -> None:
@@ -158,17 +161,17 @@ class HeapTable:
         The inverse of :meth:`delete`: the row id must currently hold a
         tombstone.  Only rollback uses this — the deleting transaction
         held the table exclusively, so the slot cannot have been
-        compacted away in between.
+        compacted away in between.  ``row`` is the deleted row as the
+        heap held it.
         """
         with self._mutate:
             if self._valid[row_id]:
                 raise ConstraintError(f"row {row_id} is not deleted")
-            coerced = self.schema.coerce_row(row)
-            for column, value in zip(self._columns, coerced):
+            for column, value in zip(self._columns, row):
                 column[row_id] = value
             self._valid[row_id] = 1
             if self._cluster_pos is not None:
-                self._cluster_keys[row_id] = _OrderKey(coerced[self._cluster_pos])
+                self._cluster_keys[row_id] = _OrderKey(row[self._cluster_pos])
             self._live_count += 1
 
     def compact(self) -> None:

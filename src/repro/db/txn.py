@@ -396,15 +396,15 @@ class TransactionManager:
             for entry in entries:
                 if entry.kind == "insert":
                     info.heap.delete(entry.row_id)
-                    self._catalog.on_delete(entry.table, entry.row_id, entry.row)
+                    self._catalog.on_delete(info, entry.row_id, entry.row)
                 elif entry.kind == "update":
                     info.heap.update(entry.row_id, entry.row)
                     self._catalog.on_update(
-                        entry.table, entry.row_id, entry.new_row, entry.row
+                        info, entry.row_id, entry.new_row, entry.row
                     )
                 elif entry.kind == "delete":
                     info.heap.restore(entry.row_id, entry.row)
-                    self._catalog.on_insert(entry.table, entry.row_id, entry.row)
+                    self._catalog.on_insert(info, entry.row_id, entry.row)
                 else:  # pragma: no cover - UndoEntry kinds are closed
                     raise TransactionStateError(
                         f"unknown undo kind {entry.kind!r}"

@@ -335,8 +335,12 @@ def _shift_anti_dep(
                 f"{REASON_RENAME}: {var!r} is mutated in the loop; a "
                 "reader stub cannot snapshot its value"
             )
+        # The snapshot runs exactly when its reader does: under the
+        # reader's guards, except a guard on ``var`` itself (the
+        # reader's copy of it is renamed to the snapshot below).
         stub_node = assign_name_to_name(temp, var)
-        stub = make_stmt(stub_node, ctx.purity, ctx.registry, guards=())
+        guards = tuple(guard for guard in stmt.guards if guard.var != var)
+        stub = make_stmt(stub_node, ctx.purity, ctx.registry, guards=guards)
         body.insert(body.index(stmt), stub)
         ctx.snapshots.add(stub)
         _rewrite_in_place(stmt, renamed, ctx, rename_guard=(var, temp))

@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.db import Database, INSTANT
+
+#: CI's seeded property run (``--hypothesis-profile=prop-seeds
+#: --hypothesis-seed=N``): the random-program properties of
+#: ``tests/test_prop_transform.py`` draw 10x their tier-1 examples from
+#: the seed instead of their derandomized stream.
+settings.register_profile(
+    "prop-seeds", max_examples=10 * settings.get_profile("default").max_examples
+)
 
 
 @pytest.fixture

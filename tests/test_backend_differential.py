@@ -21,6 +21,8 @@ exactly the client-indistinguishability the contract demands.
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -322,6 +324,191 @@ class TestWriteDifferential:
                     assert after == before, "rollback diverged from its own past"
                     states.append(after)
                 assert states[0] == states[1]
+        finally:
+            db.close()
+
+
+#: Keyed writes: a NOT NULL INT, a nullable INT and a TEXT column set
+#: from a bare ``?`` (native on sqlite unless the binding fails to
+#: coerce), the hash-indexed key column itself, an expression (always
+#: the read-modify-write) and a point DELETE.  Each runs with every
+#: value of ``WRITE_VALUES`` against a key that matches rows and one
+#: that matches none.
+KEYED_WRITES = [
+    "UPDATE w SET n = ? WHERE k = ?",
+    "UPDATE w SET v = ? WHERE k = ?",
+    "UPDATE w SET s = ? WHERE k = ?",
+    "UPDATE w SET k = ? WHERE k = ?",
+    "UPDATE w SET n = n + ? WHERE k = ?",
+    "UPDATE w SET v = ? WHERE n > 0 AND k = ?",
+]
+WRITE_VALUES = [None, "7", 7.0, True, "x", 3]
+#: Assigning the unique-indexed ``id`` always takes the read-modify-
+#: write on sqlite: ``(value, key)`` pairs that move row 100 along a
+#: chain of ids no other row holds (a violation is out of scope: the
+#: memory engine leaves its heap and index apart on one).
+UNIQUE_WRITE = "UPDATE w SET id = ? WHERE id = ?"
+UNIQUE_BINDINGS = [
+    (1000, 100),
+    ("2000", 1000),
+    (3000.0, 2000),
+    ("x", 3000),
+    (None, 99),
+    (True, 3000),
+]
+write_rows = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.integers(-3, 3),
+        st.one_of(st.sampled_from(["red", "7", ""]), st.none()),
+        values,
+    ),
+    max_size=12,
+)
+
+
+def write_db(rows):
+    """Table ``w`` on both stores: ``id`` (unique hash index, 100 + row
+    number), ``k`` (hash index), ``n`` (NOT NULL), ``s`` and ``v``."""
+    db = Database(INSTANT)
+    db.create_table(
+        "w",
+        ("id", "int"),
+        ("k", "int"),
+        ("n", "int"),
+        ("s", "text"),
+        ("v", "int"),
+        not_null=("n",),
+        rows_per_page=4,
+    )
+    db.bulk_load("w", [(100 + i, *row) for i, row in enumerate(rows)])
+    db.create_index("w_id", "w", "id", unique=True)
+    db.create_index("w_k", "w", "k")
+    db.backend("sqlite")
+    return db
+
+
+def write_script(conn, keys):
+    """Every keyed write under every value, against each of ``keys``,
+    then the unique-column writes and point DELETEs: the rowcount or
+    the error class of each."""
+    outcomes = []
+
+    def run(sql, params):
+        try:
+            outcomes.append(conn.execute_update(sql, params).rowcount)
+        except Exception as exc:
+            outcomes.append(type(exc).__name__)
+
+    for sql in KEYED_WRITES:
+        for value in WRITE_VALUES:
+            for key in keys:
+                run(sql, (value, key))
+    for binding in UNIQUE_BINDINGS:
+        run(UNIQUE_WRITE, binding)
+    for key in (keys[0], "1", 2.0, True, None):
+        run("DELETE FROM w WHERE k = ?", (key,))
+    return outcomes
+
+
+def w_snapshot(conn):
+    return Counter(conn.execute_query("SELECT id, k, n, s, v FROM w").rows)
+
+
+class TestKeyedWriteDifferential:
+    """UPDATE and DELETE agree across the stores — rowcount, error class
+    and the rows they leave — whichever way each store runs them: the
+    memory engine's point path or general path, sqlite's native UPDATE
+    or its read-modify-write."""
+
+    @given(rows=write_rows, key=st.integers(0, 4))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_autocommit(self, rows, key):
+        db = write_db(rows)
+        try:
+            mem_conn, lite_conn = both_backends(db)
+            with mem_conn, lite_conn:
+                outcomes = [write_script(conn, (key, 99)) for conn in (mem_conn, lite_conn)]
+                assert outcomes[0] == outcomes[1]
+                assert w_snapshot(mem_conn) == w_snapshot(lite_conn)
+        finally:
+            db.close()
+
+    @given(rows=write_rows, key=st.integers(0, 4))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_in_a_transaction_then_rolled_back(self, rows, key):
+        db = write_db(rows)
+        try:
+            mem_conn, lite_conn = both_backends(db)
+            with mem_conn, lite_conn:
+                before = w_snapshot(mem_conn)
+                outcomes, inside = [], []
+                for conn in (mem_conn, lite_conn):
+                    conn.begin()
+                    outcomes.append(write_script(conn, (key, 99)))
+                    inside.append(w_snapshot(conn))
+                    conn.rollback()
+                    assert w_snapshot(conn) == before
+                assert outcomes[0] == outcomes[1]
+                assert inside[0] == inside[1]
+        finally:
+            db.close()
+
+    def test_the_native_rule(self):
+        """Which UPDATEs sqlite runs as one native statement."""
+        db = write_db([])
+        try:
+            store = db.backend("sqlite")
+            native = {
+                sql: store.prepare(sql).translated[1] is not None
+                for sql in KEYED_WRITES + [UNIQUE_WRITE]
+            }
+            assert native == {
+                "UPDATE w SET n = ? WHERE k = ?": True,
+                "UPDATE w SET v = ? WHERE k = ?": True,
+                "UPDATE w SET s = ? WHERE k = ?": True,
+                "UPDATE w SET k = ? WHERE k = ?": True,
+                "UPDATE w SET n = n + ? WHERE k = ?": False,
+                "UPDATE w SET v = ? WHERE n > 0 AND k = ?": True,
+                UNIQUE_WRITE: False,
+            }
+        finally:
+            db.close()
+
+
+class TestConcurrentAutocommitUpdates:
+    """Concurrent autocommit read-modify-writes lose no update: on
+    sqlite the read and the writes of one UPDATE are one transaction."""
+
+    THREADS = 4
+    N = 300
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_no_increment_is_lost(self, backend):
+        db = Database(INSTANT)
+        try:
+            db.create_table("t", ("id", "int"), ("n", "int"))
+            db.bulk_load("t", [(1, 0), (2, 0)])
+            store = db.backend(backend)
+
+            def work():
+                for _ in range(self.N):
+                    store.execute("UPDATE t SET n = n + 1 WHERE id = ?", (1,))
+
+            threads = [threading.Thread(target=work) for _ in range(self.THREADS)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert store.execute("SELECT id, n FROM t").rows == [
+                (1, self.THREADS * self.N),
+                (2, 0),
+            ]
         finally:
             db.close()
 

@@ -358,8 +358,8 @@ class TestPerfPairsVerdict:
             "prefetch.cache.layer_us", "client.front_us",
             "backends.memory.execute_us", "backends.memory.write_us",
             "db.plan.scan_us_per_krow", "db.plan.plan_us",
-            "backends.sqlite.execute_us", "backends.sqlite.batch_us_per_binding",
-            "core.coalesce_us_per_op", "obs.metrics_overhead_pct",
+            "backends.sqlite.execute_us", "backends.sqlite.write_us",
+            "backends.sqlite.batch_us_per_binding", "core.coalesce_us_per_op", "obs.metrics_overhead_pct",
             "runtime.aio_us_per_op", "bench.cpu_us_per_op",
         ):
             assert "change/base 0.500" in printed[name]

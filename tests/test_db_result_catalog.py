@@ -109,14 +109,14 @@ class TestCatalog:
         info = catalog.table("t")
         row = info.heap.schema.coerce_row((5,))
         rid = info.heap.insert(row)
-        catalog.on_insert("t", rid, row)
+        catalog.on_insert(info, rid, row)
         assert index.lookup(5) == [rid]
         new_row = info.heap.schema.coerce_row((9,))
         info.heap.update(rid, new_row)
-        catalog.on_update("t", rid, row, new_row)
+        catalog.on_update(info, rid, row, new_row)
         assert index.lookup(5) == []
         assert index.lookup(9) == [rid]
-        catalog.on_delete("t", rid, new_row)
+        catalog.on_delete(info, rid, new_row)
         assert index.lookup(9) == []
 
 

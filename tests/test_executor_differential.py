@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db import Database, INSTANT, SYS1
-from repro.db.errors import DatabaseError
+from repro.db.errors import DatabaseError, TypeMismatchError
 from repro.db.plan import expr_eval, operators
 from repro.db.plan.planner import prefer_batch_scan
 from repro.db.scans import DEFAULT_BATCH_ROWS
@@ -98,7 +98,9 @@ QUERIES = [
 
 #: The fused shapes again under a NULL binding: a comparison, an IN
 #: item, a BETWEEN bound or a grouped count's filter that is NULL keeps
-#: no row (NOT IN with a NULL item keeps none either).
+#: no row (NOT IN with a NULL item keeps none either).  NOT BETWEEN
+#: with one NULL bound still keeps the rows outside the other, compiled
+#: or evaluated row by row (``b`` is NULL on some rows).
 NULL_BOUND = [
     ("SELECT count(*) FROM t WHERE a = ?", (None,)),
     ("SELECT count(*) FROM t WHERE a <> ?", (None,)),
@@ -107,6 +109,8 @@ NULL_BOUND = [
     ("SELECT count(*) FROM t WHERE a IN (?, 3)", (None,)),
     ("SELECT count(*) FROM t WHERE a NOT IN (?, 3)", (None,)),
     ("SELECT b, count(*) FROM t WHERE a <> ? GROUP BY b", (None,)),
+    ("SELECT count(*) FROM t WHERE a NOT BETWEEN 0 AND ?", (None,)),
+    ("SELECT count(*) FROM t WHERE NOT (a - 1 BETWEEN a AND b)", ()),
 ]
 
 params_strategy = st.lists(
@@ -193,8 +197,14 @@ def assert_matches_reference(db, sql, params):
 
 
 def assert_null_bindings(db):
+    """``NULL_BOUND`` against the reference and against sqlite, which
+    evaluates NULL in SQL itself (the reference shares the engine's
+    row evaluator)."""
+    lite = db.backend("sqlite")
     for sql, params in NULL_BOUND:
         assert_matches_reference(db, sql, params)
+        got = Counter(db.server.execute(sql, params).rows)
+        assert got == Counter(lite.execute(sql, params).rows), (sql, params)
 
 
 class TestSelectDifferential:
@@ -522,6 +532,105 @@ class TestPointCharges:
         assert charged["buffer"] == (558, 50)
         assert charged["disk"] == (50, 1, 49)
         assert charged["scan"] == (295, 295)
+
+
+KEYED_UPDATE = "UPDATE users SET rating = ? WHERE user_id = ?"
+KEYED_BUMP = "UPDATE users SET rating = rating + ?, name = ? WHERE user_id = ?"
+KEYED_DELETE = "DELETE FROM users WHERE user_id = ?"
+
+
+def point_write_charges():
+    """Keyed writes on ``SYS1`` — ``KEYED_UPDATE`` over hits, misses, a
+    tombstoned row and cross-type keys, an expression UPDATE, point
+    DELETEs, an uncoercible binding that matches no row and one that
+    does, keyed writes rolled back in a transaction: what the cost model
+    charged, the rowcounts, and the rows they left."""
+    db = Database(SYS1)
+    db.create_table(
+        "users", ("user_id", "int"), ("name", "text"), ("rating", "int"), ("region_id", "int")
+    )
+    db.bulk_load(
+        "users", [(i, f"u{i}", i * 7 % 11 - 5, i * 3 % 10) for i in range(2500)]
+    )
+    db.create_index("users_by_id", "users", "user_id", unique=True)
+    with db:
+        server = db.server
+        server.execute(KEYED_DELETE, (40,))
+        keys = [i * 37 % 2600 for i in range(200)]
+        answers = [
+            sum(server.execute(KEYED_UPDATE, (key % 9, key)).rowcount for key in keys),
+            [
+                server.execute(KEYED_UPDATE, (7, key)).rowcount
+                for key in (40, 2600, None, "7", 7.0, True)
+            ],
+            server.execute(KEYED_BUMP, (3, "bumped", 11)).rowcount,
+            [server.execute(KEYED_DELETE, (key,)).rowcount for key in (12, 12, "13")],
+            server.execute(KEYED_UPDATE, ("x", 2600)).rowcount,
+            outcome(lambda: server.execute(KEYED_UPDATE, ("x", 14))),
+        ]
+        txn = server.begin_transaction()
+        for key in (15, 16, 17):
+            server.execute(KEYED_UPDATE, (99, key), txn)
+        server.execute(KEYED_DELETE, (18,), txn)
+        server.txns.rollback(txn)
+        counters = db.metrics.snapshot()["counters"]
+        charged = {
+            "totals": db.meter.totals(),
+            "counts": db.meter.counts(),
+            "buffer": (db.buffer.stats.hits, db.buffer.stats.misses),
+            "disk": (
+                db.disk.stats.reads,
+                db.disk.stats.sequential_reads,
+                db.disk.stats.random_reads,
+            ),
+            "scan": (counters["scan.batches"], counters["scan.rows_scanned"]),
+        }
+        rows = server.execute("SELECT * FROM users").rows
+        answers.append(
+            (
+                len(rows),
+                sum(row[2] for row in rows),
+                [row for row in rows if row[0] in (1, 7, 11, 14, 15, 18)],
+            )
+        )
+        charged["answers"] = answers
+        return charged
+
+
+class TestPointWriteCharges:
+    def test_a_keyed_write_charges_what_the_general_path_did(self):
+        """Literals taken from the general access-path + filter route
+        keyed UPDATE and DELETE ran before they shared the point probe:
+        the write may be faster, its charges may not move."""
+        charged = point_write_charges()
+        assert charged["answers"] == [
+            194,
+            [0, 0, 0, 0, 1, 1],
+            1,
+            [1, 0, 0],
+            0,
+            TypeMismatchError,
+            (
+                2498,
+                757,
+                [
+                    (1, "u1", 7, 3),
+                    (7, "u7", 7, 1),
+                    (11, "bumped", -2, 3),
+                    (14, "u14", 5, 2),
+                    (15, "u15", 1, 5),
+                    (18, "u18", 0, 4),
+                ],
+            ),
+        ]
+        assert charged["totals"] == pytest.approx(
+            {"cpu": 0.00871308, "disk": 0.008512, "network": 0.0, "queue": 0.0},
+            rel=1e-9,
+        )
+        assert charged["counts"] == {"cpu": 216, "disk": 49, "network": 0, "queue": 0}
+        assert charged["buffer"] == (372, 49)
+        assert charged["disk"] == (49, 1, 48)
+        assert charged["scan"] == (203, 203)
 
 
 #: Point lookups on a unique (``id``) and a non-unique (``a``) hash

@@ -136,6 +136,25 @@ def test_a_dispatched_uncached_point_read(users, sections, backend, budget):
         assert per_read(sections, read, keys) <= budget
 
 
+@pytest.mark.parametrize("backend, budget", [("memory", 7), ("sqlite", 2)])
+def test_a_point_update(users, sections, backend, budget):
+    """The ledger's write window, opened and closed.  Memory adds the
+    heap's write lock taken and released (with no waiter, nobody is
+    woken), the buffer pool's one section for the index and row page,
+    the heap's mutation latch and the scan-selectivity histogram; the
+    index maintenance reuses the plan's table entry and takes no
+    catalog lock.  Sqlite runs one native UPDATE, which takes none."""
+    store = users.backend(backend)
+    update = store.prepare("UPDATE users SET rating = ? WHERE user_id = ?")
+    keys = range(READS)
+
+    def write(key):
+        assert store.execute_prepared(update, (key % 7, key)).rowcount == 1
+
+    per_read(sections, write, keys)  # warm: plans, pool, connections
+    assert per_read(sections, write, keys) <= budget
+
+
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_a_cache_hit_through_submit_and_fetch(users, sections, backend):
     """The ledger ticket and the cache lookup; the entry's future is

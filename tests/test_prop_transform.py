@@ -132,9 +132,24 @@ def run(source: str, conn, n: int):
     return namespace["program"](conn, n)
 
 
+#: How many times its tier-1 count each property below draws: 1 by
+#: default, derandomized, so a failure reproduces; 10 under the
+#: ``prop-seeds`` profile (``tests/conftest.py``), which CI runs over a
+#: fixed ``--hypothesis-seed`` list to find the next failure.
+SCALE = settings.default.max_examples // settings.get_profile("default").max_examples
+
+
+def drawn(examples):
+    """The settings of a property that draws ``examples`` programs in
+    tier-1."""
+    return settings(
+        max_examples=examples * SCALE, derandomize=SCALE == 1, deadline=None
+    )
+
+
 class TestRandomPrograms:
     @given(statements=loop_statements(), n=st.integers(min_value=0, max_value=12))
-    @settings(max_examples=120, deadline=None)
+    @drawn(120)
     def test_equivalence(self, statements, n):
         source = build_program(statements)
         result = asyncify_source(source)
@@ -146,7 +161,7 @@ class TestRandomPrograms:
         assert conn_a.query_multiset() == conn_b.query_multiset()
 
     @given(statements=loop_statements(), n=st.integers(min_value=0, max_value=8))
-    @settings(max_examples=60, deadline=None)
+    @drawn(60)
     def test_windowed_equivalence(self, statements, n):
         source = build_program(statements)
         result = asyncify_source(source, window=3)
@@ -155,7 +170,7 @@ class TestRandomPrograms:
         assert out_a == out_b
 
     @given(statements=loop_statements(), n=st.integers(min_value=0, max_value=10))
-    @settings(max_examples=60, deadline=None)
+    @drawn(60)
     def test_transform_is_idempotent_on_output(self, statements, n):
         """Transforming the transformed source changes nothing observable
         (submit/fetch calls are not registered blocking calls)."""

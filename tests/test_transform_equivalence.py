@@ -216,20 +216,13 @@ def program(conn, n):
         assert [outcome.status for outcome in report.outcomes] == ["transformed"] * 2
         assert report.outcomes[0].writer_stubs == 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=UnboundLocalError,
-        reason="known miscompile: rule_reorder._shift_anti_dep emits its "
-        "reader stub unguarded, so 'r2_1 = r2' reads r2 in an iteration "
-        "where the original read it only under a guard that is false",
-    )
     def test_a_reader_stub_of_a_guarded_read_stays_guarded(self):
         """Found by ``test_prop_transform``'s generator.  Stage 3 of the
         chain moves the guarded ``r3`` query past the later ``r2 = …``
-        and snapshots ``r2`` with a reader stub; unguarded, the stub reads
-        ``r2`` before any iteration bound it.  Guarding the stub by the
-        reader's guards fixes it, but also changes paper Example 10's
-        emitted text (``b_2 = b`` goes under ``if __cv1:``)."""
+        and snapshots ``r2`` with a reader stub; an unguarded stub read
+        ``r2`` before any iteration bound it (``UnboundLocalError``).
+        The stub carries the reader's guards, which also puts paper
+        Example 10's ``b_2 = b`` under ``if __cv1:``."""
         assert_equivalent(
             """
 def program(conn, n):

@@ -194,8 +194,8 @@ def compare(benchmark, sides, workload, pairs, seconds, seed):
 #: emitted size, measured speedup).
 LAYERS = (
     "backends.memory.execute_us", "backends.memory.write_us",
-    "backends.sqlite.execute_us", "backends.sqlite.batch_us_per_binding",
-    "db.plan.scan_us_per_krow", "db.plan.plan_us", "db.scan.",
+    "backends.sqlite.execute_us", "backends.sqlite.write_us",
+    "backends.sqlite.batch_us_per_binding", "db.plan.scan_us_per_krow", "db.plan.plan_us", "db.scan.",
     "backends.statements_per_op",
     "runtime.hop_us", "core.window_us_per_op", "core.coalesce_us_per_op",
     "prefetch.cache.hit_us", "prefetch.cache.layer_us", "client.front_us",

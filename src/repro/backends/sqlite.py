@@ -270,18 +270,17 @@ class SqliteBackend(Backend):
             # plan's: every assignment a bare ``?`` (bound coerced, see
             # _run_update) and no assigned column under a unique index
             # (a violation would undo the whole native statement, where
-            # the plan's row-by-row loop keeps the rows before it; the
-            # mirror's ordered indexes carry no ``unique`` flag, so they
-            # count as unique).  Otherwise, and as the fallback:
-            # read-modify-write — matching rows come back with their
-            # rowid, the plan computes each new row, and the full row
-            # writes back by rowid.
+            # the plan's row-by-row loop keeps the rows before it; an
+            # ordered index is never unique).  Otherwise, and as the
+            # fallback: read-modify-write — matching rows come back with
+            # their rowid, the plan computes each new row, and the full
+            # row writes back by rowid.
             assigned = {column for column, _ in ast.assignments}
             native = (
                 translate_statement(ast)
                 if plan.slots is not None
                 and not any(
-                    getattr(index, "unique", True)
+                    index.unique
                     for index in self._catalog.indexes_on(ast.table)
                     if index.column in assigned
                 )

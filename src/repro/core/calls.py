@@ -131,7 +131,8 @@ class SpeculativeHandle(QueryHandle):
     lift assigns it unconditionally and fetches it only on the guarded
     path.  ``abandon()`` settles it as wasted (idempotent; a no-op once
     fetched); unsettled handles are swept by
-    :meth:`CallPipeline.drain_speculations`.
+    :meth:`CallPipeline.drain_speculations`.  Awaiting it, like a fetch,
+    settles it as a hit.
     """
 
     __slots__ = ("_pipeline", "_cancellable", "_swept", "_wasted")
@@ -149,6 +150,7 @@ class SpeculativeHandle(QueryHandle):
     ) -> None:
         super().__init__(future, label=label, span=span)
         self._pipeline = pipeline
+        #: Set by :meth:`CallPipeline.dispatch` (see ``cancellable``).
         self._cancellable = False
         #: Set when the high-water sweep settled this handle as wasted;
         #: a later claim corrects the ledger (see ``claim``).
@@ -158,13 +160,6 @@ class SpeculativeHandle(QueryHandle):
         #: :meth:`CallPipeline.publish` reads it: a speculation that
         #: settled as waste never has its value retained in the cache.
         self._wasted = False
-
-    def _attach(self, future, cancellable: bool) -> None:
-        """Bind the dispatch this handle watches.  ``CallPipeline.dispatch``
-        creates the handle first — the dispatch's publication reads its
-        waste state — and attaches the future before anyone can see it."""
-        self._future = future
-        self._cancellable = cancellable
 
     @property
     def wasted(self) -> bool:
@@ -196,10 +191,8 @@ class SpeculativeHandle(QueryHandle):
     def claim(self) -> bool:
         """Settle this speculation as a hit without blocking on it.
 
-        ``fetch`` claims implicitly; front ends that wait through their
-        own machinery (the asyncio adapter awaits the wrapped future
-        directly) claim before waiting so a concurrent drain cannot
-        misclassify a consumed handle as wasted.
+        ``fetch`` and ``await`` claim implicitly, before they wait, so a
+        concurrent drain cannot misclassify a consumed handle as wasted.
 
         A handle the high-water sweep already settled as wasted is
         *reclassified* here (wasted decrements, hits increments): the
@@ -210,25 +203,27 @@ class SpeculativeHandle(QueryHandle):
             return False
         return self._pipeline._settle_speculation(self, hit=True)
 
+    def __await__(self):
+        self.claim()  # consuming the result is the hit signal
+        return super().__await__()
+
 
 class Request:
     """One request through the submission core, built once by its front
     end and passed whole to every stage: the cache plan (``key`` /
     ``tables`` / ``ticket``; a None key bypasses the cache), the root
     trace ``span``, the handle ``label``, and what the core attaches on
-    the way — the cache ``lease``, the speculative ``watcher``, the
-    ``pipeline`` that dispatched it and, for a request resolved by
-    someone else's task (a coalesced batch), the ``future`` its outcome
-    is set on.
+    the way — the cache ``lease``, the speculative ``watcher``, and for
+    a dispatch the ``pipeline`` that dispatched it and the ``future``
+    its outcome is set on (by :meth:`CallPipeline.settle` alone).
 
     A transport subclasses it with its three verbs: :meth:`round_trip`
     (do one), :meth:`charge` (what a real dispatch costs at submit) and
     :meth:`release` (give back whatever ``charge`` took; a no-op for a
     request that was never charged — a blocking call).
 
-    A dispatched request is itself the executor task: calling it is
-    :meth:`CallPipeline.run`, and :meth:`cancelled` is how the executor
-    reports dropping it.
+    A dispatched request is itself the executor's job: a worker calls
+    :meth:`run`, a coalescer's flusher :meth:`claim`.
     """
 
     __slots__ = (
@@ -247,15 +242,22 @@ class Request:
         self.label = label
         self.span = span
 
-    def __call__(self) -> Any:
-        return self.pipeline.run(self)
+    def run(self) -> None:
+        """The executor's job: :meth:`CallPipeline.run` on this request,
+        if the worker wins its claim."""
+        if self.claim():
+            self.pipeline.run(self)
 
-    def cancelled(self) -> None:
-        """Its future was cancelled while queued, so it never runs: it
-        still ends in :meth:`CallPipeline.settle`, as a
-        ``CancelledError`` — an owner lease's followers get that error,
-        nothing is retained, and ``release`` gives back the charge."""
+    def claim(self) -> bool:
+        """Win the future's one claim: True for the one thread that may
+        run the request.  A request cancelled while queued loses it and
+        ends here, in :meth:`CallPipeline.settle`, as ``CancelledError``
+        — an owner lease's followers get that error, nothing is
+        retained, and ``release`` gives back the charge."""
+        if self.future.set_running_or_notify_cancel():
+            return True
         self.pipeline.settle(self, CancelledError())
+        return False
 
     def round_trip(self) -> Any:
         """One full round trip, in the calling thread."""
@@ -347,7 +349,10 @@ class CallPipeline:
         try:
             lease = self._acquire(request)
             if lease is None or lease.is_owner:
-                return self.run(request)
+                outcome = self.run(request)
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                return outcome
             self.bump("cache_hits")
             return lease.value if lease.is_hit else lease.wait()
         except BaseException as exc:
@@ -366,27 +371,29 @@ class CallPipeline:
     def run(self, request: Request) -> Any:
         """One round trip in this thread — the caller's for a blocking
         call, an executor worker's for a dispatch — then :meth:`settle`;
-        returns the result or re-raises the failure."""
+        returns the outcome: the result, or the exception it failed
+        with."""
         try:
             outcome = request.round_trip()
         except BaseException as exc:
-            self.settle(request, exc)
-            raise
+            outcome = exc
         self.settle(request, outcome)
         return outcome
 
     def settle(self, request: Request, outcome: Any) -> None:
         """Every request that owns its round trip ends here, whoever ran
-        it (:meth:`run`, a coalesced flush) and also when its dispatch
-        could not be queued at all: the lease is published (``outcome``
-        an exception → failed), the dispatch's debt released, and the
-        request's own future, if it carries one, resolved."""
+        it (:meth:`run`, a coalesced flush), and also when it lost its
+        claim to a cancel (``outcome`` a ``CancelledError``) or its
+        dispatch could not be queued at all: the lease is published
+        (``outcome`` an exception → failed), the dispatch's debt
+        released, and the request's future, if it carries one and no
+        cancel already ended it, completed — here and nowhere else."""
         try:
             self.publish(request, outcome)
         finally:
             request.release()
         future = request.future
-        if future is not None:
+        if future is not None and not future.cancelled():
             if isinstance(outcome, BaseException):
                 future.set_exception(outcome)
             else:
@@ -426,44 +433,45 @@ class CallPipeline:
         count as cache hits, neither dispatches, and neither handle can
         cancel the entry (only the owner resolves it — with
         ``CancelledError`` if the owner's own dispatch is cancelled while
-        queued).  Otherwise
-        :meth:`start` begins the real dispatch and returns its future;
-        whoever learns the outcome hands it to :meth:`settle`.
+        queued).  Otherwise the request gets its ``future`` and its
+        handle, and :meth:`start` begins the real dispatch; whoever
+        wins the future's claim runs the request, and every outcome
+        reaches the future through :meth:`settle`.
 
         ``speculative`` returns a tracked :class:`SpeculativeHandle`
-        (the request's ``watcher``) and counts a speculation instead of
-        an async submit.
+        (the request's ``watcher``, in place before the dispatch can
+        publish) and counts a speculation instead of an async submit.
         """
         cell = self.stats.cells.mine()  # one lookup for both counts
         if not speculative:
             cell[_SLOT["async_submits"]] += 1
         lease = self._acquire(request)
-        watcher = None
-        if speculative:
-            watcher = request.watcher = SpeculativeHandle(
-                None, label=request.label, pipeline=self, span=request.span
-            )
-        cancellable = False
-        if lease is None or lease.is_owner:
-            future = self.start(request)
-            cancellable = lease is None and request.private
+        owner = lease is None or lease.is_owner
+        if owner:
+            future = request.future = RequestFuture()
         else:
             cell[_SLOT["cache_hits"]] += 1
             future = lease.future  # the entry's own: resolved for a hit
-        if watcher is None:
-            return QueryHandle(future, label=request.label, span=request.span)
-        watcher._attach(future, cancellable)
-        return self._track(watcher)
+        if not speculative:
+            handle = QueryHandle(future, label=request.label, span=request.span)
+        else:
+            handle = request.watcher = SpeculativeHandle(
+                future, label=request.label, pipeline=self, span=request.span
+            )
+            handle._cancellable = lease is None and request.private
+        if owner:
+            self.start(request)
+        return self._track(handle) if speculative else handle
 
-    def start(self, request: Request) -> RequestFuture:
-        """Begin the real dispatch — the request as an executor task,
-        running :meth:`run` — and return its future.  All that differs
-        between transports (:class:`SubmissionPipeline` routes
-        coalescable reads to its :class:`DispatchCoalescer` instead)."""
+    def start(self, request: Request) -> None:
+        """Begin the real dispatch: queue the request itself as the
+        executor's job (:meth:`Request.run`).  All that differs between
+        transports (:class:`SubmissionPipeline` routes coalescable reads
+        to its :class:`DispatchCoalescer` instead)."""
         request.charge()
         request.pipeline = self
         try:
-            return self.executor.submit(request)
+            self.executor.execute(request)
         except BaseException as exc:
             # Never strand single-flight followers (or a transaction's
             # in-flight count) on a submission that could not be queued.

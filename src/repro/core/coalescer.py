@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import CancelledError
 from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from ..backends.base import PreparedStatement
-from ..runtime.future import RequestFuture
 
 if TYPE_CHECKING:  # pragma: no cover - the runtime import runs the other way
     from .submission import SqlRequest, SubmissionPipeline
@@ -67,8 +65,8 @@ class DispatchCoalescer:
     whichever flusher runs first drains up to ``window`` entries and
     answers them with a single :meth:`Backend.execute_prepared_batch`
     call in its own thread (one round-trip charge, one statement
-    execution via the binding-demux operator), demultiplexing
-    per-binding outcomes back to the individual requests' futures.
+    execution via the binding-demux operator), settling each binding's
+    outcome on its own request.
 
     The coalescer is only a ``start`` for :meth:`CallPipeline.dispatch`
     (:meth:`enqueue`): the cache lease, hit/follower resolution, handle
@@ -80,8 +78,8 @@ class DispatchCoalescer:
       its own handle (the server returns per-binding outcomes);
     * **cancellation** — an entry whose future was cancelled while
       queued (an abandoned lease-less speculation, an explicit
-      ``handle.cancel``) is dropped from the batch outright, its lease,
-      if any, failed so followers re-dispatch;
+      ``handle.cancel``) is dropped from the batch outright and settled
+      as ``CancelledError``, as a cancelled executor job is;
     * **laziness** — no timers, no added latency: a submit that reaches
       an idle worker dispatches alone; batches only form while workers
       are busy, which is precisely when merging pays.
@@ -129,14 +127,13 @@ class DispatchCoalescer:
     # ------------------------------------------------------------------
     # queueing
     # ------------------------------------------------------------------
-    def enqueue(self, request: "SqlRequest") -> RequestFuture:
+    def enqueue(self, request: "SqlRequest") -> None:
         """:meth:`SubmissionPipeline.start` for a coalescable read:
         queue the request — and a flusher task, if the ones already
-        outstanding will not reach it — and return its future."""
+        outstanding will not reach it."""
         # Every submit still pays the executor hand-off overhead in the
         # submitting thread, exactly like the executor-task dispatch.
         request.charge()
-        future = request.future = RequestFuture()
         span = request.span
         # Queue residency: started here, ended by the flusher with the
         # realized batch size.
@@ -160,7 +157,6 @@ class DispatchCoalescer:
                 for orphan in self._claim(self._disarm(batch_key, group, request)):
                     self._pipeline.settle(orphan, exc)
                 raise
-        return future
 
     def _disarm(
         self, batch_key: tuple, group: _Group, request: "SqlRequest"
@@ -226,17 +222,14 @@ class DispatchCoalescer:
             return batch
 
     def _claim(self, requests: List["SqlRequest"]) -> List["SqlRequest"]:
-        """The requests still wanted.  PENDING -> RUNNING bars late
-        cancellation, so settling them cannot race a cancel; a request
-        cancelled while queued (abandoned queued speculation, or an
-        explicit handle.cancel) drops out here."""
+        """The requests still wanted: those whose claim this flusher
+        won, so settling them cannot race a cancel.  A request cancelled
+        while queued (abandoned queued speculation, or an explicit
+        handle.cancel) drops out here, already settled by its claim."""
         live: List["SqlRequest"] = []
         for request in requests:
-            if request.future.set_running_or_notify_cancel():
+            if request.claim():
                 live.append(request)
-            else:
-                if request.queue_span is not None:
-                    request.queue_span.set("cancelled", True).end()
-                # Never strand followers of a cancelled owner.
-                self._pipeline.publish(request, CancelledError())
+            elif request.queue_span is not None:
+                request.queue_span.set("cancelled", True).end()
         return live

@@ -14,9 +14,9 @@ result cache entirely).  This module owns that lifecycle once:
 The front ends differ only in how they *wait*:
 
 * the sync client blocks on :meth:`SubmissionPipeline.execute`;
-* :class:`~repro.runtime.handles.QueryHandle` wraps the future returned
-  by :meth:`SubmissionPipeline.submit`;
-* ``AioQueryHandle`` wraps the same future via ``asyncio.wrap_future``.
+* a thread fetches the :class:`~repro.runtime.handles.QueryHandle`
+  returned by :meth:`SubmissionPipeline.submit`;
+* a coroutine awaits that same handle.
 
 A cache hit therefore resolves without a thread (or task) hop in every
 runtime: the handle comes back already completed.
@@ -42,8 +42,8 @@ root trace span, the handle label and its transport's three verbs
 (``round_trip``; ``charge``, what a real dispatch costs at submit;
 ``release``, what it owes at completion).  Every stage takes that record
 whole and attaches what it learns to it (the cache ``lease``, the
-speculative ``watcher``, a coalesced request's ``future``); nobody
-re-describes it as keywords, a tuple or a closure.
+speculative ``watcher``, a dispatch's ``future``); nobody re-describes
+it as keywords, a tuple or a closure.
 
 **One non-blocking lifecycle.**  ``submit`` and ``speculate``, plain
 or coalesced, are one path — :meth:`CallPipeline.dispatch`:
@@ -55,16 +55,20 @@ or coalesced, are one path — :meth:`CallPipeline.dispatch`:
           :class:`SpeculativeHandle` — the request's *watcher*)
         → :meth:`CallPipeline.settle` when the outcome is known
 
-Only ``start`` differs between transports: :meth:`CallPipeline.start`
-queues one executor task that is :meth:`CallPipeline.run` on the
-request (round trip, then settle), :meth:`SubmissionPipeline.start`
-hands a coalescable read to the :class:`DispatchCoalescer`, which queues
-the request itself for a batched flush.  Every round trip — the blocking
-call's too — ends in ``settle``: the owner lease is published, the
-dispatch's debt released, a coalesced request's future resolved; a
-dispatch the executor refuses, or drops because it was cancelled while
-queued, ends there as well (as that error, or ``CancelledError``), so no
-follower and no transaction's in-flight count is stranded.  ``settle`` publishes through
+``dispatch`` gives the owning request its one future, and builds its
+one handle on it, before ``start``.  Only ``start`` differs between
+transports: :meth:`CallPipeline.start` queues the request itself as
+the executor's job (:meth:`Request.run`: :meth:`CallPipeline.run`,
+round trip then settle), :meth:`SubmissionPipeline.start` hands a
+coalescable read to the :class:`DispatchCoalescer`, which queues it for
+a batched flush.  On both, whoever wins the future's claim — a worker
+or a flusher — runs the request, and a request that lost its claim to
+a cancel while queued ends in ``settle`` as ``CancelledError``.  Every
+round trip — the blocking call's too — ends in ``settle``: the owner
+lease is published, the dispatch's debt released, the request's future
+completed (``settle`` is the only code that completes it); a dispatch
+the executor refuses ends there as well, as that error, so no follower
+and no transaction's in-flight count is stranded.  ``settle`` publishes through
 :meth:`CallPipeline.publish`, which states the **retention
 rule** once: followers are always served; the value is *retained* only
 if the tables' ledger ticket is unchanged at publication time **and**
@@ -412,18 +416,19 @@ class SubmissionPipeline(CallPipeline):
             self.request(prepared, bound, txn, mode, site), speculative
         )
 
-    def start(self, request: SqlRequest):
+    def start(self, request: SqlRequest) -> None:
         """Autocommit reads ride the coalescer when set-oriented
         dispatch is on: same-statement submits outstanding behind the
         executor merge into one batched server call.  Everything else
-        is one executor task paying the round trip."""
+        is one executor job paying the round trip."""
         if (
             self.coalescer is not None
             and request.txn is None
             and not request.prepared.write
         ):
-            return self.coalescer.enqueue(request)
-        return super().start(request)
+            self.coalescer.enqueue(request)
+        else:
+            super().start(request)
 
     # ------------------------------------------------------------------
     # the round trip

@@ -62,6 +62,11 @@ class Catalog:
         ordered: bool = False,
         unique: bool = False,
     ) -> Index:
+        if ordered and unique:
+            # An ordered index keeps no key set to enforce uniqueness on.
+            raise CatalogError(
+                f"index {index_name!r}: an ordered index cannot be unique"
+            )
         info = self.table(table_name)
         with self._lock:
             if any(index.name == index_name for index in info.indexes):
@@ -102,6 +107,18 @@ class Catalog:
     # ------------------------------------------------------------------
     # index maintenance (called by DML operators)
     # ------------------------------------------------------------------
+    def check_unique(self, info: TableInfo, row, old_row=None) -> None:
+        """Raise :class:`ConstraintError` if storing ``row`` — new, or in
+        place of ``old_row`` — would violate a unique index of ``info``.
+        A DML operator asks before it writes the heap, so a violation
+        leaves the heap and its indexes as they were."""
+        for index in info.indexes:
+            if index.unique:
+                position = info.heap.schema.position(index.column, info.name)
+                value = row[position]
+                if old_row is None or old_row[position] != value:
+                    index.check_unique(value)
+
     def on_insert(self, info: TableInfo, row_id: int, row) -> None:
         """Index a row ``info``'s heap just stored (the caller holds the
         table's write lock and its :class:`TableInfo`)."""

@@ -107,7 +107,7 @@ class Database:
                     table_name,
                     index.column,
                     ordered=isinstance(index, OrderedIndex),
-                    unique=getattr(index, "unique", False),
+                    unique=index.unique,
                 )
         return backend
 

@@ -44,13 +44,18 @@ class HashIndex:
             self.add(row_id, row[self._position])
 
     def add(self, row_id: int, value: Any) -> None:
-        bucket = self._buckets.setdefault(value, [])
-        if self.unique and bucket:
+        if self.unique:
+            self.check_unique(value)
+        bisect.insort(self._buckets.setdefault(value, []), row_id)
+        self._entries += 1
+
+    def check_unique(self, value: Any) -> None:
+        """Raise :class:`ConstraintError` if a row already holds ``value``
+        (what :meth:`add` refuses on a unique index)."""
+        if self._buckets.get(value):
             raise ConstraintError(
                 f"unique index {self.name!r} violated for value {value!r}"
             )
-        bisect.insort(bucket, row_id)
-        self._entries += 1
 
     def remove(self, row_id: int, value: Any) -> None:
         bucket = self._buckets.get(value)
@@ -99,7 +104,10 @@ class OrderedIndex:
     Backed by a sorted list of ``(key, row_id)``; rebuilt wholesale on
     bulk load and maintained incrementally afterwards.  NULL keys are
     excluded (SQL semantics: NULL never matches a range predicate).
+    Never unique: the catalog refuses ``ordered`` with ``unique``.
     """
+
+    unique = False
 
     def __init__(self, name: str, table: HeapTable, column: str) -> None:
         self.name = name

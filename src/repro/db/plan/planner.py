@@ -542,6 +542,7 @@ class InsertPlan:
         ctx.charge_cpu(fixed=True)
         info = self._info
         with info.heap.lock.writing():
+            self._catalog.check_unique(info, row)
             row_id = info.heap.insert(row)
             self._catalog.on_insert(info, row_id, row)
             ctx.record_insert(info.name, row_id, row)
@@ -641,6 +642,7 @@ class UpdatePlan(_AccessPlan):
             rows = self._matched_rows(ctx)
             for row_id, row in rows:
                 new_row = assign(row)
+                self._catalog.check_unique(info, new_row, row)
                 heap.update(row_id, new_row)
                 self._catalog.on_update(info, row_id, row, new_row)
                 ctx.record_update(info.name, row_id, row, new_row)

@@ -12,14 +12,7 @@ plus the split-variable record tables that Rule A's generated code uses
 programs use.
 """
 
-from .aio import (
-    AioConnection,
-    AioQueryHandle,
-    AioSpeculativeHandle,
-    aio_connect,
-    as_completed,
-    for_each_completed,
-)
+from .aio import AioConnection, aio_connect, as_completed, for_each_completed
 from .executor import AsyncExecutor
 from .handles import QueryHandle
 from .records import Record, RecordTable
@@ -27,8 +20,6 @@ from .spill import SpillableRecordTable, SpillStats
 
 __all__ = [
     "AioConnection",
-    "AioQueryHandle",
-    "AioSpeculativeHandle",
     "aio_connect",
     "as_completed",
     "for_each_completed",

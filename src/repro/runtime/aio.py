@@ -7,9 +7,9 @@ event loop:
 
 * ``await conn.execute_query(...)`` — the blocking call, made awaitable
   so it suspends the coroutine instead of the thread;
-* ``conn.submit_query(...)`` — non-blocking submit returning an
-  :class:`AioQueryHandle` (awaitable, mirrors
-  :class:`~repro.runtime.handles.QueryHandle`);
+* ``conn.submit_query(...)`` — non-blocking submit returning the
+  pipeline's own :class:`~repro.runtime.handles.QueryHandle`, which is
+  awaitable;
 * ``await conn.fetch_result(handle)`` — the blocking fetch.
 
 A Rule A transformed loop therefore maps one-to-one onto coroutine
@@ -26,20 +26,22 @@ and the unordered callback model (paper Section II) maps onto
 submits through the wrapped connection's
 :class:`~repro.core.submission.SubmissionPipeline` — the same
 cache-aware path the sync client and the thread-pool observer model use
-— and wraps the resulting future with ``asyncio.wrap_future``.  A
-result cached by the sync client is therefore a hit for the asyncio
-client (and vice versa), resolving without a thread or task hop; the
-connection's ``async_workers`` pool bounds in-flight requests, so
-``max_in_flight`` plays exactly the role of the paper's "number of
-threads" knob and produces the same plateau curves.
+— and hands back the very handle the pipeline built; it only counts
+the handle's outcome into :class:`AioStats`.  A result cached by the
+sync client is therefore a hit for the asyncio client (and vice versa),
+resolving without a thread or task hop; the connection's
+``async_workers`` pool bounds in-flight requests, so ``max_in_flight``
+plays exactly the role of the paper's "number of threads" knob and
+produces the same plateau curves.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass
 from typing import Any, AsyncIterator, Callable, Iterable, List, Optional, Sequence
+
+from .handles import QueryHandle
 
 
 @dataclass
@@ -47,89 +49,6 @@ class AioStats:
     submitted: int = 0
     completed: int = 0
     failed: int = 0
-
-
-def _book_keep(stats: AioStats) -> Callable[["asyncio.Future[Any]"], None]:
-    """Done-callback recording one future's outcome into ``stats``."""
-
-    def record(done: "asyncio.Future[Any]") -> None:
-        if done.cancelled() or done.exception() is not None:
-            stats.failed += 1
-        else:
-            stats.completed += 1
-
-    return record
-
-
-class AioQueryHandle:
-    """Awaitable handle mirroring :class:`~repro.runtime.handles.QueryHandle`.
-
-    ``await handle`` (or ``await conn.fetch_result(handle)``) yields the
-    query result; errors re-raise at the await, in submission order when
-    awaited in submission order — the observer-model contract.
-    """
-
-    __slots__ = ("_future", "_submitted_at", "_label")
-
-    def __init__(self, future: "asyncio.Future[Any]", label: str = "") -> None:
-        self._future = future
-        self._submitted_at = time.perf_counter()
-        self._label = label
-
-    def __await__(self):
-        return self._future.__await__()
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def cancel(self) -> bool:
-        return self._future.cancel()
-
-    def exception(self) -> Optional[BaseException]:
-        """Exception of a *finished* handle (None when it succeeded)."""
-        return self._future.exception()
-
-    @property
-    def age_s(self) -> float:
-        return time.perf_counter() - self._submitted_at
-
-    @property
-    def label(self) -> str:
-        return self._label
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "done" if self._future.done() else "pending"
-        label = f" {self._label!r}" if self._label else ""
-        return f"<AioQueryHandle{label} {state}>"
-
-
-class AioSpeculativeHandle(AioQueryHandle):
-    """Awaitable speculative handle (asyncio face of
-    :class:`repro.core.submission.SpeculativeHandle`).
-
-    Awaiting it (directly or via ``fetch_result``) settles the
-    underlying speculation as a hit; :meth:`abandon` settles it as
-    wasted.  Dropped handles are drained when the wrapped connection
-    closes, exactly like the sync client's.
-    """
-
-    __slots__ = ("_origin",)
-
-    speculative = True
-
-    def __init__(self, future, origin, label: str = "") -> None:
-        super().__init__(future, label)
-        self._origin = origin
-
-    def __await__(self):
-        # Consuming the result is the hit signal — claim before the
-        # wait so a concurrent drain cannot misclassify it as wasted.
-        self._origin.claim()
-        return super().__await__()
-
-    def abandon(self) -> bool:
-        """Settle as wasted; do not await an abandoned handle."""
-        return self._origin.abandon()
 
 
 class AioConnection:
@@ -143,9 +62,9 @@ class AioConnection:
     or use :func:`aio_connect`.  Submissions go through the wrapped
     connection's submission pipeline, so the result cache (when
     attached) serves the asyncio client exactly as it serves the sync
-    client: a hit returns an already-resolved awaitable with no thread
-    or task hop.  ``max_in_flight`` (when given) resizes the wrapped
-    connection's worker pool — one pool, not two stacked ones.
+    client: a hit returns an already-resolved handle, awaited with no
+    thread or task hop.  ``max_in_flight`` (when given) resizes the
+    wrapped connection's worker pool — one pool, not two stacked ones.
     """
 
     def __init__(self, connection, max_in_flight: Optional[int] = None) -> None:
@@ -183,22 +102,18 @@ class AioConnection:
     async def execute_update(self, query, params: Sequence = ()):
         return await self.submit_query(query, params)
 
-    def submit_query(self, query, params: Sequence = ()) -> AioQueryHandle:
+    def submit_query(self, query, params: Sequence = ()) -> QueryHandle:
         """Non-blocking submit; the paper's ``submitQuery``.
 
-        Must be called from a running event loop (the handle's future
-        belongs to it).
+        Must be called from a running event loop (the handle's outcome
+        is counted on it).
         """
         loop = asyncio.get_running_loop()  # before any side effect
-        handle = self._connection.submit_query(query, list(params))
-        self._observe(handle)
-        return AioQueryHandle(self._wrap(handle, loop), label=handle.label)
+        return self._count(loop, self._connection.submit_query(query, list(params)))
 
     submit_update = submit_query
 
-    def speculate_query(
-        self, query, params: Sequence = (), site: Optional[str] = None
-    ) -> AioSpeculativeHandle:
+    def speculate_query(self, query, params: Sequence = (), site: Optional[str] = None):
         """Speculative submit (see ``Connection.speculate_query``).
 
         Awaiting the returned handle consumes the speculation (a hit);
@@ -207,54 +122,53 @@ class AioConnection:
         ledger.  Must be called from a running event loop.
         """
         loop = asyncio.get_running_loop()  # before any side effect
-        handle = self._connection.speculate_query(query, list(params), site=site)
-        self._observe(handle)
-        return AioSpeculativeHandle(
-            self._wrap(handle, loop), handle, label=handle.label
+        return self._count(
+            loop, self._connection.speculate_query(query, list(params), site=site)
         )
 
-    def _observe(self, handle) -> None:
-        """Close the observability loop for a handle no blocking fetch
-        will ever touch: the coroutine awaits the wrapped future
-        directly, so completion latency and root-span end are recorded
-        from the pipeline future's done callback instead."""
+    def _count(self, loop, handle: QueryHandle) -> QueryHandle:
+        """Count ``handle`` into :attr:`stats` on ``loop``: at once when it
+        is already resolved, else when it completes — unless the loop
+        has closed by then, and nobody is left to read the count.  The
+        coroutine awaits the handle itself, so no blocking fetch records
+        its latency or ends its root span: its completion does."""
+        self.stats.submitted += 1
         pipeline = self._connection.pipeline
-        span = getattr(handle, "span", None)
-        if span is None and pipeline.metrics is None:
-            return
+        span = handle.span
         if span is not None:
             span.set("runtime", "aio")
-        handle.future.add_done_callback(
-            lambda _done, h=handle: pipeline.note_completion(h)
-        )
+        observed = span is not None or pipeline.metrics is not None
+        if handle.done():
+            self._tally(handle.future)
+            if observed:
+                pipeline.note_completion(handle)
+            return handle
 
-    def _wrap(self, handle, loop) -> "asyncio.Future[Any]":
-        """Bridge a pipeline handle's future onto the running loop."""
-        inner = handle.future
-        if inner.done() and not inner.cancelled():
-            # Cache hit (or failed resolve): materialize the result into
-            # an already-done asyncio future so the handle resolves at
-            # submit time — no thread hop, no task hop, no loop tick.
-            future: "asyncio.Future[Any]" = loop.create_future()
-            error = inner.exception()
-            if error is not None:
-                future.set_exception(error)
-            else:
-                future.set_result(inner.result())
+        def completed(future) -> None:
+            if observed:
+                pipeline.note_completion(handle)
+            try:
+                loop.call_soon_threadsafe(self._tally, future)
+            except RuntimeError:
+                pass  # the loop is closed
+
+        handle.future.add_done_callback(completed)
+        return handle
+
+    def _tally(self, future) -> None:
+        if future.cancelled() or future.exception() is not None:
+            self.stats.failed += 1
         else:
-            future = asyncio.wrap_future(inner, loop=loop)
-        self.stats.submitted += 1
-        future.add_done_callback(_book_keep(self.stats))
-        return future
+            self.stats.completed += 1
 
-    async def fetch_result(self, handle: AioQueryHandle):
+    async def fetch_result(self, handle: QueryHandle):
         """The paper's ``fetchResult``: await one handle."""
         return await handle
 
     # ------------------------------------------------------------------
     # conveniences
     # ------------------------------------------------------------------
-    async def gather(self, handles: Iterable[AioQueryHandle]) -> List[Any]:
+    async def gather(self, handles: Iterable[QueryHandle]) -> List[Any]:
         """Fetch many handles, results in submission order."""
         return list(await asyncio.gather(*handles))
 
@@ -300,8 +214,8 @@ def aio_connect(
     pool merge into batched server calls exactly as sync submits do
     (one coalescer, shared by both front ends).  ``trace`` / ``metrics``
     attach observability exactly as ``Database.connect`` does; the aio
-    front end records completion latencies from done callbacks (no
-    blocking fetch ever runs).  ``backend`` picks the statement store
+    front end records completion latencies when each handle completes
+    (no blocking fetch ever runs).  ``backend`` picks the statement store
     (``"memory"``/``"sqlite"``), again mirroring ``Database.connect``.
     """
     return AioConnection(
@@ -317,9 +231,7 @@ def aio_connect(
     )
 
 
-async def as_completed(
-    handles: Iterable[AioQueryHandle],
-) -> AsyncIterator[Any]:
+async def as_completed(handles: Iterable[QueryHandle]) -> AsyncIterator[Any]:
     """Yield results in *completion* order — the paper's callback model
     (Section II), which fits "when the order of processing the results
     is unimportant"::
@@ -327,12 +239,12 @@ async def as_completed(
         async for result in as_completed(handles):
             process(result)
     """
-    for future in asyncio.as_completed([handle._future for handle in handles]):
+    for future in asyncio.as_completed(handles):
         yield await future
 
 
 async def for_each_completed(
-    handles: Iterable[AioQueryHandle],
+    handles: Iterable[QueryHandle],
     callback: Callable[[Any], Any],
 ) -> int:
     """Invoke ``callback`` on each result as it completes; returns the

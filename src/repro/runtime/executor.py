@@ -8,21 +8,22 @@ which performs one blocking round trip at a time.  The pool size is the
 This is the *dispatch arm* of the unified submission core
 (:mod:`repro.core.submission`): the pipeline decides whether a request
 needs a round trip at all (cache hit / single-flight follower) and only
-then hands the dispatched task here.  Every runtime shares it — the
-asyncio front end wraps the produced future rather than stacking a
-second pool on top.
+then hands the request itself here.  Every runtime shares it — the
+asyncio front end awaits the pipeline's own handles rather than
+stacking a second pool on top.
 
-A dispatch crosses one queue: ``submit`` puts one ``(future, task)``
-item on a C-level ``SimpleQueue`` and returns the future, a
-:class:`~repro.runtime.future.RequestFuture` whose gate lock is armed
-as it is built; the ``workers`` threads, all started at the first
-submit, drain it.  A worker runs an item only if it wins the future's
-one claim token, which a ``cancel`` races for without a lock, so a task
-cancelled while queued (an abandoned speculation) never runs; a task
-with a ``cancelled()`` method (a pipeline's request, whose cache
-followers wait on it) is told instead.  Completing the future releases
-its gate, so the hand-off costs one lock section to arm and, when the
-fetch has to wait, one to pass.
+A dispatch crosses one queue: ``execute`` puts one *job* — anything
+with a ``run()`` method — on a C-level ``SimpleQueue``, and the
+``workers`` threads, all started at the first job, drain it, calling
+``run()`` on each job and nothing else.  A pipeline's job is the
+request: it runs only if its worker wins the one claim token of the
+request's :class:`~repro.runtime.future.RequestFuture`, which a
+``cancel`` races for without a lock, and otherwise ends as cancelled
+(see :meth:`repro.core.calls.Request.run`).  ``submit`` queues a plain
+callable as a :class:`_Task` — the callable and its future in one
+object, as ``java.util.concurrent``'s ``FutureTask`` — and returns that
+future.  Completing a future releases its gate, so the hand-off costs
+one lock section to arm and, when the fetch has to wait, one to pass.
 ``close`` and ``resize`` stop the workers behind the work already
 queued.  The threads are daemons, so a program that never closes its
 connection still exits, and an executor garbage-collected unclosed
@@ -39,20 +40,32 @@ from typing import Any, Callable, List, Optional
 from .future import RequestFuture
 
 
-def _work(tasks: "SimpleQueue") -> None:
-    """One worker thread: run queued ``(future, task)`` items until the
-    ``None`` stop, then pass the stop on to the next worker."""
-    for future, task in iter(tasks.get, None):
-        if future.set_running_or_notify_cancel():
+def _work(jobs: "SimpleQueue") -> None:
+    """One worker thread: run queued jobs until the ``None`` stop, then
+    pass the stop on to the next worker."""
+    for job in iter(jobs.get, None):
+        job.run()
+        # Hold nothing while parked: a job may reference the executor.
+        job = None
+    jobs.put(None)
+
+
+class _Task(RequestFuture):
+    """A plain callable and its future in one: what :meth:`submit`
+    queues.  Its worker runs the callable only if it wins the future's
+    claim, so a task cancelled while queued never runs."""
+
+    def __init__(self, fn: Callable[[], Any]) -> None:
+        RequestFuture.__init__(self)
+        self._fn = fn
+
+    def run(self) -> None:
+        fn, self._fn = self._fn, None  # the future outlives the callable
+        if self.set_running_or_notify_cancel():
             try:
-                future.set_result(task())
+                self.set_result(fn())
             except BaseException as exc:
-                future.set_exception(exc)
-        elif hasattr(task, "cancelled"):
-            task.cancelled()
-        # Hold nothing while parked: a task may reference the executor.
-        future = task = None
-    tasks.put(None)
+                self.set_exception(exc)
 
 
 class AsyncExecutor:
@@ -74,9 +87,9 @@ class AsyncExecutor:
         self._workers = workers
         self._spawn_cost_s = spawn_cost_s
         #: The running workers and the queue they drain, both replaced
-        #: at the first submit after a resize.
+        #: at the first job after a resize.
         self._threads: List[threading.Thread] = []
-        self._tasks: Optional["SimpleQueue"] = None
+        self._jobs: Optional["SimpleQueue"] = None
         self._lock = threading.Lock()
         self._closed = False
 
@@ -97,16 +110,20 @@ class AsyncExecutor:
             self._workers = workers
             self._stop(wait=True)
 
-    def submit(self, task: Callable[[], Any]) -> RequestFuture:
-        """Queue ``task`` for a worker thread; returns its future."""
-        future = RequestFuture()
+    def submit(self, fn: Callable[[], Any]) -> RequestFuture:
+        """Queue ``fn`` for a worker thread; returns its future."""
+        task = _Task(fn)
+        self.execute(task)
+        return task
+
+    def execute(self, job) -> None:
+        """Queue ``job`` for a worker thread, which calls ``job.run()``."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("executor is closed")
             if not self._threads:
                 self._start_locked()
-            self._tasks.put((future, task))
-        return future
+            self._jobs.put(job)
 
     def close(self, wait: bool = True) -> None:
         """Refuse new work; the work already queued still runs."""
@@ -121,11 +138,11 @@ class AsyncExecutor:
 
             precise_sleep(self._spawn_cost_s * self._workers)
             self._spawn_cost_s = 0.0
-        tasks = self._tasks = SimpleQueue()
-        weakref.finalize(self, tasks.put, None)
+        jobs = self._jobs = SimpleQueue()
+        weakref.finalize(self, jobs.put, None)
         for i in range(self._workers):
             thread = threading.Thread(
-                target=_work, args=(tasks,), name=f"{self._name}_{i}", daemon=True
+                target=_work, args=(jobs,), name=f"{self._name}_{i}", daemon=True
             )
             thread.start()
             self._threads.append(thread)
@@ -136,7 +153,7 @@ class AsyncExecutor:
         with self._lock:
             threads, self._threads = self._threads, []
             if threads:
-                self._tasks.put(None)
+                self._jobs.put(None)
         if wait:
             for thread in threads:
                 thread.join()

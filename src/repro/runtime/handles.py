@@ -2,14 +2,15 @@
 
 A handle wraps whatever future its request resolves on — on the
 request path always a :class:`~repro.runtime.future.RequestFuture`:
-the executor's, a cache entry's, a coalesced request's, or one built
-here already resolved — so a fetch of a finished request takes no
-lock.
+a dispatched request's own, a cache entry's, or one built here already
+resolved — so a fetch of a finished request takes no lock.  The same
+handle serves every front end: a thread fetches it, a coroutine awaits
+it.
 """
 
 from __future__ import annotations
 
-import threading
+import asyncio
 import time
 from concurrent.futures import Future
 from typing import Any, Optional
@@ -23,7 +24,8 @@ class QueryHandle:
     Wraps a future, records timing, and guarantees the paper's
     observer-model contract: ``result()`` blocks until the submitted
     request finishes and re-raises any error exactly once per call, in
-    the calling (application) thread.
+    the calling (application) thread; ``await handle``, on a running
+    event loop, suspends the calling coroutine instead.
     """
 
     __slots__ = ("_future", "_submitted_at", "_label", "span")
@@ -41,17 +43,22 @@ class QueryHandle:
     @property
     def future(self) -> "Future[Any]":
         """The underlying ``concurrent.futures.Future`` (on the request
-        path, a :class:`~repro.runtime.future.RequestFuture`).
-
-        This is the hand-off point between runtimes: the asyncio front
-        end wraps it with ``asyncio.wrap_future`` so the same submission
-        (and the same cache hit, already resolved) is awaitable.
-        """
+        path, a :class:`~repro.runtime.future.RequestFuture`)."""
         return self._future
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """Block until the request completes; re-raises its error."""
         return self._future.result(timeout)
+
+    def __await__(self):
+        """Suspend the awaiting coroutine until the request completes
+        and re-raise its error there; a finished request (a cache hit)
+        resolves without a loop tick.  A cancelled one raises
+        ``asyncio.CancelledError``, as any awaited future does."""
+        future = self._future
+        if not future.done() or future.cancelled():
+            yield from asyncio.wrap_future(future)
+        return future.result()
 
     def done(self) -> bool:
         """Non-blocking poll: has the request finished (ok or error)?"""

@@ -30,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import BACKENDS, SqliteBackend, resolve_backend_name
 from repro.db import Database, INSTANT
+from repro.db.errors import CatalogError, ConstraintError
 
 values = st.one_of(st.integers(min_value=-9, max_value=9), st.none())
 texts = st.one_of(st.sampled_from(["red", "green", "blue", ""]), st.none())
@@ -345,8 +346,7 @@ KEYED_WRITES = [
 WRITE_VALUES = [None, "7", 7.0, True, "x", 3]
 #: Assigning the unique-indexed ``id`` always takes the read-modify-
 #: write on sqlite: ``(value, key)`` pairs that move row 100 along a
-#: chain of ids no other row holds (a violation is out of scope: the
-#: memory engine leaves its heap and index apart on one).
+#: chain of ids no other row holds (a violation has its own test).
 UNIQUE_WRITE = "UPDATE w SET id = ? WHERE id = ?"
 UNIQUE_BINDINGS = [
     (1000, 100),
@@ -454,10 +454,52 @@ class TestKeyedWriteDifferential:
         finally:
             db.close()
 
+    def test_a_unique_violation_leaves_the_table_as_it_was(self):
+        """An UPDATE or INSERT that would duplicate a unique key raises
+        on both stores, and neither store's heap or index moved."""
+        db = write_db([(0, 1, "a", 5), (1, 2, "b", 6)])
+        try:
+            mem_conn, lite_conn = both_backends(db)
+            with mem_conn, lite_conn:
+                before = w_snapshot(mem_conn)
+                for conn in (mem_conn, lite_conn):
+                    with pytest.raises(ConstraintError):
+                        conn.execute_update(UNIQUE_WRITE, (101, 100))
+                    with pytest.raises(ConstraintError):
+                        conn.execute_update(
+                            "INSERT INTO w VALUES (?, ?, ?, ?, ?)",
+                            (100, 4, 0, None, None),
+                        )
+                    assert w_snapshot(conn) == before
+                    for key in (100, 101):
+                        assert conn.execute_query(
+                            "SELECT id FROM w WHERE id = ?", (key,)
+                        ).rows == [(key,)]
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_an_ordered_index_cannot_be_unique(self, backend):
+        """Neither store keeps a key set to enforce it on, so both
+        refuse it, by statement or by ``create_index``."""
+        db = write_db([(0, 1, "a", 5)])
+        try:
+            with pytest.raises(CatalogError, match="ordered"):
+                db.backend(backend).execute(
+                    "CREATE UNIQUE ORDERED INDEX w_o ON w (v)"
+                )
+            with pytest.raises(CatalogError, match="ordered"):
+                db.create_index("w_o", "w", "v", ordered=True, unique=True)
+            db.create_index("w_o", "w", "v", ordered=True)
+        finally:
+            db.close()
+
     def test_the_native_rule(self):
-        """Which UPDATEs sqlite runs as one native statement."""
+        """Which UPDATEs sqlite runs as one native statement.  An ordered
+        index is never unique, so assigning its column stays native."""
         db = write_db([])
         try:
+            db.create_index("w_v", "w", "v", ordered=True)
             store = db.backend("sqlite")
             native = {
                 sql: store.prepare(sql).translated[1] is not None

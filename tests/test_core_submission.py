@@ -274,12 +274,17 @@ class TestCancelledOwner:
     coalesced one: its lease fails with ``CancelledError``, the followers
     get that error, nothing is retained, and the request is released."""
 
-    def test_followers_and_later_readers_are_not_stranded(self, users_db, backend):
+    @pytest.mark.parametrize("coalesce", [False, True], ids=["task", "coalesced"])
+    def test_followers_and_later_readers_are_not_stranded(
+        self, users_db, backend, coalesce
+    ):
         import threading
         from concurrent.futures import CancelledError
 
         cache = ResultCache(16)
-        conn = users_db.connect(async_workers=1, result_cache=cache, backend=backend)
+        conn = users_db.connect(
+            async_workers=1, result_cache=cache, backend=backend, coalesce=coalesce
+        )
         gate = threading.Event()
         try:
             parked = conn.executor.submit(gate.wait)  # the only worker

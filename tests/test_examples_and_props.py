@@ -51,6 +51,21 @@ class TestExampleScripts:
         assert "speculate_query" in out
         assert "hits" in out and "wasted" in out
 
+    @pytest.mark.parametrize(
+        "name, shows",
+        [
+            ("asyncio_pipeline.py", "asyncio callback model"),
+            ("callback_dashboard.py", "callback model (async)"),
+        ],
+    )
+    def test_asyncio_example_runs(self, capsys, name, shows):
+        """The asyncio examples execute end to end: each asserts
+        internally that its coroutine results match the blocking loop's."""
+        import runpy
+
+        runpy.run_path(str(EXAMPLES_DIR / name), run_name="__main__")
+        assert shows in capsys.readouterr().out
+
     def test_examples_use_public_api_only(self):
         """Examples must import from `repro` / documented subpackages."""
         for path in EXAMPLES_DIR.glob("*.py"):

@@ -362,6 +362,35 @@ class TestRequestPathOwners:
             ), f"SubmissionPipeline.{method.name} only forwards to self.{held.attr}"
         assert issubclass(SubmissionPipeline, CallPipeline)
 
+    def test_one_request_one_future_one_handle(self):
+        """The executor's worker calls one method on each job it dequeues
+        — no ``(future, task)`` tuple, no ``hasattr`` probe — and a
+        request is that job, not a callable; the handle is built whole
+        before the dispatch, and the asyncio front end hands out the
+        pipeline's own."""
+        from repro.core.calls import Request, SpeculativeHandle
+        from repro.runtime import aio
+
+        ((_package_of_file, tree),) = modules("runtime/executor")
+        (work,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_work"
+        ]
+        called = [
+            node.func.id
+            for node in ast.walk(work)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        ]
+        assert "hasattr" not in called
+        assert not any(isinstance(node, ast.Tuple) for node in ast.walk(work))
+        assert not callable(Request())
+        assert not hasattr(Request, "cancelled")
+        assert not hasattr(SpeculativeHandle, "_attach")
+        for name in ("AioQueryHandle", "AioSpeculativeHandle", "_book_keep"):
+            assert not hasattr(aio, name)
+        assert not hasattr(aio.AioConnection, "_wrap")
+
     @pytest.mark.parametrize("coalesce", [False, True], ids=["task", "coalesced"])
     def test_a_refused_dispatch_strands_nobody(self, users_db, coalesce):
         """Whichever ``start`` a request took, an executor that refuses
@@ -385,6 +414,10 @@ class TestRequestPathOwners:
                 # before the refusal is unwound.
                 followers.append(other.submit(sql, (3,)))
                 raise RuntimeError("executor refused the task")
+
+            # A request is queued as itself; a coalescer's flusher
+            # through ``submit``.
+            execute = submit
 
         live = AsyncExecutor(1)
         other = SubmissionPipeline(backend, live, cache=cache)

@@ -136,6 +136,23 @@ def test_a_dispatched_uncached_point_read(users, sections, backend, budget):
         assert per_read(sections, read, keys) <= budget
 
 
+@pytest.mark.parametrize("backend, budget", [("memory", 10), ("sqlite", 6)])
+def test_a_lone_coalesced_point_read(users, sections, backend, budget):
+    """The dispatched read's sections, through the coalescer: its lock
+    to queue the request and arm a flusher, the flusher's own future
+    armed, and the coalescer's lock again when the flusher takes its
+    batch of one."""
+    with users.connect(backend=backend, async_workers=1, coalesce=True) as conn:
+        keys = range(READS)
+
+        def read(key):
+            handle = conn.submit_query(SQL, (key,))
+            assert conn.fetch_result(handle).rows == [(f"user-{key}", key % 11 - 5)]
+
+        per_read(sections, read, keys)  # warm: plans, pool, the worker
+        assert per_read(sections, read, keys) <= budget
+
+
 @pytest.mark.parametrize("backend, budget", [("memory", 7), ("sqlite", 2)])
 def test_a_point_update(users, sections, backend, budget):
     """The ledger's write window, opened and closed.  Memory adds the

@@ -122,6 +122,38 @@ class TestAioConnection:
         assert age >= 0.0
 
 
+class TestLateCompletion:
+    def test_a_handle_completing_after_its_loop_closed_is_silent(self, db, caplog):
+        """A handle left un-awaited when its loop closes still completes
+        on its worker; nobody is left on the loop to count it, and
+        nothing is logged."""
+        import logging
+        import threading
+
+        conn = db.connect(async_workers=1)
+        aconn = AioConnection(conn)
+        gate = threading.Event()
+        try:
+            conn.executor.submit(gate.wait)  # the only worker
+
+            async def main():
+                aconn.submit_query("select v from t where id = ?", [4])
+
+            caplog.set_level(logging.DEBUG)
+            asyncio.run(main())
+            caplog.clear()
+            gate.set()
+            # One worker: the read and its done-callbacks ran before it
+            # took this job.
+            conn.executor.submit(lambda: None).result(timeout=5)
+            assert aconn.stats.submitted == 1
+            assert (aconn.stats.completed, aconn.stats.failed) == (0, 0)
+            assert not caplog.records
+        finally:
+            gate.set()
+            aconn.close()
+
+
 class TestCallbackModel:
     def test_as_completed_yields_every_result(self, db):
         async def main():

@@ -12,7 +12,9 @@ its implementation: the bounded prepare LRU, the admission gate, the
 execute → ``end_write``; a transaction's tables end at commit/rollback),
 batch accounting, stats and shutdown live here once.  A store supplies only
 the hooks that genuinely differ (how a statement is planned, how one
-statement / one SELECT batch / one write batch executes, what to close).
+statement / one SELECT batch executes, what to close).  A batch is one
+of two shapes: a demuxable SELECT is one demuxed execution, anything
+else runs binding by binding through the single-statement path.
 
 **One blocking surface; the server owns no threads.**  The entries —
 :meth:`Backend.execute`, :meth:`Backend.execute_prepared`,
@@ -20,13 +22,13 @@ statement / one SELECT batch / one write batch executes, what to close).
 ``profile.server_workers`` slots and run the statement *in the calling
 thread*, so a request crosses no thread boundary between the client's
 pipeline and the store.  A caller that wants several statements in
-flight at once (a write fan-out, a benchmark rung) overlaps them on its
-own client threads; the gate caps them at ``server_workers`` all the
-same.  The one Future-returning entry, ``submit_prepared``, is
-``execute_prepared`` in an already-resolved Future, kept for the
-benchmark's backend rung.  Only the public entries take a slot —
-everything they call (``_run_*``, the stale re-prepare, the per-binding
-write fallback) is private and slot-free, so nothing re-enters the gate.
+flight at once (``BatchExecutor`` spreading a write batch over the
+connection's executor, a benchmark rung) overlaps them on its own client
+threads; the gate caps them at ``server_workers`` all the same.  The one
+Future-returning entry, ``submit_prepared``, is ``execute_prepared`` in
+an already-resolved Future, kept for the benchmark's backend rung.  Only the public entries take a slot —
+everything they call (``_run_*``, the stale re-prepare, a batch's
+per-binding pass) is private and slot-free, so nothing re-enters the gate.
 
 Two stores ship today:
 
@@ -56,6 +58,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -76,6 +79,9 @@ from .ledger import Point, WriteEpochLedger, stripe_of
 #: ``aio_connect(backend=...)`` / the ``REPRO_BACKEND`` environment
 #: variable / the workload driver's ``--backend`` flag.
 BACKENDS = ("memory", "sqlite")
+
+#: The ``server.execute`` "span" of an untraced statement.
+_UNTRACED = nullcontext()
 
 
 def resolve_backend_name(backend: Optional[str] = None) -> str:
@@ -242,8 +248,6 @@ class Backend:
         _execute(prepared, params, txn, exec_span) -> QueryResult
         _execute_select_batch(prepared, bindings, txn, exec_span)
             -> List[BindingOutcome]
-        _execute_write_batch(prepared, bindings)      (optional)
-            -> List[BindingOutcome] | None
         _close()                                      (optional)
 
     (``_plan`` is the only hook that sees the AST: it compiles whatever
@@ -341,14 +345,6 @@ class Backend:
         """Answer every binding of a demuxable SELECT in one pass: one
         outcome (result or that binding's exception) per binding."""
         raise NotImplementedError
-
-    def _execute_write_batch(
-        self, prepared: PreparedStatement, bindings: List[tuple]
-    ) -> Optional[List[BindingOutcome]]:
-        """Apply an autocommit write batch in one store call, or return
-        None ("not handled") to run it per binding.  Must be all or
-        nothing: on None no binding may have been applied."""
-        return None
 
     def _close(self) -> None:
         """Release store resources once no statement is executing."""
@@ -521,8 +517,7 @@ class Backend:
         it under ``batched_calls`` / ``batched_bindings`` /
         ``scans_saved``.  Non-demuxable statements (writes, DDL) run per
         binding with full per-statement semantics, each in its own write
-        window, unless the store batches them itself
-        (:meth:`_execute_write_batch`) — all under the batch's one slot.
+        window — all under the batch's one slot.
 
         Returns one outcome per binding, in order: the binding's
         :class:`QueryResult`, or the exception that binding raised — a
@@ -565,6 +560,22 @@ class Backend:
     ) -> QueryResult:
         return self._run_prepared(self.prepare(sql), params, txn)
 
+    def _exec_span(self, prepared: PreparedStatement, span, queued_s: float, **attrs):
+        """The ``server.execute`` span under the client's ``span`` — a
+        context that records the error and ends it — or a no-op context
+        when untraced."""
+        if span is None:
+            return _UNTRACED
+        exec_span = span.child(
+            "server.execute",
+            statement_id=prepared.statement_id,
+            backend=self.backend_name,
+            **attrs,
+        )
+        if queued_s:
+            exec_span.set("queued_s", queued_s)
+        return exec_span
+
     def _run_prepared(
         self,
         prepared: PreparedStatement,
@@ -573,26 +584,10 @@ class Backend:
         span=None,
         queued_s: float = 0.0,
     ) -> QueryResult:
-        exec_span = (
-            span.child(
-                "server.execute",
-                statement_id=prepared.statement_id,
-                backend=self.backend_name,
-            )
-            if span is not None
-            else None
-        )
-        if queued_s and exec_span is not None:
-            exec_span.set("queued_s", queued_s)
-        try:
+        if span is None:  # untraced: the hot path enters no context
+            return self._execute_prepared(prepared, params, txn)
+        with self._exec_span(prepared, span, queued_s) as exec_span:
             return self._execute_prepared(prepared, params, txn, exec_span)
-        except BaseException as exc:
-            if exec_span is not None:
-                exec_span.set("error", repr(exc))
-            raise
-        finally:
-            if exec_span is not None:
-                exec_span.end()
 
     def _execute_prepared(
         self,
@@ -659,21 +654,25 @@ class Backend:
         if prepared.catalog_version != self._catalog_version:
             prepared = self.prepare(prepared.sql)
         if not prepared.demuxable:
-            return self._run_write_batch(prepared, bindings, txn, span, queued_s)
-        exec_span = (
-            span.child(
-                "server.execute",
-                statement_id=prepared.statement_id,
-                backend=self.backend_name,
-                demux=True,
-                bindings=len(bindings),
-            )
-            if span is not None
-            else None
-        )
-        if queued_s and exec_span is not None:
-            exec_span.set("queued_s", queued_s)
-        try:
+            # Writes and DDL run per binding, each with the exact
+            # single-statement semantics (stats, locks, write window, undo
+            # recording) and its own server.execute span under the batch's
+            # dispatch span (all waited at the gate together: each carries
+            # the wait) — only the transport batched.  ``_run_prepared``,
+            # never the public entry, which would wait on the slot its
+            # caller holds.
+            outcomes: List[BindingOutcome] = []
+            for binding in bindings:
+                try:
+                    outcomes.append(
+                        self._run_prepared(prepared, binding, txn, span, queued_s)
+                    )
+                except Exception as exc:
+                    outcomes.append(exc)
+            return outcomes
+        with self._exec_span(
+            prepared, span, queued_s, demux=True, bindings=len(bindings)
+        ) as exec_span:
             if txn is not None:
                 self._lock_for_txn(txn, prepared)
             self._note_active()
@@ -685,64 +684,6 @@ class Backend:
                 self.stats.batched_bindings += len(bindings)
                 self.stats.scans_saved += len(bindings) - 1
             return outcomes
-        except BaseException as exc:
-            if exec_span is not None:
-                exec_span.set("error", repr(exc))
-            raise
-        finally:
-            if exec_span is not None:
-                exec_span.end()
-
-    def _run_write_batch(
-        self,
-        prepared: PreparedStatement,
-        bindings: List[tuple],
-        txn: Optional[Transaction],
-        span,
-        queued_s: float = 0.0,
-    ) -> List[BindingOutcome]:
-        """A non-demuxable batch (writes, DDL)."""
-        if txn is None:
-            # The store may apply an autocommit batch in one call, inside
-            # one write window over the union of its bindings' footprints
-            # — the whole table if any binding has none.  (A store that
-            # declines costs empty windows on scopes the per-binding pass
-            # below moves anyway.)  Transactional batches always run per
-            # binding so each keeps its lock semantics.
-            table = prepared.table
-            points = {prepared.point(binding) for binding in bindings}
-            if None in points:
-                points = {None}
-            for point in points:
-                self.ledger.begin_write(table, point)
-            try:
-                outcomes = self._execute_write_batch(prepared, bindings)
-            finally:
-                for point in points:
-                    self.ledger.end_write(table, True, point)
-            if outcomes is not None:
-                applied = sum(
-                    not isinstance(outcome, BaseException)
-                    for outcome in outcomes
-                )
-                self.stats.executed(applied, applied)
-                return outcomes
-        # Per-binding fallback: each binding keeps the exact
-        # single-statement semantics (stats, locks, write window, undo
-        # recording) — only the transport batched.  Each binding hangs
-        # its own server.execute span under the batch's dispatch span
-        # (all waited at the gate together: each carries the wait), and
-        # runs under the batch's slot — ``_run_prepared``, never the
-        # public entry, which would wait on the slot its caller holds.
-        outcomes = []
-        for binding in bindings:
-            try:
-                outcomes.append(
-                    self._run_prepared(prepared, binding, txn, span, queued_s)
-                )
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
 
     def _lock_for_txn(self, txn: Transaction, prepared: PreparedStatement) -> None:
         """Acquire the statement's table lock under strict 2PL."""

@@ -46,9 +46,9 @@ Design notes:
   cache-consistency protocol is the in-memory one by construction.
 * **Set-oriented dispatch maps to SQL.**  A coalesced batch over a
   ``col = ?`` SELECT executes once as ``WHERE col IN (...)`` and is
-  demultiplexed per binding; INSERT batches go through ``executemany``
-  under a savepoint (declining to per-binding execution to preserve
-  per-slot fault isolation).
+  demultiplexed per binding; a binding whose key cannot join the list
+  runs alone, so it fails (or answers) exactly as it would unbatched.
+  A write batch runs binding by binding through the inherited path.
 """
 
 from __future__ import annotations
@@ -66,14 +66,12 @@ from ..db.disk import SimulatedDisk
 from ..db.errors import (
     ConstraintError,
     DatabaseError,
-    ParamCountError,
     TransactionTimeoutError,
     TypeMismatchError,
 )
 from ..db.latency import INSTANT, LatencyMeter, LatencyProfile
 from ..db.plan import (
     BindingOutcome,
-    InsertPlan,
     Planner,
     QueryResult,
     check_params,
@@ -98,6 +96,28 @@ from .dialect import (
     translate_point_batch,
     translate_statement,
 )
+
+
+#: Bounds of the integers sqlite binds (anything wider overflows).
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _in_list_key(binding: tuple) -> bool:
+    """May the binding's key join the batch's ``IN (...)`` list?  Only a
+    lone value sqlite binds as itself and a dict can hold: an int that
+    fits 64 bits, a float, bytes, a str that encodes (an ASCII or a
+    printable one — a lone surrogate is neither), or NULL (which, as
+    ``= NULL`` alone, matches nothing).  Anything else — the wrong
+    arity, a list, a tuple, a wide int — runs alone."""
+    if len(binding) != 1:
+        return False
+    key = binding[0]
+    kind = type(key)
+    if kind is int:
+        return key in _INT64
+    if kind is str:
+        return key.isascii() or key.isprintable()
+    return kind is float or kind is bytes or key is None
 
 
 class _SqliteTransactionManager(TransactionManager):
@@ -403,31 +423,11 @@ class SqliteBackend(Backend):
             exec_span.set(
                 "strategy", "scan" if batch_sql is not None else "probe"
             )
-        if batch_sql is not None:
-            return self._demux_via_in(
-                prepared.plan, batch_sql, key_position, bindings, txn
-            )
-        outcomes: List[BindingOutcome] = []
-        for binding in bindings:
-            try:
-                outcomes.append(self._execute(prepared, binding, txn, None))
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
-
-    def _demux_via_in(
-        self,
-        plan,
-        batch_sql: str,
-        key_position: int,
-        bindings: List[tuple],
-        txn: Optional[Transaction],
-    ) -> List[BindingOutcome]:
+        if batch_sql is None:
+            return [self._alone(prepared, binding, txn) for binding in bindings]
         keys = list(
             dict.fromkeys(
-                binding[0]
-                for binding in bindings
-                if len(binding) == 1 and binding[0] is not None
+                binding[0] for binding in bindings if _in_list_key(binding)
             )
         )
         rows: List[tuple] = []
@@ -437,64 +437,32 @@ class SqliteBackend(Backend):
                 txn,
                 lambda connection: connection.execute(sql, keys).fetchall(),
             )
-        columns = plan.output_names
+        columns = prepared.plan.output_names
         # A non-``*`` row carries the key as an extra trailing column,
         # stripped before rows reach the client.
         width = len(columns)
         by_key: Dict[Any, List[tuple]] = {}
         for row in rows:
             by_key.setdefault(row[key_position], []).append(row[:width])
-        # (A NULL binding finds nothing: IN never returns a NULL key.)
         return [
             QueryResult(columns=columns, rows=list(by_key.get(binding[0], ())))
-            if len(binding) == 1
-            else ParamCountError(1, len(binding))
+            if _in_list_key(binding)
+            else self._alone(prepared, binding, txn)
             for binding in bindings
         ]
 
-    def _execute_write_batch(
-        self, prepared: PreparedStatement, bindings: List[tuple]
-    ) -> Optional[List[BindingOutcome]]:
-        """INSERT batches map to ``executemany`` under a savepoint.
-
-        Rows that fail evaluation/coercion fault only their own slot;
-        the remaining rows insert in one DB-API call.  A constraint
-        violation inside ``executemany`` rolls the savepoint back and
-        returns None — the caller re-runs per binding so the failing
-        row (and only it) carries the error.
-        """
-        plan = prepared.plan
-        if not isinstance(plan, InsertPlan):
-            return None
-        _runner, sql = prepared.translated
-        outcomes: List[BindingOutcome] = []
-        rows: List[tuple] = []
-        for binding in bindings:
-            try:
-                rows.append(plan.row(binding, None))
-                outcomes.append(QueryResult(rowcount=1))
-            except Exception as exc:
-                outcomes.append(exc)
-
-        def run(connection):
-            connection.execute("SAVEPOINT repro_batch")
-            try:
-                connection.executemany(sql, rows)
-            except sqlite3.Error:
-                connection.execute("ROLLBACK TO repro_batch")
-                connection.execute("RELEASE repro_batch")
-                return False
-            connection.execute("RELEASE repro_batch")
-            return True
-
-        if rows:
-            try:
-                inserted = self._run_sqlite(None, run)
-            except Exception:
-                inserted = False
-            if not inserted:
-                return None
-        return outcomes
+    def _alone(
+        self,
+        prepared: PreparedStatement,
+        binding: tuple,
+        txn: Optional[Transaction],
+    ) -> BindingOutcome:
+        """One binding of a batch run as its own statement: its result,
+        or the exception it raised."""
+        try:
+            return self._execute(prepared, binding, txn, None)
+        except Exception as exc:
+            return exc
 
     # ------------------------------------------------------------------
     # schema mirroring (Database replicates out-of-band DDL/loads here)

@@ -13,25 +13,25 @@ a plain dispatch — then hands every outcome to
 object, the pipeline it dispatches for — see
 :mod:`repro.core.submission` for where it sits in the lifecycle.
 
-Flusher tasks are armed **by need**, not per binding: beside each batch
-key's FIFO the coalescer counts the flushers it has queued that have
-not run yet, and queues another only when the FIFO has outgrown what
-those will drain.  The invariant, for every key, always:
+Flushers are armed **by need**, not per binding.  A batch key's
+:class:`_Group` — its FIFO and the count of flushers queued for it that
+have not run yet — is itself the executor job: queuing it once more
+arms one more flusher, and a worker that runs it drains that group and
+no other.  The coalescer queues the group again only when the FIFO has
+outgrown what the flushers already queued will drain, and a group leaves
+the table only when its FIFO is empty and no flusher of it is queued.
+The invariant, for every group, always:
 
-    outstanding flusher tasks × window ≥ queued entries
+    outstanding flushers × window ≥ queued entries
 
-A flusher left over from a group that emptied may run against the
-key's next group and make its count *under*-read the tasks really
-outstanding — which arms one flusher too many, never one too few — so
-no entry is ever stranded, and a burst of N submits costs ⌈N / window⌉
-executor tasks instead of N.
+so no entry is ever stranded, and a burst of N submits costs
+⌈N / window⌉ executor jobs instead of N.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from ..backends.base import PreparedStatement
@@ -42,13 +42,21 @@ if TYPE_CHECKING:  # pragma: no cover - the runtime import runs the other way
 
 class _Group:
     """One batch key's FIFO of queued requests and the number of
-    flusher tasks armed for it that have not run yet."""
+    flushers armed for it that have not run yet — and the executor job
+    that is one of those flushers."""
 
-    __slots__ = ("queue", "flushers")
+    __slots__ = ("coalescer", "key", "queue", "flushers")
 
-    def __init__(self) -> None:
+    def __init__(self, coalescer: "DispatchCoalescer", key: tuple) -> None:
+        self.coalescer = coalescer
+        self.key = key
         self.queue: Deque["SqlRequest"] = deque()
         self.flushers = 0
+
+    def run(self) -> None:
+        """One flusher: answer up to ``window`` of this group's requests
+        with one round trip."""
+        self.coalescer._flush(self)
 
 
 class DispatchCoalescer:
@@ -60,7 +68,7 @@ class DispatchCoalescer:
     submit loop, or a burst of speculative lifts, produces — executing
     them one per worker pays N round trips and N per-statement server
     costs.  The coalescer instead queues each submit's request keyed
-    by ``statement_id`` and keeps enough *flusher* tasks
+    by ``statement_id`` and keeps enough *flushers*
     queued to drain them (see the module docstring's invariant);
     whichever flusher runs first drains up to ``window`` entries and
     answers them with a single :meth:`Backend.execute_prepared_batch`
@@ -107,8 +115,8 @@ class DispatchCoalescer:
         self._window = window
         self._lock = threading.Lock()
         #: (backend identity, statement_id) -> the key's :class:`_Group`
-        #: (deleted when its FIFO empties).  Statement ids are
-        #: per-backend counters, so
+        #: (deleted when its FIFO is empty and no flusher of it is
+        #: queued).  Statement ids are per-backend counters, so
         #: the id alone would collide across two live backends and merge
         #: different statements — or the same text bound for different
         #: stores — into one batch; the backend identity in the key
@@ -129,7 +137,7 @@ class DispatchCoalescer:
     # ------------------------------------------------------------------
     def enqueue(self, request: "SqlRequest") -> None:
         """:meth:`SubmissionPipeline.start` for a coalescable read:
-        queue the request — and a flusher task, if the ones already
+        queue the request — and a flusher, if the ones already
         outstanding will not reach it."""
         # Every submit still pays the executor hand-off overhead in the
         # submitting thread, exactly like the executor-task dispatch.
@@ -142,33 +150,29 @@ class DispatchCoalescer:
         with self._lock:
             group = self._pending.get(batch_key)
             if group is None:
-                group = self._pending[batch_key] = _Group()
+                group = self._pending[batch_key] = _Group(self, batch_key)
             group.queue.append(request)
             arm = len(group.queue) > group.flushers * self._window
             if arm:
                 group.flushers += 1
         if arm:
             try:
-                self._pipeline.executor.submit(partial(self._flush, batch_key))
+                self._pipeline.executor.execute(group)
             except BaseException as exc:
                 # Never strand anyone — this request's single-flight
                 # followers, or one that counted on this flusher — on a
-                # task that could not be queued.
-                for orphan in self._claim(self._disarm(batch_key, group, request)):
+                # flusher that could not be queued.
+                for orphan in self._claim(self._disarm(group, request)):
                     self._pipeline.settle(orphan, exc)
                 raise
 
-    def _disarm(
-        self, batch_key: tuple, group: _Group, request: "SqlRequest"
-    ) -> List["SqlRequest"]:
+    def _disarm(self, group: _Group, request: "SqlRequest") -> List["SqlRequest"]:
         """Take back the flusher ``request`` armed but could not queue;
         returns the requests no outstanding flusher covers any more:
         ``request`` itself unless a concurrent flusher already claimed
         it, and any enqueued meanwhile on the strength of the lost one."""
         with self._lock:
-            if self._pending.get(batch_key) is not group:
-                return []  # the group drained: every request was claimed
-            group.flushers = max(group.flushers - 1, 0)
+            group.flushers -= 1
             queue = group.queue
             orphans: List["SqlRequest"] = []
             try:
@@ -178,18 +182,17 @@ class DispatchCoalescer:
                 pass
             while len(queue) > group.flushers * self._window:
                 orphans.append(queue.pop())
-            if not queue:
-                del self._pending[batch_key]
+            self._retire(group)
             return orphans
 
     # ------------------------------------------------------------------
     # flushing (runs on executor workers)
     # ------------------------------------------------------------------
-    def _flush(self, batch_key: tuple) -> None:
-        """Drain up to ``window`` requests of the key and answer them
+    def _flush(self, group: _Group) -> None:
+        """Drain up to ``window`` requests of ``group`` and answer them
         with one round trip."""
         pipeline = self._pipeline
-        live = self._claim(self._take(batch_key))
+        live = self._claim(self._take(group))
         if not live:
             return
         for request in live:
@@ -206,20 +209,20 @@ class DispatchCoalescer:
         for request, outcome in zip(live, outcomes):
             pipeline.settle(request, outcome)
 
-    def _take(self, batch_key: tuple) -> List["SqlRequest"]:
+    def _take(self, group: _Group) -> List["SqlRequest"]:
         with self._lock:
-            group = self._pending.get(batch_key)
-            if group is None:
-                return []
-            # This flusher is no longer outstanding.  Clamped: it may
-            # have been armed for an earlier group of the same key.
-            group.flushers = max(group.flushers - 1, 0)
+            group.flushers -= 1  # this flusher is no longer outstanding
             queue = group.queue
             count = min(len(queue), self._window)
             batch = [queue.popleft() for _ in range(count)]
-            if not queue:
-                del self._pending[batch_key]
+            self._retire(group)
             return batch
+
+    def _retire(self, group: _Group) -> None:
+        """Drop ``group`` from the table once nothing is queued in it and
+        no flusher of it is outstanding (lock held)."""
+        if not group.queue and not group.flushers:
+            del self._pending[group.key]
 
     def _claim(self, requests: List["SqlRequest"]) -> List["SqlRequest"]:
         """The requests still wanted: those whose claim this flusher

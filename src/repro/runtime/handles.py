@@ -95,8 +95,8 @@ def resolved_future(value: Any) -> RequestFuture:
 
 
 def completed_handle(value: Any) -> QueryHandle:
-    """A handle that is already resolved (used by tests and by the
-    synchronous fallback path of the transformed code)."""
+    """A handle that is already resolved.  Nothing under ``src/`` calls
+    it: the test helpers' eager fake connection returns one per submit."""
     return QueryHandle(resolved_future(value))
 
 

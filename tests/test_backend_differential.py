@@ -627,8 +627,8 @@ class TestBatchDifferential:
     @given(rows=rows_strategy, keys=st.lists(values, min_size=1, max_size=6))
     @settings(max_examples=8, deadline=None)
     def test_non_demuxable_batch_agrees(self, rows, keys):
-        # INSERT batches: executemany on sqlite, per-binding on memory —
-        # same outcomes, same final state.
+        # INSERT batches run per binding on both stores — same outcomes,
+        # same final state.
         db = fresh_db(rows)
         try:
             bindings = [(1000 + i, key) for i, key in enumerate(keys)]

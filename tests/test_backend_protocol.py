@@ -223,37 +223,19 @@ class TestWriteOrdering:
         outcomes = backend.execute_prepared_batch(prepared, [(1,), (2,)])
         assert [outcome.rowcount for outcome in outcomes] == [1, 1]
         window = [("begin_write", "t"), "execute", ("end_write", "t", True)]
-        # The store declined the batch (an empty window), so every
-        # binding ran inside its own.
-        assert drain(backend) == window[::2] + window + window
-
-    def test_keyed_write_batch_window_is_the_union_of_its_points(self, backend):
-        """A batch the store declines costs empty windows only on the
-        scopes its per-binding pass moves anyway; one binding without a
-        point makes the batch's window table-wide."""
-        prepared = backend.prepare(KEYED_UPDATE)
-        backend.execute_prepared_batch(prepared, [(1, 7), (2, 8), (3, 7)])
-        events = drain(backend)
-        batch, per_binding = events[:4], events[4:]
-        assert sorted(batch[:2]) == sorted(
-            ("begin_write", "t", point(key)) for key in (7, 8)
-        )
-        assert sorted(batch[2:]) == sorted(
-            ("end_write", "t", True, point(key)) for key in (7, 8)
-        )
-        assert per_binding == [
+        # Every binding runs inside its own window, and the batch opens
+        # none of its own.
+        assert drain(backend) == window + window
+        keyed = backend.prepare(KEYED_UPDATE)
+        backend.execute_prepared_batch(keyed, [(1, 7), (2, 8)])
+        assert drain(backend) == [
             event
-            for key in (7, 8, 7)
+            for key in (7, 8)
             for event in (
                 ("begin_write", "t", point(key)),
                 "execute",
                 ("end_write", "t", True, point(key)),
             )
-        ]
-        backend.execute_prepared_batch(prepared, [(1, 7), (2, "8")])
-        assert drain(backend)[:2] == [
-            ("begin_write", "t"),
-            ("end_write", "t", True),
         ]
 
     def test_out_of_band_ddl_is_a_window_on_every_table(self, backend):

@@ -2,13 +2,13 @@
 
 import random
 import threading
-from concurrent.futures import CancelledError, Future, wait
+from concurrent.futures import CancelledError, wait
 
 import pytest
 
 from repro.core.submission import SubmissionPipeline
 from repro.db import Database, INSTANT
-from repro.db.errors import ParamCountError
+from repro.db.errors import DatabaseError, ParamCountError
 from repro.prefetch.cache import ResultCache
 from tests.helpers import cache_outcome, reference_select
 
@@ -161,6 +161,24 @@ class TestFaultIsolation:
             conn.fetch_result(bad)
         assert conn.fetch_result(good2).scalar() == 10
         # All three still travelled in one batch.
+        assert conn.stats.coalesced_batches == 1
+        assert conn.stats.coalesced_queries == 3
+        conn.close()
+
+    def test_unbindable_key_faults_only_its_handle_on_sqlite(self, grouped):
+        """The coalesced batch is one ``WHERE a IN (...)`` on sqlite; a
+        key sqlite cannot bind fails its own handle as an unbatched read
+        would, not the whole batch."""
+        grouped.create_index("t_a", "t", "a")
+        sql = "SELECT grp FROM t WHERE a = ?"
+        conn = grouped.connect(backend="sqlite", async_workers=1, coalesce=True)
+        gate = hold_worker(conn)
+        handles = [conn.submit_query(sql, [key]) for key in (1, [2], 3)]
+        gate.set()
+        assert conn.fetch_result(handles[0]).scalar() == 1
+        with pytest.raises(DatabaseError, match="binding parameter"):
+            conn.fetch_result(handles[1])
+        assert conn.fetch_result(handles[2]).scalar() == 3
         assert conn.stats.coalesced_batches == 1
         assert conn.stats.coalesced_queries == 3
         conn.close()
@@ -455,9 +473,9 @@ class TestBackendIdentity:
 
 
 class HandDrivenExecutor:
-    """An executor whose queued tasks run only when the test says so,
+    """An executor whose queued jobs run only when the test says so,
     in the order the test picks — and which can be told to refuse the
-    n-th task (optionally doing something first, standing in for a
+    n-th job (optionally doing something first, standing in for a
     thread that slips in before the refusal is unwound)."""
 
     def __init__(self):
@@ -466,14 +484,13 @@ class HandDrivenExecutor:
         self.refuse_at = None
         self.before_refusing = None
 
-    def submit(self, task):
+    def execute(self, job):
         self.submitted += 1
         if self.submitted == self.refuse_at:
             if self.before_refusing is not None:
                 self.before_refusing()
             raise RuntimeError("executor refused the task")
-        self.tasks.append(task)
-        return Future()
+        self.tasks.append(job.run)
 
     def run_one(self, rng):
         self.tasks.pop(rng.randrange(len(self.tasks)))()

@@ -308,6 +308,58 @@ class TestRequestPathOwners:
         }
         assert classes == {"_Group", "DispatchCoalescer"}
 
+    def test_flushers_and_requests_are_jobs(self):
+        """Nothing under ``core/`` wraps work in an executor task: a
+        request and a coalescer's flusher (its batch key's group) are
+        queued as themselves with ``executor.execute``."""
+        for package_of_file, function in functions("core"):
+            for call in calls_of(function, "submit"):
+                owner = call.func.value
+                name = owner.attr if isinstance(owner, ast.Attribute) else getattr(
+                    owner, "id", None
+                )
+                assert name != "executor", (
+                    f"{package_of_file}: {function.name} calls executor.submit "
+                    f"at line {call.lineno}"
+                )
+
+    def test_the_only_store_batch_hook_is_the_select_batch(self):
+        """A store answers a batch as one demuxed SELECT or as its
+        bindings one by one through the single-statement path: no
+        ``Backend`` class under ``src/`` defines another batch hook, and
+        ``Backend`` has one batch body."""
+        from repro.backends.base import Backend
+
+        backends = {"Backend"}
+        hooks = {}
+        for _pass in range(2):  # a subclass may precede its base
+            for _package_of_file, tree in modules("."):
+                for node in ast.walk(tree):
+                    if not isinstance(node, ast.ClassDef):
+                        continue
+                    bases = {
+                        base.attr if isinstance(base, ast.Attribute) else base.id
+                        for base in node.bases
+                        if isinstance(base, (ast.Attribute, ast.Name))
+                    }
+                    if node.name in backends or bases & backends:
+                        backends.add(node.name)
+                        hooks[node.name] = {
+                            item.name
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and item.name.startswith("_")
+                            and "batch" in item.name
+                        }
+        assert {"Backend", "DatabaseServer", "SqliteBackend"} <= backends
+        for owner, names in hooks.items():
+            allowed = {"_execute_select_batch"}
+            if owner == "Backend":
+                allowed.add("_run_prepared_batch")
+            assert names <= allowed, f"{owner} defines {sorted(names - allowed)}"
+        bodies = [name for name in vars(Backend) if name.startswith("_run_")]
+        assert [name for name in bodies if "batch" in name] == ["_run_prepared_batch"]
+
     @pytest.mark.parametrize("module", ["core/calls", "core/submission"])
     def test_no_function_object_per_request(self, module):
         """Nothing ``execute`` / ``submit`` / ``speculate`` runs through
@@ -409,15 +461,12 @@ class TestRequestPathOwners:
         followers = []
 
         class Refusing:
-            def submit(self, task):
-                # A second pipeline on the same cache joins the flight
-                # before the refusal is unwound.
+            def execute(self, job):
+                # A request and a coalescer's flusher are both queued as
+                # themselves.  A second pipeline on the same cache joins
+                # the flight before the refusal is unwound.
                 followers.append(other.submit(sql, (3,)))
                 raise RuntimeError("executor refused the task")
-
-            # A request is queued as itself; a coalescer's flusher
-            # through ``submit``.
-            execute = submit
 
         live = AsyncExecutor(1)
         other = SubmissionPipeline(backend, live, cache=cache)
@@ -678,6 +727,27 @@ class K:
 '''
     # import, class, x = ( / 1, / ), def, return (two physical lines)
     assert sloc.count_code_lines(source) == 8
+
+
+def test_traffic_reports_what_a_command_entered():
+    """``tools/traffic.py`` is how "which code does real traffic reach"
+    is measured: a function the traced command ran is reported reached,
+    one it never entered unreached."""
+    import importlib.util
+
+    path = SRC.parent.parent / "tools" / "traffic.py"
+    spec = importlib.util.spec_from_file_location("traffic", path)
+    traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traffic)
+    reached, failed = traffic.trace(
+        [("-c", "from repro.db import Database\nDatabase().close()")]
+    )
+    assert failed == []
+    missing = traffic.unreached(reached)
+    assert "Database.__init__" not in missing["repro.db.database"]
+    assert "Database.connect" in missing["repro.db.database"]
+    assert "SqliteBackend._run_update" in missing["repro.backends.sqlite"]
+    assert "repro.transform.engine" in missing  # nothing of it ran
 
 
 #: Where a definition under ``src/`` may be referenced from.

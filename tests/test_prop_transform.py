@@ -147,12 +147,24 @@ def drawn(examples):
     )
 
 
+#: The transform option mixes every random program is checked under:
+#: the default, no reordering (Section IV off), prefetch insertion, and
+#: prefetch with the unguarded speculative lift.
+OPTION_MIXES = [
+    pytest.param({}, id="default"),
+    pytest.param({"reorder": False}, id="no-reorder"),
+    pytest.param({"prefetch": True}, id="prefetch"),
+    pytest.param({"prefetch": True, "speculate": True}, id="speculate"),
+]
+
+
 class TestRandomPrograms:
+    @pytest.mark.parametrize("options", OPTION_MIXES)
     @given(statements=loop_statements(), n=st.integers(min_value=0, max_value=12))
     @drawn(120)
-    def test_equivalence(self, statements, n):
+    def test_equivalence(self, options, statements, n):
         source = build_program(statements)
-        result = asyncify_source(source)
+        result = asyncify_source(source, **options)
         conn_a = FakeConnection()
         conn_b = FakeConnection()
         out_a = run(source, conn_a, n)

@@ -182,6 +182,48 @@ class TestFaultIsolationAndFallback:
         assert outcomes[0].scalar() == 10
 
 
+class TestUnbindableKeyFaultsOnlyItsBinding:
+    """A point-lookup batch whose keys include one the store cannot take
+    (a list, a tuple, an int wider than 64 bits, a lone surrogate): that
+    binding fails exactly as it would alone, and the rest are answered —
+    on sqlite still by the one ``WHERE id IN (...)`` statement."""
+
+    SQL = "SELECT v FROM kv WHERE id = ?"
+
+    @pytest.fixture
+    def kv(self, db):
+        db.create_table("kv", ("id", "int"), ("v", "text"))
+        db.bulk_load("kv", [(i, f"v{i}") for i in range(5)])
+        db.create_index("kv_id", "kv", "id")
+        return db
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("bad", [[2], (2,), 1 << 70, "\ud800"], ids=repr)
+    def test_bad_key_gets_its_own_error(self, kv, backend, bad):
+        store = kv.backend(backend)
+        prepared = store.prepare(self.SQL)
+        try:
+            alone = store.execute_prepared(prepared, (bad,))
+        except Exception as exc:
+            alone = exc
+        statements = []
+        if backend == "sqlite":
+            for connection in store._connections:
+                connection.set_trace_callback(statements.append)
+        first, middle, last = store.execute_prepared_batch(
+            prepared, [(1,), (bad,), (3,)]
+        )
+        assert first.rows == [("v1",)]
+        assert last.rows == [("v3",)]
+        if isinstance(alone, Exception):
+            assert type(middle) is type(alone)
+            assert str(middle) == str(alone)
+        else:
+            assert middle.rows == alone.rows
+        if backend == "sqlite":
+            (in_list,) = [sql for sql in statements if " IN (" in sql]
+            assert "1, 3)" in in_list
+
 class TestPreparedLru:
     def _server(self, db, cap):
         db.server.max_prepared = cap

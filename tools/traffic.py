@@ -1,0 +1,203 @@
+#!/usr/bin/env python3
+"""Which functions under ``src/repro`` does real traffic reach?
+
+    python tools/traffic.py            # run every traffic command, list what none entered
+    python tools/traffic.py --list     # only print the commands
+
+A function-level call trace that makes "did we verify or guess the
+traffic?" reproducible.  ``sys.setprofile`` and ``threading.setprofile``
+record every Python function entered while each traffic command runs in
+this process, through ``runpy`` (as ``python -m ...`` or ``python
+file.py`` would run it).  Then every function defined under
+``src/repro`` that no command entered is printed, grouped by module.
+Tests are not traffic: a function only the test suite calls is listed.
+
+The traffic: the repo benchmark (every workload of ``BENCHMARK.json``,
+its layers pass at ``--seconds 1``), the figure smoke, the load-driver
+lines CI runs, every example, and the transform CLI under its main
+options.  Everything they write (perfbench results and traces, bench
+JSON, the sqlite stores' scratch files) goes to a temporary directory
+that is removed at exit: nothing lands in the checkout.  A full run
+takes a few minutes; it exits 1 if a command failed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import json
+import os
+import runpy
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+#: ``python -m repro workload run`` as CI's load-driver smoke runs it.
+WORKLOAD_RUNS = (
+    "--mode closed -c 4 -d 2 --read-pct 90 --coalesce --users 400 --quiet"
+    " --slo p99=2.0 --slo write:p99=2.0",
+    "--mode open --rate 120 -d 2 --read-pct 80 --detail-pct 20 --speculate"
+    " --coalesce --users 400 --quiet --slo p99=2.0 --csv bench-out/workload.csv",
+    "--mode closed -c 4 -d 2 --read-pct 90 --coalesce --backend sqlite"
+    " --users 400 --quiet --slo p99=2.0 --slo write:p99=2.0",
+)
+
+#: The transform CLI's option sets, each run over the quickstart example.
+CLI_OPTIONS = (
+    ("--report",),
+    ("--analyze",),
+    ("--prefetch", "--speculate"),
+    ("--window", "8", "--no-reorder", "--commuting-updates"),
+)
+
+
+def commands() -> List[Tuple[str, ...]]:
+    """Every traffic command, as the arguments after ``python``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs: List[Tuple[str, ...]] = [
+        ("-m", "perfbench", "run", "--workload", workload["name"],
+         "--seconds", "1", "--trace", "1")
+        for workload in spec["workloads"]
+    ]
+    runs.append((str(ROOT / "tools" / "bench_smoke.py"), "--figures"))
+    runs += [("-m", "repro", "workload", "run", *line.split()) for line in WORKLOAD_RUNS]
+    runs += [(str(path),) for path in sorted((ROOT / "examples").glob("*.py"))]
+    quickstart = str(ROOT / "examples" / "quickstart.py")
+    runs += [("-m", "repro", quickstart, *options) for options in CLI_OPTIONS]
+    return runs
+
+
+def _run(argv: Sequence[str]) -> None:
+    """Run ``python *argv`` in this process."""
+    if argv[0] == "-m":
+        sys.argv = [argv[1], *argv[2:]]
+        runpy.run_module(argv[1], run_name="__main__", alter_sys=True)
+    elif argv[0] == "-c":
+        sys.argv = ["-c", *argv[2:]]
+        exec(compile(argv[1], "<traffic>", "exec"), {"__name__": "__main__"})
+    else:
+        sys.argv = list(argv)
+        runpy.run_path(argv[0], run_name="__main__")
+
+
+def trace(runs: Iterable[Sequence[str]]) -> Tuple[Set[Tuple[str, int]], List[str]]:
+    """Run every command under the call trace, in a temporary working
+    directory; returns ``(reached, failed)``: the ``(file, first line)``
+    of every code object entered, and the commands that exited non-zero
+    or raised."""
+    codes: Set[object] = set()
+    tracing = [True]  # a thread a command left running stops recording
+
+    def profile(frame, event, _arg):
+        if event == "call" and tracing[0]:
+            codes.add(frame.f_code)
+
+    failed: List[str] = []
+    saved = (os.getcwd(), sys.argv, dict(os.environ), tempfile.tempdir, list(sys.path))
+    with tempfile.TemporaryDirectory(prefix="repro-traffic-") as scratch:
+        os.chdir(scratch)
+        os.environ["REPRO_BENCH_OUT"] = os.path.join(scratch, "bench-out")
+        sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+        import perfbench
+
+        # perfbench writes its results, traces and sqlite stores here.
+        out, perfbench.OUT = perfbench.OUT, Path(scratch) / "perfbench"
+        try:
+            for argv in runs:
+                shown = " ".join(argv).replace(f"{ROOT}{os.sep}", "")
+                started = time.perf_counter()
+                tempfile.tempdir = scratch
+                threading.setprofile(profile)
+                sys.setprofile(profile)
+                try:
+                    with open("output.log", "a") as output, contextlib.redirect_stdout(
+                        output
+                    ), contextlib.redirect_stderr(output):
+                        _run(argv)
+                except SystemExit as exit_:
+                    if exit_.code not in (None, 0):
+                        failed.append(f"{shown} (exit {exit_.code})")
+                except Exception as exc:  # reported, not fatal
+                    failed.append(f"{shown} ({type(exc).__name__}: {exc})")
+                finally:
+                    sys.setprofile(None)
+                    threading.setprofile(None)
+                elapsed = time.perf_counter() - started
+                print(f"traffic: {shown}  ({elapsed:.1f} s)", file=sys.stderr)
+        finally:
+            tracing[0] = False
+            perfbench.OUT = out
+            cwd, sys.argv, environ, tempfile.tempdir, sys.path[:] = saved
+            os.environ.clear()
+            os.environ.update(environ)
+            os.chdir(cwd)
+    reached = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in codes}
+    return reached, failed
+
+
+def defined(src: Path = SRC) -> Dict[Tuple[str, int], Tuple[str, str]]:
+    """``(file, first line) -> (module, qualified name)`` for every
+    function under ``src``; the first line is the one its code object
+    reports, a decorated function's first decorator."""
+    functions: Dict[Tuple[str, int], Tuple[str, str]] = {}
+    for path in sorted(src.rglob("*.py")):
+        parts = ("repro",) + path.relative_to(src).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        filename = os.path.realpath(path)
+
+        def visit(node: ast.AST, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    functions[(filename, line)] = (module, prefix + child.name)
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(path.read_text()), "")
+    return functions
+
+
+def unreached(reached: Set[Tuple[str, int]], src: Path = SRC) -> Dict[str, List[str]]:
+    """Module -> the qualified names of its functions not in ``reached``."""
+    modules: Dict[str, List[str]] = {}
+    for key, (module, name) in defined(src).items():
+        if key not in reached:
+            modules.setdefault(module, []).append(name)
+    return modules
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--list", action="store_true", help="print the commands and exit")
+    args = parser.parse_args(argv)
+    runs = commands()
+    if args.list:
+        for run in runs:
+            print("python", " ".join(run).replace(f"{ROOT}{os.sep}", ""))
+        return 0
+    reached, failed = trace(runs)
+    missing = unreached(reached)
+    for module in sorted(missing):
+        print(module)
+        for name in missing[module]:
+            print(f"    {name}")
+    total = len(defined())
+    count = sum(len(names) for names in missing.values())
+    print(f"{count} of {total} functions under src/repro entered by no traffic command")
+    for command in failed:
+        print(f"traffic: FAILED {command}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -59,7 +59,7 @@ import sqlite3
 import tempfile
 import threading
 import weakref
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..db.catalog import Catalog
 from ..db.disk import SimulatedDisk
@@ -84,7 +84,7 @@ from ..db.sql.ast_nodes import (
     UpdateStmt,
 )
 from ..db.txn import Transaction, TransactionManager
-from ..db.types import Schema
+from ..db.types import Row, Schema
 from .base import Backend, PreparedStatement
 from .dialect import (
     NAMED,
@@ -118,6 +118,20 @@ def _in_list_key(binding: tuple) -> bool:
     if kind is str:
         return key.isascii() or key.isprintable()
     return kind is float or kind is bytes or key is None
+
+
+def _never_stored(key) -> bool:
+    """Is ``key`` an int or a str no sqlite column holds — wider than
+    64 bits, or not encodable (a lone surrogate)?  sqlite cannot bind
+    it, and no stored value equals it."""
+    if type(key) is int:
+        return key not in _INT64
+    if type(key) is str:
+        try:
+            key.encode()
+        except UnicodeEncodeError:
+            return True
+    return False
 
 
 class _SqliteTransactionManager(TransactionManager):
@@ -247,7 +261,9 @@ class SqliteBackend(Backend):
             if "locked" in message or "busy" in message:
                 raise TransactionTimeoutError(message) from exc
             raise DatabaseError(message) from exc
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, OverflowError, ValueError) as exc:
+            # A value sqlite cannot bind (an int wider than 64 bits, a
+            # str that does not encode) fails with a bare builtin.
             raise DatabaseError(str(exc)) from exc
 
     # ------------------------------------------------------------------
@@ -331,14 +347,21 @@ class SqliteBackend(Backend):
         runner, *texts = prepared.translated
         return runner(prepared.plan, params, txn, *texts)
 
-    def _run_select(self, plan, params, txn, sql, _batch_sql, _key_position):
+    def _run_select(self, plan, params, txn, sql, batch_sql, _key_position):
         # The engine's LIMIT validation (PlanError on a negative or
         # non-integer limit; SQLite would silently accept).
         plan.limit(params)
         bound = NAMED.bind(params)
-        rows = self._run_sqlite(
-            txn, lambda connection: connection.execute(sql, bound).fetchall()
-        )
+        try:
+            rows = self._run_sqlite(
+                txn, lambda connection: connection.execute(sql, bound).fetchall()
+            )
+        except DatabaseError:
+            # A point read's key no stored value can equal answers no
+            # rows, as on the in-memory store.
+            if batch_sql is None or not _never_stored(params[0]):
+                raise
+            rows = []
         return QueryResult(columns=plan.output_names, rows=rows)
 
     def _run_insert(self, plan, params, txn, sql):
@@ -497,19 +520,26 @@ class SqliteBackend(Backend):
         self._run_sqlite(None, lambda connection: connection.execute(sql))
         self.invalidate_plans()
 
-    def mirror_load(self, table: str, rows: Sequence[Sequence]) -> int:
-        """Bulk-load pre-coerced rows (no latency, no stats — mirrors
-        ``Database.bulk_load``, which is not a measured operation)."""
-        info = self._catalog.table(table)
-        schema = info.heap.schema
-        coerced = [schema.coerce_row(row) for row in rows]
-        if not coerced:
-            return 0
-        sql = insert_full_row_sql(table, schema)
-        self._run_sqlite(
-            None, lambda connection: connection.executemany(sql, coerced)
-        )
-        return len(coerced)
+    def mirror_load(self, table: str, rows: Iterable[Row]) -> int:
+        """Bulk-load rows as the engine's heap holds them — coerced to
+        the schema already, so they bind as they are — with one
+        ``executemany`` in one transaction: all of them or, if one
+        fails, none.  Returns how many.  No latency, no stats: it
+        mirrors ``Database.bulk_load``, which is not a measured
+        operation."""
+        sql = insert_full_row_sql(table, self._catalog.table(table).heap.schema)
+
+        def load(connection):
+            connection.execute("BEGIN IMMEDIATE")
+            try:
+                count = connection.executemany(sql, rows).rowcount
+                connection.execute("COMMIT")
+            finally:
+                if connection.in_transaction:
+                    connection.execute("ROLLBACK")
+            return count
+
+        return self._run_sqlite(None, load)
 
     # ------------------------------------------------------------------
     def _close(self) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -214,6 +215,21 @@ def _print_tree(value, indent: int = 0) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro app.py | head``): point
+        # stdout at devnull so the interpreter's exit-time flush cannot
+        # fail again, and exit quietly (the ``signal`` module docs'
+        # recipe for SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "stats":

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from .catalog_types import TableInfo
 from .disk import SimulatedDisk
-from .errors import CatalogError, UnknownTableError
+from .errors import CatalogError, ConstraintError, UnknownTableError
 from .index import HashIndex, OrderedIndex
 from .storage import DEFAULT_ROWS_PER_PAGE, HeapTable
-from .types import Schema
+from .types import Row, Schema
 
 Index = Union[HashIndex, OrderedIndex]
 
@@ -105,7 +105,7 @@ class Catalog:
         return [index for index in info.indexes if index.column == column]
 
     # ------------------------------------------------------------------
-    # index maintenance (called by DML operators)
+    # storing rows and index maintenance (DML operators and loads)
     # ------------------------------------------------------------------
     def check_unique(self, info: TableInfo, row, old_row=None) -> None:
         """Raise :class:`ConstraintError` if storing ``row`` — new, or in
@@ -119,9 +119,70 @@ class Catalog:
                 if old_row is None or old_row[position] != value:
                     index.check_unique(value)
 
+    def check_load(self, info: TableInfo, rows: Iterable[Row]) -> List[Row]:
+        """``rows`` — coerced rows, or a lazy coercion of them — listed
+        once each has passed ``info``'s unique indexes, in order: raise
+        :class:`ConstraintError` at the first row whose value a stored
+        row or an earlier row already holds.  A row's coercion error
+        and its violation thus surface in the order row-by-row inserts
+        meet them.  A load asks before it stores anything, so a
+        violation leaves the table as it was."""
+        uniques = [
+            (index, info.heap.schema.position(index.column, info.name), set())
+            for index in info.indexes
+            if index.unique
+        ]
+        if not uniques:
+            return list(rows)
+        checked = []
+        for row in rows:
+            for index, position, seen in uniques:
+                value = row[position]
+                if value in seen:
+                    raise ConstraintError(
+                        f"unique index {index.name!r} violated for value {value!r}"
+                    )
+                index.check_unique(value)
+                seen.add(value)
+            checked.append(row)
+        return checked
+
+    def load(self, info: TableInfo, rows: Sequence[Row]) -> None:
+        """Store coerced rows :meth:`check_load` passed in ``info``'s
+        heap, one column append each, and index them: appended rows
+        extend every index; rows a clustered heap had to merge in moved
+        row ids, so the indexes rebuild.  The caller holds the table's
+        write lock."""
+        heap = info.heap
+        first = heap.slot_count
+        if heap.extend(rows):
+            stored = range(first, heap.slot_count)
+            for index in info.indexes:
+                index.extend(stored)
+        else:
+            for index in info.indexes:
+                index.build()
+        self._disk.grow_extent(info.name, heap.page_count)
+
+    def insert(self, info: TableInfo, row) -> int:
+        """Store one coerced, unique-checked row in ``info``'s heap and
+        index it; returns its row id.  A clustered insert that lands
+        before the last slot shifted every later row id by one, so the
+        table's indexes rebuild.  The caller holds the write lock."""
+        heap = info.heap
+        row_id = heap.insert(row)
+        if row_id < heap.slot_count - 1:
+            for index in info.indexes:
+                index.build()
+            self._disk.grow_extent(info.name, heap.page_count)
+        else:
+            self.on_insert(info, row_id, row)
+        return row_id
+
     def on_insert(self, info: TableInfo, row_id: int, row) -> None:
-        """Index a row ``info``'s heap just stored (the caller holds the
-        table's write lock and its :class:`TableInfo`)."""
+        """Index a row ``info``'s heap just stored at ``row_id`` without
+        moving any other (an append, or a rollback's restore); the
+        caller holds the table's write lock and its :class:`TableInfo`."""
         for index in info.indexes:
             position = info.heap.schema.position(index.column, info.name)
             index.add(row_id, row[position])

@@ -8,6 +8,7 @@ and ``io_report`` (per-run IO accounting for EXPERIMENTS.md).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..backends.base import Backend, resolve_backend_name
@@ -54,7 +55,12 @@ class Database:
             metrics=self.metrics,
         )
         self.metrics.register_source("server", self.server.stats_snapshot)
-        self.metrics.register_source("io", self.io_report)
+        self.metrics.register_source(
+            "io",
+            partial(
+                _io_report, self.meter, self.buffer, self.disk, self.scans, self.server
+            ),
+        )
         #: Backend registry: the in-memory server is the default
         #: (``"memory"``); others are created lazily by :meth:`backend`
         #: and seeded with the catalog's schema, data and indexes.
@@ -98,9 +104,9 @@ class Database:
                 rows_per_page=heap.rows_per_page,
                 clustered_on=heap.clustered_on,
             )
-            rows = [row for _row_id, row in heap.iter_rows()]
-            if rows:
-                backend.mirror_load(table_name, rows)
+            backend.mirror_load(
+                table_name, (row for _row_id, row in heap.iter_rows())
+            )
             for index in info.indexes:
                 backend.mirror_create_index(
                     index.name,
@@ -163,29 +169,37 @@ class Database:
             )
 
     def bulk_load(self, table: str, rows: Iterable[Sequence]) -> int:
-        """Load rows without charging any simulated latency.
+        """Load rows without charging any simulated latency; returns
+        how many.
 
         Used by data generators: the paper's tables pre-exist; loading
-        them is not part of any measured experiment.
+        them is not part of any measured experiment.  A load is atomic:
+        every row is coerced and checked against the unique indexes, in
+        order, before anything is stored (so it fails where row-by-row
+        ``INSERT`` would, with the same error), every other live store
+        takes the rows in one transaction, and only then does the heap
+        append them — so a load that raises changes no store.  It is
+        one write window on the table in every store's ledger, so no
+        cached read of the table is served across it.
         """
         info = self.catalog.table(table)
-        count = 0
-        loaded = []
-        mirror = self._other_backends()
-        with info.heap.lock.writing():
-            for values in rows:
-                row = info.heap.schema.coerce_row(values)
-                row_id = info.heap.insert(row)
-                for index in info.indexes:
-                    position = info.heap.schema.position(index.column, table)
-                    index.add(row_id, row[position])
-                if mirror:
-                    loaded.append(row)
-                count += 1
-        self.disk.grow_extent(table, info.heap.page_count)
-        for backend in mirror:
-            backend.mirror_load(table, loaded)
-        return count
+        stores = list(self._backends.values())
+        for store in stores:
+            store.ledger.begin_write(table)
+        stored = False
+        try:
+            with info.heap.lock.writing():
+                loaded = self.catalog.check_load(
+                    info, map(info.heap.schema.coerce_row, rows)
+                )
+                for backend in self._other_backends():
+                    backend.mirror_load(table, loaded)
+                self.catalog.load(info, loaded)
+            stored = True
+        finally:
+            for store in stores:
+                store.ledger.end_write(table, stored)
+        return len(loaded)
 
     # ------------------------------------------------------------------
     # cache control (warm / cold experiments)
@@ -285,30 +299,7 @@ class Database:
 
     def io_report(self) -> dict:
         """Aggregate IO/latency counters for benchmark reporting."""
-        return {
-            "latency_totals_s": self.meter.totals(),
-            "buffer": {
-                "hits": self.buffer.stats.hits,
-                "misses": self.buffer.stats.misses,
-                "hit_ratio": self.buffer.stats.hit_ratio,
-            },
-            "disk": {
-                "reads": self.disk.stats.reads,
-                "sequential": self.disk.stats.sequential_reads,
-                "random": self.disk.stats.random_reads,
-                "max_queue_depth": self.disk.stats.max_queue_depth,
-            },
-            "scans": {
-                "led": self.scans.stats.led,
-                "shared": self.scans.stats.shared,
-                "solo": self.scans.stats.solo,
-            },
-            "server": {
-                "executed": self.server.stats.statements_executed,
-                "writes": self.server.stats.writes_executed,
-                "peak_concurrency": self.server.stats.peak_concurrency,
-            },
-        }
+        return _io_report(self.meter, self.buffer, self.disk, self.scans, self.server)
 
     def stats_snapshot(self) -> dict:
         """One nested plain dict covering the whole instance: the
@@ -327,3 +318,33 @@ class Database:
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+
+def _io_report(meter, buffer, disk, scans, server) -> dict:
+    """:meth:`Database.io_report` over the instance's parts: the metrics
+    source it registers holds these, not the instance, so a dropped
+    database is freed at once, not by the cycle collector."""
+    return {
+        "latency_totals_s": meter.totals(),
+        "buffer": {
+            "hits": buffer.stats.hits,
+            "misses": buffer.stats.misses,
+            "hit_ratio": buffer.stats.hit_ratio,
+        },
+        "disk": {
+            "reads": disk.stats.reads,
+            "sequential": disk.stats.sequential_reads,
+            "random": disk.stats.random_reads,
+            "max_queue_depth": disk.stats.max_queue_depth,
+        },
+        "scans": {
+            "led": scans.stats.led,
+            "shared": scans.stats.shared,
+            "solo": scans.stats.solo,
+        },
+        "server": {
+            "executed": server.stats.statements_executed,
+            "writes": server.stats.writes_executed,
+            "peak_concurrency": server.stats.peak_concurrency,
+        },
+    }

@@ -9,9 +9,9 @@ the key so that repeated lookups of the same key hit the buffer pool.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ConstraintError
+from .errors import ConstraintError, DatabaseError
 from .storage import HeapTable
 
 #: Key entries per index page (denser than heap pages).
@@ -38,10 +38,30 @@ class HashIndex:
     # ------------------------------------------------------------------
     def build(self) -> None:
         """(Re)build from the current heap contents."""
-        self._buckets.clear()
+        self._buckets = {}
         self._entries = 0
-        for row_id, row in self.table.iter_rows():
-            self.add(row_id, row[self._position])
+        self.extend(self.table.live_selection(0, self.table.slot_count))
+
+    def extend(self, row_ids: Sequence[int]) -> None:
+        """Index rows the heap stored at ``row_ids`` — ascending, and
+        past every row id indexed already — reading the column itself.
+        Each id is appended to its bucket, which stays sorted.  A unique
+        index raises :class:`ConstraintError` at the first repeated
+        value, as :meth:`add` would (a load checks first, see
+        :meth:`~repro.db.catalog.Catalog.check_load`)."""
+        column = self.table.columns_view()[self._position]
+        buckets = self._buckets
+        unique = self.unique
+        for row_id in row_ids:
+            value = column[row_id]
+            bucket = buckets.get(value)
+            if bucket is None:
+                buckets[value] = [row_id]
+            elif unique:
+                self.check_unique(value)
+            else:
+                bucket.append(row_id)
+        self._entries += len(row_ids)
 
     def add(self, row_id: int, value: Any) -> None:
         if self.unique:
@@ -79,9 +99,17 @@ class HashIndex:
         return [] if bucket is None else bucket
 
     def page_for(self, value: Any) -> int:
-        """Deterministic index page a probe of ``value`` touches."""
-        page_count = max(1, self.page_count)
-        return hash(value) % page_count
+        """Deterministic index page a probe of ``value`` touches.  Every
+        probe asks this first, so an unhashable key (a list) fails here,
+        as the :class:`DatabaseError` sqlite raises for a value it
+        cannot bind."""
+        try:
+            key_hash = hash(value)
+        except TypeError:
+            raise DatabaseError(
+                f"cannot probe index {self.name!r} with {value!r}"
+            ) from None
+        return key_hash % max(1, self.page_count)
 
     @property
     def page_count(self) -> int:
@@ -101,9 +129,10 @@ class HashIndex:
 class OrderedIndex:
     """Ordered index over one column supporting range scans.
 
-    Backed by a sorted list of ``(key, row_id)``; rebuilt wholesale on
-    bulk load and maintained incrementally afterwards.  NULL keys are
-    excluded (SQL semantics: NULL never matches a range predicate).
+    Backed by a sorted list of ``(key, row_id)``; a build or a load
+    merges its entries in with one sort, and DML maintains it row by
+    row.  NULL keys are excluded (SQL semantics: NULL never matches a
+    range predicate).
     Never unique: the catalog refuses ``ordered`` with ``unique``.
     """
 
@@ -118,11 +147,22 @@ class OrderedIndex:
         self._entries: List[Tuple[Any, int]] = []
 
     def build(self) -> None:
-        self._entries = sorted(
-            (row[self._position], row_id)
-            for row_id, row in self.table.iter_rows()
-            if row[self._position] is not None
+        """(Re)build from the current heap contents."""
+        self._entries = []
+        self.extend(self.table.live_selection(0, self.table.slot_count))
+
+    def extend(self, row_ids: Sequence[int]) -> None:
+        """Index rows the heap stored at ``row_ids``, reading the
+        column itself: their entries merge into the sorted list in one
+        sort."""
+        column = self.table.columns_view()[self._position]
+        entries = self._entries
+        entries.extend(
+            (column[row_id], row_id)
+            for row_id in row_ids
+            if column[row_id] is not None
         )
+        entries.sort()
 
     def add(self, row_id: int, value: Any) -> None:
         if value is None:

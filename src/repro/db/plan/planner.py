@@ -543,8 +543,7 @@ class InsertPlan:
         info = self._info
         with info.heap.lock.writing():
             self._catalog.check_unique(info, row)
-            row_id = info.heap.insert(row)
-            self._catalog.on_insert(info, row_id, row)
+            row_id = self._catalog.insert(info, row)
             ctx.record_insert(info.name, row_id, row)
             page_no = info.heap.page_of(row_id)
             # Charge one sequential page write when a page fills up; the

@@ -9,16 +9,19 @@ buffer-pool page an access touches, which is what drives the simulated
 IO costs.
 
 The row-oriented API (:meth:`~HeapTable.fetch`,
-:meth:`~HeapTable.iter_rows`, …) serves the write paths, index builds
-and loaders; the executor reads the column lists directly via
-:meth:`~HeapTable.columns_view` / :meth:`~HeapTable.live_selection` and
-materializes tuples only at the result boundary.
+:meth:`~HeapTable.iter_rows`, …) serves the write paths and the seeding
+of a second store; a load appends whole columns
+(:meth:`~HeapTable.extend`), and index builds and the executor read the
+column lists directly via :meth:`~HeapTable.columns_view` /
+:meth:`~HeapTable.live_selection`, materializing tuples only at the
+result boundary.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
+from operator import itemgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from .concurrency import ReadWriteLock
@@ -106,9 +109,10 @@ class HeapTable:
         its plan (or loader) already coerced to the schema, and a row
         read back from the heap is coerced already.
 
-        Clustered tables insert in key order, shifting the tail.  The
-        benchmarks bulk-load clustered tables in sorted order, so the
-        shift is the exception, not the rule.
+        Clustered tables insert in key order: a row that lands before
+        the last slot shifts the row id of every later row by one, and
+        the caller must re-index the table
+        (:meth:`~repro.db.catalog.Catalog.insert` does).
         """
         with self._mutate:
             if self._cluster_pos is None:
@@ -126,15 +130,44 @@ class HeapTable:
             self._live_count += 1
             return position
 
+    def extend(self, rows: Sequence[Row]) -> bool:
+        """Store coerced rows (as for :meth:`insert`) in one step: one
+        ``list.extend`` per column.  Returns True when the rows kept the
+        row ids after the old last slot, in order, and False when a
+        clustered table had to sort them in among its rows (the batch
+        is out of key order, or starts before the last key): row ids
+        then moved and the caller must rebuild the table's indexes.
+        The sort is stable, so equal keys keep old rows first, then
+        batch order, as row-by-row inserts would leave them."""
+        with self._mutate:
+            for position, column in enumerate(self._columns):
+                column.extend(map(itemgetter(position), rows))
+            self._valid.extend(b"\x01" * len(rows))
+            self._live_count += len(rows)
+            if self._cluster_pos is None or not rows:
+                return True
+            keys = self._cluster_keys
+            start = max(len(keys), 1)
+            keys.extend(_OrderKey(row[self._cluster_pos]) for row in rows)
+            if not any(map(_OrderKey.__lt__, keys[start:], keys[start - 1 :])):
+                return True
+            # Tombstones keep their key, so they keep their place too.
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            self._columns = [
+                [column[slot] for slot in order] for column in self._columns
+            ]
+            self._valid = bytearray(self._valid[slot] for slot in order)
+            self._cluster_keys = [keys[slot] for slot in order]
+            return False
+
     def delete(self, row_id: int) -> None:
         with self._mutate:
             if not self._valid[row_id]:
                 raise ConstraintError(f"row {row_id} already deleted")
             self._valid[row_id] = 0
-            # Column values stay in place under the tombstone; restore()
-            # overwrites them and compact() drops the slot.
-            if self._cluster_pos is not None:
-                self._cluster_keys[row_id] = _OrderKey(None)
+            # Column values (and a clustered slot's key, which keeps the
+            # keys sorted for bisect) stay in place under the tombstone;
+            # restore() overwrites them and compact() drops the slot.
             self._live_count -= 1
 
     def update(self, row_id: int, row: Row) -> None:
@@ -170,8 +203,6 @@ class HeapTable:
             for column, value in zip(self._columns, row):
                 column[row_id] = value
             self._valid[row_id] = 1
-            if self._cluster_pos is not None:
-                self._cluster_keys[row_id] = _OrderKey(row[self._cluster_pos])
             self._live_count += 1
 
     def compact(self) -> None:
@@ -188,7 +219,7 @@ class HeapTable:
             self._live_count = len(keep)
 
     # ------------------------------------------------------------------
-    # row-oriented access (the write paths, index builds, loaders)
+    # row-oriented access (the write paths, seeding a second store)
     # ------------------------------------------------------------------
     def fetch(self, row_id: int) -> Optional[Row]:
         if not self._valid[row_id]:

@@ -46,6 +46,15 @@ class ColumnType(Enum):
         return aliases[normalized]
 
 
+#: The Python type a coerced value of each column type has.
+_PYTHON_TYPES = {
+    ColumnType.INT: int,
+    ColumnType.FLOAT: float,
+    ColumnType.TEXT: str,
+    ColumnType.BOOL: bool,
+}
+
+
 def coerce_value(value: Any, column_type: ColumnType) -> Any:
     """Coerce ``value`` to ``column_type``, raising on lossy conversions.
 
@@ -114,6 +123,9 @@ class Schema:
             if column.name in self._index:
                 raise TypeMismatchError(f"duplicate column name: {column.name!r}")
             self._index[column.name] = position
+        #: The Python type of each column's values, in column order: a
+        #: row whose value types are exactly these is coerced already.
+        self._exact = tuple(_PYTHON_TYPES[column.type] for column in self.columns)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -138,8 +150,13 @@ class Schema:
         return tuple(column.name for column in self.columns)
 
     def coerce_row(self, values: Iterable[Any]) -> Row:
-        """Coerce an iterable of values into a typed row tuple."""
+        """Coerce an iterable of values into a typed row tuple.  A row
+        whose value types are exactly the column types (no NULL, no
+        ``bool`` for an INT) is returned as its tuple: coercion would
+        hand back every value unchanged."""
         values = tuple(values)
+        if tuple(map(type, values)) == self._exact:
+            return values
         if len(values) != len(self.columns):
             raise TypeMismatchError(
                 f"expected {len(self.columns)} values, got {len(values)}"

@@ -14,11 +14,28 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from hypothesis import settings
+
 from repro.db.errors import ParamCountError, PlanError
 from repro.db.plan.expr_eval import RowEvaluator
 from repro.db.sql import parse
 from repro.db.sql.ast_nodes import Aggregate, ColumnRef, Star
 from repro.runtime.handles import QueryHandle, completed_handle, failed_handle
+
+
+#: How many times its tier-1 count a property drawn with :func:`drawn`
+#: draws: 1 by default, derandomized, so a failure reproduces; 10 under
+#: the ``prop-seeds`` profile (``tests/conftest.py``), which CI runs over
+#: a fixed ``--hypothesis-seed`` list to find the next failure.
+SCALE = settings.default.max_examples // settings.get_profile("default").max_examples
+
+
+def drawn(examples):
+    """The settings of a property that draws ``examples`` inputs in
+    tier-1."""
+    return settings(
+        max_examples=examples * SCALE, derandomize=SCALE == 1, deadline=None
+    )
 
 
 def default_answer(query: Any, params: Tuple) -> int:

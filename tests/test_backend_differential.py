@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import BACKENDS, SqliteBackend, resolve_backend_name
 from repro.db import Database, INSTANT
-from repro.db.errors import CatalogError, ConstraintError
+from repro.db.errors import CatalogError, ConstraintError, DatabaseError
 
 values = st.one_of(st.integers(min_value=-9, max_value=9), st.none())
 texts = st.one_of(st.sampled_from(["red", "green", "blue", ""]), st.none())
@@ -687,7 +687,101 @@ BARE_COLUMN_SQL = [
 ERROR_CASES += [(sql, ()) for sql in BARE_COLUMN_SQL]
 
 
+#: Point-read keys sqlite cannot bind: ``(key, rows, error)`` — the
+#: rows both stores answer, or the error class both raise.  No stored
+#: value equals a 70-bit int or a lone surrogate; a list is unhashable.
+UNBINDABLE_KEYS = [
+    (1 << 70, [], None),
+    ("\ud800", [], None),
+    ([2], None, DatabaseError),
+]
+
+
+class TestClusteredTables:
+    """A clustered insert that lands before the last row shifts the row
+    ids of every later row; the memory store's secondary indexes must
+    move with them (and a deleted row must not hide the keys after it
+    from the clustered access path)."""
+
+    @staticmethod
+    def clustered_db():
+        db = Database(INSTANT)
+        db.create_table("c", ("k", "int"), ("v", "text"), clustered_on="k")
+        db.create_index("c_v", "c", "v")
+        db.create_index("c_o", "c", "v", ordered=True)
+        db.bulk_load("c", [(1, "a"), (5, "e"), (9, "i")])
+        db.backend("sqlite")
+        return db
+
+    @staticmethod
+    def lookups(db):
+        """Every store's answers through the clustered path and both
+        secondary indexes, for every key and value."""
+        answers = []
+        for name in BACKENDS:
+            with db.connect(async_workers=1, backend=name) as conn:
+                answers.append(
+                    [
+                        sorted(conn.execute_query(sql, (value,)).rows)
+                        for value in "abcdefghi"
+                        for sql in (
+                            "SELECT k FROM c WHERE v = ?",
+                            "SELECT k FROM c WHERE v >= ?",
+                        )
+                    ]
+                    + [
+                        conn.execute_query("SELECT v FROM c WHERE k = ?", (k,)).rows
+                        for k in range(11)
+                    ]
+                )
+        return answers
+
+    @pytest.mark.parametrize(
+        "sql, rows",
+        [
+            ("INSERT INTO c VALUES (3, 'c')", None),
+            ("DELETE FROM c WHERE k = 5", None),
+            (None, [(3, "c"), (7, "g")]),
+            (None, [(9, "j"), (0, "z")]),
+        ],
+        ids=["insert", "delete", "bulk-load", "bulk-load-out-of-order"],
+    )
+    def test_mid_range_writes_keep_every_lookup(self, sql, rows):
+        db = self.clustered_db()
+        try:
+            if rows is not None:
+                db.bulk_load("c", rows)
+            for name in BACKENDS if sql else ():
+                with db.connect(async_workers=1, backend=name) as conn:
+                    conn.execute_update(sql)
+            memory, sqlite = self.lookups(db)
+            assert memory == sqlite
+        finally:
+            db.close()
+
+
 class TestErrorParity:
+    @pytest.mark.parametrize(
+        "key, rows, error", UNBINDABLE_KEYS, ids=["wide-int", "surrogate", "list"]
+    )
+    def test_unbindable_point_keys_agree(self, key, rows, error):
+        db = fresh_db([(1, 1, 1, "x"), (2, 2, 2, "y")])
+        try:
+            db.create_index("uq", "t", "id", unique=True)
+            for name in BACKENDS:
+                with db.connect(async_workers=1, backend=name) as conn:
+                    read = lambda: conn.execute_query(
+                        "SELECT c FROM t WHERE id = ?", (key,)
+                    )
+                    if error is None:
+                        assert read().rows == rows, name
+                    else:
+                        with pytest.raises(DatabaseError) as raised:
+                            read()
+                        assert raised.type is error, name
+        finally:
+            db.close()
+
     def test_error_classes_match(self):
         # not_null so the NULL-insert case violates a real constraint;
         # empty and loaded, because an error must not depend on whether

@@ -107,6 +107,19 @@ class TestAutocommitInvalidation:
         assert outcome(cache, count) == (3, "miss")
         assert outcome(cache, count) == (3, "hit")
 
+    def test_a_bulk_load_is_seen_by_the_next_read(self, db, cache, reader):
+        count = lambda: reader.execute_query("SELECT count(*) FROM u")
+        other = lambda: reader.execute_query(READ, (1,))
+        assert outcome(cache, count) == (1, "miss")
+        assert outcome(cache, other) == (10, "miss")
+        ledger = reader.server.ledger
+        windows = ledger.table_writes
+        db.bulk_load("u", [(7,), (8,)])
+        assert ledger.table_writes == windows + 1  # one window per load
+        assert outcome(cache, count) == (3, "miss")
+        assert outcome(cache, count) == (3, "hit")
+        assert outcome(cache, other) == (10, "hit")
+
     def test_out_of_band_ddl_lapses_every_table(self, db, cache, reader):
         read = lambda: reader.execute_query(READ, (4,))
         assert outcome(cache, read) == (40, "miss")

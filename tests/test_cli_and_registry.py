@@ -143,6 +143,23 @@ class TestCliFlags:
         proc = run_cli([str(path), "--prefetch", "--cache-ttl", "0"])
         assert proc.returncode == 2
 
+    def test_a_closed_pipe_ends_quietly(self, tmp_path):
+        # ``repro app.py | head -1``: the reader goes away after one
+        # line, long before the rewrite is printed in full.
+        path = tmp_path / "app.py"
+        path.write_text(SAMPLE * 400)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", str(path), "--report"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.wait(timeout=120)
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
+
     def test_unwritable_output_is_reported(self, tmp_path):
         path = tmp_path / "app.py"
         path.write_text(SAMPLE)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.transform import asyncify_source
-from tests.helpers import FakeConnection
+from tests.helpers import FakeConnection, drawn
 
 VARS = ("a", "b", "c", "d")
 KINDS = ("assign", "assign", "query", "consume", "guarded", "append", "aug", "chain")
@@ -130,21 +130,6 @@ def run(source: str, conn, n: int):
     namespace: dict = {}
     exec(compile(source, "<prog>", "exec"), namespace)
     return namespace["program"](conn, n)
-
-
-#: How many times its tier-1 count each property below draws: 1 by
-#: default, derandomized, so a failure reproduces; 10 under the
-#: ``prop-seeds`` profile (``tests/conftest.py``), which CI runs over a
-#: fixed ``--hypothesis-seed`` list to find the next failure.
-SCALE = settings.default.max_examples // settings.get_profile("default").max_examples
-
-
-def drawn(examples):
-    """The settings of a property that draws ``examples`` programs in
-    tier-1."""
-    return settings(
-        max_examples=examples * SCALE, derandomize=SCALE == 1, deadline=None
-    )
 
 
 #: The transform option mixes every random program is checked under:

@@ -47,12 +47,3 @@ def on_true_cycle(ddg: DDG, position: int) -> bool:
     crossing the split boundary.
     """
     return has_true_path(ddg, position, position)
-
-
-def true_cycle_positions(ddg: DDG) -> Set[int]:
-    """All node positions lying on some true-dependence cycle."""
-    return {
-        position
-        for position in range(len(ddg.nodes))
-        if on_true_cycle(ddg, position)
-    }

@@ -20,7 +20,7 @@ reordering rules and the prefetch hoist call too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..ir.statements import Stmt
 
@@ -53,36 +53,9 @@ class DDG:
         self.nodes = nodes
         self.edges = edges
 
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
-
-    def edges_between(self, src: int, dst: int, loop_carried: Optional[bool] = None) -> List[Edge]:
-        return [
-            edge
-            for edge in self.edges
-            if edge.src == src
-            and edge.dst == dst
-            and (loop_carried is None or edge.loop_carried == loop_carried)
-        ]
-
     def true_edges(self) -> List[Edge]:
         """FD and loop-carried FD edges (Definition 4.1)."""
         return [edge for edge in self.edges if edge.kind == FD]
-
-    def to_dot(self) -> str:
-        """Graphviz rendering (debugging / documentation aid)."""
-        lines = ["digraph ddg {"]
-        for position, node in enumerate(self.nodes):
-            label = "header" if node.is_header else f"s{position}"
-            lines.append(f'  n{position} [label="{label}"];')
-        for edge in self.edges:
-            style = "dashed" if edge.loop_carried else "solid"
-            lines.append(
-                f'  n{edge.src} -> n{edge.dst} '
-                f'[label="{edge.label()}", style={style}];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def build_ddg(header: Stmt, body: Sequence[Stmt]) -> DDG:

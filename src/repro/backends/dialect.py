@@ -282,8 +282,6 @@ def create_table_sql(
 def create_index_sql(
     index_name: str, table: str, column: str, unique: bool = False
 ) -> str:
-    # ``ordered`` / ``clustered`` are engine access-path declarations;
-    # every SQLite index is a b-tree, so both collapse to a plain index.
     unique_sql = "UNIQUE " if unique else ""
     return (
         f"CREATE {unique_sql}INDEX {quote_ident(index_name)} "

@@ -83,6 +83,7 @@ from ..db.sql.ast_nodes import (
     Statement,
     UpdateStmt,
 )
+from ..db.storage import DEFAULT_ROWS_PER_PAGE
 from ..db.txn import Transaction, TransactionManager
 from ..db.types import Row, Schema
 from .base import Backend, PreparedStatement
@@ -306,11 +307,11 @@ class SqliteBackend(Backend):
             # plan's: every assignment a bare ``?`` (bound coerced, see
             # _run_update) and no assigned column under a unique index
             # (a violation would undo the whole native statement, where
-            # the plan's row-by-row loop keeps the rows before it; an
-            # ordered index is never unique).  Otherwise, and as the
-            # fallback: read-modify-write — matching rows come back with
-            # their rowid, the plan computes each new row, and the full
-            # row writes back by rowid.
+            # the plan's row-by-row loop keeps the rows before it).
+            # Otherwise, and as the fallback: read-modify-write —
+            # matching rows come back with their rowid, the plan
+            # computes each new row, and the full row writes back by
+            # rowid.
             assigned = {column for column, _ in ast.assignments}
             native = (
                 translate_statement(ast)
@@ -365,7 +366,7 @@ class SqliteBackend(Backend):
         return QueryResult(columns=plan.output_names, rows=rows)
 
     def _run_insert(self, plan, params, txn, sql):
-        row = plan.row(params, txn)
+        row = plan.row(params)
         self._run_sqlite(txn, lambda connection: connection.execute(sql, row))
         return QueryResult(rowcount=1)
 
@@ -424,7 +425,13 @@ class SqliteBackend(Backend):
         # Mirror first: duplicate-table errors (CatalogError) surface
         # from the engine catalog before SQLite is touched.
         plan.apply()
-        self._run_sqlite(txn, lambda connection: connection.execute(sql))
+        try:
+            self._run_sqlite(txn, lambda connection: connection.execute(sql))
+        except ConstraintError:
+            # A unique index over repeated keys: the mirror holds no
+            # rows, so only SQLite can refuse it.
+            plan.revert()
+            raise
         return QueryResult(rowcount=0)
 
     # ------------------------------------------------------------------
@@ -491,31 +498,17 @@ class SqliteBackend(Backend):
     # schema mirroring (Database replicates out-of-band DDL/loads here)
     # ------------------------------------------------------------------
     def mirror_create_table(
-        self,
-        name: str,
-        schema: Schema,
-        rows_per_page: Optional[int] = None,
-        clustered_on: Optional[str] = None,
+        self, name: str, schema: Schema, rows_per_page: int = DEFAULT_ROWS_PER_PAGE
     ) -> None:
-        kwargs = {"clustered_on": clustered_on}
-        if rows_per_page is not None:
-            kwargs["rows_per_page"] = rows_per_page
-        self._catalog.create_table(name, schema, **kwargs)
+        self._catalog.create_table(name, schema, rows_per_page=rows_per_page)
         sql = create_table_sql(name, schema)
         self._run_sqlite(None, lambda connection: connection.execute(sql))
         self.invalidate_plans()
 
     def mirror_create_index(
-        self,
-        index_name: str,
-        table: str,
-        column: str,
-        ordered: bool = False,
-        unique: bool = False,
+        self, index_name: str, table: str, column: str, unique: bool = False
     ) -> None:
-        self._catalog.create_index(
-            index_name, table, column, ordered=ordered, unique=unique
-        )
+        self._catalog.create_index(index_name, table, column, unique=unique)
         sql = create_index_sql(index_name, table, column, unique=unique)
         self._run_sqlite(None, lambda connection: connection.execute(sql))
         self.invalidate_plans()

@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .catalog_types import TableInfo
 from .disk import SimulatedDisk
 from .errors import CatalogError, ConstraintError, UnknownTableError
-from .index import HashIndex, OrderedIndex
+from .index import HashIndex
 from .storage import DEFAULT_ROWS_PER_PAGE, HeapTable
 from .types import Row, Schema
-
-Index = Union[HashIndex, OrderedIndex]
 
 
 class Catalog:
@@ -32,7 +30,6 @@ class Catalog:
         name: str,
         schema: Schema,
         rows_per_page: int = DEFAULT_ROWS_PER_PAGE,
-        clustered_on: Optional[str] = None,
         if_not_exists: bool = False,
     ) -> TableInfo:
         with self._lock:
@@ -40,7 +37,7 @@ class Catalog:
                 if if_not_exists:
                     return self._tables[name]
                 raise CatalogError(f"table {name!r} already exists")
-            heap = HeapTable(name, schema, rows_per_page, clustered_on)
+            heap = HeapTable(name, schema, rows_per_page)
             info = TableInfo(name=name, heap=heap)
             self._tables[name] = info
         self._disk.allocate_extent(name, pages=16)
@@ -59,26 +56,22 @@ class Catalog:
         index_name: str,
         table_name: str,
         column: str,
-        ordered: bool = False,
         unique: bool = False,
-    ) -> Index:
-        if ordered and unique:
-            # An ordered index keeps no key set to enforce uniqueness on.
-            raise CatalogError(
-                f"index {index_name!r}: an ordered index cannot be unique"
-            )
+    ) -> HashIndex:
         info = self.table(table_name)
         with self._lock:
             if any(index.name == index_name for index in info.indexes):
                 raise CatalogError(f"index {index_name!r} already exists")
-            if ordered:
-                index: Index = OrderedIndex(index_name, info.heap, column)
-            else:
-                index = HashIndex(index_name, info.heap, column, unique=unique)
+            index = HashIndex(index_name, info.heap, column, unique=unique)
             index.build()
             info.indexes.append(index)
         self._disk.allocate_extent(index.io_name, pages=max(1, index.page_count))
         return index
+
+    def drop_index(self, table_name: str, index_name: str) -> None:
+        info = self.table(table_name)
+        with self._lock:
+            info.indexes[:] = [i for i in info.indexes if i.name != index_name]
 
     # ------------------------------------------------------------------
     # lookup
@@ -98,7 +91,9 @@ class Catalog:
         with self._lock:
             return sorted(self._tables)
 
-    def indexes_on(self, table_name: str, column: Optional[str] = None) -> List[Index]:
+    def indexes_on(
+        self, table_name: str, column: Optional[str] = None
+    ) -> List[HashIndex]:
         info = self.table(table_name)
         if column is None:
             return list(info.indexes)
@@ -123,10 +118,11 @@ class Catalog:
         """``rows`` — coerced rows, or a lazy coercion of them — listed
         once each has passed ``info``'s unique indexes, in order: raise
         :class:`ConstraintError` at the first row whose value a stored
-        row or an earlier row already holds.  A row's coercion error
-        and its violation thus surface in the order row-by-row inserts
-        meet them.  A load asks before it stores anything, so a
-        violation leaves the table as it was."""
+        row or an earlier row already holds (a NULL never collides: NULLs
+        are distinct).  A row's coercion error and its violation thus
+        surface in the order row-by-row inserts meet them.  A load asks
+        before it stores anything, so a violation leaves the table as it
+        was."""
         uniques = [
             (index, info.heap.schema.position(index.column, info.name), set())
             for index in info.indexes
@@ -138,6 +134,8 @@ class Catalog:
         for row in rows:
             for index, position, seen in uniques:
                 value = row[position]
+                if value is None:
+                    continue
                 if value in seen:
                     raise ConstraintError(
                         f"unique index {index.name!r} violated for value {value!r}"
@@ -149,34 +147,21 @@ class Catalog:
 
     def load(self, info: TableInfo, rows: Sequence[Row]) -> None:
         """Store coerced rows :meth:`check_load` passed in ``info``'s
-        heap, one column append each, and index them: appended rows
-        extend every index; rows a clustered heap had to merge in moved
-        row ids, so the indexes rebuild.  The caller holds the table's
-        write lock."""
+        heap, one column append each, and extend every index by the
+        appended row ids.  The caller holds the table's write lock."""
         heap = info.heap
         first = heap.slot_count
-        if heap.extend(rows):
-            stored = range(first, heap.slot_count)
-            for index in info.indexes:
-                index.extend(stored)
-        else:
-            for index in info.indexes:
-                index.build()
+        heap.extend(rows)
+        stored = range(first, heap.slot_count)
+        for index in info.indexes:
+            index.extend(stored)
         self._disk.grow_extent(info.name, heap.page_count)
 
     def insert(self, info: TableInfo, row) -> int:
         """Store one coerced, unique-checked row in ``info``'s heap and
-        index it; returns its row id.  A clustered insert that lands
-        before the last slot shifted every later row id by one, so the
-        table's indexes rebuild.  The caller holds the write lock."""
-        heap = info.heap
-        row_id = heap.insert(row)
-        if row_id < heap.slot_count - 1:
-            for index in info.indexes:
-                index.build()
-            self._disk.grow_extent(info.name, heap.page_count)
-        else:
-            self.on_insert(info, row_id, row)
+        index it; returns its row id.  The caller holds the write lock."""
+        row_id = info.heap.insert(row)
+        self.on_insert(info, row_id, row)
         return row_id
 
     def on_insert(self, info: TableInfo, row_id: int, row) -> None:

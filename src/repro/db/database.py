@@ -17,7 +17,6 @@ from ..obs.trace import Tracer
 from .buffer import BufferPool
 from .catalog import Catalog
 from .disk import SimulatedDisk
-from .index import OrderedIndex
 from .latency import INSTANT, LatencyMeter, LatencyProfile
 from .scans import SharedScanManager
 from .server import DatabaseServer
@@ -99,21 +98,14 @@ class Database:
             info = self.catalog.table(table_name)
             heap = info.heap
             backend.mirror_create_table(
-                table_name,
-                heap.schema,
-                rows_per_page=heap.rows_per_page,
-                clustered_on=heap.clustered_on,
+                table_name, heap.schema, rows_per_page=heap.rows_per_page
             )
             backend.mirror_load(
                 table_name, (row for _row_id, row in heap.iter_rows())
             )
             for index in info.indexes:
                 backend.mirror_create_index(
-                    index.name,
-                    table_name,
-                    index.column,
-                    ordered=isinstance(index, OrderedIndex),
-                    unique=index.unique,
+                    index.name, table_name, index.column, unique=index.unique
                 )
         return backend
 
@@ -126,21 +118,13 @@ class Database:
         *columns: Tuple[str, str],
         not_null: Optional[Sequence[str]] = None,
         rows_per_page: int = DEFAULT_ROWS_PER_PAGE,
-        clustered_on: Optional[str] = None,
     ) -> None:
         """Create a table: ``db.create_table("part", ("id", "int"), ...)``."""
         schema = schema_of(*columns, not_null=not_null)
-        self.catalog.create_table(
-            name, schema, rows_per_page=rows_per_page, clustered_on=clustered_on
-        )
+        self.catalog.create_table(name, schema, rows_per_page=rows_per_page)
         self.server.invalidate_plans()
         for backend in self._other_backends():
-            backend.mirror_create_table(
-                name,
-                schema,
-                rows_per_page=rows_per_page,
-                clustered_on=clustered_on,
-            )
+            backend.mirror_create_table(name, schema, rows_per_page=rows_per_page)
 
     def _other_backends(self):
         """Every live backend except the in-memory server (out-of-band
@@ -156,17 +140,12 @@ class Database:
         index_name: str,
         table: str,
         column: str,
-        ordered: bool = False,
         unique: bool = False,
     ) -> None:
-        self.catalog.create_index(
-            index_name, table, column, ordered=ordered, unique=unique
-        )
+        self.catalog.create_index(index_name, table, column, unique=unique)
         self.server.invalidate_plans()
         for backend in self._other_backends():
-            backend.mirror_create_index(
-                index_name, table, column, ordered=ordered, unique=unique
-            )
+            backend.mirror_create_index(index_name, table, column, unique=unique)
 
     def bulk_load(self, table: str, rows: Iterable[Sequence]) -> int:
         """Load rows without charging any simulated latency; returns
@@ -282,10 +261,9 @@ class Database:
     def explain(self, sql: str) -> str:
         """Describe how a SELECT/UPDATE/DELETE would be executed.
 
-        Returns the chosen access path name (``SeqScanOp``,
-        ``HashEqOp``, ``ClusteredEqOp``, ``OrderedRangeOp``) — the
-        cost-relevant planning decision; useful when tuning workload
-        schemas for the benchmarks.
+        Returns the chosen access path name (``SeqScanOp`` or
+        ``HashEqOp``) — the cost-relevant planning decision; useful when
+        tuning workload schemas for the benchmarks.
         """
         prepared = self.server.prepare(sql)
         access = getattr(prepared.plan, "access_path", "n/a")

@@ -1,15 +1,15 @@
-"""Secondary indexes: hash (equality) and ordered (range) access paths.
+"""Secondary indexes: the hash (equality) access path.
 
-Indexes map column values to row ids.  Like the heap, an index has an IO
-footprint: a lookup touches one or two index pages before touching the
-heap pages of the matching rows.  Index page numbers are derived from
+An index maps column values to row ids.  Like the heap, an index has an IO
+footprint: a lookup touches one index page before touching the heap
+pages of the matching rows.  Index page numbers are derived from
 the key so that repeated lookups of the same key hit the buffer pool.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence
 
 from .errors import ConstraintError, DatabaseError
 from .storage import HeapTable
@@ -22,7 +22,9 @@ class HashIndex:
     """Equality index: value -> sorted list of row ids.
 
     ``io_name`` is the buffer-pool object name; ``page_for(key)`` spreads
-    keys over the index's pages deterministically.
+    keys over the index's pages deterministically.  NULL keys are
+    indexed like any other, but a unique index never refuses one: NULLs
+    are distinct, as in SQL (a NULL probe matches no row anyway).
     """
 
     def __init__(self, name: str, table: HeapTable, column: str, unique: bool = False) -> None:
@@ -47,7 +49,7 @@ class HashIndex:
         past every row id indexed already — reading the column itself.
         Each id is appended to its bucket, which stays sorted.  A unique
         index raises :class:`ConstraintError` at the first repeated
-        value, as :meth:`add` would (a load checks first, see
+        non-NULL value, as :meth:`add` would (a load checks first, see
         :meth:`~repro.db.catalog.Catalog.check_load`)."""
         column = self.table.columns_view()[self._position]
         buckets = self._buckets
@@ -57,7 +59,7 @@ class HashIndex:
             bucket = buckets.get(value)
             if bucket is None:
                 buckets[value] = [row_id]
-            elif unique:
+            elif unique and value is not None:
                 self.check_unique(value)
             else:
                 bucket.append(row_id)
@@ -70,9 +72,9 @@ class HashIndex:
         self._entries += 1
 
     def check_unique(self, value: Any) -> None:
-        """Raise :class:`ConstraintError` if a row already holds ``value``
-        (what :meth:`add` refuses on a unique index)."""
-        if self._buckets.get(value):
+        """Raise :class:`ConstraintError` if a row already holds ``value``,
+        a non-NULL one (what :meth:`add` refuses on a unique index)."""
+        if value is not None and self._buckets.get(value):
             raise ConstraintError(
                 f"unique index {self.name!r} violated for value {value!r}"
             )
@@ -124,99 +126,3 @@ class HashIndex:
 
     def keys(self) -> Iterator[Any]:
         return iter(self._buckets)
-
-
-class OrderedIndex:
-    """Ordered index over one column supporting range scans.
-
-    Backed by a sorted list of ``(key, row_id)``; a build or a load
-    merges its entries in with one sort, and DML maintains it row by
-    row.  NULL keys are excluded (SQL semantics: NULL never matches a
-    range predicate).
-    Never unique: the catalog refuses ``ordered`` with ``unique``.
-    """
-
-    unique = False
-
-    def __init__(self, name: str, table: HeapTable, column: str) -> None:
-        self.name = name
-        self.table = table
-        self.column = column
-        self.io_name = f"idx:{name}"
-        self._position = table.schema.position(column, table.name)
-        self._entries: List[Tuple[Any, int]] = []
-
-    def build(self) -> None:
-        """(Re)build from the current heap contents."""
-        self._entries = []
-        self.extend(self.table.live_selection(0, self.table.slot_count))
-
-    def extend(self, row_ids: Sequence[int]) -> None:
-        """Index rows the heap stored at ``row_ids``, reading the
-        column itself: their entries merge into the sorted list in one
-        sort."""
-        column = self.table.columns_view()[self._position]
-        entries = self._entries
-        entries.extend(
-            (column[row_id], row_id)
-            for row_id in row_ids
-            if column[row_id] is not None
-        )
-        entries.sort()
-
-    def add(self, row_id: int, value: Any) -> None:
-        if value is None:
-            return
-        bisect.insort(self._entries, (value, row_id))
-
-    def remove(self, row_id: int, value: Any) -> None:
-        if value is None:
-            return
-        position = bisect.bisect_left(self._entries, (value, row_id))
-        if (
-            position < len(self._entries)
-            and self._entries[position] == (value, row_id)
-        ):
-            self._entries.pop(position)
-
-    # ------------------------------------------------------------------
-    def range(
-        self,
-        low: Optional[Any] = None,
-        high: Optional[Any] = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> List[int]:
-        """Row ids with ``low <(=) key <(=) high``, in key order."""
-        if low is None:
-            start = 0
-        elif low_inclusive:
-            start = bisect.bisect_left(self._entries, (low, -1))
-        else:
-            start = bisect.bisect_right(self._entries, (low, float("inf")))
-        if high is None:
-            stop = len(self._entries)
-        elif high_inclusive:
-            stop = bisect.bisect_right(self._entries, (high, float("inf")))
-        else:
-            stop = bisect.bisect_left(self._entries, (high, -1))
-        return [row_id for _key, row_id in self._entries[start:stop]]
-
-    def page_for(self, value: Any) -> int:
-        """Index page touched when probing ``value`` (by sorted position)."""
-        position = bisect.bisect_left(self._entries, (value, -1))
-        return position // INDEX_ENTRIES_PER_PAGE
-
-    @property
-    def page_count(self) -> int:
-        if not self._entries:
-            return 1
-        return (len(self._entries) - 1) // INDEX_ENTRIES_PER_PAGE + 1
-
-    @property
-    def key_count(self) -> int:
-        """Distinct-key *estimate*: the entry count (an upper bound —
-        exact counting would scan the whole sorted list).  The batch
-        cost gate only needs rows-per-key to the right order of
-        magnitude."""
-        return len(self._entries)

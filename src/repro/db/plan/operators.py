@@ -1,21 +1,20 @@
 """Physical operators.
 
-Access paths (sequential scan, hash-index equality, clustered-range,
-ordered-index range) produce :class:`~repro.db.scans.ColumnBatch`es —
-the table's column lists plus a selection vector of live row ids; the
-relational operators (order, project) narrow, reorder or gather over
-selection vectors, and row tuples appear only at the
-:class:`QueryResult` boundary.  An aggregate select list is compiled at
-prepare into an :class:`AggregateFold`, which folds each batch's kept
-rows (or just their count) as the scan delivers them: scan, filter and
-aggregate run in one pass per batch, with no selection vector kept
-across batches.
+The two access paths (sequential scan, hash-index equality) produce
+:class:`~repro.db.scans.ColumnBatch`es — the table's column lists plus a
+selection vector of live row ids; the relational operators (order,
+project) narrow, reorder or gather over selection vectors, and row
+tuples appear only at the :class:`QueryResult` boundary.  An aggregate
+select list is compiled at prepare into an :class:`AggregateFold`, which
+folds each batch's kept rows (or just their count) as the scan delivers
+them: scan, filter and aggregate run in one pass per batch, with no
+selection vector kept across batches.
 
 Cost charging:
 
 * ``SeqScanOp`` touches every heap page, through the shared-scan manager
   so concurrent identical scans pay once.
-* Index paths touch the probed index page(s) plus the distinct heap
+* The index path touches the probed index page plus the distinct heap
   pages of matching rows.
 * Every operator charges per-row CPU in one batch.
 """
@@ -28,7 +27,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from ..catalog_types import TableInfo
 from ..errors import PlanError
-from ..index import HashIndex, OrderedIndex
+from ..index import HashIndex
 from ..sql.ast_nodes import Aggregate, ColumnRef, OrderItem, SelectItem, Star
 from ..scans import ColumnBatch, iter_column_batches
 from ..storage import OrderKey
@@ -66,10 +65,10 @@ class SeqScanOp:
 class HashEqOp:
     """Hash-index equality probe followed by heap fetches.
 
-    The index-path operators serve one compiled WHERE conjunct: each
-    holds its slot in the plan's ``Predicate`` and, in :meth:`run`,
-    reads that conjunct's constant from the execution's bound
-    ``tests`` (:meth:`~repro.db.plan.expr_eval.Predicate.bind`)."""
+    Serves one compiled WHERE conjunct: holds its slot in the plan's
+    ``Predicate`` and, in :meth:`run`, reads that conjunct's constant
+    from the execution's bound ``tests``
+    (:meth:`~repro.db.plan.expr_eval.Predicate.bind`)."""
 
     def __init__(self, info: TableInfo, index: HashIndex, slot: int) -> None:
         self._info = info
@@ -84,62 +83,16 @@ class HashEqOp:
         return _one_batch(self._info, sel)
 
 
-class ClusteredEqOp:
-    """Equality on the clustering column: one contiguous page run."""
-
-    def __init__(self, info: TableInfo, slot: int) -> None:
-        self._info = info
-        self._slot = slot
-
-    def run(self, ctx: ExecutionContext, tests: Sequence) -> List[ColumnBatch]:
-        low, high = self._info.heap.cluster_range(tests[self._slot][2])
-        return _one_batch(
-            self._info, _fetch_selection(ctx, self._info, range(low, high))
-        )
-
-
-class OrderedRangeOp:
-    """Ordered-index range scan followed by heap fetches.  Serves an
-    ``=``, ``<``, ``<=``, ``>``, ``>=`` or ``between`` conjunct; a NULL
-    bound (no row can pass) reads no index range and no heap page."""
-
-    #: The compiled conjunct tests an index range can answer.
-    SERVES = ("=", "<", "<=", ">", ">=", "between")
-
-    def __init__(
-        self, info: TableInfo, index: OrderedIndex, slot: int, test: str
-    ) -> None:
-        self._info = info
-        self._index = index
-        self._slot = slot
-        self._test = test
-
-    def run(self, ctx: ExecutionContext, tests: Sequence) -> List[ColumnBatch]:
-        constant = tests[self._slot][2]
-        if constant is None:
-            return []
-        test = self._test
-        low, high = constant if test == "between" else (
-            None if test in ("<", "<=") else constant,
-            None if test in (">", ">=") else constant,
-        )
-        index = self._index
-        probe = (index.io_name, index.page_for(high if low is None else low))
-        row_ids = index.range(low, high, test != ">", test != "<")
-        sel = _fetch_selection(ctx, self._info, row_ids, probe)
-        return _one_batch(self._info, sel)
-
-
 def _fetch_selection(
-    ctx: ExecutionContext, info: TableInfo, row_ids, index_page=None
+    ctx: ExecutionContext, info: TableInfo, row_ids, index_page
 ) -> List[int]:
     """Keep the live row ids; touch ``index_page`` (the index probe's
-    ``(io name, page)``, if any), then their distinct heap pages in
+    ``(io name, page)``), then their distinct heap pages in
     first-encounter order; no tuples are built."""
     heap = info.heap
     valid = heap.validity_view()
     sel: List[int] = []
-    keys = [] if index_page is None else [index_page]
+    keys = [index_page]
     pages_touched = set()
     for row_id in row_ids:
         if not valid[row_id]:

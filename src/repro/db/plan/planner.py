@@ -2,17 +2,11 @@
 
 Access-path selection reads the WHERE clause's compiled conjuncts
 (:class:`~repro.db.plan.expr_eval.Predicate`, the one owner of a
-conjunct's shape), in priority order for the first ``col = expr``
-conjunct with a usable path:
-
-1. clustering column of the table  -> contiguous heap range
-2. hash index on the column        -> bucket probe + heap fetch
-3. ordered index (then the first range conjunct on an ordered index)
-                                   -> index range + heap fetch
-4. otherwise                       -> shared sequential scan
-
-The chosen operator holds the conjunct's slot and reads its constant
-from the execution's binding.
+conjunct's shape): the first ``col = expr`` conjunct on a hash-indexed
+column is a bucket probe + heap fetch (:class:`HashEqOp`, which holds
+the conjunct's slot and reads its constant from the execution's
+binding); otherwise the table is a shared sequential scan
+(:class:`SeqScanOp`).
 
 The non-matched conjuncts (and, harmlessly, the matched one) are
 re-applied as a residual filter, so planning is purely a cost decision —
@@ -26,8 +20,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..catalog import Catalog
 from ..catalog_types import TableInfo
-from ..errors import ParamCountError, PlanError, TransactionStateError
-from ..index import HashIndex, OrderedIndex
+from ..errors import ParamCountError, PlanError
+from ..index import HashIndex
 from ..sql.ast_nodes import (
     Aggregate,
     ColumnRef,
@@ -49,9 +43,7 @@ from .context import ExecutionContext
 from .expr_eval import ColumnarEvaluator, Predicate, RowEvaluator
 from .operators import (
     AggregateFold,
-    ClusteredEqOp,
     HashEqOp,
-    OrderedRangeOp,
     SeqScanOp,
     _fetch_selection,
     columnar_order,
@@ -90,23 +82,12 @@ class Planner:
 
 def _choose_access_path(info: TableInfo, indexes, where: Predicate):
     names = info.heap.schema.names()
-    # The first index of each kind on a column (``reversed``: the first
-    # one written into the dict last).
-    hashed = {i.column: i for i in reversed(indexes) if isinstance(i, HashIndex)}
-    ordered = {i.column: i for i in reversed(indexes) if isinstance(i, OrderedIndex)}
+    # The first index on a column (``reversed``: the first one written
+    # into the dict last).
+    hashed = {index.column: index for index in reversed(indexes)}
     for slot, (test, position, _operands) in enumerate(where.conjuncts):
-        if test != "=":
-            continue
-        column = names[position]
-        if info.heap.clustered_on == column:
-            return ClusteredEqOp(info, slot)
-        if column in hashed:
-            return HashEqOp(info, hashed[column], slot)
-        if column in ordered:
-            return OrderedRangeOp(info, ordered[column], slot, test)
-    for slot, (test, position, _operands) in enumerate(where.conjuncts):
-        if test in OrderedRangeOp.SERVES and names[position] in ordered:
-            return OrderedRangeOp(info, ordered[names[position]], slot, test)
+        if test == "=" and names[position] in hashed:
+            return HashEqOp(info, hashed[names[position]], slot)
     return SeqScanOp(info)
 
 
@@ -210,13 +191,10 @@ def prefer_batch_scan(
     cost: the index page plus the expected heap pages of one key's rows
     (random IO) plus their CPU.  Estimates use cold-cache disk costs —
     the gate needs the right order of magnitude, not exact latency.
-    Clustered probes touch one contiguous run, so they always win.
     """
     if isinstance(access, SeqScanOp):
         return True
-    index = getattr(access, "_index", None)
-    if index is None:  # ClusteredEqOp: probes are near-free page runs
-        return False
+    index = access._index
     heap = info.heap
     rows = heap.row_count
     pages = heap.page_count
@@ -516,12 +494,11 @@ class InsertPlan:
             if len(stmt.values) != len(schema):
                 raise PlanError("INSERT value count does not match schema")
 
-    def row(self, params: Sequence, txn) -> Row:
+    def row(self, params: Sequence) -> Row:
         """The full-width row this INSERT stores under ``params``:
-        arity check → evaluate the values → refuse a clustered table
-        inside a transaction → coerce to the schema.  Every store
-        inserts what this returns, so value semantics, error classes
-        and their precedence are the same everywhere."""
+        arity check → evaluate the values → coerce to the schema.  Every
+        store inserts what this returns, so value semantics, error
+        classes and their precedence are the same everywhere."""
         check_params(self._stmt.param_count, params)
         info = self._info
         schema = info.heap.schema
@@ -529,16 +506,10 @@ class InsertPlan:
         values: List = [None] * len(schema)
         for position, expr in zip(self._positions, self._stmt.values):
             values[position] = evaluate(expr, ())
-        if txn is not None and info.heap.is_clustered:
-            raise TransactionStateError(
-                f"transactional INSERT into clustered table {info.name!r} is "
-                "not supported: clustered inserts shift row ids, which the "
-                "logical undo log cannot reverse"
-            )
         return schema.coerce_row(values)
 
     def execute(self, ctx: ExecutionContext) -> QueryResult:
-        row = self.row(ctx.params, ctx.txn)
+        row = self.row(ctx.params)
         ctx.charge_cpu(fixed=True)
         info = self._info
         with info.heap.lock.writing():
@@ -694,18 +665,13 @@ class CreateIndexPlan:
         """Create the index in this plan's catalog (see
         :meth:`CreateTablePlan.apply`)."""
         stmt = self._stmt
-        if stmt.clustered:
-            raise PlanError(
-                "clustering is declared at CREATE TABLE time via the "
-                "Database.create_table(clustered_on=...) API"
-            )
         self._catalog.create_index(
-            stmt.index,
-            stmt.table,
-            stmt.column,
-            ordered=stmt.ordered,
-            unique=stmt.unique,
+            stmt.index, stmt.table, stmt.column, unique=stmt.unique
         )
+
+    def revert(self) -> None:
+        """Undo :meth:`apply` when the store's own DDL refused the index."""
+        self._catalog.drop_index(self._stmt.table, self._stmt.index)
 
     def execute(self, ctx: ExecutionContext) -> QueryResult:
         self.apply()

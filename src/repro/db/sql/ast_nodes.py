@@ -247,8 +247,6 @@ class CreateIndexStmt(Statement):
     table: str
     column: str
     unique: bool = False
-    ordered: bool = False
-    clustered: bool = False
     param_count: int = 0
 
 

@@ -12,9 +12,8 @@ KEYWORDS = {
     "select", "from", "where", "and", "or", "not", "order", "by", "asc",
     "desc", "limit", "insert", "into", "values", "update", "set", "delete",
     "create", "table", "index", "on", "as", "is", "null", "in", "between",
-    "distinct", "unique", "ordered", "count", "sum", "min", "max", "avg",
-    "group",
-    "true", "false", "if", "exists", "clustered",
+    "distinct", "unique", "count", "sum", "min", "max", "avg", "group",
+    "true", "false", "if", "exists",
 }
 
 

@@ -12,8 +12,7 @@ Grammar (informal)::
     update      := UPDATE ident SET assigns [WHERE expr]
     delete      := DELETE FROM ident [WHERE expr]
     create_table:= CREATE TABLE [IF NOT EXISTS] ident "(" coldefs ")"
-    create_index:= CREATE [UNIQUE] [ORDERED|CLUSTERED] INDEX ident
-                   ON ident "(" ident ")"
+    create_index:= CREATE [UNIQUE] INDEX ident ON ident "(" ident ")"
 
     expr        := or_expr
     or_expr     := and_expr (OR and_expr)*
@@ -276,13 +275,9 @@ class _Parser:
     def _create(self) -> Statement:
         self._expect_keyword("create")
         unique = self._accept_keyword("unique")
-        ordered = self._accept_keyword("ordered")
-        clustered = False
-        if not ordered:
-            clustered = self._accept_keyword("clustered")
         if self._accept_keyword("table"):
-            if unique or ordered or clustered:
-                raise self._error("UNIQUE/ORDERED apply to indexes only")
+            if unique:
+                raise self._error("UNIQUE applies to indexes only")
             return self._create_table()
         self._expect_keyword("index")
         index = self._ident()
@@ -292,12 +287,7 @@ class _Parser:
         column = self._ident()
         self._expect(TokenType.RPAREN)
         return CreateIndexStmt(
-            index=index,
-            table=table,
-            column=column,
-            unique=unique,
-            ordered=ordered,
-            clustered=clustered,
+            index=index, table=table, column=column, unique=unique
         )
 
     def _create_table(self) -> CreateTableStmt:

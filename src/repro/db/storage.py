@@ -3,10 +3,9 @@
 A :class:`HeapTable` stores table data column-at-a-time: one Python list
 per schema column (all the same length) plus a validity bytearray whose
 byte ``i`` says whether slot ``i`` holds a live row.  Row ids are slot
-indexes, in insertion (or clustered-key) order.  Pages exist only as an
-accounting unit — ``page_of(row_id)`` tells the access layer which
-buffer-pool page an access touches, which is what drives the simulated
-IO costs.
+indexes, in insertion order.  Pages exist only as an accounting unit —
+``page_of(row_id)`` tells the access layer which buffer-pool page an
+access touches, which is what drives the simulated IO costs.
 
 The row-oriented API (:meth:`~HeapTable.fetch`,
 :meth:`~HeapTable.iter_rows`, …) serves the write paths and the seeding
@@ -19,7 +18,6 @@ result boundary.
 
 from __future__ import annotations
 
-import bisect
 import threading
 from operator import itemgetter
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
@@ -34,11 +32,7 @@ DEFAULT_ROWS_PER_PAGE = 64
 
 
 class HeapTable:
-    """Columnar storage for one table.
-
-    When ``clustered_on`` is set, rows are kept physically sorted on that
-    column, so equality lookups on it touch one page run (the paper's
-    Experiment 3 uses a clustering index on ``category.category_id``).
+    """Columnar storage for one table, rows in insertion order.
 
     Deleted rows leave tombstones (validity byte cleared) so that row
     ids — which the indexes reference — stay stable; ``compact()``
@@ -50,29 +44,19 @@ class HeapTable:
         name: str,
         schema: Schema,
         rows_per_page: int = DEFAULT_ROWS_PER_PAGE,
-        clustered_on: Optional[str] = None,
     ) -> None:
         if rows_per_page < 1:
             raise ValueError("rows_per_page must be positive")
         self.name = name
         self.schema = schema
         self.rows_per_page = rows_per_page
-        self.clustered_on = clustered_on
-        self._cluster_pos = (
-            schema.position(clustered_on, name) if clustered_on else None
-        )
         #: One value list per schema column; all kept the same length.
         self._columns: List[List[Any]] = [[] for _ in schema.columns]
         #: Per-slot liveness: 1 = live row, 0 = tombstone.
         self._valid = bytearray()
-        self._cluster_keys: List[Any] = []  # parallel to slots when clustered
         self._live_count = 0
         self.lock = ReadWriteLock()
         self._mutate = threading.Lock()
-
-    @property
-    def is_clustered(self) -> bool:
-        return self._cluster_pos is not None
 
     # ------------------------------------------------------------------
     # geometry
@@ -108,83 +92,39 @@ class HeapTable:
         The heap stores rows as given: every caller hands it a full row
         its plan (or loader) already coerced to the schema, and a row
         read back from the heap is coerced already.
-
-        Clustered tables insert in key order: a row that lands before
-        the last slot shifts the row id of every later row by one, and
-        the caller must re-index the table
-        (:meth:`~repro.db.catalog.Catalog.insert` does).
         """
         with self._mutate:
-            if self._cluster_pos is None:
-                for column, value in zip(self._columns, row):
-                    column.append(value)
-                self._valid.append(1)
-                self._live_count += 1
-                return len(self._valid) - 1
-            key = row[self._cluster_pos]
-            position = bisect.bisect_right(self._cluster_keys, _OrderKey(key))
             for column, value in zip(self._columns, row):
-                column.insert(position, value)
-            self._valid.insert(position, 1)
-            self._cluster_keys.insert(position, _OrderKey(key))
+                column.append(value)
+            self._valid.append(1)
             self._live_count += 1
-            return position
+            return len(self._valid) - 1
 
-    def extend(self, rows: Sequence[Row]) -> bool:
+    def extend(self, rows: Sequence[Row]) -> None:
         """Store coerced rows (as for :meth:`insert`) in one step: one
-        ``list.extend`` per column.  Returns True when the rows kept the
-        row ids after the old last slot, in order, and False when a
-        clustered table had to sort them in among its rows (the batch
-        is out of key order, or starts before the last key): row ids
-        then moved and the caller must rebuild the table's indexes.
-        The sort is stable, so equal keys keep old rows first, then
-        batch order, as row-by-row inserts would leave them."""
+        ``list.extend`` per column; they take the row ids after the old
+        last slot, in order."""
         with self._mutate:
             for position, column in enumerate(self._columns):
                 column.extend(map(itemgetter(position), rows))
             self._valid.extend(b"\x01" * len(rows))
             self._live_count += len(rows)
-            if self._cluster_pos is None or not rows:
-                return True
-            keys = self._cluster_keys
-            start = max(len(keys), 1)
-            keys.extend(_OrderKey(row[self._cluster_pos]) for row in rows)
-            if not any(map(_OrderKey.__lt__, keys[start:], keys[start - 1 :])):
-                return True
-            # Tombstones keep their key, so they keep their place too.
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            self._columns = [
-                [column[slot] for slot in order] for column in self._columns
-            ]
-            self._valid = bytearray(self._valid[slot] for slot in order)
-            self._cluster_keys = [keys[slot] for slot in order]
-            return False
 
     def delete(self, row_id: int) -> None:
         with self._mutate:
             if not self._valid[row_id]:
                 raise ConstraintError(f"row {row_id} already deleted")
             self._valid[row_id] = 0
-            # Column values (and a clustered slot's key, which keeps the
-            # keys sorted for bisect) stay in place under the tombstone;
-            # restore() overwrites them and compact() drops the slot.
+            # Column values stay in place under the tombstone; restore()
+            # overwrites them and compact() drops the slot.
             self._live_count -= 1
 
     def update(self, row_id: int, row: Row) -> None:
         """Replace a row in place (``row`` already coerced, as for
-        :meth:`insert`).
-
-        Updating the clustering key in place is disallowed; callers must
-        delete + reinsert (the planner does exactly that).
-        """
+        :meth:`insert`)."""
         with self._mutate:
             if not self._valid[row_id]:
                 raise ConstraintError(f"row {row_id} is deleted")
-            if self._cluster_pos is not None:
-                if row[self._cluster_pos] != self._columns[self._cluster_pos][row_id]:
-                    raise ConstraintError(
-                        "cannot update clustering key in place"
-                    )
             for column, value in zip(self._columns, row):
                 column[row_id] = value
 
@@ -213,9 +153,6 @@ class HeapTable:
                 [column[row_id] for row_id in keep] for column in self._columns
             ]
             self._valid = bytearray(b"\x01" * len(keep))
-            if self._cluster_pos is not None:
-                cluster = self._columns[self._cluster_pos]
-                self._cluster_keys = [_OrderKey(value) for value in cluster]
             self._live_count = len(keep)
 
     # ------------------------------------------------------------------
@@ -237,15 +174,6 @@ class HeapTable:
         for row_id, row in enumerate(zip(*self._columns)):
             if valid[row_id]:
                 yield row_id, row
-
-    def cluster_range(self, key: Any) -> Tuple[int, int]:
-        """Row-id range [lo, hi) holding ``key`` on a clustered table."""
-        if self._cluster_pos is None:
-            raise ConstraintError(f"table {self.name!r} is not clustered")
-        marker = _OrderKey(key)
-        lo = bisect.bisect_left(self._cluster_keys, marker)
-        hi = bisect.bisect_right(self._cluster_keys, marker)
-        return lo, hi
 
     # ------------------------------------------------------------------
     # columnar access (the executor)
@@ -275,8 +203,8 @@ class HeapTable:
 class _OrderKey:
     """Total order over heterogeneous values with None sorting last.
 
-    Lets clustered tables hold NULLs and mixed comparable values without
-    ``TypeError`` from raw tuple comparison.
+    Lets ORDER BY sort NULLs and mixed comparable values without
+    ``TypeError`` from raw comparison.
     """
 
     __slots__ = ("value",)
@@ -293,9 +221,6 @@ class _OrderKey:
 
     def __lt__(self, other: "_OrderKey") -> bool:
         return self._rank() < other._rank()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _OrderKey) and self._rank() == other._rank()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"_OrderKey({self.value!r})"

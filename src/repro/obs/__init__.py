@@ -7,7 +7,7 @@ reports into:
   causally-linked span tree (submit → cache → coalesce → dispatch →
   server execute → fetch) recorded into a bounded ring buffer; a
   disabled tracer costs one ``None`` check on the hot path.
-* :mod:`repro.obs.metrics` — a unified registry of counters, gauges and
+* :mod:`repro.obs.metrics` — a unified registry of counters and
   fixed-bucket latency histograms (p50/p90/p95/p99 extraction), plus
   *sources*: every existing stats surface (``SubmissionStats``,
   ``ServerStats``, ``CacheStats``, the speculation ledger) registers a
@@ -19,7 +19,6 @@ See ``docs/OBSERVABILITY.md`` for the span model and JSON schemas.
 
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     default_latency_buckets,
@@ -28,7 +27,6 @@ from .trace import Span, Tracer
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Span",

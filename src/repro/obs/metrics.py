@@ -1,4 +1,4 @@
-"""Unified metrics registry: counters, gauges, percentile histograms.
+"""Unified metrics registry: counters and percentile histograms.
 
 The shape follows the load-generator exemplars (dbworkload-style
 per-operation p50/p90/p95/p99): a :class:`Histogram` holds fixed,
@@ -19,9 +19,9 @@ same observations.
 
 A :class:`MetricsRegistry` unifies three kinds of surface:
 
-* **owned instruments** — ``counter(name)`` / ``gauge(name)`` /
-  ``histogram(name)`` get-or-create by name; the submission pipeline
-  records per-query latencies here when a registry is attached;
+* **owned instruments** — ``counter(name)`` / ``histogram(name)``
+  get-or-create by name; the submission pipeline records per-query
+  latencies here when a registry is attached;
 * **sources** — every pre-existing stats dataclass
   (``SubmissionStats``, ``ServerStats``, ``CacheStats``, the per-site
   speculation ledger) registers its ``stats_snapshot`` callable; the
@@ -45,7 +45,6 @@ True
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -152,29 +151,6 @@ class Counter:
 
     def reset(self) -> None:
         self._cells.reset()
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value: float = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def reset(self) -> None:
-        self.set(0.0)
 
 
 class Histogram:
@@ -332,8 +308,8 @@ class Histogram:
 class MetricsRegistry:
     """One namespace unifying instruments and pre-existing stats surfaces.
 
-    Instruments (:meth:`counter` / :meth:`gauge` / :meth:`histogram`)
-    are get-or-create by name and live for the registry's lifetime.
+    Instruments (:meth:`counter` / :meth:`histogram`) are get-or-create
+    by name and live for the registry's lifetime.
     *Sources* are zero-argument callables returning plain dicts — the
     ``stats_snapshot()`` of an existing subsystem — pulled lazily at
     :meth:`snapshot` time only.
@@ -342,7 +318,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._sources: Dict[str, Callable[[], Dict[str, Any]]] = {}
 
@@ -354,13 +329,6 @@ class MetricsRegistry:
             instrument = self._counters.get(name)
             if instrument is None:
                 instrument = self._counters[name] = Counter(name)
-            return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name)
             return instrument
 
     def histogram(
@@ -403,10 +371,6 @@ class MetricsRegistry:
             self._sources[final] = fn
             return final
 
-    def unregister_source(self, name: str) -> None:
-        with self._lock:
-            self._sources.pop(name, None)
-
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------
@@ -419,7 +383,6 @@ class MetricsRegistry:
         """
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
             sources = dict(self._sources)
         rendered_sources: Dict[str, Any] = {}
@@ -430,22 +393,15 @@ class MetricsRegistry:
                 rendered_sources[name] = {"error": repr(exc)}
         return {
             "counters": {name: c.value for name, c in counters.items()},
-            "gauges": {name: g.value for name, g in gauges.items()},
             "histograms": {name: h.snapshot() for name, h in histograms.items()},
             "sources": rendered_sources,
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """:meth:`snapshot` rendered as JSON (non-JSON values stringified)."""
-        return json.dumps(self.snapshot(), indent=indent, default=str)
-
     def reset(self) -> None:
         """Zero every owned instrument (sources are left alone)."""
         with self._lock:
-            instruments = (
-                list(self._counters.values())
-                + list(self._gauges.values())
-                + list(self._histograms.values())
+            instruments = list(self._counters.values()) + list(
+                self._histograms.values()
             )
         for instrument in instruments:
             instrument.reset()

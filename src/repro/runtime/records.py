@@ -14,16 +14,16 @@ runtime API for hand-written async code and for nested-table cases.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Iterator, List
 
 
 class Record:
     """One iteration's spilled state.
 
     Attribute-style access with "unassigned is distinguishable from
-    None" semantics: ``record.get("v")`` returns a default when the
-    attribute was never written, matching the conditional restore
-    (``ssr``) of Rule A.
+    None" semantics: reading an attribute that was never written raises
+    :class:`AttributeError`, as the conditional restore (``ssr``) of
+    Rule A must tell it from a written ``None``.
     """
 
     __slots__ = ("_values",)
@@ -43,15 +43,6 @@ class Record:
     def __setattr__(self, name: str, value: Any) -> None:
         object.__getattribute__(self, "_values")[name] = value
 
-    def __contains__(self, name: str) -> bool:
-        return name in object.__getattribute__(self, "_values")
-
-    def get(self, name: str, default: Any = None) -> Any:
-        return object.__getattribute__(self, "_values").get(name, default)
-
-    def assigned(self) -> List[str]:
-        return sorted(object.__getattribute__(self, "_values"))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         values = object.__getattribute__(self, "_values")
         body = ", ".join(f"{key}={value!r}" for key, value in sorted(values.items()))
@@ -61,9 +52,8 @@ class Record:
 class RecordTable:
     """An ordered, thread-safe collection of records keyed by loop index.
 
-    ``add`` assigns the next key; iteration yields records in key order.
-    Thread safety matters because the Discussion-section pipelined
-    variant lets a consumer drain while the producer still appends.
+    ``add`` assigns the next key; iteration yields records in key order
+    over a snapshot, so a reader may iterate while a producer appends.
     """
 
     def __init__(self) -> None:
@@ -81,29 +71,13 @@ class RecordTable:
             self._records.append(record)
             return key
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
     def __iter__(self) -> Iterator[Record]:
         """Iterate in key order over a snapshot."""
         with self._lock:
             snapshot = list(self._records)
         return iter(snapshot)
 
-    def __getitem__(self, key: int) -> Record:
-        with self._lock:
-            return self._records[key]
-
     def clear(self) -> None:
         """The paper's ``delete t`` — release the spilled state."""
         with self._lock:
             self._records.clear()
-
-    def drain(self, upto: Optional[int] = None) -> List[Record]:
-        """Remove and return the first ``upto`` records (pipelined mode)."""
-        with self._lock:
-            if upto is None:
-                upto = len(self._records)
-            head, self._records = self._records[:upto], self._records[upto:]
-            return head

@@ -54,12 +54,6 @@ class SpillStats:
     peak_resident: int = 0
 
 
-@dataclass
-class _Segment:
-    path: str
-    count: int
-
-
 def _split_payload(record: Record) -> Tuple[dict, dict]:
     """Partition a record's attributes into (picklable, pinned)."""
     values = object.__getattribute__(record, "_values")
@@ -87,8 +81,7 @@ class SpillableRecordTable:
 
     Drop-in for :class:`~repro.runtime.records.RecordTable`: ``add``
     assigns sequential keys, iteration yields records in key order,
-    ``drain`` removes from the front (pipelined mode), ``clear`` is the
-    paper's ``delete t``.
+    ``clear`` is the paper's ``delete t``.
 
     ``max_resident`` bounds in-memory records; once exceeded, the
     oldest ``spill_batch`` records (default: half the cap) are pickled
@@ -112,10 +105,8 @@ class SpillableRecordTable:
         self._max_resident = max_resident
         self._spill_batch = spill_batch
         self._lock = threading.Lock()
-        #: records loaded back from disk but not yet drained (key order,
-        #: strictly before every segment)
-        self._front: List[Record] = []
-        self._segments: List[_Segment] = []
+        #: segment file paths, oldest first
+        self._segments: List[str] = []
         #: newest records, not yet spilled (key order, strictly after
         #: every segment)
         self._resident: List[Record] = []
@@ -123,7 +114,6 @@ class SpillableRecordTable:
         #: attributes of spilled records; released by clear()
         self._pinned: Dict[int, Dict[str, Any]] = {}
         self._next_key = 0
-        self._drained = 0  # records removed from the front by drain()
         self.stats = SpillStats()
         if spill_dir is None:
             self._dir = tempfile.mkdtemp(prefix="repro-spill-")
@@ -151,92 +141,37 @@ class SpillableRecordTable:
             record.key = key
             self._resident.append(record)
             self.stats.added += 1
-            resident_now = len(self._front) + len(self._resident)
-            if resident_now > self.stats.peak_resident:
-                self.stats.peak_resident = resident_now
+            if len(self._resident) > self.stats.peak_resident:
+                self.stats.peak_resident = len(self._resident)
             if len(self._resident) > self._max_resident:
                 self._spill_locked()
             return key
 
-    def __len__(self) -> int:
-        with self._lock:
-            return (
-                len(self._front)
-                + sum(segment.count for segment in self._segments)
-                + len(self._resident)
-            )
-
     def __iter__(self) -> Iterator[Record]:
-        """Yield records in key order: front, disk segments, resident.
+        """Yield records in key order: disk segments, then resident.
 
         Segments are loaded one at a time, so iteration memory is
         bounded by ``max(spill_batch, max_resident)`` — the point of the
         exercise.
         """
         with self._lock:
-            front = list(self._front)
             segments = list(self._segments)
             resident = list(self._resident)
-        yield from front
         for segment in segments:
             yield from self._load_segment(segment)
         yield from resident
 
-    def __getitem__(self, key: int) -> Record:
-        """Key lookup; O(1) while resident, O(segment) after a spill."""
-        for record in self:
-            if record.get("key") == key:
-                return record
-        raise IndexError(key)
-
-    def drain(self, upto: Optional[int] = None) -> List[Record]:
-        """Remove and return the first ``upto`` records (pipelined mode)."""
-        if upto is None:
-            upto = len(self)
-        out: List[Record] = []
-        while len(out) < upto:
-            with self._lock:
-                if not self._front and self._segments:
-                    segment = self._segments.pop(0)
-                    self._front = self._load_segment(segment)
-                if self._front:
-                    take = min(upto - len(out), len(self._front))
-                    out.extend(self._front[:take])
-                    self._front = self._front[take:]
-                    self._drained += take
-                    continue
-                take = min(upto - len(out), len(self._resident))
-                out.extend(self._resident[:take])
-                self._resident = self._resident[take:]
-                self._drained += take
-                break
-        return out
-
     def clear(self) -> None:
         """The paper's ``delete t``: drop all records and segment files."""
         with self._lock:
-            self._front = []
             self._resident = []
             self._pinned.clear()
             segments, self._segments = self._segments, []
         for segment in segments:
             try:
-                os.unlink(segment.path)
+                os.unlink(segment)
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def resident_count(self) -> int:
-        with self._lock:
-            return len(self._front) + len(self._resident)
-
-    @property
-    def spilled_count(self) -> int:
-        with self._lock:
-            return sum(segment.count for segment in self._segments)
 
     # ------------------------------------------------------------------
     # internals
@@ -256,13 +191,13 @@ class SpillableRecordTable:
         path = os.path.join(self._dir, f"segment-{self._segment_ids:06d}.pkl")
         with open(path, "wb") as handle:
             pickle.dump(payloads, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        self._segments.append(_Segment(path, len(batch)))
+        self._segments.append(path)
         self.stats.spilled += len(batch)
         self.stats.segments_written += 1
         self.stats.bytes_written += os.path.getsize(path)
 
-    def _load_segment(self, segment: _Segment) -> List[Record]:
-        with open(segment.path, "rb") as handle:
+    def _load_segment(self, path: str) -> List[Record]:
+        with open(path, "rb") as handle:
             payloads = pickle.load(handle)
         self.stats.segments_read += 1
         records = []

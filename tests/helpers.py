@@ -234,16 +234,14 @@ def run_both(
 # ----------------------------------------------------------------------
 
 
-def reference_select(db, sql: str, params: Sequence = (), scan_by: Optional[str] = None):
+def reference_select(db, sql: str, params: Sequence = ()):
     """Answer one SELECT the slow, obvious way; returns ``(columns, rows)``.
 
     A full scan of ``heap.iter_rows()`` in row-id order, ``RowEvaluator``
     for predicates and expressions, plain Python group/sort/dedupe/limit.
     No planner, no indexes, no operators: it shares only the parser and
     the row evaluator with the engine, so an access-path, batching or
-    finalize-order bug in the engine cannot hide in it.  ``scan_by``
-    names the column whose ordered index the engine range-scans, if
-    any: candidates then arrive in that key's order (ties by row id).
+    finalize-order bug in the engine cannot hide in it.
     """
     stmt = parse(sql)
     params = tuple(params)
@@ -253,8 +251,6 @@ def reference_select(db, sql: str, params: Sequence = (), scan_by: Optional[str]
     schema = heap.schema
     evaluator = RowEvaluator(schema, stmt.table, params)
     rows = [row for _, row in heap.iter_rows() if evaluator.matches(stmt.where, row)]
-    if scan_by is not None:
-        rows.sort(key=_nulls_last(schema.position(scan_by, stmt.table)))
     names = tuple(_output_name(item, i) for i, item in enumerate(stmt.items))
     if stmt.group_by or stmt.is_aggregate:
         key_positions = [schema.position(c, stmt.table) for c in stmt.group_by]

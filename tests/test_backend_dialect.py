@@ -18,6 +18,7 @@ import sqlite3
 
 import pytest
 
+from repro.backends import BACKENDS
 from repro.backends.dialect import (
     NAMED,
     PYFORMAT,
@@ -27,6 +28,7 @@ from repro.backends.dialect import (
     translate_expr,
     translate_statement,
 )
+from repro.db import Database, INSTANT
 from repro.db.plan.expr_eval import RowEvaluator
 from repro.db.sql import parse
 from repro.db.types import schema_of
@@ -84,7 +86,6 @@ PARSER_DDL_FIXTURES = [
     "CREATE TABLE IF NOT EXISTS t2 (a int)",
     "CREATE INDEX i ON t (a)",
     "CREATE UNIQUE INDEX i ON t (a)",
-    "CREATE ORDERED INDEX i ON t (a)",
 ]
 
 
@@ -115,18 +116,32 @@ class TestParserFixturesRoundTrip:
         finally:
             connection.close()
 
-    def test_ordered_index_collapses(self):
-        # The engine distinguishes hash vs ordered indexes; SQLite's
-        # b-tree serves both, so ORDERED must not leak into the text.
-        translated = translate_statement(
-            parse("CREATE ORDERED INDEX i ON t (a)")
-        )
-        assert "ORDERED" not in translated.upper().replace(
-            "CREATE INDEX", ""
-        )
+    def test_unique_index_stays_unique(self):
         assert translate_statement(
             parse("CREATE UNIQUE INDEX i ON t (a)")
         ).startswith("CREATE UNIQUE INDEX")
+
+    @pytest.mark.parametrize("column", ["ordered", "clustered"])
+    def test_former_keywords_are_plain_column_names(self, column):
+        # Neither word is a keyword: a column so named is created,
+        # loaded, indexed, written and read back alike on both stores.
+        db = Database(INSTANT)
+        try:
+            db.create_table("o", ("id", "int"), (column, "text"))
+            db.backend("sqlite")
+            db.bulk_load("o", [(1, "a"), (2, "b")])
+            for name in BACKENDS:
+                with db.connect(async_workers=1, backend=name) as conn:
+                    conn.execute_update(f"CREATE INDEX o_{column} ON o ({column})")
+                    conn.execute_update(f"INSERT INTO o ({column}, id) VALUES ('c', 3)")
+                    assert conn.execute_query(
+                        f"SELECT {column}, id FROM o WHERE {column} = ?", ("c",)
+                    ).rows == [("c", 3)], name
+                    assert conn.execute_query(
+                        f"SELECT {column} FROM o ORDER BY {column} DESC"
+                    ).rows == [("c",), ("b",), ("a",)], name
+        finally:
+            db.close()
 
 
 # WHERE predicates checked value-for-value against the engine

@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import BACKENDS, SqliteBackend, resolve_backend_name
 from repro.db import Database, INSTANT
-from repro.db.errors import CatalogError, ConstraintError, DatabaseError
+from repro.db.errors import ConstraintError, DatabaseError
 
 values = st.one_of(st.integers(min_value=-9, max_value=9), st.none())
 texts = st.one_of(st.sampled_from(["red", "green", "blue", ""]), st.none())
@@ -104,7 +104,6 @@ def fresh_db(rows, indexed=False, not_null=None):
     db.bulk_load("t", rows)
     if indexed:
         db.create_index("ix", "t", "a")
-        db.create_index("ox", "t", "b", ordered=True)
     db.backend("sqlite")  # instantiate + seed the second store
     return db
 
@@ -479,27 +478,35 @@ class TestKeyedWriteDifferential:
             db.close()
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_an_ordered_index_cannot_be_unique(self, backend):
-        """Neither store keeps a key set to enforce it on, so both
-        refuse it, by statement or by ``create_index``."""
-        db = write_db([(0, 1, "a", 5)])
+    def test_a_unique_index_over_duplicates_is_refused(self, backend):
+        """Both stores refuse a unique index over a repeated key, by
+        statement or by ``create_index``, and keep no trace of it; NULL
+        keys do not repeat, so a unique index over them is taken."""
+        db = write_db([(0, 1, "a", 5), (1, 2, None, 5), (2, 3, None, 6)])
         try:
-            with pytest.raises(CatalogError, match="ordered"):
-                db.backend(backend).execute(
-                    "CREATE UNIQUE ORDERED INDEX w_o ON w (v)"
-                )
-            with pytest.raises(CatalogError, match="ordered"):
-                db.create_index("w_o", "w", "v", ordered=True, unique=True)
-            db.create_index("w_o", "w", "v", ordered=True)
+            with db.connect(async_workers=1, backend=backend) as conn:
+                with pytest.raises(ConstraintError):
+                    conn.execute_update("CREATE UNIQUE INDEX w_v ON w (v)")
+                with pytest.raises(ConstraintError):
+                    db.create_index("w_v", "w", "v", unique=True)
+                conn.execute_update("CREATE INDEX w_v ON w (v)")
+                conn.execute_update("CREATE UNIQUE INDEX w_s ON w (s)")
+                assert sorted(conn.execute_query(
+                    "SELECT id FROM w WHERE v = ?", (5,)
+                ).rows) == [(100,), (101,)]
+                assert sorted(conn.execute_query(
+                    "SELECT id FROM w WHERE s IS NULL"
+                ).rows) == [(101,), (102,)]
         finally:
             db.close()
 
     def test_the_native_rule(self):
-        """Which UPDATEs sqlite runs as one native statement.  An ordered
-        index is never unique, so assigning its column stays native."""
+        """Which UPDATEs sqlite runs as one native statement.  A
+        non-unique index does not matter, so assigning its column stays
+        native."""
         db = write_db([])
         try:
-            db.create_index("w_v", "w", "v", ordered=True)
+            db.create_index("w_v", "w", "v")
             store = db.backend("sqlite")
             native = {
                 sql: store.prepare(sql).translated[1] is not None
@@ -697,40 +704,40 @@ UNBINDABLE_KEYS = [
 ]
 
 
-class TestClusteredTables:
-    """A clustered insert that lands before the last row shifts the row
-    ids of every later row; the memory store's secondary indexes must
-    move with them (and a deleted row must not hide the keys after it
-    from the clustered access path)."""
+class TestIndexedWrites:
+    """A write in the middle of a table, by statement or by load, keeps
+    every hash-index lookup on the memory store what sqlite answers: a
+    delete must leave the keys after it reachable, an insert must land
+    in every bucket of its keys."""
 
     @staticmethod
-    def clustered_db():
+    def indexed_db():
         db = Database(INSTANT)
-        db.create_table("c", ("k", "int"), ("v", "text"), clustered_on="k")
+        db.create_table("c", ("k", "int"), ("v", "text"), rows_per_page=2)
+        db.create_index("c_k", "c", "k")
         db.create_index("c_v", "c", "v")
-        db.create_index("c_o", "c", "v", ordered=True)
         db.bulk_load("c", [(1, "a"), (5, "e"), (9, "i")])
         db.backend("sqlite")
         return db
 
     @staticmethod
     def lookups(db):
-        """Every store's answers through the clustered path and both
-        secondary indexes, for every key and value."""
+        """Every store's answers through both indexes and the scan, for
+        every key and value."""
         answers = []
         for name in BACKENDS:
             with db.connect(async_workers=1, backend=name) as conn:
                 answers.append(
                     [
                         sorted(conn.execute_query(sql, (value,)).rows)
-                        for value in "abcdefghi"
+                        for value in "abcdefghij"
                         for sql in (
                             "SELECT k FROM c WHERE v = ?",
                             "SELECT k FROM c WHERE v >= ?",
                         )
                     ]
                     + [
-                        conn.execute_query("SELECT v FROM c WHERE k = ?", (k,)).rows
+                        sorted(conn.execute_query("SELECT v FROM c WHERE k = ?", (k,)).rows)
                         for k in range(11)
                     ]
                 )
@@ -743,11 +750,14 @@ class TestClusteredTables:
             ("DELETE FROM c WHERE k = 5", None),
             (None, [(3, "c"), (7, "g")]),
             (None, [(9, "j"), (0, "z")]),
+            ("UPDATE c SET v = 'f' WHERE k = 5", None),
+            ("UPDATE c SET k = 0 WHERE v = 'e'", None),
         ],
-        ids=["insert", "delete", "bulk-load", "bulk-load-out-of-order"],
+        ids=["insert", "delete", "bulk-load", "bulk-load-out-of-order",
+             "update-value", "update-key"],
     )
     def test_mid_range_writes_keep_every_lookup(self, sql, rows):
-        db = self.clustered_db()
+        db = self.indexed_db()
         try:
             if rows is not None:
                 db.bulk_load("c", rows)
@@ -756,6 +766,7 @@ class TestClusteredTables:
                     conn.execute_update(sql)
             memory, sqlite = self.lookups(db)
             assert memory == sqlite
+            assert any(memory)
         finally:
             db.close()
 
@@ -862,31 +873,47 @@ class TestErrorParity:
             db.close()
 
     def test_txn_dml_rules_match(self):
-        # DDL in a txn and clustered-INSERT-in-txn raise the same
-        # TransactionStateError on both stores.
+        # DDL in a txn raises the same TransactionStateError on both
+        # stores.
         from repro.db.errors import TransactionStateError
 
         db = Database(INSTANT)
         try:
-            db.create_table("k", ("id", "int"), clustered_on="id")
+            db.create_table("k", ("id", "int"))
             db.backend("sqlite")
             for name in BACKENDS:
                 with db.connect(async_workers=1, backend=name) as conn:
                     conn.begin()
                     with pytest.raises(TransactionStateError):
-                        conn.execute_update("INSERT INTO k VALUES (1)")
+                        conn.execute_update("CREATE TABLE k2 (id int)")
                     conn.rollback()
         finally:
             db.close()
 
+    @pytest.mark.parametrize("kind", ["ORDERED", "CLUSTERED"])
+    def test_removed_index_kinds_fail_alike(self, kind):
+        # Neither store has an ordered or a clustered index: the words
+        # are not SQL keywords here, so both stores refuse the text
+        # with the same syntax error.
+        from repro.db.errors import SqlSyntaxError
+
+        db = fresh_db([(1, 1, 1, "x")])
+        try:
+            for name in BACKENDS:
+                with db.connect(async_workers=1, backend=name) as conn:
+                    with pytest.raises(DatabaseError) as exc:
+                        conn.execute_update(f"CREATE {kind} INDEX i ON t (a)")
+                    assert exc.type is SqlSyntaxError, name
+        finally:
+            db.close()
 
     def test_insert_error_precedence_matches(self):
-        # One order on every store (``InsertPlan.row``): the values are
-        # evaluated before a transactional clustered insert is refused,
-        # so a value that cannot be computed wins over the refusal.
+        # One order on every store (``InsertPlan.row``): inside a
+        # transaction too, a value that cannot be computed raises the
+        # same error everywhere.
         db = Database(INSTANT)
         try:
-            db.create_table("k", ("id", "int"), clustered_on="id")
+            db.create_table("k", ("id", "int"))
             db.backend("sqlite")
             for name in BACKENDS:
                 with db.connect(async_workers=1, backend=name) as conn:

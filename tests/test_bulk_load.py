@@ -20,7 +20,6 @@ from hypothesis import given, strategies as st
 from repro.backends import BACKENDS
 from repro.db import Database, INSTANT
 from repro.db.errors import ConstraintError, DatabaseError, TypeMismatchError
-from repro.db.index import OrderedIndex
 from repro.db.storage import HeapTable
 from repro.db.types import schema_of
 from tests.helpers import drawn
@@ -50,26 +49,26 @@ class TestCoerceOnce:
 
 
 class TestHeapExtend:
-    def test_a_clustered_batch_in_key_order_appends(self):
-        heap = HeapTable("c", schema_of(("k", "int"), ("v", "text")), clustered_on="k")
-        assert heap.extend([(1, "a"), (5, "e")])
-        assert heap.extend([(5, "f"), (9, "i")])
-        assert [row for _rid, row in heap.iter_rows()] == [
-            (1, "a"), (5, "e"), (5, "f"), (9, "i"),
-        ]
+    def test_a_batch_takes_the_row_ids_after_the_last_slot(self):
+        heap = HeapTable("c", schema_of(("k", "int"), ("v", "text")))
+        heap.extend([(5, "e"), (1, "a")])
+        heap.delete(1)
+        heap.extend([(9, "i"), (None, "n")])
+        assert list(heap.iter_rows()) == [(0, (5, "e")), (2, (9, "i")), (3, (None, "n"))]
+        assert len(heap) == 3
 
-    def test_a_clustered_batch_out_of_order_merges_as_inserts_would(self):
+    def test_a_batch_stores_what_inserts_would(self):
         schema = schema_of(("k", "int"), ("v", "text"))
         existing = [(1, "a"), (5, "e"), (9, "i"), (None, "n")]
         batch = [(5, "f"), (None, "m"), (0, "z"), (9, "j"), (3, "c")]
-        merged = HeapTable("c", schema, clustered_on="k")
-        merged.extend(existing)
-        assert not merged.extend(batch)
-        inserted = HeapTable("c", schema, clustered_on="k")
+        extended = HeapTable("c", schema, rows_per_page=2)
+        extended.extend(existing)
+        extended.extend(batch)
+        inserted = HeapTable("c", schema, rows_per_page=2)
         for row in existing + batch:
             inserted.insert(row)
-        assert list(merged.iter_rows()) == list(inserted.iter_rows())
-        assert merged.cluster_range(5) == inserted.cluster_range(5) == (3, 5)
+        assert list(extended.iter_rows()) == list(inserted.iter_rows())
+        assert extended.page_count == inserted.page_count
 
 
 @pytest.fixture
@@ -116,12 +115,46 @@ class TestAtomicLoad:
             assert store_rows(loaded, backend, "SELECT id FROM t") == Counter()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestNullKeysAreDistinct:
+    """A unique index takes any number of NULL keys, on every store and
+    by every write (SQL: NULLs are distinct); ``IS NULL`` finds every
+    NULL row and ``= ?`` bound to NULL none."""
+
+    def assert_nulls(self, db, backend, count):
+        with db.connect(async_workers=1, backend=backend) as conn:
+            nulls = conn.execute_query("SELECT id FROM u WHERE id IS NULL").rows
+            assert nulls == [(None,)] * count
+            assert conn.execute_query("SELECT id FROM u WHERE id = ?", (None,)).rows == []
+            # A repeated non-NULL key is still refused.
+            with pytest.raises(ConstraintError):
+                conn.execute_update("INSERT INTO u VALUES (?)", (9,))
+                conn.execute_update("INSERT INTO u VALUES (?)", (9,))
+
+    def test_inserts(self, loaded, backend):
+        with loaded.connect(async_workers=1, backend=backend) as conn:
+            conn.execute_update("INSERT INTO u VALUES (NULL)")
+            conn.execute_update("INSERT INTO u VALUES (?)", (None,))
+        self.assert_nulls(loaded, backend, 2)
+
+    def test_a_load(self, loaded, backend):
+        loaded.bulk_load("u", [(None,), (1,), (None,)])
+        self.assert_nulls(loaded, backend, 2)
+
+    def test_an_update(self, loaded, backend):
+        loaded.bulk_load("u", [(1,), (2,), (3,)])
+        with loaded.connect(async_workers=1, backend=backend) as conn:
+            update = conn.execute_update("UPDATE u SET id = NULL WHERE id < 3")
+            assert update.rowcount == 2
+        self.assert_nulls(loaded, backend, 2)
+
+
 # ----------------------------------------------------------------------
 # the load differential: bulk_load against row-by-row INSERT
 # ----------------------------------------------------------------------
 
-#: ``id`` carries the unique index and is NOT NULL; ``k`` may cluster
-#: the table and carries a non-unique hash index; ``f`` an ordered one.
+#: ``id`` may carry the unique index (NULLs in it are distinct); ``k``
+#: and ``f`` may carry a non-unique one.
 COLUMNS = (("id", "int"), ("k", "int"), ("f", "float"), ("s", "text"))
 INSERT = "INSERT INTO d VALUES (?, ?, ?, ?)"
 PROBES = {"id": "SELECT * FROM d WHERE id = ?", "k": "SELECT * FROM d WHERE k = ?",
@@ -140,29 +173,32 @@ coercible_floats = st.one_of(
 texts = st.one_of(st.sampled_from(["", "red", "blue"]), small_ints, st.none())
 #: Rows every column takes (a unique duplicate is the only way to fail).
 coercible_rows = st.tuples(
-    coercible_ints, st.one_of(coercible_ints, st.none()), coercible_floats, texts
+    st.one_of(coercible_ints, st.none()),
+    st.one_of(coercible_ints, st.none()),
+    coercible_floats,
+    texts,
 )
-#: Rows that may also fail to coerce: NULL in the NOT NULL ``id``, a
-#: lossy float or a non-number.
-failing = st.sampled_from([None, 2.5, "x"])
+#: Rows that may also fail to coerce: a lossy float or a non-number.
+failing = st.sampled_from([2.5, "x"])
 rows = st.tuples(
-    st.one_of(coercible_ints, failing),
-    st.one_of(coercible_ints, failing),
+    st.one_of(coercible_ints, failing, st.none()),
+    st.one_of(coercible_ints, failing, st.none()),
     st.one_of(coercible_floats, st.just("y")),
     texts,
 )
-good_rows = st.tuples(small_ints, st.one_of(small_ints, st.none()),
+good_rows = st.tuples(st.one_of(small_ints, st.none()),
+                      st.one_of(small_ints, st.none()),
                       st.one_of(st.sampled_from([0.5, 2.0]), st.none()),
                       st.one_of(st.sampled_from(["red", "blue"]), st.none()))
 
 tables = st.fixed_dictionaries({
-    "clustered": st.booleans(),
     # Which indexes exist before either load: unique hash on id,
-    # non-unique hash on k, ordered on f.
+    # non-unique hash on k and on f.
     "indexes": st.tuples(st.booleans(), st.booleans(), st.booleans()).map(
         lambda flags: [c for c, on in zip(("id", "k", "f"), flags) if on]
     ),
-    # Stored before the batch (unique ids, all coercible).
+    # Stored before the batch (unique ids, at most one NULL, all
+    # coercible).
     "existing": st.lists(good_rows, max_size=8, unique_by=lambda row: row[0]),
     "batch": st.one_of(
         st.lists(coercible_rows, max_size=10), st.lists(rows, max_size=6)
@@ -174,11 +210,9 @@ def build(backend, spec):
     """A Database holding ``spec``'s table, indexes and existing rows;
     the store under test is live."""
     db = Database(INSTANT)
-    db.create_table("d", *COLUMNS, not_null=["id"], rows_per_page=4,
-                    clustered_on="k" if spec["clustered"] else None)
+    db.create_table("d", *COLUMNS, rows_per_page=4)
     for column in spec["indexes"]:
-        db.create_index(f"d_{column}", "d", column,
-                        ordered=column == "f", unique=column == "id")
+        db.create_index(f"d_{column}", "d", column, unique=column == "id")
     db.bulk_load("d", spec["existing"])
     db.backend(backend)
     return db
@@ -199,11 +233,7 @@ def contents(db, backend, probes):
         info = db.catalog.table("d")
         state["heap"] = list(info.heap.iter_rows())
         for index in info.indexes:
-            state[index.name] = (
-                index.range()
-                if isinstance(index, OrderedIndex)
-                else {key: list(index.lookup(key)) for key in index.keys()}
-            )
+            state[index.name] = {key: list(index.lookup(key)) for key in index.keys()}
     return state
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db.errors import PlanError, TypeMismatchError
+from tests.helpers import reference_select
 
 
 @pytest.fixture
@@ -10,7 +11,6 @@ def loaded(db):
     db.create_table("t", ("id", "int"), ("grp", "int"), ("val", "int"))
     db.bulk_load("t", [(i, i % 3, i * 10) for i in range(12)])
     db.create_index("ix_grp", "t", "grp")
-    db.create_index("ox_val", "t", "val", ordered=True)
     return db
 
 
@@ -97,6 +97,33 @@ class TestDelete:
         loaded.server.execute("DELETE FROM t WHERE id = 1")
         loaded.server.execute("INSERT INTO t (id, grp, val) VALUES (1, 1, 10)")
         assert count(loaded, "id = 1") == 1
+
+
+class TestTwoIndexes:
+    """Every write keeps a second hash index (on ``val``) in step with
+    the heap as well as ``ix_grp``: each probe answers what a scan of
+    the heap does."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO t VALUES (50, 1, 30)",
+            "UPDATE t SET val = 999, grp = 0 WHERE id = 4",
+            "DELETE FROM t WHERE val = 30",
+        ],
+        ids=["insert", "update", "delete"],
+    )
+    def test_probes_match_the_scan(self, loaded, sql):
+        loaded.create_index("ix_val", "t", "val")
+        loaded.server.execute(sql)
+        for column, keys in (("grp", range(-1, 4)), ("val", (0, 30, 40, 999))):
+            probe = f"SELECT id FROM t WHERE {column} = ?"
+            assert loaded.server.prepare(probe).plan.access_path == "HashEqOp"
+            for key in keys:
+                result = loaded.server.execute(probe, (key,))
+                assert (result.columns, result.rows) == reference_select(
+                    loaded, probe, (key,)
+                ), (column, key)
 
 
 class TestDdlThroughSql:

@@ -97,7 +97,7 @@ class TestCatalog:
         catalog = self.make()
         catalog.create_table("t", schema_of(("a", "int"), ("b", "int")))
         catalog.create_index("ia", "t", "a")
-        catalog.create_index("ib", "t", "b", ordered=True)
+        catalog.create_index("ib", "t", "b")
         assert len(catalog.indexes_on("t")) == 2
         assert len(catalog.indexes_on("t", "a")) == 1
         assert catalog.indexes_on("t", "a")[0].name == "ia"
@@ -200,10 +200,9 @@ class TestConcurrencyPrimitives:
 
 class TestExplain:
     def test_explain_reports_access_path(self, db):
-        db.create_table("t", ("a", "int"), ("b", "int"), clustered_on="a")
+        db.create_table("t", ("a", "int"), ("b", "int"))
         db.bulk_load("t", [(i, i) for i in range(5)])
         db.create_index("ib", "t", "b")
-        assert "ClusteredEqOp" in db.explain("SELECT * FROM t WHERE a = 1")
         assert "HashEqOp" in db.explain("SELECT * FROM t WHERE b = 1")
         assert "SeqScanOp" in db.explain("SELECT * FROM t WHERE b + 1 = 2")
         assert "UpdatePlan" in db.explain("UPDATE t SET b = 0 WHERE b = 1")

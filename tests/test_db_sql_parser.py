@@ -175,9 +175,8 @@ class TestDdl:
         assert isinstance(stmt, CreateIndexStmt)
         assert (stmt.index, stmt.table, stmt.column) == ("i", "t", "a")
 
-    def test_create_unique_ordered_index(self):
+    def test_create_unique_index(self):
         assert parse("CREATE UNIQUE INDEX i ON t (a)").unique
-        assert parse("CREATE ORDERED INDEX i ON t (a)").ordered
 
     def test_select_is_not_write(self):
         assert not is_write(parse("SELECT 1 FROM t"))

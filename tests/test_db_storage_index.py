@@ -1,17 +1,17 @@
-"""Unit tests: heap storage, clustered tables and secondary indexes."""
+"""Unit tests: heap storage and secondary indexes."""
 
 import pytest
 
-from repro.db.errors import ConstraintError
-from repro.db.index import HashIndex, OrderedIndex
+from repro.db.errors import ConstraintError, DatabaseError
+from repro.db.index import HashIndex
 from repro.db.storage import HeapTable, OrderKey
 from repro.db.types import schema_of
 
 SCHEMA = schema_of(("id", "int"), ("grp", "int"), ("val", "int"))
 
 
-def make_heap(rows_per_page=4, clustered_on=None):
-    return HeapTable("t", SCHEMA, rows_per_page=rows_per_page, clustered_on=clustered_on)
+def make_heap(rows_per_page=4):
+    return HeapTable("t", SCHEMA, rows_per_page=rows_per_page)
 
 
 class TestHeapTable:
@@ -69,40 +69,6 @@ class TestHeapTable:
         assert all(row is not None for _rid, row in heap.iter_rows())
 
 
-class TestClusteredHeap:
-    def test_rows_kept_sorted(self):
-        heap = make_heap(clustered_on="grp")
-        for grp in (5, 1, 3, 1, 5, 2):
-            heap.insert((0, grp, 0))
-        groups = [row[1] for _rid, row in heap.iter_rows()]
-        assert groups == sorted(groups)
-
-    def test_cluster_range(self):
-        heap = make_heap(clustered_on="grp")
-        for grp in (1, 1, 2, 2, 2, 3):
-            heap.insert((0, grp, 0))
-        low, high = heap.cluster_range(2)
-        assert high - low == 3
-        assert all(heap.fetch(rid)[1] == 2 for rid in range(low, high))
-
-    def test_cluster_range_missing_key(self):
-        heap = make_heap(clustered_on="grp")
-        heap.insert((0, 1, 0))
-        low, high = heap.cluster_range(9)
-        assert low == high
-
-    def test_cluster_range_on_unclustered_rejected(self):
-        heap = make_heap()
-        with pytest.raises(ConstraintError):
-            heap.cluster_range(1)
-
-    def test_update_clustering_key_rejected(self):
-        heap = make_heap(clustered_on="grp")
-        rid = heap.insert((0, 1, 0))
-        with pytest.raises(ConstraintError):
-            heap.update(rid, (0, 2, 0))
-
-
 class TestOrderKey:
     def test_none_sorts_last(self):
         keys = sorted([OrderKey(3), OrderKey(None), OrderKey(1)])
@@ -151,46 +117,48 @@ class TestHashIndex:
         _heap, index = self.build()
         assert index.page_for(3) == index.page_for(3)
 
-
-class TestOrderedIndex:
-    def build(self):
+    def test_unique_takes_any_number_of_nulls(self):
         heap = make_heap()
-        for i in range(20):
-            heap.insert((i, 0, (i * 7) % 20))
-        index = OrderedIndex("ox", heap, "val")
+        heap.insert((1, None, 0))
+        heap.insert((2, None, 0))
+        heap.insert((3, 7, 0))
+        index = HashIndex("u", heap, "grp", unique=True)
         index.build()
-        return heap, index
+        rid = heap.insert((4, None, 0))
+        index.check_unique(None)
+        index.add(rid, None)
+        assert index.lookup(None) == [0, 1, rid]
+        with pytest.raises(ConstraintError):
+            index.check_unique(7)
+        with pytest.raises(ConstraintError):
+            index.add(heap.insert((5, 7, 0)), 7)
 
-    def test_full_range_sorted(self):
+    def test_extend_indexes_rows_past_the_built_ones(self):
         heap, index = self.build()
-        rids = index.range()
-        values = [heap.fetch(rid)[2] for rid in rids]
-        assert values == sorted(values)
+        heap.extend([(20, 2, 0), (21, 9, 0)])
+        index.extend([20, 21])
+        assert index.lookup(2) == [2, 6, 10, 14, 18, 20]
+        assert index.lookup(9) == [21]
+        assert index.key_count == 5
+        assert sorted(index.keys()) == [0, 1, 2, 3, 9]
 
-    def test_bounded_ranges(self):
+    def test_build_skips_deleted_rows(self):
         heap, index = self.build()
-        rids = index.range(5, 10)
-        assert all(5 <= heap.fetch(rid)[2] <= 10 for rid in rids)
-        exclusive = index.range(5, 10, low_inclusive=False, high_inclusive=False)
-        assert all(5 < heap.fetch(rid)[2] < 10 for rid in exclusive)
+        heap.delete(6)
+        index.build()
+        assert index.lookup(2) == [2, 10, 14, 18]
 
-    def test_open_ended(self):
-        heap, index = self.build()
-        rids = index.range(low=15)
-        assert all(heap.fetch(rid)[2] >= 15 for rid in rids)
-
-    def test_nulls_excluded(self):
+    def test_page_count_grows_with_entries(self):
         heap = make_heap()
-        heap.insert((1, 0, None))
-        rid = heap.insert((2, 0, 5))
-        index = OrderedIndex("ox", heap, "val")
+        index = HashIndex("ix", heap, "grp")
         index.build()
-        assert index.range() == [rid]
+        assert index.page_count == 1
+        heap.extend([(i, i, 0) for i in range(600)])
+        index.extend(range(600))
+        assert index.page_count == 3
+        assert all(0 <= index.page_for(key) < 3 for key in range(600))
 
-    def test_incremental(self):
-        heap, index = self.build()
-        rid = heap.insert((100, 0, 7))
-        index.add(rid, 7)
-        assert rid in index.range(7, 7)
-        index.remove(rid, 7)
-        assert rid not in index.range(7, 7)
+    def test_unhashable_probe_is_a_database_error(self):
+        _heap, index = self.build()
+        with pytest.raises(DatabaseError):
+            index.page_for([2])

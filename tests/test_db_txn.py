@@ -163,15 +163,12 @@ class TestStateMachine:
             conn.execute_update("create table u (id int)")
         conn.rollback()
 
-    def test_clustered_insert_inside_transaction_rejected(self, db):
-        db.create_table(
-            "clu", ("k", "int"), ("v", "text"), clustered_on="k"
-        )
-        with db.connect() as connection:
-            connection.begin()
-            with pytest.raises(TransactionStateError):
-                connection.execute_update("insert into clu values (1, 'x')")
-            connection.rollback()
+    def test_index_ddl_inside_transaction_rejected(self, db, conn):
+        conn.begin()
+        with pytest.raises(TransactionStateError):
+            conn.execute_update("create index ix_v on t (v)")
+        conn.rollback()
+        assert db.catalog.indexes_on("t") == []
 
     def test_manager_tracks_active_count(self, db, conn):
         txns = conn.server.txns  # whichever backend the conn talks to

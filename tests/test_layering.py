@@ -750,6 +750,32 @@ def test_traffic_reports_what_a_command_entered():
     assert "repro.transform.engine" in missing  # nothing of it ran
 
 
+def test_traffic_base_prints_only_what_changed(capsys):
+    """``tools/traffic.py --base DIR`` prints the functions that joined
+    or left the unreached list, marks one a side does not define, and
+    both totals."""
+    import importlib.util
+
+    path = SRC.parent.parent / "tools" / "traffic.py"
+    spec = importlib.util.spec_from_file_location("traffic", path)
+    traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traffic)
+    head = {"unreached": {"repro.db.database": ["Database.explain", "both"]}, "total": 9}
+    base = {
+        "unreached": {"repro.db.database": ["both", "Database.connect", "Database.gone"]},
+        "total": 10,
+    }
+    traffic._print_changes(head, base, SRC)
+    assert capsys.readouterr().out.splitlines() == [
+        "joined the unreached list:",
+        "    repro.db.database  Database.explain",
+        "left the unreached list:",
+        "    repro.db.database  Database.connect",
+        "    repro.db.database  Database.gone  (not defined on the other side)",
+        "unreached: 2 of 9 functions under src/repro (base: 3 of 10)",
+    ]
+
+
 #: Where a definition under ``src/`` may be referenced from.
 REFERENCING = ("src", "tests", "tools", "benchmarks", "perfbench", "examples")
 

@@ -101,7 +101,7 @@ class TestRegistryWiring:
             run_some_queries(conn)
         snap = grouped.stats_snapshot()
         json.dumps(snap, default=str)
-        assert set(snap) == {"counters", "gauges", "histograms", "sources"}
+        assert set(snap) == {"counters", "histograms", "sources"}
         for source in ("submission", "cache", "server", "io"):
             assert source in snap["sources"]
         # per-op latency histograms observed real requests
@@ -172,7 +172,7 @@ class TestCliCommands:
     def test_stats_json_round_trips(self, capsys):
         assert main(["stats", "--json", "--ops", "20"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"counters", "gauges", "histograms", "sources"}
+        assert set(doc) == {"counters", "histograms", "sources"}
         assert doc["sources"]["submission"]["async_submits"] > 0
         assert doc["histograms"]["submission.query_s"]["p99"] is not None
 

@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     default_latency_buckets,
@@ -26,7 +25,7 @@ class TestBuckets:
         assert bounds[-1] >= 60.0
 
 
-class TestCounterGauge:
+class TestCounter:
     def test_counter_inc_and_reset(self):
         counter = Counter("ops")
         counter.inc()
@@ -34,11 +33,6 @@ class TestCounterGauge:
         assert counter.value == 5
         counter.reset()
         assert counter.value == 0
-
-    def test_gauge_set(self):
-        gauge = Gauge("depth")
-        gauge.set(3.5)
-        assert gauge.value == 3.5
 
 
 class TestHistogram:
@@ -194,19 +188,15 @@ class TestRegistry:
     def test_instruments_are_get_or_create(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
 
     def test_snapshot_round_trips_through_json(self):
         reg = MetricsRegistry()
         reg.counter("ops").inc(3)
-        reg.gauge("depth").set(2.0)
         reg.histogram("lat").observe(0.004)
         reg.register_source("pipeline", lambda: {"submits": 7})
-        text = reg.to_json()
-        doc = json.loads(text)
+        doc = json.loads(json.dumps(reg.snapshot()))
         assert doc["counters"]["ops"] == 3
-        assert doc["gauges"]["depth"] == 2.0
         assert doc["histograms"]["lat"]["count"] == 1
         assert doc["histograms"]["lat"]["p99"] is not None
         assert doc["sources"]["pipeline"] == {"submits": 7}
@@ -227,12 +217,6 @@ class TestRegistry:
         assert name == "cache"
         assert reg.snapshot()["sources"] == {"cache": {"n": 2}}
 
-    def test_unregister_source(self):
-        reg = MetricsRegistry()
-        reg.register_source("cache", lambda: {"n": 1})
-        reg.unregister_source("cache")
-        assert reg.snapshot()["sources"] == {}
-
     def test_failing_source_renders_error_stub(self):
         reg = MetricsRegistry()
 
@@ -243,7 +227,7 @@ class TestRegistry:
         snap = reg.snapshot()["sources"]["broken"]
         assert "error" in snap and "boom" in snap["error"]
         # ...and the snapshot still JSON-serializes
-        json.loads(reg.to_json())
+        json.dumps(reg.snapshot())
 
     def test_reset_clears_instruments_but_keeps_sources(self):
         reg = MetricsRegistry()

@@ -214,21 +214,11 @@ class TestRecord:
         record.b = 2
         assert record.a == 1
         assert record.b == 2
-        assert "a" in record and "b" in record
 
     def test_unassigned_attribute_raises(self):
         record = Record()
         with pytest.raises(AttributeError):
             _ = record.missing
-
-    def test_get_with_default(self):
-        record = Record(a=1)
-        assert record.get("a") == 1
-        assert record.get("z", "fallback") == "fallback"
-
-    def test_assigned_listing(self):
-        record = Record(b=1, a=2)
-        assert record.assigned() == ["a", "b"]
 
 
 class TestRecordTable:
@@ -239,45 +229,25 @@ class TestRecordTable:
         assert [record.v for record in table] == [0, 1, 2, 3, 4]
         assert [record.key for record in table] == keys
 
-    def test_len_and_getitem(self):
-        table = RecordTable()
-        table.add(table.new_record(v=7))
-        assert len(table) == 1
-        assert table[0].v == 7
-
     def test_clear(self):
         table = RecordTable()
         table.add(table.new_record())
         table.clear()
-        assert len(table) == 0
+        assert list(table) == []
 
-    def test_drain_fifo(self):
+    def test_iteration_while_producing_sees_a_key_order_prefix(self):
         table = RecordTable()
-        for i in range(6):
-            table.add(table.new_record(v=i))
-        head = table.drain(2)
-        assert [record.v for record in head] == [0, 1]
-        assert len(table) == 4
-        rest = table.drain()
-        assert [record.v for record in rest] == [2, 3, 4, 5]
-        assert len(table) == 0
+        snapshots = []
 
-    def test_concurrent_producer_consumer(self):
-        table = RecordTable()
-        consumed = []
-
-        def producer():
+        def produce():
             for i in range(200):
                 table.add(table.new_record(v=i))
 
-        def consumer():
-            while len(consumed) < 200:
-                for record in table.drain():
-                    consumed.append(record.v)
-
-        threads = [threading.Thread(target=producer), threading.Thread(target=consumer)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert consumed == list(range(200))
+        producer = threading.Thread(target=produce)
+        producer.start()
+        while producer.is_alive():  # read on this thread while it appends
+            snapshots.append([record.v for record in table])
+        producer.join()
+        snapshots.append([record.v for record in table])
+        assert snapshots[-1] == list(range(200))
+        assert all(seen == list(range(len(seen))) for seen in snapshots)

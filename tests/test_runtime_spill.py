@@ -2,6 +2,7 @@
 memory-overhead mitigation (a))."""
 
 import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -35,16 +36,10 @@ class TestBasics:
         assert [r.v for r in table] == list(range(25))
         assert [r.key for r in table] == list(range(25))
 
-    def test_len_counts_disk_and_memory(self):
-        table = fill(make_table(max_resident=4), 25)
-        assert len(table) == 25
-        assert table.resident_count < 25
-        assert table.spilled_count + table.resident_count == 25
-
     def test_no_spill_below_cap(self):
         table = fill(make_table(max_resident=100), 50)
         assert table.stats.segments_written == 0
-        assert table.resident_count == 50
+        assert table.stats.peak_resident == 50
 
     def test_spill_stats(self):
         table = fill(make_table(max_resident=4, spill_batch=2), 11)
@@ -54,12 +49,31 @@ class TestBasics:
         assert table.stats.bytes_written > 0
         assert table.stats.peak_resident <= 5  # cap + the triggering add
 
-    def test_getitem_after_spill(self):
-        table = fill(make_table(max_resident=4), 20)
-        assert table[0].v == 0
-        assert table[19].v == 19
-        with pytest.raises(IndexError):
-            table[99]
+    def test_each_iteration_reads_every_segment_once(self):
+        table = fill(make_table(max_resident=4, spill_batch=2), 13)
+        written = table.stats.segments_written
+        assert written > 1
+        for passes in (1, 2):
+            assert [r.v for r in table] == list(range(13))
+            assert table.stats.segments_read == passes * written
+
+    def test_iteration_while_producing_sees_a_key_order_prefix(self):
+        table = make_table(max_resident=8, spill_batch=4)
+        snapshots = []
+
+        def produce():
+            for i in range(200):
+                table.add(table.new_record(v=i))
+
+        producer = threading.Thread(target=produce)
+        producer.start()
+        while producer.is_alive():  # read on this thread while it appends
+            snapshots.append([record.v for record in table])
+        producer.join()
+        snapshots.append([record.v for record in table])
+        assert snapshots[-1] == list(range(200))
+        assert all(seen == list(range(len(seen))) for seen in snapshots)
+        table.clear()
 
     def test_clear_removes_segment_files(self):
         table = fill(make_table(max_resident=4), 25)
@@ -67,7 +81,7 @@ class TestBasics:
         assert os.listdir(directory)
         table.clear()
         assert not os.listdir(directory)
-        assert len(table) == 0
+        assert list(table) == []
 
     def test_records_usable_after_reload(self):
         table = make_table(max_resident=2)
@@ -94,31 +108,6 @@ class TestBasics:
         assert list(table)  # readable
         table.clear()
         assert directory.exists()  # caller-owned directory survives
-
-
-class TestDrain:
-    def test_drain_all(self):
-        table = fill(make_table(max_resident=4), 15)
-        drained = table.drain()
-        assert [r.v for r in drained] == list(range(15))
-        assert len(table) == 0
-
-    def test_partial_drains_cross_segments(self):
-        table = fill(make_table(max_resident=4, spill_batch=2), 13)
-        seen = []
-        while True:
-            chunk = table.drain(3)
-            if not chunk:
-                break
-            seen.extend(r.v for r in chunk)
-        assert seen == list(range(13))
-
-    def test_drain_then_add_continues_keys(self):
-        table = fill(make_table(max_resident=4), 6)
-        table.drain(6)
-        key = table.add(table.new_record(v="later"))
-        assert key == 6
-        assert [r.v for r in table] == ["later"]
 
 
 class TestPinnedAttributes:
@@ -157,7 +146,7 @@ class TestPinnedAttributes:
                         "select v from t where id = ?", [i]
                     )
                     table.add(record)
-                assert table.spilled_count > 0
+                assert table.stats.spilled > 0
                 values = [
                     conn.fetch_result(record.handle).scalar() for record in table
                 ]
@@ -180,22 +169,4 @@ class TestEquivalenceWithRecordTable:
             spilly.add(spilly.new_record(v=value))
         assert [r.v for r in plain] == [r.v for r in spilly]
         assert [r.key for r in plain] == [r.key for r in spilly]
-        assert len(plain) == len(spilly)
-        spilly.clear()
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        count=st.integers(min_value=0, max_value=40),
-        chunks=st.lists(st.integers(min_value=1, max_value=7), max_size=12),
-    )
-    def test_drain_matches_plain_table(self, count, chunks):
-        plain = RecordTable()
-        spilly = SpillableRecordTable(max_resident=3)
-        for i in range(count):
-            plain.add(plain.new_record(v=i))
-            spilly.add(spilly.new_record(v=i))
-        for chunk in chunks:
-            got_plain = [r.v for r in plain.drain(chunk)]
-            got_spilly = [r.v for r in spilly.drain(chunk)]
-            assert got_plain == got_spilly
         spilly.clear()

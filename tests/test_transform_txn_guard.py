@@ -150,8 +150,9 @@ class TestDefuseBarrierEffect:
         ddg = build_ddg(header, body)
         # begin (node 1) -> query (node 2): external FD on "db"
         fd = [
-            e for e in ddg.edges_between(1, 2)
-            if e.external and e.kind == "FD" and not e.loop_carried
+            e for e in ddg.edges
+            if e.src == 1 and e.dst == 2
+            and e.external and e.kind == "FD" and not e.loop_carried
         ]
         assert fd, "barrier must have a flow edge into the query"
         # commit (node 3) loop-carried conflict back to begin (node 1)

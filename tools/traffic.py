@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Which functions under ``src/repro`` does real traffic reach?
 
-    python tools/traffic.py            # run every traffic command, list what none entered
-    python tools/traffic.py --list     # only print the commands
+    python tools/traffic.py               # run every traffic command, list what none entered
+    python tools/traffic.py --list        # only print the commands
+    python tools/traffic.py --base ../base  # ... and only what changed against another checkout
 
 A function-level call trace that makes "did we verify or guess the
 traffic?" reproducible.  ``sys.setprofile`` and ``threading.setprofile``
@@ -19,6 +20,12 @@ options.  Everything they write (perfbench results and traces, bench
 JSON, the sqlite stores' scratch files) goes to a temporary directory
 that is removed at exit: nothing lands in the checkout.  A full run
 takes a few minutes; it exits 1 if a command failed.
+
+With ``--base DIR`` the traffic of the checkout at ``DIR`` (its own
+``src/``, ``perfbench/``, examples and ``BENCHMARK.json``) runs as well,
+in a child process, and only the functions that joined or left the
+unreached list are printed, with both totals, as ``tools/sloc.py
+--base`` prints lines.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import contextlib
 import json
 import os
 import runpy
+import subprocess
 import sys
 import tempfile
 import threading
@@ -58,18 +66,19 @@ CLI_OPTIONS = (
 )
 
 
-def commands() -> List[Tuple[str, ...]]:
-    """Every traffic command, as the arguments after ``python``."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+def commands(root: Path = ROOT) -> List[Tuple[str, ...]]:
+    """Every traffic command of the checkout at ``root``, as the
+    arguments after ``python``."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
     runs: List[Tuple[str, ...]] = [
         ("-m", "perfbench", "run", "--workload", workload["name"],
          "--seconds", "1", "--trace", "1")
         for workload in spec["workloads"]
     ]
-    runs.append((str(ROOT / "tools" / "bench_smoke.py"), "--figures"))
+    runs.append((str(root / "tools" / "bench_smoke.py"), "--figures"))
     runs += [("-m", "repro", "workload", "run", *line.split()) for line in WORKLOAD_RUNS]
-    runs += [(str(path),) for path in sorted((ROOT / "examples").glob("*.py"))]
-    quickstart = str(ROOT / "examples" / "quickstart.py")
+    runs += [(str(path),) for path in sorted((root / "examples").glob("*.py"))]
+    quickstart = str(root / "examples" / "quickstart.py")
     runs += [("-m", "repro", quickstart, *options) for options in CLI_OPTIONS]
     return runs
 
@@ -87,11 +96,13 @@ def _run(argv: Sequence[str]) -> None:
         runpy.run_path(argv[0], run_name="__main__")
 
 
-def trace(runs: Iterable[Sequence[str]]) -> Tuple[Set[Tuple[str, int]], List[str]]:
+def trace(
+    runs: Iterable[Sequence[str]], root: Path = ROOT
+) -> Tuple[Set[Tuple[str, int]], List[str]]:
     """Run every command under the call trace, in a temporary working
-    directory; returns ``(reached, failed)``: the ``(file, first line)``
-    of every code object entered, and the commands that exited non-zero
-    or raised."""
+    directory, importing ``root``'s ``repro`` and ``perfbench``; returns
+    ``(reached, failed)``: the ``(file, first line)`` of every code
+    object entered, and the commands that exited non-zero or raised."""
     codes: Set[object] = set()
     tracing = [True]  # a thread a command left running stops recording
 
@@ -104,14 +115,14 @@ def trace(runs: Iterable[Sequence[str]]) -> Tuple[Set[Tuple[str, int]], List[str
     with tempfile.TemporaryDirectory(prefix="repro-traffic-") as scratch:
         os.chdir(scratch)
         os.environ["REPRO_BENCH_OUT"] = os.path.join(scratch, "bench-out")
-        sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+        sys.path[:0] = [str(root / "src"), str(root)]
         import perfbench
 
         # perfbench writes its results, traces and sqlite stores here.
         out, perfbench.OUT = perfbench.OUT, Path(scratch) / "perfbench"
         try:
             for argv in runs:
-                shown = " ".join(argv).replace(f"{ROOT}{os.sep}", "")
+                shown = " ".join(argv).replace(f"{root}{os.sep}", "")
                 started = time.perf_counter()
                 tempfile.tempdir = scratch
                 threading.setprofile(profile)
@@ -176,24 +187,98 @@ def unreached(reached: Set[Tuple[str, int]], src: Path = SRC) -> Dict[str, List[
     return modules
 
 
+def report(root: Path = ROOT) -> dict:
+    """Run the traffic of the checkout at ``root``: ``{"unreached":
+    {module: [name, ...]}, "total": functions defined, "failed":
+    [command, ...]}``."""
+    reached, failed = trace(commands(root), root)
+    src = root / "src" / "repro"
+    return {
+        "unreached": unreached(reached, src),
+        "total": len(defined(src)),
+        "failed": failed,
+    }
+
+
+def _base_report(base: Path) -> dict:
+    """:func:`report` of the checkout at ``base``, run in a child
+    process so that it imports that checkout's modules, not ours."""
+    script = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import traffic; "
+        "print(json.dumps(traffic.report(traffic.Path(sys.argv[2]))))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).resolve().parent), str(base)],
+        cwd=base,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    lines = child.stdout.strip().splitlines()
+    if child.returncode or not lines:
+        raise SystemExit(f"traffic: the base run failed (exit {child.returncode})")
+    return json.loads(lines[-1])
+
+
+def _names(found: Dict[str, List[str]]) -> Set[Tuple[str, str]]:
+    return {(module, name) for module, names in found.items() for name in names}
+
+
+def _count(found: Dict[str, List[str]]) -> int:
+    return sum(len(names) for names in found.values())
+
+
+def _print_changes(head: dict, base: dict, base_src: Path) -> None:
+    """The functions that joined or left the unreached list, then both
+    totals.  A function one side does not define is marked."""
+    now, was = _names(head["unreached"]), _names(base["unreached"])
+    defined_now = set(defined().values())
+    defined_then = set(defined(base_src).values())
+    for title, names, other_side in (
+        ("joined the unreached list:", now - was, defined_then),
+        ("left the unreached list:", was - now, defined_now),
+    ):
+        print(title)
+        for module, name in sorted(names):
+            note = "" if (module, name) in other_side else "  (not defined on the other side)"
+            print(f"    {module}  {name}{note}")
+        if not names:
+            print("    (none)")
+    print(
+        f"unreached: {_count(head['unreached'])} of {head['total']} functions under"
+        f" src/repro (base: {_count(base['unreached'])} of {base['total']})"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true", help="print the commands and exit")
+    parser.add_argument(
+        "--base",
+        metavar="DIR",
+        help="another checkout: run its traffic too, print only what changed",
+    )
     args = parser.parse_args(argv)
-    runs = commands()
     if args.list:
-        for run in runs:
+        for run in commands():
             print("python", " ".join(run).replace(f"{ROOT}{os.sep}", ""))
         return 0
-    reached, failed = trace(runs)
-    missing = unreached(reached)
-    for module in sorted(missing):
-        print(module)
-        for name in missing[module]:
-            print(f"    {name}")
-    total = len(defined())
-    count = sum(len(names) for names in missing.values())
-    print(f"{count} of {total} functions under src/repro entered by no traffic command")
+    head = report()
+    failed = list(head["failed"])
+    if args.base:
+        base_root = Path(args.base).resolve()
+        base = _base_report(base_root)
+        failed += [f"{command} (base)" for command in base["failed"]]
+        _print_changes(head, base, base_root / "src" / "repro")
+    else:
+        missing = head["unreached"]
+        for module in sorted(missing):
+            print(module)
+            for name in missing[module]:
+                print(f"    {name}")
+        print(
+            f"{_count(missing)} of {head['total']} functions under src/repro"
+            " entered by no traffic command"
+        )
     for command in failed:
         print(f"traffic: FAILED {command}", file=sys.stderr)
     return 1 if failed else 0

@@ -159,7 +159,8 @@ class PreparedStatement:
     backend, and the dispatch coalescer keys batches by it so coalesced
     reads never execute against the wrong store.  ``translated`` is the
     store's own compiled form of the statement (runner + SQLite texts
-    for the sqlite backend; None where the plan is all the store needs).
+    for the sqlite backend; a point SELECT's prepared point read for the
+    memory store; None where the plan is all the store needs).
     """
 
     __slots__ = (

@@ -81,21 +81,37 @@ class BufferPool:
         return False
 
     def access_keys(self, keys) -> None:
-        """Touch ``(name, page_no)`` keys in order: one lock section
-        while they hit, then one :meth:`access` per key from the first
-        miss on — charged exactly as one ``access`` per key."""
+        """Touch ``(name, page_no)`` keys in order, each counted and
+        admitted exactly as one :meth:`access` per key would: a miss is
+        installed (evicting the LRU page if full) before the next key is
+        looked up.  The keys are looked up in one lock section.  On a
+        free disk (:attr:`SimulatedDisk.free`) that section serves the
+        misses too, and the disk reads them in one section of its own
+        (:meth:`SimulatedDisk.read_many`); a disk that takes time stops
+        the section at the first miss, and each key from there on is
+        one :meth:`access`, which sleeps outside the lock."""
         hits = 0
+        misses = []
+        free = self._disk.free
         touch = self._pages.move_to_end
         with self._lock:
             for key in keys:
                 try:
                     touch(key)
                 except KeyError:
-                    break
-                hits += 1
+                    if not free:
+                        break
+                    misses.append(key)
+                    self._admit((key,))
+                else:
+                    hits += 1
             self.stats.hits += hits
-        for name, page_no in keys[hits:]:
-            self.access(name, page_no)
+            self.stats.misses += len(misses)
+        if misses:
+            self._disk.read_many(misses)
+        elif hits < len(keys):
+            for name, page_no in keys[hits:]:
+                self.access(name, page_no)
 
     def access_many(self, name: str, page_nos) -> int:
         """Touch a run of pages; returns the hit count.
@@ -118,7 +134,7 @@ class BufferPool:
             self.stats.hits += len(keys) - len(misses)
             self.stats.misses += len(misses)
         if misses:
-            self._disk.read_many(name, [page_no for _name, page_no in misses])
+            self._disk.read_many(misses)
             with self._lock:
                 self._admit(misses)
         return len(keys) - len(misses)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from .latency import LatencyMeter, LatencyProfile, precise_sleep
 
@@ -91,9 +91,11 @@ class SimulatedDisk:
         self._depth = 0
         self._extents: Dict[str, int] = {}
         self._next_extent = 0
-        #: No page read takes time, whatever the head travel.
-        self._free = not any((profile.disk_sequential_s, profile.disk_seek_min_s,
-                              profile.disk_seek_per_page_s, profile.disk_seek_max_s))
+        #: No page read takes time, whatever the head travel (``INSTANT``):
+        #: no request ever waits for a spindle, so a run of reads may be
+        #: served in one critical section (:meth:`read_many`).
+        self.free = not any((profile.disk_sequential_s, profile.disk_seek_min_s,
+                             profile.disk_seek_per_page_s, profile.disk_seek_max_s))
         self.stats = DiskStats()
 
     # ------------------------------------------------------------------
@@ -129,30 +131,37 @@ class SimulatedDisk:
     # ------------------------------------------------------------------
     # IO path
     # ------------------------------------------------------------------
+    # ``read`` serves one page: at once on an idle spindle, else queued
+    # shortest-seek-first, then the service time is slept outside the
+    # lock.  ``read_many`` serves a run of ``(name, page_no)`` keys in
+    # order — the buffer pool's misses, from a scan (``access_many``)
+    # or a point read (``access_keys``).  On a free disk that run is one
+    # critical section: it moves the heads and counts every read as the
+    # one-by-one reads would, and records the zero charges at once.
     def read(self, name: str, page_no: int) -> None:
         """Block for the service time of one page read."""
         self._serve(self._base(name) + page_no)
 
-    def read_many(self, name: str, page_nos: Sequence[int]) -> None:
-        """Read a run of pages in order, exactly as one ``read`` per page
-        would.  When no page read takes any time (``INSTANT``) no request
-        ever waits for a spindle, so the run is served in one critical
-        section and charged to the meter in one call."""
-        base = self._base(name)
-        if not self._free:
-            for page_no in page_nos:
-                self._serve(base + page_no)
+    def read_many(self, keys: Sequence[Tuple[str, int]]) -> None:
+        """Read ``(name, page_no)`` keys in order, exactly as one ``read``
+        per key would.  When no page read takes any time (:attr:`free`)
+        no request ever waits for a spindle, so the run is served in one
+        critical section and charged to the meter in one call; otherwise
+        each key is one ``read``, queued and slept for as usual."""
+        positions = [self._base(name) + page_no for name, page_no in keys]
+        if not self.free:
+            for position in positions:
+                self._serve(position)
             return
         spindles = self._spindles
         with self._lock:
             stats = self.stats
             if self._depth >= stats.max_queue_depth:
                 stats.max_queue_depth = self._depth + 1
-            for page_no in page_nos:
-                position = base + page_no
+            for position in positions:
                 self._seek(spindles[position % len(spindles)], position, stats)
-        if self._meter is not None and page_nos:
-            self._meter.record("disk", 0.0, times=len(page_nos))
+        if self._meter is not None and positions:
+            self._meter.record("disk", 0.0, times=len(positions))
 
     def _base(self, name: str) -> int:
         # Extents are never moved or dropped, so a known one is read

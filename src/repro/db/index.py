@@ -94,9 +94,12 @@ class HashIndex:
     def lookup(self, value: Any) -> List[int]:
         """Row ids matching ``value`` (ascending, i.e. physical order).
 
-        A hit returns the index's own bucket, not a copy: read it, do
-        not mutate it, and only while holding the table's read lock
-        (index maintenance runs under the write lock)."""
+        Every id is a live row: the catalog indexes a row when the heap
+        stores or restores it and drops it when the heap tombstones it
+        (:meth:`~repro.db.catalog.Catalog.on_delete`), so a probe checks
+        no tombstone.  A hit returns the index's own bucket, not a copy:
+        read it, do not mutate it, and only while holding the table's
+        read lock (index maintenance runs under the write lock)."""
         bucket = self._buckets.get(value)
         return [] if bucket is None else bucket
 

@@ -1,12 +1,11 @@
-"""Execution context: catalog access plus simulated cost charging."""
+"""Execution context: the buffer pool, scans and simulated cost charging."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..buffer import BufferPool
-from ..catalog import Catalog
 from ..latency import LatencyMeter, LatencyProfile
 from ..scans import SharedScanManager
 
@@ -25,7 +24,6 @@ class ExecutionContext:
     simulated scale.
     """
 
-    catalog: Catalog
     buffer: BufferPool
     scans: SharedScanManager
     profile: LatencyProfile
@@ -84,7 +82,6 @@ class ExecutionContext:
         """A sub-context sharing every resource but carrying ``params``
         (the batch-demux operator's per-binding evaluation context)."""
         return ExecutionContext(
-            catalog=self.catalog,
             buffer=self.buffer,
             scans=self.scans,
             profile=self.profile,
@@ -93,10 +90,16 @@ class ExecutionContext:
             txn=self.txn,
         )
 
-    def touch_pages(self, io_name: str, page_nos: Iterable[int]) -> int:
-        """Access a run of pages in one buffer-pool round trip; returns
-        the hit count (full scans use this instead of per-page calls)."""
-        return self.buffer.access_many(io_name, page_nos)
+    def read_point(self, read) -> Tuple[List[int], list]:
+        """Run a plan's point read (``planner._point_reader``) on this
+        context's binding, under the caller's heap lock: returns its
+        ``(row ids, rows)`` and charges its CPU rows and scan batch
+        here."""
+        row_ids, rows, charged, scanned = read(self.params, self.buffer)
+        self.charge_cpu(rows=charged)
+        if scanned:
+            self.note_scan_batch(scanned, len(rows))
+        return row_ids, rows
 
     # ------------------------------------------------------------------
     # transactional undo recording (no-ops under autocommit)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Union
 
 from ..errors import ParamCountError
 from .context import ExecutionContext
-from .operators import SeqScanOp, partition
+from .operators import HashEqOp, SeqScanOp, partition
 from .planner import SelectPlan, prefer_batch_scan
 from .result import QueryResult
 
@@ -125,7 +125,8 @@ def execute_batch_select(
             sub = ctx.derive(binding)
             try:
                 if not single_scan and plan.point_probe is not None:
-                    return plan.probe(sub)
+                    rows = sub.read_point(plan.point_probe)[1]
+                    return QueryResult(columns=plan.output_names, rows=rows)
                 tests = plan._where.bind(binding)
                 if not single_scan:
                     # Indexed plan: keep the access path, probe once per
@@ -135,10 +136,15 @@ def execute_batch_select(
                     try:
                         sel = buckets.get(tests[plan.bucket[1]][2], [])
                     except TypeError:
-                        # Unhashable key (e.g. a list parameter): this
-                        # binding cannot use the bucket index, but the
-                        # full WHERE clause re-applies below, so the
-                        # whole scan is a correct candidate set.
+                        # Unhashable key (e.g. a list parameter).  Run
+                        # alone, an indexed plan would fail its probe
+                        # (as sqlite fails to bind the value): so does
+                        # this binding.  Otherwise it cannot use the
+                        # bucket index, but the full WHERE clause
+                        # re-applies below, so the whole scan is a
+                        # correct candidate set.
+                        if isinstance(plan._access, HashEqOp):
+                            plan._access.probe_page(tests)
                         sel = scanned
                 else:
                     sel = scanned

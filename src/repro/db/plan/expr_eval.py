@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..errors import PlanError
+from ..errors import PlanError, TypeMismatchError
 from ..sql.ast_nodes import (
     Aggregate,
     Between,
@@ -105,24 +105,31 @@ class RowEvaluator:
             return left > right
         if op == ">=":
             return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                return None  # SQL engines typically error; NULL keeps
-                # generated workloads total, and tests pin this choice.
-            result = left / right
-            if isinstance(left, int) and isinstance(right, int) and result == int(result):
-                return int(result)
-            return result
-        if op == "%":
-            if right == 0:
-                return None
-            return left % right
+        # Arithmetic over operands it does not apply to ('x' + 1) is the
+        # value error every store raises for a value it cannot compute.
+        try:
+            if op == "+":
+                return left + right
+            if op == "-":
+                return left - right
+            if op == "*":
+                return left * right
+            if op == "/":
+                if right == 0:
+                    return None  # SQL engines typically error; NULL keeps
+                    # generated workloads total, and tests pin this choice.
+                result = left / right
+                if isinstance(left, int) and isinstance(right, int) and result == int(result):
+                    return int(result)
+                return result
+            if op == "%":
+                if right == 0:
+                    return None
+                return left % right
+        except TypeError:
+            raise TypeMismatchError(
+                f"cannot compute {left!r} {op} {right!r}"
+            ) from None
         raise PlanError(f"unknown operator: {op!r}")
 
     def _logical(self, expr: LogicalOp, row: Row) -> Any:

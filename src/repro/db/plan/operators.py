@@ -25,6 +25,7 @@ from collections import Counter
 from itertools import repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..buffer import PageKey
 from ..catalog_types import TableInfo
 from ..errors import PlanError
 from ..index import HashIndex
@@ -56,7 +57,7 @@ class SeqScanOp:
         name = self._info.name
 
         def do_io() -> None:
-            ctx.touch_pages(name, range(heap.page_count))
+            ctx.buffer.access_many(name, range(heap.page_count))
 
         ctx.scans.run(name, do_io)
         return iter_column_batches(heap)
@@ -75,42 +76,39 @@ class HashEqOp:
         self._index = index
         self._slot = slot
 
-    def run(self, ctx: ExecutionContext, tests: Sequence) -> List[ColumnBatch]:
+    def probe_page(self, tests: Sequence) -> PageKey:
+        """The index page a probe under ``tests`` touches: what
+        :meth:`run` asks first, so an unhashable key (a list) raises
+        the index's :class:`DatabaseError` before any page is read."""
         index = self._index
-        value = tests[self._slot][2]
-        probe = (index.io_name, index.page_for(value))
-        sel = _fetch_selection(ctx, self._info, index.lookup(value), probe)
-        return _one_batch(self._info, sel)
+        return index.io_name, index.page_for(tests[self._slot][2])
+
+    def run(self, ctx: ExecutionContext, tests: Sequence) -> List[ColumnBatch]:
+        """One batch of the bucket's rows (none for an empty bucket),
+        after touching the pages they live on; no tuples are built."""
+        info = self._info
+        index_page = self.probe_page(tests)
+        sel = list(self._index.lookup(tests[self._slot][2]))
+        ctx.buffer.access_keys(bucket_pages(index_page, info, sel))
+        ctx.charge_cpu(rows=len(sel))
+        return [ColumnBatch(info.heap.columns_view(), sel)] if sel else []
 
 
-def _fetch_selection(
-    ctx: ExecutionContext, info: TableInfo, row_ids, index_page
-) -> List[int]:
-    """Keep the live row ids; touch ``index_page`` (the index probe's
-    ``(io name, page)``), then their distinct heap pages in
-    first-encounter order; no tuples are built."""
-    heap = info.heap
-    valid = heap.validity_view()
-    sel: List[int] = []
+def bucket_pages(index_page: PageKey, info: TableInfo, row_ids) -> List[PageKey]:
+    """The pages one index probe reads, in order: ``index_page``, then
+    the distinct heap pages of ``row_ids``.  ``row_ids`` is an index
+    bucket — live rows, ascending (:meth:`HashIndex.lookup`) — so a
+    page is new exactly when it differs from the last one."""
     keys = [index_page]
-    pages_touched = set()
+    name = info.name
+    rows_per_page = info.heap.rows_per_page
+    last = -1
     for row_id in row_ids:
-        if not valid[row_id]:
-            continue
-        page_no = heap.page_of(row_id)
-        if page_no not in pages_touched:
-            pages_touched.add(page_no)
-            keys.append((info.name, page_no))
-        sel.append(row_id)
-    ctx.buffer.access_keys(keys)
-    ctx.charge_cpu(rows=len(sel))
-    return sel
-
-
-def _one_batch(info: TableInfo, sel: Selection) -> List[ColumnBatch]:
-    if not sel:
-        return []
-    return [ColumnBatch(info.heap.columns_view(), sel)]
+        page_no = row_id // rows_per_page
+        if page_no != last:
+            last = page_no
+            keys.append((name, page_no))
+    return keys
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .operators import (
     AggregateFold,
     HashEqOp,
     SeqScanOp,
-    _fetch_selection,
+    bucket_pages,
     columnar_order,
     columnar_project,
     order_output_rows,
@@ -208,6 +208,57 @@ def prefer_batch_scan(
     return distinct_bindings * probe_cost > scan_cost
 
 
+def _point_reader(
+    info: TableInfo,
+    index: HashIndex,
+    key_position: int,
+    slot: int,
+    positions: Sequence[int],
+    projected: bool,
+):
+    """The one function a hash-probed point plan runs per binding,
+    built once at prepare over the plan's constants: the index, the key
+    column's position, the parameter slot and the output positions.
+
+    ``read(params, buffer)`` touches the index page and the bucket's
+    rows' heap pages (one :meth:`BufferPool.access_keys`), re-checks
+    ``key = value`` exactly as the compiled WHERE would — so cross-type
+    and NULL bindings answer alike — and gathers the output tuples
+    straight from the column lists.  A bucket holds live rows only (see
+    :meth:`HashIndex.lookup`), so no row is checked for a tombstone.
+    It returns ``(row ids, rows, charged, scanned)``: the kept rows'
+    ids and tuples, the rows the cost model charges CPU for, and the
+    bucket rows the re-check scanned.  The charges are the general
+    access path's and filter's, in their order: each bucket row once
+    for the fetch and once for the re-check, and each kept row once
+    more for a ``projected`` select list (not ``*``); an empty bucket
+    charges nothing and scans nothing.  The caller holds the heap's
+    lock, checked the parameter count, and charges the fixed cost, the
+    rows and the scan batch.
+    """
+    io_name = index.io_name
+    page_for = index.page_for
+    lookup = index.lookup
+    columns = info.heap.columns_view()
+    key = columns[key_position]
+    output = [columns[position] for position in positions]
+
+    def read(params: Sequence, buffer) -> Tuple[List[int], List[Row], int, int]:
+        value = params[slot]
+        index_page = (io_name, page_for(value))  # first: a list raises here
+        sel = lookup(value)
+        buffer.access_keys(bucket_pages(index_page, info, sel))
+        if not sel:
+            return [], [], 0, 0
+        kept = [] if value is None else [rid for rid in sel if key[rid] == value]
+        scanned = len(sel)
+        charged = 2 * scanned + len(kept) if projected else 2 * scanned
+        rows = [tuple([column[rid] for column in output]) for rid in kept]
+        return kept, rows, charged, scanned
+
+    return read
+
+
 # ----------------------------------------------------------------------
 # plans
 # ----------------------------------------------------------------------
@@ -254,60 +305,49 @@ class _AccessPlan:
                 if kind and column.name not in assigned:
                     self.footprint = (column.name, operands[0].index, kind)
                     break
-        #: ``(hash index, key column position, param index)`` when the
-        #: WHERE is exactly one ``col = ?`` and the access path probes a
-        #: hash index on ``col`` (a point lookup, update or delete),
-        #: else None: :meth:`_probe_rows` then finds the rows.
-        self._point: Optional[Tuple[HashIndex, int, int]] = None
+        #: ``(key column position, param index)`` when the WHERE is
+        #: exactly one ``col = ?``, else None.
+        self._keyed: Optional[Tuple[int, int]] = None
         conjuncts = self._where.conjuncts
-        if (
-            len(conjuncts) == 1
-            and conjuncts[0][0] == "="
-            and type(conjuncts[0][2][0]) is Param
-            and isinstance(self._access, HashEqOp)
-        ):
-            self._point = (
-                self._access._index,
-                conjuncts[0][1],
-                conjuncts[0][2][0].index,
-            )
+        only = conjuncts[0] if len(conjuncts) == 1 else None
+        if only and only[0] == "=" and type(only[2][0]) is Param:
+            self._keyed = (only[1], only[2][0].index)
+        #: ``(hash index, *_keyed)`` when the access path probes a hash
+        #: index on that ``col`` (a point lookup, update or delete).
+        self._point: Optional[Tuple[HashIndex, int, int]] = (
+            (self._access._index, *self._keyed)
+            if self._keyed and isinstance(self._access, HashEqOp)
+            else None
+        )
 
     @property
     def access_path(self) -> str:
         """Name of the chosen access path (asserted by planner tests)."""
         return type(self._access).__name__
 
-    def _probe_rows(self, ctx: ExecutionContext) -> List[int]:
-        """The live row ids one binding of a point statement reaches
-        (the plan has a ``_point``): touch the index page and the
-        bucket's live rows' pages (one pool lock section while they
-        hit), then re-check ``key = value`` exactly as the compiled
-        WHERE would, so cross-type and NULL bindings answer alike.  The
-        charges are the general access path and filter's, in their
-        order; no evaluator or batch is built: binding the compiled
-        WHERE costs more than this one-line re-check of a one-bucket
-        selection.  Runs under the heap's lock, after the caller's
-        parameter check and fixed CPU charge."""
-        index, key_position, slot = self._point
-        info = self._info
-        value = ctx.params[slot]
-        probe = (index.io_name, index.page_for(value))
-        sel = _fetch_selection(ctx, info, index.lookup(value), probe)
-        if not sel:
-            return sel
-        key = info.heap.columns_view()[key_position]
-        kept = [] if value is None else [rid for rid in sel if key[rid] == value]
-        ctx.charge_cpu(rows=len(sel))
-        ctx.note_scan_batch(len(sel), len(kept))
-        return kept
+
+class _WritePlan(_AccessPlan):
+    """UPDATE / DELETE: an access plan that changes the rows it finds."""
+
+    def __init__(self, catalog: Catalog, stmt, assigned: Sequence[str] = ()) -> None:
+        super().__init__(catalog, stmt, assigned)
+        #: The point read of whole rows (:func:`_point_reader`) a keyed
+        #: write finds its rows with, when there is a point.
+        self._point_rows = None
+        if self._point is not None:
+            schema = self._info.heap.schema
+            self._point_rows = _point_reader(
+                self._info, *self._point, range(len(schema)), False
+            )
 
     def _matched_rows(self, ctx: ExecutionContext) -> List[Tuple[int, Row]]:
         """Matching ``(row_id, old_row)`` pairs for UPDATE/DELETE, in the
         access path's order.  The mutation needs the old tuples (undo log
         and index maintenance), so they materialize here."""
+        if self._point_rows is not None:
+            row_ids, rows = ctx.read_point(self._point_rows)
+            return list(zip(row_ids, rows))
         heap = self._info.heap
-        if self._point is not None:
-            return [(row_id, heap.fetch(row_id)) for row_id in self._probe_rows(ctx)]
         tests = self._where.bind(ctx.params)
         evaluator = ColumnarEvaluator(
             heap.schema, self._info.name, ctx.params, heap.columns_view(), tests
@@ -358,24 +398,24 @@ class SelectPlan(_AccessPlan):
         self.point_key: Optional[str] = None
         schema = self._info.heap.schema
         if (
-            len(conjuncts) == 1
-            and conjuncts[0][0] == "="
-            and type(conjuncts[0][2][0]) is Param
+            self._keyed is not None
             and not (stmt.group_by or stmt.distinct or stmt.order_by)
             and stmt.limit is None
             and (self.star or all(isinstance(i.expr, ColumnRef) for i in stmt.items))
         ):
-            self.point_key = schema.names()[conjuncts[0][1]]
-        #: The output column positions :meth:`probe` gathers when the
-        #: point lookup's access path is a hash-index probe, else None.
-        self.point_probe: Optional[Tuple[int, ...]] = None
+            self.point_key = schema.names()[self._keyed[0]]
+        #: The point read (:func:`_point_reader`) of a bare point lookup
+        #: whose access path is a hash-index probe, else None.  The
+        #: memory store's execute runs it for the statement, and the
+        #: batch demux's probe strategy once per distinct binding.
+        self.point_probe = None
         if self.point_key is not None and self._point is not None:
-            self.point_probe = (
-                tuple(range(len(schema)))
-                if self.star
-                else schema.project_positions(
-                    [item.expr.name for item in stmt.items], stmt.table
-                )
+            positions = range(len(schema))
+            if not self.star:
+                names = [item.expr.name for item in stmt.items]
+                positions = schema.project_positions(names, stmt.table)
+            self.point_probe = _point_reader(
+                self._info, *self._point, positions, not self.star
             )
 
     def limit(self, params: Sequence) -> Optional[int]:
@@ -396,36 +436,11 @@ class SelectPlan(_AccessPlan):
     def execute(self, ctx: ExecutionContext) -> QueryResult:
         check_params(self._stmt.param_count, ctx.params)
         ctx.charge_cpu(fixed=True)
-        info = self._info
-        lock = info.heap.lock
-        lock.acquire_read()
-        try:
-            if self.point_probe is not None:
-                return self.probe(ctx)
+        with self._info.heap.lock.reading():
             tests = self._where.bind(ctx.params)
             return self._finalize(
                 ctx, tests, (batch.sel for batch in self._access.run(ctx, tests))
             )
-        finally:
-            lock.release_read()
-
-    def probe(self, ctx: ExecutionContext) -> QueryResult:
-        """The rows one binding of a hash-probed point lookup returns
-        (the plan has a :attr:`point_probe`): :meth:`_probe_rows`, then
-        the output tuples gathered straight from the column lists — no
-        :meth:`_finalize`.  Runs under the heap's read lock, after the
-        caller's parameter check and fixed CPU charge.  Asked by
-        :meth:`execute` and by the batch demux's probe strategy, once
-        per distinct binding."""
-        kept = self._probe_rows(ctx)
-        if not self.star:
-            ctx.charge_cpu(rows=len(kept))
-        columns = self._info.heap.columns_view()
-        output = [columns[position] for position in self.point_probe]
-        return QueryResult(
-            columns=self.output_names,
-            rows=[tuple([column[rid] for column in output]) for rid in kept],
-        )
 
     def _finalize(
         self, ctx: ExecutionContext, tests, sels, noted: bool = True
@@ -525,7 +540,7 @@ class InsertPlan:
         return QueryResult(rowcount=1)
 
 
-class UpdatePlan(_AccessPlan):
+class UpdatePlan(_WritePlan):
     def __init__(self, catalog: Catalog, stmt: UpdateStmt) -> None:
         super().__init__(
             catalog, stmt, assigned=[column for column, _ in stmt.assignments]
@@ -620,7 +635,7 @@ class UpdatePlan(_AccessPlan):
         return QueryResult(rowcount=len(rows))
 
 
-class DeletePlan(_AccessPlan):
+class DeletePlan(_WritePlan):
     def execute(self, ctx: ExecutionContext) -> QueryResult:
         check_params(self._stmt.param_count, ctx.params)
         ctx.charge_cpu(fixed=True)

@@ -22,6 +22,7 @@ from .plan import (
     ExecutionContext,
     Planner,
     QueryResult,
+    check_params,
     execute_batch_select,
 )
 from .scans import SharedScanManager
@@ -75,7 +76,14 @@ class DatabaseServer(Backend):
     # store hooks
     # ------------------------------------------------------------------
     def _plan(self, ast: Statement):
-        return self._planner.plan(ast), None
+        """The plan, and as the store's own compiled form the point
+        read of a hash-probed point SELECT — ``(read, heap lock, output
+        names)`` — or None."""
+        plan = self._planner.plan(ast)
+        read = getattr(plan, "point_probe", None)
+        if read is None:
+            return plan, None
+        return plan, (read, plan._info.heap.lock, plan.output_names)
 
     def _execute(
         self,
@@ -84,18 +92,32 @@ class DatabaseServer(Backend):
         txn: Optional[Transaction],
         exec_span,
     ) -> QueryResult:
-        ctx = ExecutionContext(
-            catalog=self._catalog,
-            buffer=self._buffer,
-            scans=self._scans,
-            profile=self._profile,
-            meter=self._meter,
-            params=params,
-            txn=txn,
-        )
-        result = prepared.plan.execute(ctx)
-        self._settle(ctx, exec_span)
-        return result
+        """Run one statement.  A point SELECT calls its prepared point
+        read (``prepared.translated``) directly under the heap's read
+        lock, with no :class:`ExecutionContext`: the fixed cost and the
+        read's CPU rows are one meter charge, and its scan batch is
+        folded as :meth:`_settle` folds a context's.  Every other
+        statement runs its plan under a context, then settles it."""
+        point = prepared.translated
+        if point is None:
+            ctx = self._context(params, txn)
+            result = prepared.plan.execute(ctx)
+            self._settle(ctx, exec_span)
+            return result
+        read, lock, names = point
+        check_params(prepared.param_count, params)
+        lock.acquire_read()
+        try:
+            _row_ids, rows, charged, scanned = read(params, self._buffer)
+        finally:
+            lock.release_read()
+        profile = self._profile
+        cpu_s = profile.cpu_fixed_s + charged * profile.cpu_per_row_s
+        if cpu_s > 0:
+            self._meter.charge("cpu", cpu_s)
+        if scanned:
+            self._fold_scans(1, scanned, (len(rows) / scanned,), exec_span)
+        return QueryResult(columns=names, rows=rows)
 
     def _execute_select_batch(
         self,
@@ -106,33 +128,40 @@ class DatabaseServer(Backend):
     ) -> List[BindingOutcome]:
         """One statement execution for the whole batch via the
         binding-demultiplex operator (:mod:`repro.db.plan.demux`)."""
-        ctx = ExecutionContext(
-            catalog=self._catalog,
-            buffer=self._buffer,
-            scans=self._scans,
-            profile=self._profile,
-            meter=self._meter,
-            params=(),
-            txn=txn,
-        )
+        ctx = self._context((), txn)
         outcomes = execute_batch_select(
             prepared.plan, ctx, bindings, span=exec_span
         )
         self._settle(ctx, exec_span)
         return outcomes
 
+    def _context(self, params: tuple, txn: Optional[Transaction]) -> ExecutionContext:
+        return ExecutionContext(
+            buffer=self._buffer,
+            scans=self._scans,
+            profile=self._profile,
+            meter=self._meter,
+            params=params,
+            txn=txn,
+        )
+
     def _settle(self, ctx: ExecutionContext, exec_span) -> None:
         """Flush the statement's CPU charge and fold its per-batch scan
-        accounting into the database-wide metrics registry and the span
-        (nothing to fold when the statement produced no batches —
-        inserts, DDL, empty probes)."""
+        accounting (nothing to fold when the statement produced no
+        batches — inserts, DDL, empty probes)."""
         ctx.flush_cpu()
-        if not ctx.scan_batches:
-            return
+        if ctx.scan_batches:
+            self._fold_scans(
+                ctx.scan_batches, ctx.scan_rows, ctx.scan_selectivities, exec_span
+            )
+
+    def _fold_scans(self, batches: int, rows: int, selectivities, exec_span) -> None:
+        """Fold a statement's scan batches into the database-wide
+        metrics registry and the span."""
         if self._scan_batches is not None:
-            self._scan_batches.inc(ctx.scan_batches)
-            self._scan_rows.inc(ctx.scan_rows)
-            for selectivity in ctx.scan_selectivities:
+            self._scan_batches.inc(batches)
+            self._scan_rows.inc(rows)
+            for selectivity in selectivities:
                 self._scan_selectivity.observe(selectivity)
         if exec_span is not None:
-            exec_span.set("scan_batches", ctx.scan_batches)
+            exec_span.set("scan_batches", batches)

@@ -182,12 +182,9 @@ class HeapTable:
         """The live column lists themselves — zero-copy, indexed by the
         schema column position.  Callers must hold the table's plan-level
         read lock; values under tombstoned slots are stale and must be
-        skipped via :meth:`live_selection` / :meth:`validity_view`."""
+        skipped via :meth:`live_selection` (an index holds live rows
+        only)."""
         return tuple(self._columns)
-
-    def validity_view(self) -> bytearray:
-        """The liveness bitmap (byte per slot, 1 = live)."""
-        return self._valid
 
     def live_selection(self, start: int, stop: int) -> Sequence[int]:
         """Selection vector of live row ids in ``[start, stop)``: the

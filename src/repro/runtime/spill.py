@@ -162,9 +162,11 @@ class SpillableRecordTable:
         yield from resident
 
     def clear(self) -> None:
-        """The paper's ``delete t``: drop all records and segment files."""
+        """The paper's ``delete t``: drop all records and segment files;
+        the next record is numbered 0 again, as in :class:`RecordTable`."""
         with self._lock:
             self._resident = []
+            self._next_key = 0
             self._pinned.clear()
             segments, self._segments = self._segments, []
         for segment in segments:

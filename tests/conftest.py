@@ -9,9 +9,10 @@ from repro.db import Database, INSTANT
 
 #: CI's seeded property run (``--hypothesis-profile=prop-seeds
 #: --hypothesis-seed=N``): the random-program properties of
-#: ``tests/test_prop_transform.py`` and the bulk-load differential of
-#: ``tests/test_bulk_load.py`` draw 10x their tier-1 examples from the
-#: seed instead of their derandomized stream.
+#: ``tests/test_prop_transform.py``, the bulk-load differential of
+#: ``tests/test_bulk_load.py`` and the point-read path equivalence of
+#: ``tests/test_prop_point_paths.py`` draw 10x their tier-1 examples
+#: from the seed instead of their derandomized stream.
 settings.register_profile(
     "prop-seeds", max_examples=10 * settings.get_profile("default").max_examples
 )

@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import BACKENDS, SqliteBackend, resolve_backend_name
 from repro.db import Database, INSTANT
-from repro.db.errors import ConstraintError, DatabaseError
+from repro.db.errors import ConstraintError, DatabaseError, TypeMismatchError
 
 values = st.one_of(st.integers(min_value=-9, max_value=9), st.none())
 texts = st.one_of(st.sampled_from(["red", "green", "blue", ""]), st.none())
@@ -917,8 +917,10 @@ class TestErrorParity:
             db.backend("sqlite")
             for name in BACKENDS:
                 with db.connect(async_workers=1, backend=name) as conn:
+                    with pytest.raises(TypeMismatchError):
+                        conn.execute_update("INSERT INTO k VALUES (? + 1)", ("x",))
                     conn.begin()
-                    with pytest.raises(TypeError):
+                    with pytest.raises(TypeMismatchError):
                         conn.execute_update("INSERT INTO k VALUES (? + 1)", ("x",))
                     conn.rollback()
         finally:

@@ -111,7 +111,7 @@ class TestDisk:
         disk.allocate_extent("t", 100)
         for page in (0, 1, 2, 50, 51, 7):
             disk.read("t", page)
-        disk.read_many("t", [3, 4, 90])
+        disk.read_many([("t", 3), ("t", 4), ("t", 90)])
         assert disk.stats.max_queue_depth == 1
         assert disk.stats.reads == meter.counts()["disk"] == 9
         assert disk.stats.sequential_reads + disk.stats.random_reads == 9
@@ -133,7 +133,7 @@ class TestDisk:
                         for page in run:
                             disk.read(name, page)
                     else:
-                        disk.read_many(name, run)
+                        disk.read_many([(name, page) for page in run])
             return disk.stats, meter.totals(), meter.counts()
 
         assert replay(one_by_one=False) == replay(one_by_one=True)
@@ -279,6 +279,13 @@ class TestBufferPool:
                     st.sampled_from("ab"),
                     st.lists(st.integers(0, 9), max_size=12),
                 ),
+                st.tuples(
+                    st.just("keys"),
+                    st.just(""),
+                    st.lists(
+                        st.tuples(st.sampled_from("ab"), st.integers(0, 9)), max_size=6
+                    ),
+                ),
                 st.tuples(st.just("install"), st.sampled_from("ab"), st.integers(0, 9)),
                 st.tuples(st.just("warm"), st.sampled_from("ab"), st.integers(0, 9)),
             ),
@@ -288,8 +295,9 @@ class TestBufferPool:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_a_reference_lru(self, ops, capacity):
-        """Single touches, runs, installs and warm-ups against a plain LRU
-        model: same hits, same misses, same disk reads, same residents."""
+        """Single touches, runs, keyed touches, installs and warm-ups
+        against a plain LRU model: same hits, same misses, same disk
+        reads, same residents."""
         disk = make_disk()
         pool = BufferPool(capacity, disk)
         model = OrderedDict()
@@ -320,6 +328,12 @@ class TestBufferPool:
                     admit(key)
                 assert pool.access_many(name, arg) == len(arg) - len(missed)
                 hits, misses = hits + len(arg) - len(missed), misses + len(missed)
+            elif kind == "keys":
+                for key in arg:  # each miss admitted before the next key
+                    hit = key in model
+                    admit(key)
+                    hits, misses = hits + hit, misses + (not hit)
+                pool.access_keys(arg)
             elif kind == "install":
                 admit((name, arg))
                 pool.install(name, arg)
@@ -331,6 +345,37 @@ class TestBufferPool:
         assert disk.stats.reads == misses
         assert len(pool) == len(model)
         assert all(pool.contains(*key) for key in model)
+
+    @pytest.mark.parametrize("profile", [INSTANT, SYS1.scaled(0.01)])
+    def test_keyed_touches_count_as_one_access_per_key(self, profile):
+        """``access_keys`` (one pool and one disk section on a free disk)
+        counts, admits, moves the heads and charges exactly as one
+        ``access`` per key, in order — a miss evicting a page a later
+        key then misses on."""
+        rounds = [
+            [("i", 0), ("t", 3)],
+            [("i", 0), ("t", 3), ("t", 4)],
+            [("i", 1), ("t", 9), ("t", 3), ("i", 0)],
+            [("t", 3), ("t", 3)],
+            [],
+        ]
+
+        def replay(one_by_one):
+            meter = LatencyMeter()
+            disk = SimulatedDisk(profile, meter, spindles=2)
+            disk.allocate_extent("i", 4)
+            disk.allocate_extent("t", 40)
+            pool = BufferPool(3, disk)
+            for keys in rounds:
+                if one_by_one:
+                    for name, page_no in keys:
+                        pool.access(name, page_no)
+                else:
+                    pool.access_keys(keys)
+            residents = list(pool._pages)  # in LRU order
+            return pool.stats, disk.stats, meter.totals(), meter.counts(), residents
+
+        assert replay(one_by_one=False) == replay(one_by_one=True)
 
     def test_concurrent_touches_keep_the_books(self):
         """Threads touching overlapping runs and single pages of a small

@@ -189,18 +189,20 @@ class TestNullBounds:
         db.bulk_load("part", [(i, i * 2) for i in range(200)])
         db.create_index("sx", "part", "size")
         touched = []
-        access, access_many = db.buffer.access, db.buffer.access_many
+        access_keys, access_many = db.buffer.access_keys, db.buffer.access_many
 
-        def one(name, page_no):
-            touched.append(name)
-            return access(name, page_no)
+        def keyed(keys):
+            touched.extend(name for name, _page_no in keys)
+            return access_keys(keys)
 
         def many(name, page_nos):
             page_nos = list(page_nos)
             touched.extend([name] * len(page_nos))
             return access_many(name, page_nos)
 
-        monkeypatch.setattr(db.buffer, "access", one)
+        # The pool's two entries: every page an access path reads goes
+        # through one of them (``access`` is only their per-key fallback).
+        monkeypatch.setattr(db.buffer, "access_keys", keyed)
         monkeypatch.setattr(db.buffer, "access_many", many)
         return db, touched
 

@@ -13,6 +13,7 @@ way) counts as a section too.  The reads run one thread, at
 import gc
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -117,6 +118,32 @@ def test_an_uncached_blocking_point_read(users, sections, backend, budget):
 
         per_read(sections, read, keys)  # warm: plans, pool, connections
         assert per_read(sections, read, keys) <= budget
+
+
+def test_an_uncached_blocking_point_read_that_misses(sections):
+    """A one-page pool: the index page and the row page both miss on
+    every read.  The pool's one section looks both keys up and admits
+    each miss, the free disk reads the two pages in one section of its
+    own, then the heap's read lock and the histogram, as on a hit."""
+    db = Database(replace(INSTANT, buffer_pool_pages=1))
+    try:
+        db.create_table("users", ("user_id", "int"), ("name", "text"), ("rating", "int"))
+        db.bulk_load("users", [(i, f"user-{i}", i % 11 - 5) for i in range(ROWS)])
+        db.create_index("idx_users_id", "users", "user_id")
+        with db.connect(backend="memory") as conn:
+            keys = range(READS)
+
+            def read(key):
+                assert conn.execute_query(SQL, (key,)).rows == [
+                    (f"user-{key}", key % 11 - 5)
+                ]
+
+            per_read(sections, read, keys)  # warm: the plan
+            misses = db.buffer.stats.misses
+            assert per_read(sections, read, keys) <= 5
+            assert db.buffer.stats.misses == misses + 2 * READS
+    finally:
+        db.close()
 
 
 @pytest.mark.parametrize("backend, budget", [("memory", 7), ("sqlite", 3)])

@@ -15,6 +15,11 @@ read through a cache-less connection:
 * a split read returns a value the store held at some point between its
   submit and its fetch (the oracle is sampled after every step).
 
+A step that changes the store first waits for the split reads in
+flight, so a seed replays one history whatever the thread timing; a
+read racing a write is left to the concurrent cases of
+``tests/test_backend_invalidation.py``.
+
 Both stores run it under a fixed seed set, and three mutations show the
 oracle can fail: with the ledger's end-of-write bump removed, with the
 point's column forgotten, or with the exact-type rule dropped on a store
@@ -140,22 +145,28 @@ class CoherenceMachine(RuleBasedStateMachine):
             entry[3].append(self.oracle(entry[2]))
 
     # -- writes --------------------------------------------------------
+    # Every step that changes the store first lets the split reads in
+    # flight finish: whether a worker ran one before the change then
+    # never depends on thread timing, so a seed replays one history
+    # (and a batch, one statement per binding on the memory store, is
+    # never seen half applied, a state the oracle never samples).
+    def settle_open_reads(self):
+        for handle, *_ in self.open:
+            handle.exception(timeout=10)
+
     # Autocommit writes and DDL wait for the writer's transaction to
     # finish: they ignore its table lock on the memory store and stall
     # on SQLite's single-writer lock.
     @precondition(lambda self: not self.writer.in_transaction)
     @rule(write=writes)
     def autocommit_write(self, write):
+        self.settle_open_reads()
         self.plain.execute_update(*write)
 
     @precondition(lambda self: not self.writer.in_transaction)
     @rule(batch=batches)
     def autocommit_write_batch(self, batch):
-        # On the memory store a batch is one statement per binding: let
-        # the reads in flight finish first, or one could see the state
-        # between two bindings, which the oracle never samples.
-        for handle, *_ in self.open:
-            handle.exception(timeout=10)
+        self.settle_open_reads()
         sql, bindings = batch
         outcomes = self.store.execute_prepared_batch(
             self.store.prepare(sql), bindings
@@ -165,6 +176,7 @@ class CoherenceMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.writer.in_transaction and self.indexes)
     @rule()
     def out_of_band_create_index(self):
+        self.settle_open_reads()
         column = self.indexes.pop()
         self.db.create_index(f"idx_{column}", "t", column)
 
@@ -176,11 +188,13 @@ class CoherenceMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.writer.in_transaction)
     @rule(write=writes)
     def transactional_write(self, write):
+        self.settle_open_reads()
         self.writer.execute_update(*write)
 
     @precondition(lambda self: self.writer.in_transaction)
     @rule(commit=st.booleans())
     def finish(self, commit):
+        self.settle_open_reads()
         if commit:
             self.writer.commit()
         else:

@@ -170,3 +170,16 @@ class TestEquivalenceWithRecordTable:
         assert [r.v for r in plain] == [r.v for r in spilly]
         assert [r.key for r in plain] == [r.key for r in spilly]
         spilly.clear()
+
+    def test_clear_restarts_the_keys_as_the_plain_table_does(self):
+        """add x3, clear, add: both tables number the last record 0."""
+        keys = []
+        for table in (RecordTable(), SpillableRecordTable(max_resident=2)):
+            added = [table.add(table.new_record(v=i)) for i in range(3)]
+            table.clear()
+            added.append(table.add(table.new_record(v=3)))
+            assert [record.key for record in table] == added[3:]
+            keys.append(added)
+            if isinstance(table, SpillableRecordTable):
+                table.clear()
+        assert keys[0] == keys[1] == [0, 1, 2, 0]

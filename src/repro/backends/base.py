@@ -62,14 +62,10 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..db.errors import (
-    ServerShutdownError,
-    StatementHandleError,
-    TransactionStateError,
-)
+from ..db.errors import ServerShutdownError, StatementHandleError
 from ..db.plan import BindingOutcome, QueryResult, demuxable
 from ..db.sql import parse
-from ..db.sql.ast_nodes import Statement, is_ddl, is_write
+from ..db.sql.ast_nodes import Statement, is_write
 from ..db.txn import Transaction, TransactionManager
 from ..obs.metrics import CellField, Cells
 from ..runtime.future import RequestFuture
@@ -148,7 +144,8 @@ class PreparedStatement:
     """Server-side prepared statement (parse + plan done once).
 
     The single carrier of a statement's *shape*: everything the request
-    path asks about a statement — is it a write, which table, how many
+    path asks about a statement (a SELECT, INSERT, UPDATE or DELETE; no
+    statement changes a schema) — is it a write, which table, how many
     placeholders, may a batch of it be demultiplexed — is fixed here at
     prepare time, so nothing downstream inspects the AST (which is not
     kept: it is a format only :mod:`repro.db` and a store's ``_plan``
@@ -171,7 +168,6 @@ class PreparedStatement:
         "origin",
         "translated",
         "write",
-        "ddl",
         "table",
         "tables",
         "param_count",
@@ -196,10 +192,9 @@ class PreparedStatement:
         self.catalog_version = version
         self.origin = origin
         self.translated = translated
-        #: Does executing it change database state (DML or DDL)?
+        #: Does executing it change database state (INSERT / UPDATE /
+        #: DELETE)?
         self.write = is_write(ast)
-        #: … the schema (bumps the catalog version, refused in a txn)?
-        self.ddl = is_ddl(ast)
         #: The one table it reads or writes (the subset is single-table)
         #: — by name, and as the set the cache protocol keys entries
         #: and ledger tickets on.
@@ -212,7 +207,7 @@ class PreparedStatement:
         self.label = sql[:40]
         #: The plan's ``(column, param index, python type)`` when the
         #: statement touches only rows with ``column = that parameter``
-        #: (see ``planner._AccessPlan``); None for INSERT, DDL and
+        #: (see ``planner._AccessPlan``); None for INSERT and
         #: stores whose plans declare none.
         self.footprint = getattr(plan, "footprint", None)
 
@@ -418,10 +413,12 @@ class Backend:
                 ) from None
 
     def invalidate_plans(self) -> None:
-        """Force re-planning (called after out-of-band DDL)."""
+        """Force re-planning: the one step that bumps the catalog
+        version, called after ``Database.create_table`` /
+        ``create_index`` changed this store's schema."""
         with self._lock:
             self._catalog_version += 1
-        # Out-of-band DDL changes schema underneath every cached result:
+        # A schema change lands under every cached result:
         # one finished write window on "every table".
         self.ledger.begin_write(None)
         self.ledger.end_write(None, True)
@@ -516,7 +513,7 @@ class Backend:
         CPU charge, one scan (or one index probe per distinct binding;
         on sqlite one ``WHERE k IN (...)``) — and ``ServerStats`` counts
         it under ``batched_calls`` / ``batched_bindings`` /
-        ``scans_saved``.  Non-demuxable statements (writes, DDL) run per
+        ``scans_saved``.  Non-demuxable statements (writes) run per
         binding with full per-statement semantics, each in its own write
         window — all under the batch's one slot.
 
@@ -599,8 +596,7 @@ class Backend:
     ) -> QueryResult:
         # No server lock on a read: the staleness check reads the catalog
         # version, the active count is the gate's, and the counters are
-        # per-thread cells.  Only a rising peak and a DDL's version bump
-        # take the lock.
+        # per-thread cells.  Only a rising peak takes the lock.
         stale = prepared.catalog_version != self._catalog_version
         self._note_active()
         executed = window = False
@@ -636,9 +632,6 @@ class Backend:
         finally:
             if executed:
                 self.stats.executed(1, int(prepared.write))
-                if prepared.ddl:
-                    with self._lock:
-                        self._catalog_version += 1
             if window:
                 self.ledger.end_write(table, True, point)
 
@@ -655,7 +648,7 @@ class Backend:
         if prepared.catalog_version != self._catalog_version:
             prepared = self.prepare(prepared.sql)
         if not prepared.demuxable:
-            # Writes and DDL run per binding, each with the exact
+            # Writes run per binding, each with the exact
             # single-statement semantics (stats, locks, write window, undo
             # recording) and its own server.execute span under the batch's
             # dispatch span (all waited at the gate together: each carries
@@ -688,10 +681,6 @@ class Backend:
 
     def _lock_for_txn(self, txn: Transaction, prepared: PreparedStatement) -> None:
         """Acquire the statement's table lock under strict 2PL."""
-        if prepared.ddl:
-            raise TransactionStateError(
-                "DDL inside an explicit transaction is not supported"
-            )
         self.txns.lock_for_statement(txn, prepared.table, write=prepared.write)
 
     # ------------------------------------------------------------------

@@ -40,8 +40,6 @@ from ..db.sql.ast_nodes import (
     Between,
     BinaryOp,
     ColumnRef,
-    CreateIndexStmt,
-    CreateTableStmt,
     DeleteStmt,
     Expr,
     InList,
@@ -58,7 +56,7 @@ from ..db.sql.ast_nodes import (
     UpdateStmt,
     iter_column_refs,  # re-exported; lives with the AST
 )
-from ..db.types import Schema, schema_of_defs
+from ..db.types import Schema
 
 #: The declared type of every column: ``BLOB``, SQLite's spelling of *no
 #: affinity*.  A typed declaration would make SQLite convert a binding
@@ -263,9 +261,7 @@ def insert_full_row_sql(table: str, schema: Schema) -> str:
     return f"INSERT INTO {quote_ident(table)} VALUES ({holes})"
 
 
-def create_table_sql(
-    name: str, schema: Schema, if_not_exists: bool = False
-) -> str:
+def create_table_sql(name: str, schema: Schema) -> str:
     """CREATE TABLE text from an engine :class:`Schema`."""
     definitions = []
     for column in schema:
@@ -273,10 +269,7 @@ def create_table_sql(
         if not column.nullable:
             text += " NOT NULL"
         definitions.append(text)
-    exists = "IF NOT EXISTS " if if_not_exists else ""
-    return (
-        f"CREATE TABLE {exists}{quote_ident(name)} ({', '.join(definitions)})"
-    )
+    return f"CREATE TABLE {quote_ident(name)} ({', '.join(definitions)})"
 
 
 def create_index_sql(
@@ -292,7 +285,7 @@ def create_index_sql(
 def translate_statement(
     statement: Statement, style: Optional[ParamStyle] = None
 ) -> str:
-    """Render any statement AST as SQLite SQL text."""
+    """Render a SELECT / INSERT / UPDATE / DELETE AST as SQLite SQL text."""
     if style is None:
         style = NAMED
     if isinstance(statement, SelectStmt):
@@ -303,14 +296,4 @@ def translate_statement(
         return translate_update(statement, style)
     if isinstance(statement, DeleteStmt):
         return translate_delete(statement, style)
-    if isinstance(statement, CreateTableStmt):
-        return create_table_sql(
-            statement.table,
-            schema_of_defs(statement.columns),
-            statement.if_not_exists,
-        )
-    if isinstance(statement, CreateIndexStmt):
-        return create_index_sql(
-            statement.index, statement.table, statement.column, statement.unique
-        )
     raise TypeError(f"cannot translate statement {statement!r}")

@@ -46,7 +46,7 @@ class WriteEpochLedger:
     observe began or ended in between*; equal ``committed`` alone means
     the committed data is the same (entries published before a
     rolled-back transaction stay fresh).  The table ``None`` stands for
-    "every table" (out-of-band DDL, an unknown write target).
+    "every table" (a new table or index, an unknown write target).
 
     Three kinds of state, same triple each: **T** per table, moved by
     every write to it; **C** per ``(table, column)`` and **S** per point,

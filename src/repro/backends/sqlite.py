@@ -11,10 +11,15 @@ the mirror catalog below carries every table's schema, so prepare-time
 errors (unknown table/column, INSERT arity, aggregate misuse) and
 execution-time coercion errors (``TypeMismatchError``,
 ``ParamCountError``) surface with exactly the classes the in-memory
-oracle raises.  Only the *data* lives in SQLite: a scratch database
-file (WAL mode, so readers never block the writer), with the
-engine AST translated to SQLite text by :mod:`repro.backends.dialect`
-— once, in ``_plan``, which is the only place this store sees an AST.
+oracle raises.  The schema reaches both — the mirror catalog first,
+under the catalog's name rule, then SQLite — only through
+``mirror_create_table`` / ``mirror_create_index``, which
+``Database.create_table`` / ``create_index`` call: a statement is a
+SELECT, INSERT, UPDATE or DELETE, never DDL.  Only the *data* lives in
+SQLite: a scratch database file (WAL mode, so readers never block the
+writer), with the engine AST translated to SQLite text by
+:mod:`repro.backends.dialect` — once, in ``_plan``, which is the only
+place this store sees an AST.
 Execution evaluates no expression of its own: the row an INSERT stores,
 the values an UPDATE writes, LIMIT validation and result column names
 all come from the plan's public members.  An UPDATE whose assignments
@@ -77,7 +82,6 @@ from ..db.plan import (
     check_params,
 )
 from ..db.sql.ast_nodes import (
-    DeleteStmt,
     InsertStmt,
     SelectStmt,
     Statement,
@@ -333,9 +337,7 @@ class SqliteBackend(Backend):
             )
             update = f"UPDATE {table} SET {assignments} WHERE rowid = ?"
             return plan, (self._run_update, native, select, update)
-        if isinstance(ast, DeleteStmt):
-            return plan, (self._run_delete, translate_statement(ast))
-        return plan, (self._run_ddl, translate_statement(ast))
+        return plan, (self._run_delete, translate_statement(ast))
 
     def _execute(
         self,
@@ -421,19 +423,6 @@ class SqliteBackend(Backend):
         )
         return QueryResult(rowcount=max(count, 0))
 
-    def _run_ddl(self, plan, params, txn, sql):
-        # Mirror first: duplicate-table errors (CatalogError) surface
-        # from the engine catalog before SQLite is touched.
-        plan.apply()
-        try:
-            self._run_sqlite(txn, lambda connection: connection.execute(sql))
-        except ConstraintError:
-            # A unique index over repeated keys: the mirror holds no
-            # rows, so only SQLite can refuse it.
-            plan.revert()
-            raise
-        return QueryResult(rowcount=0)
-
     # ------------------------------------------------------------------
     # store hooks: set-oriented execution
     # ------------------------------------------------------------------
@@ -495,7 +484,8 @@ class SqliteBackend(Backend):
             return exc
 
     # ------------------------------------------------------------------
-    # schema mirroring (Database replicates out-of-band DDL/loads here)
+    # schema mirroring (Database makes its tables, indexes and loads
+    # here; no statement text changes a schema)
     # ------------------------------------------------------------------
     def mirror_create_table(
         self, name: str, schema: Schema, rows_per_page: int = DEFAULT_ROWS_PER_PAGE

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import string
 import threading
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .catalog_types import TableInfo
@@ -14,42 +14,60 @@ from .storage import DEFAULT_ROWS_PER_PAGE, HeapTable
 from .types import Row, Schema
 
 
+#: SQLite folds ASCII letters, and only those, when it compares names.
+_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
 class Catalog:
-    """Name -> table registry with index maintenance hooks."""
+    """Name -> table registry with index maintenance hooks.
+
+    The one gate a schema change passes, on every store: tables and
+    indexes are made only here (through ``Database.create_table`` /
+    ``create_index``), under SQLite's name rule, checked before the
+    catalog changes — so no store accepts a name another refuses.
+    Table and index names share one namespace and, like the column
+    names within a table, compare case-insensitively (ASCII letters
+    only); names starting ``sqlite_`` are reserved.  Lookups by name
+    stay exact."""
 
     def __init__(self, disk: SimulatedDisk) -> None:
         self._disk = disk
         self._lock = threading.Lock()
         self._tables: Dict[str, TableInfo] = {}
+        #: Every table and index name, folded -> how errors name it.
+        self._names: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    # DDL
+    # schema changes
     # ------------------------------------------------------------------
+    def _unclaimed(self, name: str, kind: str) -> str:
+        """``name`` folded, if a new table or index may take it; else
+        :class:`CatalogError`.  The caller holds the lock."""
+        folded = name.translate(_FOLD)
+        if folded.startswith("sqlite_"):
+            raise CatalogError(f"{kind} name {name!r} is reserved for internal use")
+        taken = self._names.get(folded)
+        if taken is not None:
+            raise CatalogError(f"{kind} name {name!r} is taken by {taken}")
+        return folded
+
     def create_table(
         self,
         name: str,
         schema: Schema,
         rows_per_page: int = DEFAULT_ROWS_PER_PAGE,
-        if_not_exists: bool = False,
     ) -> TableInfo:
+        folded = [column.name.translate(_FOLD) for column in schema]
+        if len(set(folded)) < len(folded):
+            raise CatalogError(
+                f"duplicate column name in table {name!r}: {schema.names()!r}"
+            )
         with self._lock:
-            if name in self._tables:
-                if if_not_exists:
-                    return self._tables[name]
-                raise CatalogError(f"table {name!r} already exists")
-            heap = HeapTable(name, schema, rows_per_page)
-            info = TableInfo(name=name, heap=heap)
+            self._names[self._unclaimed(name, "table")] = f"table {name!r}"
+            info = TableInfo(name=name, heap=HeapTable(name, schema, rows_per_page))
             self._tables[name] = info
         self._disk.allocate_extent(name, pages=16)
         return info
-
-    def drop_table(self, name: str, if_exists: bool = False) -> None:
-        with self._lock:
-            if name not in self._tables:
-                if if_exists:
-                    return
-                raise UnknownTableError(name)
-            del self._tables[name]
 
     def create_index(
         self,
@@ -60,18 +78,13 @@ class Catalog:
     ) -> HashIndex:
         info = self.table(table_name)
         with self._lock:
-            if any(index.name == index_name for index in info.indexes):
-                raise CatalogError(f"index {index_name!r} already exists")
+            folded = self._unclaimed(index_name, "index")
             index = HashIndex(index_name, info.heap, column, unique=unique)
             index.build()
             info.indexes.append(index)
+            self._names[folded] = f"index {index_name!r}"
         self._disk.allocate_extent(index.io_name, pages=max(1, index.page_count))
         return index
-
-    def drop_index(self, table_name: str, index_name: str) -> None:
-        info = self.table(table_name)
-        with self._lock:
-            info.indexes[:] = [i for i in info.indexes if i.name != index_name]
 
     # ------------------------------------------------------------------
     # lookup
@@ -82,10 +95,6 @@ class Catalog:
                 return self._tables[name]
             except KeyError:
                 raise UnknownTableError(name) from None
-
-    def has_table(self, name: str) -> bool:
-        with self._lock:
-            return name in self._tables
 
     def table_names(self) -> List[str]:
         with self._lock:

@@ -21,7 +21,7 @@ from .latency import INSTANT, LatencyMeter, LatencyProfile
 from .scans import SharedScanManager
 from .server import DatabaseServer
 from .storage import DEFAULT_ROWS_PER_PAGE
-from .types import Schema, schema_of
+from .types import schema_of
 
 
 class Database:
@@ -75,8 +75,8 @@ class Database:
         else ``"memory"`` — the in-memory :class:`DatabaseServer` this
         instance was built around.  Other backends (``"sqlite"``) are
         created on first use and seeded with every table, row and index
-        the catalog holds at that moment; later DDL and bulk loads
-        through *this facade* are mirrored into them, so the same
+        the catalog holds at that moment; later tables, indexes and
+        bulk loads through this facade reach them too, so the same
         workload can run against either store.
         """
         name = resolve_backend_name(name)
@@ -110,7 +110,7 @@ class Database:
         return backend
 
     # ------------------------------------------------------------------
-    # DDL / loading
+    # schema / loading: the one way a table or an index is made
     # ------------------------------------------------------------------
     def create_table(
         self,
@@ -119,7 +119,10 @@ class Database:
         not_null: Optional[Sequence[str]] = None,
         rows_per_page: int = DEFAULT_ROWS_PER_PAGE,
     ) -> None:
-        """Create a table: ``db.create_table("part", ("id", "int"), ...)``."""
+        """Create a table in every live store:
+        ``db.create_table("part", ("id", "int"), ...)``.  The catalog
+        checks the names (see :class:`~repro.db.catalog.Catalog`)
+        before any store changes."""
         schema = schema_of(*columns, not_null=not_null)
         self.catalog.create_table(name, schema, rows_per_page=rows_per_page)
         self.server.invalidate_plans()
@@ -127,8 +130,8 @@ class Database:
             backend.mirror_create_table(name, schema, rows_per_page=rows_per_page)
 
     def _other_backends(self):
-        """Every live backend except the in-memory server (out-of-band
-        DDL and loads through this facade are mirrored into them)."""
+        """Every live backend except the in-memory server (tables,
+        indexes and loads through this facade are mirrored into them)."""
         return [
             backend
             for backend_name, backend in self._backends.items()
@@ -142,6 +145,8 @@ class Database:
         column: str,
         unique: bool = False,
     ) -> None:
+        """Create an index in every live store, after the catalog checked
+        its name and, for a unique one, the stored keys."""
         self.catalog.create_index(index_name, table, column, unique=unique)
         self.server.invalidate_plans()
         for backend in self._other_backends():

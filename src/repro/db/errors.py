@@ -26,7 +26,9 @@ class SqlSyntaxError(DatabaseError):
 
 
 class CatalogError(DatabaseError):
-    """A DDL operation conflicted with the existing catalog state."""
+    """A new table or index conflicted with the catalog: a name taken
+    (tables and indexes share one case-insensitive namespace), two
+    columns of one name, or a reserved ``sqlite_*`` name."""
 
 
 class UnknownTableError(CatalogError):
@@ -48,7 +50,9 @@ class UnknownColumnError(CatalogError):
 
 
 class TypeMismatchError(DatabaseError):
-    """A value could not be coerced to the declared column type."""
+    """A value could not be coerced to the declared column type, or a
+    parameter value is not one every store binds (NULL, an int, a
+    float, a str or bytes)."""
 
 
 class PlanError(DatabaseError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, Iterator, List, Sequence
 
-from .errors import ConstraintError, DatabaseError
+from .errors import ConstraintError
 from .storage import HeapTable
 
 #: Key entries per index page (denser than heap pages).
@@ -104,17 +104,8 @@ class HashIndex:
         return [] if bucket is None else bucket
 
     def page_for(self, value: Any) -> int:
-        """Deterministic index page a probe of ``value`` touches.  Every
-        probe asks this first, so an unhashable key (a list) fails here,
-        as the :class:`DatabaseError` sqlite raises for a value it
-        cannot bind."""
-        try:
-            key_hash = hash(value)
-        except TypeError:
-            raise DatabaseError(
-                f"cannot probe index {self.name!r} with {value!r}"
-            ) from None
-        return key_hash % max(1, self.page_count)
+        """Deterministic index page a probe of ``value`` touches."""
+        return hash(value) % max(1, self.page_count)
 
     @property
     def page_count(self) -> int:

@@ -15,18 +15,19 @@ Sudarshan, VLDB 2008); the demux operator is what makes a batch an
 actual set-oriented evaluation rather than N statements in a trenchcoat.
 
 Fault isolation is per binding: a binding whose parameters are malformed
-(wrong arity, an expression that fails to evaluate) yields an exception
-*outcome* in its slot; the other bindings complete normally.
+(wrong arity, a value no store binds, an expression that fails to
+evaluate) yields an exception *outcome* in its slot; the other bindings
+complete normally.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
-from ..errors import ParamCountError
+from ..errors import DatabaseError
 from .context import ExecutionContext
-from .operators import HashEqOp, SeqScanOp, partition
-from .planner import SelectPlan, prefer_batch_scan
+from .operators import SeqScanOp, partition
+from .planner import SelectPlan, check_params, prefer_batch_scan
 from .result import QueryResult
 
 #: Per-binding result slot: the binding's :class:`QueryResult`, or the
@@ -38,8 +39,8 @@ def demuxable(plan) -> bool:
     """May ``plan`` be evaluated set-oriented over many binding sets?
 
     True exactly for SELECT plans: reads have no per-binding side
-    effects, so one pass can serve all of them.  Writes and DDL fall
-    back to per-binding execution (each keeps its own write window
+    effects, so one pass can serve all of them.  Writes fall back to
+    per-binding execution (each keeps its own write window
     and undo accounting).
     """
     return isinstance(plan, SelectPlan)
@@ -78,36 +79,22 @@ def execute_batch_select(
     info = plan._info
     outcomes: List[Optional[BindingOutcome]] = [None] * len(bindings)
 
-    pending: List[int] = []
-    for index, binding in enumerate(bindings):
-        if stmt.param_count != len(binding):
-            outcomes[index] = ParamCountError(stmt.param_count, len(binding))
-        else:
-            pending.append(index)
-    if not pending:
-        return outcomes  # every binding faulted before touching the table
-
     # Distinct-binding dedupe: identical binding sets share one
     # evaluation (and one result object, exactly as a cache hit would).
+    # A checked binding holds bindable values only, so it hashes.
     groups: Dict[tuple, List[int]] = {}
-    order: List[tuple] = []
-    loose: List[int] = []  # unhashable bindings: no dedupe possible
-    for index in pending:
-        binding = tuple(bindings[index])
+    for index, binding in enumerate(bindings):
         try:
-            bucket = groups.get(binding)
-        except TypeError:
-            loose.append(index)
+            check_params(stmt.param_count, binding)
+        except DatabaseError as exc:
+            outcomes[index] = exc
             continue
-        if bucket is None:
-            groups[binding] = [index]
-            order.append(binding)
-        else:
-            bucket.append(index)
+        groups.setdefault(tuple(binding), []).append(index)
+    if not groups:
+        return outcomes  # every binding faulted before touching the table
 
     ctx.charge_cpu(fixed=True)  # ONE per-statement fixed cost for the batch
-    distinct = len(order) + len(loose)
-    single_scan = prefer_batch_scan(info, plan._access, distinct, ctx.profile)
+    single_scan = prefer_batch_scan(info, plan._access, len(groups), ctx.profile)
     if span is not None:
         span.set("strategy", "scan" if single_scan else "probe")
 
@@ -133,19 +120,7 @@ def execute_batch_select(
                     # distinct binding (duplicates were deduped above).
                     sel = _gathered(sub, plan._access.run(sub, tests))
                 elif buckets is not None:
-                    try:
-                        sel = buckets.get(tests[plan.bucket[1]][2], [])
-                    except TypeError:
-                        # Unhashable key (e.g. a list parameter).  Run
-                        # alone, an indexed plan would fail its probe
-                        # (as sqlite fails to bind the value): so does
-                        # this binding.  Otherwise it cannot use the
-                        # bucket index, but the full WHERE clause
-                        # re-applies below, so the whole scan is a
-                        # correct candidate set.
-                        if isinstance(plan._access, HashEqOp):
-                            plan._access.probe_page(tests)
-                        sel = scanned
+                    sel = buckets.get(tests[plan.bucket[1]][2], [])
                 else:
                     sel = scanned
                 # The bucket (or scan) holds candidates, not matches: the
@@ -156,10 +131,8 @@ def execute_batch_select(
             finally:
                 ctx.absorb_cpu(sub)
 
-        for binding in order:
+        for binding, indexes in groups.items():
             outcome = run_one(binding)
-            for index in groups[binding]:
+            for index in indexes:
                 outcomes[index] = outcome
-        for index in loose:
-            outcomes[index] = run_one(tuple(bindings[index]))
     return outcomes

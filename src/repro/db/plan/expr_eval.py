@@ -296,10 +296,7 @@ def _bind(shape: str, constants: List[Any]) -> Tuple[Tuple[Callable, Callable], 
         candidates: Any = [c for c in constants if c is not None]
         if shape == "not in" and len(candidates) < len(constants):
             return _NEVER, None
-        try:
-            return _KERNELS[shape], set(candidates)
-        except TypeError:  # unhashable items: linear membership keeps ==
-            return _KERNELS[shape], candidates
+        return _KERNELS[shape], set(candidates)
     if shape == "not between" and constants.count(None) == 1:
         # NOT BETWEEN is ``v < low OR v > high``: the non-NULL half
         # still keeps rows.

@@ -76,19 +76,14 @@ class HashEqOp:
         self._index = index
         self._slot = slot
 
-    def probe_page(self, tests: Sequence) -> PageKey:
-        """The index page a probe under ``tests`` touches: what
-        :meth:`run` asks first, so an unhashable key (a list) raises
-        the index's :class:`DatabaseError` before any page is read."""
-        index = self._index
-        return index.io_name, index.page_for(tests[self._slot][2])
-
     def run(self, ctx: ExecutionContext, tests: Sequence) -> List[ColumnBatch]:
         """One batch of the bucket's rows (none for an empty bucket),
         after touching the pages they live on; no tuples are built."""
         info = self._info
-        index_page = self.probe_page(tests)
-        sel = list(self._index.lookup(tests[self._slot][2]))
+        index = self._index
+        key = tests[self._slot][2]
+        index_page = (index.io_name, index.page_for(key))
+        sel = list(index.lookup(key))
         ctx.buffer.access_keys(bucket_pages(index_page, info, sel))
         ctx.charge_cpu(rows=len(sel))
         return [ColumnBatch(info.heap.columns_view(), sel)] if sel else []

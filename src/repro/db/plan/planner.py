@@ -20,13 +20,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..catalog import Catalog
 from ..catalog_types import TableInfo
-from ..errors import ParamCountError, PlanError
+from ..errors import ParamCountError, PlanError, TypeMismatchError
 from ..index import HashIndex
 from ..sql.ast_nodes import (
     Aggregate,
     ColumnRef,
-    CreateIndexStmt,
-    CreateTableStmt,
     DeleteStmt,
     InsertStmt,
     Literal,
@@ -38,7 +36,7 @@ from ..sql.ast_nodes import (
     UpdateStmt,
     iter_column_refs,
 )
-from ..types import Column, ColumnType, Row, schema_of_defs
+from ..types import Column, ColumnType, Row
 from .context import ExecutionContext
 from .expr_eval import ColumnarEvaluator, Predicate, RowEvaluator
 from .operators import (
@@ -68,10 +66,6 @@ class Planner:
             return UpdatePlan(self._catalog, statement)
         if isinstance(statement, DeleteStmt):
             return DeletePlan(self._catalog, statement)
-        if isinstance(statement, CreateTableStmt):
-            return CreateTablePlan(self._catalog, statement)
-        if isinstance(statement, CreateIndexStmt):
-            return CreateIndexPlan(self._catalog, statement)
         raise PlanError(f"cannot plan statement: {statement!r}")
 
 
@@ -91,11 +85,25 @@ def _choose_access_path(info: TableInfo, indexes, where: Predicate):
     return SeqScanOp(info)
 
 
+#: The types of the values sqlite binds as themselves (``bool`` is an
+#: ``int``): the one rule for a parameter value on every store.
+_BINDABLE = frozenset((type(None), bool, int, float, str, bytes))
+
+
 def check_params(expected: int, params: Sequence) -> None:
-    """Raise :class:`ParamCountError` unless ``params`` binds exactly
-    ``expected`` placeholders (every store's arity check)."""
+    """Every store's binding check, run before a statement reads a
+    value: raise :class:`ParamCountError` unless ``params`` binds
+    exactly ``expected`` placeholders, and :class:`TypeMismatchError`
+    for a value that is not NULL, an int, a float, a str or bytes (a
+    subclass of one binds as it) — what sqlite cannot bind, no store
+    compares."""
     if expected != len(params):
         raise ParamCountError(expected, len(params))
+    for value in params:
+        if type(value) not in _BINDABLE and not isinstance(
+            value, (int, float, str, bytes)
+        ):
+            raise TypeMismatchError(f"cannot bind parameter value {value!r}")
 
 
 def _kept(ctx, evaluator: ColumnarEvaluator, sels, noted=True, counted=False):
@@ -233,8 +241,8 @@ def _point_reader(
     for the fetch and once for the re-check, and each kept row once
     more for a ``projected`` select list (not ``*``); an empty bucket
     charges nothing and scans nothing.  The caller holds the heap's
-    lock, checked the parameter count, and charges the fixed cost, the
-    rows and the scan batch.
+    lock, checked the binding (:func:`check_params`), and charges the
+    fixed cost, the rows and the scan batch.
     """
     io_name = index.io_name
     page_for = index.page_for
@@ -245,7 +253,7 @@ def _point_reader(
 
     def read(params: Sequence, buffer) -> Tuple[List[int], List[Row], int, int]:
         value = params[slot]
-        index_page = (io_name, page_for(value))  # first: a list raises here
+        index_page = (io_name, page_for(value))
         sel = lookup(value)
         buffer.access_keys(bucket_pages(index_page, info, sel))
         if not sel:
@@ -648,46 +656,3 @@ class DeletePlan(_WritePlan):
                 ctx.record_delete(info.name, row_id, row)
             ctx.charge_cpu(rows=len(rows))
         return QueryResult(rowcount=len(rows))
-
-
-class CreateTablePlan:
-    def __init__(self, catalog: Catalog, stmt: CreateTableStmt) -> None:
-        self._catalog = catalog
-        self._stmt = stmt
-        #: The declared schema (unknown column types fail here, at
-        #: prepare time, for every store).
-        self.schema = schema_of_defs(stmt.columns)
-
-    def apply(self) -> None:
-        """Create the table in this plan's catalog.  A store that keeps
-        its rows elsewhere calls this to keep its schema mirror in
-        step, then runs its own DDL."""
-        self._catalog.create_table(
-            self._stmt.table, self.schema, if_not_exists=self._stmt.if_not_exists
-        )
-
-    def execute(self, ctx: ExecutionContext) -> QueryResult:
-        self.apply()
-        return QueryResult(rowcount=0)
-
-
-class CreateIndexPlan:
-    def __init__(self, catalog: Catalog, stmt: CreateIndexStmt) -> None:
-        self._catalog = catalog
-        self._stmt = stmt
-
-    def apply(self) -> None:
-        """Create the index in this plan's catalog (see
-        :meth:`CreateTablePlan.apply`)."""
-        stmt = self._stmt
-        self._catalog.create_index(
-            stmt.index, stmt.table, stmt.column, unique=stmt.unique
-        )
-
-    def revert(self) -> None:
-        """Undo :meth:`apply` when the store's own DDL refused the index."""
-        self._catalog.drop_index(self._stmt.table, self._stmt.index)
-
-    def execute(self, ctx: ExecutionContext) -> QueryResult:
-        self.apply()
-        return QueryResult(rowcount=0)

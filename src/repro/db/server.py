@@ -148,7 +148,7 @@ class DatabaseServer(Backend):
     def _settle(self, ctx: ExecutionContext, exec_span) -> None:
         """Flush the statement's CPU charge and fold its per-batch scan
         accounting (nothing to fold when the statement produced no
-        batches — inserts, DDL, empty probes)."""
+        batches — inserts, empty probes)."""
         ctx.flush_cpu()
         if ctx.scan_batches:
             self._fold_scans(

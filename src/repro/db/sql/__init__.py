@@ -2,17 +2,16 @@
 
 The grammar covers what the paper's five workloads and the TPC-H-like
 category/part schema need: single-table SELECT with aggregates, WHERE
-conjunctions/disjunctions, ORDER BY, LIMIT, and the DML/DDL statements
-INSERT, UPDATE, DELETE, CREATE TABLE and CREATE INDEX, all with ``?``
-positional parameters.
+conjunctions/disjunctions, ORDER BY, LIMIT, and the DML statements
+INSERT, UPDATE and DELETE, all with ``?`` positional parameters.  There
+is no DDL: tables and indexes are made by ``Database.create_table`` /
+``create_index``, the one path that changes every store's schema.
 """
 
 from .ast_nodes import (
     Aggregate,
     BinaryOp,
     ColumnRef,
-    CreateIndexStmt,
-    CreateTableStmt,
     DeleteStmt,
     InsertStmt,
     Literal,
@@ -33,8 +32,6 @@ __all__ = [
     "Aggregate",
     "BinaryOp",
     "ColumnRef",
-    "CreateIndexStmt",
-    "CreateTableStmt",
     "DeleteStmt",
     "InsertStmt",
     "Literal",

@@ -6,7 +6,7 @@ shared between server worker threads without defensive copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Tuple
 
 # ----------------------------------------------------------------------
@@ -226,37 +226,6 @@ class DeleteStmt(Statement):
     param_count: int = 0
 
 
-@dataclass(frozen=True)
-class ColumnDef:
-    name: str
-    type_name: str
-    not_null: bool = False
-
-
-@dataclass(frozen=True)
-class CreateTableStmt(Statement):
-    table: str
-    columns: Tuple[ColumnDef, ...]
-    if_not_exists: bool = False
-    param_count: int = 0
-
-
-@dataclass(frozen=True)
-class CreateIndexStmt(Statement):
-    index: str
-    table: str
-    column: str
-    unique: bool = False
-    param_count: int = 0
-
-
-def is_ddl(statement: Statement) -> bool:
-    """True for statements that change the schema."""
-    return isinstance(statement, (CreateTableStmt, CreateIndexStmt))
-
-
 def is_write(statement: Statement) -> bool:
     """True for statements that modify database state."""
-    return is_ddl(statement) or isinstance(
-        statement, (InsertStmt, UpdateStmt, DeleteStmt)
-    )
+    return isinstance(statement, (InsertStmt, UpdateStmt, DeleteStmt))

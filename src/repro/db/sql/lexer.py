@@ -11,9 +11,8 @@ from ..errors import SqlSyntaxError
 KEYWORDS = {
     "select", "from", "where", "and", "or", "not", "order", "by", "asc",
     "desc", "limit", "insert", "into", "values", "update", "set", "delete",
-    "create", "table", "index", "on", "as", "is", "null", "in", "between",
-    "distinct", "unique", "count", "sum", "min", "max", "avg", "group",
-    "true", "false", "if", "exists",
+    "as", "is", "null", "in", "between", "distinct", "count", "sum", "min",
+    "max", "avg", "group", "true", "false",
 }
 
 

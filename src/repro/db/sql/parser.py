@@ -2,8 +2,7 @@
 
 Grammar (informal)::
 
-    statement   := select | insert | update | delete | create_table
-                 | create_index
+    statement   := select | insert | update | delete
     select      := SELECT [DISTINCT] items FROM ident [WHERE expr]
                    [ORDER BY order_items] [LIMIT term]
     items       := * | item ("," item)*
@@ -11,8 +10,6 @@ Grammar (informal)::
     insert      := INSERT INTO ident ["(" idents ")"] VALUES "(" exprs ")"
     update      := UPDATE ident SET assigns [WHERE expr]
     delete      := DELETE FROM ident [WHERE expr]
-    create_table:= CREATE TABLE [IF NOT EXISTS] ident "(" coldefs ")"
-    create_index:= CREATE [UNIQUE] INDEX ident ON ident "(" ident ")"
 
     expr        := or_expr
     or_expr     := and_expr (OR and_expr)*
@@ -25,7 +22,9 @@ Grammar (informal)::
     atom        := literal | "?" | ident | agg "(" [DISTINCT] (expr|*) ")"
                  | "(" expr ")" | "-" atom
 
-Parameters are numbered left to right in source order.
+Parameters are numbered left to right in source order.  There is no
+DDL: a schema changes only through ``Database.create_table`` /
+``create_index``, which update every store at once.
 """
 
 from __future__ import annotations
@@ -37,10 +36,7 @@ from .ast_nodes import (
     Aggregate,
     Between,
     BinaryOp,
-    ColumnDef,
     ColumnRef,
-    CreateIndexStmt,
-    CreateTableStmt,
     DeleteStmt,
     Expr,
     InList,
@@ -144,8 +140,6 @@ class _Parser:
             return self._update()
         if token.is_keyword("delete"):
             return self._delete()
-        if token.is_keyword("create"):
-            return self._create()
         raise self._error("expected a statement")
 
     def _select(self) -> SelectStmt:
@@ -271,53 +265,6 @@ class _Parser:
         if self._accept_keyword("where"):
             where = self.expression()
         return DeleteStmt(table=table, where=where, param_count=self._param_counter)
-
-    def _create(self) -> Statement:
-        self._expect_keyword("create")
-        unique = self._accept_keyword("unique")
-        if self._accept_keyword("table"):
-            if unique:
-                raise self._error("UNIQUE applies to indexes only")
-            return self._create_table()
-        self._expect_keyword("index")
-        index = self._ident()
-        self._expect_keyword("on")
-        table = self._ident()
-        self._expect(TokenType.LPAREN)
-        column = self._ident()
-        self._expect(TokenType.RPAREN)
-        return CreateIndexStmt(
-            index=index, table=table, column=column, unique=unique
-        )
-
-    def _create_table(self) -> CreateTableStmt:
-        if_not_exists = False
-        if self._accept_keyword("if"):
-            self._expect_keyword("not")
-            self._expect_keyword("exists")
-            if_not_exists = True
-        table = self._ident()
-        self._expect(TokenType.LPAREN)
-        columns = [self._column_def()]
-        while self._accept(TokenType.COMMA):
-            columns.append(self._column_def())
-        self._expect(TokenType.RPAREN)
-        return CreateTableStmt(
-            table=table, columns=tuple(columns), if_not_exists=if_not_exists
-        )
-
-    def _column_def(self) -> ColumnDef:
-        name = self._ident()
-        token = self._peek()
-        if token.type is TokenType.IDENT:
-            type_name = self._advance().value
-        else:
-            raise self._error("expected column type")
-        not_null = False
-        if self._accept_keyword("not"):
-            self._expect_keyword("null")
-            not_null = True
-        return ColumnDef(name=name, type_name=type_name, not_null=not_null)
 
     # ------------------------------------------------------------------
     # expressions

@@ -34,9 +34,8 @@ DEFAULT_ROWS_PER_PAGE = 64
 class HeapTable:
     """Columnar storage for one table, rows in insertion order.
 
-    Deleted rows leave tombstones (validity byte cleared) so that row
-    ids — which the indexes reference — stay stable; ``compact()``
-    rebuilds.
+    Deleted rows leave tombstones (validity byte cleared), so a row id
+    — which the indexes and prepared point reads hold — never moves.
     """
 
     def __init__(
@@ -116,7 +115,7 @@ class HeapTable:
                 raise ConstraintError(f"row {row_id} already deleted")
             self._valid[row_id] = 0
             # Column values stay in place under the tombstone; restore()
-            # overwrites them and compact() drops the slot.
+            # overwrites them.
             self._live_count -= 1
 
     def update(self, row_id: int, row: Row) -> None:
@@ -133,9 +132,8 @@ class HeapTable:
 
         The inverse of :meth:`delete`: the row id must currently hold a
         tombstone.  Only rollback uses this — the deleting transaction
-        held the table exclusively, so the slot cannot have been
-        compacted away in between.  ``row`` is the deleted row as the
-        heap held it.
+        held the table exclusively, so nothing reused the slot in
+        between.  ``row`` is the deleted row as the heap held it.
         """
         with self._mutate:
             if self._valid[row_id]:
@@ -144,16 +142,6 @@ class HeapTable:
                 column[row_id] = value
             self._valid[row_id] = 1
             self._live_count += 1
-
-    def compact(self) -> None:
-        """Drop tombstones; invalidates row ids (indexes must rebuild)."""
-        with self._mutate:
-            keep = [row_id for row_id, live in enumerate(self._valid) if live]
-            self._columns = [
-                [column[row_id] for row_id in keep] for column in self._columns
-            ]
-            self._valid = bytearray(b"\x01" * len(keep))
-            self._live_count = len(keep)
 
     # ------------------------------------------------------------------
     # row-oriented access (the write paths, seeding a second store)

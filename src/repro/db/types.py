@@ -118,11 +118,11 @@ class Schema:
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._index = {}
-        for position, column in enumerate(self.columns):
-            if column.name in self._index:
-                raise TypeMismatchError(f"duplicate column name: {column.name!r}")
-            self._index[column.name] = position
+        # Column names are checked, once, where a table is made
+        # (``Catalog.create_table``).
+        self._index = {
+            column.name: position for position, column in enumerate(self.columns)
+        }
         #: The Python type of each column's values, in column order: a
         #: row whose value types are exactly these is coerced already.
         self._exact = tuple(_PYTHON_TYPES[column.type] for column in self.columns)
@@ -177,12 +177,3 @@ def schema_of(*pairs: Tuple[str, str], not_null: Optional[Sequence[str]] = None)
         for name, type_name in pairs
     ]
     return Schema(columns)
-
-
-def schema_of_defs(definitions) -> Schema:
-    """The schema a parsed ``CREATE TABLE`` declares: one column per
-    definition (anything with ``name`` / ``type_name`` / ``not_null``)."""
-    return schema_of(
-        *((definition.name, definition.type_name) for definition in definitions),
-        not_null=[d.name for d in definitions if d.not_null],
-    )

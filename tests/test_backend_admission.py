@@ -60,6 +60,14 @@ class Store:
             self.backend.mirror_load("t", rows)
             self.backend.mirror_create_index("t_id", "t", "id")
 
+    def create_index(self, name, column):
+        """Index ``t(column)`` the one way a schema changes (the sqlite
+        store's by the mirror ``Database.create_index`` calls)."""
+        if self._db is not None:
+            self._db.create_index(name, "t", column)
+        else:
+            self.backend.mirror_create_index(name, "t", column)
+
     def connect(self, **options):
         return Connection(self.backend, **options)
 
@@ -202,7 +210,8 @@ class TestNoReentry:
         store = open_store(1)
         backend = store.backend
         prepared = backend.prepare(SELECT)
-        backend.execute("CREATE INDEX t_v ON t (v)")
+        store.create_index("t_v", "v")
+        assert backend.prepare(SELECT) is not prepared  # stale now
         results = run_threads(
             lambda: backend.execute_prepared(prepared, (3,)).scalar(),
             lambda: backend.execute_prepared_batch(prepared, [(4,), (5,)]),

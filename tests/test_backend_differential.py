@@ -21,6 +21,7 @@ exactly the client-indistinguishability the contract demands.
 
 from __future__ import annotations
 
+import sqlite3
 import sys
 import threading
 from collections import Counter
@@ -30,7 +31,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import BACKENDS, SqliteBackend, resolve_backend_name
 from repro.db import Database, INSTANT
-from repro.db.errors import ConstraintError, DatabaseError, TypeMismatchError
+from repro.db.errors import (
+    CatalogError,
+    ConstraintError,
+    DatabaseError,
+    SqlSyntaxError,
+    TypeMismatchError,
+)
 
 values = st.one_of(st.integers(min_value=-9, max_value=9), st.none())
 texts = st.one_of(st.sampled_from(["red", "green", "blue", ""]), st.none())
@@ -90,7 +97,7 @@ params_strategy = st.lists(
 
 def fresh_db(rows, indexed=False, not_null=None):
     """A Database whose memory *and* sqlite stores hold ``rows``
-    (facade DDL/loads mirror into every live backend)."""
+    (the facade's tables, indexes and loads reach every live backend)."""
     db = Database(INSTANT)
     db.create_table(
         "t",
@@ -106,6 +113,42 @@ def fresh_db(rows, indexed=False, not_null=None):
         db.create_index("ix", "t", "a")
     db.backend("sqlite")  # instantiate + seed the second store
     return db
+
+
+def schemas(db):
+    """``{table: (column names, index names)}`` as the memory catalog,
+    the sqlite store's mirror catalog and sqlite's own schema each hold
+    it — asserted to agree."""
+    store = db.backend("sqlite")
+    held = [
+        {
+            name: (
+                catalog.table(name).heap.schema.names(),
+                sorted(index.name for index in catalog.indexes_on(name)),
+            )
+            for name in catalog.table_names()
+        }
+        for catalog in (db.catalog, store.catalog)
+    ]
+    connection = sqlite3.connect(store.path)
+    try:
+        native = {
+            name: (
+                tuple(row[1] for row in connection.execute(
+                    f'PRAGMA table_info("{name}")'
+                )),
+                sorted(row[1] for row in connection.execute(
+                    f'PRAGMA index_list("{name}")'
+                )),
+            )
+            for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+    finally:
+        connection.close()
+    assert held[0] == held[1] == native
+    return native
 
 
 def both_backends(db):
@@ -479,18 +522,18 @@ class TestKeyedWriteDifferential:
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_a_unique_index_over_duplicates_is_refused(self, backend):
-        """Both stores refuse a unique index over a repeated key, by
-        statement or by ``create_index``, and keep no trace of it; NULL
-        keys do not repeat, so a unique index over them is taken."""
+        """``create_index`` refuses a unique index over a repeated key
+        before either store changes, so the name stays free; NULL keys
+        do not repeat, so a unique index over them is taken.  The store
+        then answers through the indexes as through none."""
         db = write_db([(0, 1, "a", 5), (1, 2, None, 5), (2, 3, None, 6)])
         try:
             with db.connect(async_workers=1, backend=backend) as conn:
                 with pytest.raises(ConstraintError):
-                    conn.execute_update("CREATE UNIQUE INDEX w_v ON w (v)")
-                with pytest.raises(ConstraintError):
                     db.create_index("w_v", "w", "v", unique=True)
-                conn.execute_update("CREATE INDEX w_v ON w (v)")
-                conn.execute_update("CREATE UNIQUE INDEX w_s ON w (s)")
+                assert schemas(db)["w"][1] == ["w_id", "w_k"]
+                db.create_index("w_v", "w", "v")
+                db.create_index("w_s", "w", "s", unique=True)
                 assert sorted(conn.execute_query(
                     "SELECT id FROM w WHERE v = ?", (5,)
                 ).rows) == [(100,), (101,)]
@@ -670,6 +713,11 @@ ERROR_CASES = [
     ("INSERT INTO t VALUES ('text', 1, 2, 'x')", ()),
     ("UPDATE t SET nope = 1", ()),
     ("CREATE TABLE t (x INT)", ()),
+    # A value sqlite cannot bind, on the unindexed ``a``: each store
+    # refuses it before any comparison reads it.
+    ("SELECT id FROM t WHERE a = ?", ([1],)),
+    ("SELECT id FROM t WHERE a > ?", ([1],)),
+    ("SELECT id FROM t WHERE a IN (?, 2)", ([1],)),
 ]
 
 #: Unknown columns where no row would ever reach them (empty table, or
@@ -696,11 +744,12 @@ ERROR_CASES += [(sql, ()) for sql in BARE_COLUMN_SQL]
 
 #: Point-read keys sqlite cannot bind: ``(key, rows, error)`` — the
 #: rows both stores answer, or the error class both raise.  No stored
-#: value equals a 70-bit int or a lone surrogate; a list is unhashable.
+#: value equals a 70-bit int or a lone surrogate; a list is no
+#: parameter value.
 UNBINDABLE_KEYS = [
     (1 << 70, [], None),
     ("\ud800", [], None),
-    ([2], None, DatabaseError),
+    ([2], None, TypeMismatchError),
 ]
 
 
@@ -873,10 +922,8 @@ class TestErrorParity:
             db.close()
 
     def test_txn_dml_rules_match(self):
-        # DDL in a txn raises the same TransactionStateError on both
-        # stores.
-        from repro.db.errors import TransactionStateError
-
+        # No statement changes a schema, in a transaction either: both
+        # stores refuse the text alike, and the transaction goes on.
         db = Database(INSTANT)
         try:
             db.create_table("k", ("id", "int"))
@@ -884,9 +931,12 @@ class TestErrorParity:
             for name in BACKENDS:
                 with db.connect(async_workers=1, backend=name) as conn:
                     conn.begin()
-                    with pytest.raises(TransactionStateError):
+                    with pytest.raises(SqlSyntaxError):
                         conn.execute_update("CREATE TABLE k2 (id int)")
+                    conn.execute_update("INSERT INTO k VALUES (1)")
+                    assert conn.execute_query("SELECT id FROM k").rows == [(1,)]
                     conn.rollback()
+            assert schemas(db) == {"k": (("id",), [])}
         finally:
             db.close()
 
@@ -923,6 +973,60 @@ class TestErrorParity:
                     with pytest.raises(TypeMismatchError):
                         conn.execute_update("INSERT INTO k VALUES (? + 1)", ("x",))
                     conn.rollback()
+        finally:
+            db.close()
+
+
+#: Schema changes sqlite refuses, on a database holding ``t(a)`` with
+#: index ``i`` and an empty ``t2(a)``: the catalog must refuse each
+#: before any store changes.
+SCHEMA_PROBES = {
+    "index-name-on-another-table": lambda db: db.create_index("i", "t2", "a"),
+    "table-named-like-an-index": lambda db: db.create_table("i", ("a", "int")),
+    "table-name-in-another-case": lambda db: db.create_table("T", ("a", "int")),
+    "columns-in-another-case": lambda db: db.create_table(
+        "u", ("a", "int"), ("A", "int")
+    ),
+    "reserved-name": lambda db: db.create_table("sqlite_t", ("a", "int")),
+}
+
+#: Schema text: no statement changes a schema, on either store.
+CREATE_TEXTS = {
+    "create-table": "CREATE TABLE u (a int)",
+    "create-index": "CREATE INDEX j ON t (a)",
+    "create-unique-index": "CREATE UNIQUE INDEX j ON t (a)",
+}
+
+
+class TestOneSchemaPath:
+    @pytest.mark.parametrize("probe", [*SCHEMA_PROBES, *CREATE_TEXTS])
+    def test_a_refused_schema_change_changes_no_store(self, probe):
+        """``create_table`` / ``create_index`` under SQLite's name rule
+        and ``CREATE`` text are refused with one class on both stores;
+        every catalog and sqlite's own schema stay as they were, and
+        both stores still answer alike."""
+        db = Database(INSTANT)
+        try:
+            db.create_table("t", ("a", "int"))
+            db.create_table("t2", ("a", "int"))
+            db.bulk_load("t", [(1,), (2,)])
+            db.create_index("i", "t", "a")
+            db.backend("sqlite")
+            before = schemas(db)
+            for name in BACKENDS:
+                with db.connect(async_workers=1, backend=name) as conn:
+                    with pytest.raises(DatabaseError) as refused:
+                        if probe in SCHEMA_PROBES:
+                            SCHEMA_PROBES[probe](db)
+                        else:
+                            conn.execute_update(CREATE_TEXTS[probe])
+                    assert refused.type is (
+                        CatalogError if probe in SCHEMA_PROBES else SqlSyntaxError
+                    ), (name, refused.value)
+                    assert schemas(db) == before
+                    read = conn.execute_query
+                    assert read("SELECT a FROM t WHERE a = ?", (2,)).rows == [(2,)]
+                    assert read("SELECT a FROM t2").rows == []
         finally:
             db.close()
 

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from repro.backends import BACKENDS
 from repro.client.batching import BatchExecutor
 from repro.db import Database, INSTANT
+from repro.db.errors import TypeMismatchError
 
 
 @pytest.fixture
@@ -54,22 +56,27 @@ class TestBatchExecutor:
         conn.close()
 
     def test_unhashable_param_matches_plain_execution(self):
-        # Seq-scan plan (no index): an unhashable parameter cannot use
-        # the demux bucket index, but must still answer exactly like
-        # per-statement execution instead of faulting its binding.
+        # Seq-scan plan (no index): a list parameter is no value any
+        # store binds, so its binding of the batch fails as the plain
+        # statement does, and only that binding.
         db = Database(INSTANT)
         db.create_table("t", ("a", "int"), ("grp", "int"))
         db.bulk_load("t", [(i, i % 4) for i in range(40)])
-        # Engine-specific semantics (unhashable params skip the demux
-        # bucket index): pin the in-memory backend.
-        conn = db.connect(backend="memory")
-        batch = BatchExecutor(conn)
-        sql = "SELECT count(*) FROM t WHERE grp = ?"
-        plain = conn.execute_query(sql, [[1]])
-        results = batch.execute_batch(sql, [([1],), (1,)])
-        assert results[0].scalar() == plain.scalar() == 0
-        assert results[1].scalar() == 10
-        conn.close()
+        db.backend("sqlite")
+        for name in BACKENDS:
+            with db.connect(backend=name) as conn:
+                batch = BatchExecutor(conn)
+                sql = "SELECT count(*) FROM t WHERE grp = ?"
+                with pytest.raises(TypeMismatchError):
+                    conn.execute_query(sql, [[1]])
+                with pytest.raises(TypeMismatchError):
+                    batch.execute_batch(sql, [([1],), (1,)])
+                store = conn.server
+                outcomes = store.execute_prepared_batch(
+                    store.prepare(sql), [([1],), (1,)]
+                )
+                assert isinstance(outcomes[0], TypeMismatchError), name
+                assert outcomes[1].scalar() == 10
         db.close()
 
     def _tiny_latency_db(self):

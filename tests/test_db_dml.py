@@ -126,28 +126,12 @@ class TestTwoIndexes:
                 ), (column, key)
 
 
-class TestDdlThroughSql:
-    def test_create_table_and_insert(self, db):
-        db.server.execute("CREATE TABLE fresh (a int, b text)")
-        db.server.execute("INSERT INTO fresh VALUES (1, 'x')")
-        assert db.server.execute("SELECT count(*) FROM fresh").scalar() == 1
-
-    def test_create_index_through_sql(self, db):
-        db.server.execute("CREATE TABLE fresh (a int)")
-        db.server.execute("INSERT INTO fresh VALUES (1)")
-        db.server.execute("CREATE INDEX fx ON fresh (a)")
-        plan = db.server.prepare("SELECT * FROM fresh WHERE a = 1").plan
-        assert plan.access_path == "HashEqOp"
-
-    def test_if_not_exists(self, db):
-        db.server.execute("CREATE TABLE fresh (a int)")
-        db.server.execute("CREATE TABLE IF NOT EXISTS fresh (a int)")
-
+class TestSchemaThroughDatabase:
     def test_ddl_invalidates_cached_plans(self, db):
-        db.server.execute("CREATE TABLE fresh (a int)")
+        db.create_table("fresh", ("a", "int"))
         prepared = db.server.prepare("SELECT * FROM fresh WHERE a = 1")
         assert prepared.plan.access_path == "SeqScanOp"
-        db.server.execute("CREATE INDEX fx ON fresh (a)")
+        db.create_index("fx", "fresh", "a")
         # Re-preparing the same SQL must see the new index.
         again = db.server.prepare("SELECT * FROM fresh WHERE a = 1")
         assert again.plan.access_path == "HashEqOp"

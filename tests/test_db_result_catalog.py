@@ -55,7 +55,6 @@ class TestCatalog:
     def test_create_and_lookup(self):
         catalog = self.make()
         catalog.create_table("t", schema_of(("a", "int")))
-        assert catalog.has_table("t")
         assert catalog.table("t").name == "t"
         assert catalog.table_names() == ["t"]
 
@@ -65,26 +64,51 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog.create_table("t", schema_of(("a", "int")))
 
-    def test_if_not_exists(self):
-        catalog = self.make()
-        first = catalog.create_table("t", schema_of(("a", "int")))
-        second = catalog.create_table(
-            "t", schema_of(("a", "int")), if_not_exists=True
-        )
-        assert first is second
-
     def test_unknown_table(self):
         with pytest.raises(UnknownTableError):
             self.make().table("ghost")
 
-    def test_drop_table(self):
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda c: c.create_table("T", schema_of(("a", "int"))),
+            lambda c: c.create_table("ix", schema_of(("a", "int"))),
+            lambda c: c.create_table("IX", schema_of(("a", "int"))),
+            lambda c: c.create_index("t", "u", "b"),
+            lambda c: c.create_index("Ix", "u", "b"),
+            lambda c: c.create_table("v", schema_of(("a", "int"), ("a", "int"))),
+            lambda c: c.create_table("v", schema_of(("a", "int"), ("A", "text"))),
+            lambda c: c.create_table("sqlite_v", schema_of(("a", "int"))),
+            lambda c: c.create_table("SQLITE_V", schema_of(("a", "int"))),
+            lambda c: c.create_index("sqlite_ix", "u", "b"),
+        ],
+        ids=[
+            "table-case", "table-as-index", "table-as-index-case",
+            "index-as-table", "index-case-on-another-table",
+            "columns", "columns-case", "reserved", "reserved-case",
+            "reserved-index",
+        ],
+    )
+    def test_names_follow_sqlites_rule(self, change):
+        """Tables and indexes share one namespace, and like the columns
+        of a table compare case-insensitively; ``sqlite_*`` is
+        reserved.  A refused name leaves the catalog as it was."""
         catalog = self.make()
         catalog.create_table("t", schema_of(("a", "int")))
-        catalog.drop_table("t")
-        assert not catalog.has_table("t")
-        with pytest.raises(UnknownTableError):
-            catalog.drop_table("t")
-        catalog.drop_table("t", if_exists=True)
+        catalog.create_table("u", schema_of(("b", "int")))
+        catalog.create_index("ix", "t", "a")
+        with pytest.raises(CatalogError):
+            change(catalog)
+        assert catalog.table_names() == ["t", "u"]
+        assert [i.name for i in catalog.indexes_on("t")] == ["ix"]
+        assert catalog.indexes_on("u") == []
+
+    def test_non_ascii_letters_keep_their_case(self):
+        # SQLite folds ASCII letters only.
+        catalog = self.make()
+        catalog.create_table("é", schema_of(("ä", "int"), ("Ä", "int")))
+        catalog.create_table("É", schema_of(("a", "int")))
+        assert catalog.table_names() == ["É", "é"]
 
     def test_duplicate_index_rejected(self):
         catalog = self.make()

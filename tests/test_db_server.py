@@ -37,7 +37,8 @@ class TestPreparedStatements:
 
     def test_stale_plan_replanned_after_ddl(self, loaded):
         prepared = loaded.server.prepare("SELECT v FROM t WHERE id = ?")
-        loaded.server.execute("CREATE INDEX ix ON t (id)")
+        loaded.create_index("ix", "t", "id")
+        assert loaded.server.prepare("SELECT v FROM t WHERE id = ?") is not prepared
         # Executing the stale handle still works (it re-prepares).
         assert loaded.server.execute_prepared(prepared, (3,)).scalar() == 3
 

@@ -9,8 +9,6 @@ from repro.db.sql.ast_nodes import (
     Between,
     BinaryOp,
     ColumnRef,
-    CreateIndexStmt,
-    CreateTableStmt,
     DeleteStmt,
     InList,
     InsertStmt,
@@ -161,22 +159,20 @@ class TestDml:
 
 
 class TestDdl:
-    def test_create_table(self):
-        stmt = parse("CREATE TABLE t (a int NOT NULL, b text)")
-        assert isinstance(stmt, CreateTableStmt)
-        assert stmt.columns[0].not_null
-        assert not stmt.columns[1].not_null
-
-    def test_create_table_if_not_exists(self):
-        assert parse("CREATE TABLE IF NOT EXISTS t (a int)").if_not_exists
-
-    def test_create_index(self):
-        stmt = parse("CREATE INDEX i ON t (a)")
-        assert isinstance(stmt, CreateIndexStmt)
-        assert (stmt.index, stmt.table, stmt.column) == ("i", "t", "a")
-
-    def test_create_unique_index(self):
-        assert parse("CREATE UNIQUE INDEX i ON t (a)").unique
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "CREATE TABLE t (a int NOT NULL, b text)",
+            "CREATE TABLE IF NOT EXISTS t (a int)",
+            "CREATE INDEX i ON t (a)",
+            "CREATE UNIQUE INDEX i ON t (a)",
+        ],
+    )
+    def test_create_is_not_a_statement(self, sql):
+        """Schema changes go through ``Database.create_table`` /
+        ``create_index`` only: no text makes a table or an index."""
+        with pytest.raises(SqlSyntaxError, match="expected a statement"):
+            parse(sql)
 
     def test_select_is_not_write(self):
         assert not is_write(parse("SELECT 1 FROM t"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db.errors import ConstraintError, DatabaseError
+from repro.db.errors import ConstraintError
 from repro.db.index import HashIndex
 from repro.db.storage import HeapTable, OrderKey
 from repro.db.types import schema_of
@@ -58,15 +58,6 @@ class TestHeapTable:
         heap.delete(rid)
         with pytest.raises(ConstraintError):
             heap.update(rid, (1, 2, 4))
-
-    def test_compact_drops_tombstones(self):
-        heap = make_heap()
-        rids = [heap.insert((i, 0, 0)) for i in range(6)]
-        heap.delete(rids[1])
-        heap.delete(rids[3])
-        heap.compact()
-        assert len(heap) == 4
-        assert all(row is not None for _rid, row in heap.iter_rows())
 
 
 class TestOrderKey:
@@ -157,8 +148,3 @@ class TestHashIndex:
         index.extend(range(600))
         assert index.page_count == 3
         assert all(0 <= index.page_for(key) < 3 for key in range(600))
-
-    def test_unhashable_probe_is_a_database_error(self):
-        _heap, index = self.build()
-        with pytest.raises(DatabaseError):
-            index.page_for([2])

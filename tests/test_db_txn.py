@@ -157,19 +157,6 @@ class TestStateMachine:
         with pytest.raises(TransactionStateError):
             txn.rollback()
 
-    def test_ddl_inside_transaction_rejected(self, conn):
-        conn.begin()
-        with pytest.raises(TransactionStateError):
-            conn.execute_update("create table u (id int)")
-        conn.rollback()
-
-    def test_index_ddl_inside_transaction_rejected(self, db, conn):
-        conn.begin()
-        with pytest.raises(TransactionStateError):
-            conn.execute_update("create index ix_v on t (v)")
-        conn.rollback()
-        assert db.catalog.indexes_on("t") == []
-
     def test_manager_tracks_active_count(self, db, conn):
         txns = conn.server.txns  # whichever backend the conn talks to
         assert txns.active_count == 0

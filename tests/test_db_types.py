@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db.errors import TypeMismatchError, UnknownColumnError
-from repro.db.types import Column, ColumnType, Schema, coerce_value, schema_of
+from repro.db.types import Column, ColumnType, coerce_value, schema_of
 
 
 class TestColumnType:
@@ -77,10 +77,6 @@ class TestSchema:
         schema = schema_of(("id", "int"))
         with pytest.raises(UnknownColumnError):
             schema.position("nope", "t")
-
-    def test_duplicate_column_rejected(self):
-        with pytest.raises(TypeMismatchError):
-            Schema([Column("a", ColumnType.INT), Column("a", ColumnType.INT)])
 
     def test_coerce_row(self):
         schema = schema_of(("id", "int"), ("name", "text"))

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.submission import SubmissionPipeline
 from repro.db import Database, INSTANT
-from repro.db.errors import DatabaseError, ParamCountError
+from repro.db.errors import ParamCountError, TypeMismatchError
 from repro.prefetch.cache import ResultCache
 from tests.helpers import cache_outcome, reference_select
 
@@ -176,7 +176,7 @@ class TestFaultIsolation:
         handles = [conn.submit_query(sql, [key]) for key in (1, [2], 3)]
         gate.set()
         assert conn.fetch_result(handles[0]).scalar() == 1
-        with pytest.raises(DatabaseError, match="binding parameter"):
+        with pytest.raises(TypeMismatchError, match="cannot bind"):
             conn.fetch_result(handles[1])
         assert conn.fetch_result(handles[2]).scalar() == 3
         assert conn.stats.coalesced_batches == 1

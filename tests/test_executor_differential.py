@@ -679,14 +679,14 @@ class TestPointProbeDifferential:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_unhashable_binding_raises(self, backend):
-        # One error class on both stores: memory cannot hash the key,
-        # sqlite cannot bind it.
+        # One error class on both stores: a list is no value a store
+        # binds.
         db = point_db([(1, 2, "red")], pivot=9)
         try:
             store = db.backend(backend)
             for sql in POINT_QUERIES:
                 with pytest.raises(DatabaseError) as raised:
                     store.execute(sql, ([1],))
-                assert raised.type is DatabaseError
+                assert raised.type is TypeMismatchError
         finally:
             db.close()

@@ -530,16 +530,14 @@ def users_db():
 
 
 #: One row per statement kind:
-#: (sql, write, ddl, table, param_count, demuxable, footprint).
+#: (sql, write, table, param_count, demuxable, footprint).
 SHAPES = [
-    ("SELECT name AS n, id FROM users WHERE id = ?", False, False, "users", 1, True, ("id", 0, int)),
-    ("INSERT INTO users VALUES (?, ?)", True, False, "users", 2, False, None),
-    ("UPDATE users SET name = ? WHERE id = ?", True, False, "users", 2, False, ("id", 1, int)),
-    ("DELETE FROM users WHERE name = ?", True, False, "users", 1, False, ("name", 0, str)),
-    ("CREATE TABLE fresh (a int)", True, True, "fresh", 0, False, None),
-    ("CREATE INDEX ix ON users (id)", True, True, "users", 0, False, None),
+    ("SELECT name AS n, id FROM users WHERE id = ?", False, "users", 1, True, ("id", 0, int)),
+    ("INSERT INTO users VALUES (?, ?)", True, "users", 2, False, None),
+    ("UPDATE users SET name = ? WHERE id = ?", True, "users", 2, False, ("id", 1, int)),
+    ("DELETE FROM users WHERE name = ?", True, "users", 1, False, ("name", 0, str)),
 ]
-KINDS = ["select", "insert", "update", "delete", "create-table", "create-index"]
+KINDS = ["select", "insert", "update", "delete"]
 
 #: (sql, footprint) — the first top-level ``col = ?`` conjunct on an INT
 #: or TEXT column the statement does not assign, else None.
@@ -575,7 +573,6 @@ SELECT_KINDS = ["aliased", "star-flipped", "aggregate", "limit", "two-params"]
 def shape(prepared):
     return (
         prepared.write,
-        prepared.ddl,
         prepared.table,
         prepared.tables,
         prepared.param_count,
@@ -588,16 +585,15 @@ def shape(prepared):
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestStatementShape:
     @pytest.mark.parametrize(
-        "sql,write,ddl,table,param_count,demuxable,footprint", SHAPES, ids=KINDS
+        "sql,write,table,param_count,demuxable,footprint", SHAPES, ids=KINDS
     )
     def test_shape_is_fixed_at_prepare(
-        self, users_db, backend, sql, write, ddl, table, param_count, demuxable,
+        self, users_db, backend, sql, write, table, param_count, demuxable,
         footprint,
     ):
         prepared = users_db.backend(backend).prepare(sql)
         assert shape(prepared) == (
             write,
-            ddl,
             table,
             frozenset({table}),
             param_count,
@@ -643,7 +639,7 @@ class TestStatementShape:
         store = users_db.backend(backend)
         sql = "SELECT name FROM users WHERE id = ?"
         stale = store.prepare(sql)
-        users_db.create_index("ix", "users", "id")  # DDL: every plan is stale
+        users_db.create_index("ix", "users", "id")  # every plan is stale
         fresh = store.prepare(sql)
         assert fresh is not stale
         assert shape(fresh) == shape(stale)

@@ -1,12 +1,14 @@
 """The docs check CI and the verify recipe both run: relative links in
 README/docs resolve, every ``repro`` docstring example passes doctest,
-``docs/CLI.md``'s flag tables match the argparse parsers and
-ARCHITECTURE.md's figure index matches the figure registry.
+``docs/CLI.md``'s flag tables match the argparse parsers,
+ARCHITECTURE.md's figure index matches the figure registry and every
+`` `path.py::Name` `` in README/docs names a definition in that file.
 
 Run from the repo root: ``PYTHONPATH=src python tools/check_docs.py``.
 """
 
 import argparse
+import ast
 import doctest
 import importlib
 import pathlib
@@ -96,11 +98,57 @@ def main() -> None:
     for figure_id in sorted(indexed - set(figures.REGISTRY)):
         failures.append(f"docs/ARCHITECTURE.md: {figure_id} is not a registered figure")
 
+    # --- 5. every `path.py::Name` reference names a definition ---
+    # ``path`` is any tail of a file's path (``plan/planner.py``,
+    # ``tests/test_layering.py``); ``Name`` is dotted or ``::``-joined
+    # (``HeapTable.live_selection``, ``TestX::test_y``), a call's
+    # arguments after it ignored.
+    sources = [
+        path
+        for top in ("src", "tests", "tools", "benchmarks", "perfbench", "examples")
+        for path in pathlib.Path(top).glob("**/*.py")
+    ]
+    reference = re.compile(r"`([\w/.-]+\.py)::\s*([\w.:]+)")
+    references = 0
+    for doc in docs:
+        for path, name in reference.findall(doc.read_text()):
+            references += 1
+            dotted = name.replace("::", ".").rstrip(".")
+            files = [
+                source
+                for source in sources
+                if source.as_posix() == path or source.as_posix().endswith("/" + path)
+            ]
+            if not any(dotted in defined_names(source) for source in files):
+                failures.append(f"{doc}: `{path}::{name}` names no definition")
+
     if failures:
         sys.exit("docs check failed:\n" + "\n".join(failures))
     print(f"docs ok: {len(docs)} files link-checked, "
           f"{attempted} doctest example(s) passed, CLI flag tables "
-          f"and figure index in sync")
+          f"and figure index in sync, {references} `path.py::Name` "
+          f"reference(s) resolved")
+
+
+def defined_names(path: pathlib.Path) -> set:
+    """Every function, class and assigned name ``path`` defines, dotted
+    by the classes it is nested in (``Class.method``)."""
+    names = set()
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(
+                    prefix + target.id for target in targets if isinstance(target, ast.Name)
+                )
+
+    walk(ast.parse(path.read_text()).body, "")
+    return names
 
 
 if __name__ == "__main__":

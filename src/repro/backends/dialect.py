@@ -1,9 +1,9 @@
-"""AST -> SQLite SQL translation (parameter style kept pluggable).
+"""AST -> SQLite SQL translation.
 
 The engine's SQL subset is small, but its *semantics* were pinned down
 by the expression evaluator (:mod:`repro.db.plan.expr_eval`) and the
 operators, not by SQLite — so translation is not string pass-through.
-Three divergences are compensated here:
+Two divergences are compensated here:
 
 * **Division.**  The engine uses true division (``7 / 2 = 3.5``),
   narrowing back to int only when exact; SQLite's ``/`` is C-style
@@ -15,25 +15,18 @@ Three divergences are compensated here:
   divisor) with NULL on a zero divisor; SQLite's ``%`` is C-style
   (sign follows the dividend).  We emit a CASE expression that
   re-centers the remainder: ``((a % b) + b) % b``.
-* **ORDER BY NULL placement.**  The engine sorts NULLs *last* on
-  ascending keys (and therefore first on descending ones); SQLite
-  defaults to NULLs first ascending.  Each key becomes two terms,
-  ``(k IS NULL) dir, k dir`` — portable to SQLite versions without
-  ``NULLS LAST``.
 
-Parameter style: the engine's ``?`` placeholders are positional, but
-the modulo emulation *duplicates* its operands, so positional styles
-cannot express every translated statement.  Translation therefore
-renders :class:`~repro.db.sql.ast_nodes.Param` nodes through a
-:class:`ParamStyle`, defaulting to SQLite named parameters
-(``:p0, :p1, ...``); ``pyformat`` (``%(p0)s``) is the psycopg shape a
-future Postgres backend would select.  :func:`bind_params` converts a
-positional binding tuple to whatever the style's placeholders expect.
+Parameters: the engine's ``?`` placeholders are positional, but the
+modulo emulation *duplicates* its operands, so a positional placeholder
+cannot express every translated statement.  A
+:class:`~repro.db.sql.ast_nodes.Param` therefore renders as the SQLite
+named parameter ``:pN``, and :func:`bind` turns a positional binding
+tuple into the dict those names read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Sequence
 
 from ..db.sql.ast_nodes import (
     Aggregate,
@@ -43,7 +36,6 @@ from ..db.sql.ast_nodes import (
     DeleteStmt,
     Expr,
     InList,
-    InsertStmt,
     IsNull,
     Literal,
     LogicalOp,
@@ -70,30 +62,9 @@ from ..db.types import Schema
 COLUMN_DECLARATION = "BLOB"
 
 
-class ParamStyle:
-    """How a :class:`Param` node renders and how bindings are shaped."""
-
-    def __init__(self, name: str, template: str, named: bool) -> None:
-        self.name = name
-        self._template = template
-        #: Named styles bind a dict (placeholders may repeat); positional
-        #: styles bind the tuple as-is.
-        self.named = named
-
-    def placeholder(self, index: int) -> str:
-        return self._template.format(index=index)
-
-    def bind(self, params: Sequence) -> Union[Dict[str, Any], Sequence]:
-        if self.named:
-            return {f"p{index}": value for index, value in enumerate(params)}
-        return tuple(params)
-
-
-#: SQLite named parameters — the default; placeholders may repeat, which
-#: the modulo emulation needs.
-NAMED = ParamStyle("named", ":p{index}", named=True)
-#: psycopg-shaped (``%(p0)s``) for a future DB-API Postgres target.
-PYFORMAT = ParamStyle("pyformat", "%(p{index})s", named=True)
+def bind(params: Sequence) -> Dict[str, Any]:
+    """A positional binding as the dict the ``:pN`` placeholders read."""
+    return {f"p{index}": value for index, value in enumerate(params)}
 
 
 def quote_ident(name: str) -> str:
@@ -113,19 +84,19 @@ def quote_literal(value: Any) -> str:
     raise TypeError(f"cannot render literal {value!r}")
 
 
-def translate_expr(expr: Expr, style: ParamStyle = NAMED) -> str:
+def translate_expr(expr: Expr) -> str:
     """Render one expression AST as SQLite SQL text."""
     if isinstance(expr, Literal):
         return quote_literal(expr.value)
     if isinstance(expr, Param):
-        return style.placeholder(expr.index)
+        return f":p{expr.index}"
     if isinstance(expr, ColumnRef):
         return quote_ident(expr.name)
     if isinstance(expr, Star):
         return "*"
     if isinstance(expr, BinaryOp):
-        left = translate_expr(expr.left, style)
-        right = translate_expr(expr.right, style)
+        left = translate_expr(expr.left)
+        right = translate_expr(expr.right)
         if expr.op == "/":
             # True division with engine NULL-on-zero (SQLite native).
             return f"(CAST({left} AS REAL) / {right})"
@@ -139,113 +110,81 @@ def translate_expr(expr: Expr, style: ParamStyle = NAMED) -> str:
         op = "<>" if expr.op == "!=" else expr.op
         return f"({left} {op} {right})"
     if isinstance(expr, LogicalOp):
-        left = translate_expr(expr.left, style)
-        right = translate_expr(expr.right, style)
+        left = translate_expr(expr.left)
+        right = translate_expr(expr.right)
         return f"({left} {expr.op.upper()} {right})"
     if isinstance(expr, NotOp):
-        return f"(NOT {translate_expr(expr.operand, style)})"
+        return f"(NOT {translate_expr(expr.operand)})"
     if isinstance(expr, IsNull):
         tail = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"({translate_expr(expr.operand, style)} {tail})"
+        return f"({translate_expr(expr.operand)} {tail})"
     if isinstance(expr, InList):
-        items = ", ".join(translate_expr(item, style) for item in expr.items)
+        items = ", ".join(translate_expr(item) for item in expr.items)
         keyword = "NOT IN" if expr.negated else "IN"
-        return f"({translate_expr(expr.operand, style)} {keyword} ({items}))"
+        return f"({translate_expr(expr.operand)} {keyword} ({items}))"
     if isinstance(expr, Between):
         keyword = "NOT BETWEEN" if expr.negated else "BETWEEN"
         return (
-            f"({translate_expr(expr.operand, style)} {keyword} "
-            f"{translate_expr(expr.low, style)} AND "
-            f"{translate_expr(expr.high, style)})"
+            f"({translate_expr(expr.operand)} {keyword} "
+            f"{translate_expr(expr.low)} AND "
+            f"{translate_expr(expr.high)})"
         )
     if isinstance(expr, Aggregate):
         if isinstance(expr.argument, Star):
             argument = "*"
         else:
-            argument = translate_expr(expr.argument, style)
-        if expr.distinct:
-            argument = f"DISTINCT {argument}"
+            argument = translate_expr(expr.argument)
         return f"{expr.func}({argument})"
     raise TypeError(f"cannot translate expression {expr!r}")
 
 
-def _translate_item(item: SelectItem, style: ParamStyle) -> str:
-    text = translate_expr(item.expr, style)
+def _translate_item(item: SelectItem) -> str:
+    text = translate_expr(item.expr)
     if item.alias:
         text += f" AS {quote_ident(item.alias)}"
     return text
 
 
-def translate_order_by(stmt: SelectStmt, style: ParamStyle = NAMED) -> str:
-    """ORDER BY terms with engine NULL placement (NULLs last ascending,
-    first descending): each key contributes ``(k IS NULL) dir, k dir``."""
-    terms = []
-    for item in stmt.order_by:
-        column = quote_ident(item.column)
-        direction = " DESC" if item.descending else ""
-        terms.append(f"({column} IS NULL){direction}, {column}{direction}")
-    return ", ".join(terms)
-
-
-def _select_list(stmt: SelectStmt, style: ParamStyle) -> str:
+def _select_list(stmt: SelectStmt) -> str:
     if len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star):
         return "*"
-    return ", ".join(_translate_item(item, style) for item in stmt.items)
+    return ", ".join(_translate_item(item) for item in stmt.items)
 
 
-def translate_select(stmt: SelectStmt, style: ParamStyle = NAMED) -> str:
-    parts = ["SELECT "]
-    if stmt.distinct:
-        parts.append("DISTINCT ")
-    parts.append(f"{_select_list(stmt, style)} FROM {quote_ident(stmt.table)}")
+def translate_select(stmt: SelectStmt) -> str:
+    parts = [f"SELECT {_select_list(stmt)} FROM {quote_ident(stmt.table)}"]
     if stmt.where is not None:
-        parts.append(f" WHERE {translate_expr(stmt.where, style)}")
+        parts.append(f" WHERE {translate_expr(stmt.where)}")
     if stmt.group_by:
         grouped = ", ".join(quote_ident(name) for name in stmt.group_by)
         parts.append(f" GROUP BY {grouped}")
-    if stmt.order_by:
-        parts.append(f" ORDER BY {translate_order_by(stmt, style)}")
-    if stmt.limit is not None:
-        parts.append(f" LIMIT {translate_expr(stmt.limit, style)}")
     return "".join(parts)
 
 
-def translate_insert(stmt: InsertStmt, style: ParamStyle = NAMED) -> str:
-    columns = ""
-    if stmt.columns:
-        columns = (
-            " (" + ", ".join(quote_ident(name) for name in stmt.columns) + ")"
-        )
-    values = ", ".join(translate_expr(expr, style) for expr in stmt.values)
-    return f"INSERT INTO {quote_ident(stmt.table)}{columns} VALUES ({values})"
-
-
-def translate_update(stmt: UpdateStmt, style: ParamStyle = NAMED) -> str:
+def translate_update(stmt: UpdateStmt) -> str:
     assignments = ", ".join(
-        f"{quote_ident(column)} = {translate_expr(expr, style)}"
+        f"{quote_ident(column)} = {translate_expr(expr)}"
         for column, expr in stmt.assignments
     )
     text = f"UPDATE {quote_ident(stmt.table)} SET {assignments}"
     if stmt.where is not None:
-        text += f" WHERE {translate_expr(stmt.where, style)}"
+        text += f" WHERE {translate_expr(stmt.where)}"
     return text
 
 
-def translate_delete(stmt: DeleteStmt, style: ParamStyle = NAMED) -> str:
+def translate_delete(stmt: DeleteStmt) -> str:
     text = f"DELETE FROM {quote_ident(stmt.table)}"
     if stmt.where is not None:
-        text += f" WHERE {translate_expr(stmt.where, style)}"
+        text += f" WHERE {translate_expr(stmt.where)}"
     return text
 
 
-def translate_point_batch(
-    stmt: SelectStmt, key: str, style: ParamStyle = NAMED
-) -> str:
+def translate_point_batch(stmt: SelectStmt, key: str) -> str:
     """The set-oriented form of a point-lookup SELECT (one whose plan
     has ``point_key == key``), up to the opening of its ``IN (`` hole
     list.  Unless ``*`` already carries it, the key rides along as an
     extra trailing column so fetched rows can be demultiplexed."""
-    items = _select_list(stmt, style)
+    items = _select_list(stmt)
     if items != "*":
         items += f", {quote_ident(key)}"
     return (
@@ -282,18 +221,13 @@ def create_index_sql(
     )
 
 
-def translate_statement(
-    statement: Statement, style: Optional[ParamStyle] = None
-) -> str:
-    """Render a SELECT / INSERT / UPDATE / DELETE AST as SQLite SQL text."""
-    if style is None:
-        style = NAMED
+def translate_statement(statement: Statement) -> str:
+    """Render a SELECT / UPDATE / DELETE AST as SQLite SQL text (an
+    INSERT runs as :func:`insert_full_row_sql` over the plan's row)."""
     if isinstance(statement, SelectStmt):
-        return translate_select(statement, style)
-    if isinstance(statement, InsertStmt):
-        return translate_insert(statement, style)
+        return translate_select(statement)
     if isinstance(statement, UpdateStmt):
-        return translate_update(statement, style)
+        return translate_update(statement)
     if isinstance(statement, DeleteStmt):
-        return translate_delete(statement, style)
+        return translate_delete(statement)
     raise TypeError(f"cannot translate statement {statement!r}")

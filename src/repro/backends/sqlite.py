@@ -21,8 +21,8 @@ writer), with the engine AST translated to SQLite text by
 :mod:`repro.backends.dialect` — once, in ``_plan``, which is the only
 place this store sees an AST.
 Execution evaluates no expression of its own: the row an INSERT stores,
-the values an UPDATE writes, LIMIT validation and result column names
-all come from the plan's public members.  An UPDATE whose assignments
+the values an UPDATE writes and the result column names all come from
+the plan's public members.  An UPDATE whose assignments
 are all bare ``?`` on columns no unique index covers runs as one native
 statement binding ``UpdatePlan.coerced_params``; any other — or one
 whose binding does not coerce — reads the matching rows and writes
@@ -92,7 +92,7 @@ from ..db.txn import Transaction, TransactionManager
 from ..db.types import Row, Schema
 from .base import Backend, PreparedStatement
 from .dialect import (
-    NAMED,
+    bind,
     create_index_sql,
     create_table_sql,
     insert_full_row_sql,
@@ -351,10 +351,7 @@ class SqliteBackend(Backend):
         return runner(prepared.plan, params, txn, *texts)
 
     def _run_select(self, plan, params, txn, sql, batch_sql, _key_position):
-        # The engine's LIMIT validation (PlanError on a negative or
-        # non-integer limit; SQLite would silently accept).
-        plan.limit(params)
-        bound = NAMED.bind(params)
+        bound = bind(params)
         try:
             rows = self._run_sqlite(
                 txn, lambda connection: connection.execute(sql, bound).fetchall()
@@ -375,7 +372,7 @@ class SqliteBackend(Backend):
     def _run_update(self, plan, params, txn, native, select, update):
         if native is not None:
             try:
-                bound = NAMED.bind(plan.coerced_params(params))
+                bound = bind(plan.coerced_params(params))
             except TypeMismatchError:
                 pass  # the read-modify-write raises it, if a row matches
             else:
@@ -384,7 +381,7 @@ class SqliteBackend(Backend):
                 )
                 return QueryResult(rowcount=count)
         assign = plan.assigner(params)
-        bound = NAMED.bind(params)
+        bound = bind(params)
 
         def read_modify_write(connection):
             # Row-by-row like the engine's update loop: a coercion
@@ -417,7 +414,7 @@ class SqliteBackend(Backend):
         return QueryResult(rowcount=count)
 
     def _run_delete(self, plan, params, txn, sql):
-        bound = NAMED.bind(params)
+        bound = bind(params)
         count = self._run_sqlite(
             txn, lambda connection: connection.execute(sql, bound).rowcount
         )
@@ -498,9 +495,12 @@ class SqliteBackend(Backend):
     def mirror_create_index(
         self, index_name: str, table: str, column: str, unique: bool = False
     ) -> None:
-        self._catalog.create_index(index_name, table, column, unique=unique)
+        # SQLite's CREATE INDEX runs inside the mirror catalog's
+        # creation, so a refusal (a duplicate key among SQLite's rows)
+        # leaves the mirror without the index.
         sql = create_index_sql(index_name, table, column, unique=unique)
-        self._run_sqlite(None, lambda connection: connection.execute(sql))
+        with self._catalog.index_creation(index_name, table, column, unique):
+            self._run_sqlite(None, lambda connection: connection.execute(sql))
         self.invalidate_plans()
 
     def mirror_load(self, table: str, rows: Iterable[Row]) -> int:

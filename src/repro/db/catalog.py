@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import string
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .catalog_types import TableInfo
 from .disk import SimulatedDisk
@@ -69,22 +70,36 @@ class Catalog:
         self._disk.allocate_extent(name, pages=16)
         return info
 
-    def create_index(
+    @contextmanager
+    def index_creation(
         self,
         index_name: str,
         table_name: str,
         column: str,
         unique: bool = False,
-    ) -> HashIndex:
+    ) -> Iterator[HashIndex]:
+        """Make an index around the ``with`` body, which gives every
+        other store the same index: claim the name, build the index over
+        the stored rows (a unique one raises :class:`ConstraintError` on
+        a duplicate key), run the body, and only then attach the index
+        to its table.  If anything raises, the catalog is as it was, the
+        name included.  The table's write lock is held from the build to
+        the attach, so no row is stored that the index would miss."""
         info = self.table(table_name)
         with self._lock:
             folded = self._unclaimed(index_name, "index")
-            index = HashIndex(index_name, info.heap, column, unique=unique)
-            index.build()
-            info.indexes.append(index)
             self._names[folded] = f"index {index_name!r}"
+        try:
+            with info.heap.lock.writing():
+                index = HashIndex(index_name, info.heap, column, unique=unique)
+                index.build()
+                yield index
+                info.indexes.append(index)
+        except BaseException:
+            with self._lock:
+                del self._names[folded]
+            raise
         self._disk.allocate_extent(index.io_name, pages=max(1, index.page_count))
-        return index
 
     # ------------------------------------------------------------------
     # lookup

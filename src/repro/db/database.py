@@ -145,12 +145,15 @@ class Database:
         column: str,
         unique: bool = False,
     ) -> None:
-        """Create an index in every live store, after the catalog checked
-        its name and, for a unique one, the stored keys."""
-        self.catalog.create_index(index_name, table, column, unique=unique)
+        """Create an index in every live store, or in none: the catalog
+        checks its name and, for a unique one, its own rows first, and
+        takes the index only after every other store took it (a store's
+        rows may differ — rows written through a sqlite connection never
+        reach the in-memory heap)."""
+        with self.catalog.index_creation(index_name, table, column, unique):
+            for backend in self._other_backends():
+                backend.mirror_create_index(index_name, table, column, unique=unique)
         self.server.invalidate_plans()
-        for backend in self._other_backends():
-            backend.mirror_create_index(index_name, table, column, unique=unique)
 
     def bulk_load(self, table: str, rows: Iterable[Sequence]) -> int:
         """Load rows without charging any simulated latency; returns

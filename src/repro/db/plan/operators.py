@@ -2,13 +2,12 @@
 
 The two access paths (sequential scan, hash-index equality) produce
 :class:`~repro.db.scans.ColumnBatch`es — the table's column lists plus a
-selection vector of live row ids; the relational operators (order,
-project) narrow, reorder or gather over selection vectors, and row
-tuples appear only at the :class:`QueryResult` boundary.  An aggregate
-select list is compiled at prepare into an :class:`AggregateFold`, which
-folds each batch's kept rows (or just their count) as the scan delivers
-them: scan, filter and aggregate run in one pass per batch, with no
-selection vector kept across batches.
+selection vector of live row ids; projection gathers over selection
+vectors, and row tuples appear only at the :class:`QueryResult`
+boundary.  An aggregate select list is compiled at prepare into an
+:class:`AggregateFold`, which folds each batch's kept rows (or just
+their count) as the scan delivers them: scan, filter and aggregate run
+in one pass per batch, with no selection vector kept across batches.
 
 Cost charging:
 
@@ -27,11 +26,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from ..buffer import PageKey
 from ..catalog_types import TableInfo
-from ..errors import PlanError
 from ..index import HashIndex
-from ..sql.ast_nodes import Aggregate, ColumnRef, OrderItem, SelectItem, Star
+from ..sql.ast_nodes import Aggregate, ColumnRef, SelectItem, Star
 from ..scans import ColumnBatch, iter_column_batches
-from ..storage import OrderKey
 from .context import ExecutionContext
 from .expr_eval import ColumnarEvaluator, gather
 
@@ -107,54 +104,10 @@ def bucket_pages(index_page: PageKey, info: TableInfo, row_ids) -> List[PageKey]
 
 
 # ----------------------------------------------------------------------
-# relational operators — selection vectors in, selection vectors (or
-# per-column value lists) out; row tuples appear only at the QueryResult
+# projection and aggregation — selection vectors in, per-column value
+# lists (or folded rows) out; row tuples appear only at the QueryResult
 # boundary
 # ----------------------------------------------------------------------
-
-
-def order_output_rows(
-    columns: Tuple[str, ...],
-    rows: List[Tuple[Any, ...]],
-    order_by: Sequence[OrderItem],
-) -> List[Tuple[Any, ...]]:
-    """ORDER BY over *output* rows (grouped results), by column name."""
-    if not order_by:
-        return rows
-    ordered = list(rows)
-    for item in reversed(order_by):
-        try:
-            position = columns.index(item.column)
-        except ValueError:
-            raise PlanError(
-                f"ORDER BY column {item.column!r} is not in the output"
-            ) from None
-        ordered.sort(
-            key=lambda row: OrderKey(row[position]), reverse=item.descending
-        )
-    return ordered
-
-
-def columnar_order(
-    info: TableInfo,
-    columns: Tuple[List[Any], ...],
-    sel: Selection,
-    order_by: Sequence[OrderItem],
-) -> Selection:
-    """ORDER BY as a sort of the selection vector (no row tuples)."""
-    if not order_by:
-        return sel
-    schema = info.heap.schema
-    positions = [
-        (schema.position(item.column, info.name), item.descending)
-        for item in order_by
-    ]
-    ordered = list(sel)
-    # Stable multi-key sort: apply keys right-to-left.
-    for position, descending in reversed(positions):
-        column = columns[position]
-        ordered.sort(key=lambda rid: OrderKey(column[rid]), reverse=descending)
-    return ordered
 
 
 def columnar_project(
@@ -177,11 +130,10 @@ def columnar_project(
 
 class _Accumulator:
     """One aggregate's running state over one execution's batches:
-    NULLs drop out, each batch's observed values fold in (``sum`` goes
-    on left to right from the running total), and a DISTINCT aggregate
-    collects first occurrences until :meth:`result`."""
+    NULLs drop out and each batch's observed values fold in (``sum``
+    goes on left to right from the running total)."""
 
-    __slots__ = ("func", "position", "argument", "count", "value", "seen")
+    __slots__ = ("func", "position", "argument", "count", "value")
 
     def __init__(self, expr: Aggregate, position: Optional[int]) -> None:
         self.func = expr.func
@@ -189,7 +141,6 @@ class _Accumulator:
         self.argument = None if isinstance(expr.argument, Star) else expr.argument
         self.count = 0
         self.value: Any = 0 if expr.func in ("sum", "avg") else None
-        self.seen: Optional[Dict[Any, None]] = {} if expr.distinct else None
 
     def add(self, evaluator: ColumnarEvaluator, kept: Selection, size: int) -> None:
         if self.argument is None:  # count(*)
@@ -200,12 +151,8 @@ class _Accumulator:
         else:
             values = evaluator.values(self.argument, kept)
         observed = [value for value in values if value is not None]
-        if self.seen is not None:
-            self.seen.update(dict.fromkeys(observed))
-        elif observed:
-            self._fold(observed)
-
-    def _fold(self, observed: List[Any]) -> None:
+        if not observed:
+            return
         self.count += len(observed)
         if self.func in ("sum", "avg"):
             self.value = sum(observed, self.value)
@@ -219,8 +166,6 @@ class _Accumulator:
                 self.value = high
 
     def result(self) -> Any:
-        if self.seen:
-            self._fold(list(self.seen))
         if self.func == "count":
             return self.count
         if not self.count:

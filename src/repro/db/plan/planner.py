@@ -44,9 +44,7 @@ from .operators import (
     HashEqOp,
     SeqScanOp,
     bucket_pages,
-    columnar_order,
     columnar_project,
-    order_output_rows,
 )
 from .result import QueryResult
 
@@ -139,17 +137,6 @@ def _checked_table(catalog: Catalog, stmt) -> TableInfo:
         for item in stmt.items:
             names.extend(iter_column_refs(item.expr))
         names.extend(stmt.group_by)
-        names.extend(iter_column_refs(stmt.limit))
-        if stmt.group_by:
-            # Grouped rows are ordered by *output* name (aliases count).
-            output = [_item_name(item, i) for i, item in enumerate(stmt.items)]
-            for order in stmt.order_by:
-                if order.column not in output:
-                    raise PlanError(
-                        f"ORDER BY column {order.column!r} is not in the output"
-                    )
-        else:
-            names.extend(order.column for order in stmt.order_by)
     elif isinstance(stmt, UpdateStmt):
         for _target, expr in stmt.assignments:
             names.extend(iter_column_refs(expr))
@@ -183,10 +170,6 @@ def _item_name(item: SelectItem, position: int) -> str:
             return f"{expr.func}({expr.argument.name})"
         return expr.func
     return f"col{position}"
-
-
-def _limited(rows: list, count: Optional[int]) -> list:
-    return rows if count is None else rows[:count]
 
 
 def prefer_batch_scan(
@@ -400,15 +383,14 @@ class SelectPlan(_AccessPlan):
             else None
         )
         #: The key column of a bare ``SELECT cols|* … WHERE key = ?``
-        #: (one conjunct, plain column items, nothing after the WHERE;
-        #: else None): a store may answer N bindings of such a
-        #: statement with one ``WHERE key IN (…)``.
+        #: (one conjunct, plain column items, no GROUP BY; else None): a
+        #: store may answer N bindings of such a statement with one
+        #: ``WHERE key IN (…)``.
         self.point_key: Optional[str] = None
         schema = self._info.heap.schema
         if (
             self._keyed is not None
-            and not (stmt.group_by or stmt.distinct or stmt.order_by)
-            and stmt.limit is None
+            and not stmt.group_by
             and (self.star or all(isinstance(i.expr, ColumnRef) for i in stmt.items))
         ):
             self.point_key = schema.names()[self._keyed[0]]
@@ -426,21 +408,6 @@ class SelectPlan(_AccessPlan):
                 self._info, *self._point, positions, not self.star
             )
 
-    def limit(self, params: Sequence) -> Optional[int]:
-        """The row count LIMIT allows under ``params`` (None without a
-        LIMIT).  Every store validates LIMIT through this one method, so
-        a negative or non-integer limit is the same :class:`PlanError`
-        everywhere."""
-        if self._stmt.limit is None:
-            return None
-        info = self._info
-        count = RowEvaluator(info.heap.schema, info.name, params).evaluate(
-            self._stmt.limit, ()
-        )
-        if not isinstance(count, int) or count < 0:
-            raise PlanError(f"LIMIT must be a non-negative integer, got {count!r}")
-        return count
-
     def execute(self, ctx: ExecutionContext) -> QueryResult:
         check_params(self._stmt.param_count, ctx.params)
         ctx.charge_cpu(fixed=True)
@@ -453,20 +420,20 @@ class SelectPlan(_AccessPlan):
     def _finalize(
         self, ctx: ExecutionContext, tests, sels, noted: bool = True
     ) -> QueryResult:
-        """Everything after the access path: filter, aggregate/group,
-        order, project, limit.  ``sels`` are candidate selections, one
-        per batch (each recorded on the context when ``noted``); the
-        WHERE's conjuncts as bound for this execution (``tests``, from
-        :meth:`Predicate.bind`) narrow each, and an aggregate select list folds
-        each batch's survivors as they come (:class:`AggregateFold`).
-        Other operators narrow/reorder the kept selection vector;
-        tuples materialize only in :meth:`QueryResult.from_columns`.
+        """Everything after the access path: filter, then aggregate/group
+        or project.  ``sels`` are candidate selections, one per batch
+        (each recorded on the context when ``noted``); the WHERE's
+        conjuncts as bound for this execution (``tests``, from
+        :meth:`Predicate.bind`) narrow each, and an aggregate select
+        list folds each batch's survivors as they come
+        (:class:`AggregateFold`).  Otherwise the kept selection vectors
+        are projected column by column; tuples materialize only in
+        :meth:`QueryResult.from_columns`.
         Runs under the heap's read lock.  Also the per-binding tail of
         the batch-demux operator (:mod:`repro.db.plan.demux`), which
         runs the access once and finalizes each binding's candidates
         as one un-noted batch on its own parameter context.
         """
-        stmt = self._stmt
         info = self._info
         names = self.output_names
         columns = info.heap.columns_view()
@@ -478,28 +445,14 @@ class SelectPlan(_AccessPlan):
             rows = fold.rows(
                 ctx, evaluator, _kept(ctx, evaluator, sels, noted, fold.counted)
             )
-            if stmt.group_by:
-                rows = order_output_rows(names, rows, stmt.order_by)
-        else:
-            sel: List[int] = []
-            for kept in _kept(ctx, evaluator, sels, noted):
-                sel.extend(kept)
-            sel = columnar_order(info, columns, sel, stmt.order_by)
-            if not stmt.distinct:
-                # LIMIT counts output rows; without DISTINCT those are
-                # the selected rows, so only the survivors materialize.
-                sel = _limited(sel, self.limit(ctx.params))
-            value_columns = columnar_project(
-                ctx, evaluator, columns, sel, stmt.items, self.star
-            )
-            result = QueryResult.from_columns(
-                names, value_columns, distinct=stmt.distinct
-            )
-            if not stmt.distinct:
-                return result
-            rows = result.rows
-        rows = _limited(rows, self.limit(ctx.params))
-        return QueryResult(columns=names, rows=rows)
+            return QueryResult(columns=names, rows=rows)
+        sel: List[int] = []
+        for kept in _kept(ctx, evaluator, sels, noted):
+            sel.extend(kept)
+        value_columns = columnar_project(
+            ctx, evaluator, columns, sel, self._stmt.items, self.star
+        )
+        return QueryResult.from_columns(names, value_columns)
 
 
 class InsertPlan:

@@ -28,24 +28,13 @@ class QueryResult:
         cls,
         columns: Tuple[str, ...],
         value_columns: Sequence[List[Any]],
-        distinct: bool = False,
     ) -> "QueryResult":
         """Late-materialization boundary: the columnar executor carries
         per-column value lists all the way here; client-visible row
-        tuples exist only from this point on.  ``distinct`` dedupes the
-        materialized tuples in first-occurrence order (DISTINCT is
-        defined over output rows, so it belongs at this boundary)."""
+        tuples exist only from this point on."""
         rows: List[Tuple[Any, ...]] = (
             list(zip(*value_columns)) if value_columns else []
         )
-        if distinct:
-            seen = set()
-            unique: List[Tuple[Any, ...]] = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            rows = unique
         return cls(columns=tuple(columns), rows=rows)
 
     def __len__(self) -> int:

@@ -1,11 +1,11 @@
 """SQL subset front end: lexer, AST and parser.
 
 The grammar covers what the paper's five workloads and the TPC-H-like
-category/part schema need: single-table SELECT with aggregates, WHERE
-conjunctions/disjunctions, ORDER BY, LIMIT, and the DML statements
-INSERT, UPDATE and DELETE, all with ``?`` positional parameters.  There
-is no DDL: tables and indexes are made by ``Database.create_table`` /
-``create_index``, the one path that changes every store's schema.
+category/part schema send: single-table SELECT with a WHERE clause,
+aggregates and GROUP BY, and the DML statements INSERT, UPDATE and
+DELETE, all with ``?`` positional parameters.  There is no DDL: tables
+and indexes are made by ``Database.create_table`` / ``create_index``,
+the one path that changes every store's schema.
 """
 
 from .ast_nodes import (
@@ -17,7 +17,6 @@ from .ast_nodes import (
     Literal,
     LogicalOp,
     NotOp,
-    OrderItem,
     Param,
     SelectItem,
     SelectStmt,
@@ -37,7 +36,6 @@ __all__ = [
     "Literal",
     "LogicalOp",
     "NotOp",
-    "OrderItem",
     "Param",
     "SelectItem",
     "SelectStmt",

@@ -117,11 +117,10 @@ class Between(Expr):
 
 @dataclass(frozen=True)
 class Aggregate(Expr):
-    """``count|sum|min|max|avg ( [distinct] expr | * )``."""
+    """``count|sum|min|max|avg ( expr | * )``."""
 
     func: str
     argument: Expr  # Star for count(*)
-    distinct: bool = False
 
     def param_count(self) -> int:
         return self.argument.param_count()
@@ -182,20 +181,11 @@ class SelectItem:
 
 
 @dataclass(frozen=True)
-class OrderItem:
-    column: str
-    descending: bool = False
-
-
-@dataclass(frozen=True)
 class SelectStmt(Statement):
     items: Tuple[SelectItem, ...]
     table: str
     where: Optional[Expr] = None
     group_by: Tuple[str, ...] = ()
-    order_by: Tuple[OrderItem, ...] = ()
-    limit: Optional[Expr] = None
-    distinct: bool = False
     param_count: int = 0
 
     @property

@@ -8,6 +8,9 @@ from typing import Iterator, List
 
 from ..errors import SqlSyntaxError
 
+#: Reserved words.  ``order``, ``asc``, ``desc``, ``limit`` and
+#: ``distinct`` start no clause of the grammar; reserved, they make text
+#: that uses them a syntax error rather than an alias or a column.
 KEYWORDS = {
     "select", "from", "where", "and", "or", "not", "order", "by", "asc",
     "desc", "limit", "insert", "into", "values", "update", "set", "delete",

@@ -3,8 +3,8 @@
 Grammar (informal)::
 
     statement   := select | insert | update | delete
-    select      := SELECT [DISTINCT] items FROM ident [WHERE expr]
-                   [ORDER BY order_items] [LIMIT term]
+    select      := SELECT items FROM ident [WHERE expr]
+                   [GROUP BY idents]
     items       := * | item ("," item)*
     item        := expr [AS ident]
     insert      := INSERT INTO ident ["(" idents ")"] VALUES "(" exprs ")"
@@ -19,12 +19,16 @@ Grammar (informal)::
                    | [NOT] IN "(" exprs ")" | [NOT] BETWEEN sum AND sum)?
     sum         := product (("+"|"-") product)*
     product     := atom (("*"|"/"|"%") atom)*
-    atom        := literal | "?" | ident | agg "(" [DISTINCT] (expr|*) ")"
+    atom        := literal | "?" | ident | agg "(" (expr|*) ")"
                  | "(" expr ")" | "-" atom
 
-Parameters are numbered left to right in source order.  There is no
-DDL: a schema changes only through ``Database.create_table`` /
-``create_index``, which update every store at once.
+Parameters are numbered left to right in source order.  This is what
+the paper's programs send, and nothing more: ``ORDER``, ``ASC``,
+``DESC``, ``LIMIT`` and ``DISTINCT`` stay reserved words, so a
+statement using them is a :class:`SqlSyntaxError` on every store,
+never an alias or an unknown column.  There is no DDL: a schema
+changes only through ``Database.create_table`` / ``create_index``,
+which update every store at once.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .ast_nodes import (
     Literal,
     LogicalOp,
     NotOp,
-    OrderItem,
     Param,
     SelectItem,
     SelectStmt,
@@ -144,7 +147,6 @@ class _Parser:
 
     def _select(self) -> SelectStmt:
         self._expect_keyword("select")
-        distinct = self._accept_keyword("distinct")
         items = self._select_items()
         self._expect_keyword("from")
         table = self._ident()
@@ -158,21 +160,11 @@ class _Parser:
             while self._accept(TokenType.COMMA):
                 names.append(self._ident())
             group_by = tuple(names)
-        order_by: Tuple[OrderItem, ...] = ()
-        if self._accept_keyword("order"):
-            self._expect_keyword("by")
-            order_by = self._order_items()
-        limit = None
-        if self._accept_keyword("limit"):
-            limit = self._atom()
         return SelectStmt(
             items=items,
             table=table,
             where=where,
             group_by=group_by,
-            order_by=order_by,
-            limit=limit,
-            distinct=distinct,
             param_count=self._param_counter,
         )
 
@@ -192,21 +184,6 @@ class _Parser:
         elif self._peek().type is TokenType.IDENT:
             alias = self._ident()
         return SelectItem(expr, alias)
-
-    def _order_items(self) -> Tuple[OrderItem, ...]:
-        items = [self._order_item()]
-        while self._accept(TokenType.COMMA):
-            items.append(self._order_item())
-        return tuple(items)
-
-    def _order_item(self) -> OrderItem:
-        column = self._ident()
-        descending = False
-        if self._accept_keyword("desc"):
-            descending = True
-        else:
-            self._accept_keyword("asc")
-        return OrderItem(column, descending)
 
     def _insert(self) -> InsertStmt:
         self._expect_keyword("insert")
@@ -393,14 +370,11 @@ class _Parser:
     def _aggregate(self) -> Expr:
         func = self._advance().value
         self._expect(TokenType.LPAREN)
-        distinct = self._accept_keyword("distinct")
         if self._accept(TokenType.STAR):
             argument: Expr = Star()
         else:
             argument = self.expression()
         self._expect(TokenType.RPAREN)
-        if func == "count" and isinstance(argument, Star) and distinct:
-            raise self._error("COUNT(DISTINCT *) is not supported")
         if func != "count" and isinstance(argument, Star):
             raise self._error(f"{func.upper()}(*) is not supported")
-        return Aggregate(func, argument, distinct)
+        return Aggregate(func, argument)

@@ -183,33 +183,3 @@ class HeapTable:
         if not valid.count(0, start, stop):
             return range(start, stop)
         return [row_id for row_id in range(start, stop) if valid[row_id]]
-
-
-class _OrderKey:
-    """Total order over heterogeneous values with None sorting last.
-
-    Lets ORDER BY sort NULLs and mixed comparable values without
-    ``TypeError`` from raw comparison.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def _rank(self) -> Tuple[int, Any]:
-        if self.value is None:
-            return (2, 0)
-        if isinstance(self.value, (int, float)) and not isinstance(self.value, bool):
-            return (0, self.value)
-        return (1, str(self.value))
-
-    def __lt__(self, other: "_OrderKey") -> bool:
-        return self._rank() < other._rank()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"_OrderKey({self.value!r})"
-
-
-#: Public alias used by the sort operator.
-OrderKey = _OrderKey

@@ -16,7 +16,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from hypothesis import settings
 
-from repro.db.errors import ParamCountError, PlanError
+from repro.db.errors import ParamCountError
 from repro.db.plan.expr_eval import RowEvaluator
 from repro.db.sql import parse
 from repro.db.sql.ast_nodes import Aggregate, ColumnRef, Star
@@ -238,7 +238,7 @@ def reference_select(db, sql: str, params: Sequence = ()):
     """Answer one SELECT the slow, obvious way; returns ``(columns, rows)``.
 
     A full scan of ``heap.iter_rows()`` in row-id order, ``RowEvaluator``
-    for predicates and expressions, plain Python group/sort/dedupe/limit.
+    for predicates and expressions, plain Python grouping and folds.
     No planner, no indexes, no operators: it shares only the parser and
     the row evaluator with the engine, so an access-path, batching or
     finalize-order bug in the engine cannot hide in it.
@@ -268,23 +268,10 @@ def reference_select(db, sql: str, params: Sequence = ()):
             )
             for key, members in groups.items()
         ]
-        for order in reversed(stmt.order_by):
-            out.sort(key=_nulls_last(names.index(order.column)), reverse=order.descending)
+    elif len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star):
+        names, out = schema.names(), rows
     else:
-        for order in reversed(stmt.order_by):
-            position = schema.position(order.column, stmt.table)
-            rows.sort(key=_nulls_last(position), reverse=order.descending)
-        if len(stmt.items) == 1 and isinstance(stmt.items[0].expr, Star):
-            names, out = schema.names(), rows
-        else:
-            out = [tuple(evaluator.evaluate(i.expr, row) for i in stmt.items) for row in rows]
-        if stmt.distinct:
-            out = list(dict.fromkeys(out))
-    if stmt.limit is not None:
-        count = evaluator.evaluate(stmt.limit, ())
-        if not isinstance(count, int) or count < 0:
-            raise PlanError(f"bad LIMIT {count!r}")
-        out = out[:count]
+        out = [tuple(evaluator.evaluate(i.expr, row) for i in stmt.items) for row in rows]
     return names, out
 
 
@@ -301,18 +288,11 @@ def _output_name(item, position: int) -> str:
     return expr.func
 
 
-def _nulls_last(position: int):
-    """Sort key on one column; NULL after every value (ascending)."""
-    return lambda row: (row[position] is None, 0 if row[position] is None else row[position])
-
-
 def _aggregate(evaluator, expr, members):
     if isinstance(expr.argument, Star):
         return len(members)
     seen = [evaluator.evaluate(expr.argument, row) for row in members]
     seen = [value for value in seen if value is not None]
-    if expr.distinct:
-        seen = list(dict.fromkeys(seen))
     if expr.func == "count":
         return len(seen)
     if not seen:

@@ -47,6 +47,13 @@ class TestQueryResult:
         assert not QueryResult()
 
 
+def create_index(catalog, *args):
+    """An index made in ``catalog`` alone (``Database.create_index``
+    makes one in every store's catalog)."""
+    with catalog.index_creation(*args) as index:
+        return index
+
+
 class TestCatalog:
     def make(self):
         disk = SimulatedDisk(INSTANT, LatencyMeter())
@@ -74,13 +81,13 @@ class TestCatalog:
             lambda c: c.create_table("T", schema_of(("a", "int"))),
             lambda c: c.create_table("ix", schema_of(("a", "int"))),
             lambda c: c.create_table("IX", schema_of(("a", "int"))),
-            lambda c: c.create_index("t", "u", "b"),
-            lambda c: c.create_index("Ix", "u", "b"),
+            lambda c: create_index(c, "t", "u", "b"),
+            lambda c: create_index(c, "Ix", "u", "b"),
             lambda c: c.create_table("v", schema_of(("a", "int"), ("a", "int"))),
             lambda c: c.create_table("v", schema_of(("a", "int"), ("A", "text"))),
             lambda c: c.create_table("sqlite_v", schema_of(("a", "int"))),
             lambda c: c.create_table("SQLITE_V", schema_of(("a", "int"))),
-            lambda c: c.create_index("sqlite_ix", "u", "b"),
+            lambda c: create_index(c, "sqlite_ix", "u", "b"),
         ],
         ids=[
             "table-case", "table-as-index", "table-as-index-case",
@@ -96,7 +103,7 @@ class TestCatalog:
         catalog = self.make()
         catalog.create_table("t", schema_of(("a", "int")))
         catalog.create_table("u", schema_of(("b", "int")))
-        catalog.create_index("ix", "t", "a")
+        create_index(catalog, "ix", "t", "a")
         with pytest.raises(CatalogError):
             change(catalog)
         assert catalog.table_names() == ["t", "u"]
@@ -113,15 +120,15 @@ class TestCatalog:
     def test_duplicate_index_rejected(self):
         catalog = self.make()
         catalog.create_table("t", schema_of(("a", "int")))
-        catalog.create_index("ix", "t", "a")
+        create_index(catalog, "ix", "t", "a")
         with pytest.raises(CatalogError):
-            catalog.create_index("ix", "t", "a")
+            create_index(catalog, "ix", "t", "a")
 
     def test_indexes_on_filtering(self):
         catalog = self.make()
         catalog.create_table("t", schema_of(("a", "int"), ("b", "int")))
-        catalog.create_index("ia", "t", "a")
-        catalog.create_index("ib", "t", "b")
+        create_index(catalog, "ia", "t", "a")
+        create_index(catalog, "ib", "t", "b")
         assert len(catalog.indexes_on("t")) == 2
         assert len(catalog.indexes_on("t", "a")) == 1
         assert catalog.indexes_on("t", "a")[0].name == "ia"
@@ -129,7 +136,7 @@ class TestCatalog:
     def test_maintenance_hooks(self):
         catalog = self.make()
         catalog.create_table("t", schema_of(("a", "int")))
-        index = catalog.create_index("ix", "t", "a")
+        index = create_index(catalog, "ix", "t", "a")
         info = catalog.table("t")
         row = info.heap.schema.coerce_row((5,))
         rid = info.heap.insert(row)

@@ -5,7 +5,6 @@ import pytest
 from repro.db.errors import SqlSyntaxError
 from repro.db.sql import parse
 from repro.db.sql.ast_nodes import (
-    Aggregate,
     Between,
     BinaryOp,
     ColumnRef,
@@ -13,7 +12,6 @@ from repro.db.sql.ast_nodes import (
     InList,
     InsertStmt,
     IsNull,
-    Literal,
     LogicalOp,
     NotOp,
     Param,
@@ -69,31 +67,47 @@ class TestSelect:
         stmt = parse("SELECT a FROM t WHERE NOT x = 1")
         assert isinstance(stmt.where, NotOp)
 
+    def test_group_by(self):
+        stmt = parse("SELECT a, count(*) FROM t WHERE b = ? GROUP BY a")
+        assert stmt.group_by == ("a",)
+        assert stmt.is_aggregate
+        assert stmt.param_count == 1
+
+    def test_group_by_several_keys(self):
+        stmt = parse("SELECT a, b, sum(c) FROM t GROUP BY a, b")
+        assert stmt.group_by == ("a", "b")
+
+    def test_group_by_needs_a_column(self):
+        with pytest.raises(SqlSyntaxError):
+            parse("SELECT a FROM t GROUP BY")
+
     def test_aggregates(self):
         stmt = parse("SELECT count(*), sum(a), min(b), max(b), avg(a) FROM t")
         funcs = [item.expr.func for item in stmt.items]
         assert funcs == ["count", "sum", "min", "max", "avg"]
         assert stmt.is_aggregate
 
-    def test_count_distinct(self):
-        stmt = parse("SELECT count(DISTINCT a) FROM t")
-        aggregate = stmt.items[0].expr
-        assert isinstance(aggregate, Aggregate)
-        assert aggregate.distinct
-
     def test_sum_star_rejected(self):
         with pytest.raises(SqlSyntaxError):
             parse("SELECT sum(*) FROM t")
 
-    def test_order_by_limit(self):
-        stmt = parse("SELECT a FROM t ORDER BY a DESC, b LIMIT 5")
-        assert stmt.order_by[0].descending
-        assert not stmt.order_by[1].descending
-        assert isinstance(stmt.limit, Literal)
-        assert stmt.limit.value == 5
-
-    def test_distinct(self):
-        assert parse("SELECT DISTINCT a FROM t").distinct
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT a FROM t ORDER BY a",
+            "SELECT a FROM t LIMIT 5",
+            "SELECT DISTINCT a FROM t",
+            "SELECT count(DISTINCT a) FROM t",
+            "SELECT a limit FROM t",
+            "SELECT a AS desc FROM t",
+            "SELECT order FROM t",
+        ],
+    )
+    def test_left_out_clauses_and_their_words_are_refused(self, sql):
+        # ORDER BY, LIMIT and DISTINCT are not in the subset; their
+        # words stay reserved, so none reads as an alias or a column.
+        with pytest.raises(SqlSyntaxError):
+            parse(sql)
 
     def test_between_and_in(self):
         stmt = parse("SELECT a FROM t WHERE a BETWEEN 1 AND 5 AND b IN (1, 2)")

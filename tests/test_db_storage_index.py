@@ -4,7 +4,7 @@ import pytest
 
 from repro.db.errors import ConstraintError
 from repro.db.index import HashIndex
-from repro.db.storage import HeapTable, OrderKey
+from repro.db.storage import HeapTable
 from repro.db.types import schema_of
 
 SCHEMA = schema_of(("id", "int"), ("grp", "int"), ("val", "int"))
@@ -58,16 +58,6 @@ class TestHeapTable:
         heap.delete(rid)
         with pytest.raises(ConstraintError):
             heap.update(rid, (1, 2, 4))
-
-
-class TestOrderKey:
-    def test_none_sorts_last(self):
-        keys = sorted([OrderKey(3), OrderKey(None), OrderKey(1)])
-        assert [k.value for k in keys] == [1, 3, None]
-
-    def test_mixed_types_total_order(self):
-        keys = sorted([OrderKey("b"), OrderKey(2), OrderKey("a"), OrderKey(1)])
-        assert [k.value for k in keys] == [1, 2, "a", "b"]
 
 
 class TestHashIndex:

@@ -542,8 +542,8 @@ KINDS = ["select", "insert", "update", "delete"]
 #: (sql, footprint) — the first top-level ``col = ?`` conjunct on an INT
 #: or TEXT column the statement does not assign, else None.
 FOOTPRINTS = [
-    ("SELECT count(*) FROM users WHERE ? = id LIMIT ?", ("id", 0, int)),
-    ("SELECT id FROM users WHERE id > ? AND name = ? ORDER BY id", ("name", 1, str)),
+    ("SELECT count(*) FROM users WHERE ? = id", ("id", 0, int)),
+    ("SELECT id FROM users WHERE id > ? AND name = ?", ("name", 1, str)),
     ("SELECT id FROM users WHERE id = ? OR name = ?", None),
     ("SELECT id FROM users WHERE NOT (id = ?)", None),
     ("SELECT id FROM users WHERE id = ? + 1", None),
@@ -564,10 +564,10 @@ SELECT_SHAPES = [
     ("SELECT name AS n, id FROM users WHERE id = ?", ("n", "id"), False, "id"),
     ("SELECT * FROM users WHERE ? = name", ("id", "name"), True, "name"),
     ("SELECT count(*) FROM users WHERE id = ?", ("count(*)",), False, None),
-    ("SELECT id FROM users WHERE id = ? LIMIT 1", ("id",), False, None),
+    ("SELECT id FROM users WHERE id = ? GROUP BY id", ("id",), False, None),
     ("SELECT id FROM users WHERE id = ? AND name = ?", ("id",), False, None),
 ]
-SELECT_KINDS = ["aliased", "star-flipped", "aggregate", "limit", "two-params"]
+SELECT_KINDS = ["aliased", "star-flipped", "aggregate", "grouped", "two-params"]
 
 
 def shape(prepared):
@@ -728,17 +728,25 @@ class K:
 def test_traffic_reports_what_a_command_entered():
     """``tools/traffic.py`` is how "which code does real traffic reach"
     is measured: a function the traced command ran is reported reached,
-    one it never entered unreached."""
+    one it never entered unreached, and each text a store prepared is
+    recorded once."""
     import importlib.util
 
     path = SRC.parent.parent / "tools" / "traffic.py"
     spec = importlib.util.spec_from_file_location("traffic", path)
     traffic = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traffic)
-    reached, failed = traffic.trace(
-        [("-c", "from repro.db import Database\nDatabase().close()")]
+    command = (
+        "from repro.db import Database\n"
+        "db = Database()\n"
+        "db.create_table('t', ('a', 'int'))\n"
+        "db.server.execute('SELECT a FROM t')\n"
+        "db.server.execute('SELECT a FROM t')\n"
+        "db.close()"
     )
+    reached, failed, statements = traffic.trace([("-c", command)])
     assert failed == []
+    assert statements == {"SELECT a FROM t"}
     missing = traffic.unreached(reached)
     assert "Database.__init__" not in missing["repro.db.database"]
     assert "Database.connect" in missing["repro.db.database"]
@@ -769,6 +777,16 @@ def test_traffic_base_prints_only_what_changed(capsys):
         "    repro.db.database  Database.connect",
         "    repro.db.database  Database.gone  (not defined on the other side)",
         "unreached: 2 of 9 functions under src/repro (base: 3 of 10)",
+    ]
+    head["statements"] = ["SELECT a FROM t", "UPDATE t SET a = ?"]
+    base["statements"] = ["SELECT a FROM t", "SELECT a FROM t LIMIT 1"]
+    traffic._print_statements(head, base)
+    assert capsys.readouterr().out.splitlines() == [
+        "statements joined:",
+        "    UPDATE t SET a = ?",
+        "statements left:",
+        "    SELECT a FROM t LIMIT 1",
+        "statements: 2 distinct texts (base: 2)",
     ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.backends import SqliteBackend
 from repro.db import Database, INSTANT
-from repro.db.errors import ParamCountError, StatementHandleError
+from repro.db.errors import ParamCountError, StatementHandleError, TypeMismatchError
 
 
 @pytest.fixture
@@ -67,14 +67,14 @@ class TestDemuxSingleScan:
         )
         assert [o.scalar() for o in outcomes] == [2, 10, 0]
 
-    def test_order_and_limit_apply_per_binding(self, grouped):
+    def test_grouping_applies_per_binding(self, grouped):
         outcomes = run_batch(
             grouped.server,
-            "SELECT a FROM t WHERE grp = ? ORDER BY a DESC LIMIT 2",
-            [(0,), (1,)],
+            "SELECT grp, count(*) FROM t WHERE a < ? GROUP BY grp",
+            [(4,), (10,)],
         )
-        assert [row[0] for row in outcomes[0]] == [36, 32]
-        assert [row[0] for row in outcomes[1]] == [37, 33]
+        assert sorted(outcomes[0]) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+        assert sorted(outcomes[1]) == [(0, 3), (1, 3), (2, 2), (3, 2)]
 
     def test_indexed_plan_probes_once_per_distinct_binding(self, grouped):
         grouped.create_index("ix_grp", "t", "grp")
@@ -96,7 +96,7 @@ class TestDemuxSingleScan:
     def test_matches_per_statement_results(self, grouped):
         """Demuxed outcomes are identical to per-statement execution."""
         server = grouped.server
-        sql = "SELECT a, grp FROM t WHERE grp = ? ORDER BY a"
+        sql = "SELECT a, grp FROM t WHERE grp = ?"
         bindings = [(g,) for g in (3, 1, 99, 0)]
         batched = run_batch(server, sql, bindings)
         prepared = server.prepare(sql)
@@ -117,14 +117,14 @@ class TestFaultIsolationAndFallback:
         assert isinstance(outcomes[1], ParamCountError)
         assert outcomes[2].scalar() == 10
 
-    def test_bad_limit_faults_only_its_binding(self, grouped):
+    def test_bad_value_faults_only_its_binding(self, grouped):
         outcomes = run_batch(
             grouped.server,
-            "SELECT a FROM t WHERE grp = ? LIMIT ?",
-            [(0, 2), (0, -1)],
+            "SELECT a FROM t WHERE grp = ? AND a < ?",
+            [(0, 9), (0, [1])],
         )
-        assert len(outcomes[0]) == 2
-        assert isinstance(outcomes[1], Exception)
+        assert sorted(outcomes[0]) == [(0,), (4,), (8,)]
+        assert isinstance(outcomes[1], TypeMismatchError)
 
     def test_empty_batch(self, grouped):
         assert run_batch(grouped.server, "SELECT a FROM t WHERE grp = ?", []) == []

@@ -4,6 +4,7 @@
     python tools/traffic.py               # run every traffic command, list what none entered
     python tools/traffic.py --list        # only print the commands
     python tools/traffic.py --base ../base  # ... and only what changed against another checkout
+    python tools/traffic.py --statements  # ... and every SQL text the traffic prepared
 
 A function-level call trace that makes "did we verify or guess the
 traffic?" reproducible.  ``sys.setprofile`` and ``threading.setprofile``
@@ -26,6 +27,11 @@ With ``--base DIR`` the traffic of the checkout at ``DIR`` (its own
 in a child process, and only the functions that joined or left the
 unreached list are printed, with both totals, as ``tools/sloc.py
 --base`` prints lines.
+
+With ``--statements`` the trace also records the ``sql`` text each
+``Backend.prepare`` parses (a prepare-cache miss), and then prints every
+distinct text — with ``--base``, only the texts that joined or left —
+so "which SQL does the traffic send?" is measured, not grepped for.
 """
 
 from __future__ import annotations
@@ -98,24 +104,36 @@ def _run(argv: Sequence[str]) -> None:
 
 def trace(
     runs: Iterable[Sequence[str]], root: Path = ROOT
-) -> Tuple[Set[Tuple[str, int]], List[str]]:
+) -> Tuple[Set[Tuple[str, int]], List[str], Set[str]]:
     """Run every command under the call trace, in a temporary working
     directory, importing ``root``'s ``repro`` and ``perfbench``; returns
-    ``(reached, failed)``: the ``(file, first line)`` of every code
-    object entered, and the commands that exited non-zero or raised."""
+    ``(reached, failed, statements)``: the ``(file, first line)`` of
+    every code object entered, the commands that exited non-zero or
+    raised, and every SQL text ``Backend.prepare`` parsed."""
     codes: Set[object] = set()
+    statements: Set[str] = set()
     tracing = [True]  # a thread a command left running stops recording
+    saved = (os.getcwd(), sys.argv, dict(os.environ), tempfile.tempdir, list(sys.path))
+    sys.path[:0] = [str(root / "src"), str(root)]
+    # Known by name: importing ``repro`` here, outside the trace, would
+    # hide the functions its import runs.
+    parser_file = os.path.join("repro", "db", "sql", "parser.py")
 
     def profile(frame, event, _arg):
         if event == "call" and tracing[0]:
-            codes.add(frame.f_code)
+            code = frame.f_code
+            codes.add(code)
+            if (
+                code.co_name == "parse"
+                and frame.f_back.f_code.co_name == "prepare"
+                and code.co_filename.endswith(parser_file)
+            ):
+                statements.add(frame.f_locals["sql"])
 
     failed: List[str] = []
-    saved = (os.getcwd(), sys.argv, dict(os.environ), tempfile.tempdir, list(sys.path))
     with tempfile.TemporaryDirectory(prefix="repro-traffic-") as scratch:
         os.chdir(scratch)
         os.environ["REPRO_BENCH_OUT"] = os.path.join(scratch, "bench-out")
-        sys.path[:0] = [str(root / "src"), str(root)]
         import perfbench
 
         # perfbench writes its results, traces and sqlite stores here.
@@ -150,7 +168,7 @@ def trace(
             os.environ.update(environ)
             os.chdir(cwd)
     reached = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in codes}
-    return reached, failed
+    return reached, failed, statements
 
 
 def defined(src: Path = SRC) -> Dict[Tuple[str, int], Tuple[str, str]]:
@@ -190,13 +208,14 @@ def unreached(reached: Set[Tuple[str, int]], src: Path = SRC) -> Dict[str, List[
 def report(root: Path = ROOT) -> dict:
     """Run the traffic of the checkout at ``root``: ``{"unreached":
     {module: [name, ...]}, "total": functions defined, "failed":
-    [command, ...]}``."""
-    reached, failed = trace(commands(root), root)
+    [command, ...], "statements": [sql, ...]}``."""
+    reached, failed, statements = trace(commands(root), root)
     src = root / "src" / "repro"
     return {
         "unreached": unreached(reached, src),
         "total": len(defined(src)),
         "failed": failed,
+        "statements": sorted(statements),
     }
 
 
@@ -249,6 +268,25 @@ def _print_changes(head: dict, base: dict, base_src: Path) -> None:
     )
 
 
+def _print_statements(head: dict, base=None) -> None:
+    """Every SQL text the traffic prepared or, against ``base``, the
+    texts that joined or left, then both counts."""
+    now = set(head["statements"])
+    if base is None:
+        for sql in sorted(now):
+            print(f"    {sql}")
+        print(f"{len(now)} distinct statement texts prepared by the traffic")
+        return
+    was = set(base["statements"])
+    for title, texts in (("statements joined:", now - was), ("statements left:", was - now)):
+        print(title)
+        for sql in sorted(texts):
+            print(f"    {sql}")
+        if not texts:
+            print("    (none)")
+    print(f"statements: {len(now)} distinct texts (base: {len(was)})")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true", help="print the commands and exit")
@@ -256,6 +294,11 @@ def main(argv=None) -> int:
         "--base",
         metavar="DIR",
         help="another checkout: run its traffic too, print only what changed",
+    )
+    parser.add_argument(
+        "--statements",
+        action="store_true",
+        help="also print the SQL texts the traffic prepared (with --base: what changed)",
     )
     args = parser.parse_args(argv)
     if args.list:
@@ -269,6 +312,8 @@ def main(argv=None) -> int:
         base = _base_report(base_root)
         failed += [f"{command} (base)" for command in base["failed"]]
         _print_changes(head, base, base_root / "src" / "repro")
+        if args.statements:
+            _print_statements(head, base)
     else:
         missing = head["unreached"]
         for module in sorted(missing):
@@ -279,6 +324,8 @@ def main(argv=None) -> int:
             f"{_count(missing)} of {head['total']} functions under src/repro"
             " entered by no traffic command"
         )
+        if args.statements:
+            _print_statements(head)
     for command in failed:
         print(f"traffic: FAILED {command}", file=sys.stderr)
     return 1 if failed else 0

@@ -21,10 +21,20 @@ narrowing the selection the next sees, and gathers projection values
 column-at-a-time.  Conjuncts of any other shape fall back to the row
 evaluator over a lazy column-backed row view, so three-valued-logic
 semantics are identical by construction.
+
+Values of different classes compare as sqlite compares them, by class
+(:func:`storage_class`): NULL < numeric < text < blob.  A column's
+declared type fixes the Python type, hence the class, of every value
+it stores (``ColumnType.python_type``), so
+:meth:`Predicate.bind` folds a compiled comparison with a constant of
+another class to "every non-NULL row" or "no row", as it folds a NULL
+constant; the row evaluator compares the classes when its operands'
+differ (Python refuses to order them).
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import PlanError, TypeMismatchError
@@ -97,14 +107,8 @@ class RowEvaluator:
             return left == right
         if op == "<>":
             return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
+        if op in _ORDER:
+            return _ordered(op, left, right)
         # Arithmetic over operands it does not apply to ('x' + 1) is the
         # value error every store raises for a value it cannot compute.
         try:
@@ -173,8 +177,8 @@ class RowEvaluator:
         high = self.evaluate(expr.high, row)
         if value is None:
             return None
-        above = None if low is None else value >= low
-        below = None if high is None else value <= high
+        above = None if low is None else _ordered(">=", value, low)
+        below = None if high is None else _ordered("<=", value, high)
         if above is False or below is False:
             inside = False
         elif above is None or below is None:
@@ -182,6 +186,30 @@ class RowEvaluator:
         else:
             inside = True
         return (not inside) if expr.negated else inside
+
+
+def storage_class(python_type: type) -> int:
+    """The rank of the class of a non-NULL value of ``python_type`` in
+    sqlite's order, which puts NULL first: numeric (int, float, bool) 1,
+    text 2, blob 3."""
+    if issubclass(python_type, (int, float)):
+        return 1
+    if issubclass(python_type, str):
+        return 2
+    return 3
+
+
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _ordered(op: str, left: Any, right: Any) -> bool:
+    """``left op right`` for two non-NULL values: Python orders values
+    of one class and raises ``TypeError`` for two classes, whose ranks
+    then decide."""
+    try:
+        return _ORDER[op](left, right)
+    except TypeError:
+        return _ORDER[op](storage_class(type(left)), storage_class(type(right)))
 
 
 def _truthy(value: Any) -> bool:
@@ -254,6 +282,7 @@ def kernels(test: str) -> Tuple[Callable, Callable]:
 
 _KERNELS = {shape: kernels(test) for shape, test in TESTS.items()}
 _NEVER = (lambda sel, values, c: [], lambda values, c: [])
+_EVERY = _KERNELS["is not null"]
 _FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
@@ -288,23 +317,63 @@ def _constant(expr: Expr) -> bool:
     return isinstance(expr, (Param, Literal))
 
 
-def _bind(shape: str, constants: List[Any]) -> Tuple[Tuple[Callable, Callable], Any]:
+def _fold(op: str, constant: Any, column_class: int) -> Any:
+    """``v op constant`` for every non-NULL value ``v`` of a column of
+    ``column_class``: None when the constant is NULL (unknown), True or
+    False when the classes differ (the ranks decide), else ``op`` itself
+    — the test depends on ``v``."""
+    if constant is None:
+        return None
+    constant_class = storage_class(type(constant))
+    if constant_class == column_class:
+        return op
+    return _ORDER[op](column_class, constant_class)
+
+
+#: A range test as the comparisons it joins, and whether either one
+#: passing keeps a row: BETWEEN is ``v >= low AND v <= high``, NOT
+#: BETWEEN ``v < low OR v > high``.
+_RANGES = {"between": ((">=", "<="), False), "not between": (("<", ">"), True)}
+
+
+def _bind(
+    shape: str, constants: List[Any], column_class: int
+) -> Tuple[Tuple[Callable, Callable], Any]:
     """A compiled conjunct's kernels and constant under one binding:
-    :data:`_NEVER` when no row can pass (a NULL comparand or bound, NOT
-    IN with a NULL item, NOT BETWEEN with both bounds NULL)."""
+    :data:`_NEVER` or :data:`_EVERY` (non-NULL) when every row gets the
+    same answer — a NULL comparand or bound, NOT IN with a NULL item, a
+    comparison with a constant of another class — and a range whose
+    other half decides keeps only that half's test."""
     if shape in ("in", "not in"):
+        # Values of two classes are never equal, in Python as in sqlite.
         candidates: Any = [c for c in constants if c is not None]
         if shape == "not in" and len(candidates) < len(constants):
             return _NEVER, None
         return _KERNELS[shape], set(candidates)
-    if shape == "not between" and constants.count(None) == 1:
-        # NOT BETWEEN is ``v < low OR v > high``: the non-NULL half
-        # still keeps rows.
-        low, high = constants
-        return (_KERNELS["<"], low) if high is None else (_KERNELS[">"], high)
-    if None in constants:
+    if shape in _ORDER:
+        ops, either = (shape,), False
+    elif shape in _RANGES:
+        ops, either = _RANGES[shape]
+    elif None in constants:
         return _NEVER, None
-    return _KERNELS[shape], constants[0] if len(constants) == 1 else constants
+    else:
+        return _KERNELS[shape], constants[0] if constants else None
+    halves = [_fold(op, c, column_class) for op, c in zip(ops, constants)]
+    tests = [(op, c) for op, c in zip(halves, constants) if type(op) is str]
+    if either:
+        if True in halves:
+            return _EVERY, None
+        if not tests:  # NULL or FALSE halves only
+            return _NEVER, None
+    else:
+        if not all(halves):  # a NULL or a FALSE half
+            return _NEVER, None
+        if not tests:
+            return _EVERY, None
+    if len(tests) == len(ops):
+        return _KERNELS[shape], constants[0] if len(ops) == 1 else constants
+    ((op, constant),) = tests
+    return _KERNELS[op], constant
 
 
 class Predicate:
@@ -326,6 +395,12 @@ class Predicate:
         self.conjuncts = [
             _compile(conjunct, schema, table) for conjunct in and_conjuncts(where)
         ]
+        #: The class of the values each compiled conjunct's column stores.
+        self._classes = [
+            None if position is None
+            else storage_class(schema.columns[position].type.python_type)
+            for _shape, position, _operands in self.conjuncts
+        ]
 
     def bind(self, params: Sequence) -> List[Tuple[Any, Any, Any]]:
         """``(kernels, column position, constant)`` per conjunct under
@@ -333,7 +408,9 @@ class Predicate:
         ``?`` or literal operand is read directly; arithmetic is
         evaluated here, once per execution."""
         bound = []
-        for shape, position, operands in self.conjuncts:
+        for (shape, position, operands), column_class in zip(
+            self.conjuncts, self._classes
+        ):
             if shape is not None:
                 constants = [
                     params[o.index] if type(o) is Param
@@ -341,7 +418,7 @@ class Predicate:
                     else RowEvaluator(self._schema, self._table, params).evaluate(o, ())
                     for o in operands
                 ]
-                shape, operands = _bind(shape, constants)
+                shape, operands = _bind(shape, constants, column_class)
             bound.append((shape, position, operands))
         return bound
 

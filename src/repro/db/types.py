@@ -45,6 +45,11 @@ class ColumnType(Enum):
             raise TypeMismatchError(f"unknown column type: {name!r}")
         return aliases[normalized]
 
+    @property
+    def python_type(self) -> type:
+        """The Python type every non-NULL value of this type is stored as."""
+        return _PYTHON_TYPES[self]
+
 
 #: The Python type a coerced value of each column type has.
 _PYTHON_TYPES = {
@@ -125,7 +130,7 @@ class Schema:
         }
         #: The Python type of each column's values, in column order: a
         #: row whose value types are exactly these is coerced already.
-        self._exact = tuple(_PYTHON_TYPES[column.type] for column in self.columns)
+        self._exact = tuple(column.type.python_type for column in self.columns)
 
     def __len__(self) -> int:
         return len(self.columns)

@@ -14,6 +14,7 @@ import ast
 from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
+from .nodes import copy_tree, subtree
 from .purity import PurityEnv
 
 
@@ -347,7 +348,7 @@ def harmless_to_reevaluate(node: ast.expr, purity: PurityEnv, registry) -> bool:
     du = analyze_expression(node, purity, registry)
     if du.writes or du.external_reads or du.external_writes:
         return False
-    for child in ast.walk(node):
+    for child in subtree(node):
         if isinstance(child, (ast.Await, ast.Yield, ast.YieldFrom)):
             return False
         if isinstance(child, ast.Call):
@@ -392,17 +393,16 @@ class _ReadRenamer(ast.NodeTransformer):
 
 
 def rename_reads(node: ast.stmt, old: str, new: str) -> ast.stmt:
-    """Return a copy of ``node`` with all *reads* of ``old`` renamed.
+    """Return a copy of ``node`` with all *reads* of ``old`` renamed;
+    each new name takes the position of the one it replaces.
 
     Raises :class:`RenameUnsupported` when the read cannot be separated
     from a write (augmented assignment).
     """
-    clone = _copy(node)
     renamer = _ReadRenamer(old, new)
-    result = renamer.visit(clone)
+    result = renamer.visit(copy_tree(node))
     if renamer.blocked:
         raise RenameUnsupported(renamer.blocked)
-    ast.fix_missing_locations(result)
     return result
 
 
@@ -425,12 +425,20 @@ class _WriteRenamer(ast.NodeTransformer):
         if isinstance(node.target, ast.Name) and node.target.id == self._old:
             # ``old += e``  ==>  ``new = old <op> e`` — write renamed,
             # read preserved (this is exactly Rule C3's requirement).
+            target = node.target
             replacement = ast.Assign(
-                targets=[ast.Name(id=self._new, ctx=ast.Store())],
-                value=ast.BinOp(
-                    left=ast.Name(id=self._old, ctx=ast.Load()),
-                    op=node.op,
-                    right=node.value,
+                targets=[
+                    ast.copy_location(ast.Name(id=self._new, ctx=ast.Store()), target)
+                ],
+                value=ast.copy_location(
+                    ast.BinOp(
+                        left=ast.copy_location(
+                            ast.Name(id=self._old, ctx=ast.Load()), target
+                        ),
+                        op=node.op,
+                        right=node.value,
+                    ),
+                    node,
                 ),
             )
             return ast.copy_location(replacement, node)
@@ -476,21 +484,13 @@ def rename_writes(node: ast.stmt, old: str, new: str) -> ast.stmt:
     """Return a copy of ``node`` with all *writes* of ``old`` renamed.
 
     Augmented assignments are rewritten to plain assignments reading the
-    old variable.  Writes through attributes, subscripts or mutating
-    method calls, and a ``del`` of the variable, raise
+    old variable.  Each new node takes the position of the node it
+    replaces.  Writes through attributes, subscripts or mutating method
+    calls, and a ``del`` of the variable, raise
     :class:`RenameUnsupported`.
     """
-    clone = _copy(node)
     renamer = _WriteRenamer(old, new)
-    result = renamer.visit(clone)
+    result = renamer.visit(copy_tree(node))
     if renamer.blocked:
         raise RenameUnsupported(renamer.blocked)
-    ast.fix_missing_locations(result)
     return result
-
-
-def _copy(node: ast.stmt) -> ast.stmt:
-    """Deep-copy an AST node (ast has no public clone; round-trip it)."""
-    import copy
-
-    return copy.deepcopy(node)

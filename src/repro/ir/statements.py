@@ -18,13 +18,15 @@ paper requires for the true-dependence cycle test.
 This module (with :mod:`.defuse`) owns every question about *one*
 statement; the rule modules and the prefetch pass ask here instead of
 walking the AST themselves: which registered query calls it contains
-(:func:`query_calls`, :func:`find_query_call`), whether control can
-leave the enclosing block through it (:func:`leaves_block`), whether
-its kind is one the rules understand at every level they reach
-(:func:`is_supported`), and how reports name it (:func:`label`) — and
-which functions a module holds (:func:`function_defs`), the walk both
-passes start from.  Questions about *two* statements belong to
-:mod:`repro.analysis.ddg`.
+(:func:`query_calls`, :func:`find_query_call`), whether it holds a loop
+(:func:`contains_loop`), whether control can leave the enclosing block
+through it (:func:`leaves_block`), whether its kind is one the rules
+understand at every level they reach (:func:`is_supported`), and how
+reports name it (:func:`label`) — and which functions a module holds
+(:func:`function_defs`), the walk both passes start from.  One
+transform asks its questions through :class:`StatementFacts`, which
+answers each once per node.  Questions about *two* statements belong
+to :mod:`repro.analysis.ddg`.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ import ast
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .defuse import DefUse, analyze_expression, analyze_statement
+from .nodes import children, subtree
 from .purity import PurityEnv
 
 #: Pseudo-variable carrying the loop-control dependence.  Excluded from
@@ -188,7 +191,7 @@ def leaves_block(node: ast.AST, in_loop: bool = False) -> bool:
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
         return False
     inside = in_loop or isinstance(node, (ast.While, ast.For))
-    return any(leaves_block(child, inside) for child in ast.iter_child_nodes(node))
+    return any(leaves_block(child, inside) for child in children(node))
 
 
 def label(node: ast.AST) -> str:
@@ -205,17 +208,95 @@ def function_defs(tree: ast.AST) -> Iterator[ast.FunctionDef]:
     while todo:
         node = todo.popleft()
         todo.extend(
-            child
-            for child in ast.iter_child_nodes(node)
-            if not isinstance(child, ast.expr)
+            child for child in children(node) if not isinstance(child, ast.expr)
         )
         if isinstance(node, ast.FunctionDef):
             yield node
 
 
+def contains_loop(node: ast.stmt) -> bool:
+    """Is there a ``while`` or ``for`` anywhere in ``node``?"""
+    return any(isinstance(child, (ast.While, ast.For)) for child in subtree(node))
+
+
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
+
+
+class StatementFacts:
+    """The one-statement facts of one ``transform_source`` call, each
+    computed once per node: :func:`analyze_statement`'s ``DefUse``,
+    :func:`find_query_call`'s ``QueryCall``, :func:`contains_loop` and
+    :func:`leaves_block`.
+    The engine creates one per call and hands it to every round (a
+    fission round re-flattens the statements it moved into the fetch
+    loop) and to the prefetch pass (which asks again about the
+    engine's output).
+
+    Entries are keyed by the node object.  The key holds a reference,
+    so a node's ``id`` is never reused while the memo lives.  The memo
+    cannot go stale because no pass changes a node after it was
+    analyzed:
+
+    * the engine rewrites the blocks of a loop or ``if`` (innermost
+      loops first) before the round that analyzes the statement holding
+      them;
+    * ``normalize`` rewrites a statement as new nodes, and the old one
+      leaves the tree;
+    * a round's statements move into the loops fission and the window
+      wrapper build around them unchanged;
+    * ``rule_reorder._rewrite_in_place`` swaps in a *new* renamed node;
+    * the prefetch pass rebuilds, as new nodes, a compound statement
+      whose block it rewrote and a submit it makes speculative.  (It
+      rewrites a nested ``def``'s body after the def was asked about,
+      but the one fact asked of a def, its ``DefUse``, binds only its
+      name.)
+
+    Positions and role tags may still be added: no fact reads them."""
+
+    def __init__(self, purity: PurityEnv, registry=None) -> None:
+        self.purity = purity
+        self.registry = registry
+        self._defuse: Dict[ast.stmt, DefUse] = {}
+        self._query: Dict[ast.stmt, Optional[QueryCall]] = {}
+        self._loops: Dict[ast.stmt, bool] = {}
+        self._exits: Dict[ast.stmt, bool] = {}
+
+    def defuse(self, node: ast.stmt) -> DefUse:
+        du = self._defuse.get(node)
+        if du is None:
+            du = self._defuse[node] = analyze_statement(
+                node, self.purity, self.registry
+            )
+        return du
+
+    def query(self, node: ast.stmt) -> Optional[QueryCall]:
+        if node in self._query:
+            return self._query[node]
+        query = None
+        if self.registry is not None:
+            query = find_query_call(node, self.registry)
+        self._query[node] = query
+        return query
+
+    def contains_loop(self, node: ast.stmt) -> bool:
+        found = self._loops.get(node)
+        if found is None:
+            found = self._loops[node] = contains_loop(node)
+        return found
+
+    def leaves_block(self, node: ast.stmt) -> bool:
+        found = self._exits.get(node)
+        if found is None:
+            found = self._exits[node] = leaves_block(node)
+        return found
+
+    def stmt(self, node: ast.stmt, guards: Tuple[Guard, ...] = ()) -> Stmt:
+        """``node`` as a :class:`Stmt` under ``guards``."""
+        return Stmt(
+            node=node, du=self.defuse(node), guards=guards, query=self.query(node)
+        )
 
 
 def make_stmt(
@@ -224,10 +305,9 @@ def make_stmt(
     registry=None,
     guards: Tuple[Guard, ...] = (),
 ) -> Stmt:
-    """Analyze one statement node into a :class:`Stmt`."""
-    du = analyze_statement(node, purity, registry)
-    query = find_query_call(node, registry) if registry is not None else None
-    return Stmt(node=node, du=du, guards=guards, query=query)
+    """Analyze one statement node into a :class:`Stmt`, outside any
+    transform's memo."""
+    return StatementFacts(purity, registry).stmt(node, guards)
 
 
 def make_block(
@@ -236,7 +316,8 @@ def make_block(
     registry=None,
     guards: Tuple[Guard, ...] = (),
 ) -> List[Stmt]:
-    return [make_stmt(node, purity, registry, guards) for node in nodes]
+    facts = StatementFacts(purity, registry)
+    return [facts.stmt(node, guards) for node in nodes]
 
 
 def make_header(
@@ -297,19 +378,12 @@ def find_query_call(node: ast.stmt, registry) -> Optional[QueryCall]:
 
 def query_calls(node: ast.AST, registry) -> List[tuple]:
     """``(call, spec)`` for every registered blocking call under ``node``,
-    in ``ast.walk``'s breadth-first order (inlined: every transformed
-    statement is searched at least once)."""
+    in ``ast.walk``'s breadth-first order."""
     found: List[tuple] = []
     todo = deque([node])
     while todo:
         child = todo.popleft()
-        for name in child._fields:
-            value = getattr(child, name, None)
-            if isinstance(value, ast.AST):
-                if not isinstance(value, ast.expr_context):
-                    todo.append(value)
-            elif isinstance(value, list):
-                todo.extend(item for item in value if isinstance(item, ast.AST))
+        todo.extend(children(child))
         if isinstance(child, ast.Call):
             func = child.func
             if isinstance(func, ast.Attribute):

@@ -82,14 +82,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 from ..analysis.ddg import external_dependences
 from ..ir.defuse import (
-    DefUse,
-    analyze_statement,
     bound_names,
     harmless_to_reevaluate,
     import_bound_names,
 )
+from ..ir.nodes import children, copy_tree
 from ..ir.purity import PurityEnv
-from ..ir.statements import find_query_call, function_defs, label, leaves_block
+from ..ir.statements import StatementFacts, function_defs, label
 from ..transform.codegen import located, name_load, name_store, split_query
 from ..transform.names import NameAllocator
 from ..transform.registry import QueryRegistry, default_registry
@@ -99,11 +98,6 @@ from ..transform.registry import QueryRegistry, default_registry
 HOIST_ATTR = "_repro_prefetch_hoistable"
 #: Attribute linking a generated submit back to its report entry.
 SITE_ATTR = "_repro_prefetch_site"
-
-#: Per block of one hoist pass: each statement's ``(leaves_block,
-#: def/use)``, keyed by the node.
-_BlockFacts = Dict[ast.stmt, Tuple[bool, DefUse]]
-
 
 @dataclass
 class PrefetchSite:
@@ -146,22 +140,24 @@ class PrefetchInserter:
 
             speculation = SpeculationPolicy()
         self.speculation = speculation
+        #: The run's statement memo.
+        self._memo: Optional[StatementFacts] = None
         #: The function currently being processed.
         self._index: Optional[_FunctionIndex] = None
 
     # ------------------------------------------------------------------
     def run(
-        self, tree: ast.AST, allocator: Optional[NameAllocator] = None
+        self, tree: ast.AST, allocator: NameAllocator, facts: StatementFacts
     ) -> List[PrefetchSite]:
         """Rewrite ``tree`` in place; returns the inserted sites.
 
-        The engine hands over its ``allocator``, which already reserves
-        every name in the module and every name it generated, and
-        positions the module once afterwards; a standalone run builds
-        its own allocator and positions ``tree`` itself."""
-        standalone = allocator is None
-        if standalone:
-            allocator = NameAllocator.for_tree(tree)
+        ``allocator`` is the engine's, which already reserves every name
+        in the module and every name the engine generated; ``facts`` is
+        the engine's statement memo (over the same registry and purity
+        environment), so the pass does not analyze again what a fission
+        round already did.  Every node the pass builds is positioned
+        where it is built."""
+        self._memo = facts
         sites: List[PrefetchSite] = []
         for node in function_defs(tree):
             self._index = _FunctionIndex(node)
@@ -169,8 +165,6 @@ class PrefetchInserter:
                 node.body, node.name, allocator, sites,
                 liftable=False, bound=_parameter_names(node),
             )
-        if standalone:
-            ast.fix_missing_locations(tree)
         return sites
 
     # ------------------------------------------------------------------
@@ -190,25 +184,27 @@ class PrefetchInserter:
         the unguarded lift (a lifted submit may only read locals that
         are definitely bound where it lands)."""
         out: List[ast.stmt] = []
-        facts: _BlockFacts = {}
         for node in nodes:
             deleted = self._index.deleted[node]
             if isinstance(node, ast.If):
-                node.body = self._process_block(
-                    node.body, function, allocator, sites,
-                    # Lifting duplicates the test.
-                    liftable=harmless_to_reevaluate(
-                        node.test, self.purity, self.registry
+                node = _rebuilt(
+                    node,
+                    body=self._process_block(
+                        node.body, function, allocator, sites,
+                        # Lifting duplicates the test.
+                        liftable=harmless_to_reevaluate(
+                            node.test, self.purity, self.registry
+                        ),
+                        bound=set(bound),
                     ),
-                    bound=set(bound),
-                )
-                node.orelse = self._process_block(
-                    node.orelse, function, allocator, sites,
-                    liftable=False, bound=set(bound),
+                    orelse=self._process_block(
+                        node.orelse, function, allocator, sites,
+                        liftable=False, bound=set(bound),
+                    ),
                 )
                 for guarded in self._lift_from_if(node, bound):
                     out.append(guarded)
-                    self._hoist_existing(out, len(out) - 1, facts)
+                    self._hoist_existing(out, len(out) - 1)
                 out.append(node)
             elif isinstance(node, (ast.While, ast.For)):
                 # Within a loop body submits may move earlier *inside the
@@ -219,15 +215,17 @@ class PrefetchInserter:
                 body_bound = set(bound) - deleted
                 if isinstance(node, ast.For):
                     body_bound |= bound_names(node.target)
-                node.body = self._process_block(
-                    node.body, function, allocator, sites,
-                    liftable=False, bound=body_bound,
-                )
-                if node.orelse:
-                    node.orelse = self._process_block(
+                node = _rebuilt(
+                    node,
+                    body=self._process_block(
+                        node.body, function, allocator, sites,
+                        liftable=False, bound=body_bound,
+                    ),
+                    orelse=self._process_block(
                         node.orelse, function, allocator, sites,
                         liftable=False, bound=set(bound) - deleted,
-                    )
+                    ),
+                )
                 out.append(node)
             elif isinstance(node, (ast.Try, ast.With)):
                 body_bound = set(bound)
@@ -238,26 +236,27 @@ class PrefetchInserter:
                 # Handlers/orelse/finalbody run after a (possibly
                 # partial) body execution whose dels already happened.
                 after_partial = set(bound) - deleted
-                for attr in ("body", "orelse", "finalbody"):
-                    block = getattr(node, attr, None)
-                    if block:
-                        setattr(
-                            node,
-                            attr,
-                            self._process_block(
-                                block, function, allocator, sites,
-                                liftable=False,
-                                bound=(
-                                    body_bound if attr == "body"
-                                    else set(after_partial)
-                                ),
+                blocks = {
+                    attr: self._process_block(
+                        getattr(node, attr), function, allocator, sites,
+                        liftable=False,
+                        bound=body_bound if attr == "body" else set(after_partial),
+                    )
+                    for attr in ("body", "orelse", "finalbody")
+                    if hasattr(node, attr)
+                }
+                if isinstance(node, ast.Try):
+                    blocks["handlers"] = [
+                        _rebuilt(
+                            handler,
+                            body=self._process_block(
+                                handler.body, function, allocator, sites,
+                                liftable=False, bound=set(after_partial),
                             ),
                         )
-                for handler in getattr(node, "handlers", []):
-                    handler.body = self._process_block(
-                        handler.body, function, allocator, sites,
-                        liftable=False, bound=set(after_partial),
-                    )
+                        for handler in node.handlers
+                    ]
+                node = _rebuilt(node, **blocks)
                 out.append(node)
             else:
                 out.append(node)
@@ -265,7 +264,7 @@ class PrefetchInserter:
             # a sibling path that binds it.
             bound |= _definite_bindings(node)
             bound -= deleted
-        self._insert_prefetches(out, function, allocator, sites, liftable, facts)
+        self._insert_prefetches(out, function, allocator, sites, liftable)
         return out
 
     # ------------------------------------------------------------------
@@ -278,7 +277,6 @@ class PrefetchInserter:
         allocator: NameAllocator,
         sites: List[PrefetchSite],
         liftable: bool,
-        facts: _BlockFacts,
     ) -> None:
         index = len(block) - 1
         while index >= 0:
@@ -287,7 +285,7 @@ class PrefetchInserter:
                 index -= 1
                 continue
             submit_stmt, fetch_stmt = rewrite
-            target = self._hoist_target(block, index, submit_stmt, facts)
+            target = self._hoist_target(block, index, submit_stmt)
             if target == index and not (liftable and index == 0):
                 index -= 1  # no movement, no lift possible: keep blocking
                 continue
@@ -313,7 +311,7 @@ class PrefetchInserter:
     ) -> Optional[Tuple[ast.stmt, ast.stmt]]:
         if not isinstance(node, (ast.Assign, ast.Expr)):
             return None  # the only kinds a top-level query call heads
-        query = find_query_call(node, self.registry)
+        query = self._memo.query(node)
         if query is None or not query.top_level:
             return None
         if query.spec.effect != "read":
@@ -327,30 +325,19 @@ class PrefetchInserter:
     # hoisting machinery
     # ------------------------------------------------------------------
     def _hoist_target(
-        self,
-        block: List[ast.stmt],
-        index: int,
-        moving: ast.stmt,
-        facts: _BlockFacts,
+        self, block: List[ast.stmt], index: int, moving: ast.stmt
     ) -> int:
-        moving_du = analyze_statement(moving, self.purity, self.registry)
+        moving_du = self._memo.defuse(moving)
         target = index
         while target > 0:
             prev = block[target - 1]
-            if prev not in facts:
-                # Asked once per block: a statement in the block's output
-                # does not change any more.
-                facts[prev] = (
-                    leaves_block(prev),
-                    analyze_statement(prev, self.purity, self.registry),
-                )
-            leaves, prev_du = facts[prev]
-            if leaves:
+            if self._memo.leaves_block(prev):
                 # Hoisting above a return/raise/yield (or a break/
                 # continue of an enclosing loop) would issue queries in
                 # executions where the original exited first — the
                 # multiset invariant only holds below such statements.
                 break
+            prev_du = self._memo.defuse(prev)
             if (
                 prev_du.writes & moving_du.reads  # flow: prev feeds the submit
                 # anti/output: argument expressions may mutate state
@@ -362,12 +349,10 @@ class PrefetchInserter:
             target -= 1
         return target
 
-    def _hoist_existing(
-        self, block: List[ast.stmt], index: int, facts: _BlockFacts
-    ) -> int:
+    def _hoist_existing(self, block: List[ast.stmt], index: int) -> int:
         """Move an already-materialized statement (a lifted, guarded
         submit) as far up its new block as dependences allow."""
-        target = self._hoist_target(block, index, block[index], facts)
+        target = self._hoist_target(block, index, block[index])
         if target != index:
             node = block.pop(index)
             block.insert(target, node)
@@ -390,6 +375,8 @@ class PrefetchInserter:
                 # Unguarded lift: the submit escapes the conditional as
                 # a speculative dispatch.  No guard is emitted, so the
                 # later hoist is free of the guard's data dependences.
+                # A new node: the memo may hold ``submit`` as analyzed.
+                submit = copy_tree(submit)
                 submit.value.func.attr = speculative_name
                 if site is not None:
                     site.speculative = True
@@ -398,7 +385,7 @@ class PrefetchInserter:
                 continue
             guarded = located(
                 ast.copy_location(
-                    ast.If(test=copy.deepcopy(node.test), body=[submit], orelse=[]),
+                    ast.If(test=copy_tree(node.test), body=[submit], orelse=[]),
                     node,
                 )
             )
@@ -472,6 +459,25 @@ class PrefetchInserter:
         )
 
 
+def _same(old: List[ast.AST], new: List[ast.AST]) -> bool:
+    return len(old) == len(new) and all(a is b for a, b in zip(old, new))
+
+
+def _rebuilt(node: ast.AST, **blocks: List[ast.AST]) -> ast.AST:
+    """``node`` with ``blocks`` as its statement (or handler) lists:
+    ``node`` itself when each list holds the same nodes, else a shallow
+    copy.  The transform's statement memo may hold ``node`` as the
+    engine analyzed it, so a rewritten block never changes it in place;
+    the copy is new to the memo, and so is every ancestor it forces to
+    be rebuilt."""
+    if all(_same(getattr(node, name), block) for name, block in blocks.items()):
+        return node
+    clone = copy.copy(node)
+    for name, block in blocks.items():
+        setattr(clone, name, block)
+    return clone
+
+
 def _parameter_names(fn: ast.FunctionDef) -> Set[str]:
     """The function's parameters — bound from the moment it is entered."""
     args = fn.args
@@ -519,7 +525,7 @@ class _FunctionIndex:
     def __init__(self, fn: ast.FunctionDef) -> None:
         self.locals: Set[str] = _parameter_names(fn)
         self.deleted: Dict[ast.stmt, FrozenSet[str]] = {}
-        for child in ast.iter_child_nodes(fn):
+        for child in children(fn):
             self._visit(child)
 
     def _visit(self, node: ast.AST) -> FrozenSet[str]:
@@ -532,7 +538,7 @@ class _FunctionIndex:
                 return frozenset((node.id,))
             return _NOTHING
         deleted = _NOTHING
-        for child in ast.iter_child_nodes(node):
+        for child in children(node):
             below = self._visit(child)
             if below:
                 deleted |= below

@@ -1,15 +1,15 @@
 """AST construction shared by the transformation rules and the prefetch
 pass — the only place an emitted node is given a source position
-(:func:`located`; its children get theirs from the one fix per finished
-result) and the only place a query statement is split into its submit
-and fetch halves (:func:`split_query`)."""
+(:func:`located`, which each builder calls on what it builds) and the
+only place a query statement is split into its submit and fetch halves
+(:func:`split_query`)."""
 
 from __future__ import annotations
 
 import ast
-import copy
 from typing import List, Optional, Sequence, Tuple
 
+from ..ir.nodes import children, copy_tree
 from ..ir.statements import Guard, QueryCall, Stmt
 
 
@@ -81,7 +81,7 @@ def method_call(receiver: ast.expr, method: str, args: Sequence[ast.expr]) -> as
     """``receiver.method(*args)`` on a copy of ``receiver``; the
     argument nodes are the caller's to give away."""
     return ast.Call(
-        func=ast.Attribute(value=copy.deepcopy(receiver), attr=method, ctx=ast.Load()),
+        func=ast.Attribute(value=copy_tree(receiver), attr=method, ctx=ast.Load()),
         args=list(args),
         keywords=[],
     )
@@ -93,13 +93,13 @@ def split_query(
     """``target = recv.execute_query(args)`` as the pair ``handle_store
     = recv.submit_query(args)`` / ``target = recv.fetch_result(
     handle_load)``.  Guards are the caller's business."""
-    submit_call = copy.deepcopy(query.call)
+    submit_call = copy_tree(query.call)
     submit_call.func.attr = query.spec.submit
     submit = ast.Assign(targets=[handle_store], value=submit_call)
     fetch_call = method_call(query.receiver, query.spec.fetch, [handle_load])
     if query.target is not None:
         fetch: ast.stmt = ast.Assign(
-            targets=[copy.deepcopy(query.target)], value=fetch_call
+            targets=[copy_tree(query.target)], value=fetch_call
         )
     else:
         fetch = ast.Expr(value=fetch_call)
@@ -148,11 +148,25 @@ def unless_unbound(stmt: ast.stmt) -> ast.Try:
 
 
 def located(node: ast.AST) -> ast.AST:
-    """Position a generated node: line 1 unless it already has a line.
-    Only the node itself — its children are filled in by the one
-    ``ast.fix_missing_locations`` each finished result gets (fission's
-    three nodes, the window wrapper's output, the transformed module)."""
-    if not hasattr(node, "lineno"):
-        node.lineno = node.end_lineno = 1
-        node.col_offset = node.end_col_offset = 0
+    """Position a generated node and every unpositioned node below it.
+
+    The node keeps its position when it has one (line 1 otherwise), and
+    an unpositioned node below takes its parent's, as
+    ``ast.fix_missing_locations`` would give it.  The descent stops at a
+    positioned node: every builder calls this on what it builds, so a
+    positioned node never holds an unpositioned one, and each generated
+    node is positioned once — no pass re-walks a finished result, a
+    moved loop body or the module."""
+    _position(node, (1, 0, 1, 0))
     return node
+
+
+def _position(node: ast.AST, at: Tuple[int, int, int, int]) -> None:
+    if "lineno" in node._attributes:
+        if hasattr(node, "lineno"):
+            at = (node.lineno, node.col_offset, node.end_lineno, node.end_col_offset)
+        else:
+            node.lineno, node.col_offset, node.end_lineno, node.end_col_offset = at
+    for child in children(node):
+        if not hasattr(child, "lineno"):
+            _position(child, at)

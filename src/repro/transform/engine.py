@@ -28,9 +28,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.cycles import on_true_cycle
 from ..analysis.ddg import DDG, build_ddg
+from ..ir.nodes import subtree
 from ..ir.purity import PurityEnv
 from ..ir.statements import (
     ROLE_ATTR,
+    StatementFacts,
     Stmt,
     function_defs,
     is_supported,
@@ -179,10 +181,12 @@ class TransformEngine:
         started = time.perf_counter()
         tree = ast.parse(textwrap.dedent(source))
         allocator = NameAllocator.for_tree(tree)
+        # Every round and the prefetch pass ask about a node once.
+        facts = StatementFacts(self.purity, self.registry)
         reports: List[LoopReport] = []
         for node in function_defs(tree):
             node.body = self._transform_block(
-                node.body, node.name, allocator, reports, allow_window=True
+                node.body, node.name, allocator, facts, reports, allow_window=True
             )
         prefetch_sites: List[object] = []
         if self.prefetch:
@@ -195,8 +199,7 @@ class TransformEngine:
                 speculate=self.speculate,
                 speculation=self.speculation,
             )
-            prefetch_sites = inserter.run(tree, allocator)
-        ast.fix_missing_locations(tree)
+            prefetch_sites = inserter.run(tree, allocator, facts)
         elapsed = time.perf_counter() - started
         return TransformResult(
             source=ast.unparse(tree),
@@ -214,6 +217,7 @@ class TransformEngine:
         nodes: List[ast.stmt],
         function: str,
         allocator: NameAllocator,
+        facts: StatementFacts,
         reports: List[LoopReport],
         allow_window: bool,
     ) -> List[ast.stmt]:
@@ -222,18 +226,18 @@ class TransformEngine:
             if isinstance(node, (ast.While, ast.For)):
                 # Innermost first: transform loops nested in this body.
                 node.body = self._transform_block(
-                    node.body, function, allocator, reports, allow_window=False
+                    node.body, function, allocator, facts, reports, allow_window=False
                 )
                 replacement = self._try_loop(
-                    node, function, allocator, reports, allow_window
+                    node, function, allocator, facts, reports, allow_window
                 )
                 output.extend(replacement if replacement is not None else [node])
             elif isinstance(node, ast.If):
                 node.body = self._transform_block(
-                    node.body, function, allocator, reports, allow_window
+                    node.body, function, allocator, facts, reports, allow_window
                 )
                 node.orelse = self._transform_block(
-                    node.orelse, function, allocator, reports, allow_window
+                    node.orelse, function, allocator, facts, reports, allow_window
                 )
                 output.append(node)
             elif isinstance(node, (ast.Try, ast.With)):
@@ -246,13 +250,14 @@ class TransformEngine:
                                 getattr(node, attr),
                                 function,
                                 allocator,
+                                facts,
                                 reports,
                                 allow_window,
                             ),
                         )
                 for handler in getattr(node, "handlers", []):
                     handler.body = self._transform_block(
-                        handler.body, function, allocator, reports, allow_window
+                        handler.body, function, allocator, facts, reports, allow_window
                     )
                 output.append(node)
             else:
@@ -267,6 +272,7 @@ class TransformEngine:
         loop: ast.stmt,
         function: str,
         allocator: NameAllocator,
+        facts: StatementFacts,
         reports: List[LoopReport],
         allow_window: bool,
     ) -> Optional[List[ast.stmt]]:
@@ -288,7 +294,7 @@ class TransformEngine:
             return None
 
         return self._transform_one_loop(
-            loop, function, allocator, report, allow_window
+            loop, function, allocator, facts, report, allow_window
         )
 
     def _transform_one_loop(
@@ -296,11 +302,12 @@ class TransformEngine:
         loop: ast.stmt,
         function: str,
         allocator: NameAllocator,
+        facts: StatementFacts,
         report: LoopReport,
         allow_window: bool,
     ) -> Optional[List[ast.stmt]]:
-        loop.body = normalize_block(loop.body, self.registry, self.purity, allocator)
-        body = flatten_block(loop.body, self.purity, self.registry, allocator)
+        loop.body = normalize_block(loop.body, facts, allocator)
+        body = flatten_block(loop.body, facts, allocator)
         header = make_header(loop, self.purity, self.registry)
 
         for stmt in body:
@@ -399,7 +406,12 @@ class TransformEngine:
             outcome.split_vars = result.split_vars
             # Remaining query statements now live in the fetch loop.
             fetch_replacement = self._transform_one_loop(
-                result.fetch_loop, function, allocator, report, allow_window=False
+                result.fetch_loop,
+                function,
+                allocator,
+                facts,
+                report,
+                allow_window=False,
             )
             nodes = list(result.nodes)
             if fetch_replacement is not None:
@@ -486,11 +498,11 @@ class TransformEngine:
         """A blocking query call, or the submit loop an inner fission
         left behind (the nested-loop rule's opportunity)."""
         return bool(query_calls(loop, self.registry)) or any(
-            getattr(node, ROLE_ATTR, "") == ROLE_SUBMIT for node in ast.walk(loop)
+            getattr(node, ROLE_ATTR, "") == ROLE_SUBMIT for node in subtree(loop)
         )
 
     def _structural_blockers(self, loop: ast.stmt, function: str) -> str:
-        for node in ast.walk(loop):
+        for node in subtree(loop):
             if isinstance(node, ast.Call):
                 if isinstance(node.func, ast.Name) and node.func.id == function:
                     return REASON_RECURSION

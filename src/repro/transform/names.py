@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Set
 
+from ..ir.nodes import subtree
+
 
 class NameAllocator:
     """Hands out identifiers that collide with nothing in the function."""
@@ -16,7 +18,7 @@ class NameAllocator:
     @classmethod
     def for_tree(cls, tree: ast.AST) -> "NameAllocator":
         used: Set[str] = set()
-        for node in ast.walk(tree):
+        for node in subtree(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.arg):

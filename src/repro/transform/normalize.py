@@ -24,11 +24,12 @@ Hoisting is only legal when it cannot change behaviour:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+import copy
+from typing import Iterator, List, Optional
 
 from ..ir.defuse import harmless_to_reevaluate
 from ..ir.purity import PurityEnv
-from ..ir.statements import query_calls
+from ..ir.statements import StatementFacts, query_calls
 from .codegen import located
 from .names import NameAllocator
 
@@ -46,8 +47,7 @@ _CONDITIONAL_CONTEXTS = (
 
 def normalize_block(
     nodes: List[ast.stmt],
-    registry,
-    purity: PurityEnv,
+    facts: StatementFacts,
     allocator: NameAllocator,
 ) -> List[ast.stmt]:
     """Hoist embedded query calls in a statement list (recursing into
@@ -56,39 +56,44 @@ def normalize_block(
     output: List[ast.stmt] = []
     for node in nodes:
         if isinstance(node, ast.If):
-            node.body = normalize_block(node.body, registry, purity, allocator)
-            node.orelse = normalize_block(node.orelse, registry, purity, allocator)
+            node.body = normalize_block(node.body, facts, allocator)
+            node.orelse = normalize_block(node.orelse, facts, allocator)
             output.append(node)
             continue
-        output.extend(normalize_statement(node, registry, purity, allocator))
+        output.extend(normalize_statement(node, facts, allocator))
     return output
 
 
 def normalize_statement(
     node: ast.stmt,
-    registry,
-    purity: PurityEnv,
+    facts: StatementFacts,
     allocator: NameAllocator,
 ) -> List[ast.stmt]:
-    """Return ``node`` or its hoisted replacement statements."""
+    """Return ``node`` or its hoisted replacement statements.  The
+    transform's memo says first whether ``node`` holds a query call
+    other than a top-level one (what Rule B's flattening asks next); a
+    rewritten statement is a new node, so the memo's answer for
+    ``node`` stays true."""
     if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr)):
         return [node]
+    query = facts.query(node)
     value = getattr(node, "value", None)
-    if value is None:
+    if query is None or query.top_level or value is None:
         return [node]
-    calls = query_calls(value, registry)
+    calls = query_calls(value, facts.registry)
     if len(calls) != 1:
         return [node]
     call, _spec = calls[0]
     if value is call and isinstance(node, (ast.Assign, ast.Expr)):
-        return [node]  # already top level
-    if not _hoistable(value, call, purity, registry):
+        return [node]  # a top-level call under a target Rule A cannot split
+    if not _hoistable(value, call, facts.purity, facts.registry):
         return [node]
     temp = allocator.fresh("__qres")
-    # The call moves into its own statement; ``node`` keeps a name for it.
+    # The call moves into its own statement; the rest of ``node`` keeps a
+    # name for it, positioned where the call was.
     hoisted = ast.Assign(targets=[ast.Name(id=temp, ctx=ast.Store())], value=call)
-    replaced = _replace_node(node, call, ast.Name(id=temp, ctx=ast.Load()))
-    return [located(ast.copy_location(hoisted, node)), located(replaced)]
+    name = ast.copy_location(ast.Name(id=temp, ctx=ast.Load()), call)
+    return [located(ast.copy_location(hoisted, node)), _replaced(node, call, name)]
 
 
 def _hoistable(value: ast.expr, call: ast.Call, purity: PurityEnv, registry) -> bool:
@@ -137,16 +142,28 @@ def _calls_in_eval_order(node: ast.AST) -> Iterator[ast.Call]:
         yield from _calls_in_eval_order(child)
 
 
-class _Replacer(ast.NodeTransformer):
-    def __init__(self, target: ast.AST, replacement: ast.AST) -> None:
-        self._target = target
-        self._replacement = replacement
-
-    def visit(self, node: ast.AST) -> ast.AST:
-        if node is self._target:
-            return self._replacement
-        return super().visit(node)
-
-
-def _replace_node(root: ast.stmt, target: ast.AST, replacement: ast.AST) -> ast.stmt:
-    return _Replacer(target, replacement).visit(root)
+def _replaced(node: ast.AST, target: ast.AST, replacement: ast.AST) -> ast.AST:
+    """``node`` with ``target`` (somewhere below it) replaced: shallow
+    copies of the nodes on the path down to it, every other subtree
+    shared; ``node`` itself when ``target`` is not below it."""
+    if node is target:
+        return replacement
+    for name in node._fields:
+        value = getattr(node, name, None)
+        if isinstance(value, ast.AST):
+            new = _replaced(value, target, replacement)
+            if new is not value:
+                clone = copy.copy(node)
+                setattr(clone, name, new)
+                return clone
+        elif isinstance(value, list):
+            for index, item in enumerate(value):
+                if isinstance(item, ast.AST):
+                    new = _replaced(item, target, replacement)
+                    if new is not item:
+                        clone = copy.copy(node)
+                        items = list(value)
+                        items[index] = new
+                        setattr(clone, name, items)
+                        return clone
+    return node

@@ -21,10 +21,10 @@ extra time per chunk); the engine refuses otherwise.
 from __future__ import annotations
 
 import ast
-import copy
-from typing import List, Optional
+from typing import List
 
 from ..ir.defuse import harmless_to_reevaluate
+from ..ir.nodes import copy_tree
 from ..ir.purity import PurityEnv
 from .codegen import located, name_load, name_store
 from .errors import LoopNotTransformable, REASON_PRECONDITION
@@ -60,7 +60,7 @@ def wrap_window(
         bounded_test = ast.BoolOp(
             op=ast.And(),
             values=[
-                copy.deepcopy(loop_node.test),
+                copy_tree(loop_node.test),
                 _len_below(result.table_var, window),
             ],
         )
@@ -68,8 +68,8 @@ def wrap_window(
             test=bounded_test, body=list(submit_loop.body), orelse=[]
         )
         outer = ast.While(
-            test=copy.deepcopy(loop_node.test),
-            body=[copy.deepcopy(table_init), inner, fetch_loop, *tail],
+            test=copy_tree(loop_node.test),
+            body=[copy_tree(table_init), inner, fetch_loop, *tail],
             orelse=[],
         )
         nodes = [located(outer)]
@@ -79,7 +79,7 @@ def wrap_window(
             targets=[name_store(iterator_var)],
             value=ast.Call(
                 func=name_load("iter"),
-                args=[copy.deepcopy(loop_node.iter)],
+                args=[copy_tree(loop_node.iter)],
                 keywords=[],
             ),
         )
@@ -91,7 +91,7 @@ def wrap_window(
             )
         ]
         chunk_loop = ast.For(
-            target=copy.deepcopy(loop_node.target),
+            target=copy_tree(loop_node.target),
             iter=name_load(iterator_var),
             body=chunk_body,
             orelse=[],
@@ -103,15 +103,12 @@ def wrap_window(
         )
         outer = ast.While(
             test=ast.Constant(value=True),
-            body=[copy.deepcopy(table_init), chunk_loop, fetch_loop, *tail, stop],
+            body=[copy_tree(table_init), chunk_loop, fetch_loop, *tail, stop],
             orelse=[],
         )
         nodes = [located(hoist), located(outer)]
     else:  # pragma: no cover - the engine only passes loops
         raise TypeError(f"not a loop: {loop_node!r}")
-    # What the wrapper built around the fission result gets its positions.
-    for node in nodes:
-        ast.fix_missing_locations(node)
     return nodes
 
 

@@ -310,11 +310,8 @@ def fission(
     table_init = empty_list_assign(table_var)
     setattr(table_init, ROLE_ATTR, ROLE_TABLE)
 
-    nodes = [table_init, submit_loop, fetch_loop]
-    for node in nodes:
-        ast.fix_missing_locations(node)
     return FissionResult(
-        nodes=nodes,
+        nodes=[table_init, submit_loop, fetch_loop],
         submit_loop=submit_loop,
         fetch_loop=fetch_loop,
         table_var=table_var,

@@ -23,20 +23,14 @@ from __future__ import annotations
 import ast
 from typing import List, Tuple
 
-from ..ir.purity import PurityEnv
-from ..ir.statements import Guard, Stmt, make_stmt
+from ..ir.statements import Guard, StatementFacts, Stmt
 from .codegen import assign
 from .names import NameAllocator
 
 
-def contains_loop(node: ast.stmt) -> bool:
-    return any(isinstance(child, (ast.While, ast.For)) for child in ast.walk(node))
-
-
 def flatten_block(
     nodes: List[ast.stmt],
-    purity: PurityEnv,
-    registry,
+    facts: StatementFacts,
     allocator: NameAllocator,
     guards: Tuple[Guard, ...] = (),
 ) -> List[Stmt]:
@@ -44,29 +38,29 @@ def flatten_block(
 
     Every ``if`` whose branches are loop-free becomes a guard-variable
     assignment followed by guarded statements; other statements become
-    plain (or composite) :class:`Stmt` objects under ``guards``.
+    plain (or composite) :class:`Stmt` objects under ``guards``.  Each
+    node is analyzed through ``facts``, the transform's memo.
     """
     result: List[Stmt] = []
     for node in nodes:
-        if isinstance(node, ast.If) and not contains_loop(node):
-            result.extend(_flatten_if(node, purity, registry, allocator, guards))
+        if isinstance(node, ast.If) and not facts.contains_loop(node):
+            result.extend(_flatten_if(node, facts, allocator, guards))
         else:
-            result.append(make_stmt(node, purity, registry, guards))
+            result.append(facts.stmt(node, guards))
     return result
 
 
 def _flatten_if(
     node: ast.If,
-    purity: PurityEnv,
-    registry,
+    facts: StatementFacts,
     allocator: NameAllocator,
     guards: Tuple[Guard, ...],
 ) -> List[Stmt]:
     guard_var = allocator.fresh("__cv")
-    guard_assign = make_stmt(assign(guard_var, node.test), purity, registry, guards)
+    guard_assign = facts.stmt(assign(guard_var, node.test), guards)
     result = [guard_assign]
     then_guards = guards + (Guard(guard_var, True),)
     else_guards = guards + (Guard(guard_var, False),)
-    result.extend(flatten_block(node.body, purity, registry, allocator, then_guards))
-    result.extend(flatten_block(node.orelse, purity, registry, allocator, else_guards))
+    result.extend(flatten_block(node.body, facts, allocator, then_guards))
+    result.extend(flatten_block(node.orelse, facts, allocator, else_guards))
     return result

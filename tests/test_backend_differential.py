@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backends import BACKENDS, SqliteBackend, resolve_backend_name
 from repro.db import Database, INSTANT
+from repro.db.plan import expr_eval
 from repro.db.errors import (
     CatalogError,
     ConstraintError,
@@ -279,6 +280,62 @@ class TestCrossTypeEquality:
                         count = conn.execute_update(sql.format(column), (binding,))
                         states.append((count, snapshot(conn)))
                 assert states[0] == states[1], column
+        finally:
+            db.close()
+
+
+#: Comparisons across storage classes: sqlite orders NULL < numeric <
+#: text < blob, so a column compared with a constant of another class
+#: gets one answer for every non-NULL row (and the memory engine used to
+#: raise a bare ``TypeError``).  ``(sql, params, rows sqlite answers)``.
+CROSS_CLASS = [
+    ("SELECT id FROM u WHERE f < ?", ("x",), [(1,), (2,), (4,), (5,)]),
+    ("SELECT id FROM u WHERE s > 1", (), [(1,), (2,), (3,), (5,)]),
+    ("SELECT id FROM u WHERE f = 2.5 OR s < 3", (), [(2,)]),
+    ("SELECT count(*) FROM u WHERE id > 'a'", (), [(0,)]),
+    ("SELECT id FROM u WHERE f BETWEEN 1 AND ?", ("9",), [(1,), (2,), (5,)]),
+    # A range folds half by half: the other half's test decides.
+    ("SELECT id FROM u WHERE f NOT BETWEEN ? AND 2", ("a",), [(1,), (2,), (4,), (5,)]),
+    ("SELECT id FROM u WHERE s NOT BETWEEN ? AND 'b'", (1,), [(3,), (5,)]),
+    ("SELECT id FROM u WHERE s BETWEEN ? AND 'b'", (0,), [(1,), (2,)]),
+]
+
+
+def cross_class_db():
+    db = Database(INSTANT)
+    db.create_table("u", ("id", "int"), ("f", "float"), ("s", "text"))
+    db.bulk_load(
+        "u",
+        [(1, 1.5, "a"), (2, 2.5, "b"), (3, None, "c"), (4, 0.5, None), (5, 9.5, "z")],
+    )
+    db.create_index("ux", "u", "id", unique=True)
+    db.backend("sqlite")
+    return db
+
+
+class TestCrossClassOrder:
+    @pytest.mark.parametrize(
+        "sql,params,rows", CROSS_CLASS, ids=[case[0] for case in CROSS_CLASS]
+    )
+    def test_both_stores_order_by_class(self, sql, params, rows):
+        db = cross_class_db()
+        try:
+            assert_backends_agree(db, sql, params)
+            with db.connect(async_workers=1, backend="sqlite") as conn:
+                assert sorted(conn.execute_query(sql, params).rows) == rows
+        finally:
+            db.close()
+
+    def test_must_fail_with_the_class_order_reversed(self, monkeypatch):
+        """Both the bind-time fold and the row evaluator rank classes
+        through ``storage_class``; reversed, every row disagrees."""
+        real = expr_eval.storage_class
+        monkeypatch.setattr(expr_eval, "storage_class", lambda cls: -real(cls))
+        db = cross_class_db()
+        try:
+            for sql, params, _rows in CROSS_CLASS:
+                with pytest.raises(AssertionError):
+                    assert_backends_agree(db, sql, params)
         finally:
             db.close()
 

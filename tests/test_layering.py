@@ -191,27 +191,13 @@ class TestTransformerOwners:
     @pytest.mark.parametrize(
         "attr,owners",
         [
-            # ``located`` positions one node; a whole tree is fixed once
-            # per finished result: fission's three nodes, the window
-            # wrapper's output, the transformed module, a standalone
-            # prefetch pass's tree — and a renamed clone's new names.
-            (
-                "fix_missing_locations",
-                {
-                    ("repro.transform", "fission"),
-                    ("repro.transform", "wrap_window"),
-                    ("repro.transform", "transform_source"),
-                    ("repro.prefetch", "run"),
-                    ("repro.ir", "rename_reads"),
-                    ("repro.ir", "rename_writes"),
-                },
-            ),
+            # ``located`` positions what each builder builds, down to the
+            # first positioned node: no finished result, moved body or
+            # module is walked again.
+            ("fix_missing_locations", set()),
             # One allocator per module: the engine's, handed to the
-            # prefetch pass, which builds one only when run standalone.
-            (
-                "for_tree",
-                {("repro.transform", "transform_source"), ("repro.prefetch", "run")},
-            ),
+            # prefetch pass.
+            ("for_tree", {("repro.transform", "transform_source")}),
         ],
     )
     def test_whole_tree_passes_have_named_owners(self, attr, owners):

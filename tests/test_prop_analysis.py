@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.cycles import on_true_cycle
 from repro.analysis.ddg import build_ddg, edge_crosses
 from repro.ir.purity import PurityEnv
-from repro.ir.statements import CONTROL_VAR, make_block, make_header
+from repro.ir.statements import CONTROL_VAR, StatementFacts, make_block, make_header
 from repro.transform.errors import ReorderFailed
 from repro.transform.names import NameAllocator
 from repro.transform.registry import default_registry
@@ -51,7 +51,7 @@ def analyzed(code):
     loop = ast.parse(code).body[0]
     allocator = NameAllocator.for_tree(ast.parse(code))
     header = make_header(loop, PURITY, REGISTRY)
-    body = flatten_block(loop.body, PURITY, REGISTRY, allocator)
+    body = flatten_block(loop.body, StatementFacts(PURITY, REGISTRY), allocator)
     return header, body, allocator
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.ddg import build_ddg
 from repro.ir.purity import PurityEnv
-from repro.ir.statements import make_block, make_header
+from repro.ir.statements import StatementFacts, make_block, make_header
 from repro.transform.errors import LoopNotTransformable
 from repro.transform.names import NameAllocator
 from repro.transform.registry import default_registry
@@ -31,7 +31,7 @@ def prepare(code, registry=None):
     loop = tree.body[0]
     allocator = NameAllocator.for_tree(tree)
     header = make_header(loop, PURITY, registry)
-    body = flatten_block(loop.body, PURITY, registry, allocator)
+    body = flatten_block(loop.body, StatementFacts(PURITY, registry), allocator)
     return loop, header, body, allocator
 
 

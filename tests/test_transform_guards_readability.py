@@ -5,10 +5,10 @@ import ast
 import pytest
 
 from repro.ir.purity import PurityEnv
-from repro.ir.statements import Guard
+from repro.ir.statements import Guard, StatementFacts, contains_loop
 from repro.transform.names import NameAllocator
 from repro.transform.readability import regroup
-from repro.transform.rule_guards import contains_loop, flatten_block
+from repro.transform.rule_guards import flatten_block
 
 PURITY = PurityEnv()
 
@@ -16,7 +16,7 @@ PURITY = PurityEnv()
 def flatten(code):
     tree = ast.parse(code)
     allocator = NameAllocator.for_tree(tree)
-    return flatten_block(tree.body, PURITY, None, allocator)
+    return flatten_block(tree.body, StatementFacts(PURITY), allocator)
 
 
 class TestRuleB:

@@ -5,6 +5,7 @@ import ast
 import pytest
 
 from repro.ir.purity import PurityEnv
+from repro.ir.statements import StatementFacts
 from repro.transform.names import NameAllocator
 from repro.transform.normalize import normalize_block, normalize_statement
 from repro.transform.registry import QueryRegistry, QuerySpec, default_registry
@@ -56,7 +57,7 @@ def normalize(code, registry=None):
     registry = registry or default_registry()
     nodes = ast.parse(code).body
     allocator = NameAllocator.for_tree(ast.parse(code))
-    out = normalize_block(nodes, registry, PURITY, allocator)
+    out = normalize_block(nodes, StatementFacts(PURITY, registry), allocator)
     return [ast.unparse(node) for node in out]
 
 

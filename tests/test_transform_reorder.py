@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.ddg import build_ddg, edge_crosses
 from repro.ir.purity import PurityEnv
-from repro.ir.statements import make_block, make_header
+from repro.ir.statements import StatementFacts, make_block, make_header
 from repro.transform import asyncify_source
 from repro.transform.errors import ReorderFailed
 from repro.transform.names import NameAllocator
@@ -32,7 +32,7 @@ def reorder_loop(code, purity=None):
     loop = tree.body[0]
     allocator = NameAllocator.for_tree(tree)
     header = make_header(loop, purity, REGISTRY)
-    body = flatten_block(loop.body, purity, REGISTRY, allocator)
+    body = flatten_block(loop.body, StatementFacts(purity, REGISTRY), allocator)
     queries = [stmt for stmt in body if stmt.is_query]
     new_body, outcome = reorder(header, body, queries[0], purity, REGISTRY, allocator)
     return header, new_body, queries[0], outcome

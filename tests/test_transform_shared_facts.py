@@ -1,10 +1,15 @@
 """Each fact the transformer shares is the fact it replaced.
 
-One ``transform_source`` call computes a fact once and hands it on: one
-``ast.fix_missing_locations`` per finished result, one DDG per loop
-attempt (the cycle test's, or the reorder's last round), ``Stmt.reads``
-computed at construction and refreshed where a rewrite rebinds it, the
-engine's name allocator reused by the prefetch pass, and one
+One ``transform_source`` call computes a fact once and hands it on:
+each generated node is positioned once, by ``codegen.located`` where it
+is built (nothing on the path calls ``ast.fix_missing_locations`` or
+``copy.deepcopy``); each statement is analyzed once, through the
+transform's ``StatementFacts`` memo, whose answers must equal a fresh
+``analyze_statement`` / ``find_query_call`` / ``contains_loop`` of the
+same node, when asked and when the transform ends; one DDG per loop
+attempt (the cycle test's, or the reorder's last round); ``Stmt.reads``
+computed at construction and refreshed where a rewrite rebinds it; the
+engine's name allocator reused by the prefetch pass; and one
 per-function index (locals, deletion sets) for that pass.  Each is
 checked here against a fresh computation, over the benchmark corpus
 and the property generator, with must-fail mutations showing that the
@@ -15,19 +20,28 @@ transformed again under the same options, comes back unchanged.
 from __future__ import annotations
 
 import ast
+import copy
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import tests.test_prefetch_insertion as prefetch_tests
 from perfbench.data import corpus_sources
 from repro.analysis.ddg import build_ddg
-from repro.ir.defuse import import_bound_names
-from repro.ir.statements import CONTROL_VAR, Stmt
+from repro.ir.defuse import analyze_statement, import_bound_names
+from repro.ir.statements import (
+    CONTROL_VAR,
+    StatementFacts,
+    Stmt,
+    contains_loop,
+    find_query_call,
+    leaves_block,
+)
 from repro.prefetch import insertion
 from repro.transform import asyncify_source, engine, prefetch_source, rule_reorder
 from repro.transform.names import NameAllocator
+from tests.helpers import drawn
 from tests.test_prop_transform import HEADERS, build_program, loop_statements
 
 CORPUS = corpus_sources()
@@ -157,7 +171,7 @@ class TestReadsComputedOnce:
         statements=loop_statements(),
         header=st.sampled_from(sorted(HEADERS)),
     )
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @drawn(100)
     def test_reads_stay_fresh_over_the_generator(self, statements, header):
         with pytest.MonkeyPatch.context() as patch:
             check_rewrites(patch)
@@ -179,6 +193,170 @@ class TestReadsComputedOnce:
         check_rewrites(monkeypatch)
         with pytest.raises(AssertionError):
             asyncify_source(EXAMPLE_8)
+
+
+#: ``(StatementFacts method, its store)``, in :func:`fresh_facts` order.
+MEMO = (
+    ("defuse", "_defuse"),
+    ("query", "_query"),
+    ("contains_loop", "_loops"),
+    ("leaves_block", "_exits"),
+)
+
+
+def fresh_facts(facts, node):
+    """What the memo's answers for ``node`` are, computed again."""
+    return (
+        analyze_statement(node, facts.purity, facts.registry),
+        find_query_call(node, facts.registry) if facts.registry else None,
+        contains_loop(node),
+        leaves_block(node),
+    )
+
+
+def check_memo(monkeypatch):
+    """Compare each answer of every transform's statement memo with a
+    fresh analysis of the same node — when it is a hit, and, for every
+    entry, when the transform ends (an entry no later round asks for can
+    still go stale).  Returns the per-kind hit counts."""
+    hits = dict.fromkeys([kind for kind, _store in MEMO], 0)
+    made = []
+    real_init = StatementFacts.__init__
+
+    def init(facts, *args, **kwargs):
+        real_init(facts, *args, **kwargs)
+        made.append(facts)
+
+    def checked(kind, store, position):
+        real = getattr(StatementFacts, kind)
+
+        def ask(facts, node):
+            known = node in getattr(facts, store)
+            answer = real(facts, node)
+            if known:
+                assert answer == fresh_facts(facts, node)[position], ast.unparse(node)
+                hits[kind] += 1
+            return answer
+
+        monkeypatch.setattr(StatementFacts, kind, ask)
+
+    for position, (kind, store) in enumerate(MEMO):
+        checked(kind, store, position)
+    monkeypatch.setattr(StatementFacts, "__init__", init)
+
+    real_transform = engine.TransformEngine.transform_source
+
+    def transform_source(self, source):
+        start = len(made)
+        result = real_transform(self, source)
+        for facts in made[start:]:
+            for position, (_kind, store) in enumerate(MEMO):
+                for node, answer in getattr(facts, store).items():
+                    fresh = fresh_facts(facts, node)[position]
+                    assert answer == fresh, ast.unparse(node)
+        return result
+
+    monkeypatch.setattr(engine.TransformEngine, "transform_source", transform_source)
+    return hits
+
+
+#: An inner loop fission refuses (its query is on a true-dependence
+#: cycle), analyzed as one statement of the outer loop, which is refused
+#: too; the prefetch pass then hoists the submit inside the inner loop.
+NESTED_BLOCKED = """
+def f(conn, q, starts):
+    out = []
+    for s in starts:
+        node = s
+        while node is not None:
+            label = fmt(s)
+            node = conn.execute_query(q, [node])
+        out.append(label)
+    return out
+"""
+
+
+class TestStatementMemo:
+    """The transform's statement memo answers what a fresh analysis of
+    the same node answers, and it is asked again: the fetch-loop rounds
+    and the prefetch pass hit it."""
+
+    @pytest.mark.parametrize("option_set", sorted(OPTION_SETS))
+    def test_every_answer_is_a_fresh_analysis(self, monkeypatch, option_set):
+        hits = check_memo(monkeypatch)
+        for _name, source in CORPUS:
+            OPTION_SETS[option_set](source)
+        assert hits["defuse"] >= 40 and hits["query"] >= 40
+
+    @given(
+        statements=loop_statements(),
+        header=st.sampled_from(sorted(HEADERS)),
+    )
+    @drawn(60)
+    def test_every_answer_is_a_fresh_analysis_over_the_generator(
+        self, statements, header
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            check_memo(patch)
+            program = build_program(statements, header)
+            for transform in OPTION_SETS.values():
+                tree = transform(program).tree
+                assert not unpositioned(tree)
+                compile(tree, "<generated>", "exec")
+
+    def test_must_fail_when_a_rewrite_changes_the_analyzed_node(self, monkeypatch):
+        """The memo is sound because a rewrite swaps in a new node:
+        renaming the reorder's statement in place keeps its old entry,
+        which the end-of-transform audit catches on Example 8."""
+        real = rule_reorder._rewrite_in_place
+
+        def in_place(stmt, new_node, *args, **kwargs):
+            stmt.node.__dict__.update(new_node.__dict__)
+            real(stmt, stmt.node, *args, **kwargs)
+
+        check_memo(monkeypatch)
+        monkeypatch.setattr(rule_reorder, "_rewrite_in_place", in_place)
+        with pytest.raises(AssertionError):
+            asyncify_source(EXAMPLE_8)
+
+    def test_the_prefetch_pass_rebuilds_what_the_engine_analyzed(self, monkeypatch):
+        check_memo(monkeypatch)
+        prefetch_source(NESTED_BLOCKED, speculate=True)
+
+    def test_must_fail_when_the_prefetch_pass_rewrites_a_block_in_place(
+        self, monkeypatch
+    ):
+        """The engine analyzed the blocked inner ``while`` as one
+        statement of the outer loop; the prefetch pass then hoists a
+        submit inside it.  Changing its body in place leaves the memo's
+        entry stale."""
+
+        def in_place(node, **blocks):
+            for name, block in blocks.items():
+                setattr(node, name, block)
+            return node
+
+        check_memo(monkeypatch)
+        monkeypatch.setattr(insertion, "_rebuilt", in_place)
+        with pytest.raises(AssertionError):
+            prefetch_source(NESTED_BLOCKED, speculate=True)
+
+
+class TestNothingWalksAFinishedTree:
+    def test_no_whole_tree_fix_or_deep_copy(self, monkeypatch):
+        calls = []
+        for module, name in ((ast, "fix_missing_locations"), (copy, "deepcopy")):
+            real = getattr(module, name)
+
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        for transform in OPTION_SETS.values():
+            for _name, source in CORPUS + [("example 8", EXAMPLE_8)]:
+                transform(source)
+        assert calls == []
 
 
 #: A local that spells the prefetch pass's first handle name.
@@ -204,12 +382,12 @@ class TestSharedAllocator:
 
         real_run = insertion.PrefetchInserter.run
 
-        def run(inserter, tree, allocator=None):
+        def run(inserter, tree, allocator, facts):
             in_tree = NameAllocator.for_tree(tree)
             start = len(handed)
             if forget_the_tree:
                 allocator = NameAllocator()
-            sites = real_run(inserter, tree, allocator)
+            sites = real_run(inserter, tree, allocator, facts)
             assert not [name for name in handed[start:] if name in in_tree]
             return sites
 

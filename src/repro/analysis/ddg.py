@@ -19,8 +19,9 @@ reordering rules and the prefetch hoist call too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from ..ir.statements import Stmt
 
@@ -29,8 +30,7 @@ AD = "AD"
 OD = "OD"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One dependence edge between node positions."""
 
     src: int
@@ -59,57 +59,58 @@ class DDG:
 
 
 def build_ddg(header: Stmt, body: Sequence[Stmt]) -> DDG:
-    """Build the DDG of one loop: header at position 0, body after it."""
+    """Build the DDG of one loop: header at position 0, body after it.
+
+    Each statement's sets are read once, before the pair loops."""
     nodes: List[Stmt] = [header, *body]
     edges: List[Edge] = []
+    add = edges.append
     count = len(nodes)
+    reads = [node.reads for node in nodes]
+    writes = [node.writes for node in nodes]
+    external = [bool(node.external_reads or node.external_writes) for node in nodes]
 
     # ------------------------------------------------------------------
     # within-iteration edges: ordered pairs (i, j), i executes first
     # ------------------------------------------------------------------
     for i in range(count):
+        reads_i, writes_i = reads[i], writes[i]
         for j in range(i + 1, count):
-            a, b = nodes[i], nodes[j]
-            _pair_edges(edges, i, j, a, b, loop_carried=False)
+            for var in writes_i & reads[j]:
+                add(Edge(i, j, FD, var))
+            for var in reads_i & writes[j]:
+                add(Edge(i, j, AD, var))
+            for var in writes_i & writes[j]:
+                add(Edge(i, j, OD, var))
+            if external[i] and external[j]:
+                _external_edges(edges, i, j, nodes[i], nodes[j], False)
 
     # ------------------------------------------------------------------
     # loop-carried edges: a in iteration k, b in iteration k+1
     # ------------------------------------------------------------------
-    kills_after = _kills_after(nodes)
-    kills_before = _kills_before(nodes)
+    kills_after, kills_before = _kills(nodes)
     for i in range(count):
+        reads_i, writes_i, after_i = reads[i], writes[i], kills_after[i]
         for j in range(count):
-            a, b = nodes[i], nodes[j]
             # flow: a's write reaches around the back edge to b's read
-            for var in a.writes & b.reads:
-                if var in kills_after[i] or var in kills_before[j]:
+            for var in writes_i & reads[j]:
+                if var in after_i or var in kills_before[j]:
                     continue
-                edges.append(Edge(i, j, FD, var, loop_carried=True))
+                add(Edge(i, j, FD, var, True))
             # anti: a reads in iteration k, b writes in iteration k+1
-            for var in a.reads & b.writes:
-                edges.append(Edge(i, j, AD, var, loop_carried=True))
+            for var in reads_i & writes[j]:
+                add(Edge(i, j, AD, var, True))
             # output: both write; source must reach the end of its
             # iteration for the ordering to be observable
-            for var in a.writes & b.writes:
-                if var in kills_after[i]:
+            for var in writes_i & writes[j]:
+                if var in after_i:
                     continue
-                edges.append(Edge(i, j, OD, var, loop_carried=True))
+                add(Edge(i, j, OD, var, True))
             # external loop-carried edges (never killed)
-            _external_edges(edges, i, j, a, b, loop_carried=True)
+            if external[i] and external[j]:
+                _external_edges(edges, i, j, nodes[i], nodes[j], True)
 
     return DDG(nodes, edges)
-
-
-def _pair_edges(
-    edges: List[Edge], i: int, j: int, a: Stmt, b: Stmt, loop_carried: bool
-) -> None:
-    for var in a.writes & b.reads:
-        edges.append(Edge(i, j, FD, var, loop_carried))
-    for var in a.reads & b.writes:
-        edges.append(Edge(i, j, AD, var, loop_carried))
-    for var in a.writes & b.writes:
-        edges.append(Edge(i, j, OD, var, loop_carried))
-    _external_edges(edges, i, j, a, b, loop_carried)
 
 
 #: The wildcard resource written by transaction barrier calls
@@ -155,35 +156,31 @@ def external_dependences(a, b) -> Iterator[Tuple[str, str]]:
 def _external_edges(
     edges: List[Edge], i: int, j: int, a: Stmt, b: Stmt, loop_carried: bool
 ) -> None:
-    if not (a.external_reads or a.external_writes) or not (
-        b.external_reads or b.external_writes
-    ):
-        return  # most pairs: one side touches no external resource
+    """The pair's external edges; the caller skips the (most) pairs in
+    which one side touches no external resource."""
     for kind, resource in external_dependences(a, b):
         edges.append(Edge(i, j, kind, resource, loop_carried, external=True))
 
 
-def _kills_after(nodes: Sequence[Stmt]) -> List[FrozenSet[str]]:
-    """kills_after[i]: vars unconditionally rewritten strictly after i."""
+def _kills(
+    nodes: Sequence[Stmt],
+) -> Tuple[List[FrozenSet[str]], List[FrozenSet[str]]]:
+    """``kills_after[i]``: vars unconditionally rewritten strictly after
+    ``i``; ``kills_before[j]``: strictly before ``j`` (within the next
+    iteration, header included)."""
+    kills = [node.kills for node in nodes]
     count = len(nodes)
-    result: List[FrozenSet[str]] = [frozenset()] * count
+    after: List[FrozenSet[str]] = [frozenset()] * count
+    before: List[FrozenSet[str]] = [frozenset()] * count
     acc: Set[str] = set()
     for i in range(count - 1, -1, -1):
-        result[i] = frozenset(acc)
-        acc.update(nodes[i].kills)
-    return result
-
-
-def _kills_before(nodes: Sequence[Stmt]) -> List[FrozenSet[str]]:
-    """kills_before[j]: vars unconditionally rewritten strictly before j
-    (within the next iteration, header included)."""
-    count = len(nodes)
-    result: List[FrozenSet[str]] = [frozenset()] * count
-    acc: Set[str] = set()
+        after[i] = frozenset(acc)
+        acc.update(kills[i])
+    acc = set()
     for j in range(count):
-        result[j] = frozenset(acc)
-        acc.update(nodes[j].kills)
-    return result
+        before[j] = frozenset(acc)
+        acc.update(kills[j])
+    return after, before
 
 
 # ----------------------------------------------------------------------

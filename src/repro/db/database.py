@@ -93,7 +93,9 @@ class Database:
         from ..backends.sqlite import SqliteBackend
 
         assert name == "sqlite", name
-        backend = SqliteBackend()
+        # The store takes this database's latency model: the client
+        # charges a round trip from its backend's profile and meter.
+        backend = SqliteBackend(self.profile, self.meter)
         for table_name in self.catalog.table_names():
             info = self.catalog.table(table_name)
             heap = info.heap

@@ -1,5 +1,6 @@
 """The generic AST plumbing the passes share: the nodes one level or
-every level below a node, and a copy of a subtree.
+every level below a node, a copy of a subtree, and a statement with
+new blocks.
 
 Both listings read the fields directly instead of going through
 ``ast.iter_child_nodes`` / ``ast.walk`` (two generator layers per
@@ -11,6 +12,7 @@ where walking costs.  Neither promises an order beyond
 from __future__ import annotations
 
 import ast
+import copy
 from typing import List
 
 _AST = ast.AST
@@ -60,3 +62,22 @@ def copy_tree(node: ast.AST) -> ast.AST:
         elif isinstance(value, _AST) and (value._fields or value._attributes):
             state[name] = copy_tree(value)
     return clone
+
+
+def rebuilt(node: ast.AST, **blocks: List[ast.AST]) -> ast.AST:
+    """``node`` with ``blocks`` as its statement (or handler) lists:
+    ``node`` itself when each list holds the same nodes, else a shallow
+    copy.  The transform's statement memo may hold ``node`` as analyzed,
+    so a pass that rewrites a block never changes it in place; the copy
+    is new to the memo, and so is every ancestor it forces to be
+    rebuilt."""
+    if all(_same(getattr(node, name), block) for name, block in blocks.items()):
+        return node
+    clone = copy.copy(node)
+    for name, block in blocks.items():
+        setattr(clone, name, block)
+    return clone
+
+
+def _same(old: List[ast.AST], new: List[ast.AST]) -> bool:
+    return len(old) == len(new) and all(a is b for a, b in zip(old, new))

@@ -17,16 +17,17 @@ paper requires for the true-dependence cycle test.
 
 This module (with :mod:`.defuse`) owns every question about *one*
 statement; the rule modules and the prefetch pass ask here instead of
-walking the AST themselves: which registered query calls it contains
-(:func:`query_calls`, :func:`find_query_call`), whether it holds a loop
-(:func:`contains_loop`), whether control can leave the enclosing block
-through it (:func:`leaves_block`), whether its kind is one the rules
-understand at every level they reach (:func:`is_supported`), and how
-reports name it (:func:`label`) — and which functions a module holds
-(:func:`function_defs`), the walk both passes start from.  One
-transform asks its questions through :class:`StatementFacts`, which
-answers each once per node.  Questions about *two* statements belong
-to :mod:`repro.analysis.ddg`.
+walking the AST themselves.  One transform asks through
+:class:`StatementFacts`, which answers each once per node: its
+``DefUse``, and one :class:`SubtreeFacts` entry per statement holding
+the registered query calls below it (what :func:`find_query_call`
+describes), the plain-name callees, the ``del``-ed and bound names,
+whether it holds a loop and whether control can leave the enclosing
+block through it.  Besides: whether a statement's kind is one the
+rules understand at every level they reach (:func:`is_supported`), how
+reports name it (:func:`label`) and which functions a module holds
+(:func:`function_defs`), the walk both passes start from.  Questions
+about *two* statements belong to :mod:`repro.analysis.ddg`.
 """
 
 from __future__ import annotations
@@ -35,10 +36,14 @@ import ast
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from .defuse import DefUse, analyze_expression, analyze_statement
-from .nodes import children, subtree
+from .defuse import (
+    DefUse, analyze_expression, analyze_statement, import_bound_names,
+)
+from .nodes import children
 from .purity import PurityEnv
 
 #: Pseudo-variable carrying the loop-control dependence.  Excluded from
@@ -173,50 +178,36 @@ def is_supported(node: ast.stmt, nested: bool = False) -> bool:
     return isinstance(node, SUPPORTED_SIMPLE)
 
 
-def leaves_block(node: ast.AST, in_loop: bool = False) -> bool:
-    """May executing ``node`` transfer control out of the current block?
-
-    True for ``return``/``raise``/``yield`` anywhere (except inside
-    nested function/class definitions, which do not execute here) and
-    for ``break``/``continue`` that belong to a loop *enclosing*
-    ``node`` (ones inside a loop nested within ``node`` stay contained).
-    A ``yield`` hands control to a consumer that may write the database
-    or never resume.  (``await`` cannot be met: both passes walk
-    ``ast.FunctionDef`` only.)
-    """
-    if isinstance(node, (ast.Return, ast.Raise, ast.Yield, ast.YieldFrom)):
-        return True
-    if isinstance(node, (ast.Break, ast.Continue)):
-        return not in_loop
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
-        return False
-    inside = in_loop or isinstance(node, (ast.While, ast.For))
-    return any(leaves_block(child, inside) for child in children(node))
+def label(subject) -> str:
+    """How reports name a statement: its source text, clipped.  A
+    report keeps the node and names it only when read; a ``str``
+    subject (``"(loop)"``) is its own name."""
+    if isinstance(subject, str):
+        return subject
+    return ast.unparse(subject)[:70]
 
 
-def label(node: ast.AST) -> str:
-    """How reports name a statement: its source text, clipped."""
-    return ast.unparse(node)[:70]
+#: The nodes a statement can sit under.
+_BLOCK_HOLDERS = tuple(
+    getattr(ast, name)
+    for name in ("stmt", "excepthandler", "match_case")
+    if hasattr(ast, name)
+)
 
 
 def function_defs(tree: ast.AST) -> Iterator[ast.FunctionDef]:
     """Every ``def`` in ``tree``, in ``ast.walk``'s breadth-first order,
-    without entering expressions (no expression holds a statement).  A
-    def's body is queued before the def is yielded, so a caller may
-    replace it."""
+    entering only the nodes that can hold a statement (statements,
+    handlers, match cases).  A def's body is queued before the def is
+    yielded, so a caller may replace it."""
     todo = deque([tree])
     while todo:
         node = todo.popleft()
         todo.extend(
-            child for child in children(node) if not isinstance(child, ast.expr)
+            child for child in children(node) if isinstance(child, _BLOCK_HOLDERS)
         )
         if isinstance(node, ast.FunctionDef):
             yield node
-
-
-def contains_loop(node: ast.stmt) -> bool:
-    """Is there a ``while`` or ``for`` anywhere in ``node``?"""
-    return any(isinstance(child, (ast.While, ast.For)) for child in subtree(node))
 
 
 # ----------------------------------------------------------------------
@@ -224,11 +215,98 @@ def contains_loop(node: ast.stmt) -> bool:
 # ----------------------------------------------------------------------
 
 
+class SubtreeFacts(NamedTuple):
+    """What one statement and every node below it hold: the answers to
+    the subtree questions the passes ask, one entry per statement.
+    Nested ``def``s, ``class``es and lambdas are walked like any other
+    node (``exits`` excepted: their bodies do not run here)."""
+
+    #: ``(depth, call, spec)`` for every registered blocking call, in
+    #: :func:`query_calls`' breadth-first order (``depth`` counts levels
+    #: below the statement).
+    sites: List[Tuple[int, ast.Call, object]]
+    #: The :class:`QueryCall` :func:`find_query_call` builds from them.
+    query: Optional[QueryCall]
+    #: The names of plain-name calls (``f(...)``).
+    callees: FrozenSet[str]
+    #: The names a ``del`` unbinds.
+    deleted: FrozenSet[str]
+    #: The names any node binds (a store or ``del`` of a name, a
+    #: parameter, ``except ... as``, an import, a nested ``def`` or
+    #: ``class``, a match capture), except the name a ``def`` or
+    #: ``class`` statement binds for itself.
+    bound: FrozenSet[str]
+    #: The :data:`ROLE_ATTR` tags on the statement or below it.
+    roles: FrozenSet[str]
+    #: A ``while`` or ``for`` is the statement or below it.
+    loop: bool
+    #: :meth:`StatementFacts.leaves_block`'s answer, indexed by ``in_loop``.
+    exits: Tuple[bool, bool]
+
+
+_LOOPS = frozenset((ast.While, ast.For))
+_SCOPES = frozenset((ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+_IMPORTS = frozenset((ast.Import, ast.ImportFrom))
+_YIELDS = frozenset((ast.Yield, ast.YieldFrom))
+_AST, _STMT, _LOAD, _DEL = ast.AST, ast.stmt, ast.Load, ast.Del
+_NAME, _ATTRIBUTE, _CALL, _LAMBDA = ast.Name, ast.Attribute, ast.Call, ast.Lambda
+_NOTHING: FrozenSet[str] = frozenset()
+#: Match-pattern nodes (3.10+) that bind a capture through a plain
+#: string attribute instead of a ``Name(Store)`` node.
+MATCH_CAPTURE_NODES = tuple(
+    getattr(ast, name) for name in ("MatchAs", "MatchStar") if hasattr(ast, name)
+)
+MATCH_REST_NODES = tuple(
+    getattr(ast, name) for name in ("MatchMapping",) if hasattr(ast, name)
+)
+#: Nodes that bind the name a plain string attribute holds.
+_BINDING_ATTRS = {
+    ast.arg: "arg",
+    ast.ExceptHandler: "name",
+    **{cls: "name" for cls in MATCH_CAPTURE_NODES},
+    **{cls: "rest" for cls in MATCH_REST_NODES},
+}
+#: Nodes that hold nothing the scan looks for.
+_LEAVES = frozenset(
+    getattr(ast, name) for name in ("Constant", "MatchSingleton") if hasattr(ast, name)
+)
+#: Fields that never hold a node the scan looks for: contexts,
+#: operators, names and other plain values, import aliases.
+_SCALAR_FIELDS = frozenset(
+    ("ctx", "op", "id", "attr", "arg", "name", "asname", "names", "module",
+     "level", "kind", "rest", "type_comment", "conversion", "is_async")
+)
+
+
+def _node_classes(cls: type = ast.AST) -> Iterator[type]:
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _node_classes(sub)
+
+
+#: Per node class, the fields left to walk, last first (the scan pops
+#: them in field order).
+_FIELDS: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(name for name in reversed(cls._fields) if name not in _SCALAR_FIELDS)
+    for cls in _node_classes()
+}
+#: ``exits`` of the statements whose kind alone decides it.
+_FIXED_EXITS = {
+    ast.Return: (True, True),
+    ast.Raise: (True, True),
+    ast.Break: (True, False),
+    ast.Continue: (True, False),
+    **dict.fromkeys(_SCOPES, (False, False)),
+}
+
+
 class StatementFacts:
-    """The one-statement facts of one ``transform_source`` call, each
-    computed once per node: :func:`analyze_statement`'s ``DefUse``,
-    :func:`find_query_call`'s ``QueryCall``, :func:`contains_loop` and
-    :func:`leaves_block`.
+    """The statement facts of one ``transform_source`` call, each
+    computed once per node: :func:`analyze_statement`'s ``DefUse`` and
+    the :class:`SubtreeFacts` every subtree question is answered from.
+    A compound statement's entry is composed from its child statements'
+    entries and one scan of its own expression fields, so no statement
+    is walked twice, however many enclosing loops ask about it.
     The engine creates one per call and hands it to every round (a
     fission round re-flattens the statements it moved into the fetch
     loop) and to the prefetch pass (which asks again about the
@@ -237,31 +315,35 @@ class StatementFacts:
     Entries are keyed by the node object.  The key holds a reference,
     so a node's ``id`` is never reused while the memo lives.  The memo
     cannot go stale because no pass changes a node after it was
-    analyzed:
+    analyzed, and where one does, it drops the entries first:
 
     * the engine rewrites the blocks of a loop or ``if`` (innermost
       loops first) before the round that analyzes the statement holding
       them;
-    * ``normalize`` rewrites a statement as new nodes, and the old one
-      leaves the tree;
+    * a loop round asks about the loop before ``normalize_block``
+      rewrites its body in place, so it drops the loop's entries first
+      (:meth:`forget`; no enclosing statement was analyzed yet:
+      innermost first);
+    * ``normalize`` rewrites a statement, or an ``if`` whose block it
+      rewrote, as new nodes, and the old one leaves the tree;
     * a round's statements move into the loops fission and the window
       wrapper build around them unchanged;
     * ``rule_reorder._rewrite_in_place`` swaps in a *new* renamed node;
     * the prefetch pass rebuilds, as new nodes, a compound statement
-      whose block it rewrote and a submit it makes speculative.  (It
-      rewrites a nested ``def``'s body after the def was asked about,
-      but the one fact asked of a def, its ``DefUse``, binds only its
-      name.)
+      whose block it rewrote and a submit it makes speculative;
+    * both passes rewrite a ``def``'s body in place only after
+      :meth:`release`, which drops every subtree entry when an
+      enclosing statement's entry may hold the def.
 
-    Positions and role tags may still be added: no fact reads them."""
+    Positions may still be added: no fact reads them.  A role tag is
+    set where fission builds the node, before anything asks about it."""
 
     def __init__(self, purity: PurityEnv, registry=None) -> None:
         self.purity = purity
         self.registry = registry
+        self._lookup = registry.lookup if registry is not None else None
         self._defuse: Dict[ast.stmt, DefUse] = {}
-        self._query: Dict[ast.stmt, Optional[QueryCall]] = {}
-        self._loops: Dict[ast.stmt, bool] = {}
-        self._exits: Dict[ast.stmt, bool] = {}
+        self._subtrees: Dict[ast.stmt, SubtreeFacts] = {}
 
     def defuse(self, node: ast.stmt) -> DefUse:
         du = self._defuse.get(node)
@@ -271,32 +353,173 @@ class StatementFacts:
             )
         return du
 
+    def of(self, node: ast.stmt) -> SubtreeFacts:
+        """The subtree entry of ``node``."""
+        found = self._subtrees.get(node)
+        if found is None:
+            found = self._subtrees[node] = self._compose(node)
+        return found
+
     def query(self, node: ast.stmt) -> Optional[QueryCall]:
-        if node in self._query:
-            return self._query[node]
-        query = None
-        if self.registry is not None:
-            query = find_query_call(node, self.registry)
-        self._query[node] = query
-        return query
+        return self.of(node).query
 
     def contains_loop(self, node: ast.stmt) -> bool:
-        found = self._loops.get(node)
-        if found is None:
-            found = self._loops[node] = contains_loop(node)
-        return found
+        return self.of(node).loop
 
-    def leaves_block(self, node: ast.stmt) -> bool:
-        found = self._exits.get(node)
-        if found is None:
-            found = self._exits[node] = leaves_block(node)
-        return found
+    def leaves_block(self, node: ast.stmt, in_loop: bool = False) -> bool:
+        """May executing ``node`` transfer control out of the current
+        block?
+
+        True for ``return``/``raise``/``yield`` anywhere (except inside
+        nested function/class definitions and lambdas, which do not
+        execute here) and for ``break``/``continue`` that belong to a
+        loop *enclosing* ``node`` (ones in the body of a loop nested
+        within ``node`` stay contained; ones in its ``else`` clause
+        belong to the loop around it).  A ``yield`` hands control to a
+        consumer that may write the database or never resume.
+        (``await`` cannot be met: both passes walk ``ast.FunctionDef``
+        only.)"""
+        return self.of(node).exits[in_loop]
+
+    def local_names(self, fn: ast.FunctionDef) -> FrozenSet[str]:
+        """Every name ``fn`` may bind, its parameters included — an
+        *over*-approximation of its locals (nested scopes are not
+        excluded: misclassifying a global as a local only costs the
+        prefetch pass a guarded fallback, never a crash).  Kept as an
+        entry only if an enclosing statement asked about ``fn``."""
+        found = self._subtrees.get(fn)
+        return (found or self._compose(fn)).bound
+
+    def forget(self, node: ast.stmt) -> None:
+        """Drop ``node``'s entries: its caller is about to change it in
+        place, and no entry of an enclosing statement holds it yet."""
+        self._subtrees.pop(node, None)
+        self._defuse.pop(node, None)
+
+    def release(self, fn: ast.FunctionDef) -> None:
+        """``fn``'s body is about to be rewritten in place.  If ``fn``
+        has an entry, the entries of an enclosing statement and of the
+        statements in ``fn`` may hold what changes, so every subtree
+        entry is dropped (a ``DefUse`` never looks inside a ``def``)."""
+        if fn in self._subtrees:
+            self._subtrees.clear()
 
     def stmt(self, node: ast.stmt, guards: Tuple[Guard, ...] = ()) -> Stmt:
         """``node`` as a :class:`Stmt` under ``guards``."""
         return Stmt(
             node=node, du=self.defuse(node), guards=guards, query=self.query(node)
         )
+
+    def _compose(self, node: ast.stmt) -> SubtreeFacts:
+        """One pre-order scan of ``node``'s fields, down to its child
+        statements (through handlers and match cases too), whose entries
+        it takes whole."""
+        lookup, of = self._lookup, self.of
+        sites: List[Tuple[int, ast.Call, object]] = []
+        callees: List[str] = []
+        deleted: List[str] = []
+        bound: List[str] = []
+        roles: List[str] = []
+        state = node.__dict__
+        if ROLE_ATTR in state:
+            roles.append(state[ROLE_ATTR])
+        if node.__class__ in _IMPORTS:
+            bound.extend(import_bound_names(node))
+        loop = node.__class__ in _LOOPS
+        exit_out = exit_in = yields = False
+        # ``(node, depth, in_lambda)``; ``in_lambda`` is None for a child
+        # statement.  Names are taken as they are met, constants skipped.
+        todo = [(node, 0, False)]
+        pop, push = todo.pop, todo.append
+        while todo:
+            item, depth, in_lambda = pop()
+            if in_lambda is None:
+                child = of(item)
+                if child.sites:
+                    sites.extend(
+                        (depth + below, call, spec) for below, call, spec in child.sites
+                    )
+                callees.extend(child.callees)
+                deleted.extend(child.deleted)
+                bound.extend(child.bound)
+                roles.extend(child.roles)
+                if item.__class__ in _SCOPES:
+                    bound.append(item.name)
+                loop = loop or child.loop
+                exit_out = exit_out or child.exits[0]
+                exit_in = exit_in or child.exits[1]
+                continue
+            cls = item.__class__
+            if cls is _CALL:
+                func = item.func
+                if func.__class__ is _ATTRIBUTE:
+                    name = func.attr
+                elif func.__class__ is _NAME:
+                    name = func.id
+                    callees.append(name)
+                else:
+                    name = None
+                if name is not None and lookup is not None:
+                    spec = lookup(name)
+                    if spec is not None:
+                        sites.append((depth, item, spec))
+            elif cls is _LAMBDA:
+                in_lambda = True
+            elif cls in _YIELDS:
+                yields = yields or not in_lambda
+            elif cls in _BINDING_ATTRS:
+                name = getattr(item, _BINDING_ATTRS[cls])
+                if name:
+                    bound.append(name)
+            depth += 1
+            for field in _FIELDS[cls]:
+                value = getattr(item, field, None)
+                for element in reversed(value) if value.__class__ is list else (value,):
+                    if element.__class__ is _NAME:
+                        ctx = element.ctx.__class__
+                        if ctx is not _LOAD:
+                            bound.append(element.id)
+                            if ctx is _DEL:
+                                deleted.append(element.id)
+                    elif isinstance(element, _STMT):
+                        push((element, depth, None))
+                    elif isinstance(element, _AST) and element.__class__ not in _LEAVES:
+                        push((element, depth, in_lambda))
+        exits = _FIXED_EXITS.get(node.__class__)
+        if exits is None:
+            if yields:
+                exits = (True, True)
+            elif node.__class__ in _LOOPS:
+                # A ``break``/``continue`` in the body is this loop's; in
+                # its ``else`` clause, the enclosing loop's.
+                exits = (
+                    any(of(child).exits[1] for child in node.body)
+                    or any(of(child).exits[0] for child in node.orelse),
+                    exit_in,
+                )
+            else:
+                exits = (exit_out, exit_in)
+        query = None
+        if sites:
+            if len(sites) > 1:
+                # Pre-order, stably sorted by depth: breadth-first.
+                sites.sort(key=_depth)
+            _below, call, spec = sites[0]
+            query = _query_call(node, call, spec, alone=len(sites) == 1)
+        return SubtreeFacts(
+            sites,
+            query,
+            frozenset(callees) if callees else _NOTHING,
+            frozenset(deleted) if deleted else _NOTHING,
+            frozenset(bound) if bound else _NOTHING,
+            frozenset(roles) if roles else _NOTHING,
+            loop,
+            exits,
+        )
+
+
+def _depth(site: Tuple[int, ast.Call, object]) -> int:
+    return site[0]
 
 
 def make_stmt(
@@ -355,19 +578,25 @@ def make_header(
 
 
 def find_query_call(node: ast.stmt, registry) -> Optional[QueryCall]:
-    """Find the registry-matching call in ``node``, if any.
-
-    The call is *top level* — and the statement therefore transformable
-    as a query execution statement — only when it is the entire value of
-    a simple assignment or expression statement and is the only query
-    call in the statement.
-    """
+    """Find the registry-matching call in ``node``, if any, by a fresh
+    walk (:class:`StatementFacts` answers from its entries instead)."""
     calls = query_calls(node, registry)
     if not calls:
         return None
     call, spec = calls[0]
+    return _query_call(node, call, spec, alone=len(calls) == 1)
+
+
+def _query_call(node: ast.stmt, call: ast.Call, spec, alone: bool) -> QueryCall:
+    """The description of ``node``'s first query call ``call``.
+
+    The call is *top level* — and the statement therefore transformable
+    as a query execution statement — only when it is the entire value of
+    a simple assignment or expression statement and is the only query
+    call in the statement (``alone``).
+    """
     receiver = _receiver_of(call)
-    if len(calls) == 1 and getattr(node, "value", None) is call:
+    if alone and getattr(node, "value", None) is call:
         if isinstance(node, ast.Assign):
             if len(node.targets) == 1 and _is_simple_target(node.targets[0]):
                 return QueryCall(call, spec, receiver, node.targets[0], top_level=True)

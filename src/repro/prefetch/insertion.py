@@ -73,20 +73,15 @@ runtime contract for the abandoned handles lives in
 from __future__ import annotations
 
 import ast
-import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..transform.costmodel import SpeculationPolicy
 
 from ..analysis.ddg import external_dependences
-from ..ir.defuse import (
-    bound_names,
-    harmless_to_reevaluate,
-    import_bound_names,
-)
-from ..ir.nodes import children, copy_tree
+from ..ir.defuse import bound_names, harmless_to_reevaluate, import_bound_names
+from ..ir.nodes import copy_tree, rebuilt
 from ..ir.purity import PurityEnv
 from ..ir.statements import StatementFacts, function_defs, label
 from ..transform.codegen import located, name_load, name_store, split_query
@@ -105,7 +100,9 @@ class PrefetchSite:
 
     function: str
     lineno: int
-    label: str
+    #: The blocking statement the submit was split from (named when the
+    #: report is read), or its name.
+    statement: object
     #: Statements (and lifted conditionals) the submit moved above.
     hoisted_past: int = 0
     #: True when the submit was lifted out of a conditional and re-guarded.
@@ -113,6 +110,10 @@ class PrefetchSite:
     #: True when the submit was lifted out *unguarded* (speculative mode):
     #: the query may be issued in executions the original never ran it.
     speculative: bool = False
+
+    @property
+    def label(self) -> str:
+        return label(self.statement)
 
 
 class PrefetchInserter:
@@ -142,8 +143,9 @@ class PrefetchInserter:
         self.speculation = speculation
         #: The run's statement memo.
         self._memo: Optional[StatementFacts] = None
-        #: The function currently being processed.
-        self._index: Optional[_FunctionIndex] = None
+        #: Every name the function being processed may bind; one may
+        #: only escape a guard where it is definitely bound.
+        self._locals: FrozenSet[str] = frozenset()
 
     # ------------------------------------------------------------------
     def run(
@@ -160,7 +162,8 @@ class PrefetchInserter:
         self._memo = facts
         sites: List[PrefetchSite] = []
         for node in function_defs(tree):
-            self._index = _FunctionIndex(node)
+            facts.release(node)
+            self._locals = facts.local_names(node)
             node.body = self._process_block(
                 node.body, node.name, allocator, sites,
                 liftable=False, bound=_parameter_names(node),
@@ -185,9 +188,11 @@ class PrefetchInserter:
         are definitely bound where it lands)."""
         out: List[ast.stmt] = []
         for node in nodes:
-            deleted = self._index.deleted[node]
+            # The names a ``del`` anywhere inside ``node`` *may* unbind:
+            # erring toward unbound only costs a guarded fallback.
+            deleted = self._memo.of(node).deleted
             if isinstance(node, ast.If):
-                node = _rebuilt(
+                node = rebuilt(
                     node,
                     body=self._process_block(
                         node.body, function, allocator, sites,
@@ -215,7 +220,7 @@ class PrefetchInserter:
                 body_bound = set(bound) - deleted
                 if isinstance(node, ast.For):
                     body_bound |= bound_names(node.target)
-                node = _rebuilt(
+                node = rebuilt(
                     node,
                     body=self._process_block(
                         node.body, function, allocator, sites,
@@ -247,7 +252,7 @@ class PrefetchInserter:
                 }
                 if isinstance(node, ast.Try):
                     blocks["handlers"] = [
-                        _rebuilt(
+                        rebuilt(
                             handler,
                             body=self._process_block(
                                 handler.body, function, allocator, sites,
@@ -256,7 +261,7 @@ class PrefetchInserter:
                         )
                         for handler in node.handlers
                     ]
-                node = _rebuilt(node, **blocks)
+                node = rebuilt(node, **blocks)
                 out.append(node)
             else:
                 out.append(node)
@@ -292,7 +297,7 @@ class PrefetchInserter:
             site = PrefetchSite(
                 function=function,
                 lineno=getattr(block[index], "lineno", 0),
-                label=label(block[index]),
+                statement=block[index],
                 hoisted_past=index - target,
             )
             setattr(submit_stmt, SITE_ATTR, site)
@@ -444,7 +449,7 @@ class PrefetchInserter:
                 return True
             if isinstance(node, ast.Name):
                 return isinstance(node.ctx, ast.Load) and (
-                    node.id in bound or node.id not in self._index.locals
+                    node.id in bound or node.id not in self._locals
                 )
             if isinstance(node, (ast.Tuple, ast.List)):
                 return all(total(elt) for elt in node.elts)
@@ -457,25 +462,6 @@ class PrefetchInserter:
         return all(total(arg) for arg in call.args) and all(
             total(kw.value) for kw in call.keywords
         )
-
-
-def _same(old: List[ast.AST], new: List[ast.AST]) -> bool:
-    return len(old) == len(new) and all(a is b for a, b in zip(old, new))
-
-
-def _rebuilt(node: ast.AST, **blocks: List[ast.AST]) -> ast.AST:
-    """``node`` with ``blocks`` as its statement (or handler) lists:
-    ``node`` itself when each list holds the same nodes, else a shallow
-    copy.  The transform's statement memo may hold ``node`` as the
-    engine analyzed it, so a rewritten block never changes it in place;
-    the copy is new to the memo, and so is every ancestor it forces to
-    be rebuilt."""
-    if all(_same(getattr(node, name), block) for name, block in blocks.items()):
-        return node
-    clone = copy.copy(node)
-    for name, block in blocks.items():
-        setattr(clone, name, block)
-    return clone
 
 
 def _parameter_names(fn: ast.FunctionDef) -> Set[str]:
@@ -491,76 +477,6 @@ def _parameter_names(fn: ast.FunctionDef) -> Set[str]:
     return names
 
 
-#: Match-pattern nodes (3.10+) that bind a capture through a plain
-#: string attribute instead of a ``Name(Store)`` node.
-_MATCH_CAPTURE_NODES = tuple(
-    cls
-    for cls in (getattr(ast, "MatchAs", None), getattr(ast, "MatchStar", None))
-    if cls is not None
-)
-_MATCH_REST_NODES = tuple(
-    cls for cls in (getattr(ast, "MatchMapping", None),) if cls is not None
-)
-
-
-_NOTHING: FrozenSet[str] = frozenset()
-
-
-class _FunctionIndex:
-    """What the pass asks of one function, from one walk of it.
-
-    ``locals``: every name the function may bind — an *over*-
-    approximation of its locals (nested scopes are not excluded:
-    misclassifying a global as a local only costs a guarded fallback,
-    never a crash).  A name in it may only escape a guard where it is
-    definitely bound.
-
-    ``deleted[stmt]``: the names a ``del`` anywhere inside ``stmt`` *may*
-    unbind — an over-approximation too (a del on any conditional path
-    revokes the definite binding; erring toward unbound only costs a
-    guarded fallback), built bottom-up so each statement's set is the
-    union of its children's.
-    """
-
-    def __init__(self, fn: ast.FunctionDef) -> None:
-        self.locals: Set[str] = _parameter_names(fn)
-        self.deleted: Dict[ast.stmt, FrozenSet[str]] = {}
-        for child in children(fn):
-            self._visit(child)
-
-    def _visit(self, node: ast.AST) -> FrozenSet[str]:
-        names = self.locals
-        if isinstance(node, ast.Name):
-            if isinstance(node.ctx, ast.Load):
-                return _NOTHING
-            names.add(node.id)
-            if isinstance(node.ctx, ast.Del):
-                return frozenset((node.id,))
-            return _NOTHING
-        deleted = _NOTHING
-        for child in children(node):
-            below = self._visit(child)
-            if below:
-                deleted |= below
-        if isinstance(node, ast.stmt):
-            self.deleted[node] = deleted
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update(import_bound_names(node))
-            elif isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                names.add(node.name)
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            names.add(node.name)
-        elif isinstance(node, ast.arg):
-            names.add(node.arg)
-        elif isinstance(node, _MATCH_CAPTURE_NODES) and node.name:
-            names.add(node.name)
-        elif isinstance(node, _MATCH_REST_NODES) and node.rest:
-            names.add(node.rest)
-        return deleted
-
-
 def _definite_bindings(node: ast.stmt) -> Set[str]:
     """Names definitely bound once control passes ``node``.
 
@@ -574,8 +490,8 @@ def _definite_bindings(node: ast.stmt) -> Set[str]:
     statement; only the first item's enter has nothing above it to
     suppress) — so a name reported here can never be unbound on any
     path that reaches the next statement.  Deletions are handled by the caller
-    (the statement's ``_FunctionIndex.deleted`` set is subtracted *after*
-    this union, so a branch that dels wins over one that binds).
+    (the statement's deletion set is subtracted *after* this union, so a
+    branch that dels wins over one that binds).
     """
     out: Set[str] = set()
     if isinstance(node, ast.Assign):

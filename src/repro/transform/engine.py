@@ -28,7 +28,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.cycles import on_true_cycle
 from ..analysis.ddg import DDG, build_ddg
-from ..ir.nodes import subtree
 from ..ir.purity import PurityEnv
 from ..ir.statements import (
     ROLE_ATTR,
@@ -37,9 +36,7 @@ from ..ir.statements import (
     function_defs,
     is_supported,
     label,
-    leaves_block,
     make_header,
-    query_calls,
 )
 from .errors import (
     REASON_CONTROL,
@@ -65,13 +62,19 @@ from .rule_reorder import ReorderOutcome, reorder
 class QueryOutcome:
     """Fate of one query-execution site."""
 
-    label: str
+    #: The statement (named when the report is read) or a name such as
+    #: ``"(loop)"``.
+    subject: object
     status: str  # "transformed" | "blocked"
     reason: str = ""
     reorder_moves: int = 0
     reader_stubs: int = 0
     writer_stubs: int = 0
     split_vars: List[str] = field(default_factory=list)
+
+    @property
+    def label(self) -> str:
+        return label(self.subject)
 
 
 @dataclass
@@ -185,6 +188,7 @@ class TransformEngine:
         facts = StatementFacts(self.purity, self.registry)
         reports: List[LoopReport] = []
         for node in function_defs(tree):
+            facts.release(node)
             node.body = self._transform_block(
                 node.body, node.name, allocator, facts, reports, allow_window=True
             )
@@ -276,7 +280,7 @@ class TransformEngine:
         reports: List[LoopReport],
         allow_window: bool,
     ) -> Optional[List[ast.stmt]]:
-        if not self._loop_mentions_queries(loop):
+        if not self._loop_mentions_queries(loop, facts):
             return None
         report = LoopReport(
             function=function,
@@ -285,11 +289,11 @@ class TransformEngine:
         )
         reports.append(report)
 
-        blocked = self._structural_blockers(loop, function)
+        blocked = self._structural_blockers(loop, function, facts)
         if blocked:
             report.blocked_reason = blocked
             report.outcomes.append(
-                QueryOutcome(label="(loop)", status="blocked", reason=blocked)
+                QueryOutcome("(loop)", status="blocked", reason=blocked)
             )
             return None
 
@@ -306,6 +310,8 @@ class TransformEngine:
         report: LoopReport,
         allow_window: bool,
     ) -> Optional[List[ast.stmt]]:
+        # The structural checks asked about ``loop``; its body changes now.
+        facts.forget(loop)
         loop.body = normalize_block(loop.body, facts, allocator)
         body = flatten_block(loop.body, facts, allocator)
         header = make_header(loop, self.purity, self.registry)
@@ -314,9 +320,7 @@ class TransformEngine:
             if stmt.has_embedded_query:
                 report.outcomes.append(
                     QueryOutcome(
-                        label=label(stmt.node),
-                        status="blocked",
-                        reason=REASON_EMBEDDED_QUERY,
+                        stmt.node, status="blocked", reason=REASON_EMBEDDED_QUERY
                     )
                 )
 
@@ -336,9 +340,7 @@ class TransformEngine:
                 if on_true_cycle(ddg, body.index(stmt) + 1):
                     report.outcomes.append(
                         QueryOutcome(
-                            label=label(stmt.node),
-                            status="blocked",
-                            reason=REASON_TRUE_CYCLE,
+                            stmt.node, status="blocked", reason=REASON_TRUE_CYCLE
                         )
                     )
                 else:
@@ -348,9 +350,7 @@ class TransformEngine:
         if not candidates and nested_split is None:
             if not report.outcomes:
                 report.outcomes.append(
-                    QueryOutcome(
-                        label="(loop)", status="blocked", reason=REASON_CONTROL
-                    )
+                    QueryOutcome("(loop)", status="blocked", reason=REASON_CONTROL)
                 )
             return None
 
@@ -362,9 +362,7 @@ class TransformEngine:
                 else:
                     report.outcomes.append(
                         QueryOutcome(
-                            label=label(stmt.node),
-                            status="blocked",
-                            reason="not-selected",
+                            stmt.node, status="blocked", reason="not-selected"
                         )
                     )
             candidates = selected
@@ -375,7 +373,7 @@ class TransformEngine:
             # attempt leaves no rename behind for the next one.
             trial = [copy.copy(stmt) for stmt in body]
             query = trial[body.index(candidate)]
-            outcome = QueryOutcome(label=label(query.node), status="blocked")
+            outcome = QueryOutcome(query.node, status="blocked")
             report.outcomes.append(outcome)
             try:
                 new_body, reorder_outcome = self._prepare_split(
@@ -447,15 +445,13 @@ class TransformEngine:
             except LoopNotTransformable as exc:
                 report.outcomes.append(
                     QueryOutcome(
-                        label="(nested loops)",
-                        status="blocked",
-                        reason=exc.reason,
+                        "(nested loops)", status="blocked", reason=exc.reason
                     )
                 )
                 return None
             report.outcomes.append(
                 QueryOutcome(
-                    label="(nested loops)",
+                    "(nested loops)",
                     status="transformed",
                     split_vars=result.split_vars,
                 )
@@ -494,21 +490,20 @@ class TransformEngine:
     # ------------------------------------------------------------------
     # structural checks
     # ------------------------------------------------------------------
-    def _loop_mentions_queries(self, loop: ast.stmt) -> bool:
+    def _loop_mentions_queries(self, loop: ast.stmt, facts: StatementFacts) -> bool:
         """A blocking query call, or the submit loop an inner fission
         left behind (the nested-loop rule's opportunity)."""
-        return bool(query_calls(loop, self.registry)) or any(
-            getattr(node, ROLE_ATTR, "") == ROLE_SUBMIT for node in subtree(loop)
-        )
+        entry = facts.of(loop)
+        return bool(entry.sites) or ROLE_SUBMIT in entry.roles
 
-    def _structural_blockers(self, loop: ast.stmt, function: str) -> str:
-        for node in subtree(loop):
-            if isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) and node.func.id == function:
-                    return REASON_RECURSION
+    def _structural_blockers(
+        self, loop: ast.stmt, function: str, facts: StatementFacts
+    ) -> str:
+        if function in facts.of(loop).callees:
+            return REASON_RECURSION
         # An ``else`` clause runs after the last iteration, which fission
         # would have to place after the fetch loop; refused instead.
-        if loop.orelse or any(leaves_block(node) for node in loop.body):
+        if loop.orelse or any(facts.leaves_block(node) for node in loop.body):
             return REASON_CONTROL
         if not all(is_supported(node) for node in loop.body):
             return REASON_UNSUPPORTED_STMT

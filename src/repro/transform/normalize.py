@@ -28,6 +28,7 @@ import copy
 from typing import Iterator, List, Optional
 
 from ..ir.defuse import harmless_to_reevaluate
+from ..ir.nodes import rebuilt
 from ..ir.purity import PurityEnv
 from ..ir.statements import StatementFacts, query_calls
 from .codegen import located
@@ -52,12 +53,16 @@ def normalize_block(
 ) -> List[ast.stmt]:
     """Hoist embedded query calls in a statement list (recursing into
     ``if`` branches; nested loops are normalized when the engine visits
-    them)."""
+    them).  An ``if`` whose branch changed is a new node: the memo may
+    hold the old one as analyzed."""
     output: List[ast.stmt] = []
     for node in nodes:
         if isinstance(node, ast.If):
-            node.body = normalize_block(node.body, facts, allocator)
-            node.orelse = normalize_block(node.orelse, facts, allocator)
+            node = rebuilt(
+                node,
+                body=normalize_block(node.body, facts, allocator),
+                orelse=normalize_block(node.orelse, facts, allocator),
+            )
             output.append(node)
             continue
         output.extend(normalize_statement(node, facts, allocator))

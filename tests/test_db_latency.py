@@ -106,3 +106,48 @@ class TestPreciseSleep:
         elapsed = time.perf_counter() - started
         assert elapsed >= 20e-6
         assert elapsed < 5e-3
+
+
+class TestEveryStoreTakesTheDatabasesModel:
+    """The client charges a round trip from its store's profile and
+    meter, so a ``Database(SYS1)`` connection pays one ``network_rtt_s``
+    per round trip on either store (the sqlite store once ran at
+    ``INSTANT`` with a meter of its own, and nothing overlapped)."""
+
+    ROUND_TRIPS = 3
+
+    def network_charges(self, backend):
+        from repro.db import Database
+
+        db = Database(SYS1)
+        db.create_table("t", ("id", "int"), ("v", "int"))
+        db.bulk_load("t", [(1, 10), (2, 20)])
+        conn = db.connect(async_workers=1, backend=backend)
+        try:
+            before = db.meter.counts()["network"], db.meter.totals()["network"]
+            for key in range(self.ROUND_TRIPS):
+                conn.execute_query("SELECT v FROM t WHERE id = ?", [key])
+            count = db.meter.counts()["network"] - before[0]
+            total = db.meter.totals()["network"] - before[1]
+        finally:
+            conn.close()
+            db.close()
+        return count, total
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_one_network_rtt_per_round_trip(self, backend):
+        count, total = self.network_charges(backend)
+        assert count == self.ROUND_TRIPS
+        assert total == pytest.approx(self.ROUND_TRIPS * SYS1.network_rtt_s)
+
+    def test_must_fail_with_the_sqlite_store_at_instant(self, monkeypatch):
+        from repro.backends.sqlite import SqliteBackend
+
+        real = SqliteBackend.__init__
+
+        def at_instant(backend, profile=INSTANT, meter=None, *rest, **options):
+            real(backend, INSTANT, None, *rest, **options)
+
+        monkeypatch.setattr(SqliteBackend, "__init__", at_instant)
+        with pytest.raises(AssertionError):
+            self.test_one_network_rtt_per_round_trip("sqlite")

@@ -770,11 +770,12 @@ def reasons(result):
 
 
 class TestFoundByReading:
-    """Eight programs (P1–P8, and ``raise`` beside P4) whose transformed
-    form used to behave differently from the original — each was a
-    place where two copies of one question (what a loop header writes,
-    whether control can leave a block, which statement kinds are
-    understood) disagreed, or where the one copy lacked a rule.  Each
+    """Eight programs (P1–P8, and ``raise`` and an inner loop's ``else:
+    break`` beside P4) whose transformed form used to behave differently
+    from the original — each was a place where two copies of one
+    question (what a loop header writes, whether control can leave a
+    block, which statement kinds are understood) disagreed, or where the
+    one copy lacked a rule.  Each
     now transforms correctly or is refused with the stated reason; N1
     pins the exemption the every-level supportedness check needs for
     generated nodes."""
@@ -884,6 +885,29 @@ def program(conn, ids):
         return checked(conn, ids)
     except ValueError:
         return len(conn.calls)
+""",
+            "program",
+            lambda: ([1, 2, 3],),
+        )
+        assert reasons(result) == [REASON_CONTROL]
+
+    def test_break_in_an_inner_loops_else_is_refused(self):
+        # The ``break`` in the inner loop's ``else`` clause is the outer
+        # loop's: the original issues one query, a fissioned loop all
+        # three (the exit rule once counted the whole inner loop,
+        # ``else`` included, as the inner loop's own).
+        result = assert_equivalent(
+            """
+def program(conn, ids):
+    out = []
+    for i in ids:
+        r = conn.execute_query("q", [i])
+        for _once in (0,):
+            pass
+        else:
+            break
+        out.append(r.scalar())
+    return out
 """,
             "program",
             lambda: ([1, 2, 3],),

@@ -5,7 +5,7 @@ import ast
 import pytest
 
 from repro.ir.purity import PurityEnv
-from repro.ir.statements import Guard, StatementFacts, contains_loop
+from repro.ir.statements import Guard, StatementFacts
 from repro.transform.names import NameAllocator
 from repro.transform.readability import regroup
 from repro.transform.rule_guards import flatten_block
@@ -59,10 +59,11 @@ class TestRuleB:
         assert isinstance(stmts[0].node, ast.If)
 
     def test_contains_loop(self):
+        facts = StatementFacts(PurityEnv())
         node = ast.parse("if c:\n    for i in r:\n        pass").body[0]
-        assert contains_loop(node)
+        assert facts.contains_loop(node)
         flat = ast.parse("if c:\n    x = 1").body[0]
-        assert not contains_loop(flat)
+        assert not facts.contains_loop(flat)
 
 
 class TestReadability:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 import copy
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,18 +30,23 @@ from hypothesis import given, strategies as st
 import tests.test_prefetch_insertion as prefetch_tests
 from perfbench.data import corpus_sources
 from repro.analysis.ddg import build_ddg
+from repro.ir import statements as statements_module
 from repro.ir.defuse import analyze_statement, import_bound_names
+from repro.ir.purity import PurityEnv
 from repro.ir.statements import (
     CONTROL_VAR,
+    MATCH_CAPTURE_NODES,
+    MATCH_REST_NODES,
+    ROLE_ATTR,
     StatementFacts,
     Stmt,
-    contains_loop,
     find_query_call,
-    leaves_block,
 )
 from repro.prefetch import insertion
 from repro.transform import asyncify_source, engine, prefetch_source, rule_reorder
+from repro.transform import normalize
 from repro.transform.names import NameAllocator
+from repro.transform.registry import default_registry
 from tests.helpers import drawn
 from tests.test_prop_transform import HEADERS, build_program, loop_statements
 
@@ -195,54 +201,107 @@ class TestReadsComputedOnce:
             asyncify_source(EXAMPLE_8)
 
 
-#: ``(StatementFacts method, its store)``, in :func:`fresh_facts` order.
-MEMO = (
-    ("defuse", "_defuse"),
-    ("query", "_query"),
-    ("contains_loop", "_loops"),
-    ("leaves_block", "_exits"),
-)
+def walk_sites(node, registry):
+    """``(depth, call, spec)`` of every registered call under ``node``,
+    breadth-first — the walk ``find_query_call`` made."""
+    found = []
+    todo = deque([(node, 0)])
+    while todo:
+        child, depth = todo.popleft()
+        todo.extend((below, depth + 1) for below in ast.iter_child_nodes(child))
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = getattr(func, "attr", None) or getattr(func, "id", None)
+            spec = registry.lookup(name) if registry and name else None
+            if spec is not None:
+                found.append((depth, child, spec))
+    return found
 
 
-def fresh_facts(facts, node):
-    """What the memo's answers for ``node`` are, computed again."""
-    return (
-        analyze_statement(node, facts.purity, facts.registry),
-        find_query_call(node, facts.registry) if facts.registry else None,
-        contains_loop(node),
-        leaves_block(node),
-    )
+def walk_exits(node, in_loop):
+    """The ``leaves_block`` walk the memo replaced (a loop's ``else``
+    clause runs outside it)."""
+    if isinstance(node, (ast.Return, ast.Raise, ast.Yield, ast.YieldFrom)):
+        return True
+    if isinstance(node, (ast.Break, ast.Continue)):
+        return not in_loop
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+        return False
+    if isinstance(node, (ast.While, ast.For)):
+        return any(
+            walk_exits(child, child not in node.orelse or in_loop)
+            for child in ast.iter_child_nodes(node)
+        )
+    return any(walk_exits(child, in_loop) for child in ast.iter_child_nodes(node))
+
+
+def fresh_entry(facts, node):
+    """A statement's subtree entry, field by field, walked again."""
+    sites = walk_sites(node, facts.registry)
+    return {
+        "sites": sites,
+        "query": find_query_call(node, facts.registry) if facts.registry else None,
+        "callees": {
+            child.func.id
+            for child in ast.walk(node)
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+        },
+        "deleted": deleted_names(node),
+        "bound": bound_names_below(node),
+        "roles": {
+            getattr(child, ROLE_ATTR)
+            for child in ast.walk(node)
+            if hasattr(child, ROLE_ATTR)
+        },
+        "loop": any(isinstance(child, (ast.While, ast.For)) for child in ast.walk(node)),
+        "exits": (walk_exits(node, False), walk_exits(node, True)),
+    }
+
+
+def entry_fields(entry):
+    return entry._asdict()
+
+
+def check_entry(facts, node, entry):
+    assert entry_fields(entry) == fresh_entry(facts, node), ast.unparse(node)
 
 
 def check_memo(monkeypatch):
     """Compare each answer of every transform's statement memo with a
     fresh analysis of the same node — when it is a hit, and, for every
     entry, when the transform ends (an entry no later round asks for can
-    still go stale).  Returns the per-kind hit counts."""
-    hits = dict.fromkeys([kind for kind, _store in MEMO], 0)
+    still go stale).  A subtree entry is compared field by field: the
+    query sites in order, the callees, the ``del``-ed and bound names,
+    the role tags, the loop flag and both exit answers.  Returns the
+    hit counts of ``defuse`` and of the subtree entries (``of``)."""
+    hits = {"defuse": 0, "of": 0}
     made = []
     real_init = StatementFacts.__init__
+    real_defuse, real_of = StatementFacts.defuse, StatementFacts.of
 
     def init(facts, *args, **kwargs):
         real_init(facts, *args, **kwargs)
         made.append(facts)
 
-    def checked(kind, store, position):
-        real = getattr(StatementFacts, kind)
+    def defuse(facts, node):
+        known = node in facts._defuse
+        answer = real_defuse(facts, node)
+        if known:
+            assert answer == fresh_defuse(facts, node), ast.unparse(node)
+            hits["defuse"] += 1
+        return answer
 
-        def ask(facts, node):
-            known = node in getattr(facts, store)
-            answer = real(facts, node)
-            if known:
-                assert answer == fresh_facts(facts, node)[position], ast.unparse(node)
-                hits[kind] += 1
-            return answer
+    def of(facts, node):
+        known = node in facts._subtrees
+        answer = real_of(facts, node)
+        if known:
+            check_entry(facts, node, answer)
+            hits["of"] += 1
+        return answer
 
-        monkeypatch.setattr(StatementFacts, kind, ask)
-
-    for position, (kind, store) in enumerate(MEMO):
-        checked(kind, store, position)
     monkeypatch.setattr(StatementFacts, "__init__", init)
+    monkeypatch.setattr(StatementFacts, "defuse", defuse)
+    monkeypatch.setattr(StatementFacts, "of", of)
 
     real_transform = engine.TransformEngine.transform_source
 
@@ -250,14 +309,18 @@ def check_memo(monkeypatch):
         start = len(made)
         result = real_transform(self, source)
         for facts in made[start:]:
-            for position, (_kind, store) in enumerate(MEMO):
-                for node, answer in getattr(facts, store).items():
-                    fresh = fresh_facts(facts, node)[position]
-                    assert answer == fresh, ast.unparse(node)
+            for node, answer in facts._defuse.items():
+                assert answer == fresh_defuse(facts, node), ast.unparse(node)
+            for node, entry in facts._subtrees.items():
+                check_entry(facts, node, entry)
         return result
 
     monkeypatch.setattr(engine.TransformEngine, "transform_source", transform_source)
     return hits
+
+
+def fresh_defuse(facts, node):
+    return analyze_statement(node, facts.purity, facts.registry)
 
 
 #: An inner loop fission refuses (its query is on a true-dependence
@@ -286,7 +349,7 @@ class TestStatementMemo:
         hits = check_memo(monkeypatch)
         for _name, source in CORPUS:
             OPTION_SETS[option_set](source)
-        assert hits["defuse"] >= 40 and hits["query"] >= 40
+        assert hits["defuse"] >= 40 and hits["of"] >= 40
 
     @given(
         statements=loop_statements(),
@@ -337,9 +400,151 @@ class TestStatementMemo:
             return node
 
         check_memo(monkeypatch)
-        monkeypatch.setattr(insertion, "_rebuilt", in_place)
+        monkeypatch.setattr(insertion, "rebuilt", in_place)
         with pytest.raises(AssertionError):
             prefetch_source(NESTED_BLOCKED, speculate=True)
+
+
+#: A loop whose body normalization rewrites (the call is hoisted into
+#: ``__qres``), in place on the loop and on the ``if`` holding it.
+NORMALIZED = """
+def f(conn, q, xs, c):
+    total = 0
+    for x in xs:
+        total += conn.execute_query(q, [x]).scalar()
+        if c:
+            total += conn.execute_query(q, [x, c]).scalar()
+    return total
+"""
+
+#: A def inside a loop: the loop's entry holds it, and the ``if`` in it,
+#: before the engine transforms the def's inner loop (rewriting the
+#: ``if``'s block in place) and then asks about the loop around the
+#: ``if``.
+NESTED_DEF = """
+def f(conn, q, groups):
+    out = []
+    for g in groups:
+        def load(ids):
+            rows = []
+            for i in ids:
+                if i:
+                    for j in i:
+                        rows.append(conn.execute_query(q, [j]))
+            return rows
+        out.append(load(g))
+    return out
+"""
+
+#: Several query sites per statement, at several depths, and every exit.
+ORDERED_SITES = """
+def f(conn, q, xs, c):
+    while c:
+        if conn.execute_query(q, [1]):
+            y = g(conn.execute_query(q, [h(conn.execute_query(q, [2]))]), conn.execute_query(q))
+            continue
+        try:
+            z = [conn.execute_query(q, [x]) for x in xs]
+        except KeyError as e:
+            conn.execute_update(q, [e])
+            del z
+            break
+        for x in xs:
+            k = yield conn.execute_query(q, [x])
+            w = lambda: (yield)
+            if k:
+                break
+        return f(conn, q, xs, c)
+"""
+
+
+class TestSubtreeEntries:
+    """Each statement's entry, composed from its children's, equals a
+    fresh walk of the statement; the ways an entry could go stale are
+    each caught by the end-of-transform audit."""
+
+    def test_each_entry_equals_a_fresh_walk_of_its_statement(self):
+        tree = ast.parse(ORDERED_SITES)
+        facts = StatementFacts(PurityEnv(), default_registry())
+        statements = [node for node in ast.walk(tree) if isinstance(node, ast.stmt)]
+        for node in statements:
+            check_entry(facts, node, facts.of(node))
+        outer = facts.of(tree.body[0].body[0])
+        assert len(outer.sites) == 7 and outer.exits == (True, True)
+        assert [depth for depth, _call, _spec in outer.sites] == sorted(
+            depth for depth, _call, _spec in outer.sites
+        )
+
+    @given(
+        statements=loop_statements(),
+        header=st.sampled_from(sorted(HEADERS)),
+    )
+    @drawn(40)
+    def test_each_entry_equals_a_fresh_walk_over_the_generator(
+        self, statements, header
+    ):
+        """Every statement of a generated program, and of what each
+        option set emits for it; every function's locals too."""
+        program = build_program(statements, header)
+        trees = [ast.parse(program)]
+        trees += [transform(program).tree for transform in OPTION_SETS.values()]
+        for tree in trees:
+            facts = StatementFacts(PurityEnv(), default_registry())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    assert facts.local_names(node) == assigned_names(node)
+                if isinstance(node, ast.stmt):
+                    check_entry(facts, node, facts.of(node))
+
+    def test_must_fail_with_sites_in_walk_order(self, monkeypatch):
+        """Without the stable sort by depth, a statement whose deepest
+        site comes first in the walk names the wrong first call."""
+        monkeypatch.setattr(statements_module, "_depth", lambda site: 0)
+        facts = StatementFacts(PurityEnv(), default_registry())
+        loop = ast.parse(ORDERED_SITES).body[0].body[0]
+        with pytest.raises(AssertionError):
+            check_entry(facts, loop, facts.of(loop))
+
+    @pytest.mark.parametrize("source", [NORMALIZED, NESTED_DEF, ORDERED_SITES])
+    def test_every_answer_is_a_fresh_analysis(self, monkeypatch, source):
+        check_memo(monkeypatch)
+        for transform in OPTION_SETS.values():
+            transform(source)
+
+    def test_must_fail_with_a_loops_facts_from_before_normalization(
+        self, monkeypatch
+    ):
+        """The structural checks ask about the loop before
+        ``normalize_block`` rewrites its body in place; keeping that
+        entry leaves it without the hoisted ``__qres``."""
+        check_memo(monkeypatch)
+        monkeypatch.setattr(StatementFacts, "forget", lambda facts, node: None)
+        with pytest.raises(AssertionError):
+            asyncify_source(NORMALIZED)
+
+    def test_must_fail_when_normalization_rewrites_an_if_in_place(
+        self, monkeypatch
+    ):
+        def in_place(node, **blocks):
+            for name, block in blocks.items():
+                setattr(node, name, block)
+            return node
+
+        check_memo(monkeypatch)
+        monkeypatch.setattr(normalize, "rebuilt", in_place)
+        with pytest.raises(AssertionError):
+            asyncify_source(NORMALIZED)
+
+    def test_must_fail_when_a_nested_def_is_rewritten_unreleased(
+        self, monkeypatch
+    ):
+        """The loop around ``load`` was analyzed, the ``if`` in ``load``
+        with it, before the engine transformed ``load``'s inner loop:
+        the loop around the ``if`` then reads a stale entry."""
+        check_memo(monkeypatch)
+        monkeypatch.setattr(StatementFacts, "release", lambda facts, fn: None)
+        with pytest.raises(AssertionError):
+            asyncify_source(NESTED_DEF)
 
 
 class TestNothingWalksAFinishedTree:
@@ -412,7 +617,7 @@ class TestSharedAllocator:
 
 
 def deleted_names(node):
-    """The deletion set the index replaced: one walk per statement."""
+    """The deletion set the memo composes, by one walk per statement."""
     return {
         child.id
         for child in ast.walk(node)
@@ -420,28 +625,34 @@ def deleted_names(node):
     }
 
 
-def assigned_names(fn):
-    """The locals over-approximation the index replaced."""
-    names = insertion._parameter_names(fn)
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
-            names.add(node.id)
-        elif isinstance(node, ast.ExceptHandler) and node.name:
-            names.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update(import_bound_names(node))
-        elif isinstance(node, ast.arg):
-            names.add(node.arg)
-        elif isinstance(node, insertion._MATCH_CAPTURE_NODES) and node.name:
-            names.add(node.name)
-        elif isinstance(node, insertion._MATCH_REST_NODES) and node.rest:
-            names.add(node.rest)
+def bound_names_below(node):
+    """The names any node under ``node`` binds — the bound set the memo
+    composes, ``node``'s own name excluded when it is a def or class."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, (ast.Store, ast.Del)):
+            names.add(child.id)
+        elif isinstance(child, ast.ExceptHandler) and child.name:
+            names.add(child.name)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            names.update(import_bound_names(child))
+        elif isinstance(child, ast.arg):
+            names.add(child.arg)
+        elif isinstance(child, MATCH_CAPTURE_NODES) and child.name:
+            names.add(child.name)
+        elif isinstance(child, MATCH_REST_NODES) and child.rest:
+            names.add(child.rest)
         elif (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node is not fn
+            isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and child is not node
         ):
-            names.add(node.name)
+            names.add(child.name)
     return names
+
+
+def assigned_names(fn):
+    """The locals over-approximation the prefetch pass's own walk made."""
+    return insertion._parameter_names(fn) | bound_names_below(fn)
 
 
 #: ``del`` at several depths, in a handler and a nested def ...
@@ -474,8 +685,12 @@ def g(items):
 
 
 class TestFunctionIndex:
+    """The per-function index the prefetch pass reads — the names a
+    function may bind and, per statement, the names a ``del`` may
+    unbind — is the statement memo's, and equals a walk of the tree."""
+
     #: The speculation tests in test_prefetch_insertion.py that a ``del``
-    #: keeps guarded: an empty deletion index must fail each of them.
+    #: keeps guarded: an emptied deletion index must fail each of them.
     DEL_TESTS = (
         "test_deleted_local_stays_guarded",
         "test_deleted_in_loop_body_stays_guarded",
@@ -494,23 +709,23 @@ class TestFunctionIndex:
             for fn in ast.walk(tree):
                 if not isinstance(fn, ast.FunctionDef):
                     continue
-                index = insertion._FunctionIndex(fn)
-                assert index.locals == assigned_names(fn)
+                facts = StatementFacts(PurityEnv(), default_registry())
+                assert facts.local_names(fn) == assigned_names(fn)
                 for node in ast.walk(fn):
                     if isinstance(node, ast.stmt) and node is not fn:
-                        assert index.deleted[node] == deleted_names(node)
-                        checked += bool(index.deleted[node])
+                        deleted = facts.of(node).deleted
+                        assert deleted == deleted_names(node)
+                        checked += bool(deleted)
         assert checked >= 10
 
     @pytest.mark.parametrize("test_name", DEL_TESTS)
     def test_must_fail_with_an_empty_deletion_index(self, monkeypatch, test_name):
-        real = insertion._FunctionIndex.__init__
+        real = StatementFacts._compose
 
-        def forgetful(index, fn):
-            real(index, fn)
-            index.deleted = dict.fromkeys(index.deleted, frozenset())
+        def forgetful(facts, node):
+            return real(facts, node)._replace(deleted=frozenset())
 
-        monkeypatch.setattr(insertion._FunctionIndex, "__init__", forgetful)
+        monkeypatch.setattr(StatementFacts, "_compose", forgetful)
         with pytest.raises(AssertionError):
             getattr(prefetch_tests.TestSpeculativeMode(), test_name)()
 

@@ -8,14 +8,15 @@ three option sets the repo benchmark uses —
     prefetch_source(src, speculate=True)
 
 — one line: the sha1 of the emitted source, loops found/transformed,
-each ``LoopReport`` as ``(function, kind, [(status, reason)])`` and each
-``PrefetchSite`` as ``(function, label, hoisted_past, guarded,
-speculative)``, so a change to the insertion pass shows whether it kept
-the site metadata as well as the text.  The
-emitter runs in a subprocess whose working directory is the checkout it
-reports on, so BASE_DIR (a ``git clone`` / ``git archive`` of the commit
-to compare against, outside the repository) and this checkout each
-import their own ``src/`` and ``perfbench/``.  Whatever differs is then
+each ``LoopReport`` as ``(function, kind, [(status, reason, label)])``
+and each ``PrefetchSite`` as ``(function, label, hoisted_past, guarded,
+speculative)``, so a change to the engine or the insertion pass shows
+whether it kept the report (every outcome's and site's label included)
+as well as the text.  The emitter runs in a subprocess whose working
+directory is the checkout it reports on, so BASE_DIR (a ``git clone`` /
+``git archive`` of the commit to compare against, outside the
+repository) and this checkout each import their own ``src/`` and
+``perfbench/``.  Whatever differs is then
 printed as a unified diff of the report line and of the emitted source.
 A change that means to keep the transformer's output runs it with
 ``--strict`` (exit 1 on any difference); a change that means to alter it
@@ -70,7 +71,7 @@ def emit():
 def report_line(result):
     """One ``TransformResult`` as the line both sides are compared on."""
     reports = [
-        (r.function, r.kind, [(o.status, o.reason) for o in r.outcomes])
+        (r.function, r.kind, [(o.status, o.reason, o.label) for o in r.outcomes])
         for r in result.reports
     ]
     sites = [

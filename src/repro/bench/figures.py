@@ -98,6 +98,7 @@ def _skewed_ids(db, x, size):
 # ----------------------------------------------------------------------
 
 _COLD_SHORT = dict(cache="cold", points=slice(None, -1))  # one decade short
+_ON_MEMORY = {"backend": "memory"}  # a variant's store, whatever REPRO_BACKEND says
 
 FIG08 = Sweep(
     "fig08",
@@ -541,15 +542,17 @@ ABLATION_SERVER = Sweep(
     "Server mechanisms ablation (cold category traversal)",
     "config# (0=elevator on, 1=elevator off)",
     "Section VI: concurrent submission lets the disk scheduler reorder "
-    "requests — where the cold-cache win comes from",
+    "requests — where the cold-cache win comes from (the elevator is the "
+    "memory store's disk model: both variants run there, whatever "
+    "REPRO_BACKEND says)",
     build=lambda profile, size, x: category.build_database(
         profile, parts=size, elevator=(x == 0)
     ),
     inputs=_traversal_100,
     grid=(0, 1),
     variants=(
-        Variant("orig", TRAVERSAL, threads=1, cache="cold"),
-        Variant("trans", TRAVERSAL_ASYNC, cache="cold"),
+        Variant("orig", TRAVERSAL, threads=1, cache="cold", connect=_ON_MEMORY),
+        Variant("trans", TRAVERSAL_ASYNC, cache="cold", connect=_ON_MEMORY),
     ),
     threads=20,
     size=30_000,

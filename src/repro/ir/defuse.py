@@ -267,7 +267,10 @@ def base_name(node: ast.expr) -> Optional[str]:
 
 def bound_names(target: ast.expr) -> Set[str]:
     """Plain names a store through ``target`` binds (tuple/list/star
-    patterns included; ``a.b = ...`` / ``a[i] = ...`` bind no name)."""
+    patterns included; ``a.b = ...`` / ``a[i] = ...`` bind no name).
+    A plain name is read directly, without a walk."""
+    if target.__class__ is ast.Name:
+        return {target.id} if target.ctx.__class__ is ast.Store else set()
     return {
         node.id
         for node in ast.walk(target)

@@ -166,7 +166,7 @@ class PrefetchInserter:
             self._locals = facts.local_names(node)
             node.body = self._process_block(
                 node.body, node.name, allocator, sites,
-                liftable=False, bound=_parameter_names(node),
+                bound=_parameter_names(node),
             )
         return sites
 
@@ -179,32 +179,31 @@ class PrefetchInserter:
         function: str,
         allocator: NameAllocator,
         sites: List[PrefetchSite],
-        liftable: bool,
         bound: Set[str],
+        lift_test: Optional[ast.expr] = None,
     ) -> List[ast.stmt]:
         """``bound`` is the set of locals definitely bound when the
         block is entered; it grows statement by statement and prices
         the unguarded lift (a lifted submit may only read locals that
-        are definitely bound where it lands)."""
+        are definitely bound where it lands).  ``lift_test`` is the test
+        of the ``if`` whose body the block is: a submit at its top may
+        be lifted above the ``if``."""
         out: List[ast.stmt] = []
         for node in nodes:
+            entry = self._memo.of(node)
             # The names a ``del`` anywhere inside ``node`` *may* unbind:
             # erring toward unbound only costs a guarded fallback.
-            deleted = self._memo.of(node).deleted
+            deleted = entry.deleted
             if isinstance(node, ast.If):
                 node = rebuilt(
                     node,
                     body=self._process_block(
                         node.body, function, allocator, sites,
-                        # Lifting duplicates the test.
-                        liftable=harmless_to_reevaluate(
-                            node.test, self.purity, self.registry
-                        ),
-                        bound=set(bound),
+                        bound=set(bound), lift_test=node.test,
                     ),
                     orelse=self._process_block(
                         node.orelse, function, allocator, sites,
-                        liftable=False, bound=set(bound),
+                        bound=set(bound),
                     ),
                 )
                 for guarded in self._lift_from_if(node, bound):
@@ -224,11 +223,11 @@ class PrefetchInserter:
                     node,
                     body=self._process_block(
                         node.body, function, allocator, sites,
-                        liftable=False, bound=body_bound,
+                        bound=body_bound,
                     ),
                     orelse=self._process_block(
                         node.orelse, function, allocator, sites,
-                        liftable=False, bound=set(bound) - deleted,
+                        bound=set(bound) - deleted,
                     ),
                 )
                 out.append(node)
@@ -244,7 +243,6 @@ class PrefetchInserter:
                 blocks = {
                     attr: self._process_block(
                         getattr(node, attr), function, allocator, sites,
-                        liftable=False,
                         bound=body_bound if attr == "body" else set(after_partial),
                     )
                     for attr in ("body", "orelse", "finalbody")
@@ -256,7 +254,7 @@ class PrefetchInserter:
                             handler,
                             body=self._process_block(
                                 handler.body, function, allocator, sites,
-                                liftable=False, bound=set(after_partial),
+                                bound=set(after_partial),
                             ),
                         )
                         for handler in node.handlers
@@ -266,10 +264,13 @@ class PrefetchInserter:
             else:
                 out.append(node)
             # Union before subtracting: a path that dels a name beats
-            # a sibling path that binds it.
-            bound |= _definite_bindings(node)
+            # a sibling path that binds it.  A statement whose entry
+            # binds no name (a def's or class's own name aside) binds
+            # none definitely; the pass only adds fresh handles to it.
+            if entry.bound or isinstance(node, _DEFS):
+                bound |= _definite_bindings(node)
             bound -= deleted
-        self._insert_prefetches(out, function, allocator, sites, liftable)
+        self._insert_prefetches(out, function, allocator, sites, lift_test)
         return out
 
     # ------------------------------------------------------------------
@@ -281,7 +282,7 @@ class PrefetchInserter:
         function: str,
         allocator: NameAllocator,
         sites: List[PrefetchSite],
-        liftable: bool,
+        lift_test: Optional[ast.expr],
     ) -> None:
         index = len(block) - 1
         while index >= 0:
@@ -291,7 +292,14 @@ class PrefetchInserter:
                 continue
             submit_stmt, fetch_stmt = rewrite
             target = self._hoist_target(block, index, submit_stmt)
-            if target == index and not (liftable and index == 0):
+            # Lifting duplicates the test, asked about only where a
+            # submit reaches the top of the block.
+            liftable = (
+                target == 0
+                and lift_test is not None
+                and harmless_to_reevaluate(lift_test, self.purity, self.registry)
+            )
+            if target == index and not liftable:
                 index -= 1  # no movement, no lift possible: keep blocking
                 continue
             site = PrefetchSite(
@@ -303,7 +311,7 @@ class PrefetchInserter:
             setattr(submit_stmt, SITE_ATTR, site)
             block[index] = fetch_stmt
             block.insert(target, submit_stmt)
-            if target == 0 and liftable:
+            if liftable:
                 setattr(submit_stmt, HOIST_ATTR, True)
             sites.append(site)
             # The element formerly at index-1 now sits at index (when the
@@ -477,6 +485,9 @@ def _parameter_names(fn: ast.FunctionDef) -> Set[str]:
     return names
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _definite_bindings(node: ast.stmt) -> Set[str]:
     """Names definitely bound once control passes ``node``.
 
@@ -504,7 +515,7 @@ def _definite_bindings(node: ast.stmt) -> Set[str]:
         out |= bound_names(node.target)  # completing implies it was bound
     elif isinstance(node, (ast.Import, ast.ImportFrom)):
         out |= import_bound_names(node)
-    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    elif isinstance(node, _DEFS):
         out.add(node.name)
     elif isinstance(node, ast.If) and node.orelse:
         def block(stmts: List[ast.stmt]) -> Set[str]:

@@ -28,6 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.cycles import on_true_cycle
 from ..analysis.ddg import DDG, build_ddg
+from ..ir.nodes import same_nodes
 from ..ir.purity import PurityEnv
 from ..ir.statements import (
     ROLE_ATTR,
@@ -182,8 +183,9 @@ class TransformEngine:
     def transform_source(self, source: str) -> TransformResult:
         """Transform every function in a module's source text."""
         started = time.perf_counter()
-        tree = ast.parse(textwrap.dedent(source))
-        allocator = NameAllocator.for_tree(tree)
+        text = textwrap.dedent(source)
+        tree = ast.parse(text)
+        allocator = NameAllocator.for_source(text)
         # Every round and the prefetch pass ask about a node once.
         facts = StatementFacts(self.purity, self.registry)
         reports: List[LoopReport] = []
@@ -310,9 +312,11 @@ class TransformEngine:
         report: LoopReport,
         allow_window: bool,
     ) -> Optional[List[ast.stmt]]:
-        # The structural checks asked about ``loop``; its body changes now.
-        facts.forget(loop)
-        loop.body = normalize_block(loop.body, facts, allocator)
+        normalized = normalize_block(loop.body, facts, allocator)
+        if not same_nodes(normalized, loop.body):
+            # The structural checks asked about ``loop``; its body changes now.
+            facts.forget(loop)
+            loop.body = normalized
         body = flatten_block(loop.body, facts, allocator)
         header = make_header(loop, self.purity, self.registry)
 
@@ -389,8 +393,7 @@ class TransformEngine:
                     new_body,
                     new_body.index(query),
                     query,
-                    self.purity,
-                    self.registry,
+                    facts,
                     allocator,
                     ddg=reorder_outcome.ddg,
                 )
@@ -415,16 +418,12 @@ class TransformEngine:
             if fetch_replacement is not None:
                 index = nodes.index(result.fetch_loop)
                 nodes[index : index + 1] = fetch_replacement
+            else:
+                # Back in the memo if the round rewrote its body.
+                facts.built(result.fetch_loop, result.fetch_record_var)
             if self.window and allow_window and fetch_replacement is None:
                 try:
-                    nodes = wrap_window(
-                        result,
-                        loop,
-                        self.window,
-                        allocator,
-                        self.purity,
-                        self.registry,
-                    )
+                    nodes = wrap_window(result, loop, self.window, allocator, facts)
                 except LoopNotTransformable:
                     pass  # fall back to unbounded fission
             return nodes
@@ -437,8 +436,7 @@ class TransformEngine:
                     body,
                     nested_split,
                     None,
-                    self.purity,
-                    self.registry,
+                    facts,
                     allocator,
                     ddg=ddg,
                 )

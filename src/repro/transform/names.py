@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
-import ast
+import re
+import unicodedata
 from typing import Iterable, Set
 
-from ..ir.nodes import subtree
+#: Every identifier-shaped token: an ASCII letter, ``_`` or a non-ASCII
+#: character, then word characters or non-ASCII characters.  Outside
+#: strings and comments a non-ASCII character can only be part of an
+#: identifier, so each identifier is a token (``\w`` alone would cut
+#: ``℘x`` or a name holding a combining mark short).
+_IDENTIFIER = re.compile(r"[A-Za-z_\x80-\U0010ffff][\w\x80-\U0010ffff]*")
 
 
 class NameAllocator:
@@ -16,18 +22,13 @@ class NameAllocator:
         self._counters: dict = {}
 
     @classmethod
-    def for_tree(cls, tree: ast.AST) -> "NameAllocator":
-        used: Set[str] = set()
-        for node in subtree(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.arg):
-                used.add(node.arg)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                used.add(node.name)
-        return cls(used)
+    def for_source(cls, text: str) -> "NameAllocator":
+        """An allocator that knows every identifier of the module parsed
+        from ``text``: every identifier-shaped token of the text, taken
+        after the NFKC normalization the parser applies to identifiers.
+        Tokens in strings and comments come along; the seed is a
+        superset of the tree's names, so no fresh name is one of them."""
+        return cls(_IDENTIFIER.findall(unicodedata.normalize("NFKC", text)))
 
     def fresh(self, base: str) -> str:
         """A new name derived from ``base`` (``sum`` -> ``sum_2`` ...)."""

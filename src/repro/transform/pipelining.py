@@ -25,7 +25,7 @@ from typing import List
 
 from ..ir.defuse import harmless_to_reevaluate
 from ..ir.nodes import copy_tree
-from ..ir.purity import PurityEnv
+from ..ir.statements import StatementFacts
 from .codegen import located, name_load, name_store
 from .errors import LoopNotTransformable, REASON_PRECONDITION
 from .names import NameAllocator
@@ -37,10 +37,12 @@ def wrap_window(
     loop_node: ast.stmt,
     window: int,
     allocator: NameAllocator,
-    purity: PurityEnv,
-    registry,
+    facts: StatementFacts,
 ) -> List[ast.stmt]:
-    """Wrap a fission result in a bounded-window parent loop."""
+    """Wrap a fission result in a bounded-window parent loop.  What it
+    builds enters ``facts``, the transform's memo, here: composed, since
+    each statement holds a copy of the loop's header or of the table
+    init, or a call; the moved statements' entries are taken whole."""
     if window < 1:
         raise ValueError("window must be at least 1")
     table_init, submit_loop, fetch_loop = (
@@ -51,7 +53,7 @@ def wrap_window(
     tail = [node for node in result.nodes[3:]]
 
     if isinstance(loop_node, ast.While):
-        if not harmless_to_reevaluate(loop_node.test, purity, registry):
+        if not harmless_to_reevaluate(loop_node.test, facts.purity, facts.registry):
             raise LoopNotTransformable(
                 REASON_PRECONDITION,
                 "bounded-window fission requires a side-effect-free loop "
@@ -109,6 +111,8 @@ def wrap_window(
         nodes = [located(hoist), located(outer)]
     else:  # pragma: no cover - the engine only passes loops
         raise TypeError(f"not a loop: {loop_node!r}")
+    for node in nodes:
+        facts.of(node)
     return nodes
 
 

@@ -195,9 +195,9 @@ class TestTransformerOwners:
             # first positioned node: no finished result, moved body or
             # module is walked again.
             ("fix_missing_locations", set()),
-            # One allocator per module: the engine's, handed to the
-            # prefetch pass.
-            ("for_tree", {("repro.transform", "transform_source")}),
+            # One allocator per module, seeded from its text: the
+            # engine's, handed to the prefetch pass.
+            ("for_source", {("repro.transform", "transform_source")}),
         ],
     )
     def test_whole_tree_passes_have_named_owners(self, attr, owners):

@@ -49,7 +49,7 @@ def straight_line_loop(draw):
 
 def analyzed(code):
     loop = ast.parse(code).body[0]
-    allocator = NameAllocator.for_tree(ast.parse(code))
+    allocator = NameAllocator.for_source(code)
     header = make_header(loop, PURITY, REGISTRY)
     body = flatten_block(loop.body, StatementFacts(PURITY, REGISTRY), allocator)
     return header, body, allocator

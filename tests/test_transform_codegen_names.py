@@ -90,8 +90,7 @@ class TestCodegen:
 
 class TestNameAllocator:
     def test_avoids_existing_names(self):
-        tree = ast.parse("total_1 = 1\ndef helper(total_2): pass")
-        allocator = NameAllocator.for_tree(tree)
+        allocator = NameAllocator.for_source("total_1 = 1\ndef helper(total_2): pass")
         fresh = allocator.fresh("total")
         assert fresh not in ("total_1", "total_2")
 
@@ -116,7 +115,34 @@ class TestNameAllocator:
         assert fresh in allocator
 
     def test_collects_attributes_and_classes(self):
-        tree = ast.parse("class C:\n    pass\nobj.field_1 = 2")
-        allocator = NameAllocator.for_tree(tree)
+        allocator = NameAllocator.for_source("class C:\n    pass\nobj.field_1 = 2")
         assert "C" in allocator
         assert "field_1" in allocator
+
+    def test_the_seed_holds_every_name_of_the_tree(self):
+        """The seed reads the text, not the tree: every identifier the
+        parser keeps is in it, spelled as the parser normalizes it (NFKC:
+        ``ﬁeld`` is ``field``), import aliases, keywords and names that
+        start with a symbol or hold a combining mark included."""
+        source = (
+            "import os.path as p_1\n"
+            "def f(ﬁeld, *args, k=1, **kw):\n"
+            "    global g\n"
+            "    \u2118x = x\u0301_1 = 0\n"
+            "    return [x for x in args if ﬁeld.attr_2(k=k)]\n"
+        )
+        allocator = NameAllocator.for_source(source)
+        tree = ast.parse(source)
+        names = set()
+        for node in ast.walk(tree):
+            for value in node.__dict__.values():
+                values = value if isinstance(value, list) else [value]
+                names.update(v for v in values if isinstance(v, str) and v.isidentifier())
+        assert "field" in names and "ﬁeld" not in names
+        assert {"\u2118x", "x\u0301_1"} <= names
+        assert all(name in allocator for name in names)
+
+    def test_a_name_in_a_string_or_comment_is_taken_too(self):
+        allocator = NameAllocator.for_source("s = '__async_tab1'  # sum_1\n")
+        assert allocator.fresh("__async_tab") == "__async_tab2"
+        assert allocator.fresh("sum") == "sum_2"

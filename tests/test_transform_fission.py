@@ -29,7 +29,7 @@ def prepare(code, registry=None):
     registry = registry or REGISTRY
     tree = ast.parse(code)
     loop = tree.body[0]
-    allocator = NameAllocator.for_tree(tree)
+    allocator = NameAllocator.for_source(code)
     header = make_header(loop, PURITY, registry)
     body = flatten_block(loop.body, StatementFacts(PURITY, registry), allocator)
     return loop, header, body, allocator
@@ -168,8 +168,8 @@ class TestGeneratedShape:
     def run_fission(self, code, qindex, registry=None):
         loop, header, body, allocator = prepare(code, registry)
         return fission(
-            loop, header, body, qindex, body[qindex], PURITY,
-            registry or REGISTRY, allocator,
+            loop, header, body, qindex, body[qindex],
+            StatementFacts(PURITY, registry or REGISTRY), allocator,
         )
 
     def test_three_nodes_with_roles(self):
@@ -249,7 +249,7 @@ for x in items:
 """
         loop, header, body, allocator = prepare(code)
         with pytest.raises(LoopNotTransformable):
-            fission(loop, header, body, 1, body[1], PURITY, REGISTRY, allocator)
+            fission(loop, header, body, 1, body[1], StatementFacts(PURITY, REGISTRY), allocator)
 
     def test_rebound_container_allowed(self):
         """Example 5's nested-table pattern: fresh rebind before mutation."""
@@ -261,7 +261,7 @@ for x in items:
     out.append((acc, r))
 """
         loop, header, body, allocator = prepare(code)
-        result = fission(loop, header, body, 2, body[2], PURITY, REGISTRY, allocator)
+        result = fission(loop, header, body, 2, body[2], StatementFacts(PURITY, REGISTRY), allocator)
         assert "acc" in result.split_vars
 
     def test_receiver_written_in_loop_refused(self):
@@ -273,7 +273,7 @@ for x in items:
 """
         loop, header, body, allocator = prepare(code)
         with pytest.raises(LoopNotTransformable):
-            fission(loop, header, body, 1, body[1], PURITY, REGISTRY, allocator)
+            fission(loop, header, body, 1, body[1], StatementFacts(PURITY, REGISTRY), allocator)
 
     def test_precondition_rechecked(self):
         loop, header, body, allocator = prepare(
@@ -284,4 +284,4 @@ while c is not None:
 """
         )
         with pytest.raises(LoopNotTransformable):
-            fission(loop, header, body, 0, body[0], PURITY, REGISTRY, allocator)
+            fission(loop, header, body, 0, body[0], StatementFacts(PURITY, REGISTRY), allocator)

@@ -15,7 +15,7 @@ PURITY = PurityEnv()
 
 def flatten(code):
     tree = ast.parse(code)
-    allocator = NameAllocator.for_tree(tree)
+    allocator = NameAllocator.for_source(code)
     return flatten_block(tree.body, StatementFacts(PURITY), allocator)
 
 

@@ -56,7 +56,7 @@ class TestRegistry:
 def normalize(code, registry=None):
     registry = registry or default_registry()
     nodes = ast.parse(code).body
-    allocator = NameAllocator.for_tree(ast.parse(code))
+    allocator = NameAllocator.for_source(code)
     out = normalize_block(nodes, StatementFacts(PURITY, registry), allocator)
     return [ast.unparse(node) for node in out]
 

@@ -30,7 +30,7 @@ def reorder_loop(code, purity=None):
     purity = purity or PURITY
     tree = ast.parse(code)
     loop = tree.body[0]
-    allocator = NameAllocator.for_tree(tree)
+    allocator = NameAllocator.for_source(code)
     header = make_header(loop, purity, REGISTRY)
     body = flatten_block(loop.body, StatementFacts(purity, REGISTRY), allocator)
     queries = [stmt for stmt in body if stmt.is_query]

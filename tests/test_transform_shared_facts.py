@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 import copy
 import sys
+import textwrap
 from collections import deque
 
 import pytest
@@ -30,6 +31,8 @@ from hypothesis import given, strategies as st
 import tests.test_prefetch_insertion as prefetch_tests
 from perfbench.data import corpus_sources
 from repro.analysis.ddg import build_ddg
+from repro.ir import defuse as defuse_module
+from repro.ir import nodes as nodes_module
 from repro.ir import statements as statements_module
 from repro.ir.defuse import analyze_statement, import_bound_names
 from repro.ir.purity import PurityEnv
@@ -41,6 +44,7 @@ from repro.ir.statements import (
     StatementFacts,
     Stmt,
     find_query_call,
+    function_defs,
 )
 from repro.prefetch import insertion
 from repro.transform import asyncify_source, engine, prefetch_source, rule_reorder
@@ -57,6 +61,14 @@ OPTION_SETS = {
     "asyncify": lambda source: asyncify_source(source),
     "asyncify+prefetch": lambda source: asyncify_source(source, prefetch=True),
     "prefetch+speculate": lambda source: prefetch_source(source, speculate=True),
+}
+
+
+#: The option sets above and the bounded window, whose wrapper builds
+#: statements too.
+BUILDING_SETS = {
+    **OPTION_SETS,
+    "asyncify+window": lambda source: asyncify_source(source, window=4),
 }
 
 
@@ -268,16 +280,19 @@ def check_entry(facts, node, entry):
 
 def check_memo(monkeypatch):
     """Compare each answer of every transform's statement memo with a
-    fresh analysis of the same node — when it is a hit, and, for every
-    entry, when the transform ends (an entry no later round asks for can
-    still go stale).  A subtree entry is compared field by field: the
-    query sites in order, the callees, the ``del``-ed and bound names,
-    the role tags, the loop flag and both exit answers.  Returns the
-    hit counts of ``defuse`` and of the subtree entries (``of``)."""
-    hits = {"defuse": 0, "of": 0}
+    fresh analysis of the same node — when it is a hit, when a builder
+    enters a statement it made (``built``), and, for every entry, when
+    the transform ends (an entry no later round asks for can still go
+    stale).  A subtree entry is compared field by field: the query sites
+    in order, the callees, the ``del``-ed and bound names, the role
+    tags, the loop flag and both exit answers.  Returns the hit counts
+    of ``defuse`` and of the subtree entries (``of``), and how many
+    entries builders registered (``built``)."""
+    hits = {"defuse": 0, "of": 0, "built": 0}
     made = []
     real_init = StatementFacts.__init__
     real_defuse, real_of = StatementFacts.defuse, StatementFacts.of
+    real_built = StatementFacts.built
 
     def init(facts, *args, **kwargs):
         real_init(facts, *args, **kwargs)
@@ -299,9 +314,18 @@ def check_memo(monkeypatch):
             hits["of"] += 1
         return answer
 
+    def built(facts, node, *bound):
+        known = node in facts._subtrees
+        answer = real_built(facts, node, *bound)
+        if not known:
+            check_entry(facts, node, facts._subtrees[node])
+            hits["built"] += 1
+        return answer
+
     monkeypatch.setattr(StatementFacts, "__init__", init)
     monkeypatch.setattr(StatementFacts, "defuse", defuse)
     monkeypatch.setattr(StatementFacts, "of", of)
+    monkeypatch.setattr(StatementFacts, "built", built)
 
     real_transform = engine.TransformEngine.transform_source
 
@@ -349,7 +373,7 @@ class TestStatementMemo:
         hits = check_memo(monkeypatch)
         for _name, source in CORPUS:
             OPTION_SETS[option_set](source)
-        assert hits["defuse"] >= 40 and hits["of"] >= 40
+        assert hits["defuse"] >= 40 and hits["of"] >= 40 and hits["built"] >= 200
 
     @given(
         statements=loop_statements(),
@@ -547,7 +571,165 @@ class TestSubtreeEntries:
             asyncify_source(NESTED_DEF)
 
 
+def drop_one(field):
+    """A ``StatementFacts.built`` whose new entries each lack one name
+    of ``field`` (the least), where they have one."""
+    real = StatementFacts.built
+
+    def built(facts, node, *bound):
+        known = node in facts._subtrees
+        real(facts, node, *bound)
+        entry = facts._subtrees[node]
+        names = getattr(entry, field)
+        if not known and names:
+            facts._subtrees[node] = entry._replace(**{field: names - {min(names)}})
+        return node
+
+    return built
+
+
+class TestBuilderEntries:
+    """Fission and the window wrapper enter each statement they build
+    with its entry, from the names they generated (``built``), or
+    compose it where they build it when it holds a call or what they
+    copied from the program; the engine enters a fetch loop its round
+    rewrote again.  Every registered entry equals a fresh walk."""
+
+    @pytest.mark.parametrize("option_set", sorted(BUILDING_SETS))
+    def test_every_registered_entry_is_a_fresh_walk(self, monkeypatch, option_set):
+        hits = check_memo(monkeypatch)
+        for _name, source in CORPUS:
+            BUILDING_SETS[option_set](source)
+        assert hits["built"] >= 150
+
+    @given(
+        statements=loop_statements(),
+        header=st.sampled_from(sorted(HEADERS)),
+    )
+    @drawn(60)
+    def test_every_registered_entry_is_a_fresh_walk_over_the_generator(
+        self, statements, header
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            check_memo(patch)
+            program = build_program(statements, header)
+            for transform in BUILDING_SETS.values():
+                transform(program)
+
+    @pytest.mark.parametrize("field", ["bound", "roles"])
+    def test_must_fail_with_a_registered_entry_missing_a_name(
+        self, monkeypatch, field
+    ):
+        """A record init without the name it binds, a table init without
+        its ``ROLE_TABLE`` tag: each is caught where it is entered."""
+        monkeypatch.setattr(StatementFacts, "built", drop_one(field))
+        check_memo(monkeypatch)
+        with pytest.raises(AssertionError):
+            asyncify_source(EXAMPLE_8)
+
+
+def original_statements(monkeypatch):
+    """Record the statements of every tree parsed from now on; returns
+    their ids (the trees are kept alive with them)."""
+    seen = set()
+    trees = []
+    real_parse, walk = ast.parse, ast.walk
+
+    def parse(*args, **kwargs):
+        tree = real_parse(*args, **kwargs)
+        trees.append(tree)
+        seen.update(id(node) for node in walk(tree) if isinstance(node, ast.stmt))
+        return tree
+
+    monkeypatch.setattr(ast, "parse", parse)
+    return seen
+
+
+def walked_seed(text):
+    """The allocator seeded by a walk of the parsed tree."""
+    return NameAllocator(
+        node.id for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Name)
+    )
+
+
+def walked_bound_names(target):
+    """Every store under ``target``, by a walk, even of a plain name."""
+    return {
+        node.id
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+
+
+#: The walks this file's no-walk case replaced, as mutations.
+OLD_WALKS = {
+    "builder enters nothing": (StatementFacts, "built", lambda facts, node, *bound: node),
+    "seed walks the tree": (NameAllocator, "for_source", staticmethod(walked_seed)),
+    "binding read walks": (insertion, "bound_names", walked_bound_names),
+}
+
+
 class TestNothingWalksAFinishedTree:
+    def test_no_pass_walks_a_tree_or_composes_what_a_builder_made(
+        self, monkeypatch
+    ):
+        """During a transform nothing walks a module, a function or any
+        other statement (the allocator's seed is the source text), no
+        plain-name target is walked for the name it binds, and the
+        prefetch pass composes no statement the engine built: each
+        arrived with its entry."""
+        original = original_statements(monkeypatch)
+        walks = []
+        real_walk, real_subtree = ast.walk, nodes_module.subtree
+
+        def refuse(node, real):
+            plain_target = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            if isinstance(node, (ast.mod, ast.stmt)) or plain_target:
+                walks.append(type(node).__name__)
+            return real(node)
+
+        monkeypatch.setattr(ast, "walk", lambda node: refuse(node, real_walk))
+        monkeypatch.setattr(defuse_module, "subtree", lambda node: refuse(node, real_subtree))
+        composed = []
+        real_run, real_compose = insertion.PrefetchInserter.run, StatementFacts._compose
+        made = set()
+
+        def run(inserter, tree, allocator, facts):
+            made.clear()
+            made.update(
+                node
+                for node in real_walk(tree)
+                if isinstance(node, ast.stmt) and id(node) not in original
+            )
+            try:
+                return real_run(inserter, tree, allocator, facts)
+            finally:
+                made.clear()
+
+        def compose(facts, node):
+            if node in made:
+                composed.append(ast.unparse(node))
+            return real_compose(facts, node)
+
+        monkeypatch.setattr(insertion.PrefetchInserter, "run", run)
+        monkeypatch.setattr(StatementFacts, "_compose", compose)
+        transformed = 0
+        for transform in BUILDING_SETS.values():
+            for _name, source in CORPUS + [("example 8", EXAMPLE_8)]:
+                transformed += transform(source).transformed_loops
+        assert transformed >= 100
+        assert walks == [] and composed == []
+
+    @pytest.mark.parametrize("walk", sorted(OLD_WALKS))
+    def test_must_fail_with_each_walk_it_replaced(self, monkeypatch, walk):
+        """A builder that enters nothing (the prefetch pass composes its
+        statements again), a seed walked from the tree, and binding
+        reads that walk a plain name: each fails the case above."""
+        owner, name, replacement = OLD_WALKS[walk]
+        monkeypatch.setattr(owner, name, replacement)
+        with pytest.raises(AssertionError):
+            self.test_no_pass_walks_a_tree_or_composes_what_a_builder_made(monkeypatch)
+
     def test_no_whole_tree_fix_or_deep_copy(self, monkeypatch):
         calls = []
         for module, name in ((ast, "fix_missing_locations"), (copy, "deepcopy")):
@@ -588,7 +770,7 @@ class TestSharedAllocator:
         real_run = insertion.PrefetchInserter.run
 
         def run(inserter, tree, allocator, facts):
-            in_tree = NameAllocator.for_tree(tree)
+            in_tree = NameAllocator.for_source(ast.unparse(tree))
             start = len(handed)
             if forget_the_tree:
                 allocator = NameAllocator()
@@ -601,7 +783,7 @@ class TestSharedAllocator:
         for transform in OPTION_SETS.values():
             for _name, source in CORPUS + [("colliding", COLLIDING)]:
                 handed.clear()
-                original = NameAllocator.for_tree(ast.parse(source))
+                original = NameAllocator.for_source(source)
                 transform(source)
                 assert not [name for name in handed if name in original]
                 assert len(set(handed)) == len(handed)
@@ -650,6 +832,57 @@ def bound_names_below(node):
     return names
 
 
+#: A def in every block a statement can sit in, at several depths, and
+#: expressions whose fields are also called ``body`` / ``orelse``.
+DEFS_EVERYWHERE = """
+def a(y, z, w, m, E):
+    v = (lambda: [x for x in y]) if z else 2
+    def b():
+        pass
+    for x in y:
+        def c():
+            def d():
+                pass
+    try:
+        def e():
+            pass
+    except E:
+        def f():
+            pass
+    else:
+        def g():
+            pass
+    finally:
+        def h():
+            pass
+    with m:
+        def i():
+            pass
+    class K:
+        def j(self):
+            pass
+    if z:
+        def k():
+            pass
+    else:
+        def l():
+            pass
+    while w:
+        pass
+    else:
+        def m2():
+            pass
+def n():
+    pass
+"""
+
+
+def walked_defs(tree):
+    """The defs of ``tree`` in ``ast.walk``'s order: the filtered walk
+    ``function_defs`` replaced."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
 def assigned_names(fn):
     """The locals over-approximation the prefetch pass's own walk made."""
     return insertion._parameter_names(fn) | bound_names_below(fn)
@@ -680,7 +913,8 @@ def g(items):
         case [first, *others]:
             del first
         case {"k": v, **more}:
-            pass
+            def inner():
+                pass
 """
 
 
@@ -717,6 +951,34 @@ class TestFunctionIndex:
                         assert deleted == deleted_names(node)
                         checked += bool(deleted)
         assert checked >= 10
+
+    def test_function_defs_in_the_walks_order(self):
+        """``function_defs`` reads statement lists only; its order is the
+        filtered breadth-first walk's, on the corpus before and after
+        each option set and on a nest of defs in loops, handlers and
+        match cases."""
+        trees = [ast.parse(DEFS_EVERYWHERE), ast.parse(NESTED_DELS), ast.parse(NESTED_DEF)]
+        if sys.version_info >= (3, 10):
+            trees.append(ast.parse(MATCH_DELS))
+        for _name, source in CORPUS:
+            trees.append(ast.parse(source))
+            trees += [transform(source).tree for transform in OPTION_SETS.values()]
+        for tree in trees:
+            assert list(function_defs(tree)) == walked_defs(tree)
+        assert len(walked_defs(trees[0])) == 14
+
+    @given(
+        statements=loop_statements(),
+        header=st.sampled_from(sorted(HEADERS)),
+    )
+    @drawn(40)
+    def test_function_defs_in_the_walks_order_over_the_generator(
+        self, statements, header
+    ):
+        program = build_program(statements, header)
+        nested = "def outer():\n" + textwrap.indent(program, "    ") + "\n" + program
+        for tree in (ast.parse(program), ast.parse(nested)):
+            assert list(function_defs(tree)) == walked_defs(tree)
 
     @pytest.mark.parametrize("test_name", DEL_TESTS)
     def test_must_fail_with_an_empty_deletion_index(self, monkeypatch, test_name):

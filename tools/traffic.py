@@ -16,8 +16,9 @@ Tests are not traffic: a function only the test suite calls is listed.
 
 The traffic: the repo benchmark (every workload of ``BENCHMARK.json``,
 its layers pass at ``--seconds 1``), the figure smoke, the load-driver
-lines CI runs, every example, and the transform CLI under its main
-options.  Everything they write (perfbench results and traces, bench
+lines CI runs, every example, the transform CLI under its main
+options, and the ``repro stats`` and ``repro trace`` subcommands.
+Everything they write (perfbench results and traces, bench
 JSON, the sqlite stores' scratch files) goes to a temporary directory
 that is removed at exit: nothing lands in the checkout.  A full run
 takes a few minutes; it exits 1 if a command failed.
@@ -63,6 +64,13 @@ WORKLOAD_RUNS = (
     " --users 400 --quiet --slo p99=2.0 --slo write:p99=2.0",
 )
 
+#: The documented subcommands beside the transformer (docs/CLI.md), each
+#: over a small demonstration workload.
+SUBCOMMANDS = (
+    ("stats", "--ops", "20"),
+    ("trace", "--ops", "10"),
+)
+
 #: The transform CLI's option sets, each run over the quickstart example.
 CLI_OPTIONS = (
     ("--report",),
@@ -83,6 +91,7 @@ def commands(root: Path = ROOT) -> List[Tuple[str, ...]]:
     ]
     runs.append((str(root / "tools" / "bench_smoke.py"), "--figures"))
     runs += [("-m", "repro", "workload", "run", *line.split()) for line in WORKLOAD_RUNS]
+    runs += [("-m", "repro", *subcommand) for subcommand in SUBCOMMANDS]
     runs += [(str(path),) for path in sorted((root / "examples").glob("*.py"))]
     quickstart = str(root / "examples" / "quickstart.py")
     runs += [("-m", "repro", quickstart, *options) for options in CLI_OPTIONS]

@@ -71,7 +71,7 @@ def rebuilt(node: ast.AST, **blocks: List[ast.AST]) -> ast.AST:
     so a pass that rewrites a block never changes it in place; the copy
     is new to the memo, and so is every ancestor it forces to be
     rebuilt."""
-    if all(same_nodes(getattr(node, name), block) for name, block in blocks.items()):
+    if all(_same(getattr(node, name), block) for name, block in blocks.items()):
         return node
     clone = copy.copy(node)
     for name, block in blocks.items():
@@ -79,6 +79,5 @@ def rebuilt(node: ast.AST, **blocks: List[ast.AST]) -> ast.AST:
     return clone
 
 
-def same_nodes(old: List[ast.AST], new: List[ast.AST]) -> bool:
-    """Do two blocks hold the same nodes, in the same order?"""
+def _same(old: List[ast.AST], new: List[ast.AST]) -> bool:
     return len(old) == len(new) and all(a is b for a, b in zip(old, new))

@@ -24,10 +24,10 @@ the registered query calls below it (what :func:`find_query_call`
 describes), the plain-name callees, the ``del``-ed and bound names,
 whether it holds a loop and whether control can leave the enclosing
 block through it.  A statement fission or the window wrapper builds
-enters the memo where it is built (:meth:`StatementFacts.built`), so no
-pass scans it again.  Besides: whether a statement's kind is one the
-rules understand at every level they reach (:func:`is_supported`), how
-reports name it (:func:`label`) and which functions a module holds
+is composed where it is built, so no later pass scans it again.
+Besides: whether a statement's kind is one the rules understand at
+every level they reach (:func:`is_supported`), how reports name it
+(:func:`label`) and which functions a module holds
 (:func:`function_defs`, read from statement lists only), where both
 passes start.  The names in use in a module are the allocator's seed,
 read from the source text (``transform/names.py``).  Questions about
@@ -309,9 +309,7 @@ class StatementFacts:
     the :class:`SubtreeFacts` every subtree question is answered from.
     A compound statement's entry is composed from its child statements'
     entries and one scan of its own expression fields, so no statement
-    is walked twice, however many enclosing loops ask about it; a
-    statement a builder made from generated names is not scanned at
-    all: the builder hands the memo those names (:meth:`built`).
+    is walked twice, however many enclosing loops ask about it.
     The engine creates one per call and hands it to every round (a
     fission round re-flattens the statements it moved into the fetch
     loop) and to the prefetch pass (which asks again about the
@@ -326,18 +324,16 @@ class StatementFacts:
       loops first) before the round that analyzes the statement holding
       them;
     * a loop round asks about the loop before ``normalize_block``
-      rewrites its body in place, so where normalization changed the
-      body it drops the loop's entries first (:meth:`forget`; no
-      enclosing statement was analyzed yet: innermost first), and the
-      engine enters a fetch loop it kept again (:meth:`built`);
+      rewrites its body in place, so it drops the loop's entries first
+      (:meth:`forget`; no enclosing statement was analyzed yet:
+      innermost first); the engine composes a fetch loop it keeps again
+      after the fetch loop's own round;
     * ``normalize`` rewrites a statement, or an ``if`` whose block it
       rewrote, as new nodes, and the old one leaves the tree;
     * a round's statements move into the loops fission and the window
-      wrapper build around them unchanged, and each statement those
-      two build enters the memo as it is built, before what holds it:
-      by :meth:`built` from the names the builder generated, or
-      composed (:meth:`of`) where it holds a call, a handler or a copy
-      of the program's expressions;
+      wrapper build around them unchanged, and both compose (:meth:`of`)
+      what they return, so each statement they build has its entry
+      before a later pass asks;
     * ``rule_reorder._rewrite_in_place`` swaps in a *new* renamed node;
     * the prefetch pass rebuilds, as new nodes, a compound statement
       whose block it rewrote and a submit it makes speculative;
@@ -346,7 +342,7 @@ class StatementFacts:
       enclosing statement's entry may hold the def.
 
     Positions may still be added: no fact reads them.  A role tag is
-    set where fission builds the node, before it enters the memo."""
+    set where fission builds the node, before it is composed."""
 
     def __init__(self, purity: PurityEnv, registry=None) -> None:
         self.purity = purity
@@ -369,56 +365,6 @@ class StatementFacts:
         if found is None:
             found = self._subtrees[node] = self._compose(node)
         return found
-
-    def built(self, node: ast.stmt, *bound: str) -> ast.stmt:
-        """Enter ``node``, a statement a builder just made, and return it.
-        Its own fields hold only names the builder generated (its stores
-        bind ``bound``), constants and operators, around the statements
-        of its ``body`` and ``orelse``, which the memo knows (a builder
-        enters what it builds before what holds it) or composes.  So its
-        entry is theirs merged, with ``bound`` and its role tag, and no
-        pass scans its fields.  A statement whose own fields hold a
-        call, a handler or an expression copied from the program is
-        composed, by :meth:`of`, where it is built.  A statement the
-        memo knows keeps its entry."""
-        if node in self._subtrees:
-            return node
-        state = node.__dict__
-        body = state.get("body", [])
-        entries = [self.of(child) for child in body + state.get("orelse", [])]
-        roles = frozenset((state[ROLE_ATTR],)) if ROLE_ATTR in state else _NOTHING
-        loop = node.__class__ in _LOOPS
-        if not entries:
-            self._subtrees[node] = SubtreeFacts(
-                [], None, _NOTHING, _NOTHING, frozenset(bound), roles, False, (False, False)
-            )
-            return node
-        if len(entries) == 1 and not (bound or roles or loop or entries[0].sites):
-            # An ``if`` around one statement holds what it holds.
-            self._subtrees[node] = entries[0]
-            return node
-        sites: List[Tuple[int, ast.Call, object]] = []
-        callees, deleted, names, tags = set(), set(), set(bound), set(roles)
-        # A ``break``/``continue`` in a loop's body is the loop's own.
-        body_exit = 1 if loop else 0
-        exit_out = exit_in = False
-        for index, entry in enumerate(entries):
-            if entry.sites:
-                sites.extend((depth + 1, call, spec) for depth, call, spec in entry.sites)
-            callees |= entry.callees
-            deleted |= entry.deleted
-            names |= entry.bound
-            tags |= entry.roles
-            loop = loop or entry.loop
-            exit_out = exit_out or entry.exits[body_exit if index < len(body) else 0]
-            exit_in = exit_in or entry.exits[1]
-        sites.sort(key=_depth)
-        query = _query_call(node, sites[0][1], sites[0][2], len(sites) == 1) if sites else None
-        self._subtrees[node] = SubtreeFacts(
-            sites, query, frozenset(callees), frozenset(deleted), frozenset(names),
-            frozenset(tags), loop, (exit_out, exit_in),
-        )
-        return node
 
     def query(self, node: ast.stmt) -> Optional[QueryCall]:
         return self.of(node).query

@@ -28,7 +28,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.cycles import on_true_cycle
 from ..analysis.ddg import DDG, build_ddg
-from ..ir.nodes import same_nodes
 from ..ir.purity import PurityEnv
 from ..ir.statements import (
     ROLE_ATTR,
@@ -312,11 +311,9 @@ class TransformEngine:
         report: LoopReport,
         allow_window: bool,
     ) -> Optional[List[ast.stmt]]:
-        normalized = normalize_block(loop.body, facts, allocator)
-        if not same_nodes(normalized, loop.body):
-            # The structural checks asked about ``loop``; its body changes now.
-            facts.forget(loop)
-            loop.body = normalized
+        # The structural checks asked about ``loop``; its body changes now.
+        facts.forget(loop)
+        loop.body = normalize_block(loop.body, facts, allocator)
         body = flatten_block(loop.body, facts, allocator)
         header = make_header(loop, self.purity, self.registry)
 
@@ -419,8 +416,8 @@ class TransformEngine:
                 index = nodes.index(result.fetch_loop)
                 nodes[index : index + 1] = fetch_replacement
             else:
-                # Back in the memo if the round rewrote its body.
-                facts.built(result.fetch_loop, result.fetch_record_var)
+                # Its round forgot it.
+                facts.of(result.fetch_loop)
             if self.window and allow_window and fetch_replacement is None:
                 try:
                     nodes = wrap_window(result, loop, self.window, allocator, facts)

@@ -40,9 +40,8 @@ def wrap_window(
     facts: StatementFacts,
 ) -> List[ast.stmt]:
     """Wrap a fission result in a bounded-window parent loop.  What it
-    builds enters ``facts``, the transform's memo, here: composed, since
-    each statement holds a copy of the loop's header or of the table
-    init, or a call; the moved statements' entries are taken whole."""
+    builds is composed in ``facts``, the transform's memo, before it is
+    returned; the moved statements keep their entries."""
     if window < 1:
         raise ValueError("window must be at least 1")
     table_init, submit_loop, fetch_loop = (

@@ -207,20 +207,10 @@ def fission(
     on ``ddg`` when the caller already holds the graph of ``header`` +
     ``body``.  The body's statement nodes move into the result, not
     copies of them; every refusal comes before the first one moves, so
-    a refused loop is left whole.  Each statement built here enters
-    ``facts``, the transform's memo, as it is built: from the names
-    generated here, which its own fields hold (:meth:`~repro.ir.
-    statements.StatementFacts.built`), or composed where it holds a
-    call, a handler or a copy of the program's expressions.  No pass
-    scans it again.
+    a refused loop is left whole.  What is built here is composed in
+    ``facts``, the transform's memo, before it is returned, so no later
+    pass scans it again.
     """
-    enter = facts.built
-
-    def composed(node: ast.stmt) -> ast.stmt:
-        # Its own fields hold a call, a handler or what the program held.
-        facts.of(node)
-        return node
-
     if ddg is None:
         ddg = build_ddg(header, body)
     split_pos = split_index + 1
@@ -258,57 +248,53 @@ def fission(
     guarded_vars = _guarded_only_vars(header, ss1, ss2, split_vars)
 
     # ---------------- submit loop ----------------
-    def spill(var: str) -> ast.stmt:
-        return enter(subscript_store(record_var, var, name_load(var)))
-
-    def guarded(test: Optional[ast.expr], node: ast.stmt) -> ast.stmt:
-        return node if test is None else enter(if_stmt(test, [node]))
-
-    loop1_body: List[ast.stmt] = [enter(empty_dict_assign(record_var), record_var)]
+    loop1_body: List[ast.stmt] = [empty_dict_assign(record_var)]
     for var in sorted(split_vars & header.writes - guarded_vars):
-        loop1_body.append(spill(var))
+        loop1_body.append(subscript_store(record_var, var, name_load(var)))
     for stmt in ss1:
-        emitted = emit_stmt(stmt)
-        loop1_body.append(emitted if emitted is stmt.node else enter(emitted))
+        loop1_body.append(emit_stmt(stmt))
         written = sorted(stmt.writes & split_vars - guarded_vars)
         for var in written:
-            loop1_body.append(guarded(guard_test(stmt.guards), spill(var)))
+            spill = subscript_store(record_var, var, name_load(var))
+            test = guard_test(stmt.guards)
+            loop1_body.append(if_stmt(test, [spill]) if test is not None else spill)
     for var in sorted(guarded_vars):
         # Conditionally-written split variable with an uncovered fetch-
         # side read: capture the value every iteration (see the module
         # docstring) — when no guard fired yet, that is the pre-loop
         # value the fetch iteration must see.
-        loop1_body.append(composed(unless_unbound(spill(var))))
+        spill = subscript_store(record_var, var, name_load(var))
+        loop1_body.append(unless_unbound(spill))
     if query is not None:
-        loop1_body.append(guarded(guard_test(query.guards), composed(submit)))
-    loop1_body.append(composed(append_call(table_var, record_var)))
+        test = guard_test(query.guards)
+        loop1_body.append(if_stmt(test, [submit]) if test is not None else submit)
+    loop1_body.append(append_call(table_var, record_var))
 
     submit_loop = _clone_loop_with_body(loop_node, loop1_body)
     setattr(submit_loop, ROLE_ATTR, ROLE_SUBMIT)
-    composed(submit_loop)
 
     # ---------------- fetch loop ----------------
     loop2_body: List[ast.stmt] = []
     for var in sorted(split_vars):
-        value = ast.Assign(
-            targets=[name_store(var)], value=subscript_load(fetch_record_var, var)
+        restore = if_stmt(
+            key_in_record(var, fetch_record_var),
+            [ast.Assign(targets=[name_store(var)],
+                        value=subscript_load(fetch_record_var, var))],
         )
-        restore = if_stmt(key_in_record(var, fetch_record_var), [enter(value, var)])
         if var in guarded_vars:
             # A missing key means the variable was unbound at this point
             # of the original iteration (the capture hit NameError):
             # unbind it so a fetch-side read faults exactly as the
             # original did, instead of silently reading a later
             # iteration's value.
-            restore.orelse = [composed(
+            restore.orelse = [
                 unless_unbound(ast.Delete(targets=[ast.Name(id=var, ctx=ast.Del())]))
-            )]
-        loop2_body.append(enter(restore))
+            ]
+        loop2_body.append(restore)
     if query is not None:
-        composed(fetch)
         if query.guards:
             # Handle presence encodes "the guard held at submit time".
-            fetch = enter(if_stmt(key_in_record(handle_key, fetch_record_var), [fetch]))
+            fetch = if_stmt(key_in_record(handle_key, fetch_record_var), [fetch])
         loop2_body.append(fetch)
     loop2_body.extend(regroup(ss2))
 
@@ -320,12 +306,12 @@ def fission(
     )
     located(fetch_loop)
     setattr(fetch_loop, ROLE_ATTR, ROLE_FETCH)
-    enter(fetch_loop, fetch_record_var)
 
     table_init = empty_list_assign(table_var)
     setattr(table_init, ROLE_ATTR, ROLE_TABLE)
-    enter(table_init, table_var)
 
+    for node in (table_init, submit_loop, fetch_loop):
+        facts.of(node)
     return FissionResult(
         nodes=[table_init, submit_loop, fetch_loop],
         submit_loop=submit_loop,

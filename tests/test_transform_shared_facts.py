@@ -64,6 +64,9 @@ OPTION_SETS = {
 }
 
 
+#: The engine's statement builders, by the names it calls them.
+BUILDERS = ("fission", "wrap_window")
+
 #: The option sets above and the bounded window, whose wrapper builds
 #: statements too.
 BUILDING_SETS = {
@@ -280,19 +283,19 @@ def check_entry(facts, node, entry):
 
 def check_memo(monkeypatch):
     """Compare each answer of every transform's statement memo with a
-    fresh analysis of the same node — when it is a hit, when a builder
-    enters a statement it made (``built``), and, for every entry, when
-    the transform ends (an entry no later round asks for can still go
-    stale).  A subtree entry is compared field by field: the query sites
-    in order, the callees, the ``del``-ed and bound names, the role
-    tags, the loop flag and both exit answers.  Returns the hit counts
-    of ``defuse`` and of the subtree entries (``of``), and how many
-    entries builders registered (``built``)."""
+    fresh analysis of the same node — when it is a hit, when fission or
+    the window wrapper returns what it built (each statement there must
+    have its entry already), and, for every entry, when the transform
+    ends (an entry no later round asks for can still go stale).  A
+    subtree entry is compared field by field: the query sites in order,
+    the callees, the ``del``-ed and bound names, the role tags, the loop
+    flag and both exit answers.  Returns the hit counts of ``defuse``
+    and of the subtree entries (``of``), and how many statements the
+    builders returned with their entries (``built``)."""
     hits = {"defuse": 0, "of": 0, "built": 0}
     made = []
     real_init = StatementFacts.__init__
     real_defuse, real_of = StatementFacts.defuse, StatementFacts.of
-    real_built = StatementFacts.built
 
     def init(facts, *args, **kwargs):
         real_init(facts, *args, **kwargs)
@@ -314,18 +317,25 @@ def check_memo(monkeypatch):
             hits["of"] += 1
         return answer
 
-    def built(facts, node, *bound):
-        known = node in facts._subtrees
-        answer = real_built(facts, node, *bound)
-        if not known:
-            check_entry(facts, node, facts._subtrees[node])
-            hits["built"] += 1
-        return answer
+    def audited(builder):
+        def build(*args, **kwargs):
+            result = builder(*args, **kwargs)
+            facts = next(arg for arg in args if isinstance(arg, StatementFacts))
+            for top in getattr(result, "nodes", result):
+                for node in ast.walk(top):
+                    if isinstance(node, ast.stmt):
+                        assert node in facts._subtrees, ast.unparse(node)
+                        check_entry(facts, node, facts._subtrees[node])
+                        hits["built"] += 1
+            return result
+
+        return build
 
     monkeypatch.setattr(StatementFacts, "__init__", init)
     monkeypatch.setattr(StatementFacts, "defuse", defuse)
     monkeypatch.setattr(StatementFacts, "of", of)
-    monkeypatch.setattr(StatementFacts, "built", built)
+    for name in BUILDERS:
+        monkeypatch.setattr(engine, name, audited(getattr(engine, name)))
 
     real_transform = engine.TransformEngine.transform_source
 
@@ -572,28 +582,25 @@ class TestSubtreeEntries:
 
 
 def drop_one(field):
-    """A ``StatementFacts.built`` whose new entries each lack one name
-    of ``field`` (the least), where they have one."""
-    real = StatementFacts.built
+    """A ``StatementFacts._compose`` whose entries of role-tagged
+    statements (those fission builds) each lack one name of ``field``
+    (the least), where they have one."""
+    real = StatementFacts._compose
 
-    def built(facts, node, *bound):
-        known = node in facts._subtrees
-        real(facts, node, *bound)
-        entry = facts._subtrees[node]
+    def compose(facts, node):
+        entry = real(facts, node)
         names = getattr(entry, field)
-        if not known and names:
-            facts._subtrees[node] = entry._replace(**{field: names - {min(names)}})
-        return node
+        if ROLE_ATTR in node.__dict__ and names:
+            return entry._replace(**{field: names - {min(names)}})
+        return entry
 
-    return built
+    return compose
 
 
 class TestBuilderEntries:
-    """Fission and the window wrapper enter each statement they build
-    with its entry, from the names they generated (``built``), or
-    compose it where they build it when it holds a call or what they
-    copied from the program; the engine enters a fetch loop its round
-    rewrote again.  Every registered entry equals a fresh walk."""
+    """Fission and the window wrapper compose each statement they build
+    before they return it; the engine composes a fetch loop its own
+    round forgot again.  Every such entry equals a fresh walk."""
 
     @pytest.mark.parametrize("option_set", sorted(BUILDING_SETS))
     def test_every_registered_entry_is_a_fresh_walk(self, monkeypatch, option_set):
@@ -620,9 +627,9 @@ class TestBuilderEntries:
     def test_must_fail_with_a_registered_entry_missing_a_name(
         self, monkeypatch, field
     ):
-        """A record init without the name it binds, a table init without
-        its ``ROLE_TABLE`` tag: each is caught where it is entered."""
-        monkeypatch.setattr(StatementFacts, "built", drop_one(field))
+        """A table init without the name it binds, or without its
+        ``ROLE_TABLE`` tag: each is caught."""
+        monkeypatch.setattr(StatementFacts, "_compose", drop_one(field))
         check_memo(monkeypatch)
         with pytest.raises(AssertionError):
             asyncify_source(EXAMPLE_8)
@@ -661,11 +668,29 @@ def walked_bound_names(target):
     }
 
 
+def in_a_memo_of_its_own(builder):
+    """``builder`` composing what it builds in a memo no later pass
+    reads."""
+
+    def build(*args, **kwargs):
+        args = [
+            StatementFacts(arg.purity, arg.registry)
+            if isinstance(arg, StatementFacts)
+            else arg
+            for arg in args
+        ]
+        return builder(*args, **kwargs)
+
+    return build
+
+
 #: The walks this file's no-walk case replaced, as mutations.
 OLD_WALKS = {
-    "builder enters nothing": (StatementFacts, "built", lambda facts, node, *bound: node),
-    "seed walks the tree": (NameAllocator, "for_source", staticmethod(walked_seed)),
-    "binding read walks": (insertion, "bound_names", walked_bound_names),
+    "builders compose for nobody": [
+        (engine, name, in_a_memo_of_its_own(getattr(engine, name))) for name in BUILDERS
+    ],
+    "seed walks the tree": [(NameAllocator, "for_source", staticmethod(walked_seed))],
+    "binding read walks": [(insertion, "bound_names", walked_bound_names)],
 }
 
 
@@ -718,15 +743,16 @@ class TestNothingWalksAFinishedTree:
             for _name, source in CORPUS + [("example 8", EXAMPLE_8)]:
                 transformed += transform(source).transformed_loops
         assert transformed >= 100
-        assert walks == [] and composed == []
+        assert walks == [] and composed == [], (walks[:3], composed[:3])
 
     @pytest.mark.parametrize("walk", sorted(OLD_WALKS))
     def test_must_fail_with_each_walk_it_replaced(self, monkeypatch, walk):
-        """A builder that enters nothing (the prefetch pass composes its
-        statements again), a seed walked from the tree, and binding
-        reads that walk a plain name: each fails the case above."""
-        owner, name, replacement = OLD_WALKS[walk]
-        monkeypatch.setattr(owner, name, replacement)
+        """Builders whose entries no later pass reads (the prefetch pass
+        composes their statements again), a seed walked from the tree,
+        and binding reads that walk a plain name: each fails the case
+        above."""
+        for owner, name, replacement in OLD_WALKS[walk]:
+            monkeypatch.setattr(owner, name, replacement)
         with pytest.raises(AssertionError):
             self.test_no_pass_walks_a_tree_or_composes_what_a_builder_made(monkeypatch)
 

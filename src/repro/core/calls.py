@@ -1,16 +1,18 @@
 """The transport-agnostic half of the submission core.
 
-A front end builds one :class:`Request` — the cache plan, the trace
-span, the label and its transport's three verbs (``round_trip``,
-``charge``, ``release``) — and :class:`CallPipeline` passes that record
-whole through every stage: the cache protocol (lookup, single-flight
-join, the one publication rule), the dispatch onto the bounded
-executor, :meth:`~CallPipeline.settle` (where every round trip ends),
-the speculation ledger (:class:`SpeculativeHandle`,
-:class:`SiteSpeculationStats`) and the counters
-(:class:`SubmissionStats`).  It knows nothing about SQL: what a round
-trip *is* is the request's business, which is how the web-service
-client reuses it.  The lifecycle narrative lives in
+A front end plans a call's cache lookup, and :class:`CallPipeline`
+takes its lease first (:meth:`~CallPipeline.lease`): a hit or a
+single-flight follower is answered from the cache entry, and only an
+owner or a bypass builds its one :class:`Request` — the plan and lease,
+the trace span, the label and its transport's three verbs
+(``round_trip``, ``charge``, ``release``).  The pipeline passes that
+record whole through every later stage: the dispatch onto the bounded
+executor, :meth:`~CallPipeline.settle` (where every round trip ends,
+and the one publication rule), the speculation ledger
+(:class:`SpeculativeHandle`, :class:`SiteSpeculationStats`) and the
+counters (:class:`SubmissionStats`).  It knows nothing about SQL: what
+a round trip *is* is the request's business, which is how the
+web-service client reuses it.  The lifecycle narrative lives in
 :mod:`repro.core.submission`, which re-exports everything here.
 """
 
@@ -26,7 +28,7 @@ from typing import Any, Dict, Optional, Set
 
 from ..obs.metrics import CellField, Cells, Histogram, MetricsRegistry
 from ..obs.trace import Span, Tracer
-from ..prefetch.cache import ResultCache
+from ..prefetch.cache import Lease, ResultCache
 from ..runtime.future import RequestFuture
 from ..runtime.handles import QueryHandle, failed_handle
 
@@ -94,6 +96,9 @@ class SubmissionStats:
 
 
 _SLOT = {field: slot for slot, field in enumerate(SubmissionStats.COUNTED)}
+_BLOCKING, _ASYNC, _FETCHES, _HITS = map(
+    _SLOT.get, ("blocking_calls", "async_submits", "fetches", "cache_hits")
+)
 
 
 @dataclass
@@ -209,26 +214,32 @@ class SpeculativeHandle(QueryHandle):
 
 
 class Request:
-    """One request through the submission core, built once by its front
-    end and passed whole to every stage: the cache plan (``key`` /
-    ``tables`` / ``ticket``; a None key bypasses the cache), the root
-    trace ``span``, the handle ``label``, and what the core attaches on
-    the way — the cache ``lease``, the speculative ``watcher``, and for
-    a dispatch the ``pipeline`` that dispatched it and the ``future``
-    its outcome is set on (by :meth:`CallPipeline.settle` alone).
+    """One dispatched (or blocking) round trip through the submission
+    core, built only once the cache lookup has said the caller owns its
+    round trip (or bypasses the cache): a hit or a single-flight follower
+    is answered from the cache entry and builds none.  It carries the
+    cache ``plan`` it was looked up with — ``(key, tables, ticket,
+    point)``, None for a bypass — and the ``lease`` it won (None for a
+    bypass), the root trace ``span``, the handle ``label``, and what the
+    core attaches on the way: the speculative ``watcher``, and for a
+    dispatch the ``pipeline`` that dispatched it and the ``future`` its
+    outcome is set on (by :meth:`CallPipeline.settle` alone).  Every
+    stage takes it whole.
 
     A transport subclasses it with its three verbs: :meth:`round_trip`
     (do one), :meth:`charge` (what a real dispatch costs at submit) and
     :meth:`release` (give back whatever ``charge`` took; a no-op for a
-    request that was never charged — a blocking call).
+    request that was never charged — a blocking call).  Its constructor
+    takes ``(plan, lease, label, span)`` first, then its own fields: the
+    order :meth:`CallPipeline.dispatch` and :meth:`CallPipeline.call`
+    build it in.
 
     A dispatched request is itself the executor's job: a worker calls
     :meth:`run`, a coalescer's flusher :meth:`claim`.
     """
 
     __slots__ = (
-        "key", "tables", "ticket", "span", "label", "lease", "watcher",
-        "future", "pipeline",
+        "plan", "lease", "span", "label", "watcher", "future", "pipeline"
     )
 
     #: Can nothing but a cache lease observe the dispatch (``release``
@@ -236,11 +247,15 @@ class Request:
     #: cancel it outright.
     private = True
 
-    def __init__(self, label: str = "", span: Optional[Span] = None) -> None:
-        self.key = self.tables = self.ticket = None
-        self.lease = self.watcher = self.future = self.pipeline = None
+    def __init__(
+        self, plan: Optional[tuple] = None, lease: Optional[Lease] = None,
+        label: str = "", span: Optional[Span] = None,
+    ) -> None:
+        self.plan = plan
+        self.lease = lease
         self.label = label
         self.span = span
+        self.watcher = self.future = self.pipeline = None
 
     def run(self) -> None:
         """The executor's job: :meth:`CallPipeline.run` on this request,
@@ -270,9 +285,9 @@ class Request:
         """The charged dispatch finished, or could not be queued."""
 
     def still_valid(self) -> bool:
-        """Is ``ticket`` still what the store would issue?  Re-checked
-        at publication; a transport without a write ledger has nothing
-        that could have moved."""
+        """Is the plan's ticket still what the store would issue?
+        Re-checked at publication; a transport without a write ledger
+        has nothing that could have moved."""
         return True
 
 
@@ -335,26 +350,33 @@ class CallPipeline:
     # ------------------------------------------------------------------
     # blocking path
     # ------------------------------------------------------------------
-    def call(self, request: Request) -> Any:
+    def call(
+        self, plan: Optional[tuple], span: Optional[Span], label: str, record, *fields
+    ) -> Any:
         """Submit and wait in the calling thread.
 
-        A cache hit pays no round trip; concurrent identical calls share
-        one in-flight execution (the follower blocks on the owner's
-        future instead of re-executing); otherwise :meth:`run` pays the
-        round trip here.
+        :meth:`lease` first.  A cache hit pays no round trip; concurrent
+        identical calls share one in-flight execution (the follower
+        blocks on the owner's future instead of re-executing); neither
+        builds a request.  Otherwise the owner (or a bypass) builds its
+        ``record`` — ``record(plan, lease, label, span, *fields)``, a
+        :class:`Request` subclass — and :meth:`run` pays the round trip
+        here.
         """
-        self.bump("blocking_calls")
+        cell = self.stats.cells.mine()
+        cell[_BLOCKING] += 1
         started = time.perf_counter()
-        span = request.span
         try:
-            lease = self._acquire(request)
+            lease = self.lease(plan, span)
             if lease is None or lease.is_owner:
-                outcome = self.run(request)
+                outcome = self.run(record(plan, lease, label, span, *fields))
                 if isinstance(outcome, BaseException):
                     raise outcome
                 return outcome
-            self.bump("cache_hits")
-            return lease.value if lease.is_hit else lease.wait()
+            cell[_HITS] += 1
+            # The entry's own future: resolved for a hit (no lock), the
+            # owner's in-flight one for a follower.
+            return lease.entry.future.result()
         except BaseException as exc:
             if span is not None:
                 span.set("error", repr(exc))
@@ -422,46 +444,70 @@ class CallPipeline:
         self.cache.complete(lease, outcome, retain=retain)
 
     # ------------------------------------------------------------------
-    # non-blocking path: lease → hit/follower | start → handle → settle
+    # non-blocking path: lease → hit/follower | record → start → settle
     # ------------------------------------------------------------------
-    def dispatch(self, request: Request, speculative: bool = False) -> QueryHandle:
+    def dispatch(
+        self, plan: Optional[tuple], span: Optional[Span], label: str,
+        speculative: bool, record, *fields,
+    ) -> QueryHandle:
         """The one non-blocking lifecycle; returns a handle at once.
 
-        A cache hit and a single-flight follower both get the cache
-        entry's own future — already resolved for a hit (no thread hop,
-        nothing built), the owner's in-flight one for a follower; both
-        count as cache hits, neither dispatches, and neither handle can
-        cancel the entry (only the owner resolves it — with
-        ``CancelledError`` if the owner's own dispatch is cancelled while
-        queued).  Otherwise the request gets its ``future`` and its
-        handle, and :meth:`start` begins the real dispatch; whoever
-        wins the future's claim runs the request, and every outcome
-        reaches the future through :meth:`settle`.
+        :meth:`lease` first.  A cache hit and a single-flight follower
+        both get a handle on the cache entry's own future — already
+        resolved for a hit, the owner's in-flight one for a follower —
+        and nothing else: no request is built, nothing dispatches.  Both
+        count as cache hits, and neither handle can cancel the entry
+        (only the owner resolves it — with ``CancelledError`` if the
+        owner's own dispatch is cancelled while queued).  Otherwise the
+        owner (or a bypass) builds its ``record`` —
+        ``record(plan, lease, label, span, *fields)``, a
+        :class:`Request` subclass — gives it its ``future`` and its
+        handle, and :meth:`start` begins the real dispatch; whoever wins
+        the future's claim runs the request, and every outcome reaches
+        the future through :meth:`settle`.
 
         ``speculative`` returns a tracked :class:`SpeculativeHandle`
-        (the request's ``watcher``, in place before the dispatch can
+        (an owner's ``watcher``, in place before the dispatch can
         publish) and counts a speculation instead of an async submit.
         """
         cell = self.stats.cells.mine()  # one lookup for both counts
         if not speculative:
-            cell[_SLOT["async_submits"]] += 1
-        lease = self._acquire(request)
-        owner = lease is None or lease.is_owner
-        if owner:
+            cell[_ASYNC] += 1
+        lease = self.lease(plan, span)
+        if lease is None or lease.is_owner:
+            request = record(plan, lease, label, span, *fields)
             future = request.future = RequestFuture()
         else:
-            cell[_SLOT["cache_hits"]] += 1
-            future = lease.future  # the entry's own: resolved for a hit
+            cell[_HITS] += 1
+            request = None
+            future = lease.entry.future  # resolved for a hit
         if not speculative:
-            handle = QueryHandle(future, label=request.label, span=request.span)
+            handle = QueryHandle(future, label, span)
         else:
-            handle = request.watcher = SpeculativeHandle(
-                future, label=request.label, pipeline=self, span=request.span
-            )
-            handle._cancellable = lease is None and request.private
-        if owner:
+            handle = SpeculativeHandle(future, label, self, span)
+            if request is not None:
+                request.watcher = handle
+                handle._cancellable = lease is None and request.private
+        if request is not None:
             self.start(request)
         return self._track(handle) if speculative else handle
+
+    def lease(self, plan: Optional[tuple], span: Optional[Span]) -> Optional[Lease]:
+        """The cache lease ``plan`` asks for — None when there is no
+        plan: no cache, or the read bypasses it.  When traced, under a
+        ``cache`` child span carrying the lookup outcome (also mirrored
+        onto the root as ``cache:``)."""
+        if span is None:
+            if plan is None:
+                return None
+            key, tables, ticket, _point = plan
+            return self.cache.acquire(key, tables, ticket)
+        with span.child("cache") as cache_span:
+            lease = self.lease(plan, None)
+            outcome = _cache_outcome(lease)
+            cache_span.set("outcome", outcome)
+        span.set("cache", outcome)
+        return lease
 
     def start(self, request: Request) -> None:
         """Begin the real dispatch: queue the request itself as the
@@ -637,15 +683,18 @@ class CallPipeline:
         """Blocking fetch: the paper's ``fetchResult``.
 
         Consuming a speculative handle settles it as a hit — the guard
-        turned out true and the speculated work was wanted.
+        turned out true and the speculated work was wanted.  Untraced
+        and unmeasured, a fetch reads the handle's future directly.
         """
-        self.bump("fetches")
+        self.stats.cells.mine()[_FETCHES] += 1
         if isinstance(handle, SpeculativeHandle):
             handle.claim()
-        span = getattr(handle, "span", None)
+        span = handle.span
+        if span is None and self._query_hist is None:
+            return handle.future.result()
         fetch_span = span.child("fetch") if span is not None else None
         try:
-            result = handle.result()
+            result = handle.future.result()
         except BaseException as exc:
             if span is not None:
                 span.set("error", repr(exc))
@@ -672,29 +721,6 @@ class CallPipeline:
         span = getattr(handle, "span", None)
         if span is not None:
             span.end()
-
-    # ------------------------------------------------------------------
-    def _acquire(self, request: Request):
-        """Take the request's cache lease — None when its plan says
-        bypass or there is no cache — and record it on the request; when
-        traced, under a ``cache`` child span carrying the lookup outcome
-        (also mirrored onto the root as ``cache:``)."""
-        span = request.span
-        if span is None:
-            lease = self._lookup(request)
-        else:
-            with span.child("cache") as cache_span:
-                lease = self._lookup(request)
-                outcome = _cache_outcome(lease)
-                cache_span.set("outcome", outcome)
-            span.set("cache", outcome)
-        request.lease = lease
-        return lease
-
-    def _lookup(self, request: Request):
-        if request.key is None or self.cache is None:
-            return None
-        return self.cache.acquire(request.key, request.tables, request.ticket)
 
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> Dict[str, Any]:

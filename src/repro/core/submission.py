@@ -35,24 +35,32 @@ asyncio — is therefore seen by every cached reader's next lookup, and
 an autocommit point write by no reader keyed on another value of its
 column.
 
-**One request record.**  The front end builds the request once — a
+**Plan, lease, then a record only for a dispatch.**  A front end first
+computes the read's cache *plan* — key, read tables, ledger ticket and
+point (:meth:`SubmissionPipeline.plan`; ``(endpoint, args)`` alone in
+the web client), or none when the read bypasses the cache — and takes
+its lease (:meth:`CallPipeline.lease`).  A hit or a single-flight
+follower is answered from the cache entry there: no request record is
+ever built for it.  Only an owner or a bypass builds its one record — a
 :class:`SqlRequest` here, an HTTP-shaped :class:`Request` in the web
-client — carrying the cache plan (key, read tables, ledger ticket), the
-root trace span, the handle label and its transport's three verbs
-(``round_trip``; ``charge``, what a real dispatch costs at submit;
-``release``, what it owes at completion).  Every stage takes that record
-whole and attaches what it learns to it (the cache ``lease``, the
-speculative ``watcher``, a dispatch's ``future``); nobody re-describes
-it as keywords, a tuple or a closure.
+client — carrying the plan, the lease, the root trace span, the handle
+label and its transport's three verbs (``round_trip``; ``charge``, what
+a real dispatch costs at submit; ``release``, what it owes at
+completion).  Every later stage takes that record whole and attaches
+what it learns to it (the speculative ``watcher``, a dispatch's
+``future``); nobody re-describes it as keywords, a tuple or a closure.
 
 **One non-blocking lifecycle.**  ``submit`` and ``speculate``, plain
-or coalesced, are one path — :meth:`CallPipeline.dispatch`:
+or coalesced, are one path — :meth:`CallPipeline.dispatch` (the
+blocking ``execute`` is :meth:`CallPipeline.call`, the same first two
+steps):
 
-    lease (cache acquire)
-        → hit / single-flight follower: resolved without a dispatch
-        | :meth:`~CallPipeline.start` → the dispatch's future
+    plan → lease (cache acquire)
+        → hit / single-flight follower: a handle on the entry's own
+          future — no record, no dispatch
+        | record → :meth:`~CallPipeline.start` → the dispatch's future
         → handle (:class:`QueryHandle`, or a tracked
-          :class:`SpeculativeHandle` — the request's *watcher*)
+          :class:`SpeculativeHandle` — an owner request's *watcher*)
         → :meth:`CallPipeline.settle` when the outcome is known
 
 ``dispatch`` gives the owning request its one future, and builds its
@@ -140,7 +148,7 @@ from ..db.plan import QueryResult
 from ..db.txn import Transaction
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Span, Tracer
-from ..prefetch.cache import ResultCache
+from ..prefetch.cache import Lease, ResultCache
 from ..runtime.handles import QueryHandle
 from .calls import (
     CallPipeline,
@@ -167,20 +175,20 @@ class SqlRequest(Request):
     """One prepared statement bound to one parameter tuple, on its way
     to ``pipeline``'s store (inside ``txn``, when not None)."""
 
-    __slots__ = (
-        "prepared", "bound", "txn", "point", "inflight", "queue_span"
-    )
+    __slots__ = ("prepared", "bound", "txn", "inflight", "queue_span")
 
     def __init__(
         self,
+        plan: Optional[tuple],
+        lease: Optional[Lease],
+        label: str,
+        span: Optional[Span],
         pipeline: "SubmissionPipeline",
         prepared: PreparedStatement,
         bound: tuple,
         txn: Optional[Transaction],
-        label: str,
-        span: Optional[Span],
     ) -> None:
-        Request.__init__(self, label, span)
+        Request.__init__(self, plan, lease, label, span)
         self.pipeline = pipeline
         self.prepared = prepared
         self.bound = bound
@@ -192,41 +200,9 @@ class SqlRequest(Request):
     def private(self) -> bool:
         return self.txn is None
 
-    def plan_cache(self) -> None:
-        """Fill in the cache plan — key, read tables, ledger ticket —
-        or leave it empty: the cache is bypassed.
-
-        Bypassed: writes; unhashable params; reads inside an explicit
-        transaction (they run under the transaction's locks and may
-        observe its own uncommitted writes, neither of which may leak
-        into shared cached results); and reads of a table with an open
-        writer — the ledger issues no ticket, because the value observed
-        may be uncommitted.  The ticket is scoped to the request's point
-        when it has one, so only writers that could touch its rows count.
-
-        The one ticket does both jobs: the lookup validates entries
-        against it, and :meth:`still_valid` re-takes it at publication
-        time — every write window that opened or closed in between
-        moved it (or still withholds it), so a value that may have
-        overlapped a write is served to its waiters but never retained.
-        """
-        prepared, bound = self.prepared, self.bound
-        if self.txn is not None or prepared.write:
-            return
-        try:
-            hash(bound)
-        except TypeError:
-            return
-        self.point = prepared.point(bound)
-        ticket = self.pipeline.server.ledger.ticket(prepared.tables, self.point)
-        if ticket is not None:
-            self.key = (prepared.sql, bound)
-            self.tables = prepared.tables
-            self.ticket = ticket
-
     def still_valid(self) -> bool:
-        ledger = self.pipeline.server.ledger
-        return ledger.ticket(self.tables, self.point) == self.ticket
+        _key, tables, ticket, point = self.plan
+        return self.pipeline.server.ledger.ticket(tables, point) == ticket
 
     def round_trip(self) -> QueryResult:
         return self.pipeline.round_trip((self,))[0]
@@ -277,7 +253,7 @@ class SubmissionPipeline(CallPipeline):
         )
 
     # ------------------------------------------------------------------
-    # building the request
+    # what a request is looked up and built from
     # ------------------------------------------------------------------
     def resolve(self, query, params: Sequence) -> Tuple[PreparedStatement, tuple]:
         """Normalize any accepted query form to ``(prepared, bound)``.
@@ -303,31 +279,54 @@ class SubmissionPipeline(CallPipeline):
             return self.server.prepare(query), tuple(params)
         raise DatabaseError(f"not a query: {query!r}")
 
-    def request(
-        self,
-        prepared: PreparedStatement,
-        bound: tuple,
-        txn: Optional[Transaction],
-        mode: str,
-        site: Optional[str] = None,
-    ) -> SqlRequest:
-        """The one record the rest of the path works on: root ``query``
-        span (None unless tracing is enabled, so the disabled-path cost
-        is one attribute test), handle label (``site``, the speculation's
-        call site, else the statement's) and cache plan."""
-        label = site if site is not None else prepared.label
-        span = None
+    def plan(
+        self, prepared: PreparedStatement, bound: tuple, txn: Optional[Transaction]
+    ) -> Optional[tuple]:
+        """The cache plan of one read — ``(key, tables, ticket, point)``
+        — or None: the cache is bypassed.
+
+        Bypassed: writes; unhashable params; reads inside an explicit
+        transaction (they run under the transaction's locks and may
+        observe its own uncommitted writes, neither of which may leak
+        into shared cached results); and reads of a table with an open
+        writer — the ledger issues no ticket, because the value observed
+        may be uncommitted.  The ticket is scoped to the read's point
+        when it has one, so only writers that could touch its rows count.
+
+        The one ticket does both jobs: the lookup validates entries
+        against it, and :meth:`SqlRequest.still_valid` re-takes it at
+        publication time — every write window that opened or closed in
+        between moved it (or still withholds it), so a value that may
+        have overlapped a write is served to its waiters but never
+        retained.
+        """
+        if txn is not None or prepared.write:
+            return None
+        try:
+            hash(bound)
+        except TypeError:
+            return None
+        point = prepared.point(bound)
+        tables = prepared.tables
+        ticket = self.server.ledger.ticket(tables, point)
+        if ticket is None:
+            return None
+        return (prepared.sql, bound), tables, ticket, point
+
+    def root_span(
+        self, prepared: PreparedStatement, bound: tuple, mode: str, label: str
+    ) -> Optional[Span]:
+        """The request's root ``query`` span — None unless tracing is
+        enabled, so the disabled-path cost is one attribute test."""
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            span = tracer.start("query", sql=prepared.sql, mode=mode)
-            if bound:
-                span.set("params", repr(bound)[:80])
-            if mode == "speculate":
-                span.set("site", label)
-        request = SqlRequest(self, prepared, bound, txn, label, span)
-        if self.cache is not None:
-            request.plan_cache()
-        return request
+        if tracer is None or not tracer.enabled:
+            return None
+        span = tracer.start("query", sql=prepared.sql, mode=mode)
+        if bound:
+            span.set("params", repr(bound)[:80])
+        if mode == "speculate":
+            span.set("site", label)
+        return span
 
     # ------------------------------------------------------------------
     # the three primitives
@@ -337,7 +336,10 @@ class SubmissionPipeline(CallPipeline):
     ) -> QueryResult:
         """Submit and wait: the paper's ``executeQuery``."""
         prepared, bound = self.resolve(query, params)
-        return self.call(self.request(prepared, bound, txn, "execute"))
+        label = prepared.label
+        plan = None if self.cache is None else self.plan(prepared, bound, txn)
+        span = self.root_span(prepared, bound, "execute", label)
+        return self.call(plan, span, label, SqlRequest, self, prepared, bound, txn)
 
     def submit(
         self, query, params: Sequence = (), txn: Optional[Transaction] = None
@@ -385,8 +387,8 @@ class SubmissionPipeline(CallPipeline):
     ) -> QueryHandle:
         """The shared body of :meth:`submit` and :meth:`speculate`
         (``mode`` names which): resolve the statement — or defer the
-        error to fetch — refuse the writes the mode cannot take, build
-        the request, dispatch it."""
+        error to fetch — refuse the writes the mode cannot take, plan
+        the read, dispatch it."""
         speculative = mode == "speculate"
         try:
             prepared, bound = self.resolve(query, params)
@@ -412,8 +414,11 @@ class SubmissionPipeline(CallPipeline):
                     "are not supported; commit first or use blocking "
                     "execute_update"
                 )
+        label = site if site is not None else prepared.label
+        plan = None if self.cache is None else self.plan(prepared, bound, txn)
+        span = self.root_span(prepared, bound, mode, label)
         return self.dispatch(
-            self.request(prepared, bound, txn, mode, site), speculative
+            plan, span, label, speculative, SqlRequest, self, prepared, bound, txn
         )
 
     def start(self, request: SqlRequest) -> None:

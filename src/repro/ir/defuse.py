@@ -11,8 +11,8 @@ io) effects.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, fields
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from operator import or_
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Set, Tuple
 
 from .nodes import copy_tree, subtree
 from .purity import PurityEnv
@@ -25,9 +25,9 @@ class RenameUnsupported(Exception):
     moved"."""
 
 
-@dataclass(frozen=True)
-class DefUse:
-    """Def/use summary of one statement."""
+class DefUse(NamedTuple):
+    """Def/use summary of one statement (a tuple: built once per
+    statement, it costs no per-field ``__setattr__``)."""
 
     reads: FrozenSet[str] = frozenset()
     writes: FrozenSet[str] = frozenset()
@@ -51,9 +51,7 @@ class DefUse:
 
     def __or__(self, other: "DefUse") -> "DefUse":
         """Both summaries' accesses, as of one statement."""
-        return DefUse(
-            *(getattr(self, f.name) | getattr(other, f.name) for f in fields(self))
-        )
+        return DefUse(*map(or_, self, other))
 
 
 class _Collector(ast.NodeVisitor):
@@ -287,45 +285,52 @@ def import_bound_names(node) -> Set[str]:
     }
 
 
+#: The statements :func:`analyze_statement` summarizes as a unit.
+COMPOUND = (ast.If, ast.While, ast.For)
+
+
 def analyze_statement(node: ast.stmt, purity: PurityEnv, registry=None) -> DefUse:
     """Compute the def/use summary of one statement node.
 
-    Compound statements (If/While/For) are summarized conservatively as
-    a unit: union of reads/writes, empty kill set (their writes may not
-    execute).
+    Compound statements (:data:`COMPOUND`) are summarized conservatively
+    as a unit, from their children's summaries (:func:`compound_summary`).
     """
+    if isinstance(node, COMPOUND):
+        children = [
+            analyze_statement(child, purity, registry)
+            for child in node.body + node.orelse
+        ]
+        return compound_summary(node, purity, registry, children)
     collector = _Collector(purity, registry)
-    if isinstance(node, (ast.If, ast.While, ast.For)):
-        _collect_compound(node, collector)
-        return collector.summary(frozenset())
     collector.visit(node)
     return collector.summary(frozenset(collector.kills))
 
 
-def _collect_compound(node: ast.stmt, collector: _Collector) -> None:
-    if isinstance(node, ast.If):
-        collector.visit(node.test)
-        for child in node.body + node.orelse:
-            _collect_into(child, collector)
-    elif isinstance(node, ast.While):
-        collector.visit(node.test)
-        for child in node.body + node.orelse:
-            _collect_into(child, collector)
-    elif isinstance(node, ast.For):
+def compound_summary(
+    node: ast.stmt, purity: PurityEnv, registry, children: Iterable[DefUse]
+) -> DefUse:
+    """The summary of a :data:`COMPOUND` ``node``, from ``children``, the
+    summaries of the statements in its body and ``else`` block: its
+    header expression, a ``for`` target's writes (the loop variable is
+    written each iteration), and every child's accesses; no kills, as
+    its writes may not execute."""
+    collector = _Collector(purity, registry)
+    if isinstance(node, ast.For):
         collector.visit(node.iter)
-        # The loop variable is written each iteration.
-        target_collector = _Collector(collector._purity, collector._registry)
+        target_collector = _Collector(purity, registry)
         target_collector.visit(node.target)
         collector.writes.update(target_collector.writes)
-        for child in node.body + node.orelse:
-            _collect_into(child, collector)
-
-
-def _collect_into(node: ast.stmt, collector: _Collector) -> None:
-    if isinstance(node, (ast.If, ast.While, ast.For)):
-        _collect_compound(node, collector)
     else:
-        collector.visit(node)
+        collector.visit(node.test)
+    for child in children:
+        collector.reads.update(child.reads)
+        collector.writes.update(child.writes)
+        collector.name_writes.update(child.name_writes)
+        collector.unbinds.update(child.unbinds)
+        collector.external_reads.update(child.external_reads)
+        collector.external_writes.update(child.external_writes)
+        collector.commuting.update(child.commuting)
+    return collector.summary(frozenset())
 
 
 def analyze_expression(node: ast.expr, purity: PurityEnv, registry=None) -> DefUse:

@@ -39,13 +39,14 @@ from __future__ import annotations
 import ast
 import itertools
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from .defuse import (
-    DefUse, analyze_expression, analyze_statement, import_bound_names,
+    COMPOUND, DefUse, analyze_expression, analyze_statement, compound_summary,
+    import_bound_names,
 )
 from .nodes import children
 from .purity import PurityEnv
@@ -352,11 +353,17 @@ class StatementFacts:
         self._subtrees: Dict[ast.stmt, SubtreeFacts] = {}
 
     def defuse(self, node: ast.stmt) -> DefUse:
+        """``node``'s :func:`analyze_statement` summary; an ``if`` /
+        ``while`` / ``for`` one is composed from its header and its
+        child statements' entries, so no statement is walked twice."""
         du = self._defuse.get(node)
         if du is None:
-            du = self._defuse[node] = analyze_statement(
-                node, self.purity, self.registry
-            )
+            if isinstance(node, COMPOUND):
+                children = map(self.defuse, node.body + node.orelse)
+                du = compound_summary(node, self.purity, self.registry, children)
+            else:
+                du = analyze_statement(node, self.purity, self.registry)
+            self._defuse[node] = du
         return du
 
     def of(self, node: ast.stmt) -> SubtreeFacts:
@@ -570,8 +577,7 @@ def make_header(
     else:
         raise TypeError(f"not a loop node: {loop!r}")
     du |= target
-    du = replace(
-        du,
+    du = du._replace(
         writes=du.writes | {CONTROL_VAR},
         kills=target.name_writes | {CONTROL_VAR},
     )

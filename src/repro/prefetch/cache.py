@@ -130,37 +130,24 @@ class _Entry:
 class Lease:
     """Outcome of one :meth:`ResultCache.acquire` call.
 
-    Exactly one of three states, each carrying its entry:
+    Exactly one of three states, each carrying its entry; the state is
+    the lease's class, so reading it calls nothing:
 
     * ``is_hit`` — ``value`` holds the cached result, and ``future`` is
       the entry's own, already resolved;
     * ``is_owner`` — the caller must execute the query and then call
       :meth:`ResultCache.complete` (or :meth:`ResultCache.fail`);
-    * otherwise the caller is a *follower*: ``wait()`` blocks until the
-      owner finishes (``future`` can instead be wrapped in a handle).
+    * otherwise the caller is a *follower*: ``future`` resolves when the
+      owner finishes, with the owner's outcome (followers observe the
+      owner's failure, like any caller of the underlying request).
     """
 
-    __slots__ = ("_state", "entry")
+    __slots__ = ("entry",)
 
-    _HIT = "hit"
-    _OWNER = "owner"
-    _FOLLOWER = "follower"
+    is_hit = is_owner = is_follower = False
 
-    def __init__(self, state: str, entry: _Entry):
-        self._state = state
+    def __init__(self, entry: _Entry):
         self.entry = entry
-
-    @property
-    def is_hit(self) -> bool:
-        return self._state == self._HIT
-
-    @property
-    def is_owner(self) -> bool:
-        return self._state == self._OWNER
-
-    @property
-    def is_follower(self) -> bool:
-        return self._state == self._FOLLOWER
 
     @property
     def value(self) -> Any:
@@ -172,11 +159,20 @@ class Lease:
     def future(self) -> RequestFuture:
         return self.entry.future
 
-    def wait(self, timeout: Optional[float] = None) -> Any:
-        """Block until the owning computation finishes; re-raises its
-        error (followers observe the owner's failure, like any caller
-        of the underlying request)."""
-        return self.future.result(timeout)
+
+class _Hit(Lease):
+    __slots__ = ()
+    is_hit = True
+
+
+class _Owner(Lease):
+    __slots__ = ()
+    is_owner = True
+
+
+class _Follower(Lease):
+    __slots__ = ()
+    is_follower = True
 
 
 class ResultCache:
@@ -253,12 +249,12 @@ class ResultCache:
                     # decided): share the owner's outcome.
                     self.stats.hits += 1
                     self.stats.shared_flights += 1
-                    return Lease(Lease._FOLLOWER, entry)
+                    return _Follower(entry)
                 if entry.published and entry.ticket[1] == ticket[1]:
                     if not self._expired_locked(entry):
                         self._entries.move_to_end(key)
                         self.stats.hits += 1
-                        return Lease(Lease._HIT, entry)
+                        return _Hit(entry)
                     self.stats.expirations += 1
                 else:
                     self.stats.invalidations += 1
@@ -267,7 +263,7 @@ class ResultCache:
             table_set = frozenset(tables or ()) or frozenset((WILDCARD_TABLE,))
             entry = _Entry(key, table_set, ticket)
             self._entries[key] = entry
-            return Lease(Lease._OWNER, entry)
+            return _Owner(entry)
 
     def complete(self, lease: Lease, value: Any, retain: bool = True) -> Any:
         """Owner callback: publish ``value`` and retain it (LRU-bounded).

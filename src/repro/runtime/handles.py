@@ -28,48 +28,44 @@ class QueryHandle:
     event loop, suspends the calling coroutine instead.
     """
 
-    __slots__ = ("_future", "_submitted_at", "_label", "span")
+    __slots__ = ("future", "_submitted_at", "_label", "span")
 
     def __init__(
         self, future: "Future[Any]", label: str = "", span: Any = None
     ) -> None:
-        self._future = future
+        #: The underlying ``concurrent.futures.Future`` (on the request
+        #: path, a :class:`~repro.runtime.future.RequestFuture`).
+        self.future = future
         self._submitted_at = time.perf_counter()
         self._label = label
         #: Root trace span for this request (None unless tracing is on);
         #: the pipeline attaches it at dispatch and ends it at fetch.
         self.span = span
 
-    @property
-    def future(self) -> "Future[Any]":
-        """The underlying ``concurrent.futures.Future`` (on the request
-        path, a :class:`~repro.runtime.future.RequestFuture`)."""
-        return self._future
-
     def result(self, timeout: Optional[float] = None) -> Any:
         """Block until the request completes; re-raises its error."""
-        return self._future.result(timeout)
+        return self.future.result(timeout)
 
     def __await__(self):
         """Suspend the awaiting coroutine until the request completes
         and re-raise its error there; a finished request (a cache hit)
         resolves without a loop tick.  A cancelled one raises
         ``asyncio.CancelledError``, as any awaited future does."""
-        future = self._future
+        future = self.future
         if not future.done() or future.cancelled():
             yield from asyncio.wrap_future(future)
         return future.result()
 
     def done(self) -> bool:
         """Non-blocking poll: has the request finished (ok or error)?"""
-        return self._future.done()
+        return self.future.done()
 
     def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        return self._future.exception(timeout)
+        return self.future.exception(timeout)
 
     def cancel(self) -> bool:
         """Try to cancel; only possible while still queued."""
-        return self._future.cancel()
+        return self.future.cancel()
 
     @property
     def age_s(self) -> float:

@@ -32,23 +32,17 @@ WebClientStats = SubmissionStats
 
 class _WebRequest(Request):
     """One ``endpoint(*args)`` call on its way to ``service`` — no write
-    ledger, so no ticket and nothing that lapses at publication; the
-    key is ``(endpoint, args)`` when a cache is attached and the
-    arguments can be hashed."""
+    ledger, so no ticket and nothing that lapses at publication."""
 
     __slots__ = ("service", "endpoint", "args")
 
-    def __init__(self, service, endpoint: str, args: tuple, cached: bool) -> None:
-        Request.__init__(self, label=endpoint)
+    def __init__(
+        self, plan, lease, label: str, span, service, endpoint: str, args: tuple
+    ) -> None:
+        Request.__init__(self, plan, lease, label, span)
         self.service = service
         self.endpoint = endpoint
         self.args = args
-        if cached:
-            try:
-                hash(args)
-            except TypeError:
-                return
-            self.key = (endpoint, args)
 
     def round_trip(self) -> Any:
         service = self.service
@@ -94,7 +88,10 @@ class WebServiceClient:
     def call(self, endpoint: str, *args: Any) -> Any:
         """One blocking HTTP request: full round trip in this thread
         (or no round trip at all, on a cache hit)."""
-        return self._pipeline.call(self._request(endpoint, args))
+        return self._pipeline.call(
+            self._plan(endpoint, args), None, endpoint,
+            _WebRequest, self._service, endpoint, args,
+        )
 
     # convenience wrappers used by the workloads -----------------------
     def get_entity(self, entity_id: str) -> dict:
@@ -112,7 +109,10 @@ class WebServiceClient:
     def submit_call(self, endpoint: str, *args: Any) -> QueryHandle:
         """Non-blocking request submission; the round trip is paid by an
         async worker thread."""
-        return self._pipeline.dispatch(self._request(endpoint, args))
+        return self._pipeline.dispatch(
+            self._plan(endpoint, args), None, endpoint, False,
+            _WebRequest, self._service, endpoint, args,
+        )
 
     def submit_get_entity(self, entity_id: str) -> QueryHandle:
         return self.submit_call("get_entity", entity_id)
@@ -129,10 +129,17 @@ class WebServiceClient:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _request(self, endpoint: str, args: tuple) -> _WebRequest:
-        return _WebRequest(
-            self._service, endpoint, args, self._pipeline.cache is not None
-        )
+    def _plan(self, endpoint: str, args: tuple) -> Optional[tuple]:
+        """The cache plan: key ``(endpoint, args)`` — no tables, no
+        ticket, no point — when a cache is attached and the arguments
+        can be hashed; else None, a bypass."""
+        if self._pipeline.cache is None:
+            return None
+        try:
+            hash(args)
+        except TypeError:
+            return None
+        return (endpoint, args), None, None, None
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -596,16 +596,16 @@ class TestSpeculationCacheProtocol:
 
             __slots__ = ("round_trip",)
 
-            def __init__(self, invoke, key=None, tables=None):
-                Request.__init__(self)
+            def __init__(self, plan, lease, label, span, invoke):
+                Request.__init__(self, plan, lease, label, span)
                 self.round_trip = invoke
-                self.key, self.tables = key, tables
 
         class Pipeline(CallPipeline):
             # The shape these tests were written against: the transport
             # as a callable, the cache plan as keywords.
-            def dispatch(self, invoke, speculative=False, **plan):
-                return super().dispatch(Invoke(invoke, **plan), speculative)
+            def dispatch(self, invoke, speculative=False, key=None, tables=None):
+                plan = None if key is None else (key, tables, None, None)
+                return super().dispatch(plan, None, "", speculative, Invoke, invoke)
 
             def speculate(self, invoke, **plan):
                 return self.dispatch(invoke, speculative=True, **plan)

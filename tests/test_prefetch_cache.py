@@ -62,7 +62,7 @@ class TestResultCacheCore:
             lease = cache.acquire("k")
             assert lease.is_follower
             started.wait()
-            results.append(lease.wait())
+            results.append(lease.future.result())
 
         threads = [threading.Thread(target=follow) for _ in range(3)]
         for thread in threads:
@@ -158,7 +158,7 @@ class TestTicketValidation:
         cache = ResultCache(capacity=4)
         owner = cache.acquire("k", ["t"], (5, 3))
         owner.future.set_result("in-window")  # what complete() does first
-        assert cache.acquire("k", ["t"], (5, 3)).wait() == "in-window"
+        assert cache.acquire("k", ["t"], (5, 3)).future.result() == "in-window"
         assert cache.acquire("k", ["t"], (6, 3)).is_owner
 
     def test_callers_without_a_ledger_keep_the_explicit_protocol(self):

@@ -15,6 +15,17 @@ Two mutations show the oracle can fail.  Without the ``key = value``
 re-check, a NULL binding returns the NULL-key rows.  The function checks
 no tombstone, because an index holds live rows only; a DELETE that
 leaves its row in the index breaks that, and the deleted rows come back.
+
+A cache hit is reached three more ways — ``submit_query`` +
+``fetch_result``, ``speculate_query`` + fetch and ``execute_query`` —
+each with tracing off and on.  Each binding is read, read again (a hit
+whenever it is cacheable), written at its point and read again: every
+read must equal an uncached read at that moment, a hit must build no
+``Request``, and the traced and untraced runs must count the same.
+``1``, ``1.0`` and ``True`` share one cache key, but only the int names
+a point; the list bypasses the cache.  Two more mutations show this
+oracle can fail: a lookup that skips the ledger ticket serves the
+pre-write row, and a hit that builds a record is counted.
 """
 
 import inspect
@@ -24,6 +35,7 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.calls import CallPipeline, Request
 from repro.db import INSTANT, Database
 from repro.db.catalog import Catalog
 from repro.db.errors import DatabaseError
@@ -155,6 +167,100 @@ def test_every_path_reads_the_same_point(rows, deleted, bound):
     check_paths(rows, deleted, FIXED_KEYS + bound)
 
 
+#: The front ends' hit paths: each reads one binding's rows.
+HIT_PATHS = {
+    "submit": lambda conn, sql, b: conn.fetch_result(conn.submit_query(sql, b)).rows,
+    "speculate": lambda conn, sql, b: conn.fetch_result(
+        conn.speculate_query(sql, b, site="point")
+    ).rows,
+    "execute": lambda conn, sql, b: conn.execute_query(sql, b).rows,
+}
+
+
+def point_write(sql):
+    """A write of ``x`` at the point ``sql`` reads (its key column)."""
+    column = "tag" if "tag" in sql.split("WHERE")[1] else "k"
+    return f"UPDATE t SET x = ? WHERE {column} = ?"
+
+
+def hit_reads(db, sql, bindings, traced, built):
+    """Every binding through each hit path on its own cached connection
+    (``traced`` or not), checked against an uncached read: read, read
+    again — a hit, building no ``Request`` (``built`` counts them),
+    whenever the binding is cacheable and the read succeeded — write
+    ``x`` at the binding's point, read again.  Returns the outcomes and
+    each connection's counters."""
+    outcomes, counters = {}, {}
+    write = point_write(sql)
+    for name, read in HIT_PATHS.items():
+        cache = ResultCache(256)
+        with db.connect(backend="memory") as plain, db.connect(
+            backend="memory", result_cache=cache, trace=traced
+        ) as conn:
+            got = outcomes[name] = []
+            for value, binding in enumerate(bindings):
+                fresh = outcome(lambda: plain.execute_query(sql, binding).rows)
+                got.append(outcome(lambda: read(conn, sql, binding)))
+                assert got[-1] == fresh, (name, sql, binding)
+                hits, made = cache.stats.hits, built[0]
+                got.append(outcome(lambda: read(conn, sql, binding)))
+                assert got[-1] == fresh, (name, sql, binding)
+                cacheable = not isinstance(binding[0], list)
+                if cacheable and not isinstance(fresh, type):
+                    assert cache.stats.hits == hits + 1, (name, sql, binding)
+                    assert built[0] == made, ("a hit built a Request", name, binding)
+                try:
+                    plain.execute_update(write, (value + 0.5, binding[0]))
+                except DatabaseError:
+                    pass
+                fresh = outcome(lambda: plain.execute_query(sql, binding).rows)
+                got.append(outcome(lambda: read(conn, sql, binding)))
+                assert got[-1] == fresh, ("stale after a write", name, sql, binding)
+            stats = conn.stats
+            counters[name] = (
+                stats.async_submits,
+                stats.cache_hits,
+                stats.fetches,
+                stats.speculation_hits,
+                conn.site_stats(),
+            )
+    return outcomes, counters
+
+
+def check_hit_paths(rows, deleted, bound, patch):
+    """:func:`hit_reads` for every point query, untraced then traced,
+    from the same table: the same outcomes and the same counters."""
+    built = [0]
+    real_init = Request.__init__
+
+    def counted(request, *args, **kwargs):
+        built[0] += 1
+        real_init(request, *args, **kwargs)
+
+    patch.setattr(Request, "__init__", counted)
+    bindings = [(key,) for key in bound]
+    for sql in POINT_QUERIES:
+        runs = []
+        for traced in (False, True):
+            db = build(rows, deleted)
+            try:
+                runs.append(hit_reads(db, sql, bindings, traced, built))
+            finally:
+                db.close()
+        assert runs[0] == runs[1], sql
+
+
+@given(
+    rows=rows,
+    deleted=st.sets(st.integers(0, 29), max_size=8),
+    bound=st.lists(keys, max_size=4),
+)
+@drawn(8)
+def test_every_hit_path_reads_the_same_point(rows, deleted, bound):
+    with pytest.MonkeyPatch.context() as patch:
+        check_hit_paths(rows, deleted, FIXED_KEYS + bound, patch)
+
+
 # -- the oracle can fail: two mutations ----------------------------------
 
 #: NULL keys in both indexes, a tombstone under a non-NULL key of each.
@@ -202,3 +308,39 @@ def test_oracle_finds_the_deleted_rows_a_stale_index_returns(monkeypatch):
     monkeypatch.setattr(Catalog, "on_delete", lambda *_args: None)
     with pytest.raises(AssertionError, match="'blocking'"):
         check_paths(**EXAMPLE)
+
+
+# -- the hit-path oracle can fail: two mutations -------------------------
+
+
+def test_the_hit_example_holds(monkeypatch):
+    check_hit_paths(**EXAMPLE, patch=monkeypatch)
+
+
+def test_oracle_finds_a_lookup_without_the_ledger_ticket(monkeypatch):
+    """Looked up without its ticket, a published entry is a hit whatever
+    was written since: the pre-write row is served."""
+
+    def lease(self, plan, span):
+        if plan is None:
+            return None
+        key, tables, _ticket, _point = plan
+        return self.cache.acquire(key, tables)
+
+    monkeypatch.setattr(CallPipeline, "lease", lease)
+    with pytest.raises(AssertionError, match="stale after a write"):
+        check_hit_paths(**EXAMPLE, patch=monkeypatch)
+
+
+def test_oracle_finds_a_hit_that_builds_a_request(monkeypatch):
+    """A record built before the lookup, as every hit once did, is
+    counted."""
+    real = CallPipeline.lease
+
+    def lease(self, plan, span):
+        Request(plan, None, "", span)
+        return real(self, plan, span)
+
+    monkeypatch.setattr(CallPipeline, "lease", lease)
+    with pytest.raises(AssertionError, match="a hit built a Request"):
+        check_hit_paths(**EXAMPLE, patch=monkeypatch)

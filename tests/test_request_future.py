@@ -140,7 +140,7 @@ class TestStates:
         cache.complete(owner, "v")
         hit = cache.acquire("k", tables=["t"])
         assert hit.is_hit and not hit.future.cancel()
-        assert follower.wait() == hit.future.result() == "v"
+        assert follower.future.result() == hit.future.result() == "v"
 
 
 class TestCallbacks:

@@ -24,8 +24,8 @@ that is removed at exit: nothing lands in the checkout.  A full run
 takes a few minutes; it exits 1 if a command failed.
 
 With ``--base DIR`` the traffic of the checkout at ``DIR`` (its own
-``src/``, ``perfbench/``, examples and ``BENCHMARK.json``) runs as well,
-in a child process, and only the functions that joined or left the
+``tools/traffic.py`` and command list, ``src/``, ``perfbench/``,
+examples and ``BENCHMARK.json``) runs as well, in a child process, and only the functions that joined or left the
 unreached list are printed, with both totals, as ``tools/sloc.py
 --base`` prints lines.
 
@@ -229,14 +229,15 @@ def report(root: Path = ROOT) -> dict:
 
 
 def _base_report(base: Path) -> dict:
-    """:func:`report` of the checkout at ``base``, run in a child
-    process so that it imports that checkout's modules, not ours."""
+    """The base checkout's own :func:`report` — its ``tools/traffic.py``,
+    so its own command list — run in a child process so that it imports
+    that checkout's modules, not ours."""
     script = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import traffic; "
         "print(json.dumps(traffic.report(traffic.Path(sys.argv[2]))))"
     )
     child = subprocess.run(
-        [sys.executable, "-c", script, str(Path(__file__).resolve().parent), str(base)],
+        [sys.executable, "-c", script, str(base / "tools"), str(base)],
         cwd=base,
         stdout=subprocess.PIPE,
         text=True,

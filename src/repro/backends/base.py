@@ -494,6 +494,8 @@ class Backend:
         ``server.execute`` span."""
         queued_s = self._admit()
         try:
+            if span is None:  # untraced: straight to the statement
+                return self._execute_prepared(prepared, tuple(params), txn)
             return self._run_prepared(prepared, tuple(params), txn, span, queued_s)
         finally:
             self._gate.put(None)
@@ -598,8 +600,9 @@ class Backend:
         # version, the active count is the gate's, and the counters are
         # per-thread cells.  Only a rising peak takes the lock.
         stale = prepared.catalog_version != self._catalog_version
-        self._note_active()
-        executed = window = False
+        if self._active() > self.stats.peak_concurrency:
+            self._note_active()  # the peak may rise
+        window = False
         try:
             if stale:
                 prepared = self.prepare(prepared.sql)
@@ -622,7 +625,9 @@ class Backend:
                 self.ledger.begin_write(table, point)
                 window = txn is None
             result = self._execute(prepared, params, txn, exec_span)
-            executed = True
+            cell = self.stats.cells.mine()
+            cell[0] += 1
+            cell[1] += write
             if exec_span is not None:
                 exec_span.set("write", write)
                 rows = getattr(result, "rowcount", None)
@@ -630,8 +635,6 @@ class Backend:
                     exec_span.set("rows", rows)
             return result
         finally:
-            if executed:
-                self.stats.executed(1, int(prepared.write))
             if window:
                 self.ledger.end_write(table, True, point)
 

@@ -58,8 +58,11 @@ class WriteEpochLedger:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: table -> [epoch, committed, open writers]  (T)
-        self._tables: Dict[Optional[str], List[int]] = {}
+        #: T of "every table" (the table ``None``), which every read
+        #: observes, and table -> T for each named table:
+        #: ``[epoch, committed, open writers]``.
+        self._every = [0, 0, 0]
+        self._tables: Dict[str, List[int]] = {}
         #: (table, column) -> C and (table, column, stripe) -> S
         self._points: Dict[tuple, List[int]] = {}
         #: Write windows closed with / without a point, and the C and S
@@ -84,8 +87,8 @@ class WriteEpochLedger:
         """
         with self._lock:
             states = self._tables
-            epoch = committed = writers = 0
-            for table in states if "*" in tables else (None, *tables):
+            epoch, committed, writers = self._every
+            for table in states if "*" in tables else tables:
                 state = states.get(table)
                 if state is not None:
                     epoch += state[0]
@@ -138,7 +141,9 @@ class WriteEpochLedger:
     ) -> List[List[int]]:
         """The states a write on ``table`` / ``point`` moves: T, plus C
         and S for a point write (lock held)."""
-        moved = [self._tables.setdefault(table, [0, 0, 0])]
+        moved = [
+            self._every if table is None else self._tables.setdefault(table, [0, 0, 0])
+        ]
         if point is not None:
             points = self._points
             moved.append(points.setdefault(point[:2], [0, 0, 0]))

@@ -84,34 +84,33 @@ class BufferPool:
         """Touch ``(name, page_no)`` keys in order, each counted and
         admitted exactly as one :meth:`access` per key would: a miss is
         installed (evicting the LRU page if full) before the next key is
-        looked up.  The keys are looked up in one lock section.  On a
-        free disk (:attr:`SimulatedDisk.free`) that section serves the
-        misses too, and the disk reads them in one section of its own
-        (:meth:`SimulatedDisk.read_many`); a disk that takes time stops
-        the section at the first miss, and each key from there on is
-        one :meth:`access`, which sleeps outside the lock."""
+        looked up.  On a free disk (:attr:`SimulatedDisk.free`) that is
+        one pass of :meth:`_admit` in one lock section, and the disk
+        reads the misses in one section of its own
+        (:meth:`SimulatedDisk.read_many`).  A disk that takes time stops
+        the section at the first miss, and each key from there on is one
+        :meth:`access`, which sleeps outside the lock."""
+        if self._disk.free:
+            with self._lock:
+                misses = self._admit(keys)
+                stats = self.stats
+                stats.hits += len(keys) - len(misses)
+                stats.misses += len(misses)
+            if misses:
+                self._disk.read_many(misses)
+            return
         hits = 0
-        misses = []
-        free = self._disk.free
         touch = self._pages.move_to_end
         with self._lock:
             for key in keys:
                 try:
                     touch(key)
                 except KeyError:
-                    if not free:
-                        break
-                    misses.append(key)
-                    self._admit((key,))
-                else:
-                    hits += 1
+                    break
+                hits += 1
             self.stats.hits += hits
-            self.stats.misses += len(misses)
-        if misses:
-            self._disk.read_many(misses)
-        elif hits < len(keys):
-            for name, page_no in keys[hits:]:
-                self.access(name, page_no)
+        for name, page_no in keys[hits:]:
+            self.access(name, page_no)
 
     def access_many(self, name: str, page_nos) -> int:
         """Touch a run of pages; returns the hit count.
@@ -139,10 +138,13 @@ class BufferPool:
                 self._admit(misses)
         return len(keys) - len(misses)
 
-    def _admit(self, keys) -> None:
+    def _admit(self, keys) -> list:
         """Make ``keys`` the most recently used pages, in order, evicting
-        from the LRU end to stay within capacity (lock held)."""
+        from the LRU end to stay within capacity; returns the keys that
+        were not resident, each installed before the next key is looked
+        up (lock held)."""
         pages = self._pages
+        missed = []
         for key in keys:
             if key in pages:
                 pages.move_to_end(key)
@@ -150,6 +152,8 @@ class BufferPool:
                 if len(pages) >= self._capacity:
                     pages.popitem(last=False)
                 pages[key] = None
+                missed.append(key)
+        return missed
 
     def install(self, name: str, page_no: int) -> None:
         """Install a page without charging IO (used after page writes)."""

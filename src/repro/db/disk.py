@@ -111,11 +111,16 @@ class SimulatedDisk:
 
     def extent_base(self, name: str) -> int:
         with self._lock:
-            if name not in self._extents:
-                base = self._next_extent
-                self._extents[name] = base
-                self._next_extent = base + 1024
-            return self._extents[name]
+            return self._extent(name)
+
+    def _extent(self, name: str) -> int:
+        """The first position of ``name``'s extent, allocated (1024
+        pages) on a first touch (lock held)."""
+        base = self._extents.get(name)
+        if base is None:
+            base = self._extents[name] = self._next_extent
+            self._next_extent = base + 1024
+        return base
 
     def grow_extent(self, name: str, pages: int) -> None:
         """Ensure the extent for ``name`` spans at least ``pages`` pages."""
@@ -136,44 +141,16 @@ class SimulatedDisk:
     # lock.  ``read_many`` serves a run of ``(name, page_no)`` keys in
     # order — the buffer pool's misses, from a scan (``access_many``)
     # or a point read (``access_keys``).  On a free disk that run is one
-    # critical section: it moves the heads and counts every read as the
-    # one-by-one reads would, and records the zero charges at once.
+    # critical section and one pass of ``_seek``, which moves the heads
+    # and counts every read as the one-by-one reads would; the zero
+    # charges are recorded at once.
     def read(self, name: str, page_no: int) -> None:
-        """Block for the service time of one page read."""
-        self._serve(self._base(name) + page_no)
-
-    def read_many(self, keys: Sequence[Tuple[str, int]]) -> None:
-        """Read ``(name, page_no)`` keys in order, exactly as one ``read``
-        per key would.  When no page read takes any time (:attr:`free`)
-        no request ever waits for a spindle, so the run is served in one
-        critical section and charged to the meter in one call; otherwise
-        each key is one ``read``, queued and slept for as usual."""
-        positions = [self._base(name) + page_no for name, page_no in keys]
-        if not self.free:
-            for position in positions:
-                self._serve(position)
-            return
-        spindles = self._spindles
+        """Block for the service time of one page read: served at once
+        on an idle spindle, else after queueing behind it in
+        shortest-seek-first order."""
         with self._lock:
-            stats = self.stats
-            if self._depth >= stats.max_queue_depth:
-                stats.max_queue_depth = self._depth + 1
-            for position in positions:
-                self._seek(spindles[position % len(spindles)], position, stats)
-        if self._meter is not None and positions:
-            self._meter.record("disk", 0.0, times=len(positions))
-
-    def _base(self, name: str) -> int:
-        # Extents are never moved or dropped, so a known one is read
-        # without the lock; only a first touch allocates under it.
-        base = self._extents.get(name)
-        return self.extent_base(name) if base is None else base
-
-    def _serve(self, position: int) -> None:
-        """Serve one request: at once on an idle spindle, else after
-        queueing behind it in shortest-seek-first order."""
-        spindle = self._spindles[position % len(self._spindles)]
-        with self._lock:
+            position = self._extent(name) + page_no
+            spindle = self._spindles[position % len(self._spindles)]
             stats = self.stats
             self._depth += 1
             if self._depth > stats.max_queue_depth:
@@ -181,7 +158,7 @@ class SimulatedDisk:
             if spindle.busy or spindle.pending:
                 self._await_turn(spindle, position)
             spindle.busy = True
-            service_s = self._seek(spindle, position, stats)
+            service_s = self._seek(((name, page_no),))
             if service_s <= 0:
                 self._release(spindle)  # nobody can queue behind it
         try:
@@ -194,25 +171,52 @@ class SimulatedDisk:
                 with self._lock:
                     self._release(spindle)
 
-    def _seek(self, spindle: _Spindle, position: int, stats: DiskStats) -> float:
-        """Move the head to ``position`` and count the read; returns its
-        service time (lock held)."""
-        gap = abs(position - spindle.head)
+    def read_many(self, keys: Sequence[Tuple[str, int]]) -> None:
+        """Read ``(name, page_no)`` keys in order, exactly as one ``read``
+        per key would.  When no page read takes any time (:attr:`free`)
+        no request ever waits for a spindle, so the run is served in one
+        critical section and charged to the meter in one call; otherwise
+        each key is one ``read``, queued and slept for as usual."""
+        if not self.free:
+            for name, page_no in keys:
+                self.read(name, page_no)
+            return
+        with self._lock:
+            stats = self.stats
+            if self._depth >= stats.max_queue_depth:
+                stats.max_queue_depth = self._depth + 1
+            self._seek(keys)
+        if self._meter is not None and keys:
+            self._meter.record("disk", 0.0, times=len(keys))
+
+    def _seek(self, keys: Sequence[Tuple[str, int]]) -> float:
+        """Move the heads to the pages of ``keys``, in order, and count
+        each read; returns the run's service time (lock held)."""
+        extents = self._extents
+        spindles = self._spindles
         profile = self._profile
-        if gap <= 1:
-            service_s = profile.disk_sequential_s
-            stats.sequential_reads += 1
-        else:
-            service_s = min(
-                profile.disk_seek_max_s,
-                profile.disk_seek_min_s + gap * profile.disk_seek_per_page_s,
-            )
-            stats.random_reads += 1
-        stats.reads += 1
-        stats.total_service_time_s += service_s
-        stats.total_seek_pages += gap
-        spindle.head = position
-        return service_s
+        stats = self.stats
+        run_s = 0.0
+        for name, page_no in keys:
+            base = extents.get(name)
+            position = (self._extent(name) if base is None else base) + page_no
+            spindle = spindles[position % len(spindles)]
+            gap = abs(position - spindle.head)
+            if gap <= 1:
+                service_s = profile.disk_sequential_s
+                stats.sequential_reads += 1
+            else:
+                service_s = min(
+                    profile.disk_seek_max_s,
+                    profile.disk_seek_min_s + gap * profile.disk_seek_per_page_s,
+                )
+                stats.random_reads += 1
+            stats.reads += 1
+            stats.total_service_time_s += service_s
+            stats.total_seek_pages += gap
+            spindle.head = position
+            run_s += service_s
+        return run_s
 
     def _release(self, spindle: _Spindle) -> None:
         """End the service in progress on ``spindle`` (lock held)."""

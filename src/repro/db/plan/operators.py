@@ -77,10 +77,8 @@ class HashEqOp:
         """One batch of the bucket's rows (none for an empty bucket),
         after touching the pages they live on; no tuples are built."""
         info = self._info
-        index = self._index
-        key = tests[self._slot][2]
-        index_page = (index.io_name, index.page_for(key))
-        sel = list(index.lookup(key))
+        index_page, bucket = self._index.probe(tests[self._slot][2])
+        sel = list(bucket)
         ctx.buffer.access_keys(bucket_pages(index_page, info, sel))
         ctx.charge_cpu(rows=len(sel))
         return [ColumnBatch(info.heap.columns_view(), sel)] if sel else []
@@ -89,7 +87,7 @@ class HashEqOp:
 def bucket_pages(index_page: PageKey, info: TableInfo, row_ids) -> List[PageKey]:
     """The pages one index probe reads, in order: ``index_page``, then
     the distinct heap pages of ``row_ids``.  ``row_ids`` is an index
-    bucket — live rows, ascending (:meth:`HashIndex.lookup`) — so a
+    bucket — live rows, ascending (:meth:`HashIndex.probe`) — so a
     page is new exactly when it differs from the last one."""
     keys = [index_page]
     name = info.name

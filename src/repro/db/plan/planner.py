@@ -211,12 +211,14 @@ def _point_reader(
     built once at prepare over the plan's constants: the index, the key
     column's position, the parameter slot and the output positions.
 
-    ``read(params, buffer)`` touches the index page and the bucket's
-    rows' heap pages (one :meth:`BufferPool.access_keys`), re-checks
+    ``read(params, buffer)`` probes the index once
+    (:meth:`HashIndex.probe`), touches the index page and the bucket's
+    rows' heap pages (one :meth:`BufferPool.access_keys`; a one-row
+    bucket names its one heap page itself), re-checks
     ``key = value`` exactly as the compiled WHERE would — so cross-type
     and NULL bindings answer alike — and gathers the output tuples
     straight from the column lists.  A bucket holds live rows only (see
-    :meth:`HashIndex.lookup`), so no row is checked for a tombstone.
+    :meth:`HashIndex.probe`), so no row is checked for a tombstone.
     It returns ``(row ids, rows, charged, scanned)``: the kept rows'
     ids and tuples, the rows the cost model charges CPU for, and the
     bucket rows the re-check scanned.  The charges are the general
@@ -227,20 +229,22 @@ def _point_reader(
     lock, checked the binding (:func:`check_params`), and charges the
     fixed cost, the rows and the scan batch.
     """
-    io_name = index.io_name
-    page_for = index.page_for
-    lookup = index.lookup
+    probe = index.probe
+    name = info.name
+    rows_per_page = info.heap.rows_per_page
     columns = info.heap.columns_view()
     key = columns[key_position]
     output = [columns[position] for position in positions]
 
     def read(params: Sequence, buffer) -> Tuple[List[int], List[Row], int, int]:
         value = params[slot]
-        index_page = (io_name, page_for(value))
-        sel = lookup(value)
-        buffer.access_keys(bucket_pages(index_page, info, sel))
-        if not sel:
-            return [], [], 0, 0
+        index_page, sel = probe(value)
+        if len(sel) == 1:
+            buffer.access_keys((index_page, (name, sel[0] // rows_per_page)))
+        else:
+            buffer.access_keys(bucket_pages(index_page, info, sel))
+            if not sel:
+                return [], [], 0, 0
         kept = [] if value is None else [rid for rid in sel if key[rid] == value]
         scanned = len(sel)
         charged = 2 * scanned + len(kept) if projected else 2 * scanned

@@ -95,9 +95,10 @@ class DatabaseServer(Backend):
         """Run one statement.  A point SELECT calls its prepared point
         read (``prepared.translated``) directly under the heap's read
         lock, with no :class:`ExecutionContext`: the fixed cost and the
-        read's CPU rows are one meter charge, and its scan batch is
-        folded as :meth:`_settle` folds a context's.  Every other
-        statement runs its plan under a context, then settles it."""
+        read's CPU rows are one meter charge, and its one scan batch is
+        folded into the same instruments :meth:`_fold_scans` feeds.
+        Every other statement runs its plan under a context, then
+        settles it."""
         point = prepared.translated
         if point is None:
             ctx = self._context(params, txn)
@@ -116,8 +117,13 @@ class DatabaseServer(Backend):
         if cpu_s > 0:
             self._meter.charge("cpu", cpu_s)
         if scanned:
-            self._fold_scans(1, scanned, (len(rows) / scanned,), exec_span)
-        return QueryResult(columns=names, rows=rows)
+            if self._scan_batches is not None:
+                self._scan_batches.inc()
+                self._scan_rows.inc(scanned)
+                self._scan_selectivity.observe(len(rows) / scanned)
+            if exec_span is not None:
+                exec_span.set("scan_batches", 1)
+        return QueryResult(names, rows, len(rows))
 
     def _execute_select_batch(
         self,

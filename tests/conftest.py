@@ -11,7 +11,9 @@ from repro.db import Database, INSTANT
 #: --hypothesis-seed=N``): the random-program properties of
 #: ``tests/test_prop_transform.py``, the bulk-load differential of
 #: ``tests/test_bulk_load.py``, the point-read path equivalence of
-#: ``tests/test_prop_point_paths.py`` and the generator-driven checks of
+#: ``tests/test_prop_point_paths.py``, the buffer pool's reference-LRU
+#: model of ``tests/test_db_buffer_disk.py`` (the free-disk page
+#: accounting) and the generator-driven checks of
 #: ``tests/test_transform_shared_facts.py`` (``Stmt.reads`` stays fresh,
 #: every statement-memo answer is a fresh analysis) draw 10x their
 #: tier-1 examples from the seed instead of their derandomized stream.

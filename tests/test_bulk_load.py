@@ -233,7 +233,7 @@ def contents(db, backend, probes):
         info = db.catalog.table("d")
         state["heap"] = list(info.heap.iter_rows())
         for index in info.indexes:
-            state[index.name] = {key: list(index.lookup(key)) for key in index.keys()}
+            state[index.name] = {key: list(index.probe(key)[1]) for key in index.keys()}
     return state
 
 

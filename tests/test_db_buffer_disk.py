@@ -4,13 +4,14 @@ import threading
 from collections import OrderedDict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db.buffer import BufferPool
 from repro.db.disk import SimulatedDisk
 from repro.db.latency import INSTANT, SYS1, LatencyMeter
 from repro.db.scans import SharedScanManager
+from tests.helpers import drawn
 
 
 def make_disk(elevator=True, spindles=2):
@@ -293,7 +294,7 @@ class TestBufferPool:
         ),
         capacity=st.integers(min_value=1, max_value=8),
     )
-    @settings(max_examples=80, deadline=None)
+    @drawn(80)
     def test_matches_a_reference_lru(self, ops, capacity):
         """Single touches, runs, keyed touches, installs and warm-ups
         against a plain LRU model: same hits, same misses, same disk

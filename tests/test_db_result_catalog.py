@@ -141,14 +141,14 @@ class TestCatalog:
         row = info.heap.schema.coerce_row((5,))
         rid = info.heap.insert(row)
         catalog.on_insert(info, rid, row)
-        assert index.lookup(5) == [rid]
+        assert index.probe(5)[1] == [rid]
         new_row = info.heap.schema.coerce_row((9,))
         info.heap.update(rid, new_row)
         catalog.on_update(info, rid, row, new_row)
-        assert index.lookup(5) == []
-        assert index.lookup(9) == [rid]
+        assert index.probe(5)[1] == ()
+        assert index.probe(9)[1] == [rid]
         catalog.on_delete(info, rid, new_row)
-        assert index.lookup(9) == []
+        assert index.probe(9)[1] == ()
 
 
 class TestConcurrencyPrimitives:

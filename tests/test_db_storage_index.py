@@ -69,18 +69,13 @@ class TestHashIndex:
         index.build()
         return heap, index
 
-    def test_lookup(self):
-        _heap, index = self.build()
-        assert index.lookup(2) == [2, 6, 10, 14, 18]
-        assert index.lookup(99) == []
-
     def test_incremental_add_remove(self):
         heap, index = self.build()
         rid = heap.insert((100, 2, 0))
         index.add(rid, 2)
-        assert rid in index.lookup(2)
+        assert rid in index.probe(2)[1]
         index.remove(rid, 2)
-        assert rid not in index.lookup(2)
+        assert rid not in index.probe(2)[1]
 
     def test_remove_missing_is_noop(self):
         _heap, index = self.build()
@@ -94,9 +89,11 @@ class TestHashIndex:
         with pytest.raises(ConstraintError):
             index.build()
 
-    def test_page_for_is_stable(self):
+    def test_a_probe_is_stable_and_answers_the_bucket(self):
         _heap, index = self.build()
-        assert index.page_for(3) == index.page_for(3)
+        assert index.probe(3) == index.probe(3)
+        assert index.probe(2)[1] == [2, 6, 10, 14, 18]
+        assert index.probe(99) == ((index.io_name, 99 % index.page_count), ())
 
     def test_unique_takes_any_number_of_nulls(self):
         heap = make_heap()
@@ -108,7 +105,7 @@ class TestHashIndex:
         rid = heap.insert((4, None, 0))
         index.check_unique(None)
         index.add(rid, None)
-        assert index.lookup(None) == [0, 1, rid]
+        assert index.probe(None)[1] == [0, 1, rid]
         with pytest.raises(ConstraintError):
             index.check_unique(7)
         with pytest.raises(ConstraintError):
@@ -118,8 +115,8 @@ class TestHashIndex:
         heap, index = self.build()
         heap.extend([(20, 2, 0), (21, 9, 0)])
         index.extend([20, 21])
-        assert index.lookup(2) == [2, 6, 10, 14, 18, 20]
-        assert index.lookup(9) == [21]
+        assert index.probe(2)[1] == [2, 6, 10, 14, 18, 20]
+        assert index.probe(9)[1] == [21]
         assert index.key_count == 5
         assert sorted(index.keys()) == [0, 1, 2, 3, 9]
 
@@ -127,7 +124,7 @@ class TestHashIndex:
         heap, index = self.build()
         heap.delete(6)
         index.build()
-        assert index.lookup(2) == [2, 10, 14, 18]
+        assert index.probe(2)[1] == [2, 10, 14, 18]
 
     def test_page_count_grows_with_entries(self):
         heap = make_heap()
@@ -137,4 +134,6 @@ class TestHashIndex:
         heap.extend([(i, i, 0) for i in range(600)])
         index.extend(range(600))
         assert index.page_count == 3
-        assert all(0 <= index.page_for(key) < 3 for key in range(600))
+        assert {index.probe(key)[0][1] for key in range(600)} == {0, 1, 2}
+        index.build()
+        assert index.page_count == 3

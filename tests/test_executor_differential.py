@@ -22,14 +22,17 @@ import random
 from collections import Counter
 
 import pytest
+from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import BACKENDS
 from repro.db import Database, INSTANT, SYS1
 from repro.db.errors import DatabaseError, TypeMismatchError
 from repro.db.plan import expr_eval, operators
+from repro.db.buffer import BufferPool
 from repro.db.plan.planner import prefer_batch_scan
 from repro.db.scans import DEFAULT_BATCH_ROWS
+from repro.obs.metrics import Histogram
 from tests.helpers import reference_select
 
 values = st.one_of(st.integers(min_value=-9, max_value=9), st.none())
@@ -414,7 +417,14 @@ def scan_charges():
                 db.disk.stats.random_reads,
             ),
             "scan": (counters["scan.batches"], counters["scan.rows_scanned"]),
+            "selectivity": selectivity(db),
         }
+
+
+def selectivity(db):
+    """``scan.selectivity``'s ``(count, sum, min, max)``."""
+    hist = db.metrics.histograms()["scan.selectivity"].snapshot()
+    return (hist["count"], hist["sum"], hist["min"], hist["max"])
 
 
 class TestScanCharges:
@@ -439,18 +449,26 @@ class TestScanCharges:
         assert charged["buffer"] == (120, 80)
         assert charged["disk"] == (80, 2, 78)
         assert charged["scan"] == (15, 12128)
+        assert charged["selectivity"] == pytest.approx(
+            (15, 7.583063916829249, 0.0, 1.0), rel=1e-12
+        )
 
 
 PROFILE_SQL = "SELECT name, rating FROM users WHERE user_id = ?"
 PROFILE_STAR = "SELECT * FROM users WHERE user_id = ?"
 
 
-def point_charges():
-    """``PROFILE_SQL``-shaped point reads on ``SYS1`` — hits, misses, a
-    tombstoned row, cross-type bindings — and one demuxed probe-strategy
-    batch with duplicate bindings: what the cost model charged, and what
-    the statements answered."""
-    db = Database(SYS1)
+#: The point reads' odd bindings: a tombstoned key, an absent one, NULL
+#: and cross-type keys.
+ODD_KEYS = (40, 2600, None, "7", 7.0, True)
+
+
+def point_charges(profile=SYS1, odd_keys=ODD_KEYS):
+    """``PROFILE_SQL``-shaped point reads on ``profile`` — hits, misses,
+    ``odd_keys`` — and one demuxed probe-strategy batch with duplicate
+    bindings: what the cost model charged, and what the statements
+    answered."""
+    db = Database(profile)
     db.create_table(
         "users", ("user_id", "int"), ("name", "text"), ("rating", "int"), ("region_id", "int")
     )
@@ -466,7 +484,7 @@ def point_charges():
             sum(len(server.execute(PROFILE_SQL, (key,)).rows) for key in keys),
             [
                 server.execute(PROFILE_SQL, (key,)).rows
-                for key in (40, 2600, None, "7", 7.0, True)
+                for key in odd_keys
             ],
             server.execute(PROFILE_STAR, (11,)).rows,
             server.execute(PROFILE_STAR, (40,)).rows,
@@ -475,7 +493,7 @@ def point_charges():
         batch = [(5,), (9,), (5,), (40,), (2600,), (9,), (5,)]
         info = db.catalog.table("users")
         # Four distinct bindings: the cost gate picks the probe strategy.
-        assert not prefer_batch_scan(info, prepared.plan._access, 4, SYS1)
+        assert not prefer_batch_scan(info, prepared.plan._access, 4, profile)
         outcomes = server.execute_prepared_batch(prepared, batch)
         answers.append([result.rows for result in outcomes])
         counters = db.metrics.snapshot()["counters"]
@@ -489,7 +507,9 @@ def point_charges():
                 db.disk.stats.sequential_reads,
                 db.disk.stats.random_reads,
             ),
+            "heads": (db.disk.stats.total_seek_pages, db.disk.stats.max_queue_depth),
             "scan": (counters["scan.batches"], counters["scan.rows_scanned"]),
+            "selectivity": selectivity(db),
         }
 
 
@@ -514,6 +534,78 @@ class TestPointCharges:
         assert charged["buffer"] == (558, 50)
         assert charged["disk"] == (50, 1, 49)
         assert charged["scan"] == (295, 295)
+        assert charged["selectivity"] == (295, 295.0, 1.0, 1.0)
+
+
+#: A free disk (``INSTANT``) under an eight-page pool: every point read
+#: takes the free-disk page accounting, and hits, misses and evictions
+#: all occur.
+FREE_DISK_SMALL_POOL = replace(INSTANT, buffer_pool_pages=8)
+#: ``ODD_KEYS`` less the keys whose index page is ``hash(key)``, which
+#: the process's hash seed picks for a str (and, before Python 3.12, for
+#: None): under an eight-page pool that page decides later evictions.
+SEEDLESS_ODD_KEYS = (40, 2600, 7.0, True)
+
+
+class TestFreeDiskPointCharges:
+    """``point_charges`` where no page read takes time: the one-pass
+    page accounting must count, install, evict and move the heads
+    exactly as one access per page would.  Literals taken from the
+    per-page admit and per-page seek the one-pass accounting replaced."""
+
+    def test_the_free_disk_point_path_charges_what_it_did(self):
+        charged = point_charges(FREE_DISK_SMALL_POOL, SEEDLESS_ODD_KEYS)
+        assert charged["answers"] == [
+            289,
+            [[], [], [("u7", 0)], [("u1", 2)]],
+            [(11, "u11", -5, 3)],
+            [],
+            [[("u5", -3)], [("u9", 3)], [("u5", -3)], [], [], [("u9", 3)], [("u5", -3)]],
+        ]
+        assert charged["totals"] == {"cpu": 0.0, "disk": 0.0, "network": 0.0, "queue": 0.0}
+        assert charged["counts"] == {"cpu": 0, "disk": 474, "network": 0, "queue": 0}
+        assert charged["buffer"] == (132, 474)
+        assert charged["disk"] == (474, 0, 474)
+        assert charged["heads"] == (9601, 1)
+        assert charged["scan"] == (295, 295)
+        assert charged["selectivity"] == (295, 295.0, 1.0, 1.0)
+
+    def test_a_fold_that_drops_a_selectivity_observation_is_caught(self, monkeypatch):
+        observe = Histogram.observe
+        dropped = []
+
+        def dropping(self, value):
+            if not dropped:
+                dropped.append(value)
+                return
+            observe(self, value)
+
+        monkeypatch.setattr(Histogram, "observe", dropping)
+        charged = point_charges(FREE_DISK_SMALL_POOL, SEEDLESS_ODD_KEYS)
+        assert dropped
+        assert charged["selectivity"] != (295, 295.0, 1.0, 1.0)
+
+    def test_an_admit_that_skips_a_miss_is_caught(self, monkeypatch):
+        admit = BufferPool._admit
+        installed, skipped = [], []
+
+        def skipping(self, keys):
+            kept = []
+            for key in keys:
+                if key not in self._pages:
+                    installed.append(key)
+                    if len(installed) == 200:  # a miss well into the reads
+                        skipped.append(key)
+                        continue
+                kept.append(key)
+            return admit(self, kept)
+
+        monkeypatch.setattr(BufferPool, "_admit", skipping)
+        charged = point_charges(FREE_DISK_SMALL_POOL, SEEDLESS_ODD_KEYS)
+        assert skipped
+        assert (charged["buffer"], charged["disk"], charged["heads"]) != (
+            (132, 474), (474, 0, 474), (9601, 1)
+        )
 
 
 KEYED_UPDATE = "UPDATE users SET rating = ? WHERE user_id = ?"

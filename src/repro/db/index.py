@@ -9,6 +9,7 @@ the key so that repeated lookups of the same key hit the buffer pool.
 from __future__ import annotations
 
 import bisect
+import zlib
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from .errors import ConstraintError
@@ -19,6 +20,18 @@ INDEX_ENTRIES_PER_PAGE = 256
 
 #: What :meth:`HashIndex.probe` answers for a key no row holds.
 _EMPTY: Tuple[int, ...] = ()
+
+
+def page_hash(value: Any) -> int:
+    """The hash that places ``value`` on an index page, the same in
+    every process: ``hash`` of a number (stable already), CRC-32 of
+    text (its UTF-8 bytes) and of bytes — whose ``hash`` follows the
+    process's hash seed — and 0 for NULL."""
+    if isinstance(value, str):
+        value = value.encode("utf-8", "surrogatepass")
+    if isinstance(value, bytes):
+        return zlib.crc32(value)
+    return 0 if value is None else hash(value)
 
 
 class HashIndex:
@@ -105,10 +118,10 @@ class HashIndex:
     # ------------------------------------------------------------------
     def probe(self, value: Any) -> Tuple[Tuple[str, int], Sequence[int]]:
         """The index page a probe of ``value`` touches, as a buffer-pool
-        key — ``hash(value)`` over the index's pages, so repeated probes
-        of one key touch one page — and the ids of the rows holding
-        ``value`` (ascending, i.e. physical order; an empty tuple when
-        none does).
+        key — :func:`page_hash` over the index's pages, so repeated
+        probes of one key touch one page, in every process — and the
+        ids of the rows holding ``value`` (ascending, i.e. physical
+        order; an empty tuple when none does).
 
         Every id is a live row: the catalog indexes a row when the heap
         stores or restores it and drops it when the heap tombstones it
@@ -116,7 +129,8 @@ class HashIndex:
         no tombstone.  A hit returns the index's own bucket, not a copy:
         read it, do not mutate it, and only while holding the table's
         read lock (index maintenance runs under the write lock)."""
-        page = (self.io_name, hash(value) % self.page_count)
+        key = hash(value) if type(value) is int else page_hash(value)
+        page = (self.io_name, key % self.page_count)
         return page, self._buckets.get(value, _EMPTY)
 
     @property

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Union
 
 from ..errors import DatabaseError
 from .context import ExecutionContext
+from ..scans import ColumnBatch
 from .operators import SeqScanOp, partition
 from .planner import SelectPlan, check_params, prefer_batch_scan
 from .result import QueryResult
@@ -125,7 +126,7 @@ def execute_batch_select(
                     sel = scanned
                 # The bucket (or scan) holds candidates, not matches: the
                 # full WHERE clause re-applies per binding, vectorized.
-                return plan._finalize(sub, tests, [sel], noted=False)
+                return plan._finalize(sub, tests, [ColumnBatch(sel)], noted=False)
             except Exception as exc:  # isolate the fault to this binding
                 return exc
             finally:

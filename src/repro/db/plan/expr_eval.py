@@ -18,9 +18,14 @@ values of a column slice (:func:`gather`) when only a count or the
 values are wanted.  :class:`ColumnarEvaluator` runs one execution's
 bound conjuncts over selection vectors (row-id sequences), each
 narrowing the selection the next sees, and gathers projection values
-column-at-a-time.  Conjuncts of any other shape fall back to the row
-evaluator over a lazy column-backed row view, so three-valued-logic
-semantics are identical by construction.
+column-at-a-time.  A scan batch starts from the heap's dictionary of
+the first compiled conjunct's column
+(:meth:`~repro.db.storage.HeapTable.dictionary`) when the batch has
+one: the values kernel runs over its keys, each distinct value once,
+and the passing keys' row lists are the rows that conjunct keeps.
+Conjuncts of any other shape fall back to the row evaluator over a
+lazy column-backed row view, so three-valued-logic semantics are
+identical by construction.
 
 Values of different classes compare as sqlite compares them, by class
 (:func:`storage_class`): NULL < numeric < text < blob.  A column's
@@ -35,6 +40,7 @@ differ (Python refuses to order them).
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..errors import PlanError, TypeMismatchError
@@ -429,6 +435,17 @@ class ColumnarEvaluator:
     bound them to the execution's parameters, and projection values
     column-at-a-time.
 
+    Given the heap's ``dictionary``
+    (:meth:`~repro.db.storage.HeapTable.dictionary`), a scan batch's
+    selection (one :meth:`keep` / :meth:`count` is told its batch
+    number) starts from the batch's dictionary of the first conjunct's
+    column when the conjunct is compiled and the column is encoded
+    there: the values kernel runs once per distinct value, and the
+    passing values' row lists are the conjunct's kept rows, in row
+    order.  Any other selection — an index probe's rows, a demux
+    binding's candidates, an execution given no ``dictionary`` — runs
+    the kernels over its rows.
+
     Create one per statement execution: it holds that execution's
     bound constants.
     """
@@ -440,31 +457,61 @@ class ColumnarEvaluator:
         params: Sequence,
         columns: Tuple[List[Any], ...],
         tests: List[Tuple[Any, Any, Any]],
+        dictionary: Optional[Callable[[int, int], Any]] = None,
     ) -> None:
         self._schema = schema
         self._table = table
         self._params = params
         self.columns = columns
         self._tests = tests
+        #: ``dictionary(batch, position)``: a scan batch's dictionary of
+        #: a column, or None (not encoded there); None: read none.
+        self.dictionary = dictionary
         #: Does a WHERE clause narrow the selections?
         self.filters = bool(self._tests)
+        #: The column a first, compiled conjunct tests, when there is
+        #: one and a dictionary to read.
+        self._first = tests[0][1] if dictionary and tests and tests[0][0] else None
 
-    def keep(self, sel: Sequence[int]) -> Sequence[int]:
-        """The row ids of ``sel`` the WHERE clause makes strictly True,
-        in ``sel``'s order.  Each conjunct narrows the selection the
-        next one sees — short-circuit across the batch, not per row."""
-        return self._narrow(self._tests, sel)
+    def keep(self, sel: Sequence[int], batch: Optional[int] = None) -> Sequence[int]:
+        """The row ids of ``sel`` (scan batch ``batch``'s, if it is one)
+        the WHERE clause makes strictly True, in ``sel``'s order.  Each
+        conjunct narrows the selection the next one sees — short-circuit
+        across the batch, not per row."""
+        lists = self._encoded(batch)
+        if lists is None:
+            return self._narrow(self._tests, sel)
+        sel = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+        return self._narrow(self._tests[1:], sel)
 
-    def count(self, sel: Sequence[int]) -> int:
-        """``len(self.keep(sel))``; the last compiled conjunct keeps
-        values rather than row ids."""
+    def count(self, sel: Sequence[int], batch: Optional[int] = None) -> int:
+        """``len(self.keep(sel, batch))``; the last compiled conjunct
+        keeps values rather than row ids, and a lone first conjunct
+        answered from a dictionary counts its row lists' lengths."""
         if not self._tests:
             return len(sel)
+        lists = self._encoded(batch)
+        if lists is not None:
+            if len(self._tests) == 1:
+                return sum(map(len, lists))
+            return len(self.keep(sel, batch))
         sel = self._narrow(self._tests[:-1], sel)
         forms, position, constant = self._tests[-1]
         if not sel or forms is None:
             return len(self._narrow(self._tests[-1:], sel))
         return len(forms[1](gather(self.columns[position], sel), constant))
+
+    def _encoded(self, batch: Optional[int]) -> Optional[List[Sequence[int]]]:
+        """The row lists of the values the first conjunct passes in scan
+        batch ``batch``'s dictionary of its column, or None when there is
+        no such dictionary to read."""
+        if self._first is None or batch is None:
+            return None
+        encoded = self.dictionary(batch, self._first)
+        if encoded is None:
+            return None
+        forms, _position, constant = self._tests[0]
+        return list(map(encoded.__getitem__, forms[1](encoded, constant)))
 
     def _narrow(self, tests: List[Tuple[Any, Any, Any]], sel: Sequence[int]) -> Any:
         for forms, position, constant in tests:

@@ -1,13 +1,15 @@
 """Physical operators.
 
 The two access paths (sequential scan, hash-index equality) produce
-:class:`~repro.db.scans.ColumnBatch`es — the table's column lists plus a
-selection vector of live row ids; projection gathers over selection
-vectors, and row tuples appear only at the :class:`QueryResult`
-boundary.  An aggregate select list is compiled at prepare into an
-:class:`AggregateFold`, which folds each batch's kept rows (or just
-their count) as the scan delivers them: scan, filter and aggregate run
-in one pass per batch, with no selection vector kept across batches.
+:class:`~repro.db.scans.ColumnBatch`es — a selection vector of live row
+ids into the table's column lists, and for a scan's batch its number
+(which keys the heap's column dictionaries); projection gathers over
+selection vectors, and row tuples appear only at the
+:class:`QueryResult` boundary.  An aggregate select list is compiled at
+prepare into an :class:`AggregateFold`, which folds each batch's kept
+rows (or just their count) as the scan delivers them: scan, filter and
+aggregate run in one pass per batch, with no selection vector kept
+across batches.
 
 Cost charging:
 
@@ -81,7 +83,7 @@ class HashEqOp:
         sel = list(bucket)
         ctx.buffer.access_keys(bucket_pages(index_page, info, sel))
         ctx.charge_cpu(rows=len(sel))
-        return [ColumnBatch(info.heap.columns_view(), sel)] if sel else []
+        return [ColumnBatch(sel)] if sel else []
 
 
 def bucket_pages(index_page: PageKey, info: TableInfo, row_ids) -> List[PageKey]:
@@ -181,7 +183,11 @@ class AggregateFold:
       ``count(*)`` (:attr:`counted`) a batch's kept count is all it
       reads, and no row-id list is built;
     * GROUP BY whose aggregates are all ``count(*)``: into one
-      ``Counter`` over the kept key values (first-occurrence order);
+      ``Counter`` over the kept key values (first-occurrence order) —
+      on one key column with no WHERE, a scan batch may come as its
+      dictionary of that column
+      (:meth:`~repro.db.storage.HeapTable.dictionary`, :attr:`encoded`),
+      whose keys and row-list lengths fold in place of the values;
     * any other GROUP BY: :func:`partition` splits the kept row ids and
       each group folds as one batch.
     """
@@ -205,27 +211,34 @@ class AggregateFold:
         self._counts = all(isinstance(e.argument, Star) for e, _ in self._aggregates)
         #: Does an execution hand :meth:`rows` kept counts, not row ids?
         self.counted = self._counts and not self._keys
+        #: The key column whose batch dictionaries may stand in for a
+        #: batch's rows when nothing filters them (one key, all
+        #: ``count(*)``), else None.
+        self.encoded = self._keys[0] if self._counts and len(self._keys) == 1 else None
         self._width = max(1, len(items))
 
     def rows(
         self, ctx: ExecutionContext, evaluator: ColumnarEvaluator, batches
     ) -> List[Tuple[Any, ...]]:
         """The output rows over ``batches`` (each batch's kept row ids,
-        or its kept count when :attr:`counted`); charges one CPU row per
-        kept row and select item."""
+        its kept count when :attr:`counted`, or its dictionary of the
+        :attr:`encoded` column); charges one CPU row per kept row and
+        select item."""
         if not self._keys:
             results, total = self._fold(evaluator, batches)
             groups: Iterable = [((), results)]
         elif self._counts:
             counts: Counter = Counter()
-            total = 0
             for kept in batches:
-                total += len(kept)
-                if len(self._keys) == 1:
+                if type(kept) is dict:
+                    for key, size in zip(kept, map(len, kept.values())):
+                        counts[key] += size
+                elif len(self._keys) == 1:
                     counts.update(gather(evaluator.columns[self._keys[0]], kept))
                 else:
                     columns = [evaluator.columns[p] for p in self._keys]
                     counts.update(zip(*[gather(c, kept) for c in columns]))
+            total = sum(counts.values())
             groups = [(key, repeat(count)) for key, count in counts.items()]
         else:
             sel: List[int] = []

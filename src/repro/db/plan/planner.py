@@ -104,19 +104,26 @@ def check_params(expected: int, params: Sequence) -> None:
             raise TypeMismatchError(f"cannot bind parameter value {value!r}")
 
 
-def _kept(ctx, evaluator: ColumnarEvaluator, sels, noted=True, counted=False):
-    """Narrow each candidate selection of ``sels`` by the evaluator's
-    compiled WHERE, one batch at a time: yields each batch's kept row
-    ids (its kept count when ``counted``).  A WHERE charges one CPU row
-    per candidate; a scan's batches (``noted``) are recorded on the
-    context for the scan metrics."""
+def _kept(
+    ctx, evaluator: ColumnarEvaluator, batches, noted=True, counted=False, encoded=None
+):
+    """Narrow each candidate :class:`~repro.db.scans.ColumnBatch` of
+    ``batches`` by the evaluator's compiled WHERE, one batch at a time:
+    yields each batch's kept row ids (its kept count when ``counted``).
+    With no WHERE, a scan batch with a dictionary of column ``encoded``
+    yields that dictionary instead (:attr:`AggregateFold.encoded`).  A
+    WHERE charges one CPU row per candidate; a scan's batches
+    (``noted``) are recorded on the context for the scan metrics."""
     narrow = evaluator.count if counted else evaluator.keep
-    for sel in sels:
+    for batch in batches:
+        sel = batch.sel
         if evaluator.filters:
             ctx.charge_cpu(rows=len(sel))
-        kept = narrow(sel)
+        kept = narrow(sel, batch.number)
         if noted:
             ctx.note_scan_batch(len(sel), kept if counted else len(kept))
+        if encoded is not None and batch.number is not None and not evaluator.filters:
+            kept = evaluator.dictionary(batch.number, encoded) or kept
         yield kept
 
 
@@ -347,10 +354,9 @@ class _WritePlan(_AccessPlan):
         evaluator = ColumnarEvaluator(
             heap.schema, self._info.name, ctx.params, heap.columns_view(), tests
         )
-        batches = (batch.sel for batch in self._access.run(ctx, tests))
         return [
             (row_id, heap.fetch(row_id))
-            for kept in _kept(ctx, evaluator, batches)
+            for kept in _kept(ctx, evaluator, self._access.run(ctx, tests))
             for row_id in kept
         ]
 
@@ -417,41 +423,42 @@ class SelectPlan(_AccessPlan):
         ctx.charge_cpu(fixed=True)
         with self._info.heap.lock.reading():
             tests = self._where.bind(ctx.params)
-            return self._finalize(
-                ctx, tests, (batch.sel for batch in self._access.run(ctx, tests))
-            )
+            return self._finalize(ctx, tests, self._access.run(ctx, tests))
 
     def _finalize(
-        self, ctx: ExecutionContext, tests, sels, noted: bool = True
+        self, ctx: ExecutionContext, tests, batches, noted: bool = True
     ) -> QueryResult:
         """Everything after the access path: filter, then aggregate/group
-        or project.  ``sels`` are candidate selections, one per batch
-        (each recorded on the context when ``noted``); the WHERE's
-        conjuncts as bound for this execution (``tests``, from
-        :meth:`Predicate.bind`) narrow each, and an aggregate select
-        list folds each batch's survivors as they come
+        or project.  ``batches`` are candidate
+        :class:`~repro.db.scans.ColumnBatch`es (each recorded on the
+        context when ``noted``); the WHERE's conjuncts as bound for
+        this execution (``tests``, from :meth:`Predicate.bind`) narrow
+        each — a scan's batch from its column dictionary
+        (:class:`ColumnarEvaluator`) — and an aggregate select list
+        folds each batch's survivors as they come
         (:class:`AggregateFold`).  Otherwise the kept selection vectors
         are projected column by column; tuples materialize only in
         :meth:`QueryResult.from_columns`.
         Runs under the heap's read lock.  Also the per-binding tail of
         the batch-demux operator (:mod:`repro.db.plan.demux`), which
         runs the access once and finalizes each binding's candidates
-        as one un-noted batch on its own parameter context.
+        as one un-noted batch, numbered as no scan batch, on its own
+        parameter context.
         """
         info = self._info
         names = self.output_names
-        columns = info.heap.columns_view()
+        heap = info.heap
+        columns = heap.columns_view()
         evaluator = ColumnarEvaluator(
-            info.heap.schema, info.name, ctx.params, columns, tests
+            heap.schema, info.name, ctx.params, columns, tests, heap.dictionary
         )
         fold = self._fold
         if fold is not None:
-            rows = fold.rows(
-                ctx, evaluator, _kept(ctx, evaluator, sels, noted, fold.counted)
-            )
+            kept = _kept(ctx, evaluator, batches, noted, fold.counted, fold.encoded)
+            rows = fold.rows(ctx, evaluator, kept)
             return QueryResult(columns=names, rows=rows)
         sel: List[int] = []
-        for kept in _kept(ctx, evaluator, sels, noted):
+        for kept in _kept(ctx, evaluator, batches, noted):
             sel.extend(kept)
         value_columns = columnar_project(
             ctx, evaluator, columns, sel, self._stmt.items, self.star

@@ -15,38 +15,34 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
-#: Rows per column batch the vectorized executor works on.  Large enough
-#: that the per-batch Python overhead (one comprehension per predicate
-#: conjunct) amortizes, small enough that intermediate selection vectors
-#: stay cache-friendly.
-DEFAULT_BATCH_ROWS = 1024
+from .storage import DEFAULT_BATCH_ROWS
 
 
 @dataclass
 class ColumnBatch:
-    """One unit of columnar execution: the table's column lists (shared,
-    zero-copy — indexed by schema position) plus a *selection vector* of
-    the live row ids this batch covers (a ``range`` when the batch has no
-    tombstone, else a list).  Operators narrow ``sel``; the columns
-    themselves are never copied until late materialization at the result
-    boundary."""
+    """One unit of columnar execution: a *selection vector* of the live
+    row ids it covers (a ``range`` when the batch has no tombstone, else
+    a list) and, for a scan's batch, the heap batch it is (the key of
+    :meth:`~repro.db.storage.HeapTable.dictionary`; None for rows an
+    index probe found).  Operators narrow ``sel`` over the table's
+    column lists; the columns themselves are never copied until late
+    materialization at the result boundary."""
 
-    columns: Tuple[List[Any], ...]
     sel: Sequence[int]
+    number: Optional[int] = None
 
 
-def iter_column_batches(heap, batch_rows: int = DEFAULT_BATCH_ROWS) -> Iterator[ColumnBatch]:
-    """Yield :class:`ColumnBatch` stripes of ``batch_rows`` slots over a
-    :class:`~repro.db.storage.HeapTable`, skipping tombstones.  Callers
-    must hold the table's plan-level read lock for the duration."""
-    columns = heap.columns_view()
-    total = heap.slot_count
-    for start in range(0, total, batch_rows):
-        sel = heap.live_selection(start, start + batch_rows)
+def iter_column_batches(heap) -> Iterator[ColumnBatch]:
+    """Yield a :class:`ColumnBatch` per :data:`DEFAULT_BATCH_ROWS` slots
+    of a :class:`~repro.db.storage.HeapTable`, skipping tombstones (and
+    batches with no live row).  Callers must hold the table's
+    plan-level read lock for the duration."""
+    for start in range(0, heap.slot_count, DEFAULT_BATCH_ROWS):
+        sel = heap.live_selection(start, start + DEFAULT_BATCH_ROWS)
         if sel:
-            yield ColumnBatch(columns, sel)
+            yield ColumnBatch(sel, start // DEFAULT_BATCH_ROWS)
 
 
 @dataclass
